@@ -46,17 +46,21 @@ bench-delta:
 	@echo "Running delta codec and chain-materialization benchmarks..."
 	@$(GO) test -run '^$$' -bench 'BenchmarkDeltaEncode|BenchmarkChainMaterialize|BenchmarkStreamMaterialize' -benchtime 3x .
 
+# bench-drain sweeps the drain strategies at 4-256 ranks (the 64- and
+# 256-rank rows on the event kernel) with allocation counts and the
+# control plane's size (ctl-msgs, ctl-KB). It is part of BENCH_CKPT, so
+# bench-compare tracks its trajectory too.
 .PHONY: bench-drain
 bench-drain:
 	@echo "Running checkpoint drain benchmarks (twophase vs toposort)..."
-	@$(GO) test -run '^$$' -bench BenchmarkCheckpointDrain -benchtime 3x .
+	@$(GO) test -run '^$$' -bench BenchmarkCheckpointDrain -benchtime 3x -benchmem .
 
 # Checkpoint-pipeline benchmarks: the codec and store hot paths this
 # repo optimizes PR over PR. ChainMaterialize (batch) and
 # StreamMaterialize (chunk-pipelined) run on the same store shape, so
 # their medians compare directly. Backends sweeps the persistence tiers
 # (mem/fs/obj/tier) with their modeled commit-VT and drain-lag metrics.
-BENCH_CKPT := 'BenchmarkParallelCommit|BenchmarkParallelMaterialize|BenchmarkDeltaEncode|BenchmarkChainMaterialize|BenchmarkStreamMaterialize|BenchmarkCompressTiers|BenchmarkDedupCommit|BenchmarkBackends|BenchmarkKernelScale'
+BENCH_CKPT := 'BenchmarkParallelCommit|BenchmarkParallelMaterialize|BenchmarkDeltaEncode|BenchmarkChainMaterialize|BenchmarkStreamMaterialize|BenchmarkCompressTiers|BenchmarkDedupCommit|BenchmarkBackends|BenchmarkKernelScale|BenchmarkCheckpointDrain'
 
 # bench-kernel sweeps the simulation kernels: a fixed-work token ring
 # at 16-1024 ranks. The event-kernel rows should stay near-flat as the

@@ -18,6 +18,7 @@ import (
 	"manasim/internal/ckpt"
 	"manasim/internal/ckptimg"
 	"manasim/internal/ckptstore"
+	"manasim/internal/cluster"
 	mana "manasim/internal/core"
 	"manasim/internal/fsim"
 	"manasim/internal/harness"
@@ -546,7 +547,9 @@ func BenchmarkDrainProtocol(b *testing.B) {
 // the checkpoint hot path across rank counts, so future PRs have a
 // perf trajectory for the subsystem. Each iteration checkpoints a
 // pipelined LAMMPS job mid-run with in-flight halo messages and reports
-// the checkpoint-time virtual cost.
+// the checkpoint-time virtual cost and the control plane's size. The
+// 64- and 256-rank rows run on the event kernel, where the all-pairs
+// control traffic (n(n−1) messages either way) is the cost.
 func BenchmarkCheckpointDrain(b *testing.B) {
 	factory, err := impls.Get("mpich")
 	if err != nil {
@@ -557,7 +560,7 @@ func BenchmarkCheckpointDrain(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, strat := range ckpt.DrainNames() {
-		for _, ranks := range []int{4, 8, 16} {
+		for _, ranks := range []int{4, 8, 16, 64, 256} {
 			b.Run(fmt.Sprintf("%s/ranks=%d", strat, ranks), func(b *testing.B) {
 				in := spec.DefaultInput(apps.SiteDiscovery)
 				in.Ranks = ranks
@@ -567,8 +570,12 @@ func BenchmarkCheckpointDrain(b *testing.B) {
 					ImplName: "mpich", Factory: factory,
 					DrainStrategy: strat, ExitAtCheckpoint: true,
 				}
+				if ranks >= 64 {
+					cfg.Kernel = cluster.KernelEvent
+				}
 				var totalVT time.Duration
 				var drained int
+				var ctlMsgs, ctlBytes uint64
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -580,6 +587,7 @@ func BenchmarkCheckpointDrain(b *testing.B) {
 						b.Fatal("missing images")
 					}
 					totalVT += st.VT
+					ctlMsgs, ctlBytes = st.CtlMsgs, st.CtlBytes
 					if i == 0 {
 						for _, data := range images {
 							img, err := ckptimg.Decode(data)
@@ -592,6 +600,8 @@ func BenchmarkCheckpointDrain(b *testing.B) {
 				}
 				b.ReportMetric(totalVT.Seconds()/float64(b.N)*1e3, "vt-ms/run")
 				b.ReportMetric(float64(drained), "drained-msgs")
+				b.ReportMetric(float64(ctlMsgs), "ctl-msgs")
+				b.ReportMetric(float64(ctlBytes)/1e3, "ctl-KB")
 			})
 		}
 	}

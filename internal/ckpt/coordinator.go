@@ -67,7 +67,11 @@ type CtlLink interface {
 	// never yields, and under the goroutine kernel the spin burns a
 	// core.
 	CtlWait(src, tag int) error
-	// CtlRecv receives count int64 values from src under tag.
+	// CtlRecv receives one message from src under tag and returns
+	// exactly the values that arrived. count is the capacity posted for
+	// it, not the length expected: a shorter message yields fewer
+	// values, a longer one is an error. The slice is the link's staging
+	// buffer and is valid until the next CtlRecv on the link.
 	CtlRecv(src, tag, count int) ([]int64, error)
 }
 
@@ -245,6 +249,9 @@ func (c *Coordinator) NextBoundary(link CtlLink, rank, step, total, pending int)
 			vals, err := link.CtlRecv(0, TagAnnounce, 1)
 			if err != nil {
 				return pending, err
+			}
+			if len(vals) != 1 {
+				return pending, fmt.Errorf("ckpt: checkpoint announcement of %d values, want 1", len(vals))
 			}
 			s := int(vals[0])
 			if step > s {

@@ -13,13 +13,13 @@ import (
 // surviving injected drops and delays of the first transmission with a
 // classic timeout-and-resend protocol.
 //
-// Wire format: a row is [epoch | counters...] (n+1 int64 values). The
-// first transmission goes out under TagDrainCounters — the one tag the
-// fault injector is allowed to drop or delay. Acks (TagDrainAck,
-// payload [epoch]) and retransmissions (TagDrainResend, same row
-// payload) are exempt from injected loss, which resolves the Two
-// Generals problem: a bounded number of reliable resends always
-// converges.
+// Wire format: [epoch | row], the row being the sparse announcement of
+// the package documentation. The first transmission goes out under
+// TagDrainCounters — the one tag the fault injector is allowed to drop
+// or delay. Acks (TagDrainAck, payload [epoch]) and retransmissions
+// (TagDrainResend, same row payload) are exempt from injected loss,
+// which resolves the Two Generals problem: a bounded number of reliable
+// resends always converges.
 //
 // A rank may return only when it (a) holds every peer's row and (b) has
 // seen an ack for its own row from every peer. Condition (b) is what
@@ -34,12 +34,14 @@ import (
 // epoch mismatch means a strictly older round, never a future one. Such
 // leftovers exist precisely when a delayed original and a resend both
 // arrived and only one copy was consumed.
-func reliableRows(env ckpt.DrainEnv, rel ckpt.ReliableCtl, mine []int64) ([][]int64, error) {
+//
+// The rows land in g, mine (this rank's own announcement) included.
+func reliableRows(env ckpt.DrainEnv, rel ckpt.ReliableCtl, g *rows, mine []int64) error {
 	n, me := env.Size(), env.Rank()
 	epoch := rel.CtlEpoch()
 	timeout := rel.CtlResendTimeout()
 
-	payload := make([]int64, 0, n+1)
+	payload := make([]int64, 0, 1+len(mine))
 	payload = append(payload, epoch)
 	payload = append(payload, mine...)
 
@@ -49,13 +51,13 @@ func reliableRows(env ckpt.DrainEnv, rel ckpt.ReliableCtl, mine []int64) ([][]in
 			continue
 		}
 		if err := env.CtlSend(p, ckpt.TagDrainCounters, payload); err != nil {
-			return nil, fmt.Errorf("drain: announcing counters to rank %d: %w", p, err)
+			return fmt.Errorf("drain: announcing counters to rank %d: %w", p, err)
 		}
 	}
 
-	matrix := make([][]int64, n)
-	matrix[me] = mine
-	have := 1
+	if err := g.add(me, mine); err != nil {
+		return fmt.Errorf("drain: %w", err)
+	}
 	acked := make([]bool, n)
 	acked[me] = true
 	nAcked := 1
@@ -72,18 +74,22 @@ func reliableRows(env ckpt.DrainEnv, rel ckpt.ReliableCtl, mine []int64) ([][]in
 			if !ok {
 				return progressed, nil
 			}
-			row, err := env.CtlRecv(src, tag, n+1)
+			row, err := env.CtlRecv(src, tag, 1+maxRowLen(n))
 			if err != nil {
 				return progressed, err
+			}
+			if len(row) == 0 {
+				return progressed, fmt.Errorf("drain: %w", &RowError{Sender: src, Reason: "no epoch"})
 			}
 			if row[0] != epoch {
 				// A leftover from an older drain round (its sender has
 				// long since passed the barrier): drop it unacked.
 				continue
 			}
-			if matrix[src] == nil {
-				matrix[src] = row[1:]
-				have++
+			if !g.known[src] {
+				if err := g.add(src, row[1:]); err != nil {
+					return progressed, fmt.Errorf("drain: %w", err)
+				}
 				progressed = true
 			}
 			// Ack even duplicates: the sender may be resending because
@@ -94,27 +100,30 @@ func reliableRows(env ckpt.DrainEnv, rel ckpt.ReliableCtl, mine []int64) ([][]in
 		}
 	}
 
-	for have < n || nAcked < n {
-		ckpt.SetPhase(env, fmt.Sprintf("reliable:absorb rows=%d/%d acks=%d/%d", have, n, nAcked, n))
+	for g.have < n || nAcked < n {
+		ckpt.SetPhase(env, fmt.Sprintf("reliable:absorb rows=%d/%d acks=%d/%d", g.have, n, nAcked, n))
 		progressed := false
 		for _, tag := range []int{ckpt.TagDrainCounters, ckpt.TagDrainResend} {
 			p, err := absorb(tag)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			progressed = progressed || p
 		}
 		for {
 			ok, src, err := env.CtlIprobe(mpi.AnySource, ckpt.TagDrainAck)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !ok {
 				break
 			}
 			vals, err := env.CtlRecv(src, ckpt.TagDrainAck, 1)
 			if err != nil {
-				return nil, err
+				return err
+			}
+			if len(vals) != 1 {
+				return fmt.Errorf("drain: ack of %d values from rank %d, want 1", len(vals), src)
 			}
 			if vals[0] != epoch {
 				continue
@@ -125,7 +134,7 @@ func reliableRows(env ckpt.DrainEnv, rel ckpt.ReliableCtl, mine []int64) ([][]in
 				progressed = true
 			}
 		}
-		if progressed || (have >= n && nAcked >= n) {
+		if progressed || (g.have >= n && nAcked >= n) {
 			continue
 		}
 
@@ -137,18 +146,18 @@ func reliableRows(env ckpt.DrainEnv, rel ckpt.ReliableCtl, mine []int64) ([][]in
 		// the set of peers holding our row.
 		ckpt.SetPhase(env, "reliable:timeout")
 		if err := rel.CtlSleep(rel.CtlNow() + timeout); err != nil {
-			return nil, fmt.Errorf("drain: resend timeout sleep: %w", err)
+			return fmt.Errorf("drain: resend timeout sleep: %w", err)
 		}
 		for p := 0; p < n; p++ {
 			if acked[p] {
 				continue
 			}
 			if err := env.CtlSend(p, ckpt.TagDrainResend, payload); err != nil {
-				return nil, fmt.Errorf("drain: resending counters to rank %d: %w", p, err)
+				return fmt.Errorf("drain: resending counters to rank %d: %w", p, err)
 			}
 		}
 	}
-	return matrix, nil
+	return nil
 }
 
 // reliableArmed reports whether env wants the timeout-and-resend

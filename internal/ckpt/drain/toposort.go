@@ -17,7 +17,7 @@ func init() {
 // synchronizes all ranks in an MPI_Alltoall before anyone drains, here
 // each rank announces its cumulative send counters point-to-point on
 // the internal communicator the moment it reaches its cut, assembles
-// the send-dependency matrix from the announcements it receives, and
+// the send-dependency graph from the announcements it receives, and
 // drains announced predecessors in topological order of that graph —
 // messages are pulled incrementally as rows arrive instead of after a
 // collective barrier. A rank still needs every peer's row before it
@@ -25,27 +25,20 @@ func init() {
 // whether p sent to it), but that agreement is pairwise and
 // non-collective: no rank blocks inside an MPI collective while
 // another is late.
-type TopoSort struct {
-	order []int
-}
+type TopoSort struct{}
 
 // Name implements ckpt.DrainStrategy.
 func (*TopoSort) Name() string { return "toposort" }
 
-// Order reports the send-dependency checkpoint order computed during
-// the last Drain (world ranks, dependency-first). Every rank computes
-// the same order from the same counter matrix.
-func (s *TopoSort) Order() []int { return s.order }
-
 // Drain implements ckpt.DrainStrategy.
 //
 // With control-message faults armed the incremental row-by-row drain is
-// replaced by the reliable exchange: first collect the complete counter
-// matrix under the timeout-and-resend protocol, then pull everything in
-// the topological order of the full matrix. Incremental pulling is
-// pointless under loss — a dropped announcement would stall the partial
-// order anyway — and the reliable exchange already proves all pre-cut
-// traffic probeable when it returns.
+// replaced by the reliable exchange: first collect every rank's
+// announcement under the timeout-and-resend protocol, then pull
+// everything in the topological order of the full graph. Incremental
+// pulling is pointless under loss — a dropped announcement would stall
+// the partial order anyway — and the reliable exchange already proves
+// all pre-cut traffic probeable when it returns.
 func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 	// The phase survives an error return: the deadlock diagnostic reports
 	// where each rank was when the job went down.
@@ -55,25 +48,20 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 		}
 	}()
 	n, me := env.Size(), env.Rank()
-	sent := env.SentTo()
-	mine := make([]int64, n)
-	for p, v := range sent {
-		mine[p] = int64(v)
-	}
 	if n == 1 {
-		s.order = []int{0}
 		return nil
 	}
+	mine := appendRow(nil, env.SentTo())
 
 	// Snapshot receive counters before any Pull mutates them.
 	recvBase := append([]uint64(nil), env.RecvFrom()...)
 
+	g := newRows(n, me)
 	if rel, ok := reliableArmed(env); ok {
-		matrix, err := reliableRows(env, rel, mine)
-		if err != nil {
+		if err := reliableRows(env, rel, g, mine); err != nil {
 			return fmt.Errorf("drain/toposort: reliable counter exchange: %w", err)
 		}
-		return s.drainFull(env, matrix, recvBase)
+		return s.drainFull(env, g, recvBase)
 	}
 
 	ckpt.SetPhase(env, "toposort:announce")
@@ -95,27 +83,29 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 		return err
 	}
 
-	matrix := make([][]int64, n)
-	matrix[me] = mine
-	expect := make([]int64, n)
-	pulled := make([]int64, n)
-	have, outstanding := 1, int64(0)
-
-	// Self traffic needs no announcement: this rank's own counters are
-	// its own row.
-	expect[me] = mine[me] - int64(recvBase[me])
-	if expect[me] < 0 {
-		return fmt.Errorf("drain/toposort: self-send counter underflow: sent %d, received %d", mine[me], recvBase[me])
+	// left[p] counts the messages still to pull from p; it is known
+	// once p's row is in. Self traffic needs no announcement: this
+	// rank's own counters are its own row.
+	left := make([]int64, n)
+	outstanding := int64(0)
+	absorb := func(src int, row []int64) error {
+		if err := g.add(src, row); err != nil {
+			return fmt.Errorf("drain/toposort: %w", err)
+		}
+		n, err := owed(g, src, recvBase)
+		left[src] = n
+		outstanding += n
+		return err
 	}
-	outstanding += expect[me]
+	if err := absorb(me, mine); err != nil {
+		return err
+	}
 
-	// The dependency order over the partial matrix is recomputed only
-	// when a new row arrives: orderOf is O(n²), and recomputing it every
-	// pass made the 1024-rank sweep quadratically slower than the drain
-	// traffic itself.
-	var order []int
-	for have < n || outstanding > 0 {
-		ckpt.SetPhase(env, fmt.Sprintf("toposort:drain rows=%d/%d outstanding=%d", have, n, outstanding))
+	// The dependency order over the rows absorbed so far is recomputed
+	// only when a new row has arrived.
+	var order []int32
+	for g.have < n || outstanding > 0 {
+		ckpt.SetPhase(env, fmt.Sprintf("toposort:drain rows=%d/%d outstanding=%d", g.have, n, outstanding))
 		progressed := false
 
 		// Absorb whatever counter announcements have arrived.
@@ -127,46 +117,35 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 			if !ok {
 				break
 			}
-			row, err := env.CtlRecv(src, ckpt.TagDrainCounters, n)
+			row, err := env.CtlRecv(src, ckpt.TagDrainCounters, maxRowLen(n))
 			if err != nil {
 				return err
 			}
-			if matrix[src] != nil {
-				return fmt.Errorf("drain/toposort: duplicate counter announcement from rank %d", src)
+			if err := absorb(src, row); err != nil {
+				return err
 			}
-			matrix[src] = row
-			expect[src] = row[me] - int64(recvBase[src])
-			if expect[src] < 0 {
-				return fmt.Errorf("drain/toposort: counter underflow from rank %d: sent %d, received %d", src, row[me], recvBase[src])
-			}
-			outstanding += expect[src] - pulled[src]
-			have++
 			progressed = true
 			order = nil
 		}
 		if order == nil {
-			order = orderOf(matrix)
+			order = g.order()
 		}
 
 		// Drain announced predecessors in dependency order. Their
 		// pre-cut messages were deposited before the announcement, so
 		// every expected message is already probeable.
 		for _, w := range order {
-			if matrix[w] == nil {
-				continue
-			}
-			for pulled[w] < expect[w] {
-				if err := s.pullFrom(env, comms, w); err != nil {
+			for ; left[w] > 0; left[w]-- {
+				if err := s.pullFrom(env, comms, int(w)); err != nil {
 					return err
 				}
-				pulled[w]++
 				outstanding--
 				progressed = true
 			}
 		}
 
 		if !progressed {
-			if have >= n {
+			if g.have >= n {
 				// Every row is in and the expected messages are
 				// deposit-on-send, so an empty pass is a protocol bug,
 				// not a wait.
@@ -183,39 +162,42 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 			}
 		}
 	}
-	// The loop exits only with every row absorbed, so the cached order
-	// is the order of the complete matrix.
-	s.order = order
 	return nil
 }
 
-// drainFull pulls against a complete counter matrix (the reliable-path
-// epilogue): compute per-peer expectations from the matrix and the
+// drainFull pulls against the complete set of announcements (the
+// reliable-path epilogue): per-peer expectations from the rows and the
 // receive snapshot, then pull in topological order.
-func (s *TopoSort) drainFull(env ckpt.DrainEnv, matrix [][]int64, recvBase []uint64) error {
-	n, me := env.Size(), env.Rank()
+func (s *TopoSort) drainFull(env ckpt.DrainEnv, g *rows, recvBase []uint64) error {
 	comms, err := env.Comms()
 	if err != nil {
 		return err
 	}
-	expect := make([]int64, n)
-	for p, row := range matrix {
-		expect[p] = row[me] - int64(recvBase[p])
-		if expect[p] < 0 {
-			return fmt.Errorf("drain/toposort: counter underflow from rank %d: sent %d, received %d", p, row[me], recvBase[p])
+	left := make([]int64, g.n)
+	for p := range left {
+		if left[p], err = owed(g, p, recvBase); err != nil {
+			return err
 		}
 	}
-	order := orderOf(matrix)
 	ckpt.SetPhase(env, "toposort:pull")
-	for _, w := range order {
-		for pulled := int64(0); pulled < expect[w]; pulled++ {
-			if err := s.pullFrom(env, comms, w); err != nil {
+	for _, w := range g.order() {
+		for ; left[w] > 0; left[w]-- {
+			if err := s.pullFrom(env, comms, int(w)); err != nil {
 				return err
 			}
 		}
 	}
-	s.order = order
 	return nil
+}
+
+// owed is the number of p's messages still in flight toward this rank:
+// what p announced minus what had arrived when the drain began.
+func owed(g *rows, p int, recvBase []uint64) (int64, error) {
+	left := g.toMe[p] - int64(recvBase[p])
+	if left < 0 {
+		return 0, fmt.Errorf("drain/toposort: counter underflow from rank %d: sent %d, received %d", p, g.toMe[p], recvBase[p])
+	}
+	return left, nil
 }
 
 // pullFrom locates and pulls one in-flight message from world rank w on
@@ -249,55 +231,4 @@ func (s *TopoSort) pullFrom(env ckpt.DrainEnv, comms []ckpt.DrainComm, w int) er
 		return nil
 	}
 	return fmt.Errorf("drain/toposort: rank %d announced more messages than are probeable", w)
-}
-
-// orderOf topologically sorts the ranks of the (possibly partial) send
-// matrix: an edge p→q exists when p sent q at least one message, so
-// senders come before the ranks that depend on their traffic. Cycles —
-// a ring pipeline is one big cycle — are broken at the smallest
-// remaining rank, making the order deterministic and identical on every
-// rank once the matrix is complete.
-func orderOf(matrix [][]int64) []int {
-	n := len(matrix)
-	indeg := make([]int, n)
-	for p, row := range matrix {
-		if row == nil {
-			continue
-		}
-		for q, cnt := range row {
-			if q != p && cnt > 0 {
-				indeg[q]++
-			}
-		}
-	}
-	done := make([]bool, n)
-	order := make([]int, 0, n)
-	for len(order) < n {
-		pick := -1
-		for r := 0; r < n; r++ {
-			if !done[r] && indeg[r] == 0 {
-				pick = r
-				break
-			}
-		}
-		if pick < 0 {
-			// Cycle: break it at the smallest remaining rank.
-			for r := 0; r < n; r++ {
-				if !done[r] {
-					pick = r
-					break
-				}
-			}
-		}
-		done[pick] = true
-		order = append(order, pick)
-		if row := matrix[pick]; row != nil {
-			for q, cnt := range row {
-				if q != pick && cnt > 0 && indeg[q] > 0 {
-					indeg[q]--
-				}
-			}
-		}
-	}
-	return order
 }

@@ -40,19 +40,13 @@ func (*TwoPhase) Drain(env ckpt.DrainEnv) (err error) {
 	ckpt.SetPhase(env, "twophase:exchange")
 	var theirSent []uint64
 	if rel, ok := reliableArmed(env); ok && env.Size() > 1 {
-		sent := env.SentTo()
-		mine := make([]int64, len(sent))
-		for p, v := range sent {
-			mine[p] = int64(v)
-		}
-		matrix, err := reliableRows(env, rel, mine)
-		if err != nil {
+		g := newRows(env.Size(), env.Rank())
+		if err := reliableRows(env, rel, g, appendRow(nil, env.SentTo())); err != nil {
 			return fmt.Errorf("drain/twophase: reliable counter exchange: %w", err)
 		}
-		me := env.Rank()
 		theirSent = make([]uint64, env.Size())
-		for p, row := range matrix {
-			theirSent[p] = uint64(row[me])
+		for p, sent := range g.toMe {
+			theirSent[p] = uint64(sent)
 		}
 	} else {
 		var err error

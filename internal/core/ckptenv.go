@@ -19,18 +19,30 @@ import (
 // ctlLink carries small int64 control payloads over manaComm.
 type ctlLink struct{ r *Runtime }
 
-// CtlSend implements ckpt.CtlLink.
+// CtlSend implements ckpt.CtlLink. The values are encoded into the
+// link's staging buffer; the lower half copies them out before Send
+// returns, so the buffer is free for the next message.
 func (l ctlLink) CtlSend(dest, tag int, vals []int64) error {
 	r := l.r
 	i64, err := r.lower.LookupConst(mpi.ConstInt64)
 	if err != nil {
 		return err
 	}
-	payload := mpi.Int64Bytes(vals)
+	payload := r.ctlStage(len(vals))
+	mpi.PutInt64s(payload, vals)
 	r.bnd.Enter()
 	err = r.lower.Send(payload, len(vals), i64, dest, tag, r.manaComm)
 	r.bnd.Leave()
 	return err
+}
+
+// ctlStage returns the link's byte staging buffer sized for count
+// values.
+func (r *Runtime) ctlStage(count int) []byte {
+	if cap(r.ctlBuf) < 8*count {
+		r.ctlBuf = make([]byte, 8*count)
+	}
+	return r.ctlBuf[:8*count]
 }
 
 // CtlIprobe implements ckpt.CtlLink.
@@ -57,27 +69,33 @@ func (l ctlLink) CtlWait(src, tag int) error {
 	return err
 }
 
-// CtlRecv implements ckpt.CtlLink. The receive staging buffer is reused
-// across calls (control traffic is serial per rank): at a 1024-rank
-// drain each rank receives a thousand 8 KiB counter rows, and a fresh
-// buffer per row made allocation and GC the dominant simulation cost.
+// CtlRecv implements ckpt.CtlLink: count is the capacity posted, the
+// result holds exactly the values that arrived. Both staging buffers are
+// reused across calls (control traffic is serial per rank): at a
+// 1024-rank drain each rank receives a thousand counter rows, and fresh
+// buffers per row made allocation and GC the dominant simulation cost.
 func (l ctlLink) CtlRecv(src, tag, count int) ([]int64, error) {
 	r := l.r
 	i64, err := r.lower.LookupConst(mpi.ConstInt64)
 	if err != nil {
 		return nil, err
 	}
-	if cap(r.ctlBuf) < 8*count {
-		r.ctlBuf = make([]byte, 8*count)
-	}
-	buf := r.ctlBuf[:8*count]
+	buf := r.ctlStage(count)
 	r.bnd.Enter()
-	_, err = r.lower.Recv(buf, count, i64, src, tag, r.manaComm)
+	st, err := r.lower.Recv(buf, count, i64, src, tag, r.manaComm)
 	r.bnd.Leave()
 	if err != nil {
 		return nil, err
 	}
-	return mpi.Int64s(buf), nil
+	if st.Bytes%8 != 0 {
+		return nil, fmt.Errorf("mana: control message of %d bytes from rank %d is not a whole number of int64 values", st.Bytes, st.Source)
+	}
+	if n := st.Bytes / 8; cap(r.ctlVals) < n {
+		r.ctlVals = make([]int64, n)
+	}
+	vals := r.ctlVals[:st.Bytes/8]
+	mpi.GetInt64s(buf[:st.Bytes], vals)
+	return vals, nil
 }
 
 // drainEnv exposes the runtime to a drain strategy for one checkpoint.
@@ -96,9 +114,11 @@ func (r *Runtime) newDrainEnv() (drainEnv, error) {
 }
 
 // CtlSend implements ckpt.CtlLink for the drain, counting each control
-// message toward Stats.CtlMsgs before delegating to the link.
+// message toward Stats.CtlMsgs and its payload toward Stats.CtlBytes
+// before delegating to the link.
 func (e drainEnv) CtlSend(dest, tag int, vals []int64) error {
 	e.r.ctlMsgs++
+	e.r.ctlBytes += uint64(8 * len(vals))
 	return e.ctlLink.CtlSend(dest, tag, vals)
 }
 
@@ -116,11 +136,12 @@ func (e drainEnv) RecvFrom() []uint64 { return e.r.recvFrom }
 
 // ExchangeAll implements ckpt.DrainEnv: the MPI_Alltoall of cumulative
 // counters over the internal communicator (Section 5, category 3). The
-// collective counts as size-1 control messages — one counter slot
-// shipped to every peer.
+// collective counts as size-1 control messages of 8 bytes — one counter
+// slot shipped to every peer.
 func (e drainEnv) ExchangeAll(vals []uint64) ([]uint64, error) {
 	r := e.r
 	r.ctlMsgs += uint64(r.size - 1)
+	r.ctlBytes += uint64(8 * (r.size - 1))
 	u64, err := r.lower.LookupConst(mpi.ConstUint64)
 	if err != nil {
 		return nil, err

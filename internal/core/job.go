@@ -3,6 +3,7 @@ package mana
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"manasim/internal/app"
@@ -38,6 +39,11 @@ type Stats struct {
 	// sent over MANA's internal communicator (counter announcements and
 	// Alltoall slots) — the protocol cost the drain experiment reports.
 	CtlMsgs uint64
+	// CtlBytes is the payload of those messages in bytes: what the ranks
+	// handed to CtlSend, plus 8 bytes per Alltoall slot. The message
+	// count of the all-pairs announcement is n(n−1) whatever a row
+	// holds; this is the count that shows how large the rows are.
+	CtlBytes uint64
 	// Stopped reports that the job exited at a checkpoint (preemption).
 	Stopped bool
 	// Checksums holds each rank's application checksum (correctness
@@ -73,9 +79,19 @@ type Stats struct {
 	StoreCorruptions int
 }
 
-// Session is a running MANA job.
+// Session is a MANA job. Its ranks start running when Wait is first
+// called, not when the session is built: what the caller sets on the
+// session in between — a checkpoint preset on Co above all — is then in
+// place before any rank reaches its first safe point, however long the
+// host scheduler holds the caller up. A rank that passes a boundary
+// before the preset lands never checkpoints there, and the ranks that do
+// wait for it in the drain forever.
 type Session struct {
 	Co *Coordinator
+
+	// body is one rank's activity; Wait starts them all, once.
+	body       cluster.RankFn
+	launchOnce sync.Once
 
 	cfg       Config
 	job       *cluster.Job
@@ -113,7 +129,7 @@ func StartJob(cfg Config, n int, factory app.Factory) (*Session, error) {
 	if err := armFaults(cfg, s.job); err != nil {
 		return nil, err
 	}
-	s.job.Start(func(rank int, proc mpi.Proc, clock *simtime.Clock) error {
+	s.body = func(rank int, proc mpi.Proc, clock *simtime.Clock) error {
 		rt, err := NewRuntime(cfg, proc, clock, s.Co)
 		if err != nil {
 			return err
@@ -122,7 +138,7 @@ func StartJob(cfg Config, n int, factory app.Factory) (*Session, error) {
 		s.wireFaults(rt, rank, clock)
 		inst := factory()
 		return s.runRank(rt, inst, rank, 0, true)
-	})
+	}
 	return s, nil
 }
 
@@ -225,7 +241,7 @@ func restartJobImages(cfg Config, imgs []*ckptimg.Image, chains []ckptstore.Chai
 	if err := armFaults(cfg, s.job); err != nil {
 		return nil, err
 	}
-	s.job.Start(func(rank int, proc mpi.Proc, clock *simtime.Clock) error {
+	s.body = func(rank int, proc mpi.Proc, clock *simtime.Clock) error {
 		img := byRank[rank]
 		var chain *ckptstore.ChainStats
 		if chains != nil && img.Rank < len(chains) {
@@ -242,7 +258,7 @@ func restartJobImages(cfg Config, imgs []*ckptimg.Image, chains []ckptstore.Chai
 			return fmt.Errorf("mana: restoring application state: %w", err)
 		}
 		return s.runRank(rt, inst, rank, img.Step, false)
-	})
+	}
 	return s, nil
 }
 
@@ -298,8 +314,10 @@ func (s *Session) RestartChains() []ckptstore.ChainStats {
 	return append([]ckptstore.ChainStats(nil), s.chains...)
 }
 
-// Wait blocks until the job completes and returns its statistics.
+// Wait starts the job's ranks, blocks until the job completes and
+// returns its statistics.
 func (s *Session) Wait() (Stats, error) {
+	s.launchOnce.Do(func() { s.job.Start(s.body) })
 	res, err := s.job.WaitResult()
 	st := Stats{
 		VT:        res.VT,
@@ -315,6 +333,7 @@ func (s *Session) Wait() (Stats, error) {
 		st.Crossings += rt.Boundary().Crossings()
 		st.WrapperCalls += rt.WrapperCalls()
 		st.CtlMsgs += rt.ctlMsgs
+		st.CtlBytes += rt.ctlBytes
 		if rt.drainVT > st.DrainVT {
 			st.DrainVT = rt.drainVT
 		}

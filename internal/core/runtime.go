@@ -65,9 +65,13 @@ type Runtime struct {
 	// internal communicator (Stats.CtlMsgs), tallied by the DrainEnv
 	// adapter.
 	ctlMsgs uint64
-	// ctlBuf is the reusable staging buffer of CtlRecv (control traffic
-	// is serial within a rank, so one buffer suffices).
-	ctlBuf []byte
+	// ctlBytes is the payload of those messages (Stats.CtlBytes).
+	ctlBytes uint64
+	// ctlBuf and ctlVals are the reusable staging buffers of the control
+	// link, wire bytes and decoded values (control traffic is serial
+	// within a rank, so one of each suffices).
+	ctlBuf  []byte
+	ctlVals []int64
 
 	co      *Coordinator
 	stepNow int

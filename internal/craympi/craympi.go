@@ -147,11 +147,11 @@ func (t *table) Remove(h mpi.Handle) error {
 
 // ConstHandle implements mpibase.HandleTable: like MPICH, builtin
 // constants are compile-time integers, stable across sessions.
-func (t *table) ConstHandle(name mpi.ConstName, obj func() any) (mpi.Handle, error) {
+func (t *table) ConstHandle(name mpi.ConstName, obj any) (mpi.Handle, error) {
 	h := Encode(name.Kind(), true, 0, 0, int(name))
 	if !t.bound[name] {
 		t.bound[name] = true
-		t.constObjs[name] = obj()
+		t.constObjs[name] = obj
 	}
 	return h, nil
 }

@@ -81,8 +81,8 @@ func TestGenerationWrapsSafely(t *testing.T) {
 
 func TestCrayConstantsStable(t *testing.T) {
 	a, b := newTable(), newTable()
-	ha, _ := a.ConstHandle(mpi.ConstCommWorld, func() any { return "w" })
-	hb, _ := b.ConstHandle(mpi.ConstCommWorld, func() any { return "w" })
+	ha, _ := a.ConstHandle(mpi.ConstCommWorld, "w")
+	hb, _ := b.ConstHandle(mpi.ConstCommWorld, "w")
 	if ha != hb {
 		t.Fatalf("Cray constants differ across instances: %#x vs %#x", uint64(ha), uint64(hb))
 	}

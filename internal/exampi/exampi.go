@@ -143,15 +143,15 @@ func (s *store) Remove(h mpi.Handle) error {
 // enum values (known immediately and stable); every other constant is a
 // lazy shared pointer materialized on first use — the property MANA's
 // constant translation must tolerate (paper Section 4.3).
-func (s *store) ConstHandle(name mpi.ConstName, obj func() any) (mpi.Handle, error) {
+func (s *store) ConstHandle(name mpi.ConstName, obj any) (mpi.Handle, error) {
 	if ev, ok := enumOf(name); ok {
 		if _, bound := s.enums[ev]; !bound {
-			s.enums[ev] = obj()
+			s.enums[ev] = obj
 		}
 		return mpi.Handle(ev), nil
 	}
 	if !s.bound[name] {
-		s.consts[name] = s.alloc(name.Kind(), obj())
+		s.consts[name] = s.alloc(name.Kind(), obj)
 		s.bound[name] = true
 	}
 	return s.consts[name], nil

@@ -23,14 +23,14 @@ func TestLazyConstantMaterialization(t *testing.T) {
 	if len(s.objs) != 0 {
 		t.Fatalf("store pre-populated: %d objects", len(s.objs))
 	}
-	h, err := s.ConstHandle(mpi.ConstOpSum, func() any { return "sum" })
+	h, err := s.ConstHandle(mpi.ConstOpSum, "sum")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(s.objs) != 1 {
 		t.Fatal("first use did not materialize the shared pointer")
 	}
-	h2, _ := s.ConstHandle(mpi.ConstOpSum, func() any { return "other" })
+	h2, _ := s.ConstHandle(mpi.ConstOpSum, "other")
 	if h != h2 {
 		t.Fatal("lazy constant materialized twice")
 	}
@@ -41,7 +41,7 @@ func TestLazyConstantMaterialization(t *testing.T) {
 
 func TestEnumDatatypesNotFreeable(t *testing.T) {
 	s := newStore(1)
-	h, err := s.ConstHandle(mpi.ConstFloat64, func() any { return "f64" })
+	h, err := s.ConstHandle(mpi.ConstFloat64, "f64")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +75,8 @@ func TestSubsetCapabilities(t *testing.T) {
 
 func TestSharedPointersDifferAcrossSessions(t *testing.T) {
 	s1, s2 := newStore(11), newStore(22)
-	h1, _ := s1.ConstHandle(mpi.ConstCommWorld, func() any { return 1 })
-	h2, _ := s2.ConstHandle(mpi.ConstCommWorld, func() any { return 2 })
+	h1, _ := s1.ConstHandle(mpi.ConstCommWorld, 1)
+	h2, _ := s2.ConstHandle(mpi.ConstCommWorld, 2)
 	if h1 == h2 {
 		t.Fatal("shared-pointer constants identical across library instances")
 	}

@@ -30,6 +30,8 @@ type DrainRow struct {
 	// CtlMsgs is the number of drain control messages sent over the
 	// internal communicator across all ranks.
 	CtlMsgs uint64
+	// CtlBytes is the payload of those messages in bytes.
+	CtlBytes uint64
 	// Drained is the total number of in-flight messages captured across
 	// all rank images.
 	Drained int
@@ -88,6 +90,7 @@ func DrainStrategies(opts Options) ([]DrainRow, error) {
 				CkptVTS:  st.VT.Seconds(),
 				DrainVTS: st.DrainVT.Seconds(),
 				CtlMsgs:  st.CtlMsgs,
+				CtlBytes: st.CtlBytes,
 			}
 			var bytes int
 			for _, data := range images {
@@ -105,8 +108,8 @@ func DrainStrategies(opts Options) ([]DrainRow, error) {
 			}
 			row.RestartOK = slices.Equal(plain.Checksums, rst.Checksums)
 			if opts.Logf != nil {
-				opts.Logf("drain %s/%s: vt=%.1fs drain-vt=%.2fs ctl-msgs=%d drained=%d restart-ok=%v",
-					implName, strat, row.CkptVTS, row.DrainVTS, row.CtlMsgs, row.Drained, row.RestartOK)
+				opts.Logf("drain %s/%s: vt=%.1fs drain-vt=%.2fs ctl-msgs=%d ctl-bytes=%d drained=%d restart-ok=%v",
+					implName, strat, row.CkptVTS, row.DrainVTS, row.CtlMsgs, row.CtlBytes, row.Drained, row.RestartOK)
 			}
 			rows = append(rows, row)
 		}
@@ -117,15 +120,15 @@ func DrainStrategies(opts Options) ([]DrainRow, error) {
 // WriteDrain renders the drain-strategy comparison.
 func WriteDrain(w io.Writer, rows []DrainRow) {
 	title := "Drain strategies: two-phase (SC'23 §5) vs topological sort (arXiv:2408.02218)"
-	fmt.Fprintf(w, "%s\n%s\n%-10s %-10s %12s %14s %9s %9s %12s %10s\n", title, strings.Repeat("=", len(title)),
-		"Impl", "Strategy", "Ckpt VT (s)", "Drain VT (ms)", "Ctl msgs", "Drained", "Image KB", "Restart")
+	fmt.Fprintf(w, "%s\n%s\n%-10s %-10s %12s %14s %9s %9s %9s %12s %10s\n", title, strings.Repeat("=", len(title)),
+		"Impl", "Strategy", "Ckpt VT (s)", "Drain VT (ms)", "Ctl msgs", "Ctl B", "Drained", "Image KB", "Restart")
 	for _, r := range rows {
 		status := "ok"
 		if !r.RestartOK {
 			status = "MISMATCH"
 		}
-		fmt.Fprintf(w, "%-10s %-10s %12.1f %14.3f %9d %9d %12.1f %10s\n",
-			r.Impl, r.Strategy, r.CkptVTS, r.DrainVTS*1e3, r.CtlMsgs, r.Drained, r.ImageKB, status)
+		fmt.Fprintf(w, "%-10s %-10s %12.1f %14.3f %9d %9d %9d %12.1f %10s\n",
+			r.Impl, r.Strategy, r.CkptVTS, r.DrainVTS*1e3, r.CtlMsgs, r.CtlBytes, r.Drained, r.ImageKB, status)
 	}
 	fmt.Fprintln(w)
 }

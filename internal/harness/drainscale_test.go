@@ -1,0 +1,51 @@
+package harness
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"manasim/internal/apps"
+	"manasim/internal/impls"
+)
+
+// lammpsHaloPeers bounds the number of ranks a rank of the pipelined
+// LAMMPS workload has sent to when it reaches the checkpoint.
+const lammpsHaloPeers = 6
+
+// TestDrainScaleToposort1024 is the scale smoke of the collective-free
+// drain: one 1024-rank toposort cell of the sweep completes, with the
+// protocol's n(n−1) announcements and a payload within the sparse row's
+// size. No wall-clock assertion — a dense n-entry row would miss the
+// byte bound 80×, on any host.
+func TestDrainScaleToposort1024(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale smoke")
+	}
+	const n = 1024
+	spec, err := apps.ByName("lammps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := impls.Get("mpich")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := drainScaleCell(spec, factory, n, "toposort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.CtlMsgs != n*(n-1) {
+		t.Errorf("CtlMsgs %d, want n(n-1) = %d", row.CtlMsgs, n*(n-1))
+	}
+	if bound := uint64(n * (n - 1) * 8 * (1 + 2*lammpsHaloPeers)); row.CtlBytes == 0 || row.CtlBytes > bound {
+		t.Errorf("CtlBytes %d, want in (0, %d]", row.CtlBytes, bound)
+	}
+	var buf bytes.Buffer
+	WriteDrainScale(&buf, []DrainScaleRow{row})
+	if !strings.Contains(buf.String(), "Ctl KB") {
+		t.Errorf("rendered sweep lacks the control-byte column:\n%s", buf.String())
+	}
+	t.Logf("1024-rank toposort cell: drain VT %.3f ms, %d control messages, %.1f KB, wall %.2f s",
+		row.DrainVTS*1e3, row.CtlMsgs, float64(row.CtlBytes)/1e3, row.WallS)
+}

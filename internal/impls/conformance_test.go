@@ -1035,3 +1035,30 @@ func TestMessageOrderingFIFO(t *testing.T) {
 		})
 	})
 }
+
+// TestLookupConstDoesNotAllocate: resolving a predefined constant is on
+// the path of every control message MANA sends or receives (the control
+// link resolves MPI_INT64_T per call, because a restart's new lower half
+// would invalidate any handle cached above it), so once a constant is
+// bound a lookup must cost no heap object on any implementation.
+func TestLookupConstDoesNotAllocate(t *testing.T) {
+	forEachImpl(t, func(t *testing.T, name string, factory Factory) {
+		run(t, factory, 1, func(rank int, p mpi.Proc, clock *simtime.Clock) error {
+			for _, c := range []mpi.ConstName{mpi.ConstInt64, mpi.ConstCommWorld, mpi.ConstOpSum} {
+				want, err := p.LookupConst(c)
+				if err != nil {
+					return err
+				}
+				allocs := testing.AllocsPerRun(100, func() {
+					if h, err := p.LookupConst(c); err != nil || h != want {
+						t.Errorf("%s: LookupConst(%v) = %v, %v; want %v", name, c, h, err, want)
+					}
+				})
+				if allocs != 0 {
+					return fmt.Errorf("%s: LookupConst(%v) allocates %v objects per call", name, c, allocs)
+				}
+			}
+			return nil
+		})
+	})
+}

@@ -43,19 +43,30 @@ func GetFloat64s(b []byte, v []float64) {
 // Int64Bytes encodes a []int64 into a packed byte slice.
 func Int64Bytes(v []int64) []byte {
 	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:8*i+8], uint64(x))
-	}
+	PutInt64s(b, v)
 	return b
+}
+
+// PutInt64s encodes v into b, which must hold at least 8*len(v) bytes.
+func PutInt64s(b []byte, v []int64) {
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
+	}
 }
 
 // Int64s decodes a packed byte slice into a []int64.
 func Int64s(b []byte) []int64 {
 	v := make([]int64, len(b)/8)
-	for i := range v {
-		v[i] = int64(binary.LittleEndian.Uint64(b[8*i : 8*i+8]))
-	}
+	GetInt64s(b, v)
 	return v
+}
+
+// GetInt64s decodes b into v, which must hold at least len(b)/8 values.
+func GetInt64s(b []byte, v []int64) {
+	n := len(b) / 8
+	for i := 0; i < n; i++ {
+		v[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+	}
 }
 
 // Int32Bytes encodes a []int32 into a packed byte slice.

@@ -306,3 +306,81 @@ func TestCoalesce(t *testing.T) {
 		}
 	}
 }
+
+// TestRankOf covers the constant-time path (a member sitting at its own
+// index, as in the world group and its duplicates) and the scan behind
+// it, against a plain scan as the reference.
+func TestRankOf(t *testing.T) {
+	scan := func(g *Group, world int) int {
+		for i, w := range g.Ranks {
+			if w == world {
+				return i
+			}
+		}
+		return mpi.Undefined
+	}
+	groups := map[string][]int{
+		"world":                {0, 1, 2, 3, 4, 5},
+		"permuted":             {2, 0, 1},
+		"permuted, fixed rank": {0, 2, 1, 3},
+		"subset":               {4, 2, 7},
+		"subset, own index":    {0, 1, 5},
+		"empty":                {},
+	}
+	for name, ranks := range groups {
+		g := &Group{Ranks: ranks}
+		for world := -2; world < 10; world++ {
+			if got, want := g.RankOf(world), scan(g, world); got != want {
+				t.Errorf("%s %v: RankOf(%d) = %d, want %d", name, ranks, world, got, want)
+			}
+		}
+	}
+	g := &Group{Ranks: groups["permuted"]}
+	if g.RankOf(0) != 1 || g.RankOf(1) != 2 || g.RankOf(2) != 0 {
+		t.Fatal("permuted group")
+	}
+	g = &Group{Ranks: groups["subset, own index"]}
+	if g.RankOf(5) != 2 || g.RankOf(2) != mpi.Undefined || g.RankOf(6) != mpi.Undefined {
+		t.Fatal("subset group: world rank 2 is not a member though index 2 exists")
+	}
+}
+
+// TestSendDoesNotAliasCallerBuffer: exactly one copy separates the
+// caller's buffer from the mailbox, and it is a copy — rewriting the
+// buffer after Send returns changes neither a contiguous nor a strided
+// payload already on its way.
+func TestSendDoesNotAliasCallerBuffer(t *testing.T) {
+	e := testEngine(t)
+	i64 := e.PredefDtype(mpi.ConstInt64)
+	// Two blocks of one element, stride 2: elements 0 and 2.
+	strided, err := e.TypeVector(2, 1, 2, i64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		dt    *Dtype
+		count int
+		want  []int64
+	}{
+		{"contiguous", i64, 3, []int64{10, 11, 12}},
+		{"strided", strided, 1, []int64{10, 12}},
+	}
+	for tag, tc := range cases {
+		buf := mpi.Int64Bytes([]int64{10, 11, 12})
+		if err := e.Send(e.WorldComm, buf, tc.count, tc.dt, 0, tag); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 0xFF
+		}
+		got := make([]byte, 8*len(tc.want))
+		st, err := e.Recv(e.WorldComm, got, len(tc.want), i64, 0, tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Bytes != len(got) || !bytes.Equal(got, mpi.Int64Bytes(tc.want)) {
+			t.Errorf("%s: delivered %v (%d bytes), want %v", tc.name, mpi.Int64s(got), st.Bytes, tc.want)
+		}
+	}
+}

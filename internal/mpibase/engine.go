@@ -157,9 +157,11 @@ func (e *Engine) sendRaw(c *Comm, ctx uint32, buf []byte, count int, dt *Dtype, 
 	if need := dt.BufLen(count); len(buf) < need {
 		return mpi.Errorf(mpi.ErrArg, "send buffer %d bytes, need %d", len(buf), need)
 	}
+	// Pack's fresh slice is the one copy between the caller's buffer and
+	// the mailbox: the transport takes it over as it is.
 	payload := dt.Pack(buf, count)
 	e.Clock.Advance(e.Net.Overhead)
-	if err := e.Ep.Send(world, ctx, tag, payload, e.Clock.Now()); err != nil {
+	if err := e.Ep.SendOwned(world, ctx, tag, payload, e.Clock.Now()); err != nil {
 		return mpi.Errorf(mpi.ErrOther, "transport: %v", err)
 	}
 	return nil

@@ -29,8 +29,13 @@ type Group struct {
 func (g *Group) Size() int { return len(g.Ranks) }
 
 // RankOf returns the group rank of the given world rank, or
-// mpi.Undefined if the world rank is not a member.
+// mpi.Undefined if the world rank is not a member. Every completed
+// receive calls it, so a member sitting at its own index — every member
+// of the world group and of its duplicates — is found without the scan.
 func (g *Group) RankOf(world int) int {
+	if world >= 0 && world < len(g.Ranks) && g.Ranks[world] == world {
+		return world
+	}
 	for i, w := range g.Ranks {
 		if w == world {
 			return i
@@ -104,7 +109,8 @@ func (d *Dtype) contiguous() bool {
 }
 
 // Pack copies count elements from the (possibly strided) user buffer into
-// a dense payload.
+// a dense payload. The result never aliases buf, so a caller may hand it
+// on as its own (sendRaw gives it to the transport).
 func (d *Dtype) Pack(buf []byte, count int) []byte {
 	if d.contiguous() {
 		n := count * d.SizeB

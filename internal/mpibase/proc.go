@@ -28,8 +28,10 @@ type HandleTable interface {
 	Remove(h mpi.Handle) error
 	// ConstHandle returns the handle of a predefined constant, creating
 	// the binding on first use if the implementation resolves constants
-	// lazily. The obj callback supplies the engine object to bind.
-	ConstHandle(name mpi.ConstName, obj func() any) (mpi.Handle, error)
+	// lazily. obj is the engine's predefined object to bind; it is
+	// passed on every call (the objects are singletons, so there is
+	// nothing to defer) and ignored once the constant is bound.
+	ConstHandle(name mpi.ConstName, obj any) (mpi.Handle, error)
 }
 
 // Proc glues an Engine and a HandleTable into a complete mpi.Proc. The
@@ -122,24 +124,24 @@ func (p *Proc) WTime() time.Duration { return p.Eng.WTime() }
 func (p *Proc) LookupConst(name mpi.ConstName) (mpi.Handle, error) {
 	switch name.Kind() {
 	case mpi.KindComm:
-		return p.Tab.ConstHandle(name, func() any {
-			if name == mpi.ConstCommWorld {
-				return p.Eng.WorldComm
-			}
-			return p.Eng.SelfComm
-		})
+		if name == mpi.ConstCommWorld {
+			return p.Tab.ConstHandle(name, p.Eng.WorldComm)
+		}
+		return p.Tab.ConstHandle(name, p.Eng.SelfComm)
 	case mpi.KindGroup:
-		return p.Tab.ConstHandle(name, func() any { return p.Eng.EmptyGroup })
+		return p.Tab.ConstHandle(name, p.Eng.EmptyGroup)
 	case mpi.KindDatatype:
-		if p.Eng.PredefDtype(name) == nil {
+		d := p.Eng.PredefDtype(name)
+		if d == nil {
 			return mpi.HandleNull, mpi.Errorf(mpi.ErrType, "unknown datatype constant %v", name)
 		}
-		return p.Tab.ConstHandle(name, func() any { return p.Eng.PredefDtype(name) })
+		return p.Tab.ConstHandle(name, d)
 	case mpi.KindOp:
-		if p.Eng.PredefOp(name) == nil {
+		o := p.Eng.PredefOp(name)
+		if o == nil {
 			return mpi.HandleNull, mpi.Errorf(mpi.ErrOp, "unknown op constant %v", name)
 		}
-		return p.Tab.ConstHandle(name, func() any { return p.Eng.PredefOp(name) })
+		return p.Tab.ConstHandle(name, o)
 	default:
 		return mpi.HandleNull, mpi.Errorf(mpi.ErrArg, "unknown constant %v", name)
 	}

@@ -132,12 +132,12 @@ func (t *table) Remove(h mpi.Handle) error {
 // ConstHandle implements mpibase.HandleTable. MPICH constants are
 // compile-time integers: the handle value is derived from the constant
 // name alone and never varies.
-func (t *table) ConstHandle(name mpi.ConstName, obj func() any) (mpi.Handle, error) {
+func (t *table) ConstHandle(name mpi.ConstName, obj any) (mpi.Handle, error) {
 	h := Encode(name.Kind(), true, 0, int(name))
 	if !t.bound[name] {
 		t.consts[name] = h
 		t.bound[name] = true
-		t.constObjs[name] = obj()
+		t.constObjs[name] = obj
 	}
 	return h, nil
 }

@@ -91,11 +91,11 @@ func TestConstHandlesDeterministic(t *testing.T) {
 		if name.Kind() == mpi.KindNone {
 			continue
 		}
-		ha, err := a.ConstHandle(name, func() any { return name })
+		ha, err := a.ConstHandle(name, name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hb, err := b.ConstHandle(name, func() any { return name })
+		hb, err := b.ConstHandle(name, name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestConstHandlesDistinct(t *testing.T) {
 		if name.Kind() == mpi.KindNone {
 			continue
 		}
-		h, err := tab.ConstHandle(name, func() any { return name })
+		h, err := tab.ConstHandle(name, name)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -101,9 +101,9 @@ func (a *arena) Remove(h mpi.Handle) error {
 // materializes all of them (modeling ompi_mpi_init populating the
 // predefined object table), and subsequent lookups return the startup
 // addresses.
-func (a *arena) ConstHandle(name mpi.ConstName, obj func() any) (mpi.Handle, error) {
+func (a *arena) ConstHandle(name mpi.ConstName, obj any) (mpi.Handle, error) {
 	if !a.bound[name] {
-		a.consts[name] = a.alloc(name.Kind(), obj())
+		a.consts[name] = a.alloc(name.Kind(), obj)
 		a.bound[name] = true
 	}
 	return a.consts[name], nil

@@ -43,11 +43,11 @@ func TestArenaAllocLookupRemove(t *testing.T) {
 
 func TestConstantsResolvedOnceAndProtected(t *testing.T) {
 	a := newArena(7)
-	h1, err := a.ConstHandle(mpi.ConstCommWorld, func() any { return "world" })
+	h1, err := a.ConstHandle(mpi.ConstCommWorld, "world")
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := a.ConstHandle(mpi.ConstCommWorld, func() any { return "other" })
+	h2, err := a.ConstHandle(mpi.ConstCommWorld, "other")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +69,8 @@ func TestSessionsProduceDistinctAddressesProperty(t *testing.T) {
 		}
 		a1 := newArena(uint64(s1) + 1)
 		a2 := newArena(uint64(s2) + 1)
-		h1, _ := a1.ConstHandle(mpi.ConstCommWorld, func() any { return 1 })
-		h2, _ := a2.ConstHandle(mpi.ConstCommWorld, func() any { return 2 })
+		h1, _ := a1.ConstHandle(mpi.ConstCommWorld, 1)
+		h2, _ := a2.ConstHandle(mpi.ConstCommWorld, 2)
 		return h1 != h2
 	}
 	if err := quick.Check(f, nil); err != nil {

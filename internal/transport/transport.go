@@ -23,6 +23,9 @@
 //
 // Matching is indexed: each mailbox keeps one FIFO per (source, context,
 // tag) triple plus an arrival-ordered list per context, sharing entries.
+// An entry is the message's envelope and its queue links in one object,
+// and a triple's FIFO is a list threaded through the entries, so a
+// queued message costs two allocations: the entry and the payload.
 // A fully specified receive is a map lookup; a wildcard receive walks
 // its context's arrival list front-to-back and takes the first live
 // match — exactly the message the old single-queue linear scan found,
@@ -246,23 +249,32 @@ func (e *Endpoint) Received() uint64 { return e.recv.Load() }
 // Send deposits a message in dst's mailbox (eager protocol). The payload
 // is copied; the caller may reuse buf immediately. Send never blocks.
 func (e *Endpoint) Send(dst int, ctx uint32, tag int, buf []byte, sendVT time.Duration) error {
+	return e.SendOwned(dst, ctx, tag, append([]byte(nil), buf...), sendVT)
+}
+
+// SendOwned is Send without the copy: payload becomes the transport's,
+// and the caller must not touch it again. It is for a caller that has
+// just built the payload itself — the MPI engine packs the user buffer
+// into a fresh slice — so that one copy, not two, separates the
+// sender's buffer from the mailbox.
+func (e *Endpoint) SendOwned(dst int, ctx uint32, tag int, payload []byte, sendVT time.Duration) error {
 	if e.fabric.closed.Load() {
 		return ErrClosed
 	}
 	if dst < 0 || dst >= e.fabric.n {
 		return fmt.Errorf("transport: send to rank %d out of range [0,%d)", dst, e.fabric.n)
 	}
-	msg := &Message{
+	ent := &qent{m: Message{
 		Src:     e.rank,
 		Dst:     dst,
 		Context: ctx,
 		Tag:     tag,
-		Payload: append([]byte(nil), buf...),
+		Payload: payload,
 		SendVT:  sendVT,
 		Seq:     e.fabric.seq.Add(1),
-	}
+	}}
 	if fn := e.fabric.filter; fn != nil {
-		drop, delay := fn(msg)
+		drop, delay := fn(&ent.m)
 		if drop {
 			// The bytes left the sender and vanished on the wire: the
 			// send itself still succeeded and is counted.
@@ -270,11 +282,11 @@ func (e *Endpoint) Send(dst int, ctx uint32, tag int, buf []byte, sendVT time.Du
 			return nil
 		}
 		if delay > 0 {
-			msg.SendVT += delay
+			ent.m.SendVT += delay
 		}
 	}
 	e.sent.Add(1)
-	return e.fabric.boxes[dst].put(msg)
+	return e.fabric.boxes[dst].put(ent)
 }
 
 // SleepUntil parks the calling rank's activity until virtual time at.
@@ -371,52 +383,38 @@ type srcTag struct {
 	tag int
 }
 
-// qent is one queued message. The same entry is linked from two indexes
-// — its (source, tag) FIFO and its context's arrival list — so consuming
-// it through either marks it taken and the other index skips it lazily.
+// qent is one queued message: the envelope and its queue links,
+// allocated together. The same entry is linked from two indexes — its
+// (source, tag) FIFO and its context's arrival list — so consuming it
+// through either marks it taken and the other index skips it lazily.
 type qent struct {
-	m     *Message
+	m     Message
 	taken bool
+	// next is the following entry of the same (source, tag) FIFO.
+	next *qent
 }
 
-// msgq is one (source, context, tag) FIFO. head indexes the front; the
-// backing slice is compacted once the consumed prefix dominates it.
-type msgq struct {
-	q    []*qent
-	head int
-}
-
-func (q *msgq) push(e *qent) { q.q = append(q.q, e) }
-
-// prune drops the consumed prefix (entries taken through the arrival
-// list) and compacts; it returns false when the queue is empty.
-func (q *msgq) prune() bool {
-	for q.head < len(q.q) && q.q[q.head].taken {
-		q.q[q.head] = nil
-		q.head++
-	}
-	if q.head == len(q.q) {
-		return false
-	}
-	if q.head > 32 && q.head*2 >= len(q.q) {
-		q.q = append(q.q[:0], q.q[q.head:]...)
-		q.head = 0
-	}
-	return true
+// tripleq is one (source, context, tag) FIFO, threaded through its
+// entries. It is held by value in the context's index, so a triple used
+// for a single message costs nothing beyond that message's entry.
+type tripleq struct {
+	head, tail *qent
 }
 
 // front returns the earliest live entry, or nil.
-func (q *msgq) front() *qent {
-	if !q.prune() {
-		return nil
+func (q tripleq) front() *qent {
+	for e := q.head; e != nil; e = e.next {
+		if !e.taken {
+			return e
+		}
 	}
-	return q.q[q.head]
+	return nil
 }
 
 // ctxq holds one context's messages under both indexes: triples for
 // exact-match lookups, fifo for arrival-ordered wildcard scans.
 type ctxq struct {
-	triples map[srcTag]*msgq
+	triples map[srcTag]tripleq
 	fifo    []*qent
 	head    int
 	live    int // untaken entries
@@ -479,7 +477,8 @@ func newMailbox(rank int) *mailbox {
 	return b
 }
 
-func (b *mailbox) put(m *Message) error {
+func (b *mailbox) put(e *qent) error {
+	m := &e.m
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -487,17 +486,18 @@ func (b *mailbox) put(m *Message) error {
 	}
 	c := b.byCtx[m.Context]
 	if c == nil {
-		c = &ctxq{triples: make(map[srcTag]*msgq)}
+		c = &ctxq{triples: make(map[srcTag]tripleq)}
 		b.byCtx[m.Context] = c
 	}
 	k := srcTag{src: m.Src, tag: m.Tag}
 	q := c.triples[k]
-	if q == nil {
-		q = &msgq{}
-		c.triples[k] = q
+	if q.tail == nil {
+		q.head = e
+	} else {
+		q.tail.next = e
 	}
-	e := &qent{m: m}
-	q.push(e)
+	q.tail = e
+	c.triples[k] = q
 	c.fifo = append(c.fifo, e)
 	c.live++
 	b.count++
@@ -528,16 +528,12 @@ func (b *mailbox) findLocked(m Match) *qent {
 		return nil
 	}
 	if m.Src != AnySource && m.Tag != AnyTag {
-		q := c.triples[srcTag{src: m.Src, tag: m.Tag}]
-		if q == nil {
-			return nil
-		}
-		return q.front()
+		return c.triples[srcTag{src: m.Src, tag: m.Tag}].front()
 	}
 	c.pruneFifo()
 	for i := c.head; i < len(c.fifo); i++ {
 		e := c.fifo[i]
-		if e.taken || !m.Matches(e.m) {
+		if e.taken || !m.Matches(&e.m) {
 			continue
 		}
 		return e
@@ -557,11 +553,7 @@ func (b *mailbox) findVisibleLocked(m Match, now time.Duration) *qent {
 		return nil
 	}
 	if m.Src != AnySource && m.Tag != AnyTag {
-		q := c.triples[srcTag{src: m.Src, tag: m.Tag}]
-		if q == nil {
-			return nil
-		}
-		e := q.front()
+		e := c.triples[srcTag{src: m.Src, tag: m.Tag}].front()
 		if e == nil || e.m.SendVT > now {
 			return nil
 		}
@@ -570,7 +562,7 @@ func (b *mailbox) findVisibleLocked(m Match, now time.Duration) *qent {
 	c.pruneFifo()
 	for i := c.head; i < len(c.fifo); i++ {
 		e := c.fifo[i]
-		if e.taken || !m.Matches(e.m) || e.m.SendVT > now {
+		if e.taken || !m.Matches(&e.m) || e.m.SendVT > now {
 			continue
 		}
 		return e
@@ -586,11 +578,7 @@ func (b *mailbox) earliestLocked(m Match) (time.Duration, bool) {
 		return 0, false
 	}
 	if m.Src != AnySource && m.Tag != AnyTag {
-		q := c.triples[srcTag{src: m.Src, tag: m.Tag}]
-		if q == nil {
-			return 0, false
-		}
-		e := q.front()
+		e := c.triples[srcTag{src: m.Src, tag: m.Tag}].front()
 		if e == nil {
 			return 0, false
 		}
@@ -600,7 +588,7 @@ func (b *mailbox) earliestLocked(m Match) (time.Duration, bool) {
 	best, ok := time.Duration(0), false
 	for i := c.head; i < len(c.fifo); i++ {
 		e := c.fifo[i]
-		if e.taken || !m.Matches(e.m) {
+		if e.taken || !m.Matches(&e.m) {
 			continue
 		}
 		if !ok || e.m.SendVT < best {
@@ -612,7 +600,7 @@ func (b *mailbox) earliestLocked(m Match) (time.Duration, bool) {
 
 // removeLocked consumes e and drops emptied index entries.
 func (b *mailbox) removeLocked(e *qent) *Message {
-	msg := e.m
+	msg := &e.m
 	e.taken = true
 	b.count--
 	c := b.byCtx[msg.Context]
@@ -620,8 +608,17 @@ func (b *mailbox) removeLocked(e *qent) *Message {
 	c.dead++
 	c.pruneFifo()
 	k := srcTag{src: msg.Src, tag: msg.Tag}
-	if q := c.triples[k]; q != nil && !q.prune() {
+	q := c.triples[k]
+	for q.head != nil && q.head.taken {
+		// Unlink, so a consumed message its receiver still holds does
+		// not keep the entries queued behind it reachable.
+		done := q.head
+		q.head, done.next = done.next, nil
+	}
+	if q.head == nil {
 		delete(c.triples, k)
+	} else {
+		c.triples[k] = q
 	}
 	if c.live == 0 {
 		delete(b.byCtx, msg.Context)
@@ -652,7 +649,7 @@ func (b *mailbox) peek(m Match) (*Message, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if e := b.findLocked(m); e != nil {
-		return e.m, true
+		return &e.m, true
 	}
 	return nil, false
 }
@@ -661,7 +658,7 @@ func (b *mailbox) peekVisible(m Match, now time.Duration) (*Message, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if e := b.findVisibleLocked(m, now); e != nil {
-		return e.m, true
+		return &e.m, true
 	}
 	return nil, false
 }

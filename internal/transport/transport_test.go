@@ -188,8 +188,9 @@ func TestHalfWildcardOrdering(t *testing.T) {
 	}
 }
 
-// TestIndexedQueueCompaction exercises the msgq head-compaction path
-// with enough traffic through one triple to trigger it repeatedly.
+// TestIndexedQueueCompaction pushes enough traffic through one triple
+// for its FIFO's head and tail to chase each other and for the arrival
+// list to compact repeatedly.
 func TestIndexedQueueCompaction(t *testing.T) {
 	f := NewFabric(2)
 	defer f.Close()
@@ -461,4 +462,89 @@ func TestEndpointRangeChecks(t *testing.T) {
 		}
 	}()
 	f.Endpoint(9)
+}
+
+// TestTripleFIFOSurvivesWildcardTakes consumes one triple's messages
+// alternately through the exact-match index and through wildcard scans
+// of the arrival list, with a second triple interleaved: the FIFO
+// threaded through the entries must keep per-triple order and drop its
+// index entry exactly when it empties.
+func TestTripleFIFOSurvivesWildcardTakes(t *testing.T) {
+	f := NewFabric(2)
+	defer f.Close()
+	a, b := f.Endpoint(0), f.Endpoint(1)
+	for i := 0; i < 6; i++ {
+		if err := a.Send(1, 1, 4, []byte{byte(i)}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Send(1, 1, 9, []byte{byte(100 + i)}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	takes := []struct {
+		m    Match
+		want byte
+	}{
+		{Match{Context: 1, Src: 0, Tag: 4}, 0},
+		{Match{Context: 1, Src: AnySource, Tag: AnyTag}, 100},
+		{Match{Context: 1, Src: AnySource, Tag: 4}, 1},
+		{Match{Context: 1, Src: 0, Tag: AnyTag}, 101},
+		{Match{Context: 1, Src: 0, Tag: 9}, 102},
+		{Match{Context: 1, Src: AnySource, Tag: AnyTag}, 2},
+		{Match{Context: 1, Src: 0, Tag: 4}, 3},
+		{Match{Context: 1, Src: 0, Tag: 4}, 4},
+		{Match{Context: 1, Src: 0, Tag: 4}, 5},
+		{Match{Context: 1, Src: 0, Tag: 9}, 103},
+	}
+	for i, tk := range takes {
+		msg, ok, err := b.TryRecv(tk.m)
+		if err != nil || !ok {
+			t.Fatalf("take %d %+v: ok=%v err=%v", i, tk.m, ok, err)
+		}
+		if msg.Payload[0] != tk.want {
+			t.Fatalf("take %d %+v: payload %d, want %d", i, tk.m, msg.Payload[0], tk.want)
+		}
+	}
+	if _, ok, _ := b.TryRecv(Match{Context: 1, Src: 0, Tag: 4}); ok {
+		t.Fatal("emptied triple still matches")
+	}
+	// The emptied triple starts over as a fresh FIFO.
+	if err := a.Send(1, 1, 4, []byte{42}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if msg, ok, _ := b.TryRecv(Match{Context: 1, Src: 0, Tag: 4}); !ok || msg.Payload[0] != 42 {
+		t.Fatal("triple not reusable after it emptied")
+	}
+	if b.Pending() != 2 {
+		t.Fatalf("pending %d, want the two tag-9 messages left", b.Pending())
+	}
+}
+
+// TestQueuedMessageCostsTwoAllocations: a message queued under a
+// (source, tag) triple of its own — every drain control message is one —
+// costs its payload copy and one entry holding the envelope and the
+// queue links, nothing per triple.
+func TestQueuedMessageCostsTwoAllocations(t *testing.T) {
+	f := NewFabric(2)
+	defer f.Close()
+	a, b := f.Endpoint(0), f.Endpoint(1)
+	// A resident message keeps the context's index alive, as a mailbox
+	// mid-drain is never empty.
+	if err := a.Send(1, 1, 0, []byte{0}, 0); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 64)
+	tag := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		tag++
+		if err := a.Send(1, 1, tag, payload, 0); err != nil {
+			t.Error(err)
+		}
+		if _, ok, err := b.TryRecv(Match{Context: 1, Src: 0, Tag: tag}); err != nil || !ok {
+			t.Errorf("tag %d: ok=%v err=%v", tag, ok, err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("%v allocations per queued message, want 2 (payload, entry)", allocs)
+	}
 }
