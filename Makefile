@@ -56,11 +56,12 @@ bench-drain:
 	@$(GO) test -run '^$$' -bench BenchmarkCheckpointDrain -benchtime 3x -benchmem .
 
 # Checkpoint-pipeline benchmarks: the codec and store hot paths this
-# repo optimizes PR over PR. ChainMaterialize (batch) and
+# repo optimizes PR over PR, from the application's own snapshot
+# (AppSnapshot/AppRestore: B/op is the state's size, allocs/op 1) on. ChainMaterialize (batch) and
 # StreamMaterialize (chunk-pipelined) run on the same store shape, so
 # their medians compare directly. Backends sweeps the persistence tiers
 # (mem/fs/obj/tier) with their modeled commit-VT and drain-lag metrics.
-BENCH_CKPT := 'BenchmarkParallelCommit|BenchmarkParallelMaterialize|BenchmarkDeltaEncode|BenchmarkChainMaterialize|BenchmarkStreamMaterialize|BenchmarkCompressTiers|BenchmarkDedupCommit|BenchmarkBackends|BenchmarkKernelScale|BenchmarkCheckpointDrain'
+BENCH_CKPT := 'BenchmarkParallelCommit|BenchmarkParallelMaterialize|BenchmarkDeltaEncode|BenchmarkChainMaterialize|BenchmarkStreamMaterialize|BenchmarkCompressTiers|BenchmarkDedupCommit|BenchmarkBackends|BenchmarkKernelScale|BenchmarkCheckpointDrain|BenchmarkAppSnapshot|BenchmarkAppRestore'
 
 # bench-kernel sweeps the simulation kernels: a fixed-work token ring
 # at 16-1024 ranks. The event-kernel rows should stay near-flat as the
@@ -113,11 +114,12 @@ bench-compare:
 # drainer (tier_test.go interleaves Puts, read-through Gets, Deletes,
 # and drain barriers across goroutines), and the dedup store's shared
 # blob table (dedup_test.go commits generations while concurrent
-# readers resolve recipes and retention prunes shared blobs).
+# readers resolve recipes and retention prunes shared blobs), and the
+# applications' snapshot codec with its send scratch (internal/apps).
 .PHONY: race-ckpt
 race-ckpt:
 	@echo "Running the checkpoint subsystem under the race detector..."
-	@$(GO) test -race ./internal/ckptstore/... ./internal/ckptimg/... ./internal/ckpt/...
+	@$(GO) test -race ./internal/apps/... ./internal/ckptstore/... ./internal/ckptimg/... ./internal/ckpt/...
 
 # race-faults covers the fault-injection layer end to end: the injector
 # itself, the faulted wrapper path and crash/restart battery in core

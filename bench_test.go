@@ -10,6 +10,7 @@ package manasim
 import (
 	"fmt"
 	"io"
+	"sync"
 	"testing"
 	"time"
 
@@ -607,6 +608,84 @@ func BenchmarkCheckpointDrain(b *testing.B) {
 	}
 }
 
+// benchAppInstance runs an application natively for one step at a
+// problem size that puts a few megabytes of state on every rank, and
+// returns one rank's instance as the run left it.
+func benchAppInstance(b *testing.B, name string) (app.Factory, app.Instance) {
+	b.Helper()
+	spec, err := apps.ByName(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := spec.DefaultInput(apps.SiteDiscovery)
+	in.Ranks, in.SimSteps, in.PollsPerStep = 4, 1, 2
+	in.Local = map[string]int{"hpcg": 32, "lammps": 32, "comd": 96, "lulesh": 48, "sw4": 384}[name]
+	factory, err := impls.Get("mpich")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var mu sync.Mutex
+	var insts []app.Instance
+	fresh := spec.New(in)
+	cfg := mana.Config{ImplName: "mpich", Factory: factory, Kernel: cluster.KernelEvent}
+	if _, err := mana.RunNative(cfg, in.Ranks, func() app.Instance {
+		inst := fresh()
+		mu.Lock()
+		insts = append(insts, inst)
+		mu.Unlock()
+		return inst
+	}); err != nil {
+		b.Fatal(err)
+	}
+	return fresh, insts[0]
+}
+
+// BenchmarkAppSnapshot measures the first copy of the checkpoint write
+// path: one rank's state serialized by the application. B/op should
+// read the state's size and allocs/op 1.
+func BenchmarkAppSnapshot(b *testing.B) {
+	for _, name := range apps.Names() {
+		b.Run(name, func(b *testing.B) {
+			_, inst := benchAppInstance(b, name)
+			snap, err := inst.Snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(snap)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := inst.Snapshot(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAppRestore measures the last copy of the restart path: a
+// fresh instance adopting one rank's snapshot.
+func BenchmarkAppRestore(b *testing.B) {
+	for _, name := range apps.Names() {
+		b.Run(name, func(b *testing.B) {
+			fresh, inst := benchAppInstance(b, name)
+			snap, err := inst.Snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			into := fresh()
+			b.SetBytes(int64(len(snap)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := into.Restore(snap); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // benchGeneration encodes one full generation of rank images against
 // the store's options.
 func benchGeneration(b *testing.B, st *ckptstore.Store, ranks, size, gen int, changedFrac float64) [][]byte {
@@ -632,8 +711,10 @@ func benchGeneration(b *testing.B, st *ckptstore.Store, ranks, size, gen int, ch
 
 // BenchmarkParallelCommit measures Store.Commit across worker-pool
 // widths: 8 ranks delivering 4 MB images into a delta store, so every
-// rank pays a decode + chunk-index pass that the pool fans out.
-// workers=1 is the serial reference.
+// rank pays a validate + chunk-index pass that the pool fans out.
+// workers=1 is the serial reference. B/op is the mem backend's copy of
+// the 32 MB plus one chunk of scratch per rank — validation holds no
+// state (it was 67 MB/op while Commit decoded every image).
 func BenchmarkParallelCommit(b *testing.B) {
 	const ranks, size = 8, 4 << 20
 	for _, workers := range []int{1, 2, 8} {

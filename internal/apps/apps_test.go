@@ -22,7 +22,7 @@ func tinyInput(ranks int) Input {
 	}
 }
 
-func cfgFor(t *testing.T, impl string) mana.Config {
+func cfgFor(t testing.TB, impl string) mana.Config {
 	t.Helper()
 	f, err := impls.Get(impl)
 	if err != nil {

@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"time"
@@ -57,17 +55,33 @@ func init() {
 	})
 }
 
-// comdState is the serializable rank state ("upper-half memory").
+// comdState is the serializable rank state ("upper-half memory"), in
+// snapshot order: what Setup fixes first, the per-step state after it.
 type comdState struct {
-	In    Input
-	D     Decomp3D
-	Pos   []float64 // 3N positions
-	Vel   []float64 // 3N velocities
-	Force []float64 // 3N forces
-	EPot  float64
+	In Input
+	D  Decomp3D
 	// Virtual handles held across checkpoints.
 	World mpi.Handle
 	F64   mpi.Handle
+
+	EPot  float64
+	Pos   []float64 // 3N positions
+	Vel   []float64 // 3N velocities
+	Force []float64 // 3N forces
+}
+
+// fields is the snapshot layout.
+func (s *comdState) fields(c *snapCodec) {
+	c.header(tagCoMD)
+	c.input(&s.In)
+	c.decomp(&s.D)
+	c.handle("World", &s.World)
+	c.handle("F64", &s.F64)
+	c.f64("EPot", &s.EPot)
+	n := 3 * s.In.Local * s.In.Local * 4
+	c.f64s("Pos", &s.Pos, n)
+	c.f64s("Vel", &s.Vel, n)
+	c.f64s("Force", &s.Force, n)
 }
 
 type comd struct {
@@ -217,19 +231,20 @@ func (c *comd) Checksum() uint64 {
 
 // Snapshot implements app.Instance.
 func (c *comd) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&c.st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	var sc snapCodec
+	c.st.fields(&sc)
+	sc.allocate()
+	c.st.fields(&sc)
+	return sc.buf, nil
 }
 
 // Restore implements app.Instance.
 func (c *comd) Restore(data []byte) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&c.st); err != nil {
+	var st comdState
+	if err := decodeSnapshot("comd", data, &st); err != nil {
 		return err
 	}
-	c.in = c.st.In
+	c.st, c.in = st, st.In
 	return nil
 }
 

@@ -10,6 +10,47 @@
 // paper-calibrated compute time to the virtual clock), but every MPI
 // interaction is real: real buffers, real tags, real sub-communicators,
 // real derived datatypes.
+//
+// # Snapshots
+//
+// A snapshot is the rank's state as it lies in memory, written out
+// field by field — the checkpoint image of the paper is the upper
+// half's memory, not a re-encoding of it — so its size is the state's
+// size and a byte that did not change in memory does not change in the
+// snapshot. All five applications share one layout (snapshot.go), in
+// little-endian 8-byte words:
+//
+//	word 0       application tag (4 ASCII bytes) | layout version << 32
+//	then, in the fixed order of the application's fields method:
+//	scalar       one word: int, int64, uint64 as is, float64 as its
+//	             IEEE bits, bool as 0 or 1, mpi.Handle as uint64
+//	Input        its ten members, one word each, declaration order
+//	Decomp3D     its eight members, one word each
+//	[]float64    a length word n, then n words of IEEE bits
+//	[]int64      a length word n, then n words
+//
+// Every application lists what Setup fixes for the life of the job
+// first — input, decomposition, handles, and HPCG's partition table and
+// matrix — and the per-step scalars and vectors after it. The static
+// prefix is byte-identical from one generation to the next, so the
+// delta tier's fixed-size chunks over it are unchanged by construction
+// and the changed fraction the cost model charges is the per-step
+// state's share of memory. Snapshot computes the exact size, allocates
+// once and fills.
+//
+// Restore reads the bytes as input from a store that may hand back
+// anything. It refuses, with a *SnapshotError naming the application
+// and the field: a snapshot that ends inside a word; a wrong tag or
+// version; a bool word other than 0 or 1; a length word that exceeds
+// the bytes that remain (checked before the slice is allocated, so no
+// allocation is larger than the input); a length word that differs from
+// the one the snapshot's own Input and decomposition imply (the kernels
+// index by those, so a short vector would panic in Step); and bytes
+// left over after the last field. A refused Restore leaves the instance
+// as it was. The send scratch some applications keep beside their state
+// (the wire form of a vector a strided datatype packs from) is not
+// state: it never reaches a snapshot and is rebuilt on the first step
+// after a Restore.
 package apps
 
 import (
@@ -112,6 +153,19 @@ func progressPoll(p mpi.Proc, comm mpi.Handle, n int) error {
 		}
 	}
 	return nil
+}
+
+// wireBytes fills *scratch with the packed wire form of v, growing it
+// on first use, and returns it: what a send through a strided datatype
+// packs its few elements from. The engine copies at send time, so one
+// scratch per instance serves every step; it is not part of the
+// instance's state.
+func wireBytes(scratch *[]byte, v []float64) []byte {
+	if len(*scratch) != 8*len(v) {
+		*scratch = make([]byte, 8*len(v))
+	}
+	mpi.PutFloat64s(*scratch, v)
+	return *scratch
 }
 
 // xorshift is a tiny deterministic PRNG for initial conditions (the

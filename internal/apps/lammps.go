@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"time"
@@ -63,28 +61,49 @@ const (
 	lammpsRebuild    = 20 // neighbor-list rebuild period
 )
 
+// lammpsState is the rank's upper-half memory, in snapshot order:
+// what Setup fixes first, the per-step state after it.
 type lammpsState struct {
-	In Input
-	D  Decomp3D
-	// Per-atom arrays (3N packed xyz).
-	Pos, Vel, Frc []float64
-	PE            float64
-	Migrations    int64
-	// Pipeline flag: a ghost exchange from the previous step is in
-	// flight and must be received at the start of this step.
-	Pipelined bool
+	In        Input
+	D         Decomp3D
 	World     mpi.Handle
 	F64       mpi.Handle
 	GhostType mpi.Handle // vector type: x coordinates of ghost atoms
+
+	PE         float64
+	Migrations int64
+	// Pipeline flag: a ghost exchange from the previous step is in
+	// flight and must be received at the start of this step.
+	Pipelined bool
+	// Per-atom arrays (3N packed xyz).
+	Pos, Vel, Frc []float64
+}
+
+// fields is the snapshot layout.
+func (s *lammpsState) fields(c *snapCodec) {
+	c.header(tagLAMMPS)
+	c.input(&s.In)
+	c.decomp(&s.D)
+	c.handle("World", &s.World)
+	c.handle("F64", &s.F64)
+	c.handle("GhostType", &s.GhostType)
+	c.f64("PE", &s.PE)
+	c.i64("Migrations", &s.Migrations)
+	c.bool("Pipelined", &s.Pipelined)
+	n := 3 * s.In.Local * s.In.Local * s.In.Local
+	c.f64s("Pos", &s.Pos, n)
+	c.f64s("Vel", &s.Vel, n)
+	c.f64s("Frc", &s.Frc, n)
 }
 
 type lammps struct {
-	in lammpsInput
+	in Input
 	st lammpsState
+	// posBytes is the wire form of Pos the ghost Isend packs from
+	// (wireBytes): transient scratch, not state, and not rewritten
+	// before the request's Wait.
+	posBytes []byte
 }
-
-// lammpsInput aliases Input (kept distinct for gob clarity).
-type lammpsInput = Input
 
 func (l *lammps) atoms() int { return l.in.Local * l.in.Local * l.in.Local }
 
@@ -186,7 +205,7 @@ func (l *lammps) Step(env *app.Env, step int) error {
 	// Issue the next pipelined ghost exchange: strided positions to the
 	// +x neighbor, consumed at the start of step+1 (or drained by a
 	// checkpoint, or received in Finalize after the last step).
-	req, err := p.Isend(mpi.Float64Bytes(s.Pos), 1, s.GhostType, nb[1], lammpsGhostTag, s.World)
+	req, err := p.Isend(wireBytes(&l.posBytes, s.Pos), 1, s.GhostType, nb[1], lammpsGhostTag, s.World)
 	if err != nil {
 		return fmt.Errorf("lammps ghost isend: %w", err)
 	}
@@ -233,19 +252,20 @@ func (l *lammps) Checksum() uint64 {
 
 // Snapshot implements app.Instance.
 func (l *lammps) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&l.st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	var c snapCodec
+	l.st.fields(&c)
+	c.allocate()
+	l.st.fields(&c)
+	return c.buf, nil
 }
 
 // Restore implements app.Instance.
 func (l *lammps) Restore(data []byte) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&l.st); err != nil {
+	var st lammpsState
+	if err := decodeSnapshot("lammps", data, &st); err != nil {
 		return err
 	}
-	l.in = l.st.In
+	l.st, l.in = st, st.In
 	return nil
 }
 

@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -43,15 +41,33 @@ func init() {
 	})
 }
 
+// luleshState is the rank's upper-half memory, in snapshot order: what
+// Setup fixes first, the per-cycle state after it.
 type luleshState struct {
-	In Input
-	D  Decomp3D
-	// Nodal fields on an s^3 local mesh.
-	E, P, Q   []float64 // energy, pressure, artificial viscosity
+	In    Input
+	D     Decomp3D
+	World mpi.Handle
+	F64   mpi.Handle
+
 	DtCourant float64
 	Cycle     int
-	World     mpi.Handle
-	F64       mpi.Handle
+	// Nodal fields on an s^3 local mesh.
+	E, P, Q []float64 // energy, pressure, artificial viscosity
+}
+
+// fields is the snapshot layout.
+func (s *luleshState) fields(c *snapCodec) {
+	c.header(tagLULESH)
+	c.input(&s.In)
+	c.decomp(&s.D)
+	c.handle("World", &s.World)
+	c.handle("F64", &s.F64)
+	c.f64("DtCourant", &s.DtCourant)
+	c.int("Cycle", &s.Cycle)
+	n := s.In.Local * s.In.Local * s.In.Local
+	c.f64s("E", &s.E, n)
+	c.f64s("P", &s.P, n)
+	c.f64s("Q", &s.Q, n)
 }
 
 type lulesh struct {
@@ -195,19 +211,20 @@ func (l *lulesh) Checksum() uint64 {
 
 // Snapshot implements app.Instance.
 func (l *lulesh) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&l.st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	var c snapCodec
+	l.st.fields(&c)
+	c.allocate()
+	l.st.fields(&c)
+	return c.buf, nil
 }
 
 // Restore implements app.Instance.
 func (l *lulesh) Restore(data []byte) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&l.st); err != nil {
+	var st luleshState
+	if err := decodeSnapshot("lulesh", data, &st); err != nil {
 		return err
 	}
-	l.in = l.st.In
+	l.st, l.in = st, st.In
 	return nil
 }
 

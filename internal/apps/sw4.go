@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"time"
@@ -48,22 +46,43 @@ func init() {
 
 const sw4Tag = 500
 
+// sw4State is the rank's upper-half memory, in snapshot order: what
+// Setup fixes first, the per-step state after it.
 type sw4State struct {
-	In Input
-	D  Decomp3D
-	// U and Up are the displacement fields on the nx*nx local plane
-	// stack (nx columns x nx rows, flattened row-major).
-	U, Up  []float64
-	Energy float64
-	TStep  int
+	In     Input
+	D      Decomp3D
 	World  mpi.Handle
 	F64    mpi.Handle
 	YPlane mpi.Handle // vector type: one y-plane (strided rows)
+
+	Energy float64
+	TStep  int
+	// U and Up are the displacement fields on the nx*nx local plane
+	// stack (nx columns x nx rows, flattened row-major).
+	U, Up []float64
+}
+
+// fields is the snapshot layout.
+func (s *sw4State) fields(c *snapCodec) {
+	c.header(tagSW4)
+	c.input(&s.In)
+	c.decomp(&s.D)
+	c.handle("World", &s.World)
+	c.handle("F64", &s.F64)
+	c.handle("YPlane", &s.YPlane)
+	c.f64("Energy", &s.Energy)
+	c.int("TStep", &s.TStep)
+	n := s.In.Local * s.In.Local
+	c.f64s("U", &s.U, n)
+	c.f64s("Up", &s.Up, n)
 }
 
 type sw4 struct {
 	in Input
 	st sw4State
+	// uBytes is the wire form of U both y-plane sends pack from
+	// (wireBytes): transient scratch, not state.
+	uBytes []byte
 }
 
 func (w *sw4) n() int { return w.in.Local * w.in.Local }
@@ -124,10 +143,11 @@ func (w *sw4) substep(p mpi.Proc, sub int, polls int) error {
 		return err
 	}
 	// -y/+y: strided columns via the vector type.
-	if err := p.Send(mpi.Float64Bytes(s.U), 1, s.YPlane, nb[2], tag+4, s.World); err != nil {
+	u := wireBytes(&w.uBytes, s.U)
+	if err := p.Send(u, 1, s.YPlane, nb[2], tag+4, s.World); err != nil {
 		return err
 	}
-	if err := p.Send(mpi.Float64Bytes(s.U), 1, s.YPlane, nb[3], tag+4, s.World); err != nil {
+	if err := p.Send(u, 1, s.YPlane, nb[3], tag+4, s.World); err != nil {
 		return err
 	}
 	if err := progressPoll(p, s.World, polls); err != nil {
@@ -241,19 +261,20 @@ func (w *sw4) Checksum() uint64 {
 
 // Snapshot implements app.Instance.
 func (w *sw4) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&w.st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	var c snapCodec
+	w.st.fields(&c)
+	c.allocate()
+	w.st.fields(&c)
+	return c.buf, nil
 }
 
 // Restore implements app.Instance.
 func (w *sw4) Restore(data []byte) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w.st); err != nil {
+	var st sw4State
+	if err := decodeSnapshot("sw4", data, &st); err != nil {
 		return err
 	}
-	w.in = w.st.In
+	w.st, w.in = st, st.In
 	return nil
 }
 

@@ -227,16 +227,37 @@ func checkCompressFlags(flags uint32) error {
 // options.
 func Encode(img *Image) ([]byte, error) { return EncodeOpts(img, Options{}) }
 
-// EncodeOpts serializes the image in the current format. The output
-// buffer is sized from the image up front, so the bulk application
-// state is copied into it exactly once.
+// EncodeOpts serializes the image in the current format and returns
+// exactly the bytes it wrote. Uncompressed, the output buffer is sized
+// from the image up front, so the bulk application state is copied
+// into it exactly once. Compressed, the image is a small fraction of
+// that size: it is encoded into a pooled scratch buffer and returned
+// as an exact-size copy, so whoever holds the image — the coordinator
+// stages every rank of a generation, stores hold it for good — holds
+// its bytes and not a state-sized array behind them.
 func EncodeOpts(img *Image, o Options) ([]byte, error) {
+	if o.Compress {
+		buf := getBuf()
+		defer putBuf(buf)
+		if err := EncodeTo(buf, img, o); err != nil {
+			return nil, err
+		}
+		return exactCopy(buf.Bytes()), nil
+	}
 	var buf bytes.Buffer
 	buf.Grow(img.sizeHint(o.chunkSize()))
 	if err := EncodeTo(&buf, img, o); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// exactCopy returns b in an array of its own, exactly as long as b:
+// what an encoder hands out after encoding into pooled scratch.
+func exactCopy(b []byte) []byte {
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
 }
 
 // sizeHint estimates the encoded size for buffer preallocation: the

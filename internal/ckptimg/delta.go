@@ -143,7 +143,8 @@ func (s DeltaStats) ChangedFraction() float64 {
 // exactly), and each changed chunk's bytes are then copied straight
 // into their output frame — so no byte of the application state is
 // copied more than once, and the output buffer never reallocates on
-// the uncompressed path.
+// the uncompressed path. Under compression the image is encoded into
+// pooled scratch and returned as an exact-size copy, like EncodeOpts.
 func EncodeDelta(img *Image, parent ChunkIndex, parentGen int, o Options) ([]byte, DeltaStats, error) {
 	if parent.ChunkBytes <= 0 {
 		return nil, DeltaStats{}, fmt.Errorf("ckptimg: delta parent index has no chunk size")
@@ -156,7 +157,7 @@ func EncodeDelta(img *Image, parent ChunkIndex, parentGen int, o Options) ([]byt
 	chunks := (len(app) + cs - 1) / cs
 
 	// Scan pass: CRC every chunk and tally the changed bytes, so the
-	// output buffer is grown once to its exact (uncompressed) size —
+	// uncompressed output buffer is grown once to its exact size —
 	// regrowth would recopy already-written chunk data.
 	crcs := make([]uint32, chunks)
 	changedBytes := 0
@@ -172,19 +173,25 @@ func EncodeDelta(img *Image, parent ChunkIndex, parentGen int, o Options) ([]byt
 		}
 	}
 
-	var buf bytes.Buffer
-	buf.Grow(16 + 25*chunks + changedBytes + img.tailSizeHint())
+	var buf *bytes.Buffer
+	if o.Compress {
+		buf = getBuf()
+		defer putBuf(buf)
+	} else {
+		buf = new(bytes.Buffer)
+		buf.Grow(16 + 25*chunks + changedBytes + img.tailSizeHint())
+	}
 	var hdr [16]byte
 	copy(hdr[:8], Magic[:])
 	binary.LittleEndian.PutUint32(hdr[8:12], Version)
 	binary.LittleEndian.PutUint32(hdr[12:16], FlagDelta|o.headerFlags())
 	buf.Write(hdr[:])
 
-	if err := writeMetaSection(&buf, img); err != nil {
+	if err := writeMetaSection(buf, img); err != nil {
 		return nil, DeltaStats{}, err
 	}
 
-	if err := writeDeltaMetaSection(&buf, &deltaMeta{
+	if err := writeDeltaMetaSection(buf, &deltaMeta{
 		ParentGen: parentGen, ParentLen: parent.Total,
 		NewLen: len(app), ChunkBytes: cs, Chunks: chunks,
 	}); err != nil {
@@ -214,7 +221,7 @@ func EncodeDelta(img *Image, parent ChunkIndex, parentGen int, o Options) ([]byt
 		binary.LittleEndian.PutUint32(rec[0:4], uint32(i))
 		binary.LittleEndian.PutUint32(rec[5:9], crc)
 		if unchanged {
-			if err := writeSection(&buf, secDeltaChunk, rec[:]); err != nil {
+			if err := writeSection(buf, secDeltaChunk, rec[:]); err != nil {
 				return nil, DeltaStats{}, err
 			}
 			continue
@@ -238,13 +245,16 @@ func EncodeDelta(img *Image, parent ChunkIndex, parentGen int, o Options) ([]byt
 			}
 			data = z.Bytes()
 		}
-		if err := writeSection2(&buf, secDeltaChunk, rec[:], data); err != nil {
+		if err := writeSection2(buf, secDeltaChunk, rec[:], data); err != nil {
 			return nil, DeltaStats{}, err
 		}
 	}
 
-	if err := writeTailSections(&buf, img); err != nil {
+	if err := writeTailSections(buf, img); err != nil {
 		return nil, DeltaStats{}, err
+	}
+	if o.Compress {
+		return exactCopy(buf.Bytes()), st, nil
 	}
 	return buf.Bytes(), st, nil
 }
@@ -362,17 +372,4 @@ func (d *Delta) Apply(parentApp []byte) (*Image, error) {
 		img.AppState = app
 	}
 	return &img, nil
-}
-
-// Index returns the chunk-CRC index of the delta's application state —
-// what the store records for this generation without materializing it.
-func (d *Delta) Index() ChunkIndex {
-	x := ChunkIndex{ChunkBytes: d.ChunkBytes, Total: d.NewLen}
-	if len(d.Chunks) > 0 {
-		x.CRCs = make([]uint32, 0, len(d.Chunks))
-	}
-	for _, ch := range d.Chunks {
-		x.CRCs = append(x.CRCs, ch.CRC)
-	}
-	return x
 }

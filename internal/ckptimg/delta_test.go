@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -69,15 +70,15 @@ func TestDeltaEncodeApplyRoundTrip(t *testing.T) {
 		t.Fatalf("carried fields lost: %+v", img)
 	}
 	// The delta's own index matches a fresh index of the child state.
-	want := IndexAppState(child.AppState, 128)
-	got := d.Index()
-	if got.Total != want.Total || len(got.CRCs) != len(want.CRCs) {
-		t.Fatalf("index %+v vs %+v", got, want)
+	ix, err := IndexDelta(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want.CRCs {
-		if got.CRCs[i] != want.CRCs[i] {
-			t.Fatalf("index CRC %d mismatch", i)
-		}
+	if want := IndexAppState(child.AppState, 128); !reflect.DeepEqual(ix.Index, want) {
+		t.Fatalf("index %+v vs %+v", ix.Index, want)
+	}
+	if ix.Step != 1 || ix.ParentGen != 0 {
+		t.Fatalf("indexed identity %+v", ix)
 	}
 }
 

@@ -148,7 +148,7 @@ func TestFastLZAppReaderStreams(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	ar, err := OpenAppState(data)
+	ar, err := OpenAppState(data, false)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}

@@ -235,6 +235,16 @@ func (m *multiSliceReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// empty reports that every part has been read or skipped.
+func (m *multiSliceReader) empty() bool {
+	for _, part := range m.parts[m.i:] {
+		if len(part) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // skip discards n bytes without copying; fewer available is an error.
 func (m *multiSliceReader) skip(n int) error {
 	for n > 0 && m.i < len(m.parts) {
@@ -263,6 +273,10 @@ func (m *multiSliceReader) skip(n int) error {
 // raw sizes. The payloads alias the OpenAppState input. Not safe for
 // concurrent use.
 type AppReader struct {
+	// Image carries the identity and tail sections; nil unless
+	// OpenAppState was asked to decode them. Image.AppState stays nil.
+	Image *Image
+
 	ms    multiSliceReader
 	zr    *gzip.Reader // non-nil when the app state is one gzip stream
 	lzr   *lzAppReader // non-nil when it is one fast-lz frame
@@ -342,6 +356,9 @@ func (r *lzAppReader) nextBlock() error {
 func (r *lzAppReader) Read(p []byte) (int, error) {
 	for len(r.block) == 0 {
 		if r.remaining == 0 {
+			if !r.ms.empty() {
+				return 0, fmt.Errorf("data after the frame's last block")
+			}
 			return 0, io.EOF
 		}
 		if err := r.nextBlock(); err != nil {
@@ -387,10 +404,12 @@ func (r *lzAppReader) skip(n int) error {
 
 // OpenAppState walks a full v3 image's sections — frame-checking each —
 // and positions a sequential reader at the start of its application
-// state. Delta images are rejected with ErrDeltaImage; legacy v2 images
-// (monolithic gob, nothing to stream) are rejected with a plain error
-// so callers fall back to Decode.
-func OpenAppState(data []byte) (*AppReader, error) {
+// state. decodeTail also decodes the common sections into Image, as
+// OpenDelta does; without it they are frame-checked and skipped. Delta
+// images are rejected with ErrDeltaImage; legacy v2 images (monolithic
+// gob, nothing to stream) are rejected with a plain error so callers
+// fall back to Decode.
+func OpenAppState(data []byte, decodeTail bool) (*AppReader, error) {
 	ver, flags, err := parseHeader(data)
 	if err != nil {
 		return nil, err
@@ -409,6 +428,9 @@ func OpenAppState(data []byte) (*AppReader, error) {
 	}
 
 	r := &AppReader{total: 0}
+	if decodeTail {
+		r.Image = &Image{}
+	}
 	var sawMeta, sawEnd bool
 	c := &sectionCursor{data: data, off: 16}
 	for !sawEnd {
@@ -424,6 +446,11 @@ func OpenAppState(data []byte) (*AppReader, error) {
 			sawEnd = true
 		case isCommonTag(tag):
 			sawMeta = sawMeta || tag == secMeta || tag == secMeta2
+			if decodeTail {
+				if _, err := decodeCommonSection(r.Image, tag, payload); err != nil {
+					return nil, err
+				}
+			}
 		default:
 			return nil, fmt.Errorf("ckptimg: unknown section tag %#x (%w)", tag, ErrCorrupt)
 		}

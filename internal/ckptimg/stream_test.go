@@ -124,7 +124,7 @@ func TestAppReaderStreamsAppState(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Straight read-through equals the decoded app state.
-		r, err := OpenAppState(data)
+		r, err := OpenAppState(data, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestAppReaderStreamsAppState(t *testing.T) {
 		}
 
 		// Skip + read lands on the right region.
-		r, err = OpenAppState(data)
+		r, err = OpenAppState(data, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,14 +168,14 @@ func TestAppReaderStreamsAppState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenAppState(delta); !errors.Is(err, ErrDeltaImage) {
+	if _, err := OpenAppState(delta, false); !errors.Is(err, ErrDeltaImage) {
 		t.Fatalf("delta image: %v", err)
 	}
 	v2, err := EncodeLegacy(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenAppState(v2); err == nil {
+	if _, err := OpenAppState(v2, false); err == nil {
 		t.Fatal("v2 image streamed")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 )
 
 // ErrUnverifiable marks payloads that carry no integrity information:
@@ -86,4 +87,112 @@ func Verify(data []byte) error {
 			return fmt.Errorf("ckptimg: unknown section tag %#x (%w)", tag, ErrCorrupt)
 		}
 	}
+}
+
+// Indexed is what the commit path learns from validating one encoded
+// image without keeping any of it.
+type Indexed struct {
+	// Step is the boundary the image was taken at.
+	Step int
+	// ParentGen is the generation a delta image was encoded against;
+	// zero for a full image.
+	ParentGen int
+	// Index is the chunk-CRC index of the image's application state.
+	Index ChunkIndex
+}
+
+// IndexFull validates a full image as deeply as Decode does — header,
+// every section frame's CRC, the common sections decode, the
+// application state inflates to the end of its stream and to its
+// declared length, nothing follows the end marker — and indexes its
+// application state at chunkBytes (<= 0 selects AppChunk). The state
+// passes through one chunk-sized scratch buffer and is never
+// assembled. A legacy v2 image has no sections to stream and is decoded
+// whole. Delta images return ErrDeltaImage.
+func IndexFull(data []byte, chunkBytes int) (Indexed, error) {
+	if ver, _, err := parseHeader(data); err != nil {
+		return Indexed{}, err
+	} else if ver == VersionLegacy {
+		img, err := decodeV2(data)
+		if err != nil {
+			return Indexed{}, err
+		}
+		return Indexed{Step: img.Step, Index: IndexAppState(img.AppState, chunkBytes)}, nil
+	}
+	r, err := OpenAppState(data, true)
+	if err != nil {
+		return Indexed{}, err
+	}
+	defer r.Close()
+	if chunkBytes <= 0 {
+		chunkBytes = AppChunk
+	}
+	x := ChunkIndex{ChunkBytes: chunkBytes}
+	size := chunkBytes
+	if total := r.Total(); total >= 0 {
+		// One byte even for an empty state: the read that finds the end
+		// of the stream is the one that checks nothing follows it.
+		size = max(1, min(chunkBytes, total))
+		x.CRCs = make([]uint32, 0, (total+chunkBytes-1)/chunkBytes)
+	}
+	scratch := make([]byte, size)
+	for {
+		n, err := io.ReadFull(r, scratch)
+		if n > 0 {
+			x.CRCs = append(x.CRCs, crc32.ChecksumIEEE(scratch[:n]))
+			x.Total += n
+		}
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			break
+		}
+		if err != nil {
+			return Indexed{}, fmt.Errorf("ckptimg: decompressing app state (%w): %w", ErrCorrupt, err)
+		}
+	}
+	if x.Total == 0 {
+		x.CRCs = nil // as IndexAppState indexes an empty state
+	}
+	if total := r.Total(); total >= 0 && total != x.Total {
+		return Indexed{}, fmt.Errorf("ckptimg: app state is %d bytes, its stream declares %d (%w)", x.Total, total, ErrCorrupt)
+	}
+	return Indexed{Step: r.Image.Step, Index: x}, nil
+}
+
+// IndexDelta validates a delta image as deeply as DecodeDelta does —
+// everything OpenDelta checks (frames, linkage, one record per chunk,
+// the common sections decode), then every changed chunk's content
+// against its recorded CRC and length — and returns the chunk index the
+// image implies. Uncompressed chunks are checked where they lie;
+// compressed ones inflate one at a time into a single chunk-sized
+// scratch buffer.
+func IndexDelta(data []byte) (Indexed, error) {
+	r, err := OpenDelta(data, true)
+	if err != nil {
+		return Indexed{}, err
+	}
+	defer r.Close()
+	x := ChunkIndex{ChunkBytes: r.ChunkBytes, Total: r.NewLen}
+	if n := r.NumChunks(); n > 0 {
+		x.CRCs = make([]uint32, n)
+	}
+	var scratch []byte
+	for i := range x.CRCs {
+		ch := r.chunks[i]
+		x.CRCs[i] = ch.CRC
+		switch {
+		case !ch.Changed:
+		case r.compressed:
+			if scratch == nil {
+				scratch = make([]byte, r.ChunkLen(0))
+			}
+			if err := r.InflateChunk(i, scratch[:r.ChunkLen(i)]); err != nil {
+				return Indexed{}, err
+			}
+		case len(ch.Payload) != r.ChunkLen(i):
+			return Indexed{}, fmt.Errorf("ckptimg: delta chunk %d is %d bytes, want %d (%w)", i, len(ch.Payload), r.ChunkLen(i), ErrCorrupt)
+		case crc32.ChecksumIEEE(ch.Payload) != ch.CRC:
+			return Indexed{}, fmt.Errorf("ckptimg: delta chunk %d content checksum mismatch (%w)", i, ErrCorrupt)
+		}
+	}
+	return Indexed{Step: r.Image.Step, ParentGen: r.ParentGen, Index: x}, nil
 }

@@ -43,6 +43,26 @@
 // A damaged link fails either resolver with a *ChainLinkError naming
 // the broken generation, and no partially-applied state is returned.
 //
+// # Commit validation
+//
+// Commit trusts no image. A delta goes through ckptimg.IndexDelta:
+// every section frame's CRC, the linkage, exactly one record per chunk,
+// the identity and tail sections decode, and every changed chunk's
+// content checks against its recorded CRC and length; then the store's
+// own rules — it parents the head generation, at the store's chunk
+// size. Any failure refuses the whole generation. A full image in delta
+// mode goes through ckptimg.IndexFull, which makes the same checks and
+// reads the application state to the end of its stream to index it; an
+// image that fails is not refused but stored verbatim as an opaque
+// payload, and the rank loses its chunk index, so its next generation
+// is a base. Validation is streaming: each rank's changed chunks (or
+// its full state) pass one at a time through a single chunk-sized
+// scratch buffer, checked and indexed as they go, and nothing is
+// materialized — a commit allocates the scratch, the indexes and what
+// the backend copies, never a second application state. (Outside delta
+// mode the index is never consulted and Commit only peeks at META for
+// the step.)
+//
 // Ranks that deliver bytes the store cannot parse as images are stored
 // verbatim as opaque full payloads (their index is dropped and the next
 // generation falls back to a base for that rank): indexing is an
@@ -194,8 +214,8 @@
 //     concurrent Commits serialize.
 //   - Bulk per-rank work fans out to a bounded worker pool of
 //     Options.Workers goroutines (default GOMAXPROCS, 1 = serial). On
-//     Commit that is delta decode and chain validation, full-image
-//     decode and chunk indexing, and the backend Puts; on Materialize
+//     Commit that is image validation and chunk indexing (streaming,
+//     see above), chain validation, and the backend Puts; on Materialize
 //     it is each rank's chain resolution (backend Gets, delta
 //     application, re-encode). Results land in rank-indexed slots, so
 //     output ordering is deterministic regardless of scheduling.

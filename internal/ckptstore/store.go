@@ -563,9 +563,12 @@ type rankCommit struct {
 // verbatim and drop the rank's index (the next generation falls back to
 // a base for that rank).
 //
-// The per-rank work — delta decode and chain validation, full-image
-// decode and chunk indexing, backend writes — fans out to the store's
-// worker pool (Options.Workers). A failing rank cancels the pool, any
+// The per-rank work — image validation and chunk indexing, chain
+// validation, backend writes — fans out to the store's worker pool
+// (Options.Workers). Validation is streaming (ckptimg.IndexDelta,
+// ckptimg.IndexFull): every check a full decode makes runs, through one
+// chunk-sized scratch buffer per rank, and no application state is
+// assembled. A failing rank cancels the pool, any
 // blobs already written for the generation are deleted, and neither the
 // in-memory chain nor the manifest records it: a failed commit leaves
 // no partial generation behind.
@@ -583,7 +586,7 @@ func (s *Store) Commit(images [][]byte) (Generation, error) {
 	seq := len(s.gens)
 
 	// Phase 1: validate and index every rank in parallel. The work is
-	// pure per-rank decoding; results land in rank-indexed slots so the
+	// pure per-rank reading; results land in rank-indexed slots so the
 	// merge below is deterministic.
 	results := make([]rankCommit, s.n)
 	err := forEachRank(s.n, s.opts.Workers, func(r int) error {
@@ -591,34 +594,34 @@ func (s *Store) Commit(images [][]byte) (Generation, error) {
 		res := &rankCommit{step: -1}
 		switch {
 		case ckptimg.IsDelta(data):
-			d, err := ckptimg.DecodeDelta(data)
+			ix, err := ckptimg.IndexDelta(data)
 			if err != nil {
 				return fmt.Errorf("ckptstore: rank %d delta: %w", r, err)
 			}
-			if seq == 0 || d.ParentGen != seq-1 {
-				return fmt.Errorf("ckptstore: rank %d delta parents generation %d, head is %d", r, d.ParentGen, seq-1)
+			if seq == 0 || ix.ParentGen != seq-1 {
+				return fmt.Errorf("ckptstore: rank %d delta parents generation %d, head is %d", r, ix.ParentGen, seq-1)
 			}
-			if d.ChunkBytes != s.opts.ChunkBytes {
-				return fmt.Errorf("ckptstore: rank %d delta chunk size %d != store %d", r, d.ChunkBytes, s.opts.ChunkBytes)
+			if ix.Index.ChunkBytes != s.opts.ChunkBytes {
+				return fmt.Errorf("ckptstore: rank %d delta chunk size %d != store %d", r, ix.Index.ChunkBytes, s.opts.ChunkBytes)
 			}
-			res.step = d.Image.Step
+			res.step = ix.Step
 			res.delta = true
-			res.index = rankIndex{Valid: true, X: d.Index()}
+			res.index = rankIndex{Valid: true, X: ix.Index}
 		case !s.opts.Delta:
 			// No delta tier: the index would never be consulted, so a
 			// cheap META peek (step only) keeps the commit path from
-			// decoding — and possibly decompressing — every image.
+			// validating — and possibly decompressing — every image.
 			if img, err := ckptimg.PeekMeta(data); err == nil {
 				res.step = img.Step
 			}
 		default:
-			img, err := ckptimg.Decode(data)
+			ix, err := ckptimg.IndexFull(data, s.opts.ChunkBytes)
 			if err != nil {
 				// Opaque payload: store it, forget the rank's index.
 				break
 			}
-			res.step = img.Step
-			res.index = rankIndex{Valid: true, X: ckptimg.IndexAppState(img.AppState, s.opts.ChunkBytes)}
+			res.step = ix.Step
+			res.index = rankIndex{Valid: true, X: ix.Index}
 		}
 		results[r] = *res
 		return nil

@@ -192,7 +192,7 @@ func (s *Store) materializeRankStream(seq, rank int) (*ckptimg.Image, ChainStats
 
 	// data now holds the base blob of generation cur.
 	head := links[0]
-	ar, err := ckptimg.OpenAppState(data)
+	ar, err := ckptimg.OpenAppState(data, false)
 	if err != nil {
 		// Not a streamable v3 base (a legacy v2 image, an opaque
 		// payload): resolve the whole chain through the batch path.

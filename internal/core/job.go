@@ -208,7 +208,8 @@ func restartJob(cfg Config, images [][]byte, chains []ckptstore.ChainStats, fact
 // restartJobImages is the decoded-image core of restartJob. The
 // streaming restart path hands it images straight from
 // Store.MaterializeStream, skipping the encode-then-decode round trip
-// the batch path pays per rank.
+// the batch path pays per rank. It takes the images over: each rank
+// clears its image's AppState once it has restored from it.
 func restartJobImages(cfg Config, imgs []*ckptimg.Image, chains []ckptstore.ChainStats, factory app.Factory) (*Session, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -257,7 +258,13 @@ func restartJobImages(cfg Config, imgs []*ckptimg.Image, chains []ckptstore.Chai
 		if err := inst.Restore(img.AppState); err != nil {
 			return fmt.Errorf("mana: restoring application state: %w", err)
 		}
-		return s.runRank(rt, inst, rank, img.Step, false)
+		// The rank has everything it needs out of the image. Both
+		// callers hand over images they own, and s.body outlives the
+		// job: drop the references so a restarted session does not keep
+		// every rank's decoded state alive beside the live one.
+		step := img.Step
+		img.AppState, byRank[rank] = nil, nil
+		return s.runRank(rt, inst, rank, step, false)
 	}
 	return s, nil
 }
