@@ -28,6 +28,19 @@ race:
 .PHONY: ci
 ci: build vet test
 
+# determinism is the virtual-time purity gate: no host-clock read may
+# feed the model (an AST walk over internal/*), default-config Stats are
+# byte-identical run to run and across GOMAXPROCS, the translation-cost
+# table charges exactly what it says, and the wrapper hot path allocates
+# nothing. Run once plain and once on four Ps.
+PURITY := 'TestNoHostClockInModel|TestVirtualTimePureFunction|TestXlatTable|TestWrapperCallCost'
+
+.PHONY: determinism
+determinism:
+	@echo "Running the virtual-time purity tests..."
+	@$(GO) test -count=1 -run $(PURITY) ./...
+	@GOMAXPROCS=4 $(GO) test -count=1 -run $(PURITY) ./...
+
 ########################################
 ### Benchmarks (paper evaluation + ablations)
 
@@ -161,6 +174,7 @@ race-sched:
 bench-figures:
 	@echo "Regenerating the paper figures via benchmarks..."
 	@$(GO) test -run '^$$' -bench 'BenchmarkFig|BenchmarkTable' -benchtime 1x -v .
+	@$(GO) test -run '^$$' -bench 'BenchmarkWrappedIprobe|BenchmarkCrossingCost' -benchmem .
 
 ########################################
 ### Experiments

@@ -294,6 +294,43 @@ func BenchmarkCrossingCost(b *testing.B) {
 	}
 }
 
+// BenchmarkWrappedIprobe is the wrapper hot path alone: one wrapped
+// MPI_Iprobe on an empty mailbox (two crossings, one vid lookup, the
+// translation-table charge) per vid design and host profile. ns/op and
+// allocs/op are what the simulator pays per wrapped call; vt-ns/op is
+// what the model charges for it, exact and identical run to run.
+func BenchmarkWrappedIprobe(b *testing.B) {
+	factory, err := impls.Get("mpich")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, host := range []simtime.HostProfile{simtime.Discovery(), simtime.Perlmutter()} {
+		for _, design := range []mana.Design{mana.DesignVirtID, mana.DesignLegacy} {
+			b.Run(fmt.Sprintf("%s/%s", host.Cross, design), func(b *testing.B) {
+				job := cluster.New(1, factory, host.Net)
+				cfg := mana.Config{ImplName: "mpich", Factory: factory, Host: host, Design: design}
+				rt, err := mana.NewRuntime(cfg, job.Procs[0], job.Clocks[0], nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				world, err := rt.LookupConst(mpi.ConstCommWorld)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				start := job.Clocks[0].Now()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := rt.Iprobe(mpi.AnySource, mpi.AnyTag, world); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(job.Clocks[0].Now()-start)/float64(b.N), "vt-ns/op")
+			})
+		}
+	}
+}
+
 // BenchmarkCheckpointRestartCycle measures a full checkpoint + restart
 // round trip for an 8-rank CoMD job.
 func BenchmarkCheckpointRestartCycle(b *testing.B) {

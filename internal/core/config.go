@@ -137,14 +137,15 @@ type Config struct {
 	// lands after the completion barrier. When Store is set, the
 	// store's own Dedup option governs instead.
 	Dedup bool
-	// FixedXlatCost, when positive, replaces the measured virtual-id
-	// translation time each wrapper charges to the rank clock with this
-	// fixed modeled cost. The default (zero, measured) is what lets the
-	// single-table vs legacy-map difference emerge from real data
-	// structure cost (Figure 2), but measured time is nanosecond-noisy
-	// and run-to-run variation leaks into every downstream virtual
-	// timestamp. Fixing it makes a run bit-reproducible — required for
-	// byte-identical cross-kernel Stats comparisons.
+	// FixedXlatCost is deprecated: a positive value replaces the
+	// translation-cost table (wrappers.go) with this flat per-call
+	// constant at every charged wrapper site. It predates the table, when
+	// translation time was read off the host clock and a fixed cost was
+	// the only reproducible configuration; virtual time is now a pure
+	// function of (config, seed) without it. It survives only because
+	// bench/scenario.go:baseConfig pins it and a change to the benchmark
+	// is its own PR (ROADMAP item 10: drop it from baseConfig, then
+	// delete the field). Nothing else may set it.
 	FixedXlatCost time.Duration
 	// Kernel selects the simulation kernel executing the job's ranks:
 	// cluster.KernelGoroutine (default) runs one OS-scheduled goroutine
@@ -212,6 +213,20 @@ func (c Config) withDefaults() (Config, error) {
 		c.DrainStrategy = ckpt.DefaultDrain
 	}
 	return c, nil
+}
+
+// xlatCosts resolves the translation-cost table of wrappers.go for the
+// config's vid design: the cost of a charged wrapper call by its lookup
+// count. A positive FixedXlatCost overrides every entry.
+func (c Config) xlatCosts() xlatTable {
+	var t xlatTable
+	for n := range t {
+		t[n] = wrapperBase + time.Duration(n)*perLookup(c.Design)
+		if c.FixedXlatCost > 0 {
+			t[n] = c.FixedXlatCost
+		}
+	}
+	return t
 }
 
 // ckptStoreFor resolves the checkpoint store an n-rank job delivers

@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"testing"
-	"time"
 
 	"manasim/internal/app"
 	"manasim/internal/ckptimg"
@@ -227,7 +226,6 @@ func TestDedupDeterminismBattery(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					run := func() Stats {
 						cfg := implFactory(t, impl)
-						cfg.FixedXlatCost = 50 * time.Nanosecond
 						cfg.Dedup = dedup
 						cfg.DeltaImages = true
 						st, _, err := Run(cfg, ranks, newDedupApp(steps, seed), ckptAt)

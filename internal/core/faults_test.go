@@ -23,8 +23,7 @@ func batteryApp(implName string) string {
 	return "lammps"
 }
 
-// faultCfg builds a fixed-cost config with the given injector so
-// virtual times are bit-reproducible across kernels.
+// faultCfg builds a config with the given injector.
 func faultCfg(t *testing.T, implName string, kind cluster.KernelKind, inj *faults.Injector) Config {
 	t.Helper()
 	factory, err := impls.Get(implName)
@@ -32,11 +31,10 @@ func faultCfg(t *testing.T, implName string, kind cluster.KernelKind, inj *fault
 		t.Fatal(err)
 	}
 	return Config{
-		ImplName:      implName,
-		Factory:       factory,
-		Kernel:        kind,
-		FixedXlatCost: 50 * time.Nanosecond,
-		Faults:        inj,
+		ImplName: implName,
+		Factory:  factory,
+		Kernel:   kind,
+		Faults:   inj,
 	}
 }
 

@@ -28,8 +28,7 @@ type JobHandle struct {
 
 // NewJobHandle builds a handle for an n-rank application job. The
 // config's Store is adopted as the handle's checkpoint store (a fresh
-// in-memory store when nil); Kernel, FS, and FixedXlatCost flow into
-// every segment.
+// in-memory store when nil); Kernel and FS flow into every segment.
 func NewJobHandle(cfg Config, n int, factory app.Factory) (*JobHandle, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {

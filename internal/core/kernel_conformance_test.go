@@ -3,7 +3,6 @@ package mana
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"manasim/internal/apps"
 	"manasim/internal/cluster"
@@ -28,9 +27,7 @@ func conformanceStats(t *testing.T, implName, appName string, seed uint64, kind 
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Measured translation cost is nanosecond-noisy; fix it so virtual
-	// times are bit-reproducible and Stats can be compared byte-for-byte.
-	cfg := Config{ImplName: implName, Factory: factory, Kernel: kind, FixedXlatCost: 50 * time.Nanosecond}
+	cfg := Config{ImplName: implName, Factory: factory, Kernel: kind}
 	st, _, err := Run(cfg, in.Ranks, spec.New(in), in.SimSteps/2)
 	if err != nil {
 		t.Fatalf("%s/%s seed=%d kernel=%v: %v", implName, appName, seed, kind, err)

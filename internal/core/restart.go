@@ -61,6 +61,7 @@ func newRuntimeFromImage(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *C
 		store:      store,
 		bnd:        splitproc.New(clock, cfg.Host),
 		clock:      clock,
+		xlat:       cfg.xlatCosts(),
 		rank:       lower.Rank(),
 		size:       lower.Size(),
 		members:    make(map[mpi.Handle][]int),

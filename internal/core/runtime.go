@@ -21,6 +21,9 @@ type Runtime struct {
 	store vid.Store
 	bnd   *splitproc.Boundary
 	clock *simtime.Clock
+	// xlat is the translation cost each charged wrapper site advances
+	// the clock by, resolved once from the config (wrappers.go).
+	xlat xlatTable
 
 	rank, size int
 
@@ -131,6 +134,7 @@ func NewRuntime(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *Coordinato
 		store:      store,
 		bnd:        splitproc.New(clock, cfg.Host),
 		clock:      clock,
+		xlat:       cfg.xlatCosts(),
 		rank:       lower.Rank(),
 		size:       lower.Size(),
 		members:    make(map[mpi.Handle][]int),

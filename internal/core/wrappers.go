@@ -7,25 +7,69 @@ import (
 	"manasim/internal/vid"
 )
 
-// xlatDone charges the real, measured upper-half bookkeeping time
-// (virtual-id translation, drain-buffer checks) of a wrapper call to
-// the rank's virtual clock. Because this is measured — not modeled —
-// the runtime difference between the new single-table design and the
-// legacy string-keyed-map design (Figure 2's "up to 1.6%" improvement,
-// Section 6.1) emerges from the actual cost of the two data structures.
+// Translation-cost table. The upper half's per-call bookkeeping
+// (virtual-id translation, drain-buffer check, argument marshalling) is
+// modeled, not measured: a charged wrapper call costs
 //
-// Measured time is inherently noisy at the nanosecond scale, and the
-// noise propagates: send timestamps carry it to receivers, so no two
-// runs produce bit-identical virtual times. Config.FixedXlatCost trades
-// the measured signal for reproducibility — the cross-kernel
-// conformance suite depends on it to compare Stats byte-for-byte.
-func (r *Runtime) xlatDone(t0 time.Time) {
-	if r.cfg.FixedXlatCost > 0 {
-		r.clock.Advance(r.cfg.FixedXlatCost)
-		return
+//	wrapperBase + lookups x perLookup(design)
+//
+// of virtual time, resolved into an xlatTable once when the Runtime is
+// built (Config.xlatCosts), so virtual time never reads the host clock
+// and a (config, seed) pair has exactly one Stats.
+//
+// perLookup is the predicted part: one vid.Store lookup as
+// BenchmarkVidDesigns measures it, in whole nanoseconds. Seeded once
+// from the 2-vCPU dev VM at the commit before the table (linux/amd64,
+// go1.24, `go test -run '^$' -bench BenchmarkVidDesigns .`:
+// virtid/virt-to-real 7.7 ns/op, legacy/virt-to-real 43.3 ns/op) and
+// re-read on 2026-10-03 on a slower host (Xeon @ 2.10 GHz, go1.24.0,
+// GOMAXPROCS=1, -benchtime 2s: 10.0-11.7 and 65.2-69.6 ns/op, the same
+// ~6x ratio). The new-vs-legacy runtime gap of Section 6.1 ("up to
+// 1.6%") is fitted nowhere: it is lookups x (43 - 8) ns per charged
+// call and nothing else.
+//
+// wrapperBase is the fitted part: chosen so that a two-lookup virtid
+// call costs the 100 ns that harness.computeFactor, the host profiles'
+// crossing costs and the benchmark's paper_err_pp were calibrated
+// against.
+//
+// lookups is static per site — what the wrapper actually asks of
+// vid.Store before entering the lower half. Not every wrapper charges:
+// Irecv, Test, Probe, every collective but Allreduce, the object
+// wrappers of wrappers_obj.go, and the early returns on a drain-buffer
+// or reqResults hit advance the clock only by their crossings
+// (ROADMAP item 6 lists them; charging them would move the benchmark's
+// exact metrics).
+const (
+	wrapperBase     = 84 * time.Nanosecond
+	perLookupVirtID = 8 * time.Nanosecond
+	perLookupLegacy = 43 * time.Nanosecond
+)
+
+// vid.Store lookups per charged wrapper site.
+const (
+	lookupsP2P       = 2 // Send, Recv, Isend: datatype + communicator
+	lookupsWait      = 2 // request descriptor + request
+	lookupsIprobe    = 1 // communicator
+	lookupsAllreduce = 3 // datatype + op + communicator
+	maxLookups       = 3
+)
+
+// xlatTable is the resolved cost of a charged wrapper call, indexed by
+// its lookup count.
+type xlatTable [maxLookups + 1]time.Duration
+
+// perLookup is the modeled cost of one vid.Store lookup under a design.
+func perLookup(d Design) time.Duration {
+	if d == DesignLegacy {
+		return perLookupLegacy
 	}
-	r.clock.Advance(time.Since(t0))
+	return perLookupVirtID
 }
+
+// xlatDone charges the upper-half bookkeeping of a wrapper call that
+// made the given number of vid.Store lookups to the rank's clock.
+func (r *Runtime) xlatDone(lookups int) { r.clock.Advance(r.xlat[lookups]) }
 
 // This file contains the MANA stub (wrapper) functions of Figure 1: one
 // per MPI call, each translating virtual ids to physical ids on the way
@@ -59,7 +103,6 @@ func (r *Runtime) lowerCall(fn func() error) error {
 
 // Send implements mpi.Proc.
 func (r *Runtime) Send(buf []byte, count int, dt mpi.Handle, dest, tag int, comm mpi.Handle) error {
-	t0 := time.Now()
 	pdt, err := r.physDtype(dt)
 	if err != nil {
 		return err
@@ -68,7 +111,7 @@ func (r *Runtime) Send(buf []byte, count int, dt mpi.Handle, dest, tag int, comm
 	if err != nil {
 		return err
 	}
-	r.xlatDone(t0)
+	r.xlatDone(lookupsP2P)
 	if err := r.lowerCall(func() error {
 		return r.lower.Send(buf, count, pdt, dest, tag, pc)
 	}); err != nil {
@@ -91,7 +134,6 @@ func (r *Runtime) Recv(buf []byte, count int, dt mpi.Handle, src, tag int, comm 
 	if src == mpi.ProcNull {
 		return mpi.Status{Source: mpi.ProcNull, Tag: mpi.AnyTag}, nil
 	}
-	t0 := time.Now()
 	if st, ok, err := r.recvFromDrainBuffer(buf, count, dt, src, tag, comm); err != nil || ok {
 		return st, err
 	}
@@ -103,7 +145,7 @@ func (r *Runtime) Recv(buf []byte, count int, dt mpi.Handle, src, tag int, comm 
 	if err != nil {
 		return mpi.Status{}, err
 	}
-	r.xlatDone(t0)
+	r.xlatDone(lookupsP2P)
 	var st mpi.Status
 	if err := r.lowerCall(func() error {
 		var e error
@@ -210,7 +252,6 @@ func (r *Runtime) probeDrainBuffer(src, tag int, comm mpi.Handle) (mpi.Status, b
 // Isend implements mpi.Proc. The lower half's eager protocol completes
 // the send immediately; the wrapper still virtualizes the request handle.
 func (r *Runtime) Isend(buf []byte, count int, dt mpi.Handle, dest, tag int, comm mpi.Handle) (mpi.Handle, error) {
-	t0 := time.Now()
 	pdt, err := r.physDtype(dt)
 	if err != nil {
 		return mpi.HandleNull, err
@@ -219,7 +260,7 @@ func (r *Runtime) Isend(buf []byte, count int, dt mpi.Handle, dest, tag int, com
 	if err != nil {
 		return mpi.HandleNull, err
 	}
-	r.xlatDone(t0)
+	r.xlatDone(lookupsP2P)
 	var preq mpi.Handle
 	if err := r.lowerCall(func() error {
 		var e error
@@ -287,7 +328,6 @@ func (r *Runtime) Irecv(buf []byte, count int, dt mpi.Handle, src, tag int, comm
 
 // Wait implements mpi.Proc.
 func (r *Runtime) Wait(req mpi.Handle) (mpi.Status, error) {
-	t0 := time.Now()
 	if st, ok := r.reqResults[req]; ok {
 		delete(r.reqResults, req)
 		_ = r.store.Drop(mpi.KindRequest, req)
@@ -301,7 +341,7 @@ func (r *Runtime) Wait(req mpi.Handle) (mpi.Status, error) {
 	if err != nil {
 		return mpi.Status{}, err
 	}
-	r.xlatDone(t0)
+	r.xlatDone(lookupsWait)
 	var st mpi.Status
 	if err := r.lowerCall(func() error {
 		var e error
@@ -363,7 +403,6 @@ func (r *Runtime) Test(req mpi.Handle) (bool, mpi.Status, error) {
 
 // Iprobe implements mpi.Proc, consulting the drain buffer first.
 func (r *Runtime) Iprobe(src, tag int, comm mpi.Handle) (bool, mpi.Status, error) {
-	t0 := time.Now()
 	if st, ok, err := r.probeDrainBuffer(src, tag, comm); err != nil || ok {
 		return ok, st, err
 	}
@@ -371,7 +410,7 @@ func (r *Runtime) Iprobe(src, tag int, comm mpi.Handle) (bool, mpi.Status, error
 	if err != nil {
 		return false, mpi.Status{}, err
 	}
-	r.xlatDone(t0)
+	r.xlatDone(lookupsIprobe)
 	var ok bool
 	var st mpi.Status
 	err = r.lowerCall(func() error {
@@ -445,7 +484,6 @@ func (r *Runtime) Reduce(send, recv []byte, count int, dt, op mpi.Handle, root i
 
 // Allreduce implements mpi.Proc.
 func (r *Runtime) Allreduce(send, recv []byte, count int, dt, op mpi.Handle, comm mpi.Handle) error {
-	t0 := time.Now()
 	pdt, err := r.physDtype(dt)
 	if err != nil {
 		return err
@@ -458,7 +496,7 @@ func (r *Runtime) Allreduce(send, recv []byte, count int, dt, op mpi.Handle, com
 	if err != nil {
 		return err
 	}
-	r.xlatDone(t0)
+	r.xlatDone(lookupsAllreduce)
 	return r.lowerCall(func() error { return r.lower.Allreduce(send, recv, count, pdt, pop, pc) })
 }
 

@@ -1,0 +1,105 @@
+package mana
+
+import (
+	"testing"
+	"time"
+
+	"manasim/internal/cluster"
+	"manasim/internal/mpi"
+)
+
+// chargedSites is every wrapper site that charges translation cost, by
+// its static lookup count.
+var chargedSites = map[string]int{
+	"Send/Recv/Isend": lookupsP2P,
+	"Wait":            lookupsWait,
+	"Iprobe":          lookupsIprobe,
+	"Allreduce":       lookupsAllreduce,
+}
+
+// soloRuntime builds a one-rank MANA runtime outside a session, so a
+// test can drive single wrapper calls and read the rank's clock.
+func soloRuntime(t *testing.T, cfg Config) *Runtime {
+	t.Helper()
+	job := cluster.New(1, cfg.Factory, cfg.Host.Net)
+	rt, err := NewRuntime(cfg, job.Procs[0], job.Clocks[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
+func TestXlatTable(t *testing.T) {
+	designs := []Design{DesignVirtID, DesignLegacy}
+
+	// The deprecated override is honoured bit for bit at every site.
+	for _, d := range designs {
+		const fixed = 77 * time.Nanosecond
+		tab := Config{Design: d, FixedXlatCost: fixed}.xlatCosts()
+		for site, n := range chargedSites {
+			if tab[n] != fixed {
+				t.Errorf("%s %s: override charges %v, want %v", d, site, tab[n], fixed)
+			}
+		}
+	}
+
+	// The table proper: base + lookups x perLookup, all positive.
+	for _, d := range designs {
+		tab := Config{Design: d}.xlatCosts()
+		for site, n := range chargedSites {
+			want := wrapperBase + time.Duration(n)*perLookup(d)
+			if tab[n] != want || tab[n] <= 0 {
+				t.Errorf("%s %s: table charges %v, want %v > 0", d, site, tab[n], want)
+			}
+		}
+	}
+	if perLookup(DesignLegacy) <= perLookup(DesignVirtID) {
+		t.Errorf("legacy lookup %v not dearer than virtid %v", perLookup(DesignLegacy), perLookup(DesignVirtID))
+	}
+	// The fitted anchor: the harness factors, the host profiles and the
+	// benchmark's paper_err_pp were calibrated at 100 ns per p2p call.
+	if got := (Config{Design: DesignVirtID}).xlatCosts()[lookupsP2P]; got != 100*time.Nanosecond {
+		t.Errorf("two-lookup virtid call costs %v, calibration anchor is 100ns", got)
+	}
+
+	// End to end: an Iprobe on an empty mailbox is two crossings plus
+	// one single-lookup translation, exactly.
+	for _, d := range designs {
+		cfg := implFactory(t, "mpich")
+		cfg.Design = d
+		rt := soloRuntime(t, cfg)
+		world, err := rt.LookupConst(mpi.ConstCommWorld)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const calls = 1000
+		before := rt.clock.Now()
+		for i := 0; i < calls; i++ {
+			if ok, _, err := rt.Iprobe(mpi.AnySource, mpi.AnyTag, world); err != nil || ok {
+				t.Fatalf("Iprobe on an empty mailbox: ok=%v err=%v", ok, err)
+			}
+		}
+		want := calls * (2*cfg.Host.CrossCost + wrapperBase + perLookup(d))
+		if got := rt.clock.Now() - before; got != want {
+			t.Errorf("%s: %d Iprobes advanced the clock by %v, want exactly %v", d, calls, got, want)
+		}
+	}
+}
+
+// TestWrapperCallCost guards the wrapper hot path with a count: a
+// wrapped Iprobe on an empty mailbox allocates nothing.
+func TestWrapperCallCost(t *testing.T) {
+	rt := soloRuntime(t, implFactory(t, "mpich"))
+	world, err := rt.LookupConst(mpi.ConstCommWorld)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, _, err := rt.Iprobe(mpi.AnySource, mpi.AnyTag, world); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("wrapped Iprobe allocates %.1f objects per call, want 0", allocs)
+	}
+}

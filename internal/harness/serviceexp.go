@@ -257,9 +257,6 @@ func RunService(sp ServiceSpec) (*ServiceOutcome, error) {
 		Factory:  factory,
 		FS:       sp.FS,
 		Kernel:   sp.Kernel,
-		// Fixed translation cost: the service trajectory must be
-		// reproducible run to run for the determinism battery.
-		FixedXlatCost: 100 * time.Nanosecond,
 	}
 
 	if sp.BaselineVT <= 0 {
@@ -614,11 +611,10 @@ func serviceProbe(sp ServiceSpec) (baseVT, ckptCost time.Duration, err error) {
 		sp.FS = serviceFS()
 	}
 	cfg := mana.Config{
-		ImplName:      sp.Impl,
-		Factory:       factory,
-		FS:            sp.FS,
-		Kernel:        sp.Kernel,
-		FixedXlatCost: 100 * time.Nanosecond,
+		ImplName: sp.Impl,
+		Factory:  factory,
+		FS:       sp.FS,
+		Kernel:   sp.Kernel,
 	}
 	st, err := mana.RunNative(cfg, sp.Ranks, spec.New(in))
 	if err != nil {

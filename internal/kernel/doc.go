@@ -39,9 +39,13 @@
 // in program order by the single running activity, so ties break FIFO
 // and identically on every run. Two rules keep it that way:
 //
-//   - No wall-clock or randomness in the hot path. Nothing the scheduler
-//     orders by may depend on time.Now, map iteration order, or scheduler
-//     interleaving. Virtual time comes from simtime.Clock only.
+//   - No wall-clock or randomness in the model. Nothing the scheduler
+//     orders by may depend on the host clock, map iteration order, or
+//     scheduler interleaving. Virtual time comes from simtime.Clock
+//     only, and no clock is advanced by a host-clock reading: the MANA
+//     wrappers charge translation from a cost table (core/wrappers.go),
+//     and core's TestNoHostClockInModel fails on any time.Now, Since or
+//     Until in internal/* outside the wall-time reporters it lists.
 //
 //   - No busy-waiting. A rank that needs a peer's message must block in
 //     the transport (Recv/WaitMatch), not spin-poll: under a serialized

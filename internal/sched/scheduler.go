@@ -21,10 +21,6 @@ type Options struct {
 	// through (default: a node-local NVMe-class model; NFS startup
 	// latencies would dwarf the minute-scale jobs the sweeps run).
 	FS fsim.FS
-	// FixedXlatCost makes segment virtual times bit-reproducible
-	// across kernels (default 50ns); required for the cross-kernel
-	// trajectory battery.
-	FixedXlatCost time.Duration
 	// SkewBound is the boundary-agreement skew of preemption cuts
 	// (default 2 — sweep jobs run tens of steps, and the default 8
 	// would clamp every cut to the final boundary).
@@ -36,9 +32,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.FS.Name == "" {
 		o.FS = fsim.FS{Name: "sched-nvme", Startup: 500 * time.Microsecond, PerMB: 10 * time.Microsecond}
-	}
-	if o.FixedXlatCost <= 0 {
-		o.FixedXlatCost = 50 * time.Nanosecond
 	}
 	if o.SkewBound <= 0 {
 		o.SkewBound = 2
@@ -268,12 +261,11 @@ func (s *Scheduler) jobConfig(c Class) (mana.Config, error) {
 		return mana.Config{}, err
 	}
 	return mana.Config{
-		ImplName:      c.Impl,
-		Factory:       factory,
-		Kernel:        s.opts.Kernel,
-		FS:            s.opts.FS,
-		FixedXlatCost: s.opts.FixedXlatCost,
-		SkewBound:     s.opts.SkewBound,
+		ImplName:  c.Impl,
+		Factory:   factory,
+		Kernel:    s.opts.Kernel,
+		FS:        s.opts.FS,
+		SkewBound: s.opts.SkewBound,
 	}, nil
 }
 

@@ -2,8 +2,8 @@
 //
 // Every MPI rank in a simulated job owns a Clock. The clock does not tick on
 // its own: application compute phases, split-process boundary crossings,
-// network transfers, and filesystem writes each advance it by a modeled or
-// measured amount. A message carries the sender's virtual timestamp, and a
+// network transfers, and filesystem writes each advance it by a modeled
+// amount — never by a host-clock reading. A message carries the sender's virtual timestamp, and a
 // receive completes at
 //
 //	max(receiver clock, sender timestamp + network cost)

@@ -20,7 +20,6 @@
 package splitproc
 
 import (
-	"sync/atomic"
 	"time"
 
 	"manasim/internal/simtime"
@@ -32,7 +31,8 @@ type Boundary struct {
 	cost  time.Duration
 	mode  simtime.CrossMode
 
-	crossings atomic.Uint64
+	// crossings is written only by the rank that owns the boundary.
+	crossings uint64
 }
 
 // New builds a boundary charging the host profile's crossing cost
@@ -44,18 +44,22 @@ func New(clock *simtime.Clock, host simtime.HostProfile) *Boundary {
 // Enter switches into the lower half: one fs-register switch.
 func (b *Boundary) Enter() {
 	b.clock.Advance(b.cost)
-	b.crossings.Add(1)
+	b.crossings++
 }
 
 // Leave switches back to the upper half: one fs-register switch.
 func (b *Boundary) Leave() {
 	b.clock.Advance(b.cost)
-	b.crossings.Add(1)
+	b.crossings++
 }
 
 // Crossings returns the total number of fs-register switches performed.
-// It is safe to read from another goroutine after the rank finished.
-func (b *Boundary) Crossings() uint64 { return b.crossings.Load() }
+// The counter is unsynchronized: only the owning rank writes it, so
+// another goroutine may read it only after something orders the rank's
+// last crossing before the read: mana.Session.Wait reads it after
+// cluster.Job.WaitResult, whose WaitGroup.Wait happens after every
+// rank body's Done.
+func (b *Boundary) Crossings() uint64 { return b.crossings }
 
 // Mode reports the switching mechanism in use.
 func (b *Boundary) Mode() simtime.CrossMode { return b.mode }
