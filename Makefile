@@ -76,13 +76,13 @@ bench-drain:
 # (mem/fs/obj/tier) with their modeled commit-VT and drain-lag metrics.
 BENCH_CKPT := 'BenchmarkParallelCommit|BenchmarkParallelMaterialize|BenchmarkDeltaEncode|BenchmarkChainMaterialize|BenchmarkStreamMaterialize|BenchmarkCompressTiers|BenchmarkDedupCommit|BenchmarkBackends|BenchmarkKernelScale|BenchmarkCheckpointDrain|BenchmarkAppSnapshot|BenchmarkAppRestore'
 
-# bench-kernel sweeps the simulation kernels: a fixed-work token ring
-# at 16-1024 ranks. The event-kernel rows should stay near-flat as the
-# rank count grows; the goroutine rows are the 16/64-rank baseline. It
-# is part of BENCH_CKPT, so bench-compare tracks its trajectory too.
+# bench-kernel measures the simulation kernel's scheduling cost: a
+# fixed-work token ring at 16-1024 ranks, whose per-iteration wall
+# should stay near-flat as the rank count grows. It is part of
+# BENCH_CKPT, so bench-compare tracks its trajectory too.
 .PHONY: bench-kernel
 bench-kernel:
-	@echo "Running simulation-kernel scale benchmarks (goroutine vs event)..."
+	@echo "Running simulation-kernel scale benchmarks (16-1024 ranks)..."
 	@$(GO) test -run '^$$' -bench BenchmarkKernelScale -benchtime 3x -benchmem .
 
 .PHONY: bench-ckpt
@@ -159,10 +159,10 @@ race-scrub:
 	@$(GO) test -race -run 'TestServiceCorruption' ./internal/harness
 
 # race-sched covers the cluster scheduler: job segments of
-# concurrently-resident jobs share the event kernel's virtual-time
-# queue and the fabric's indexed mailboxes, the preemption path
-# re-enters the checkpoint store while the dispatcher mutates node
-# state, and the sweep harness replays trajectories across kernels.
+# concurrently-resident jobs share the kernel's virtual-time queue,
+# the preemption path re-enters the checkpoint store while the
+# dispatcher mutates node state, and the sweep harness replays
+# trajectories run to run.
 .PHONY: race-sched
 race-sched:
 	@echo "Running the cluster scheduler under the race detector..."

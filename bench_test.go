@@ -585,9 +585,9 @@ func BenchmarkDrainProtocol(b *testing.B) {
 // the checkpoint hot path across rank counts, so future PRs have a
 // perf trajectory for the subsystem. Each iteration checkpoints a
 // pipelined LAMMPS job mid-run with in-flight halo messages and reports
-// the checkpoint-time virtual cost and the control plane's size. The
-// 64- and 256-rank rows run on the event kernel, where the all-pairs
-// control traffic (n(n−1) messages either way) is the cost.
+// the checkpoint-time virtual cost and the control plane's size. At 64
+// and 256 ranks the all-pairs control traffic (n(n−1) messages either
+// way) is the cost.
 func BenchmarkCheckpointDrain(b *testing.B) {
 	factory, err := impls.Get("mpich")
 	if err != nil {
@@ -607,9 +607,6 @@ func BenchmarkCheckpointDrain(b *testing.B) {
 				cfg := mana.Config{
 					ImplName: "mpich", Factory: factory,
 					DrainStrategy: strat, ExitAtCheckpoint: true,
-				}
-				if ranks >= 64 {
-					cfg.Kernel = cluster.KernelEvent
 				}
 				var totalVT time.Duration
 				var drained int
@@ -664,7 +661,7 @@ func benchAppInstance(b *testing.B, name string) (app.Factory, app.Instance) {
 	var mu sync.Mutex
 	var insts []app.Instance
 	fresh := spec.New(in)
-	cfg := mana.Config{ImplName: "mpich", Factory: factory, Kernel: cluster.KernelEvent}
+	cfg := mana.Config{ImplName: "mpich", Factory: factory}
 	if _, err := mana.RunNative(cfg, in.Ranks, func() app.Instance {
 		inst := fresh()
 		mu.Lock()

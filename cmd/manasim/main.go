@@ -21,7 +21,6 @@ import (
 	ckptsub "manasim/internal/ckpt"
 	"manasim/internal/ckptimg"
 	"manasim/internal/ckptstore"
-	"manasim/internal/cluster"
 	mana "manasim/internal/core"
 	"manasim/internal/faults"
 	"manasim/internal/harness"
@@ -205,7 +204,6 @@ func cmdRun(args []string) error {
 	chunkKB := fs.Int("chunk-kb", 0, "delta chunk size in KiB (default ckptimg.AppChunk; shrink to match proxy snapshot sizes)")
 	workers := fs.Int("workers", 0, "checkpoint store worker pool width (0 = GOMAXPROCS, 1 = serial)")
 	siteName := fs.String("site", "discovery", "site profile")
-	kernelName := fs.String("kernel", "", "simulation kernel: goroutine (default) or event")
 	useFaults := fs.Bool("faults", false, "enable the seeded fault injector")
 	faultSeed := fs.Int64("fault-seed", 42, "fault timeline seed with -faults")
 	mtbf := fs.Duration("mtbf", 0, "mean time between injected node crashes (virtual time); runs the long-horizon service loop with restart-from-store")
@@ -216,10 +214,6 @@ func cmdRun(args []string) error {
 		return err
 	}
 	tier, err := ckptimg.ParseCompressTier(*tierName)
-	if err != nil {
-		return err
-	}
-	kern, err := cluster.ParseKernel(*kernelName)
 	if err != nil {
 		return err
 	}
@@ -278,7 +272,6 @@ func cmdRun(args []string) error {
 			InitialInterval: *mtbf / 4,
 			CorruptRate:     *corruptRate,
 			Fallback:        *restartFallback,
-			Kernel:          kern,
 			Logf: func(format string, a ...any) {
 				fmt.Fprintf(os.Stderr, "  "+format+"\n", a...)
 			},
@@ -307,7 +300,6 @@ func cmdRun(args []string) error {
 		CompressTier:   tier,
 		DeltaImages:    *delta,
 		Workers:        *workers,
-		Kernel:         kern,
 		CkptInterval:   interval,
 	}
 	if *useFaults {
@@ -440,7 +432,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	rcfg := mana.Config{ImplName: *restartImpl, Factory: rfactory, Host: host, DrainStrategy: *drainName, StreamRestart: *streamRestart, Kernel: kern, RestartFallback: *restartFallback}
+	rcfg := mana.Config{ImplName: *restartImpl, Factory: rfactory, Host: host, DrainStrategy: *drainName, StreamRestart: *streamRestart, RestartFallback: *restartFallback}
 	rs, err := mana.RestartJobFromStore(rcfg, store, spec.New(in))
 	if err != nil {
 		return err

@@ -18,7 +18,6 @@ import (
 	"log"
 	"time"
 
-	"manasim/internal/cluster"
 	"manasim/internal/sched"
 )
 
@@ -58,10 +57,7 @@ func main() {
 	}
 
 	run := func(policy string, logf func(string, ...any)) *sched.Outcome {
-		out, err := sched.Run(spec, wl, policy, sched.Options{
-			Kernel: cluster.KernelEvent,
-			Logf:   logf,
-		})
+		out, err := sched.Run(spec, wl, policy, sched.Options{Logf: logf})
 		if err != nil {
 			log.Fatalf("%s run: %v", policy, err)
 		}

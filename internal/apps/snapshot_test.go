@@ -11,7 +11,6 @@ import (
 
 	"manasim/internal/app"
 	"manasim/internal/ckptimg"
-	"manasim/internal/cluster"
 	mana "manasim/internal/core"
 )
 
@@ -69,7 +68,6 @@ func boundaries(t testing.TB, name string, in Input) []boundary {
 	var out []boundary
 	inner := spec.New(in)
 	cfg := cfgFor(t, "mpich")
-	cfg.Kernel = cluster.KernelEvent
 	if _, err := mana.RunNative(cfg, 4, func() app.Instance {
 		return &tap{Instance: inner(), mu: &mu, out: &out}
 	}); err != nil {

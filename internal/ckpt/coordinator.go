@@ -63,9 +63,8 @@ type CtlLink interface {
 	// CtlWait blocks until a control message from src (which may be
 	// AnySource) with tag is probeable, without receiving it. Drain
 	// strategies that wait for peer announcements use it instead of
-	// spin-polling CtlIprobe: under the event kernel a spinning rank
-	// never yields, and under the goroutine kernel the spin burns a
-	// core.
+	// spin-polling CtlIprobe: under the rank-serial kernel a spinning
+	// rank never yields.
 	CtlWait(src, tag int) error
 	// CtlRecv receives one message from src under tag and returns
 	// exactly the values that arrived. count is the capacity posted for

@@ -92,7 +92,7 @@ type ReliableCtl interface {
 	CtlEpoch() int64
 	// CtlResendTimeout is the virtual-time ack deadline before a resend.
 	CtlResendTimeout() time.Duration
-	// CtlSleep parks the rank until virtual time at (event kernel only).
+	// CtlSleep parks the rank until virtual time at.
 	CtlSleep(at time.Duration) error
 }
 

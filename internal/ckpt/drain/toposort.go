@@ -155,8 +155,8 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 			// block until the next counter announcement instead of
 			// spin-polling. Every missing peer still owes us its row
 			// (announcements precede this loop on every rank), so the
-			// wait always terminates — and under the event kernel a
-			// spinning rank would never yield at all.
+			// wait always terminates — and under the rank-serial
+			// kernel a spinning rank would never yield at all.
 			if err := env.CtlWait(mpi.AnySource, ckpt.TagDrainCounters); err != nil {
 				return err
 			}

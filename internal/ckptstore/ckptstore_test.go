@@ -99,6 +99,10 @@ func TestBackendsPutGetListDelete(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Cleanups run last-registered first: wait out the
+			// drainer's back-tier writes before TempDir removes the
+			// directory under them.
+			t.Cleanup(func() { _ = b.(Drainer).DrainBarrier() })
 			return b
 		},
 	} {

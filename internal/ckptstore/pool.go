@@ -49,6 +49,9 @@ func forEachRank(n, workers int, fn func(rank int) error) error {
 	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
+		// Lifetime: every worker exits when the ranks run out or after
+		// the first error, and wg.Wait below returns only after the
+		// last one has, so no worker outlives forEachRank.
 		go func() {
 			defer wg.Done()
 			for {

@@ -91,10 +91,13 @@ type fetchResult struct {
 // prefetchBlob starts one background rank-image read — the link
 // lookahead that overlaps the parent's read with the current link's
 // parse. It goes through getBlob so a dedup store's recipes reassemble
-// off the critical path too. The channel is buffered, so an abandoned
-// prefetch never leaks its goroutine.
+// off the critical path too.
 func (s *Store) prefetchBlob(seq, rank int) chan fetchResult {
 	ch := make(chan fetchResult, 1)
+	// Lifetime: one backend read, then exit. The channel is buffered,
+	// so the send never blocks and a prefetch whose result is abandoned
+	// still exits; its read may finish after the materialize returns,
+	// but it only reads from the backend.
 	go func() {
 		data, dr, err := s.getBlob(seq, rank)
 		ch <- fetchResult{data, dr, err}

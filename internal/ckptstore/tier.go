@@ -145,6 +145,10 @@ func (b *tierBackend) Put(key string, data []byte) error {
 	b.noteResidentLocked(key, n)
 	if b.workers < tierDrainWorkers {
 		b.workers++
+		// Lifetime: the worker exits once the queue is empty. It may
+		// outlive the Put and the Store that made it; DrainBarrier
+		// returns only when nothing is queued or in flight, so after it
+		// the worker writes nothing more.
 		go b.drainLoop()
 	}
 	b.mu.Unlock()

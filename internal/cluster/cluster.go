@@ -1,15 +1,13 @@
 // Package cluster launches simulated MPI jobs: one lower-half library
-// instance per rank over one shared transport fabric, executed by one of
-// two simulation kernels. It is the moral equivalent of srun/mpirun in
-// this repository.
+// instance per rank over one shared transport fabric, executed by the
+// event kernel (internal/kernel). It is the moral equivalent of
+// srun/mpirun in this repository.
 //
-// The goroutine kernel (default) runs one OS-scheduled goroutine per
-// rank and lets the Go runtime interleave them — simple, parallel, and
-// the conformance oracle. The event kernel serializes the same rank
-// bodies through internal/kernel's virtual-time event queue, so idle
-// ranks cost nothing and jobs scale to thousands of ranks; it also
-// detects deadlock (every rank blocked with no message in flight)
-// instead of hanging. Small runs must produce identical results on both.
+// The kernel runs the rank bodies one at a time through a virtual-time
+// event queue, so idle ranks cost nothing, jobs scale to thousands of
+// ranks, every run of a configuration is the same run, and a deadlock
+// (every rank blocked with no message in flight) fails the job with a
+// diagnostic naming each rank's drain phase instead of hanging.
 package cluster
 
 import (
@@ -24,43 +22,15 @@ import (
 	"manasim/internal/transport"
 )
 
-// KernelKind selects the simulation kernel executing a job's ranks.
+// KernelKind is deprecated: the event kernel is the only kernel, and
+// the type survives only as the type of KernelEvent and of
+// core.Config.Kernel, which bench/scenario.go still names (ROADMAP
+// item 10: drop them from baseConfig, then delete them). Nothing else
+// may use it.
 type KernelKind int
 
-const (
-	// KernelGoroutine is the default: one OS-scheduled goroutine per
-	// rank, blocking receives park on mailbox condition variables.
-	KernelGoroutine KernelKind = iota
-	// KernelEvent serializes ranks through a central virtual-time event
-	// queue (internal/kernel): deterministic, deadlock-detecting, and
-	// wall-clock scales with event count instead of rank count.
-	KernelEvent
-)
-
-// String names the kernel ("goroutine", "event").
-func (k KernelKind) String() string {
-	switch k {
-	case KernelGoroutine:
-		return "goroutine"
-	case KernelEvent:
-		return "event"
-	default:
-		return fmt.Sprintf("KernelKind(%d)", int(k))
-	}
-}
-
-// ParseKernel resolves a kernel name; the empty string selects the
-// default goroutine kernel.
-func ParseKernel(name string) (KernelKind, error) {
-	switch name {
-	case "", "goroutine":
-		return KernelGoroutine, nil
-	case "event":
-		return KernelEvent, nil
-	default:
-		return 0, fmt.Errorf("cluster: unknown kernel %q (have goroutine, event)", name)
-	}
-}
+// KernelEvent is deprecated and has no effect; see KernelKind.
+const KernelEvent KernelKind = 1
 
 // Factory instantiates one rank's lower-half MPI library. The impls
 // package registers the four simulated implementations as Factories.
@@ -102,9 +72,8 @@ type Job struct {
 	Procs  []mpi.Proc
 
 	n       int
-	kern    *kernel.Kernel // nil under the goroutine kernel
+	kern    *kernel.Kernel
 	errs    []error
-	wg      sync.WaitGroup
 	started time.Time
 
 	// label names the job and nodeOf pins each rank to a scheduler
@@ -188,36 +157,28 @@ type crashError interface {
 }
 
 // New builds a job with n ranks over a fresh fabric, instantiating the
-// lower half with the given implementation factory. The job runs on the
-// default goroutine kernel; NewKernel selects explicitly.
+// lower half with the given implementation factory. The kernel's
+// scheduler is attached to the fabric before any lower half is
+// instantiated, so every blocking point of the job — including context
+// agreement at startup — runs event-driven.
 func New(n int, factory Factory, net simtime.NetModel) *Job {
-	return NewKernel(n, factory, net, KernelGoroutine)
-}
-
-// NewKernel builds a job executed by the given simulation kernel. The
-// event kernel's scheduler is attached to the fabric before any lower
-// half is instantiated, so every blocking point of the job — including
-// context agreement at startup — runs event-driven.
-func NewKernel(n int, factory Factory, net simtime.NetModel, kind KernelKind) *Job {
 	fab := transport.NewFabric(n)
 	j := &Job{
 		Fabric: fab,
 		Clocks: make([]*simtime.Clock, n),
 		Procs:  make([]mpi.Proc, n),
 		n:      n,
+		kern:   kernel.New(n),
 		errs:   make([]error, n),
 		phases: make([]string, n),
 	}
-	if kind == KernelEvent {
-		j.kern = kernel.New(n)
-		fab.SetScheduler(j.kern, net.TransferCost)
-		j.kern.OnStall(func() {
-			// Deadlock: every rank parked in a receive with nothing in
-			// flight. Tear the fabric down so the parked ranks fail with
-			// ErrClosed instead of hanging the simulation.
-			fab.Close()
-		})
-	}
+	fab.SetScheduler(j.kern, net.TransferCost)
+	j.kern.OnStall(func() {
+		// Deadlock: every rank parked in a receive with nothing in
+		// flight. Tear the fabric down so the parked ranks fail with
+		// ErrClosed instead of hanging the simulation.
+		fab.Close()
+	})
 	for r := 0; r < n; r++ {
 		j.Clocks[r] = simtime.NewClock()
 		j.Procs[r] = factory(fab, r, j.Clocks[r], net)
@@ -233,48 +194,40 @@ func NewKernel(n int, factory Factory, net simtime.NetModel, kind KernelKind) *J
 	return j
 }
 
+// NewKernel is deprecated: it is New, and kind is ignored. It survives
+// only because bench/scenario.go calls it (ROADMAP item 10: drop it from
+// baseConfig, then delete it). Nothing else may call it.
+func NewKernel(n int, factory Factory, net simtime.NetModel, _ KernelKind) *Job {
+	return New(n, factory, net)
+}
+
 // Start launches all rank activities.
 func (j *Job) Start(fn RankFn) {
 	j.started = time.Now()
-	body := func(rank int) {
-		defer func() {
-			if p := recover(); p != nil {
-				j.errs[rank] = fmt.Errorf("panic: %v", p)
+	for r := 0; r < j.n; r++ {
+		rank := r
+		j.kern.Go(rank, func() {
+			defer func() {
+				if p := recover(); p != nil {
+					j.errs[rank] = fmt.Errorf("panic: %v", p)
+					j.Fabric.Close()
+				}
+			}()
+			j.errs[rank] = fn(rank, j.Procs[rank], j.Clocks[rank])
+			if j.errs[rank] != nil {
+				// A failed rank aborts the job step so peers blocked
+				// in communication do not hang.
 				j.Fabric.Close()
 			}
-		}()
-		j.errs[rank] = fn(rank, j.Procs[rank], j.Clocks[rank])
-		if j.errs[rank] != nil {
-			// A failed rank aborts the job step so peers blocked in
-			// communication do not hang.
-			j.Fabric.Close()
-		}
+		})
 	}
-	if j.kern != nil {
-		for r := 0; r < j.n; r++ {
-			j.wg.Add(1)
-			rank := r
-			j.kern.Go(rank, func() {
-				defer j.wg.Done()
-				body(rank)
-			})
-		}
-		j.kern.Start()
-		return
-	}
-	for r := 0; r < j.n; r++ {
-		j.wg.Add(1)
-		go func(rank int) {
-			defer j.wg.Done()
-			body(rank)
-		}(r)
-	}
+	j.kern.Start()
 }
 
 // WaitResult blocks until every rank returns and reports the outcome.
 // The error is the lowest-rank failure, wrapped with its rank.
 func (j *Job) WaitResult() (Result, error) {
-	j.wg.Wait()
+	j.kern.Wait()
 	res := Result{
 		PerRankVT: make([]time.Duration, j.n),
 		Wall:      time.Since(j.started),
@@ -289,7 +242,7 @@ func (j *Job) WaitResult() (Result, error) {
 	for r := 0; r < j.n; r++ {
 		if j.errs[r] != nil {
 			inner := j.errs[r]
-			if j.kern != nil && j.kern.Stalled() {
+			if j.kern.Stalled() {
 				owner := ""
 				if j.label != "" {
 					owner = fmt.Sprintf("job %q: ", j.label)
@@ -318,14 +271,9 @@ func (j *Job) WaitResult() (Result, error) {
 	return res, err
 }
 
-// Run executes fn on n ranks under the goroutine kernel and waits.
+// Run executes fn on n ranks and waits.
 func Run(n int, factory Factory, net simtime.NetModel, fn RankFn) (Result, error) {
-	return RunKernel(n, factory, net, KernelGoroutine, fn)
-}
-
-// RunKernel executes fn on n ranks under the selected kernel and waits.
-func RunKernel(n int, factory Factory, net simtime.NetModel, kind KernelKind, fn RankFn) (Result, error) {
-	j := NewKernel(n, factory, net, kind)
+	j := New(n, factory, net)
 	j.Start(fn)
 	return j.WaitResult()
 }

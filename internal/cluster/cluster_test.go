@@ -98,28 +98,6 @@ func TestFailureClosesFabric(t *testing.T) {
 	}
 }
 
-func TestParseKernel(t *testing.T) {
-	cases := []struct {
-		name string
-		want KernelKind
-		err  bool
-	}{
-		{"", KernelGoroutine, false},
-		{"goroutine", KernelGoroutine, false},
-		{"event", KernelEvent, false},
-		{"threads", 0, true},
-	}
-	for _, c := range cases {
-		got, err := ParseKernel(c.name)
-		if (err != nil) != c.err || got != c.want {
-			t.Fatalf("ParseKernel(%q) = %v, %v", c.name, got, err)
-		}
-	}
-	if KernelGoroutine.String() != "goroutine" || KernelEvent.String() != "event" {
-		t.Fatalf("kernel names %q %q", KernelGoroutine, KernelEvent)
-	}
-}
-
 // ringBody returns a RankFn passing one message around the ring through
 // the job's fabric, advancing each rank's clock per hop.
 func ringBody(j *Job, n, rounds int) RankFn {
@@ -143,36 +121,37 @@ func ringBody(j *Job, n, rounds int) RankFn {
 	}
 }
 
-// TestEventKernelRunsRing runs a multi-round ring on the event kernel
-// and checks it against the goroutine kernel's result.
+// TestEventKernelRunsRing runs a multi-round ring twice: every rank
+// ends at exactly rounds hops of virtual time, and the second run
+// reproduces the first.
 func TestEventKernelRunsRing(t *testing.T) {
 	const n, rounds = 8, 20
 	net := simtime.NetModel{Latency: 10 * time.Microsecond, PerKB: time.Microsecond}
-	run := func(kind KernelKind) Result {
-		j := NewKernel(n, fakeFactory, net, kind)
+	run := func() Result {
+		j := New(n, fakeFactory, net)
 		j.Start(ringBody(j, n, rounds))
 		res, err := j.WaitResult()
 		if err != nil {
-			t.Fatalf("%v kernel: %v", kind, err)
+			t.Fatal(err)
 		}
 		return res
 	}
-	ev, gr := run(KernelEvent), run(KernelGoroutine)
-	if ev.VT != gr.VT {
-		t.Fatalf("kernel VT mismatch: event %v, goroutine %v", ev.VT, gr.VT)
-	}
-	for r := range ev.PerRankVT {
-		if ev.PerRankVT[r] != gr.PerRankVT[r] {
-			t.Fatalf("rank %d VT: event %v, goroutine %v", r, ev.PerRankVT[r], gr.PerRankVT[r])
+	first, second := run(), run()
+	for r := range first.PerRankVT {
+		if first.PerRankVT[r] != rounds*time.Millisecond {
+			t.Fatalf("rank %d VT %v, want %v", r, first.PerRankVT[r], rounds*time.Millisecond)
+		}
+		if second.PerRankVT[r] != first.PerRankVT[r] {
+			t.Fatalf("rank %d VT: first run %v, second %v", r, first.PerRankVT[r], second.PerRankVT[r])
 		}
 	}
 }
 
 // TestEventKernelDetectsDeadlock: every rank blocks on a message nobody
-// sends. The goroutine kernel would hang; the event kernel must detect
-// the stall, tear the fabric down, and report a wrapped ErrClosed.
+// sends. The kernel must detect the stall, tear the fabric down, and
+// report a wrapped ErrClosed instead of hanging.
 func TestEventKernelDetectsDeadlock(t *testing.T) {
-	j := NewKernel(2, fakeFactory, simtime.NetModel{}, KernelEvent)
+	j := New(2, fakeFactory, simtime.NetModel{})
 	j.Start(func(rank int, p mpi.Proc, clock *simtime.Clock) error {
 		_, err := j.Fabric.Endpoint(rank).Recv(transport.Match{Context: 1, Src: transport.AnySource, Tag: 0})
 		return err
@@ -202,7 +181,7 @@ func TestEventKernelScales1024(t *testing.T) {
 		t.Skip("scale smoke")
 	}
 	const n = 1024
-	j := NewKernel(n, fakeFactory, simtime.NetModel{Latency: time.Microsecond}, KernelEvent)
+	j := New(n, fakeFactory, simtime.NetModel{Latency: time.Microsecond})
 	j.Start(ringBody(j, n, 2))
 	res, err := j.WaitResult()
 	if err != nil {
@@ -234,7 +213,7 @@ func TestAbortInstalled(t *testing.T) {
 // drain-protocol phase; ranks whose phase is cleared or "done" are
 // omitted.
 func TestStallDiagnosticReportsPhases(t *testing.T) {
-	j := NewKernel(3, fakeFactory, simtime.NetModel{}, KernelEvent)
+	j := New(3, fakeFactory, simtime.NetModel{})
 	j.Start(func(rank int, p mpi.Proc, clock *simtime.Clock) error {
 		switch rank {
 		case 0:
@@ -265,7 +244,7 @@ func TestStallDiagnosticReportsPhases(t *testing.T) {
 // TestStallDiagnosticWithoutPhases: a deadlock outside any drain keeps
 // the fallback wording instead of an empty phase list.
 func TestStallDiagnosticWithoutPhases(t *testing.T) {
-	j := NewKernel(2, fakeFactory, simtime.NetModel{}, KernelEvent)
+	j := New(2, fakeFactory, simtime.NetModel{})
 	j.Start(func(rank int, p mpi.Proc, clock *simtime.Clock) error {
 		_, err := j.Fabric.Endpoint(rank).Recv(transport.Match{Context: 1, Src: transport.AnySource, Tag: 0})
 		return err

@@ -10,7 +10,6 @@ import (
 	"manasim/internal/apps"
 	"manasim/internal/ckptimg"
 	"manasim/internal/ckptstore"
-	"manasim/internal/cluster"
 )
 
 // snapMeter counts the bytes an application's Snapshot hands the
@@ -42,7 +41,7 @@ func TestCheckpointAllocBound(t *testing.T) {
 	}
 	in := spec.DefaultInput(apps.SiteDiscovery)
 	in.Ranks, in.SimSteps, in.Local, in.PollsPerStep = ranks, steps, 16, 4
-	cfg := faultCfg(t, "mpich", cluster.KernelEvent, nil)
+	cfg := faultCfg(t, "mpich", nil)
 	native, err := RunNative(cfg, ranks, spec.New(in))
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +109,7 @@ func TestCheckpointAllocBound(t *testing.T) {
 func TestRestartReleasesImages(t *testing.T) {
 	const ranks = 4
 	spec, in := batteryInput(t, "hpcg", 7)
-	cfg := faultCfg(t, "mpich", cluster.KernelEvent, nil)
+	cfg := faultCfg(t, "mpich", nil)
 	stop := cfg
 	stop.ExitAtCheckpoint = true
 	_, encoded, err := Run(stop, ranks, spec.New(in), 2)

@@ -58,9 +58,8 @@ func (l ctlLink) CtlIprobe(src, tag int) (bool, int, error) {
 }
 
 // CtlWait implements ckpt.CtlLink: a blocking MPI_Probe on the internal
-// communicator. Under the event kernel the rank parks until the
-// announcement arrives; under the goroutine kernel it waits on the
-// mailbox instead of spinning.
+// communicator. The rank parks in the kernel until the announcement
+// arrives instead of spinning.
 func (l ctlLink) CtlWait(src, tag int) error {
 	r := l.r
 	r.bnd.Enter()
@@ -249,8 +248,8 @@ func (e drainEnv) CtlResendTimeout() time.Duration {
 
 // CtlSleep implements ckpt.ReliableCtl: park the rank in virtual time
 // until at, so a resend timeout consumes modeled time instead of
-// spinning. Sleeping needs the event kernel's timed reschedule; the
-// lower half surfaces it as SleepUntil.
+// spinning. Sleeping is the kernel's timed reschedule; the lower half
+// surfaces it as SleepUntil.
 func (e drainEnv) CtlSleep(at time.Duration) error {
 	r := e.r
 	s, ok := r.lower.(interface{ SleepUntil(time.Duration) error })

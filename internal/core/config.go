@@ -147,23 +147,18 @@ type Config struct {
 	// is its own PR (ROADMAP item 10: drop it from baseConfig, then
 	// delete the field). Nothing else may set it.
 	FixedXlatCost time.Duration
-	// Kernel selects the simulation kernel executing the job's ranks:
-	// cluster.KernelGoroutine (default) runs one OS-scheduled goroutine
-	// per rank; cluster.KernelEvent serializes the same rank bodies
-	// through a central virtual-time event queue, which is deterministic,
-	// detects communication deadlock, and keeps simulation wall-clock
-	// proportional to event count instead of rank count — the kernel the
-	// 1024-rank drain sweeps run on. core, harness, and the
-	// checkpoint/drain paths run unchanged on either kernel.
+	// Kernel is deprecated and ignored: every job runs on the event
+	// kernel. It survives only because bench/scenario.go:baseConfig sets
+	// it (ROADMAP item 10: drop it from baseConfig, then delete the
+	// field). Nothing else may set it.
 	Kernel cluster.KernelKind
 	// Faults is the seeded fault injector driving this job (nil: no
 	// faults). The runtime checks its crash schedule at every wrapper
 	// call and step boundary, applies its straggler windows to the rank
 	// clocks, and registers the internal communicator's context for the
-	// control-message filter; the job layer validates the kernel choice
-	// and attaches the transport filter. One injector may be shared by a
-	// whole service run spanning restarts — its schedule lives in
-	// cumulative service virtual time.
+	// control-message filter; the job layer attaches the transport
+	// filter. One injector may be shared by a whole service run spanning
+	// restarts — its schedule lives in cumulative service virtual time.
 	Faults *faults.Injector
 	// CkptInterval, when positive, checkpoints periodically: rank 0
 	// requests an asynchronous checkpoint whenever that much virtual

@@ -309,7 +309,7 @@ func pipelinedLammps(t *testing.T, ranks int) (app.Factory, apps.Input) {
 func TestToposortCtlBytesBound(t *testing.T) {
 	const n = 64
 	appf, in := pipelinedLammps(t, n)
-	cfg := faultCfg(t, "mpich", cluster.KernelEvent, nil)
+	cfg := faultCfg(t, "mpich", nil)
 	cfg.DrainStrategy = "toposort"
 	cfg.ExitAtCheckpoint = true
 	st, images, err := Run(cfg, n, appf, in.SimSteps/2)
@@ -487,7 +487,7 @@ func TestToposortDrainedOrderGolden(t *testing.T) {
 		golden = "574774dd60c4d2c21b0beed69d1c90501174bb822fe416fad1707ab7167e3f65"
 	)
 	for _, impl := range impls.Names() {
-		cfg := faultCfg(t, impl, cluster.KernelEvent, nil)
+		cfg := faultCfg(t, impl, nil)
 		plain, err := RunNative(cfg, ranks, newFanApp(steps))
 		if err != nil {
 			t.Fatal(err)
@@ -517,7 +517,7 @@ func TestToposortDrainedOrderGolden(t *testing.T) {
 // drain for announcements that never came.
 func TestCheckpointPresetDoesNotRaceTheRanks(t *testing.T) {
 	appf, in := pipelinedLammps(t, 64)
-	cfg := faultCfg(t, "mpich", cluster.KernelEvent, nil)
+	cfg := faultCfg(t, "mpich", nil)
 	cfg.DrainStrategy = "toposort"
 	cfg.ExitAtCheckpoint = true
 	s, err := StartJob(cfg, in.Ranks, appf)

@@ -4,12 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
 	"manasim/internal/apps"
-	"manasim/internal/cluster"
 	"manasim/internal/faults"
 	"manasim/internal/impls"
 )
@@ -24,7 +22,7 @@ func batteryApp(implName string) string {
 }
 
 // faultCfg builds a config with the given injector.
-func faultCfg(t *testing.T, implName string, kind cluster.KernelKind, inj *faults.Injector) Config {
+func faultCfg(t *testing.T, implName string, inj *faults.Injector) Config {
 	t.Helper()
 	factory, err := impls.Get(implName)
 	if err != nil {
@@ -33,7 +31,6 @@ func faultCfg(t *testing.T, implName string, kind cluster.KernelKind, inj *fault
 	return Config{
 		ImplName: implName,
 		Factory:  factory,
-		Kernel:   kind,
 		Faults:   inj,
 	}
 }
@@ -56,11 +53,11 @@ func batteryInput(t *testing.T, appName string, seed uint64) (apps.Spec, apps.In
 // batteryPlan is the non-crash fault mix of the determinism battery: a
 // straggler window covering the whole run, a transient store fault on a
 // first-generation blob, and a silent corruption of another. All three
-// are kernel-independent by design — straggler windows live on the rank
-// clock, store retry backoff is surfaced in Stats instead of being
-// charged to a (kernel-dependent) committing rank, and corruption
-// strikes are a pure function of (key, seed) regardless of how the
-// store's workers interleave.
+// are schedule-independent by design — straggler windows live on the
+// rank clock, store retry backoff is surfaced in Stats instead of being
+// charged to whichever rank commits, and corruption strikes are a pure
+// function of (key, seed) regardless of how the store's workers
+// interleave.
 func batteryPlan(seed int64) faults.Plan {
 	return faults.Plan{
 		Seed: seed,
@@ -72,46 +69,37 @@ func batteryPlan(seed int64) faults.Plan {
 	}
 }
 
-// TestFaultBatteryKernelsAndImpls is the multi-seed determinism
-// battery: for every implementation and seed, a checkpointing run under
-// the same fault plan must produce a byte-identical fault timeline and
-// byte-identical Stats on the goroutine and event kernels. Crashes are
-// excluded here (a torn-down job's surviving-rank clocks are teardown
-// noise); the service-level crash determinism check lives in the
-// harness tests.
+// TestFaultBatteryKernelsAndImpls is the multi-seed fault battery: for
+// every implementation and seed, the fault plan's timeline is a pure
+// function of its seed, and a checkpointing run under it retries the
+// transient store fault and records exactly one silent corruption.
+// Crashes are excluded here (a torn-down job's surviving-rank clocks are
+// teardown noise); the service-level crash determinism check lives in
+// the harness tests, and run-to-run byte identity of Stats in
+// TestVirtualTimePureFunction.
 func TestFaultBatteryKernelsAndImpls(t *testing.T) {
 	for _, implName := range impls.Names() {
 		t.Run(implName, func(t *testing.T) {
 			appName := batteryApp(implName)
 			for _, seed := range []int64{7, 21} {
 				wantTimeline := faults.NewInjector(4, batteryPlan(seed)).Timeline()
-				run := func(kind cluster.KernelKind) Stats {
-					inj := faults.NewInjector(4, batteryPlan(seed))
-					if got := inj.Timeline(); got != wantTimeline {
-						t.Fatalf("seed %d: timeline diverged:\n%s\nvs\n%s", seed, got, wantTimeline)
-					}
-					spec, in := batteryInput(t, appName, uint64(seed))
-					cfg := faultCfg(t, implName, kind, inj)
-					st, _, err := Run(cfg, in.Ranks, spec.New(in), in.SimSteps/2)
-					if err != nil {
-						t.Fatalf("seed %d kernel %v: %v", seed, kind, err)
-					}
-					if st.CkptTaken != 1 {
-						t.Fatalf("seed %d kernel %v: %d checkpoints", seed, kind, st.CkptTaken)
-					}
-					if st.StoreRetries < 1 || st.StoreRetryVT <= 0 {
-						t.Fatalf("seed %d kernel %v: store fault not retried: %+v", seed, kind, st)
-					}
-					if st.StoreCorruptions != 1 {
-						t.Fatalf("seed %d kernel %v: %d silent corruptions, want 1", seed, kind, st.StoreCorruptions)
-					}
-					st.Wall = 0
-					return st
+				inj := faults.NewInjector(4, batteryPlan(seed))
+				if got := inj.Timeline(); got != wantTimeline {
+					t.Fatalf("seed %d: timeline diverged:\n%s\nvs\n%s", seed, got, wantTimeline)
 				}
-				gr := run(cluster.KernelGoroutine)
-				ev := run(cluster.KernelEvent)
-				if !reflect.DeepEqual(gr, ev) {
-					t.Errorf("seed %d: kernel divergence under faults\n goroutine: %+v\n event:     %+v", seed, gr, ev)
+				spec, in := batteryInput(t, appName, uint64(seed))
+				st, _, err := Run(faultCfg(t, implName, inj), in.Ranks, spec.New(in), in.SimSteps/2)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if st.CkptTaken != 1 {
+					t.Fatalf("seed %d: %d checkpoints", seed, st.CkptTaken)
+				}
+				if st.StoreRetries < 1 || st.StoreRetryVT <= 0 {
+					t.Fatalf("seed %d: store fault not retried: %+v", seed, st)
+				}
+				if st.StoreCorruptions != 1 {
+					t.Fatalf("seed %d: %d silent corruptions, want 1", seed, st.StoreCorruptions)
 				}
 			}
 		})
@@ -123,14 +111,14 @@ func TestFaultBatteryKernelsAndImpls(t *testing.T) {
 // same run without faults.
 func TestStragglerSlowsTargetRank(t *testing.T) {
 	spec, in := batteryInput(t, "lammps", 1)
-	clean, _, err := Run(faultCfg(t, "mpich", cluster.KernelEvent, nil), in.Ranks, spec.New(in), -1)
+	clean, _, err := Run(faultCfg(t, "mpich", nil), in.Ranks, spec.New(in), -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := faults.NewInjector(4, faults.Plan{Events: []faults.Event{
 		{Kind: faults.Straggler, Rank: 2, At: 0, Window: time.Hour, Factor: 8, Step: -1},
 	}})
-	slow, _, err := Run(faultCfg(t, "mpich", cluster.KernelEvent, inj), in.Ranks, spec.New(in), -1)
+	slow, _, err := Run(faultCfg(t, "mpich", inj), in.Ranks, spec.New(in), -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +141,7 @@ func TestCrashAtEveryStep(t *testing.T) {
 	spec, in := batteryInput(t, "lammps", 3)
 	appf := spec.New(in)
 
-	clean, err := RunNative(faultCfg(t, implName, cluster.KernelEvent, nil), in.Ranks, appf)
+	clean, err := RunNative(faultCfg(t, implName, nil), in.Ranks, appf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +156,7 @@ func TestCrashAtEveryStep(t *testing.T) {
 				inj := faults.NewInjector(in.Ranks, faults.Plan{Events: []faults.Event{
 					{Kind: faults.NodeCrash, Rank: step % in.Ranks, Step: step, Call: call},
 				}})
-				cfg := faultCfg(t, implName, cluster.KernelEvent, inj)
+				cfg := faultCfg(t, implName, inj)
 				s, err := StartJob(cfg, in.Ranks, appf)
 				if err != nil {
 					t.Fatal(err)
@@ -240,7 +228,7 @@ func TestCrashRecoveryAllImpls(t *testing.T) {
 			spec, in := batteryInput(t, appName, 5)
 			appf := spec.New(in)
 
-			clean, err := RunNative(faultCfg(t, implName, cluster.KernelEvent, nil), in.Ranks, appf)
+			clean, err := RunNative(faultCfg(t, implName, nil), in.Ranks, appf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,7 +236,7 @@ func TestCrashRecoveryAllImpls(t *testing.T) {
 			inj := faults.NewInjector(in.Ranks, faults.Plan{Events: []faults.Event{
 				{Kind: faults.NodeCrash, Rank: 1, Step: 4, Call: 1},
 			}})
-			cfg := faultCfg(t, implName, cluster.KernelEvent, inj)
+			cfg := faultCfg(t, implName, inj)
 			s, err := StartJob(cfg, in.Ranks, appf)
 			if err != nil {
 				t.Fatal(err)
@@ -292,7 +280,7 @@ func TestCrashRecoveryAllImpls(t *testing.T) {
 func TestCtlLossReliableDrain(t *testing.T) {
 	spec, in := batteryInput(t, "lammps", 9)
 	appf := spec.New(in)
-	clean, _, err := Run(faultCfg(t, "mpich", cluster.KernelEvent, nil), in.Ranks, appf, 3)
+	clean, _, err := Run(faultCfg(t, "mpich", nil), in.Ranks, appf, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +289,7 @@ func TestCtlLossReliableDrain(t *testing.T) {
 		{Kind: faults.CtlLoss, Rank: 1, Nth: 1, Step: -1},
 		{Kind: faults.CtlReorder, Rank: 2, Nth: 1, Delay: 200 * time.Microsecond, Step: -1},
 	}})
-	st, _, err := Run(faultCfg(t, "mpich", cluster.KernelEvent, inj), in.Ranks, appf, 3)
+	st, _, err := Run(faultCfg(t, "mpich", inj), in.Ranks, appf, 3)
 	if err != nil {
 		t.Fatalf("drain under control loss: %v", err)
 	}
@@ -318,17 +306,5 @@ func TestCtlLossReliableDrain(t *testing.T) {
 	// drain is at least as slow as the clean one.
 	if st.DrainVT < clean.DrainVT {
 		t.Fatalf("lossy drain VT %v below clean %v", st.DrainVT, clean.DrainVT)
-	}
-}
-
-// TestCtlFaultsRejectGoroutineKernel: armed control faults require the
-// event kernel; launching on the goroutine kernel must fail fast with a
-// clear message instead of hanging in a timeout-less drain.
-func TestCtlFaultsRejectGoroutineKernel(t *testing.T) {
-	spec, in := batteryInput(t, "lammps", 1)
-	inj := faults.NewInjector(in.Ranks, faults.Plan{CtlDrops: 1})
-	_, _, err := Run(faultCfg(t, "mpich", cluster.KernelGoroutine, inj), in.Ranks, spec.New(in), 3)
-	if err == nil || !strings.Contains(err.Error(), "event kernel") {
-		t.Fatalf("control faults on the goroutine kernel: %v", err)
 	}
 }

@@ -125,10 +125,8 @@ func StartJob(cfg Config, n int, factory app.Factory) (*Session, error) {
 		stopped:    make([]bool, n),
 		restartGen: -1,
 	}
-	s.job = cluster.NewKernel(n, cfg.Factory, cfg.Host.Net, cfg.Kernel)
-	if err := armFaults(cfg, s.job); err != nil {
-		return nil, err
-	}
+	s.job = cluster.New(n, cfg.Factory, cfg.Host.Net)
+	armFaults(cfg, s.job)
 	s.body = func(rank int, proc mpi.Proc, clock *simtime.Clock) error {
 		rt, err := NewRuntime(cfg, proc, clock, s.Co)
 		if err != nil {
@@ -143,22 +141,17 @@ func StartJob(cfg Config, n int, factory app.Factory) (*Session, error) {
 }
 
 // armFaults propagates the job's scheduler identity (label, rank
-// placement) to the cluster layer and the fault injector, validates a
-// configured injector against the chosen simulation kernel, and
-// attaches its control-message filter to the job's fabric.
-func armFaults(cfg Config, job *cluster.Job) error {
+// placement) to the cluster layer and the fault injector, and attaches
+// a configured injector's control-message filter to the job's fabric.
+func armFaults(cfg Config, job *cluster.Job) {
 	job.SetIdentity(cfg.JobLabel, cfg.Placement)
 	if cfg.Faults == nil {
-		return nil
+		return
 	}
 	if cfg.JobLabel != "" || cfg.Placement != nil {
 		cfg.Faults.SetPlacement(cfg.JobLabel, cfg.Placement)
 	}
-	if err := cfg.Faults.ValidateKernel(cfg.Kernel == cluster.KernelEvent); err != nil {
-		return err
-	}
 	cfg.Faults.AttachFabric(job.Fabric)
-	return nil
 }
 
 // wireFaults connects a freshly built runtime and its rank clock to the
@@ -238,10 +231,8 @@ func restartJobImages(cfg Config, imgs []*ckptimg.Image, chains []ckptstore.Chai
 		chains:     chains,
 		restartGen: -1,
 	}
-	s.job = cluster.NewKernel(n, cfg.Factory, cfg.Host.Net, cfg.Kernel)
-	if err := armFaults(cfg, s.job); err != nil {
-		return nil, err
-	}
+	s.job = cluster.New(n, cfg.Factory, cfg.Host.Net)
+	armFaults(cfg, s.job)
 	s.body = func(rank int, proc mpi.Proc, clock *simtime.Clock) error {
 		img := byRank[rank]
 		var chain *ckptstore.ChainStats
@@ -504,7 +495,7 @@ func RunNative(cfg Config, n int, factory app.Factory) (Stats, error) {
 		return Stats{}, err
 	}
 	checksums := make([]uint64, n)
-	res, err := cluster.RunKernel(n, cfg.Factory, cfg.Host.Net, cfg.Kernel, func(rank int, proc mpi.Proc, clock *simtime.Clock) error {
+	res, err := cluster.Run(n, cfg.Factory, cfg.Host.Net, func(rank int, proc mpi.Proc, clock *simtime.Clock) error {
 		inst := factory()
 		env := &app.Env{P: proc, Clock: clock, Rank: rank, Size: n}
 		if err := inst.Setup(env); err != nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"manasim/internal/cluster"
 	"manasim/internal/faults"
 )
 
@@ -22,7 +21,7 @@ func TestCrashDuringPreemptionSweep(t *testing.T) {
 	spec, in := batteryInput(t, "lammps", 9)
 	appf := spec.New(in)
 
-	cleanCfg := faultCfg(t, implName, cluster.KernelEvent, nil)
+	cleanCfg := faultCfg(t, implName, nil)
 	cleanCfg.SkewBound = 2
 	clean, err := RunNative(cleanCfg, in.Ranks, appf)
 	if err != nil {
@@ -36,7 +35,7 @@ func TestCrashDuringPreemptionSweep(t *testing.T) {
 				continue // past the last boundary there are no in-step calls
 			}
 			t.Run(fmt.Sprintf("step%d_call%d", step, call), func(t *testing.T) {
-				cfg := faultCfg(t, implName, cluster.KernelEvent, nil)
+				cfg := faultCfg(t, implName, nil)
 				cfg.SkewBound = 2
 				h, err := NewJobHandle(cfg, in.Ranks, appf)
 				if err != nil {
@@ -105,7 +104,7 @@ func TestNodeCrashNamesJobAndNodeThroughCore(t *testing.T) {
 	spec, in := batteryInput(t, "lammps", 11)
 	appf := spec.New(in)
 
-	cfg := faultCfg(t, implName, cluster.KernelEvent, nil)
+	cfg := faultCfg(t, implName, nil)
 	cfg.SkewBound = 2
 	h, err := NewJobHandle(cfg, in.Ranks, appf)
 	if err != nil {

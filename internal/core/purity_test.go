@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"manasim/internal/apps"
-	"manasim/internal/cluster"
 	"manasim/internal/impls"
 )
 
@@ -114,12 +113,23 @@ func TestNoHostClockInModel(t *testing.T) {
 	}
 }
 
-// pureStats runs one checkpoint + restart of an 8-rank job on the event
-// kernel under the default configuration (no translation-cost override)
-// and returns both sessions' Stats, wall time zeroed, as JSON.
-func pureStats(t *testing.T, implName, appName string, design Design) (run, restart Stats, enc []byte) {
+// pureRow is one configuration of the purity battery.
+type pureRow struct {
+	impl, app string
+	design    Design
+	seed      uint64
+	// restart stops the job at its mid-run checkpoint and restarts it
+	// from the images; otherwise the job checkpoints mid-run and runs on
+	// to the end.
+	restart bool
+}
+
+// pureStats runs row's 8-rank job under the default configuration (no
+// translation-cost override) and returns its Stats — for a restart row,
+// the run's and the restart's — wall time zeroed, plus both as JSON.
+func pureStats(t *testing.T, row pureRow) (run, restart Stats, enc []byte) {
 	t.Helper()
-	spec, err := apps.ByName(appName)
+	spec, err := apps.ByName(row.app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +137,12 @@ func pureStats(t *testing.T, implName, appName string, design Design) (run, rest
 	in.Ranks = 8
 	in.SimSteps = 6
 	in.PollsPerStep = 4
-	in.Seed = 24
-	factory, err := impls.Get(implName)
+	in.Seed = row.seed
+	factory, err := impls.Get(row.impl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{ImplName: implName, Factory: factory, Kernel: cluster.KernelEvent, Design: design, ExitAtCheckpoint: true}
+	cfg := Config{ImplName: row.impl, Factory: factory, Design: row.design, ExitAtCheckpoint: row.restart}
 	run, images, err := Run(cfg, in.Ranks, spec.New(in), in.SimSteps/2)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -140,10 +150,12 @@ func pureStats(t *testing.T, implName, appName string, design Design) (run, rest
 	if run.CkptTaken != 1 {
 		t.Fatalf("run took %d checkpoints, want 1", run.CkptTaken)
 	}
-	cfg.ExitAtCheckpoint = false
-	restart, err = Restart(cfg, images, spec.New(in))
-	if err != nil {
-		t.Fatalf("restart: %v", err)
+	if row.restart {
+		cfg.ExitAtCheckpoint = false
+		restart, err = Restart(cfg, images, spec.New(in))
+		if err != nil {
+			t.Fatalf("restart: %v", err)
+		}
 	}
 	run.Wall, restart.Wall = 0, 0
 	enc, err = json.Marshal([]Stats{run, restart})
@@ -165,10 +177,16 @@ func firstStatsDiff(a, b Stats) string {
 }
 
 // TestVirtualTimePureFunction: virtual time is a pure function of
-// (config, seed). With nothing pinned, the same job run twice in one
-// process and once each at GOMAXPROCS 1 and 4 yields byte-identical
-// Stats, on every implementation and both vid designs.
+// (config, seed). With nothing pinned, the same job yields
+// byte-identical Stats — virtual times, drain cost, control-message
+// counts, crossings, and application checksums — on every run. Two
+// kinds of rows, on every implementation:
+//
+//   - checkpoint + restart, both vid designs: run twice in one process
+//     and once each at GOMAXPROCS 1 and 4;
+//   - checkpoint mid-run and continue, seeds 1-3: run twice.
 func TestVirtualTimePureFunction(t *testing.T) {
+	var rows []pureRow
 	for _, implName := range impls.Names() {
 		// ExaMPI runs the compatible subset: CoMD stands in there.
 		appNames := []string{"lammps", "hpcg"}
@@ -180,23 +198,64 @@ func TestVirtualTimePureFunction(t *testing.T) {
 				if design == DesignLegacy && implName != "mpich" && implName != "craympi" {
 					continue // the legacy maps assume MPICH-family handles
 				}
-				t.Run(fmt.Sprintf("%s/%s/%s", implName, appName, design), func(t *testing.T) {
-					refRun, refRestart, ref := pureStats(t, implName, appName, design)
-					check := func(what string) {
-						run, restart, enc := pureStats(t, implName, appName, design)
-						if !bytes.Equal(ref, enc) {
-							t.Errorf("%s: Stats differ from the first run; run: %s; restart: %s",
-								what, firstStatsDiff(refRun, run), firstStatsDiff(refRestart, restart))
-						}
-					}
-					check("second run")
-					for _, procs := range []int{1, 4} {
-						prev := runtime.GOMAXPROCS(procs)
-						check(fmt.Sprintf("GOMAXPROCS=%d", procs))
-						runtime.GOMAXPROCS(prev)
-					}
-				})
+				rows = append(rows, pureRow{impl: implName, app: appName, design: design, seed: 24, restart: true})
 			}
 		}
+		for _, seed := range []uint64{1, 2, 3} {
+			rows = append(rows, pureRow{impl: implName, app: appNames[0], seed: seed})
+		}
+	}
+	for _, row := range rows {
+		name := fmt.Sprintf("%s/%s/%s", row.impl, row.app, row.design)
+		if !row.restart {
+			name = fmt.Sprintf("%s/%s/seed%d", row.impl, row.app, row.seed)
+		}
+		t.Run(name, func(t *testing.T) {
+			refRun, refRestart, ref := pureStats(t, row)
+			check := func(what string) {
+				run, restart, enc := pureStats(t, row)
+				if !bytes.Equal(ref, enc) {
+					t.Errorf("%s: Stats differ from the first run; run: %s; restart: %s",
+						what, firstStatsDiff(refRun, run), firstStatsDiff(refRestart, restart))
+				}
+			}
+			check("second run")
+			if !row.restart {
+				return
+			}
+			for _, procs := range []int{1, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				check(fmt.Sprintf("GOMAXPROCS=%d", procs))
+				runtime.GOMAXPROCS(prev)
+			}
+		})
+	}
+}
+
+// TestEventKernelScale256 is the scale smoke for CI: a 256-rank
+// checkpointing run completes in test time.
+func TestEventKernelScale256(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale smoke")
+	}
+	spec, err := apps.ByName("lammps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := spec.DefaultInput(apps.SiteDiscovery)
+	in.Ranks = 256
+	in.SimSteps = 4
+	in.PollsPerStep = 2
+	factory, err := impls.Get("mpich")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{ImplName: "mpich", Factory: factory}
+	st, _, err := Run(cfg, in.Ranks, spec.New(in), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CkptTaken != 1 || len(st.Checksums) != 256 {
+		t.Fatalf("scale smoke stats %+v", st)
 	}
 }

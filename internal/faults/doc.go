@@ -29,18 +29,14 @@
 // Everything this simulator measures is virtual time: a crash "5
 // seconds in" must mean five seconds of modeled execution, not five
 // wall seconds of host scheduling noise — otherwise the same seed would
-// kill a different step on every run and no two kernels could ever
-// agree. Arming faults on the rank clocks keeps the whole failure
-// process inside the simulation's causal order: a crash lands between
+// kill a different step on every run. Arming faults on the rank clocks
+// keeps the whole failure process inside the simulation's causal order: a crash lands between
 // two deterministic clock advances, a straggler window scales a
 // deterministic range of charges, and a control-message drop targets
-// the Nth announcement a rank provably sends. That is also why the
-// timeout-and-resend recovery in the drain protocol needs the event
-// kernel: retransmission timeouts are virtual-time sleeps, and only the
-// event kernel has a virtual-time event queue to wake a parked rank at
-// a deadline. The goroutine kernel has no such queue, so control-plane
-// faults are rejected under it (ValidateKernel); crash, straggler, and
-// storage faults need no timers and run under both kernels.
+// the Nth announcement a rank provably sends. The timeout-and-resend
+// recovery in the drain protocol is the same idea: a retransmission
+// timeout is a virtual-time sleep, woken by the kernel's event queue at
+// its deadline.
 //
 // # Silent corruption (StoreCorrupt)
 //

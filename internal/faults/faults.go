@@ -501,9 +501,8 @@ func (inj *Injector) crashErrLocked(rank int, vt time.Duration) *CrashError {
 }
 
 // CtlArmed reports whether any control-message faults are scheduled;
-// armed control faults require the event kernel (virtual-time
-// retransmission timeouts) and switch the drain protocol to its
-// reliable announce/ack exchange.
+// armed control faults switch the drain protocol to its reliable
+// announce/ack exchange with virtual-time retransmission timeouts.
 func (inj *Injector) CtlArmed() bool {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
@@ -512,15 +511,6 @@ func (inj *Injector) CtlArmed() bool {
 
 // CtlResendTimeout is the drain protocol's retransmission timeout.
 func (inj *Injector) CtlResendTimeout() time.Duration { return inj.plan.CtlTimeout }
-
-// ValidateKernel rejects fault configurations the executing kernel
-// cannot support.
-func (inj *Injector) ValidateKernel(eventKernel bool) error {
-	if inj.CtlArmed() && !eventKernel {
-		return fmt.Errorf("faults: control-message faults need virtual-time retransmission timeouts; run on the event kernel (Config.Kernel = cluster.KernelEvent)")
-	}
-	return nil
-}
 
 // ---------------------------------------------------------------------
 // crash schedule

@@ -146,22 +146,6 @@ func TestScriptedCrash(t *testing.T) {
 	t.Fatal("scripted crash never fired")
 }
 
-// TestValidateKernel: armed control-message faults demand the event
-// kernel; everything else runs anywhere.
-func TestValidateKernel(t *testing.T) {
-	ctl := NewInjector(4, Plan{CtlDrops: 1})
-	if err := ctl.ValidateKernel(false); err == nil {
-		t.Fatal("control faults accepted on the goroutine kernel")
-	}
-	if err := ctl.ValidateKernel(true); err != nil {
-		t.Fatalf("control faults rejected on the event kernel: %v", err)
-	}
-	crash := NewInjector(4, Plan{MTBF: time.Millisecond, Crashes: 2})
-	if err := crash.ValidateKernel(false); err != nil {
-		t.Fatalf("crash-only plan rejected on the goroutine kernel: %v", err)
-	}
-}
-
 // TestStragglerClock: ApplyStragglers installs the window on the target
 // rank's clock, translated by the service base, and the slowed charge
 // shows up as a larger advance.

@@ -15,8 +15,7 @@ import (
 )
 
 // DrainScaleRow is one cell of the drain rank sweep: one drain strategy
-// checkpointing the pipelined workload at one job size under the event
-// kernel.
+// checkpointing the pipelined workload at one job size.
 type DrainScaleRow struct {
 	Ranks    int
 	Strategy string
@@ -42,14 +41,14 @@ type DrainScaleRow struct {
 // experiment.
 var DrainScaleRanks = []int{64, 256, 1024}
 
-// DrainScale sweeps the registered drain strategies over job sizes that
-// the goroutine kernel cannot reach comfortably — the event kernel runs
-// each cell single-threaded through the virtual-time queue, so a
-// 1024-rank drain costs wall time proportional to its event count, not
-// its rank count. Each cell runs the pipelined LAMMPS-style workload on
-// MPICH, checkpoints mid-run, and stops at the checkpoint (the images
-// are delivered to the store but never materialized — at 1024 ranks
-// that alone would dominate the measurement).
+// DrainScale sweeps the registered drain strategies over large job
+// sizes. The kernel runs each cell single-threaded through the
+// virtual-time queue, so a 1024-rank drain costs wall time proportional
+// to its event count, not its rank count. Each cell runs the pipelined
+// LAMMPS-style workload on MPICH, checkpoints mid-run, and stops at the
+// checkpoint (the images are delivered to the store but never
+// materialized — at 1024 ranks that alone would dominate the
+// measurement).
 func DrainScale(opts Options) ([]DrainScaleRow, error) {
 	opts = opts.normalized()
 	spec, err := apps.ByName("lammps")
@@ -87,7 +86,6 @@ func drainScaleCell(spec apps.Spec, factory cluster.Factory, ranks int, strat st
 		ImplName:         "mpich",
 		Factory:          factory,
 		FS:               fsim.NFSv3(),
-		Kernel:           cluster.KernelEvent,
 		DrainStrategy:    strat,
 		ExitAtCheckpoint: true,
 	}

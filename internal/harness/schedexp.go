@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"manasim/internal/cluster"
 	"manasim/internal/sched"
 )
 
@@ -124,8 +123,8 @@ func schedWorkload(mix string, cs sched.ClusterSpec, seed int64) (sched.Workload
 }
 
 // SchedSweep runs the multi-job scheduler grid: every registered policy
-// over two cluster sizes and two job mixes at seed 42, under the event
-// kernel. All quantities are virtual-time results — bit-reproducible.
+// over two cluster sizes and two job mixes at seed 42. All quantities
+// are virtual-time results — bit-reproducible.
 func SchedSweep(opts Options) (*SchedSweepResult, error) {
 	opts = opts.normalized()
 	logf := opts.Logf
@@ -149,7 +148,7 @@ func SchedSweep(opts Options) (*SchedSweepResult, error) {
 				return nil, err
 			}
 			for _, policy := range res.Policies {
-				out, err := sched.Run(cs, wl, policy, sched.Options{Kernel: cluster.KernelEvent})
+				out, err := sched.Run(cs, wl, policy, sched.Options{})
 				if err != nil {
 					return nil, fmt.Errorf("sched sweep %s/%s/%s: %w", mix, cs.String(), policy, err)
 				}

@@ -11,7 +11,6 @@ import (
 	"manasim/internal/apps"
 	"manasim/internal/ckptimg"
 	"manasim/internal/ckptstore"
-	"manasim/internal/cluster"
 	mana "manasim/internal/core"
 	"manasim/internal/faults"
 	"manasim/internal/fsim"
@@ -150,9 +149,6 @@ type ServiceSpec struct {
 	// FS is the checkpoint storage profile (default serviceFS, a fast
 	// NVMe tier scaled to the proxy applications' shortened runtimes).
 	FS fsim.FS
-	// Kernel selects the simulation kernel (default event: the service
-	// horizon is long and determinism matters).
-	Kernel cluster.KernelKind
 	// BaselineVT is the job's fault-free virtual runtime, used as the
 	// goodput numerator; measured on the fly when zero.
 	BaselineVT time.Duration
@@ -256,7 +252,6 @@ func RunService(sp ServiceSpec) (*ServiceOutcome, error) {
 		ImplName: sp.Impl,
 		Factory:  factory,
 		FS:       sp.FS,
-		Kernel:   sp.Kernel,
 	}
 
 	if sp.BaselineVT <= 0 {
@@ -536,7 +531,7 @@ func Service(opts Options) (*ServiceSweepResult, error) {
 	// feed the closed-form optimum and the goodput denominator.
 	probe := ServiceSpec{
 		App: app, Impl: impl, Ranks: ranks, Steps: steps,
-		Seed: seed, Kernel: cluster.KernelEvent,
+		Seed: seed,
 	}
 	baseVT, ckptCost, err := serviceProbe(probe)
 	if err != nil {
@@ -567,7 +562,6 @@ func Service(opts Options) (*ServiceSweepResult, error) {
 			Seed: seed, MTBF: mtbf, Crashes: 20,
 			Interval: p.interval, Adaptive: p.adaptive,
 			InitialInterval: optimum, // honest start: Young/Daly from the probe
-			Kernel:          cluster.KernelEvent,
 			BaselineVT:      baseVT,
 			Logf:            opts.Logf,
 		}
@@ -614,7 +608,6 @@ func serviceProbe(sp ServiceSpec) (baseVT, ckptCost time.Duration, err error) {
 		ImplName: sp.Impl,
 		Factory:  factory,
 		FS:       sp.FS,
-		Kernel:   sp.Kernel,
 	}
 	st, err := mana.RunNative(cfg, sp.Ranks, spec.New(in))
 	if err != nil {
@@ -706,7 +699,7 @@ func ServiceCorruption(opts Options) (*ServiceCorruptionResult, error) {
 
 	probe := ServiceSpec{
 		App: app, Impl: impl, Ranks: ranks, Steps: steps,
-		Seed: seed, Kernel: cluster.KernelEvent,
+		Seed: seed,
 	}
 	baseVT, ckptCost, err := serviceProbe(probe)
 	if err != nil {
@@ -738,7 +731,6 @@ func ServiceCorruption(opts Options) (*ServiceCorruptionResult, error) {
 				Interval:    optimum,
 				CorruptRate: rate,
 				Fallback:    fallback,
-				Kernel:      cluster.KernelEvent,
 				BaselineVT:  baseVT,
 				Logf:        opts.Logf,
 			}

@@ -3,10 +3,9 @@ package harness
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
-
-	"manasim/internal/cluster"
 )
 
 // TestYoungDaly: the closed-form optimum is sqrt(2*MTBF*C), floored at
@@ -152,34 +151,37 @@ func TestServiceSweepAcceptance(t *testing.T) {
 	}
 }
 
-// TestServiceCrossKernelDeterminism: the same service spec produces a
-// byte-identical trajectory on the goroutine and event kernels — every
-// attempt's crash point, lost work, and checkpoint count agree, so the
-// whole crash/restart history is kernel-independent.
-func TestServiceCrossKernelDeterminism(t *testing.T) {
+// TestServiceDeterminism: the same service spec produces a
+// byte-identical trajectory on every run — every attempt's crash point,
+// lost work, and checkpoint count agree — run twice at GOMAXPROCS 1 and
+// twice at 4, so the whole crash/restart history is a pure function of
+// the spec whatever the host's parallelism.
+func TestServiceDeterminism(t *testing.T) {
 	for _, seed := range []int64{11, 29} {
 		sp := ServiceSpec{
 			App: "lammps", Impl: "mpich", Ranks: 4, Steps: 8,
 			Seed: seed, MTBF: 2 * time.Millisecond, Crashes: 3,
 			Interval: time.Millisecond,
 		}
-		sp.Kernel = cluster.KernelGoroutine
-		g, err := RunService(sp)
+		ref, err := RunService(sp)
 		if err != nil {
-			t.Fatalf("seed %d goroutine kernel: %v", seed, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		sp.Kernel = cluster.KernelEvent
-		e, err := RunService(sp)
-		if err != nil {
-			t.Fatalf("seed %d event kernel: %v", seed, err)
-		}
-		if !reflect.DeepEqual(g, e) {
-			t.Fatalf("seed %d: service outcomes diverge across kernels:\ngoroutine: %+v\nevent:     %+v", seed, g, e)
-		}
-		if g.Crashes == 0 {
+		if ref.Crashes == 0 {
 			t.Fatalf("seed %d: determinism check exercised no crashes", seed)
 		}
-		checkTrajectory(t, g)
+		checkTrajectory(t, ref)
+		for _, procs := range []int{1, 1, 4, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			got, err := RunService(sp)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("seed %d GOMAXPROCS=%d: %v", seed, procs, err)
+			}
+			if !reflect.DeepEqual(ref, got) {
+				t.Fatalf("seed %d GOMAXPROCS=%d: service outcome diverges:\nfirst: %+v\nthis:  %+v", seed, procs, ref, got)
+			}
+		}
 	}
 }
 
@@ -192,7 +194,6 @@ func TestServiceCorruptionDeterminism(t *testing.T) {
 		Seed: 7, MTBF: 2 * time.Millisecond, Crashes: 3,
 		Interval:    time.Millisecond,
 		CorruptRate: 0.3, Fallback: true,
-		Kernel: cluster.KernelEvent,
 	}
 	a, err := RunService(sp)
 	if err != nil {

@@ -3,38 +3,32 @@
 // of a job as cooperatively scheduled activities, one at a time, in
 // deterministic virtual-time order.
 //
-// # Why a second kernel
-//
-// The original (and still default) goroutine kernel runs one OS-scheduled
-// goroutine per rank and lets the Go runtime interleave them; blocking
-// receives park on a per-mailbox condition variable. That is simple and
-// embarrassingly parallel, but every rank costs a runnable goroutine even
-// while it sits idle in a Recv, so simulation wall-clock grows with rank
-// count rather than with event count. The event kernel inverts the
-// execution model: ranks still *are* goroutines (so ordinary Go code runs
-// unchanged on either kernel), but exactly one is runnable at any moment.
-// A rank that blocks hands control back to the scheduler (Park), and
-// message delivery posts a wakeup event keyed by the message's arrival
-// virtual time (Wake). Idle ranks cost nothing but a parked goroutine,
-// which is why drain and store experiments sweep to thousands of ranks.
+// It is the only way a job's ranks execute. Ranks are goroutines, so
+// ordinary Go code runs on them unchanged, but exactly one is runnable
+// at any moment. A rank that blocks hands control back to the scheduler
+// (Park), and message delivery posts a wakeup event keyed by the
+// message's arrival virtual time (Wake). Idle ranks cost nothing but a
+// parked goroutine, which is why drain and store experiments sweep to
+// thousands of ranks.
 //
 // # Event-queue ownership
 //
 // The event heap, rank states, and sequence counter are owned by the
 // scheduler goroutine and guarded by a single mutex; the only writers
 // besides the scheduler are Wake (called by the currently running rank
-// when it deposits a message, or by fabric teardown from an external
-// goroutine) and Park/finish (called by the running rank itself).
+// when it deposits a message or tears the fabric down, or by the stall
+// handler on the scheduler goroutine) and Park/finish (called by the
+// running rank itself).
 // Control transfers are strict handoffs: the scheduler resumes one rank
 // and then waits until that rank parks or finishes before popping the
 // next event, so at most one rank executes between any two scheduler
 // decisions. Code running on a rank activity may therefore mutate its
-// own rank-local state without synchronization, exactly as under the
-// goroutine kernel.
+// own rank-local state — and the transport mailboxes, which only the
+// token holder touches — without synchronization.
 //
 // # Determinism rules
 //
-// The event kernel is fully deterministic: the heap is keyed on
+// The kernel is fully deterministic: the heap is keyed on
 // (virtual time, sequence number), and the sequence number is assigned
 // in program order by the single running activity, so ties break FIFO
 // and identically on every run. Two rules keep it that way:
@@ -49,15 +43,8 @@
 //
 //   - No busy-waiting. A rank that needs a peer's message must block in
 //     the transport (Recv/WaitMatch), not spin-poll: under a serialized
-//     kernel a spinning rank never yields, so a poll loop that would
-//     merely waste cycles under the goroutine kernel becomes a livelock
-//     here. The kernel detects the benign variant — every live rank
+//     kernel a spinning rank never yields, so a poll loop becomes a
+//     livelock. The kernel detects the benign variant — every live rank
 //     parked with an empty event queue — and fails the job instead of
 //     hanging (see OnStall).
-//
-// # Kernel selection
-//
-// cluster.Job selects the kernel per job (cluster.KernelGoroutine |
-// cluster.KernelEvent); the goroutine kernel remains the conformance
-// oracle, and small runs must produce byte-identical Stats on both.
 package kernel

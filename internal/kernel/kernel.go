@@ -63,11 +63,10 @@ func (k *Kernel) push(at time.Duration, rank int) {
 }
 
 // OnStall registers the handler invoked when every live rank is parked
-// and no wakeup event is pending — a deadlock under any kernel, but one
-// the event kernel can detect instead of hanging. The handler runs on
-// the scheduler goroutine and is expected to unblock the parked ranks
-// (the cluster closes the fabric, failing them with ErrClosed). Set it
-// before Start.
+// and no wakeup event is pending — a deadlock, which the kernel
+// detects instead of hanging. The handler runs on the scheduler
+// goroutine and is expected to unblock the parked ranks (the cluster
+// closes the fabric, failing them with ErrClosed). Set it before Start.
 func (k *Kernel) OnStall(fn func()) { k.onStall = fn }
 
 // Stalled reports whether the kernel detected a deadlock.

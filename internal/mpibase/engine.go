@@ -222,9 +222,9 @@ func (e *Engine) recvRaw(c *Comm, ctx uint32, buf []byte, count int, dt *Dtype, 
 
 // SleepUntil parks the rank until virtual time at and merges the clock
 // forward to at. It backs the drain protocol's retransmission timeouts
-// and requires the event kernel (the transport reports an error when no
-// timed scheduler is attached). Sleeping to a time already in the past
-// returns immediately after a zero-length park.
+// (the transport reports ErrNoScheduler when no timed scheduler is
+// attached). Sleeping to a time already in the past returns
+// immediately after a zero-length park.
 func (e *Engine) SleepUntil(at time.Duration) error {
 	if at < e.Clock.Now() {
 		at = e.Clock.Now()

@@ -196,7 +196,7 @@ func (p *Proc) request(h mpi.Handle) (*Req, error) {
 	return o.(*Req), nil
 }
 
-// SleepUntil parks the rank until virtual time at (event kernel only).
+// SleepUntil parks the rank until virtual time at.
 // It is not part of mpi.Proc: the checkpoint layer discovers it with a
 // type assertion when the drain protocol needs retransmission timeouts.
 func (p *Proc) SleepUntil(at time.Duration) error {

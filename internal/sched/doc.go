@@ -25,8 +25,8 @@
 // execute to completion inside the loop (simulated time, not wall
 // time), so at most one MANA job is ever running while the scheduler
 // decides; concurrency between resident jobs exists purely in virtual
-// time, which is what makes trajectories bit-reproducible across
-// simulation kernels and seeds.
+// time, which is what makes trajectories bit-reproducible run to run
+// for every seed.
 //
 // # Preemption vs crash
 //

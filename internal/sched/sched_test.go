@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"manasim/internal/cluster"
 )
 
 // testCluster is the 4-node × 2-slot machine of the unit battery: a
@@ -114,7 +112,7 @@ func TestPolicyRegistry(t *testing.T) {
 func TestSchedFIFOPerfectGoodput(t *testing.T) {
 	for _, policy := range []string{"fifo", "backfill"} {
 		t.Run(policy, func(t *testing.T) {
-			out, err := Run(testCluster(), contentionWorkload(42), policy, Options{Kernel: cluster.KernelGoroutine})
+			out, err := Run(testCluster(), contentionWorkload(42), policy, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,31 +133,23 @@ func TestSchedFIFOPerfectGoodput(t *testing.T) {
 
 // TestSchedTrajectoryDeterminism: the full outcome — every scheduling
 // decision, virtual timestamp, and checksum — must be bit-identical
-// across both simulation kernels and stable across repeated runs, for
-// every policy and several seeds.
+// across repeated runs, for every policy and several seeds.
 func TestSchedTrajectoryDeterminism(t *testing.T) {
 	hydro, mat, urgent := testClasses()
 	for _, seed := range []int64{1, 42} {
 		wl := Generate("gen-mix", seed, []Class{hydro, mat, urgent}, 6, 800*time.Millisecond)
 		for _, policy := range []string{"fifo", "backfill", "preempt", "kill"} {
 			t.Run(fmt.Sprintf("seed%d/%s", seed, policy), func(t *testing.T) {
-				g, err := Run(testCluster(), wl, policy, Options{Kernel: cluster.KernelGoroutine})
+				first, err := Run(testCluster(), wl, policy, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				e, err := Run(testCluster(), wl, policy, Options{Kernel: cluster.KernelEvent})
+				second, err := Run(testCluster(), wl, policy, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(g, e) {
-					t.Fatalf("trajectory diverges across kernels:\ngoroutine: %+v\nevent:     %+v", g, e)
-				}
-				e2, err := Run(testCluster(), wl, policy, Options{Kernel: cluster.KernelEvent})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(e, e2) {
-					t.Fatal("repeated run diverges from itself")
+				if !reflect.DeepEqual(first, second) {
+					t.Fatalf("repeated run diverges from itself:\nfirst:  %+v\nsecond: %+v", first, second)
 				}
 			})
 		}
@@ -171,35 +161,31 @@ func TestSchedTrajectoryDeterminism(t *testing.T) {
 // resume and finish with checksums bit-identical to their class's
 // uninterrupted baseline, and no work may be lost.
 func TestSchedPreemptionBitIdentical(t *testing.T) {
-	for _, kern := range []cluster.KernelKind{cluster.KernelGoroutine, cluster.KernelEvent} {
-		t.Run(fmt.Sprintf("kernel%d", kern), func(t *testing.T) {
-			out, err := Run(testCluster(), contentionWorkload(42), "preempt", Options{Kernel: kern})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out.Preemptions == 0 {
-				t.Fatal("contention workload caused no preemptions")
-			}
-			if out.LostS != 0 {
-				t.Fatalf("checkpoint preemption lost %.3f rank-seconds", out.LostS)
-			}
-			if out.CkptOverheadS <= 0 {
-				t.Fatal("preemption reported no checkpoint overhead")
-			}
-			if out.Goodput >= 1.0 || out.Goodput <= 0 {
-				t.Fatalf("goodput %.6f out of range (0,1)", out.Goodput)
-			}
-			resumed := 0
-			for _, j := range out.Jobs {
-				if !reflect.DeepEqual(j.Checksums, out.Baselines[j.Class].Checksums) {
-					t.Fatalf("job %s (%d preemptions) checksums diverge from uninterrupted baseline", j.ID, j.Preemptions)
-				}
-				resumed += j.Resumes
-			}
-			if resumed == 0 {
-				t.Fatal("no job resumed from a checkpoint")
-			}
-		})
+	out, err := Run(testCluster(), contentionWorkload(42), "preempt", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Preemptions == 0 {
+		t.Fatal("contention workload caused no preemptions")
+	}
+	if out.LostS != 0 {
+		t.Fatalf("checkpoint preemption lost %.3f rank-seconds", out.LostS)
+	}
+	if out.CkptOverheadS <= 0 {
+		t.Fatal("preemption reported no checkpoint overhead")
+	}
+	if out.Goodput >= 1.0 || out.Goodput <= 0 {
+		t.Fatalf("goodput %.6f out of range (0,1)", out.Goodput)
+	}
+	resumed := 0
+	for _, j := range out.Jobs {
+		if !reflect.DeepEqual(j.Checksums, out.Baselines[j.Class].Checksums) {
+			t.Fatalf("job %s (%d preemptions) checksums diverge from uninterrupted baseline", j.ID, j.Preemptions)
+		}
+		resumed += j.Resumes
+	}
+	if resumed == 0 {
+		t.Fatal("no job resumed from a checkpoint")
 	}
 }
 
@@ -209,11 +195,11 @@ func TestSchedPreemptionBitIdentical(t *testing.T) {
 // checkpoint arm only the drain overhead.
 func TestSchedPreemptBeatsKill(t *testing.T) {
 	wl := contentionWorkload(42)
-	pre, err := Run(testCluster(), wl, "preempt", Options{Kernel: cluster.KernelEvent})
+	pre, err := Run(testCluster(), wl, "preempt", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kill, err := Run(testCluster(), wl, "kill", Options{Kernel: cluster.KernelEvent})
+	kill, err := Run(testCluster(), wl, "kill", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

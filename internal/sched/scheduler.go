@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"manasim/internal/apps"
-	"manasim/internal/cluster"
 	mana "manasim/internal/core"
 	"manasim/internal/fsim"
 	"manasim/internal/impls"
@@ -15,8 +14,6 @@ import (
 
 // Options parameterizes a scheduler run.
 type Options struct {
-	// Kernel selects the simulation kernel every job segment runs on.
-	Kernel cluster.KernelKind
 	// FS is the checkpoint storage profile preemption drains commit
 	// through (default: a node-local NVMe-class model; NFS startup
 	// latencies would dwarf the minute-scale jobs the sweeps run).
@@ -263,7 +260,6 @@ func (s *Scheduler) jobConfig(c Class) (mana.Config, error) {
 	return mana.Config{
 		ImplName:  c.Impl,
 		Factory:   factory,
-		Kernel:    s.opts.Kernel,
 		FS:        s.opts.FS,
 		SkewBound: s.opts.SkewBound,
 	}, nil

@@ -57,8 +57,8 @@ func (b *Boundary) Leave() {
 // The counter is unsynchronized: only the owning rank writes it, so
 // another goroutine may read it only after something orders the rank's
 // last crossing before the read: mana.Session.Wait reads it after
-// cluster.Job.WaitResult, whose WaitGroup.Wait happens after every
-// rank body's Done.
+// cluster.Job.WaitResult, whose kernel Wait happens after every rank
+// body has returned.
 func (b *Boundary) Crossings() uint64 { return b.crossings }
 
 // Mode reports the switching mechanism in use.

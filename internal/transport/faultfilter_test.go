@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"strings"
+	"errors"
 	"testing"
 	"time"
 )
@@ -65,14 +65,13 @@ func (s *fakeTimedScheduler) ParkUntil(rank int, at time.Duration) {
 	s.parked = append(s.parked, at)
 }
 
-// TestSleepUntil: without a timed scheduler SleepUntil must refuse (the
-// goroutine kernel has no virtual-time event queue to wake a sleeper);
-// with one it parks the rank at the requested deadline.
+// TestSleepUntil: without a timed scheduler SleepUntil must refuse
+// (nothing could wake the sleeper); with one it parks the rank at the
+// requested deadline.
 func TestSleepUntil(t *testing.T) {
 	f := NewFabric(1)
 	defer f.Close()
-	err := f.Endpoint(0).SleepUntil(time.Millisecond)
-	if err == nil || !strings.Contains(err.Error(), "event kernel") {
+	if err := f.Endpoint(0).SleepUntil(time.Millisecond); !errors.Is(err, ErrNoScheduler) {
 		t.Fatalf("schedulerless SleepUntil: %v", err)
 	}
 

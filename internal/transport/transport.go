@@ -33,21 +33,28 @@
 // mailbox holding thousands of per-source triples stops at the first
 // match instead of ranking every triple.
 //
-// # Blocking and the simulation kernels
+// # Blocking and ownership
 //
-// Under the default goroutine kernel a blocked receiver waits on the
-// mailbox's condition variable and delivery broadcasts. When a Scheduler
-// is attached (SetScheduler, done by the cluster for the event kernel),
-// a blocked receiver parks its rank activity instead, and delivery posts
-// a wakeup event at the message's arrival virtual time. A mailbox has at
-// most one waiter — only the owner rank receives from it — so wakeups
-// are point-to-point and deterministic.
+// A blocking receive parks its rank through the Scheduler attached with
+// SetScheduler (the cluster attaches the event kernel), and a delivery
+// posts a wakeup event at the message's arrival virtual time. A mailbox
+// has at most one waiter — only the owner rank receives from it — so
+// wakeups are point-to-point and deterministic. A fabric with no
+// scheduler never blocks: a receive that finds no match returns
+// ErrNoScheduler instead of waiting for a delivery nothing could make.
+//
+// Mailboxes carry no lock. The kernel runs one rank at a time, and a
+// mailbox is touched only by the rank holding the execution token — its
+// owner receiving or probing, or a peer depositing. The one exception
+// is the stall teardown, Fabric.Close on the scheduler goroutine while
+// every rank is parked, and the kernel's channel handoff orders it
+// before the next rank resumes. A fabric without a scheduler must be
+// driven by a single goroutine.
 package transport
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -61,6 +68,11 @@ const (
 
 // ErrClosed is returned by operations on a fabric that has been shut down.
 var ErrClosed = errors.New("transport: fabric closed")
+
+// ErrNoScheduler is returned by a receive or sleep that would have to
+// block on a fabric with no Scheduler attached: nothing could ever wake
+// it, so it fails instead of hanging.
+var ErrNoScheduler = errors.New("transport: blocking operation on a fabric with no scheduler")
 
 // Message is one point-to-point message in flight or delivered.
 type Message struct {
@@ -101,11 +113,10 @@ func (m Match) Matches(msg *Message) bool {
 	return true
 }
 
-// Scheduler is the event-kernel hook: when attached to a fabric, blocked
+// Scheduler is the kernel hook: when attached to a fabric, blocked
 // receivers park their rank activity and message delivery wakes the
-// destination rank at the message's arrival virtual time, instead of the
-// cond-var broadcast the goroutine kernel uses. internal/kernel
-// implements it; internal/cluster wires it up.
+// destination rank at the message's arrival virtual time.
+// internal/kernel implements it; internal/cluster wires it up.
 type Scheduler interface {
 	// Park blocks the calling rank activity until a Wake.
 	Park(rank int)
@@ -152,11 +163,10 @@ func NewFabric(n int) *Fabric {
 	return f
 }
 
-// SetScheduler attaches an event-kernel scheduler: blocked receives park
+// SetScheduler attaches the kernel's scheduler: blocked receives park
 // their rank through s, and deliveries wake the destination rank at
 // SendVT + cost(len(payload)). Must be called before any endpoint
-// operation; the cluster attaches it right after NewFabric when the job
-// selects the event kernel.
+// operation; the cluster attaches it right after NewFabric.
 func (f *Fabric) SetScheduler(s Scheduler, cost func(bytes int) time.Duration) {
 	for _, b := range f.boxes {
 		b.sched = s
@@ -291,9 +301,7 @@ func (e *Endpoint) SendOwned(dst int, ctx uint32, tag int, payload []byte, sendV
 
 // SleepUntil parks the calling rank's activity until virtual time at.
 // It requires an attached scheduler that supports timed parking (the
-// event kernel's ParkUntil); under the goroutine kernel there is no
-// virtual-time event queue to wake a sleeper, so SleepUntil reports an
-// error and the caller must not rely on timeouts.
+// kernel's ParkUntil) and returns ErrNoScheduler without one.
 func (e *Endpoint) SleepUntil(at time.Duration) error {
 	if e.fabric.closed.Load() {
 		return ErrClosed
@@ -304,7 +312,7 @@ func (e *Endpoint) SleepUntil(at time.Duration) error {
 	}
 	tp, ok := b.sched.(timedParker)
 	if !ok {
-		return errors.New("transport: virtual-time sleep needs the event kernel")
+		return ErrNoScheduler
 	}
 	tp.ParkUntil(e.rank, at)
 	if e.fabric.closed.Load() {
@@ -314,7 +322,9 @@ func (e *Endpoint) SleepUntil(at time.Duration) error {
 }
 
 // Recv blocks until a message matching m arrives, removes it, and
-// returns it. It returns ErrClosed if the fabric shuts down first.
+// returns it. It returns ErrClosed if the fabric shuts down first, and
+// ErrNoScheduler if it would have to block on a fabric with no
+// scheduler.
 func (e *Endpoint) Recv(m Match) (*Message, error) {
 	msg, err := e.fabric.boxes[e.rank].take(m, true)
 	if err != nil {
@@ -365,7 +375,9 @@ func (e *Endpoint) EarliestMatchVT(m Match) (time.Duration, bool) {
 
 // WaitMatch blocks until a message matching m is present (without
 // removing it) or the fabric closes. It lets polling loops avoid
-// busy-waiting while preserving probe-then-receive semantics.
+// busy-waiting while preserving probe-then-receive semantics. Like
+// Recv, it returns ErrNoScheduler rather than block without a
+// scheduler.
 func (e *Endpoint) WaitMatch(m Match) error {
 	return e.fabric.boxes[e.rank].waitMatch(m)
 }
@@ -453,18 +465,19 @@ func (c *ctxq) pruneFifo() {
 // takes the first live match — the same message the single-queue linear
 // scan used to return, found without visiting other contexts or, for
 // exact matches, any scan at all.
+//
+// A mailbox has no lock: only the rank holding the kernel's execution
+// token touches it (see the package comment, "Blocking and ownership").
 type mailbox struct {
-	mu   sync.Mutex
-	cond *sync.Cond
 	rank int
 
 	byCtx  map[uint32]*ctxq
 	count  int
 	closed bool
 
-	// Event-kernel hooks (nil under the goroutine kernel). waiting
-	// records the owner rank's parked receive; there is at most one
-	// waiter per mailbox because only the owner receives from it.
+	// Scheduler hooks (nil on a bare fabric). waiting records the owner
+	// rank's parked receive; there is at most one waiter per mailbox
+	// because only the owner receives from it.
 	sched   Scheduler
 	cost    func(bytes int) time.Duration
 	waiting bool
@@ -472,15 +485,11 @@ type mailbox struct {
 }
 
 func newMailbox(rank int) *mailbox {
-	b := &mailbox{rank: rank, byCtx: make(map[uint32]*ctxq)}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+	return &mailbox{rank: rank, byCtx: make(map[uint32]*ctxq)}
 }
 
 func (b *mailbox) put(e *qent) error {
 	m := &e.m
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.closed {
 		return ErrClosed
 	}
@@ -501,28 +510,20 @@ func (b *mailbox) put(e *qent) error {
 	c.fifo = append(c.fifo, e)
 	c.live++
 	b.count++
-	if b.sched != nil {
-		if b.waiting && b.wmatch.Matches(m) {
-			b.waiting = false
-			b.sched.Wake(b.rank, m.SendVT+b.cost(len(m.Payload)))
-		}
-		return nil
+	if b.waiting && b.wmatch.Matches(m) {
+		b.waiting = false
+		b.sched.Wake(b.rank, m.SendVT+b.cost(len(m.Payload)))
 	}
-	b.cond.Broadcast()
 	return nil
 }
 
-func (b *mailbox) len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.count
-}
+func (b *mailbox) len() int { return b.count }
 
-// findLocked returns the entry m selects, or nil. An exact match is an
-// index lookup; a match with a wildcard walks the context's arrival list
+// find returns the entry m selects, or nil. An exact match is an index
+// lookup; a match with a wildcard walks the context's arrival list
 // front-to-back and returns the first live match, which is the earliest
 // arrival among all matching triples.
-func (b *mailbox) findLocked(m Match) *qent {
+func (b *mailbox) find(m Match) *qent {
 	c := b.byCtx[m.Context]
 	if c == nil {
 		return nil
@@ -541,13 +542,12 @@ func (b *mailbox) findLocked(m Match) *qent {
 	return nil
 }
 
-// findVisibleLocked is findLocked restricted to entries with
-// SendVT <= now. A sender's clock is monotone, so each (source, tag)
-// FIFO is send-time ordered and the exact-match case only needs its
-// head; a wildcard match scans the arrival list for the first live
-// visible entry, since interleaved senders' timestamps are not ordered
-// by arrival.
-func (b *mailbox) findVisibleLocked(m Match, now time.Duration) *qent {
+// findVisible is find restricted to entries with SendVT <= now. A
+// sender's clock is monotone, so each (source, tag) FIFO is send-time
+// ordered and the exact-match case only needs its head; a wildcard
+// match scans the arrival list for the first live visible entry, since
+// interleaved senders' timestamps are not ordered by arrival.
+func (b *mailbox) findVisible(m Match, now time.Duration) *qent {
 	c := b.byCtx[m.Context]
 	if c == nil {
 		return nil
@@ -570,9 +570,9 @@ func (b *mailbox) findVisibleLocked(m Match, now time.Duration) *qent {
 	return nil
 }
 
-// earliestLocked returns the smallest SendVT among live entries matching
+// earliestMatch returns the smallest SendVT among live entries matching
 // m.
-func (b *mailbox) earliestLocked(m Match) (time.Duration, bool) {
+func (b *mailbox) earliestMatch(m Match) (time.Duration, bool) {
 	c := b.byCtx[m.Context]
 	if c == nil {
 		return 0, false
@@ -598,8 +598,8 @@ func (b *mailbox) earliestLocked(m Match) (time.Duration, bool) {
 	return best, ok
 }
 
-// removeLocked consumes e and drops emptied index entries.
-func (b *mailbox) removeLocked(e *qent) *Message {
+// remove consumes e and drops emptied index entries.
+func (b *mailbox) remove(e *qent) *Message {
 	msg := &e.m
 	e.taken = true
 	b.count--
@@ -629,82 +629,67 @@ func (b *mailbox) removeLocked(e *qent) *Message {
 // take removes the first matching message. If block is true it waits for
 // one; otherwise it returns errNoMatch immediately.
 func (b *mailbox) take(m Match, block bool) (*Message, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	for {
 		if b.closed {
 			return nil, ErrClosed
 		}
-		if e := b.findLocked(m); e != nil {
-			return b.removeLocked(e), nil
+		if e := b.find(m); e != nil {
+			return b.remove(e), nil
 		}
 		if !block {
 			return nil, errNoMatch
 		}
-		b.waitLocked(m)
+		if err := b.wait(m); err != nil {
+			return nil, err
+		}
 	}
 }
 
 func (b *mailbox) peek(m Match) (*Message, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if e := b.findLocked(m); e != nil {
+	if e := b.find(m); e != nil {
 		return &e.m, true
 	}
 	return nil, false
 }
 
 func (b *mailbox) peekVisible(m Match, now time.Duration) (*Message, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if e := b.findVisibleLocked(m, now); e != nil {
+	if e := b.findVisible(m, now); e != nil {
 		return &e.m, true
 	}
 	return nil, false
 }
 
-func (b *mailbox) earliestMatch(m Match) (time.Duration, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.earliestLocked(m)
-}
-
 func (b *mailbox) waitMatch(m Match) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	for {
 		if b.closed {
 			return ErrClosed
 		}
-		if b.findLocked(m) != nil {
+		if b.find(m) != nil {
 			return nil
 		}
-		b.waitLocked(m)
+		if err := b.wait(m); err != nil {
+			return err
+		}
 	}
 }
 
-// waitLocked blocks the owner rank until a delivery (or close) wakes it:
-// a cond wait under the goroutine kernel, a scheduler park under the
-// event kernel. Called with b.mu held; reacquires it before returning.
-func (b *mailbox) waitLocked(m Match) {
+// wait parks the owner rank until a delivery matching m (or close)
+// wakes it. Without a scheduler nothing could, so it fails instead.
+func (b *mailbox) wait(m Match) error {
 	if b.sched == nil {
-		b.cond.Wait()
-		return
+		return fmt.Errorf("%w: rank %d receiving context %d source %d tag %d",
+			ErrNoScheduler, b.rank, m.Context, m.Src, m.Tag)
 	}
 	b.waiting = true
 	b.wmatch = m
-	b.mu.Unlock()
 	b.sched.Park(b.rank)
-	b.mu.Lock()
+	return nil
 }
 
 func (b *mailbox) close() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.closed = true
-	if b.sched != nil && b.waiting {
+	if b.waiting {
 		b.waiting = false
 		b.sched.Wake(b.rank, 0)
 	}
-	b.cond.Broadcast()
 }

@@ -2,10 +2,11 @@ package transport
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"manasim/internal/kernel"
 )
 
 func TestSendRecvBasic(t *testing.T) {
@@ -293,54 +294,48 @@ func TestProbeVisibleGatesOnSendVT(t *testing.T) {
 	}
 }
 
+// runRanks attaches a kernel to f and runs one body per rank on it,
+// rank r's body as rank r, until every body returns.
+func runRanks(f *Fabric, bodies ...func()) {
+	k := kernel.New(len(bodies))
+	f.SetScheduler(k, func(int) time.Duration { return 0 })
+	for r, body := range bodies {
+		k.Go(r, body)
+	}
+	k.Start()
+	k.Wait()
+}
+
 func TestBlockingRecvWakesOnSend(t *testing.T) {
 	f := NewFabric(2)
 	defer f.Close()
-	b := f.Endpoint(1)
-	done := make(chan *Message, 1)
-	go func() {
-		msg, err := b.Recv(Match{Context: 9, Src: 0, Tag: 1})
-		if err != nil {
-			done <- nil
-			return
-		}
-		done <- msg
-	}()
-	time.Sleep(5 * time.Millisecond) // let the receiver block
-	if err := f.Endpoint(0).Send(1, 9, 1, []byte{42}, 0); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case msg := <-done:
-		if msg == nil || msg.Payload[0] != 42 {
-			t.Fatalf("bad wakeup %+v", msg)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("receiver never woke")
+	var got *Message
+	var err error
+	runRanks(f,
+		func() { got, err = f.Endpoint(0).Recv(Match{Context: 9, Src: 1, Tag: 1}) },
+		func() {
+			// Rank 0 ran first and parked in its receive.
+			if e := f.Endpoint(1).Send(0, 9, 1, []byte{42}, 0); e != nil {
+				t.Error(e)
+			}
+		})
+	if err != nil || got == nil || got.Payload[0] != 42 {
+		t.Fatalf("bad wakeup %+v, %v", got, err)
 	}
 }
 
 func TestCloseWakesBlockedReceivers(t *testing.T) {
-	f := NewFabric(1)
-	e := f.Endpoint(0)
-	errc := make(chan error, 1)
-	go func() {
-		_, err := e.Recv(Match{Context: 1, Src: AnySource, Tag: AnyTag})
-		errc <- err
-	}()
-	time.Sleep(5 * time.Millisecond)
-	f.Close()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("got %v, want ErrClosed", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("close did not wake receiver")
+	f := NewFabric(2)
+	var err error
+	runRanks(f,
+		func() { _, err = f.Endpoint(0).Recv(Match{Context: 1, Src: AnySource, Tag: AnyTag}) },
+		func() { f.Close() })
+	if !errors.Is(err, ErrClosed) {
+		t.Fatalf("got %v, want ErrClosed", err)
 	}
 	// Idempotent close and post-close send.
 	f.Close()
-	if err := e.Send(0, 1, 0, nil, 0); !errors.Is(err, ErrClosed) {
+	if err := f.Endpoint(0).Send(0, 1, 0, nil, 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("send after close: %v", err)
 	}
 }
@@ -348,30 +343,55 @@ func TestCloseWakesBlockedReceivers(t *testing.T) {
 func TestWaitMatch(t *testing.T) {
 	f := NewFabric(2)
 	defer f.Close()
-	b := f.Endpoint(1)
-	done := make(chan error, 1)
-	go func() {
-		done <- b.WaitMatch(Match{Context: 1, Src: 0, Tag: 2})
-	}()
-	time.Sleep(2 * time.Millisecond)
-	// A non-matching message must not wake it for long: send wrong tag
-	// first, then the right one.
-	if err := f.Endpoint(0).Send(1, 1, 1, []byte{0}, 0); err != nil {
+	b := f.Endpoint(0)
+	var err error
+	pending := -1
+	runRanks(f,
+		func() {
+			err = b.WaitMatch(Match{Context: 1, Src: 1, Tag: 2})
+			pending = b.Pending()
+		},
+		func() {
+			// A non-matching message must not wake it: send the wrong
+			// tag first, then the right one.
+			if e := f.Endpoint(1).Send(0, 1, 1, []byte{0}, 0); e != nil {
+				t.Error(e)
+			}
+			if e := f.Endpoint(1).Send(0, 1, 2, []byte{1}, 0); e != nil {
+				t.Error(e)
+			}
+		})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Endpoint(0).Send(1, 1, 2, []byte{1}, 0); err != nil {
+	if pending != 2 {
+		t.Fatalf("WaitMatch consumed messages: pending=%d", pending)
+	}
+}
+
+// TestRecvWithoutSchedulerFails: on a fabric with no scheduler nothing
+// could wake a blocked receiver, so a blocking receive or wait that
+// finds no match fails with ErrNoScheduler instead of hanging, while one
+// that finds its message still succeeds.
+func TestRecvWithoutSchedulerFails(t *testing.T) {
+	f := NewFabric(2)
+	defer f.Close()
+	e := f.Endpoint(1)
+	m := Match{Context: 1, Src: 0, Tag: 3}
+	if _, err := e.Recv(m); !errors.Is(err, ErrNoScheduler) {
+		t.Fatalf("Recv: %v, want ErrNoScheduler", err)
+	}
+	if err := e.WaitMatch(m); !errors.Is(err, ErrNoScheduler) {
+		t.Fatalf("WaitMatch: %v, want ErrNoScheduler", err)
+	}
+	if err := e.SleepUntil(time.Millisecond); !errors.Is(err, ErrNoScheduler) {
+		t.Fatalf("SleepUntil: %v, want ErrNoScheduler", err)
+	}
+	if err := f.Endpoint(0).Send(1, 1, 3, []byte{7}, 0); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("WaitMatch never returned")
-	}
-	if b.Pending() != 2 {
-		t.Fatalf("WaitMatch consumed messages: pending=%d", b.Pending())
+	if msg, err := e.Recv(m); err != nil || msg.Payload[0] != 7 {
+		t.Fatalf("Recv of a present message: %+v, %v", msg, err)
 	}
 }
 
@@ -403,34 +423,37 @@ func TestConcurrentSenders(t *testing.T) {
 	const senders, each = 8, 50
 	f := NewFabric(senders + 1)
 	defer f.Close()
-	var wg sync.WaitGroup
-	for s := 0; s < senders; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			e := f.Endpoint(s)
+	// Rank 0 receives with wildcards, parking whenever its mailbox runs
+	// dry; ranks 1..senders each send a numbered stream.
+	bodies := []func(){func() {
+		dst := f.Endpoint(0)
+		next := make([]byte, senders+1)
+		for i := 0; i < senders*each; i++ {
+			msg, err := dst.Recv(Match{Context: 1, Src: AnySource, Tag: AnyTag})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			// Per-sender FIFO must hold across interleaved senders.
+			if msg.Payload[0] != next[msg.Src] {
+				t.Errorf("sender %d: got %d want %d", msg.Src, msg.Payload[0], next[msg.Src])
+				return
+			}
+			next[msg.Src]++
+		}
+	}}
+	for s := 1; s <= senders; s++ {
+		e := f.Endpoint(s)
+		bodies = append(bodies, func() {
 			for i := 0; i < each; i++ {
-				if err := e.Send(senders, 1, s, []byte{byte(i)}, 0); err != nil {
+				if err := e.Send(0, 1, s, []byte{byte(i)}, 0); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}(s)
+		})
 	}
-	wg.Wait()
-	// Per-sender FIFO must hold even under concurrency.
-	dst := f.Endpoint(senders)
-	next := make([]byte, senders)
-	for i := 0; i < senders*each; i++ {
-		msg, err := dst.Recv(Match{Context: 1, Src: AnySource, Tag: AnyTag})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if msg.Payload[0] != next[msg.Src] {
-			t.Fatalf("sender %d: got %d want %d", msg.Src, msg.Payload[0], next[msg.Src])
-		}
-		next[msg.Src]++
-	}
+	runRanks(f, bodies...)
 }
 
 func TestMatchProperty(t *testing.T) {

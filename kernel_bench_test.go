@@ -60,40 +60,30 @@ func tokenRing(j *cluster.Job, n, hops int) cluster.RankFn {
 	}
 }
 
-// BenchmarkKernelScale passes a token through rings of growing size
-// with a fixed total hop budget on both kernels. The goroutine kernel
-// runs the 16- and 64-rank baselines; the event kernel sweeps to 1024
-// ranks, where per-iteration wall should grow far slower than the rank
-// count because parked ranks consume no scheduler time.
+// BenchmarkKernelScale passes a token through rings of 16 to 1024
+// ranks with a fixed total hop budget. Per-iteration wall should grow
+// far slower than the rank count, because parked ranks consume no
+// scheduler time.
 func BenchmarkKernelScale(b *testing.B) {
 	const hops = 4096
-	cases := []struct {
-		kind  cluster.KernelKind
-		ranks []int
-	}{
-		{cluster.KernelGoroutine, []int{16, 64}},
-		{cluster.KernelEvent, []int{16, 64, 256, 1024}},
-	}
 	net := simtime.NetModel{Latency: time.Microsecond}
-	for _, c := range cases {
-		for _, n := range c.ranks {
-			b.Run(fmt.Sprintf("kernel=%s/ranks=%d", c.kind, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					j := cluster.NewKernel(n, benchFactory, net, c.kind)
-					j.Start(tokenRing(j, n, hops))
-					res, err := j.WaitResult()
-					if err != nil {
-						b.Fatal(err)
-					}
-					// Work hops are spread evenly, so each rank's clock
-					// advances hops/n milliseconds.
-					if want := time.Duration(hops/n) * time.Millisecond; res.VT < want {
-						b.Fatalf("ring VT %v, want >= %v", res.VT, want)
-					}
+	for _, n := range []int{16, 64, 256, 1024} {
+		b.Run(fmt.Sprintf("ranks=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				j := cluster.New(n, benchFactory, net)
+				j.Start(tokenRing(j, n, hops))
+				res, err := j.WaitResult()
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(n), "ranks")
-			})
-		}
+				// Work hops are spread evenly, so each rank's clock
+				// advances hops/n milliseconds.
+				if want := time.Duration(hops/n) * time.Millisecond; res.VT < want {
+					b.Fatalf("ring VT %v, want >= %v", res.VT, want)
+				}
+			}
+			b.ReportMetric(float64(n), "ranks")
+		})
 	}
 }
