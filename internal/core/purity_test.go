@@ -176,17 +176,32 @@ func firstStatsDiff(a, b Stats) string {
 	return "none"
 }
 
+// checkPure runs row once as the reference, then again in the same
+// process and once each at GOMAXPROCS 1 and 4, and fails t if any rerun's
+// Stats are not byte-identical to the reference.
+func checkPure(t *testing.T, row pureRow) {
+	t.Helper()
+	refRun, refRestart, ref := pureStats(t, row)
+	check := func(what string) {
+		run, restart, enc := pureStats(t, row)
+		if !bytes.Equal(ref, enc) {
+			t.Errorf("%s: Stats differ from the first run; run: %s; restart: %s",
+				what, firstStatsDiff(refRun, run), firstStatsDiff(refRestart, restart))
+		}
+	}
+	check("second run")
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		check(fmt.Sprintf("GOMAXPROCS=%d", procs))
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
 // TestVirtualTimePureFunction: virtual time is a pure function of
-// (config, seed). With nothing pinned, the same job yields
-// byte-identical Stats — virtual times, drain cost, control-message
-// counts, crossings, and application checksums — on every run. Two
-// kinds of rows, on every implementation:
-//
-//   - checkpoint + restart, both vid designs: run twice in one process
-//     and once each at GOMAXPROCS 1 and 4;
-//   - checkpoint mid-run and continue, seeds 1-3: run twice.
+// (config, seed). With nothing pinned, the same checkpoint + restart
+// run twice in one process and once each at GOMAXPROCS 1 and 4 yields
+// byte-identical Stats, on every implementation and both vid designs.
 func TestVirtualTimePureFunction(t *testing.T) {
-	var rows []pureRow
 	for _, implName := range impls.Names() {
 		// ExaMPI runs the compatible subset: CoMD stands in there.
 		appNames := []string{"lammps", "hpcg"}
@@ -198,35 +213,33 @@ func TestVirtualTimePureFunction(t *testing.T) {
 				if design == DesignLegacy && implName != "mpich" && implName != "craympi" {
 					continue // the legacy maps assume MPICH-family handles
 				}
-				rows = append(rows, pureRow{impl: implName, app: appName, design: design, seed: 24, restart: true})
+				row := pureRow{impl: implName, app: appName, design: design, seed: 24, restart: true}
+				t.Run(fmt.Sprintf("%s/%s/%s", implName, appName, design), func(t *testing.T) {
+					checkPure(t, row)
+				})
 			}
-		}
-		for _, seed := range []uint64{1, 2, 3} {
-			rows = append(rows, pureRow{impl: implName, app: appNames[0], seed: seed})
 		}
 	}
-	for _, row := range rows {
-		name := fmt.Sprintf("%s/%s/%s", row.impl, row.app, row.design)
-		if !row.restart {
-			name = fmt.Sprintf("%s/%s/seed%d", row.impl, row.app, row.seed)
+}
+
+// TestKernelConformanceAllImpls is the kernel's scheduling oracle: for
+// every simulated MPI implementation and seeds 1-3, a job that
+// checkpoints mid-run and runs on to the end must produce byte-identical
+// Stats — virtual times, drain cost, control-message counts, crossings,
+// and application checksums — however the host schedules the kernel's
+// goroutines (a rerun in process, GOMAXPROCS 1 and 4). Any divergence
+// means host scheduling leaked into simulation semantics.
+func TestKernelConformanceAllImpls(t *testing.T) {
+	for _, implName := range impls.Names() {
+		// ExaMPI runs the compatible subset: CoMD stands in for the
+		// pipelined workload there (as in the drain experiment).
+		appName := "lammps"
+		if implName == "exampi" {
+			appName = "comd"
 		}
-		t.Run(name, func(t *testing.T) {
-			refRun, refRestart, ref := pureStats(t, row)
-			check := func(what string) {
-				run, restart, enc := pureStats(t, row)
-				if !bytes.Equal(ref, enc) {
-					t.Errorf("%s: Stats differ from the first run; run: %s; restart: %s",
-						what, firstStatsDiff(refRun, run), firstStatsDiff(refRestart, restart))
-				}
-			}
-			check("second run")
-			if !row.restart {
-				return
-			}
-			for _, procs := range []int{1, 4} {
-				prev := runtime.GOMAXPROCS(procs)
-				check(fmt.Sprintf("GOMAXPROCS=%d", procs))
-				runtime.GOMAXPROCS(prev)
+		t.Run(implName, func(t *testing.T) {
+			for _, seed := range []uint64{1, 2, 3} {
+				checkPure(t, pureRow{impl: implName, app: appName, seed: seed})
 			}
 		})
 	}
