@@ -56,8 +56,8 @@ bench-smoke: bench
 
 .PHONY: bench-delta
 bench-delta:
-	@echo "Running delta codec and chain-materialization benchmarks..."
-	@$(GO) test -run '^$$' -bench 'BenchmarkDeltaEncode|BenchmarkChainMaterialize|BenchmarkStreamMaterialize' -benchtime 3x .
+	@echo "Running delta codec and chain-resolution benchmarks..."
+	@$(GO) test -run '^$$' -bench 'BenchmarkDeltaEncode|BenchmarkStreamMaterialize' -benchtime 3x .
 
 # bench-drain sweeps the drain strategies at 4-256 ranks (the 64- and
 # 256-rank rows on the event kernel) with allocation counts and the
@@ -70,11 +70,12 @@ bench-drain:
 
 # Checkpoint-pipeline benchmarks: the codec and store hot paths this
 # repo optimizes PR over PR, from the application's own snapshot
-# (AppSnapshot/AppRestore: B/op is the state's size, allocs/op 1) on. ChainMaterialize (batch) and
-# StreamMaterialize (chunk-pipelined) run on the same store shape, so
-# their medians compare directly. Backends sweeps the persistence tiers
+# (AppSnapshot/AppRestore: B/op is the state's size, allocs/op 1) on.
+# StreamMaterialize and ParallelMaterialize time the restart-side chain
+# resolver (newest-wins, chunk-pipelined) across chain depths and
+# worker-pool widths. Backends sweeps the persistence tiers
 # (mem/fs/obj/tier) with their modeled commit-VT and drain-lag metrics.
-BENCH_CKPT := 'BenchmarkParallelCommit|BenchmarkParallelMaterialize|BenchmarkDeltaEncode|BenchmarkChainMaterialize|BenchmarkStreamMaterialize|BenchmarkCompressTiers|BenchmarkDedupCommit|BenchmarkBackends|BenchmarkKernelScale|BenchmarkCheckpointDrain|BenchmarkAppSnapshot|BenchmarkAppRestore'
+BENCH_CKPT := 'BenchmarkParallelCommit|BenchmarkParallelMaterialize|BenchmarkDeltaEncode|BenchmarkStreamMaterialize|BenchmarkCompressTiers|BenchmarkDedupCommit|BenchmarkBackends|BenchmarkKernelScale|BenchmarkCheckpointDrain|BenchmarkAppSnapshot|BenchmarkAppRestore'
 
 # bench-kernel measures the simulation kernel's scheduling cost: a
 # fixed-work token ring at 16-1024 ranks, whose per-iteration wall
@@ -121,8 +122,8 @@ bench-compare:
 		echo "No bench-old.txt baseline; saved this run as the baseline."; \
 	fi
 
-# race-ckpt covers the parallel commit/materialize pool, the streaming
-# restart pipeline (ckptstore stream_test.go exercises the per-rank
+# race-ckpt covers the parallel commit pool, the restart-side chain
+# resolver (ckptstore stream_test.go exercises the per-rank
 # link-lookahead reads across pool widths), the tier backend's async
 # drainer (tier_test.go interleaves Puts, read-through Gets, Deletes,
 # and drain barriers across goroutines), and the dedup store's shared

@@ -453,33 +453,7 @@ func BenchmarkDeltaEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkChainMaterialize measures restart-side chain resolution:
-// rebuilding a full image from a base plus k delta generations.
-func BenchmarkChainMaterialize(b *testing.B) {
-	const size = 4 << 20
-	for _, chain := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("deltas=%d", chain), func(b *testing.B) {
-			st := streamBenchStore(b, size, chain)
-			b.SetBytes(size)
-			b.ReportAllocs()
-			var cs ckptstore.ChainStats
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				imgs, stats, err := st.MaterializeHead()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(imgs) != 1 {
-					b.Fatal("missing image")
-				}
-				cs = stats[0]
-			}
-			reportChainStats(b, cs)
-		})
-	}
-}
-
-// streamBenchStore builds the BenchmarkChainMaterialize store shape: a
+// streamBenchStore builds the BenchmarkStreamMaterialize store shape: a
 // base plus `chain` delta generations of a 4 MB app state with 10%
 // trailing churn.
 func streamBenchStore(b *testing.B, size, chain int) *ckptstore.Store {
@@ -508,8 +482,8 @@ func streamBenchStore(b *testing.B, size, chain int) *ckptstore.Store {
 }
 
 // reportChainStats turns one rank's resolution accounting into bench
-// metrics, so batch and streaming materialization compare on bytes
-// inflated and peak resolver memory, not just ns/op.
+// metrics, so chain depths compare on bytes inflated and peak resolver
+// memory, not just ns/op.
 func reportChainStats(b *testing.B, cs ckptstore.ChainStats) {
 	b.Helper()
 	b.ReportMetric(float64(cs.ChunksRead), "chunks-read")
@@ -518,13 +492,10 @@ func reportChainStats(b *testing.B, cs ckptstore.ChainStats) {
 	b.ReportMetric(float64(cs.PeakBytes)/(1<<20), "peak-MB")
 }
 
-// BenchmarkStreamMaterialize measures the chunk-pipelined streaming
-// resolver on exactly BenchmarkChainMaterialize's store shape: at
-// chain depth k the batch path inflates the base plus every link's
-// changed chunks and copies the whole state k times, while newest-wins
-// resolution inflates each output chunk exactly once — superseded
-// chunks are skipped, so bytes-decompressed and allocations stay flat
-// as the chain deepens.
+// BenchmarkStreamMaterialize measures the chunk-pipelined chain
+// resolver across chain depth: newest-wins resolution inflates each
+// output chunk exactly once — superseded chunks are skipped, so
+// bytes-decompressed and allocations stay flat as the chain deepens.
 func BenchmarkStreamMaterialize(b *testing.B) {
 	const size = 4 << 20
 	for _, chain := range []int{1, 4, 8} {
@@ -544,7 +515,7 @@ func BenchmarkStreamMaterialize(b *testing.B) {
 				}
 				cs = stats[0]
 			}
-			if !cs.Streamed || cs.ChunksSkipped == 0 {
+			if cs.ChunksSkipped == 0 {
 				b.Fatalf("streaming resolver skipped nothing: %+v", cs)
 			}
 			reportChainStats(b, cs)
@@ -790,7 +761,7 @@ func BenchmarkParallelMaterialize(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				imgs, _, err := st.MaterializeHead()
+				imgs, _, err := st.MaterializeStreamHead()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -84,7 +84,7 @@ run flags:
   -compress gzip the application state in checkpoint images
   -compress-tier  compression tier with -compress: fast (flate BestSpeed,
                  hot checkpoints), balanced (default), or max (archival)
-  -backend checkpoint store backend (mem, fs, obj, tier); -store is an alias
+  -backend checkpoint store backend (mem, fs, obj, tier)
   -front-tier    with -backend tier: fast front-tier backend (default mem,
                  charged at the burst-buffer profile)
   -back-tier     with -backend tier: durable back-tier backend the async
@@ -99,16 +99,9 @@ run flags:
   -dedup   content-addressed store: identical image segments are stored
            once across ranks and generations, and each rank's write is
            charged only the new unique bytes it introduced
-  -stream-restart  with -restart-impl, restart through the chunk-pipelined
-                 streaming path: each rank's base+delta chain resolves a
-                 newest-wins owner per chunk and only winning chunks are
-                 decompressed (batch materialize is the default)
   -chunk-kb delta chunk size in KiB (default 256; shrink for proxy-size snapshots)
   -workers checkpoint store worker pool width (0 = GOMAXPROCS, 1 = serial)
   -site    discovery (default) or perlmutter
-  -kernel  simulation kernel: goroutine (default; one goroutine per rank)
-           or event (virtual-time event queue; deterministic, detects
-           deadlock, scales to thousands of ranks)
   -faults  enable the seeded fault injector (-fault-seed N, default 42);
            without -mtbf this injects stragglers and transient store
            faults into a single run
@@ -192,7 +185,6 @@ func cmdRun(args []string) error {
 	compress := fs.Bool("compress", false, "gzip checkpoint image app state")
 	tierName := fs.String("compress-tier", "", "compression tier with -compress: fast, balanced, or max")
 	backendName := fs.String("backend", "", "checkpoint store backend (mem, fs, obj, tier)")
-	storeName := fs.String("store", "", "alias of -backend")
 	frontTier := fs.String("front-tier", "", "tier backend: fast front-tier backend (default mem)")
 	backTier := fs.String("back-tier", "", "tier backend: durable back-tier backend (default fs with -ckpt-dir, else obj)")
 	ckptDir := fs.String("ckpt-dir", "", "directory of directory-backed store backends")
@@ -200,7 +192,6 @@ func cmdRun(args []string) error {
 	delta := fs.Bool("delta", false, "write incremental checkpoint generations")
 	dedup := fs.Bool("dedup", false, "content-addressed store: share identical image segments across ranks and generations")
 	frontCap := fs.Int("front-cap", 0, "tier backend: front-tier capacity in KiB (0 = unbounded; LRU-evicts flushed blobs past it)")
-	streamRestart := fs.Bool("stream-restart", false, "restart through the chunk-pipelined streaming path (newest-wins chain resolution; superseded chunks are never decompressed)")
 	chunkKB := fs.Int("chunk-kb", 0, "delta chunk size in KiB (default ckptimg.AppChunk; shrink to match proxy snapshot sizes)")
 	workers := fs.Int("workers", 0, "checkpoint store worker pool width (0 = GOMAXPROCS, 1 = serial)")
 	siteName := fs.String("site", "discovery", "site profile")
@@ -290,17 +281,36 @@ func cmdRun(args []string) error {
 		return nil
 	}
 
+	// -front-tier / -back-tier / -front-cap only make sense composing
+	// the tier backend; asking for them implies it.
+	backend := *backendName
+	if backend == "" && (*frontTier != "" || *backTier != "" || *frontCap > 0) {
+		backend = "tier"
+	}
+	if *ckptDir != "" && backend == "" {
+		backend = "fs"
+	}
 	cfg := mana.Config{
 		ImplName:       *implName,
 		Factory:        factory,
 		Host:           host,
 		UniformHandles: *uniform,
 		DrainStrategy:  *drainName,
-		CompressImages: *compress,
-		CompressTier:   tier,
-		DeltaImages:    *delta,
-		Workers:        *workers,
 		CkptInterval:   interval,
+		StoreOptions: ckptstore.Options{
+			Backend:      backend,
+			Dir:          *ckptDir,
+			FrontTier:    *frontTier,
+			BackTier:     *backTier,
+			FrontCap:     int64(*frontCap) << 10,
+			Delta:        *delta,
+			Dedup:        *dedup,
+			Compress:     *compress,
+			CompressTier: tier,
+			ChunkBytes:   *chunkKB << 10,
+			RetainBases:  *retainBases,
+			Workers:      *workers,
+		},
 	}
 	if *useFaults {
 		// Without a crash process, -faults demonstrates non-fatal
@@ -318,39 +328,6 @@ func cmdRun(args []string) error {
 	}
 	if *legacy {
 		cfg.Design = mana.DesignLegacy
-	}
-	if *backendName == "" {
-		*backendName = *storeName
-	}
-	// -front-tier / -back-tier / -front-cap only make sense composing
-	// the tier backend; asking for them implies it.
-	if *backendName == "" && (*frontTier != "" || *backTier != "" || *frontCap > 0) {
-		*backendName = "tier"
-	}
-	if *ckptDir != "" && *backendName == "" {
-		*backendName = "fs"
-	}
-	// -delta, -dedup, -chunk-kb and -retain-bases need an explicit store
-	// even without -backend: the implicit in-core store has no such knobs.
-	if *backendName != "" || *delta || *dedup || *chunkKB > 0 || *retainBases > 0 {
-		st, err := ckptstore.Open(in.Ranks, ckptstore.Options{
-			Backend:      *backendName,
-			Dir:          *ckptDir,
-			FrontTier:    *frontTier,
-			BackTier:     *backTier,
-			FrontCap:     int64(*frontCap) << 10,
-			Delta:        *delta,
-			Dedup:        *dedup,
-			Compress:     *compress,
-			CompressTier: tier,
-			ChunkBytes:   *chunkKB << 10,
-			RetainBases:  *retainBases,
-			Workers:      *workers,
-		})
-		if err != nil {
-			return err
-		}
-		cfg.Store = st
 	}
 
 	start := time.Now()
@@ -391,24 +368,15 @@ func cmdRun(args []string) error {
 		reportFaults(cfg.Faults, st)
 	}
 	store := s.Store()
-	images, chains, err := store.MaterializeHead()
+	imgs, chains, err := store.MaterializeStreamHead()
 	if err != nil {
 		return err
 	}
-	var bytes int
-	for _, img := range images {
-		bytes += len(img)
-	}
-	// Only identity metadata is reported, so peek instead of decoding
-	// (and possibly decompressing) the whole image.
-	img0, err := ckptimg.PeekMeta(images[0])
-	if err != nil {
-		return err
-	}
-	fmt.Printf("checkpoint: %d rank images at step %d, %d KB real + %d MB modeled per rank\n",
-		len(images), img0.Step, bytes/len(images)/1024, img0.ModeledBytes>>20)
+	head, _ := store.Head()
+	fmt.Printf("checkpoint: %d rank images at step %d, %d KB stored + %d MB modeled per rank\n",
+		len(imgs), imgs[0].Step, head.Bytes/int64(len(imgs))/1024, imgs[0].ModeledBytes>>20)
 	if links := chains[0].Links; links > 0 {
-		fmt.Printf("checkpoint: head resolves a %d-link delta chain (%d KB base + %d KB deltas per rank)\n",
+		fmt.Printf("checkpoint: head resolves a %d-link delta chain (rank 0 reads %d KB of base + %d KB of winning delta chunks)\n",
 			links, chains[0].BaseBytes/1024, chains[0].DeltaBytes/1024)
 	}
 	for _, g := range store.Generations() {
@@ -432,16 +400,16 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	rcfg := mana.Config{ImplName: *restartImpl, Factory: rfactory, Host: host, DrainStrategy: *drainName, StreamRestart: *streamRestart, RestartFallback: *restartFallback}
+	rcfg := mana.Config{ImplName: *restartImpl, Factory: rfactory, Host: host, DrainStrategy: *drainName, RestartFallback: *restartFallback}
 	rs, err := mana.RestartJobFromStore(rcfg, store, spec.New(in))
 	if err != nil {
 		return err
 	}
 	// The restart's own materialization already resolved every chain;
 	// report its chunk accounting instead of resolving a second time.
-	if sc := rs.RestartChains(); *streamRestart && len(sc) > 0 && sc[0].Links > 0 {
-		fmt.Printf("streaming: rank 0 inflated %d chunks, skipped %d superseded (peak %d KB vs %d KB batch)\n",
-			sc[0].ChunksRead, sc[0].ChunksSkipped, sc[0].PeakBytes/1024, chains[0].PeakBytes/1024)
+	if sc := rs.RestartChains(); len(sc) > 0 && sc[0].Links > 0 {
+		fmt.Printf("restart: rank 0 inflated %d chunks, skipped %d superseded (peak %d KB)\n",
+			sc[0].ChunksRead, sc[0].ChunksSkipped, sc[0].PeakBytes/1024)
 	}
 	rst, err := rs.Wait()
 	if err != nil {

@@ -47,7 +47,8 @@ type Input struct {
 	StepCompute time.Duration
 	// ComputeFactor scales StepCompute for a different MPI
 	// implementation's native performance (Figure 2's native/OMPI and
-	// Figure 3's native/ExaMPI bars; see EXPERIMENTS.md).
+	// Figure 3's native/ExaMPI bars, to which harness.computeFactor fits
+	// it).
 	ComputeFactor float64
 	// PollsPerStep is the per-rank progress-poll (MPI_Iprobe) count per
 	// step, calibrated from the paper's Section 6.3 context-switch

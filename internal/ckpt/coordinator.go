@@ -5,8 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"manasim/internal/ckptimg"
 	"manasim/internal/ckptstore"
-	"manasim/internal/fsim"
 )
 
 // TagAnnounce is the MANA-internal tag used on the internal
@@ -79,11 +79,9 @@ type CtlLink interface {
 // outside the ranks that requests checkpoints and collects images into
 // the generation-chained checkpoint store.
 type Coordinator struct {
-	n       int
-	fs      fsim.FS
-	storage *fsim.Storage
-	store   *ckptstore.Store
-	lag     int
+	n     int
+	store *ckptstore.Store
+	lag   int
 
 	// atStep is a preset checkpoint boundary (deterministic tests and
 	// scheduled checkpoints); <0 means none.
@@ -106,25 +104,22 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds a coordinator for an n-rank job with a fresh
-// in-memory, full-image store (the compat path: callers that want delta
-// images or durable backends use NewStoreCoordinator).
-func NewCoordinator(n int, fs fsim.FS, storage *fsim.Storage, lag int) *Coordinator {
-	return NewStoreCoordinator(n, fs, storage, nil, lag)
+// in-memory, full-image store (callers that want delta images or
+// durable backends use NewStoreCoordinator).
+func NewCoordinator(n, lag int) *Coordinator {
+	return NewStoreCoordinator(n, nil, lag)
 }
 
 // NewStoreCoordinator builds a coordinator delivering into st; a nil st
 // gets a fresh in-memory store.
-func NewStoreCoordinator(n int, fs fsim.FS, storage *fsim.Storage, st *ckptstore.Store, lag int) *Coordinator {
-	if storage == nil {
-		storage = fsim.NewStorage()
-	}
+func NewStoreCoordinator(n int, st *ckptstore.Store, lag int) *Coordinator {
 	if st == nil {
 		st = ckptstore.MustOpen(n, ckptstore.Options{})
 	}
 	if lag <= 0 {
 		lag = 8
 	}
-	c := &Coordinator{n: n, fs: fs, storage: storage, store: st, lag: lag, gen: make(map[int][]byte)}
+	c := &Coordinator{n: n, store: st, lag: lag, gen: make(map[int][]byte)}
 	c.atStep.Store(-1)
 	return c
 }
@@ -140,9 +135,6 @@ func (c *Coordinator) RequestCheckpointAtStep(s int) { c.atStep.Store(int64(s)) 
 // simulator's stand-in for the checkpoint signal.
 func (c *Coordinator) RequestCheckpoint() { c.asyncReq.Store(true) }
 
-// Storage exposes the legacy flat image store (fault-injection tests).
-func (c *Coordinator) Storage() *fsim.Storage { return c.storage }
-
 // Store exposes the generation-chained checkpoint store.
 func (c *Coordinator) Store() *ckptstore.Store { return c.store }
 
@@ -153,9 +145,11 @@ func (c *Coordinator) Taken() int {
 	return c.taken
 }
 
-// Images returns the most recent committed generation as full images
-// ordered by rank, materializing base+delta chains. It returns an
-// *IncompleteSetError when the store holds no complete generation.
+// Images returns the most recent committed generation as full encoded
+// images ordered by rank: MaterializeStreamHead resolves base+delta
+// chains, and each resolved image is encoded with the store's options.
+// It returns an *IncompleteSetError when the store holds no complete
+// generation.
 func (c *Coordinator) Images() ([][]byte, error) {
 	c.mu.Lock()
 	staged := len(c.gen)
@@ -163,8 +157,17 @@ func (c *Coordinator) Images() ([][]byte, error) {
 	if _, ok := c.store.Head(); !ok {
 		return nil, &IncompleteSetError{Have: staged, Want: c.n}
 	}
-	images, _, err := c.store.MaterializeHead()
-	return images, err
+	imgs, _, err := c.store.MaterializeStreamHead()
+	if err != nil {
+		return nil, err
+	}
+	images := make([][]byte, len(imgs))
+	for r, img := range imgs {
+		if images[r], err = ckptimg.EncodeOpts(img, c.store.EncodeOptions()); err != nil {
+			return nil, err
+		}
+	}
+	return images, nil
 }
 
 // Deliver records one rank's encoded image for the current generation.
@@ -190,7 +193,6 @@ func (c *Coordinator) Deliver(rank int, data []byte) error {
 		return &DoubleDeliverError{Rank: rank, Gen: c.taken}
 	}
 	c.gen[rank] = data
-	c.storage.Write(fmt.Sprintf("ckpt_rank%d", rank), data)
 	if len(c.gen) == c.n {
 		set := make([][]byte, c.n)
 		for r, img := range c.gen {

@@ -4,11 +4,22 @@ import (
 	"errors"
 	"testing"
 
-	"manasim/internal/fsim"
+	"manasim/internal/ckptimg"
 )
 
+// rankImage encodes a minimal image for one rank of an n-rank job whose
+// application state is the single byte tag.
+func rankImage(t *testing.T, rank, n int, tag byte) []byte {
+	t.Helper()
+	data, err := ckptimg.Encode(&ckptimg.Image{Rank: rank, NRanks: n, Impl: "mpich", Design: "virtid", AppState: []byte{tag}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 func TestDeliverRejectsDoubleDelivery(t *testing.T) {
-	co := NewCoordinator(2, fsim.NFSv3(), nil, 8)
+	co := NewCoordinator(2, 8)
 	if err := co.Deliver(0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +37,7 @@ func TestDeliverRejectsDoubleDelivery(t *testing.T) {
 }
 
 func TestDeliverRejectsOutOfRangeRank(t *testing.T) {
-	co := NewCoordinator(2, fsim.NFSv3(), nil, 8)
+	co := NewCoordinator(2, 8)
 	if err := co.Deliver(2, []byte{1}); err == nil {
 		t.Fatal("out-of-range rank accepted")
 	}
@@ -36,7 +47,7 @@ func TestDeliverRejectsOutOfRangeRank(t *testing.T) {
 }
 
 func TestImagesIncompleteGenerationTypedError(t *testing.T) {
-	co := NewCoordinator(3, fsim.NFSv3(), nil, 8)
+	co := NewCoordinator(3, 8)
 
 	// Nothing delivered yet.
 	_, err := co.Images()
@@ -49,7 +60,7 @@ func TestImagesIncompleteGenerationTypedError(t *testing.T) {
 	}
 
 	// Partial generation.
-	if err := co.Deliver(1, []byte{1}); err != nil {
+	if err := co.Deliver(1, rankImage(t, 1, 3, 1)); err != nil {
 		t.Fatal(err)
 	}
 	_, err = co.Images()
@@ -58,18 +69,30 @@ func TestImagesIncompleteGenerationTypedError(t *testing.T) {
 	}
 
 	// Complete generation.
-	if err := co.Deliver(0, []byte{0}); err != nil {
+	if err := co.Deliver(0, rankImage(t, 0, 3, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := co.Deliver(2, []byte{2}); err != nil {
+	if err := co.Deliver(2, rankImage(t, 2, 3, 2)); err != nil {
 		t.Fatal(err)
 	}
-	imgs, err := co.Images()
-	if err != nil {
-		t.Fatal(err)
+	states := func() []byte {
+		t.Helper()
+		imgs, err := co.Images()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []byte
+		for _, data := range imgs {
+			img, err := ckptimg.Decode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, img.AppState...)
+		}
+		return out
 	}
-	if len(imgs) != 3 || imgs[0][0] != 0 || imgs[1][0] != 1 || imgs[2][0] != 2 {
-		t.Fatalf("images %v", imgs)
+	if got := states(); string(got) != "\x00\x01\x02" {
+		t.Fatalf("image states %v", got)
 	}
 	if co.Taken() != 1 {
 		t.Fatalf("taken %d", co.Taken())
@@ -77,12 +100,11 @@ func TestImagesIncompleteGenerationTypedError(t *testing.T) {
 
 	// A second generation in flight does not clobber the last complete
 	// set, and ranks may deliver again.
-	if err := co.Deliver(0, []byte{10}); err != nil {
+	if err := co.Deliver(0, rankImage(t, 0, 3, 10)); err != nil {
 		t.Fatalf("second-generation delivery rejected: %v", err)
 	}
-	imgs, err = co.Images()
-	if err != nil || imgs[0][0] != 0 {
-		t.Fatalf("last complete set lost: %v %v", imgs, err)
+	if got := states(); string(got) != "\x00\x01\x02" {
+		t.Fatalf("last complete set lost: %v", got)
 	}
 	if co.Taken() != 1 {
 		t.Fatalf("partial second generation already counted: taken %d", co.Taken())
@@ -147,7 +169,7 @@ func (l rankLink) CtlRecv(src, tag, count int) ([]int64, error) {
 
 func TestNextBoundaryAnnouncesAndAgrees(t *testing.T) {
 	const lag = 4
-	co := NewCoordinator(2, fsim.NFSv3(), nil, lag)
+	co := NewCoordinator(2, lag)
 	net := newFakeLink(2)
 
 	// No request pending: nothing happens.
@@ -182,7 +204,7 @@ func TestNextBoundaryAnnouncesAndAgrees(t *testing.T) {
 }
 
 func TestNextBoundarySkewBoundExceeded(t *testing.T) {
-	co := NewCoordinator(2, fsim.NFSv3(), nil, 2)
+	co := NewCoordinator(2, 2)
 	net := newFakeLink(2)
 	co.RequestCheckpoint()
 	if _, err := co.NextBoundary(net.linkFor(0), 0, 3, 100, -1); err != nil {
@@ -195,7 +217,7 @@ func TestNextBoundarySkewBoundExceeded(t *testing.T) {
 }
 
 func TestNextBoundaryClampsToFinalStep(t *testing.T) {
-	co := NewCoordinator(1, fsim.NFSv3(), nil, 8)
+	co := NewCoordinator(1, 8)
 	co.RequestCheckpointAtStep(50)
 	got, err := co.NextBoundary(newFakeLink(1).linkFor(0), 0, 0, 10, -1)
 	if err != nil || got != 10 {

@@ -39,8 +39,8 @@
 // killed mid-checkpoint leaves nothing in the store — the staged bytes
 // die with the coordinator and Images keeps returning the last complete
 // generation (or *IncompleteSetError when none exists). Images
-// materializes base+delta chains back into full images, so the restart
-// path is oblivious to whether generations were written incrementally.
+// resolves base+delta chains and re-encodes full images, so its callers
+// are oblivious to whether generations were written incrementally.
 // Rank-side encoding asks the store (Coordinator.Store) whether to
 // write a delta via PlanDelta; the dependency graph gains one edge:
 //
@@ -67,10 +67,9 @@
 // state behind, so the coordinator simply stays at the previous
 // generation count.
 //
-// Restart-side parallelism likewise lives in the store: both resolvers
-// (batch Materialize and the chunk-pipelined MaterializeStream, which
-// additionally overlaps each rank's link reads with chunk inflation
-// under newest-wins ownership) fan ranks out across the store's worker
-// pool and return rank-ordered results; the coordinator and runtime
-// never see partially resolved chains.
+// Restart-side parallelism likewise lives in the store: the chain
+// resolver (MaterializeStream, which overlaps each rank's link reads
+// with chunk inflation under newest-wins ownership) fans ranks out
+// across the store's worker pool and returns rank-ordered results; the
+// coordinator and runtime never see partially resolved chains.
 package ckpt

@@ -8,11 +8,13 @@
 // Format v3 is a streaming, sectioned encoding: a fixed header (magic,
 // version, flags) followed by framed sections, each carrying its own
 // CRC-32. The application state — the bulk of a real image — travels as
-// raw chunked bytes (optionally gzip-compressed), so large images are
+// raw chunked bytes (optionally compressed), so large images are
 // written and read section by section instead of through one monolithic
 // gob round-trip, and a flipped bit anywhere turns into a clean error
-// naming the damaged section. Format v2 (whole-body gob with a single
-// trailing CRC) is still decoded for images taken by older builds.
+// naming the damaged section. v3 with binary section tags is the only
+// encoding the decoders accept: any other header version (the
+// whole-body gob v2 of early builds) and the gob-coded section tags of
+// early v3 builds are refused as ErrCorrupt.
 //
 // The codec is built for the parallel checkpoint pipeline: encoders
 // write each byte of application state into the output exactly once,
@@ -37,19 +39,18 @@ import (
 
 // ErrCorrupt marks every decode failure caused by damaged image bytes —
 // truncation, checksum mismatch, torn or concatenated writes, flags that
-// contradict the payload. Callers distinguish "the image is broken"
-// (errors.Is(err, ErrCorrupt)) from structural misuse such as decoding a
-// delta image through Decode (ErrDeltaImage).
+// contradict the payload, a header or section this build does not read.
+// Callers distinguish "the image is broken" (errors.Is(err, ErrCorrupt))
+// from structural misuse such as decoding a delta image through Decode
+// (ErrDeltaImage).
 var ErrCorrupt = errors.New("image corrupted")
 
 // Magic identifies a MANA checkpoint image.
 var Magic = [8]byte{'M', 'A', 'N', 'A', 'C', 'K', 'P', 'T'}
 
-// Version is the current image format version.
+// Version is the image format version, the only one the decoders
+// accept.
 const Version uint32 = 3
-
-// VersionLegacy is the monolithic-gob format that Decode still accepts.
-const VersionLegacy uint32 = 2
 
 // FlagGzip marks an image whose application-state section is
 // gzip-compressed. On a delta image the flag applies per changed chunk:
@@ -59,9 +60,9 @@ const FlagGzip uint32 = 1 << 0
 
 // FlagDelta marks an incremental image: the application state travels as
 // per-chunk delta records against a parent generation instead of raw
-// chunks. Delta images are decoded with DecodeDelta and materialized
-// against the parent's application state by Delta.Apply; Decode rejects
-// them with ErrDeltaImage.
+// chunks. Delta images are read at chunk granularity with OpenDelta and
+// resolved against their parent chain by the checkpoint store; Decode
+// rejects them with ErrDeltaImage.
 const FlagDelta uint32 = 1 << 1
 
 // FlagFastCompress marks a gzip image written at the fast tier (flate
@@ -88,15 +89,12 @@ const AppChunk = 256 << 10
 // maxSection bounds a single section's claimed payload size.
 const maxSection = 1 << 31
 
-// Section tags of the v3 format.
+// Section tags every image variant shares; the binary-coded identity
+// and tail tags live in sections.go.
 const (
-	secMeta     uint32 = 0x4D455441 // "META": identity and sizes
-	secApp      uint32 = 0x41505053 // "APPS": application state chunk
-	secStore    uint32 = 0x53544F52 // "STOR": vid store snapshot
-	secDrained  uint32 = 0x44524E53 // "DRNS": drained in-flight messages
-	secReqs     uint32 = 0x52455153 // "REQS": completed receive requests
-	secCounters uint32 = 0x434E5452 // "CNTR": p2p counters
-	secEnd      uint32 = 0x454E4421 // "END!": clean-end marker
+	secApp   uint32 = 0x41505053 // "APPS": application state chunk
+	secStore uint32 = 0x53544F52 // "STOR": vid store snapshot (gob)
+	secEnd   uint32 = 0x454E4421 // "END!": clean-end marker
 )
 
 // DrainedMsg is one in-flight point-to-point message captured by the
@@ -159,23 +157,6 @@ type Image struct {
 	RecvFrom []uint64
 }
 
-// meta is the METAsection payload: everything except the bulk fields.
-type meta struct {
-	Rank           int
-	NRanks         int
-	Step           int
-	Impl           string
-	Design         string
-	UniformHandles bool
-	ModeledBytes   int64
-}
-
-// counters is the CNTR section payload.
-type counters struct {
-	SentTo   []uint64
-	RecvFrom []uint64
-}
-
 // Options parameterizes encoding.
 type Options struct {
 	// Compress gzips the application-state sections — the compression
@@ -213,14 +194,6 @@ func (o Options) headerFlags() uint32 {
 		flags |= FlagFastCompress
 	}
 	return flags
-}
-
-// checkCompressFlags rejects contradictory compression bits.
-func checkCompressFlags(flags uint32) error {
-	if flags&FlagGzip != 0 && flags&FlagLZ != 0 {
-		return fmt.Errorf("ckptimg: image claims both gzip and fast-lz compression (%w)", ErrCorrupt)
-	}
-	return nil
 }
 
 // Encode serializes the image in the current format with default
@@ -359,49 +332,24 @@ func writeTailSections(w io.Writer, img *Image) error {
 }
 
 // decodeCommonSection decodes one section shared by the full and delta
-// formats into img, reporting whether the tag was one of them. Both
-// the binary tags (current encoders) and the gob tags (images written
-// by earlier builds and persisted by durable backends) are accepted.
+// formats into img, reporting whether the tag was one of them.
 func decodeCommonSection(img *Image, tag uint32, payload []byte) (bool, error) {
 	switch tag {
 	case secMeta2:
 		return true, decodeMeta2(img, payload)
+	case secStore:
+		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&img.Store); err != nil {
+			return true, fmt.Errorf("ckptimg: decoding STOR section: %w", err)
+		}
+		return true, nil
 	case secDrained2:
 		return true, decodeDrained2(img, payload)
 	case secReqs2:
 		return true, decodeReqs2(img, payload)
 	case secCounters2:
 		return true, decodeCounters2(img, payload)
-	case secMeta:
-		var m meta
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
-			return true, fmt.Errorf("ckptimg: decoding META section: %w", err)
-		}
-		img.Rank, img.NRanks, img.Step = m.Rank, m.NRanks, m.Step
-		img.Impl, img.Design = m.Impl, m.Design
-		img.UniformHandles, img.ModeledBytes = m.UniformHandles, m.ModeledBytes
-	case secStore:
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&img.Store); err != nil {
-			return true, fmt.Errorf("ckptimg: decoding STOR section: %w", err)
-		}
-	case secDrained:
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&img.Drained); err != nil {
-			return true, fmt.Errorf("ckptimg: decoding DRNS section: %w", err)
-		}
-	case secReqs:
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&img.ReqResults); err != nil {
-			return true, fmt.Errorf("ckptimg: decoding REQS section: %w", err)
-		}
-	case secCounters:
-		var c counters
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&c); err != nil {
-			return true, fmt.Errorf("ckptimg: decoding CNTR section: %w", err)
-		}
-		img.SentTo, img.RecvFrom = c.SentTo, c.RecvFrom
-	default:
-		return false, nil
 	}
-	return true, nil
+	return false, nil
 }
 
 // writeSection frames one section: tag, length, CRC-32, payload.
@@ -497,39 +445,36 @@ func (c *sectionCursor) next() (uint32, []byte, error) {
 // rest reports the bytes remaining past the cursor.
 func (c *sectionCursor) rest() int { return len(c.data) - c.off }
 
-// parseHeader validates the 16-byte image header and returns the
-// version and flag bits.
-func parseHeader(data []byte) (ver, flags uint32, err error) {
+// parseHeader validates the 16-byte image header — magic, version, flag
+// bits — and returns the flags. Every failure wraps ErrCorrupt: a
+// header of another version, or with bits this build does not know, is
+// as unreadable to a restart as a damaged one.
+func parseHeader(data []byte) (flags uint32, err error) {
 	if len(data) < 16 {
-		return 0, 0, fmt.Errorf("ckptimg: image truncated reading header (%w)", ErrCorrupt)
+		return 0, fmt.Errorf("ckptimg: image truncated reading header (%w)", ErrCorrupt)
 	}
 	if !bytes.Equal(data[:8], Magic[:]) {
-		return 0, 0, fmt.Errorf("ckptimg: bad magic %q (%w)", data[:8], ErrCorrupt)
+		return 0, fmt.Errorf("ckptimg: bad magic %q (%w)", data[:8], ErrCorrupt)
 	}
-	ver = binary.LittleEndian.Uint32(data[8:12])
+	if ver := binary.LittleEndian.Uint32(data[8:12]); ver != Version {
+		return 0, fmt.Errorf("ckptimg: unsupported image version %d, want %d (%w)", ver, Version, ErrCorrupt)
+	}
 	flags = binary.LittleEndian.Uint32(data[12:16])
-	return ver, flags, nil
+	if flags&^knownFlags != 0 {
+		return 0, fmt.Errorf("ckptimg: unknown header flags %#x (%w)", flags&^knownFlags, ErrCorrupt)
+	}
+	if flags&FlagGzip != 0 && flags&FlagLZ != 0 {
+		return 0, fmt.Errorf("ckptimg: image claims both gzip and fast-lz compression (%w)", ErrCorrupt)
+	}
+	return flags, nil
 }
 
 // Decode validates and deserializes an image. The returned Image owns
 // all of its memory (nothing aliases data), so data may be reused
 // afterwards.
 func Decode(data []byte) (*Image, error) {
-	ver, flags, err := parseHeader(data)
+	flags, err := parseHeader(data)
 	if err != nil {
-		return nil, err
-	}
-	switch ver {
-	case VersionLegacy:
-		return decodeV2(data)
-	case Version:
-	default:
-		return nil, fmt.Errorf("ckptimg: unsupported image version %d (want %d or %d)", ver, Version, VersionLegacy)
-	}
-	if flags&^knownFlags != 0 {
-		return nil, fmt.Errorf("ckptimg: unknown header flags %#x", flags&^knownFlags)
-	}
-	if err := checkCompressFlags(flags); err != nil {
 		return nil, err
 	}
 	if flags&FlagDelta != 0 {
@@ -549,7 +494,7 @@ func Decode(data []byte) (*Image, error) {
 		if handled, err := decodeCommonSection(img, tag, payload); err != nil {
 			return nil, err
 		} else if handled {
-			sawMeta = sawMeta || tag == secMeta || tag == secMeta2
+			sawMeta = sawMeta || tag == secMeta2
 			continue
 		}
 		switch tag {
@@ -566,7 +511,7 @@ func Decode(data []byte) (*Image, error) {
 		return nil, fmt.Errorf("ckptimg: image has no META section (%w)", ErrCorrupt)
 	}
 	// Nothing may follow the end marker: trailing bytes mean a torn or
-	// concatenated write (the v2 whole-body CRC caught this too).
+	// concatenated write.
 	if c.rest() > 0 {
 		return nil, fmt.Errorf("ckptimg: trailing data after end marker (%w)", ErrCorrupt)
 	}
@@ -637,28 +582,19 @@ func DecodeFrom(r io.Reader) (*Image, error) {
 // touching the application payload. The checkpoint store uses it on
 // the commit path when it needs the step but no chunk indexing.
 func PeekMeta(data []byte) (*Image, error) {
-	ver, _, err := parseHeader(data)
-	if err != nil {
+	if _, err := parseHeader(data); err != nil {
 		return nil, err
-	}
-	switch ver {
-	case VersionLegacy:
-		// The monolithic format has no sections to skip; decode it.
-		return decodeV2(data)
-	case Version:
-	default:
-		return nil, fmt.Errorf("ckptimg: unsupported image version %d (want %d or %d)", ver, Version, VersionLegacy)
 	}
 	c := &sectionCursor{data: data, off: 16}
 	tag, payload, err := c.next()
 	if err != nil {
 		return nil, err
 	}
-	img := &Image{}
-	if tag != secMeta && tag != secMeta2 {
+	if tag != secMeta2 {
 		return nil, fmt.Errorf("ckptimg: image does not lead with a META section (%w)", ErrCorrupt)
 	}
-	if _, err := decodeCommonSection(img, tag, payload); err != nil {
+	img := &Image{}
+	if err := decodeMeta2(img, payload); err != nil {
 		return nil, err
 	}
 	return img, nil
@@ -691,43 +627,6 @@ func gunzip(data []byte) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// ---------------------------------------------------------------------
-// legacy v2 format
-
-// EncodeLegacy serializes the image in the v2 monolithic-gob format.
-// New checkpoints are always written as v3; this exists so
-// compatibility tests and older tooling can produce v2 images that
-// Decode must keep accepting.
-func EncodeLegacy(img *Image) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(img); err != nil {
-		return nil, fmt.Errorf("ckptimg: encode: %w", err)
-	}
-	out := make([]byte, 0, 16+body.Len())
-	out = append(out, Magic[:]...)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], VersionLegacy)
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(body.Bytes()))
-	out = append(out, hdr[:]...)
-	out = append(out, body.Bytes()...)
-	return out, nil
-}
-
-// decodeV2 decodes the legacy format: header bytes 12:16 are the
-// CRC-32 of the whole gob body that follows.
-func decodeV2(data []byte) (*Image, error) {
-	wantCRC := binary.LittleEndian.Uint32(data[12:16])
-	body := data[16:]
-	if got := crc32.ChecksumIEEE(body); got != wantCRC {
-		return nil, fmt.Errorf("ckptimg: checksum mismatch (%w): %08x != %08x", ErrCorrupt, got, wantCRC)
-	}
-	var img Image
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&img); err != nil {
-		return nil, fmt.Errorf("ckptimg: decode (%w): %w", ErrCorrupt, err)
-	}
-	return &img, nil
 }
 
 // ValidateSet checks that a set of images forms one consistent job

@@ -2,7 +2,6 @@ package ckptimg
 
 import (
 	"bytes"
-	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -148,7 +147,7 @@ func TestTotalBytes(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// format v3: sections, compression, streaming, v2 compatibility
+// format v3: sections, compression, streaming
 
 // sameImage compares the fields a restart depends on.
 func sameImage(t *testing.T, got, want *Image) {
@@ -172,29 +171,6 @@ func sameImage(t *testing.T, got, want *Image) {
 	}
 	if !reflect.DeepEqual(got.SentTo, want.SentTo) || !reflect.DeepEqual(got.RecvFrom, want.RecvFrom) {
 		t.Fatalf("counters %v/%v vs %v/%v", got.SentTo, got.RecvFrom, want.SentTo, want.RecvFrom)
-	}
-}
-
-func TestDecodeAcceptsLegacyV2Images(t *testing.T) {
-	img := sampleImage(1, 2, 4)
-	data, err := EncodeLegacy(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ver := binary.LittleEndian.Uint32(data[8:12]); ver != VersionLegacy {
-		t.Fatalf("legacy encoder wrote version %d", ver)
-	}
-	got, err := Decode(data)
-	if err != nil {
-		t.Fatalf("v2 image rejected by v3 decoder: %v", err)
-	}
-	sameImage(t, got, img)
-
-	// v2 corruption is still detected by the whole-body CRC.
-	bad := append([]byte(nil), data...)
-	bad[len(bad)/2] ^= 0x04
-	if _, err := Decode(bad); err == nil {
-		t.Fatal("corrupted v2 image accepted")
 	}
 }
 

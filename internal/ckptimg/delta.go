@@ -3,7 +3,6 @@ package ckptimg
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -21,13 +20,13 @@ import (
 // base+delta chain; this package only defines the per-image format.
 
 // secDeltaChunk tags one app-state chunk record ("DCHK"); the delta
-// linkage tags (DMET gob-legacy, DMT2 binary) live in sections.go.
+// linkage tag (DMT2) lives in sections.go.
 const secDeltaChunk uint32 = 0x4443484B
 
 // ErrDeltaImage reports that Decode was handed a delta image, which
-// cannot be materialized on its own; use DecodeDelta and resolve the
-// chain through the checkpoint store.
-var ErrDeltaImage = errors.New("ckptimg: image is an incremental delta (decode with DecodeDelta and resolve its parent chain)")
+// cannot be materialized on its own; read it with OpenDelta and resolve
+// its parent chain through the checkpoint store.
+var ErrDeltaImage = errors.New("ckptimg: image is an incremental delta (read it with OpenDelta and resolve its parent chain through the checkpoint store)")
 
 // ChunkIndex is the per-chunk CRC index of one rank's application
 // state: the structure the checkpoint store keeps across generations so
@@ -73,8 +72,8 @@ type deltaMeta struct {
 	// ParentGen is the store generation sequence number this delta was
 	// encoded against (diagnostics; the store validates the chain).
 	ParentGen int
-	// ParentLen is the parent application state's byte length; Apply
-	// refuses a parent of any other size.
+	// ParentLen is the parent application state's byte length; chain
+	// resolution refuses a parent of any other size.
 	ParentLen int
 	// NewLen is this image's application-state byte length.
 	NewLen int
@@ -82,36 +81,6 @@ type deltaMeta struct {
 	ChunkBytes int
 	// Chunks is the number of DCHK records that follow.
 	Chunks int
-}
-
-// DeltaChunk is one decoded chunk record.
-type DeltaChunk struct {
-	// CRC is the CRC-32 of the chunk's (uncompressed) content — the
-	// value the next generation's index carries for this chunk.
-	CRC uint32
-	// Data holds the new chunk bytes; nil marks a chunk unchanged since
-	// the parent generation.
-	Data []byte
-}
-
-// Delta is a decoded incremental image: every Image field except the
-// application state, plus the per-chunk records needed to rebuild it
-// from the parent generation's state.
-//
-// Uncompressed chunk Data subslices the buffer handed to DecodeDelta —
-// there is no per-chunk copy — so the caller must not mutate that
-// buffer while the Delta is in use.
-type Delta struct {
-	// Image carries the identity, vid store, drained messages, request
-	// results, and counters; Image.AppState is nil.
-	Image *Image
-	// ParentGen, ParentLen, NewLen, ChunkBytes mirror the DMET section.
-	ParentGen  int
-	ParentLen  int
-	NewLen     int
-	ChunkBytes int
-	// Chunks holds one record per chunk of the new application state.
-	Chunks []DeltaChunk
 }
 
 // DeltaStats summarizes one delta encode.
@@ -268,108 +237,4 @@ func IsDelta(data []byte) bool {
 	}
 	return binary.LittleEndian.Uint32(data[8:12]) == Version &&
 		binary.LittleEndian.Uint32(data[12:16])&FlagDelta != 0
-}
-
-// decodeDeltaMetaAny decodes a delta-linkage section — binary DMT2 or
-// the gob-coded DMET of earlier builds — and validates its consistency.
-func decodeDeltaMetaAny(tag uint32, payload []byte) (*deltaMeta, error) {
-	var dm *deltaMeta
-	if tag == secDeltaMet2 {
-		var err error
-		if dm, err = decodeDeltaMeta2(payload); err != nil {
-			return nil, err
-		}
-	} else {
-		dm = &deltaMeta{}
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(dm); err != nil {
-			return nil, fmt.Errorf("ckptimg: decoding DMET section: %w", err)
-		}
-	}
-	if dm.ChunkBytes <= 0 || dm.NewLen < 0 || dm.ParentLen < 0 ||
-		dm.Chunks != (dm.NewLen+dm.ChunkBytes-1)/dm.ChunkBytes {
-		return nil, fmt.Errorf("ckptimg: inconsistent DMET section (%w)", ErrCorrupt)
-	}
-	return dm, nil
-}
-
-// DecodeDelta validates and deserializes a delta image, inflating every
-// changed chunk. Uncompressed chunk payloads alias data (see Delta);
-// everything else is copied. It is the chunk-level streaming decoder
-// (OpenDelta) plus an inflate pass — the streaming restart resolver
-// uses OpenDelta directly so superseded chunks are never inflated.
-func DecodeDelta(data []byte) (*Delta, error) {
-	if ver, flags, err := parseHeader(data); err != nil {
-		return nil, err
-	} else if ver == Version && flags&^knownFlags == 0 && flags&FlagDelta == 0 {
-		return nil, fmt.Errorf("ckptimg: not a delta image (decode with Decode)")
-	}
-	r, err := OpenDelta(data, true)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	d := &Delta{
-		Image:     r.Image,
-		ParentGen: r.ParentGen, ParentLen: r.ParentLen,
-		NewLen: r.NewLen, ChunkBytes: r.ChunkBytes,
-		Chunks: make([]DeltaChunk, r.NumChunks()),
-	}
-	for i := range d.Chunks {
-		ch := r.Chunk(i)
-		dc := DeltaChunk{CRC: ch.CRC}
-		if ch.Changed {
-			if r.Compressed() {
-				// The chunk's uncompressed size is pinned by DMET, so it
-				// inflates into an exact-size buffer (one pooled gzip
-				// reader serves every chunk; InflateChunk verifies the
-				// content CRC).
-				buf := make([]byte, r.ChunkLen(i))
-				if err := r.InflateChunk(i, buf); err != nil {
-					return nil, err
-				}
-				dc.Data = buf
-			} else {
-				if crc32.ChecksumIEEE(ch.Payload) != ch.CRC {
-					return nil, fmt.Errorf("ckptimg: delta chunk %d content checksum mismatch (%w)", i, ErrCorrupt)
-				}
-				dc.Data = ch.Payload
-			}
-		}
-		d.Chunks[i] = dc
-	}
-	return d, nil
-}
-
-// Apply materializes the full image by filling unchanged chunks from
-// the parent generation's application state. Every chunk — copied or
-// shipped — is verified against its recorded CRC, so applying a delta
-// to the wrong parent fails instead of silently producing garbage.
-func (d *Delta) Apply(parentApp []byte) (*Image, error) {
-	if len(parentApp) != d.ParentLen {
-		return nil, fmt.Errorf("ckptimg: delta parent is %d bytes, image expects %d (wrong generation?)", len(parentApp), d.ParentLen)
-	}
-	app := make([]byte, 0, d.NewLen)
-	for i, ch := range d.Chunks {
-		off := i * d.ChunkBytes
-		want := min(d.ChunkBytes, d.NewLen-off)
-		chunk := ch.Data
-		if chunk == nil {
-			if off+want > len(parentApp) {
-				return nil, fmt.Errorf("ckptimg: unchanged chunk %d outside parent state (%w)", i, ErrCorrupt)
-			}
-			chunk = parentApp[off : off+want]
-			if crc32.ChecksumIEEE(chunk) != ch.CRC {
-				return nil, fmt.Errorf("ckptimg: parent chunk %d checksum mismatch (wrong generation?)", i)
-			}
-		}
-		if len(chunk) != want {
-			return nil, fmt.Errorf("ckptimg: delta chunk %d is %d bytes, want %d (%w)", i, len(chunk), want, ErrCorrupt)
-		}
-		app = append(app, chunk...)
-	}
-	img := *d.Image
-	if len(app) > 0 {
-		img.AppState = app
-	}
-	return &img, nil
 }

@@ -258,22 +258,6 @@ func TestDecodeGzipFlagOnRawPayload(t *testing.T) {
 	}
 }
 
-func TestDecodeV2TrailingGarbage(t *testing.T) {
-	img := deltaTestImage(0)
-	data, err := EncodeLegacy(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append(append([]byte(nil), data...), "tail!"...)
-	_, err = Decode(bad)
-	if err == nil {
-		t.Fatal("v2 image with trailing garbage accepted")
-	}
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt, got %v", err)
-	}
-}
-
 func TestDecodeDeltaCorruption(t *testing.T) {
 	parent := deltaTestImage(0)
 	child := deltaTestImage(1)
@@ -315,11 +299,7 @@ func TestPeekMeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := EncodeLegacy(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, data := range [][]byte{full, delta, legacy} {
+	for _, data := range [][]byte{full, delta} {
 		m, err := PeekMeta(data)
 		if err != nil {
 			t.Fatal(err)

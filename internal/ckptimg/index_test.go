@@ -267,18 +267,10 @@ func TestIndexRejectsWrongDeclaredLength(t *testing.T) {
 	}
 }
 
-// TestIndexFullLegacyAndEmpty: a v2 image indexes through its whole
-// decode, an empty state indexes to no chunks in every tier.
+// TestIndexFullLegacyAndEmpty: an empty state indexes to no chunks in
+// every tier. (Pre-v3 images are refused, see TestPreV3ImagesRefused in
+// ckptstore.)
 func TestIndexFullLegacyAndEmpty(t *testing.T) {
-	img := deltaTestImage(3)
-	v2, err := EncodeLegacy(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameVerdictFull(t, v2, "legacy v2 image")
-	if ix, err := IndexFull(v2, 128); err != nil || ix.Index.Total != len(img.AppState) {
-		t.Fatalf("legacy v2 image: %+v, %v", ix, err)
-	}
 	empty := deltaTestImage(0)
 	empty.AppState = nil
 	for _, tier := range indexTiers {

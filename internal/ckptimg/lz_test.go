@@ -125,9 +125,9 @@ func TestEncodeFastLZImageRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		ver, flags, err := parseHeader(data)
-		if err != nil || ver != Version {
-			t.Fatalf("header: ver %d err %v", ver, err)
+		flags, err := parseHeader(data)
+		if err != nil {
+			t.Fatalf("header: %v", err)
 		}
 		if flags&FlagLZ == 0 || flags&FlagGzip != 0 {
 			t.Fatalf("flags %#x: want FlagLZ without FlagGzip", flags)

@@ -10,26 +10,25 @@ import (
 )
 
 // This file is the compact binary codec for the fixed-shape sections of
-// the v3 format. The first v3 encoder shipped every section as gob,
-// which costs ~20 heap allocations per section per image — pure
-// overhead on the parallel checkpoint path, where every rank encodes
-// META, DMET, DRNS, REQS, and CNTR on every generation. Those sections
-// are flat structs of ints, strings, and byte slices, so they now
-// travel as fixed little-endian fields under new tags; only the vid
+// the v3 format: identity, delta linkage, drained messages, request
+// results and counters are flat structs of ints, strings and byte
+// slices, so they travel as fixed little-endian fields — gob would cost
+// ~20 heap allocations per section per image on the parallel checkpoint
+// path, where every rank encodes them on every generation. Only the vid
 // store snapshot (STOR), a genuinely recursive structure, stays gob.
 //
-// Compatibility: decoders keep accepting the original gob tags, so
-// images persisted by earlier builds (the "fs" backend outlives the
-// process) still restore. Encoders always write the binary tags.
+// The first v3 encoder shipped these sections as gob under the tags
+// META, DMET, DRNS, REQS and CNTR; the binary codec took new tags.
+// Decoders accept only the binary tags: an image carrying a gob-coded
+// section is refused as ErrCorrupt (an unknown tag).
 
-// Binary section tags (the gob-coded originals keep their tags).
+// Binary section tags.
 const (
-	secMeta2     uint32 = 0x4D455432 // "MET2": identity, binary coded
-	secDrained2  uint32 = 0x44524E32 // "DRN2": drained messages, binary
-	secReqs2     uint32 = 0x52515332 // "RQS2": request results, binary
-	secCounters2 uint32 = 0x43545232 // "CTR2": p2p counters, binary
-	secDeltaMeta uint32 = 0x444D4554 // "DMET": delta linkage, gob (legacy)
-	secDeltaMet2 uint32 = 0x444D5432 // "DMT2": delta linkage, binary
+	secMeta2     uint32 = 0x4D455432 // "MET2": identity
+	secDrained2  uint32 = 0x44524E32 // "DRN2": drained messages
+	secReqs2     uint32 = 0x52515332 // "RQS2": request results
+	secCounters2 uint32 = 0x43545232 // "CTR2": p2p counters
+	secDeltaMet2 uint32 = 0x444D5432 // "DMT2": delta linkage
 )
 
 // ---------------------------------------------------------------------
@@ -308,7 +307,9 @@ func writeDeltaMetaSection(w io.Writer, dm *deltaMeta) error {
 	return writeSection(w, secDeltaMet2, b.Bytes())
 }
 
-func decodeDeltaMeta2(payload []byte) (*deltaMeta, error) {
+// decodeDeltaMeta decodes the DMT2 section and validates its
+// consistency.
+func decodeDeltaMeta(payload []byte) (*deltaMeta, error) {
 	r := &fieldReader{data: payload}
 	dm := &deltaMeta{
 		ParentGen:  int(r.i64()),
@@ -319,6 +320,10 @@ func decodeDeltaMeta2(payload []byte) (*deltaMeta, error) {
 	}
 	if !r.done() {
 		return nil, badSection(secDeltaMet2)
+	}
+	if dm.ChunkBytes <= 0 || dm.NewLen < 0 || dm.ParentLen < 0 ||
+		dm.Chunks != (dm.NewLen+dm.ChunkBytes-1)/dm.ChunkBytes {
+		return nil, fmt.Errorf("ckptimg: inconsistent DMET section (%w)", ErrCorrupt)
 	}
 	return dm, nil
 }

@@ -9,16 +9,14 @@ import (
 )
 
 // This file is the chunk-level streaming tier of the decoder: the
-// restart-side counterpart of the incremental encoder in delta.go.
-// DecodeDelta inflates every changed chunk of a link; the streaming
-// restart pipeline instead resolves a newest-wins owner per chunk
-// position across the whole base+delta chain first, and only then
-// decompresses the winning chunks — so it needs to see a link's chunk
-// *structure* (positions, CRCs, changed flags, raw payloads) without
-// paying for any inflation. ChunkReader provides that view for delta
-// images; AppReader streams a full image's application state
-// sequentially, so a base's superseded chunks are skipped instead of
-// materialized.
+// restart-side counterpart of the incremental encoder in delta.go. The
+// restart resolver decides a newest-wins owner per chunk position
+// across the whole base+delta chain first, and only then decompresses
+// the winning chunks — so it needs to see a link's chunk *structure*
+// (positions, CRCs, changed flags, raw payloads) without paying for any
+// inflation. ChunkReader provides that view for delta images;
+// AppReader streams a full image's application state sequentially, so
+// a base's superseded chunks are skipped instead of materialized.
 //
 // Both readers still verify every section frame's CRC-32 while walking
 // the image (the sectionCursor does), so damaged bytes are detected
@@ -68,22 +66,12 @@ type ChunkReader struct {
 // identity survives into the materialized image); without it they are
 // frame-checked and skipped.
 func OpenDelta(data []byte, decodeTail bool) (*ChunkReader, error) {
-	ver, flags, err := parseHeader(data)
+	flags, err := parseHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	if ver != Version {
-		return nil, fmt.Errorf("ckptimg: unsupported delta image version %d (want %d)", ver, Version)
-	}
-	if flags&^knownFlags != 0 {
-		return nil, fmt.Errorf("ckptimg: unknown header flags %#x", flags&^knownFlags)
-	}
 	if flags&FlagDelta == 0 {
 		return nil, fmt.Errorf("ckptimg: not a delta image (stream it with OpenAppState)")
-	}
-
-	if err := checkCompressFlags(flags); err != nil {
-		return nil, err
 	}
 	r := &ChunkReader{compressed: flags&(FlagGzip|FlagLZ) != 0}
 	r.inf.lz = flags&FlagLZ != 0
@@ -100,8 +88,8 @@ func OpenDelta(data []byte, decodeTail bool) (*ChunkReader, error) {
 			return nil, err
 		}
 		switch {
-		case tag == secDeltaMeta || tag == secDeltaMet2:
-			if dm, err = decodeDeltaMetaAny(tag, payload); err != nil {
+		case tag == secDeltaMet2:
+			if dm, err = decodeDeltaMeta(payload); err != nil {
 				return nil, err
 			}
 			r.ParentGen, r.ParentLen = dm.ParentGen, dm.ParentLen
@@ -132,7 +120,7 @@ func OpenDelta(data []byte, decodeTail bool) (*ChunkReader, error) {
 		case tag == secEnd:
 			sawEnd = true
 		case isCommonTag(tag):
-			sawMeta = sawMeta || tag == secMeta || tag == secMeta2
+			sawMeta = sawMeta || tag == secMeta2
 			if decodeTail {
 				if _, err := decodeCommonSection(r.Image, tag, payload); err != nil {
 					return nil, err
@@ -204,10 +192,10 @@ func (r *ChunkReader) Close() { r.inf.release() }
 
 // isCommonTag reports whether tag is one of the sections shared by full
 // and delta images (identity, vid store, drained messages, request
-// results, counters), in either the binary or the gob-legacy coding.
+// results, counters).
 func isCommonTag(tag uint32) bool {
 	switch tag {
-	case secMeta, secMeta2, secStore, secDrained, secDrained2, secReqs, secReqs2, secCounters, secCounters2:
+	case secMeta2, secStore, secDrained2, secReqs2, secCounters2:
 		return true
 	}
 	return false
@@ -406,21 +394,10 @@ func (r *lzAppReader) skip(n int) error {
 // and positions a sequential reader at the start of its application
 // state. decodeTail also decodes the common sections into Image, as
 // OpenDelta does; without it they are frame-checked and skipped. Delta
-// images are rejected with ErrDeltaImage; legacy v2 images (monolithic
-// gob, nothing to stream) are rejected with a plain error so callers
-// fall back to Decode.
+// images are rejected with ErrDeltaImage.
 func OpenAppState(data []byte, decodeTail bool) (*AppReader, error) {
-	ver, flags, err := parseHeader(data)
+	flags, err := parseHeader(data)
 	if err != nil {
-		return nil, err
-	}
-	if ver != Version {
-		return nil, fmt.Errorf("ckptimg: cannot stream a version %d image (want %d)", ver, Version)
-	}
-	if flags&^knownFlags != 0 {
-		return nil, fmt.Errorf("ckptimg: unknown header flags %#x", flags&^knownFlags)
-	}
-	if err := checkCompressFlags(flags); err != nil {
 		return nil, err
 	}
 	if flags&FlagDelta != 0 {
@@ -445,7 +422,7 @@ func OpenAppState(data []byte, decodeTail bool) (*AppReader, error) {
 		case tag == secEnd:
 			sawEnd = true
 		case isCommonTag(tag):
-			sawMeta = sawMeta || tag == secMeta || tag == secMeta2
+			sawMeta = sawMeta || tag == secMeta2
 			if decodeTail {
 				if _, err := decodeCommonSection(r.Image, tag, payload); err != nil {
 					return nil, err

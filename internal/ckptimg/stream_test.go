@@ -161,8 +161,8 @@ func TestAppReaderStreamsAppState(t *testing.T) {
 		}
 	}
 
-	// Delta and legacy images are refused (the store falls back to the
-	// batch resolver on the latter).
+	// Delta images are refused with ErrDeltaImage, a header of any other
+	// version as damaged bytes.
 	idx := IndexAppState(img.AppState, 128)
 	delta, _, err := EncodeDelta(deltaTestImage(3), idx, 0, Options{})
 	if err != nil {
@@ -171,11 +171,12 @@ func TestAppReaderStreamsAppState(t *testing.T) {
 	if _, err := OpenAppState(delta, false); !errors.Is(err, ErrDeltaImage) {
 		t.Fatalf("delta image: %v", err)
 	}
-	v2, err := EncodeLegacy(img)
+	v2, err := Encode(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenAppState(v2, false); err == nil {
-		t.Fatal("v2 image streamed")
+	v2[8] = 2 // the format version
+	if _, err := OpenAppState(v2, false); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("v2 header: %v", err)
 	}
 }

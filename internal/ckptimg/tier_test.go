@@ -3,8 +3,6 @@ package ckptimg
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
-	"reflect"
 	"testing"
 )
 
@@ -93,153 +91,4 @@ func TestCompressTierDeltaRoundTrip(t *testing.T) {
 			t.Fatalf("tier %v: materialized state mismatch", tier)
 		}
 	}
-}
-
-// TestDecodeAcceptsGobSections proves the compatibility promise of the
-// binary section codec: a v3 image whose flat sections are gob-coded
-// under the original tags (what earlier builds wrote, and what durable
-// "fs" backends may still hold) decodes identically.
-func TestDecodeAcceptsGobSections(t *testing.T) {
-	img := sampleImage(1, 2, 6)
-	data, err := encodeWithGobSections(img, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, func() *Image {
-		// Round-trip through the current encoder for a reference value.
-		cur, _ := Encode(img)
-		ref, _ := Decode(cur)
-		return ref
-	}()) {
-		t.Fatal("gob-coded sections decode differently from binary sections")
-	}
-	if _, err := PeekMeta(data); err != nil {
-		t.Fatalf("PeekMeta on gob-coded image: %v", err)
-	}
-}
-
-// TestDecodeDeltaAcceptsGobDMET does the same for the delta linkage
-// section.
-func TestDecodeDeltaAcceptsGobDMET(t *testing.T) {
-	const cs = 64
-	parentApp := bytes.Repeat([]byte("p"), 256)
-	newApp := append(append([]byte(nil), parentApp[:192]...), bytes.Repeat([]byte("q"), 64)...)
-	img := sampleImage(0, 2, 7)
-	img.AppState = newApp
-	parent := IndexAppState(parentApp, cs)
-	data, err := encodeDeltaWithGobSections(img, parent, 3, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := DecodeDelta(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.ParentGen != 3 || d.ChunkBytes != cs || d.NewLen != len(newApp) {
-		t.Fatalf("linkage %+v", d)
-	}
-	full, err := d.Apply(parentApp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(full.AppState, newApp) {
-		t.Fatal("materialized state mismatch")
-	}
-}
-
-// encodeWithGobSections reproduces the PR2-era v3 layout: every flat
-// section gob-coded under its original tag.
-func encodeWithGobSections(img *Image, o Options) ([]byte, error) {
-	var buf bytes.Buffer
-	var hdr [16]byte
-	copy(hdr[:8], Magic[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], Version)
-	binary.LittleEndian.PutUint32(hdr[12:16], o.headerFlags())
-	buf.Write(hdr[:])
-	if err := gobSection(&buf, secMeta, &meta{
-		Rank: img.Rank, NRanks: img.NRanks, Step: img.Step,
-		Impl: img.Impl, Design: img.Design,
-		UniformHandles: img.UniformHandles, ModeledBytes: img.ModeledBytes,
-	}); err != nil {
-		return nil, err
-	}
-	cs := o.chunkSize()
-	app := img.AppState
-	for off := 0; off == 0 || off < len(app); off += cs {
-		end := min(off+cs, len(app))
-		if err := writeSection(&buf, secApp, app[off:end]); err != nil {
-			return nil, err
-		}
-	}
-	if err := writeGobTail(&buf, img); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// encodeDeltaWithGobSections emits a delta image with gob META/DMET and
-// gob tail sections.
-func encodeDeltaWithGobSections(img *Image, parent ChunkIndex, parentGen, cs int) ([]byte, error) {
-	var buf bytes.Buffer
-	var hdr [16]byte
-	copy(hdr[:8], Magic[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], Version)
-	binary.LittleEndian.PutUint32(hdr[12:16], FlagDelta)
-	buf.Write(hdr[:])
-	if err := gobSection(&buf, secMeta, &meta{
-		Rank: img.Rank, NRanks: img.NRanks, Step: img.Step,
-		Impl: img.Impl, Design: img.Design,
-	}); err != nil {
-		return nil, err
-	}
-	app := img.AppState
-	chunks := (len(app) + cs - 1) / cs
-	if err := gobSection(&buf, secDeltaMeta, &deltaMeta{
-		ParentGen: parentGen, ParentLen: parent.Total,
-		NewLen: len(app), ChunkBytes: cs, Chunks: chunks,
-	}); err != nil {
-		return nil, err
-	}
-	for i := 0; i < chunks; i++ {
-		off := i * cs
-		end := min(off+cs, len(app))
-		chunk := app[off:end]
-		crc := crc32.ChecksumIEEE(chunk)
-		unchanged := i < len(parent.CRCs) && parent.chunkLen(i) == len(chunk) && parent.CRCs[i] == crc
-		rec := make([]byte, 9, 9+len(chunk))
-		binary.LittleEndian.PutUint32(rec[0:4], uint32(i))
-		binary.LittleEndian.PutUint32(rec[5:9], crc)
-		if !unchanged {
-			rec[4] = 1
-			rec = append(rec, chunk...)
-		}
-		if err := writeSection(&buf, secDeltaChunk, rec); err != nil {
-			return nil, err
-		}
-	}
-	if err := writeGobTail(&buf, img); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// writeGobTail emits the PR2-era gob tail sections and end marker.
-func writeGobTail(buf *bytes.Buffer, img *Image) error {
-	if err := gobSection(buf, secStore, &img.Store); err != nil {
-		return err
-	}
-	if err := gobSection(buf, secDrained, img.Drained); err != nil {
-		return err
-	}
-	if err := gobSection(buf, secReqs, img.ReqResults); err != nil {
-		return err
-	}
-	if err := gobSection(buf, secCounters, &counters{SentTo: img.SentTo, RecvFrom: img.RecvFrom}); err != nil {
-		return err
-	}
-	return writeSection(buf, secEnd, nil)
 }

@@ -2,7 +2,6 @@ package ckptimg
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -18,37 +17,21 @@ var ErrUnverifiable = errors.New("ckptimg: payload carries no integrity informat
 // Verify checks an encoded image's integrity without assembling or
 // decompressing app state: the header, every section frame's CRC, the
 // clean-end marker, and the no-trailing-bytes rule. It accepts full
-// and delta v3 images and legacy v2 images (whole-body CRC). The walk
-// touches each byte exactly once and allocates nothing — this is the
-// scrubber's verify-only reader.
+// and delta v3 images. The walk touches each byte exactly once and
+// allocates nothing — this is the scrubber's verify-only reader.
 //
 // A payload that does not start with the image magic returns
 // ErrUnverifiable: the store allows opaque payloads, and nothing
 // distinguishes one from an image whose first eight bytes rotted.
-// Every other failure wraps ErrCorrupt.
+// Every other failure wraps ErrCorrupt — a header of another version
+// and a section tag this build does not write (the gob-coded tags of
+// early v3 builds) included.
 func Verify(data []byte) error {
 	if len(data) < 16 || !bytes.Equal(data[:8], Magic[:]) {
 		return ErrUnverifiable
 	}
-	ver, flags, err := parseHeader(data)
+	flags, err := parseHeader(data)
 	if err != nil {
-		return err
-	}
-	switch ver {
-	case VersionLegacy:
-		wantCRC := binary.LittleEndian.Uint32(data[12:16])
-		if got := crc32.ChecksumIEEE(data[16:]); got != wantCRC {
-			return fmt.Errorf("ckptimg: checksum mismatch (%w): %08x != %08x", ErrCorrupt, got, wantCRC)
-		}
-		return nil
-	case Version:
-	default:
-		return fmt.Errorf("ckptimg: image claims version %d (%w)", ver, ErrCorrupt)
-	}
-	if flags&^knownFlags != 0 {
-		return fmt.Errorf("ckptimg: unknown header flags %#x (%w)", flags&^knownFlags, ErrCorrupt)
-	}
-	if err := checkCompressFlags(flags); err != nil {
 		return err
 	}
 	delta := flags&FlagDelta != 0
@@ -60,9 +43,9 @@ func Verify(data []byte) error {
 			return err
 		}
 		switch tag {
-		case secMeta, secMeta2:
+		case secMeta2:
 			sawMeta = true
-		case secDeltaMeta, secDeltaMet2:
+		case secDeltaMet2:
 			if !delta {
 				return fmt.Errorf("ckptimg: delta linkage in a full image (%w)", ErrCorrupt)
 			}
@@ -71,7 +54,7 @@ func Verify(data []byte) error {
 			if !delta {
 				return fmt.Errorf("ckptimg: delta chunk record in a full image (%w)", ErrCorrupt)
 			}
-		case secApp, secStore, secDrained, secDrained2, secReqs, secReqs2, secCounters, secCounters2:
+		case secApp, secStore, secDrained2, secReqs2, secCounters2:
 		case secEnd:
 			if c.rest() > 0 {
 				return fmt.Errorf("ckptimg: trailing data after end marker (%w)", ErrCorrupt)
@@ -107,18 +90,8 @@ type Indexed struct {
 // declared length, nothing follows the end marker — and indexes its
 // application state at chunkBytes (<= 0 selects AppChunk). The state
 // passes through one chunk-sized scratch buffer and is never
-// assembled. A legacy v2 image has no sections to stream and is decoded
-// whole. Delta images return ErrDeltaImage.
+// assembled. Delta images return ErrDeltaImage.
 func IndexFull(data []byte, chunkBytes int) (Indexed, error) {
-	if ver, _, err := parseHeader(data); err != nil {
-		return Indexed{}, err
-	} else if ver == VersionLegacy {
-		img, err := decodeV2(data)
-		if err != nil {
-			return Indexed{}, err
-		}
-		return Indexed{Step: img.Step, Index: IndexAppState(img.AppState, chunkBytes)}, nil
-	}
 	r, err := OpenAppState(data, true)
 	if err != nil {
 		return Indexed{}, err
@@ -158,8 +131,8 @@ func IndexFull(data []byte, chunkBytes int) (Indexed, error) {
 	return Indexed{Step: r.Image.Step, Index: x}, nil
 }
 
-// IndexDelta validates a delta image as deeply as DecodeDelta does —
-// everything OpenDelta checks (frames, linkage, one record per chunk,
+// IndexDelta validates a delta image as deeply as a whole decode would
+// — everything OpenDelta checks (frames, linkage, one record per chunk,
 // the common sections decode), then every changed chunk's content
 // against its recorded CRC and length — and returns the chunk index the
 // image implies. Uncompressed chunks are checked where they lie;

@@ -6,10 +6,9 @@ import (
 	"testing"
 )
 
-// TestVerify: the verify-only reader accepts intact full, delta,
-// compressed, and legacy images, rejects every damaged shape with
-// ErrCorrupt, and reports opaque payloads unverifiable instead of
-// condemning them.
+// TestVerify: the verify-only reader accepts intact full, delta and
+// compressed images, rejects every damaged shape with ErrCorrupt, and
+// reports opaque payloads unverifiable instead of condemning them.
 func TestVerify(t *testing.T) {
 	img := sampleImage(0, 2, 4)
 	img.AppState = bytes.Repeat([]byte{7}, 4096)
@@ -22,10 +21,6 @@ func TestVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := EncodeLegacy(img)
-	if err != nil {
-		t.Fatal(err)
-	}
 	next := sampleImage(0, 2, 5)
 	next.AppState = bytes.Repeat([]byte{7}, 4096)
 	next.AppState[100] = 9
@@ -34,7 +29,7 @@ func TestVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for name, data := range map[string][]byte{"full": full, "gzip": gz, "legacy": legacy, "delta": delta} {
+	for name, data := range map[string][]byte{"full": full, "gzip": gz, "delta": delta} {
 		if err := Verify(data); err != nil {
 			t.Fatalf("%s image failed verify: %v", name, err)
 		}
@@ -58,10 +53,8 @@ func TestVerify(t *testing.T) {
 			t.Fatalf("%s torn write not caught: %v", name, err)
 		}
 		// Trailing bytes after the end marker are a torn append.
-		if name != "legacy" {
-			if err := Verify(append(append([]byte(nil), data...), 0xde)); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%s trailing byte not caught: %v", name, err)
-			}
+		if err := Verify(append(append([]byte(nil), data...), 0xde)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s trailing byte not caught: %v", name, err)
 		}
 	}
 

@@ -150,22 +150,18 @@ func TestStoreFullGenerations(t *testing.T) {
 	if _, ok := s.Head(); ok {
 		t.Fatal("empty store has a head")
 	}
-	if _, _, err := s.MaterializeHead(); err == nil {
+	if _, _, err := s.MaterializeStreamHead(); err == nil {
 		t.Fatal("materialized an empty store")
 	}
 	g0 := commitGen(t, s, 2, 3, func(r int) []byte { return appState(300, r) })
 	if !g0.Base() || g0.Seq != 0 || g0.Step != 3 {
 		t.Fatalf("generation %+v", g0)
 	}
-	imgs, _, err := s.MaterializeHead()
+	imgs, _, err := s.MaterializeStreamHead()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r, data := range imgs {
-		img, err := ckptimg.Decode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for r, img := range imgs {
 		if !bytes.Equal(img.AppState, appState(300, r)) {
 			t.Fatalf("rank %d app state mismatch", r)
 		}
@@ -193,15 +189,11 @@ func TestDeltaChainMaterializesBitIdentical(t *testing.T) {
 	// Every generation materializes to the exact app state of that
 	// generation, resolved through the chain.
 	for gen := 0; gen < 4; gen++ {
-		imgs, _, err := s.Materialize(gen)
+		imgs, _, err := s.MaterializeStream(gen)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for r, data := range imgs {
-			img, err := ckptimg.Decode(data)
-			if err != nil {
-				t.Fatalf("generation %d rank %d: %v", gen, r, err)
-			}
+		for r, img := range imgs {
 			if !bytes.Equal(img.AppState, appState(sz+r, gen)) {
 				t.Fatalf("generation %d rank %d app state mismatch", gen, r)
 			}
@@ -240,13 +232,13 @@ func TestOpaquePayloadsStoredVerbatim(t *testing.T) {
 	if _, err := s.Commit([][]byte{opaque, img1}); err != nil {
 		t.Fatal(err)
 	}
-	// Rank 0 must come back verbatim; rank 1 plans a delta, rank 0 a base.
-	imgs, _, err := s.MaterializeHead()
+	// Rank 0 is stored verbatim; rank 1 plans a delta, rank 0 a base.
+	stored, _, err := s.getBlob(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(imgs[0], opaque) {
-		t.Fatal("opaque payload not returned verbatim")
+	if !bytes.Equal(stored, opaque) {
+		t.Fatal("opaque payload not stored verbatim")
 	}
 	if _, _, ok := s.PlanDelta(0); ok {
 		t.Fatal("opaque rank planned a delta")
@@ -293,15 +285,11 @@ func TestFSManifestResumesChain(t *testing.T) {
 	if g.Base() || g.Seq != 2 {
 		t.Fatalf("resumed generation %+v", g)
 	}
-	imgs, _, err := s2.MaterializeHead()
+	imgs, _, err := s2.MaterializeStreamHead()
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := ckptimg.Decode(imgs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(img.AppState, appState(1000, 2)) {
+	if !bytes.Equal(imgs[0].AppState, appState(1000, 2)) {
 		t.Fatal("resumed chain materialized wrong app state")
 	}
 
@@ -319,15 +307,11 @@ func TestCompressedDeltaRoundTrip(t *testing.T) {
 	for gen := 0; gen < 3; gen++ {
 		commitGen(t, s, 1, gen, func(int) []byte { return appState(1000, gen) })
 	}
-	imgs, _, err := s.MaterializeHead()
+	imgs, _, err := s.MaterializeStreamHead()
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := ckptimg.Decode(imgs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(img.AppState, appState(1000, 2)) {
+	if !bytes.Equal(imgs[0].AppState, appState(1000, 2)) {
 		t.Fatal("compressed chain materialized wrong app state")
 	}
 }

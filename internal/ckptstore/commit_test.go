@@ -170,8 +170,8 @@ func TestCommitStoresDamagedFullImagesOpaque(t *testing.T) {
 			if gen.DeltaRanks != 0 {
 				t.Fatalf("%s: generation %+v", what, gen)
 			}
-			if imgs, _, err := s.MaterializeHead(); err != nil || !bytes.Equal(imgs[0], bad) {
-				t.Fatalf("%s: payload not returned verbatim (%v)", what, err)
+			if stored, _, err := s.getBlob(0, 0); err != nil || !bytes.Equal(stored, bad) {
+				t.Fatalf("%s: payload not stored verbatim (%v)", what, err)
 			}
 			if _, _, ok := s.PlanDelta(0); ok {
 				t.Fatalf("%s: the rank kept a chunk index", what)

@@ -54,8 +54,9 @@ func TestDedupCommitSharesBlobs(t *testing.T) {
 }
 
 // TestDedupMaterializeMatchesNonDedup commits the same images through a
-// dedup and a plain store and demands bit-identical materialization on
-// both the batch and streaming paths, with dedup stats populated.
+// dedup and a plain store and demands that both resolve every
+// generation to exactly the committed application state, with dedup
+// stats populated.
 func TestDedupMaterializeMatchesNonDedup(t *testing.T) {
 	const n = 4
 	plainOpts := dedupOptions()
@@ -85,36 +86,21 @@ func TestDedupMaterializeMatchesNonDedup(t *testing.T) {
 		}
 	}
 	for seq := 0; seq < 4; seq++ {
-		got, stats, err := dd.Materialize(seq)
+		got, stats, err := dd.MaterializeStream(seq)
 		if err != nil {
 			t.Fatalf("dedup materialize %d: %v", seq, err)
 		}
-		want, _, err := plain.Materialize(seq)
+		want, _, err := plain.MaterializeStream(seq)
 		if err != nil {
 			t.Fatalf("plain materialize %d: %v", seq, err)
 		}
 		for r := range got {
-			if !bytes.Equal(got[r], want[r]) {
-				t.Fatalf("generation %d rank %d: dedup materialization differs", seq, r)
+			committed := sharedAppState(4<<10, r, seq)
+			if !bytes.Equal(got[r].AppState, committed) || !bytes.Equal(want[r].AppState, committed) {
+				t.Fatalf("generation %d rank %d: resolved state differs from the committed snapshot", seq, r)
 			}
 			if tot := stats[r].UniqueBytes + stats[r].DedupBytes; tot == 0 {
 				t.Fatalf("generation %d rank %d: dedup read stats empty", seq, r)
-			}
-		}
-		simgs, sstats, err := dd.MaterializeStream(seq)
-		if err != nil {
-			t.Fatalf("dedup stream %d: %v", seq, err)
-		}
-		pimgs, _, err := plain.MaterializeStream(seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := range simgs {
-			if !bytes.Equal(simgs[r].AppState, pimgs[r].AppState) {
-				t.Fatalf("generation %d rank %d: streamed dedup state differs", seq, r)
-			}
-			if !sstats[r].Streamed {
-				t.Fatalf("generation %d rank %d: dedup chain fell back to batch", seq, r)
 			}
 		}
 	}
@@ -170,15 +156,11 @@ func TestPruneSharedBlobSurvives(t *testing.T) {
 		t.Fatalf("prune dropped no references: %d -> %d", before.SharedRefs, after.SharedRefs)
 	}
 	// ...and the surviving generation still materializes bit-correct.
-	imgs, _, err := s.Materialize(2)
+	imgs, _, err := s.MaterializeStream(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ckptimg.Decode(imgs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.AppState, sharedAppState(4<<10, 0, 0)) {
+	if !bytes.Equal(imgs[0].AppState, sharedAppState(4<<10, 0, 0)) {
 		t.Fatal("surviving generation's state corrupted by prune")
 	}
 	// Pruning again over the same range is a no-op, not a double
@@ -189,7 +171,7 @@ func TestPruneSharedBlobSurvives(t *testing.T) {
 	if s.DedupStats() != after {
 		t.Fatalf("retried prune changed the blob table: %+v -> %+v", after, s.DedupStats())
 	}
-	if _, _, err := s.Materialize(2); err != nil {
+	if _, _, err := s.MaterializeStream(2); err != nil {
 		t.Fatalf("surviving generation unreadable after retried prune: %v", err)
 	}
 }
@@ -229,7 +211,7 @@ func TestDedupPruneRetryAfterFailure(t *testing.T) {
 	if got := s.PrunedBefore(); got != 2 {
 		t.Fatalf("retried cutoff %d, want 2", got)
 	}
-	if _, _, err := s.Materialize(2); err != nil {
+	if _, _, err := s.MaterializeStream(2); err != nil {
 		t.Fatalf("head unreadable after prune retry: %v", err)
 	}
 }
@@ -274,7 +256,7 @@ func TestDedupCrashResume(t *testing.T) {
 		t.Fatal("orphan recipe survived the resume")
 	}
 	for seq := 0; seq < 2; seq++ {
-		if _, _, err := s2.Materialize(seq); err != nil {
+		if _, _, err := s2.MaterializeStream(seq); err != nil {
 			t.Fatalf("resumed materialize %d: %v", seq, err)
 		}
 	}
@@ -314,7 +296,7 @@ func TestDedupRollbackKeepsSharedBlobs(t *testing.T) {
 	if got := s.DedupStats(); got != stats {
 		t.Fatalf("failed commit disturbed the blob table: %+v -> %+v", stats, got)
 	}
-	if _, _, err := s.Materialize(0); err != nil {
+	if _, _, err := s.MaterializeStream(0); err != nil {
 		t.Fatalf("head unreadable after rolled-back commit: %v", err)
 	}
 	if errors.Is(err, ErrPruned) {
@@ -355,7 +337,7 @@ func TestRecipeRoundTrip(t *testing.T) {
 // TestDedupCommitRace hammers one dedup store from many goroutines:
 // one committer drives generations through the retention pruner
 // (RetainBases evicts shared blobs mid-run) while readers resolve
-// recipes through both materialization paths. Run under -race (make
+// recipes through the chain resolver. Run under -race (make
 // race-ckpt) this is the concurrency-safety proof for the shared blob
 // table; readers racing a prune must see ErrPruned, never corruption.
 func TestDedupCommitRace(t *testing.T) {
@@ -405,10 +387,6 @@ func TestDedupCommitRace(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, err := s.MaterializeHead(); err != nil && !errors.Is(err, ErrPruned) {
-					errs <- err
-					return
-				}
 				if _, _, err := s.MaterializeStreamHead(); err != nil && !errors.Is(err, ErrPruned) {
 					errs <- err
 					return
@@ -423,7 +401,7 @@ func TestDedupCommitRace(t *testing.T) {
 	}
 	// The surviving chains must still resolve and the blob table must
 	// account exactly for them.
-	if _, _, err := s.MaterializeHead(); err != nil {
+	if _, _, err := s.MaterializeStreamHead(); err != nil {
 		t.Fatal(err)
 	}
 	if ds := s.DedupStats(); ds.Blobs == 0 || ds.StoredBytes <= 0 {
@@ -435,71 +413,66 @@ func TestDedupCommitRace(t *testing.T) {
 // read path: a damaged recipe, a content blob that contradicts its
 // key, and a missing content blob all surface as *ChainLinkError
 // naming the generation and rank — the same shape as plain-chain
-// failures — on both the batch and streaming materialize paths, with
-// corruption still matchable via errors.Is(err, ckptimg.ErrCorrupt).
+// failures — with corruption still matchable via
+// errors.Is(err, ckptimg.ErrCorrupt).
 func TestDedupResolutionErrorsTyped(t *testing.T) {
 	const n = 2
-	materialize := map[string]func(s *Store, seq int) error{
-		"batch":  func(s *Store, seq int) error { _, _, err := s.Materialize(seq); return err },
-		"stream": func(s *Store, seq int) error { _, _, err := s.MaterializeStream(seq); return err },
-	}
-	for name, mat := range materialize {
-		t.Run(name, func(t *testing.T) {
-			// Damaged recipe: the gen key's bytes no longer decode.
-			s := MustOpen(n, dedupOptions())
-			commitGen(t, s, n, 0, func(r int) []byte { return sharedAppState(8<<10, r, 0) })
-			if err := s.Backend().Put(key(0, 1), []byte("MANARCP1 but torn")); err != nil {
-				t.Fatal(err)
-			}
-			err := mat(s, 0)
-			var cle *ChainLinkError
-			if !errors.As(err, &cle) {
-				t.Fatalf("damaged recipe: want *ChainLinkError, got %T: %v", err, err)
-			}
-			if cle.Gen != 0 || cle.Rank != 1 {
-				t.Fatalf("damaged recipe blamed gen %d rank %d, want 0/1", cle.Gen, cle.Rank)
-			}
+	mat := func(s *Store, seq int) error { _, _, err := s.MaterializeStream(seq); return err }
+	t.Run("stream", func(t *testing.T) {
+		// Damaged recipe: the gen key's bytes no longer decode.
+		s := MustOpen(n, dedupOptions())
+		commitGen(t, s, n, 0, func(r int) []byte { return sharedAppState(8<<10, r, 0) })
+		if err := s.Backend().Put(key(0, 1), []byte("MANARCP1 but torn")); err != nil {
+			t.Fatal(err)
+		}
+		err := mat(s, 0)
+		var cle *ChainLinkError
+		if !errors.As(err, &cle) {
+			t.Fatalf("damaged recipe: want *ChainLinkError, got %T: %v", err, err)
+		}
+		if cle.Gen != 0 || cle.Rank != 1 {
+			t.Fatalf("damaged recipe blamed gen %d rank %d, want 0/1", cle.Gen, cle.Rank)
+		}
 
-			// Corrupt content blob: stored bytes contradict the key.
-			s = MustOpen(n, dedupOptions())
-			commitGen(t, s, n, 0, func(r int) []byte { return sharedAppState(8<<10, r, 0) })
-			blobs := listBlobKeys(t, s)
-			data, err := s.Backend().Get(blobs[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			data[len(data)/2] ^= 0x40
-			if err := s.Backend().Put(blobs[0], data); err != nil {
-				t.Fatal(err)
-			}
-			err = mat(s, 0)
-			cle = nil
-			if !errors.As(err, &cle) {
-				t.Fatalf("corrupt blob: want *ChainLinkError, got %T: %v", err, err)
-			}
-			if cle.Gen != 0 {
-				t.Fatalf("corrupt blob blamed gen %d, want 0", cle.Gen)
-			}
-			if !errors.Is(err, ckptimg.ErrCorrupt) {
-				t.Fatalf("corrupt blob does not match ckptimg.ErrCorrupt: %v", err)
-			}
+		// Corrupt content blob: stored bytes contradict the key.
+		s = MustOpen(n, dedupOptions())
+		commitGen(t, s, n, 0, func(r int) []byte { return sharedAppState(8<<10, r, 0) })
+		blobs := listBlobKeys(t, s)
+		data, err := s.Backend().Get(blobs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0x40
+		if err := s.Backend().Put(blobs[0], data); err != nil {
+			t.Fatal(err)
+		}
+		err = mat(s, 0)
+		cle = nil
+		if !errors.As(err, &cle) {
+			t.Fatalf("corrupt blob: want *ChainLinkError, got %T: %v", err, err)
+		}
+		if cle.Gen != 0 {
+			t.Fatalf("corrupt blob blamed gen %d, want 0", cle.Gen)
+		}
+		if !errors.Is(err, ckptimg.ErrCorrupt) {
+			t.Fatalf("corrupt blob does not match ckptimg.ErrCorrupt: %v", err)
+		}
 
-			// Missing content blob (not a prune: the generation is live).
-			s = MustOpen(n, dedupOptions())
-			commitGen(t, s, n, 0, func(r int) []byte { return sharedAppState(8<<10, r, 0) })
-			if err := s.Backend().Delete(listBlobKeys(t, s)[0]); err != nil {
-				t.Fatal(err)
-			}
-			err = mat(s, 0)
-			cle = nil
-			if !errors.As(err, &cle) {
-				t.Fatalf("missing blob: want *ChainLinkError, got %T: %v", err, err)
-			}
-			if errors.Is(err, ErrPruned) {
-				t.Fatal("missing blob on a live generation reported as ErrPruned")
-			}
-		})
-	}
+		// Missing content blob (not a prune: the generation is live).
+		s = MustOpen(n, dedupOptions())
+		commitGen(t, s, n, 0, func(r int) []byte { return sharedAppState(8<<10, r, 0) })
+		if err := s.Backend().Delete(listBlobKeys(t, s)[0]); err != nil {
+			t.Fatal(err)
+		}
+		err = mat(s, 0)
+		cle = nil
+		if !errors.As(err, &cle) {
+			t.Fatalf("missing blob: want *ChainLinkError, got %T: %v", err, err)
+		}
+		if errors.Is(err, ErrPruned) {
+			t.Fatal("missing blob on a live generation reported as ErrPruned")
+		}
+	})
 }
 
 // listBlobKeys returns the store's content blob keys, sorted.

@@ -21,27 +21,20 @@
 // forces the next generation to be a new base, bounding restart's chain
 // resolution (and the blast radius of a damaged delta).
 //
-// Restart never sees deltas. Two resolvers materialize a generation:
+// Restart never sees deltas. MaterializeStream resolves a generation:
+// it walks each rank's chain newest-to-oldest at chunk granularity,
+// resolves a newest-wins owner per chunk position, and decompresses
+// only the winning chunk from its owning link. Superseded payloads are
+// never inflated (their section frames are still CRC-checked), every
+// pass-through link's CRC claim is verified against the resolved bytes,
+// and peak per-rank memory is O(image + chunk) however deep the chain.
+// It returns decoded images, restart-ready.
 //
-//   - Materialize (batch, the compatibility path) resolves each rank's
-//     chain — walk back to the nearest base, decode every link whole,
-//     apply the deltas forward, verify every chunk CRC — and returns
-//     ordinary full images that ckptimg.Decode and the existing restart
-//     path consume unchanged. A base generation's images are returned
-//     bit-for-bit as stored.
-//   - MaterializeStream (the chunk-pipelined path) walks the chain
-//     newest-to-oldest at chunk granularity, resolves a newest-wins
-//     owner per chunk position, and decompresses only the winning chunk
-//     from its owning link. Superseded payloads are never inflated
-//     (their section frames are still CRC-checked); peak per-rank
-//     memory is O(image + chunk) instead of batch's O(image x links).
-//     It returns decoded images directly — no re-encode round trip.
-//     Ranks whose chain it cannot walk (a legacy v2 base) fall back to
-//     the batch resolver; both paths produce byte-identical application
-//     state.
-//
-// A damaged link fails either resolver with a *ChainLinkError naming
-// the broken generation, and no partially-applied state is returned.
+// Every link must be a v3 image. A damaged link — or one that is not a
+// v3 image at all (a pre-v3 image, an opaque payload) — fails the
+// resolution with a *ChainLinkError naming the broken generation and
+// wrapping ckptimg.ErrCorrupt, and no partially-applied state is
+// returned.
 //
 // # Commit validation
 //
@@ -127,9 +120,9 @@
 // the encoded image. Blobs are shared across ranks and across
 // generations: rank-identical state (HPCG's assembled stencil matrix)
 // and unchanged-across-generations state both collapse to one stored
-// copy. Materialize and MaterializeStream resolve recipes through the
-// blob table transparently; restart output is byte-identical to the
-// plain store's.
+// copy. MaterializeStream resolves recipes through the blob table
+// transparently; restart output is byte-identical to the plain
+// store's.
 //
 // Blob ownership and the refcount lifecycle:
 //
@@ -215,9 +208,9 @@
 //   - Bulk per-rank work fans out to a bounded worker pool of
 //     Options.Workers goroutines (default GOMAXPROCS, 1 = serial). On
 //     Commit that is image validation and chunk indexing (streaming,
-//     see above), chain validation, and the backend Puts; on Materialize
-//     it is each rank's chain resolution (backend Gets, delta
-//     application, re-encode). Results land in rank-indexed slots, so
+//     see above), chain validation, and the backend Puts; on
+//     MaterializeStream it is each rank's chain resolution (backend
+//     Gets, chunk inflation). Results land in rank-indexed slots, so
 //     output ordering is deterministic regardless of scheduling.
 //
 // The pool cancels on first error: no new rank starts once one fails,
@@ -225,13 +218,13 @@
 // blobs it already wrote and leaves the chain and manifest untouched —
 // the backend never holds a partial generation.
 //
-// Materialize and MaterializeStream do not hold the chain mutex while
-// resolving: committed generations are immutable (blobs are never
-// rewritten), so readers proceed concurrently with an in-flight Commit
-// of the next generation. Backends must be safe for concurrent use
-// (both built-ins are).
+// MaterializeStream does not hold the chain mutex while resolving:
+// committed generations are immutable (blobs are never rewritten), so
+// readers proceed concurrently with an in-flight Commit of the next
+// generation. Backends must be safe for concurrent use (both built-ins
+// are).
 //
-// The streaming pipeline adds one layer of overlap inside each rank
+// The resolver adds one layer of overlap inside each rank
 // worker, with these ownership and backpressure rules:
 //
 //   - Link lookahead: while link g parses, the blob of its parent g-1
@@ -268,8 +261,8 @@
 //     deleted.
 //
 // What cannot be repaired is quarantined: the generation is marked in
-// the manifest (surviving process restarts), Materialize and
-// MaterializeStream refuse it with ErrQuarantined, and a later scrub
+// the manifest (surviving process restarts), MaterializeStream refuses
+// it with ErrQuarantined, and a later scrub
 // pass releases it if the damage turns out to have been transient
 // (a flaky read, since healed). Quarantining the head also invalidates
 // the delta index, forcing the next commit to a full base — a delta

@@ -37,11 +37,8 @@ func TestRetentionBoundsBlobs(t *testing.T) {
 	}
 
 	// The live chain still materializes; pruned generations fail typed.
-	if _, _, err := s.MaterializeHead(); err != nil {
+	if _, _, err := s.MaterializeStreamHead(); err != nil {
 		t.Fatalf("head after retention: %v", err)
-	}
-	if _, _, err := s.Materialize(0); !errors.Is(err, ErrPruned) {
-		t.Fatalf("materializing a pruned generation: %v, want ErrPruned", err)
 	}
 	if _, _, err := s.MaterializeStream(0); !errors.Is(err, ErrPruned) {
 		t.Fatalf("streaming a pruned generation: %v, want ErrPruned", err)
@@ -81,7 +78,7 @@ func TestExplicitPrune(t *testing.T) {
 	if got := s2.PrunedBefore(); got != 3 {
 		t.Fatalf("resumed cutoff %d, want 3", got)
 	}
-	if _, _, err := s2.Materialize(1); !errors.Is(err, ErrPruned) {
+	if _, _, err := s2.MaterializeStream(1); !errors.Is(err, ErrPruned) {
 		t.Fatalf("resumed store materialized a pruned generation: %v", err)
 	}
 	// A reader that lost the race against a concurrent prune (its entry
@@ -268,7 +265,7 @@ func TestCrashResumeIgnoresOrphanBlobs(t *testing.T) {
 	// The resumed chain commits generation 2 cleanly in the orphan's
 	// place and materializes it.
 	commitGen(t, s2, 1, 2, func(int) []byte { return appState(800, 2) })
-	if _, _, err := s2.MaterializeHead(); err != nil {
+	if _, _, err := s2.MaterializeStreamHead(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -341,7 +338,7 @@ func TestCrashResumeUnderTier(t *testing.T) {
 	if g.Base() || g.Seq != 1 {
 		t.Fatalf("resumed generation %+v", g)
 	}
-	if _, _, err := s2.MaterializeHead(); err != nil {
+	if _, _, err := s2.MaterializeStreamHead(); err != nil {
 		t.Fatal(err)
 	}
 }

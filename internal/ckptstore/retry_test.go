@@ -143,7 +143,7 @@ func TestDiscardResidualOrphansCounted(t *testing.T) {
 	// The leak is storage-only: a later commit on the same store works
 	// and surfaces the count in its chain stats.
 	commitGen(t, s, n, 1, func(int) []byte { return appState(500, 1) })
-	_, stats, err := s.MaterializeHead()
+	_, stats, err := s.MaterializeStreamHead()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,13 +81,13 @@ func TestScrubQuarantineReleaseAndRebase(t *testing.T) {
 	if q := rep.Quarantined; len(q) != 2 || q[0] != 1 || q[1] != 2 {
 		t.Fatalf("quarantined %v, want [1 2] (the damaged delta and its descendant)", q)
 	}
-	if _, _, err := s.Materialize(1); !errors.Is(err, ErrQuarantined) {
+	if _, _, err := s.MaterializeStream(1); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("materialize quarantined gen 1: %v", err)
 	}
 	if _, _, err := s.MaterializeStream(2); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("stream quarantined gen 2: %v", err)
 	}
-	if _, _, err := s.Materialize(0); err != nil {
+	if _, _, err := s.MaterializeStream(0); err != nil {
 		t.Fatalf("clean gen 0 refused: %v", err)
 	}
 
@@ -97,7 +97,7 @@ func TestScrubQuarantineReleaseAndRebase(t *testing.T) {
 	if !gen.Base() {
 		t.Fatal("commit after head quarantine chained a delta onto damage")
 	}
-	if _, _, err := s.Materialize(gen.Seq); err != nil {
+	if _, _, err := s.MaterializeStream(gen.Seq); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,7 +113,7 @@ func TestScrubQuarantineReleaseAndRebase(t *testing.T) {
 	if !s2.IsQuarantined(1) || s2.IsQuarantined(0) {
 		t.Fatal("IsQuarantined disagrees with the manifest")
 	}
-	if _, _, err := s2.Materialize(1); !errors.Is(err, ErrQuarantined) {
+	if _, _, err := s2.MaterializeStream(1); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("reopened store materialized quarantined gen: %v", err)
 	}
 
@@ -128,7 +128,7 @@ func TestScrubQuarantineReleaseAndRebase(t *testing.T) {
 	if got := rep.Released; len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("released %v, want [1 2]", got)
 	}
-	if _, _, err := s.Materialize(1); err != nil {
+	if _, _, err := s.MaterializeStream(1); err != nil {
 		t.Fatalf("released generation refused: %v", err)
 	}
 }
@@ -185,7 +185,7 @@ func TestScrubOrphansAndRefDrift(t *testing.T) {
 	if rep2, err := s.Scrub(); err != nil || !rep2.Healthy() {
 		t.Fatalf("second scrub not clean: %v %+v", err, rep2.Findings)
 	}
-	if _, _, err := s.MaterializeHead(); err != nil {
+	if _, _, err := s.MaterializeStreamHead(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -270,7 +270,7 @@ func TestScrubRepairFromDonor(t *testing.T) {
 			if len(rep.Quarantined) != 0 {
 				t.Fatalf("repaired damage still quarantined %v", rep.Quarantined)
 			}
-			if _, _, err := s.Materialize(0); err != nil {
+			if _, _, err := s.MaterializeStream(0); err != nil {
 				t.Fatal(err)
 			}
 		} else {

@@ -60,7 +60,7 @@ type Options struct {
 	// Dedup enables the content-addressed blob layer (dedup.go): Commit
 	// splits every rank image into section-aligned segments, stores each
 	// unique segment once — shared across ranks and generations — and
-	// writes a small reassembly recipe per rank. Materialize is
+	// writes a small reassembly recipe per rank. Restart resolution is
 	// behaviorally unchanged; the cost model charges only new unique
 	// bytes (CommitCharge). The mode is pinned by the manifest: a
 	// backend written with dedup must be reopened with it, and vice
@@ -82,7 +82,7 @@ type Options struct {
 	// FlagFastCompress), ckptimg.TierMax is the archival tier,
 	// ckptimg.TierBalanced (default) the middle ground.
 	CompressTier ckptimg.CompressTier
-	// Workers bounds the worker pool that Commit and Materialize fan
+	// Workers bounds the worker pool that Commit and MaterializeStream fan
 	// per-rank decode/index/backend work out to (0 = GOMAXPROCS; 1 =
 	// serial).
 	Workers int
@@ -137,26 +137,21 @@ type Generation struct {
 // Base reports whether the generation is a full base.
 func (g Generation) Base() bool { return g.DeltaRanks == 0 }
 
-// ChainStats describes what one rank's chain resolution actually read
-// from the backend — the quantities the restart cost model charges.
-//
-// On the batch path (Materialize) BaseBytes/DeltaBytes are the whole
-// encoded sizes of the base and every delta link: batch decodes each
-// link in full. On the streaming path (MaterializeStream, Streamed
-// true) they count only what newest-wins resolution consumed — the
-// base bytes actually read plus the compressed bytes of winning delta
-// chunks; superseded chunk payloads appear in ChunksSkipped instead.
+// ChainStats describes what one rank's chain resolution
+// (MaterializeStream) actually read from the backend — the quantities
+// the restart cost model charges. They count only what newest-wins
+// resolution consumed: the base bytes actually read plus the compressed
+// bytes of winning delta chunks; superseded chunk payloads appear in
+// ChunksSkipped instead.
 type ChainStats struct {
-	// BaseBytes is the encoded size of the rank's nearest base image
-	// (or of the rank's full image when no chain was involved). On the
-	// streaming path over an uncompressed base, only the bytes of the
-	// base-owned chunks are counted — superseded base regions are never
-	// read; a compressed base charges its whole stream (gzip has no
-	// random access).
+	// BaseBytes is the encoded size of the rank's full image when no
+	// chain was involved. Over a chain's uncompressed base only the
+	// bytes of the base-owned chunks are counted — superseded base
+	// regions are never read; a compressed base charges its whole
+	// stream (it has no random access).
 	BaseBytes int64
-	// DeltaBytes is the encoded size of the delta links read: whole
-	// links on the batch path, winning chunk payloads only on the
-	// streaming path.
+	// DeltaBytes is the encoded size of the winning delta chunk
+	// payloads read.
 	DeltaBytes int64
 	// Links is the number of delta links resolved; 0 means the rank's
 	// image at that generation was already full.
@@ -167,12 +162,10 @@ type ChainStats struct {
 	ChunksRead int
 	// ChunksSkipped counts chunk payloads present in the chain that
 	// newest-wins resolution proved superseded and never inflated.
-	// Always 0 on the batch path, which decodes every link in full.
 	ChunksSkipped int
 	// PeakBytes estimates the resolver's peak resident bytes for the
-	// rank: encoded blobs plus every state buffer alive at once. Batch
-	// holds O(image x links) (each delta link's inflated chunks and one
-	// state buffer per Apply); streaming holds O(image + chunk).
+	// rank: the encoded blobs, the output state and one chunk of
+	// scratch — O(image + chunk), however deep the chain.
 	PeakBytes int64
 	// UniqueBytes is the stored bytes this resolution read through
 	// blobs only this chain references (dedup stores only; 0 otherwise).
@@ -184,10 +177,6 @@ type ChainStats struct {
 	// SharedChunks counts the shared blob references the resolution
 	// crossed.
 	SharedChunks int
-	// Streamed marks stats produced by the streaming resolver. A rank
-	// that fell back to batch resolution (non-v3 base) reports it
-	// false.
-	Streamed bool
 	// ResidualOrphans is the store-wide count of blobs that should be
 	// gone but could not be deleted — rollback or orphan-sweep deletes
 	// that kept failing after the bounded retry pass. It is a snapshot
@@ -201,9 +190,8 @@ type ChainStats struct {
 // failed to resolve — a damaged blob (wraps ckptimg.ErrCorrupt), a
 // broken parent linkage, or a chunk that contradicts its recorded CRC.
 // Gen names the generation of the failing link, which on a chain walk
-// may be older than the generation being materialized. Both Materialize
-// and MaterializeStream fail the whole call with it and return no
-// partially-applied state.
+// may be older than the generation being materialized. MaterializeStream
+// fails the whole call with it and returns no partially-applied state.
 type ChainLinkError struct {
 	// Gen is the generation whose link failed.
 	Gen int
@@ -904,58 +892,6 @@ func (s *Store) Head() (Generation, bool) {
 	return s.gens[len(s.gens)-1], true
 }
 
-// Materialize returns full encoded images — one per rank, restartable
-// with ckptimg.Decode — for the given generation, resolving each rank's
-// base+delta chain, plus per-rank ChainStats describing the reads the
-// resolution performed. Base images are returned bit-for-bit as stored.
-//
-// Rank chains resolve in parallel on the store's worker pool; results
-// are rank-ordered regardless of scheduling. Committed generations are
-// immutable, so Materialize never blocks a concurrent Commit.
-func (s *Store) Materialize(seq int) ([][]byte, []ChainStats, error) {
-	s.mu.Lock()
-	nGens, prunedTo, quarantined := len(s.gens), s.prunedTo, s.quarantined[seq]
-	s.mu.Unlock()
-	if seq < 0 || seq >= nGens {
-		return nil, nil, fmt.Errorf("ckptstore: no generation %d (have %d)", seq, nGens)
-	}
-	if seq < prunedTo {
-		return nil, nil, fmt.Errorf("ckptstore: generation %d: %w (blobs survive from generation %d on)", seq, ErrPruned, prunedTo)
-	}
-	if quarantined {
-		return nil, nil, fmt.Errorf("ckptstore: generation %d: %w", seq, ErrQuarantined)
-	}
-	out := make([][]byte, s.n)
-	stats := make([]ChainStats, s.n)
-	err := forEachRank(s.n, s.opts.Workers, func(r int) error {
-		data, cs, err := s.materializeRank(seq, r)
-		if err != nil {
-			return err
-		}
-		out[r], stats[r] = data, cs
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	orphans := s.ResidualOrphans()
-	for r := range stats {
-		stats[r].ResidualOrphans = orphans
-	}
-	return out, stats, nil
-}
-
-// MaterializeHead materializes the most recent generation.
-func (s *Store) MaterializeHead() ([][]byte, []ChainStats, error) {
-	s.mu.Lock()
-	n := len(s.gens)
-	s.mu.Unlock()
-	if n == 0 {
-		return nil, nil, fmt.Errorf("ckptstore: store has no generations")
-	}
-	return s.Materialize(n - 1)
-}
-
 // getBlob reads one rank image without s.mu. Committed images are
 // never rewritten, but retention may delete them concurrently: a read
 // that lost that race reports the typed ErrPruned instead of a bare
@@ -975,82 +911,4 @@ func (s *Store) getBlob(seq, rank int) ([]byte, dedupRead, error) {
 		return data, dedupRead{}, nil
 	}
 	return s.assembleRecipe(seq, rank, data)
-}
-
-// materializeRank resolves one rank's chain at seq. It runs without
-// s.mu: it touches only the backend (safe for concurrent use) and blobs
-// of committed generations, which are only ever deleted by retention
-// (surfaced as ErrPruned), never rewritten.
-func (s *Store) materializeRank(seq, rank int) ([]byte, ChainStats, error) {
-	data, dr, err := s.getBlob(seq, rank)
-	if err != nil {
-		return nil, ChainStats{}, err
-	}
-	if !ckptimg.IsDelta(data) {
-		return data, ChainStats{
-			BaseBytes: int64(len(data)), PeakBytes: int64(len(data)),
-			UniqueBytes: dr.unique, DedupBytes: dr.shared, SharedChunks: dr.refs,
-		}, nil
-	}
-	// Walk back to the rank's nearest base, stacking deltas.
-	var st ChainStats
-	st.UniqueBytes, st.DedupBytes, st.SharedChunks = dr.unique, dr.shared, dr.refs
-	var deltas []*ckptimg.Delta
-	cur := seq
-	for ckptimg.IsDelta(data) {
-		d, err := ckptimg.DecodeDelta(data)
-		if err != nil {
-			return nil, ChainStats{}, &ChainLinkError{Gen: cur, Rank: rank, Err: err}
-		}
-		if d.ParentGen != cur-1 {
-			return nil, ChainStats{}, &ChainLinkError{Gen: cur, Rank: rank,
-				Err: fmt.Errorf("delta parents generation %d, want %d", d.ParentGen, cur-1)}
-		}
-		st.DeltaBytes += int64(len(data))
-		st.Links++
-		for _, ch := range d.Chunks {
-			if ch.Data != nil {
-				st.ChunksRead++
-			}
-		}
-		deltas = append(deltas, d)
-		cur--
-		if cur < 0 {
-			return nil, ChainStats{}, fmt.Errorf("ckptstore: rank %d delta chain has no base", rank)
-		}
-		data, dr, err = s.getBlob(cur, rank)
-		if err != nil {
-			return nil, ChainStats{}, err
-		}
-		st.UniqueBytes += dr.unique
-		st.DedupBytes += dr.shared
-		st.SharedChunks += dr.refs
-	}
-	st.BaseBytes = int64(len(data))
-	base, err := ckptimg.Decode(data)
-	if err != nil {
-		return nil, ChainStats{}, &ChainLinkError{Gen: cur, Rank: rank, Err: fmt.Errorf("base: %w", err)}
-	}
-	// Apply the deltas forward, oldest first.
-	app := base.AppState
-	var img *ckptimg.Image
-	for i := len(deltas) - 1; i >= 0; i-- {
-		img, err = deltas[i].Apply(app)
-		if err != nil {
-			return nil, ChainStats{}, &ChainLinkError{Gen: seq - i, Rank: rank, Err: err}
-		}
-		app = img.AppState
-	}
-	if cs := deltas[0].ChunkBytes; cs > 0 {
-		st.ChunksRead += (len(base.AppState) + cs - 1) / cs
-	}
-	// Resident-set estimate: every blob, the base state, and one state
-	// buffer per Apply — the O(image x links) the streaming path
-	// eliminates (delta chunk data mostly aliases the blobs).
-	st.PeakBytes = st.BaseBytes + st.DeltaBytes + int64(st.Links+1)*int64(len(app))
-	out, err := ckptimg.EncodeOpts(img, s.EncodeOptions())
-	if err != nil {
-		return nil, ChainStats{}, err
-	}
-	return out, st, nil
 }

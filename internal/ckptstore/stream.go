@@ -8,35 +8,31 @@ import (
 	"manasim/internal/ckptimg"
 )
 
-// This file is the streaming restart pipeline: the chunk-granular
-// counterpart of the batch resolver in store.go. Batch materialization
-// decodes every link of a rank's base+delta chain in full and applies
-// the deltas whole-image, so a chain of K links inflates ~K x the
-// application state and holds O(image x links) memory. The streaming
-// resolver instead walks the chain newest-to-oldest at chunk
-// granularity (ckptimg.OpenDelta never inflates a chunk), picks a
-// newest-wins owner per chunk position, and decompresses only the
-// winning chunk from its owning link — superseded payloads are proved
-// stale by their position alone and never touched beyond their section
-// frame CRC.
+// This file is the restart-side chain resolver. A rank's base+delta
+// chain is walked newest-to-oldest at chunk granularity
+// (ckptimg.OpenDelta never inflates a chunk); each chunk position gets a
+// newest-wins owner, and only the winning chunk is decompressed from its
+// owning link — superseded payloads are proved stale by their position
+// alone and never touched beyond their section frame CRC. Peak memory
+// per rank is O(image + chunk), however deep the chain.
 //
 // Concurrency: ranks fan out on the store's bounded worker pool
-// (pool.go), exactly like the batch path; within a rank, the next
-// link's backend Get runs on a lookahead goroutine while the current
-// link parses, so backend reads, per-chunk gunzip, and chunk
-// application overlap across ranks and links. Each in-flight rank owns
-// at most one lookahead read, so the extra goroutine count is bounded
-// by Options.Workers.
+// (pool.go); within a rank, the next link's backend Get runs on a
+// lookahead goroutine while the current link parses, so backend reads,
+// per-chunk inflation, and chunk application overlap across ranks and
+// links. Each in-flight rank owns at most one lookahead read, so the
+// extra goroutine count is bounded by Options.Workers.
 
 // MaterializeStream resolves generation seq into decoded images — one
-// per rank, restart-ready without the encode/decode round trip of the
-// batch path — using newest-wins chunk resolution. Per-rank ChainStats
-// report what the resolution actually read (winning chunks only) and
-// skipped. Ranks whose chain streaming cannot walk (a legacy v2 base)
-// fall back to the batch resolver and report Streamed false.
+// per rank, restart-ready — using newest-wins chunk resolution, plus
+// per-rank ChainStats reporting what the resolution read (winning
+// chunks only) and skipped. Every link must be a v3 image: a link that
+// is not (a pre-v3 image, an opaque payload) fails the rank with a
+// *ChainLinkError wrapping ckptimg.ErrCorrupt.
 //
-// Batch Materialize remains the compatibility path; both produce
-// byte-identical application state for the same generation.
+// Rank chains resolve in parallel on the store's worker pool; results
+// are rank-ordered regardless of scheduling. Committed generations are
+// immutable, so MaterializeStream never blocks a concurrent Commit.
 func (s *Store) MaterializeStream(seq int) ([]*ckptimg.Image, []ChainStats, error) {
 	s.mu.Lock()
 	nGens, prunedTo, quarantined := len(s.gens), s.prunedTo, s.quarantined[seq]
@@ -113,9 +109,10 @@ type prefixCheck struct {
 	crc uint32
 }
 
-// materializeRankStream resolves one rank's chain at seq through the
-// streaming pipeline. Like materializeRank it runs without s.mu:
-// committed generations are immutable.
+// materializeRankStream resolves one rank's chain at seq. It runs
+// without s.mu: it touches only the backend (safe for concurrent use)
+// and blobs of committed generations, which retention may delete
+// (surfaced as ErrPruned) but nothing rewrites.
 func (s *Store) materializeRankStream(seq, rank int) (*ckptimg.Image, ChainStats, error) {
 	data, dr, err := s.getBlob(seq, rank)
 	if err != nil {
@@ -128,7 +125,6 @@ func (s *Store) materializeRankStream(seq, rank int) (*ckptimg.Image, ChainStats
 			return nil, ChainStats{}, &ChainLinkError{Gen: seq, Rank: rank, Err: err}
 		}
 		st := ChainStats{
-			Streamed:  true,
 			BaseBytes: int64(len(data)),
 			PeakBytes: int64(len(data) + len(img.AppState)),
 
@@ -148,7 +144,7 @@ func (s *Store) materializeRankStream(seq, rank int) (*ckptimg.Image, ChainStats
 			cr.Close()
 		}
 	}()
-	st := ChainStats{Streamed: true}
+	var st ChainStats
 	st.UniqueBytes, st.DedupBytes, st.SharedChunks = dr.unique, dr.shared, dr.refs
 	blobBytes := int64(len(data))
 	cur := seq
@@ -197,9 +193,7 @@ func (s *Store) materializeRankStream(seq, rank int) (*ckptimg.Image, ChainStats
 	head := links[0]
 	ar, err := ckptimg.OpenAppState(data, false)
 	if err != nil {
-		// Not a streamable v3 base (a legacy v2 image, an opaque
-		// payload): resolve the whole chain through the batch path.
-		return s.materializeRankFallback(seq, rank)
+		return nil, ChainStats{}, &ChainLinkError{Gen: cur, Rank: rank, Err: fmt.Errorf("base: %w", err)}
 	}
 	defer ar.Close()
 	baseLen := links[len(links)-1].ParentLen
@@ -290,8 +284,7 @@ func (s *Store) materializeRankStream(seq, rank int) (*ckptimg.Image, ChainStats
 		}
 
 		// Verify every pass-through link's CRC claim over its prefix of
-		// the winning content — the same checks batch Apply performs
-		// level by level, done once against the resolved bytes. In the
+		// the winning content, once against the resolved bytes. In the
 		// common stable-size chain all prefixes coincide, so this is one
 		// CRC per position.
 		prevLen, prevCRC := -1, uint32(0)
@@ -317,10 +310,10 @@ func (s *Store) materializeRankStream(seq, rank int) (*ckptimg.Image, ChainStats
 	}
 	if ar.Compressed() {
 		// A gzip base reveals its state length only at EOF (Total is
-		// unknown up front), so enforce the chain's expectation the way
-		// batch Apply does: drain any superseded tail and demand the
-		// stream end exactly at baseLen — a longer base means the blob
-		// belongs to a different lineage.
+		// unknown up front), so enforce the chain's expectation here:
+		// drain any superseded tail and demand the stream end exactly at
+		// baseLen — a longer base means the blob belongs to a different
+		// lineage.
 		if rest := baseLen - min(baseLen, n*cs); rest > 0 {
 			if err := ar.Skip(rest); err != nil {
 				return nil, ChainStats{}, &ChainLinkError{Gen: cur, Rank: rank,
@@ -355,19 +348,4 @@ func (s *Store) materializeRankStream(seq, rank int) (*ckptimg.Image, ChainStats
 		img.AppState = out
 	}
 	return &img, st, nil
-}
-
-// materializeRankFallback resolves chains the streaming walk cannot
-// handle (a non-v3 base) through the batch resolver, decoding its
-// re-encoded output. The stats keep the batch shape (Streamed false).
-func (s *Store) materializeRankFallback(seq, rank int) (*ckptimg.Image, ChainStats, error) {
-	data, cs, err := s.materializeRank(seq, rank)
-	if err != nil {
-		return nil, ChainStats{}, err
-	}
-	img, err := ckptimg.Decode(data)
-	if err != nil {
-		return nil, ChainStats{}, &ChainLinkError{Gen: seq, Rank: rank, Err: err}
-	}
-	return img, cs, nil
 }

@@ -8,54 +8,53 @@ import (
 	"manasim/internal/ckptimg"
 )
 
-// matchBatch materializes seq through both resolvers and checks that
-// the streaming images carry byte-identical application state (and the
-// same identity) as the batch path's decoded output. It returns the
-// streaming stats for further assertions.
-func matchBatch(t *testing.T, s *Store, seq int) []ChainStats {
+// matchCommitted materializes seq and checks that every rank's image
+// carries exactly the application state it committed (want) and the
+// committed identity. It returns the per-rank chain stats for further
+// assertions.
+func matchCommitted(t *testing.T, s *Store, seq, step int, want func(rank int) []byte) []ChainStats {
 	t.Helper()
-	batch, _, err := s.Materialize(seq)
+	imgs, stats, err := s.MaterializeStream(seq)
 	if err != nil {
-		t.Fatalf("batch materialize gen %d: %v", seq, err)
+		t.Fatalf("materialize gen %d: %v", seq, err)
 	}
-	stream, stats, err := s.MaterializeStream(seq)
-	if err != nil {
-		t.Fatalf("stream materialize gen %d: %v", seq, err)
-	}
-	for r := range batch {
-		bi, err := ckptimg.Decode(batch[r])
-		if err != nil {
-			t.Fatalf("gen %d rank %d: decoding batch image: %v", seq, r, err)
+	for r, img := range imgs {
+		if !bytes.Equal(img.AppState, want(r)) {
+			t.Fatalf("gen %d rank %d: app state differs from the committed snapshot", seq, r)
 		}
-		si := stream[r]
-		if !bytes.Equal(bi.AppState, si.AppState) {
-			t.Fatalf("gen %d rank %d: app state differs between batch and stream", seq, r)
-		}
-		if bi.Step != si.Step || bi.Rank != si.Rank || bi.NRanks != si.NRanks {
-			t.Fatalf("gen %d rank %d: identity differs: batch %d/%d@%d stream %d/%d@%d",
-				seq, r, bi.Rank, bi.NRanks, bi.Step, si.Rank, si.NRanks, si.Step)
+		if img.Step != step || img.Rank != r || img.NRanks != len(imgs) {
+			t.Fatalf("gen %d rank %d: identity %d/%d@%d, committed %d/%d@%d",
+				seq, r, img.Rank, img.NRanks, img.Step, r, len(imgs), step)
 		}
 	}
 	return stats
 }
 
-// TestStreamMatchesBatchEveryGeneration is the equivalence property at
-// store level: for chains of every depth, compressed or not, streaming
-// materialization produces byte-identical application state to batch.
+// TestStreamMatchesBatchEveryGeneration is the resolver's correctness
+// property at store level: for chains of every depth, in every
+// compression tier, each generation resolves to exactly the
+// application state every rank committed.
 func TestStreamMatchesBatchEveryGeneration(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		s := MustOpen(2, Options{Delta: true, ChunkBytes: 128, ChainCap: 8, Compress: compress, Workers: 1})
-		for gen := 0; gen < 5; gen++ {
-			commitGen(t, s, 2, gen, func(r int) []byte { return appState(1000+64*r, gen) })
+	for _, tier := range []struct {
+		name     string
+		compress bool
+		tier     ckptimg.CompressTier
+	}{
+		{"raw", false, ckptimg.TierBalanced},
+		{"gzip", true, ckptimg.TierBalanced},
+		{"fast-lz", true, ckptimg.TierFastLZ},
+	} {
+		s := MustOpen(2, Options{Delta: true, ChunkBytes: 128, ChainCap: 8, Compress: tier.compress, CompressTier: tier.tier, Workers: 1})
+		state := func(gen int) func(int) []byte {
+			return func(r int) []byte { return appState(1000+64*r, gen) }
 		}
 		for gen := 0; gen < 5; gen++ {
-			stats := matchBatch(t, s, gen)
-			for r, st := range stats {
-				if !st.Streamed {
-					t.Fatalf("compress=%v gen %d rank %d fell back to batch", compress, gen, r)
-				}
+			commitGen(t, s, 2, gen, state(gen))
+		}
+		for gen := 0; gen < 5; gen++ {
+			for r, st := range matchCommitted(t, s, gen, gen, state(gen)) {
 				if st.Links != gen {
-					t.Fatalf("compress=%v gen %d rank %d resolved %d links", compress, gen, r, st.Links)
+					t.Fatalf("%s gen %d rank %d resolved %d links", tier.name, gen, r, st.Links)
 				}
 			}
 		}
@@ -64,37 +63,37 @@ func TestStreamMatchesBatchEveryGeneration(t *testing.T) {
 
 // TestStreamSkipsSupersededChunks pins the newest-wins win: on a chain
 // whose generations mutate the same region, every older link's changed
-// chunks are superseded and never inflated, and the streaming resolver
-// reads strictly fewer delta bytes than batch with a strictly smaller
-// resident-set estimate.
+// chunks are superseded and never inflated, each output chunk is read
+// exactly once, and the resolver holds the chain's blobs, one state and
+// one chunk of scratch — never a state per link.
 func TestStreamSkipsSupersededChunks(t *testing.T) {
-	const n, sz, gens = 1, 4096, 5
-	s := MustOpen(n, Options{Delta: true, ChunkBytes: 256, ChainCap: 8})
+	const n, sz, chunk, gens = 1, 4096, 256, 5
+	s := MustOpen(n, Options{Delta: true, ChunkBytes: chunk, ChainCap: 8})
 	for gen := 0; gen < gens; gen++ {
 		commitGen(t, s, n, gen, func(int) []byte { return appState(sz, gen) })
 	}
-	_, bstats, err := s.Materialize(gens - 1)
-	if err != nil {
-		t.Fatal(err)
+	st := matchCommitted(t, s, gens-1, gens-1, func(int) []byte { return appState(sz, gens-1) })[0]
+	// Every output position is read exactly once (uncompressed base).
+	if want := sz / chunk; st.ChunksRead != want {
+		t.Fatalf("read %d chunks, want %d", st.ChunksRead, want)
 	}
-	sstats := matchBatch(t, s, gens-1)
-	b, st := bstats[0], sstats[0]
-	if st.ChunksSkipped == 0 {
-		t.Fatalf("no superseded chunks skipped: %+v", st)
+	// Present in the chain: the base's chunks plus each link's changed
+	// last quarter. Everything not read was skipped.
+	if want := sz/chunk + (gens-1)*(sz/4)/chunk; st.ChunksRead+st.ChunksSkipped != want {
+		t.Fatalf("read+skipped %d+%d, the chain holds %d chunk payloads", st.ChunksRead, st.ChunksSkipped, want)
 	}
-	// Every output position is read exactly once (uncompressed base):
-	// winning chunks plus base-owned chunks must cover the state.
-	if want := (sz + 255) / 256; st.ChunksRead != want {
-		t.Fatalf("stream read %d chunks, want %d", st.ChunksRead, want)
+	var chainBytes, deltaBytes int64
+	for _, g := range s.Generations() {
+		chainBytes += g.Bytes
+		if !g.Base() {
+			deltaBytes += g.Bytes
+		}
 	}
-	if st.ChunksRead+st.ChunksSkipped != b.ChunksRead {
-		t.Fatalf("stream read+skipped %d+%d, batch read %d", st.ChunksRead, st.ChunksSkipped, b.ChunksRead)
+	if st.DeltaBytes <= 0 || st.DeltaBytes >= deltaBytes {
+		t.Fatalf("read %d delta bytes, want some but fewer than the %d the links hold", st.DeltaBytes, deltaBytes)
 	}
-	if st.DeltaBytes >= b.DeltaBytes {
-		t.Fatalf("stream delta bytes %d not below batch %d", st.DeltaBytes, b.DeltaBytes)
-	}
-	if st.PeakBytes >= b.PeakBytes {
-		t.Fatalf("stream peak %d not below batch %d", st.PeakBytes, b.PeakBytes)
+	if st.PeakBytes > chainBytes+sz+chunk {
+		t.Fatalf("peak %d above blobs %d + one state + one chunk", st.PeakBytes, chainBytes)
 	}
 }
 
@@ -102,12 +101,13 @@ func TestStreamSkipsSupersededChunks(t *testing.T) {
 // grows and shrinks between generations: ownership still resolves per
 // position, with prefix-CRC verification where chunk lengths differ.
 func TestStreamLengthChangingChain(t *testing.T) {
+	sizes := []int{1000, 700, 1300, 1295, 40}
 	s := MustOpen(1, Options{Delta: true, ChunkBytes: 128, ChainCap: 8})
-	for gen, sz := range []int{1000, 700, 1300, 1295, 40} {
+	for gen, sz := range sizes {
 		commitGen(t, s, 1, gen, func(int) []byte { return appState(sz, gen) })
 	}
-	for gen := 0; gen < 5; gen++ {
-		matchBatch(t, s, gen)
+	for gen, sz := range sizes {
+		matchCommitted(t, s, gen, gen, func(int) []byte { return appState(sz, gen) })
 	}
 }
 
@@ -116,40 +116,16 @@ func TestStreamLengthChangingChain(t *testing.T) {
 func TestStreamFullImageHead(t *testing.T) {
 	s := MustOpen(2, Options{ChunkBytes: 128})
 	commitGen(t, s, 2, 0, func(r int) []byte { return appState(500, r) })
-	stats := matchBatch(t, s, 0)
-	if stats[0].Links != 0 || !stats[0].Streamed || stats[0].ChunksRead == 0 {
+	stats := matchCommitted(t, s, 0, 0, func(r int) []byte { return appState(500, r) })
+	if stats[0].Links != 0 || stats[0].ChunksRead == 0 {
 		t.Fatalf("full-head stats %+v", stats[0])
 	}
 }
 
-// TestStreamFallsBackOnLegacyBase commits a v2 monolithic-gob base
-// under a delta chain: the streaming walk cannot chunk a v2 image, so
-// the rank resolves through the batch path — correctly, flagged by
-// Streamed=false.
-func TestStreamFallsBackOnLegacyBase(t *testing.T) {
-	s := MustOpen(1, Options{Delta: true, ChunkBytes: 128, ChainCap: 8})
-	v2, err := ckptimg.EncodeLegacy(testImage(0, 1, 0, appState(1000, 0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Commit([][]byte{v2}); err != nil {
-		t.Fatal(err)
-	}
-	commitGen(t, s, 1, 1, func(int) []byte { return appState(1000, 1) })
-	head, _ := s.Head()
-	if head.Base() {
-		t.Fatal("second generation did not delta against the v2 base")
-	}
-	stats := matchBatch(t, s, 1)
-	if stats[0].Streamed {
-		t.Fatalf("v2 base did not fall back: %+v", stats[0])
-	}
-}
-
 // TestCorruptMiddleLinkFailsTyped is the corrupt-chain acceptance
-// property: a damaged middle delta link fails both batch and streaming
-// materialization with a ChainLinkError naming the damaged generation
-// (wrapping ckptimg.ErrCorrupt), and neither returns partial state.
+// property: a damaged middle delta link fails materialization with a
+// ChainLinkError naming the damaged generation (wrapping
+// ckptimg.ErrCorrupt), and no partial state is returned.
 func TestCorruptMiddleLinkFailsTyped(t *testing.T) {
 	const badGen = 2
 	for _, mode := range []string{"flip", "truncate"} {
@@ -171,42 +147,32 @@ func TestCorruptMiddleLinkFailsTyped(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		bImgs, bStats, bErr := s.Materialize(3)
-		sImgs, sStats, sErr := s.MaterializeStream(3)
-		for _, tc := range []struct {
-			path string
-			err  error
-		}{{"batch", bErr}, {"stream", sErr}} {
-			var cle *ChainLinkError
-			if !errors.As(tc.err, &cle) {
-				t.Fatalf("%s/%s: want *ChainLinkError, got %T: %v", mode, tc.path, tc.err, tc.err)
-			}
-			if cle.Gen != badGen || cle.Rank != 0 {
-				t.Fatalf("%s/%s: error names generation %d rank %d, want %d/0", mode, tc.path, cle.Gen, cle.Rank, badGen)
-			}
-			if !errors.Is(tc.err, ckptimg.ErrCorrupt) {
-				t.Fatalf("%s/%s: error does not wrap ErrCorrupt: %v", mode, tc.path, tc.err)
-			}
+		imgs, stats, err := s.MaterializeStream(3)
+		var cle *ChainLinkError
+		if !errors.As(err, &cle) {
+			t.Fatalf("%s: want *ChainLinkError, got %T: %v", mode, err, err)
+		}
+		if cle.Gen != badGen || cle.Rank != 0 {
+			t.Fatalf("%s: error names generation %d rank %d, want %d/0", mode, cle.Gen, cle.Rank, badGen)
+		}
+		if !errors.Is(err, ckptimg.ErrCorrupt) {
+			t.Fatalf("%s: error does not wrap ErrCorrupt: %v", mode, err)
 		}
 		// No partially-applied state escapes.
-		if bImgs != nil || bStats != nil || sImgs != nil || sStats != nil {
+		if imgs != nil || stats != nil {
 			t.Fatalf("%s: corrupt chain returned partial results", mode)
 		}
-		// Undamaged generations still materialize on both paths.
-		if _, _, err := s.Materialize(1); err != nil {
-			t.Fatalf("%s: batch gen 1 after corruption: %v", mode, err)
-		}
+		// Undamaged generations still materialize.
 		if _, _, err := s.MaterializeStream(1); err != nil {
-			t.Fatalf("%s: stream gen 1 after corruption: %v", mode, err)
+			t.Fatalf("%s: gen 1 after corruption: %v", mode, err)
 		}
 	}
 }
 
 // TestStreamRejectsOversizedCompressedBase swaps a compressed base for
 // one from a longer lineage whose prefix matches the chain's CRCs: a
-// gzip base reveals its length only at EOF, so the streaming resolver
-// must drain to the chain's expected length and refuse the excess,
-// exactly as batch Apply refuses the wrong-sized parent.
+// gzip base reveals its length only at EOF, so the resolver must drain
+// to the chain's expected length and refuse the excess.
 func TestStreamRejectsOversizedCompressedBase(t *testing.T) {
 	s := MustOpen(1, Options{Delta: true, ChunkBytes: 128, ChainCap: 8, Compress: true})
 	commitGen(t, s, 1, 0, func(int) []byte { return appState(1000, 0) })
@@ -219,9 +185,6 @@ func TestStreamRejectsOversizedCompressedBase(t *testing.T) {
 	if err := s.b.Put(key(0, 0), forged); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Materialize(1); err == nil {
-		t.Fatal("batch accepted an oversized base")
-	}
 	_, _, err = s.MaterializeStream(1)
 	var cle *ChainLinkError
 	if !errors.As(err, &cle) || cle.Gen != 0 {
@@ -229,8 +192,8 @@ func TestStreamRejectsOversizedCompressedBase(t *testing.T) {
 	}
 }
 
-// TestStreamParallelWorkers runs the streaming resolver across pool
-// widths — the race-detector workout for the lookahead pipeline.
+// TestStreamParallelWorkers runs the resolver across pool widths — the
+// race-detector workout for the lookahead pipeline.
 func TestStreamParallelWorkers(t *testing.T) {
 	const n = 8
 	for _, workers := range []int{1, 3, 8} {
@@ -238,6 +201,6 @@ func TestStreamParallelWorkers(t *testing.T) {
 		for gen := 0; gen < 4; gen++ {
 			commitGen(t, s, n, gen, func(r int) []byte { return appState(900+32*r, gen) })
 		}
-		matchBatch(t, s, 3)
+		matchCommitted(t, s, 3, 3, func(r int) []byte { return appState(900+32*r, 3) })
 	}
 }

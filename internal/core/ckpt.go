@@ -23,11 +23,6 @@ var ErrStoppedAtCheckpoint = errors.New("mana: job stopped after checkpoint (pre
 // alias keeps the runtime API unchanged.
 type Coordinator = ckpt.Coordinator
 
-// NewCoordinator builds a coordinator for an n-rank job.
-func NewCoordinator(n int, fs fsim.FS, storage *fsim.Storage, lag int) *Coordinator {
-	return ckpt.NewCoordinator(n, fs, storage, lag)
-}
-
 // ---------------------------------------------------------------------
 // per-rank protocol
 

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"manasim/internal/ckpt"
-	"manasim/internal/ckptimg"
 	"manasim/internal/ckptstore"
 	"manasim/internal/cluster"
 	"manasim/internal/faults"
@@ -104,39 +103,16 @@ type Config struct {
 	// topological-sort drain of arXiv:2408.02218). Strategies are
 	// registered by internal/ckpt/drain.
 	DrainStrategy string
-	// CompressImages gzips the application-state sections of checkpoint
-	// images (ckptimg format v3). When Store is set, the store's own
-	// Compress option governs instead.
-	CompressImages bool
-	// CompressTier selects the flate effort of compressed images on the
-	// implicit store: ckptimg.TierFast (BestSpeed, hot checkpoints),
-	// ckptimg.TierBalanced (default), or ckptimg.TierMax (archival).
-	// When Store is set, the store's own tier governs instead.
-	CompressTier ckptimg.CompressTier
-	// Workers bounds the implicit checkpoint store's worker pool — the
-	// fan-out of per-rank decode/index/backend work on Commit and
-	// Materialize (0 = GOMAXPROCS, 1 = serial). When Store is set, the
-	// store's own Workers option governs instead.
-	Workers int
 	// Store is the generation-chained checkpoint store the job delivers
-	// into and restarts from. Nil gets a fresh in-memory store whose
-	// delta and compression modes follow DeltaImages / CompressImages;
-	// passing the same store across a run/restart chain makes later
-	// generations delta against earlier ones.
+	// into and restarts from; passing the same store across a
+	// run/restart chain makes later generations delta against earlier
+	// ones. Nil opens a fresh store from StoreOptions.
 	Store *ckptstore.Store
-	// DeltaImages enables incremental checkpoint images when Store is
-	// nil (ckptstore.Options.Delta on the implicit store).
-	DeltaImages bool
-	// Dedup enables the content-addressed blob layer on the implicit
-	// store (ckptstore.Options.Dedup): identical image segments are
-	// stored once across ranks and generations, and each rank's
-	// checkpoint write is charged for only the new unique bytes it
-	// introduced (ckptstore.CommitCharge) instead of its whole encoded
-	// image. Because the unique-byte attribution is known only after
-	// the commit inside the last rank's delivery, the write charge
-	// lands after the completion barrier. When Store is set, the
-	// store's own Dedup option governs instead.
-	Dedup bool
+	// StoreOptions configures the store a job opens when Store is nil:
+	// backend, delta images, content-addressed dedup, compression codec
+	// and tier, worker-pool width. A configured fault injector's backend
+	// wrapper replaces WrapBackend. Ignored when Store is set.
+	StoreOptions ckptstore.Options
 	// FixedXlatCost is deprecated: a positive value replaces the
 	// translation-cost table (wrappers.go) with this flat per-call
 	// constant at every charged wrapper site. It predates the table, when
@@ -165,14 +141,11 @@ type Config struct {
 	// time has passed since the last completed one. This is the knob the
 	// MTBF-adaptive interval controller turns between restart attempts.
 	CkptInterval time.Duration
-	// StreamRestart selects the chunk-pipelined restart path:
-	// RestartFromStore resolves each rank's base+delta chain with
-	// newest-wins chunk ownership (ckptstore.MaterializeStream), so
-	// superseded chunks are never decompressed, peak restart memory
-	// drops to O(image + chunk), and the filesystem model charges the
-	// compressed bytes of winning chunks as one pipelined read. Batch
-	// materialization remains the default; both produce byte-identical
-	// application state.
+	// StreamRestart is deprecated and ignored: every store restart
+	// resolves chains with newest-wins chunk ownership
+	// (ckptstore.MaterializeStream). It survives only because
+	// bench/scenario.go:baseConfig sets it (ROADMAP item 10: drop it from
+	// baseConfig, then delete the field). Nothing else may set it.
 	StreamRestart bool
 	// RestartFallback lets RestartJobFromStore degrade to an older
 	// generation when the newest one is quarantined or fails to
@@ -226,7 +199,8 @@ func (c Config) xlatCosts() xlatTable {
 
 // ckptStoreFor resolves the checkpoint store an n-rank job delivers
 // into: the configured one (validated against the job geometry) or a
-// fresh in-memory store following the config's delta/compression modes.
+// fresh one opened from StoreOptions, its backend wrapped by the fault
+// injector when one is configured.
 func (c Config) ckptStoreFor(n int) (*ckptstore.Store, error) {
 	if c.Store != nil {
 		if c.Store.Ranks() != n {
@@ -234,18 +208,11 @@ func (c Config) ckptStoreFor(n int) (*ckptstore.Store, error) {
 		}
 		return c.Store, nil
 	}
-	var wrap func(ckptstore.Backend) ckptstore.Backend
+	opts := c.StoreOptions
 	if c.Faults != nil {
-		wrap = c.Faults.WrapBackend()
+		opts.WrapBackend = c.Faults.WrapBackend()
 	}
-	return ckptstore.Open(n, ckptstore.Options{
-		Delta:        c.DeltaImages,
-		Dedup:        c.Dedup,
-		Compress:     c.CompressImages,
-		CompressTier: c.CompressTier,
-		Workers:      c.Workers,
-		WrapBackend:  wrap,
-	})
+	return ckptstore.Open(n, opts)
 }
 
 // newStore builds the configured vid store for a lower half with the

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"manasim/internal/app"
-	"manasim/internal/ckptimg"
 	"manasim/internal/ckptstore"
 	"manasim/internal/mpi"
 )
@@ -140,24 +139,16 @@ func TestDedupRestartByteIdenticalAllImpls(t *testing.T) {
 			rst := chainCheckpoints(t, cfg, dedupStore, newRingApp(steps), ranks, s1, s2)
 			sameChecksums(t, plain.Checksums, rst.Checksums, impl+" dedup restart")
 
-			wantImgs, _, err := plainStore.MaterializeHead()
+			wantImgs, _, err := plainStore.MaterializeStreamHead()
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotImgs, _, err := dedupStore.MaterializeHead()
+			gotImgs, _, err := dedupStore.MaterializeStreamHead()
 			if err != nil {
 				t.Fatal(err)
 			}
 			for r := 0; r < ranks; r++ {
-				wi, err := ckptimg.Decode(wantImgs[r])
-				if err != nil {
-					t.Fatal(err)
-				}
-				gi, err := ckptimg.Decode(gotImgs[r])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(wi.AppState, gi.AppState) {
+				if !bytes.Equal(wantImgs[r].AppState, gotImgs[r].AppState) {
 					t.Fatalf("rank %d: dedup-store state differs from the plain store's", r)
 				}
 			}
@@ -226,8 +217,7 @@ func TestDedupDeterminismBattery(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					run := func() Stats {
 						cfg := implFactory(t, impl)
-						cfg.Dedup = dedup
-						cfg.DeltaImages = true
+						cfg.StoreOptions = ckptstore.Options{Dedup: dedup, Delta: true}
 						st, _, err := Run(cfg, ranks, newDedupApp(steps, seed), ckptAt)
 						if err != nil {
 							t.Fatal(err)

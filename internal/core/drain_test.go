@@ -149,37 +149,6 @@ func TestCrossImplRestartUnderEachDrainStrategy(t *testing.T) {
 	}
 }
 
-// TestRestartFromLegacyV2Image proves format compatibility end to end:
-// a checkpoint re-encoded in the v2 monolithic format restores under
-// the v3 codec and finishes with identical results.
-func TestRestartFromLegacyV2Image(t *testing.T) {
-	cfg := implFactory(t, "mpich")
-	plain, _, err := Run(cfg, 4, newRingApp(8), -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ExitAtCheckpoint = true
-	_, images, err := Run(cfg, 4, newRingApp(8), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := make([][]byte, len(images))
-	for i, data := range images {
-		img, err := ckptimg.Decode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v2[i], err = ckptimg.EncodeLegacy(img); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rst, err := Restart(implFactory(t, "mpich"), v2, newRingApp(8))
-	if err != nil {
-		t.Fatalf("restart from v2 images: %v", err)
-	}
-	sameChecksums(t, plain.Checksums, rst.Checksums, "v2 restart")
-}
-
 // TestCompressedImagesRestore exercises the gzip tier of the v3 codec
 // through a full checkpoint/restart cycle.
 func TestCompressedImagesRestore(t *testing.T) {
@@ -188,7 +157,7 @@ func TestCompressedImagesRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := implFactory(t, "mpich")
-	cfg.CompressImages = true
+	cfg.StoreOptions.Compress = true
 	cfg.ExitAtCheckpoint = true
 	_, images, err := Run(cfg, 4, newRingApp(8), 4)
 	if err != nil {

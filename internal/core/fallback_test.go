@@ -197,7 +197,7 @@ func TestRestartFallbackStopsAtPruned(t *testing.T) {
 	if err := buildCorruptChain(t, cfg, st, []int{2, 5, 8}, steps); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Materialize(0); !errors.Is(err, ckptstore.ErrPruned) {
+	if _, _, err := st.MaterializeStream(0); !errors.Is(err, ckptstore.ErrPruned) {
 		t.Fatalf("generation 0 not pruned: %v", err)
 	}
 

@@ -87,8 +87,16 @@ func TestFaultBatteryKernelsAndImpls(t *testing.T) {
 				if got := inj.Timeline(); got != wantTimeline {
 					t.Fatalf("seed %d: timeline diverged:\n%s\nvs\n%s", seed, got, wantTimeline)
 				}
+				// The session is driven directly rather than through Run:
+				// Run hands back the checkpoint's images, and the silently
+				// corrupted blob makes the store refuse to resolve them.
 				spec, in := batteryInput(t, appName, uint64(seed))
-				st, _, err := Run(faultCfg(t, implName, inj), in.Ranks, spec.New(in), in.SimSteps/2)
+				s, err := StartJob(faultCfg(t, implName, inj), in.Ranks, spec.New(in))
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				s.Co.RequestCheckpointAtStep(in.SimSteps / 2)
+				st, err := s.Wait()
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}

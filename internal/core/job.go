@@ -106,7 +106,8 @@ type Session struct {
 }
 
 // StartJob launches an n-rank application under MANA. Checkpoints are
-// delivered into cfg.Store (or a fresh in-memory store when nil).
+// delivered into cfg.Store (or a fresh store opened from
+// cfg.StoreOptions when nil).
 func StartJob(cfg Config, n int, factory app.Factory) (*Session, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -119,7 +120,7 @@ func StartJob(cfg Config, n int, factory app.Factory) (*Session, error) {
 	s := &Session{
 		cfg:        cfg,
 		n:          n,
-		Co:         ckpt.NewStoreCoordinator(n, cfg.FS, nil, st, cfg.SkewBound),
+		Co:         ckpt.NewStoreCoordinator(n, st, cfg.SkewBound),
 		runtimes:   make([]*Runtime, n),
 		checksums:  make([]uint64, n),
 		stopped:    make([]bool, n),
@@ -180,13 +181,6 @@ func (s *Session) wireFaults(rt *Runtime, rank int, clock *simtime.Clock) {
 // The configuration's implementation may differ from the one the images
 // were taken under if the images carry uniform handles (Section 9).
 func RestartJob(cfg Config, images [][]byte, factory app.Factory) (*Session, error) {
-	return restartJob(cfg, images, nil, factory)
-}
-
-// restartJob is RestartJob plus the optional per-rank chain statistics
-// of a store materialization, which switch the filesystem model to the
-// delta-aware restart cost (base + each delta link read individually).
-func restartJob(cfg Config, images [][]byte, chains []ckptstore.ChainStats, factory app.Factory) (*Session, error) {
 	imgs := make([]*ckptimg.Image, len(images))
 	for i, data := range images {
 		img, err := ckptimg.Decode(data)
@@ -195,14 +189,15 @@ func restartJob(cfg Config, images [][]byte, chains []ckptstore.ChainStats, fact
 		}
 		imgs[i] = img
 	}
-	return restartJobImages(cfg, imgs, chains, factory)
+	return restartJobImages(cfg, imgs, nil, factory)
 }
 
-// restartJobImages is the decoded-image core of restartJob. The
-// streaming restart path hands it images straight from
-// Store.MaterializeStream, skipping the encode-then-decode round trip
-// the batch path pays per rank. It takes the images over: each rank
-// clears its image's AppState once it has restored from it.
+// restartJobImages is the decoded-image core of RestartJob and of store
+// restarts, which hand it images straight from Store.MaterializeStream
+// together with the per-rank chain statistics that switch the
+// filesystem model to the delta-aware restart cost. It takes the images
+// over: each rank clears its image's AppState once it has restored from
+// it.
 func restartJobImages(cfg Config, imgs []*ckptimg.Image, chains []ckptstore.ChainStats, factory app.Factory) (*Session, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -224,7 +219,7 @@ func restartJobImages(cfg Config, imgs []*ckptimg.Image, chains []ckptstore.Chai
 	s := &Session{
 		cfg:        cfg,
 		n:          n,
-		Co:         ckpt.NewStoreCoordinator(n, cfg.FS, nil, st, cfg.SkewBound),
+		Co:         ckpt.NewStoreCoordinator(n, st, cfg.SkewBound),
 		runtimes:   make([]*Runtime, n),
 		checksums:  make([]uint64, n),
 		stopped:    make([]bool, n),
@@ -395,14 +390,12 @@ func Restart(cfg Config, images [][]byte, factory app.Factory) (Stats, error) {
 // session keeps delivering into the same store, so checkpoints taken
 // after the restart extend the generation chain.
 //
-// With Config.StreamRestart unset, chains resolve through the batch
-// path and restart read cost is charged per chain link: the stored base
-// plus each delta image read individually (the delta-aware cost model),
-// not the materialized full image that never existed on storage. With
-// it set, chains resolve through the chunk-pipelined streaming path:
-// only newest-wins winning chunks are decompressed, and the model
-// charges the consumed base bytes plus the winning chunks' compressed
-// bytes as one pipelined read.
+// Chains resolve through the chunk-pipelined path
+// (Store.MaterializeStream): only newest-wins winning chunks are
+// decompressed, and the restart read cost charges the consumed base
+// bytes plus the winning chunks' compressed bytes as one pipelined
+// read, not the materialized full image that never existed on storage.
+//
 // With Config.RestartFallback set, a head that is quarantined or fails
 // to materialize does not fail the restart outright: the walk degrades
 // newest-first to the youngest generation that still verifies, skipping
@@ -459,21 +452,14 @@ func RestartJobFromStore(cfg Config, st *ckptstore.Store, factory app.Factory) (
 	return nil, fmt.Errorf("mana: restart: no generation restartable: %w", firstErr)
 }
 
-// restartFromGeneration materializes one specific generation through
-// the configured restart path and builds the session from it.
+// restartFromGeneration materializes one specific generation and builds
+// the session from it.
 func restartFromGeneration(cfg Config, st *ckptstore.Store, seq int, factory app.Factory) (*Session, error) {
-	if cfg.StreamRestart {
-		imgs, chains, err := st.MaterializeStream(seq)
-		if err != nil {
-			return nil, fmt.Errorf("mana: restart: %w", err)
-		}
-		return restartJobImages(cfg, imgs, chains, factory)
-	}
-	images, chains, err := st.Materialize(seq)
+	imgs, chains, err := st.MaterializeStream(seq)
 	if err != nil {
 		return nil, fmt.Errorf("mana: restart: %w", err)
 	}
-	return restartJob(cfg, images, chains, factory)
+	return restartJobImages(cfg, imgs, chains, factory)
 }
 
 // RestartFromStore resumes from the store's head generation and waits

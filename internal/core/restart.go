@@ -27,10 +27,9 @@ func NewRuntimeFromImage(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *C
 // newRuntimeFromImage is NewRuntimeFromImage with the delta-aware
 // restart cost model: when chain describes the base+delta reads that
 // materialized the image, the filesystem model charges those reads —
-// base first, then each delta link individually — instead of a single
-// read of a full image that never existed on storage. Each link pays
-// the per-read startup cost, so deep chains (large ChainCap) visibly
-// slow restart while shallow ones stay near a plain base read.
+// the consumed base bytes, then the winning delta chunks as one
+// pipelined read (the resolver overlaps the links' reads) — instead of
+// a single read of a full image that never existed on storage.
 func newRuntimeFromImage(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *Coordinator, img *ckptimg.Image, chain *ckptstore.ChainStats) (*Runtime, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -81,22 +80,7 @@ func newRuntimeFromImage(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *C
 	// base plus each delta link for a materialized chain, the full
 	// image otherwise.
 	if chain != nil && chain.Links > 0 {
-		cost := cfg.FS.ReadCost(chain.BaseBytes + img.ModeledBytes)
-		if chain.Streamed {
-			// Streaming restart reads at chunk granularity and overlaps
-			// the links' reads in one pipeline, so the winning chunks —
-			// the only delta bytes in chain.DeltaBytes — are charged as
-			// a single pipelined read instead of one startup per link.
-			cost += cfg.FS.ReadCost(chain.DeltaBytes)
-		} else {
-			// Batch resolution reads every link whole, each paying the
-			// per-read startup.
-			per := chain.DeltaBytes / int64(chain.Links)
-			for i := 0; i < chain.Links; i++ {
-				cost += cfg.FS.ReadCost(per)
-			}
-		}
-		rt.clock.Advance(cost)
+		rt.clock.Advance(cfg.FS.ReadCost(chain.BaseBytes+img.ModeledBytes) + cfg.FS.ReadCost(chain.DeltaBytes))
 	} else {
 		rt.clock.Advance(cfg.FS.ReadCost(img.TotalBytes(0) + int64(len(img.AppState))))
 	}

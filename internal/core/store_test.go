@@ -8,7 +8,6 @@ import (
 
 	"manasim/internal/app"
 	"manasim/internal/ckpt"
-	"manasim/internal/ckptimg"
 	"manasim/internal/ckptstore"
 )
 
@@ -75,23 +74,16 @@ func TestDeltaChainRoundTripAllImpls(t *testing.T) {
 
 			// Bit-identical application state at the same generation,
 			// full chain vs materialized base+delta chain.
-			fullImgs, _, err := fullStore.Materialize(1)
+			fullImgs, _, err := fullStore.MaterializeStream(1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			deltaImgs, _, err := deltaStore.Materialize(1)
+			deltaImgs, _, err := deltaStore.MaterializeStream(1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for r := 0; r < ranks; r++ {
-				fi, err := ckptimg.Decode(fullImgs[r])
-				if err != nil {
-					t.Fatal(err)
-				}
-				di, err := ckptimg.Decode(deltaImgs[r])
-				if err != nil {
-					t.Fatal(err)
-				}
+				fi, di := fullImgs[r], deltaImgs[r]
 				if !bytes.Equal(fi.AppState, di.AppState) {
 					t.Fatalf("rank %d: materialized app state differs from full image", r)
 				}
@@ -131,16 +123,12 @@ func TestBackendsRestartByteIdenticalAllImpls(t *testing.T) {
 				rst := chainCheckpoints(t, cfg, st, newRingApp(steps), ranks, s1, s2)
 				sameChecksums(t, plain.Checksums, rst.Checksums, impl+"/"+backend+" restart")
 
-				imgs, _, err := st.MaterializeHead()
+				imgs, _, err := st.MaterializeStreamHead()
 				if err != nil {
 					t.Fatal(err)
 				}
 				states := make([][]byte, ranks)
-				for r, data := range imgs {
-					img, err := ckptimg.Decode(data)
-					if err != nil {
-						t.Fatal(err)
-					}
+				for r, img := range imgs {
 					states[r] = img.AppState
 				}
 				if ref == nil {
@@ -293,7 +281,7 @@ func TestKilledRankDiscardsGeneration(t *testing.T) {
 	if gens := st.Generations(); len(gens) != 0 {
 		t.Fatalf("store recorded %d generations from a failed checkpoint", len(gens))
 	}
-	if _, _, err := st.MaterializeHead(); err == nil {
+	if _, _, err := st.MaterializeStreamHead(); err == nil {
 		t.Fatal("materialized a store with no complete generation")
 	}
 

@@ -3,19 +3,18 @@ package mana
 import (
 	"bytes"
 	"hash/fnv"
+	"sync"
 	"testing"
 
 	"manasim/internal/app"
-	"manasim/internal/ckptimg"
 	"manasim/internal/ckptstore"
 )
 
 // bulkApp is a compute-only application with a fixed-size state buffer
 // whose trailing region churns every step — the static-bulk shape (and
 // stable snapshot length) that lets delta chains stay chunk-aligned, so
-// the streaming resolver's newest-wins skipping is actually exercised
-// (ringApp's gob snapshot wobbles in size and may legitimately fall
-// back).
+// the resolver's newest-wins skipping is actually exercised (ringApp's
+// gob snapshot wobbles in size).
 type bulkApp struct {
 	steps int
 	buf   []byte
@@ -55,6 +54,47 @@ func (b *bulkApp) Restore(data []byte) error {
 }
 func (b *bulkApp) FootprintBytes() int64 { return 1 << 20 }
 
+// snapshotRecorder keeps the last checkpoint snapshot each rank took:
+// after a chain is built, last[r] is exactly the application state rank
+// r committed into the head generation.
+type snapshotRecorder struct {
+	mu   sync.Mutex
+	last map[int][]byte
+}
+
+// wrap returns f's application with every snapshot recorded.
+func (rec *snapshotRecorder) wrap(f app.Factory) app.Factory {
+	return func() app.Instance { return &recordedApp{Instance: f(), rec: rec} }
+}
+
+// recordedApp is an application whose snapshots a snapshotRecorder
+// keeps, by the rank it last ran as.
+type recordedApp struct {
+	app.Instance
+	rec  *snapshotRecorder
+	rank int
+}
+
+func (a *recordedApp) Setup(env *app.Env) error {
+	a.rank = env.Rank
+	return a.Instance.Setup(env)
+}
+
+func (a *recordedApp) Step(env *app.Env, step int) error {
+	a.rank = env.Rank
+	return a.Instance.Step(env, step)
+}
+
+func (a *recordedApp) Snapshot() ([]byte, error) {
+	data, err := a.Instance.Snapshot()
+	if err == nil {
+		a.rec.mu.Lock()
+		a.rec.last[a.rank] = append([]byte(nil), data...)
+		a.rec.mu.Unlock()
+	}
+	return data, err
+}
+
 // buildChain drives run -> checkpoint -> restart segments until every
 // boundary in ckpts has committed a generation into st.
 func buildChain(t *testing.T, cfg Config, st *ckptstore.Store, factory app.Factory, ranks int, ckpts []int) {
@@ -76,12 +116,11 @@ func buildChain(t *testing.T, cfg Config, st *ckptstore.Store, factory app.Facto
 	}
 }
 
-// TestStreamRestartAllImpls is the acceptance property of the streaming
-// restart pipeline: on every simulated MPI implementation, streaming
-// and batch materialization of the same generation carry byte-identical
-// application state, and a job restarted through the streaming path
-// finishes with the same checksums as an uninterrupted run — in no more
-// restart virtual time than the batch path.
+// TestStreamRestartAllImpls is the acceptance property of the restart
+// pipeline: on every simulated MPI implementation, the head generation
+// of a base+delta chain resolves to exactly the application state each
+// rank committed, and a job restarted from it finishes with the same
+// checksums as an uninterrupted run.
 func TestStreamRestartAllImpls(t *testing.T) {
 	const ranks, steps = 4, 10
 	apps := []struct {
@@ -100,30 +139,24 @@ func TestStreamRestartAllImpls(t *testing.T) {
 					t.Fatal(err)
 				}
 				st := ckptstore.MustOpen(ranks, ckptstore.Options{Delta: true, ChunkBytes: 512, ChainCap: 8})
-				buildChain(t, cfg, st, a.factory(steps), ranks, []int{2, 4, 6})
+				rec := &snapshotRecorder{last: make(map[int][]byte)}
+				buildChain(t, cfg, st, rec.wrap(a.factory(steps)), ranks, []int{2, 4, 6})
 
-				// Byte-identical application state, batch vs streaming.
-				batch, _, err := st.MaterializeHead()
+				// The resolved state is the committed snapshot, byte for
+				// byte.
+				imgs, stats, err := st.MaterializeStreamHead()
 				if err != nil {
 					t.Fatal(err)
 				}
-				stream, stats, err := st.MaterializeStreamHead()
-				if err != nil {
-					t.Fatal(err)
-				}
-				for r := range batch {
-					bi, err := ckptimg.Decode(batch[r])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(bi.AppState, stream[r].AppState) {
-						t.Fatalf("rank %d: streamed app state differs from batch", r)
+				for r, img := range imgs {
+					if committed, ok := rec.last[r]; !ok || !bytes.Equal(img.AppState, committed) {
+						t.Fatalf("rank %d: resolved app state differs from the committed snapshot", r)
 					}
 				}
 				if a.name == "bulk" {
 					for r, cs := range stats {
-						if !cs.Streamed || cs.Links != 2 {
-							t.Fatalf("rank %d did not stream a 2-link chain: %+v", r, cs)
+						if cs.Links != 2 {
+							t.Fatalf("rank %d did not resolve a 2-link chain: %+v", r, cs)
 						}
 						if cs.ChunksSkipped == 0 {
 							t.Fatalf("rank %d inflated every chunk: %+v", r, cs)
@@ -131,58 +164,15 @@ func TestStreamRestartAllImpls(t *testing.T) {
 					}
 				}
 
-				// Both restart paths complete with the uninterrupted
-				// run's checksums; streaming pays no more restart VT.
+				// The restarted job completes with the uninterrupted
+				// run's checksums.
 				cfg.Store = st
-				bst, err := RestartFromStore(cfg, st, a.factory(steps))
+				rst, err := RestartFromStore(cfg, st, a.factory(steps))
 				if err != nil {
 					t.Fatal(err)
 				}
-				scfg := cfg
-				scfg.StreamRestart = true
-				sst, err := RestartFromStore(scfg, st, a.factory(steps))
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameChecksums(t, plain.Checksums, bst.Checksums, impl+"/"+a.name+" batch restart")
-				sameChecksums(t, plain.Checksums, sst.Checksums, impl+"/"+a.name+" streaming restart")
-				if sst.VT > bst.VT {
-					t.Fatalf("streaming restart VT %v above batch %v", sst.VT, bst.VT)
-				}
+				sameChecksums(t, plain.Checksums, rst.Checksums, impl+"/"+a.name+" restart")
 			})
 		}
-	}
-}
-
-// TestStreamRestartCheaperOnDeepChains pins the cost-model win: with a
-// deep chain, batch restart pays one read startup per link while
-// streaming charges the winning chunks as a single pipelined read, so
-// streaming restart VT is strictly lower.
-func TestStreamRestartCheaperOnDeepChains(t *testing.T) {
-	const ranks, steps = 4, 12
-	cfg := implFactory(t, "mpich")
-	st := ckptstore.MustOpen(ranks, ckptstore.Options{Delta: true, ChunkBytes: 512, ChainCap: 8})
-	buildChain(t, cfg, st, newBulkApp(steps), ranks, []int{2, 4, 6, 8, 10})
-	if _, stats, err := st.MaterializeStreamHead(); err != nil {
-		t.Fatal(err)
-	} else if stats[0].Links != 4 {
-		t.Fatalf("head chain has %d links, want 4", stats[0].Links)
-	}
-
-	cfg.Store = st
-	cfg.ExitAtCheckpoint = false
-	bst, err := RestartFromStore(cfg, st, newBulkApp(steps))
-	if err != nil {
-		t.Fatal(err)
-	}
-	scfg := cfg
-	scfg.StreamRestart = true
-	sst, err := RestartFromStore(scfg, st, newBulkApp(steps))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameChecksums(t, bst.Checksums, sst.Checksums, "deep-chain restart")
-	if sst.VT >= bst.VT {
-		t.Fatalf("streaming restart VT %v not below batch %v", sst.VT, bst.VT)
 	}
 }

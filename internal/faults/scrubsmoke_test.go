@@ -91,7 +91,7 @@ func TestScrubFindsInjectedCorruption(t *testing.T) {
 	// The degrade contract: quarantined generations refuse with the
 	// typed sentinel, everything else still materializes.
 	for _, g := range s.Generations() {
-		_, _, err := s.Materialize(g.Seq)
+		_, _, err := s.MaterializeStream(g.Seq)
 		if quarantined[g.Seq] {
 			if !errors.Is(err, ckptstore.ErrQuarantined) {
 				t.Errorf("quarantined gen %d: %v", g.Seq, err)

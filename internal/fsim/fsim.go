@@ -10,16 +10,12 @@
 // trend in Table 3 — small images are startup-dominated (low effective
 // MB/s/rank), large images approach streaming bandwidth.
 //
-// Storage keeps image bytes in memory (optionally spilling to disk via
-// the caller) and supports fault injection (truncation, corruption) for
-// the restart robustness tests.
+// The package prices storage and holds no bytes: checkpoint images live
+// in the checkpoint store (internal/ckptstore), whose backends report
+// one of these profiles as their cost model.
 package fsim
 
-import (
-	"fmt"
-	"sync"
-	"time"
-)
+import "time"
 
 // FS is a filesystem performance profile.
 type FS struct {
@@ -122,74 +118,4 @@ func (f FS) EffectiveMBps(n int64) float64 {
 		return 0
 	}
 	return float64(n) / (1 << 20) / c.Seconds()
-}
-
-// Storage is an in-memory checkpoint store shared by the ranks of a job,
-// keyed by image name.
-type Storage struct {
-	mu     sync.Mutex
-	images map[string][]byte
-}
-
-// NewStorage builds an empty store.
-func NewStorage() *Storage {
-	return &Storage{images: make(map[string][]byte)}
-}
-
-// Write stores an image copy under name.
-func (s *Storage) Write(name string, data []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.images[name] = append([]byte(nil), data...)
-}
-
-// Read retrieves an image copy.
-func (s *Storage) Read(name string) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, ok := s.images[name]
-	if !ok {
-		return nil, fmt.Errorf("fsim: no image %q", name)
-	}
-	return append([]byte(nil), data...), nil
-}
-
-// Names lists stored image names.
-func (s *Storage) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.images))
-	for n := range s.images {
-		out = append(out, n)
-	}
-	return out
-}
-
-// Truncate cuts a stored image to n bytes (fault injection).
-func (s *Storage) Truncate(name string, n int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, ok := s.images[name]
-	if !ok {
-		return fmt.Errorf("fsim: no image %q", name)
-	}
-	if n < len(data) {
-		s.images[name] = data[:n]
-	}
-	return nil
-}
-
-// Corrupt flips a bit in a stored image (fault injection).
-func (s *Storage) Corrupt(name string, offset int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, ok := s.images[name]
-	if !ok {
-		return fmt.Errorf("fsim: no image %q", name)
-	}
-	if offset < 0 || offset >= len(data) {
-		return fmt.Errorf("fsim: offset %d out of range", offset)
-	}
-	data[offset] ^= 0x40
-	return nil
 }

@@ -90,49 +90,3 @@ func TestReadCheaperThanWrite(t *testing.T) {
 		t.Fatal("read not cheaper than write")
 	}
 }
-
-func TestStorageReadWrite(t *testing.T) {
-	s := NewStorage()
-	s.Write("a", []byte{1, 2, 3})
-	got, err := s.Read("a")
-	if err != nil || len(got) != 3 {
-		t.Fatalf("read %v %v", got, err)
-	}
-	// Copies, not aliases.
-	got[0] = 9
-	again, _ := s.Read("a")
-	if again[0] != 1 {
-		t.Fatal("storage aliases caller buffers")
-	}
-	if _, err := s.Read("missing"); err == nil {
-		t.Fatal("missing image read succeeded")
-	}
-	if len(s.Names()) != 1 {
-		t.Fatalf("names %v", s.Names())
-	}
-}
-
-func TestStorageFaultInjection(t *testing.T) {
-	s := NewStorage()
-	s.Write("img", make([]byte, 100))
-	if err := s.Truncate("img", 10); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := s.Read("img")
-	if len(got) != 10 {
-		t.Fatalf("truncate left %d bytes", len(got))
-	}
-	if err := s.Corrupt("img", 5); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = s.Read("img")
-	if got[5] == 0 {
-		t.Fatal("corrupt did not flip bits")
-	}
-	if err := s.Corrupt("img", 500); err == nil {
-		t.Fatal("out-of-range corrupt succeeded")
-	}
-	if err := s.Truncate("none", 1); err == nil {
-		t.Fatal("truncate of missing image succeeded")
-	}
-}

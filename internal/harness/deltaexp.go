@@ -135,12 +135,9 @@ func DeltaImages(opts Options) ([]DeltaRow, error) {
 // DeltaChainRow is one point of the restart-cost sweep: the same
 // checkpoint cadence driven through stores of different ChainCap, so
 // the head generation sits on delta chains of different depth when the
-// final restart resolves it. Each store is restarted twice — through
-// the batch resolver (every link decoded whole, one read startup per
-// link) and through the streaming resolver (newest-wins chunk
-// ownership, only winning chunks decompressed, links charged as one
-// pipelined read) — so the sweep shows restart VT and peak resolver
-// memory for both paths against chain depth.
+// final restart resolves it (newest-wins chunk ownership: only winning
+// chunks decompressed, the links charged as one pipelined read) — the
+// sweep shows restart VT and peak resolver memory against chain depth.
 type DeltaChainRow struct {
 	// ChainCap is the store's consecutive-delta bound.
 	ChainCap int
@@ -150,29 +147,23 @@ type DeltaChainRow struct {
 	HeadLinks int
 	// StoredKB is the total bytes the backend holds across generations.
 	StoredKB float64
-	// RestartVTS is the batch-path final restarted segment's VT.
+	// RestartVTS is the final restarted segment's VT.
 	RestartVTS float64
-	// StreamVTS is the streaming-path final restarted segment's VT.
-	StreamVTS float64
-	// ChunksRead / ChunksSkipped aggregate the streaming resolver's
-	// per-rank chunk accounting: skipped chunks are superseded payloads
-	// that were never decompressed.
+	// ChunksRead / ChunksSkipped aggregate the resolver's per-rank chunk
+	// accounting: skipped chunks are superseded payloads that were never
+	// decompressed.
 	ChunksRead    int
 	ChunksSkipped int
-	// PeakKB is the streaming resolver's worst per-rank resident-set
-	// estimate; BatchPeakKB the batch resolver's (O(image x links)).
-	PeakKB      float64
-	BatchPeakKB float64
-	// RestartOK records checksum equality with an uninterrupted run on
-	// both restart paths.
+	// PeakKB is the resolver's worst per-rank resident-set estimate.
+	PeakKB float64
+	// RestartOK records checksum equality with an uninterrupted run.
 	RestartOK bool
 }
 
 // DeltaChainSweep measures restart cost against chain depth: one
 // application checkpointed nine times along a restart chain, with
 // ChainCap swept so the final restart resolves head chains of depth 0
-// (every generation a base) up to 8 (one base plus eight deltas), on
-// both the batch and the streaming restart path.
+// (every generation a base) up to 8 (one base plus eight deltas).
 func DeltaChainSweep(opts Options) ([]DeltaChainRow, error) {
 	opts = opts.normalized()
 	spec, err := apps.ByName("comd")
@@ -226,15 +217,14 @@ func DeltaChainSweep(opts Options) ([]DeltaChainRow, error) {
 			}
 		}
 		cfg.ExitAtCheckpoint = false
-		rst, err := mana.RestartFromStore(cfg, st, spec.New(in))
+		s, err := mana.RestartJobFromStore(cfg, st, spec.New(in))
 		if err != nil {
 			return nil, fmt.Errorf("delta chain sweep cap=%d final restart: %w", chainCap, err)
 		}
-		scfg := cfg
-		scfg.StreamRestart = true
-		srst, err := mana.RestartFromStore(scfg, st, spec.New(in))
+		chains := s.RestartChains()
+		rst, err := s.Wait()
 		if err != nil {
-			return nil, fmt.Errorf("delta chain sweep cap=%d streaming restart: %w", chainCap, err)
+			return nil, fmt.Errorf("delta chain sweep cap=%d final restart: %w", chainCap, err)
 		}
 
 		gens := st.Generations()
@@ -250,31 +240,16 @@ func DeltaChainSweep(opts Options) ([]DeltaChainRow, error) {
 			ChainCap: chainCap, Gens: len(gens), HeadLinks: links,
 			StoredKB:   float64(stored) / 1024,
 			RestartVTS: rst.VT.Seconds(),
-			StreamVTS:  srst.VT.Seconds(),
-			RestartOK: slices.Equal(plain.Checksums, rst.Checksums) &&
-				slices.Equal(plain.Checksums, srst.Checksums),
+			RestartOK:  slices.Equal(plain.Checksums, rst.Checksums),
 		}
-		// Chunk accounting and peak-memory estimates from one probe of
-		// each resolver (the restarts above consumed their own).
-		_, bstats, err := st.MaterializeHead()
-		if err != nil {
-			return nil, fmt.Errorf("delta chain sweep cap=%d batch stats: %w", chainCap, err)
-		}
-		for _, cs := range bstats {
-			row.BatchPeakKB = max(row.BatchPeakKB, float64(cs.PeakBytes)/1024)
-		}
-		_, sstats, err := st.MaterializeStreamHead()
-		if err != nil {
-			return nil, fmt.Errorf("delta chain sweep cap=%d streaming stats: %w", chainCap, err)
-		}
-		for _, cs := range sstats {
+		for _, cs := range chains {
 			row.ChunksRead += cs.ChunksRead
 			row.ChunksSkipped += cs.ChunksSkipped
 			row.PeakKB = max(row.PeakKB, float64(cs.PeakBytes)/1024)
 		}
 		if opts.Logf != nil {
-			opts.Logf("delta chain cap=%d: links=%d stored=%.1fKB batch-vt=%.1fs stream-vt=%.1fs skipped=%d ok=%v",
-				chainCap, row.HeadLinks, row.StoredKB, row.RestartVTS, row.StreamVTS, row.ChunksSkipped, row.RestartOK)
+			opts.Logf("delta chain cap=%d: links=%d stored=%.1fKB restart-vt=%.1fs skipped=%d ok=%v",
+				chainCap, row.HeadLinks, row.StoredKB, row.RestartVTS, row.ChunksSkipped, row.RestartOK)
 		}
 		rows = append(rows, row)
 	}
@@ -283,17 +258,17 @@ func DeltaChainSweep(opts Options) ([]DeltaChainRow, error) {
 
 // WriteDeltaChain renders the restart-cost-versus-chain-depth sweep.
 func WriteDeltaChain(w io.Writer, rows []DeltaChainRow) {
-	title := "Restart cost vs chain depth: batch (per-link reads) vs streaming (winning chunks only)"
-	fmt.Fprintf(w, "%s\n%s\n%9s %5s %6s %10s %9s %10s %7s %8s %9s %10s %9s\n", title, strings.Repeat("=", len(title)),
-		"ChainCap", "Gens", "Links", "Stored KB", "Batch VT", "Stream VT", "Read", "Skipped", "Peak KB", "BatchPk KB", "Restart")
+	title := "Restart cost vs chain depth (newest-wins resolution: winning chunks only)"
+	fmt.Fprintf(w, "%s\n%s\n%9s %5s %6s %10s %10s %7s %8s %9s %9s\n", title, strings.Repeat("=", len(title)),
+		"ChainCap", "Gens", "Links", "Stored KB", "Restart VT", "Read", "Skipped", "Peak KB", "Restart")
 	for _, r := range rows {
 		status := "ok"
 		if !r.RestartOK {
 			status = "MISMATCH"
 		}
-		fmt.Fprintf(w, "%9d %5d %6d %10.1f %9.1f %10.1f %7d %8d %9.1f %10.1f %9s\n",
-			r.ChainCap, r.Gens, r.HeadLinks, r.StoredKB, r.RestartVTS, r.StreamVTS,
-			r.ChunksRead, r.ChunksSkipped, r.PeakKB, r.BatchPeakKB, status)
+		fmt.Fprintf(w, "%9d %5d %6d %10.1f %10.1f %7d %8d %9.1f %9s\n",
+			r.ChainCap, r.Gens, r.HeadLinks, r.StoredKB, r.RestartVTS,
+			r.ChunksRead, r.ChunksSkipped, r.PeakKB, status)
 	}
 	fmt.Fprintln(w)
 }

@@ -8,8 +8,8 @@
 // Xeon or EPYC microarchitecture); every relative quantity — MANA
 // overhead, virtId-vs-legacy deltas, FSGSBASE effects, checkpoint-time
 // trends, context-switch ordering — emerges from executing the real
-// wrapper, virtual-id, and drain mechanisms. EXPERIMENTS.md records
-// paper-vs-measured values.
+// wrapper, virtual-id, and drain mechanisms. The calibration factors
+// (computeFactor) are fitted to the paper's own bars (ROADMAP item 6).
 package harness
 
 import (
@@ -128,8 +128,9 @@ func (o Options) normalized() Options {
 }
 
 // computeFactor calibrates native per-implementation performance
-// differences (Figure 2's native/OMPI and Figure 3's native/ExaMPI bars;
-// see EXPERIMENTS.md for the derivation).
+// differences. The factors are fitted to the bars they reproduce —
+// Figure 2's native/OMPI and Figure 3's native/ExaMPI — so those cells
+// match the paper by construction (ROADMAP item 6).
 func computeFactor(appName, impl string) float64 {
 	switch impl {
 	case "openmpi":
