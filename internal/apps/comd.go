@@ -87,6 +87,10 @@ func (s *comdState) fields(c *snapCodec) {
 type comd struct {
 	in Input
 	st comdState
+	// The halo exchange's face and ghost buffers: transient scratch
+	// reused every step, not state.
+	faceBytes, inBytes []byte
+	face, ghosts       []float64
 }
 
 // atomsPerRank is the miniature atom count (the real -N is modeled by
@@ -147,12 +151,11 @@ func (c *comd) Step(env *app.Env, step int) error {
 	if per == 0 {
 		per = 1
 	}
-	face := make([][]float64, 6)
+	face := scratch(&c.face, 3*per)
 	for f := 0; f < 6; f++ {
-		buf := make([]float64, 3*per)
-		copy(buf, s.Pos[3*per*f%len(s.Pos):])
-		face[f] = buf
-		if err := p.Send(mpi.Float64Bytes(buf), 3*per, s.F64, nb[f], comdHaloTag+f, s.World); err != nil {
+		clear(face)
+		copy(face, s.Pos[3*per*f%len(s.Pos):])
+		if err := p.Send(wireBytes(&c.faceBytes, face), 3*per, s.F64, nb[f], comdHaloTag+f, s.World); err != nil {
 			return fmt.Errorf("comd halo send face %d: %w", f, err)
 		}
 	}
@@ -161,10 +164,10 @@ func (c *comd) Step(env *app.Env, step int) error {
 	if err := progressPoll(p, s.World, c.in.polls()); err != nil {
 		return err
 	}
-	ghosts := make([]float64, 3*per)
+	ghosts := scratch(&c.ghosts, 3*per)
+	in := scratch(&c.inBytes, 8*3*per)
 	epot := 0.0
 	for f := 0; f < 6; f++ {
-		in := make([]byte, 8*3*per)
 		// The message from the opposite face of the neighbor.
 		opp := f ^ 1
 		if _, err := p.Recv(in, 3*per, s.F64, nb[opp], comdHaloTag+f, s.World); err != nil {

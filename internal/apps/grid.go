@@ -168,6 +168,18 @@ func wireBytes(scratch *[]byte, v []float64) []byte {
 	return *scratch
 }
 
+// scratch returns *buf resliced to n elements, reallocated only when it
+// is too small: the per-instance buffer a receive lands in or a send is
+// staged from, reused every step. Like wireBytes' scratch it is not part
+// of the instance's state, and its contents before the caller writes
+// them are unspecified.
+func scratch[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
 // xorshift is a tiny deterministic PRNG for initial conditions (the
 // stdlib math/rand would also do, but a hand-rolled generator keeps
 // snapshots trivially reproducible across Go versions).

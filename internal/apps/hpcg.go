@@ -98,8 +98,10 @@ type hpcg struct {
 	in Input
 	st hpcgState
 	// pvBytes is the wire form of Pv the halo send packs its face from
-	// (wireBytes): transient scratch, not state.
-	pvBytes []byte
+	// (wireBytes): transient scratch, not state, as are the ghost
+	// plane's bytes and values the halo receive fills.
+	pvBytes, ghostBytes []byte
+	ghosts              []float64
 }
 
 func (h *hpcg) n() int { return h.in.Local * h.in.Local * h.in.Local }
@@ -194,11 +196,12 @@ func (h *hpcg) Step(env *app.Env, step int) error {
 	if err := progressPoll(p, s.World, h.in.polls()); err != nil {
 		return err
 	}
-	ghost := make([]byte, 8*nx*nx)
+	ghost := scratch(&h.ghostBytes, 8*nx*nx)
 	if _, err := p.Recv(ghost, nx*nx, s.F64, nb[0], hpcgTag, s.World); err != nil {
 		return fmt.Errorf("hpcg halo recv: %w", err)
 	}
-	gx := mpi.Float64s(ghost)
+	gx := scratch(&h.ghosts, nx*nx)
+	mpi.GetFloat64s(ghost, gx)
 
 	// SpMV: Ap = A*p from the stored rows (ghost face on -x). The -1
 	// off-diagonals make v += A[k]*x exactly the v -= x of the

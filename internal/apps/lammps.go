@@ -101,8 +101,12 @@ type lammps struct {
 	st lammpsState
 	// posBytes is the wire form of Pos the ghost Isend packs from
 	// (wireBytes): transient scratch, not state, and not rewritten
-	// before the request's Wait.
-	posBytes []byte
+	// before the request's Wait. The receive side's ghost bytes and
+	// values, and a rebuild's migration counts, are scratch likewise.
+	posBytes            []byte
+	inBytes, countBytes []byte
+	ghosts              []float64
+	counts              []int64
 }
 
 func (l *lammps) atoms() int { return l.in.Local * l.in.Local * l.in.Local }
@@ -157,11 +161,12 @@ func (l *lammps) Step(env *app.Env, step int) error {
 	// checkpoint at this boundary, that message was drained and is
 	// served from MANA's buffer.
 	if s.Pipelined {
-		in := make([]byte, 8*nGhost)
+		in := scratch(&l.inBytes, 8*nGhost)
 		if _, err := p.Recv(in, nGhost, s.F64, nb[0], lammpsGhostTag, s.World); err != nil {
 			return fmt.Errorf("lammps pipelined recv: %w", err)
 		}
-		g := mpi.Float64s(in)
+		g := scratch(&l.ghosts, nGhost)
+		mpi.GetFloat64s(in, g)
 		for i := 0; i < nGhost; i++ {
 			dx := s.Pos[12*i] - g[i]
 			r2 := dx*dx + 0.25
@@ -188,16 +193,19 @@ func (l *lammps) Step(env *app.Env, step int) error {
 	// Neighbor-list rebuild every lammpsRebuild steps: atoms migrate
 	// between ranks (Alltoall of per-destination counts).
 	if step%lammpsRebuild == lammpsRebuild-1 {
-		counts := make([]int64, s.D.Size)
+		counts := scratch(&l.counts, s.D.Size)
 		for d := range counts {
 			counts[d] = int64((s.D.Rank*31 + d*17 + step) % 5)
 		}
+		buf := scratch(&l.countBytes, 16*s.D.Size)
+		send, recv := buf[:8*s.D.Size], buf[8*s.D.Size:]
+		mpi.PutInt64s(send, counts)
 		i64 := mustConst(p, mpi.ConstInt64)
-		recv := make([]byte, 8*s.D.Size)
-		if err := p.Alltoall(mpi.Int64Bytes(counts), 1, i64, recv, 1, i64, s.World); err != nil {
+		if err := p.Alltoall(send, 1, i64, recv, 1, i64, s.World); err != nil {
 			return fmt.Errorf("lammps migration alltoall: %w", err)
 		}
-		for _, c := range mpi.Int64s(recv) {
+		mpi.GetInt64s(recv, counts)
+		for _, c := range counts {
 			s.Migrations += c
 		}
 	}

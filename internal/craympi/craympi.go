@@ -12,6 +12,10 @@
 //     slab number field; a freed-and-reused slot invalidates stale
 //     handles instead of silently resolving them to the new object.
 //
+// Like package mpich's, the table's slabs are allocated on demand and
+// grown as slots are used (minSlabEntries, doubling to the full 2048),
+// without changing the handle layout.
+//
 // The upper layers are the shared mpibase engine, exactly as the real
 // Cray MPI layers vendor glue over MPICH's core.
 package craympi
@@ -35,6 +39,9 @@ const (
 	slabMask    = 0x7FF
 	slotMask    = 0x7FF
 	slabEntries = slotMask + 1
+	// minSlabEntries is a new slab's length; it doubles up to
+	// slabEntries as slots are used.
+	minSlabEntries = 16
 )
 
 // Encode packs the Cray MPI handle fields. Exported for property tests.
@@ -59,10 +66,41 @@ func Decode(h mpi.Handle) (kind mpi.Kind, builtin bool, gen, slab, slot int) {
 		int(v) & slotMask
 }
 
+// slab is one second-level table. Its arrays cover the slots in use so
+// far; a slot past their length has never held an object and is at
+// generation 0.
 type slab struct {
-	objs  [slabEntries]any
-	kinds [slabEntries]mpi.Kind
-	gens  [slabEntries]uint8
+	objs  []any
+	kinds []mpi.Kind
+	gens  []uint8
+}
+
+// grow extends s to cover slot, doubling from minSlabEntries and never
+// past slabEntries.
+func (s *slab) grow(slot int) {
+	if slot < len(s.objs) {
+		return
+	}
+	n := max(minSlabEntries, len(s.objs))
+	for n <= slot {
+		n *= 2
+	}
+	n = min(n, slabEntries)
+	objs := make([]any, n)
+	copy(objs, s.objs)
+	kinds := make([]mpi.Kind, n)
+	copy(kinds, s.kinds)
+	gens := make([]uint8, n)
+	copy(gens, s.gens)
+	s.objs, s.kinds, s.gens = objs, kinds, gens
+}
+
+// at returns the slab's object at slot, nil for a slot never grown to.
+func (s *slab) at(slot int) any {
+	if s == nil || slot >= len(s.objs) {
+		return nil
+	}
+	return s.objs[slot]
 }
 
 type table struct {
@@ -91,6 +129,7 @@ func (t *table) Insert(kind mpi.Kind, obj any) mpi.Handle {
 		s = &slab{}
 		t.slabs[sl] = s
 	}
+	s.grow(slot)
 	s.objs[slot] = obj
 	s.kinds[slot] = kind
 	return Encode(kind, false, int(s.gens[slot]), sl, slot)
@@ -113,7 +152,7 @@ func (t *table) Lookup(kind mpi.Kind, h mpi.Handle) (any, error) {
 		return nil, mpi.Errorf(errClass(kind), "builtin handle %#x not initialized", uint64(h))
 	}
 	s := t.slabs[sl]
-	if s == nil || s.objs[slot] == nil {
+	if s.at(slot) == nil {
 		return nil, mpi.Errorf(errClass(kind), "dangling %v handle %#x", kind, uint64(h))
 	}
 	if int(s.gens[slot]) != gen {
@@ -132,7 +171,7 @@ func (t *table) Remove(h mpi.Handle) error {
 		return mpi.Errorf(errClass(k), "cannot free builtin handle %#x", uint64(h))
 	}
 	s := t.slabs[sl]
-	if s == nil || s.objs[slot] == nil {
+	if s.at(slot) == nil {
 		return mpi.Errorf(errClass(k), "free of dangling handle %#x", uint64(h))
 	}
 	if int(s.gens[slot]) != gen {

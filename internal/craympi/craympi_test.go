@@ -1,6 +1,8 @@
 package craympi
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -88,5 +90,69 @@ func TestCrayConstantsStable(t *testing.T) {
 	}
 	if uint64(ha)>>32 != 0 {
 		t.Fatalf("handle %#x not 32-bit", uint64(ha))
+	}
+}
+
+// TestFirstHandleAllocatesUnder1KB: a rank's first user handle costs a
+// small slab, not a whole 2048-entry one.
+func TestFirstHandleAllocatesUnder1KB(t *testing.T) {
+	tab := newTable()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	h := tab.Insert(mpi.KindComm, tab)
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= 1024 {
+		t.Fatalf("first Insert allocated %d bytes, want under 1 KB", got)
+	}
+	if o, err := tab.Lookup(mpi.KindComm, h); err != nil || o != any(tab) {
+		t.Fatalf("lookup: %v %v", o, err)
+	}
+}
+
+// TestGrownSlabsKeepFixedLayout: growing slabs on demand changes no
+// handle value. The first 5000 inserts — across the slab boundaries at
+// 2048 and 4096 — get exactly the handles of the fixed-slab layout,
+// position i at generation 0, slab i/2048 and slot i%2048; a freed and
+// reused slot moves to the next generation.
+func TestGrownSlabsKeepFixedLayout(t *testing.T) {
+	tab := newTable()
+	handles := make([]mpi.Handle, 5000)
+	for i := range handles {
+		h := tab.Insert(mpi.KindRequest, i)
+		if want := Encode(mpi.KindRequest, false, 0, i/slabEntries, i%slabEntries); h != want {
+			t.Fatalf("insert %d: handle %#x, fixed layout gives %#x", i, uint64(h), uint64(want))
+		}
+		handles[i] = h
+	}
+	for i, h := range handles {
+		if o, err := tab.Lookup(mpi.KindRequest, h); err != nil || o != any(i) {
+			t.Fatalf("lookup %d: %v %v", i, o, err)
+		}
+	}
+	if err := tab.Remove(handles[4100]); err != nil {
+		t.Fatal(err)
+	}
+	if h := tab.Insert(mpi.KindGroup, "again"); h != Encode(mpi.KindGroup, false, 1, 2, 4) {
+		t.Fatalf("freed slot not reused at the next generation: %#x", uint64(h))
+	}
+}
+
+// TestLookupPastGrownSlabIsDangling: a handle whose slot lies beyond
+// what its slab has grown to, or in a slab never allocated, is a
+// dangling handle — an error, not an index panic.
+func TestLookupPastGrownSlabIsDangling(t *testing.T) {
+	tab := newTable()
+	tab.Insert(mpi.KindComm, "only")
+	for _, h := range []mpi.Handle{
+		Encode(mpi.KindComm, false, 0, 0, minSlabEntries),
+		Encode(mpi.KindComm, false, 0, 0, slotMask),
+		Encode(mpi.KindComm, false, 0, 7, 0),
+	} {
+		if _, err := tab.Lookup(mpi.KindComm, h); err == nil || !strings.Contains(err.Error(), "dangling") {
+			t.Fatalf("Lookup(%#x) = %v, want a dangling-handle error", uint64(h), err)
+		}
+		if err := tab.Remove(h); err == nil || !strings.Contains(err.Error(), "dangling") {
+			t.Fatalf("Remove(%#x) = %v, want a dangling-handle error", uint64(h), err)
+		}
 	}
 }

@@ -22,14 +22,24 @@ func collTag(c *Comm) int {
 }
 
 // sendColl / recvColl are internal point-to-point helpers on the
-// collective context.
-func (e *Engine) sendColl(c *Comm, buf []byte, dest, tag int) error {
-	return e.sendRaw(c, c.Ctx|collCtxBit, buf, len(buf), e.dtypes[mpi.ConstByte], dest, tag)
+// collective context, moving count elements of dt straight between the
+// caller's buffer and the payload: a collective stages nothing of its
+// own, so the payload is packed once and unpacked once.
+func (e *Engine) sendColl(c *Comm, buf []byte, count int, dt *Dtype, dest, tag int) error {
+	return e.sendRaw(c, c.Ctx|collCtxBit, buf, count, dt, dest, tag)
 }
 
-func (e *Engine) recvColl(c *Comm, buf []byte, src, tag int) error {
-	_, err := e.recvRaw(c, c.Ctx|collCtxBit, buf, len(buf), e.dtypes[mpi.ConstByte], src, tag)
+func (e *Engine) recvColl(c *Comm, buf []byte, count int, dt *Dtype, src, tag int) error {
+	_, err := e.recvRaw(c, c.Ctx|collCtxBit, buf, count, dt, src, tag)
 	return err
+}
+
+// copyLocal moves a rank's own block from send to recv through a pooled
+// buffer, as a message to itself would.
+func (e *Engine) copyLocal(send []byte, scount int, sdt *Dtype, recv []byte, rcount int, rdt *Dtype) {
+	b := sdt.PackInto(e.Fab.Buf(scount*sdt.SizeB), send, scount)
+	rdt.Unpack(b, recv, rcount)
+	e.Fab.Free(b)
 }
 
 // Barrier blocks until all members of c have entered it (dissemination
@@ -41,15 +51,16 @@ func (e *Engine) Barrier(c *Comm) error {
 	}
 	tag := collTag(c)
 	me := c.MyRank
-	one := []byte{1}
-	buf := []byte{0}
+	var one, buf [1]byte
+	one[0] = 1
+	byteDt := e.dtypes[mpi.ConstByte]
 	for k := 1; k < p; k <<= 1 {
 		to := (me + k) % p
 		from := (me - k + p) % p
-		if err := e.sendColl(c, one, to, tag); err != nil {
+		if err := e.sendColl(c, one[:], 1, byteDt, to, tag); err != nil {
 			return err
 		}
-		if err := e.recvColl(c, buf, from, tag); err != nil {
+		if err := e.recvColl(c, buf[:], 1, byteDt, from, tag); err != nil {
 			return err
 		}
 	}
@@ -57,6 +68,8 @@ func (e *Engine) Barrier(c *Comm) error {
 }
 
 // Bcast broadcasts count elements of dt from root over a binomial tree.
+// Every rank receives straight into buf and forwards from it, so derived
+// datatypes relay correctly and no packed copy is staged.
 func (e *Engine) Bcast(c *Comm, buf []byte, count int, dt *Dtype, root int) error {
 	p := c.Size()
 	if root < 0 || root >= p {
@@ -66,22 +79,18 @@ func (e *Engine) Bcast(c *Comm, buf []byte, count int, dt *Dtype, root int) erro
 		return nil
 	}
 	tag := collTag(c)
-	// Work on packed bytes so derived datatypes relay correctly.
-	var payload []byte
 	vr := (c.MyRank - root + p) % p // rank relative to root
 
 	// Climb masks until the bit set in vr is found: that bit is the
 	// parent link (standard MPICH binomial broadcast).
 	mask := 1
 	if vr != 0 {
-		payload = make([]byte, count*dt.SizeB)
 		for mask < p {
 			if vr&mask != 0 {
 				parent := (vr - mask + root) % p
-				if err := e.recvColl(c, payload, parent, tag); err != nil {
+				if err := e.recvColl(c, buf, count, dt, parent, tag); err != nil {
 					return err
 				}
-				dt.Unpack(payload, buf, count)
 				break
 			}
 			mask <<= 1
@@ -90,14 +99,13 @@ func (e *Engine) Bcast(c *Comm, buf []byte, count int, dt *Dtype, root int) erro
 		for mask < p {
 			mask <<= 1
 		}
-		payload = dt.Pack(buf, count)
 	}
 
 	// Forward to children below the parent bit.
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if vr+mask < p {
 			child := (vr + mask + root) % p
-			if err := e.sendColl(c, payload, child, tag); err != nil {
+			if err := e.sendColl(c, buf, count, dt, child, tag); err != nil {
 				return err
 			}
 		}
@@ -107,34 +115,40 @@ func (e *Engine) Bcast(c *Comm, buf []byte, count int, dt *Dtype, root int) erro
 
 // Reduce combines count elements with op into recv at root. The binomial
 // tree preserves ascending rank order in each combine, so even
-// non-commutative user functions see operands in canonical order.
+// non-commutative user functions see operands in canonical order. The
+// accumulator and each child's operand are pooled payload buffers.
 func (e *Engine) Reduce(c *Comm, send, recv []byte, count int, dt *Dtype, op *Op, root int) error {
 	p := c.Size()
 	if root < 0 || root >= p {
 		return mpi.Errorf(mpi.ErrRank, "reduce root %d out of range", root)
 	}
 	tag := collTag(c)
-	acc := dt.Pack(send, count)
+	n := count * dt.SizeB
+	acc := dt.PackInto(e.Fab.Buf(n), send, count)
+	defer e.Fab.Free(acc)
 	vr := (c.MyRank - root + p) % p
+	byteDt := e.dtypes[mpi.ConstByte]
 
 	for mask := 1; mask < p; mask <<= 1 {
 		if vr&mask != 0 {
 			// Send accumulated value to the parent and stop.
 			parent := (vr - mask + root) % p
-			return e.sendColl(c, acc, parent, tag)
+			return e.sendColl(c, acc, n, byteDt, parent, tag)
 		}
 		childVr := vr + mask
 		if childVr >= p {
 			continue
 		}
 		child := (childVr + root) % p
-		in := make([]byte, count*dt.SizeB)
-		if err := e.recvColl(c, in, child, tag); err != nil {
-			return err
+		in := e.Fab.Buf(n)
+		err := e.recvColl(c, in, n, byteDt, child, tag)
+		if err == nil {
+			// acc covers ranks [vr, vr+mask); child covers [vr+mask, ...):
+			// combine(acc, childData) keeps ascending order.
+			err = applyOp(op, in, acc, count, dt)
 		}
-		// acc covers ranks [vr, vr+mask); child covers [vr+mask, ...):
-		// combine(acc, childData) keeps ascending order.
-		if err := applyOp(op, in, acc, count, dt); err != nil {
+		e.Fab.Free(in)
+		if err != nil {
 			return err
 		}
 	}
@@ -153,26 +167,25 @@ func (e *Engine) Allreduce(c *Comm, send, recv []byte, count int, dt *Dtype, op 
 }
 
 // Alltoall exchanges one block with every other rank (pairwise offsets).
+// Blocks travel with their real datatypes, packed once at the sender and
+// unpacked once into recv.
 func (e *Engine) Alltoall(c *Comm, send []byte, scount int, sdt *Dtype, recv []byte, rcount int, rdt *Dtype) error {
 	p := c.Size()
 	tag := collTag(c)
 	me := c.MyRank
 
 	// Local block copies directly.
-	self := sdt.Pack(send[me*scount*sdt.ExtentB:], scount)
-	rdt.Unpack(self, recv[me*rcount*rdt.ExtentB:], rcount)
+	e.copyLocal(send[me*scount*sdt.ExtentB:], scount, sdt, recv[me*rcount*rdt.ExtentB:], rcount, rdt)
 
 	for off := 1; off < p; off++ {
 		to := (me + off) % p
 		from := (me - off + p) % p
-		if err := e.sendColl(c, sdt.Pack(send[to*scount*sdt.ExtentB:], scount), to, tag); err != nil {
+		if err := e.sendColl(c, send[to*scount*sdt.ExtentB:], scount, sdt, to, tag); err != nil {
 			return err
 		}
-		in := make([]byte, rcount*rdt.SizeB)
-		if err := e.recvColl(c, in, from, tag); err != nil {
+		if err := e.recvColl(c, recv[from*rcount*rdt.ExtentB:], rcount, rdt, from, tag); err != nil {
 			return err
 		}
-		rdt.Unpack(in, recv[from*rcount*rdt.ExtentB:], rcount)
 	}
 	return nil
 }
@@ -185,19 +198,16 @@ func (e *Engine) Gather(c *Comm, send []byte, scount int, sdt *Dtype, recv []byt
 	}
 	tag := collTag(c)
 	if c.MyRank != root {
-		return e.sendColl(c, sdt.Pack(send, scount), root, tag)
+		return e.sendColl(c, send, scount, sdt, root, tag)
 	}
 	for r := 0; r < p; r++ {
 		if r == root {
-			self := sdt.Pack(send, scount)
-			rdt.Unpack(self, recv[r*rcount*rdt.ExtentB:], rcount)
+			e.copyLocal(send, scount, sdt, recv[r*rcount*rdt.ExtentB:], rcount, rdt)
 			continue
 		}
-		in := make([]byte, rcount*rdt.SizeB)
-		if err := e.recvColl(c, in, r, tag); err != nil {
+		if err := e.recvColl(c, recv[r*rcount*rdt.ExtentB:], rcount, rdt, r, tag); err != nil {
 			return err
 		}
-		rdt.Unpack(in, recv[r*rcount*rdt.ExtentB:], rcount)
 	}
 	return nil
 }
@@ -209,24 +219,19 @@ func (e *Engine) Scatter(c *Comm, send []byte, scount int, sdt *Dtype, recv []by
 		return mpi.Errorf(mpi.ErrRank, "scatter root %d out of range", root)
 	}
 	tag := collTag(c)
-	if c.MyRank == root {
-		for r := 0; r < p; r++ {
-			block := sdt.Pack(send[r*scount*sdt.ExtentB:], scount)
-			if r == root {
-				rdt.Unpack(block, recv, rcount)
-				continue
-			}
-			if err := e.sendColl(c, block, r, tag); err != nil {
-				return err
-			}
+	if c.MyRank != root {
+		return e.recvColl(c, recv, rcount, rdt, root, tag)
+	}
+	for r := 0; r < p; r++ {
+		block := send[r*scount*sdt.ExtentB:]
+		if r == root {
+			e.copyLocal(block, scount, sdt, recv, rcount, rdt)
+			continue
 		}
-		return nil
+		if err := e.sendColl(c, block, scount, sdt, r, tag); err != nil {
+			return err
+		}
 	}
-	in := make([]byte, rcount*rdt.SizeB)
-	if err := e.recvColl(c, in, root, tag); err != nil {
-		return err
-	}
-	rdt.Unpack(in, recv, rcount)
 	return nil
 }
 

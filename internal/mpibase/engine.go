@@ -157,9 +157,10 @@ func (e *Engine) sendRaw(c *Comm, ctx uint32, buf []byte, count int, dt *Dtype, 
 	if need := dt.BufLen(count); len(buf) < need {
 		return mpi.Errorf(mpi.ErrArg, "send buffer %d bytes, need %d", len(buf), need)
 	}
-	// Pack's fresh slice is the one copy between the caller's buffer and
-	// the mailbox: the transport takes it over as it is.
-	payload := dt.Pack(buf, count)
+	// Packing into a pooled buffer is the one copy between the caller's
+	// buffer and the mailbox: the transport takes it over as it is, and
+	// the receiver's finishRecv returns it to the pool.
+	payload := dt.PackInto(e.Fab.Buf(count*dt.SizeB), buf, count)
 	e.Clock.Advance(e.Net.Overhead)
 	if err := e.Ep.SendOwned(world, ctx, tag, payload, e.Clock.Now()); err != nil {
 		return mpi.Errorf(mpi.ErrOther, "transport: %v", err)
@@ -183,8 +184,10 @@ func makeMatch(c *Comm, ctx uint32, src, tag int) (transport.Match, error) {
 	return m, nil
 }
 
-// finishRecv accounts virtual time for a delivered message and unpacks it.
+// finishRecv accounts virtual time for a delivered message, unpacks it
+// and returns its payload to the fabric's pool.
 func (e *Engine) finishRecv(c *Comm, msg *transport.Message, buf []byte, count int, dt *Dtype) (mpi.Status, error) {
+	defer e.Fab.Free(msg.Payload)
 	arrival := msg.SendVT + e.Net.TransferCost(len(msg.Payload))
 	e.Clock.MergeAtLeast(arrival)
 	e.Clock.Advance(e.Net.Overhead)
@@ -217,7 +220,7 @@ func (e *Engine) recvRaw(c *Comm, ctx uint32, buf []byte, count int, dt *Dtype, 
 	if err != nil {
 		return mpi.Status{}, mpi.Errorf(mpi.ErrOther, "transport: %v", err)
 	}
-	return e.finishRecv(c, msg, buf, count, dt)
+	return e.finishRecv(c, &msg, buf, count, dt)
 }
 
 // SleepUntil parks the rank until virtual time at and merges the clock
@@ -345,7 +348,7 @@ func (e *Engine) Test(r *Req) (bool, mpi.Status, error) {
 	if !ok {
 		return false, mpi.Status{}, nil
 	}
-	st, err := e.finishRecv(r.Comm, msg, r.Buf, r.Count, r.Dt)
+	st, err := e.finishRecv(r.Comm, &msg, r.Buf, r.Count, r.Dt)
 	r.Done = true
 	r.St = st
 	return true, st, err

@@ -109,18 +109,26 @@ func (d *Dtype) contiguous() bool {
 }
 
 // Pack copies count elements from the (possibly strided) user buffer into
-// a dense payload. The result never aliases buf, so a caller may hand it
-// on as its own (sendRaw gives it to the transport).
+// a fresh dense payload of count*SizeB bytes that never aliases buf. The
+// engine's own sends use PackInto on a buffer from the fabric's payload
+// pool instead, so a steady-state send allocates nothing.
 func (d *Dtype) Pack(buf []byte, count int) []byte {
+	return d.PackInto(make([]byte, count*d.SizeB), buf, count)
+}
+
+// PackInto is Pack into out, which must hold at least count*SizeB bytes;
+// it returns out[:count*SizeB], every byte of it written.
+func (d *Dtype) PackInto(out, buf []byte, count int) []byte {
+	out = out[:count*d.SizeB]
 	if d.contiguous() {
-		n := count * d.SizeB
-		return append([]byte(nil), buf[:n]...)
+		copy(out, buf[:len(out)])
+		return out
 	}
-	out := make([]byte, 0, count*d.SizeB)
+	pos := 0
 	for i := 0; i < count; i++ {
 		base := i * d.ExtentB
 		for _, s := range d.segs {
-			out = append(out, buf[base+s.off:base+s.off+s.n]...)
+			pos += copy(out[pos:], buf[base+s.off:base+s.off+s.n])
 		}
 	}
 	return out

@@ -7,6 +7,11 @@
 //	bits 26..12  first-level index (slab number)
 //	bits 11..0   second-level index (slot within a 4096-entry slab)
 //
+// Slabs are allocated on demand, when the first object lands in one, and
+// a slab's arrays grow with use: minSlabEntries slots at first, doubling
+// up to the full 4096. A rank pays for the handles it creates, not for a
+// whole slab at its first CommDup; the handle layout above is unchanged.
+//
 // Predefined constants (MPI_COMM_WORLD, MPI_DOUBLE, MPI_SUM, ...) are
 // compile-time integers with the builtin flag set. Their values are the
 // same in the upper and lower halves and identical across sessions —
@@ -31,6 +36,9 @@ const (
 	slabMask    = 0x7FFF // 15 bits of slab number
 	slotMask    = 0xFFF  // 12 bits of slot
 	slabEntries = slotMask + 1
+	// minSlabEntries is a new slab's length; it doubles up to
+	// slabEntries as slots are used.
+	minSlabEntries = 16
 )
 
 // Encode packs kind, builtin flag, slab and slot into an MPICH-style
@@ -61,9 +69,37 @@ type table struct {
 	constObjs [mpi.NumConstNames]any
 }
 
+// slab is one second-level table. Its arrays cover the slots in use so
+// far; a slot past their length has never held an object.
 type slab struct {
-	objs  [slabEntries]any
-	kinds [slabEntries]mpi.Kind
+	objs  []any
+	kinds []mpi.Kind
+}
+
+// grow extends s to cover slot, doubling from minSlabEntries and never
+// past slabEntries.
+func (s *slab) grow(slot int) {
+	if slot < len(s.objs) {
+		return
+	}
+	n := max(minSlabEntries, len(s.objs))
+	for n <= slot {
+		n *= 2
+	}
+	n = min(n, slabEntries)
+	objs := make([]any, n)
+	copy(objs, s.objs)
+	kinds := make([]mpi.Kind, n)
+	copy(kinds, s.kinds)
+	s.objs, s.kinds = objs, kinds
+}
+
+// at returns the slab's object at slot, nil for a slot never grown to.
+func (s *slab) at(slot int) any {
+	if s == nil || slot >= len(s.objs) {
+		return nil
+	}
+	return s.objs[slot]
 }
 
 func newTable() *table {
@@ -86,6 +122,7 @@ func (t *table) Insert(kind mpi.Kind, obj any) mpi.Handle {
 		s = &slab{}
 		t.slabs[sl] = s
 	}
+	s.grow(slot)
 	s.objs[slot] = obj
 	s.kinds[slot] = kind
 	return Encode(kind, false, sl, slot)
@@ -104,7 +141,7 @@ func (t *table) Lookup(kind mpi.Kind, h mpi.Handle) (any, error) {
 		return nil, mpi.Errorf(errClass(kind), "builtin handle %#x not registered", uint64(h))
 	}
 	s := t.slabs[sl]
-	if s == nil || s.objs[slot] == nil {
+	if s.at(slot) == nil {
 		return nil, mpi.Errorf(errClass(kind), "dangling %v handle %#x", kind, uint64(h))
 	}
 	if s.kinds[slot] != kind {
@@ -120,7 +157,7 @@ func (t *table) Remove(h mpi.Handle) error {
 		return mpi.Errorf(errClass(k), "cannot free builtin handle %#x", uint64(h))
 	}
 	s := t.slabs[sl]
-	if s == nil || s.objs[slot] == nil {
+	if s.at(slot) == nil {
 		return mpi.Errorf(errClass(k), "free of dangling handle %#x", uint64(h))
 	}
 	s.objs[slot] = nil

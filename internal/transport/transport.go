@@ -24,14 +24,35 @@
 // Matching is indexed: each mailbox keeps one FIFO per (source, context,
 // tag) triple plus an arrival-ordered list per context, sharing entries.
 // An entry is the message's envelope and its queue links in one object,
-// and a triple's FIFO is a list threaded through the entries, so a
-// queued message costs two allocations: the entry and the payload.
-// A fully specified receive is a map lookup; a wildcard receive walks
-// its context's arrival list front-to-back and takes the first live
-// match — exactly the message the old single-queue linear scan found,
-// but without visiting other contexts, and an AnySource probe against a
+// and a triple's FIFO is a list threaded through the entries. A fully
+// specified receive is a map lookup; a wildcard receive walks its
+// context's arrival list front-to-back and takes the first live match —
+// exactly the message the old single-queue linear scan found, but
+// without visiting other contexts, and an AnySource probe against a
 // mailbox holding thousands of per-source triples stops at the first
 // match instead of ranking every triple.
+//
+// # Recycling
+//
+// A real MPI library's network layer sends and receives through buffers
+// it registers once and reuses; so does this one, and a steady-state
+// message costs no heap object. A context's index outlives its last
+// message, a consumed entry returns to its mailbox's free list once
+// both indexes have dropped it, and payloads come from the fabric's
+// size-class pool. The payload follows one ownership chain:
+//
+//   - Buf hands out a payload buffer of the requested length;
+//   - SendOwned takes the payload over, and the caller must not touch it
+//     again (Send copies the caller's bytes into a Buf first);
+//   - Recv and TryRecv hand the Message to the caller by value, and with
+//     it the payload;
+//   - Free returns a payload the caller is done with to the pool. A
+//     payload that is never freed — dropped by a fault filter, kept by
+//     its receiver, or still queued when the fabric closes — is simply
+//     garbage.
+//
+// The *Message that Probe and ProbeVisible return points into the
+// queued entry and is valid only until that message is consumed.
 //
 // # Blocking and ownership
 //
@@ -43,18 +64,22 @@
 // scheduler never blocks: a receive that finds no match returns
 // ErrNoScheduler instead of waiting for a delivery nothing could make.
 //
-// Mailboxes carry no lock. The kernel runs one rank at a time, and a
-// mailbox is touched only by the rank holding the execution token — its
-// owner receiving or probing, or a peer depositing. The one exception
-// is the stall teardown, Fabric.Close on the scheduler goroutine while
-// every rank is parked, and the kernel's channel handoff orders it
-// before the next rank resumes. A fabric without a scheduler must be
-// driven by a single goroutine.
+// Mailboxes and the payload pool carry no lock. The kernel runs one
+// rank at a time, and a mailbox is touched only by the rank holding the
+// execution token — its owner receiving or probing, or a peer
+// depositing — as is the pool, by whichever rank packs or frees a
+// payload. The one exception is the stall teardown, Fabric.Close on the
+// scheduler goroutine while every rank is parked, and the kernel's
+// channel handoff orders it before the next rank resumes. A fabric
+// without a scheduler must be driven by a single goroutine. Pooled
+// entries and buffers die with their fabric, so nothing from an old
+// fabric survives a restart.
 package transport
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -83,7 +108,9 @@ type Message struct {
 	Context uint32
 	// Tag is the user tag.
 	Tag int
-	// Payload is the message body. The transport owns this copy.
+	// Payload is the message body. The transport owns it while the
+	// message is queued and hands it to the receiver with the message
+	// (see the package comment, "Recycling").
 	Payload []byte
 	// SendVT is the sender's virtual time at send, used by the receiver
 	// to account transfer cost.
@@ -141,7 +168,26 @@ type Fabric struct {
 	boxes   []*mailbox
 	closed  atomic.Bool
 	filter  FaultFilter
+
+	// bufs holds freed payload buffers by size class: bufs[k] are
+	// buffers of capacity 1<<(k+minBufShift). Only the token holder
+	// touches it (see the package comment).
+	bufs [maxBufShift - minBufShift + 1][][]byte
 }
+
+// Pool bounds. A payload class holds buffers of one power-of-two
+// capacity from 1<<minBufShift to 1<<maxBufShift bytes; larger payloads
+// are plain allocations. A class keeps at most bufClassBytes of idle
+// buffers and never more than maxClassBufs of them, and a mailbox keeps
+// at most maxFreeEntries idle queue entries, so an idle fabric holds a
+// bounded amount of pooled memory however large a burst was.
+const (
+	minBufShift    = 3  // 8 B
+	maxBufShift    = 16 // 64 KB
+	bufClassBytes  = 1 << 20
+	maxClassBufs   = 1024
+	maxFreeEntries = 256
+)
 
 var sessionCounter atomic.Uint64
 
@@ -207,6 +253,44 @@ func (f *Fabric) AllocContextRange(n int) uint32 {
 	return end - uint32(n) + 1
 }
 
+// Buf returns a payload buffer of length n, recycled from the fabric's
+// pool when one of its size class is free. Its contents are unspecified:
+// the caller overwrites all n bytes before sending it with SendOwned.
+func (f *Fabric) Buf(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	k := max(bits.Len(uint(n-1)), minBufShift)
+	if k > maxBufShift {
+		return make([]byte, n)
+	}
+	free := &f.bufs[k-minBufShift]
+	if i := len(*free) - 1; i >= 0 {
+		b := (*free)[i]
+		(*free)[i] = nil
+		*free = (*free)[:i]
+		return b[:n]
+	}
+	return make([]byte, n, 1<<k)
+}
+
+// Free returns a payload the caller is done with — one Recv or TryRecv
+// handed over — to the pool. The caller must not touch b again. A slice
+// whose capacity is not one of the pool's classes, or one arriving when
+// its class is full, is left to the garbage collector.
+func (f *Fabric) Free(b []byte) {
+	c := cap(b)
+	k := bits.TrailingZeros(uint(c))
+	if c == 0 || c != 1<<k || k < minBufShift || k > maxBufShift {
+		return
+	}
+	free := &f.bufs[k-minBufShift]
+	if len(*free) >= min(maxClassBufs, bufClassBytes>>k) {
+		return
+	}
+	*free = append(*free, b[:c])
+}
+
 // Endpoint returns rank r's attachment point.
 func (f *Fabric) Endpoint(r int) *Endpoint {
 	if r < 0 || r >= f.n {
@@ -257,16 +341,19 @@ func (e *Endpoint) Sent() uint64 { return e.sent.Load() }
 func (e *Endpoint) Received() uint64 { return e.recv.Load() }
 
 // Send deposits a message in dst's mailbox (eager protocol). The payload
-// is copied; the caller may reuse buf immediately. Send never blocks.
+// is copied into a pooled buffer; the caller may reuse buf immediately.
+// Send never blocks.
 func (e *Endpoint) Send(dst int, ctx uint32, tag int, buf []byte, sendVT time.Duration) error {
-	return e.SendOwned(dst, ctx, tag, append([]byte(nil), buf...), sendVT)
+	payload := e.fabric.Buf(len(buf))
+	copy(payload, buf)
+	return e.SendOwned(dst, ctx, tag, payload, sendVT)
 }
 
 // SendOwned is Send without the copy: payload becomes the transport's,
 // and the caller must not touch it again. It is for a caller that has
 // just built the payload itself — the MPI engine packs the user buffer
-// into a fresh slice — so that one copy, not two, separates the
-// sender's buffer from the mailbox.
+// into a Buf — so that one copy, not two, separates the sender's buffer
+// from the mailbox.
 func (e *Endpoint) SendOwned(dst int, ctx uint32, tag int, payload []byte, sendVT time.Duration) error {
 	if e.fabric.closed.Load() {
 		return ErrClosed
@@ -274,7 +361,9 @@ func (e *Endpoint) SendOwned(dst int, ctx uint32, tag int, payload []byte, sendV
 	if dst < 0 || dst >= e.fabric.n {
 		return fmt.Errorf("transport: send to rank %d out of range [0,%d)", dst, e.fabric.n)
 	}
-	ent := &qent{m: Message{
+	box := e.fabric.boxes[dst]
+	ent := box.entry()
+	ent.m = Message{
 		Src:     e.rank,
 		Dst:     dst,
 		Context: ctx,
@@ -282,12 +371,14 @@ func (e *Endpoint) SendOwned(dst int, ctx uint32, tag int, payload []byte, sendV
 		Payload: payload,
 		SendVT:  sendVT,
 		Seq:     e.fabric.seq.Add(1),
-	}}
+	}
 	if fn := e.fabric.filter; fn != nil {
 		drop, delay := fn(&ent.m)
 		if drop {
 			// The bytes left the sender and vanished on the wire: the
-			// send itself still succeeded and is counted.
+			// send itself still succeeded and is counted. The entry was
+			// never linked, so it goes straight back.
+			box.recycle(ent)
 			e.sent.Add(1)
 			return nil
 		}
@@ -296,7 +387,7 @@ func (e *Endpoint) SendOwned(dst int, ctx uint32, tag int, payload []byte, sendV
 		}
 	}
 	e.sent.Add(1)
-	return e.fabric.boxes[dst].put(ent)
+	return box.put(ent)
 }
 
 // SleepUntil parks the calling rank's activity until virtual time at.
@@ -322,34 +413,37 @@ func (e *Endpoint) SleepUntil(at time.Duration) error {
 }
 
 // Recv blocks until a message matching m arrives, removes it, and
-// returns it. It returns ErrClosed if the fabric shuts down first, and
+// returns it; its payload is now the caller's (Free returns it to the
+// pool). It returns ErrClosed if the fabric shuts down first, and
 // ErrNoScheduler if it would have to block on a fabric with no
 // scheduler.
-func (e *Endpoint) Recv(m Match) (*Message, error) {
+func (e *Endpoint) Recv(m Match) (Message, error) {
 	msg, err := e.fabric.boxes[e.rank].take(m, true)
 	if err != nil {
-		return nil, err
+		return Message{}, err
 	}
 	e.recv.Add(1)
 	return msg, nil
 }
 
 // TryRecv removes and returns a matching message if one is already
-// present; ok reports whether a message was found. It never blocks.
-func (e *Endpoint) TryRecv(m Match) (msg *Message, ok bool, err error) {
+// present; ok reports whether a message was found. It never blocks. The
+// payload passes to the caller as with Recv.
+func (e *Endpoint) TryRecv(m Match) (msg Message, ok bool, err error) {
 	msg, err = e.fabric.boxes[e.rank].take(m, false)
 	if err != nil {
 		if errors.Is(err, errNoMatch) {
-			return nil, false, nil
+			return Message{}, false, nil
 		}
-		return nil, false, err
+		return Message{}, false, err
 	}
 	e.recv.Add(1)
 	return msg, true, nil
 }
 
 // Probe reports whether a message matching m is waiting, without
-// removing it. The returned message must not be mutated.
+// removing it. The returned message points into the queue: it must not
+// be mutated, and it is valid only until the message is consumed.
 func (e *Endpoint) Probe(m Match) (msg *Message, ok bool) {
 	return e.fabric.boxes[e.rank].peek(m)
 }
@@ -360,7 +454,7 @@ func (e *Endpoint) Probe(m Match) (msg *Message, ok bool) {
 // a rank whose clock lags the sender's would otherwise observe an
 // envelope from its own virtual future — a causality leak that lets a
 // nonblocking probe drag the receiver's clock forward when the message
-// is then received.
+// is then received. The result is valid as Probe's is.
 func (e *Endpoint) ProbeVisible(m Match, now time.Duration) (msg *Message, ok bool) {
 	return e.fabric.boxes[e.rank].peekVisible(m, now)
 }
@@ -396,9 +490,10 @@ type srcTag struct {
 }
 
 // qent is one queued message: the envelope and its queue links,
-// allocated together. The same entry is linked from two indexes — its
-// (source, tag) FIFO and its context's arrival list — so consuming it
-// through either marks it taken and the other index skips it lazily.
+// allocated together and recycled through the mailbox's free list. The
+// same entry is linked from two indexes — its (source, tag) FIFO and its
+// context's arrival list — so consuming it through either marks it
+// taken and the other index skips it lazily.
 type qent struct {
 	m     Message
 	taken bool
@@ -424,7 +519,10 @@ func (q tripleq) front() *qent {
 }
 
 // ctxq holds one context's messages under both indexes: triples for
-// exact-match lookups, fifo for arrival-ordered wildcard scans.
+// exact-match lookups, fifo for arrival-ordered wildcard scans. A
+// context's ctxq, its map and its arrival array outlive its last
+// message: contexts empty and refill on every ping-pong and every
+// collective round.
 type ctxq struct {
 	triples map[srcTag]tripleq
 	fifo    []*qent
@@ -433,30 +531,48 @@ type ctxq struct {
 	dead    int // taken entries still in fifo past head
 }
 
-// pruneFifo drops the consumed prefix of the arrival list and rebuilds
-// the list once interior consumed entries (taken through an exact-match
-// receive) dominate it, so wildcard scans stay amortized-linear in live
-// messages.
-func (c *ctxq) pruneFifo() {
+// pruneFifo drops the consumed prefix of the arrival list and compacts
+// the list in place once interior consumed entries (taken through an
+// exact-match receive) dominate it, so wildcard scans stay
+// amortized-linear in live messages. A dropped entry has left both
+// indexes — remove unlinks a consumed entry from its triple before
+// anything prunes — so it goes back to b's free list.
+func (c *ctxq) pruneFifo(b *mailbox) {
 	for c.head < len(c.fifo) && c.fifo[c.head].taken {
+		b.recycle(c.fifo[c.head])
 		c.fifo[c.head] = nil
 		c.head++
 		if c.dead > 0 {
 			c.dead--
 		}
 	}
-	if c.dead > 32 && c.dead*2 >= len(c.fifo)-c.head {
-		kept := make([]*qent, 0, c.live)
+	n := len(c.fifo)
+	if c.dead > 32 && c.dead*2 >= n-c.head {
+		kept := c.fifo[:0]
 		for _, e := range c.fifo[c.head:] {
-			if !e.taken {
-				kept = append(kept, e)
+			if e.taken {
+				b.recycle(e)
+				continue
 			}
+			kept = append(kept, e)
 		}
+		clear(c.fifo[len(kept):n])
 		c.fifo, c.head, c.dead = kept, 0, 0
-	} else if c.head > 32 && c.head*2 >= len(c.fifo) {
+	} else if c.head > 32 && c.head*2 >= n {
 		c.fifo = append(c.fifo[:0], c.fifo[c.head:]...)
+		clear(c.fifo[len(c.fifo):n])
 		c.head = 0
 	}
+}
+
+// empty recycles every entry of a context whose last live message was
+// just consumed and resets its arrival list to the start of its array.
+func (c *ctxq) empty(b *mailbox) {
+	for i := c.head; i < len(c.fifo); i++ {
+		b.recycle(c.fifo[i])
+		c.fifo[i] = nil
+	}
+	c.fifo, c.head, c.dead = c.fifo[:0], 0, 0
 }
 
 // mailbox is an MPI-ordered message store indexed per (source, context,
@@ -474,6 +590,9 @@ type mailbox struct {
 	byCtx  map[uint32]*ctxq
 	count  int
 	closed bool
+	// free holds recycled entries; senders to this mailbox take theirs
+	// from it.
+	free []*qent
 
 	// Scheduler hooks (nil on a bare fabric). waiting records the owner
 	// rank's parked receive; there is at most one waiter per mailbox
@@ -486,6 +605,27 @@ type mailbox struct {
 
 func newMailbox(rank int) *mailbox {
 	return &mailbox{rank: rank, byCtx: make(map[uint32]*ctxq)}
+}
+
+// entry returns a cleared queue entry, recycled when one is free.
+func (b *mailbox) entry() *qent {
+	if i := len(b.free) - 1; i >= 0 {
+		e := b.free[i]
+		b.free[i] = nil
+		b.free = b.free[:i]
+		return e
+	}
+	return &qent{}
+}
+
+// recycle clears e, dropping its payload reference, and keeps it for a
+// later entry unless the free list is full. The caller guarantees that
+// neither index still reaches e.
+func (b *mailbox) recycle(e *qent) {
+	*e = qent{}
+	if len(b.free) < maxFreeEntries {
+		b.free = append(b.free, e)
+	}
 }
 
 func (b *mailbox) put(e *qent) error {
@@ -519,19 +659,29 @@ func (b *mailbox) put(e *qent) error {
 
 func (b *mailbox) len() int { return b.count }
 
+// liveCtx returns the index of context ctx if it holds a live message,
+// and nil for a context never used or emptied: a poll of an idle
+// context costs one map lookup.
+func (b *mailbox) liveCtx(ctx uint32) *ctxq {
+	if c := b.byCtx[ctx]; c != nil && c.live > 0 {
+		return c
+	}
+	return nil
+}
+
 // find returns the entry m selects, or nil. An exact match is an index
 // lookup; a match with a wildcard walks the context's arrival list
 // front-to-back and returns the first live match, which is the earliest
 // arrival among all matching triples.
 func (b *mailbox) find(m Match) *qent {
-	c := b.byCtx[m.Context]
+	c := b.liveCtx(m.Context)
 	if c == nil {
 		return nil
 	}
 	if m.Src != AnySource && m.Tag != AnyTag {
 		return c.triples[srcTag{src: m.Src, tag: m.Tag}].front()
 	}
-	c.pruneFifo()
+	c.pruneFifo(b)
 	for i := c.head; i < len(c.fifo); i++ {
 		e := c.fifo[i]
 		if e.taken || !m.Matches(&e.m) {
@@ -548,7 +698,7 @@ func (b *mailbox) find(m Match) *qent {
 // match scans the arrival list for the first live visible entry, since
 // interleaved senders' timestamps are not ordered by arrival.
 func (b *mailbox) findVisible(m Match, now time.Duration) *qent {
-	c := b.byCtx[m.Context]
+	c := b.liveCtx(m.Context)
 	if c == nil {
 		return nil
 	}
@@ -559,7 +709,7 @@ func (b *mailbox) findVisible(m Match, now time.Duration) *qent {
 		}
 		return e
 	}
-	c.pruneFifo()
+	c.pruneFifo(b)
 	for i := c.head; i < len(c.fifo); i++ {
 		e := c.fifo[i]
 		if e.taken || !m.Matches(&e.m) || e.m.SendVT > now {
@@ -573,7 +723,7 @@ func (b *mailbox) findVisible(m Match, now time.Duration) *qent {
 // earliestMatch returns the smallest SendVT among live entries matching
 // m.
 func (b *mailbox) earliestMatch(m Match) (time.Duration, bool) {
-	c := b.byCtx[m.Context]
+	c := b.liveCtx(m.Context)
 	if c == nil {
 		return 0, false
 	}
@@ -584,7 +734,7 @@ func (b *mailbox) earliestMatch(m Match) (time.Duration, bool) {
 		}
 		return e.m.SendVT, true
 	}
-	c.pruneFifo()
+	c.pruneFifo(b)
 	best, ok := time.Duration(0), false
 	for i := c.head; i < len(c.fifo); i++ {
 		e := c.fifo[i]
@@ -598,20 +748,19 @@ func (b *mailbox) earliestMatch(m Match) (time.Duration, bool) {
 	return best, ok
 }
 
-// remove consumes e and drops emptied index entries.
-func (b *mailbox) remove(e *qent) *Message {
-	msg := &e.m
+// remove consumes e and returns its message. The entry is unlinked
+// from its triple first; only then may the arrival list drop and
+// recycle it, so a recycled entry is never still a triple's head.
+func (b *mailbox) remove(e *qent) Message {
+	msg := e.m
 	e.taken = true
 	b.count--
 	c := b.byCtx[msg.Context]
 	c.live--
 	c.dead++
-	c.pruneFifo()
 	k := srcTag{src: msg.Src, tag: msg.Tag}
 	q := c.triples[k]
 	for q.head != nil && q.head.taken {
-		// Unlink, so a consumed message its receiver still holds does
-		// not keep the entries queued behind it reachable.
 		done := q.head
 		q.head, done.next = done.next, nil
 	}
@@ -621,26 +770,28 @@ func (b *mailbox) remove(e *qent) *Message {
 		c.triples[k] = q
 	}
 	if c.live == 0 {
-		delete(b.byCtx, msg.Context)
+		c.empty(b)
+	} else {
+		c.pruneFifo(b)
 	}
 	return msg
 }
 
 // take removes the first matching message. If block is true it waits for
 // one; otherwise it returns errNoMatch immediately.
-func (b *mailbox) take(m Match, block bool) (*Message, error) {
+func (b *mailbox) take(m Match, block bool) (Message, error) {
 	for {
 		if b.closed {
-			return nil, ErrClosed
+			return Message{}, ErrClosed
 		}
 		if e := b.find(m); e != nil {
 			return b.remove(e), nil
 		}
 		if !block {
-			return nil, errNoMatch
+			return Message{}, errNoMatch
 		}
 		if err := b.wait(m); err != nil {
-			return nil, err
+			return Message{}, err
 		}
 	}
 }

@@ -309,7 +309,7 @@ func runRanks(f *Fabric, bodies ...func()) {
 func TestBlockingRecvWakesOnSend(t *testing.T) {
 	f := NewFabric(2)
 	defer f.Close()
-	var got *Message
+	var got Message
 	var err error
 	runRanks(f,
 		func() { got, err = f.Endpoint(0).Recv(Match{Context: 9, Src: 1, Tag: 1}) },
@@ -319,7 +319,7 @@ func TestBlockingRecvWakesOnSend(t *testing.T) {
 				t.Error(e)
 			}
 		})
-	if err != nil || got == nil || got.Payload[0] != 42 {
+	if err != nil || len(got.Payload) != 1 || got.Payload[0] != 42 {
 		t.Fatalf("bad wakeup %+v, %v", got, err)
 	}
 }
@@ -543,31 +543,74 @@ func TestTripleFIFOSurvivesWildcardTakes(t *testing.T) {
 	}
 }
 
-// TestQueuedMessageCostsTwoAllocations: a message queued under a
-// (source, tag) triple of its own — every drain control message is one —
-// costs its payload copy and one entry holding the envelope and the
-// queue links, nothing per triple.
-func TestQueuedMessageCostsTwoAllocations(t *testing.T) {
-	f := NewFabric(2)
-	defer f.Close()
-	a, b := f.Endpoint(0), f.Endpoint(1)
-	// A resident message keeps the context's index alive, as a mailbox
-	// mid-drain is never empty.
-	if err := a.Send(1, 1, 0, []byte{0}, 0); err != nil {
-		t.Fatal(err)
+// TestQueuedMessageAllocatesNothing: once warmed up, a message through
+// a pooled payload (Buf, SendOwned, TryRecv, Free) costs no heap object,
+// both when another message keeps its context's index occupied and when
+// the message is its context's only one, so that every receive empties
+// the context and the next send refills it — a ping-pong's and a
+// collective round's pattern.
+func TestQueuedMessageAllocatesNothing(t *testing.T) {
+	for _, resident := range []bool{true, false} {
+		name := "emptied"
+		if resident {
+			name = "resident"
+		}
+		t.Run(name, func(t *testing.T) {
+			f := NewFabric(2)
+			defer f.Close()
+			a, b := f.Endpoint(0), f.Endpoint(1)
+			if resident {
+				if err := a.Send(1, 1, 0, []byte{0}, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tag := 0
+			one := func() {
+				tag++
+				if err := a.SendOwned(1, 1, tag, f.Buf(64), 0); err != nil {
+					t.Error(err)
+				}
+				msg, ok, err := b.TryRecv(Match{Context: 1, Src: 0, Tag: tag})
+				if err != nil || !ok {
+					t.Errorf("tag %d: ok=%v err=%v", tag, ok, err)
+				}
+				f.Free(msg.Payload)
+			}
+			one() // warm-up: the context's index, one entry, one buffer
+			if allocs := testing.AllocsPerRun(1000, one); allocs != 0 {
+				t.Fatalf("%v allocations per queued message, want 0", allocs)
+			}
+		})
 	}
-	payload := make([]byte, 64)
-	tag := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		tag++
-		if err := a.Send(1, 1, tag, payload, 0); err != nil {
-			t.Error(err)
-		}
-		if _, ok, err := b.TryRecv(Match{Context: 1, Src: 0, Tag: tag}); err != nil || !ok {
-			t.Errorf("tag %d: ok=%v err=%v", tag, ok, err)
-		}
-	})
-	if allocs > 2 {
-		t.Fatalf("%v allocations per queued message, want 2 (payload, entry)", allocs)
+}
+
+// TestBufPool pins the payload pool's contract: Buf returns exactly the
+// requested length, a freed buffer of a pooled class comes back for the
+// next request of that class, and slices the pool cannot class are
+// dropped instead of being handed out again.
+func TestBufPool(t *testing.T) {
+	f := NewFabric(1)
+	defer f.Close()
+	if b := f.Buf(0); len(b) != 0 {
+		t.Fatalf("Buf(0) has length %d", len(b))
+	}
+	b := f.Buf(100)
+	if len(b) != 100 || cap(b) != 128 {
+		t.Fatalf("Buf(100): len %d cap %d, want 100/128", len(b), cap(b))
+	}
+	b[0] = 7
+	f.Free(b)
+	if c := f.Buf(65); &c[0] != &b[0] || len(c) != 65 {
+		t.Fatal("a freed buffer was not reused for its class")
+	}
+	f.Free(make([]byte, 100)) // capacity 100: no class
+	if c := f.Buf(100); cap(c) != 128 {
+		t.Fatalf("an unclassed slice was pooled: cap %d", cap(c))
+	}
+	if big := f.Buf(1 << 20); len(big) != 1<<20 {
+		t.Fatalf("Buf(1 MB): len %d", len(big))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { f.Free(f.Buf(3000)) }); allocs != 0 {
+		t.Fatalf("Buf/Free round trip: %v allocations", allocs)
 	}
 }
