@@ -55,6 +55,8 @@ type Instance interface {
 	Snapshot() ([]byte, error)
 	// Restore replaces the instance state from a snapshot. The instance
 	// must afterwards be resumable at the step recorded by the runner.
+	// data is valid only during the call — a restart resolves rank after
+	// rank into one reused buffer — so Restore copies whatever it keeps.
 	Restore(data []byte) error
 	// FootprintBytes is the modeled checkpoint payload of this rank:
 	// the size the full scientific working set would occupy in a real

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"manasim/internal/app"
@@ -220,16 +219,19 @@ func (c *comd) Finalize(env *app.Env) error {
 
 // Checksum implements app.Instance.
 func (c *comd) Checksum() uint64 {
-	h := fnv.New64a()
+	d := newDigest()
 	s := &c.st
-	fmt.Fprintf(h, "comd:%d:%v:%.12e;", s.D.Rank, s.D, s.EPot)
+	// The decomposition spelled out as its String method prints it, so
+	// the header builds no intermediate string.
+	g := &s.D
+	d.header("comd:%d:%dx%dx%d@(%d,%d,%d):%.12e;", g.Rank, g.PX, g.PY, g.PZ, g.X, g.Y, g.Z, s.EPot)
 	for i := 0; i < len(s.Pos); i += 7 {
-		fmt.Fprintf(h, "%.10e,", s.Pos[i])
+		d.float(s.Pos[i], ',')
 	}
 	for i := 0; i < len(s.Vel); i += 11 {
-		fmt.Fprintf(h, "%.10e,", s.Vel[i])
+		d.float(s.Vel[i], ',')
 	}
-	return h.Sum64()
+	return d.sum
 }
 
 // Snapshot implements app.Instance.

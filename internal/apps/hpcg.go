@@ -2,7 +2,6 @@ package apps
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"time"
 
@@ -290,16 +289,16 @@ func (h *hpcg) Finalize(env *app.Env) error {
 
 // Checksum implements app.Instance.
 func (h *hpcg) Checksum() uint64 {
-	hs := fnv.New64a()
+	d := newDigest()
 	s := &h.st
-	fmt.Fprintf(hs, "hpcg:%d:%d:%.14e;", s.D.Rank, s.Iter, s.RtR)
+	d.header("hpcg:%d:%d:%.14e;", s.D.Rank, s.Iter, s.RtR)
 	for i := 0; i < len(s.X); i += 13 {
-		fmt.Fprintf(hs, "%.10e,", s.X[i])
+		d.float(s.X[i], ',')
 	}
 	for _, v := range s.Partition {
-		fmt.Fprintf(hs, "%d,", v)
+		d.int(v, ',')
 	}
-	return hs.Sum64()
+	return d.sum
 }
 
 // Snapshot implements app.Instance.

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"manasim/internal/app"
@@ -249,13 +248,13 @@ func (l *lammps) Finalize(env *app.Env) error {
 
 // Checksum implements app.Instance.
 func (l *lammps) Checksum() uint64 {
-	h := fnv.New64a()
+	d := newDigest()
 	s := &l.st
-	fmt.Fprintf(h, "lammps:%d:%.12e:%d;", s.D.Rank, s.PE, s.Migrations)
+	d.header("lammps:%d:%.12e:%d;", s.D.Rank, s.PE, s.Migrations)
 	for i := 0; i < len(s.Pos); i += 17 {
-		fmt.Fprintf(h, "%.10e,", s.Pos[i])
+		d.float(s.Pos[i], ',')
 	}
-	return h.Sum64()
+	return d.sum
 }
 
 // Snapshot implements app.Instance.

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"time"
 
@@ -200,13 +199,14 @@ func (l *lulesh) Finalize(env *app.Env) error {
 
 // Checksum implements app.Instance.
 func (l *lulesh) Checksum() uint64 {
-	h := fnv.New64a()
+	d := newDigest()
 	s := &l.st
-	fmt.Fprintf(h, "lulesh:%d:%d:%.14e;", s.D.Rank, s.Cycle, s.DtCourant)
+	d.header("lulesh:%d:%d:%.14e;", s.D.Rank, s.Cycle, s.DtCourant)
 	for i := 0; i < len(s.E); i += 5 {
-		fmt.Fprintf(h, "%.10e,%.10e;", s.E[i], s.P[i])
+		d.float(s.E[i], ',')
+		d.float(s.P[i], ';')
 	}
-	return h.Sum64()
+	return d.sum
 }
 
 // Snapshot implements app.Instance.

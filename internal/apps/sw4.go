@@ -2,7 +2,6 @@ package apps
 
 import (
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"manasim/internal/app"
@@ -250,13 +249,13 @@ func (w *sw4) Finalize(env *app.Env) error {
 
 // Checksum implements app.Instance.
 func (w *sw4) Checksum() uint64 {
-	h := fnv.New64a()
+	d := newDigest()
 	s := &w.st
-	fmt.Fprintf(h, "sw4:%d:%d:%.14e;", s.D.Rank, s.TStep, s.Energy)
+	d.header("sw4:%d:%d:%.14e;", s.D.Rank, s.TStep, s.Energy)
 	for i := 0; i < len(s.U); i += 3 {
-		fmt.Fprintf(h, "%.10e,", s.U[i])
+		d.float(s.U[i], ',')
 	}
-	return h.Sum64()
+	return d.sum
 }
 
 // Snapshot implements app.Instance.

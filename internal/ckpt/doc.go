@@ -68,8 +68,8 @@
 // generation count.
 //
 // Restart-side parallelism likewise lives in the store: the chain
-// resolver (MaterializeStream, which overlaps each rank's link reads
-// with chunk inflation under newest-wins ownership) fans ranks out
-// across the store's worker pool and returns rank-ordered results; the
-// coordinator and runtime never see partially resolved chains.
+// resolver (MaterializeStream and RestoreStream, which overlap each
+// rank's link reads with chunk inflation under newest-wins ownership)
+// fans ranks out across the store's worker pool; the coordinator and
+// runtime never see partially resolved chains.
 package ckpt

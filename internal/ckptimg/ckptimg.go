@@ -472,7 +472,14 @@ func parseHeader(data []byte) (flags uint32, err error) {
 // Decode validates and deserializes an image. The returned Image owns
 // all of its memory (nothing aliases data), so data may be reused
 // afterwards.
-func Decode(data []byte) (*Image, error) {
+func Decode(data []byte) (*Image, error) { return DecodeInto(data, nil) }
+
+// DecodeInto is Decode with the application state written into state's
+// backing array when it is large enough (into a fresh allocation
+// otherwise): the image's AppState may alias state, everything else the
+// image owns. A caller restoring a set of images one at a time decodes
+// them all through one buffer this way.
+func DecodeInto(data, state []byte) (*Image, error) {
 	flags, err := parseHeader(data)
 	if err != nil {
 		return nil, err
@@ -515,7 +522,7 @@ func Decode(data []byte) (*Image, error) {
 	if c.rest() > 0 {
 		return nil, fmt.Errorf("ckptimg: trailing data after end marker (%w)", ErrCorrupt)
 	}
-	app, err := assembleAppState(appChunks, appLen, flags)
+	app, err := assembleAppState(state, appChunks, appLen, flags)
 	if err != nil {
 		return nil, err
 	}
@@ -526,14 +533,15 @@ func Decode(data []byte) (*Image, error) {
 }
 
 // assembleAppState rebuilds the application state from its section
-// payloads: one exact-size allocation for raw chunks, or one inflate
-// pass for compressed state. The result never aliases the chunks.
-func assembleAppState(chunks [][]byte, total int, flags uint32) ([]byte, error) {
+// payloads into dst's backing array, or a fresh exact-size one when dst
+// is too small: a copy of raw chunks, or one inflate pass for compressed
+// state. The result never aliases the chunks.
+func assembleAppState(dst []byte, chunks [][]byte, total int, flags uint32) ([]byte, error) {
 	if flags&(FlagGzip|FlagLZ) == 0 {
 		if total == 0 {
 			return nil, nil
 		}
-		app := make([]byte, 0, total)
+		app := sized(dst, total)[:0]
 		for _, ch := range chunks {
 			app = append(app, ch...)
 		}
@@ -556,14 +564,23 @@ func assembleAppState(chunks [][]byte, total int, flags uint32) ([]byte, error) 
 	var app []byte
 	var err error
 	if flags&FlagLZ != 0 {
-		app, err = lzFrameDecompress(stream)
+		app, err = lzFrameDecompress(dst, stream)
 	} else {
-		app, err = gunzip(stream)
+		app, err = gunzip(dst[:0], stream)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("ckptimg: decompressing app state (%w): %w", ErrCorrupt, err)
 	}
 	return app, nil
+}
+
+// sized returns n bytes of b's backing array, or a fresh n-byte slice
+// when b is too small.
+func sized(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n)
+	}
+	return b[:n]
 }
 
 // DecodeFrom validates and deserializes an image from a stream. The
@@ -600,11 +617,11 @@ func PeekMeta(data []byte) (*Image, error) {
 	return img, nil
 }
 
-// gunzip inflates one gzip stream, treating any inflate failure as
-// corruption (a gzip flag on non-gzip bytes, a damaged stream). The
-// output buffer is pre-sized from the stream's ISIZE trailer (clamped,
-// since corrupt trailers may claim anything).
-func gunzip(data []byte) ([]byte, error) {
+// gunzip inflates one gzip stream, appending to dst, treating any
+// inflate failure as corruption (a gzip flag on non-gzip bytes, a
+// damaged stream). The output buffer is pre-sized from the stream's
+// ISIZE trailer (clamped, since corrupt trailers may claim anything).
+func gunzip(dst, data []byte) ([]byte, error) {
 	zr, err := getGzipReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
@@ -616,7 +633,8 @@ func gunzip(data []byte) ([]byte, error) {
 	if limit := int64(len(data))*1024 + 1024; hint > limit || hint > maxSection {
 		hint = 0
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, int(hint)))
+	buf := bytes.NewBuffer(dst)
+	buf.Grow(int(hint))
 	if _, err := buf.ReadFrom(zr); err != nil {
 		putGzipReader(zr)
 		return nil, err

@@ -57,6 +57,14 @@ var lzBufPool = sync.Pool{New: func() any {
 func getLZBuf() *[]byte  { return lzBufPool.Get().(*[]byte) }
 func putLZBuf(s *[]byte) { lzBufPool.Put(s) }
 
+// lzBlockPool recycles the streaming reader's decoded-block buffers, so
+// readers opened one after another (a restart resolving rank after rank,
+// a scrub) share one instead of each allocating its own.
+var lzBlockPool = sync.Pool{New: func() any {
+	s := make([]byte, 0, lzBlockSize)
+	return &s
+}}
+
 // lzHash maps a 4-byte load to a table slot.
 func lzHash(v uint32) uint32 {
 	return (v * 2654435761) >> (32 - lzHashLog)
@@ -315,14 +323,14 @@ func lzFrameBlocks(dst, data []byte, total int) ([]byte, error) {
 	return dst, nil
 }
 
-// lzFrameDecompress inflates a whole frame into a fresh exact-size
-// buffer.
-func lzFrameDecompress(data []byte) ([]byte, error) {
+// lzFrameDecompress inflates a whole frame into dst's backing array,
+// or into a fresh exact-size buffer when dst is too small.
+func lzFrameDecompress(dst, data []byte) ([]byte, error) {
 	total, err := lzFrameSize(data)
 	if err != nil {
 		return nil, err
 	}
-	return lzFrameBlocks(make([]byte, 0, total), data, total)
+	return lzFrameBlocks(sized(dst, total)[:0], data, total)
 }
 
 // lzFrameDecompressInto inflates a frame into dst, which must be

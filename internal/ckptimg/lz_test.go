@@ -51,7 +51,7 @@ func TestLZFrameRoundTrip(t *testing.T) {
 	for name, src := range lzTestPatterns(t) {
 		t.Run(name, func(t *testing.T) {
 			frame := lzFrameCompress(nil, src)
-			got, err := lzFrameDecompress(frame)
+			got, err := lzFrameDecompress(nil, frame)
 			if err != nil {
 				t.Fatalf("decompress: %v", err)
 			}
@@ -102,7 +102,7 @@ func TestLZCorruptFrameFails(t *testing.T) {
 	for name, mutate := range mutations {
 		t.Run(name, func(t *testing.T) {
 			bad := mutate(append([]byte(nil), frame...))
-			got, err := lzFrameDecompress(bad)
+			got, err := lzFrameDecompress(nil, bad)
 			if err == nil && !bytes.Equal(got, src) {
 				t.Fatalf("corrupt frame decoded to wrong bytes without error")
 			}

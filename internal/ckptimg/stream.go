@@ -275,11 +275,19 @@ type AppReader struct {
 // decoded block is resident, skipped blocks are never inflated.
 type lzAppReader struct {
 	ms        *multiSliceReader
-	total     int    // raw frame size, from the frame header
-	remaining int    // raw bytes not yet decoded into block
-	block     []byte // decoded, unread bytes of the current block
-	blockBuf  []byte // decode target, reused across blocks
-	scratch   []byte // compressed payload staging, reused across blocks
+	total     int     // raw frame size, from the frame header
+	remaining int     // raw bytes not yet decoded into block
+	block     []byte  // decoded, unread bytes of the current block
+	blockBuf  *[]byte // decode target from lzBlockPool, reused across blocks
+	scratch   []byte  // compressed payload staging, reused across blocks
+}
+
+// release returns the decode target to its pool.
+func (r *lzAppReader) release() {
+	if r.blockBuf != nil {
+		lzBlockPool.Put(r.blockBuf)
+		r.blockBuf, r.block = nil, nil
+	}
 }
 
 func newLZAppReader(ms *multiSliceReader) (*lzAppReader, error) {
@@ -325,17 +333,17 @@ func (r *lzAppReader) nextBlock() error {
 		}
 		r.block = buf
 	} else {
-		if cap(r.blockBuf) < want {
-			r.blockBuf = make([]byte, 0, lzBlockSize)
+		if r.blockBuf == nil {
+			r.blockBuf = lzBlockPool.Get().(*[]byte)
 		}
-		out, err := lzDecompressBlock(r.blockBuf[:0], buf, want)
+		out, err := lzDecompressBlock((*r.blockBuf)[:0], buf, want)
 		if err != nil {
 			return err
 		}
 		if len(out) != want {
 			return fmt.Errorf("block inflated to %d bytes, want %d", len(out), want)
 		}
-		r.blockBuf, r.block = out, out
+		*r.blockBuf, r.block = out, out
 	}
 	r.remaining -= want
 	return nil
@@ -494,11 +502,14 @@ func (r *AppReader) Skip(n int) error {
 	return r.ms.skip(n)
 }
 
-// Close returns the pooled gzip reader. The reader must not be used
-// afterwards.
+// Close returns the pooled gzip reader or fast-lz block buffer. The
+// reader must not be used afterwards.
 func (r *AppReader) Close() {
 	if r.zr != nil {
 		putGzipReader(r.zr)
 		r.zr = nil
+	}
+	if r.lzr != nil {
+		r.lzr.release()
 	}
 }

@@ -21,14 +21,19 @@
 // forces the next generation to be a new base, bounding restart's chain
 // resolution (and the blast radius of a damaged delta).
 //
-// Restart never sees deltas. MaterializeStream resolves a generation:
-// it walks each rank's chain newest-to-oldest at chunk granularity,
-// resolves a newest-wins owner per chunk position, and decompresses
-// only the winning chunk from its owning link. Superseded payloads are
-// never inflated (their section frames are still CRC-checked), every
-// pass-through link's CRC claim is verified against the resolved bytes,
-// and peak per-rank memory is O(image + chunk) however deep the chain.
-// It returns decoded images, restart-ready.
+// Restart never sees deltas. One resolver walks each rank's chain
+// newest-to-oldest at chunk granularity, resolves a newest-wins owner
+// per chunk position, and decompresses only the winning chunk from its
+// owning link. Superseded payloads are never inflated (their section
+// frames are still CRC-checked), every pass-through link's CRC claim is
+// verified against the resolved bytes, and a resolution holds the
+// rank's blobs, one state buffer and one chunk of scratch however deep
+// the chain. MaterializeStream returns decoded images, restart-ready,
+// each owning its state. RestoreStream hands each rank's image to a
+// callback instead — the restart path, which restores the application
+// from it — and each pool worker resolves rank after rank into the same
+// state buffer and scratch, so peak resolver memory is per worker, not
+// per rank.
 //
 // Every link must be a v3 image. A damaged link — or one that is not a
 // v3 image at all (a pre-v3 image, an opaque payload) — fails the
@@ -209,16 +214,18 @@
 //     Options.Workers goroutines (default GOMAXPROCS, 1 = serial). On
 //     Commit that is image validation and chunk indexing (streaming,
 //     see above), chain validation, and the backend Puts; on
-//     MaterializeStream it is each rank's chain resolution (backend
-//     Gets, chunk inflation). Results land in rank-indexed slots, so
-//     output ordering is deterministic regardless of scheduling.
+//     MaterializeStream and RestoreStream it is each rank's chain
+//     resolution (backend Gets, chunk inflation). Results land in
+//     rank-indexed slots, so output ordering is deterministic
+//     regardless of scheduling; RestoreStream's callback runs on the
+//     calling goroutine, one rank at a time, in the order ranks finish.
 //
 // The pool cancels on first error: no new rank starts once one fails,
 // and the lowest-ranked error is reported. A failed Commit deletes any
 // blobs it already wrote and leaves the chain and manifest untouched —
 // the backend never holds a partial generation.
 //
-// MaterializeStream does not hold the chain mutex while resolving:
+// The resolver does not hold the chain mutex while resolving:
 // committed generations are immutable (blobs are never rewritten), so
 // readers proceed concurrently with an in-flight Commit of the next
 // generation. Backends must be safe for concurrent use (both built-ins
@@ -241,8 +248,10 @@
 //     on Close.
 //   - Output ownership: each rank writes only its own rank-indexed
 //     result slot; winning chunks inflate directly into the output
-//     state buffer, with one chunk-sized scratch per rank for
-//     length-mismatched tails.
+//     state buffer, with one chunk-sized scratch for length-mismatched
+//     tails. MaterializeStream gives every rank a buffer pair of its
+//     own; RestoreStream gives one to each worker, which reuses it only
+//     after the callback has returned for its previous rank.
 //
 // # Scrub, quarantine, and restart fallback
 //
@@ -261,7 +270,7 @@
 //     deleted.
 //
 // What cannot be repaired is quarantined: the generation is marked in
-// the manifest (surviving process restarts), MaterializeStream refuses
+// the manifest (surviving process restarts), the resolver refuses
 // it with ErrQuarantined, and a later scrub
 // pass releases it if the damage turns out to have been transient
 // (a flaky read, since healed). Quarantining the head also invalidates

@@ -6,6 +6,15 @@ import (
 	"sync/atomic"
 )
 
+// poolWidth is the number of workers a pool of the configured width
+// (0 = GOMAXPROCS) runs over n ranks: at least one, at most n.
+func poolWidth(n, workers int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(workers, n))
+}
+
 // forEachRank runs fn(rank) for rank 0..n-1 on a bounded worker pool of
 // the given width, the fan-out primitive under the store's parallel
 // commit and materialize paths.
@@ -24,13 +33,8 @@ import (
 //   - workers <= 1 (or n <= 1) degenerates to a serial loop with the
 //     exact legacy behavior: stop at the first failing rank.
 func forEachRank(n, workers int, fn func(rank int) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n <= 1 {
+	workers = poolWidth(n, workers)
+	if workers == 1 {
 		for r := 0; r < n; r++ {
 			if err := fn(r); err != nil {
 				return err

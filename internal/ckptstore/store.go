@@ -82,9 +82,9 @@ type Options struct {
 	// FlagFastCompress), ckptimg.TierMax is the archival tier,
 	// ckptimg.TierBalanced (default) the middle ground.
 	CompressTier ckptimg.CompressTier
-	// Workers bounds the worker pool that Commit and MaterializeStream fan
-	// per-rank decode/index/backend work out to (0 = GOMAXPROCS; 1 =
-	// serial).
+	// Workers bounds the worker pool that Commit, MaterializeStream and
+	// RestoreStream fan per-rank decode/index/backend work out to (0 =
+	// GOMAXPROCS; 1 = serial).
 	Workers int
 	// WrapBackend, when set, decorates the backend right after
 	// construction — the fault injector's hook for making Put/Get
@@ -138,7 +138,7 @@ type Generation struct {
 func (g Generation) Base() bool { return g.DeltaRanks == 0 }
 
 // ChainStats describes what one rank's chain resolution
-// (MaterializeStream) actually read from the backend — the quantities
+// (MaterializeStream, RestoreStream) actually read from the backend — the quantities
 // the restart cost model charges. They count only what newest-wins
 // resolution consumed: the base bytes actually read plus the compressed
 // bytes of winning delta chunks; superseded chunk payloads appear in
@@ -165,7 +165,9 @@ type ChainStats struct {
 	ChunksSkipped int
 	// PeakBytes estimates the resolver's peak resident bytes for the
 	// rank: the encoded blobs, the output state and one chunk of
-	// scratch — O(image + chunk), however deep the chain.
+	// scratch — O(image + chunk), however deep the chain. Under
+	// RestoreStream the state and scratch are a worker's, reused by its
+	// next rank.
 	PeakBytes int64
 	// UniqueBytes is the stored bytes this resolution read through
 	// blobs only this chain references (dedup stores only; 0 otherwise).
@@ -191,7 +193,8 @@ type ChainStats struct {
 // broken parent linkage, or a chunk that contradicts its recorded CRC.
 // Gen names the generation of the failing link, which on a chain walk
 // may be older than the generation being materialized. MaterializeStream
-// fails the whole call with it and returns no partially-applied state.
+// and RestoreStream fail the whole call with it and return no
+// partially-applied state.
 type ChainLinkError struct {
 	// Gen is the generation whose link failed.
 	Gen int

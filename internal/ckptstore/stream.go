@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
+	"sync/atomic"
 
 	"manasim/internal/ckptimg"
 )
@@ -13,8 +15,16 @@ import (
 // (ckptimg.OpenDelta never inflates a chunk); each chunk position gets a
 // newest-wins owner, and only the winning chunk is decompressed from its
 // owning link — superseded payloads are proved stale by their position
-// alone and never touched beyond their section frame CRC. Peak memory
-// per rank is O(image + chunk), however deep the chain.
+// alone and never touched beyond their section frame CRC. A resolution
+// holds the rank's encoded blobs, one state buffer and one chunk of
+// scratch, however deep the chain.
+//
+// There is one resolver (resolveRank) and two ways to run it.
+// MaterializeStream hands out owned images: each rank resolves into
+// buffers of its own. RestoreStream hands each image to a callback and
+// takes it back: each worker resolves rank after rank into the same
+// state buffer and scratch, so peak resolver memory is per worker, not
+// per rank.
 //
 // Concurrency: ranks fan out on the store's bounded worker pool
 // (pool.go); within a rank, the next link's backend Get runs on a
@@ -34,22 +44,14 @@ import (
 // are rank-ordered regardless of scheduling. Committed generations are
 // immutable, so MaterializeStream never blocks a concurrent Commit.
 func (s *Store) MaterializeStream(seq int) ([]*ckptimg.Image, []ChainStats, error) {
-	s.mu.Lock()
-	nGens, prunedTo, quarantined := len(s.gens), s.prunedTo, s.quarantined[seq]
-	s.mu.Unlock()
-	if seq < 0 || seq >= nGens {
-		return nil, nil, fmt.Errorf("ckptstore: no generation %d (have %d)", seq, nGens)
-	}
-	if seq < prunedTo {
-		return nil, nil, fmt.Errorf("ckptstore: generation %d: %w (blobs survive from generation %d on)", seq, ErrPruned, prunedTo)
-	}
-	if quarantined {
-		return nil, nil, fmt.Errorf("ckptstore: generation %d: %w", seq, ErrQuarantined)
+	if err := s.checkReadable(seq); err != nil {
+		return nil, nil, err
 	}
 	out := make([]*ckptimg.Image, s.n)
 	stats := make([]ChainStats, s.n)
 	err := forEachRank(s.n, s.opts.Workers, func(r int) error {
-		img, cs, err := s.materializeRankStream(seq, r)
+		// Fresh buffers per rank: every image owns its state.
+		img, cs, err := s.resolveRank(seq, r, &resolveBufs{})
 		if err != nil {
 			return err
 		}
@@ -59,10 +61,7 @@ func (s *Store) MaterializeStream(seq int) ([]*ckptimg.Image, []ChainStats, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	orphans := s.ResidualOrphans()
-	for r := range stats {
-		stats[r].ResidualOrphans = orphans
-	}
+	s.stampOrphans(stats)
 	return out, stats, nil
 }
 
@@ -75,6 +74,127 @@ func (s *Store) MaterializeStreamHead() ([]*ckptimg.Image, []ChainStats, error) 
 		return nil, nil, fmt.Errorf("ckptstore: store has no generations")
 	}
 	return s.MaterializeStream(n - 1)
+}
+
+// RestoreStream resolves generation seq exactly as MaterializeStream
+// does, but hands each rank's image to fn instead of returning it — one
+// call at a time, on the calling goroutine, in the order ranks finish
+// resolving (rank order on a one-worker store). Each worker resolves
+// rank after rank into one state buffer and one chunk scratch, so
+// img.AppState is valid only during the call: fn must copy whatever it
+// keeps of it. The rest of the image is fn's to keep.
+//
+// The first failure — a rank that does not resolve, or fn's error —
+// stops the walk: no new rank starts, fn is not called again, and the
+// lowest-ranked error among those that occurred is returned. It returns
+// the per-rank ChainStats on success.
+func (s *Store) RestoreStream(seq int, fn func(img *ckptimg.Image) error) ([]ChainStats, error) {
+	if err := s.checkReadable(seq); err != nil {
+		return nil, err
+	}
+	type resolved struct {
+		rank int
+		img  *ckptimg.Image
+		cs   ChainStats
+		err  error
+		// next tells the worker whether to reuse its buffers for
+		// another rank (true) or exit (false).
+		next chan<- bool
+	}
+	results := make(chan resolved)
+	var claim atomic.Int64
+	var wg sync.WaitGroup
+	workers := poolWidth(s.n, s.opts.Workers)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		// Lifetime: a worker exits when the ranks run out or when told
+		// to stop, and results closes only after the last one has, so
+		// no worker outlives the loop below. Until its go-ahead arrives
+		// the worker leaves its buffers alone: fn is reading them.
+		go func() {
+			defer wg.Done()
+			var bufs resolveBufs
+			next := make(chan bool)
+			for {
+				r := int(claim.Add(1)) - 1
+				if r >= s.n {
+					return
+				}
+				img, cs, err := s.resolveRank(seq, r, &bufs)
+				results <- resolved{r, img, cs, err, next}
+				if !<-next {
+					return
+				}
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(results)
+	}()
+	stats := make([]ChainStats, s.n)
+	errRank, firstErr := s.n, error(nil)
+	for res := range results {
+		if res.err == nil && firstErr == nil {
+			res.err = fn(res.img)
+		}
+		if res.err != nil && res.rank < errRank {
+			errRank, firstErr = res.rank, res.err
+		}
+		stats[res.rank] = res.cs
+		res.next <- firstErr == nil
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	s.stampOrphans(stats)
+	return stats, nil
+}
+
+// checkReadable refuses a generation the resolver must not read: out of
+// range, already pruned, or quarantined by Scrub.
+func (s *Store) checkReadable(seq int) error {
+	s.mu.Lock()
+	nGens, prunedTo, quarantined := len(s.gens), s.prunedTo, s.quarantined[seq]
+	s.mu.Unlock()
+	switch {
+	case seq < 0 || seq >= nGens:
+		return fmt.Errorf("ckptstore: no generation %d (have %d)", seq, nGens)
+	case seq < prunedTo:
+		return fmt.Errorf("ckptstore: generation %d: %w (blobs survive from generation %d on)", seq, ErrPruned, prunedTo)
+	case quarantined:
+		return fmt.Errorf("ckptstore: generation %d: %w", seq, ErrQuarantined)
+	}
+	return nil
+}
+
+// stampOrphans copies the store's residual-orphan count into every
+// rank's statistics.
+func (s *Store) stampOrphans(stats []ChainStats) {
+	orphans := s.ResidualOrphans()
+	for r := range stats {
+		stats[r].ResidualOrphans = orphans
+	}
+}
+
+// resolveBufs is one resolver's memory for application state: the
+// buffer the resolved state lands in and a chunk-sized scratch for a
+// winning chunk whose length differs from the head's. The zero value
+// allocates both at the first rank; a worker that keeps one reuses
+// them from rank to rank, growing them when a rank needs more.
+type resolveBufs struct {
+	state, scratch []byte
+}
+
+// get returns the state buffer and chunk scratch sized for one rank.
+func (b *resolveBufs) get(stateLen, chunk int) (state, scratch []byte) {
+	if cap(b.state) < stateLen {
+		b.state = make([]byte, stateLen)
+	}
+	if cap(b.scratch) < chunk {
+		b.scratch = make([]byte, chunk)
+	}
+	return b.state[:stateLen], b.scratch[:chunk]
 }
 
 // fetchResult is one lookahead backend read.
@@ -109,20 +229,24 @@ type prefixCheck struct {
 	crc uint32
 }
 
-// materializeRankStream resolves one rank's chain at seq. It runs
+// resolveRank resolves one rank's chain at seq into bufs: the image's
+// AppState aliases bufs.state, the rest of the image is its own. It runs
 // without s.mu: it touches only the backend (safe for concurrent use)
 // and blobs of committed generations, which retention may delete
 // (surfaced as ErrPruned) but nothing rewrites.
-func (s *Store) materializeRankStream(seq, rank int) (*ckptimg.Image, ChainStats, error) {
+func (s *Store) resolveRank(seq, rank int, bufs *resolveBufs) (*ckptimg.Image, ChainStats, error) {
 	data, dr, err := s.getBlob(seq, rank)
 	if err != nil {
 		return nil, ChainStats{}, err
 	}
 	if !ckptimg.IsDelta(data) {
 		// A full head image has no chain to resolve; decode it whole.
-		img, err := ckptimg.Decode(data)
+		img, err := ckptimg.DecodeInto(data, bufs.state)
 		if err != nil {
 			return nil, ChainStats{}, &ChainLinkError{Gen: seq, Rank: rank, Err: err}
+		}
+		if cap(img.AppState) > cap(bufs.state) {
+			bufs.state = img.AppState
 		}
 		st := ChainStats{
 			BaseBytes: int64(len(data)),
@@ -204,8 +328,7 @@ func (s *Store) materializeRankStream(seq, rank int) (*ckptimg.Image, ChainStats
 
 	cs := head.ChunkBytes
 	n := head.NumChunks()
-	out := make([]byte, head.NewLen)
-	scratch := make([]byte, cs)
+	out, scratch := bufs.get(head.NewLen, cs)
 	checks := make([]prefixCheck, 0, len(links))
 	var baseOwned int64  // raw base bytes copied into the result
 	var deltaWinners int // winning chunks inflated from delta links

@@ -162,6 +162,15 @@ func TestCorruptMiddleLinkFailsTyped(t *testing.T) {
 		if imgs != nil || stats != nil {
 			t.Fatalf("%s: corrupt chain returned partial results", mode)
 		}
+		// Resolving straight into a callback fails the same way and
+		// never hands the damaged rank over.
+		stats, err = s.RestoreStream(3, func(*ckptimg.Image) error {
+			t.Fatalf("%s: a corrupt chain reached the callback", mode)
+			return nil
+		})
+		if !errors.As(err, &cle) || cle.Gen != badGen || !errors.Is(err, ckptimg.ErrCorrupt) || stats != nil {
+			t.Fatalf("%s: RestoreStream: %v, want a *ChainLinkError for generation %d", mode, err, badGen)
+		}
 		// Undamaged generations still materialize.
 		if _, _, err := s.MaterializeStream(1); err != nil {
 			t.Fatalf("%s: gen 1 after corruption: %v", mode, err)
@@ -202,5 +211,143 @@ func TestStreamParallelWorkers(t *testing.T) {
 			commitGen(t, s, n, gen, func(r int) []byte { return appState(900+32*r, gen) })
 		}
 		matchCommitted(t, s, 3, 3, func(r int) []byte { return appState(900+32*r, 3) })
+	}
+}
+
+// rankState is rank r's application state at generation gen: appState
+// of sz bytes, made distinct per rank.
+func rankState(r, sz, gen int) []byte {
+	out := appState(sz, gen)
+	for i := range out {
+		out[i] ^= byte(37*r + 1)
+	}
+	return out
+}
+
+// TestRestoreStreamMatchesMaterialize: handing each rank's image to a
+// callback resolves exactly what MaterializeStream returns — the same
+// state, identity and ChainStats for every rank — in every compression
+// tier and pool width, over full and delta heads and ranks whose state
+// sizes differ (the reused buffer grows and shrinks between ranks). The
+// callback runs once per rank and never overlaps itself.
+func TestRestoreStreamMatchesMaterialize(t *testing.T) {
+	const n, gens = 6, 4
+	size := func(r int) int { return 1300 - 97*r }
+	for _, tier := range []struct {
+		name     string
+		compress bool
+		tier     ckptimg.CompressTier
+	}{
+		{"raw", false, ckptimg.TierBalanced},
+		{"gzip", true, ckptimg.TierBalanced},
+		{"fast-lz", true, ckptimg.TierFastLZ},
+	} {
+		for _, workers := range []int{1, 3, 8} {
+			s := MustOpen(n, Options{Delta: true, ChunkBytes: 128, ChainCap: 8, Compress: tier.compress, CompressTier: tier.tier, Workers: workers})
+			for gen := 0; gen < gens; gen++ {
+				commitGen(t, s, n, gen, func(r int) []byte { return rankState(r, size(r), gen) })
+			}
+			for gen := 0; gen < gens; gen++ {
+				want, wantStats, err := s.MaterializeStream(gen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make([]*ckptimg.Image, n)
+				var inside bool
+				stats, err := s.RestoreStream(gen, func(img *ckptimg.Image) error {
+					if inside {
+						t.Errorf("%s/%d gen %d: callback re-entered", tier.name, workers, gen)
+					}
+					inside = true
+					defer func() { inside = false }()
+					if got[img.Rank] != nil {
+						t.Errorf("%s/%d gen %d: rank %d handed over twice", tier.name, workers, gen, img.Rank)
+					}
+					cp := *img
+					cp.AppState = append([]byte(nil), img.AppState...)
+					got[img.Rank] = &cp
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("%s/%d gen %d: %v", tier.name, workers, gen, err)
+				}
+				for r := range want {
+					if got[r] == nil || !bytes.Equal(got[r].AppState, want[r].AppState) ||
+						!bytes.Equal(got[r].AppState, rankState(r, size(r), gen)) {
+						t.Fatalf("%s/%d gen %d rank %d: restored state differs from the committed one", tier.name, workers, gen, r)
+					}
+					if got[r].Step != gen || got[r].Rank != r || got[r].NRanks != n {
+						t.Fatalf("%s/%d gen %d rank %d: identity %d/%d@%d", tier.name, workers, gen, r, got[r].Rank, got[r].NRanks, got[r].Step)
+					}
+					if stats[r] != wantStats[r] {
+						t.Fatalf("%s/%d gen %d rank %d: stats %+v, MaterializeStream reports %+v", tier.name, workers, gen, r, stats[r], wantStats[r])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRestoreStreamSharesOneBuffer: on a one-worker store every rank
+// resolves into the same state buffer, so rank 1 overwrites the bytes
+// rank 0 was handed. A callback that copies what it keeps still holds
+// rank 0's state intact; one that kept the slice would now hold rank 1's.
+func TestRestoreStreamSharesOneBuffer(t *testing.T) {
+	const sz = 1024
+	for _, head := range []int{0, 2} { // a full head, then a two-link chain
+		s := MustOpen(2, Options{Delta: true, ChunkBytes: 128, ChainCap: 8, Workers: 1})
+		for gen := 0; gen <= head; gen++ {
+			commitGen(t, s, 2, gen, func(r int) []byte { return rankState(r, sz, gen) })
+		}
+		var kept, copied [2][]byte
+		if _, err := s.RestoreStream(head, func(img *ckptimg.Image) error {
+			kept[img.Rank] = img.AppState
+			copied[img.Rank] = append([]byte(nil), img.AppState...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if &kept[0][0] != &kept[1][0] {
+			t.Fatalf("head %d: ranks 0 and 1 resolved into different buffers", head)
+		}
+		if !bytes.Equal(copied[0], rankState(0, sz, head)) || !bytes.Equal(copied[1], rankState(1, sz, head)) {
+			t.Fatalf("head %d: a copied state differs from the committed one", head)
+		}
+		if !bytes.Equal(kept[0], rankState(1, sz, head)) {
+			t.Fatalf("head %d: rank 1 did not resolve over rank 0's bytes", head)
+		}
+	}
+}
+
+// TestRestoreStreamStopsAtFirstError: the callback's error ends the
+// walk — it is returned as is, no later rank is handed over, and no
+// statistics come back — and a generation the store must not read is
+// refused before any rank resolves.
+func TestRestoreStreamStopsAtFirstError(t *testing.T) {
+	const n = 4
+	s := MustOpen(n, Options{Delta: true, ChunkBytes: 128, Workers: 1})
+	for gen := 0; gen < 2; gen++ {
+		commitGen(t, s, n, gen, func(r int) []byte { return rankState(r, 600, gen) })
+	}
+	refused := errors.New("refused")
+	var seen []int
+	stats, err := s.RestoreStream(1, func(img *ckptimg.Image) error {
+		seen = append(seen, img.Rank)
+		if img.Rank == 1 {
+			return refused
+		}
+		return nil
+	})
+	if !errors.Is(err, refused) || stats != nil {
+		t.Fatalf("RestoreStream: %v (stats %v), want the callback's error and no stats", err, stats)
+	}
+	if len(seen) != 2 || seen[0] != 0 || seen[1] != 1 {
+		t.Fatalf("callback saw ranks %v, want [0 1]", seen)
+	}
+	if _, err := s.RestoreStream(2, func(*ckptimg.Image) error {
+		t.Fatal("a generation that does not exist reached the callback")
+		return nil
+	}); err == nil {
+		t.Fatal("RestoreStream resolved a generation that does not exist")
 	}
 }

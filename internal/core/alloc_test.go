@@ -102,10 +102,9 @@ func TestCheckpointAllocBound(t *testing.T) {
 }
 
 // TestRestartReleasesImages: a restarted session must not pin the
-// images it restarted from. Both callers of restartJobImages hand over
-// images they own; once a rank has restored, its image holds no
-// application state, so the decoded copy dies with the restore instead
-// of living as long as the session.
+// images it restarted from. Every rank is restored before the session
+// is built, so once restartJobImages returns no image holds application
+// state: the only copy is the one each rank's instance restored.
 func TestRestartReleasesImages(t *testing.T) {
 	const ranks = 4
 	spec, in := batteryInput(t, "hpcg", 7)
@@ -117,6 +116,7 @@ func TestRestartReleasesImages(t *testing.T) {
 		t.Fatal(err)
 	}
 	imgs := make([]*ckptimg.Image, ranks)
+	restored := make([]restoredRank, ranks)
 	for r, data := range encoded {
 		if imgs[r], err = ckptimg.Decode(data); err != nil {
 			t.Fatal(err)
@@ -124,23 +124,138 @@ func TestRestartReleasesImages(t *testing.T) {
 		if len(imgs[r].AppState) == 0 {
 			t.Fatalf("rank %d image has no application state to release", r)
 		}
+		if restored[r], err = restoreRank(imgs[r], spec.New(in)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	s, err := restartJobImages(cfg, imgs, nil, spec.New(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rst, err := s.Wait()
+	s, err := restartJobImages(cfg, restored, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r, img := range imgs {
 		if img.AppState != nil {
-			t.Errorf("rank %d: the session still holds %d bytes of restored application state", r, len(img.AppState))
+			t.Errorf("rank %d: the session holds %d bytes of restored application state", r, len(img.AppState))
 		}
+	}
+	rst, err := s.Wait()
+	if err != nil {
+		t.Fatal(err)
 	}
 	plain, _, err := Run(cfg, ranks, spec.New(in), -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameChecksums(t, rst.Checksums, plain.Checksums, "restart from handed-over images")
+}
+
+// restoreMeter counts the application-state bytes Restore is handed.
+type restoreMeter struct {
+	app.Instance
+	bytes *atomic.Int64
+}
+
+func (m restoreMeter) Restore(data []byte) error {
+	m.bytes.Add(int64(len(data)))
+	return m.Instance.Restore(data)
+}
+
+// TestRestartAllocBound guards the restart read path with a count, not
+// a stopwatch: a restart from the final boundary — resolving or decoding
+// every rank's state, restoring it into the application, rebinding the
+// MPI objects and finalizing — allocates at most 1.3 times the
+// application state it restores. One times is the restored state
+// itself, which the instances keep; the rest is the encoded blobs, the
+// store worker's reused state buffer and the session. A whole-state copy
+// per rank anywhere between the backend and Restore (an owned resolved
+// or decoded image beside the restored one: 2.1-2.2x before ranks
+// restored straight out of the resolver, 1.15-1.2x after) breaks the
+// bound on any host.
+func TestRestartAllocBound(t *testing.T) {
+	const ranks, steps = 16, 8
+	spec, err := apps.ByName("hpcg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := spec.DefaultInput(apps.SiteDiscovery)
+	in.Ranks, in.SimSteps, in.Local, in.PollsPerStep = ranks, steps, 24, 4
+	cfg := faultCfg(t, "mpich", nil)
+	native, err := RunNative(cfg, ranks, spec.New(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restored atomic.Int64
+	inner := spec.New(in)
+	factory := func() app.Instance { return restoreMeter{inner(), &restored} }
+
+	// A base at boundary 3 and a delta at the final boundary, each taken
+	// by a job that stops at its checkpoint, as after a preemption. The
+	// state is 1.2 MB a rank, large beside what a rank's rebinding and
+	// finalize allocate; 32 KB chunks cut it into 37. One store worker,
+	// as the benchmark runs: each further worker adds one state buffer.
+	st, err := ckptstore.Open(ranks, ckptstore.Options{
+		Delta: true, ChunkBytes: 32 << 10, Workers: 1,
+		Compress: true, CompressTier: ckptimg.TierFastLZ,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := cfg
+	stop.Store, stop.ExitAtCheckpoint = st, true
+	if _, _, err := Run(stop, ranks, spec.New(in), 3); err != nil {
+		t.Fatal(err)
+	}
+	s, err := RestartJobFromStore(stop, st, spec.New(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Co.RequestCheckpointAtStep(steps)
+	if _, err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if gens := st.Generations(); len(gens) != 2 || gens[1].Base() {
+		t.Fatalf("store holds %+v, want a base and a delta", gens)
+	}
+	stop.Store = nil
+	_, images, err := Run(stop, ranks, spec.New(in), steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name    string
+		restart func() (*Session, error)
+	}{
+		{"store-chain", func() (*Session, error) { return RestartJobFromStore(cfg, st, factory) }},
+		{"images", func() (*Session, error) { return RestartJob(cfg, images, factory) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			restored.Store(0)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rst, err := func() (Stats, error) {
+				s, err := c.restart()
+				if err != nil {
+					return Stats{}, err
+				}
+				return s.Wait()
+			}()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameChecksums(t, rst.Checksums, native.Checksums, "restart vs native")
+			state := uint64(restored.Load())
+			// The matrix and the four CG vectors: 11 doubles per grid point.
+			if want := uint64(ranks * 11 * 8 * 24 * 24 * 24); state < want {
+				t.Fatalf("restored %d bytes of application state, want at least %d", state, want)
+			}
+			alloc := after.TotalAlloc - before.TotalAlloc
+			t.Logf("%d bytes allocated to restore %d bytes of application state (%.2fx)", alloc, state, float64(alloc)/float64(state))
+			if alloc*10 > 13*state {
+				t.Fatalf("restart allocated %d bytes for %d bytes of restored state (%.2fx, bound 1.3x): a whole-state copy per rank is back on the read path",
+					alloc, state, float64(alloc)/float64(state))
+			}
+		})
+	}
 }

@@ -143,7 +143,7 @@ type Config struct {
 	CkptInterval time.Duration
 	// StreamRestart is deprecated and ignored: every store restart
 	// resolves chains with newest-wins chunk ownership
-	// (ckptstore.MaterializeStream). It survives only because
+	// (ckptstore.RestoreStream). It survives only because
 	// bench/scenario.go:baseConfig sets it (ROADMAP item 10: drop it from
 	// baseConfig, then delete the field). Nothing else may set it.
 	StreamRestart bool

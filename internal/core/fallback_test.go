@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"manasim/internal/app"
+	"manasim/internal/apps"
 	"manasim/internal/ckptimg"
 	"manasim/internal/ckptstore"
 	"manasim/internal/faults"
@@ -307,4 +309,84 @@ func TestRestartCorruptionSweepNeverSilent(t *testing.T) {
 			})
 		}
 	}
+}
+
+// refusedSnapApp commits a snapshot on rank 1 that its application's
+// Restore refuses: the layout tag is flipped, as if another build wrote
+// it.
+type refusedSnapApp struct {
+	app.Instance
+	rank int
+}
+
+func (a *refusedSnapApp) Step(env *app.Env, step int) error {
+	a.rank = env.Rank
+	return a.Instance.Step(env, step)
+}
+
+func (a *refusedSnapApp) Snapshot() ([]byte, error) {
+	data, err := a.Instance.Snapshot()
+	if err == nil && a.rank == 1 {
+		data[0] ^= 0xff
+	}
+	return data, err
+}
+
+// TestRestartRefusedSnapshot: ranks restore before the session is
+// built, so a generation whose application state the application
+// refuses fails the restart up front — typed as the application's
+// *apps.SnapshotError, with no session — and with RestartFallback set
+// degrades to the previous generation exactly as a chain error does.
+func TestRestartRefusedSnapshot(t *testing.T) {
+	const ranks = 4
+	spec, in := batteryInput(t, "hpcg", 3)
+	cfg := faultCfg(t, "mpich", nil)
+	native, err := RunNative(cfg, ranks, spec.New(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := ckptstore.Open(ranks, ckptstore.Options{Delta: true, ChunkBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := cfg
+	stop.Store, stop.ExitAtCheckpoint = st, true
+	if _, _, err := Run(stop, ranks, spec.New(in), 2); err != nil {
+		t.Fatal(err)
+	}
+	inner := spec.New(in)
+	s, err := RestartJobFromStore(stop, st, func() app.Instance { return &refusedSnapApp{Instance: inner()} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Co.RequestCheckpointAtStep(4)
+	if _, err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(st.Generations()); n != 2 {
+		t.Fatalf("%d generations committed, want 2", n)
+	}
+
+	s, err = RestartJobFromStore(cfg, st, spec.New(in))
+	var se *apps.SnapshotError
+	if !errors.As(err, &se) {
+		t.Fatalf("restart from a refused snapshot: %v, want *apps.SnapshotError", err)
+	}
+	if s != nil {
+		t.Fatal("a session was built over a refused snapshot")
+	}
+	if !strings.Contains(err.Error(), "rank 1") {
+		t.Fatalf("error does not name the refusing rank: %v", err)
+	}
+
+	fb := cfg
+	fb.RestartFallback = true
+	rst, err := RestartFromStore(fb, st, spec.New(in))
+	if err != nil {
+		t.Fatalf("fallback restart: %v", err)
+	}
+	if rst.RestartGen != 0 {
+		t.Fatalf("RestartGen %d, want 0 (the generation before the refused one)", rst.RestartGen)
+	}
+	sameChecksums(t, native.Checksums, rst.Checksums, "fallback past a refused snapshot")
 }

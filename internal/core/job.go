@@ -180,37 +180,73 @@ func (s *Session) wireFaults(rt *Runtime, rank int, clock *simtime.Clock) {
 // RestartJob resumes a job from a complete set of checkpoint images.
 // The configuration's implementation may differ from the one the images
 // were taken under if the images carry uniform handles (Section 9).
+// Each image is decoded into one reused state buffer and restored into
+// its rank's application instance before the session is built.
 func RestartJob(cfg Config, images [][]byte, factory app.Factory) (*Session, error) {
-	imgs := make([]*ckptimg.Image, len(images))
-	for i, data := range images {
-		img, err := ckptimg.Decode(data)
+	ranks := make([]restoredRank, 0, len(images))
+	var state []byte
+	for _, data := range images {
+		img, err := ckptimg.DecodeInto(data, state)
 		if err != nil {
 			return nil, fmt.Errorf("mana: restart: %w", err)
 		}
-		imgs[i] = img
+		if cap(img.AppState) > cap(state) {
+			state = img.AppState
+		}
+		rr, err := restoreRank(img, factory)
+		if err != nil {
+			return nil, fmt.Errorf("mana: restart: %w", err)
+		}
+		ranks = append(ranks, rr)
 	}
-	return restartJobImages(cfg, imgs, nil, factory)
+	return restartJobImages(cfg, ranks, nil)
 }
 
-// restartJobImages is the decoded-image core of RestartJob and of store
-// restarts, which hand it images straight from Store.MaterializeStream
-// together with the per-rank chain statistics that switch the
-// filesystem model to the delta-aware restart cost. It takes the images
-// over: each rank clears its image's AppState once it has restored from
-// it.
-func restartJobImages(cfg Config, imgs []*ckptimg.Image, chains []ckptstore.ChainStats, factory app.Factory) (*Session, error) {
+// restoredRank is one rank of a restart whose application state has
+// been restored: inst holds it, the image no longer does, and stateLen
+// keeps its length for the restart read cost.
+type restoredRank struct {
+	img      *ckptimg.Image
+	inst     app.Instance
+	stateLen int64
+}
+
+// restoreRank restores img's application state into a fresh instance
+// and drops the state from the image. img.AppState may be a buffer the
+// caller reuses for the next rank: Restore copies what it keeps (the
+// app.Instance contract).
+func restoreRank(img *ckptimg.Image, factory app.Factory) (restoredRank, error) {
+	inst := factory()
+	if err := inst.Restore(img.AppState); err != nil {
+		return restoredRank{}, fmt.Errorf("rank %d: restoring application state: %w", img.Rank, err)
+	}
+	rr := restoredRank{img: img, inst: inst, stateLen: int64(len(img.AppState))}
+	img.AppState = nil
+	return rr, nil
+}
+
+// restartJobImages builds a restarted session over ranks whose
+// application state RestartJob or restartFromGeneration has already
+// restored. Store restarts pass the per-rank chain statistics, which
+// switch the filesystem model to the delta-aware restart cost; raw-image
+// restarts pass nil.
+func restartJobImages(cfg Config, ranks []restoredRank, chains []ckptstore.ChainStats) (*Session, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
+	imgs := make([]*ckptimg.Image, len(ranks))
+	for i, rr := range ranks {
+		imgs[i] = rr.img
+	}
 	if err := ckptimg.ValidateSet(imgs); err != nil {
 		return nil, fmt.Errorf("mana: restart: %w", err)
 	}
-	byRank := make([]*ckptimg.Image, len(imgs))
-	for _, img := range imgs {
-		byRank[img.Rank] = img
+	n := len(ranks)
+	byRank := make([]restoredRank, n)
+	for _, rr := range ranks {
+		byRank[rr.img.Rank] = rr
 	}
-	n := imgs[0].NRanks
 
 	st, err := cfg.ckptStoreFor(n)
 	if err != nil {
@@ -229,28 +265,21 @@ func restartJobImages(cfg Config, imgs []*ckptimg.Image, chains []ckptstore.Chai
 	s.job = cluster.New(n, cfg.Factory, cfg.Host.Net)
 	armFaults(cfg, s.job)
 	s.body = func(rank int, proc mpi.Proc, clock *simtime.Clock) error {
-		img := byRank[rank]
+		// s.body outlives the job: take the rank out of byRank so a
+		// finished session does not keep its instance alive.
+		rr := byRank[rank]
+		byRank[rank] = restoredRank{}
 		var chain *ckptstore.ChainStats
-		if chains != nil && img.Rank < len(chains) {
-			chain = &chains[img.Rank]
+		if chains != nil && rank < len(chains) {
+			chain = &chains[rank]
 		}
-		rt, err := newRuntimeFromImage(cfg, proc, clock, s.Co, img, chain)
+		rt, err := newRuntimeFromImage(cfg, proc, clock, s.Co, rr.img, rr.stateLen, chain)
 		if err != nil {
 			return err
 		}
 		s.runtimes[rank] = rt
 		s.wireFaults(rt, rank, clock)
-		inst := factory()
-		if err := inst.Restore(img.AppState); err != nil {
-			return fmt.Errorf("mana: restoring application state: %w", err)
-		}
-		// The rank has everything it needs out of the image. Both
-		// callers hand over images they own, and s.body outlives the
-		// job: drop the references so a restarted session does not keep
-		// every rank's decoded state alive beside the live one.
-		step := img.Step
-		img.AppState, byRank[rank] = nil, nil
-		return s.runRank(rt, inst, rank, step, false)
+		return s.runRank(rt, rr.inst, rank, rr.img.Step, false)
 	}
 	return s, nil
 }
@@ -386,18 +415,20 @@ func Restart(cfg Config, images [][]byte, factory app.Factory) (Stats, error) {
 }
 
 // RestartJobFromStore resumes a job from the store's most recent
-// generation, materializing base+delta chains into full images. The
-// session keeps delivering into the same store, so checkpoints taken
-// after the restart extend the generation chain.
+// generation, resolving each rank's base+delta chain straight into its
+// restored application. The session keeps delivering into the same
+// store, so checkpoints taken after the restart extend the generation
+// chain.
 //
 // Chains resolve through the chunk-pipelined path
-// (Store.MaterializeStream): only newest-wins winning chunks are
+// (Store.RestoreStream): only newest-wins winning chunks are
 // decompressed, and the restart read cost charges the consumed base
 // bytes plus the winning chunks' compressed bytes as one pipelined
 // read, not the materialized full image that never existed on storage.
 //
-// With Config.RestartFallback set, a head that is quarantined or fails
-// to materialize does not fail the restart outright: the walk degrades
+// With Config.RestartFallback set, a head that is quarantined, fails
+// to resolve or holds application state the application refuses does
+// not fail the restart outright: the walk degrades
 // newest-first to the youngest generation that still verifies, skipping
 // quarantined ones, stopping only when the chain reaches pruned
 // territory or runs out of generations. The degrade is never silent —
@@ -452,14 +483,25 @@ func RestartJobFromStore(cfg Config, st *ckptstore.Store, factory app.Factory) (
 	return nil, fmt.Errorf("mana: restart: no generation restartable: %w", firstErr)
 }
 
-// restartFromGeneration materializes one specific generation and builds
-// the session from it.
+// restartFromGeneration resolves one specific generation straight into
+// the ranks' application instances (Store.RestoreStream, one reused
+// state buffer per store worker) and builds the session over them. A
+// snapshot the application refuses fails here, before launch, as a
+// chain error does.
 func restartFromGeneration(cfg Config, st *ckptstore.Store, seq int, factory app.Factory) (*Session, error) {
-	imgs, chains, err := st.MaterializeStream(seq)
+	var ranks []restoredRank
+	chains, err := st.RestoreStream(seq, func(img *ckptimg.Image) error {
+		rr, err := restoreRank(img, factory)
+		if err != nil {
+			return err
+		}
+		ranks = append(ranks, rr)
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("mana: restart: %w", err)
 	}
-	return restartJobImages(cfg, imgs, chains, factory)
+	return restartJobImages(cfg, ranks, chains)
 }
 
 // RestartFromStore resumes from the store's head generation and waits

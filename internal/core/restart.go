@@ -13,24 +13,22 @@ import (
 	"manasim/internal/vid"
 )
 
-// NewRuntimeFromImage rebuilds one rank's MANA instance from a
+// newRuntimeFromImage rebuilds one rank's MANA instance from a
 // checkpoint image over a freshly launched lower half (Section 4.2: "At
 // the time of restart, MANA must create MPI objects that are
 // semantically equivalent to the objects that existed prior to
 // checkpoint"). The lower half may be a different MPI implementation
 // than the one the image was taken under, provided the image was taken
 // with uniform handles (Section 9).
-func NewRuntimeFromImage(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *Coordinator, img *ckptimg.Image) (*Runtime, error) {
-	return newRuntimeFromImage(cfg, lower, clock, co, img, nil)
-}
-
-// newRuntimeFromImage is NewRuntimeFromImage with the delta-aware
-// restart cost model: when chain describes the base+delta reads that
-// materialized the image, the filesystem model charges those reads —
-// the consumed base bytes, then the winning delta chunks as one
-// pipelined read (the resolver overlaps the links' reads) — instead of
-// a single read of a full image that never existed on storage.
-func newRuntimeFromImage(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *Coordinator, img *ckptimg.Image, chain *ckptstore.ChainStats) (*Runtime, error) {
+//
+// The application state is restored already and gone from img;
+// stateLen is its length. Reading the image back is charged to the
+// restart: when chain describes the base+delta reads that resolved the
+// image, the filesystem model charges those reads — the consumed base
+// bytes, then the winning delta chunks as one pipelined read (the
+// resolver overlaps the links' reads) — instead of a single read of a
+// full image that never existed on storage.
+func newRuntimeFromImage(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *Coordinator, img *ckptimg.Image, stateLen int64, chain *ckptstore.ChainStats) (*Runtime, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -82,7 +80,7 @@ func newRuntimeFromImage(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *C
 	if chain != nil && chain.Links > 0 {
 		rt.clock.Advance(cfg.FS.ReadCost(chain.BaseBytes+img.ModeledBytes) + cfg.FS.ReadCost(chain.DeltaBytes))
 	} else {
-		rt.clock.Advance(cfg.FS.ReadCost(img.TotalBytes(0) + int64(len(img.AppState))))
+		rt.clock.Advance(cfg.FS.ReadCost(img.TotalBytes(0) + stateLen))
 	}
 
 	markResolvedCaller(lower)

@@ -176,3 +176,53 @@ func TestStreamRestartAllImpls(t *testing.T) {
 		}
 	}
 }
+
+// aliasingBulkApp is a bulkApp whose Restore breaks the app.Instance
+// contract: it keeps the snapshot slice instead of copying it.
+type aliasingBulkApp struct{ bulkApp }
+
+func (b *aliasingBulkApp) Restore(data []byte) error {
+	b.buf = data
+	return nil
+}
+
+// TestRestoredRanksSurviveSharedBuffer: a one-worker store resolves
+// every rank into one reused state buffer and each rank restores before
+// the next resolves. Rank 0's restored state must still be its own after
+// rank 1 has resolved over the buffer — which holds because Restore
+// copies (the control, an application that keeps the slice, ends up
+// holding rank 1's state on rank 0).
+func TestRestoredRanksSurviveSharedBuffer(t *testing.T) {
+	const ranks, steps = 2, 6
+	cfg := implFactory(t, "mpich")
+	st := ckptstore.MustOpen(ranks, ckptstore.Options{Delta: true, ChunkBytes: 512, Workers: 1})
+	rec := &snapshotRecorder{last: make(map[int][]byte)}
+	buildChain(t, cfg, st, rec.wrap(newBulkApp(steps)), ranks, []int{2, 4})
+	if bytes.Equal(rec.last[0], rec.last[1]) {
+		t.Fatal("the two ranks committed the same state")
+	}
+	head := len(st.Generations()) - 1
+
+	restore := func(factory app.Factory) []app.Instance {
+		t.Helper()
+		var insts []app.Instance
+		// Ranks restore in rank order on a one-worker store.
+		if _, err := restartFromGeneration(cfg, st, head, func() app.Instance {
+			inst := factory()
+			insts = append(insts, inst)
+			return inst
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return insts
+	}
+	for r, inst := range restore(newBulkApp(steps)) {
+		if got, _ := inst.Snapshot(); !bytes.Equal(got, rec.last[r]) {
+			t.Fatalf("rank %d: restored state differs from the committed one after later ranks resolved", r)
+		}
+	}
+	control := restore(func() app.Instance { return &aliasingBulkApp{bulkApp{steps: steps}} })
+	if got, _ := control[0].Snapshot(); !bytes.Equal(got, rec.last[1]) {
+		t.Fatal("control: rank 0's kept slice was not overwritten by rank 1; the buffer is not shared")
+	}
+}
