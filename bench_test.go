@@ -646,8 +646,9 @@ func benchAppInstance(b *testing.B, name string) (app.Factory, app.Instance) {
 }
 
 // BenchmarkAppSnapshot measures the first copy of the checkpoint write
-// path: one rank's state serialized by the application. B/op should
-// read the state's size and allocs/op 1.
+// path: one rank's state serialized by the application. It never
+// releases a snapshot (app.ReleaseSnapshot), so every one is a fresh
+// buffer: B/op should read the state's size and allocs/op 1.
 func BenchmarkAppSnapshot(b *testing.B) {
 	for _, name := range apps.Names() {
 		b.Run(name, func(b *testing.B) {

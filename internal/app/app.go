@@ -13,6 +13,7 @@
 package app
 
 import (
+	"sync"
 	"time"
 
 	"manasim/internal/mpi"
@@ -51,7 +52,12 @@ type Instance interface {
 	// Checksum returns a deterministic digest of the numeric state,
 	// used to prove native/MANA and checkpoint/restart equivalence.
 	Checksum() uint64
-	// Snapshot serializes the full instance state.
+	// Snapshot serializes the full instance state into a buffer the
+	// instance keeps no reference to: the caller owns it and may recycle
+	// it with ReleaseSnapshot once it is done with the bytes — the
+	// checkpoint path does, after encoding the image — so a later
+	// Snapshot of this or any other instance may be handed the same
+	// array.
 	Snapshot() ([]byte, error)
 	// Restore replaces the instance state from a snapshot. The instance
 	// must afterwards be resumable at the step recorded by the runner.
@@ -67,3 +73,27 @@ type Instance interface {
 
 // Factory builds a fresh (unrestored) instance for one rank.
 type Factory func() Instance
+
+// snapshotPool recycles snapshot buffers: a checkpoint encodes each
+// rank's snapshot and is then done with it, so the next rank — or the
+// next generation — serializes into the same array instead of a fresh
+// state-sized one.
+var snapshotPool sync.Pool // of *[]byte
+
+// SnapshotBuffer returns an n-byte buffer for a Snapshot to fill: a
+// released one when the pool holds one large enough, a fresh one
+// otherwise. Its contents are arbitrary; the caller writes every byte.
+func SnapshotBuffer(n int) []byte {
+	if p, _ := snapshotPool.Get().(*[]byte); p != nil && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]byte, n)
+}
+
+// ReleaseSnapshot hands a buffer Snapshot returned back for reuse. The
+// caller must not touch b afterwards.
+func ReleaseSnapshot(b []byte) {
+	if cap(b) > 0 {
+		snapshotPool.Put(&b)
+	}
+}

@@ -35,8 +35,11 @@
 // prefix is byte-identical from one generation to the next, so the
 // delta tier's fixed-size chunks over it are unchanged by construction
 // and the changed fraction the cost model charges is the per-step
-// state's share of memory. Snapshot computes the exact size, allocates
-// once and fills.
+// state's share of memory. Snapshot computes the exact size, takes one
+// buffer of it from app.SnapshotBuffer and fills every byte. The
+// instance keeps no reference to that buffer: the checkpoint path
+// encodes the snapshot and releases it (app.ReleaseSnapshot), so the
+// next rank's or the next generation's snapshot fills the same array.
 //
 // Restore reads the bytes as input from a store that may hand back
 // anything. It refuses, with a *SnapshotError naming the application

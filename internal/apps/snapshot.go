@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"manasim/internal/app"
 	"manasim/internal/mpi"
 )
 
@@ -223,12 +224,15 @@ type snapState interface {
 }
 
 // allocate ends the sizing pass and starts the writing pass: one
-// buffer of exactly the size the fields added up to. An application's
-// Snapshot is fields, allocate, fields — called on the concrete state
-// type, so the codec stays on the stack and the buffer is the only
-// allocation.
+// buffer of exactly the size the fields added up to, from
+// app.SnapshotBuffer — a buffer a checkpoint released when there is one,
+// so its old contents are arbitrary; the writing pass writes every byte
+// of it. An application's Snapshot is fields, allocate, fields — called
+// on the concrete state type, so the codec stays on the stack and the
+// buffer is the only allocation, and none once the checkpoint path
+// recycles buffers.
 func (c *snapCodec) allocate() {
-	*c = snapCodec{mode: snapWrite, buf: make([]byte, c.off)}
+	*c = snapCodec{mode: snapWrite, buf: app.SnapshotBuffer(c.off)}
 }
 
 // decodeSnapshot reads data into st, which the caller adopts only on a

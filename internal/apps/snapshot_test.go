@@ -353,6 +353,72 @@ func TestSnapshotAllocatesOnce(t *testing.T) {
 	}
 }
 
+// TestSnapshotIntoRecycledBuffer: the checkpoint path releases every
+// snapshot it has encoded (app.ReleaseSnapshot), and the next Snapshot
+// fills that buffer. A snapshot drawn into a released 0xAA-filled
+// buffer is byte-identical to one drawn from an empty pool, the
+// instance keeps no reference to a snapshot it returned, and the
+// recycled snapshot restores to the same checksum.
+func TestSnapshotIntoRecycledBuffer(t *testing.T) {
+	in := tinyInput(4)
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			b := boundaries(t, name, in)[2]
+			inst := instRestored(t, name, in, b.snap)
+			// Two collections empty a sync.Pool.
+			runtime.GC()
+			runtime.GC()
+			want, err := inst.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want, b.snap) {
+				t.Fatal("snapshot from an empty pool differs from the boundary's")
+			}
+
+			// The pool is per P, and under the race detector it drops a
+			// random quarter of what is put back: release until a
+			// released buffer comes back.
+			var got []byte
+			for try := 0; try < 64 && got == nil; try++ {
+				stale := bytes.Repeat([]byte{0xAA}, len(want))
+				app.ReleaseSnapshot(stale)
+				snap, err := inst.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if &snap[0] == &stale[0] {
+					got = snap
+				}
+			}
+			if got == nil {
+				t.Fatal("Snapshot never drew a released buffer")
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("snapshot into a recycled 0xAA-filled buffer differs from one into a fresh buffer")
+			}
+
+			for i := range got {
+				got[i] ^= 0xFF
+			}
+			again, err := inst.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, want) {
+				t.Fatal("overwriting a returned snapshot changed the next one: the instance kept a reference")
+			}
+			for i := range got {
+				got[i] ^= 0xFF
+			}
+			restored := instRestored(t, name, in, got)
+			if restored.Checksum() != b.sum {
+				t.Fatalf("recycled snapshot restores to checksum %x, want %x", restored.Checksum(), b.sum)
+			}
+		})
+	}
+}
+
 // TestHPCGStaticPrefixStable is the chunk stability the delta tier
 // relies on: consecutive HPCG snapshots are byte-identical up to the
 // first per-step field, and a delta between them ships no more chunks

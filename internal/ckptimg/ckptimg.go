@@ -583,17 +583,6 @@ func sized(b []byte, n int) []byte {
 	return b[:n]
 }
 
-// DecodeFrom validates and deserializes an image from a stream. The
-// bytes are staged through a pooled buffer and decoded with Decode.
-func DecodeFrom(r io.Reader) (*Image, error) {
-	buf := getBuf()
-	defer putBuf(buf)
-	if _, err := buf.ReadFrom(r); err != nil {
-		return nil, fmt.Errorf("ckptimg: reading image (%w): %w", ErrCorrupt, err)
-	}
-	return Decode(buf.Bytes())
-}
-
 // PeekMeta decodes only the identity metadata of an image — full or
 // delta — by reading the header and the leading META section, never
 // touching the application payload. The checkpoint store uses it on

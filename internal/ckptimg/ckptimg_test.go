@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"testing/iotest"
 	"testing/quick"
 
 	"manasim/internal/mpi"
@@ -207,21 +206,6 @@ func TestChunkedAppStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameImage(t, got, img)
-}
-
-func TestStreamingEncodeDecode(t *testing.T) {
-	img := sampleImage(0, 2, 4)
-	var buf bytes.Buffer
-	if err := EncodeTo(&buf, img, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	// Decode through a reader that yields one byte at a time, proving
-	// no whole-image buffering is required on the read side either.
-	got, err := DecodeFrom(iotest.OneByteReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -363,4 +365,94 @@ func TestEncodersReturnWhatTheyWrote(t *testing.T) {
 			t.Errorf("%v: delta does not apply back: %v", tier, err)
 		}
 	}
+}
+
+// TestIndexScratchPooled: a commit validates every rank of every
+// generation, so IndexFull and IndexDelta read application state
+// through pooled chunk scratch instead of allocating a chunk per image.
+// Repeated calls over a 2 MB state allocate less than one chunk per
+// call on average, and callers on several goroutines at once share the
+// pool and still get the index the state implies.
+func TestIndexScratchPooled(t *testing.T) {
+	const chunk = AppChunk
+	o := Options{Compress: true, Tier: TierFastLZ}
+	state := func(gen int) []byte {
+		app := make([]byte, 2<<20)
+		for i := range app {
+			app[i] = byte(i>>9 ^ gen*(i>>18))
+		}
+		return app
+	}
+	type job struct {
+		data  []byte
+		delta bool
+		want  ChunkIndex
+	}
+	var fulls, deltas []job
+	for gen := 1; gen <= 3; gen++ {
+		img := &Image{NRanks: 1, Step: gen, Impl: "mpich", Design: "virtid", AppState: state(gen)}
+		full, err := EncodeOpts(img, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta, st, err := EncodeDelta(img, IndexAppState(state(gen-1), chunk), gen-1, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Changed == 0 {
+			t.Fatalf("generation %d: the delta ships no chunk to inflate", gen)
+		}
+		want := IndexAppState(img.AppState, chunk)
+		fulls = append(fulls, job{full, false, want})
+		deltas = append(deltas, job{delta, true, want})
+	}
+	index := func(j job) (ChunkIndex, error) {
+		var ix Indexed
+		var err error
+		if j.delta {
+			ix, err = IndexDelta(j.data)
+		} else {
+			ix, err = IndexFull(j.data, chunk)
+		}
+		return ix.Index, err
+	}
+
+	for _, set := range [][]job{fulls, deltas} {
+		const calls = 30
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			if _, err := index(set[i%len(set)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / calls
+		t.Logf("delta=%v: %d bytes allocated per call", set[0].delta, per)
+		if per >= chunk {
+			t.Errorf("delta=%v: %d bytes allocated per call, want under one %d-byte chunk: the scratch is not pooled", set[0].delta, per, chunk)
+		}
+	}
+
+	jobs := append(fulls, deltas...)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				j := jobs[(g+i)%len(jobs)]
+				got, err := index(j)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, j.want) {
+					t.Errorf("goroutine %d, call %d (delta=%v): index differs from the state's", g, i, j.delta)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 )
 
 // ErrUnverifiable marks payloads that carry no integrity information:
@@ -84,12 +85,39 @@ type Indexed struct {
 	Index ChunkIndex
 }
 
+// chunkScratchPool recycles the chunk-sized scratch IndexFull and
+// IndexDelta read application state through, so a commit validating
+// every rank of every generation reuses one buffer instead of
+// allocating one per image.
+var chunkScratchPool sync.Pool // of *[]byte
+
+// getChunkScratch returns a pooled scratch buffer of n bytes.
+func getChunkScratch(n int) *[]byte {
+	p, _ := chunkScratchPool.Get().(*[]byte)
+	if p == nil {
+		p = new([]byte)
+	}
+	if cap(*p) < n {
+		*p = make([]byte, n)
+	}
+	*p = (*p)[:n]
+	return p
+}
+
+// putChunkScratch returns a scratch buffer to the pool. The caller must
+// not use it afterwards.
+func putChunkScratch(p *[]byte) {
+	if cap(*p) <= maxPooledBuf {
+		chunkScratchPool.Put(p)
+	}
+}
+
 // IndexFull validates a full image as deeply as Decode does — header,
 // every section frame's CRC, the common sections decode, the
 // application state inflates to the end of its stream and to its
 // declared length, nothing follows the end marker — and indexes its
 // application state at chunkBytes (<= 0 selects AppChunk). The state
-// passes through one chunk-sized scratch buffer and is never
+// passes through one pooled chunk-sized scratch buffer and is never
 // assembled. Delta images return ErrDeltaImage.
 func IndexFull(data []byte, chunkBytes int) (Indexed, error) {
 	r, err := OpenAppState(data, true)
@@ -108,7 +136,9 @@ func IndexFull(data []byte, chunkBytes int) (Indexed, error) {
 		size = max(1, min(chunkBytes, total))
 		x.CRCs = make([]uint32, 0, (total+chunkBytes-1)/chunkBytes)
 	}
-	scratch := make([]byte, size)
+	sp := getChunkScratch(size)
+	defer putChunkScratch(sp)
+	scratch := *sp
 	for {
 		n, err := io.ReadFull(r, scratch)
 		if n > 0 {
@@ -136,8 +166,8 @@ func IndexFull(data []byte, chunkBytes int) (Indexed, error) {
 // the common sections decode), then every changed chunk's content
 // against its recorded CRC and length — and returns the chunk index the
 // image implies. Uncompressed chunks are checked where they lie;
-// compressed ones inflate one at a time into a single chunk-sized
-// scratch buffer.
+// compressed ones inflate one at a time into a single pooled
+// chunk-sized scratch buffer.
 func IndexDelta(data []byte) (Indexed, error) {
 	r, err := OpenDelta(data, true)
 	if err != nil {
@@ -149,15 +179,17 @@ func IndexDelta(data []byte) (Indexed, error) {
 		x.CRCs = make([]uint32, n)
 	}
 	var scratch []byte
+	if r.compressed && len(x.CRCs) > 0 {
+		sp := getChunkScratch(r.ChunkLen(0))
+		defer putChunkScratch(sp)
+		scratch = *sp
+	}
 	for i := range x.CRCs {
 		ch := r.chunks[i]
 		x.CRCs[i] = ch.CRC
 		switch {
 		case !ch.Changed:
 		case r.compressed:
-			if scratch == nil {
-				scratch = make([]byte, r.ChunkLen(0))
-			}
 			if err := r.InflateChunk(i, scratch[:r.ChunkLen(i)]); err != nil {
 				return Indexed{}, err
 			}

@@ -54,12 +54,13 @@
 // image that fails is not refused but stored verbatim as an opaque
 // payload, and the rank loses its chunk index, so its next generation
 // is a base. Validation is streaming: each rank's changed chunks (or
-// its full state) pass one at a time through a single chunk-sized
-// scratch buffer, checked and indexed as they go, and nothing is
-// materialized — a commit allocates the scratch, the indexes and what
-// the backend copies, never a second application state. (Outside delta
-// mode the index is never consulted and Commit only peeks at META for
-// the step.)
+// its full state) pass one at a time through a chunk-sized scratch
+// buffer, checked and indexed as they go, and nothing is materialized.
+// The scratch comes from a pool in ckptimg that every rank of every
+// commit shares, so a commit allocates the indexes and what the backend
+// copies — not a chunk per image, never a second application state.
+// (Outside delta mode the index is never consulted and Commit only
+// peeks at META for the step.)
 //
 // Ranks that deliver bytes the store cannot parse as images are stored
 // verbatim as opaque full payloads (their index is dropped and the next

@@ -558,8 +558,8 @@ type rankCommit struct {
 // validation, backend writes — fans out to the store's worker pool
 // (Options.Workers). Validation is streaming (ckptimg.IndexDelta,
 // ckptimg.IndexFull): every check a full decode makes runs, through one
-// chunk-sized scratch buffer per rank, and no application state is
-// assembled. A failing rank cancels the pool, any
+// pooled chunk-sized scratch buffer at a time per worker, and no
+// application state is assembled. A failing rank cancels the pool, any
 // blobs already written for the generation are deleted, and neither the
 // in-memory chain nor the manifest records it: a failed commit leaves
 // no partial generation behind.

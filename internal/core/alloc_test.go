@@ -1,6 +1,7 @@
 package mana
 
 import (
+	"bytes"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -29,54 +30,27 @@ func (m snapMeter) Snapshot() ([]byte, error) {
 // count, not a stopwatch: a 4-rank HPCG takes three store generations
 // (delta + dedup + fast-lz) and the bytes allocated for them — the run's
 // TotalAlloc less that of the same run without checkpoints — stay
-// within twice the snapshots' own size. One times is the snapshot
-// itself; a second whole-state buffer anywhere in snapshot, encode or
-// commit (gob at 3x, an uncompressed-size encode buffer, a decoded copy
-// in Commit: 6x before the flat codec) breaks the bound on any host.
+// within three quarters of the snapshots' own size. The checkpoint path
+// releases each snapshot once its image is encoded and the next rank's
+// snapshot fills the same buffer, so the snapshots themselves cost
+// almost nothing and what remains is the encoded images, their indexes
+// and the commit (0.3-0.5x; 1.4x when every snapshot was a fresh
+// buffer). A whole-state buffer allocated per checkpoint anywhere in
+// snapshot, encode or commit — a snapshot that is never recycled, an
+// uncompressed-size encode buffer, a decoded copy in Commit — puts it
+// back above 1x on any host.
 func TestCheckpointAllocBound(t *testing.T) {
-	const ranks, steps = 4, 12
-	spec, err := apps.ByName("hpcg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := spec.DefaultInput(apps.SiteDiscovery)
-	in.Ranks, in.SimSteps, in.Local, in.PollsPerStep = ranks, steps, 16, 4
-	cfg := faultCfg(t, "mpich", nil)
-	native, err := RunNative(cfg, ranks, spec.New(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	job := newCkptJob(t)
 	var snapBytes atomic.Int64
-	inner := spec.New(in)
-	factory := func() app.Instance { return snapMeter{inner(), &snapBytes} }
+	factory := func() app.Instance { return snapMeter{job.factory(), &snapBytes} }
 	run := func(interval time.Duration) (alloc uint64, gens int) {
 		t.Helper()
-		// The state is 352 KB a rank; 32 KB chunks give it the dozen
-		// chunks per image the default gives a production-size one.
-		st, err := ckptstore.Open(ranks, ckptstore.Options{
-			Delta: true, Dedup: true, ChunkBytes: 32 << 10,
-			Compress: true, CompressTier: ckptimg.TierFastLZ,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := cfg
-		c.Store, c.CkptInterval, c.SkewBound = st, interval, 1
+		st := job.store(t)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		stats, err := func() (Stats, error) {
-			s, err := StartJob(c, ranks, factory)
-			if err != nil {
-				return Stats{}, err
-			}
-			return s.Wait()
-		}()
+		stats := job.run(t, st, interval, factory)
 		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameChecksums(t, stats.Checksums, native.Checksums, "checkpointed run vs native")
+		sameChecksums(t, stats.Checksums, job.native.Checksums, "checkpointed run vs native")
 		return after.TotalAlloc - before.TotalAlloc, len(st.Generations())
 	}
 
@@ -84,20 +58,155 @@ func TestCheckpointAllocBound(t *testing.T) {
 	if gens != 0 || snapBytes.Load() != 0 {
 		t.Fatalf("reference run took %d generations", gens)
 	}
-	with, gens := run(native.VT / steps)
+	with, gens := run(job.interval())
 	if gens < 3 {
 		t.Fatalf("%d generations committed, want at least 3", gens)
 	}
 	snaps := uint64(snapBytes.Load())
 	// The matrix and the four CG vectors: 11 doubles per grid point.
-	if want := uint64(gens * ranks * 11 * 8 * 16 * 16 * 16); snaps < want {
+	if want := uint64(gens * ckptJobRanks * 11 * 8 * 16 * 16 * 16); snaps < want {
 		t.Fatalf("%d generations snapshotted %d bytes, want at least %d", gens, snaps, want)
 	}
 	extra := with - plain
 	t.Logf("%d generations: %d bytes allocated for %d bytes of snapshots (%.2fx)", gens, extra, snaps, float64(extra)/float64(snaps))
-	if extra > 2*snaps {
-		t.Fatalf("checkpointing allocated %d bytes for %d bytes of snapshots (%.2fx, bound 2x): a whole-state buffer is back on the write path",
-			extra, snaps, float64(extra)/float64(snaps))
+	// The race detector's sync.Pool drops a random quarter of what is
+	// put back, so there a quarter of the snapshots are fresh buffers;
+	// the bound stays at 2x, which a second whole-state buffer per
+	// checkpoint still breaks.
+	limit, bound := snaps*3/4, "0.75x"
+	if raceEnabled {
+		limit, bound = 2*snaps, "2x"
+	}
+	if extra > limit {
+		t.Fatalf("checkpointing allocated %d bytes for %d bytes of snapshots (%.2fx, bound %s): a whole-state buffer is back on the write path",
+			extra, snaps, float64(extra)/float64(snaps), bound)
+	}
+}
+
+// The rank and step counts of ckptJob.
+const ckptJobRanks, ckptJobSteps = 4, 12
+
+// ckptJob is the job the write-path tests checkpoint: a 4-rank HPCG
+// with 352 KB of state a rank, 12 steps, and its native run's Stats to
+// compare against.
+type ckptJob struct {
+	cfg     Config
+	factory app.Factory
+	native  Stats
+}
+
+func newCkptJob(t *testing.T) ckptJob {
+	t.Helper()
+	spec, err := apps.ByName("hpcg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := spec.DefaultInput(apps.SiteDiscovery)
+	in.Ranks, in.SimSteps, in.Local, in.PollsPerStep = ckptJobRanks, ckptJobSteps, 16, 4
+	job := ckptJob{cfg: faultCfg(t, "mpich", nil), factory: spec.New(in)}
+	if job.native, err = RunNative(job.cfg, ckptJobRanks, job.factory); err != nil {
+		t.Fatal(err)
+	}
+	return job
+}
+
+// interval is a checkpoint interval of one step's virtual time.
+func (j ckptJob) interval() time.Duration { return j.native.VT / ckptJobSteps }
+
+// store opens a delta + dedup + fast-lz store. The state is 352 KB a
+// rank; 32 KB chunks give it the dozen chunks per image the default
+// gives a production-size one.
+func (j ckptJob) store(t *testing.T) *ckptstore.Store {
+	t.Helper()
+	st, err := ckptstore.Open(ckptJobRanks, ckptstore.Options{
+		Delta: true, Dedup: true, ChunkBytes: 32 << 10,
+		Compress: true, CompressTier: ckptimg.TierFastLZ,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// run runs the job to completion into st, checkpointing every interval
+// (none when zero).
+func (j ckptJob) run(t *testing.T, st *ckptstore.Store, interval time.Duration, factory app.Factory) Stats {
+	t.Helper()
+	c := j.cfg
+	c.Store, c.CkptInterval, c.SkewBound = st, interval, 1
+	s, err := StartJob(c, ckptJobRanks, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := s.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats
+}
+
+// storedObjects reads back every object st's backend holds: each
+// generation's per-rank recipe and the segments the images split into.
+func storedObjects(t *testing.T, st *ckptstore.Store) map[string][]byte {
+	t.Helper()
+	keys, err := st.Backend().List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := make(map[string][]byte, len(keys))
+	for _, k := range keys {
+		if objs[k], err = st.Backend().Get(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return objs
+}
+
+// TestCommittedImagesSurviveRecycledSnapshots is the write-side twin of
+// TestRestoredRanksSurviveSharedBuffer: the checkpoint path releases
+// every snapshot once its image is encoded, and the next snapshot — the
+// next rank's, the next generation's, the next job's — fills the same
+// buffer. The same checkpointed job run twice in one process, the
+// second time drawing the first run's buffers and stale 0xAA-filled ones,
+// must commit the same bytes for every rank and generation and end with
+// the same Stats: no stale byte reaches an image and no encoded image
+// aliases a snapshot that was recycled under it.
+func TestCommittedImagesSurviveRecycledSnapshots(t *testing.T) {
+	job := newCkptJob(t)
+	run := func() (Stats, map[string][]byte) {
+		t.Helper()
+		st := job.store(t)
+		stats := job.run(t, st, job.interval(), job.factory)
+		sameChecksums(t, stats.Checksums, job.native.Checksums, "checkpointed run vs native")
+		if gens := len(st.Generations()); gens < 3 {
+			t.Fatalf("%d generations committed, want at least 3", gens)
+		}
+		stats.Wall = 0
+		return stats, storedObjects(t, st)
+	}
+
+	// Empty the pool, so the first run starts from fresh buffers.
+	runtime.GC()
+	runtime.GC()
+	first, firstObjs := run()
+	// Larger than a rank's 352 KB state, so any snapshot can draw them.
+	for range 2 * ckptJobRanks {
+		app.ReleaseSnapshot(bytes.Repeat([]byte{0xAA}, 1<<20))
+	}
+	second, secondObjs := run()
+
+	if d := firstStatsDiff(first, second); d != "none" {
+		t.Errorf("Stats differ between the runs: %s", d)
+	}
+	if len(firstObjs) != len(secondObjs) {
+		t.Fatalf("the stores hold %d and %d objects", len(firstObjs), len(secondObjs))
+	}
+	for k, want := range firstObjs {
+		if got, ok := secondObjs[k]; !ok {
+			t.Errorf("%s: committed by the first run only", k)
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("%s: the run on recycled snapshot buffers committed different bytes", k)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"manasim/internal/app"
 	"manasim/internal/ckpt"
 	"manasim/internal/ckptimg"
 	"manasim/internal/fsim"
@@ -295,11 +296,18 @@ func (r *Runtime) decodeDtypeDescriptors() error {
 // bytes and the total (real + modeled) size for the filesystem model;
 // for a delta, the modeled working set is scaled by the shipped chunk
 // fraction, since a production delta writes only the changed pages.
+//
+// The snapshot is released for reuse (app.ReleaseSnapshot) once the
+// image is encoded, on every path: neither encoder's output aliases
+// the application state (a compressed image is an exact-size copy out
+// of pooled scratch, an uncompressed one is copied into its own
+// buffer), and img never leaves this function.
 func (r *Runtime) buildImage(step int) ([]byte, int64, error) {
 	appState, err := r.snapshotFn()
 	if err != nil {
 		return nil, 0, fmt.Errorf("mana: application snapshot: %w", err)
 	}
+	defer app.ReleaseSnapshot(appState)
 	var modeled int64
 	if r.footprintFn != nil {
 		modeled = r.footprintFn()
