@@ -107,8 +107,8 @@ func seedState(st any, rng *rand.Rand, n int) {
 }
 
 // TestDigestMatchesFmt: the digest's strconv formatting produces the
-// bytes fmt's "%.10e" and "%d" produce, on special values and on random
-// bit patterns of every exponent.
+// bytes fmt's "%.10e", "%.12e", "%.14e" and "%d" produce, on special
+// values and on random bit patterns of every exponent.
 func TestDigestMatchesFmt(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	floats := append([]float64(nil), specialFloats...)
@@ -116,12 +116,15 @@ func TestDigestMatchesFmt(t *testing.T) {
 		floats = append(floats, randFloat(rng))
 	}
 	for _, v := range floats {
-		d, want := newDigest(), newDigest()
-		d.float(v, ',')
-		want.write([]byte(fmt.Sprintf("%.10e,", v)))
-		if d.sum != want.sum {
-			t.Fatalf("bits %#x: strconv prints %q, fmt %q", math.Float64bits(v),
-				strconv.FormatFloat(v, 'e', 10, 64), fmt.Sprintf("%.10e", v))
+		// %.10e for sampled values, %.12e and %.14e for header lines.
+		for _, prec := range []int{10, 12, 14} {
+			d, want := newDigest(), newDigest()
+			d.exp(v, prec, ',')
+			want.write([]byte(fmt.Sprintf("%.*e,", prec, v)))
+			if d.sum != want.sum {
+				t.Fatalf("bits %#x: strconv prints %q, fmt %q", math.Float64bits(v),
+					strconv.FormatFloat(v, 'e', prec, 64), fmt.Sprintf("%.*e", prec, v))
+			}
 		}
 	}
 	for _, v := range []int64{0, 1, -1, 255, 256, math.MaxInt64, math.MinInt64, rng.Int63(), -rng.Int63()} {
@@ -152,40 +155,19 @@ func TestChecksumMatchesFmtReference(t *testing.T) {
 	}
 }
 
-// TestChecksumAllocations: a Checksum costs at most two heap objects —
-// the boxed arguments of its fmt header line — whatever the size of the
-// state it digests.
+// TestChecksumAllocations: a Checksum costs no heap object, whatever
+// the size of the state it digests and whatever its counters hold.
 func TestChecksumAllocations(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			for _, n := range []int{64, 1 << 16} {
 				inst := fresh(t, name, smallInput())
 				seedState(stateOf(inst), rand.New(rand.NewSource(int64(n))), n)
-				// Rank and the step counters below 256 box for free.
-				setSmallInts(stateOf(inst))
 				allocs := testing.AllocsPerRun(20, func() { inst.Checksum() })
-				if allocs > 2 {
-					t.Errorf("%d-element state: Checksum allocates %.1f objects per call, want at most 2", n, allocs)
+				if allocs != 0 {
+					t.Errorf("%d-element state: Checksum allocates %.1f objects per call, want 0", n, allocs)
 				}
 			}
 		})
 	}
-}
-
-// setSmallInts sets every int field of a state struct (the decomposition
-// and the step counters) to a small value, as in any job under 256
-// ranks and steps.
-func setSmallInts(st any) {
-	var set func(v reflect.Value)
-	set = func(v reflect.Value) {
-		switch v.Kind() {
-		case reflect.Struct:
-			for i := 0; i < v.NumField(); i++ {
-				set(v.Field(i))
-			}
-		case reflect.Int, reflect.Int64:
-			v.SetInt(3)
-		}
-	}
-	set(reflect.ValueOf(st).Elem())
 }

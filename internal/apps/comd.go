@@ -221,10 +221,11 @@ func (c *comd) Finalize(env *app.Env) error {
 func (c *comd) Checksum() uint64 {
 	d := newDigest()
 	s := &c.st
-	// The decomposition spelled out as its String method prints it, so
-	// the header builds no intermediate string.
+	// The decomposition spelled out as its String method prints it:
+	// "comd:%d:%dx%dx%d@(%d,%d,%d):%.12e;".
 	g := &s.D
-	d.header("comd:%d:%dx%dx%d@(%d,%d,%d):%.12e;", g.Rank, g.PX, g.PY, g.PZ, g.X, g.Y, g.Z, s.EPot)
+	d.str("comd:").int(int64(g.Rank), ':').int(int64(g.PX), 'x').int(int64(g.PY), 'x').int(int64(g.PZ), '@').
+		str("(").int(int64(g.X), ',').int(int64(g.Y), ',').int(int64(g.Z), ')').str(":").exp(s.EPot, 12, ';')
 	for i := 0; i < len(s.Pos); i += 7 {
 		d.float(s.Pos[i], ',')
 	}

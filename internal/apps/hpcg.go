@@ -291,7 +291,7 @@ func (h *hpcg) Finalize(env *app.Env) error {
 func (h *hpcg) Checksum() uint64 {
 	d := newDigest()
 	s := &h.st
-	d.header("hpcg:%d:%d:%.14e;", s.D.Rank, s.Iter, s.RtR)
+	d.str("hpcg:").int(int64(s.D.Rank), ':').int(int64(s.Iter), ':').exp(s.RtR, 14, ';')
 	for i := 0; i < len(s.X); i += 13 {
 		d.float(s.X[i], ',')
 	}

@@ -250,7 +250,7 @@ func (l *lammps) Finalize(env *app.Env) error {
 func (l *lammps) Checksum() uint64 {
 	d := newDigest()
 	s := &l.st
-	d.header("lammps:%d:%.12e:%d;", s.D.Rank, s.PE, s.Migrations)
+	d.str("lammps:").int(int64(s.D.Rank), ':').exp(s.PE, 12, ':').int(s.Migrations, ';')
 	for i := 0; i < len(s.Pos); i += 17 {
 		d.float(s.Pos[i], ',')
 	}

@@ -201,7 +201,7 @@ func (l *lulesh) Finalize(env *app.Env) error {
 func (l *lulesh) Checksum() uint64 {
 	d := newDigest()
 	s := &l.st
-	d.header("lulesh:%d:%d:%.14e;", s.D.Rank, s.Cycle, s.DtCourant)
+	d.str("lulesh:").int(int64(s.D.Rank), ':').int(int64(s.Cycle), ':').exp(s.DtCourant, 14, ';')
 	for i := 0; i < len(s.E); i += 5 {
 		d.float(s.E[i], ',')
 		d.float(s.P[i], ';')

@@ -251,7 +251,7 @@ func (w *sw4) Finalize(env *app.Env) error {
 func (w *sw4) Checksum() uint64 {
 	d := newDigest()
 	s := &w.st
-	d.header("sw4:%d:%d:%.14e;", s.D.Rank, s.TStep, s.Energy)
+	d.str("sw4:").int(int64(s.D.Rank), ':').int(int64(s.TStep), ':').exp(s.Energy, 14, ';')
 	for i := 0; i < len(s.U); i += 3 {
 		d.float(s.U[i], ',')
 	}

@@ -201,28 +201,18 @@ func (o Options) headerFlags() uint32 {
 func Encode(img *Image) ([]byte, error) { return EncodeOpts(img, Options{}) }
 
 // EncodeOpts serializes the image in the current format and returns
-// exactly the bytes it wrote. Uncompressed, the output buffer is sized
-// from the image up front, so the bulk application state is copied
-// into it exactly once. Compressed, the image is a small fraction of
-// that size: it is encoded into a pooled scratch buffer and returned
-// as an exact-size copy, so whoever holds the image — the coordinator
-// stages every rank of a generation, stores hold it for good — holds
-// its bytes and not a state-sized array behind them.
+// exactly the bytes it wrote. The image is encoded into a pooled
+// scratch buffer and returned as an exact-size copy (len == cap), so
+// the application state is copied out once and whoever holds the image
+// — the coordinator stages every rank of a generation, a store keeps
+// it for good — holds its bytes and nothing behind them.
 func EncodeOpts(img *Image, o Options) ([]byte, error) {
-	if o.Compress {
-		buf := getBuf()
-		defer putBuf(buf)
-		if err := EncodeTo(buf, img, o); err != nil {
-			return nil, err
-		}
-		return exactCopy(buf.Bytes()), nil
-	}
-	var buf bytes.Buffer
-	buf.Grow(img.sizeHint(o.chunkSize()))
-	if err := EncodeTo(&buf, img, o); err != nil {
+	buf := getBuf()
+	defer putBuf(buf)
+	if err := EncodeTo(buf, img, o); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return exactCopy(buf.Bytes()), nil
 }
 
 // exactCopy returns b in an array of its own, exactly as long as b:
@@ -231,29 +221,6 @@ func exactCopy(b []byte) []byte {
 	out := make([]byte, len(b))
 	copy(out, b)
 	return out
-}
-
-// sizeHint estimates the encoded size for buffer preallocation: the
-// app state plus per-chunk frames plus the tail sections.
-func (img *Image) sizeHint(cs int) int {
-	return 16 + len(img.AppState) + 16*(len(img.AppState)/cs+2) + img.tailSizeHint()
-}
-
-// tailSizeHint estimates the sections that follow the application
-// payload — META, the vid store snapshot, drained messages, request
-// results, counters, frames — so encoders can reserve for them up
-// front: a mid-encode buffer regrowth would recopy every already
-// written app-state byte, exactly the copy the single-pass encoders
-// exist to avoid. The vid store is gob and its items vary in size, so
-// its term is an estimate; the rest is exact to within frame slack.
-func (img *Image) tailSizeHint() int {
-	h := 1024 + 128*len(img.Store.Items)
-	for _, m := range img.Drained {
-		h += len(m.Payload) + 64
-	}
-	h += 8*(len(img.SentTo)+len(img.RecvFrom)) + 40*len(img.ReqResults)
-	h += len(img.Impl) + len(img.Design) // META strings
-	return h
 }
 
 // EncodeTo streams the image to w section by section: header first,

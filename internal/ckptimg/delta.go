@@ -108,12 +108,9 @@ func (s DeltaStats) ChangedFraction() float64 {
 // at Options.Tier; Options.ChunkSize must be unset or equal to
 // parent.ChunkBytes.
 //
-// Each chunk's CRC is computed once (a scan pass that sizes the output
-// exactly), and each changed chunk's bytes are then copied straight
-// into their output frame — so no byte of the application state is
-// copied more than once, and the output buffer never reallocates on
-// the uncompressed path. Under compression the image is encoded into
-// pooled scratch and returned as an exact-size copy, like EncodeOpts.
+// Each chunk's CRC is computed once and each changed chunk's bytes are
+// written straight into their output frame. Like EncodeOpts, the image
+// is encoded into pooled scratch and returned as an exact-size copy.
 func EncodeDelta(img *Image, parent ChunkIndex, parentGen int, o Options) ([]byte, DeltaStats, error) {
 	if parent.ChunkBytes <= 0 {
 		return nil, DeltaStats{}, fmt.Errorf("ckptimg: delta parent index has no chunk size")
@@ -125,31 +122,9 @@ func EncodeDelta(img *Image, parent ChunkIndex, parentGen int, o Options) ([]byt
 	app := img.AppState
 	chunks := (len(app) + cs - 1) / cs
 
-	// Scan pass: CRC every chunk and tally the changed bytes, so the
-	// uncompressed output buffer is grown once to its exact size —
-	// regrowth would recopy already-written chunk data.
-	crcs := make([]uint32, chunks)
-	changedBytes := 0
 	st := DeltaStats{Chunks: chunks}
-	for i := 0; i < chunks; i++ {
-		off := i * cs
-		end := min(off+cs, len(app))
-		chunk := app[off:end]
-		crcs[i] = crc32.ChecksumIEEE(chunk)
-		if !(i < len(parent.CRCs) && parent.chunkLen(i) == len(chunk) && parent.CRCs[i] == crcs[i]) {
-			st.Changed++
-			changedBytes += len(chunk)
-		}
-	}
-
-	var buf *bytes.Buffer
-	if o.Compress {
-		buf = getBuf()
-		defer putBuf(buf)
-	} else {
-		buf = new(bytes.Buffer)
-		buf.Grow(16 + 25*chunks + changedBytes + img.tailSizeHint())
-	}
+	buf := getBuf()
+	defer putBuf(buf)
 	var hdr [16]byte
 	copy(hdr[:8], Magic[:])
 	binary.LittleEndian.PutUint32(hdr[8:12], Version)
@@ -183,7 +158,7 @@ func EncodeDelta(img *Image, parent ChunkIndex, parentGen int, o Options) ([]byt
 		off := i * cs
 		end := min(off+cs, len(app))
 		chunk := app[off:end]
-		crc := crcs[i]
+		crc := crc32.ChecksumIEEE(chunk)
 		unchanged := i < len(parent.CRCs) && parent.chunkLen(i) == len(chunk) && parent.CRCs[i] == crc
 
 		var rec [9]byte
@@ -196,6 +171,7 @@ func EncodeDelta(img *Image, parent ChunkIndex, parentGen int, o Options) ([]byt
 			continue
 		}
 		rec[4] = 1
+		st.Changed++
 		data := chunk
 		if lz {
 			*zp = lzFrameCompress((*zp)[:0], chunk)
@@ -222,10 +198,7 @@ func EncodeDelta(img *Image, parent ChunkIndex, parentGen int, o Options) ([]byt
 	if err := writeTailSections(buf, img); err != nil {
 		return nil, DeltaStats{}, err
 	}
-	if o.Compress {
-		return exactCopy(buf.Bytes()), st, nil
-	}
-	return buf.Bytes(), st, nil
+	return exactCopy(buf.Bytes()), st, nil
 }
 
 // IsDelta reports whether data begins with a v3 delta-image header. It

@@ -19,9 +19,13 @@ type Backend interface {
 	// Name reports the registered backend name.
 	Name() string
 	// Put stores a blob under key, replacing any previous value. The
-	// blob must be durable (or a faithful copy) when Put returns.
+	// blob must be durable when Put returns. Put takes ownership of
+	// data: a backend may keep the slice itself as the stored blob, so
+	// the caller must not write to it afterwards (reading it stays
+	// safe).
 	Put(key string, data []byte) error
-	// Get retrieves a blob copy; a missing key is an error.
+	// Get retrieves a copy of a blob that the caller owns and may
+	// modify; a missing key is an error.
 	Get(key string) ([]byte, error)
 	// List returns all stored keys in sorted order.
 	List() ([]string, error)
@@ -140,7 +144,7 @@ func (b *memBackend) CostModel() fsim.FS { return fsim.FS{} }
 func (b *memBackend) Put(key string, data []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.blobs[key] = append([]byte(nil), data...)
+	b.blobs[key] = data
 	return nil
 }
 
@@ -153,6 +157,10 @@ func (b *memBackend) Get(key string) ([]byte, error) {
 	}
 	return append([]byte(nil), data...), nil
 }
+
+// exactCopy returns b in an array of its own whose capacity is exactly
+// len(b), so a blob kept from it pins no spare bytes.
+func exactCopy(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
 
 func (b *memBackend) List() ([]string, error) {
 	b.mu.Lock()

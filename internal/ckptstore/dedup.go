@@ -207,7 +207,9 @@ func (s *Store) planDedup(images [][]byte) (*dedupPlan, error) {
 		for i, k := range segRes[r].keys {
 			if s.blobRefs[k] == 0 && !newIdx[k] {
 				newIdx[k] = true
-				p.newBlobs = append(p.newBlobs, blobPut{key: k, data: segRes[r].segs[i]})
+				// The segment is a sub-slice of the image: the store
+				// keeps an exact copy, never the whole image behind it.
+				p.newBlobs = append(p.newBlobs, blobPut{key: k, data: exactCopy(segRes[r].segs[i])})
 				p.unique[r] += int64(len(segRes[r].segs[i]))
 			}
 			p.added[k]++

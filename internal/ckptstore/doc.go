@@ -57,8 +57,8 @@
 // its full state) pass one at a time through a chunk-sized scratch
 // buffer, checked and indexed as they go, and nothing is materialized.
 // The scratch comes from a pool in ckptimg that every rank of every
-// commit shares, so a commit allocates the indexes and what the backend
-// copies — not a chunk per image, never a second application state.
+// commit shares, so a commit allocates the indexes — not a chunk per
+// image, never a second application state, and no copy of an image.
 // (Outside delta mode the index is never consulted and Commit only
 // peeks at META for the step.)
 //
@@ -92,6 +92,15 @@
 // onto the job's configured filesystem (Config.FS, NFSv3 by default) —
 // while obj and tier attach their own tiers' profiles, so the modeled
 // cost follows the tier actually hit.
+//
+// Blob bytes change hands once in each direction. Put takes ownership
+// of its data: mem, obj and the tier backend's front keep the caller's
+// slice as the stored blob, fs writes it out, and the caller must not
+// write to it afterwards. Commit hands each rank's image to Put as it
+// is, so the encoder's exact-size output is the only copy a store holds
+// of it. A caller may keep reading what it committed. A dedup blob is a
+// segment of its image and is copied out at exact size before Put, so
+// no stored blob pins a whole image. Get returns a copy the caller owns.
 //
 // The store persists a manifest blob (generation metadata, per-rank
 // chunk indexes, chain length, the retention cutoff) after every

@@ -49,7 +49,7 @@ func (b *objBackend) CostModel() fsim.FS { return b.profile }
 func (b *objBackend) Put(key string, data []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.blobs[key] = append([]byte(nil), data...)
+	b.blobs[key] = data
 	b.ops.Puts++
 	b.ops.VT += b.profile.WriteCost(int64(len(data)))
 	return nil

@@ -413,7 +413,7 @@ func (s *Store) repairFromDonors(rep *ScrubReport, recipes []scrubRecipe, damage
 				if blobKey(run) != bk {
 					continue
 				}
-				if s.bPut(bk, run) != nil {
+				if s.bPut(bk, exactCopy(run)) != nil {
 					break
 				}
 				// Read-back: under an armed corruptor the repair write

@@ -324,7 +324,8 @@ func (b *tierBackend) Get(key string) ([]byte, error) {
 	}
 	// Promote straight into the front tier (not via b.Put: a promotion
 	// must not re-enqueue a flush of bytes the back tier already holds).
-	if err := b.front.Put(key, data); err != nil {
+	// The front keeps a copy of its own: data goes to the caller.
+	if err := b.front.Put(key, exactCopy(data)); err != nil {
 		return nil, fmt.Errorf("ckptstore: tier promote of %q: %w", key, err)
 	}
 	b.mu.Lock()

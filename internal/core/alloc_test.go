@@ -210,6 +210,61 @@ func TestCommittedImagesSurviveRecycledSnapshots(t *testing.T) {
 	}
 }
 
+// TestUncompressedCommitAllocBound: encoding uncompressed full images
+// and committing them into a mem store allocates little more than the
+// bytes the store keeps. Each image is encoded in pooled scratch and
+// returned at exact size, and the store keeps that slice as its blob,
+// so an image's bytes are allocated once (about 1.0x). A whole-image
+// buffer sized by estimate beside the exact copy, or a backend that
+// copies what it is handed, puts it back above 2x. Under -race the
+// pool drops a random quarter of what is put back, so a quarter of the
+// encodes regrow their scratch from nothing (2.3-2.7x measured); the
+// bound there is 3x, which one more copy per image still breaks.
+func TestUncompressedCommitAllocBound(t *testing.T) {
+	const ranks, state, gens = 8, 256 << 10, 4
+	st, err := ckptstore.Open(ranks, ckptstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps := make([][]byte, ranks)
+	for r := range apps {
+		apps[r] = bytes.Repeat([]byte{byte(r), 0x5a, 0xc3}, state/3)
+	}
+	commit := func(step int) (stored uint64) {
+		images := make([][]byte, ranks)
+		for r := range images {
+			img := &ckptimg.Image{Rank: r, NRanks: ranks, Step: step, Impl: "mpich", Design: "virtid", AppState: apps[r]}
+			if images[r], err = ckptimg.EncodeOpts(img, st.EncodeOptions()); err != nil {
+				t.Fatal(err)
+			}
+			stored += uint64(len(images[r]))
+		}
+		if _, err := st.Commit(images); err != nil {
+			t.Fatal(err)
+		}
+		return stored
+	}
+	commit(0) // grows the pooled scratch to an image's size
+	var before, after runtime.MemStats
+	var stored uint64
+	runtime.ReadMemStats(&before)
+	for g := 1; g <= gens; g++ {
+		stored += commit(g)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	ratio := float64(alloc) / float64(stored)
+	t.Logf("%d generations: %d bytes allocated for %d bytes stored (%.2fx)", gens, alloc, stored, ratio)
+	limit, bound := stored*13/10, "1.3x"
+	if raceEnabled {
+		limit, bound = 3*stored, "3x"
+	}
+	if alloc > limit {
+		t.Fatalf("encode + commit allocated %d bytes for %d bytes stored (%.2fx, bound %s): an image is copied or over-allocated on the write path",
+			alloc, stored, ratio, bound)
+	}
+}
+
 // TestRestartReleasesImages: a restarted session must not pin the
 // images it restarted from. Every rank is restored before the session
 // is built, so once restartJobImages returns no image holds application

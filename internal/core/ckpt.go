@@ -1,9 +1,10 @@
 package mana
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"manasim/internal/app"
 	"manasim/internal/ckpt"
@@ -204,7 +205,7 @@ func (r *Runtime) completePendingRecvs() error {
 	for v := range r.reqBufs {
 		virts = append(virts, v)
 	}
-	sort.Slice(virts, func(i, j int) bool { return virts[i] < virts[j] })
+	slices.Sort(virts)
 	for _, virt := range virts {
 		p := r.reqBufs[virt]
 		preq, err := r.store.Phys(mpi.KindRequest, virt)
@@ -297,11 +298,12 @@ func (r *Runtime) decodeDtypeDescriptors() error {
 // for a delta, the modeled working set is scaled by the shipped chunk
 // fraction, since a production delta writes only the changed pages.
 //
-// The snapshot is released for reuse (app.ReleaseSnapshot) once the
-// image is encoded, on every path: neither encoder's output aliases
-// the application state (a compressed image is an exact-size copy out
-// of pooled scratch, an uncompressed one is copied into its own
-// buffer), and img never leaves this function.
+// img aliases the snapshot, the drained messages and the message
+// counters instead of copying them: it never leaves this function and
+// encoding is synchronous. The snapshot is released for reuse
+// (app.ReleaseSnapshot) once the image is encoded, on every path: both
+// encoders return an exact-size copy out of pooled scratch, which
+// aliases nothing of img.
 func (r *Runtime) buildImage(step int) ([]byte, int64, error) {
 	appState, err := r.snapshotFn()
 	if err != nil {
@@ -322,14 +324,14 @@ func (r *Runtime) buildImage(step int) ([]byte, int64, error) {
 		AppState:       appState,
 		ModeledBytes:   modeled,
 		Store:          r.store.SnapshotStore(),
-		Drained:        append([]ckptimg.DrainedMsg(nil), r.drained...),
-		SentTo:         append([]uint64(nil), r.sentTo...),
-		RecvFrom:       append([]uint64(nil), r.recvFrom...),
+		Drained:        r.drained,
+		SentTo:         r.sentTo,
+		RecvFrom:       r.recvFrom,
 	}
 	for virt, st := range r.reqResults {
 		img.ReqResults = append(img.ReqResults, ckptimg.ReqResult{Virt: virt, St: st})
 	}
-	sort.Slice(img.ReqResults, func(i, j int) bool { return img.ReqResults[i].Virt < img.ReqResults[j].Virt })
+	slices.SortFunc(img.ReqResults, func(a, b ckptimg.ReqResult) int { return cmp.Compare(a.Virt, b.Virt) })
 
 	cs := r.co.Store()
 	opts := cs.EncodeOptions()

@@ -90,6 +90,43 @@ func TestStoreCorruptVTArming(t *testing.T) {
 	}
 }
 
+// TestCorruptedBlobsStayOwned: the decorated backend keeps the
+// backend contract under strikes. A strike at write time damages a
+// copy, never the bytes the caller handed to Put. Get returns bytes the
+// caller owns, the damaged ones of a read-time strike included: writing
+// into them changes no later Get.
+func TestCorruptedBlobsStayOwned(t *testing.T) {
+	orig := bytes.Repeat([]byte{0x5a}, 128)
+	for _, at := range []time.Duration{0, 10 * time.Millisecond} {
+		inj := NewInjector(1, Plan{Events: []Event{
+			{Kind: StoreCorrupt, Key: "gen0000/rank00", Mode: CorruptFlip, At: at, Step: -1},
+		}})
+		b := inj.WrapBackend()(memBackend(t))
+		data := bytes.Clone(orig)
+		if err := b.Put("gen0000/rank00", data); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, orig) {
+			t.Fatalf("strike at %v: Put damaged the caller's bytes", at)
+		}
+		inj.SetBase(at)
+		var first []byte
+		for i := 0; i < 3; i++ {
+			got, err := b.Get("gen0000/rank00")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = bytes.Clone(got)
+			}
+			if bytes.Equal(got, orig) || !bytes.Equal(got, first) {
+				t.Fatalf("strike at %v: Get %d does not return the damaged blob", at, i)
+			}
+			clear(got)
+		}
+	}
+}
+
 // TestStoreCorruptModes: each damage mode changes the bytes in its
 // documented shape; the manifest key is exempt.
 func TestStoreCorruptModes(t *testing.T) {

@@ -109,12 +109,13 @@ func (b *flakyBackend) Get(key string) ([]byte, error) {
 	}
 	// A strike at read time is bit-rot: rewrite the stored copy so the
 	// damage persists for every later reader until a scrub repairs or
-	// quarantines it.
+	// quarantines it. The inner backend takes the damaged bytes; the
+	// caller gets the copy Get already made, damaged the same way.
 	if mut, ok := b.inj.corruptStrike(key, data); ok {
 		if err := b.inner.Put(key, mut); err != nil {
 			return nil, err
 		}
-		return mut, nil
+		return append(data[:0], mut...), nil
 	}
 	return data, nil
 }
