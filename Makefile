@@ -31,9 +31,10 @@ ci: build vet test
 # determinism is the virtual-time purity gate: no host-clock read may
 # feed the model (an AST walk over internal/*), default-config Stats are
 # byte-identical run to run and across GOMAXPROCS, the translation-cost
-# table charges exactly what it says, and the wrapper hot path allocates
-# nothing. Run once plain and once on four Ps.
-PURITY := 'TestNoHostClockInModel|TestVirtualTimePureFunction|TestXlatTable|TestWrapperCallCost'
+# table charges exactly what it says, the wrapper hot path allocates
+# nothing, and every registered experiment's tables equal its golden in
+# internal/harness/testdata/golden. Run once plain and once on four Ps.
+PURITY := 'TestNoHostClockInModel|TestVirtualTimePureFunction|TestXlatTable|TestWrapperCallCost|TestGoldenExperiments'
 
 .PHONY: determinism
 determinism:

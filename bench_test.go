@@ -46,20 +46,25 @@ func BenchmarkTable1Inputs(b *testing.B) {
 			b.Fatal("table 2 incomplete")
 		}
 	}
-	harness.WriteTable1(io.Discard, apps.SiteDiscovery, harness.Table1(apps.SiteDiscovery))
+	e, err := harness.LookupExperiment("table1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tables, err := e.Run(benchOpts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	harness.Render(io.Discard, tables...)
 }
 
 // BenchmarkFig2Runtimes regenerates Figure 2: five applications, five
 // configurations, MPICH versus Open MPI on the no-FSGSBASE site.
 func BenchmarkFig2Runtimes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.Figure2(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := figureRows(b, "fig2")
 		if i == 0 {
-			reportOverhead(b, res, "LAMMPS", "MANA+virtId/mpich", "native/mpich", "lammps-mpich-overhead-%")
-			reportOverhead(b, res, "SW4", "MANA+virtId/OMPI", "native/OMPI", "sw4-ompi-overhead-%")
+			reportOverhead(b, rows, "LAMMPS", "MANA+virtId/mpich", "lammps-mpich-overhead-%")
+			reportOverhead(b, rows, "SW4", "MANA+virtId/OMPI", "sw4-ompi-overhead-%")
 		}
 	}
 }
@@ -68,12 +73,9 @@ func BenchmarkFig2Runtimes(b *testing.B) {
 // CoMD), including the MANA-faster-than-native-ExaMPI effect.
 func BenchmarkFig3ExaMPI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.Figure3(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := figureRows(b, "fig3")
 		if i == 0 {
-			reportOverhead(b, res, "CoMD", "MANA+virtId/exampi", "native/exampi", "comd-exampi-overhead-%")
+			reportOverhead(b, rows, "CoMD", "MANA+virtId/exampi", "comd-exampi-overhead-%")
 		}
 	}
 }
@@ -82,27 +84,36 @@ func BenchmarkFig3ExaMPI(b *testing.B) {
 // FSGSBASE (overheads ~5% or less).
 func BenchmarkFig4Perlmutter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.Figure4(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := figureRows(b, "fig4")
 		if i == 0 {
-			reportOverhead(b, res, "LAMMPS", "MANA+virtId/craympi", "native/craympi", "lammps-cray-overhead-%")
+			reportOverhead(b, rows, "LAMMPS", "MANA+virtId/craympi", "lammps-cray-overhead-%")
 		}
 	}
 }
 
-// reportOverhead emits one figure cell's overhead as a bench metric.
-func reportOverhead(b *testing.B, res *harness.FigureResult, app, series, base, metric string) {
-	m, ok := res.Bars[app][series]
-	if !ok {
-		b.Fatalf("missing %s/%s", app, series)
+// figureRows runs a registered figure experiment and returns its bars.
+func figureRows(b *testing.B, name string) []harness.FigureRow {
+	e, err := harness.LookupExperiment(name)
+	if err != nil {
+		b.Fatal(err)
 	}
-	n, ok := res.Bars[app][base]
-	if !ok {
-		b.Fatalf("missing %s/%s", app, base)
+	tables, err := e.Run(benchOpts)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(m.OverheadPct(n), metric)
+	return tables[0].Rows.([]harness.FigureRow)
+}
+
+// reportOverhead emits one figure bar's overhead over its native bar as
+// a bench metric.
+func reportOverhead(b *testing.B, rows []harness.FigureRow, app, bar, metric string) {
+	for _, r := range rows {
+		if r.App == app && r.Bar == bar {
+			b.ReportMetric(r.OverheadPct, metric)
+			return
+		}
+	}
+	b.Fatalf("missing %s/%s", app, bar)
 }
 
 // BenchmarkContextSwitchRates regenerates the Section 6.3 analysis.

@@ -7,7 +7,7 @@
 //
 //	manasim list
 //	manasim run -app comd -impl openmpi [-mana] [-ranks N] [-ckpt STEP] [-restart-impl NAME]
-//	manasim experiment -name fig2|fig3|fig4|table1|table2|table3|cs|sched|all [-trials N] [-fast K]
+//	manasim experiment -name NAME|all [-trials N] [-fast K] [-json FILE]
 package main
 
 import (
@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"manasim/internal/apps"
@@ -25,7 +26,6 @@ import (
 	"manasim/internal/faults"
 	"manasim/internal/harness"
 	"manasim/internal/impls"
-	"manasim/internal/mpi"
 	"manasim/internal/simtime"
 
 	// Register the built-in drain strategies for --drain.
@@ -61,7 +61,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `manasim — implementation-oblivious transparent checkpoint-restart for MPI (simulated)
+	fmt.Fprintf(os.Stderr, `manasim — implementation-oblivious transparent checkpoint-restart for MPI (simulated)
 
 commands:
   list                          applications and MPI implementations
@@ -132,22 +132,13 @@ scrub flags:
            generation is quarantined after the pass
 
 experiment flags:
-  -name    fig2, fig3, fig4, table1, table2, table3, cs, drain, delta,
-           backends, dedup, service, sched, or all (drain also sweeps
-           ranks 64-1024 under the event kernel; dedup sweeps rank
-           counts x apps x codecs over plain and content-addressed
-           stores; service compares checkpoint-interval policies by
-           goodput under an MTBF-parameterized crash process; sched
-           runs the multi-job cluster scheduler grid — policies x
-           cluster sizes x job mixes, preemption = transparent
-           checkpoint)
+  -name    all (default), or one registered experiment:
+           %s
   -trials  median-of-N trials (default 3)
   -fast    divide SimSteps by K for quicker, noisier runs (default 1)
-  -corrupt-rate  with -name service: run the store-integrity sweep
-           instead — corruption rates {0, r} x restart fallback
-           {off, on} at the fixed Young/Daly-optimal interval
-  -json    with -name sched: also write the sweep result as JSON
-`)
+  -json    also write every table as JSON to this file, keyed by
+           experiment name
+`, strings.Join(harness.ExperimentNames(), ", "))
 }
 
 func cmdList() error {
@@ -505,133 +496,40 @@ func cmdExperiment(args []string) error {
 	name := fs.String("name", "all", "experiment name")
 	trials := fs.Int("trials", 3, "trials per cell")
 	fast := fs.Int("fast", 1, "SimSteps divisor")
-	corruptRate := fs.Float64("corrupt-rate", 0, "with -name service: run the store-integrity sweep at this top corruption rate")
-	jsonOut := fs.String("json", "", "with -name sched: also write the sweep result as JSON to this file")
+	jsonOut := fs.String("json", "", "also write the tables as JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	opts := harness.Options{
-		Trials:      *trials,
-		Fast:        *fast,
-		CorruptRate: *corruptRate,
+		Trials: *trials,
+		Fast:   *fast,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, "  "+format+"\n", a...)
 		},
 	}
-	run := func(n string) error {
-		switch n {
-		case "table1":
-			harness.WriteTable1(os.Stdout, apps.SiteDiscovery, harness.Table1(apps.SiteDiscovery))
-		case "table2":
-			harness.WriteTable1(os.Stdout, apps.SitePerlmutter, harness.Table1(apps.SitePerlmutter))
-		case "fig2":
-			res, err := harness.Figure2(opts)
-			if err != nil {
-				return err
-			}
-			harness.WriteFigure(os.Stdout, res)
-		case "fig3":
-			res, err := harness.Figure3(opts)
-			if err != nil {
-				return err
-			}
-			harness.WriteFigure(os.Stdout, res)
-		case "fig4":
-			res, err := harness.Figure4(opts)
-			if err != nil {
-				return err
-			}
-			harness.WriteFigure(os.Stdout, res)
-		case "table3":
-			rows, err := harness.Table3(opts)
-			if err != nil {
-				return err
-			}
-			harness.WriteTable3(os.Stdout, rows)
-		case "cs":
-			rows, err := harness.ContextSwitches(opts)
-			if err != nil {
-				return err
-			}
-			harness.WriteCS(os.Stdout, rows)
-		case "drain":
-			rows, err := harness.DrainStrategies(opts)
-			if err != nil {
-				return err
-			}
-			harness.WriteDrain(os.Stdout, rows)
-			scale, err := harness.DrainScale(opts)
-			if err != nil {
-				return err
-			}
-			harness.WriteDrainScale(os.Stdout, scale)
-		case "delta":
-			rows, err := harness.DeltaImages(opts)
-			if err != nil {
-				return err
-			}
-			harness.WriteDelta(os.Stdout, rows)
-			chain, err := harness.DeltaChainSweep(opts)
-			if err != nil {
-				return err
-			}
-			harness.WriteDeltaChain(os.Stdout, chain)
-		case "backends":
-			rows, err := harness.Backends(opts)
-			if err != nil {
-				return err
-			}
-			harness.WriteBackends(os.Stdout, rows)
-		case "dedup":
-			rows, err := harness.DedupSweep(opts)
-			if err != nil {
-				return err
-			}
-			harness.WriteDedup(os.Stdout, rows)
-		case "sched":
-			res, err := harness.SchedSweep(opts)
-			if err != nil {
-				return err
-			}
-			harness.WriteSched(os.Stdout, res)
-			if *jsonOut != "" {
-				data, err := json.MarshalIndent(res, "", "  ")
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-					return err
-				}
-			}
-		case "service":
-			if opts.CorruptRate > 0 {
-				res, err := harness.ServiceCorruption(opts)
-				if err != nil {
-					return err
-				}
-				harness.WriteServiceCorruption(os.Stdout, res)
-				break
-			}
-			res, err := harness.Service(opts)
-			if err != nil {
-				return err
-			}
-			harness.WriteService(os.Stdout, res)
-		default:
-			return fmt.Errorf("unknown experiment %q", n)
+	exps := harness.Experiments()
+	if *name != "all" {
+		e, err := harness.LookupExperiment(*name)
+		if err != nil {
+			return err
 		}
+		exps = []harness.Experiment{e}
+	}
+	results := map[string][]harness.Table{}
+	for _, e := range exps {
+		tables, err := e.Run(opts)
+		if err != nil {
+			return fmt.Errorf("experiment %s: %w", e.Name, err)
+		}
+		harness.Render(os.Stdout, tables...)
+		results[e.Name] = tables
+	}
+	if *jsonOut == "" {
 		return nil
 	}
-	if *name == "all" {
-		for _, n := range []string{"table1", "table2", "fig2", "fig3", "fig4", "cs", "table3", "drain", "delta", "backends", "dedup", "service", "sched"} {
-			if err := run(n); err != nil {
-				return err
-			}
-		}
-		return nil
+	data, err := json.MarshalIndent(results, "", "  ")
+	if err != nil {
+		return err
 	}
-	return run(*name)
+	return os.WriteFile(*jsonOut, append(data, '\n'), 0o644)
 }
-
-// mpiSanity keeps the mpi import honest for the list probe.
-var _ = mpi.HandleNull

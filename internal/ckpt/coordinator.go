@@ -103,19 +103,8 @@ type Coordinator struct {
 	taken int
 }
 
-// NewCoordinator builds a coordinator for an n-rank job with a fresh
-// in-memory, full-image store (callers that want delta images or
-// durable backends use NewStoreCoordinator).
-func NewCoordinator(n, lag int) *Coordinator {
-	return NewStoreCoordinator(n, nil, lag)
-}
-
-// NewStoreCoordinator builds a coordinator delivering into st; a nil st
-// gets a fresh in-memory store.
+// NewStoreCoordinator builds a coordinator delivering into st.
 func NewStoreCoordinator(n int, st *ckptstore.Store, lag int) *Coordinator {
-	if st == nil {
-		st = ckptstore.MustOpen(n, ckptstore.Options{})
-	}
 	if lag <= 0 {
 		lag = 8
 	}

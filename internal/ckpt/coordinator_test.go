@@ -5,7 +5,14 @@ import (
 	"testing"
 
 	"manasim/internal/ckptimg"
+	"manasim/internal/ckptstore"
 )
+
+// newTestCoordinator builds a coordinator for an n-rank job over a
+// fresh in-memory, full-image store.
+func newTestCoordinator(n, lag int) *Coordinator {
+	return NewStoreCoordinator(n, ckptstore.MustOpen(n, ckptstore.Options{}), lag)
+}
 
 // rankImage encodes a minimal image for one rank of an n-rank job whose
 // application state is the single byte tag.
@@ -19,7 +26,7 @@ func rankImage(t *testing.T, rank, n int, tag byte) []byte {
 }
 
 func TestDeliverRejectsDoubleDelivery(t *testing.T) {
-	co := NewCoordinator(2, 8)
+	co := newTestCoordinator(2, 8)
 	if err := co.Deliver(0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +44,7 @@ func TestDeliverRejectsDoubleDelivery(t *testing.T) {
 }
 
 func TestDeliverRejectsOutOfRangeRank(t *testing.T) {
-	co := NewCoordinator(2, 8)
+	co := newTestCoordinator(2, 8)
 	if err := co.Deliver(2, []byte{1}); err == nil {
 		t.Fatal("out-of-range rank accepted")
 	}
@@ -47,7 +54,7 @@ func TestDeliverRejectsOutOfRangeRank(t *testing.T) {
 }
 
 func TestImagesIncompleteGenerationTypedError(t *testing.T) {
-	co := NewCoordinator(3, 8)
+	co := newTestCoordinator(3, 8)
 
 	// Nothing delivered yet.
 	_, err := co.Images()
@@ -169,7 +176,7 @@ func (l rankLink) CtlRecv(src, tag, count int) ([]int64, error) {
 
 func TestNextBoundaryAnnouncesAndAgrees(t *testing.T) {
 	const lag = 4
-	co := NewCoordinator(2, lag)
+	co := newTestCoordinator(2, lag)
 	net := newFakeLink(2)
 
 	// No request pending: nothing happens.
@@ -204,7 +211,7 @@ func TestNextBoundaryAnnouncesAndAgrees(t *testing.T) {
 }
 
 func TestNextBoundarySkewBoundExceeded(t *testing.T) {
-	co := NewCoordinator(2, 2)
+	co := newTestCoordinator(2, 2)
 	net := newFakeLink(2)
 	co.RequestCheckpoint()
 	if _, err := co.NextBoundary(net.linkFor(0), 0, 3, 100, -1); err != nil {
@@ -217,7 +224,7 @@ func TestNextBoundarySkewBoundExceeded(t *testing.T) {
 }
 
 func TestNextBoundaryClampsToFinalStep(t *testing.T) {
-	co := NewCoordinator(1, 8)
+	co := newTestCoordinator(1, 8)
 	co.RequestCheckpointAtStep(50)
 	got, err := co.NextBoundary(newFakeLink(1).linkFor(0), 0, 0, 10, -1)
 	if err != nil || got != 10 {

@@ -58,28 +58,6 @@ func BurstBuffer() FS {
 	return FS{Name: "burstbuffer", Startup: 25 * time.Millisecond, PerMB: 500 * time.Microsecond}
 }
 
-// ProfileByName resolves a named storage cost profile; ok is false for
-// unknown names. Backends and experiments select per-tier profiles by
-// these names.
-func ProfileByName(name string) (FS, bool) {
-	switch name {
-	case "nfsv3":
-		return NFSv3(), true
-	case "lustre":
-		return Lustre(), true
-	case "objstore":
-		return ObjStore(), true
-	case "burstbuffer":
-		return BurstBuffer(), true
-	}
-	return FS{}, false
-}
-
-// ProfileNames lists the named profiles ProfileByName resolves.
-func ProfileNames() []string {
-	return []string{"burstbuffer", "lustre", "nfsv3", "objstore"}
-}
-
 // WriteCost returns the modeled time to write an image of n bytes.
 func (f FS) WriteCost(n int64) time.Duration {
 	if n < 0 {

@@ -34,21 +34,6 @@ func TestLustreFasterThanNFS(t *testing.T) {
 	}
 }
 
-func TestProfileRegistry(t *testing.T) {
-	for _, name := range ProfileNames() {
-		p, ok := ProfileByName(name)
-		if !ok || p.Name != name {
-			t.Fatalf("profile %q resolves to %+v, ok=%v", name, p, ok)
-		}
-		if p.Startup <= 0 || p.PerMB <= 0 {
-			t.Fatalf("profile %q has degenerate costs: %+v", name, p)
-		}
-	}
-	if _, ok := ProfileByName("tape-robot"); ok {
-		t.Fatal("unknown profile resolved")
-	}
-}
-
 // TestTierProfilesOrdered pins the orderings the tiered-backend
 // experiment relies on: burst-buffer commits beat every durable tier on
 // checkpoint-sized images, and the object store is round-trip-bound but

@@ -2,10 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"slices"
-	"strings"
 	"time"
 
 	"manasim/internal/apps"
@@ -27,22 +25,22 @@ type drainLagger interface {
 // checkpoint I/O charged against the tier that backend models.
 type BackendRow struct {
 	// Backend is the ckptstore backend name (mem, fs, obj, tier).
-	Backend string
+	Backend string `col:"Backend,%s"`
 	// Profile names the cost profile the checkpoint writes were charged
 	// against (the backend's own model, or the job's NFSv3 default).
-	Profile string
+	Profile string `col:"Profile,%s"`
 	// CommitVTS is the virtual time of the run up to and including the
 	// checkpoint (preemption stop) — where the write-tier cost lands.
-	CommitVTS float64
+	CommitVTS float64 `col:"Commit VT (s),%.1f"`
 	// RestartVTS is the virtual time of the restarted final segment.
-	RestartVTS float64
+	RestartVTS float64 `col:"Restart VT (s),%.1f"`
 	// DrainLagS is the modeled gap between front-tier commit and
 	// back-tier durability (tier backend only; zero elsewhere).
-	DrainLagS float64
+	DrainLagS float64 `col:"Drain lag (s),%.1f"`
 	// StoredKB is the total bytes the backend holds across generations.
-	StoredKB float64
+	StoredKB float64 `col:"Stored KB,%.1f"`
 	// RestartOK records checksum equality with an uninterrupted run.
-	RestartOK bool
+	RestartOK Verdict `col:"Restart,%s"`
 }
 
 // Backends sweeps the registered store backends over one workload: CoMD
@@ -106,7 +104,7 @@ func Backends(opts Options) ([]BackendRow, error) {
 			Profile:    profileName(st, base.FS),
 			CommitVTS:  ckpt.VT.Seconds(),
 			RestartVTS: rst.VT.Seconds(),
-			RestartOK:  slices.Equal(plain.Checksums, rst.Checksums),
+			RestartOK:  Verdict(slices.Equal(plain.Checksums, rst.Checksums)),
 		}
 		for _, g := range st.Generations() {
 			row.StoredKB += float64(g.Bytes) / 1024
@@ -130,20 +128,4 @@ func profileName(st *ckptstore.Store, jobFS fsim.FS) string {
 		return m.Name
 	}
 	return jobFS.Name + " (job FS)"
-}
-
-// WriteBackends renders the storage-tier comparison.
-func WriteBackends(w io.Writer, rows []BackendRow) {
-	title := "Storage tiers: per-backend cost profiles (burst buffer, object store, NFS model)"
-	fmt.Fprintf(w, "%s\n%s\n%-8s %-16s %12s %13s %13s %10s %9s\n", title, strings.Repeat("=", len(title)),
-		"Backend", "Profile", "Commit VT", "Restart VT", "Drain lag", "Stored KB", "Restart")
-	for _, r := range rows {
-		status := "ok"
-		if !r.RestartOK {
-			status = "MISMATCH"
-		}
-		fmt.Fprintf(w, "%-8s %-16s %11.1fs %12.1fs %12.1fs %10.1f %9s\n",
-			r.Backend, r.Profile, r.CommitVTS, r.RestartVTS, r.DrainLagS, r.StoredKB, status)
-	}
-	fmt.Fprintln(w)
 }

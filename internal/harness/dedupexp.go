@@ -2,9 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"slices"
-	"strings"
 
 	"manasim/internal/apps"
 	"manasim/internal/ckptimg"
@@ -19,37 +17,40 @@ import (
 // plain store and over a dedup store with identical delta settings, at
 // one (application, rank count, codec) point of the sweep.
 type DedupRow struct {
-	App   string
-	Ranks int
+	App   string `col:"App,%s"`
+	Ranks int    `col:"Ranks,%d"`
 	// Codec names the image compression in front of the store: "none",
 	// "gzip-fast" (flate BestSpeed), or "fast-lz" (the pure-Go LZ
 	// codec). Compression interacts with dedup: identical states still
 	// compress to identical bytes, but small per-rank differences smear
 	// through the compressed stream and shrink cross-rank sharing.
-	Codec string
+	Codec string `col:"Codec,%s"`
 	// StoredKB is the plain store's backend bytes across generations;
 	// DedupKB is the content-addressed store's — unique blob bytes plus
 	// the per-rank reassembly recipes.
-	StoredKB, DedupKB float64
+	StoredKB float64 `col:"Stored KB,%.1f"`
+	DedupKB  float64 `col:"Dedup KB,%.1f"`
 	// SavedPct is the stored-byte shrink dedup bought at equal ChainCap.
-	SavedPct float64
+	SavedPct float64 `col:"Saved,%.0f%%"`
 	// Ratio is logical image bytes over stored blob bytes (cross-rank
 	// and cross-generation sharing combined); SharedRefs counts recipe
 	// references to blobs that at least one other reference also holds.
-	Ratio      float64
-	SharedRefs int
+	Ratio      float64 `col:"Ratio,%.2f"`
+	SharedRefs int     `col:"Shared,%d"`
 	// CommitVTS / DedupCommitVTS are the virtual time of the run up to
 	// and including the first checkpoint (preemption stop) — where the
 	// write charge lands; the dedup store charges each rank only its new
 	// unique bytes.
-	CommitVTS, DedupCommitVTS float64
+	CommitVTS      float64 `col:"Commit VT plain (s),%.1f"`
+	DedupCommitVTS float64 `col:"Commit VT dedup (s),%.1f"`
 	// RestartVTS / DedupRestartVTS are the virtual time of the final
 	// restarted segment, whose materialization resolves blob recipes on
 	// the dedup store.
-	RestartVTS, DedupRestartVTS float64
+	RestartVTS      float64 `col:"Restart VT plain (s),%.1f"`
+	DedupRestartVTS float64 `col:"Restart VT dedup (s),%.1f"`
 	// RestartOK records checksum equality with an uninterrupted run in
 	// both modes.
-	RestartOK bool
+	RestartOK Verdict `col:"Restart,%s"`
 }
 
 // DedupSweep measures the content-addressed store across rank counts,
@@ -140,7 +141,7 @@ func dedupCell(appName string, ranks int, codec string, fast int) (DedupRow, err
 		if err != nil {
 			return DedupRow{}, fmt.Errorf("dedup cell %s/%d/%s final restart: %w", appName, ranks, codec, err)
 		}
-		row.RestartOK = row.RestartOK && slices.Equal(plain.Checksums, rst.Checksums)
+		row.RestartOK = row.RestartOK && Verdict(slices.Equal(plain.Checksums, rst.Checksums))
 
 		// Stored bytes: the plain store holds every generation's encoded
 		// images; the dedup store holds each generation's new unique
@@ -170,21 +171,4 @@ func dedupCell(appName string, ranks int, codec string, fast int) (DedupRow, err
 		row.SavedPct = 100 * (1 - row.DedupKB/row.StoredKB)
 	}
 	return row, nil
-}
-
-// WriteDedup renders the content-addressed store sweep.
-func WriteDedup(w io.Writer, rows []DedupRow) {
-	title := "Content-addressed store: cross-rank + cross-generation dedup at equal ChainCap"
-	fmt.Fprintf(w, "%s\n%s\n%-10s %5s %-9s %10s %9s %7s %6s %7s %17s %18s %8s\n", title, strings.Repeat("=", len(title)),
-		"App", "Ranks", "Codec", "Stored KB", "Dedup KB", "Saved", "Ratio", "Shared", "Commit VT (p/d)", "Restart VT (p/d)", "Restart")
-	for _, r := range rows {
-		status := "ok"
-		if !r.RestartOK {
-			status = "MISMATCH"
-		}
-		fmt.Fprintf(w, "%-10s %5d %-9s %10.1f %9.1f %6.0f%% %6.2f %7d %8.1fs %7.1fs %8.1fs %8.1fs %8s\n",
-			r.App, r.Ranks, r.Codec, r.StoredKB, r.DedupKB, r.SavedPct, r.Ratio, r.SharedRefs,
-			r.CommitVTS, r.DedupCommitVTS, r.RestartVTS, r.DedupRestartVTS, status)
-	}
-	fmt.Fprintln(w)
 }

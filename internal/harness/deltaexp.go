@@ -2,9 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"slices"
-	"strings"
 
 	"manasim/internal/apps"
 	"manasim/internal/ckptstore"
@@ -24,21 +22,21 @@ const deltaChunkBytes = 4 << 10
 // store either writing every generation in full or writing the second
 // generation as a delta against the first.
 type DeltaRow struct {
-	App  string
-	Mode string // "full" or "delta"
+	App  string `col:"App,%s"`
+	Mode string `col:"Mode,%s"` // "full" or "delta"
 	// BaseKB is generation 0's total encoded bytes (always a base).
-	BaseKB float64
+	BaseKB float64 `col:"Base KB,%.1f"`
 	// IncrKB is generation 1's total encoded bytes — the generation the
 	// delta tier shrinks.
-	IncrKB float64
+	IncrKB float64 `col:"Incr KB,%.1f"`
 	// IncrPct is IncrKB as a percentage of BaseKB.
-	IncrPct float64
+	IncrPct float64 `col:"Incr %,%.0f%%"`
 	// RestartVTS is the virtual time of the final restarted segment
 	// (chain resolution is charged through the filesystem model).
-	RestartVTS float64
+	RestartVTS float64 `col:"Restart VT (s),%.1f"`
 	// RestartOK records that the run completed from the materialized
 	// chain with checksums identical to an uninterrupted run.
-	RestartOK bool
+	RestartOK Verdict `col:"Restart,%s"`
 }
 
 // DeltaImages compares full and incremental checkpoint generations on
@@ -117,7 +115,7 @@ func DeltaImages(opts Options) ([]DeltaRow, error) {
 				BaseKB:     float64(gens[0].Bytes) / 1024,
 				IncrKB:     float64(gens[1].Bytes) / 1024,
 				RestartVTS: rst.VT.Seconds(),
-				RestartOK:  slices.Equal(plain.Checksums, rst.Checksums),
+				RestartOK:  Verdict(slices.Equal(plain.Checksums, rst.Checksums)),
 			}
 			if gens[0].Bytes > 0 {
 				row.IncrPct = float64(gens[1].Bytes) / float64(gens[0].Bytes) * 100
@@ -140,24 +138,24 @@ func DeltaImages(opts Options) ([]DeltaRow, error) {
 // sweep shows restart VT and peak resolver memory against chain depth.
 type DeltaChainRow struct {
 	// ChainCap is the store's consecutive-delta bound.
-	ChainCap int
+	ChainCap int `col:"ChainCap,%d"`
 	// Gens is the number of generations committed by the cadence.
-	Gens int
+	Gens int `col:"Gens,%d"`
 	// HeadLinks is the delta-chain depth the final restart resolved.
-	HeadLinks int
+	HeadLinks int `col:"Links,%d"`
 	// StoredKB is the total bytes the backend holds across generations.
-	StoredKB float64
+	StoredKB float64 `col:"Stored KB,%.1f"`
 	// RestartVTS is the final restarted segment's VT.
-	RestartVTS float64
+	RestartVTS float64 `col:"Restart VT (s),%.1f"`
 	// ChunksRead / ChunksSkipped aggregate the resolver's per-rank chunk
 	// accounting: skipped chunks are superseded payloads that were never
 	// decompressed.
-	ChunksRead    int
-	ChunksSkipped int
+	ChunksRead    int `col:"Read,%d"`
+	ChunksSkipped int `col:"Skipped,%d"`
 	// PeakKB is the resolver's worst per-rank resident-set estimate.
-	PeakKB float64
+	PeakKB float64 `col:"Peak KB,%.1f"`
 	// RestartOK records checksum equality with an uninterrupted run.
-	RestartOK bool
+	RestartOK Verdict `col:"Restart,%s"`
 }
 
 // DeltaChainSweep measures restart cost against chain depth: one
@@ -240,7 +238,7 @@ func DeltaChainSweep(opts Options) ([]DeltaChainRow, error) {
 			ChainCap: chainCap, Gens: len(gens), HeadLinks: links,
 			StoredKB:   float64(stored) / 1024,
 			RestartVTS: rst.VT.Seconds(),
-			RestartOK:  slices.Equal(plain.Checksums, rst.Checksums),
+			RestartOK:  Verdict(slices.Equal(plain.Checksums, rst.Checksums)),
 		}
 		for _, cs := range chains {
 			row.ChunksRead += cs.ChunksRead
@@ -254,37 +252,4 @@ func DeltaChainSweep(opts Options) ([]DeltaChainRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// WriteDeltaChain renders the restart-cost-versus-chain-depth sweep.
-func WriteDeltaChain(w io.Writer, rows []DeltaChainRow) {
-	title := "Restart cost vs chain depth (newest-wins resolution: winning chunks only)"
-	fmt.Fprintf(w, "%s\n%s\n%9s %5s %6s %10s %10s %7s %8s %9s %9s\n", title, strings.Repeat("=", len(title)),
-		"ChainCap", "Gens", "Links", "Stored KB", "Restart VT", "Read", "Skipped", "Peak KB", "Restart")
-	for _, r := range rows {
-		status := "ok"
-		if !r.RestartOK {
-			status = "MISMATCH"
-		}
-		fmt.Fprintf(w, "%9d %5d %6d %10.1f %10.1f %7d %8d %9.1f %9s\n",
-			r.ChainCap, r.Gens, r.HeadLinks, r.StoredKB, r.RestartVTS,
-			r.ChunksRead, r.ChunksSkipped, r.PeakKB, status)
-	}
-	fmt.Fprintln(w)
-}
-
-// WriteDelta renders the incremental-checkpoint comparison.
-func WriteDelta(w io.Writer, rows []DeltaRow) {
-	title := "Incremental images: full vs delta generations (arXiv:1906.05020)"
-	fmt.Fprintf(w, "%s\n%s\n%-10s %-6s %12s %12s %9s %14s %10s\n", title, strings.Repeat("=", len(title)),
-		"App", "Mode", "Base KB", "Incr KB", "Incr %", "Restart VT (s)", "Restart")
-	for _, r := range rows {
-		status := "ok"
-		if !r.RestartOK {
-			status = "MISMATCH"
-		}
-		fmt.Fprintf(w, "%-10s %-6s %12.1f %12.1f %8.0f%% %14.1f %10s\n",
-			r.App, r.Mode, r.BaseKB, r.IncrKB, r.IncrPct, r.RestartVTS, status)
-	}
-	fmt.Fprintln(w)
 }

@@ -1,10 +1,6 @@
 package harness
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestDeltaExperimentSavesBytes pins the acceptance property of the
 // incremental tier: every chained restart is checksum-correct, and on
@@ -34,12 +30,6 @@ func TestDeltaExperimentSavesBytes(t *testing.T) {
 	if delta.BaseKB < full.BaseKB*0.9 || delta.BaseKB > full.BaseKB*1.1 {
 		t.Fatalf("base generations diverge: %.1f vs %.1f KB", delta.BaseKB, full.BaseKB)
 	}
-
-	var buf bytes.Buffer
-	WriteDelta(&buf, rows)
-	if !strings.Contains(buf.String(), "HPCG") || !strings.Contains(buf.String(), "delta") {
-		t.Fatalf("rendered table incomplete:\n%s", buf.String())
-	}
 }
 
 // TestDrainTelemetryReported checks that the drain experiment surfaces
@@ -56,10 +46,5 @@ func TestDrainTelemetryReported(t *testing.T) {
 		if r.DrainVTS <= 0 {
 			t.Errorf("%s/%s: no drain virtual time", r.Impl, r.Strategy)
 		}
-	}
-	var buf bytes.Buffer
-	WriteDrain(&buf, rows)
-	if !strings.Contains(buf.String(), "Ctl msgs") {
-		t.Fatalf("rendered drain table lacks telemetry columns:\n%s", buf.String())
 	}
 }

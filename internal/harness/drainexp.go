@@ -2,9 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"slices"
-	"strings"
 
 	"manasim/internal/apps"
 	"manasim/internal/ckpt"
@@ -18,28 +16,28 @@ import (
 // implementation checkpointing a pipelined workload under one drain
 // strategy, then restarting from the images.
 type DrainRow struct {
-	Impl     string
-	Strategy string
+	Impl     string `col:"Impl,%s"`
+	Strategy string `col:"Strategy,%s"`
 	// CkptVTS is the virtual time of the run up to and including the
 	// checkpoint (preemption stop), in seconds.
-	CkptVTS float64
+	CkptVTS float64 `col:"Ckpt VT (s),%.1f"`
 	// DrainVTS is the virtual time the drain strategy itself spent
 	// reconciling in-flight messages (slowest rank), in seconds — the
 	// protocol cost isolated from the rest of the checkpoint.
-	DrainVTS float64
+	DrainVTS float64 `col:"Drain VT (ms),%.3f,1e3"`
 	// CtlMsgs is the number of drain control messages sent over the
 	// internal communicator across all ranks.
-	CtlMsgs uint64
+	CtlMsgs uint64 `col:"Ctl msgs,%d"`
 	// CtlBytes is the payload of those messages in bytes.
-	CtlBytes uint64
+	CtlBytes uint64 `col:"Ctl B,%d"`
 	// Drained is the total number of in-flight messages captured across
 	// all rank images.
-	Drained int
+	Drained int `col:"Drained,%d"`
 	// ImageKB is the mean encoded image size per rank in KiB.
-	ImageKB float64
+	ImageKB float64 `col:"Image KB,%.1f"`
 	// RestartOK records that the restarted run finished with checksums
 	// identical to an uninterrupted run.
-	RestartOK bool
+	RestartOK Verdict `col:"Restart,%s"`
 }
 
 // DrainStrategies compares the registered drain strategies across the
@@ -106,7 +104,7 @@ func DrainStrategies(opts Options) ([]DrainRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("drain experiment %s/%s restart: %w", implName, strat, err)
 			}
-			row.RestartOK = slices.Equal(plain.Checksums, rst.Checksums)
+			row.RestartOK = Verdict(slices.Equal(plain.Checksums, rst.Checksums))
 			if opts.Logf != nil {
 				opts.Logf("drain %s/%s: vt=%.1fs drain-vt=%.2fs ctl-msgs=%d ctl-bytes=%d drained=%d restart-ok=%v",
 					implName, strat, row.CkptVTS, row.DrainVTS, row.CtlMsgs, row.CtlBytes, row.Drained, row.RestartOK)
@@ -115,20 +113,4 @@ func DrainStrategies(opts Options) ([]DrainRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-// WriteDrain renders the drain-strategy comparison.
-func WriteDrain(w io.Writer, rows []DrainRow) {
-	title := "Drain strategies: two-phase (SC'23 §5) vs topological sort (arXiv:2408.02218)"
-	fmt.Fprintf(w, "%s\n%s\n%-10s %-10s %12s %14s %9s %9s %9s %12s %10s\n", title, strings.Repeat("=", len(title)),
-		"Impl", "Strategy", "Ckpt VT (s)", "Drain VT (ms)", "Ctl msgs", "Ctl B", "Drained", "Image KB", "Restart")
-	for _, r := range rows {
-		status := "ok"
-		if !r.RestartOK {
-			status = "MISMATCH"
-		}
-		fmt.Fprintf(w, "%-10s %-10s %12.1f %14.3f %9d %9d %9d %12.1f %10s\n",
-			r.Impl, r.Strategy, r.CkptVTS, r.DrainVTS*1e3, r.CtlMsgs, r.CtlBytes, r.Drained, r.ImageKB, status)
-	}
-	fmt.Fprintln(w)
 }

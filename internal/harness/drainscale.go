@@ -2,8 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
-	"strings"
 	"time"
 
 	"manasim/internal/apps"
@@ -17,24 +15,25 @@ import (
 // DrainScaleRow is one cell of the drain rank sweep: one drain strategy
 // checkpointing the pipelined workload at one job size.
 type DrainScaleRow struct {
-	Ranks    int
-	Strategy string
+	Ranks    int    `col:"Ranks,%d"`
+	Strategy string `col:"Strategy,%s"`
 	// CkptVTS is the virtual time up to and including the checkpoint
 	// (the job stops there), in seconds.
-	CkptVTS float64
+	CkptVTS float64 `col:"Ckpt VT (s),%.1f"`
 	// DrainVTS is the drain strategy's own virtual cost (slowest rank),
 	// in seconds.
-	DrainVTS float64
+	DrainVTS float64 `col:"Drain VT (ms),%.3f,1e3"`
 	// CtlMsgs is the number of drain control messages across all ranks —
 	// the O(n) vs O(n²) protocol traffic the sweep exposes.
-	CtlMsgs uint64
+	CtlMsgs uint64 `col:"Ctl msgs,%d"`
 	// CtlBytes is the payload of those messages in bytes: the message
 	// count of an all-pairs exchange is n(n−1) whatever a message holds,
 	// so this is the column that tells a sparse counter row from a dense
 	// one.
-	CtlBytes uint64
-	// WallS is the real time the simulation took, in seconds.
-	WallS float64
+	CtlBytes uint64 `col:"Ctl KB,%.1f,1e-3"`
+	// WallS is the real time the simulation took, in seconds: the one
+	// host-clock field of any table, zeroed in the goldens.
+	WallS float64 `col:"Wall (s),%.2f" clock:"wall"`
 }
 
 // DrainScaleRanks is the default rank sweep of the drain scale
@@ -112,16 +111,4 @@ func drainScaleCell(spec apps.Spec, factory cluster.Factory, ranks int, strat st
 		CtlBytes: st.CtlBytes,
 		WallS:    time.Since(start).Seconds(),
 	}, nil
-}
-
-// WriteDrainScale renders the drain rank sweep.
-func WriteDrainScale(w io.Writer, rows []DrainScaleRow) {
-	title := "Drain rank sweep under the event kernel (MPICH, pipelined workload)"
-	fmt.Fprintf(w, "%s\n%s\n%-7s %-10s %12s %14s %10s %10s %9s\n", title, strings.Repeat("=", len(title)),
-		"Ranks", "Strategy", "Ckpt VT (s)", "Drain VT (ms)", "Ctl msgs", "Ctl KB", "Wall (s)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-7d %-10s %12.1f %14.3f %10d %10.1f %9.2f\n",
-			r.Ranks, r.Strategy, r.CkptVTS, r.DrainVTS*1e3, r.CtlMsgs, float64(r.CtlBytes)/1e3, r.WallS)
-	}
-	fmt.Fprintln(w)
 }

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"manasim/internal/apps"
@@ -40,11 +38,6 @@ func TestDrainScaleToposort1024(t *testing.T) {
 	}
 	if bound := uint64(n * (n - 1) * 8 * (1 + 2*lammpsHaloPeers)); row.CtlBytes == 0 || row.CtlBytes > bound {
 		t.Errorf("CtlBytes %d, want in (0, %d]", row.CtlBytes, bound)
-	}
-	var buf bytes.Buffer
-	WriteDrainScale(&buf, []DrainScaleRow{row})
-	if !strings.Contains(buf.String(), "Ctl KB") {
-		t.Errorf("rendered sweep lacks the control-byte column:\n%s", buf.String())
 	}
 	t.Logf("1024-rank toposort cell: drain VT %.3f ms, %d control messages, %.1f KB, wall %.2f s",
 		row.DrainVTS*1e3, row.CtlMsgs, float64(row.CtlBytes)/1e3, row.WallS)

@@ -2,9 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"sort"
-	"strings"
 
 	"manasim/internal/apps"
 	"manasim/internal/ckptimg"
@@ -13,163 +11,101 @@ import (
 	"manasim/internal/impls"
 )
 
-// FigureResult is a rendered experiment: groups of bars per application.
-type FigureResult struct {
-	Title string
-	Note  string
-	// Apps holds group labels (paper names).
-	Apps []string
-	// Series holds bar labels in legend order.
-	Series []string
-	// Bars[app][series] is the measurement.
-	Bars map[string]map[string]Measurement
+// figureSpec is one of Figures 2-4: bars of implementation x mode per
+// application on one site. Within an implementation the native bar
+// comes first, so every MANA bar finds its baseline already measured.
+type figureSpec struct {
+	title, note string
+	site        apps.Site
+	apps        []string
+	bars        []Cell // Impl and Mode of each bar, in legend order
 }
 
-// Figure2 reproduces "Application runtimes of MPI for MPICH versus Open
-// MPI" (five applications, five configurations, Discovery site).
-func Figure2(opts Options) (*FigureResult, error) {
-	cells := []struct {
-		impl string
-		mode Mode
-	}{
-		{"mpich", ModeNative},
-		{"mpich", ModeManaLegacy},
-		{"mpich", ModeManaVirtID},
-		{"openmpi", ModeNative},
-		{"openmpi", ModeManaVirtID},
+// FigureRow is one bar of a figure.
+type FigureRow struct {
+	App      string  `col:"App,%s"`
+	Bar      string  `col:"Bar,%s"`
+	RuntimeS float64 `col:"Runtime (s),%.1f"`
+	StdDevS  float64 `col:"± (s),%.1f"`
+	// OverheadPct is the runtime overhead against the native bar of the
+	// same implementation (0 for native bars).
+	OverheadPct float64 `col:"Overhead,%+.1f%%"`
+}
+
+var (
+	// figure2 reproduces "Application runtimes of MPI for MPICH versus
+	// Open MPI" (five applications, five configurations).
+	figure2 = figureSpec{
+		title: "Figure 2: Application runtimes, MPICH versus Open MPI (Discovery, no FSGSBASE)",
+		note:  "native/MPICH, MANA/MPICH (legacy vid), MANA+virtId/MPICH, native/OMPI, MANA+virtId/OMPI",
+		site:  apps.SiteDiscovery,
+		apps:  apps.Names(),
+		bars: []Cell{
+			{Impl: "mpich", Mode: ModeNative},
+			{Impl: "mpich", Mode: ModeManaLegacy},
+			{Impl: "mpich", Mode: ModeManaVirtID},
+			{Impl: "openmpi", Mode: ModeNative},
+			{Impl: "openmpi", Mode: ModeManaVirtID},
+		},
 	}
-	res := &FigureResult{
-		Title: "Figure 2: Application runtimes, MPICH versus Open MPI (Discovery, no FSGSBASE)",
-		Note:  "native/MPICH, MANA/MPICH (legacy vid), MANA+virtId/MPICH, native/OMPI, MANA+virtId/OMPI",
-		Bars:  map[string]map[string]Measurement{},
+	// figure3 reproduces "Runtimes for ExaMPI on Discovery" (LULESH and
+	// CoMD only: the ExaMPI-compatible subset).
+	figure3 = figureSpec{
+		title: "Figure 3: Runtimes for ExaMPI on Discovery",
+		note:  "ExaMPI runs the compatible subset (LULESH, CoMD); MANA+virtId under ExaMPI is faster than native ExaMPI (Section 6.2)",
+		site:  apps.SiteDiscovery,
+		apps:  []string{"lulesh", "comd"},
+		bars: []Cell{
+			{Impl: "mpich", Mode: ModeNative},
+			{Impl: "mpich", Mode: ModeManaLegacy},
+			{Impl: "mpich", Mode: ModeManaVirtID},
+			{Impl: "exampi", Mode: ModeNative},
+			{Impl: "exampi", Mode: ModeManaVirtID},
+		},
 	}
-	for _, c := range cells {
-		res.Series = append(res.Series, Cell{Impl: c.impl, Mode: c.mode}.Label())
+	// figure4 reproduces "Runtimes for Cray MPI on Perlmutter" (CoMD,
+	// LAMMPS, SW4 with userspace FSGSBASE).
+	figure4 = figureSpec{
+		title: "Figure 4: Runtimes for Cray MPI on Perlmutter (userspace FSGSBASE)",
+		note:  "with FSGSBASE, MANA and MANA+virtId perform comparably to native execution (~5% or less)",
+		site:  apps.SitePerlmutter,
+		apps:  []string{"comd", "lammps", "sw4"},
+		bars: []Cell{
+			{Impl: "craympi", Mode: ModeNative},
+			{Impl: "craympi", Mode: ModeManaLegacy},
+			{Impl: "craympi", Mode: ModeManaVirtID},
+		},
 	}
-	for _, appName := range apps.Names() {
+)
+
+// tables runs every bar of the figure, one row per bar.
+func (f figureSpec) tables(opts Options) ([]Table, error) {
+	var rows []FigureRow
+	for _, appName := range f.apps {
 		spec, _ := apps.ByName(appName)
-		res.Apps = append(res.Apps, spec.Paper)
-		res.Bars[spec.Paper] = map[string]Measurement{}
-		for _, c := range cells {
-			m, err := RunCell(Cell{App: appName, Impl: c.impl, Mode: c.mode, Site: apps.SiteDiscovery}, opts)
+		native := map[string]Measurement{}
+		for _, bar := range f.bars {
+			m, err := RunCell(Cell{App: appName, Impl: bar.Impl, Mode: bar.Mode, Site: f.site}, opts)
 			if err != nil {
 				return nil, err
 			}
-			res.Bars[spec.Paper][m.Cell.Label()] = m
-		}
-	}
-	return res, nil
-}
-
-// Figure3 reproduces "Runtimes for ExaMPI on Discovery" (LULESH and
-// CoMD only: the ExaMPI-compatible subset).
-func Figure3(opts Options) (*FigureResult, error) {
-	cells := []struct {
-		impl string
-		mode Mode
-	}{
-		{"mpich", ModeNative},
-		{"mpich", ModeManaLegacy},
-		{"mpich", ModeManaVirtID},
-		{"exampi", ModeNative},
-		{"exampi", ModeManaVirtID},
-	}
-	res := &FigureResult{
-		Title: "Figure 3: Runtimes for ExaMPI on Discovery",
-		Note:  "ExaMPI runs the compatible subset (LULESH, CoMD); MANA+virtId under ExaMPI is faster than native ExaMPI (Section 6.2)",
-		Bars:  map[string]map[string]Measurement{},
-	}
-	for _, c := range cells {
-		res.Series = append(res.Series, Cell{Impl: c.impl, Mode: c.mode}.Label())
-	}
-	for _, appName := range []string{"lulesh", "comd"} {
-		spec, _ := apps.ByName(appName)
-		res.Apps = append(res.Apps, spec.Paper)
-		res.Bars[spec.Paper] = map[string]Measurement{}
-		for _, c := range cells {
-			m, err := RunCell(Cell{App: appName, Impl: c.impl, Mode: c.mode, Site: apps.SiteDiscovery}, opts)
-			if err != nil {
-				return nil, err
-			}
-			res.Bars[spec.Paper][m.Cell.Label()] = m
-		}
-	}
-	return res, nil
-}
-
-// Figure4 reproduces "Runtimes for Cray MPI on Perlmutter" (CoMD,
-// LAMMPS, SW4 with userspace FSGSBASE).
-func Figure4(opts Options) (*FigureResult, error) {
-	cells := []Mode{ModeNative, ModeManaLegacy, ModeManaVirtID}
-	res := &FigureResult{
-		Title: "Figure 4: Runtimes for Cray MPI on Perlmutter (userspace FSGSBASE)",
-		Note:  "with FSGSBASE, MANA and MANA+virtId perform comparably to native execution (~5% or less)",
-		Bars:  map[string]map[string]Measurement{},
-	}
-	for _, mode := range cells {
-		res.Series = append(res.Series, Cell{Impl: "craympi", Mode: mode}.Label())
-	}
-	for _, appName := range []string{"comd", "lammps", "sw4"} {
-		spec, _ := apps.ByName(appName)
-		res.Apps = append(res.Apps, spec.Paper)
-		res.Bars[spec.Paper] = map[string]Measurement{}
-		for _, mode := range cells {
-			m, err := RunCell(Cell{App: appName, Impl: "craympi", Mode: mode, Site: apps.SitePerlmutter}, opts)
-			if err != nil {
-				return nil, err
-			}
-			res.Bars[spec.Paper][m.Cell.Label()] = m
-		}
-	}
-	return res, nil
-}
-
-// WriteFigure renders a figure result as a text table with overhead
-// percentages against the first native series.
-func WriteFigure(w io.Writer, res *FigureResult) {
-	fmt.Fprintf(w, "%s\n%s\n", res.Title, strings.Repeat("=", len(res.Title)))
-	if res.Note != "" {
-		fmt.Fprintf(w, "%s\n", res.Note)
-	}
-	fmt.Fprintf(w, "\n%-10s", "App")
-	for _, s := range res.Series {
-		fmt.Fprintf(w, " %22s", s)
-	}
-	fmt.Fprintln(w)
-	for _, app := range res.Apps {
-		fmt.Fprintf(w, "%-10s", app)
-		var native Measurement
-		for _, s := range res.Series {
-			m := res.Bars[app][s]
-			if m.Cell.Mode == ModeNative && native.RuntimeS == 0 {
-				native = m
-			}
-		}
-		for _, s := range res.Series {
-			m := res.Bars[app][s]
-			if m.Trials == 0 {
-				fmt.Fprintf(w, " %22s", "-")
-				continue
-			}
-			if m.Cell.Mode == ModeNative {
-				fmt.Fprintf(w, " %15.1fs ±%4.1f", m.RuntimeS, m.StdDevS)
+			row := FigureRow{App: spec.Paper, Bar: m.Cell.Label(), RuntimeS: m.RuntimeS, StdDevS: m.StdDevS}
+			if bar.Mode == ModeNative {
+				native[bar.Impl] = m
 			} else {
-				base := res.Bars[app][Cell{Impl: m.Cell.Impl, Mode: ModeNative}.Label()]
-				if base.Trials == 0 {
-					base = native
-				}
-				fmt.Fprintf(w, " %9.1fs (%+5.1f%%)", m.RuntimeS, m.OverheadPct(base))
+				row.OverheadPct = m.OverheadPct(native[bar.Impl])
 			}
+			rows = append(rows, row)
 		}
-		fmt.Fprintln(w)
 	}
-	fmt.Fprintln(w)
+	return []Table{{Title: f.title, Notes: []string{f.note}, Rows: rows}}, nil
 }
 
 // Table1Row is one row of Table 1/2 (application inputs).
 type Table1Row struct {
-	App, Input string
-	Ranks      int
+	App   string `col:"App.,%s"`
+	Ranks int    `col:"Ranks,%d"`
+	Input string `col:"Input,%s"`
 }
 
 // Table1 reproduces the input table for a site (Table 1: Discovery;
@@ -189,25 +125,19 @@ func Table1(site apps.Site) []Table1Row {
 	return rows
 }
 
-// WriteTable1 renders an input table.
-func WriteTable1(w io.Writer, site apps.Site, rows []Table1Row) {
-	title := "Table 1: Input for each application on a single node (Discovery)"
-	if site == apps.SitePerlmutter {
-		title = "Table 2: Input for each application on Perlmutter"
+// inputTable is the Table 1/2 experiment of a site.
+func inputTable(site apps.Site, title string) func(Options) ([]Table, error) {
+	return func(Options) ([]Table, error) {
+		return []Table{{Title: title, Rows: Table1(site)}}, nil
 	}
-	fmt.Fprintf(w, "%s\n%s\n%-10s %6s  %s\n", title, strings.Repeat("=", len(title)), "App.", "Ranks", "Input")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %6d  %s\n", r.App, r.Ranks, r.Input)
-	}
-	fmt.Fprintln(w)
 }
 
 // Table3Row is one row of Table 3 (checkpoint times on Discovery NFS).
 type Table3Row struct {
-	App        string
-	SizeMB     float64 // checkpoint size per rank
-	CkptTimeS  float64
-	MBPerSRank float64
+	App        string  `col:"Application,%s"`
+	SizeMB     float64 `col:"Ckpt size/rank (MB),%.0f"`
+	CkptTimeS  float64 `col:"Ckpt time (s),%.1f"`
+	MBPerSRank float64 `col:"MB/s/rank,%.1f"`
 }
 
 // Table3 reproduces "Checkpoint times on Discovery": each application
@@ -257,22 +187,12 @@ func Table3(opts Options) ([]Table3Row, error) {
 	return rows, nil
 }
 
-// WriteTable3 renders the checkpoint-time table.
-func WriteTable3(w io.Writer, rows []Table3Row) {
-	title := "Table 3: Checkpoint times on Discovery (NFSv3 model)"
-	fmt.Fprintf(w, "%s\n%s\n%-12s %14s %11s %12s\n", title, strings.Repeat("=", len(title)),
-		"Application", "Ckpt size/rank", "Ckpt time", "MB/s/rank")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s %12.0fMB %10.1fs %12.1f\n", r.App, r.SizeMB, r.CkptTimeS, r.MBPerSRank)
-	}
-	fmt.Fprintln(w)
-}
-
 // CSRow is one entry of the Section 6.3 context-switch analysis.
 type CSRow struct {
-	App      string
-	Ranks    int
-	CSPerSec float64 // cluster-wide crossings per second under MANA
+	App   string `col:"App,%s"`
+	Ranks int    `col:"Ranks,%d"`
+	// CSPerSec is the cluster-wide crossings per second under MANA.
+	CSPerSec float64 `col:"CS/s (M),%.1f,1e-6"`
 }
 
 // ContextSwitches reproduces Section 6.3: the per-application
@@ -290,14 +210,4 @@ func ContextSwitches(opts Options) ([]CSRow, error) {
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].CSPerSec > rows[j].CSPerSec })
 	return rows, nil
-}
-
-// WriteCS renders the context-switch analysis.
-func WriteCS(w io.Writer, rows []CSRow) {
-	title := "Section 6.3: Context switches per application (MANA+virtId/MPICH, Discovery)"
-	fmt.Fprintf(w, "%s\n%s\n%-10s %6s %14s\n", title, strings.Repeat("=", len(title)), "App", "Ranks", "CS/s (M)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %6d %14.1f\n", r.App, r.Ranks, r.CSPerSec/1e6)
-	}
-	fmt.Fprintln(w)
 }

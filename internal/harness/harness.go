@@ -1,8 +1,13 @@
-// Package harness reproduces the paper's evaluation (Section 6): every
-// figure and table is an experiment definition that runs the proxy
-// applications natively and under MANA across the simulated MPI
-// implementations, takes the median of repeated trials, and renders the
-// same rows and series the paper reports.
+// Package harness reproduces the paper's evaluation (Section 6) and the
+// ablations built on it. Every figure and table is an Experiment in one
+// registry (Experiments): it runs the proxy applications natively and
+// under MANA across the simulated MPI implementations, takes the median
+// of repeated trials, and returns Tables of typed rows — one row per
+// bar for the figures. One renderer prints any Table as text
+// (Render, columns from the rows' `col` tags), and encoding/json
+// writes it as JSON. Each experiment's tables at Options{Trials: 1,
+// Fast: 2} are pinned by testdata/golden/<name>.json
+// (TestGoldenExperiments; wall-clock fields are zeroed there).
 //
 // Absolute native runtimes are calibrated (the simulator does not model
 // Xeon or EPYC microarchitecture); every relative quantity — MANA
@@ -87,8 +92,6 @@ type Measurement struct {
 	CSPerSec float64
 	// WrapperCallsPerStep is the per-rank MPI call count per step.
 	WrapperCallsPerStep float64
-	// Trials is the number of runs aggregated.
-	Trials int
 }
 
 // OverheadPct returns the runtime overhead of m relative to a native
@@ -108,11 +111,6 @@ type Options struct {
 	// Fast divides each application's SimSteps to shorten runs
 	// (1 = calibrated defaults).
 	Fast int
-	// CorruptRate switches the service experiment to the store-integrity
-	// sweep: blobs are silently corrupted at this rate and restart
-	// fallback is compared on/off (CLI: experiment -name service
-	// -corrupt-rate).
-	CorruptRate float64
 	// Verbose emits per-trial progress lines via Logf when set.
 	Logf func(format string, args ...any)
 }
@@ -240,7 +238,6 @@ func RunCell(cell Cell, opts Options) (Measurement, error) {
 		Cell:     cell,
 		RuntimeS: median(runtimes),
 		StdDevS:  stddev(runtimes),
-		Trials:   opts.Trials,
 	}
 	if len(csRates) > 0 {
 		m.CSPerSec = median(csRates)

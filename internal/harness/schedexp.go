@@ -2,8 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
-	"strings"
 	"time"
 
 	"manasim/internal/sched"
@@ -11,24 +9,24 @@ import (
 
 // SchedRow is one (mix, cluster, policy) cell of the scheduler sweep.
 type SchedRow struct {
-	Mix     string  `json:"mix"`
-	Cluster string  `json:"cluster"`
-	Policy  string  `json:"policy"`
+	Mix     string  `json:"mix" col:"mix,%s"`
+	Cluster string  `json:"cluster" col:"nodes,%s"`
+	Policy  string  `json:"policy" col:"policy,%s"`
 	Jobs    int     `json:"jobs"`
-	Goodput float64 `json:"goodput"`
+	Goodput float64 `json:"goodput" col:"goodput,%.4f"`
 	// Rank-seconds of virtual time: baseline work delivered, node time
 	// consumed, killed work lost, preemption drain overhead.
 	UsefulS       float64 `json:"useful_rank_s"`
 	ConsumedS     float64 `json:"consumed_rank_s"`
-	LostS         float64 `json:"lost_rank_s"`
-	CkptOverheadS float64 `json:"ckpt_overhead_rank_s"`
+	LostS         float64 `json:"lost_rank_s" col:"lost(r*s),%.3f"`
+	CkptOverheadS float64 `json:"ckpt_overhead_rank_s" col:"ckpt(r*s),%.3f"`
 	MakespanS     float64 `json:"makespan_s"`
-	AvgWaitS      float64 `json:"avg_wait_s"`
+	AvgWaitS      float64 `json:"avg_wait_s" col:"wait(s),%.2f"`
 	// UrgentAvgWaitS averages queue wait over the above-baseline
 	// priority tiers — the urgent-computing responsiveness metric.
-	UrgentAvgWaitS float64 `json:"urgent_avg_wait_s"`
-	Preemptions    int     `json:"preemptions"`
-	Kills          int     `json:"kills"`
+	UrgentAvgWaitS float64 `json:"urgent_avg_wait_s" col:"urgent(s),%.2f"`
+	Preemptions    int     `json:"preemptions" col:"preempt,%d"`
+	Kills          int     `json:"kills" col:"kills,%d"`
 }
 
 // SchedTraceEvent is one scheduler decision of a recorded trajectory.
@@ -54,7 +52,7 @@ type SchedSweepResult struct {
 	Trace map[string][]SchedTraceEvent `json:"preempt_trace"`
 
 	// Outcomes retains every cell's full outcome for the acceptance
-	// tests (not serialized; the JSON keeps rows + traces).
+	// tests.
 	Outcomes map[string]*sched.Outcome `json:"-"`
 }
 
@@ -191,16 +189,15 @@ func SchedSweep(opts Options) (*SchedSweepResult, error) {
 	return res, nil
 }
 
-// WriteSched renders the scheduler sweep as policy tables per cell.
-func WriteSched(w io.Writer, res *SchedSweepResult) {
-	title := fmt.Sprintf("Cluster scheduler sweep: policies x clusters x mixes (seed %d, event kernel)", res.Seed)
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
-	fmt.Fprintf(w, "goodput = baseline rank-seconds / consumed rank-seconds; preemption = transparent checkpoint\n\n")
-	fmt.Fprintf(w, "%-8s %-5s %-9s %8s %9s %9s %9s %9s %8s %8s\n",
-		"mix", "nodes", "policy", "goodput", "lost(r*s)", "ckpt(r*s)", "wait(s)", "urgent(s)", "preempt", "kills")
-	for _, r := range res.Rows {
-		fmt.Fprintf(w, "%-8s %-5s %-9s %8.4f %9.3f %9.3f %9.2f %9.2f %8d %8d\n",
-			r.Mix, r.Cluster, r.Policy, r.Goodput, r.LostS, r.CkptOverheadS, r.AvgWaitS, r.UrgentAvgWaitS, r.Preemptions, r.Kills)
+// schedTables is the scheduler sweep as one policy table.
+func schedTables(opts Options) ([]Table, error) {
+	res, err := SchedSweep(opts)
+	if err != nil {
+		return nil, err
 	}
-	fmt.Fprintln(w)
+	return []Table{{
+		Title: fmt.Sprintf("Cluster scheduler sweep: policies x clusters x mixes (seed %d, event kernel)", res.Seed),
+		Notes: []string{"goodput = baseline rank-seconds / consumed rank-seconds; preemption = transparent checkpoint"},
+		Rows:  res.Rows,
+	}}, nil
 }

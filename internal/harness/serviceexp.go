@@ -3,9 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"strings"
 	"time"
 
 	"manasim/internal/apps"
@@ -193,20 +191,20 @@ type ServiceAttempt struct {
 
 // ServiceOutcome summarizes one service run under one interval policy.
 type ServiceOutcome struct {
-	Policy   string `json:"policy"`
+	Policy   string `json:"policy" col:"Policy,%s"`
 	Adaptive bool   `json:"adaptive"`
 	// IntervalS is the fixed interval, or the adaptive controller's
 	// final recommendation, in seconds.
-	IntervalS float64 `json:"interval_s"`
-	// BaselineVTS is the fault-free runtime (the useful work); TotalVTS
-	// the service time actually consumed; Goodput their ratio.
+	IntervalS float64 `json:"interval_s" col:"Interval (ms),%.2f,1e3"`
+	// Goodput is BaselineVTS, the fault-free runtime (the useful work),
+	// over TotalVTS, the service time actually consumed.
+	Goodput     float64 `json:"goodput" col:"Goodput,%.3f"`
 	BaselineVTS float64 `json:"baseline_vt_s"`
-	TotalVTS    float64 `json:"total_vt_s"`
-	Goodput     float64 `json:"goodput"`
-	LostVTS     float64 `json:"lost_vt_s"`
-	Crashes     int     `json:"crashes"`
-	Restarts    int     `json:"restarts"`
-	Ckpts       int     `json:"ckpts"`
+	TotalVTS    float64 `json:"total_vt_s" col:"Total (ms),%.1f,1e3"`
+	LostVTS     float64 `json:"lost_vt_s" col:"Lost (ms),%.1f,1e3"`
+	Crashes     int     `json:"crashes" col:"Crashes,%d"`
+	Restarts    int     `json:"restarts" col:"Rst,%d"`
+	Ckpts       int     `json:"ckpts" col:"Ckpts,%d"`
 	// MTBFEstS is the adaptive controller's final MTBF estimate;
 	// CkptCostS its mean observed checkpoint cost.
 	MTBFEstS  float64          `json:"mtbf_est_s"`
@@ -218,10 +216,10 @@ type ServiceOutcome struct {
 	// cliff (no restartable generation, fresh start from step 0).
 	CorruptRate   float64 `json:"corrupt_rate,omitempty"`
 	Fallback      bool    `json:"fallback,omitempty"`
-	Corruptions   int     `json:"corruptions,omitempty"`
-	ScrubFindings int     `json:"scrub_findings,omitempty"`
-	ScrubRepaired int     `json:"scrub_repaired,omitempty"`
-	FreshStarts   int     `json:"fresh_starts,omitempty"`
+	Corruptions   int     `json:"corruptions,omitempty" col:"Corrupt,%d"`
+	ScrubFindings int     `json:"scrub_findings,omitempty" col:"Scrub,%d"`
+	ScrubRepaired int     `json:"scrub_repaired,omitempty" col:"Repaired,%d"`
+	FreshStarts   int     `json:"fresh_starts,omitempty" col:"Fresh,%d"`
 }
 
 // RunService executes one long-horizon service run: the application
@@ -638,25 +636,25 @@ func serviceProbe(sp ServiceSpec) (baseVT, ckptCost time.Duration, err error) {
 	return baseVT, sum / time.Duration(len(st.CkptCostVTs)), nil
 }
 
-// WriteService renders the service sweep. The proxy applications run in
-// the millisecond regime, so every duration column is reported in ms.
-func WriteService(w io.Writer, res *ServiceSweepResult) {
-	title := fmt.Sprintf("Long-horizon service: %s/%s, %d ranks, MTBF=%.2fms, C=%.2fms, Young/Daly optimum=%.2fms",
-		res.App, res.Impl, res.Ranks, res.MTBFS*1e3, res.CkptCost*1e3, res.OptimumS*1e3)
-	fmt.Fprintf(w, "%s\n%s\n%-14s %13s %9s %10s %9s %8s %7s %6s\n", title, strings.Repeat("=", len(title)),
-		"Policy", "Interval (ms)", "Goodput", "Total (ms)", "Lost (ms)", "Crashes", "Ckpts", "Rst")
-	for _, r := range res.Runs {
-		fmt.Fprintf(w, "%-14s %13.2f %9.3f %10.1f %9.1f %8d %7d %6d\n",
-			r.Policy, r.IntervalS*1e3, r.Goodput, r.TotalVTS*1e3, r.LostVTS*1e3, r.Crashes, r.Ckpts, r.Restarts)
+// serviceTables is the service sweep as one table of its runs.
+func serviceTables(opts Options) ([]Table, error) {
+	res, err := Service(opts)
+	if err != nil {
+		return nil, err
+	}
+	t := Table{
+		Title: fmt.Sprintf("Long-horizon service: %s/%s, %d ranks, MTBF=%.2fms, C=%.2fms, Young/Daly optimum=%.2fms",
+			res.App, res.Impl, res.Ranks, res.MTBFS*1e3, res.CkptCost*1e3, res.OptimumS*1e3),
+		Rows: res.Runs,
 	}
 	for _, r := range res.Runs {
 		if r.Adaptive {
-			fmt.Fprintf(w, "adaptive final: MTBF est=%.2fms (true %.2fms), C est=%.2fms, interval=%.2fms (optimum %.2fms, %+.1f%%)\n",
+			t.Notes = append(t.Notes, fmt.Sprintf("adaptive final: MTBF est=%.2fms (true %.2fms), C est=%.2fms, interval=%.2fms (optimum %.2fms, %+.1f%%)",
 				r.MTBFEstS*1e3, res.MTBFS*1e3, r.CkptCostS*1e3, r.IntervalS*1e3, res.OptimumS*1e3,
-				100*(r.IntervalS-res.OptimumS)/res.OptimumS)
+				100*(r.IntervalS-res.OptimumS)/res.OptimumS))
 		}
 	}
-	fmt.Fprintln(w)
+	return []Table{t}, nil
 }
 
 // ServiceCorruptionResult is the store-integrity sweep: one service run
@@ -682,8 +680,7 @@ type ServiceCorruptionResult struct {
 // Crash timeline, corruption coin flips, and interval are identical
 // across the two arms of each rate, so the goodput gap isolates the
 // fallback policy. The sweep runs rate 0 (the no-damage control, where
-// both arms must agree exactly) and one damage rate — opts.CorruptRate
-// when set, 0.08 by default.
+// both arms must agree exactly) and one damage rate, 0.08.
 func ServiceCorruption(opts Options) (*ServiceCorruptionResult, error) {
 	opts = opts.normalized()
 	const (
@@ -712,18 +709,12 @@ func ServiceCorruption(opts Options) (*ServiceCorruptionResult, error) {
 	mtbf := baseVT / 6
 	optimum := YoungDaly(mtbf, ckptCost)
 
-	top := opts.CorruptRate
-	if top <= 0 {
-		top = 0.08
-	}
-	rates := []float64{0, top}
-
 	res := &ServiceCorruptionResult{
 		App: app, Impl: impl, Ranks: ranks, Seed: seed,
 		MTBFS:     mtbf.Seconds(),
 		IntervalS: optimum.Seconds(),
 	}
-	for _, rate := range rates {
+	for _, rate := range []float64{0, 0.08} {
 		for _, fallback := range []bool{false, true} {
 			sp := ServiceSpec{
 				App: app, Impl: impl, Ranks: ranks, Steps: steps,
@@ -757,16 +748,16 @@ func onoff(b bool) string {
 	return "off"
 }
 
-// WriteServiceCorruption renders the store-integrity sweep.
-func WriteServiceCorruption(w io.Writer, res *ServiceCorruptionResult) {
-	title := fmt.Sprintf("Store integrity: %s/%s, %d ranks, MTBF=%.2fms, interval=%.2fms (Young/Daly)",
-		res.App, res.Impl, res.Ranks, res.MTBFS*1e3, res.IntervalS*1e3)
-	fmt.Fprintf(w, "%s\n%s\n%-22s %9s %10s %9s %8s %6s %7s %7s %9s %6s\n", title, strings.Repeat("=", len(title)),
-		"Cell", "Goodput", "Total (ms)", "Lost (ms)", "Crashes", "Rst", "Corrupt", "Scrub", "Repaired", "Fresh")
-	for _, r := range res.Runs {
-		fmt.Fprintf(w, "%-22s %9.3f %10.1f %9.1f %8d %6d %7d %7d %9d %6d\n",
-			r.Policy, r.Goodput, r.TotalVTS*1e3, r.LostVTS*1e3, r.Crashes, r.Restarts,
-			r.Corruptions, r.ScrubFindings, r.ScrubRepaired, r.FreshStarts)
+// integrityTables is the store-integrity sweep as one table of its
+// runs.
+func integrityTables(opts Options) ([]Table, error) {
+	res, err := ServiceCorruption(opts)
+	if err != nil {
+		return nil, err
 	}
-	fmt.Fprintln(w)
+	return []Table{{
+		Title: fmt.Sprintf("Store integrity: %s/%s, %d ranks, MTBF=%.2fms, interval=%.2fms (Young/Daly)",
+			res.App, res.Impl, res.Ranks, res.MTBFS*1e3, res.IntervalS*1e3),
+		Rows: res.Runs,
+	}}, nil
 }

@@ -87,24 +87,6 @@ func Int32s(b []byte) []int32 {
 	return v
 }
 
-// Float32Bytes encodes a []float32 into a packed byte slice.
-func Float32Bytes(v []float32) []byte {
-	b := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(x))
-	}
-	return b
-}
-
-// Float32s decodes a packed byte slice into a []float32.
-func Float32s(b []byte) []float32 {
-	v := make([]float32, len(b)/4)
-	for i := range v {
-		v[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return v
-}
-
 // Uint64Bytes encodes a []uint64 into a packed byte slice.
 func Uint64Bytes(v []uint64) []byte {
 	b := make([]byte, 8*len(v))

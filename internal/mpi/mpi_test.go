@@ -79,10 +79,6 @@ func TestBufferRoundTrips(t *testing.T) {
 	if got := Int32s(Int32Bytes(i32)); got[0] != -7 || got[1] != 42 {
 		t.Fatalf("int32 round trip %v", got)
 	}
-	f32 := []float32{3.5, -0.25}
-	if got := Float32s(Float32Bytes(f32)); got[0] != 3.5 {
-		t.Fatalf("float32 round trip %v", got)
-	}
 	u64 := []uint64{0, ^uint64(0)}
 	if got := Uint64s(Uint64Bytes(u64)); got[1] != ^uint64(0) {
 		t.Fatalf("uint64 round trip %v", got)
