@@ -7,7 +7,7 @@
 //
 //	manasim list
 //	manasim run -app comd -impl openmpi [-mana] [-ranks N] [-ckpt STEP] [-restart-impl NAME]
-//	manasim experiment -name NAME|all [-trials N] [-fast K] [-json FILE]
+//	manasim experiment -name NAME|all [-fast K] [-json FILE]
 package main
 
 import (
@@ -81,9 +81,11 @@ run flags:
                  (requires -uniform at checkpoint time)
   -uniform use 64-bit MANA handle embedding (cross-impl restart)
   -drain   drain strategy at checkpoint time (twophase, toposort)
-  -compress gzip the application state in checkpoint images
-  -compress-tier  compression tier with -compress: fast (flate BestSpeed,
-                 hot checkpoints), balanced (default), or max (archival)
+  -compress compress the application state in checkpoint images (gzip,
+           or fast-lz with -compress-tier fast-lz)
+  -compress-tier  compression tier with -compress: fast (gzip BestSpeed,
+                 hot checkpoints), balanced (default), max (archival),
+                 or fast-lz (pure-Go LZ-class codec)
   -backend checkpoint store backend (mem, fs, obj, tier)
   -front-tier    with -backend tier: fast front-tier backend (default mem,
                  charged at the burst-buffer profile)
@@ -134,8 +136,7 @@ scrub flags:
 experiment flags:
   -name    all (default), or one registered experiment:
            %s
-  -trials  median-of-N trials (default 3)
-  -fast    divide SimSteps by K for quicker, noisier runs (default 1)
+  -fast    divide SimSteps by K for quicker runs (default 1)
   -json    also write every table as JSON to this file, keyed by
            experiment name
 `, strings.Join(harness.ExperimentNames(), ", "))
@@ -173,8 +174,8 @@ func cmdRun(args []string) error {
 	restartImpl := fs.String("restart-impl", "", "restart under this implementation")
 	uniform := fs.Bool("uniform", false, "64-bit MANA handle embedding")
 	drainName := fs.String("drain", ckptsub.DefaultDrain, "drain strategy (twophase, toposort)")
-	compress := fs.Bool("compress", false, "gzip checkpoint image app state")
-	tierName := fs.String("compress-tier", "", "compression tier with -compress: fast, balanced, or max")
+	compress := fs.Bool("compress", false, "compress checkpoint image app state (gzip, or fast-lz by -compress-tier)")
+	tierName := fs.String("compress-tier", "", "compression tier with -compress: fast, balanced, max, or fast-lz")
 	backendName := fs.String("backend", "", "checkpoint store backend (mem, fs, obj, tier)")
 	frontTier := fs.String("front-tier", "", "tier backend: fast front-tier backend (default mem)")
 	backTier := fs.String("back-tier", "", "tier backend: durable back-tier backend (default fs with -ckpt-dir, else obj)")
@@ -194,6 +195,17 @@ func cmdRun(args []string) error {
 	restartFallback := fs.Bool("restart-fallback", false, "degrade to the newest verifying generation when the head is corrupt or quarantined")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// A flag whose partner is missing would be silently ignored.
+	switch {
+	case *tierName != "" && !*compress:
+		return fmt.Errorf("-compress-tier needs -compress (without it images are written uncompressed)")
+	case *restartImpl != "" && *ckpt < 0:
+		return fmt.Errorf("-restart-impl needs -ckpt (a run that never checkpoints has nothing to restart from)")
+	case *corruptRate > 0 && *mtbf <= 0:
+		return fmt.Errorf("-corrupt-rate needs -mtbf (only the service loop corrupts store blobs)")
+	case *restartFallback && *mtbf <= 0 && *restartImpl == "":
+		return fmt.Errorf("-restart-fallback needs -mtbf or -restart-impl (it applies only to a restart)")
 	}
 	tier, err := ckptimg.ParseCompressTier(*tierName)
 	if err != nil {
@@ -494,15 +506,13 @@ func report(appName, mode string, st mana.Stats, in apps.Input, start time.Time)
 func cmdExperiment(args []string) error {
 	fs := flag.NewFlagSet("experiment", flag.ExitOnError)
 	name := fs.String("name", "all", "experiment name")
-	trials := fs.Int("trials", 3, "trials per cell")
 	fast := fs.Int("fast", 1, "SimSteps divisor")
 	jsonOut := fs.String("json", "", "also write the tables as JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	opts := harness.Options{
-		Trials: *trials,
-		Fast:   *fast,
+		Fast: *fast,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, "  "+format+"\n", a...)
 		},

@@ -94,3 +94,24 @@ func TestExperimentUnknownName(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsUnpairedFlags: a flag that only acts together with
+// another must fail naming the missing partner instead of being
+// silently dropped.
+func TestRunRejectsUnpairedFlags(t *testing.T) {
+	for _, c := range []struct {
+		args    []string
+		missing string
+	}{
+		{[]string{"-compress-tier", "fast-lz"}, "-compress"},
+		{[]string{"-restart-impl", "openmpi"}, "-ckpt"},
+		{[]string{"-corrupt-rate", "0.08"}, "-mtbf"},
+		{[]string{"-restart-fallback"}, "-mtbf or -restart-impl"},
+	} {
+		args := append([]string{"-app", "comd", "-impl", "mpich", "-mana", "-ranks", "4", "-steps", "2"}, c.args...)
+		_, err := capture(cmdRun, args...)
+		if err == nil || !strings.Contains(err.Error(), "needs "+c.missing+" ") {
+			t.Errorf("run %v: error %v, want one naming %s", c.args, err, c.missing)
+		}
+	}
+}

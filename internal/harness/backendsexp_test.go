@@ -8,7 +8,7 @@ import "testing"
 // NFS-model path, and the tier row reports the drain lag it traded for
 // that speed.
 func TestBackendsExperiment(t *testing.T) {
-	rows, err := Backends(Options{Trials: 1, Fast: 2})
+	rows, err := Backends(Options{Fast: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

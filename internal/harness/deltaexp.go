@@ -163,7 +163,6 @@ type DeltaChainRow struct {
 // ChainCap swept so the final restart resolves head chains of depth 0
 // (every generation a base) up to 8 (one base plus eight deltas).
 func DeltaChainSweep(opts Options) ([]DeltaChainRow, error) {
-	opts = opts.normalized()
 	spec, err := apps.ByName("comd")
 	if err != nil {
 		return nil, err

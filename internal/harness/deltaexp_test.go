@@ -7,7 +7,7 @@ import "testing"
 // at least one application (HPCG, whose stored matrix is static bulk)
 // the delta generation writes fewer bytes than the full one.
 func TestDeltaExperimentSavesBytes(t *testing.T) {
-	rows, err := DeltaImages(Options{Trials: 1, Fast: 2})
+	rows, err := DeltaImages(Options{Fast: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestDeltaExperimentSavesBytes(t *testing.T) {
 // TestDrainTelemetryReported checks that the drain experiment surfaces
 // protocol cost: nonzero drain VT and control-message counts.
 func TestDrainTelemetryReported(t *testing.T) {
-	rows, err := DrainStrategies(Options{Trials: 1, Fast: 2})
+	rows, err := DrainStrategies(Options{Fast: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

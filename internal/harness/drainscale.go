@@ -49,7 +49,6 @@ var DrainScaleRanks = []int{64, 256, 1024}
 // materialized — at 1024 ranks that alone would dominate the
 // measurement).
 func DrainScale(opts Options) ([]DrainScaleRow, error) {
-	opts = opts.normalized()
 	spec, err := apps.ByName("lammps")
 	if err != nil {
 		return nil, err

@@ -26,7 +26,6 @@ type FigureRow struct {
 	App      string  `col:"App,%s"`
 	Bar      string  `col:"Bar,%s"`
 	RuntimeS float64 `col:"Runtime (s),%.1f"`
-	StdDevS  float64 `col:"± (s),%.1f"`
 	// OverheadPct is the runtime overhead against the native bar of the
 	// same implementation (0 for native bars).
 	OverheadPct float64 `col:"Overhead,%+.1f%%"`
@@ -89,7 +88,7 @@ func (f figureSpec) tables(opts Options) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			row := FigureRow{App: spec.Paper, Bar: m.Cell.Label(), RuntimeS: m.RuntimeS, StdDevS: m.StdDevS}
+			row := FigureRow{App: spec.Paper, Bar: m.Cell.Label(), RuntimeS: m.RuntimeS}
 			if bar.Mode == ModeNative {
 				native[bar.Impl] = m
 			} else {

@@ -16,7 +16,7 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current code")
 
 // goldenOpts is the size every experiment's golden is taken at.
-var goldenOpts = Options{Trials: 1, Fast: 2}
+var goldenOpts = Options{Fast: 2}
 
 // TestGoldenExperiments runs every registered experiment at goldenOpts
 // and byte-compares its tables, as JSON with the wall-clock fields

@@ -1,12 +1,11 @@
 // Package harness reproduces the paper's evaluation (Section 6) and the
 // ablations built on it. Every figure and table is an Experiment in one
 // registry (Experiments): it runs the proxy applications natively and
-// under MANA across the simulated MPI implementations, takes the median
-// of repeated trials, and returns Tables of typed rows — one row per
-// bar for the figures. One renderer prints any Table as text
-// (Render, columns from the rows' `col` tags), and encoding/json
-// writes it as JSON. Each experiment's tables at Options{Trials: 1,
-// Fast: 2} are pinned by testdata/golden/<name>.json
+// under MANA across the simulated MPI implementations, once per cell,
+// and returns Tables of typed rows — one row per bar for the figures.
+// One renderer prints any Table as text (Render, columns from the rows'
+// `col` tags), and encoding/json writes it as JSON. Each experiment's
+// tables at Options{Fast: 2} are pinned by testdata/golden/<name>.json
 // (TestGoldenExperiments; wall-clock fields are zeroed there).
 //
 // Absolute native runtimes are calibrated (the simulator does not model
@@ -19,8 +18,6 @@ package harness
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"time"
 
 	"manasim/internal/apps"
@@ -79,14 +76,12 @@ func (c Cell) Label() string {
 	return fmt.Sprintf("%s/%s", c.Mode, impl)
 }
 
-// Measurement is the aggregated result of one cell.
+// Measurement is the result of one cell.
 type Measurement struct {
 	Cell Cell
-	// RuntimeS is the median extrapolated virtual runtime in seconds —
-	// the bar height in Figures 2-4.
+	// RuntimeS is the extrapolated virtual runtime in seconds — the bar
+	// height in Figures 2-4.
 	RuntimeS float64
-	// StdDevS is the standard deviation across trials.
-	StdDevS float64
 	// CSPerSec is the cluster-wide context-switch (fs-register
 	// crossing) rate, Section 6.3's metric. Zero for native runs.
 	CSPerSec float64
@@ -105,20 +100,14 @@ func (m Measurement) OverheadPct(native Measurement) float64 {
 
 // Options controls harness execution.
 type Options struct {
-	// Trials is the number of repetitions per cell (paper: 10 on
-	// Discovery, 25 on Perlmutter; default 3 here for turnaround).
-	Trials int
 	// Fast divides each application's SimSteps to shorten runs
 	// (1 = calibrated defaults).
 	Fast int
-	// Verbose emits per-trial progress lines via Logf when set.
+	// Logf, when set, receives one progress line per cell.
 	Logf func(format string, args ...any)
 }
 
 func (o Options) normalized() Options {
-	if o.Trials <= 0 {
-		o.Trials = 3
-	}
 	if o.Fast <= 0 {
 		o.Fast = 1
 	}
@@ -175,9 +164,13 @@ func hostFor(site apps.Site) simtime.HostProfile {
 	return simtime.Discovery()
 }
 
-// RunCell executes one cell and aggregates its trials.
+// RunCell executes one cell once. The paper takes medians over 10
+// (Discovery) and 25 (Perlmutter) trials because real hardware is
+// noisy; here virtual time is a pure function of (config, seed), so a
+// second run could only repeat the first. TestVirtualTimePureFunction
+// and the goldens' run on two GOMAXPROCS (make determinism) hold it to
+// that.
 func RunCell(cell Cell, opts Options) (Measurement, error) {
-	opts = opts.normalized()
 	spec, err := apps.ByName(cell.App)
 	if err != nil {
 		return Measurement{}, err
@@ -210,67 +203,22 @@ func RunCell(cell Cell, opts Options) (Measurement, error) {
 		cfg.Design = mana.DesignVirtID
 	}
 
-	runtimes := make([]float64, 0, opts.Trials)
-	var csRates, callRates []float64
-	for trial := 0; trial < opts.Trials; trial++ {
-		var st mana.Stats
-		var err error
-		if cell.Mode == ModeNative {
-			st, err = mana.RunNative(cfg, in.Ranks, spec.New(in))
-		} else {
-			st, _, err = mana.Run(cfg, in.Ranks, spec.New(in), -1)
-		}
-		if err != nil {
-			return Measurement{}, fmt.Errorf("%s trial %d: %w", cell.Label(), trial, err)
-		}
-		rt := st.VT.Seconds() * extra
-		runtimes = append(runtimes, rt)
-		if cell.Mode != ModeNative && rt > 0 {
-			csRates = append(csRates, float64(st.Crossings)*extra/rt)
-			callRates = append(callRates, float64(st.WrapperCalls)/float64(in.Ranks)/float64(in.SimSteps))
-		}
-		if opts.Logf != nil {
-			opts.Logf("%s %s trial %d: %.1fs (wall %v)", cell.App, cell.Label(), trial, rt, st.Wall.Round(time.Millisecond))
-		}
+	var st mana.Stats
+	if cell.Mode == ModeNative {
+		st, err = mana.RunNative(cfg, in.Ranks, spec.New(in))
+	} else {
+		st, _, err = mana.Run(cfg, in.Ranks, spec.New(in), -1)
 	}
-
-	m := Measurement{
-		Cell:     cell,
-		RuntimeS: median(runtimes),
-		StdDevS:  stddev(runtimes),
+	if err != nil {
+		return Measurement{}, fmt.Errorf("%s: %w", cell.Label(), err)
 	}
-	if len(csRates) > 0 {
-		m.CSPerSec = median(csRates)
-		m.WrapperCallsPerStep = median(callRates)
+	m := Measurement{Cell: cell, RuntimeS: st.VT.Seconds() * extra}
+	if cell.Mode != ModeNative && m.RuntimeS > 0 {
+		m.CSPerSec = float64(st.Crossings) * extra / m.RuntimeS
+		m.WrapperCallsPerStep = float64(st.WrapperCalls) / float64(in.Ranks) / float64(in.SimSteps)
+	}
+	if opts.Logf != nil {
+		opts.Logf("%s %s: %.1fs (wall %v)", cell.App, cell.Label(), m.RuntimeS, st.Wall.Round(time.Millisecond))
 	}
 	return m, nil
-}
-
-func median(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-func stddev(v []float64) float64 {
-	if len(v) < 2 {
-		return 0
-	}
-	mean := 0.0
-	for _, x := range v {
-		mean += x
-	}
-	mean /= float64(len(v))
-	ss := 0.0
-	for _, x := range v {
-		ss += (x - mean) * (x - mean)
-	}
-	return math.Sqrt(ss / float64(len(v)-1))
 }

@@ -7,9 +7,8 @@ import (
 	"manasim/internal/apps"
 )
 
-// fastOpts keeps test turnaround short. Virtual time is a pure function
-// of the cell, so one trial is exact.
-var fastOpts = Options{Trials: 1, Fast: 2}
+// fastOpts keeps test turnaround short.
+var fastOpts = Options{Fast: 2}
 
 func TestRunCellNativeVsMana(t *testing.T) {
 	native, err := RunCell(Cell{App: "lammps", Impl: "mpich", Mode: ModeNative, Site: apps.SiteDiscovery}, fastOpts)
@@ -96,7 +95,7 @@ func TestTable1Rows(t *testing.T) {
 }
 
 func TestTable3TrendsMatchPaper(t *testing.T) {
-	rows, err := Table3(Options{Trials: 1, Fast: 2})
+	rows, err := Table3(Options{Fast: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,24 +125,6 @@ func TestTable3TrendsMatchPaper(t *testing.T) {
 	}
 	if c := byApp["HPCG"].CkptTimeS; math.Abs(c-72.9) > 12 {
 		t.Errorf("HPCG checkpoint %.1fs, paper 72.9s", c)
-	}
-}
-
-func TestMedianAndStddev(t *testing.T) {
-	if m := median([]float64{3, 1, 2}); m != 2 {
-		t.Fatalf("median %v", m)
-	}
-	if m := median([]float64{4, 1, 2, 3}); m != 2.5 {
-		t.Fatalf("even median %v", m)
-	}
-	if median(nil) != 0 {
-		t.Fatal("empty median")
-	}
-	if s := stddev([]float64{2, 2, 2}); s != 0 {
-		t.Fatalf("stddev %v", s)
-	}
-	if s := stddev([]float64{1, 3}); math.Abs(s-math.Sqrt2) > 1e-12 {
-		t.Fatalf("stddev %v", s)
 	}
 }
 

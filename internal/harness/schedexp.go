@@ -124,7 +124,6 @@ func schedWorkload(mix string, cs sched.ClusterSpec, seed int64) (sched.Workload
 // over two cluster sizes and two job mixes at seed 42. All quantities
 // are virtual-time results — bit-reproducible.
 func SchedSweep(opts Options) (*SchedSweepResult, error) {
-	opts = opts.normalized()
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}

@@ -513,7 +513,6 @@ type ServiceSweepResult struct {
 // timeline is identical across policies (same seed), so the comparison
 // isolates the interval choice.
 func Service(opts Options) (*ServiceSweepResult, error) {
-	opts = opts.normalized()
 	const (
 		app   = "lammps"
 		impl  = "mpich"
@@ -682,7 +681,6 @@ type ServiceCorruptionResult struct {
 // fallback policy. The sweep runs rate 0 (the no-damage control, where
 // both arms must agree exactly) and one damage rate, 0.08.
 func ServiceCorruption(opts Options) (*ServiceCorruptionResult, error) {
-	opts = opts.normalized()
 	const (
 		app   = "lammps"
 		impl  = "mpich"

@@ -107,7 +107,7 @@ func checkTrajectory(t *testing.T, r *ServiceOutcome) {
 // interval lands within 15% of the Young/Daly closed-form optimum, and
 // its goodput strictly beats the worst fixed-interval policy.
 func TestServiceSweepAcceptance(t *testing.T) {
-	res, err := Service(Options{Trials: 1})
+	res, err := Service(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestServiceCorruptionDeterminism(t *testing.T) {
 // sweep — the fast variant commits too few generations for sparse
 // strikes to land on a restart path.
 func TestServiceCorruptionFallbackImprovesGoodput(t *testing.T) {
-	res, err := ServiceCorruption(Options{Trials: 1})
+	res, err := ServiceCorruption(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
