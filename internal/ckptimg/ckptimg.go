@@ -8,17 +8,18 @@
 // Format v3 is a streaming, sectioned encoding: a fixed header (magic,
 // version, flags) followed by framed sections, each carrying its own
 // CRC-32. The application state — the bulk of a real image — travels as
-// raw chunked bytes (optionally compressed), so large images are
-// written and read section by section instead of through one monolithic
-// gob round-trip, and a flipped bit anywhere turns into a clean error
-// naming the damaged section. v3 with binary section tags is the only
-// encoding the decoders accept: any other header version (the
-// whole-body gob v2 of early builds) and the gob-coded section tags of
-// early v3 builds are refused as ErrCorrupt.
+// raw chunked bytes (optionally compressed); every other section,
+// the vid store snapshot included, has a compact binary codec
+// (sections.go). Large images are written and read section by section,
+// and a flipped bit anywhere turns into a clean error naming the
+// damaged section. v3 with binary section tags is the only encoding the
+// decoders accept: any other header version (the whole-body gob v2 of
+// early builds) and the gob-coded section tags of early v3 builds
+// (STOR among them) are refused as ErrCorrupt.
 //
 // The codec is built for the parallel checkpoint pipeline: encoders
 // write each byte of application state into the output exactly once,
-// scratch state (gzip writers/readers, gob buffers) is pooled and
+// scratch state (gzip writers/readers, section buffers) is pooled and
 // reused across images, and the in-memory decoders walk sections as
 // subslices of the input instead of copying every frame. All entry
 // points are safe for concurrent use.
@@ -27,7 +28,6 @@ package ckptimg
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -89,12 +89,11 @@ const AppChunk = 256 << 10
 // maxSection bounds a single section's claimed payload size.
 const maxSection = 1 << 31
 
-// Section tags every image variant shares; the binary-coded identity
-// and tail tags live in sections.go.
+// Section tags every image variant shares; the binary-coded identity,
+// vid store and tail tags live in sections.go.
 const (
-	secApp   uint32 = 0x41505053 // "APPS": application state chunk
-	secStore uint32 = 0x53544F52 // "STOR": vid store snapshot (gob)
-	secEnd   uint32 = 0x454E4421 // "END!": clean-end marker
+	secApp uint32 = 0x41505053 // "APPS": application state chunk
+	secEnd uint32 = 0x454E4421 // "END!": clean-end marker
 )
 
 // DrainedMsg is one in-flight point-to-point message captured by the
@@ -225,9 +224,9 @@ func exactCopy(b []byte) []byte {
 
 // EncodeTo streams the image to w section by section: header first,
 // then each section framed with its own CRC, then the end marker.
-// Sections are buffered individually (a gob body, one app-state chunk,
-// or — under Options.Compress — the gzipped app state), never as one
-// monolithic gob of the whole image.
+// Sections are buffered individually (one binary section body, one
+// app-state chunk, or — under Options.Compress — the compressed app
+// state), never as one monolithic body of the whole image.
 func EncodeTo(w io.Writer, img *Image, o Options) error {
 	var hdr [16]byte
 	copy(hdr[:8], Magic[:])
@@ -279,11 +278,10 @@ func EncodeTo(w io.Writer, img *Image, o Options) error {
 // writeTailSections writes the sections every image variant carries
 // after its application payload — vid store, drained messages, request
 // results, counters — and the end marker. A section added here reaches
-// full and delta images alike. Only the vid store snapshot is gob (a
-// recursive structure); the flat sections use the binary codec of
+// full and delta images alike. Every one uses the binary codec of
 // sections.go.
 func writeTailSections(w io.Writer, img *Image) error {
-	if err := gobSection(w, secStore, &img.Store); err != nil {
+	if err := writeStoreSection(w, &img.Store); err != nil {
 		return err
 	}
 	if err := writeDrainedSection(w, img.Drained); err != nil {
@@ -304,11 +302,8 @@ func decodeCommonSection(img *Image, tag uint32, payload []byte) (bool, error) {
 	switch tag {
 	case secMeta2:
 		return true, decodeMeta2(img, payload)
-	case secStore:
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&img.Store); err != nil {
-			return true, fmt.Errorf("ckptimg: decoding STOR section: %w", err)
-		}
-		return true, nil
+	case secStore2:
+		return true, decodeStore2(img, payload)
 	case secDrained2:
 		return true, decodeDrained2(img, payload)
 	case secReqs2:
@@ -353,17 +348,6 @@ func writeSection2(w io.Writer, tag uint32, head, tail []byte) error {
 		}
 	}
 	return nil
-}
-
-// gobSection writes one gob-encoded section through a pooled scratch
-// buffer.
-func gobSection(w io.Writer, tag uint32, v any) error {
-	body := getBuf()
-	defer putBuf(body)
-	if err := gob.NewEncoder(body).Encode(v); err != nil {
-		return fmt.Errorf("ckptimg: encoding %s section: %w", tagName(tag), err)
-	}
-	return writeSection(w, tag, body.Bytes())
 }
 
 // tagName renders a section tag for error messages.

@@ -21,8 +21,8 @@ func TestEncodersReturnExactImages(t *testing.T) {
 		o     Options
 		delta string // SHA-256 of the delta image; "" = not pinned
 	}{
-		{"plain", Options{}, "a550bc605d6782da0b6180a6fe062cd8563baa1e65f8edc6422b75a8bf428885"},
-		{"fast-lz", Options{Compress: true, Tier: TierFastLZ}, "f08fa0b89d8abe8fa4e061be961a98a50a373d971470fb69e864301b450459e6"},
+		{"plain", Options{}, "1dff18b74e7ee3f0a6c9715dd79cb179043b2b440547a3ba6ade43f0612b26e5"},
+		{"fast-lz", Options{Compress: true, Tier: TierFastLZ}, "ad66c1bcb1e33b06d8eb7a312b93c41de541fa2412972a1e07ff97b635741328"},
 		{"gzip", Options{Compress: true}, ""},
 	}
 	for _, c := range cases {

@@ -186,7 +186,7 @@ func TestIndexRejectsWellFramedDamage(t *testing.T) {
 				}),
 				"vid store section does not decode": edit(func(fs []frame) []frame {
 					for i := range fs {
-						if fs[i].tag == secStore {
+						if fs[i].tag == secStore2 {
 							fs[i].payload = []byte{0xff, 0xff, 0xff}
 						}
 					}
@@ -208,7 +208,7 @@ func TestIndexRejectsWellFramedDamage(t *testing.T) {
 			}
 			fhdr, fframes := splitFrames(t, full)
 			for i := range fframes {
-				if fframes[i].tag == secStore {
+				if fframes[i].tag == secStore2 {
 					fframes[i].payload = []byte{0xff, 0xff, 0xff}
 				}
 			}

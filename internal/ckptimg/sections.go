@@ -5,20 +5,25 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"manasim/internal/mpi"
+	"manasim/internal/vid"
 )
 
-// This file is the compact binary codec for the fixed-shape sections of
-// the v3 format: identity, delta linkage, drained messages, request
-// results and counters are flat structs of ints, strings and byte
-// slices, so they travel as fixed little-endian fields — gob would cost
-// ~20 heap allocations per section per image on the parallel checkpoint
-// path, where every rank encodes them on every generation. Only the vid
-// store snapshot (STOR), a genuinely recursive structure, stays gob.
+// This file is the compact binary codec for every section of the v3
+// format but the application state: identity, delta linkage, drained
+// messages, request results and counters are flat structs of ints,
+// strings and byte slices, so they travel as fixed little-endian fields;
+// the vid store snapshot is a flat list of items, most of whose fields
+// are small, so it travels as varints. gob would cost ~20 heap
+// allocations per section per image (~385 for the vid store, whose
+// decoder compiles the snapshot's types afresh every time) on the
+// parallel checkpoint path, where every rank encodes them on every
+// generation and the store decodes them again to validate each commit.
 //
-// The first v3 encoder shipped these sections as gob under the tags
-// META, DMET, DRNS, REQS and CNTR; the binary codec took new tags.
+// Early v3 encoders shipped these sections as gob under the tags META,
+// DMET, DRNS, REQS, CNTR and STOR; the binary codec took new tags.
 // Decoders accept only the binary tags: an image carrying a gob-coded
 // section is refused as ErrCorrupt (an unknown tag).
 
@@ -29,6 +34,7 @@ const (
 	secReqs2     uint32 = 0x52515332 // "RQS2": request results
 	secCounters2 uint32 = 0x43545232 // "CTR2": p2p counters
 	secDeltaMet2 uint32 = 0x444D5432 // "DMT2": delta linkage
+	secStore2    uint32 = 0x53545232 // "STR2": vid store snapshot
 )
 
 // ---------------------------------------------------------------------
@@ -51,6 +57,14 @@ func appendU64(b *bytes.Buffer, v uint64) {
 	binary.LittleEndian.PutUint64(s[:], v)
 	b.Write(s[:])
 }
+
+func appendUvarint(b *bytes.Buffer, v uint64) {
+	var s [binary.MaxVarintLen64]byte
+	b.Write(s[:binary.PutUvarint(s[:], v)])
+}
+
+// appendVarint writes v zigzag-coded, as binary.PutVarint does.
+func appendVarint(b *bytes.Buffer, v int64) { appendUvarint(b, uint64(v<<1)^uint64(v>>63)) }
 
 func appendBool(b *bytes.Buffer, v bool) {
 	if v {
@@ -112,6 +126,46 @@ func (r *fieldReader) u64() uint64 {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(p)
+}
+
+func (r *fieldReader) uvarint() uint64 {
+	if r.bad {
+		return 0
+	}
+	v, n := binary.Uvarint(r.data[r.off:])
+	if n <= 0 {
+		r.bad = true
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// uvarint32 reads a uvarint that must fit in 32 bits.
+func (r *fieldReader) uvarint32() uint32 {
+	v := r.uvarint()
+	if v > math.MaxUint32 {
+		r.bad = true
+		return 0
+	}
+	return uint32(v)
+}
+
+func (r *fieldReader) varint() int64 {
+	u := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// count reads a uvarint element count and refuses one the remaining
+// bytes cannot hold at minSize bytes per element, so a damaged count
+// never sizes an allocation beyond the input.
+func (r *fieldReader) count(minSize int) int {
+	v := r.uvarint()
+	if r.bad || v > uint64((len(r.data)-r.off)/minSize) {
+		r.bad = true
+		return 0
+	}
+	return int(v)
 }
 
 func (r *fieldReader) bool() bool {
@@ -326,4 +380,101 @@ func decodeDeltaMeta(payload []byte) (*deltaMeta, error) {
 		return nil, fmt.Errorf("ckptimg: inconsistent DMET section (%w)", ErrCorrupt)
 	}
 	return dm, nil
+}
+
+// Flag bits of one STR2 item.
+const (
+	itemCommute byte = 1 << iota
+	itemResultNull
+	itemFreed
+	itemKnownFlags = itemCommute | itemResultNull | itemFreed
+)
+
+// minItemBytes is the smallest encoding of one STR2 item: four bytes
+// (kind, op, strategy, flags) and eight one-byte varints.
+const minItemBytes = 12
+
+// writeStoreSection writes the binary STR2 section: the design, the
+// creation counter and the item count, then per item four bytes and
+// its numbers as varints. Virtual ids, ggids, sequence numbers and
+// descriptor integers are small in practice, and an indexed datatype's
+// descriptor holds two integers per block: fixed-width fields would
+// make the section several times larger.
+func writeStoreSection(w io.Writer, st *vid.StoreSnapshot) error {
+	b := getBuf()
+	defer putBuf(b)
+	appendUvarint(b, uint64(len(st.Design)))
+	b.WriteString(st.Design)
+	appendUvarint(b, st.Seq)
+	appendUvarint(b, uint64(len(st.Items)))
+	for i := range st.Items {
+		it := &st.Items[i]
+		d := &it.Desc
+		var flags byte
+		if d.Commute {
+			flags |= itemCommute
+		}
+		if d.ResultNull {
+			flags |= itemResultNull
+		}
+		if it.Freed {
+			flags |= itemFreed
+		}
+		b.Write([]byte{byte(it.Kind), byte(d.Op), byte(it.Strategy), flags})
+		appendUvarint(b, uint64(it.Virt))
+		appendUvarint(b, uint64(it.GGID))
+		appendVarint(b, int64(d.Const))
+		appendUvarint(b, uint64(d.Parent))
+		appendUvarint(b, uint64(d.Aux))
+		appendUvarint(b, it.Seq)
+		appendUvarint(b, uint64(len(d.Ints)))
+		for _, v := range d.Ints {
+			appendVarint(b, int64(v))
+		}
+		appendUvarint(b, uint64(len(d.OpName)))
+		b.WriteString(d.OpName)
+	}
+	return writeSection(w, secStore2, b.Bytes())
+}
+
+// decodeStore2 decodes the STR2 section. Empty item and integer lists
+// decode as nil, as the gob codec before it produced them.
+func decodeStore2(img *Image, payload []byte) error {
+	r := &fieldReader{data: payload}
+	var st vid.StoreSnapshot
+	st.Design = string(r.take(r.count(1)))
+	st.Seq = r.uvarint()
+	if n := r.count(minItemBytes); n > 0 {
+		st.Items = make([]vid.Item, n)
+	}
+	for i := range st.Items {
+		p := r.take(4)
+		if r.bad || p[3]&^itemKnownFlags != 0 {
+			return badSection(secStore2)
+		}
+		it := &st.Items[i]
+		d := &it.Desc
+		it.Kind, d.Op, it.Strategy = mpi.Kind(p[0]), vid.DescOp(p[1]), vid.Strategy(p[2])
+		d.Commute = p[3]&itemCommute != 0
+		d.ResultNull = p[3]&itemResultNull != 0
+		it.Freed = p[3]&itemFreed != 0
+		it.Virt = mpi.Handle(r.uvarint())
+		it.GGID = r.uvarint32()
+		d.Const = mpi.ConstName(r.varint())
+		d.Parent = vid.VID(r.uvarint32())
+		d.Aux = vid.VID(r.uvarint32())
+		it.Seq = r.uvarint()
+		if n := r.count(1); n > 0 {
+			d.Ints = make([]int, n)
+			for j := range d.Ints {
+				d.Ints[j] = int(r.varint())
+			}
+		}
+		d.OpName = string(r.take(r.count(1)))
+	}
+	if !r.done() {
+		return badSection(secStore2)
+	}
+	img.Store = st
+	return nil
 }

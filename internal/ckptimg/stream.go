@@ -195,7 +195,7 @@ func (r *ChunkReader) Close() { r.inf.release() }
 // results, counters).
 func isCommonTag(tag uint32) bool {
 	switch tag {
-	case secMeta2, secStore, secDrained2, secReqs2, secCounters2:
+	case secMeta2, secStore2, secDrained2, secReqs2, secCounters2:
 		return true
 	}
 	return false

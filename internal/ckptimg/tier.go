@@ -98,7 +98,7 @@ func ParseCompressTier(s string) (CompressTier, error) {
 // pooled codec state
 //
 // Encoding one image touches a gzip writer per compressed section and a
-// scratch buffer per gob section; decoding touches a gzip reader per
+// scratch buffer per binary section; decoding touches a gzip reader per
 // compressed payload. All of them are Reset-able, so the pools below
 // turn that churn into steady-state reuse. Pools are safe for
 // concurrent use — the checkpoint store's worker pool encodes and

@@ -26,7 +26,7 @@ var ErrUnverifiable = errors.New("ckptimg: payload carries no integrity informat
 // distinguishes one from an image whose first eight bytes rotted.
 // Every other failure wraps ErrCorrupt — a header of another version
 // and a section tag this build does not write (the gob-coded tags of
-// early v3 builds) included.
+// early v3 builds, STOR among them) included.
 func Verify(data []byte) error {
 	if len(data) < 16 || !bytes.Equal(data[:8], Magic[:]) {
 		return ErrUnverifiable
@@ -55,7 +55,7 @@ func Verify(data []byte) error {
 			if !delta {
 				return fmt.Errorf("ckptimg: delta chunk record in a full image (%w)", ErrCorrupt)
 			}
-		case secApp, secStore, secDrained2, secReqs2, secCounters2:
+		case secApp, secStore2, secDrained2, secReqs2, secCounters2:
 		case secEnd:
 			if c.rest() > 0 {
 				return fmt.Errorf("ckptimg: trailing data after end marker (%w)", ErrCorrupt)

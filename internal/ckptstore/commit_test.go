@@ -148,7 +148,7 @@ func TestCommitStoresDamagedFullImagesOpaque(t *testing.T) {
 		full := sound(probe, 0)
 		hdr, secs := splitSections(t, full)
 		for i := range secs {
-			if secs[i].tag == 0x53544F52 { // STOR: the vid store snapshot
+			if secs[i].tag == 0x53545232 { // STR2: the vid store snapshot
 				secs[i].payload = []byte{0xff, 0xff, 0xff}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -59,13 +60,41 @@ func (d *dedupRead) add(o dedupRead) {
 // at-most-one-'/' shape.
 const blobPrefix = "blob/"
 
-// blobKey names a segment by content: CRC-32, length, and the leading
-// 128 bits of its SHA-256. The CRC and length ride along so readers
-// can verify a fetched blob cheaply without recomputing the hash.
-func blobKey(seg []byte) string {
-	sum := sha256.Sum256(seg)
-	return fmt.Sprintf("%s%08x-%d-%x", blobPrefix, crc32.ChecksumIEEE(seg), len(seg), sum[:16])
+// blobID is what a blob key names a segment by: its CRC-32, its
+// length, and the leading 128 bits of its SHA-256. The CRC and length
+// ride along so readers can verify a fetched blob cheaply without
+// recomputing the hash.
+type blobID struct {
+	crc  uint32
+	size uint64
+	sum  [16]byte
 }
+
+// idOf computes a segment's blobID.
+func idOf(seg []byte) blobID {
+	sum := sha256.Sum256(seg)
+	id := blobID{crc: crc32.ChecksumIEEE(seg), size: uint64(len(seg))}
+	copy(id.sum[:], sum[:16])
+	return id
+}
+
+// key formats the backend key of a blob — "blob/<crc %08x>-<length>-
+// <hash %x>" — without fmt: the one blob key formatter.
+func (id blobID) key() string {
+	var b [len(blobPrefix) + 8 + 1 + 20 + 1 + 32]byte
+	k := append(b[:0], blobPrefix...)
+	var crc [4]byte
+	binary.BigEndian.PutUint32(crc[:], id.crc)
+	k = hex.AppendEncode(k, crc[:])
+	k = append(k, '-')
+	k = strconv.AppendUint(k, id.size, 10)
+	k = append(k, '-')
+	k = hex.AppendEncode(k, id.sum[:])
+	return string(k)
+}
+
+// blobKey names a segment by content.
+func blobKey(seg []byte) string { return idOf(seg).key() }
 
 // parseBlobKey recovers the CRC and length a blob key embeds.
 func parseBlobKey(k string) (crc uint32, length int64, err error) {
@@ -89,38 +118,44 @@ func parseBlobKey(k string) (crc uint32, length int64, err error) {
 }
 
 // recipeMagic leads every recipe blob; it cannot collide with image
-// payloads, which lead with ckptimg.Magic ("MANACKPT").
-var recipeMagic = []byte("MANARCP1")
+// payloads, which lead with ckptimg.Magic ("MANACKPT"). Recipes of
+// earlier builds ("MANARCP1", one text key per segment) are refused.
+var recipeMagic = []byte("MANARCP2")
+
+// minSegmentBytes is the smallest encoding of one recipe segment: a
+// 4-byte CRC, a one-byte length and the 16-byte hash prefix.
+const minSegmentBytes = 4 + 1 + len(blobID{}.sum)
 
 // encodeRecipe serializes a rank's reassembly recipe: the original
-// image length and the ordered blob keys whose payloads concatenate to
-// it.
-func encodeRecipe(total int, keys []string) []byte {
-	n := len(recipeMagic) + 2*binary.MaxVarintLen64
-	for _, k := range keys {
-		n += binary.MaxVarintLen64 + len(k)
-	}
-	out := make([]byte, 0, n)
+// image length and the ordered segments whose blobs concatenate to it,
+// each as its binary blobID (CRC-32, uvarint length, hash prefix).
+func encodeRecipe(total int, ids []blobID) []byte {
+	out := make([]byte, 0, len(recipeMagic)+2*binary.MaxVarintLen64+len(ids)*(minSegmentBytes+binary.MaxVarintLen64))
 	out = append(out, recipeMagic...)
 	out = binary.AppendUvarint(out, uint64(total))
-	out = binary.AppendUvarint(out, uint64(len(keys)))
-	for _, k := range keys {
-		out = binary.AppendUvarint(out, uint64(len(k)))
-		out = append(out, k...)
+	out = binary.AppendUvarint(out, uint64(len(ids)))
+	for _, id := range ids {
+		out = binary.LittleEndian.AppendUint32(out, id.crc)
+		out = binary.AppendUvarint(out, id.size)
+		out = append(out, id.sum[:]...)
 	}
 	return out
 }
 
-// decodeRecipe parses a recipe blob.
+// errTruncatedRecipe reports a recipe that ends inside a field.
+var errTruncatedRecipe = fmt.Errorf("ckptstore: truncated recipe (%w)", ckptimg.ErrCorrupt)
+
+// decodeRecipe parses a recipe blob into the image length and the
+// backend keys of its segments.
 func decodeRecipe(data []byte) (total int, keys []string, err error) {
 	if !bytes.HasPrefix(data, recipeMagic) {
-		return 0, nil, fmt.Errorf("ckptstore: not a recipe blob")
+		return 0, nil, fmt.Errorf("ckptstore: not a recipe blob (%w)", ckptimg.ErrCorrupt)
 	}
 	rest := data[len(recipeMagic):]
 	readUvarint := func() (uint64, error) {
 		v, n := binary.Uvarint(rest)
 		if n <= 0 {
-			return 0, fmt.Errorf("ckptstore: truncated recipe")
+			return 0, errTruncatedRecipe
 		}
 		rest = rest[n:]
 		return v, nil
@@ -130,29 +165,34 @@ func decodeRecipe(data []byte) (total int, keys []string, err error) {
 		return 0, nil, err
 	}
 	if t > maxImageBytes {
-		return 0, nil, fmt.Errorf("ckptstore: recipe claims %d bytes", t)
+		return 0, nil, fmt.Errorf("ckptstore: recipe claims %d bytes (%w)", t, ckptimg.ErrCorrupt)
 	}
 	nk, err := readUvarint()
 	if err != nil {
 		return 0, nil, err
 	}
-	if nk > uint64(len(rest)) { // each key costs >= 1 byte
-		return 0, nil, fmt.Errorf("ckptstore: recipe claims %d segments in %d bytes", nk, len(rest))
+	if nk > uint64(len(rest)/minSegmentBytes) {
+		return 0, nil, fmt.Errorf("ckptstore: recipe claims %d segments in %d bytes (%w)", nk, len(rest), ckptimg.ErrCorrupt)
 	}
 	keys = make([]string, 0, nk)
 	for i := uint64(0); i < nk; i++ {
-		kl, err := readUvarint()
-		if err != nil {
+		var id blobID
+		if len(rest) < 4 {
+			return 0, nil, errTruncatedRecipe
+		}
+		id.crc = binary.LittleEndian.Uint32(rest)
+		rest = rest[4:]
+		if id.size, err = readUvarint(); err != nil {
 			return 0, nil, err
 		}
-		if kl > uint64(len(rest)) {
-			return 0, nil, fmt.Errorf("ckptstore: truncated recipe key")
+		if len(rest) < len(id.sum) {
+			return 0, nil, errTruncatedRecipe
 		}
-		keys = append(keys, string(rest[:kl]))
-		rest = rest[kl:]
+		rest = rest[copy(id.sum[:], rest):]
+		keys = append(keys, id.key())
 	}
 	if len(rest) != 0 {
-		return 0, nil, fmt.Errorf("ckptstore: trailing bytes after recipe")
+		return 0, nil, fmt.Errorf("ckptstore: trailing bytes after recipe (%w)", ckptimg.ErrCorrupt)
 	}
 	return int(t), keys, nil
 }
@@ -182,17 +222,20 @@ type dedupPlan struct {
 // same commit or any later one — is free.
 func (s *Store) planDedup(images [][]byte) (*dedupPlan, error) {
 	type rankSegs struct {
+		ids  []blobID
 		keys []string
 		segs [][]byte
 	}
 	segRes := make([]rankSegs, s.n)
 	if err := forEachRank(s.n, s.opts.Workers, func(r int) error {
 		segs := ckptimg.SplitDedupSegments(images[r])
+		ids := make([]blobID, len(segs))
 		keys := make([]string, len(segs))
 		for i, seg := range segs {
-			keys[i] = blobKey(seg)
+			ids[i] = idOf(seg)
+			keys[i] = ids[i].key()
 		}
-		segRes[r] = rankSegs{keys: keys, segs: segs}
+		segRes[r] = rankSegs{ids: ids, keys: keys, segs: segs}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -214,7 +257,7 @@ func (s *Store) planDedup(images [][]byte) (*dedupPlan, error) {
 			}
 			p.added[k]++
 		}
-		recipe := encodeRecipe(len(images[r]), segRes[r].keys)
+		recipe := encodeRecipe(len(images[r]), segRes[r].ids)
 		p.recipes = append(p.recipes, recipe)
 		p.unique[r] += int64(len(recipe))
 	}

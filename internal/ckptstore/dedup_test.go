@@ -238,7 +238,7 @@ func TestDedupCrashResume(t *testing.T) {
 	if err := b.Put(blobKey(orphanSeg), orphanSeg); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Put(key(7, 0), encodeRecipe(len(orphanSeg), []string{blobKey(orphanSeg)})); err != nil {
+	if err := b.Put(key(7, 0), encodeRecipe(len(orphanSeg), []blobID{idOf(orphanSeg)})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -306,8 +306,9 @@ func TestDedupRollbackKeepsSharedBlobs(t *testing.T) {
 
 // TestRecipeRoundTrip pins the recipe codec and its corruption checks.
 func TestRecipeRoundTrip(t *testing.T) {
-	keys := []string{blobKey([]byte("alpha")), blobKey([]byte("beta-segment"))}
-	enc := encodeRecipe(17, keys)
+	segs := [][]byte{[]byte("alpha"), []byte("beta-segment")}
+	enc := encodeRecipe(17, []blobID{idOf(segs[0]), idOf(segs[1])})
+	keys := []string{blobKey(segs[0]), blobKey(segs[1])}
 	total, got, err := decodeRecipe(enc)
 	if err != nil || total != 17 || len(got) != len(keys) {
 		t.Fatalf("decode: total=%d keys=%v err=%v", total, got, err)

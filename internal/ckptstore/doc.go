@@ -106,9 +106,12 @@
 // chunk indexes, chain length, the retention cutoff) after every
 // commit, so Open on a backend written by an earlier process resumes
 // the chain: the next generation deltas against the last committed one.
-// Open also prunes orphan blobs — generation keys the manifest does not
+// Generation keys are gen%04d/rank%02d. Open also prunes orphan blobs
+// — keys of exactly that form for generations the manifest does not
 // cover, left by a process that crashed between its blob writes and its
 // manifest update — so a torn commit can neither resurface nor leak.
+// A key that only resembles one is left for Scrub, which deletes it as
+// an orphan.
 //
 // Retention bounds blob growth over long lineages: with
 // Options.RetainBases set (or via explicit Prune), superseded chains
@@ -131,8 +134,12 @@
 //	blob/<crc32>-<length>-<sha256 prefix>
 //
 // The per-rank generation key no longer holds image bytes; it holds a
-// recipe — an ordered list of blob keys whose concatenation is exactly
-// the encoded image. Blobs are shared across ranks and across
+// recipe — the image length and an ordered list of segments whose
+// blobs concatenate to exactly the encoded image. A recipe ("MANARCP2")
+// stores each segment as what its key names, in binary: the CRC-32, a
+// uvarint length and the 16-byte hash prefix, from which the reader
+// rebuilds the key. Recipes of earlier builds ("MANARCP1", one text key
+// per segment) are refused as corrupt. Blobs are shared across ranks and across
 // generations: rank-identical state (HPCG's assembled stencil matrix)
 // and unchanged-across-generations state both collapse to one stored
 // copy. MaterializeStream resolves recipes through the blob table

@@ -1,11 +1,17 @@
 package ckptstore
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"manasim/internal/ckptimg"
+	"manasim/internal/mpi"
+	"manasim/internal/vid"
 )
 
 // legacyTags are the section tags early v3 builds wrote with gob-coded
@@ -118,4 +124,131 @@ func TestPreV3ImagesRefused(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Section tags of the vid store snapshot: gob-coded in earlier builds,
+// binary now.
+const (
+	tagSTOR = 0x53544F52
+	tagSTR2 = 0x53545232
+)
+
+// TestRetiredStoreFormatsRefused: an image whose vid store travels in
+// the gob-coded STOR section of earlier builds, and a dedup recipe in
+// the text-keyed MANARCP1 format of earlier builds, are refused as
+// damaged bytes: every image reader fails with ErrCorrupt, resolving
+// the generation fails with a *ChainLinkError wrapping it, and scrub
+// reports the key as corrupt and quarantines its generation.
+func TestRetiredStoreFormatsRefused(t *testing.T) {
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ckptimg.ErrCorrupt) {
+			t.Errorf("%s: %v, want an error wrapping ckptimg.ErrCorrupt", what, err)
+		}
+	}
+	put := func(s *Store, k string, data []byte) {
+		t.Helper()
+		if err := s.b.Put(k, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// quarantined scrubs s and checks that k is a corrupt-blob finding
+	// and generation 0, whose key it is, is quarantined for good.
+	quarantined := func(s *Store, k string) {
+		t.Helper()
+		var cle *ChainLinkError
+		if _, _, err := s.MaterializeStream(0); !errors.As(err, &cle) || cle.Gen != 0 {
+			t.Errorf("resolving generation 0: %v, want a *ChainLinkError for it", err)
+		} else {
+			refused("resolving generation 0", err)
+		}
+		rep, err := s.Scrub()
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(rep.Findings, func(f ScrubFinding) bool { return f.Key == k })
+		if i < 0 || rep.Findings[i].Kind != FindingCorruptBlob {
+			t.Errorf("scrub did not report %s as corrupt: %+v", k, rep.Findings)
+		}
+		if !slices.Contains(rep.Quarantined, 0) || !s.IsQuarantined(0) {
+			t.Errorf("scrub quarantined %v, want generation 0 among them", rep.Quarantined)
+		}
+		if _, _, err := s.MaterializeStream(0); !errors.Is(err, ErrQuarantined) {
+			t.Errorf("generation 0 after the scrub: %v, want ErrQuarantined", err)
+		}
+	}
+
+	t.Run("STOR section", func(t *testing.T) {
+		const cs = 128
+		s := MustOpen(1, Options{Delta: true, ChunkBytes: cs, ChainCap: 8})
+		commitGen(t, s, 1, 0, func(int) []byte { return appState(1000, 0) })
+		commitGen(t, s, 1, 1, func(int) []byte { return appState(1000, 1) })
+		// What an earlier build wrote: the snapshot gob-coded under STOR
+		// where this build writes STR2.
+		var stor bytes.Buffer
+		snap := vid.StoreSnapshot{Design: "virtid", Seq: 3, Items: []vid.Item{
+			{Kind: mpi.KindComm, Virt: 0x10000001, GGID: 7, Seq: 1,
+				Desc: vid.Descriptor{Op: vid.DescCommSplit, Parent: 1, Ints: []int{0, 1}}},
+		}}
+		if err := gob.NewEncoder(&stor).Encode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		retire := func(k string) []byte {
+			t.Helper()
+			img, err := s.b.Get(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hdr, secs := splitSections(t, img)
+			n := 0
+			for i := range secs {
+				if secs[i].tag == tagSTR2 {
+					secs[i] = section{tagSTOR, stor.Bytes()}
+					n++
+				}
+			}
+			if n != 1 {
+				t.Fatalf("%s carries %d vid store sections", k, n)
+			}
+			return joinSections(hdr, secs)
+		}
+		base, link := retire(key(0, 0)), retire(key(1, 0))
+		_, err := ckptimg.Decode(base)
+		refused("Decode", err)
+		_, err = ckptimg.IndexFull(base, cs)
+		refused("IndexFull", err)
+		_, err = ckptimg.IndexDelta(link)
+		refused("IndexDelta", err)
+		for _, tail := range []bool{true, false} {
+			_, err = ckptimg.OpenDelta(link, tail)
+			refused(fmt.Sprintf("OpenDelta(decodeTail=%v)", tail), err)
+		}
+		refused("Verify/full", ckptimg.Verify(base))
+		refused("Verify/delta", ckptimg.Verify(link))
+		put(s, key(0, 0), base)
+		quarantined(s, key(0, 0))
+	})
+
+	t.Run("MANARCP1 recipe", func(t *testing.T) {
+		s := MustOpen(2, dedupOptions())
+		commitGen(t, s, 2, 0, func(r int) []byte { return sharedAppState(4<<10, r, 0) })
+		data, err := s.b.Get(key(0, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total, keys, err := decodeRecipe(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// What an earlier build wrote: each segment as its text key.
+		old := binary.AppendUvarint([]byte("MANARCP1"), uint64(total))
+		old = binary.AppendUvarint(old, uint64(len(keys)))
+		for _, k := range keys {
+			old = append(binary.AppendUvarint(old, uint64(len(k))), k...)
+		}
+		_, _, err = decodeRecipe(old)
+		refused("decodeRecipe", err)
+		put(s, key(0, 1), old)
+		quarantined(s, key(0, 1))
+	})
 }

@@ -294,10 +294,8 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 				continue
 			}
 		} else {
-			var seq, rank int
-			if n, _ := fmt.Sscanf(k, "gen%d/rank%d", &seq, &rank); n == 2 &&
-				seq >= s.prunedTo && seq < len(s.gens) &&
-				rank >= 0 && rank < s.n && k == key(seq, rank) {
+			if seq, rank, ok := parseRankKey(k); ok &&
+				seq >= s.prunedTo && seq < len(s.gens) && rank < s.n {
 				continue
 			}
 		}

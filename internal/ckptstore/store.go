@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -446,8 +447,8 @@ func (s *Store) pruneOrphans(resumed bool) error {
 			contentBlobs = append(contentBlobs, k)
 			continue
 		}
-		var seq, rank int
-		if n, _ := fmt.Sscanf(k, "gen%d/rank%d", &seq, &rank); n != 2 {
+		seq, _, ok := parseRankKey(k)
+		if !ok {
 			continue
 		}
 		if seq >= head {
@@ -503,8 +504,42 @@ func (s *Store) CostModel() fsim.FS { return s.b.CostModel() }
 // Opts reports the resolved options.
 func (s *Store) Opts() Options { return s.opts }
 
-// key names one rank image blob.
-func key(seq, rank int) string { return fmt.Sprintf("gen%04d/rank%02d", seq, rank) }
+// key names one rank image blob: gen%04d/rank%02d (seq, rank >= 0).
+func key(seq, rank int) string {
+	var b [48]byte
+	return string(appendKey(b[:0], seq, rank))
+}
+
+// appendKey appends key(seq, rank) to dst without fmt.
+func appendKey(dst []byte, seq, rank int) []byte {
+	dst = append(dst, "gen"...)
+	dst = appendPadded(dst, seq, 4)
+	dst = append(dst, "/rank"...)
+	return appendPadded(dst, rank, 2)
+}
+
+// appendPadded appends v >= 0 in decimal, zero-padded to width digits
+// as fmt's %0*d does.
+func appendPadded(dst []byte, v, width int) []byte {
+	var d [20]byte
+	digits := strconv.AppendInt(d[:0], int64(v), 10)
+	for i := len(digits); i < width; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
+}
+
+// parseRankKey recovers the generation and rank of a rank image key,
+// accepting exactly the strings key writes.
+func parseRankKey(k string) (seq, rank int, ok bool) {
+	g, r, _ := strings.Cut(strings.TrimPrefix(k, "gen"), "/rank")
+	seq, errSeq := strconv.Atoi(g)
+	rank, errRank := strconv.Atoi(r)
+	var b [48]byte
+	ok = errSeq == nil && errRank == nil && seq >= 0 && rank >= 0 &&
+		string(appendKey(b[:0], seq, rank)) == k
+	return seq, rank, ok
+}
 
 // PlanDelta decides how a rank should encode the next generation. When
 // it returns ok, the rank encodes a delta with ckptimg.EncodeDelta
