@@ -109,7 +109,7 @@ race-scrub:
 race-sched:
 	@echo "Running the cluster scheduler under the race detector..."
 	@$(GO) test -race ./internal/sched/...
-	@$(GO) test -race -run 'TestCrashDuringPreemptionSweep|TestNodeCrashNamesJobAndNode' ./internal/core
+	@$(GO) test -race -run 'TestCrashDuringPreemptionSweep' ./internal/core
 	@$(GO) test -race -run 'TestSchedSweep' ./internal/harness
 
 ########################################

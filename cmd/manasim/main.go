@@ -86,11 +86,9 @@ run flags:
   -compress-tier  compression tier with -compress: fast (gzip BestSpeed,
                  hot checkpoints), balanced (default), max (archival),
                  or fast-lz (pure-Go LZ-class codec)
-  -backend checkpoint store backend (mem, fs, obj, tier)
-  -front-tier    with -backend tier: fast front-tier backend (default mem,
-                 charged at the burst-buffer profile)
-  -back-tier     with -backend tier: durable back-tier backend the async
-                 drainer flushes to (default fs with -ckpt-dir, else obj)
+  -backend checkpoint store backend (mem, fs, obj, tier); tier is a mem
+           front tier charged at the burst-buffer profile, drained to
+           fs under -ckpt-dir (else to obj)
   -ckpt-dir directory of directory-backed store backends (implies -backend fs)
   -front-cap     with -backend tier: front-tier capacity in KiB (0 =
                  unbounded); past it, blobs already flushed to the back
@@ -177,8 +175,6 @@ func cmdRun(args []string) error {
 	compress := fs.Bool("compress", false, "compress checkpoint image app state (gzip, or fast-lz by -compress-tier)")
 	tierName := fs.String("compress-tier", "", "compression tier with -compress: fast, balanced, max, or fast-lz")
 	backendName := fs.String("backend", "", "checkpoint store backend (mem, fs, obj, tier)")
-	frontTier := fs.String("front-tier", "", "tier backend: fast front-tier backend (default mem)")
-	backTier := fs.String("back-tier", "", "tier backend: durable back-tier backend (default fs with -ckpt-dir, else obj)")
 	ckptDir := fs.String("ckpt-dir", "", "directory of directory-backed store backends")
 	retainBases := fs.Int("retain-bases", 0, "prune superseded chains, keeping this many recent base generations (0 = keep all)")
 	delta := fs.Bool("delta", false, "write incremental checkpoint generations")
@@ -284,10 +280,10 @@ func cmdRun(args []string) error {
 		return nil
 	}
 
-	// -front-tier / -back-tier / -front-cap only make sense composing
-	// the tier backend; asking for them implies it.
+	// -front-cap only makes sense composing the tier backend; asking
+	// for it implies it.
 	backend := *backendName
-	if backend == "" && (*frontTier != "" || *backTier != "" || *frontCap > 0) {
+	if backend == "" && *frontCap > 0 {
 		backend = "tier"
 	}
 	if *ckptDir != "" && backend == "" {
@@ -303,8 +299,6 @@ func cmdRun(args []string) error {
 		StoreOptions: ckptstore.Options{
 			Backend:      backend,
 			Dir:          *ckptDir,
-			FrontTier:    *frontTier,
-			BackTier:     *backTier,
 			FrontCap:     int64(*frontCap) << 10,
 			Delta:        *delta,
 			Dedup:        *dedup,

@@ -54,12 +54,9 @@ const DefaultBackend = "mem"
 // BackendConfig carries the per-store knobs a backend factory may need;
 // backends ignore fields that do not apply to them.
 type BackendConfig struct {
-	// Dir is the root directory of directory-backed backends ("fs", and
-	// the tier backend's directory-backed tiers).
+	// Dir is the root directory of directory-backed backends: "fs", and
+	// the tier backend's fs back tier (at Dir/back).
 	Dir string
-	// Front and Back name the tier backend's composed tiers (defaults:
-	// "mem" in front, "fs" behind when Dir is set, "obj" otherwise).
-	Front, Back string
 	// FrontCap bounds the tier backend's front tier to this many
 	// resident bytes (0 = unbounded); least-recently-used blobs already
 	// flushed to the back tier are evicted past the cap.
@@ -116,8 +113,8 @@ func init() {
 }
 
 // profileOr resolves a backend's own cost model, falling back to def for
-// backends that model nothing (the tier backend uses it to attach
-// default profiles to its tiers).
+// backends that model nothing (the tier backend uses it to attach the
+// NFS profile to an fs back tier).
 func profileOr(b Backend, def fsim.FS) fsim.FS {
 	if m := b.CostModel(); m.Name != "" {
 		return m

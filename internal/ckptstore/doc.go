@@ -82,8 +82,8 @@
 //     semantics where every Put/Get/List/Delete is a keyed round trip.
 //     It reports the fsim.ObjStore cost profile (per-op latency +
 //     bandwidth) through CostModel and counts its round trips.
-//   - "tier" composes a fast front tier over a slow durable back tier
-//     (Options.FrontTier/BackTier; defaults mem over fs-or-obj). See
+//   - "tier" composes a fast mem front tier over a slow durable back
+//     tier: fs under Options.Dir/back, or obj when no Dir is given. See
 //     "The tier drainer" below.
 //
 // Every backend reports a CostModel: the storage profile the simulated

@@ -456,7 +456,7 @@ func (s *Store) IsQuarantined(seq int) bool {
 // backend is always empty and errors here).
 func OpenExisting(o Options) (*Store, error) {
 	probe := o.withDefaults()
-	b, err := NewBackend(probe.Backend, BackendConfig{Dir: probe.Dir, Front: probe.FrontTier, Back: probe.BackTier, FrontCap: probe.FrontCap})
+	b, err := NewBackend(probe.Backend, BackendConfig{Dir: probe.Dir, FrontCap: probe.FrontCap})
 	if err != nil {
 		return nil, err
 	}

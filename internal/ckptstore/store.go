@@ -37,13 +37,9 @@ type Options struct {
 	// Backend names the registered persistence backend (default
 	// DefaultBackend, the in-memory store).
 	Backend string
-	// Dir is the root directory of directory-backed backends ("fs" and
-	// the tier backend's directory-backed tiers).
+	// Dir is the root directory of directory-backed backends: "fs", and
+	// the "tier" backend's fs back tier (without Dir it drains to "obj").
 	Dir string
-	// FrontTier and BackTier name the "tier" backend's composed tiers
-	// (defaults: "mem" in front; "fs" behind when Dir is set, "obj"
-	// otherwise). Ignored by other backends.
-	FrontTier, BackTier string
 	// FrontCap bounds the "tier" backend's front tier to this many
 	// resident bytes (0 = unbounded): once a blob is flushed to the back
 	// tier, the least-recently-used blobs past the cap are evicted from
@@ -386,7 +382,7 @@ func Open(n int, o Options) (*Store, error) {
 		return nil, fmt.Errorf("ckptstore: store needs a positive rank count, got %d", n)
 	}
 	o = o.withDefaults()
-	b, err := NewBackend(o.Backend, BackendConfig{Dir: o.Dir, Front: o.FrontTier, Back: o.BackTier, FrontCap: o.FrontCap})
+	b, err := NewBackend(o.Backend, BackendConfig{Dir: o.Dir, FrontCap: o.FrontCap})
 	if err != nil {
 		return nil, err
 	}

@@ -66,49 +66,19 @@ type tierBackend struct {
 	frontVT, backVT time.Duration
 }
 
+// newTierBackend composes a mem front tier over an fs back tier rooted
+// at cfg.Dir/back, or over an obj back tier when no directory is given.
 func newTierBackend(cfg BackendConfig) (Backend, error) {
-	frontName := cfg.Front
-	if frontName == "" {
-		frontName = "mem"
+	back, err := newObjBackend(BackendConfig{})
+	if cfg.Dir != "" {
+		back, err = newFSBackend(BackendConfig{Dir: filepath.Join(cfg.Dir, "back")})
 	}
-	backName := cfg.Back
-	if backName == "" {
-		if cfg.Dir != "" {
-			backName = "fs"
-		} else {
-			backName = "obj"
-		}
-	}
-	if frontName == "tier" || backName == "tier" {
-		return nil, fmt.Errorf("ckptstore: tier backend cannot nest tiers (front %q, back %q)", frontName, backName)
-	}
-	// Directory-backed tiers get disjoint roots so the back tier's List
-	// never reports the front tier's files as keys.
-	frontCfg := BackendConfig{}
-	if frontName == "fs" {
-		if cfg.Dir == "" {
-			return nil, fmt.Errorf("ckptstore: tier backend with an fs front tier needs a directory (Options.Dir / --ckpt-dir)")
-		}
-		frontCfg.Dir = filepath.Join(cfg.Dir, "front")
-	}
-	backCfg := BackendConfig{}
-	if backName == "fs" {
-		if cfg.Dir == "" {
-			return nil, fmt.Errorf("ckptstore: tier backend with an fs back tier needs a directory (Options.Dir / --ckpt-dir)")
-		}
-		backCfg.Dir = filepath.Join(cfg.Dir, "back")
-	}
-	front, err := NewBackend(frontName, frontCfg)
-	if err != nil {
-		return nil, fmt.Errorf("ckptstore: tier front: %w", err)
-	}
-	back, err := NewBackend(backName, backCfg)
 	if err != nil {
 		return nil, fmt.Errorf("ckptstore: tier back: %w", err)
 	}
 	b := &tierBackend{
-		front: front, back: back,
-		frontFS:  profileOr(front, fsim.BurstBuffer()),
+		front: newMemBackend(), back: back,
+		frontFS:  fsim.BurstBuffer(),
 		backFS:   profileOr(back, fsim.NFSv3()),
 		frontCap: cfg.FrontCap,
 		queued:   make(map[string]bool),

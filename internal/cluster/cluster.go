@@ -76,11 +76,10 @@ type Job struct {
 	errs    []error
 	started time.Time
 
-	// label names the job and nodeOf pins each rank to a scheduler
-	// node once multiple jobs share a process (internal/sched); both
-	// feed the deadlock diagnostics. Set via SetIdentity before Start.
-	label  string
-	nodeOf []int
+	// label names the job once multiple jobs share a process
+	// (internal/sched); it feeds the deadlock diagnostics. Set via
+	// SetLabel before Start.
+	label string
 
 	// phaseMu guards phases, the per-rank drain-protocol phase board the
 	// stall diagnostic reads while rank goroutines are still writing it.
@@ -88,29 +87,10 @@ type Job struct {
 	phases  []string
 }
 
-// SetIdentity names the job and records its rank-to-node placement
-// (nodeOf[rank] = scheduler node, nil when the job owns the process).
-// With multiple scheduler-resident jobs, failure and deadlock
-// diagnostics must say which job and node they refer to; an anonymous
-// "rank 3" is ambiguous. Call before Start.
-func (j *Job) SetIdentity(label string, nodeOf []int) {
-	j.label = label
-	if len(nodeOf) == j.n {
-		j.nodeOf = nodeOf
-	}
-}
-
-// Label returns the job's scheduler-assigned name ("" when unset).
-func (j *Job) Label() string { return j.label }
-
-// NodeOf returns the scheduler node hosting rank, or -1 when no
-// placement was recorded.
-func (j *Job) NodeOf(rank int) int {
-	if j.nodeOf == nil || rank < 0 || rank >= j.n {
-		return -1
-	}
-	return j.nodeOf[rank]
-}
+// SetLabel names the job. With multiple scheduler-resident jobs,
+// failure and deadlock diagnostics must say which job they refer to;
+// an anonymous "rank 3" is ambiguous. Call before Start.
+func (j *Job) SetLabel(label string) { j.label = label }
 
 // SetRankPhase records rank's current drain-protocol phase ("" clears
 // it). The checkpoint layer posts phases so that a deadlock diagnostic
@@ -137,11 +117,7 @@ func (j *Job) rankPhases() string {
 		if out != "" {
 			out += "; "
 		}
-		if j.nodeOf != nil {
-			out += fmt.Sprintf("rank %d (node %d): %s", r, j.nodeOf[r], p)
-		} else {
-			out += fmt.Sprintf("rank %d: %s", r, p)
-		}
+		out += fmt.Sprintf("rank %d: %s", r, p)
 	}
 	if out == "" {
 		return "no rank reported a drain phase"

@@ -60,15 +60,6 @@ func (r *Runtime) AtBoundary(step, total int) error {
 		r.clock.Now()-r.lastCkptVT >= r.cfg.CkptInterval {
 		r.co.RequestCheckpoint()
 	}
-	// Preemption cut: the scheduler asked this job to drain and commit
-	// once it has run CkptStopVT of virtual time. Rank 0 requests the
-	// checkpoint at the first boundary it reaches past the cut; the
-	// lastCkptVT guard makes the request one-shot should the job keep
-	// running after the commit (no ExitAtCheckpoint).
-	if r.rank == 0 && r.cfg.CkptStopVT > 0 && r.ckptAtStep < 0 && step < total &&
-		r.clock.Now() >= r.cfg.CkptStopVT && r.lastCkptVT < r.cfg.CkptStopVT {
-		r.co.RequestCheckpoint()
-	}
 	target, err := r.co.NextBoundary(ctlLink{r}, r.rank, step, total, r.ckptAtStep)
 	if err != nil {
 		return err
@@ -124,8 +115,8 @@ func (r *Runtime) doCheckpoint(step int) error {
 		}
 	}
 
-	// Phase 5: pin ggids for every live communicator (eager already
-	// has them; lazy/hybrid compute now, when they are first needed).
+	// Phase 5: pin ggids for every live communicator. Creation
+	// computes them eagerly; one restored without a ggid gets it now.
 	for _, it := range r.store.Items() {
 		if it.Kind != mpi.KindComm || it.Freed || it.Desc.ResultNull {
 			continue

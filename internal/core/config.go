@@ -57,9 +57,6 @@ type Config struct {
 	Factory cluster.Factory
 	// Design selects the virtual-id subsystem (default DesignVirtID).
 	Design Design
-	// GGIDPolicy selects when global group ids are computed
-	// (default eager, the paper's current policy; Section 9).
-	GGIDPolicy vid.GGIDPolicy
 	// UniformHandles embeds virtual ids in 64-bit MANA handles
 	// regardless of the target header, enabling restart under a
 	// different MPI implementation (Section 9 future work).
@@ -78,22 +75,10 @@ type Config struct {
 	// ExitAtCheckpoint stops the job right after a checkpoint completes
 	// (preemption, the urgent-HPC scenario of the introduction).
 	ExitAtCheckpoint bool
-	// CkptStopVT, when positive, makes rank 0 request a checkpoint at
-	// the first step boundary it reaches at or after this virtual time —
-	// the scheduler's preemption cut: "drain and commit as soon as you
-	// have run this long". Combined with ExitAtCheckpoint the job parks
-	// right after the commit. The actual stop lands at the first safe
-	// boundary past the cut, so the drained VT is deterministic but not
-	// exactly CkptStopVT.
-	CkptStopVT time.Duration
 	// JobLabel names the job in multi-job diagnostics: deadlock reports
 	// and injected CrashErrors carry it (internal/sched sets it to the
 	// scheduler job id).
 	JobLabel string
-	// Placement pins rank i to scheduler node Placement[i]. It flows to
-	// the cluster layer (diagnostics) and the fault injector, where a
-	// node-targeted crash kills every rank placed on the node.
-	Placement []int
 	// SkewBound is the maximum step skew tolerated between ranks when
 	// coordinating an asynchronous checkpoint request (default 8).
 	SkewBound int
@@ -140,6 +125,10 @@ type Config struct {
 	// requests an asynchronous checkpoint whenever that much virtual
 	// time has passed since the last completed one. This is the knob the
 	// MTBF-adaptive interval controller turns between restart attempts.
+	// With ExitAtCheckpoint it is also the scheduler's preemption cut
+	// (JobHandle.RunSegment): a segment starts on a fresh clock, so the
+	// first request lands at the first boundary at or after that much
+	// segment virtual time, and the job parks right after the commit.
 	CkptInterval time.Duration
 	// StreamRestart is deprecated and ignored: every store restart
 	// resolves chains with newest-wins chunk ownership

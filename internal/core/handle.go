@@ -28,7 +28,8 @@ type JobHandle struct {
 
 // NewJobHandle builds a handle for an n-rank application job. The
 // config's Store is adopted as the handle's checkpoint store (a fresh
-// in-memory store when nil); Kernel and FS flow into every segment.
+// in-memory store when nil); the rest of the config, JobLabel
+// included, flows into every segment.
 func NewJobHandle(cfg Config, n int, factory app.Factory) (*JobHandle, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -41,9 +42,6 @@ func NewJobHandle(cfg Config, n int, factory app.Factory) (*JobHandle, error) {
 	cfg.Store = st
 	return &JobHandle{cfg: cfg, n: n, factory: factory, store: st}, nil
 }
-
-// Ranks reports the job's rank count.
-func (h *JobHandle) Ranks() int { return h.n }
 
 // Store exposes the handle's checkpoint store — the job's only
 // persistent state between segments.
@@ -60,12 +58,6 @@ type Segment struct {
 	// much segment virtual time, the generation commits, and the job
 	// parks (ExitAtCheckpoint). Zero runs the segment to completion.
 	StopAtVT time.Duration
-	// Label names the job in diagnostics (defaults to the handle
-	// config's JobLabel).
-	Label string
-	// Placement pins rank i to scheduler node Placement[i] for this
-	// segment; node-targeted faults and deadlock diagnostics use it.
-	Placement []int
 	// Faults, when set, overrides the handle config's injector for this
 	// segment (the crash-during-preemption battery arms one per cut).
 	Faults *faults.Injector
@@ -93,20 +85,14 @@ type SegmentResult struct {
 func (h *JobHandle) RunSegment(seg Segment) (SegmentResult, error) {
 	cfg := h.cfg
 	cfg.Store = h.store
-	if seg.Label != "" {
-		cfg.JobLabel = seg.Label
-	}
-	if seg.Placement != nil {
-		cfg.Placement = seg.Placement
-	}
 	if seg.Faults != nil {
 		cfg.Faults = seg.Faults
 	}
-	cfg.CkptStopVT = 0
-	cfg.ExitAtCheckpoint = false
-	if seg.StopAtVT > 0 {
-		cfg.CkptStopVT = seg.StopAtVT
-		cfg.ExitAtCheckpoint = true
+	// A segment runs on a fresh clock with no checkpoint behind it, so
+	// the periodic trigger's first request is exactly the cut.
+	cfg.ExitAtCheckpoint = seg.StopAtVT > 0
+	if cfg.ExitAtCheckpoint {
+		cfg.CkptInterval = seg.StopAtVT
 	}
 
 	var (

@@ -141,16 +141,16 @@ func StartJob(cfg Config, n int, factory app.Factory) (*Session, error) {
 	return s, nil
 }
 
-// armFaults propagates the job's scheduler identity (label, rank
-// placement) to the cluster layer and the fault injector, and attaches
-// a configured injector's control-message filter to the job's fabric.
+// armFaults propagates the job's label to the cluster layer and the
+// fault injector, and attaches a configured injector's control-message
+// filter to the job's fabric.
 func armFaults(cfg Config, job *cluster.Job) {
-	job.SetIdentity(cfg.JobLabel, cfg.Placement)
+	job.SetLabel(cfg.JobLabel)
 	if cfg.Faults == nil {
 		return
 	}
-	if cfg.JobLabel != "" || cfg.Placement != nil {
-		cfg.Faults.SetPlacement(cfg.JobLabel, cfg.Placement)
+	if cfg.JobLabel != "" {
+		cfg.Faults.SetJobLabel(cfg.JobLabel)
 	}
 	cfg.Faults.AttachFabric(job.Fabric)
 }

@@ -585,28 +585,6 @@ func TestVirtualHandlesAreNotPhysical(t *testing.T) {
 	}
 }
 
-func TestGGIDPoliciesProduceSameImages(t *testing.T) {
-	var ref []uint64
-	for _, pol := range []vid.GGIDPolicy{vid.GGIDEager, vid.GGIDLazy, vid.GGIDHybrid} {
-		cfg := implFactory(t, "mpich")
-		cfg.GGIDPolicy = pol
-		cfg.ExitAtCheckpoint = true
-		_, images, err := Run(cfg, 4, newRingApp(6), 3)
-		if err != nil {
-			t.Fatalf("%v: %v", pol, err)
-		}
-		rst, err := Restart(implFactory(t, "mpich"), images, newRingApp(6))
-		if err != nil {
-			t.Fatalf("%v restart: %v", pol, err)
-		}
-		if ref == nil {
-			ref = rst.Checksums
-			continue
-		}
-		sameChecksums(t, ref, rst.Checksums, pol.String())
-	}
-}
-
 func TestDtypeDecodeStrategy(t *testing.T) {
 	cfg := implFactory(t, "mpich")
 	cfg.DtypeStrategy = vid.StrategyDecode

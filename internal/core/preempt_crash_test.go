@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"manasim/internal/faults"
 )
@@ -37,6 +36,7 @@ func TestCrashDuringPreemptionSweep(t *testing.T) {
 			t.Run(fmt.Sprintf("step%d_call%d", step, call), func(t *testing.T) {
 				cfg := faultCfg(t, implName, nil)
 				cfg.SkewBound = 2
+				cfg.JobLabel = "victim"
 				h, err := NewJobHandle(cfg, in.Ranks, appf)
 				if err != nil {
 					t.Fatal(err)
@@ -45,7 +45,7 @@ func TestCrashDuringPreemptionSweep(t *testing.T) {
 				inj := faults.NewInjector(in.Ranks, faults.Plan{Events: []faults.Event{
 					{Kind: faults.NodeCrash, Rank: step % in.Ranks, Step: step, Call: call},
 				}})
-				res, segErr := h.RunSegment(Segment{StopAtVT: cut, Label: "victim", Faults: inj})
+				res, segErr := h.RunSegment(Segment{StopAtVT: cut, Faults: inj})
 				if segErr != nil {
 					var ce *faults.CrashError
 					if !errors.As(segErr, &ce) {
@@ -81,7 +81,7 @@ func TestCrashDuringPreemptionSweep(t *testing.T) {
 
 				// Recovery: a clean segment resumes from whatever committed
 				// (or launches fresh) and must finish bit-identically.
-				rec, err := h.RunSegment(Segment{Label: "victim"})
+				rec, err := h.RunSegment(Segment{})
 				if err != nil {
 					t.Fatalf("recovery segment: %v", err)
 				}
@@ -93,40 +93,5 @@ func TestCrashDuringPreemptionSweep(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestNodeCrashNamesJobAndNodeThroughCore: a node-targeted crash armed
-// through a placed segment surfaces a CrashError carrying the owning
-// job label and scheduler node, end to end through the core runtime.
-func TestNodeCrashNamesJobAndNodeThroughCore(t *testing.T) {
-	const implName = "mpich"
-	spec, in := batteryInput(t, "lammps", 11)
-	appf := spec.New(in)
-
-	cfg := faultCfg(t, implName, nil)
-	cfg.SkewBound = 2
-	h, err := NewJobHandle(cfg, in.Ranks, appf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	placement := make([]int, in.Ranks)
-	for r := range placement {
-		placement[r] = r / 2 // two ranks per node
-	}
-	inj := faults.NewInjector(in.Ranks, faults.Plan{Events: []faults.Event{
-		{Kind: faults.NodeCrash, OnNode: true, Node: 1, At: time.Millisecond},
-	}})
-	_, segErr := h.RunSegment(Segment{Label: "hydro-7", Placement: placement, Faults: inj})
-	var ce *faults.CrashError
-	if !errors.As(segErr, &ce) {
-		t.Fatalf("node crash did not surface as CrashError: %v", segErr)
-	}
-	if ce.Job != "hydro-7" || ce.Node != 1 {
-		t.Fatalf("crash error carries job %q node %d, want hydro-7 node 1", ce.Job, ce.Node)
-	}
-	if ce.Rank/2 != 1 {
-		t.Fatalf("crashed rank %d not on node 1", ce.Rank)
 	}
 }

@@ -265,10 +265,8 @@ func (r *Runtime) LookupConst(name mpi.ConstName) (mpi.Handle, error) {
 		if err := r.cacheCommMembership(virt, phys); err != nil {
 			return mpi.HandleNull, err
 		}
-		if r.cfg.GGIDPolicy == vid.GGIDEager {
-			if err := r.computeGGID(virt); err != nil {
-				return mpi.HandleNull, err
-			}
+		if err := r.computeGGID(virt); err != nil {
+			return mpi.HandleNull, err
 		}
 	}
 	r.consts[name] = virt
@@ -328,9 +326,9 @@ func (r *Runtime) membership(virt mpi.Handle) ([]int, error) {
 // by decoding its membership through the lower half (MPI_Comm_group +
 // MPI_Group_translate_ranks, Section 5 category 2). The decode is
 // performed even though MANA caches membership for counter bookkeeping,
-// because the ggid definition is pinned to the lower half's view; this
-// is the per-creation cost that motivates the lazy/hybrid policies of
-// Section 9 for communicator-churning codes.
+// because the ggid definition is pinned to the lower half's view. Every
+// communicator pays it at creation (the paper's eager policy; Section 9
+// proposes deferring it for communicator-churning codes).
 func (r *Runtime) computeGGID(virt mpi.Handle) error {
 	phys, err := r.store.Phys(mpi.KindComm, virt)
 	if err != nil {
@@ -371,8 +369,8 @@ func (r *Runtime) computeGGID(virt mpi.Handle) error {
 	return r.store.SetGGID(mpi.KindComm, virt, vid.GGIDOf(world))
 }
 
-// ggidOf returns the communicator's ggid, computing it on demand under
-// the lazy and hybrid policies.
+// ggidOf returns the communicator's ggid, computing it on demand when
+// the store holds none.
 func (r *Runtime) ggidOf(virt mpi.Handle) (uint32, error) {
 	g, err := r.store.GGID(mpi.KindComm, virt)
 	if err != nil {

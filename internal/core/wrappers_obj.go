@@ -10,7 +10,7 @@ import (
 // equivalent object (Section 4.2).
 
 // registerComm virtualizes a freshly created communicator: caches its
-// membership, computes its ggid under the eager policy, and records the
+// membership, computes its ggid, and records the
 // recipe.
 func (r *Runtime) registerComm(phys mpi.Handle, desc vid.Descriptor) (mpi.Handle, error) {
 	virt, err := r.store.Add(mpi.KindComm, phys, desc, vid.StrategyReplay)
@@ -20,10 +20,8 @@ func (r *Runtime) registerComm(phys mpi.Handle, desc vid.Descriptor) (mpi.Handle
 	if err := r.cacheCommMembership(virt, phys); err != nil {
 		return mpi.HandleNull, err
 	}
-	if r.cfg.GGIDPolicy == vid.GGIDEager {
-		if err := r.computeGGID(virt); err != nil {
-			return mpi.HandleNull, err
-		}
+	if err := r.computeGGID(virt); err != nil {
+		return mpi.HandleNull, err
 	}
 	return virt, nil
 }

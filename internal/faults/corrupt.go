@@ -45,13 +45,6 @@ type storeCorruptState struct {
 	at   time.Duration
 }
 
-// CorruptArmed reports whether any silent corruption is scheduled.
-func (inj *Injector) CorruptArmed() bool {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return len(inj.corrupt) > 0 || inj.corruptRate > 0
-}
-
 // StoreCorruptions reports how many distinct blob keys have been
 // silently corrupted so far.
 func (inj *Injector) StoreCorruptions() int {

@@ -66,14 +66,6 @@ type Event struct {
 	// Rank is the target rank (crash, straggler) or the sending rank
 	// (control-message faults). Unused for store faults.
 	Rank int
-	// OnNode retargets a virtual-time NodeCrash at a scheduler node
-	// instead of a single rank: the event fires at the first check any
-	// rank placed on Node reaches past At, and every other rank on that
-	// node is doomed to die at its own next check — a node loss kills
-	// all ranks placed on it, not an abstract rank. Requires a placement
-	// (SetPlacement); Rank is ignored.
-	OnNode bool
-	Node   int
 	// At arms crash and straggler events at this service virtual time.
 	At time.Duration
 	// Step/Call arm a scripted crash instead of a virtual-time one:
@@ -163,14 +155,13 @@ type Plan struct {
 
 // CrashError is the typed abort of an injected NodeCrash: the job's
 // error chain names the killed rank and its virtual time of death.
-// Once multiple jobs share a process, the owning job and scheduler
-// node are named too (Job is "" and Node is negative when the injector
-// has no placement — the single-job case keeps its historical message).
+// Once multiple jobs share a process, the owning job is named too (Job
+// is "" when the injector has no label — the single-job case keeps its
+// historical message).
 type CrashError struct {
 	Rank int
 	VT   time.Duration
 	Job  string
-	Node int
 }
 
 // Error implements the error interface.
@@ -180,11 +171,7 @@ func (e *CrashError) Error() string {
 	if e.Job != "" {
 		fmt.Fprintf(&b, "job %q ", e.Job)
 	}
-	fmt.Fprintf(&b, "rank %d", e.Rank)
-	if e.Job != "" && e.Node >= 0 {
-		fmt.Fprintf(&b, " on node %d", e.Node)
-	}
-	fmt.Fprintf(&b, " killed at vt=%.6fs", e.VT.Seconds())
+	fmt.Fprintf(&b, "rank %d killed at vt=%.6fs", e.Rank, e.VT.Seconds())
 	return b.String()
 }
 
@@ -218,13 +205,9 @@ type Injector struct {
 	// is the next unconsumed one.
 	crashes  []Event
 	crashIdx int
-	// jobLabel and nodeOf are the owning job's name and rank-to-node
-	// placement (SetPlacement); they label every CrashError. doomed
-	// holds collateral kills of a fired node crash: each rank placed on
-	// the lost node dies at its own next check.
+	// jobLabel is the owning job's name (SetJobLabel); it labels every
+	// CrashError.
 	jobLabel string
-	nodeOf   []int
-	doomed   []*CrashError
 	// scripted holds step-targeted crashes; consumed entries are nil.
 	scripted []*Event
 	// stepOf / callsInStep track each rank's current step and wrapper
@@ -386,7 +369,7 @@ func (inj *Injector) index() {
 		ev := &inj.timeline[i]
 		switch ev.Kind {
 		case NodeCrash:
-			if ev.Step >= 0 && !ev.OnNode {
+			if ev.Step >= 0 {
 				inj.scripted = append(inj.scripted, ev)
 			} else {
 				inj.crashes = append(inj.crashes, *ev)
@@ -413,9 +396,6 @@ func (inj *Injector) index() {
 	sort.SliceStable(inj.crashes, func(i, j int) bool { return inj.crashes[i].At < inj.crashes[j].At })
 }
 
-// Ranks reports the rank count the timeline was generated for.
-func (inj *Injector) Ranks() int { return inj.n }
-
 // Plan reports the (defaulted) plan the injector was built from.
 func (inj *Injector) Plan() Plan { return inj.plan }
 
@@ -427,12 +407,9 @@ func (inj *Injector) Timeline() string {
 	for _, ev := range inj.timeline {
 		switch ev.Kind {
 		case NodeCrash:
-			switch {
-			case ev.OnNode:
-				fmt.Fprintf(&b, "crash node=%d at=%.9fs\n", ev.Node, ev.At.Seconds())
-			case ev.Step >= 0:
+			if ev.Step >= 0 {
 				fmt.Fprintf(&b, "crash rank=%d step=%d call=%d\n", ev.Rank, ev.Step, ev.Call)
-			default:
+			} else {
 				fmt.Fprintf(&b, "crash rank=%d at=%.9fs\n", ev.Rank, ev.At.Seconds())
 			}
 		case Straggler:
@@ -470,34 +447,21 @@ func (inj *Injector) SetBase(base time.Duration) {
 	for r := range inj.callsInStep {
 		inj.stepOf[r], inj.callsInStep[r] = -1, 0
 	}
-	inj.doomed = nil
 }
 
-// SetPlacement names the owning job and pins each rank to a scheduler
-// node (nodeOf[rank] = node). Placement is what node-targeted crash
-// events fire against, and it labels every CrashError with the job and
-// node so multi-job diagnostics are unambiguous. Call before the job
-// (re)starts; nil clears the placement.
-func (inj *Injector) SetPlacement(job string, nodeOf []int) {
+// SetJobLabel names the owning job, so every CrashError says which job
+// it killed when several share a process. Call before the job
+// (re)starts.
+func (inj *Injector) SetJobLabel(job string) {
 	inj.mu.Lock()
-	defer inj.mu.Unlock()
 	inj.jobLabel = job
-	if len(nodeOf) == inj.n {
-		inj.nodeOf = nodeOf
-	} else {
-		inj.nodeOf = nil
-	}
-	inj.doomed = nil
+	inj.mu.Unlock()
 }
 
-// crashErrLocked builds a CrashError labeled with the injector's job
-// and placement. Caller holds inj.mu.
+// crashErrLocked builds a CrashError labeled with the injector's job.
+// Caller holds inj.mu.
 func (inj *Injector) crashErrLocked(rank int, vt time.Duration) *CrashError {
-	node := -1
-	if inj.nodeOf != nil {
-		node = inj.nodeOf[rank]
-	}
-	return &CrashError{Rank: rank, VT: vt, Job: inj.jobLabel, Node: node}
+	return &CrashError{Rank: rank, VT: vt, Job: inj.jobLabel}
 }
 
 // CtlArmed reports whether any control-message faults are scheduled;
@@ -563,37 +527,10 @@ func (inj *Injector) scriptedCrashLocked(rank int, now time.Duration) error {
 }
 
 func (inj *Injector) vtCrashLocked(rank int, now time.Duration) error {
-	// A node crash already fired and this rank was placed on the lost
-	// node: it dies at its own next check, at its own virtual time.
-	if inj.doomed != nil && inj.doomed[rank] != nil {
-		err := inj.doomed[rank]
-		err.VT = now
-		inj.doomed[rank] = nil
-		return err
-	}
 	if inj.crashIdx >= len(inj.crashes) {
 		return nil
 	}
 	next := inj.crashes[inj.crashIdx]
-	if next.OnNode {
-		// Node-targeted: fires at the first check any rank placed on
-		// the node reaches past the arm time; peers on the node are
-		// doomed to die at their own next check.
-		if inj.nodeOf == nil || inj.nodeOf[rank] != next.Node || inj.base+now < next.At {
-			return nil
-		}
-		inj.crashIdx++
-		inj.firedCrashes++
-		for r := 0; r < inj.n; r++ {
-			if r != rank && inj.nodeOf[r] == next.Node {
-				if inj.doomed == nil {
-					inj.doomed = make([]*CrashError, inj.n)
-				}
-				inj.doomed[r] = inj.crashErrLocked(r, now)
-			}
-		}
-		return inj.crashErrLocked(rank, now)
-	}
 	if next.Rank != rank || inj.base+now < next.At {
 		return nil
 	}

@@ -1,79 +1,37 @@
 package faults
 
 import (
-	"errors"
-	"strings"
 	"testing"
 	"time"
 )
 
-// TestNodeCrashKillsAllRanksOnNode verifies node-targeted crashes: the
-// event fires at the first check of any rank placed on the node, every
-// other rank on that node dies at its own next check, ranks on other
-// nodes are untouched, and the errors name the owning job and node.
-func TestNodeCrashKillsAllRanksOnNode(t *testing.T) {
-	inj := NewInjector(4, Plan{Events: []Event{
-		{Kind: NodeCrash, OnNode: true, Node: 1, At: time.Millisecond},
-	}})
-	inj.SetPlacement("hydro", []int{0, 0, 1, 1})
-
-	if err := inj.CheckCall(2, 500*time.Microsecond); err != nil {
-		t.Fatalf("crash fired before arm time: %v", err)
-	}
-	if err := inj.CheckCall(0, 2*time.Millisecond); err != nil {
-		t.Fatalf("rank 0 on node 0 crashed: %v", err)
-	}
-
-	err := inj.CheckCall(2, 2*time.Millisecond)
-	var ce *CrashError
-	if !errors.As(err, &ce) {
-		t.Fatalf("rank 2 check = %v, want *CrashError", err)
-	}
-	if ce.Rank != 2 || ce.Job != "hydro" || ce.Node != 1 {
-		t.Fatalf("crash = %+v, want rank 2 job hydro node 1", ce)
-	}
-	for _, want := range []string{`job "hydro"`, "rank 2", "on node 1"} {
-		if !strings.Contains(ce.Error(), want) {
-			t.Fatalf("crash message %q missing %q", ce.Error(), want)
-		}
-	}
-
-	// The co-located rank is doomed: it dies at its own next check, at
-	// its own virtual time.
-	err = inj.CheckBoundary(3, 2500*time.Microsecond)
-	if !errors.As(err, &ce) {
-		t.Fatalf("doomed rank 3 check = %v, want *CrashError", err)
-	}
-	if ce.Rank != 3 || ce.Node != 1 || ce.VT != 2500*time.Microsecond {
-		t.Fatalf("doomed crash = %+v", ce)
-	}
-
-	// Ranks on the surviving node keep running.
-	if err := inj.CheckCall(1, 3*time.Millisecond); err != nil {
-		t.Fatalf("rank 1 on node 0 crashed: %v", err)
-	}
-	if got := inj.CrashesFired(); got != 1 {
-		t.Fatalf("CrashesFired = %d, want 1 (collateral kills are one event)", got)
-	}
-}
-
-// TestCrashErrorLegacyMessage pins the unlabeled single-job message
-// format the determinism battery depends on.
+// TestCrashErrorLegacyMessage pins the crash message formats: the
+// unlabeled single-job message the determinism battery depends on, and
+// the message of an injector that names its job (SetJobLabel), which
+// multi-job diagnostics depend on.
 func TestCrashErrorLegacyMessage(t *testing.T) {
 	e := &CrashError{Rank: 3, VT: 1500 * time.Microsecond}
 	want := "faults: node crash: rank 3 killed at vt=0.001500s"
 	if e.Error() != want {
 		t.Fatalf("legacy message = %q, want %q", e.Error(), want)
 	}
-}
 
-// TestNodeCrashTimeline pins the node event's timeline rendering.
-func TestNodeCrashTimeline(t *testing.T) {
-	inj := NewInjector(2, Plan{Events: []Event{
-		{Kind: NodeCrash, OnNode: true, Node: 3, At: 2 * time.Millisecond},
-	}})
-	want := "crash node=3 at=0.002000000s\n"
-	if got := inj.Timeline(); got != want {
-		t.Fatalf("Timeline = %q, want %q", got, want)
-	}
+	t.Run("labelled", func(t *testing.T) {
+		inj := NewInjector(4, Plan{Events: []Event{
+			{Kind: NodeCrash, Rank: 2, At: time.Millisecond, Step: -1},
+		}})
+		inj.SetJobLabel("hydro")
+		if err := inj.CheckCall(2, 500*time.Microsecond); err != nil {
+			t.Fatalf("crash fired before arm time: %v", err)
+		}
+		err := inj.CheckCall(2, 1500*time.Microsecond)
+		ce, ok := err.(*CrashError)
+		if !ok {
+			t.Fatalf("check = %v, want *CrashError", err)
+		}
+		want := `faults: node crash: job "hydro" rank 2 killed at vt=0.001500s`
+		if ce.Job != "hydro" || ce.Error() != want {
+			t.Fatalf("labelled crash = %+v %q, want job hydro, %q", ce, ce.Error(), want)
+		}
+	})
 }

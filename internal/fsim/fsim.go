@@ -58,6 +58,15 @@ func BurstBuffer() FS {
 	return FS{Name: "burstbuffer", Startup: 25 * time.Millisecond, PerMB: 500 * time.Microsecond}
 }
 
+// NVMe returns a node-local NVMe profile scaled so one checkpoint of a
+// shortened proxy run costs a few steps. The site profiles' startup
+// costs (25 ms even for the burst buffer) dwarf whole shortened runs
+// and would push the scheduler and service experiments to "never
+// checkpoint".
+func NVMe() FS {
+	return FS{Name: "nvme", Startup: 500 * time.Microsecond, PerMB: 10 * time.Microsecond}
+}
+
 // WriteCost returns the modeled time to write an image of n bytes.
 func (f FS) WriteCost(n int64) time.Duration {
 	if n < 0 {

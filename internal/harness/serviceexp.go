@@ -34,16 +34,6 @@ func YoungDaly(mtbf, c time.Duration) time.Duration {
 	return time.Duration(math.Sqrt(2 * float64(mtbf) * float64(c)))
 }
 
-// serviceFS is the storage profile of the service experiment: a
-// node-local NVMe tier scaled so one checkpoint costs a few application
-// steps. The site profiles' startup costs (25 ms even for the burst
-// buffer) dwarf the proxy applications' entire shortened runtimes, which
-// would push the Young/Daly interval past the horizon and make every
-// interval policy degenerate to "never checkpoint".
-func serviceFS() fsim.FS {
-	return fsim.FS{Name: "svc-nvme", Startup: 500 * time.Microsecond, PerMB: 10 * time.Microsecond}
-}
-
 // AdaptiveInterval re-derives the Young/Daly interval from observed
 // history: MTBF as the mean gap between observed crashes (cumulative
 // service time at the last crash over the crash count), C as the mean
@@ -144,9 +134,6 @@ type ServiceSpec struct {
 	// the newest verifying generation and the recomputed window is
 	// charged to the service clock by the longer attempt.
 	Fallback bool
-	// FS is the checkpoint storage profile (default serviceFS, a fast
-	// NVMe tier scaled to the proxy applications' shortened runtimes).
-	FS fsim.FS
 	// BaselineVT is the job's fault-free virtual runtime, used as the
 	// goodput numerator; measured on the fly when zero.
 	BaselineVT time.Duration
@@ -242,14 +229,11 @@ func RunService(sp ServiceSpec) (*ServiceOutcome, error) {
 	if sp.Steps > 0 {
 		in.SimSteps = sp.Steps
 	}
-	if sp.FS.Name == "" {
-		sp.FS = serviceFS()
-	}
 	appf := spec.New(in)
 	base := mana.Config{
 		ImplName: sp.Impl,
 		Factory:  factory,
-		FS:       sp.FS,
+		FS:       fsim.NVMe(),
 	}
 
 	if sp.BaselineVT <= 0 {
@@ -598,13 +582,10 @@ func serviceProbe(sp ServiceSpec) (baseVT, ckptCost time.Duration, err error) {
 	if sp.Steps > 0 {
 		in.SimSteps = sp.Steps
 	}
-	if sp.FS.Name == "" {
-		sp.FS = serviceFS()
-	}
 	cfg := mana.Config{
 		ImplName: sp.Impl,
 		Factory:  factory,
-		FS:       sp.FS,
+		FS:       fsim.NVMe(),
 	}
 	st, err := mana.RunNative(cfg, sp.Ranks, spec.New(in))
 	if err != nil {

@@ -34,8 +34,6 @@ type Engine struct {
 	// predefined datatypes and operations, indexed by ConstName.
 	dtypes map[mpi.ConstName]*Dtype
 	ops    map[mpi.ConstName]*Op
-
-	finalized bool
 }
 
 // NewEngine attaches rank r to the fabric and builds the predefined
@@ -75,12 +73,6 @@ func (e *Engine) Rank() int { return e.rank }
 
 // Size returns the world size.
 func (e *Engine) Size() int { return e.size }
-
-// Finalized reports whether Finalize ran.
-func (e *Engine) Finalized() bool { return e.finalized }
-
-// Finalize marks the engine shut down.
-func (e *Engine) Finalize() { e.finalized = true }
 
 // WTime returns the rank's virtual time.
 func (e *Engine) WTime() time.Duration { return e.Clock.Now() }

@@ -774,10 +774,7 @@ func (p *Proc) Abort(code int) {
 }
 
 // Finalize implements mpi.Proc.
-func (p *Proc) Finalize() error {
-	p.Eng.Finalize()
-	return nil
-}
+func (p *Proc) Finalize() error { return nil }
 
 // Compile-time interface check.
 var _ mpi.Proc = (*Proc)(nil)

@@ -9,11 +9,9 @@
 // A cluster is Nodes whole nodes of SlotsPerNode rank slots each,
 // carved into named partitions with priority tiers (PartitionSpec). A
 // job asks for a rank count and a partition; it is placed on
-// ceil(ranks/slots) whole free nodes of that partition, ranks packed in
-// node order, and the placement is pinned — the cluster layer and the
-// fault injector both know which scheduler node hosts each rank, so a
-// node crash kills every rank placed on that node and diagnostics name
-// the owning job and node.
+// ceil(ranks/slots) whole free nodes of that partition. Every job's
+// segments run under its scheduler id (Config.JobLabel), so deadlock
+// diagnostics and injected crashes name the owning job.
 //
 // # Ownership
 //
@@ -31,7 +29,7 @@
 // # Preemption vs crash
 //
 // Preemption is cooperative and loses nothing: the scheduler re-runs
-// the victim's segment with a preemption cut (Config.CkptStopVT), rank
+// the victim's segment with a preemption cut (Segment.StopAtVT), rank
 // 0 requests a checkpoint at the first safe boundary past the cut, the
 // generation commits through the handle's store, the job parks, and its
 // nodes free when the drain + commit completes — checkpoint overhead is

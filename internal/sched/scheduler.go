@@ -14,27 +14,14 @@ import (
 
 // Options parameterizes a scheduler run.
 type Options struct {
-	// FS is the checkpoint storage profile preemption drains commit
-	// through (default: a node-local NVMe-class model; NFS startup
-	// latencies would dwarf the minute-scale jobs the sweeps run).
-	FS fsim.FS
-	// SkewBound is the boundary-agreement skew of preemption cuts
-	// (default 2 — sweep jobs run tens of steps, and the default 8
-	// would clamp every cut to the final boundary).
-	SkewBound int
 	// Logf, when set, receives a narrative line per scheduling event.
 	Logf func(format string, args ...any)
 }
 
-func (o Options) withDefaults() Options {
-	if o.FS.Name == "" {
-		o.FS = fsim.FS{Name: "sched-nvme", Startup: 500 * time.Microsecond, PerMB: 10 * time.Microsecond}
-	}
-	if o.SkewBound <= 0 {
-		o.SkewBound = 2
-	}
-	return o
-}
+// skewBound is the boundary-agreement skew of preemption cuts: sweep
+// jobs run tens of steps, and core's default 8 would clamp every cut to
+// the final boundary.
+const skewBound = 2
 
 // TraceEvent is one scheduler decision, in virtual time. The trace is
 // the trajectory the determinism battery compares across kernels and
@@ -221,7 +208,7 @@ func New(spec ClusterSpec, wl Workload, policyName string, opts Options) (*Sched
 	s := &Scheduler{
 		spec:   spec,
 		pol:    pol,
-		opts:   opts.withDefaults(),
+		opts:   opts,
 		wl:     wl,
 		owner:  make([]string, spec.Nodes),
 		probes: map[string]ClassBaseline{},
@@ -251,17 +238,21 @@ func (s *Scheduler) nodesNeeded(ranks int) int {
 	return (ranks + s.spec.SlotsPerNode - 1) / s.spec.SlotsPerNode
 }
 
-// jobConfig builds the MANA config one class's segments run under.
-func (s *Scheduler) jobConfig(c Class) (mana.Config, error) {
+// jobConfig builds the MANA config one class's segments run under,
+// naming the job label in its diagnostics.
+func (s *Scheduler) jobConfig(c Class, label string) (mana.Config, error) {
 	factory, err := impls.Get(c.Impl)
 	if err != nil {
 		return mana.Config{}, err
 	}
+	// Preemption drains commit to node-local NVMe: NFS startup
+	// latencies would dwarf the minute-scale jobs the sweeps run.
 	return mana.Config{
 		ImplName:  c.Impl,
 		Factory:   factory,
-		FS:        s.opts.FS,
-		SkewBound: s.opts.SkewBound,
+		FS:        fsim.NVMe(),
+		SkewBound: skewBound,
+		JobLabel:  label,
 	}, nil
 }
 
@@ -291,9 +282,10 @@ func (s *Scheduler) classInput(c Class) (apps.Spec, apps.Input, error) {
 	return spec, in, nil
 }
 
-// newHandle builds a job's reentrant handle.
-func (s *Scheduler) newHandle(c Class) (*mana.JobHandle, error) {
-	cfg, err := s.jobConfig(c)
+// newHandle builds a job's reentrant handle; label names the job in
+// its diagnostics.
+func (s *Scheduler) newHandle(c Class, label string) (*mana.JobHandle, error) {
+	cfg, err := s.jobConfig(c, label)
 	if err != nil {
 		return nil, err
 	}
@@ -312,11 +304,11 @@ func (s *Scheduler) probeClass(c Class) (ClassBaseline, error) {
 	if b, ok := s.probes[c.Name]; ok {
 		return b, nil
 	}
-	h, err := s.newHandle(c)
+	h, err := s.newHandle(c, "probe-"+c.Name)
 	if err != nil {
 		return ClassBaseline{}, err
 	}
-	res, err := h.RunSegment(mana.Segment{Label: "probe-" + c.Name})
+	res, err := h.RunSegment(mana.Segment{})
 	if err != nil {
 		return ClassBaseline{}, fmt.Errorf("probing class %s: %w", c.Name, err)
 	}
@@ -368,15 +360,6 @@ func overlap(nodes, allowed []int) int {
 	return cnt
 }
 
-// placement pins each rank to its node: ranks packed in node order.
-func (s *Scheduler) placement(j *job) []int {
-	pl := make([]int, j.spec.Class.Ranks)
-	for r := range pl {
-		pl[r] = j.nodes[r/s.spec.SlotsPerNode]
-	}
-	return pl
-}
-
 // Run executes the workload to completion and reports the outcome.
 func (s *Scheduler) Run() (*Outcome, error) {
 	// Probe every class first (deterministic order), resolve estimates,
@@ -393,7 +376,7 @@ func (s *Scheduler) Run() (*Outcome, error) {
 			j.est = time.Duration(base.VTS * float64(time.Second))
 		}
 		if j.handle == nil {
-			h, err := s.newHandle(c)
+			h, err := s.newHandle(c, j.id())
 			if err != nil {
 				return nil, err
 			}
@@ -604,7 +587,7 @@ func (s *Scheduler) dispatch(j *job, nodes []int) error {
 	j.startVT = s.now
 	j.epoch++
 	j.lateCut = false
-	res, err := j.handle.RunSegment(mana.Segment{Label: j.id(), Placement: s.placement(j)})
+	res, err := j.handle.RunSegment(mana.Segment{})
 	if err != nil {
 		return fmt.Errorf("sched: job %q segment: %w", j.id(), err)
 	}
@@ -683,11 +666,7 @@ func (s *Scheduler) preempt(v *job) (bool, error) {
 	// Checkpoint preemption: re-run the segment with the cut. The
 	// speculative full run committed nothing, so the re-run replays the
 	// identical execution up to the cut, drains, and commits.
-	res, err := v.handle.RunSegment(mana.Segment{
-		StopAtVT:  elapsed,
-		Label:     v.id(),
-		Placement: s.placement(v),
-	})
+	res, err := v.handle.RunSegment(mana.Segment{StopAtVT: elapsed})
 	if err != nil {
 		return false, fmt.Errorf("sched: preempting job %q: %w", v.id(), err)
 	}

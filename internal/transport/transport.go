@@ -326,19 +326,12 @@ type Endpoint struct {
 	fabric *Fabric
 	rank   int
 
-	// Stats are transport-level counters, readable by tests.
+	// sent counts messages sent, readable by tests.
 	sent atomic.Uint64
-	recv atomic.Uint64
 }
-
-// Rank returns the endpoint's world rank.
-func (e *Endpoint) Rank() int { return e.rank }
 
 // Sent returns the number of messages sent through this endpoint.
 func (e *Endpoint) Sent() uint64 { return e.sent.Load() }
-
-// Received returns the number of messages received through this endpoint.
-func (e *Endpoint) Received() uint64 { return e.recv.Load() }
 
 // Send deposits a message in dst's mailbox (eager protocol). The payload
 // is copied into a pooled buffer; the caller may reuse buf immediately.
@@ -422,7 +415,6 @@ func (e *Endpoint) Recv(m Match) (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
-	e.recv.Add(1)
 	return msg, nil
 }
 
@@ -437,7 +429,6 @@ func (e *Endpoint) TryRecv(m Match) (msg Message, ok bool, err error) {
 		}
 		return Message{}, false, err
 	}
-	e.recv.Add(1)
 	return msg, true, nil
 }
 

@@ -122,9 +122,6 @@ func NewStore(handleBits int, uniform bool) *TableStore {
 	return &TableStore{tab: NewTable(), handleBits: handleBits, uniform: uniform}
 }
 
-// Table exposes the underlying table (benchmarks and tests).
-func (s *TableStore) Table() *Table { return s.tab }
-
 // DesignName implements Store.
 func (s *TableStore) DesignName() string { return "virtid" }
 

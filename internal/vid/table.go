@@ -182,18 +182,6 @@ func (t *Table) Entries() []*Entry {
 	return out
 }
 
-// LiveByKind returns live (not Freed) entries of one kind in creation
-// order.
-func (t *Table) LiveByKind(kind mpi.Kind) []*Entry {
-	var out []*Entry
-	for _, e := range t.Entries() {
-		if !e.Freed && e.VID.Kind() == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------
 // Snapshot / restore: the vid table rides inside the checkpoint image
 // (Section 4.2: "the structures are then saved as part of the checkpoint

@@ -263,34 +263,3 @@ func GGIDOf(worldRanks []int) uint32 {
 	}
 	return h
 }
-
-// GGIDPolicy selects when communicator/group ggids are computed
-// (Section 9, future work: eager today; lazy or hybrid to amortize
-// communicator churn).
-type GGIDPolicy uint8
-
-const (
-	// GGIDEager computes the ggid at object creation (the paper's
-	// current policy).
-	GGIDEager GGIDPolicy = iota
-	// GGIDLazy defers computation to first use (checkpoint time).
-	GGIDLazy
-	// GGIDHybrid computes eagerly only for long-lived communicators:
-	// creation is lazy, but any communicator surviving a checkpoint gets
-	// its ggid pinned then.
-	GGIDHybrid
-)
-
-// String names the policy.
-func (p GGIDPolicy) String() string {
-	switch p {
-	case GGIDEager:
-		return "eager"
-	case GGIDLazy:
-		return "lazy"
-	case GGIDHybrid:
-		return "hybrid"
-	default:
-		return fmt.Sprintf("GGIDPolicy(%d)", uint8(p))
-	}
-}
