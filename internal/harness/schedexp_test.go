@@ -8,8 +8,9 @@ import (
 // TestSchedSweepAcceptance is the PR's acceptance gate: the sweep
 // covers ≥3 policies × ≥2 cluster sizes × ≥2 job mixes at seed 42;
 // the burst mix actually exercises preemption on every cluster size;
-// and checkpoint-preemption delivers strictly higher goodput than
-// kill-and-requeue wherever the kill arm killed anything.
+// checkpoint-preemption delivers strictly higher goodput than
+// kill-and-requeue wherever the kill arm killed anything; and no cell
+// charges its checkpoints more than it wasted.
 func TestSchedSweepAcceptance(t *testing.T) {
 	res, err := SchedSweep(Options{})
 	if err != nil {
@@ -71,6 +72,16 @@ func TestSchedSweepAcceptance(t *testing.T) {
 			if k.Kills > 0 && p.Goodput <= k.Goodput {
 				t.Errorf("%s/%s: preempt goodput %.4f not above kill %.4f", mix, cl, p.Goodput, k.Goodput)
 			}
+		}
+	}
+
+	// Checkpoint overhead is part of the waste, never more than all of
+	// it: a cell cannot charge its checkpoints more rank-seconds than it
+	// consumed beyond useful work.
+	for _, r := range res.Rows {
+		if waste := r.ConsumedS - r.UsefulS; r.CkptOverheadS > waste+1e-9 {
+			t.Errorf("%s/%s/%s: checkpoint overhead %.6f rank-s above consumed − useful %.6f",
+				r.Mix, r.Cluster, r.Policy, r.CkptOverheadS, waste)
 		}
 	}
 

@@ -32,8 +32,10 @@
 // the victim's segment with a preemption cut (Segment.StopAtVT), rank
 // 0 requests a checkpoint at the first safe boundary past the cut, the
 // generation commits through the handle's store, the job parks, and its
-// nodes free when the drain + commit completes — checkpoint overhead is
-// exactly the gap between the cut and the nodes actually freeing. The
+// nodes free when the drain + commit completes. Checkpoint overhead is
+// the protocol's own virtual time (Stats.CkptCostVTs), not the gap
+// between the cut and the nodes freeing: the steps run up to the first
+// safe boundary past the cut are progress the job keeps. The
 // requeued job later resumes from that generation
 // (RestartJobFromStore) bit-identically.
 //

@@ -31,8 +31,9 @@ type TraceEvent struct {
 	Kind  string // submit | dispatch | preempt | kill | requeue | done
 	Job   string
 	Nodes []int
-	// FreedAt is the drain-completion time of a preempt record (the
-	// cut-to-free gap is the checkpoint overhead paid).
+	// FreedAt is the drain-completion time of a preempt record: the
+	// victim runs to the first safe boundary past the cut, then
+	// checkpoints.
 	FreedAt time.Duration
 }
 
@@ -85,8 +86,9 @@ type Outcome struct {
 	Goodput   float64
 	// LostS is rank-seconds of killed work (progress since the last
 	// committed generation at each kill). CkptOverheadS is rank-seconds
-	// of preemption drain+commit (the cut-to-free gap); restart read
-	// costs are inside ConsumedS.
+	// of the preemption checkpoints' own protocol time (drain, encode,
+	// commit: Stats.CkptCostVTs); restart read costs are inside
+	// ConsumedS.
 	LostS         float64
 	CkptOverheadS float64
 	// AvgWaitS averages total queue wait over jobs; UrgentAvgWaitS
@@ -682,7 +684,12 @@ func (s *Scheduler) preempt(v *job) (bool, error) {
 	v.epoch++
 	v.preempts++
 	v.consumed += res.Stats.VT
-	v.ckptOverhead += res.Stats.VT - elapsed
+	// Charge the checkpoint protocol's own time, not the cut-to-stop
+	// gap: most of that gap is step compute up to the first boundary
+	// past the cut, which the job keeps as progress.
+	for _, c := range res.Stats.CkptCostVTs {
+		v.ckptOverhead += c
+	}
 	v.progress += elapsed
 	v.state = stateDraining
 	v.full = res
