@@ -44,7 +44,8 @@ determinism:
 
 # size prints what TestSizeRatchet holds against SIZE.json: non-test
 # Go lines per package directory, core.Config fields, manasim CLI
-# flags and registered experiments.
+# flags, registered experiments, and the exported internal/
+# identifiers that only _test.go files reference (listed by name).
 .PHONY: size
 size:
 	@$(GO) test -count=1 -run '^TestSizeRatchet$$' -v .

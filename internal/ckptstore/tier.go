@@ -69,10 +69,11 @@ type tierBackend struct {
 // newTierBackend composes a mem front tier over an fs back tier rooted
 // at cfg.Dir/back, or over an obj back tier when no directory is given.
 func newTierBackend(cfg BackendConfig) (Backend, error) {
-	back, err := newObjBackend(BackendConfig{})
+	backName := "obj"
 	if cfg.Dir != "" {
-		back, err = newFSBackend(BackendConfig{Dir: filepath.Join(cfg.Dir, "back")})
+		backName = "fs"
 	}
+	back, err := NewBackend(backName, BackendConfig{Dir: filepath.Join(cfg.Dir, "back")})
 	if err != nil {
 		return nil, fmt.Errorf("ckptstore: tier back: %w", err)
 	}

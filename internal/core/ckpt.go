@@ -115,8 +115,8 @@ func (r *Runtime) doCheckpoint(step int) error {
 		}
 	}
 
-	// Phase 5: pin ggids for every live communicator. Creation
-	// computes them eagerly; one restored without a ggid gets it now.
+	// Phase 5: pin ggids for every live communicator (creation computes
+	// them; ggidOf fills in any the store lacks).
 	for _, it := range r.store.Items() {
 		if it.Kind != mpi.KindComm || it.Freed || it.Desc.ResultNull {
 			continue

@@ -10,8 +10,7 @@ import (
 // equivalent object (Section 4.2).
 
 // registerComm virtualizes a freshly created communicator: caches its
-// membership, computes its ggid, and records the
-// recipe.
+// membership, computes its ggid, and records the recipe.
 func (r *Runtime) registerComm(phys mpi.Handle, desc vid.Descriptor) (mpi.Handle, error) {
 	virt, err := r.store.Add(mpi.KindComm, phys, desc, vid.StrategyReplay)
 	if err != nil {

@@ -240,8 +240,8 @@ func (s *Scheduler) nodesNeeded(ranks int) int {
 	return (ranks + s.spec.SlotsPerNode - 1) / s.spec.SlotsPerNode
 }
 
-// jobConfig builds the MANA config one class's segments run under,
-// naming the job label in its diagnostics.
+// jobConfig builds the MANA config one class's segments run under;
+// label names the job in deadlock and crash diagnostics.
 func (s *Scheduler) jobConfig(c Class, label string) (mana.Config, error) {
 	factory, err := impls.Get(c.Impl)
 	if err != nil {

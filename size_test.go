@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -26,6 +29,9 @@ type sizeCounts struct {
 	ConfigFields int            `json:"config_fields"`
 	CLIFlags     int            `json:"cli_flags"`
 	Experiments  int            `json:"experiments"`
+	// TestOnlyExports counts package-level exported identifiers under
+	// internal/ that _test.go files reference and no other file does.
+	TestOnlyExports int `json:"test_only_exports"`
 }
 
 // TestSizeRatchet fails when any count rises above SIZE.json, naming
@@ -58,6 +64,7 @@ func TestSizeRatchet(t *testing.T) {
 	check("core.Config fields", got.ConfigFields, limit.ConfigFields)
 	check("manasim CLI flags", got.CLIFlags, limit.CLIFlags)
 	check("registered experiments", got.Experiments, limit.Experiments)
+	check("test-only exports", got.TestOnlyExports, limit.TestOnlyExports)
 }
 
 func measureSize(t *testing.T) sizeCounts {
@@ -92,6 +99,9 @@ func measureSize(t *testing.T) sizeCounts {
 		t.Fatal(err)
 	}
 	c.CLIFlags = countFlags(t, filepath.Join("cmd", "manasim", "main.go"))
+	names := testOnlyExports(t)
+	t.Logf("test-only exports: %s", strings.Join(names, " "))
+	c.TestOnlyExports = len(names)
 	return c
 }
 
@@ -133,3 +143,155 @@ func countFlags(t *testing.T, path string) int {
 	})
 	return n
 }
+
+// testOnlyExports type-checks every package of the module twice — its
+// own files, then with its _test.go files — and returns, sorted, the
+// package-level exported identifiers under internal/ that only test
+// files reference. The standard library is type-checked from source.
+// Objects are matched by declaration position, since each type-check
+// makes its own objects for the same declaration.
+func testOnlyExports(t *testing.T) []string {
+	t.Helper()
+	const module = "manasim"
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "source", nil)
+	used := map[string]bool{}     // declarations referenced by non-test files
+	testUsed := map[string]bool{} // declarations referenced by test files
+	at := func(pos token.Pos) string { return fset.Position(pos).String() }
+	record := func(info *types.Info) {
+		for id, obj := range info.Uses {
+			if obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), module) {
+				continue
+			}
+			if strings.HasSuffix(fset.Position(id.Pos()).Filename, "_test.go") {
+				testUsed[at(obj.Pos())] = true
+			} else {
+				used[at(obj.Pos())] = true
+			}
+		}
+	}
+	check := func(path string, files []*ast.File, via types.Importer) *types.Package {
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		conf := types.Config{Importer: via}
+		pkg, err := conf.Check(path, fset, files, info)
+		if err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+		record(info)
+		return pkg
+	}
+
+	// A module package is parsed and checked once, on first import.
+	type parsed struct {
+		pkg                     *types.Package
+		own, internal, external []*ast.File
+	}
+	loaded := map[string]*parsed{}
+	var via importerFunc
+	load := func(path string) (*parsed, error) {
+		if p, ok := loaded[path]; ok {
+			return p, nil
+		}
+		dir := filepath.Join(root, strings.TrimPrefix(strings.TrimPrefix(path, module), "/"))
+		// Only the files this platform's default build would compile.
+		matches := func(fi fs.FileInfo) bool {
+			ok, err := build.Default.MatchFile(dir, fi.Name())
+			return ok && err == nil
+		}
+		pkgs, err := parser.ParseDir(fset, dir, matches, 0)
+		if err != nil {
+			return nil, err
+		}
+		p := &parsed{}
+		for name, ap := range pkgs {
+			for fname, f := range ap.Files {
+				switch {
+				case strings.HasSuffix(name, "_test"):
+					p.external = append(p.external, f)
+				case strings.HasSuffix(fname, "_test.go"):
+					p.internal = append(p.internal, f)
+				default:
+					p.own = append(p.own, f)
+				}
+			}
+		}
+		p.pkg = check(path, p.own, via)
+		loaded[path] = p
+		return p, nil
+	}
+	via = func(path string) (*types.Package, error) {
+		if path != module && !strings.HasPrefix(path, module+"/") {
+			return std.Import(path)
+		}
+		p, err := load(path)
+		if err != nil {
+			return nil, err
+		}
+		return p.pkg, nil
+	}
+
+	declared := map[string]string{}
+	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if dir != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if m, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(m) == 0 {
+			return nil
+		}
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return err
+		}
+		path := filepath.ToSlash(filepath.Join(module, rel))
+		p, err := load(path)
+		if err != nil {
+			return err
+		}
+		if strings.HasPrefix(path, module+"/internal/") {
+			scope := p.pkg.Scope()
+			for _, name := range scope.Names() {
+				if obj := scope.Lookup(name); obj.Exported() {
+					declared[at(obj.Pos())] = p.pkg.Name() + "." + name
+				}
+			}
+		}
+		if len(p.internal)+len(p.external) == 0 {
+			return nil
+		}
+		withTests := check(path, append(append([]*ast.File(nil), p.own...), p.internal...), via)
+		if len(p.external) > 0 {
+			// The external test package sees the package with its
+			// _test.go files, as go test builds it.
+			check(path+"_test", p.external, importerFunc(func(imp string) (*types.Package, error) {
+				if imp == path {
+					return withTests, nil
+				}
+				return via(imp)
+			}))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for pos, name := range declared {
+		if testUsed[pos] && !used[pos] {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
