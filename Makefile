@@ -64,13 +64,14 @@ bench:
 ########################################
 ### Race detector
 
-# race-ckpt covers the parallel commit pool, the restart-side chain
-# resolver (ckptstore stream_test.go exercises the per-rank
-# link-lookahead reads across pool widths), the tier backend's async
-# drainer (tier_test.go interleaves Puts, read-through Gets, Deletes,
-# and drain barriers across goroutines), and the dedup store's shared
-# blob table (dedup_test.go commits generations while concurrent
-# readers resolve recipes and retention prunes shared blobs), and the
+# race-ckpt covers callers that share one checkpoint store across
+# goroutines: concurrent commits and chain resolutions
+# (parallel_test.go), the tier backend's flush queue (tier_test.go
+# interleaves Puts, read-through Gets, Deletes, and drain barriers
+# across goroutines), and the dedup store's shared blob table
+# (dedup_test.go commits generations while concurrent readers resolve
+# recipes and retention prunes shared blobs); the store's own
+# operations run on the caller's goroutine. It also covers the
 # applications' snapshot codec with its send scratch (internal/apps).
 .PHONY: race-ckpt
 race-ckpt:
@@ -90,10 +91,10 @@ race-faults:
 	@$(GO) test -race -run 'TestService|TestAdaptiveInterval|TestYoungDaly' ./internal/harness
 
 # race-scrub covers the store-integrity subsystem: the scrubber's
-# parallel verification walk over manifest, chains, recipes, and blobs
-# (repair mutates the blob table while the worker pool reads it), the
-# corruption injector's strike bookkeeping, and the restart-fallback
-# walk that re-enters the store after quarantine.
+# verification walk over manifest, chains, recipes, and blobs (serial,
+# under the store mutex, so a repair never races a commit or a prune),
+# the corruption injector's strike bookkeeping, and the
+# restart-fallback walk that re-enters the store after quarantine.
 .PHONY: race-scrub
 race-scrub:
 	@echo "Running the store-integrity subsystem under the race detector..."

@@ -100,7 +100,6 @@ run flags:
            once across ranks and generations, and each rank's write is
            charged only the new unique bytes it introduced
   -chunk-kb delta chunk size in KiB (default 256; shrink for proxy-size snapshots)
-  -workers checkpoint store worker pool width (0 = GOMAXPROCS, 1 = serial)
   -site    discovery (default) or perlmutter
   -faults  enable the seeded fault injector (-fault-seed N, default 42);
            without -mtbf this injects stragglers and transient store
@@ -181,7 +180,6 @@ func cmdRun(args []string) error {
 	dedup := fs.Bool("dedup", false, "content-addressed store: share identical image segments across ranks and generations")
 	frontCap := fs.Int("front-cap", 0, "tier backend: front-tier capacity in KiB (0 = unbounded; LRU-evicts flushed blobs past it)")
 	chunkKB := fs.Int("chunk-kb", 0, "delta chunk size in KiB (default ckptimg.AppChunk; shrink to match proxy snapshot sizes)")
-	workers := fs.Int("workers", 0, "checkpoint store worker pool width (0 = GOMAXPROCS, 1 = serial)")
 	siteName := fs.String("site", "discovery", "site profile")
 	useFaults := fs.Bool("faults", false, "enable the seeded fault injector")
 	faultSeed := fs.Int64("fault-seed", 42, "fault timeline seed with -faults")
@@ -306,7 +304,6 @@ func cmdRun(args []string) error {
 			CompressTier: tier,
 			ChunkBytes:   *chunkKB << 10,
 			RetainBases:  *retainBases,
-			Workers:      *workers,
 		},
 	}
 	if *useFaults {

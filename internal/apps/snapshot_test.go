@@ -440,8 +440,17 @@ func TestHPCGStaticPrefixStable(t *testing.T) {
 		if bytes.Equal(a[dyn:], b[dyn:]) {
 			t.Fatalf("steps %d and %d: the per-step state did not change", k, k+1)
 		}
+		opts := ckptimg.Options{ChunkSize: chunk}
+		parent, err := ckptimg.EncodeOpts(&ckptimg.Image{NRanks: 4, Step: k, AppState: a}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := ckptimg.IndexFull(parent, chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
 		img := &ckptimg.Image{NRanks: 4, Step: k + 1, AppState: b}
-		_, st, err := ckptimg.EncodeDelta(img, ckptimg.IndexAppState(a, chunk), k, ckptimg.Options{})
+		_, st, err := ckptimg.EncodeDelta(img, ix.Index, k, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -167,9 +167,9 @@ func (c *Coordinator) Images() ([][]byte, error) {
 // the coordinator.
 //
 // The store commit issued by the last-delivering rank is where the
-// parallel checkpoint pipeline runs: Store.Commit fans per-rank decode,
-// indexing, and backend writes out to its worker pool. Deliver itself
-// stays under the coordinator mutex — every other rank of the job is
+// checkpoint pipeline runs: Store.Commit validates, indexes and writes
+// every rank's image in rank order. Deliver itself stays under the
+// coordinator mutex — every other rank of the job is
 // parked at the post-checkpoint barrier until the commit returns, so
 // there is no concurrent delivery to unblock.
 func (c *Coordinator) Deliver(rank int, data []byte) error {

@@ -11,14 +11,18 @@ import (
 // newTestCoordinator builds a coordinator for an n-rank job over a
 // fresh in-memory, full-image store.
 func newTestCoordinator(n, lag int) *Coordinator {
-	return NewStoreCoordinator(n, ckptstore.MustOpen(n, ckptstore.Options{}), lag)
+	st, err := ckptstore.Open(n, ckptstore.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return NewStoreCoordinator(n, st, lag)
 }
 
 // rankImage encodes a minimal image for one rank of an n-rank job whose
 // application state is the single byte tag.
 func rankImage(t *testing.T, rank, n int, tag byte) []byte {
 	t.Helper()
-	data, err := ckptimg.Encode(&ckptimg.Image{Rank: rank, NRanks: n, Impl: "mpich", Design: "virtid", AppState: []byte{tag}})
+	data, err := ckptimg.EncodeOpts(&ckptimg.Image{Rank: rank, NRanks: n, Impl: "mpich", Design: "virtid", AppState: []byte{tag}}, ckptimg.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

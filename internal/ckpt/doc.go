@@ -51,14 +51,14 @@
 // # Concurrency model
 //
 // Every Coordinator method is safe to call from any rank goroutine.
-// Deliver serializes under the coordinator mutex; the parallelism of
-// the checkpoint pipeline lives one layer down, inside Store.Commit,
-// which fans per-rank decode, chunk indexing, and backend writes out
-// across the store's worker pool (see ckptstore's concurrency model).
-// Holding the coordinator mutex across that commit costs nothing in
-// practice: the commit is issued by the generation's last-delivering
-// rank while every other rank is parked at the post-checkpoint barrier,
-// so no concurrent Deliver exists to block. Images/Store reads and the
+// Deliver serializes under the coordinator mutex; the checkpoint
+// pipeline runs one layer down, inside Store.Commit, which validates,
+// chunk-indexes and writes every rank's image on the calling goroutine
+// (see ckptstore's concurrency model). Holding the coordinator mutex
+// across that commit costs nothing in practice: the commit is issued
+// by the generation's last-delivering rank while every other rank is
+// parked at the post-checkpoint barrier, so no concurrent Deliver
+// exists to block. Images/Store reads and the
 // boundary-agreement calls (NextBoundary, CheckpointDone) use separate
 // or atomic state and interleave freely.
 //
@@ -67,9 +67,8 @@
 // state behind, so the coordinator simply stays at the previous
 // generation count.
 //
-// Restart-side parallelism likewise lives in the store: the chain
-// resolver (MaterializeStream and RestoreStream, which overlap each
-// rank's link reads with chunk inflation under newest-wins ownership)
-// fans ranks out across the store's worker pool; the coordinator and
-// runtime never see partially resolved chains.
+// Restart resolution likewise lives in the store: the chain resolver
+// (MaterializeStream and RestoreStream, newest-wins ownership per
+// chunk) walks the ranks in order; the coordinator and runtime never
+// see partially resolved chains.
 package ckpt

@@ -195,10 +195,6 @@ func (o Options) headerFlags() uint32 {
 	return flags
 }
 
-// Encode serializes the image in the current format with default
-// options.
-func Encode(img *Image) ([]byte, error) { return EncodeOpts(img, Options{}) }
-
 // EncodeOpts serializes the image in the current format and returns
 // exactly the bytes it wrote. The image is encoded into a pooled
 // scratch buffer and returned as an exact-size copy (len == cap), so

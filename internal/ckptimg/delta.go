@@ -48,24 +48,6 @@ func (x ChunkIndex) chunkLen(i int) int {
 	return min(x.ChunkBytes, x.Total-i*x.ChunkBytes)
 }
 
-// IndexAppState computes the chunk-CRC index of an application state.
-// chunkBytes <= 0 selects AppChunk. An empty state indexes to zero
-// chunks.
-func IndexAppState(app []byte, chunkBytes int) ChunkIndex {
-	if chunkBytes <= 0 {
-		chunkBytes = AppChunk
-	}
-	x := ChunkIndex{ChunkBytes: chunkBytes, Total: len(app)}
-	if len(app) > 0 {
-		x.CRCs = make([]uint32, 0, (len(app)+chunkBytes-1)/chunkBytes)
-	}
-	for off := 0; off < len(app); off += chunkBytes {
-		end := min(off+chunkBytes, len(app))
-		x.CRCs = append(x.CRCs, crc32.ChecksumIEEE(app[off:end]))
-	}
-	return x
-}
-
 // deltaMeta is the DMET section payload: the chain linkage a delta
 // image needs to be applied safely.
 type deltaMeta struct {

@@ -2,6 +2,7 @@ package ckptimg
 
 import (
 	"bytes"
+	"hash/crc32"
 
 	"manasim/internal/vid"
 )
@@ -39,4 +40,27 @@ func EncodeStoreSection(st *vid.StoreSnapshot) []byte {
 		panic(err)
 	}
 	return b.Bytes()[16:] // past the section frame
+}
+
+// Encode serializes the image in the current format with default
+// options.
+func Encode(img *Image) ([]byte, error) { return EncodeOpts(img, Options{}) }
+
+// IndexAppState computes the chunk-CRC index of an application state,
+// the reference the streaming indexers (IndexFull, IndexDelta) must
+// match. chunkBytes <= 0 selects AppChunk. An empty state indexes to
+// zero chunks.
+func IndexAppState(app []byte, chunkBytes int) ChunkIndex {
+	if chunkBytes <= 0 {
+		chunkBytes = AppChunk
+	}
+	x := ChunkIndex{ChunkBytes: chunkBytes, Total: len(app)}
+	if len(app) > 0 {
+		x.CRCs = make([]uint32, 0, (len(app)+chunkBytes-1)/chunkBytes)
+	}
+	for off := 0; off < len(app); off += chunkBytes {
+		end := min(off+chunkBytes, len(app))
+		x.CRCs = append(x.CRCs, crc32.ChecksumIEEE(app[off:end]))
+	}
+	return x
 }

@@ -24,22 +24,20 @@ const segMinOwn = 128
 // segMaxRun caps a coalesced run segment.
 const segMaxRun = 32 << 10
 
-// segFallback is the fixed segment size used when the payload is not a
-// parseable v3 image (legacy v2 gobs, opaque test payloads).
-const segFallback = 64 << 10
-
 // SplitDedupSegments splits an encoded image into dedup segments whose
 // concatenation is exactly data. Segments alias data — callers must
 // not retain them past the buffer's lifetime without copying. The
 // split is a pure function of the bytes, so equal images always
 // produce equal segmentation; section CRCs are not verified here (the
 // store validates images before segmenting, and the blob layer keys
-// every segment by its own checksum).
+// every segment by its own checksum). A payload that is not a
+// well-framed v3 image — the store refuses those before it splits
+// anything — comes back whole, as one segment.
 func SplitDedupSegments(data []byte) [][]byte {
 	if segs, ok := splitSections(data); ok {
 		return segs
 	}
-	return splitFixed(data)
+	return [][]byte{data}
 }
 
 // splitSections walks the v3 section frames without decoding them.
@@ -112,16 +110,4 @@ func SectionFrameBounds(data []byte) ([]int, bool) {
 		bounds = append(bounds, off)
 	}
 	return bounds, true
-}
-
-// splitFixed is the segFallback-sized chunking for opaque payloads.
-func splitFixed(data []byte) [][]byte {
-	if len(data) == 0 {
-		return nil
-	}
-	segs := make([][]byte, 0, (len(data)+segFallback-1)/segFallback)
-	for off := 0; off < len(data); off += segFallback {
-		segs = append(segs, data[off:min(off+segFallback, len(data))])
-	}
-	return segs
 }

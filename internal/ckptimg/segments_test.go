@@ -79,21 +79,11 @@ func TestSplitDedupSegmentsAlignsAppChunks(t *testing.T) {
 	}
 }
 
-// TestSplitDedupSegmentsFallback: payloads that are not v3 images fall
-// back to fixed-size chunking, still losslessly.
+// TestSplitDedupSegmentsFallback: a payload that is not a v3 image
+// comes back whole, as one segment.
 func TestSplitDedupSegmentsFallback(t *testing.T) {
-	blob := make([]byte, segFallback+segFallback/2)
-	for i := range blob {
-		blob[i] = byte(i * 31)
-	}
-	segs := SplitDedupSegments(blob)
-	if len(segs) != 2 || len(segs[0]) != segFallback {
-		t.Fatalf("opaque payload split into %d segments (first %d bytes)", len(segs), len(segs[0]))
-	}
-	if !bytes.Equal(append(append([]byte(nil), segs[0]...), segs[1]...), blob) {
-		t.Fatal("fallback segments do not concatenate back")
-	}
-	if got := SplitDedupSegments(nil); got != nil {
-		t.Fatalf("empty payload split into %d segments", len(got))
+	blob := []byte("not an image at all")
+	if segs := SplitDedupSegments(blob); len(segs) != 1 || !bytes.Equal(segs[0], blob) {
+		t.Fatalf("non-image payload split into %d segments", len(segs))
 	}
 }

@@ -101,8 +101,8 @@ func ParseCompressTier(s string) (CompressTier, error) {
 // scratch buffer per binary section; decoding touches a gzip reader per
 // compressed payload. All of them are Reset-able, so the pools below
 // turn that churn into steady-state reuse. Pools are safe for
-// concurrent use — the checkpoint store's worker pool encodes and
-// decodes many ranks at once.
+// concurrent use — callers may share one store across goroutines, and
+// ranks encode their own images.
 
 // maxPooledBuf bounds the capacity of scratch buffers returned to the
 // pool, so one giant image does not pin its buffer forever.

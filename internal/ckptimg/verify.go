@@ -1,19 +1,11 @@
 package ckptimg
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"sync"
 )
-
-// ErrUnverifiable marks payloads that carry no integrity information:
-// opaque bytes the store accepted verbatim. Verify cannot vouch for
-// them — but they are not provably damaged either, so the scrubber
-// must not condemn them.
-var ErrUnverifiable = errors.New("ckptimg: payload carries no integrity information")
 
 // Verify checks an encoded image's integrity without assembling or
 // decompressing app state: the header, every section frame's CRC, the
@@ -21,16 +13,11 @@ var ErrUnverifiable = errors.New("ckptimg: payload carries no integrity informat
 // and delta v3 images. The walk touches each byte exactly once and
 // allocates nothing — this is the scrubber's verify-only reader.
 //
-// A payload that does not start with the image magic returns
-// ErrUnverifiable: the store allows opaque payloads, and nothing
-// distinguishes one from an image whose first eight bytes rotted.
-// Every other failure wraps ErrCorrupt — a header of another version
-// and a section tag this build does not write (the gob-coded tags of
-// early v3 builds, STOR among them) included.
+// Every failure wraps ErrCorrupt — a rotted magic, a header of another
+// version and a section tag this build does not write (the gob-coded
+// tags of early v3 builds, STOR among them) included: the store holds
+// nothing but v3 images, so bytes that are not one are damage.
 func Verify(data []byte) error {
-	if len(data) < 16 || !bytes.Equal(data[:8], Magic[:]) {
-		return ErrUnverifiable
-	}
 	flags, err := parseHeader(data)
 	if err != nil {
 		return err
@@ -153,7 +140,7 @@ func IndexFull(data []byte, chunkBytes int) (Indexed, error) {
 		}
 	}
 	if x.Total == 0 {
-		x.CRCs = nil // as IndexAppState indexes an empty state
+		x.CRCs = nil // an empty state indexes to zero chunks
 	}
 	if total := r.Total(); total >= 0 && total != x.Total {
 		return Indexed{}, fmt.Errorf("ckptimg: app state is %d bytes, its stream declares %d (%w)", x.Total, total, ErrCorrupt)

@@ -7,8 +7,8 @@ import (
 )
 
 // TestVerify: the verify-only reader accepts intact full, delta and
-// compressed images, rejects every damaged shape with ErrCorrupt, and
-// reports opaque payloads unverifiable instead of condemning them.
+// compressed images and rejects every damaged shape with ErrCorrupt —
+// a rotted magic and bytes that are no image at all included.
 func TestVerify(t *testing.T) {
 	img := sampleImage(0, 2, 4)
 	img.AppState = bytes.Repeat([]byte{7}, 4096)
@@ -58,10 +58,15 @@ func TestVerify(t *testing.T) {
 		}
 	}
 
-	if err := Verify([]byte("not an image at all")); !errors.Is(err, ErrUnverifiable) {
-		t.Fatalf("opaque payload: %v", err)
+	rotted := append([]byte(nil), full...)
+	rotted[3] ^= 0x20
+	if err := Verify(rotted); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("rotted magic: %v", err)
 	}
-	if err := Verify(nil); !errors.Is(err, ErrUnverifiable) {
+	if err := Verify([]byte("not an image at all")); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("non-image payload: %v", err)
+	}
+	if err := Verify(nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("empty payload: %v", err)
 	}
 }

@@ -40,10 +40,10 @@ type Backend interface {
 
 // Drainer is implemented by backends whose Put defers part of the
 // durability work — the tier backend acknowledges at front-tier speed
-// and flushes to the back tier asynchronously. Store.Commit calls
-// DrainBarrier after the manifest write so its durability promise
-// covers the slow tier too; the barrier returns (and clears) every
-// flush error since the previous barrier.
+// and queues a flush to the back tier. DrainBarrier does the deferred
+// work on the calling goroutine and returns its failures; the store
+// calls it after every manifest write, so Commit's durability promise
+// covers the slow tier too.
 type Drainer interface {
 	DrainBarrier() error
 }

@@ -2,10 +2,21 @@ package ckptstore
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"manasim/internal/ckptimg"
 )
+
+// mustOpen is Open for tests whose options are statically valid.
+func mustOpen(n int, o Options) *Store {
+	s, err := Open(n, o)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
 
 // testImage builds a minimal valid image for one rank.
 func testImage(rank, n, step int, app []byte) *ckptimg.Image {
@@ -146,7 +157,7 @@ func TestFSBackendRejectsTraversal(t *testing.T) {
 }
 
 func TestStoreFullGenerations(t *testing.T) {
-	s := MustOpen(2, Options{ChunkBytes: 64})
+	s := mustOpen(2, Options{ChunkBytes: 64})
 	if _, ok := s.Head(); ok {
 		t.Fatal("empty store has a head")
 	}
@@ -170,7 +181,7 @@ func TestStoreFullGenerations(t *testing.T) {
 
 func TestDeltaChainMaterializesBitIdentical(t *testing.T) {
 	const n, sz = 2, 1000
-	s := MustOpen(n, Options{Delta: true, ChunkBytes: 128, ChainCap: 8})
+	s := mustOpen(n, Options{Delta: true, ChunkBytes: 128, ChainCap: 8})
 	for gen := 0; gen < 4; gen++ {
 		g := commitGen(t, s, n, gen+1, func(r int) []byte { return appState(sz+r, gen) })
 		if gen == 0 && !g.Base() {
@@ -205,7 +216,7 @@ func TestDeltaChainMaterializesBitIdentical(t *testing.T) {
 }
 
 func TestChainCapForcesBase(t *testing.T) {
-	s := MustOpen(1, Options{Delta: true, ChunkBytes: 128, ChainCap: 2})
+	s := mustOpen(1, Options{Delta: true, ChunkBytes: 128, ChainCap: 2})
 	for gen := 0; gen < 6; gen++ {
 		commitGen(t, s, 1, gen, func(int) []byte { return appState(1000, gen) })
 	}
@@ -222,35 +233,45 @@ func TestChainCapForcesBase(t *testing.T) {
 	}
 }
 
-func TestOpaquePayloadsStoredVerbatim(t *testing.T) {
-	s := MustOpen(2, Options{Delta: true, ChunkBytes: 64})
-	opaque := []byte("not an image at all")
-	img1, err := ckptimg.EncodeOpts(testImage(1, 2, 0, appState(200, 0)), s.EncodeOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Commit([][]byte{opaque, img1}); err != nil {
-		t.Fatal(err)
-	}
-	// Rank 0 is stored verbatim; rank 1 plans a delta, rank 0 a base.
-	stored, _, err := s.getBlob(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(stored, opaque) {
-		t.Fatal("opaque payload not stored verbatim")
-	}
-	if _, _, ok := s.PlanDelta(0); ok {
-		t.Fatal("opaque rank planned a delta")
-	}
-	if _, _, ok := s.PlanDelta(1); !ok {
-		t.Fatal("indexed rank refused a delta")
+// TestCommitRefusesOpaquePayloads: in every store mode, a rank payload
+// that is not a v3 image fails the commit with an error wrapping
+// ckptimg.ErrCorrupt that names the rank and the generation, and the
+// store records nothing.
+func TestCommitRefusesOpaquePayloads(t *testing.T) {
+	for _, o := range []Options{
+		{ChunkBytes: 64},
+		{Delta: true, ChunkBytes: 64},
+		{Delta: true, Dedup: true, ChunkBytes: 64},
+	} {
+		s := mustOpen(2, o)
+		img0, err := ckptimg.EncodeOpts(testImage(0, 2, 0, appState(200, 0)), s.EncodeOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rotted := append([]byte(nil), img0...)
+		rotted[0] ^= 0x20
+		for what, bad := range map[string][]byte{
+			"not an image": []byte("not an image at all"),
+			"header only":  img0[:16],
+			"rotted magic": rotted,
+		} {
+			_, err := s.Commit([][]byte{img0, bad})
+			if !errors.Is(err, ckptimg.ErrCorrupt) || !strings.Contains(err.Error(), "generation 0 rank 1") {
+				t.Fatalf("%+v %s: %v, want ErrCorrupt naming generation 0 rank 1", o, what, err)
+			}
+			if len(s.Generations()) != 0 {
+				t.Fatalf("%+v %s: a refused commit recorded a generation", o, what)
+			}
+			if keys, _ := s.b.List(); len(keys) != 0 {
+				t.Fatalf("%+v %s: a refused commit left %v", o, what, keys)
+			}
+		}
 	}
 }
 
 func TestCommitRejectsPartialGenerations(t *testing.T) {
-	s := MustOpen(2, Options{})
-	img0, _ := ckptimg.Encode(testImage(0, 2, 0, []byte("x")))
+	s := mustOpen(2, Options{})
+	img0, _ := ckptimg.EncodeOpts(testImage(0, 2, 0, []byte("x")), ckptimg.Options{})
 	if _, err := s.Commit([][]byte{img0}); err == nil {
 		t.Fatal("short commit accepted")
 	}
@@ -265,7 +286,7 @@ func TestCommitRejectsPartialGenerations(t *testing.T) {
 func TestFSManifestResumesChain(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Backend: "fs", Dir: dir, Delta: true, ChunkBytes: 128, ChainCap: 8}
-	s1 := MustOpen(1, opts)
+	s1 := mustOpen(1, opts)
 	commitGen(t, s1, 1, 0, func(int) []byte { return appState(1000, 0) })
 	commitGen(t, s1, 1, 1, func(int) []byte { return appState(1000, 1) })
 
@@ -303,7 +324,7 @@ func TestFSManifestResumesChain(t *testing.T) {
 }
 
 func TestCompressedDeltaRoundTrip(t *testing.T) {
-	s := MustOpen(1, Options{Delta: true, ChunkBytes: 128, Compress: true})
+	s := mustOpen(1, Options{Delta: true, ChunkBytes: 128, Compress: true})
 	for gen := 0; gen < 3; gen++ {
 		commitGen(t, s, 1, gen, func(int) []byte { return appState(1000, gen) })
 	}

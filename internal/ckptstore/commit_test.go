@@ -1,8 +1,8 @@
 package ckptstore
 
 import (
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"runtime"
 	"strings"
@@ -12,8 +12,7 @@ import (
 )
 
 // Commit validates images through ckptimg's streaming readers. These
-// tests pin what it refuses, what it stores as opaque, and what it
-// allocates doing so.
+// tests pin what it refuses and what it allocates doing so.
 
 // section is one framed section of an encoded image (tag, length,
 // CRC-32, payload), so a test can damage an image behind checksums that
@@ -56,8 +55,8 @@ func joinSections(hdr []byte, secs []section) []byte {
 func TestCommitRefusesBadDeltas(t *testing.T) {
 	const n = 3
 	for _, compress := range []bool{false, true} {
-		opts := Options{Delta: true, ChunkBytes: 128, Workers: 2, Compress: compress, CompressTier: ckptimg.TierFastLZ}
-		s := MustOpen(n, opts)
+		opts := Options{Delta: true, ChunkBytes: 128, Compress: compress, CompressTier: ckptimg.TierFastLZ}
+		s := mustOpen(n, opts)
 		commitGen(t, s, n, 0, func(r int) []byte { return appState(1000, 0) })
 		good := encodeGen(t, s, n, 1, func(r int) []byte { return appState(1000, 1) })
 
@@ -98,7 +97,7 @@ func TestCommitRefusesBadDeltas(t *testing.T) {
 				return secs
 			}),
 			"wrong parent generation": redelta(parent, 7, s.EncodeOptions()),
-			"wrong chunk size":        redelta(ckptimg.IndexAppState(appState(1000, 0), 64), 0, o64),
+			"wrong chunk size":        redelta(indexState(appState(1000, 0), 64), 0, o64),
 			"truncated":               good[1][:len(good[1])-9],
 		}
 		for what, bad := range cases {
@@ -130,22 +129,22 @@ func TestCommitRefusesBadDeltas(t *testing.T) {
 	}
 }
 
-// TestCommitStoresDamagedFullImagesOpaque: a full image that does not
-// validate is not an error — the store accepts opaque payloads — but it
-// is stored verbatim and the rank loses its chunk index, so the next
-// generation writes a base for it.
-func TestCommitStoresDamagedFullImagesOpaque(t *testing.T) {
+// TestCommitRefusesDamagedFullImages: a full image that does not
+// validate fails the commit with ckptimg.ErrCorrupt naming the rank
+// and the generation; the store records nothing, and the sound
+// generation still commits after.
+func TestCommitRefusesDamagedFullImages(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		opts := Options{Delta: true, ChunkBytes: 64, Compress: compress, CompressTier: ckptimg.TierFastLZ}
-		sound := func(s *Store, rank int) []byte {
+		s := mustOpen(2, opts)
+		sound := func(rank int) []byte {
 			data, err := ckptimg.EncodeOpts(testImage(rank, 2, 0, appState(400, 0)), s.EncodeOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
 			return data
 		}
-		probe := MustOpen(2, opts)
-		full := sound(probe, 0)
+		full := sound(0)
 		hdr, secs := splitSections(t, full)
 		for i := range secs {
 			if secs[i].tag == 0x53545232 { // STR2: the vid store snapshot
@@ -162,25 +161,33 @@ func TestCommitStoresDamagedFullImagesOpaque(t *testing.T) {
 			"not an image":     []byte("not an image at all"),
 			"header only":      full[:16],
 		} {
-			s := MustOpen(2, opts)
-			gen, err := s.Commit([][]byte{bad, sound(s, 1)})
-			if err != nil {
-				t.Fatalf("compress=%v %s: %v", compress, what, err)
+			_, err := s.Commit([][]byte{bad, sound(1)})
+			if !errors.Is(err, ckptimg.ErrCorrupt) || !strings.Contains(err.Error(), "generation 0 rank 0") {
+				t.Fatalf("compress=%v %s: %v, want ErrCorrupt naming generation 0 rank 0", compress, what, err)
 			}
-			if gen.DeltaRanks != 0 {
-				t.Fatalf("%s: generation %+v", what, gen)
+			if len(s.Generations()) != 0 {
+				t.Fatalf("compress=%v %s: a refused commit recorded a generation", compress, what)
 			}
-			if stored, _, err := s.getBlob(0, 0); err != nil || !bytes.Equal(stored, bad) {
-				t.Fatalf("%s: payload not stored verbatim (%v)", what, err)
-			}
-			if _, _, ok := s.PlanDelta(0); ok {
-				t.Fatalf("%s: the rank kept a chunk index", what)
-			}
-			if _, _, ok := s.PlanDelta(1); !ok {
-				t.Fatalf("%s: the sound rank lost its chunk index", what)
+		}
+		if gen, err := s.Commit([][]byte{sound(0), sound(1)}); err != nil || gen.DeltaRanks != 0 {
+			t.Fatalf("compress=%v: sound generation after the refusals: %+v, %v", compress, gen, err)
+		}
+		for r := 0; r < 2; r++ {
+			if _, _, ok := s.PlanDelta(r); !ok {
+				t.Fatalf("compress=%v: rank %d holds no chunk index", compress, r)
 			}
 		}
 	}
+}
+
+// indexState is the chunk-CRC index of an application state, computed
+// directly: the reference the commit's streaming index must equal.
+func indexState(app []byte, chunk int) ckptimg.ChunkIndex {
+	x := ckptimg.ChunkIndex{ChunkBytes: chunk, Total: len(app)}
+	for off := 0; off < len(app); off += chunk {
+		x.CRCs = append(x.CRCs, crc32.ChecksumIEEE(app[off:min(off+chunk, len(app))]))
+	}
+	return x
 }
 
 // TestCommitIndexMatchesState: the index a streaming commit records is
@@ -193,11 +200,11 @@ func TestCommitIndexMatchesState(t *testing.T) {
 		{Delta: true, ChunkBytes: 128, Compress: true, CompressTier: ckptimg.TierFastLZ},
 		{Delta: true, ChunkBytes: 128, Compress: true, CompressTier: ckptimg.TierFastLZ, Dedup: true},
 	} {
-		s := MustOpen(1, o)
+		s := mustOpen(1, o)
 		for gen := 0; gen < 3; gen++ {
 			commitGen(t, s, 1, gen, func(int) []byte { return appState(1000, gen) })
 			got, _, ok := s.PlanDelta(0)
-			want := ckptimg.IndexAppState(appState(1000, gen), 128)
+			want := indexState(appState(1000, gen), 128)
 			if !ok || got.Total != want.Total || len(got.CRCs) != len(want.CRCs) {
 				t.Fatalf("%+v gen %d: index %+v, want %+v", o, gen, got, want)
 			}
@@ -227,8 +234,8 @@ func TestCommitDoesNotMaterialize(t *testing.T) {
 		return out
 	}
 	for _, dedup := range []bool{false, true} {
-		s := MustOpen(n, Options{
-			Delta: true, Dedup: dedup, ChunkBytes: chunk, Workers: 1,
+		s := mustOpen(n, Options{
+			Delta: true, Dedup: dedup, ChunkBytes: chunk,
 			Compress: true, CompressTier: ckptimg.TierFastLZ,
 		})
 		commitGen(t, s, n, 0, func(int) []byte { return state(0) })

@@ -215,53 +215,52 @@ type dedupPlan struct {
 	unique   []int64        // per-rank new-unique-byte attribution
 }
 
-// planDedup segments every rank image in parallel and merges the
-// result serially in rank order, so blob ordering, refcounts, and the
-// per-rank charge attribution are deterministic: the lowest rank that
-// references a new blob pays for its bytes, every later reference —
-// same commit or any later one — is free.
-func (s *Store) planDedup(images [][]byte) (*dedupPlan, error) {
-	type rankSegs struct {
-		ids  []blobID
-		keys []string
-		segs [][]byte
-	}
-	segRes := make([]rankSegs, s.n)
-	if err := forEachRank(s.n, s.opts.Workers, func(r int) error {
-		segs := ckptimg.SplitDedupSegments(images[r])
-		ids := make([]blobID, len(segs))
-		keys := make([]string, len(segs))
-		for i, seg := range segs {
-			ids[i] = idOf(seg)
-			keys[i] = ids[i].key()
-		}
-		segRes[r] = rankSegs{ids: ids, keys: keys, segs: segs}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
+// planDedup segments every rank image in rank order, so blob ordering,
+// refcounts, and the per-rank charge attribution are deterministic: the
+// lowest rank that references a new blob pays for its bytes, every
+// later reference — same commit or any later one — is free.
+func (s *Store) planDedup(images [][]byte) *dedupPlan {
 	p := &dedupPlan{
 		added:  make(map[string]int),
 		unique: make([]int64, s.n),
 	}
 	newIdx := make(map[string]bool)
-	for r := range segRes {
-		for i, k := range segRes[r].keys {
+	for r, data := range images {
+		segs := ckptimg.SplitDedupSegments(data)
+		ids := make([]blobID, len(segs))
+		for i, seg := range segs {
+			ids[i] = idOf(seg)
+			k := ids[i].key()
 			if s.blobRefs[k] == 0 && !newIdx[k] {
 				newIdx[k] = true
 				// The segment is a sub-slice of the image: the store
 				// keeps an exact copy, never the whole image behind it.
-				p.newBlobs = append(p.newBlobs, blobPut{key: k, data: exactCopy(segRes[r].segs[i])})
-				p.unique[r] += int64(len(segRes[r].segs[i]))
+				p.newBlobs = append(p.newBlobs, blobPut{key: k, data: exactCopy(seg)})
+				p.unique[r] += int64(len(seg))
 			}
 			p.added[k]++
 		}
-		recipe := encodeRecipe(len(images[r]), segRes[r].ids)
+		recipe := encodeRecipe(len(data), ids)
 		p.recipes = append(p.recipes, recipe)
 		p.unique[r] += int64(len(recipe))
 	}
-	return p, nil
+	return p
+}
+
+// putDedup writes a plan's new blobs, then generation seq's recipes, in
+// order, stopping at the first failure. The caller holds s.mu.
+func (s *Store) putDedup(seq int, p *dedupPlan) error {
+	for _, nb := range p.newBlobs {
+		if err := s.bPut(nb.key, nb.data); err != nil {
+			return err
+		}
+	}
+	for r, recipe := range p.recipes {
+		if err := s.bPut(key(seq, r), recipe); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // applyRefs merges a commit's refcount increments into the live table.

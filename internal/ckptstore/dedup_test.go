@@ -34,7 +34,7 @@ func dedupOptions() Options {
 // under its logical Bytes and the blob table reports shared references.
 func TestDedupCommitSharesBlobs(t *testing.T) {
 	const n = 8
-	s := MustOpen(n, dedupOptions())
+	s := mustOpen(n, dedupOptions())
 	for gen := 0; gen < 3; gen++ {
 		g := commitGen(t, s, n, gen, func(r int) []byte { return sharedAppState(8<<10, r, gen) })
 		if g.UniqueBytes <= 0 || g.UniqueBytes >= g.Bytes {
@@ -61,7 +61,7 @@ func TestDedupMaterializeMatchesNonDedup(t *testing.T) {
 	const n = 4
 	plainOpts := dedupOptions()
 	plainOpts.Dedup = false
-	dd, plain := MustOpen(n, dedupOptions()), MustOpen(n, plainOpts)
+	dd, plain := mustOpen(n, dedupOptions()), mustOpen(n, plainOpts)
 	for gen := 0; gen < 4; gen++ {
 		images := make([][]byte, n)
 		for r := 0; r < n; r++ {
@@ -112,7 +112,7 @@ func TestDedupMaterializeMatchesNonDedup(t *testing.T) {
 func TestDedupSharedAcrossGenerations(t *testing.T) {
 	opts := dedupOptions()
 	opts.ChainCap = ChainCapNone // every generation a full base
-	s := MustOpen(2, opts)
+	s := mustOpen(2, opts)
 	first := commitGen(t, s, 2, 0, func(r int) []byte { return sharedAppState(8<<10, r, 0) })
 	blobsAfterFirst := s.DedupStats()
 	// Same step, same state: the images are byte-identical, so the
@@ -134,7 +134,7 @@ func TestDedupSharedAcrossGenerations(t *testing.T) {
 func TestPruneSharedBlobSurvives(t *testing.T) {
 	opts := dedupOptions()
 	opts.ChainCap = ChainCapNone
-	s := MustOpen(1, opts)
+	s := mustOpen(1, opts)
 	// Three bases over identical state: every content segment is shared
 	// by all three generations.
 	for gen := 0; gen < 3; gen++ {
@@ -223,7 +223,7 @@ func TestDedupCrashResume(t *testing.T) {
 	dir := t.TempDir()
 	opts := dedupOptions()
 	opts.Backend, opts.Dir = "fs", dir
-	s := MustOpen(2, opts)
+	s := mustOpen(2, opts)
 	for gen := 0; gen < 2; gen++ {
 		commitGen(t, s, 2, gen, func(r int) []byte { return sharedAppState(4<<10, r, gen) })
 	}
@@ -345,7 +345,7 @@ func TestDedupCommitRace(t *testing.T) {
 	const n, gens, readers = 4, 12, 3
 	opts := dedupOptions()
 	opts.RetainBases = 2
-	s := MustOpen(n, opts)
+	s := mustOpen(n, opts)
 	commitGen(t, s, n, 0, func(r int) []byte { return sharedAppState(8<<10, r, 0) })
 
 	var wg sync.WaitGroup
@@ -421,7 +421,7 @@ func TestDedupResolutionErrorsTyped(t *testing.T) {
 	mat := func(s *Store, seq int) error { _, _, err := s.MaterializeStream(seq); return err }
 	t.Run("stream", func(t *testing.T) {
 		// Damaged recipe: the gen key's bytes no longer decode.
-		s := MustOpen(n, dedupOptions())
+		s := mustOpen(n, dedupOptions())
 		commitGen(t, s, n, 0, func(r int) []byte { return sharedAppState(8<<10, r, 0) })
 		if err := s.Backend().Put(key(0, 1), []byte("MANARCP1 but torn")); err != nil {
 			t.Fatal(err)
@@ -436,7 +436,7 @@ func TestDedupResolutionErrorsTyped(t *testing.T) {
 		}
 
 		// Corrupt content blob: stored bytes contradict the key.
-		s = MustOpen(n, dedupOptions())
+		s = mustOpen(n, dedupOptions())
 		commitGen(t, s, n, 0, func(r int) []byte { return sharedAppState(8<<10, r, 0) })
 		blobs := listBlobKeys(t, s)
 		data, err := s.Backend().Get(blobs[0])
@@ -460,7 +460,7 @@ func TestDedupResolutionErrorsTyped(t *testing.T) {
 		}
 
 		// Missing content blob (not a prune: the generation is live).
-		s = MustOpen(n, dedupOptions())
+		s = mustOpen(n, dedupOptions())
 		commitGen(t, s, n, 0, func(r int) []byte { return sharedAppState(8<<10, r, 0) })
 		if err := s.Backend().Delete(listBlobKeys(t, s)[0]); err != nil {
 			t.Fatal(err)

@@ -31,15 +31,13 @@
 // the chain. MaterializeStream returns decoded images, restart-ready,
 // each owning its state. RestoreStream hands each rank's image to a
 // callback instead — the restart path, which restores the application
-// from it — and each pool worker resolves rank after rank into the same
-// state buffer and scratch, so peak resolver memory is per worker, not
-// per rank.
+// from it — and resolves rank after rank into the same state buffer and
+// scratch, so peak resolver memory is one rank's, not one per rank.
 //
 // Every link must be a v3 image. A damaged link — or one that is not a
-// v3 image at all (a pre-v3 image, an opaque payload) — fails the
-// resolution with a *ChainLinkError naming the broken generation and
-// wrapping ckptimg.ErrCorrupt, and no partially-applied state is
-// returned.
+// v3 image at all (a pre-v3 image) — fails the resolution with a
+// *ChainLinkError naming the broken generation and wrapping
+// ckptimg.ErrCorrupt, and no partially-applied state is returned.
 //
 // # Commit validation
 //
@@ -48,24 +46,21 @@
 // the identity and tail sections decode, and every changed chunk's
 // content checks against its recorded CRC and length; then the store's
 // own rules — it parents the head generation, at the store's chunk
-// size. Any failure refuses the whole generation. A full image in delta
-// mode goes through ckptimg.IndexFull, which makes the same checks and
-// reads the application state to the end of its stream to index it; an
-// image that fails is not refused but stored verbatim as an opaque
-// payload, and the rank loses its chunk index, so its next generation
-// is a base. Validation is streaming: each rank's changed chunks (or
-// its full state) pass one at a time through a chunk-sized scratch
-// buffer, checked and indexed as they go, and nothing is materialized.
-// The scratch comes from a pool in ckptimg that every rank of every
-// commit shares, so a commit allocates the indexes — not a chunk per
-// image, never a second application state, and no copy of an image.
-// (Outside delta mode the index is never consulted and Commit only
-// peeks at META for the step.)
-//
-// Ranks that deliver bytes the store cannot parse as images are stored
-// verbatim as opaque full payloads (their index is dropped and the next
-// generation falls back to a base for that rank): indexing is an
-// optimization, never a reason to fail a checkpoint.
+// size. A full image in delta mode goes through ckptimg.IndexFull,
+// which makes the same checks and reads the application state to the
+// end of its stream to index it. Outside delta mode the index is never
+// consulted, and Commit checks only the header and the META section
+// (ckptimg.PeekMeta). Any failure refuses the whole generation with an
+// error naming the generation and the first failing rank; a payload
+// that is not a v3 image wraps ckptimg.ErrCorrupt. So the store holds
+// nothing but v3 images, and Scrub can condemn any stored byte that
+// fails its integrity walk. Validation is streaming: each rank's
+// changed chunks (or its full state) pass one at a time through a
+// chunk-sized scratch buffer, checked and indexed as they go, and
+// nothing is materialized. The scratch comes from a pool in ckptimg
+// that every rank of every commit shares, so a commit allocates the
+// indexes — not a chunk per image, never a second application state,
+// and no copy of an image.
 //
 // # Backends
 //
@@ -180,23 +175,23 @@
 // # The tier drainer
 //
 // The tier backend's Put is write-through: it returns once the front
-// tier (the burst buffer) holds the blob, and a bounded pool of drain
-// workers (tierDrainWorkers, the pool.go discipline) flushes queued
-// keys to the back tier in FIFO order — blob Puts flush before the
+// tier (the burst buffer) holds the blob and appends the key to a FIFO
+// flush queue. DrainBarrier flushes that queue to the back tier on the
+// calling goroutine, oldest key first — blob Puts flush before the
 // manifest Put that references them, so a back-tier-only resume never
 // sees a manifest pointing at bytes that have not arrived. Ownership
-// and backpressure rules:
+// and ordering rules:
 //
 //   - The queue owns keys, not bytes: a flush re-reads the front tier
 //     at flush time, so re-Puts of a key collapse (newest wins) and the
 //     queue stays O(keys).
-//   - Delete cancels a pending flush and waits out an in-flight one
-//     before touching either tier, so a drain worker can never
-//     resurrect a deleted blob on the back tier.
-//   - DrainBarrier blocks until the queue and in-flight set are empty
-//     and returns (clearing) every flush failure since the previous
-//     barrier. Store.Commit issues it after the manifest write: the
-//     commit's durability promise covers the back tier, and a flush
+//   - Delete cancels a pending flush before touching either tier, and
+//     DrainBarrier holds the backend's mutex while it flushes, so a
+//     flush can never resurrect a deleted blob on the back tier.
+//   - DrainBarrier returns every flush failure of its pass. The store
+//     issues it after each manifest write — Commit's, Prune's and
+//     Scrub's — so the back tier is current whenever one returns.
+//     Commit's durability promise covers the back tier, and a flush
 //     failure rolls the generation back like a manifest failure.
 //   - Get is read-through with promotion: a back-tier hit (a resume
 //     with a cold front tier) is copied into the front tier directly,
@@ -210,65 +205,47 @@
 //
 // The front tier is unbounded by default; Options.FrontCap bounds it
 // in bytes with LRU eviction. Eviction never drops the only copy of a
-// blob: keys still queued for (or in-flight to) the back tier and the
-// manifest key are pinned, so under flush backlog the front tier may
-// transiently overshoot its cap and recovers on the next insert.
-// Evicted keys fall through to the back tier on Get and re-promote
-// into the front (re-entering the LRU); Ops() reports front
-// hits/misses, promotions, evictions, and current residency against
-// the cap.
+// blob: keys still queued for the back tier and the manifest key are
+// pinned, so between barriers the front tier may overshoot its cap and
+// recovers on the next insert after one. Evicted keys fall through to
+// the back tier on Get and re-promote into the front (re-entering the
+// LRU); Ops() reports front hits/misses, promotions, evictions, and
+// current residency against the cap.
 //
 // # Concurrency model
 //
-// All Store methods are safe to call concurrently from rank goroutines.
-// Internally the store distinguishes two kinds of work:
+// The store has no goroutines of its own. Every operation — Commit's
+// validation, dedup planning and Puts, MaterializeStream's and
+// RestoreStream's chain resolution, Scrub, Prune, and the tier
+// backend's flush inside DrainBarrier — runs on the calling goroutine
+// and walks ranks 0..n-1 in order. The sequence of backend calls is
+// therefore a pure function of the store's inputs, the first failing
+// rank is the one every error reports, and RestoreStream's one
+// resolver buffer pair is its whole peak state (ChainStats.PeakBytes).
+// The simulator's parallelism is the kernel's, not the store's.
+//
+// Callers may still share one store across goroutines, and every
+// method is safe for that:
 //
 //   - Chain state (the generation list, the per-rank chunk indexes, the
-//     manifest) is guarded by one mutex. Commit holds it end to end, so
-//     generations are assigned dense sequence numbers and two
-//     concurrent Commits serialize.
-//   - Bulk per-rank work fans out to a bounded worker pool of
-//     Options.Workers goroutines (default GOMAXPROCS, 1 = serial). On
-//     Commit that is image validation and chunk indexing (streaming,
-//     see above), chain validation, and the backend Puts; on
-//     MaterializeStream and RestoreStream it is each rank's chain
-//     resolution (backend Gets, chunk inflation). Results land in
-//     rank-indexed slots, so output ordering is deterministic
-//     regardless of scheduling; RestoreStream's callback runs on the
-//     calling goroutine, one rank at a time, in the order ranks finish.
+//     manifest, the dedup refcounts) is guarded by one mutex. Commit,
+//     Prune and Scrub hold it end to end, so generations are assigned
+//     dense sequence numbers and two concurrent Commits serialize.
+//   - The resolver does not hold the chain mutex while resolving:
+//     committed generations are immutable (blobs are never rewritten),
+//     so readers proceed concurrently with an in-flight Commit of the
+//     next generation. Retention may delete a generation mid-read; the
+//     read then fails with ErrPruned.
+//   - Backends must be safe for concurrent use (every built-in is); the
+//     retry counters have a mutex of their own.
 //
-// The pool cancels on first error: no new rank starts once one fails,
-// and the lowest-ranked error is reported. A failed Commit deletes any
-// blobs it already wrote and leaves the chain and manifest untouched —
-// the backend never holds a partial generation.
-//
-// The resolver does not hold the chain mutex while resolving:
-// committed generations are immutable (blobs are never rewritten), so
-// readers proceed concurrently with an in-flight Commit of the next
-// generation. Backends must be safe for concurrent use (both built-ins
-// are).
-//
-// The resolver adds one layer of overlap inside each rank
-// worker, with these ownership and backpressure rules:
-//
-//   - Link lookahead: while link g parses, the blob of its parent g-1
-//     is fetched on one background goroutine (the parent of a delta is
-//     always g-1, so the read never speculates). Each in-flight rank
-//     owns at most one lookahead read, so the extra goroutine count is
-//     bounded by Options.Workers — the rank pool is the backpressure;
-//     the lookahead channel is buffered so an abandoned fetch never
-//     leaks.
-//   - Blob ownership: a link's chunk payloads alias its backend blob,
-//     which the resolving rank worker owns until resolution completes;
-//     blobs are never shared across ranks. Pooled codec state (the
-//     per-rank gzip inflater) is owned by one ChunkReader and returned
-//     on Close.
-//   - Output ownership: each rank writes only its own rank-indexed
-//     result slot; winning chunks inflate directly into the output
-//     state buffer, with one chunk-sized scratch for length-mismatched
-//     tails. MaterializeStream gives every rank a buffer pair of its
-//     own; RestoreStream gives one to each worker, which reuses it only
-//     after the callback has returned for its previous rank.
+// A link's chunk payloads alias its backend blob, which the resolution
+// owns until it completes; pooled codec state (the gzip inflater) is
+// owned by one ChunkReader and returned on Close. Winning chunks
+// inflate directly into the output state buffer, with one chunk-sized
+// scratch for length-mismatched tails. MaterializeStream gives every
+// rank a buffer pair of its own; RestoreStream reuses one for the next
+// rank only after the callback has returned.
 //
 // # Scrub, quarantine, and restart fallback
 //

@@ -48,7 +48,7 @@ func TestPreV3ImagesRefused(t *testing.T) {
 	}
 	for name, legacy := range forms {
 		t.Run(name, func(t *testing.T) {
-			s := MustOpen(1, Options{Delta: true, ChunkBytes: cs, ChainCap: 8})
+			s := mustOpen(1, Options{Delta: true, ChunkBytes: cs, ChainCap: 8})
 			commitGen(t, s, 1, 0, func(int) []byte { return appState(1000, 0) })
 			commitGen(t, s, 1, 1, func(int) []byte { return appState(1000, 1) })
 			base, err := s.b.Get(key(0, 0))
@@ -180,7 +180,7 @@ func TestRetiredStoreFormatsRefused(t *testing.T) {
 
 	t.Run("STOR section", func(t *testing.T) {
 		const cs = 128
-		s := MustOpen(1, Options{Delta: true, ChunkBytes: cs, ChainCap: 8})
+		s := mustOpen(1, Options{Delta: true, ChunkBytes: cs, ChainCap: 8})
 		commitGen(t, s, 1, 0, func(int) []byte { return appState(1000, 0) })
 		commitGen(t, s, 1, 1, func(int) []byte { return appState(1000, 1) })
 		// What an earlier build wrote: the snapshot gob-coded under STOR
@@ -230,7 +230,7 @@ func TestRetiredStoreFormatsRefused(t *testing.T) {
 	})
 
 	t.Run("MANARCP1 recipe", func(t *testing.T) {
-		s := MustOpen(2, dedupOptions())
+		s := mustOpen(2, dedupOptions())
 		commitGen(t, s, 2, 0, func(r int) []byte { return sharedAppState(4<<10, r, 0) })
 		data, err := s.b.Get(key(0, 1))
 		if err != nil {

@@ -69,7 +69,7 @@ func TestParseRankKeyExact(t *testing.T) {
 func TestNearMissKeysLeftByOpenRemovedByScrub(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Backend: "fs", Dir: dir}
-	s := MustOpen(2, opts)
+	s := mustOpen(2, opts)
 	commitGen(t, s, 2, 0, func(int) []byte { return appState(1000, 0) })
 	b, err := NewBackend("fs", BackendConfig{Dir: dir})
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 // backend grew one blob per rank per generation forever.
 func TestRetentionBoundsBlobs(t *testing.T) {
 	const n, gens, retain = 2, 50, 2
-	s := MustOpen(n, Options{
+	s := mustOpen(n, Options{
 		Delta: true, ChunkBytes: 128, ChainCap: 3, RetainBases: retain,
 	})
 	for gen := 0; gen < gens; gen++ {
@@ -50,7 +50,7 @@ func TestRetentionBoundsBlobs(t *testing.T) {
 func TestExplicitPrune(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Backend: "fs", Dir: dir, Delta: true, ChunkBytes: 128, ChainCap: ChainCapNone}
-	s := MustOpen(1, opts)
+	s := mustOpen(1, opts)
 	for gen := 0; gen < 5; gen++ {
 		commitGen(t, s, 1, gen, func(int) []byte { return appState(600, gen) })
 	}
@@ -93,7 +93,7 @@ func TestExplicitPrune(t *testing.T) {
 // stays on (indexes are maintained) yet every generation is a base —
 // the configuration ChainCap=0 silently could not express before.
 func TestChainCapNoneForcesBases(t *testing.T) {
-	s := MustOpen(1, Options{Delta: true, ChunkBytes: 128, ChainCap: ChainCapNone})
+	s := mustOpen(1, Options{Delta: true, ChunkBytes: 128, ChainCap: ChainCapNone})
 	for gen := 0; gen < 3; gen++ {
 		commitGen(t, s, 1, gen, func(int) []byte { return appState(1000, gen) })
 	}
@@ -106,7 +106,7 @@ func TestChainCapNoneForcesBases(t *testing.T) {
 		t.Fatal("PlanDelta approved a delta under ChainCapNone")
 	}
 	// A literal zero still selects the default cap.
-	if got := MustOpen(1, Options{}).Opts().ChainCap; got != DefaultChainCap {
+	if got := mustOpen(1, Options{}).Opts().ChainCap; got != DefaultChainCap {
 		t.Fatalf("zero ChainCap resolved to %d, want DefaultChainCap %d", got, DefaultChainCap)
 	}
 }
@@ -144,7 +144,7 @@ func TestRollbackDeleteFailureReported(t *testing.T) {
 			failDelete: map[string]bool{key(0, 1): true},
 		},
 		n:     n,
-		opts:  Options{Workers: 1}.withDefaults(),
+		opts:  Options{}.withDefaults(),
 		index: make([]rankIndex, n),
 	}
 	images := encodeGen(t, s, n, 0, func(r int) []byte { return appState(500, 0) })
@@ -171,7 +171,7 @@ func TestPruneDeleteFailureSurfaces(t *testing.T) {
 	fb := &flakyBackend{Backend: inner, failDelete: map[string]bool{key(0, 0): true}}
 	s := &Store{
 		b: fb, n: 1,
-		opts:  Options{Delta: true, ChunkBytes: 128, ChainCap: ChainCapNone, Workers: 1}.withDefaults(),
+		opts:  Options{Delta: true, ChunkBytes: 128, ChainCap: ChainCapNone}.withDefaults(),
 		index: make([]rankIndex, 1),
 	}
 	for gen := 0; gen < 3; gen++ {
@@ -202,7 +202,7 @@ func TestRetentionFailureDoesNotFailCommit(t *testing.T) {
 	fb := &flakyBackend{Backend: newMemBackend(), failDelete: map[string]bool{key(0, 0): true}}
 	s := &Store{
 		b: fb, n: 1,
-		opts:  Options{Delta: true, ChunkBytes: 128, ChainCap: ChainCapNone, RetainBases: 1, Workers: 1}.withDefaults(),
+		opts:  Options{Delta: true, ChunkBytes: 128, ChainCap: ChainCapNone, RetainBases: 1}.withDefaults(),
 		index: make([]rankIndex, 1),
 	}
 	for gen := 0; gen < 3; gen++ {
@@ -232,7 +232,7 @@ func TestRetentionFailureDoesNotFailCommit(t *testing.T) {
 func TestCrashResumeIgnoresOrphanBlobs(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Backend: "fs", Dir: dir, Delta: true, ChunkBytes: 128, ChainCap: 8}
-	s := MustOpen(1, opts)
+	s := mustOpen(1, opts)
 	commitGen(t, s, 1, 0, func(int) []byte { return appState(800, 0) })
 	commitGen(t, s, 1, 1, func(int) []byte { return appState(800, 1) })
 
@@ -303,7 +303,7 @@ func TestCrashResumeNoManifestPrunesEverything(t *testing.T) {
 func TestCrashResumeUnderTier(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Backend: "tier", Dir: dir, Delta: true, ChunkBytes: 128, ChainCap: 8}
-	s := MustOpen(1, opts)
+	s := mustOpen(1, opts)
 	commitGen(t, s, 1, 0, func(int) []byte { return appState(800, 0) })
 
 	// The crashed process flushed generation 1's blob but not its

@@ -34,22 +34,22 @@ func encodeGen(t *testing.T, s *Store, n, step int, app func(rank int) []byte) [
 }
 
 // TestParallelCommitMaterializeRace drives concurrent Commits and
-// Materializes over both backends with a multi-worker pool: one
-// goroutine extends the generation chain while readers materialize
-// every already-committed generation. Run under -race this is the
-// concurrency-safety proof for the parallel pipeline.
+// Materializes over both backends from several goroutines sharing one
+// store: one goroutine extends the generation chain while readers
+// materialize every already-committed generation. Run under -race this
+// is the proof that the store's mutexes cover callers that share it.
 func TestParallelCommitMaterializeRace(t *testing.T) {
 	const n, gens, readers = 4, 6, 3
 	for _, backend := range []string{"mem", "fs"} {
 		t.Run(backend, func(t *testing.T) {
 			opts := Options{
 				Backend: backend, Delta: true, ChunkBytes: 128,
-				ChainCap: 3, Workers: 4,
+				ChainCap: 3,
 			}
 			if backend == "fs" {
 				opts.Dir = t.TempDir()
 			}
-			s := MustOpen(n, opts)
+			s := mustOpen(n, opts)
 
 			var committed atomic.Int64
 			var wg sync.WaitGroup
@@ -109,22 +109,24 @@ func TestParallelCommitMaterializeRace(t *testing.T) {
 }
 
 // TestCommitBadDeltaCancelsAndDiscards proves first-error cancellation
-// end to end: one rank's delta image is corrupt, so Commit fails, the
-// chain records nothing, and the backend holds no blob of the failed
-// generation.
+// end to end: two ranks' delta images are corrupt, so Commit fails
+// naming the lower of them, the chain records nothing, and the backend
+// holds no blob of the failed generation.
 func TestCommitBadDeltaCancelsAndDiscards(t *testing.T) {
 	const n = 4
-	s := MustOpen(n, Options{Delta: true, ChunkBytes: 128, Workers: 4})
+	s := mustOpen(n, Options{Delta: true, ChunkBytes: 128})
 	commitGen(t, s, n, 0, func(r int) []byte { return appState(1000, 0) })
 
 	images := encodeGen(t, s, n, 1, func(r int) []byte { return appState(1000, 1) })
-	// Flip a payload bit in rank 2's delta: IsDelta still holds (the
-	// header is intact) but its section CRC fails validation.
-	images[2][len(images[2])/2] ^= 0x40
+	// Flip a payload bit in the deltas of ranks 3 and 2: IsDelta still
+	// holds (the header is intact) but the section CRC fails validation.
+	for _, r := range []int{3, 2} {
+		images[r][len(images[r])/2] ^= 0x40
+	}
 	if _, err := s.Commit(images); err == nil {
 		t.Fatal("commit of a corrupt delta succeeded")
-	} else if !strings.Contains(err.Error(), "rank 2") {
-		t.Fatalf("error does not name the failing rank: %v", err)
+	} else if !strings.HasPrefix(err.Error(), "ckptstore: generation 1 rank 2: ") {
+		t.Fatalf("error does not name the first failing rank: %v", err)
 	}
 
 	if gens := s.Generations(); len(gens) != 1 {
@@ -168,12 +170,12 @@ func TestCommitPutFailureLeavesNoPartialGeneration(t *testing.T) {
 	s := &Store{
 		b:     &failingBackend{Backend: inner, failKey: key(0, 5)},
 		n:     n,
-		opts:  Options{Workers: 4}.withDefaults(),
+		opts:  Options{}.withDefaults(),
 		index: make([]rankIndex, n),
 	}
 	images := make([][]byte, n)
 	for r := 0; r < n; r++ {
-		data, err := ckptimg.Encode(testImage(r, n, 0, appState(500, 0)))
+		data, err := ckptimg.EncodeOpts(testImage(r, n, 0, appState(500, 0)), ckptimg.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +201,7 @@ func TestCommitPutFailureLeavesNoPartialGeneration(t *testing.T) {
 // links — never more than the backend holds — and a base generation
 // reads its whole image.
 func TestMaterializeChainStats(t *testing.T) {
-	s := MustOpen(1, Options{Delta: true, ChunkBytes: 128, ChainCap: 8})
+	s := mustOpen(1, Options{Delta: true, ChunkBytes: 128, ChainCap: 8})
 	for gen := 0; gen < 3; gen++ {
 		commitGen(t, s, 1, gen, func(int) []byte { return appState(1000, gen) })
 	}
@@ -226,34 +228,5 @@ func TestMaterializeChainStats(t *testing.T) {
 	}
 	if stats[0].Links != 0 || stats[0].BaseBytes != gens[0].Bytes || stats[0].DeltaBytes != 0 {
 		t.Fatalf("base chain stats %+v", stats[0])
-	}
-}
-
-// TestForEachRankFirstError pins the pool's error semantics: the
-// lowest-ranked error wins and late ranks are cancelled.
-func TestForEachRankFirstError(t *testing.T) {
-	var ran atomic.Int64
-	err := forEachRank(64, 4, func(r int) error {
-		ran.Add(1)
-		if r == 3 || r == 7 {
-			return fmt.Errorf("rank %d failed", r)
-		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "failed") {
-		t.Fatalf("err = %v", err)
-	}
-	if got := ran.Load(); got >= 64 {
-		t.Fatalf("pool did not cancel: %d ranks ran", got)
-	}
-	// Serial path: the first failing rank's error, exactly.
-	err = forEachRank(8, 1, func(r int) error {
-		if r >= 2 {
-			return fmt.Errorf("rank %d failed", r)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "rank 2 failed" {
-		t.Fatalf("serial err = %v", err)
 	}
 }

@@ -47,7 +47,7 @@ func TestTransientPutRetried(t *testing.T) {
 		Backend:  newMemBackend(),
 		putFails: map[string]int{key(0, 1): 2},
 	}
-	s := &Store{b: tb, n: n, opts: Options{Workers: 1}.withDefaults(), index: make([]rankIndex, n)}
+	s := &Store{b: tb, n: n, opts: Options{}.withDefaults(), index: make([]rankIndex, n)}
 	commitGen(t, s, n, 0, func(int) []byte { return appState(500, 0) })
 
 	rs := s.Retry()
@@ -74,7 +74,7 @@ func TestTransientPutExhaustsBudget(t *testing.T) {
 		Backend:  newMemBackend(),
 		putFails: map[string]int{key(0, 1): retryAttempts},
 	}
-	s := &Store{b: tb, n: n, opts: Options{Workers: 1}.withDefaults(), index: make([]rankIndex, n)}
+	s := &Store{b: tb, n: n, opts: Options{}.withDefaults(), index: make([]rankIndex, n)}
 	images := encodeGen(t, s, n, 0, func(int) []byte { return appState(500, 0) })
 	if _, err := s.Commit(images); err == nil {
 		t.Fatal("commit succeeded past the retry budget")
@@ -104,7 +104,7 @@ func TestDiscardRetryPassRecovers(t *testing.T) {
 		putFails:    map[string]int{key(0, 1): retryAttempts},
 		deleteFails: map[string]int{key(0, 0): 1},
 	}
-	s := &Store{b: tb, n: n, opts: Options{Workers: 1}.withDefaults(), index: make([]rankIndex, n)}
+	s := &Store{b: tb, n: n, opts: Options{}.withDefaults(), index: make([]rankIndex, n)}
 	images := encodeGen(t, s, n, 0, func(int) []byte { return appState(500, 0) })
 	if _, err := s.Commit(images); err == nil {
 		t.Fatal("commit succeeded past the retry budget")
@@ -127,7 +127,7 @@ func TestDiscardResidualOrphansCounted(t *testing.T) {
 		putFails:    map[string]int{key(0, 1): retryAttempts},
 		deleteFails: map[string]int{key(0, 0): 2}, // first pass + retry pass
 	}
-	s := &Store{b: tb, n: n, opts: Options{Workers: 1}.withDefaults(), index: make([]rankIndex, n)}
+	s := &Store{b: tb, n: n, opts: Options{}.withDefaults(), index: make([]rankIndex, n)}
 	images := encodeGen(t, s, n, 0, func(int) []byte { return appState(500, 0) })
 	_, err := s.Commit(images)
 	if err == nil {

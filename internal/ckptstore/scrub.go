@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -94,11 +96,6 @@ type ScrubReport struct {
 	// their total size.
 	BlobsChecked int
 	BytesChecked int64
-	// Unverifiable counts opaque payloads that carry no integrity
-	// information — legal store contents the scrubber cannot vouch for
-	// but must not condemn. Always 0 on a dedup store, where the blob
-	// keys cover every byte.
-	Unverifiable int
 	// Findings lists every defect, in deterministic order: the
 	// generation walk (seq then rank ascending), content blobs (key
 	// order), refcount drift (key order), orphans (key order).
@@ -116,8 +113,8 @@ func (r *ScrubReport) Healthy() bool { return len(r.Findings) == 0 }
 
 // String renders a one-line summary.
 func (r *ScrubReport) String() string {
-	return fmt.Sprintf("scrub: %d generations, %d blobs (%d bytes) verified, %d unverifiable, %d findings (%d repaired), %d quarantined, %d released",
-		r.Generations, r.BlobsChecked, r.BytesChecked, r.Unverifiable,
+	return fmt.Sprintf("scrub: %d generations, %d blobs (%d bytes) verified, %d findings (%d repaired), %d quarantined, %d released",
+		r.Generations, r.BlobsChecked, r.BytesChecked,
 		len(r.Findings), r.Repaired, len(r.Quarantined), len(r.Released))
 }
 
@@ -176,11 +173,7 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 			if !s.opts.Dedup {
 				rep.BlobsChecked++
 				rep.BytesChecked += int64(len(data))
-				switch verr := ckptimg.Verify(data); {
-				case verr == nil:
-				case errors.Is(verr, ckptimg.ErrUnverifiable):
-					rep.Unverifiable++
-				default:
+				if verr := ckptimg.Verify(data); verr != nil {
 					rep.found(FindingCorruptBlob, k, seq, r, verr)
 					directBad[seq] = true
 				}
@@ -229,12 +222,7 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 	// a re-derivation attempt from intact sharers.
 	damaged := make(map[string]int) // blob key -> finding index
 	if s.opts.Dedup {
-		blobKeys := make([]string, 0, len(recount))
-		for bk := range recount {
-			blobKeys = append(blobKeys, bk)
-		}
-		sort.Strings(blobKeys)
-		for _, bk := range blobKeys {
+		for _, bk := range slices.Sorted(maps.Keys(recount)) {
 			crc, length, _ := parseBlobKey(bk) // validated in phase 1
 			seg, gerr := s.bGet(bk)
 			if gerr != nil {
@@ -356,6 +344,11 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 			return rep, fmt.Errorf("ckptstore: persisting scrub quarantine: %w", err)
 		}
 	}
+	// Repairs and the quarantine manifest reach a write-behind
+	// backend's slow tier before Scrub returns, blobs first.
+	if err := s.drainBarrier(); err != nil {
+		return rep, fmt.Errorf("ckptstore: flushing scrub writes: %w", err)
+	}
 	return rep, nil
 }
 
@@ -367,7 +360,8 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 // scanned for a frame run whose content key matches the damaged blob's.
 // A match is bit-identical by construction (the key embeds CRC, length,
 // and content hash), so writing it back is a true repair, confirmed by
-// a read-back. The caller holds s.mu.
+// a read-back. Damaged blobs are tried in key order, so the repair
+// writes follow from the store's contents alone. The caller holds s.mu.
 func (s *Store) repairFromDonors(rep *ScrubReport, recipes []scrubRecipe, damaged map[string]int) {
 	for _, rc := range recipes {
 		if len(damaged) == 0 {
@@ -400,7 +394,8 @@ func (s *Store) repairFromDonors(rep *ScrubReport, recipes []scrubRecipe, damage
 		if !ok {
 			continue
 		}
-		for bk, idx := range damaged {
+		for _, bk := range slices.Sorted(maps.Keys(damaged)) {
+			idx := damaged[bk]
 			_, length, _ := parseBlobKey(bk)
 			for i := 0; i < len(bounds); i++ {
 				j := sort.SearchInts(bounds, bounds[i]+int(length))

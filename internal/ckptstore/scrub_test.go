@@ -29,7 +29,7 @@ func flipByte(t *testing.T, b Backend, k string) []byte {
 // every stored byte accounted for.
 func TestScrubCleanStore(t *testing.T) {
 	for _, dedup := range []bool{false, true} {
-		s := MustOpen(2, Options{Delta: true, Dedup: dedup, ChunkBytes: 1024})
+		s := mustOpen(2, Options{Delta: true, Dedup: dedup, ChunkBytes: 1024})
 		for g := 0; g < 3; g++ {
 			commitGen(t, s, 2, g*10, func(r int) []byte { return appState(8192, g) })
 		}
@@ -43,12 +43,41 @@ func TestScrubCleanStore(t *testing.T) {
 		if rep.Generations != 3 || rep.BlobsChecked == 0 || rep.BytesChecked == 0 {
 			t.Fatalf("dedup=%v: report %s", dedup, rep)
 		}
-		if rep.Unverifiable != 0 {
-			t.Fatalf("dedup=%v: %d unverifiable payloads in an all-image store", dedup, rep.Unverifiable)
-		}
 		if len(s.Quarantined()) != 0 {
 			t.Fatalf("dedup=%v: clean scrub quarantined %v", dedup, s.Quarantined())
 		}
+	}
+}
+
+// TestScrubRottedMagicIsCorrupt: a plain store's rank image whose magic
+// rotted after the commit is damage like any other flipped bit — scrub
+// reports it as a corrupt blob and quarantines its generation.
+func TestScrubRottedMagicIsCorrupt(t *testing.T) {
+	s := mustOpen(2, Options{ChunkBytes: 1024})
+	for g := 0; g < 2; g++ {
+		commitGen(t, s, 2, g, func(r int) []byte { return appState(4096, g) })
+	}
+	k := key(1, 1)
+	data, err := s.b.Get(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[2] ^= 0x01
+	if err := s.b.Put(k, data); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Healthy() || len(rep.Findings) != 1 {
+		t.Fatalf("rotted magic: findings %+v, want exactly one", rep.Findings)
+	}
+	if f := rep.Findings[0]; f.Kind != FindingCorruptBlob || f.Key != k || f.Gen != 1 || f.Rank != 1 || !errors.Is(f.Err, ckptimg.ErrCorrupt) {
+		t.Fatalf("rotted magic reported as %+v, want a corrupt blob at %s", f, k)
+	}
+	if q := s.Quarantined(); len(q) != 1 || q[0] != 1 {
+		t.Fatalf("quarantined %v, want [1]", q)
 	}
 }
 
@@ -59,7 +88,7 @@ func TestScrubCleanStore(t *testing.T) {
 // releases the generations on the next scrub.
 func TestScrubQuarantineReleaseAndRebase(t *testing.T) {
 	dir := t.TempDir()
-	s := MustOpen(2, Options{Backend: "fs", Dir: dir, Delta: true, ChunkBytes: 1024})
+	s := mustOpen(2, Options{Backend: "fs", Dir: dir, Delta: true, ChunkBytes: 1024})
 	for g := 0; g < 3; g++ {
 		commitGen(t, s, 2, g*10, func(r int) []byte { return appState(8192, g) })
 	}
@@ -137,7 +166,7 @@ func TestScrubQuarantineReleaseAndRebase(t *testing.T) {
 // refcount drift is rebuilt from the recipes, and neither quarantines
 // anything.
 func TestScrubOrphansAndRefDrift(t *testing.T) {
-	s := MustOpen(2, Options{Dedup: true, ChunkBytes: 1024})
+	s := mustOpen(2, Options{Dedup: true, ChunkBytes: 1024})
 	for g := 0; g < 2; g++ {
 		commitGen(t, s, 2, g*10, func(r int) []byte { return appState(8192, g) })
 	}
@@ -198,7 +227,7 @@ func TestScrubOrphansAndRefDrift(t *testing.T) {
 // run boundary, so the shared app frames land in differently-grouped
 // (hence differently-keyed) run blobs — the donor scenario.
 func TestScrubRepairFromDonor(t *testing.T) {
-	s := MustOpen(1, Options{Dedup: true, ChunkBytes: 64})
+	s := mustOpen(1, Options{Dedup: true, ChunkBytes: 64})
 	app := make([]byte, 64<<10)
 	rand.New(rand.NewSource(1)).Read(app)
 	impls := []string{"mpich", "mpich-" + string(bytes.Repeat([]byte{'x'}, 96))}

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -79,10 +78,6 @@ type Options struct {
 	// FlagFastCompress), ckptimg.TierMax is the archival tier,
 	// ckptimg.TierBalanced (default) the middle ground.
 	CompressTier ckptimg.CompressTier
-	// Workers bounds the worker pool that Commit, MaterializeStream and
-	// RestoreStream fan per-rank decode/index/backend work out to (0 =
-	// GOMAXPROCS; 1 = serial).
-	Workers int
 	// WrapBackend, when set, decorates the backend right after
 	// construction — the fault injector's hook for making Put/Get
 	// flaky. The store's retry and rollback paths see only the wrapped
@@ -105,9 +100,6 @@ func (o Options) withDefaults() Options {
 	if o.ChunkBytes <= 0 {
 		o.ChunkBytes = ckptimg.AppChunk
 	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	return o
 }
 
@@ -115,8 +107,8 @@ func (o Options) withDefaults() Options {
 type Generation struct {
 	// Seq is the generation sequence number (0-based, dense).
 	Seq int
-	// Step is the checkpoint boundary the generation was taken at (-1
-	// when no image could be parsed).
+	// Step is the checkpoint boundary the generation was taken at, as
+	// rank 0's image records it.
 	Step int
 	// Bytes is the total encoded size across ranks — what the backend
 	// actually stored, the quantity the delta tier shrinks.
@@ -163,8 +155,8 @@ type ChainStats struct {
 	// PeakBytes estimates the resolver's peak resident bytes for the
 	// rank: the encoded blobs, the output state and one chunk of
 	// scratch — O(image + chunk), however deep the chain. Under
-	// RestoreStream the state and scratch are a worker's, reused by its
-	// next rank.
+	// RestoreStream the state and scratch are its one resolver buffer
+	// pair, reused by the next rank.
 	PeakBytes int64
 	// UniqueBytes is the stored bytes this resolution read through
 	// blobs only this chain references (dedup stores only; 0 otherwise).
@@ -208,7 +200,7 @@ func (e *ChainLinkError) Error() string {
 func (e *ChainLinkError) Unwrap() error { return e.Err }
 
 // rankIndex is one rank's chunk index at the head generation; Valid is
-// false when the rank's last image could not be indexed (opaque bytes).
+// false outside delta mode and after ForceBase or a quarantined head.
 type rankIndex struct {
 	Valid bool
 	X     ckptimg.ChunkIndex
@@ -272,7 +264,8 @@ type Store struct {
 	lastUnique []int64
 
 	// retryMu guards the retry/orphan counters: retried operations run
-	// on the commit worker pool and on lock-free materialize paths.
+	// under s.mu on the commit path and without it on materialize paths,
+	// which callers may run from several goroutines.
 	retryMu sync.Mutex
 	retry   RetryStats
 	orphans int
@@ -473,15 +466,6 @@ func (s *Store) pruneOrphans(resumed bool) error {
 	return errors.Join(errs...)
 }
 
-// MustOpen is Open for callers whose options are statically valid.
-func MustOpen(n int, o Options) *Store {
-	s, err := Open(n, o)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Ranks reports the store's rank count.
 func (s *Store) Ranks() int { return s.n }
 
@@ -542,7 +526,7 @@ func parseRankKey(k string) (seq, rank int, ok bool) {
 // against the returned parent index and generation; otherwise it writes
 // a full image. Delta is refused when the store is not in delta mode,
 // no generation is committed yet, the chain cap is reached, or the
-// rank's head image could not be indexed.
+// rank holds no chunk index (after ForceBase or a quarantined head).
 func (s *Store) PlanDelta(rank int) (parent ckptimg.ChunkIndex, parentGen int, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -570,115 +554,60 @@ func (s *Store) EncodeOptions() ckptimg.Options {
 	}
 }
 
-// rankCommit is the outcome of validating one rank's image on the
-// commit path: everything the serial merge needs, produced in parallel.
-type rankCommit struct {
-	step  int // checkpoint step the image claims, -1 if unparseable
-	delta bool
-	index rankIndex
-}
-
-// Commit records one complete generation: exactly one encoded image per
-// rank, full or delta. The store never sees partial generations — the
-// coordinator stages deliveries and commits only complete sets. Images
-// that parse update the rank's chunk index; opaque payloads are stored
-// verbatim and drop the rank's index (the next generation falls back to
-// a base for that rank).
+// Commit records one complete generation: exactly one encoded v3
+// image per rank, full or delta. The store never sees partial
+// generations — the coordinator stages deliveries and commits only
+// complete sets. Every image updates the rank's chunk index in delta
+// mode.
 //
-// The per-rank work — image validation and chunk indexing, chain
-// validation, backend writes — fans out to the store's worker pool
-// (Options.Workers). Validation is streaming (ckptimg.IndexDelta,
+// Commit runs on the calling goroutine and walks ranks 0..n-1 in
+// order: validation and chunk indexing, the dedup plan, then the
+// backend writes. Validation is streaming (ckptimg.IndexDelta,
 // ckptimg.IndexFull): every check a full decode makes runs, through one
-// pooled chunk-sized scratch buffer at a time per worker, and no
-// application state is assembled. A failing rank cancels the pool, any
-// blobs already written for the generation are deleted, and neither the
-// in-memory chain nor the manifest records it: a failed commit leaves
-// no partial generation behind.
+// pooled chunk-sized scratch buffer at a time, and no application state
+// is assembled. The first failing rank fails the commit and is the one
+// reported, any blobs already written for the generation are deleted,
+// and neither the in-memory chain nor the manifest records it: a failed
+// commit leaves no partial generation behind.
 func (s *Store) Commit(images [][]byte) (Generation, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(images) != s.n {
 		return Generation{}, fmt.Errorf("ckptstore: commit of %d images for a %d-rank store", len(images), s.n)
 	}
+	seq := len(s.gens)
+
+	// Phase 1: validate and index every rank, in rank order.
+	gen := Generation{Seq: seq}
+	newIndex := make([]rankIndex, s.n)
 	for r, data := range images {
 		if data == nil {
 			return Generation{}, fmt.Errorf("ckptstore: commit with no image for rank %d", r)
 		}
-	}
-	seq := len(s.gens)
-
-	// Phase 1: validate and index every rank in parallel. The work is
-	// pure per-rank reading; results land in rank-indexed slots so the
-	// merge below is deterministic.
-	results := make([]rankCommit, s.n)
-	err := forEachRank(s.n, s.opts.Workers, func(r int) error {
-		data := images[r]
-		res := &rankCommit{step: -1}
-		switch {
-		case ckptimg.IsDelta(data):
-			ix, err := ckptimg.IndexDelta(data)
-			if err != nil {
-				return fmt.Errorf("ckptstore: rank %d delta: %w", r, err)
-			}
-			if seq == 0 || ix.ParentGen != seq-1 {
-				return fmt.Errorf("ckptstore: rank %d delta parents generation %d, head is %d", r, ix.ParentGen, seq-1)
-			}
-			if ix.Index.ChunkBytes != s.opts.ChunkBytes {
-				return fmt.Errorf("ckptstore: rank %d delta chunk size %d != store %d", r, ix.Index.ChunkBytes, s.opts.ChunkBytes)
-			}
-			res.step = ix.Step
-			res.delta = true
-			res.index = rankIndex{Valid: true, X: ix.Index}
-		case !s.opts.Delta:
-			// No delta tier: the index would never be consulted, so a
-			// cheap META peek (step only) keeps the commit path from
-			// validating — and possibly decompressing — every image.
-			if img, err := ckptimg.PeekMeta(data); err == nil {
-				res.step = img.Step
-			}
-		default:
-			ix, err := ckptimg.IndexFull(data, s.opts.ChunkBytes)
-			if err != nil {
-				// Opaque payload: store it, forget the rank's index.
-				break
-			}
-			res.step = ix.Step
-			res.index = rankIndex{Valid: true, X: ix.Index}
+		step, delta, ix, err := s.validate(seq, data)
+		if err != nil {
+			return Generation{}, fmt.Errorf("ckptstore: generation %d rank %d: %w", seq, r, err)
 		}
-		results[r] = *res
-		return nil
-	})
-	if err != nil {
-		return Generation{}, err
-	}
-
-	// Serial merge, in rank order: the generation step is the first
-	// parseable rank's, exactly as the serial path chose it.
-	gen := Generation{Seq: seq, Step: -1}
-	newIndex := make([]rankIndex, s.n)
-	for r := range results {
-		gen.Bytes += int64(len(images[r]))
-		if gen.Step < 0 && results[r].step >= 0 {
-			gen.Step = results[r].step
+		gen.Bytes += int64(len(data))
+		if r == 0 {
+			gen.Step = step
 		}
-		if results[r].delta {
+		if delta {
 			gen.DeltaRanks++
 		}
-		newIndex[r] = results[r].index
+		newIndex[r] = ix
 	}
 
-	// Phase 1.5 (dedup): segment and hash every image in parallel, then
-	// merge serially in rank order — new blobs, refcount increments, and
-	// the per-rank unique-byte attribution are all deterministic.
+	// Phase 1.5 (dedup): segment and hash every image in rank order —
+	// new blobs, refcount increments, and the per-rank unique-byte
+	// attribution follow from the images alone.
 	var plan *dedupPlan
-	unique := make([]int64, s.n)
+	var unique []int64
 	if s.opts.Dedup {
-		var err error
-		if plan, err = s.planDedup(images); err != nil {
-			return Generation{}, err
-		}
-		copy(unique, plan.unique)
+		plan = s.planDedup(images)
+		unique = plan.unique
 	} else {
+		unique = make([]int64, s.n)
 		for r := range images {
 			unique[r] = int64(len(images[r]))
 		}
@@ -687,28 +616,23 @@ func (s *Store) Commit(images [][]byte) (Generation, error) {
 		gen.UniqueBytes += u
 	}
 
-	// Phase 2: persist every rank blob in parallel. On any failure the
+	// Phase 2: persist every rank blob in order. On any failure the
 	// generation's blobs are deleted so the backend holds no torso; a
 	// rollback that itself fails to delete is reported alongside, never
 	// swallowed — the caller must know blobs leaked. In dedup mode the
-	// writes are the new unique content blobs plus one recipe per rank,
+	// writes are the new unique content blobs, then one recipe per rank,
 	// and the rollback deletes only what this commit introduced.
 	if s.opts.Dedup {
-		if err := forEachRank(len(plan.newBlobs)+s.n, s.opts.Workers, func(i int) error {
-			if i < len(plan.newBlobs) {
-				nb := plan.newBlobs[i]
-				return s.bPut(nb.key, nb.data)
-			}
-			r := i - len(plan.newBlobs)
-			return s.bPut(key(seq, r), plan.recipes[r])
-		}); err != nil {
+		if err := s.putDedup(seq, plan); err != nil {
 			return Generation{}, errors.Join(err, s.discardDedup(seq, plan.newBlobs))
 		}
 		s.applyRefs(plan.added)
-	} else if err := forEachRank(s.n, s.opts.Workers, func(r int) error {
-		return s.bPut(key(seq, r), images[r])
-	}); err != nil {
-		return Generation{}, errors.Join(err, s.discardGeneration(seq))
+	} else {
+		for r, data := range images {
+			if err := s.bPut(key(seq, r), data); err != nil {
+				return Generation{}, errors.Join(err, s.discardGeneration(seq))
+			}
+		}
 	}
 
 	// Phase 3: flip the in-memory chain and the manifest together; a
@@ -734,23 +658,21 @@ func (s *Store) Commit(images [][]byte) (Generation, error) {
 		return Generation{}, rollback(err)
 	}
 
-	// Phase 4: for write-behind backends, wait out the back-tier flush —
+	// Phase 4: for write-behind backends, flush to the back tier —
 	// Commit's durability promise covers the slow tier. A flush failure
 	// fails the commit like a manifest failure (the rolled-back manifest
 	// is rewritten so a resume does not see the dead generation).
-	if d, ok := s.b.(Drainer); ok {
-		if err := d.DrainBarrier(); err != nil {
-			err = rollback(fmt.Errorf("ckptstore: draining to the back tier: %w", err))
-			if merr := s.persistManifest(); merr != nil {
-				err = errors.Join(err, merr)
-			} else if berr := d.DrainBarrier(); berr != nil {
-				// The rolled-back manifest's own flush failed: the back
-				// tier may still list the dead generation. Report it —
-				// losing this error would hide a resume hazard.
-				err = errors.Join(err, fmt.Errorf("ckptstore: flushing the rolled-back manifest: %w", berr))
-			}
-			return Generation{}, err
+	if err := s.drainBarrier(); err != nil {
+		err = rollback(fmt.Errorf("ckptstore: draining to the back tier: %w", err))
+		if merr := s.persistManifest(); merr != nil {
+			err = errors.Join(err, merr)
+		} else if berr := s.drainBarrier(); berr != nil {
+			// The rolled-back manifest's own flush failed: the back
+			// tier may still list the dead generation. Report it —
+			// losing this error would hide a resume hazard.
+			err = errors.Join(err, fmt.Errorf("ckptstore: flushing the rolled-back manifest: %w", berr))
 		}
+		return Generation{}, err
 	}
 
 	// Phase 5: retention. The generation is durable at this point, so a
@@ -763,6 +685,52 @@ func (s *Store) Commit(images [][]byte) (Generation, error) {
 	}
 	s.lastUnique = unique
 	return gen, nil
+}
+
+// validate checks one rank's image for generation seq and returns the
+// step it claims, whether it is a delta, and the chunk index the rank
+// holds after the commit. A payload that is not a v3 image fails with an
+// error wrapping ckptimg.ErrCorrupt. A delta goes through IndexDelta and
+// must parent the head at the store's chunk size; a full image in delta
+// mode goes through IndexFull. Outside delta mode the index is never
+// consulted, so a full image only has its header and META section
+// checked (ckptimg.PeekMeta) and the rank keeps no index.
+func (s *Store) validate(seq int, data []byte) (step int, delta bool, ix rankIndex, err error) {
+	switch {
+	case ckptimg.IsDelta(data):
+		d, err := ckptimg.IndexDelta(data)
+		if err != nil {
+			return 0, false, rankIndex{}, fmt.Errorf("delta: %w", err)
+		}
+		if seq == 0 || d.ParentGen != seq-1 {
+			return 0, false, rankIndex{}, fmt.Errorf("delta parents generation %d, head is %d", d.ParentGen, seq-1)
+		}
+		if d.Index.ChunkBytes != s.opts.ChunkBytes {
+			return 0, false, rankIndex{}, fmt.Errorf("delta chunk size %d != store %d", d.Index.ChunkBytes, s.opts.ChunkBytes)
+		}
+		return d.Step, true, rankIndex{Valid: true, X: d.Index}, nil
+	case !s.opts.Delta:
+		img, err := ckptimg.PeekMeta(data)
+		if err != nil {
+			return 0, false, rankIndex{}, err
+		}
+		return img.Step, false, rankIndex{}, nil
+	default:
+		f, err := ckptimg.IndexFull(data, s.opts.ChunkBytes)
+		if err != nil {
+			return 0, false, rankIndex{}, err
+		}
+		return f.Step, false, rankIndex{Valid: true, X: f.Index}, nil
+	}
+}
+
+// drainBarrier flushes a write-behind backend to its slow tier
+// (Drainer); other backends are durable when Put returns.
+func (s *Store) drainBarrier() error {
+	if d, ok := s.b.(Drainer); ok {
+		return d.DrainBarrier()
+	}
+	return nil
 }
 
 // LastRetentionErr reports the outcome of the most recent automatic
@@ -865,7 +833,11 @@ func (s *Store) pruneLocked(keepBases int) error {
 			delete(s.quarantined, seq)
 		}
 	}
-	return s.persistManifest()
+	if err := s.persistManifest(); err != nil {
+		return err
+	}
+	// A back-tier resume must not read the pre-prune manifest.
+	return s.drainBarrier()
 }
 
 // PrunedBefore reports the first generation whose blobs survive

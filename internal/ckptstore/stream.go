@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"manasim/internal/ckptimg"
 )
@@ -19,47 +17,34 @@ import (
 // holds the rank's encoded blobs, one state buffer and one chunk of
 // scratch, however deep the chain.
 //
-// There is one resolver (resolveRank) and two ways to run it.
-// MaterializeStream hands out owned images: each rank resolves into
-// buffers of its own. RestoreStream hands each image to a callback and
-// takes it back: each worker resolves rank after rank into the same
-// state buffer and scratch, so peak resolver memory is per worker, not
-// per rank.
-//
-// Concurrency: ranks fan out on the store's bounded worker pool
-// (pool.go); within a rank, the next link's backend Get runs on a
-// lookahead goroutine while the current link parses, so backend reads,
-// per-chunk inflation, and chunk application overlap across ranks and
-// links. Each in-flight rank owns at most one lookahead read, so the
-// extra goroutine count is bounded by Options.Workers.
+// There is one resolver (resolveRank) and two ways to run it, both on
+// the calling goroutine over ranks 0..n-1 in order. MaterializeStream
+// hands out owned images: each rank resolves into buffers of its own.
+// RestoreStream hands each image to a callback and takes it back: rank
+// after rank resolves into the same state buffer and scratch, so peak
+// resolver memory is one rank's, however many ranks there are.
 
 // MaterializeStream resolves generation seq into decoded images — one
 // per rank, restart-ready — using newest-wins chunk resolution, plus
 // per-rank ChainStats reporting what the resolution read (winning
 // chunks only) and skipped. Every link must be a v3 image: a link that
-// is not (a pre-v3 image, an opaque payload) fails the rank with a
-// *ChainLinkError wrapping ckptimg.ErrCorrupt.
-//
-// Rank chains resolve in parallel on the store's worker pool; results
-// are rank-ordered regardless of scheduling. Committed generations are
-// immutable, so MaterializeStream never blocks a concurrent Commit.
+// is not fails the rank with a *ChainLinkError wrapping
+// ckptimg.ErrCorrupt, and the first rank that fails is the one
+// reported. Committed generations are immutable, so MaterializeStream
+// never blocks a concurrent Commit.
 func (s *Store) MaterializeStream(seq int) ([]*ckptimg.Image, []ChainStats, error) {
 	if err := s.checkReadable(seq); err != nil {
 		return nil, nil, err
 	}
 	out := make([]*ckptimg.Image, s.n)
 	stats := make([]ChainStats, s.n)
-	err := forEachRank(s.n, s.opts.Workers, func(r int) error {
+	for r := range out {
 		// Fresh buffers per rank: every image owns its state.
 		img, cs, err := s.resolveRank(seq, r, &resolveBufs{})
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		out[r], stats[r] = img, cs
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
 	s.stampOrphans(stats)
 	return out, stats, nil
@@ -77,75 +62,29 @@ func (s *Store) MaterializeStreamHead() ([]*ckptimg.Image, []ChainStats, error) 
 }
 
 // RestoreStream resolves generation seq exactly as MaterializeStream
-// does, but hands each rank's image to fn instead of returning it — one
-// call at a time, on the calling goroutine, in the order ranks finish
-// resolving (rank order on a one-worker store). Each worker resolves
-// rank after rank into one state buffer and one chunk scratch, so
-// img.AppState is valid only during the call: fn must copy whatever it
-// keeps of it. The rest of the image is fn's to keep.
+// does, but hands each rank's image to fn instead of returning it, in
+// rank order. Every rank resolves into one state buffer and one chunk
+// scratch, so img.AppState is valid only during the call: fn must copy
+// whatever it keeps of it. The rest of the image is fn's to keep.
 //
 // The first failure — a rank that does not resolve, or fn's error —
-// stops the walk: no new rank starts, fn is not called again, and the
-// lowest-ranked error among those that occurred is returned. It returns
-// the per-rank ChainStats on success.
+// stops the walk and is returned: no later rank resolves and fn is not
+// called again. It returns the per-rank ChainStats on success.
 func (s *Store) RestoreStream(seq int, fn func(img *ckptimg.Image) error) ([]ChainStats, error) {
 	if err := s.checkReadable(seq); err != nil {
 		return nil, err
 	}
-	type resolved struct {
-		rank int
-		img  *ckptimg.Image
-		cs   ChainStats
-		err  error
-		// next tells the worker whether to reuse its buffers for
-		// another rank (true) or exit (false).
-		next chan<- bool
-	}
-	results := make(chan resolved)
-	var claim atomic.Int64
-	var wg sync.WaitGroup
-	workers := poolWidth(s.n, s.opts.Workers)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		// Lifetime: a worker exits when the ranks run out or when told
-		// to stop, and results closes only after the last one has, so
-		// no worker outlives the loop below. Until its go-ahead arrives
-		// the worker leaves its buffers alone: fn is reading them.
-		go func() {
-			defer wg.Done()
-			var bufs resolveBufs
-			next := make(chan bool)
-			for {
-				r := int(claim.Add(1)) - 1
-				if r >= s.n {
-					return
-				}
-				img, cs, err := s.resolveRank(seq, r, &bufs)
-				results <- resolved{r, img, cs, err, next}
-				if !<-next {
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
 	stats := make([]ChainStats, s.n)
-	errRank, firstErr := s.n, error(nil)
-	for res := range results {
-		if res.err == nil && firstErr == nil {
-			res.err = fn(res.img)
+	var bufs resolveBufs
+	for r := range stats {
+		img, cs, err := s.resolveRank(seq, r, &bufs)
+		if err == nil {
+			err = fn(img)
 		}
-		if res.err != nil && res.rank < errRank {
-			errRank, firstErr = res.rank, res.err
+		if err != nil {
+			return nil, err
 		}
-		stats[res.rank] = res.cs
-		res.next <- firstErr == nil
-	}
-	if firstErr != nil {
-		return nil, firstErr
+		stats[r] = cs
 	}
 	s.stampOrphans(stats)
 	return stats, nil
@@ -180,7 +119,7 @@ func (s *Store) stampOrphans(stats []ChainStats) {
 // resolveBufs is one resolver's memory for application state: the
 // buffer the resolved state lands in and a chunk-sized scratch for a
 // winning chunk whose length differs from the head's. The zero value
-// allocates both at the first rank; a worker that keeps one reuses
+// allocates both at the first rank; RestoreStream keeps one and reuses
 // them from rank to rank, growing them when a rank needs more.
 type resolveBufs struct {
 	state, scratch []byte
@@ -195,30 +134,6 @@ func (b *resolveBufs) get(stateLen, chunk int) (state, scratch []byte) {
 		b.scratch = make([]byte, chunk)
 	}
 	return b.state[:stateLen], b.scratch[:chunk]
-}
-
-// fetchResult is one lookahead backend read.
-type fetchResult struct {
-	data []byte
-	dr   dedupRead
-	err  error
-}
-
-// prefetchBlob starts one background rank-image read — the link
-// lookahead that overlaps the parent's read with the current link's
-// parse. It goes through getBlob so a dedup store's recipes reassemble
-// off the critical path too.
-func (s *Store) prefetchBlob(seq, rank int) chan fetchResult {
-	ch := make(chan fetchResult, 1)
-	// Lifetime: one backend read, then exit. The channel is buffered,
-	// so the send never blocks and a prefetch whose result is abandoned
-	// still exits; its read may finish after the materialize returns,
-	// but it only reads from the backend.
-	go func() {
-		data, dr, err := s.getBlob(seq, rank)
-		ch <- fetchResult{data, dr, err}
-	}()
-	return ch
 }
 
 // prefixCheck records one pass-through link's claim about a chunk
@@ -261,7 +176,7 @@ func (s *Store) resolveRank(seq, rank int, bufs *resolveBufs) (*ckptimg.Image, C
 	}
 
 	// Walk the chain newest to oldest at chunk granularity. The parent
-	// of link g is always g-1, so its blob is prefetched while g parses.
+	// of link g is always g-1, read once link g has parsed.
 	var links []*ckptimg.ChunkReader
 	defer func() {
 		for _, cr := range links {
@@ -273,10 +188,6 @@ func (s *Store) resolveRank(seq, rank int, bufs *resolveBufs) (*ckptimg.Image, C
 	blobBytes := int64(len(data))
 	cur := seq
 	for ckptimg.IsDelta(data) {
-		var pf chan fetchResult
-		if cur > 0 {
-			pf = s.prefetchBlob(cur-1, rank)
-		}
 		cr, err := ckptimg.OpenDelta(data, len(links) == 0)
 		if err != nil {
 			return nil, ChainStats{}, &ChainLinkError{Gen: cur, Rank: rank, Err: err}
@@ -299,17 +210,12 @@ func (s *Store) resolveRank(seq, rank int, bufs *resolveBufs) (*ckptimg.Image, C
 		if cur < 0 {
 			return nil, ChainStats{}, fmt.Errorf("ckptstore: rank %d delta chain has no base", rank)
 		}
-		res := <-pf
-		if res.err != nil {
-			if cur < s.PrunedBefore() {
-				return nil, ChainStats{}, fmt.Errorf("ckptstore: generation %d: %w (pruned during the read)", cur, ErrPruned)
-			}
-			return nil, ChainStats{}, res.err
+		if data, dr, err = s.getBlob(cur, rank); err != nil {
+			return nil, ChainStats{}, err
 		}
-		data = res.data
-		st.UniqueBytes += res.dr.unique
-		st.DedupBytes += res.dr.shared
-		st.SharedChunks += res.dr.refs
+		st.UniqueBytes += dr.unique
+		st.DedupBytes += dr.shared
+		st.SharedChunks += dr.refs
 		blobBytes += int64(len(data))
 	}
 

@@ -44,7 +44,7 @@ func TestStreamMatchesBatchEveryGeneration(t *testing.T) {
 		{"gzip", true, ckptimg.TierBalanced},
 		{"fast-lz", true, ckptimg.TierFastLZ},
 	} {
-		s := MustOpen(2, Options{Delta: true, ChunkBytes: 128, ChainCap: 8, Compress: tier.compress, CompressTier: tier.tier, Workers: 1})
+		s := mustOpen(2, Options{Delta: true, ChunkBytes: 128, ChainCap: 8, Compress: tier.compress, CompressTier: tier.tier})
 		state := func(gen int) func(int) []byte {
 			return func(r int) []byte { return appState(1000+64*r, gen) }
 		}
@@ -68,7 +68,7 @@ func TestStreamMatchesBatchEveryGeneration(t *testing.T) {
 // one chunk of scratch — never a state per link.
 func TestStreamSkipsSupersededChunks(t *testing.T) {
 	const n, sz, chunk, gens = 1, 4096, 256, 5
-	s := MustOpen(n, Options{Delta: true, ChunkBytes: chunk, ChainCap: 8})
+	s := mustOpen(n, Options{Delta: true, ChunkBytes: chunk, ChainCap: 8})
 	for gen := 0; gen < gens; gen++ {
 		commitGen(t, s, n, gen, func(int) []byte { return appState(sz, gen) })
 	}
@@ -102,7 +102,7 @@ func TestStreamSkipsSupersededChunks(t *testing.T) {
 // position, with prefix-CRC verification where chunk lengths differ.
 func TestStreamLengthChangingChain(t *testing.T) {
 	sizes := []int{1000, 700, 1300, 1295, 40}
-	s := MustOpen(1, Options{Delta: true, ChunkBytes: 128, ChainCap: 8})
+	s := mustOpen(1, Options{Delta: true, ChunkBytes: 128, ChainCap: 8})
 	for gen, sz := range sizes {
 		commitGen(t, s, 1, gen, func(int) []byte { return appState(sz, gen) })
 	}
@@ -114,7 +114,7 @@ func TestStreamLengthChangingChain(t *testing.T) {
 // TestStreamFullImageHead streams a head generation that is itself a
 // base: no chain, a plain decode.
 func TestStreamFullImageHead(t *testing.T) {
-	s := MustOpen(2, Options{ChunkBytes: 128})
+	s := mustOpen(2, Options{ChunkBytes: 128})
 	commitGen(t, s, 2, 0, func(r int) []byte { return appState(500, r) })
 	stats := matchCommitted(t, s, 0, 0, func(r int) []byte { return appState(500, r) })
 	if stats[0].Links != 0 || stats[0].ChunksRead == 0 {
@@ -129,7 +129,7 @@ func TestStreamFullImageHead(t *testing.T) {
 func TestCorruptMiddleLinkFailsTyped(t *testing.T) {
 	const badGen = 2
 	for _, mode := range []string{"flip", "truncate"} {
-		s := MustOpen(1, Options{Delta: true, ChunkBytes: 128, ChainCap: 8})
+		s := mustOpen(1, Options{Delta: true, ChunkBytes: 128, ChainCap: 8})
 		for gen := 0; gen < 4; gen++ {
 			commitGen(t, s, 1, gen, func(int) []byte { return appState(1000, gen) })
 		}
@@ -183,7 +183,7 @@ func TestCorruptMiddleLinkFailsTyped(t *testing.T) {
 // gzip base reveals its length only at EOF, so the resolver must drain
 // to the chain's expected length and refuse the excess.
 func TestStreamRejectsOversizedCompressedBase(t *testing.T) {
-	s := MustOpen(1, Options{Delta: true, ChunkBytes: 128, ChainCap: 8, Compress: true})
+	s := mustOpen(1, Options{Delta: true, ChunkBytes: 128, ChainCap: 8, Compress: true})
 	commitGen(t, s, 1, 0, func(int) []byte { return appState(1000, 0) })
 	commitGen(t, s, 1, 1, func(int) []byte { return appState(1000, 1) })
 	long := append(appState(1000, 0), bytes.Repeat([]byte{7}, 512)...)
@@ -201,19 +201,6 @@ func TestStreamRejectsOversizedCompressedBase(t *testing.T) {
 	}
 }
 
-// TestStreamParallelWorkers runs the resolver across pool widths — the
-// race-detector workout for the lookahead pipeline.
-func TestStreamParallelWorkers(t *testing.T) {
-	const n = 8
-	for _, workers := range []int{1, 3, 8} {
-		s := MustOpen(n, Options{Delta: true, ChunkBytes: 128, ChainCap: 8, Workers: workers})
-		for gen := 0; gen < 4; gen++ {
-			commitGen(t, s, n, gen, func(r int) []byte { return appState(900+32*r, gen) })
-		}
-		matchCommitted(t, s, 3, 3, func(r int) []byte { return appState(900+32*r, 3) })
-	}
-}
-
 // rankState is rank r's application state at generation gen: appState
 // of sz bytes, made distinct per rank.
 func rankState(r, sz, gen int) []byte {
@@ -227,9 +214,9 @@ func rankState(r, sz, gen int) []byte {
 // TestRestoreStreamMatchesMaterialize: handing each rank's image to a
 // callback resolves exactly what MaterializeStream returns — the same
 // state, identity and ChainStats for every rank — in every compression
-// tier and pool width, over full and delta heads and ranks whose state
-// sizes differ (the reused buffer grows and shrinks between ranks). The
-// callback runs once per rank and never overlaps itself.
+// tier, over full and delta heads and ranks whose state sizes differ
+// (the reused buffer grows and shrinks between ranks). The callback
+// runs once per rank, in rank order, and never overlaps itself.
 func TestRestoreStreamMatchesMaterialize(t *testing.T) {
 	const n, gens = 6, 4
 	size := func(r int) int { return 1300 - 97*r }
@@ -242,60 +229,61 @@ func TestRestoreStreamMatchesMaterialize(t *testing.T) {
 		{"gzip", true, ckptimg.TierBalanced},
 		{"fast-lz", true, ckptimg.TierFastLZ},
 	} {
-		for _, workers := range []int{1, 3, 8} {
-			s := MustOpen(n, Options{Delta: true, ChunkBytes: 128, ChainCap: 8, Compress: tier.compress, CompressTier: tier.tier, Workers: workers})
-			for gen := 0; gen < gens; gen++ {
-				commitGen(t, s, n, gen, func(r int) []byte { return rankState(r, size(r), gen) })
+		s := mustOpen(n, Options{Delta: true, ChunkBytes: 128, ChainCap: 8, Compress: tier.compress, CompressTier: tier.tier})
+		for gen := 0; gen < gens; gen++ {
+			commitGen(t, s, n, gen, func(r int) []byte { return rankState(r, size(r), gen) })
+		}
+		for gen := 0; gen < gens; gen++ {
+			want, wantStats, err := s.MaterializeStream(gen)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for gen := 0; gen < gens; gen++ {
-				want, wantStats, err := s.MaterializeStream(gen)
-				if err != nil {
-					t.Fatal(err)
+			var got []*ckptimg.Image
+			var inside bool
+			stats, err := s.RestoreStream(gen, func(img *ckptimg.Image) error {
+				if inside {
+					t.Errorf("%s gen %d: callback re-entered", tier.name, gen)
 				}
-				got := make([]*ckptimg.Image, n)
-				var inside bool
-				stats, err := s.RestoreStream(gen, func(img *ckptimg.Image) error {
-					if inside {
-						t.Errorf("%s/%d gen %d: callback re-entered", tier.name, workers, gen)
-					}
-					inside = true
-					defer func() { inside = false }()
-					if got[img.Rank] != nil {
-						t.Errorf("%s/%d gen %d: rank %d handed over twice", tier.name, workers, gen, img.Rank)
-					}
-					cp := *img
-					cp.AppState = append([]byte(nil), img.AppState...)
-					got[img.Rank] = &cp
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("%s/%d gen %d: %v", tier.name, workers, gen, err)
+				inside = true
+				defer func() { inside = false }()
+				if img.Rank != len(got) {
+					t.Errorf("%s gen %d: rank %d handed over after %d ranks", tier.name, gen, img.Rank, len(got))
 				}
-				for r := range want {
-					if got[r] == nil || !bytes.Equal(got[r].AppState, want[r].AppState) ||
-						!bytes.Equal(got[r].AppState, rankState(r, size(r), gen)) {
-						t.Fatalf("%s/%d gen %d rank %d: restored state differs from the committed one", tier.name, workers, gen, r)
-					}
-					if got[r].Step != gen || got[r].Rank != r || got[r].NRanks != n {
-						t.Fatalf("%s/%d gen %d rank %d: identity %d/%d@%d", tier.name, workers, gen, r, got[r].Rank, got[r].NRanks, got[r].Step)
-					}
-					if stats[r] != wantStats[r] {
-						t.Fatalf("%s/%d gen %d rank %d: stats %+v, MaterializeStream reports %+v", tier.name, workers, gen, r, stats[r], wantStats[r])
-					}
+				cp := *img
+				cp.AppState = append([]byte(nil), img.AppState...)
+				got = append(got, &cp)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s gen %d: %v", tier.name, gen, err)
+			}
+			if len(got) != n {
+				t.Fatalf("%s gen %d: %d ranks handed over, want %d", tier.name, gen, len(got), n)
+			}
+			for r := range want {
+				if !bytes.Equal(got[r].AppState, want[r].AppState) ||
+					!bytes.Equal(got[r].AppState, rankState(r, size(r), gen)) {
+					t.Fatalf("%s gen %d rank %d: restored state differs from the committed one", tier.name, gen, r)
+				}
+				if got[r].Step != gen || got[r].Rank != r || got[r].NRanks != n {
+					t.Fatalf("%s gen %d rank %d: identity %d/%d@%d", tier.name, gen, r, got[r].Rank, got[r].NRanks, got[r].Step)
+				}
+				if stats[r] != wantStats[r] {
+					t.Fatalf("%s gen %d rank %d: stats %+v, MaterializeStream reports %+v", tier.name, gen, r, stats[r], wantStats[r])
 				}
 			}
 		}
 	}
 }
 
-// TestRestoreStreamSharesOneBuffer: on a one-worker store every rank
-// resolves into the same state buffer, so rank 1 overwrites the bytes
+// TestRestoreStreamSharesOneBuffer: every rank resolves into the same
+// state buffer, so rank 1 overwrites the bytes
 // rank 0 was handed. A callback that copies what it keeps still holds
 // rank 0's state intact; one that kept the slice would now hold rank 1's.
 func TestRestoreStreamSharesOneBuffer(t *testing.T) {
 	const sz = 1024
 	for _, head := range []int{0, 2} { // a full head, then a two-link chain
-		s := MustOpen(2, Options{Delta: true, ChunkBytes: 128, ChainCap: 8, Workers: 1})
+		s := mustOpen(2, Options{Delta: true, ChunkBytes: 128, ChainCap: 8})
 		for gen := 0; gen <= head; gen++ {
 			commitGen(t, s, 2, gen, func(r int) []byte { return rankState(r, sz, gen) })
 		}
@@ -321,11 +309,12 @@ func TestRestoreStreamSharesOneBuffer(t *testing.T) {
 
 // TestRestoreStreamStopsAtFirstError: the callback's error ends the
 // walk — it is returned as is, no later rank is handed over, and no
-// statistics come back — and a generation the store must not read is
-// refused before any rank resolves.
+// statistics come back; of several ranks that do not resolve, the
+// lowest is the one reported; and a generation the store must not read
+// is refused before any rank resolves.
 func TestRestoreStreamStopsAtFirstError(t *testing.T) {
 	const n = 4
-	s := MustOpen(n, Options{Delta: true, ChunkBytes: 128, Workers: 1})
+	s := mustOpen(n, Options{Delta: true, ChunkBytes: 128})
 	for gen := 0; gen < 2; gen++ {
 		commitGen(t, s, n, gen, func(r int) []byte { return rankState(r, 600, gen) })
 	}
@@ -343,6 +332,21 @@ func TestRestoreStreamStopsAtFirstError(t *testing.T) {
 	}
 	if len(seen) != 2 || seen[0] != 0 || seen[1] != 1 {
 		t.Fatalf("callback saw ranks %v, want [0 1]", seen)
+	}
+	for _, r := range []int{3, 1} {
+		flipByte(t, s.b, key(1, r))
+	}
+	seen = seen[:0]
+	_, err = s.RestoreStream(1, func(img *ckptimg.Image) error {
+		seen = append(seen, img.Rank)
+		return nil
+	})
+	var cle *ChainLinkError
+	if !errors.As(err, &cle) || cle.Rank != 1 || cle.Gen != 1 {
+		t.Fatalf("RestoreStream over damaged ranks 1 and 3: %v, want rank 1's link error", err)
+	}
+	if len(seen) != 1 || seen[0] != 0 {
+		t.Fatalf("callback saw ranks %v, want [0]", seen)
 	}
 	if _, err := s.RestoreStream(2, func(*ckptimg.Image) error {
 		t.Fatal("a generation that does not exist reached the callback")

@@ -11,26 +11,18 @@ import (
 	"manasim/internal/fsim"
 )
 
-// tierDrainWorkers bounds the goroutines flushing the tier backend's
-// write-behind queue — the same bounded-fan-out discipline as the
-// store's rank pool (pool.go), sized small because flushes are pure
-// backend I/O with no per-key ordering requirement beyond FIFO.
-const tierDrainWorkers = 2
-
 // tierBackend composes a fast front tier (a burst buffer) over a slow
 // durable back tier. Put is write-through at front-tier speed: the blob
-// is durable on the front tier when Put returns, and a bounded drainer
-// flushes it to the back tier asynchronously, FIFO, so a manifest
-// written after its generation's blobs also lands on the back tier
-// after them — a back-tier resume never sees a manifest referencing
-// blobs that have not arrived. Get is read-through: the front tier is
-// preferred, and a back-tier hit (a resume with a cold front tier) is
-// promoted into the front tier for subsequent reads.
-//
-// DrainBarrier (the Drainer interface) blocks until the queue is empty
-// and reports every flush failure since the previous barrier;
-// Store.Commit issues it after the manifest write so the commit's
-// durability promise covers the back tier too.
+// is durable on the front tier when Put returns and its key joins a
+// FIFO flush queue. DrainBarrier (the Drainer interface) flushes the
+// queue to the back tier on the calling goroutine, in order, so a
+// manifest written after its generation's blobs also lands on the back
+// tier after them — a back-tier resume never sees a manifest
+// referencing blobs that have not arrived — and reports every flush
+// failure. The store issues it after every manifest write, so Commit's
+// durability promise covers the back tier too. Get is read-through: the
+// front tier is preferred, and a back-tier hit (a resume with a cold
+// front tier) is promoted into the front tier for subsequent reads.
 //
 // A positive FrontCap turns the front tier into a bounded LRU cache
 // (a real burst buffer has a capacity): blobs already flushed to the
@@ -42,14 +34,10 @@ type tierBackend struct {
 	frontFS, backFS fsim.FS
 	frontCap        int64 // front-tier residency bound in bytes (0 = unbounded)
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []string        // keys awaiting a back-tier flush, FIFO
-	queued   map[string]bool // members of queue (dedupe re-Puts)
-	inflight map[string]bool // keys a drain worker holds right now
-	workers  int
-	flushErr []error // failures since the last barrier
-	flushed  int     // blobs landed on the back tier
+	mu      sync.Mutex
+	queue   []string        // keys awaiting a back-tier flush, FIFO
+	queued  map[string]bool // members of queue (dedupe re-Puts)
+	flushed int             // blobs landed on the back tier
 
 	// Front-tier residency: a bounded burst buffer is a cache, so the
 	// backend tracks which keys live on the front tier and in what LRU
@@ -77,17 +65,14 @@ func newTierBackend(cfg BackendConfig) (Backend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ckptstore: tier back: %w", err)
 	}
-	b := &tierBackend{
+	return &tierBackend{
 		front: newMemBackend(), back: back,
 		frontFS:  fsim.BurstBuffer(),
 		backFS:   profileOr(back, fsim.NFSv3()),
 		frontCap: cfg.FrontCap,
 		queued:   make(map[string]bool),
-		inflight: make(map[string]bool),
 		sizes:    make(map[string]int64),
-	}
-	b.cond = sync.NewCond(&b.mu)
-	return b, nil
+	}, nil
 }
 
 func (b *tierBackend) Name() string { return "tier" }
@@ -114,14 +99,6 @@ func (b *tierBackend) Put(key string, data []byte) error {
 		b.queue = append(b.queue, key)
 	}
 	b.noteResidentLocked(key, n)
-	if b.workers < tierDrainWorkers {
-		b.workers++
-		// Lifetime: the worker exits once the queue is empty. It may
-		// outlive the Put and the Store that made it; DrainBarrier
-		// returns only when nothing is queued or in flight, so after it
-		// the worker writes nothing more.
-		go b.drainLoop()
-	}
 	b.mu.Unlock()
 	return nil
 }
@@ -159,12 +136,12 @@ func (b *tierBackend) touchLocked(key string) {
 }
 
 // evictLocked deletes least-recently-used front-tier blobs until the
-// resident bytes fit the cap. Keys still awaiting or undergoing a
-// back-tier flush are pinned — the front tier holds their only copy —
-// as are the manifest (tiny, and the first thing every resume reads)
-// and the key just touched. When every candidate is pinned the front
-// tier overshoots the cap; the next insert tries again after the drain
-// has caught up.
+// resident bytes fit the cap. Keys still awaiting a back-tier flush
+// are pinned — the front tier holds their only copy — as are the
+// manifest (tiny, and the first thing every resume reads) and the key
+// just touched. When every candidate is pinned the front tier
+// overshoots the cap; the next insert tries again after the next
+// DrainBarrier has flushed them.
 func (b *tierBackend) evictLocked(keep string) {
 	if b.frontCap <= 0 {
 		return
@@ -172,7 +149,7 @@ func (b *tierBackend) evictLocked(keep string) {
 	for b.frontBytes > b.frontCap {
 		victim := ""
 		for _, k := range b.lru {
-			if k == keep || k == manifestKey || b.queued[k] || b.inflight[k] {
+			if k == keep || k == manifestKey || b.queued[k] {
 				continue
 			}
 			victim = k
@@ -206,59 +183,31 @@ func (b *tierBackend) dropResidentLocked(key string) {
 	}
 }
 
-// drainLoop is one bounded drain worker: pop a key, copy front → back,
-// record failures, exit when the queue runs dry.
-func (b *tierBackend) drainLoop() {
+// DrainBarrier flushes every queued blob to the back tier, oldest
+// first, on the calling goroutine, and returns the flush failures. A
+// failed key leaves the queue; its only copy stays on the front tier.
+// b.mu is held throughout, so a concurrent Delete either cancels a key
+// before its flush or deletes it from both tiers after it — a flush
+// never resurrects a deleted blob on the back tier.
+func (b *tierBackend) DrainBarrier() error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
+	var errs []error
 	for len(b.queue) > 0 {
 		k := b.queue[0]
-		if k == manifestKey {
-			// The manifest must complete after every blob it references,
-			// not merely be popped after them: with more than one worker,
-			// a small manifest copy could otherwise overtake a large
-			// blob's, and a crash in that window would leave a back tier
-			// whose manifest lists a generation missing its blobs. Wait
-			// out all in-flight flushes first (the manifest flush is an
-			// internal ordering barrier).
-			if len(b.inflight) > 0 {
-				b.cond.Wait()
-				continue
-			}
-		}
 		b.queue = b.queue[1:]
 		delete(b.queued, k)
-		b.inflight[k] = true
-		b.mu.Unlock()
 		data, err := b.front.Get(k)
 		if err == nil {
 			err = b.back.Put(k, data)
 		}
-		b.mu.Lock()
-		delete(b.inflight, k)
 		if err != nil {
-			b.flushErr = append(b.flushErr, fmt.Errorf("ckptstore: tier flush of %q: %w", k, err))
-		} else {
-			b.flushed++
+			errs = append(errs, fmt.Errorf("ckptstore: tier flush of %q: %w", k, err))
+			continue
 		}
-		b.cond.Broadcast()
+		b.flushed++
 	}
-	b.workers--
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// DrainBarrier blocks until every queued blob reached the back tier and
-// returns (clearing) the flush failures accumulated since the previous
-// barrier.
-func (b *tierBackend) DrainBarrier() error {
-	b.mu.Lock()
-	for len(b.queue) > 0 || len(b.inflight) > 0 {
-		b.cond.Wait()
-	}
-	err := errors.Join(b.flushErr...)
-	b.flushErr = nil
-	b.mu.Unlock()
-	return err
+	return errors.Join(errs...)
 }
 
 // DrainLag reports the modeled gap between front-tier and back-tier
@@ -328,8 +277,8 @@ func (b *tierBackend) List() ([]string, error) {
 }
 
 // Delete removes the key from both tiers. A pending flush of the key is
-// cancelled first, and an in-flight flush is waited out, so a drain
-// worker can never resurrect a deleted blob on the back tier.
+// cancelled first, so DrainBarrier can never resurrect a deleted blob
+// on the back tier.
 func (b *tierBackend) Delete(key string) error {
 	b.mu.Lock()
 	if b.queued[key] {
@@ -340,9 +289,6 @@ func (b *tierBackend) Delete(key string) error {
 				break
 			}
 		}
-	}
-	for b.inflight[key] {
-		b.cond.Wait()
 	}
 	b.dropResidentLocked(key)
 	b.mu.Unlock()

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // newTestTier builds a tier backend over a mem front and an fs back in
@@ -72,7 +71,7 @@ func TestTierReadThroughPromotes(t *testing.T) {
 	}
 }
 
-// TestTierListUnions: keys still in flight to the back tier and keys
+// TestTierListUnions: keys already flushed to the back tier and keys
 // only on the back tier both appear exactly once.
 func TestTierListUnions(t *testing.T) {
 	tier, back := newTestTier(t)
@@ -95,7 +94,7 @@ func TestTierListUnions(t *testing.T) {
 }
 
 // TestTierDeleteNeverResurrects: deleting a freshly Put key must leave
-// neither tier holding it, regardless of how far the async flush got.
+// neither tier holding it once the queue is flushed.
 func TestTierDeleteNeverResurrects(t *testing.T) {
 	tier, back := newTestTier(t)
 	for i := 0; i < 32; i++ {
@@ -139,53 +138,30 @@ func TestTierDrainLagModeled(t *testing.T) {
 	if cm := tier.CostModel(); cm.Name != "burstbuffer" {
 		t.Fatalf("tier cost model %q, want the burst-buffer front profile", cm.Name)
 	}
-	// Let the flush settle so TempDir cleanup does not race the drain
-	// workers (the lag above was measured before the barrier).
-	if err := tier.(Drainer).DrainBarrier(); err != nil {
-		t.Fatal(err)
-	}
 }
 
-// slowBackend wraps a backend, delaying and recording Puts — the
-// ordering probe for the drainer's manifest barrier.
-type slowBackend struct {
+// orderBackend wraps a backend, recording the order Puts land in.
+type orderBackend struct {
 	Backend
-	delay map[string]time.Duration
-
-	mu    sync.Mutex
 	order []string
 }
 
-func (b *slowBackend) Put(key string, data []byte) error {
-	if d := b.delay[key]; d > 0 {
-		time.Sleep(d)
-	}
+func (b *orderBackend) Put(key string, data []byte) error {
 	if err := b.Backend.Put(key, data); err != nil {
 		return err
 	}
-	b.mu.Lock()
 	b.order = append(b.order, key)
-	b.mu.Unlock()
 	return nil
 }
 
 // TestTierManifestFlushesAfterBlobs pins the drainer's ordering
-// invariant with more than one worker: even when a blob's back-tier
-// copy is slow, the manifest referencing it must complete last — a
-// crash mid-drain must never leave a back tier whose manifest lists a
-// generation missing its blobs.
+// invariant: nothing reaches the back tier before DrainBarrier, and
+// then the blobs land in Put order with the manifest referencing them
+// last — a crash mid-drain must never leave a back tier whose manifest
+// lists a generation missing its blobs.
 func TestTierManifestFlushesAfterBlobs(t *testing.T) {
-	rec := &slowBackend{
-		Backend: newMemBackend(),
-		delay:   map[string]time.Duration{key(0, 0): 30 * time.Millisecond},
-	}
-	tb := &tierBackend{
-		front:    newMemBackend(),
-		back:     rec,
-		queued:   make(map[string]bool),
-		inflight: make(map[string]bool),
-	}
-	tb.cond = sync.NewCond(&tb.mu)
+	rec := &orderBackend{Backend: newMemBackend()}
+	tb := &tierBackend{front: newMemBackend(), back: rec, queued: make(map[string]bool)}
 	for r := 0; r < 2; r++ {
 		if err := tb.Put(key(0, r), []byte{byte(r)}); err != nil {
 			t.Fatal(err)
@@ -194,11 +170,14 @@ func TestTierManifestFlushesAfterBlobs(t *testing.T) {
 	if err := tb.Put(manifestKey, []byte("m")); err != nil {
 		t.Fatal(err)
 	}
+	if len(rec.order) != 0 {
+		t.Fatalf("flushed %v before the barrier", rec.order)
+	}
 	if err := tb.DrainBarrier(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(rec.order); n != 3 || rec.order[n-1] != manifestKey {
-		t.Fatalf("back-tier completion order %v: manifest did not land last", rec.order)
+	if want := []string{key(0, 0), key(0, 1), manifestKey}; strings.Join(rec.order, " ") != strings.Join(want, " ") {
+		t.Fatalf("back-tier order %v, want %v", rec.order, want)
 	}
 }
 
@@ -208,13 +187,11 @@ func TestTierManifestFlushesAfterBlobs(t *testing.T) {
 func TestTierFlushFailureFailsCommit(t *testing.T) {
 	inner := newMemBackend()
 	tb := &tierBackend{
-		front:    newMemBackend(),
-		back:     &flakyBackend{Backend: inner, failPut: key(0, 1)},
-		queued:   make(map[string]bool),
-		inflight: make(map[string]bool),
+		front:  newMemBackend(),
+		back:   &flakyBackend{Backend: inner, failPut: key(0, 1)},
+		queued: make(map[string]bool),
 	}
-	tb.cond = sync.NewCond(&tb.mu)
-	s := &Store{b: tb, n: 2, opts: Options{Workers: 1}.withDefaults(), index: make([]rankIndex, 2)}
+	s := &Store{b: tb, n: 2, opts: Options{}.withDefaults(), index: make([]rankIndex, 2)}
 
 	images := encodeGen(t, s, 2, 0, func(r int) []byte { return appState(500, 0) })
 	if _, err := s.Commit(images); err == nil {
@@ -232,10 +209,10 @@ func TestTierFlushFailureFailsCommit(t *testing.T) {
 	}
 }
 
-// TestTierDrainRace hammers the tier backend's async drain from many
-// goroutines — Puts, read-throughs, Deletes, and barriers interleaved.
-// Run under -race (make race-ckpt) this is the concurrency-safety proof
-// for the drainer.
+// TestTierDrainRace hammers one tier backend from many goroutines —
+// Puts, read-throughs, Deletes, and barriers interleaved. Run under
+// -race (make race-ckpt) this is the proof that the backend's mutex
+// covers callers that share it.
 func TestTierDrainRace(t *testing.T) {
 	tier, _ := newTestTier(t)
 	const writers, keysPer = 4, 16
@@ -316,19 +293,6 @@ func TestObjBackendRoundTrips(t *testing.T) {
 	}
 }
 
-// gateBackend wraps a backend, holding every Put until the gate opens —
-// it keeps tier flushes pending so eviction pinning can be observed
-// deterministically.
-type gateBackend struct {
-	Backend
-	gate chan struct{}
-}
-
-func (b *gateBackend) Put(key string, data []byte) error {
-	<-b.gate
-	return b.Backend.Put(key, data)
-}
-
 // TestTierFrontCapEvictsLRU pins the bounded burst buffer: past the
 // cap, the coldest flushed blob is evicted from the front tier, recent
 // blobs stay, and the victim is still served read-through from the back
@@ -389,19 +353,16 @@ func TestTierFrontCapEvictsLRU(t *testing.T) {
 
 // TestTierFrontCapPinsUnflushed: blobs whose only copy is the front
 // tier (their back-tier flush still pending) are never evicted, even
-// far past the cap — the bound overshoots until the drain catches up,
-// then the next insert evicts down to it.
+// far past the cap — the bound overshoots until DrainBarrier flushes
+// them, then the next insert evicts down to it.
 func TestTierFrontCapPinsUnflushed(t *testing.T) {
-	gate := &gateBackend{Backend: newMemBackend(), gate: make(chan struct{})}
 	tb := &tierBackend{
 		front:    newMemBackend(),
-		back:     gate,
+		back:     newMemBackend(),
 		frontCap: 1024,
 		queued:   make(map[string]bool),
-		inflight: make(map[string]bool),
 		sizes:    make(map[string]int64),
 	}
-	tb.cond = sync.NewCond(&tb.mu)
 	for i := 0; i < 4; i++ {
 		if err := tb.Put(key(0, i), bytes.Repeat([]byte{byte(i)}, 1024)); err != nil {
 			t.Fatal(err)
@@ -410,7 +371,6 @@ func TestTierFrontCapPinsUnflushed(t *testing.T) {
 	if ops := tb.Ops(); ops.Evictions != 0 || ops.FrontBytes != 4096 {
 		t.Fatalf("unflushed blobs evicted: %+v", ops)
 	}
-	close(gate.gate)
 	if err := tb.DrainBarrier(); err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +418,7 @@ func TestTierFrontCapKeepsManifest(t *testing.T) {
 // bound, never a correctness one.
 func TestStoreFrontCapRestart(t *testing.T) {
 	opts := Options{Delta: true, ChunkBytes: 512, ChainCap: 8}
-	plain := MustOpen(2, opts)
+	plain := mustOpen(2, opts)
 	opts.Backend, opts.Dir, opts.FrontCap = "tier", t.TempDir(), 4<<10
 	capped, err := Open(2, opts)
 	if err != nil {

@@ -329,7 +329,7 @@ func (m restoreMeter) Restore(data []byte) error {
 // MPI objects and finalizing — allocates at most 1.3 times the
 // application state it restores. One times is the restored state
 // itself, which the instances keep; the rest is the encoded blobs, the
-// store worker's reused state buffer and the session. A whole-state copy
+// store's one reused state buffer and the session. A whole-state copy
 // per rank anywhere between the backend and Restore (an owned resolved
 // or decoded image beside the restored one: 2.1-2.2x before ranks
 // restored straight out of the resolver, 1.15-1.2x after) breaks the
@@ -354,10 +354,9 @@ func TestRestartAllocBound(t *testing.T) {
 	// A base at boundary 3 and a delta at the final boundary, each taken
 	// by a job that stops at its checkpoint, as after a preemption. The
 	// state is 1.2 MB a rank, large beside what a rank's rebinding and
-	// finalize allocate; 32 KB chunks cut it into 37. One store worker,
-	// as the benchmark runs: each further worker adds one state buffer.
+	// finalize allocate; 32 KB chunks cut it into 37.
 	st, err := ckptstore.Open(ranks, ckptstore.Options{
-		Delta: true, ChunkBytes: 32 << 10, Workers: 1,
+		Delta: true, ChunkBytes: 32 << 10,
 		Compress: true, CompressTier: ckptimg.TierFastLZ,
 	})
 	if err != nil {

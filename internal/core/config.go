@@ -95,7 +95,7 @@ type Config struct {
 	Store *ckptstore.Store
 	// StoreOptions configures the store a job opens when Store is nil:
 	// backend, delta images, content-addressed dedup, compression codec
-	// and tier, worker-pool width. A configured fault injector's backend
+	// and tier. A configured fault injector's backend
 	// wrapper replaces WrapBackend. Ignored when Store is set.
 	StoreOptions ckptstore.Options
 	// FixedXlatCost is deprecated: a positive value replaces the

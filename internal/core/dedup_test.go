@@ -131,9 +131,9 @@ func TestDedupRestartByteIdenticalAllImpls(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := ckptstore.Options{Delta: true, ChunkBytes: 64, ChainCap: 8}
-			plainStore := ckptstore.MustOpen(ranks, opts)
+			plainStore := mustOpenStore(ranks, opts)
 			opts.Dedup = true
-			dedupStore := ckptstore.MustOpen(ranks, opts)
+			dedupStore := mustOpenStore(ranks, opts)
 
 			chainCheckpoints(t, cfg, plainStore, newRingApp(steps), ranks, s1, s2)
 			rst := chainCheckpoints(t, cfg, dedupStore, newRingApp(steps), ranks, s1, s2)
@@ -168,7 +168,7 @@ func TestDedupRestartByteIdenticalAllImpls(t *testing.T) {
 func TestDedupCrossRankSharingUnderMana(t *testing.T) {
 	const ranks, steps = 8, 6
 	cfg := implFactory(t, "mpich")
-	st := ckptstore.MustOpen(ranks, ckptstore.Options{Dedup: true, Delta: true, ChunkBytes: 4 << 10})
+	st := mustOpenStore(ranks, ckptstore.Options{Dedup: true, Delta: true, ChunkBytes: 4 << 10})
 	cfg.Store = st
 	cfg.ExitAtCheckpoint = true
 	if _, _, err := Run(cfg, ranks, newDedupApp(steps, 42), 3); err != nil {

@@ -56,8 +56,7 @@ func batteryInput(t *testing.T, appName string, seed uint64) (apps.Spec, apps.In
 // are schedule-independent by design — straggler windows live on the
 // rank clock, store retry backoff is surfaced in Stats instead of being
 // charged to whichever rank commits, and corruption strikes are a pure
-// function of (key, seed) regardless of how the store's workers
-// interleave.
+// function of (key, seed) regardless of the order of store operations.
 func batteryPlan(seed int64) faults.Plan {
 	return faults.Plan{
 		Seed: seed,

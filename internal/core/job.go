@@ -485,7 +485,7 @@ func RestartJobFromStore(cfg Config, st *ckptstore.Store, factory app.Factory) (
 
 // restartFromGeneration resolves one specific generation straight into
 // the ranks' application instances (Store.RestoreStream, one reused
-// state buffer per store worker) and builds the session over them. A
+// state buffer) and builds the session over them. A
 // snapshot the application refuses fails here, before launch, as a
 // chain error does.
 func restartFromGeneration(cfg Config, st *ckptstore.Store, seq int, factory app.Factory) (*Session, error) {

@@ -11,6 +11,16 @@ import (
 	"manasim/internal/ckptstore"
 )
 
+// mustOpenStore opens a checkpoint store whose options are statically
+// valid.
+func mustOpenStore(n int, o ckptstore.Options) *ckptstore.Store {
+	st, err := ckptstore.Open(n, o)
+	if err != nil {
+		panic(err)
+	}
+	return st
+}
+
 // chainCheckpoints drives a run → checkpoint@s1 → restart →
 // checkpoint@s2 chain into st and returns the final restarted run's
 // stats.
@@ -53,9 +63,9 @@ func TestDeltaChainRoundTripAllImpls(t *testing.T) {
 			}
 
 			storeOpts := ckptstore.Options{ChunkBytes: 64, ChainCap: 8}
-			fullStore := ckptstore.MustOpen(ranks, storeOpts)
+			fullStore := mustOpenStore(ranks, storeOpts)
 			storeOpts.Delta = true
-			deltaStore := ckptstore.MustOpen(ranks, storeOpts)
+			deltaStore := mustOpenStore(ranks, storeOpts)
 
 			chainCheckpoints(t, cfg, fullStore, newRingApp(steps), ranks, s1, s2)
 			rst := chainCheckpoints(t, cfg, deltaStore, newRingApp(steps), ranks, s1, s2)
@@ -157,7 +167,7 @@ func TestTierCommitBeatsNFSModel(t *testing.T) {
 			opts.Dir = t.TempDir()
 		}
 		cfg := implFactory(t, "mpich")
-		cfg.Store = ckptstore.MustOpen(ranks, opts)
+		cfg.Store = mustOpenStore(ranks, opts)
 		cfg.ExitAtCheckpoint = true
 		st, _, err := Run(cfg, ranks, newRingApp(steps), 4)
 		if err != nil {
@@ -176,7 +186,7 @@ func TestTierCommitBeatsNFSModel(t *testing.T) {
 func TestDeltaChainCapForcesBaseUnderMana(t *testing.T) {
 	const ranks, steps = 4, 12
 	cfg := implFactory(t, "mpich")
-	st := ckptstore.MustOpen(ranks, ckptstore.Options{Delta: true, ChunkBytes: 64, ChainCap: 2})
+	st := mustOpenStore(ranks, ckptstore.Options{Delta: true, ChunkBytes: 64, ChainCap: 2})
 	cfg.Store = st
 	cfg.ExitAtCheckpoint = true
 	if _, _, err := Run(cfg, ranks, newRingApp(steps), 2); err != nil {
@@ -256,7 +266,7 @@ func (f *fragileApp) FootprintBytes() int64  { return 0 }
 func TestKilledRankDiscardsGeneration(t *testing.T) {
 	const ranks = 4
 	cfg := implFactory(t, "mpich")
-	st := ckptstore.MustOpen(ranks, ckptstore.Options{Delta: true, ChunkBytes: 64})
+	st := mustOpenStore(ranks, ckptstore.Options{Delta: true, ChunkBytes: 64})
 	cfg.Store = st
 
 	s, err := StartJob(cfg, ranks, newFragileFactory(8, 2))

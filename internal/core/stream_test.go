@@ -138,7 +138,7 @@ func TestStreamRestartAllImpls(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st := ckptstore.MustOpen(ranks, ckptstore.Options{Delta: true, ChunkBytes: 512, ChainCap: 8})
+				st := mustOpenStore(ranks, ckptstore.Options{Delta: true, ChunkBytes: 512, ChainCap: 8})
 				rec := &snapshotRecorder{last: make(map[int][]byte)}
 				buildChain(t, cfg, st, rec.wrap(a.factory(steps)), ranks, []int{2, 4, 6})
 
@@ -186,16 +186,16 @@ func (b *aliasingBulkApp) Restore(data []byte) error {
 	return nil
 }
 
-// TestRestoredRanksSurviveSharedBuffer: a one-worker store resolves
-// every rank into one reused state buffer and each rank restores before
-// the next resolves. Rank 0's restored state must still be its own after
-// rank 1 has resolved over the buffer — which holds because Restore
-// copies (the control, an application that keeps the slice, ends up
-// holding rank 1's state on rank 0).
+// TestRestoredRanksSurviveSharedBuffer: the store resolves every rank
+// into one reused state buffer and each rank restores before the next
+// resolves. Rank 0's restored state must still be its own after rank 1
+// has resolved over the buffer — which holds because Restore copies
+// (the control, an application that keeps the slice, ends up holding
+// rank 1's state on rank 0).
 func TestRestoredRanksSurviveSharedBuffer(t *testing.T) {
 	const ranks, steps = 2, 6
 	cfg := implFactory(t, "mpich")
-	st := ckptstore.MustOpen(ranks, ckptstore.Options{Delta: true, ChunkBytes: 512, Workers: 1})
+	st := mustOpenStore(ranks, ckptstore.Options{Delta: true, ChunkBytes: 512})
 	rec := &snapshotRecorder{last: make(map[int][]byte)}
 	buildChain(t, cfg, st, rec.wrap(newBulkApp(steps)), ranks, []int{2, 4})
 	if bytes.Equal(rec.last[0], rec.last[1]) {
@@ -206,7 +206,7 @@ func TestRestoredRanksSurviveSharedBuffer(t *testing.T) {
 	restore := func(factory app.Factory) []app.Instance {
 		t.Helper()
 		var insts []app.Instance
-		// Ranks restore in rank order on a one-worker store.
+		// Ranks restore in rank order.
 		if _, err := restartFromGeneration(cfg, st, head, func() app.Instance {
 			inst := factory()
 			insts = append(insts, inst)

@@ -147,7 +147,7 @@ type Plan struct {
 	// blob/… keys and recipes included — whose seeded key hash falls
 	// below the rate, each at most once. It is a pure function of
 	// (key, seed), so the strike set is deterministic no matter how
-	// the store's worker pool interleaves operations.
+	// callers sharing a store interleave operations.
 	CorruptRate float64
 	// Events are scripted events appended to the generated timeline.
 	Events []Event

@@ -47,7 +47,7 @@ func (inj *Injector) WrapBackend() func(ckptstore.Backend) ckptstore.Backend {
 
 // storeOp consumes one scheduled failure for key, if any. Faults are
 // keyed by blob name rather than operation ordinal, so the schedule is
-// deterministic no matter how the store's worker pool interleaves
+// deterministic no matter how callers sharing a store interleave
 // writes.
 func (inj *Injector) storeOp(op, key string) error {
 	inj.mu.Lock()

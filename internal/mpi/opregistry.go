@@ -47,13 +47,6 @@ func RegisterOp(name string, fn ReduceFunc) error {
 	return nil
 }
 
-// MustRegisterOp is RegisterOp for package-init use.
-func MustRegisterOp(name string, fn ReduceFunc) {
-	if err := RegisterOp(name, fn); err != nil {
-		panic(err)
-	}
-}
-
 // OpNameOf finds the registered name of a function value.
 func OpNameOf(fn ReduceFunc) (string, bool) {
 	if fn == nil {

@@ -20,8 +20,6 @@
 package mpich
 
 import (
-	"fmt"
-
 	"manasim/internal/mpi"
 	"manasim/internal/mpibase"
 	"manasim/internal/simtime"
@@ -233,10 +231,4 @@ func (t *fullTable) Lookup(kind mpi.Kind, h mpi.Handle) (any, error) {
 		return nil, mpi.Errorf(errClass(kind), "builtin handle %#x not initialized", uint64(h))
 	}
 	return t.table.Lookup(kind, h)
-}
-
-// String renders a handle for diagnostics.
-func String(h mpi.Handle) string {
-	k, builtin, sl, slot := Decode(h)
-	return fmt.Sprintf("mpich{%v builtin=%v slab=%d slot=%d}", k, builtin, sl, slot)
 }

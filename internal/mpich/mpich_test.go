@@ -1,6 +1,7 @@
 package mpich
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -128,9 +129,15 @@ func TestConstHandlesDistinct(t *testing.T) {
 	}
 }
 
+// handleString renders a handle for test diagnostics.
+func handleString(h mpi.Handle) string {
+	k, builtin, sl, slot := Decode(h)
+	return fmt.Sprintf("mpich{%v builtin=%v slab=%d slot=%d}", k, builtin, sl, slot)
+}
+
 func TestStringRendering(t *testing.T) {
 	h := Encode(mpi.KindComm, false, 3, 17)
-	s := String(h)
+	s := handleString(h)
 	if s == "" {
 		t.Fatal("empty rendering")
 	}
@@ -175,7 +182,7 @@ func TestGrownSlabsKeepFixedLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	if h := tab.Insert(mpi.KindGroup, "again"); h != Encode(mpi.KindGroup, false, 1, 4) {
-		t.Fatalf("freed slot not reused: %s", String(h))
+		t.Fatalf("freed slot not reused: %s", handleString(h))
 	}
 }
 
@@ -191,10 +198,10 @@ func TestLookupPastGrownSlabIsDangling(t *testing.T) {
 		Encode(mpi.KindComm, false, 7, 0),
 	} {
 		if _, err := tab.Lookup(mpi.KindComm, h); err == nil || !strings.Contains(err.Error(), "dangling") {
-			t.Fatalf("Lookup(%s) = %v, want a dangling-handle error", String(h), err)
+			t.Fatalf("Lookup(%s) = %v, want a dangling-handle error", handleString(h), err)
 		}
 		if err := tab.Remove(h); err == nil || !strings.Contains(err.Error(), "dangling") {
-			t.Fatalf("Remove(%s) = %v, want a dangling-handle error", String(h), err)
+			t.Fatalf("Remove(%s) = %v, want a dangling-handle error", handleString(h), err)
 		}
 	}
 }
