@@ -49,7 +49,7 @@ const (
 // vid.Store lookups per charged wrapper site.
 const (
 	lookupsP2P       = 2 // Send, Recv, Isend: datatype + communicator
-	lookupsWait      = 2 // request descriptor + request
+	lookupsWait      = 2 // request translation + its release (Drop)
 	lookupsIprobe    = 1 // communicator
 	lookupsAllreduce = 3 // datatype + op + communicator
 	maxLookups       = 3
@@ -251,6 +251,9 @@ func (r *Runtime) probeDrainBuffer(src, tag int, comm mpi.Handle) (mpi.Status, b
 
 // Isend implements mpi.Proc. The lower half's eager protocol completes
 // the send immediately; the wrapper still virtualizes the request handle.
+// On the virtid design a warm Isend+Wait allocates nothing: the request's
+// vid slot reuses the entry the last Wait cleared, and its descriptor
+// holds no slice.
 func (r *Runtime) Isend(buf []byte, count int, dt mpi.Handle, dest, tag int, comm mpi.Handle) (mpi.Handle, error) {
 	pdt, err := r.physDtype(dt)
 	if err != nil {
@@ -276,15 +279,8 @@ func (r *Runtime) Isend(buf []byte, count int, dt mpi.Handle, dest, tag int, com
 		}
 		r.sentTo[w]++
 	}
-	return r.store.Add(mpi.KindRequest, preq,
-		vid.Descriptor{Op: vid.DescRequest, Ints: []int{reqKindSend}}, vid.StrategyReplay)
+	return r.store.Add(mpi.KindRequest, preq, vid.Descriptor{Op: vid.DescRequest}, vid.StrategyReplay)
 }
-
-// Request descriptor tags.
-const (
-	reqKindSend = iota
-	reqKindRecv
-)
 
 // Irecv implements mpi.Proc. If a drained message already matches, the
 // receive completes immediately from the buffer — otherwise a buffered
@@ -293,8 +289,7 @@ func (r *Runtime) Irecv(buf []byte, count int, dt mpi.Handle, src, tag int, comm
 	if st, ok, err := r.recvFromDrainBuffer(buf, count, dt, src, tag, comm); err != nil {
 		return mpi.HandleNull, err
 	} else if ok {
-		virt, err := r.store.Add(mpi.KindRequest, mpi.HandleNull,
-			vid.Descriptor{Op: vid.DescRequest, Ints: []int{reqKindRecv}}, vid.StrategyReplay)
+		virt, err := r.store.Add(mpi.KindRequest, mpi.HandleNull, vid.Descriptor{Op: vid.DescRequest}, vid.StrategyReplay)
 		if err != nil {
 			return mpi.HandleNull, err
 		}
@@ -317,8 +312,7 @@ func (r *Runtime) Irecv(buf []byte, count int, dt mpi.Handle, src, tag int, comm
 	}); err != nil {
 		return mpi.HandleNull, err
 	}
-	virt, err := r.store.Add(mpi.KindRequest, preq,
-		vid.Descriptor{Op: vid.DescRequest, Ints: []int{reqKindRecv}}, vid.StrategyReplay)
+	virt, err := r.store.Add(mpi.KindRequest, preq, vid.Descriptor{Op: vid.DescRequest}, vid.StrategyReplay)
 	if err != nil {
 		return mpi.HandleNull, err
 	}
@@ -333,10 +327,6 @@ func (r *Runtime) Wait(req mpi.Handle) (mpi.Status, error) {
 		_ = r.store.Drop(mpi.KindRequest, req)
 		return st, nil
 	}
-	desc, err := r.store.DescOf(mpi.KindRequest, req)
-	if err != nil {
-		return mpi.Status{}, err
-	}
 	preq, err := r.store.Phys(mpi.KindRequest, req)
 	if err != nil {
 		return mpi.Status{}, err
@@ -350,13 +340,11 @@ func (r *Runtime) Wait(req mpi.Handle) (mpi.Status, error) {
 	}); err != nil {
 		return st, err
 	}
-	if len(desc.Ints) > 0 && desc.Ints[0] == reqKindRecv {
-		if p, ok := r.reqBufs[req]; ok {
-			if err := r.countRecv(p.comm, st); err != nil {
-				return st, err
-			}
-			delete(r.reqBufs, req)
+	if p, ok := r.reqBufs[req]; ok { // a receive
+		if err := r.countRecv(p.comm, st); err != nil {
+			return st, err
 		}
+		delete(r.reqBufs, req)
 	}
 	_ = r.store.Drop(mpi.KindRequest, req)
 	return st, nil
@@ -368,10 +356,6 @@ func (r *Runtime) Test(req mpi.Handle) (bool, mpi.Status, error) {
 		delete(r.reqResults, req)
 		_ = r.store.Drop(mpi.KindRequest, req)
 		return true, st, nil
-	}
-	desc, err := r.store.DescOf(mpi.KindRequest, req)
-	if err != nil {
-		return false, mpi.Status{}, err
 	}
 	preq, err := r.store.Phys(mpi.KindRequest, req)
 	if err != nil {
@@ -389,13 +373,11 @@ func (r *Runtime) Test(req mpi.Handle) (bool, mpi.Status, error) {
 	if !done {
 		return false, st, nil
 	}
-	if len(desc.Ints) > 0 && desc.Ints[0] == reqKindRecv {
-		if p, ok := r.reqBufs[req]; ok {
-			if err := r.countRecv(p.comm, st); err != nil {
-				return true, st, err
-			}
-			delete(r.reqBufs, req)
+	if p, ok := r.reqBufs[req]; ok { // a receive
+		if err := r.countRecv(p.comm, st); err != nil {
+			return true, st, err
 		}
+		delete(r.reqBufs, req)
 	}
 	_ = r.store.Drop(mpi.KindRequest, req)
 	return true, st, nil

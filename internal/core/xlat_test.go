@@ -86,8 +86,10 @@ func TestXlatTable(t *testing.T) {
 	}
 }
 
-// TestWrapperCallCost guards the wrapper hot path with a count: a
-// wrapped Iprobe on an empty mailbox allocates nothing.
+// TestWrapperCallCost guards the wrapper hot path with counts: a
+// wrapped Iprobe on an empty mailbox allocates nothing, and neither does
+// a warmed-up wrapped Isend+Wait on the virtid design (the request's vid
+// slot reuses its entry) with the Recv that consumes the message.
 func TestWrapperCallCost(t *testing.T) {
 	rt := soloRuntime(t, implFactory(t, "mpich"))
 	world, err := rt.LookupConst(mpi.ConstCommWorld)
@@ -101,5 +103,31 @@ func TestWrapperCallCost(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("wrapped Iprobe allocates %.1f objects per call, want 0", allocs)
+	}
+
+	if d := rt.Store().DesignName(); d != string(DesignVirtID) {
+		t.Fatalf("default design %q, want %q", d, DesignVirtID)
+	}
+	f64, err := rt.LookupConst(mpi.ConstFloat64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const count = 32
+	send, recv := mpi.Float64Bytes(make([]float64, count)), make([]byte, 8*count)
+	isendWaitRecv := func() {
+		req, err := rt.Isend(send, count, f64, 0, 7, world)
+		if err == nil {
+			_, err = rt.Wait(req)
+		}
+		if err == nil {
+			_, err = rt.Recv(recv, count, f64, 0, 7, world)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	isendWaitRecv()
+	if allocs := testing.AllocsPerRun(1000, isendWaitRecv); allocs != 0 {
+		t.Errorf("wrapped Isend+Wait+Recv allocates %.1f objects per call, want 0", allocs)
 	}
 }

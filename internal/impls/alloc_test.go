@@ -47,6 +47,44 @@ func TestSendRecvAllocatesNothing(t *testing.T) {
 	})
 }
 
+// TestIsendWaitAllocatesNothing: a warmed-up Isend, its Wait and the
+// Recv that consumes the message allocate nothing. Every eager send
+// returns the one shared completed request, so the only per-call state
+// is the handle-table slot.
+func TestIsendWaitAllocatesNothing(t *testing.T) {
+	forEachImpl(t, func(t *testing.T, name string, factory Factory) {
+		run(t, factory, 1, func(rank int, p mpi.Proc, clock *simtime.Clock) error {
+			c := consts(t, p, mpi.ConstCommWorld, mpi.ConstFloat64)
+			world, f64 := c[mpi.ConstCommWorld], c[mpi.ConstFloat64]
+			const count = 32
+			send := mpi.Float64Bytes(make([]float64, count))
+			recv := make([]byte, 8*count)
+			var err error
+			one := func() {
+				var req mpi.Handle
+				if err == nil {
+					req, err = p.Isend(send, count, f64, 0, 7, world)
+				}
+				if err == nil {
+					_, err = p.Wait(req)
+				}
+				if err == nil {
+					_, err = p.Recv(recv, count, f64, 0, 7, world)
+				}
+			}
+			one()
+			allocs := testing.AllocsPerRun(200, one)
+			if err != nil {
+				return err
+			}
+			if allocs != 0 {
+				return fmt.Errorf("%v allocations per Isend+Wait+Recv, want 0", allocs)
+			}
+			return nil
+		})
+	})
+}
+
 // alltoallAllocs returns the heap objects one rank's Alltoall call costs
 // on p ranks: the difference between a job making extra calls and one
 // that does not, so launch and warm-up cancel out.

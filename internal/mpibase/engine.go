@@ -283,15 +283,6 @@ func (e *Engine) Probe(c *Comm, src, tag int) (mpi.Status, error) {
 	}
 }
 
-// Isend starts a nonblocking eager send; the returned request is already
-// complete.
-func (e *Engine) Isend(c *Comm, buf []byte, count int, dt *Dtype, dest, tag int) (*Req, error) {
-	if err := e.Send(c, buf, count, dt, dest, tag); err != nil {
-		return nil, err
-	}
-	return &Req{IsSend: true, Done: true}, nil
-}
-
 // Irecv registers a nonblocking receive. The mailbox operation happens at
 // Wait/Test time.
 func (e *Engine) Irecv(c *Comm, buf []byte, count int, dt *Dtype, src, tag int) (*Req, error) {

@@ -191,12 +191,10 @@ type Op struct {
 }
 
 // Req is a nonblocking request's internals. The simulated library uses an
-// eager protocol, so send requests are complete at creation; receive
-// requests record the match and destination buffer and perform the
-// mailbox operation at Wait/Test time.
+// eager protocol, so every send shares one completed request, sentReq; a
+// receive request records the match and destination buffer and performs
+// the mailbox operation at Wait/Test time.
 type Req struct {
-	// IsSend distinguishes send from receive requests.
-	IsSend bool
 	// Done is set once the operation completed.
 	Done bool
 	// St is the completion status (receives only).
@@ -210,3 +208,7 @@ type Req struct {
 	Src   int // comm rank or mpi.AnySource
 	Tag   int
 }
+
+// sentReq is the request every Isend returns: the eager send is complete
+// before Isend returns, and Wait and Test write only a request not Done.
+var sentReq = &Req{Done: true}

@@ -243,7 +243,8 @@ func (p *Proc) Recv(buf []byte, count int, dt mpi.Handle, src, tag int, comm mpi
 	return p.Eng.Recv(c, buf, count, d, src, tag)
 }
 
-// Isend implements mpi.Proc.
+// Isend implements mpi.Proc: an eager Send, whose request is the
+// already complete sentReq.
 func (p *Proc) Isend(buf []byte, count int, dt mpi.Handle, dest, tag int, comm mpi.Handle) (mpi.Handle, error) {
 	c, err := p.comm(comm)
 	if err != nil {
@@ -253,11 +254,10 @@ func (p *Proc) Isend(buf []byte, count int, dt mpi.Handle, dest, tag int, comm m
 	if err != nil {
 		return mpi.HandleNull, err
 	}
-	r, err := p.Eng.Isend(c, buf, count, d, dest, tag)
-	if err != nil {
+	if err := p.Eng.Send(c, buf, count, d, dest, tag); err != nil {
 		return mpi.HandleNull, err
 	}
-	return p.Tab.Insert(mpi.KindRequest, r), nil
+	return p.Tab.Insert(mpi.KindRequest, sentReq), nil
 }
 
 // Irecv implements mpi.Proc.

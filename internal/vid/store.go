@@ -46,8 +46,6 @@ type Store interface {
 	GGID(kind mpi.Kind, virt mpi.Handle) (uint32, error)
 	// SetGGID stores a computed global group id.
 	SetGGID(kind mpi.Kind, virt mpi.Handle, ggid uint32) error
-	// DescOf returns the reconstruction descriptor.
-	DescOf(kind mpi.Kind, virt mpi.Handle) (Descriptor, error)
 	// SetDesc replaces the descriptor (the decode strategy rewrites
 	// recipes at checkpoint time).
 	SetDesc(kind mpi.Kind, virt mpi.Handle, d Descriptor) error
@@ -150,6 +148,15 @@ func (s *TableStore) extract(kind mpi.Kind, virt mpi.Handle) (VID, error) {
 	return v, nil
 }
 
+// resolve is extract followed by Table.Resolve.
+func (s *TableStore) resolve(kind mpi.Kind, virt mpi.Handle) (*Entry, error) {
+	v, err := s.extract(kind, virt)
+	if err != nil {
+		return nil, err
+	}
+	return s.tab.Resolve(v)
+}
+
 // Add implements Store.
 func (s *TableStore) Add(kind mpi.Kind, phys mpi.Handle, d Descriptor, strat Strategy) (mpi.Handle, error) {
 	e, err := s.tab.Add(kind, phys, d, strat)
@@ -206,11 +213,7 @@ func (s *TableStore) Drop(kind mpi.Kind, virt mpi.Handle) error {
 
 // GGID implements Store.
 func (s *TableStore) GGID(kind mpi.Kind, virt mpi.Handle) (uint32, error) {
-	v, err := s.extract(kind, virt)
-	if err != nil {
-		return 0, err
-	}
-	e, err := s.tab.Resolve(v)
+	e, err := s.resolve(kind, virt)
 	if err != nil {
 		return 0, err
 	}
@@ -219,11 +222,7 @@ func (s *TableStore) GGID(kind mpi.Kind, virt mpi.Handle) (uint32, error) {
 
 // SetGGID implements Store.
 func (s *TableStore) SetGGID(kind mpi.Kind, virt mpi.Handle, ggid uint32) error {
-	v, err := s.extract(kind, virt)
-	if err != nil {
-		return err
-	}
-	e, err := s.tab.Resolve(v)
+	e, err := s.resolve(kind, virt)
 	if err != nil {
 		return err
 	}
@@ -231,26 +230,9 @@ func (s *TableStore) SetGGID(kind mpi.Kind, virt mpi.Handle, ggid uint32) error 
 	return nil
 }
 
-// DescOf implements Store.
-func (s *TableStore) DescOf(kind mpi.Kind, virt mpi.Handle) (Descriptor, error) {
-	v, err := s.extract(kind, virt)
-	if err != nil {
-		return Descriptor{}, err
-	}
-	e, err := s.tab.Resolve(v)
-	if err != nil {
-		return Descriptor{}, err
-	}
-	return e.Desc, nil
-}
-
 // SetDesc implements Store.
 func (s *TableStore) SetDesc(kind mpi.Kind, virt mpi.Handle, d Descriptor) error {
-	v, err := s.extract(kind, virt)
-	if err != nil {
-		return err
-	}
-	e, err := s.tab.Resolve(v)
+	e, err := s.resolve(kind, virt)
 	if err != nil {
 		return err
 	}
@@ -260,11 +242,7 @@ func (s *TableStore) SetDesc(kind mpi.Kind, virt mpi.Handle, d Descriptor) error
 
 // StrategyOf implements Store.
 func (s *TableStore) StrategyOf(kind mpi.Kind, virt mpi.Handle) (Strategy, error) {
-	v, err := s.extract(kind, virt)
-	if err != nil {
-		return 0, err
-	}
-	e, err := s.tab.Resolve(v)
+	e, err := s.resolve(kind, virt)
 	if err != nil {
 		return 0, err
 	}

@@ -1,8 +1,9 @@
 package vid
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"manasim/internal/mpi"
 )
@@ -19,9 +20,11 @@ type physKey struct {
 // Table is the single two-level virtual-id table of the new design: a
 // dense entry array indexed by VID index, plus an O(1) reverse map.
 // One Table serves one rank's MANA instance; it is not safe for
-// concurrent use (each rank goroutine owns its table).
+// concurrent use (each rank goroutine owns its table). A slot Drop frees
+// keeps its Entry, cleared so that VID == VIDNull marks it free, for the
+// slot's next Add: a request costs no heap object once its slot is warm.
 type Table struct {
-	entries []*Entry // index 0 reserved (VIDNull)
+	entries []*Entry // index 0 reserved (VIDNull); nil or VIDNull: free
 	gens    []uint8
 	free    []uint32
 	byPhys  map[physKey]VID
@@ -41,15 +44,16 @@ func NewTable() *Table {
 func (t *Table) Len() int {
 	n := 0
 	for _, e := range t.entries {
-		if e != nil {
+		if e != nil && e.VID != VIDNull {
 			n++
 		}
 	}
 	return n
 }
 
-// Add registers a new object and returns its entry. The physical handle
-// may be mpi.HandleNull for lazily bound objects.
+// Add registers a new object and returns its entry, which Drop clears for
+// the slot's next Add. The physical handle may be mpi.HandleNull for
+// lazily bound objects.
 func (t *Table) Add(kind mpi.Kind, phys mpi.Handle, desc Descriptor, strategy Strategy) (*Entry, error) {
 	if kind == mpi.KindNone || int(kind) > mpi.NumKinds {
 		return nil, fmt.Errorf("vid: invalid kind %v", kind)
@@ -67,14 +71,18 @@ func (t *Table) Add(kind mpi.Kind, phys mpi.Handle, desc Descriptor, strategy St
 		idx = uint32(len(t.entries) - 1)
 	}
 	t.seq++
-	e := &Entry{
+	e := t.entries[idx]
+	if e == nil { // never used, or a hole FromSnapshot left
+		e = new(Entry)
+		t.entries[idx] = e
+	}
+	*e = Entry{
 		VID:      Make(kind, t.gens[idx], idx),
 		Phys:     phys,
 		Desc:     desc,
 		Strategy: strategy,
 		Seq:      t.seq,
 	}
-	t.entries[idx] = e
 	if phys != mpi.HandleNull {
 		t.byPhys[physKey{kind, phys}] = e.VID
 	}
@@ -90,7 +98,7 @@ func (t *Table) Resolve(v VID) (*Entry, error) {
 		return nil, fmt.Errorf("vid: %v out of range", v)
 	}
 	e := t.entries[idx]
-	if e == nil {
+	if e == nil || e.VID == VIDNull {
 		return nil, fmt.Errorf("vid: %v refers to a freed entry", v)
 	}
 	if e.VID != v {
@@ -151,8 +159,8 @@ func (t *Table) MarkFreed(v VID) error {
 }
 
 // Drop removes an entry entirely (requests, whose lifecycle ends inside
-// a run and which are never reconstructed). The slot generation is
-// bumped so stale VIDs fail Resolve.
+// a run and which are never reconstructed), clearing it for the slot's
+// next Add. The slot generation is bumped so stale VIDs fail Resolve.
 func (t *Table) Drop(v VID) error {
 	e, err := t.Resolve(v)
 	if err != nil {
@@ -162,7 +170,7 @@ func (t *Table) Drop(v VID) error {
 	if e.Phys != mpi.HandleNull {
 		delete(t.byPhys, physKey{v.Kind(), e.Phys})
 	}
-	t.entries[idx] = nil
+	*e = Entry{}
 	t.gens[idx] = (t.gens[idx] + 1) & genMask
 	t.free = append(t.free, idx)
 	return nil
@@ -174,11 +182,11 @@ func (t *Table) Drop(v VID) error {
 func (t *Table) Entries() []*Entry {
 	out := make([]*Entry, 0, len(t.entries))
 	for _, e := range t.entries {
-		if e != nil {
+		if e != nil && e.VID != VIDNull {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	slices.SortFunc(out, func(a, b *Entry) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 

@@ -1,6 +1,7 @@
 package vid
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -184,7 +185,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	b, _ := tab.Add(mpi.KindDatatype, 22, Descriptor{Op: DescTypeVector, Ints: []int{3, 1, 2}}, StrategyDecode)
 	_ = tab.MarkFreed(a.VID)
 	mid, _ := tab.Add(mpi.KindGroup, 33, Descriptor{Op: DescGroupRanks, Ints: []int{0, 2}}, StrategyReplay)
-	_ = tab.Drop(mid.VID) // leaves a hole
+	midVID := mid.VID    // Drop clears mid for the slot's next Add
+	_ = tab.Drop(midVID) // leaves a hole
 
 	snap := tab.Snapshot()
 	restored, err := FromSnapshot(snap)
@@ -211,8 +213,79 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.VID == mid.VID {
+	if c2.VID == midVID {
 		t.Fatal("restored table reissued a dropped vid with same generation")
+	}
+}
+
+// TestDropAddReusesClearedEntry: a dropped slot's next Add reuses the
+// slot's Entry, which keeps nothing of its predecessor; the
+// predecessor's VID still fails Resolve, and the holes FromSnapshot
+// leaves (nil slots) are filled by Add.
+func TestDropAddReusesClearedEntry(t *testing.T) {
+	tab := NewTable()
+	e, _ := tab.Add(mpi.KindOp, 0xA1, Descriptor{Op: DescOpCreate, Ints: []int{1, 2}, OpName: "sum", Commute: true}, StrategyDecode)
+	e.GGID, e.Freed = 0xBEEF, true
+	old := e.VID
+	if err := tab.Drop(old); err != nil {
+		t.Fatal(err)
+	}
+	if tab.Len() != 0 || len(tab.Entries()) != 0 {
+		t.Fatalf("dropped entry still live: Len %d, Entries %d", tab.Len(), len(tab.Entries()))
+	}
+	if _, err := tab.Resolve(old); err == nil {
+		t.Fatal("dropped vid resolved")
+	}
+	e2, err := tab.Add(mpi.KindRequest, 0xB2, Descriptor{Op: DescRequest}, StrategyReplay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e2 != e || e2.VID.Index() != old.Index() {
+		t.Fatalf("slot %d's entry not reused: got index %d", old.Index(), e2.VID.Index())
+	}
+	want := Entry{VID: e2.VID, Phys: 0xB2, Desc: Descriptor{Op: DescRequest}, Strategy: StrategyReplay, Seq: 2}
+	if !reflect.DeepEqual(*e2, want) {
+		t.Fatalf("reused entry %+v, want %+v", *e2, want)
+	}
+	if _, ok := tab.VirtOf(mpi.KindOp, 0xA1); ok {
+		t.Fatal("predecessor's physical handle still reverse-mapped")
+	}
+	if v, ok := tab.VirtOf(mpi.KindRequest, 0xB2); !ok || v != e2.VID {
+		t.Fatalf("reverse map of reused slot: %v ok=%v", v, ok)
+	}
+	if _, err := tab.Resolve(old); err == nil {
+		t.Fatal("predecessor's vid resolves to the reused slot")
+	}
+	if got, err := tab.Resolve(e2.VID); err != nil || got != e2 {
+		t.Fatalf("Resolve(new vid) = %v, %v", got, err)
+	}
+
+	// FromSnapshot leaves a dropped slot nil; Add fills the hole.
+	a, _ := tab.Add(mpi.KindComm, 1, Descriptor{}, StrategyReplay)
+	b, _ := tab.Add(mpi.KindGroup, 2, Descriptor{}, StrategyReplay)
+	hole := a.VID
+	_ = tab.Drop(hole)
+	restored, err := FromSnapshot(tab.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.entries[hole.Index()] != nil {
+		t.Fatal("snapshot hole restored as an entry")
+	}
+	c, err := restored.Add(mpi.KindDatatype, 3, Descriptor{}, StrategyReplay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.VID.Index() != hole.Index() || restored.entries[hole.Index()] != c {
+		t.Fatalf("hole %d not filled: Add took index %d", hole.Index(), c.VID.Index())
+	}
+	if restored.Len() != 3 {
+		t.Fatalf("restored Len %d, want 3", restored.Len())
+	}
+	for _, v := range []VID{e2.VID, b.VID, c.VID} {
+		if _, err := restored.Resolve(v); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -205,15 +205,6 @@ func (s *Store) SetGGID(kind mpi.Kind, virt mpi.Handle, ggid uint32) error {
 	return nil
 }
 
-// DescOf implements vid.Store.
-func (s *Store) DescOf(kind mpi.Kind, virt mpi.Handle) (vid.Descriptor, error) {
-	name, id, err := s.lookupID(kind, virt)
-	if err != nil {
-		return vid.Descriptor{}, err
-	}
-	return sub(s.descs, name)[id], nil
-}
-
 // SetDesc implements vid.Store.
 func (s *Store) SetDesc(kind mpi.Kind, virt mpi.Handle, d vid.Descriptor) error {
 	name, id, err := s.lookupID(kind, virt)

@@ -58,9 +58,8 @@ func TestSeparateMetadataMaps(t *testing.T) {
 	if err != nil || g != 77 {
 		t.Fatalf("ggid %d %v", g, err)
 	}
-	d, err := s.DescOf(mpi.KindComm, h)
-	if err != nil || d.Op != vid.DescCommSplit {
-		t.Fatalf("desc %+v %v", d, err)
+	if items := s.Items(); len(items) != 1 || items[0].Desc.Op != vid.DescCommSplit {
+		t.Fatalf("items %+v", items)
 	}
 }
 
@@ -105,9 +104,8 @@ func TestSnapshotRestore(t *testing.T) {
 	if g, _ := r.GGID(mpi.KindComm, h1); g != 5 {
 		t.Fatalf("ggid %d", g)
 	}
-	d, err := r.DescOf(mpi.KindOp, h2)
-	if err != nil || d.OpName != "x" {
-		t.Fatalf("desc %+v %v", d, err)
+	if items := r.Items(); len(items) != 2 || items[1].Virt != h2 || items[1].Desc.OpName != "x" {
+		t.Fatalf("restored items %+v", items)
 	}
 	// Ids keep counting above the restored maximum.
 	h3, _ := r.Add(mpi.KindComm, 3, vid.Descriptor{}, vid.StrategyReplay)
