@@ -44,8 +44,10 @@ determinism:
 
 # size prints what TestSizeRatchet holds against SIZE.json: non-test
 # Go lines per package directory, core.Config fields, manasim CLI
-# flags, registered experiments, and the exported internal/
-# identifiers that only _test.go files reference (listed by name).
+# flags, registered experiments, and the unused exports: exported
+# internal/ identifiers and methods of named types (interface methods
+# included) that no non-test file references, each listed by name with
+# the reason it stays.
 .PHONY: size
 size:
 	@$(GO) test -count=1 -run '^TestSizeRatchet$$' -v .

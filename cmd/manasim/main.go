@@ -476,7 +476,7 @@ func cmdScrub(args []string) error {
 func reportFaults(inj *faults.Injector, st mana.Stats) {
 	p := inj.Plan()
 	fmt.Printf("faults[seed %d]: %d stragglers (x%g for %v), %d store ops failed (%d retried, %v backoff)",
-		p.Seed, p.Stragglers, p.StragglerFactor, p.StragglerWindow,
+		p.Seed, p.Stragglers, faults.StragglerFactor, p.StragglerWindow(),
 		inj.StoreFaultsHit(), st.StoreRetries, st.StoreRetryVT)
 	if d, r := inj.CtlDropped(), inj.CtlDelayed(); d+r > 0 {
 		fmt.Printf(", ctl dropped=%d delayed=%d", d, r)

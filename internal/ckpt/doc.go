@@ -14,10 +14,12 @@
 //
 // A DrainStrategy sees one rank's runtime through the DrainEnv
 // interface: the per-peer send/receive counters, the live
-// communicators, and a handful of lower-half primitives (counter
-// exchange, probe, pull, control messages over MANA's internal
-// communicator). Strategies are selected by name via Config.
-// DrainStrategy or the manasim --drain flag:
+// communicators, a handful of lower-half primitives (counter exchange,
+// probe, pull, control messages over MANA's internal communicator),
+// the phase label the stall diagnostic prints, and the virtual clock,
+// drain epoch and timed sleep of the reliable path that armed
+// control-message faults select. Strategies are selected by name via
+// Config.DrainStrategy or the manasim --drain flag:
 //
 //   - "twophase" — the paper's two-phase protocol (SC'23, Section 5):
 //     an MPI_Alltoall of cumulative send counters followed by

@@ -57,32 +57,17 @@ type DrainEnv interface {
 	// updates the receive accounting, and returns the sender's world
 	// rank.
 	Pull(c DrainComm, st mpi.Status) (int, error)
-}
 
-// PhaseReporter is an optional DrainEnv extension: a rank records which
-// drain-protocol phase it is in, so the cluster's stall diagnostic can
-// name each parked rank's last phase instead of just its id.
-type PhaseReporter interface {
 	// SetPhase records the rank's current drain-protocol phase (a short
-	// label like "announce", "absorb", "pull:twophase").
+	// label like "announce", "absorb", "pull:twophase"), so the
+	// cluster's stall diagnostic can name each parked rank's last phase
+	// instead of just its id.
 	SetPhase(phase string)
-}
 
-// SetPhase records phase on env if it supports phase reporting.
-func SetPhase(env DrainEnv, phase string) {
-	if pr, ok := env.(PhaseReporter); ok {
-		pr.SetPhase(phase)
-	}
-}
-
-// ReliableCtl is an optional DrainEnv extension supplying what the
-// reliable (timeout-and-resend) drain path needs: fault status, virtual
-// time, the drain epoch, and a virtual-time sleep. Strategies fall back
-// to the plain lossless path when the environment does not implement it
-// or no control faults are armed.
-type ReliableCtl interface {
 	// CtlFaultsArmed reports whether injected control-message faults
-	// are possible this run — the trigger for the reliable path.
+	// are possible this run. Only then do strategies take the reliable
+	// (timeout-and-resend) path, which runs on the four methods below;
+	// otherwise they take the plain lossless path.
 	CtlFaultsArmed() bool
 	// CtlNow is the rank's current virtual time.
 	CtlNow() time.Duration

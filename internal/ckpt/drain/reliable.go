@@ -36,16 +36,16 @@ import (
 // arrived and only one copy was consumed.
 //
 // The rows land in g, mine (this rank's own announcement) included.
-func reliableRows(env ckpt.DrainEnv, rel ckpt.ReliableCtl, g *rows, mine []int64) error {
+func reliableRows(env ckpt.DrainEnv, g *rows, mine []int64) error {
 	n, me := env.Size(), env.Rank()
-	epoch := rel.CtlEpoch()
-	timeout := rel.CtlResendTimeout()
+	epoch := env.CtlEpoch()
+	timeout := env.CtlResendTimeout()
 
 	payload := make([]int64, 0, 1+len(mine))
 	payload = append(payload, epoch)
 	payload = append(payload, mine...)
 
-	ckpt.SetPhase(env, "reliable:announce")
+	env.SetPhase("reliable:announce")
 	for p := 0; p < n; p++ {
 		if p == me {
 			continue
@@ -101,7 +101,7 @@ func reliableRows(env ckpt.DrainEnv, rel ckpt.ReliableCtl, g *rows, mine []int64
 	}
 
 	for g.have < n || nAcked < n {
-		ckpt.SetPhase(env, fmt.Sprintf("reliable:absorb rows=%d/%d acks=%d/%d", g.have, n, nAcked, n))
+		env.SetPhase(fmt.Sprintf("reliable:absorb rows=%d/%d acks=%d/%d", g.have, n, nAcked, n))
 		progressed := false
 		for _, tag := range []int{ckpt.TagDrainCounters, ckpt.TagDrainResend} {
 			p, err := absorb(tag)
@@ -144,8 +144,8 @@ func reliableRows(env ckpt.DrainEnv, rel ckpt.ReliableCtl, g *rows, mine []int64
 		// time, then retransmit our row to every peer that has not
 		// acked it. Resends are reliable, so each round strictly grows
 		// the set of peers holding our row.
-		ckpt.SetPhase(env, "reliable:timeout")
-		if err := rel.CtlSleep(rel.CtlNow() + timeout); err != nil {
+		env.SetPhase("reliable:timeout")
+		if err := env.CtlSleep(env.CtlNow() + timeout); err != nil {
 			return fmt.Errorf("drain: resend timeout sleep: %w", err)
 		}
 		for p := 0; p < n; p++ {
@@ -158,14 +158,4 @@ func reliableRows(env ckpt.DrainEnv, rel ckpt.ReliableCtl, g *rows, mine []int64
 		}
 	}
 	return nil
-}
-
-// reliableArmed reports whether env wants the timeout-and-resend
-// exchange: it implements ReliableCtl and control faults are armed.
-func reliableArmed(env ckpt.DrainEnv) (ckpt.ReliableCtl, bool) {
-	rel, ok := env.(ckpt.ReliableCtl)
-	if !ok || !rel.CtlFaultsArmed() {
-		return nil, false
-	}
-	return rel, true
 }

@@ -44,7 +44,7 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 	// where each rank was when the job went down.
 	defer func() {
 		if err == nil {
-			ckpt.SetPhase(env, "done")
+			env.SetPhase("done")
 		}
 	}()
 	n, me := env.Size(), env.Rank()
@@ -57,14 +57,14 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 	recvBase := append([]uint64(nil), env.RecvFrom()...)
 
 	g := newRows(n, me)
-	if rel, ok := reliableArmed(env); ok {
-		if err := reliableRows(env, rel, g, mine); err != nil {
+	if env.CtlFaultsArmed() {
+		if err := reliableRows(env, g, mine); err != nil {
 			return fmt.Errorf("drain/toposort: reliable counter exchange: %w", err)
 		}
 		return s.drainFull(env, g, recvBase)
 	}
 
-	ckpt.SetPhase(env, "toposort:announce")
+	env.SetPhase("toposort:announce")
 	// Announce this rank's counters to every peer. The announcement is
 	// deposited after the rank's last pre-cut application send, so a
 	// peer holding our row knows our traffic toward it is complete and
@@ -105,7 +105,7 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 	// only when a new row has arrived.
 	var order []int32
 	for g.have < n || outstanding > 0 {
-		ckpt.SetPhase(env, fmt.Sprintf("toposort:drain rows=%d/%d outstanding=%d", g.have, n, outstanding))
+		env.SetPhase(fmt.Sprintf("toposort:drain rows=%d/%d outstanding=%d", g.have, n, outstanding))
 		progressed := false
 
 		// Absorb whatever counter announcements have arrived.
@@ -179,7 +179,7 @@ func (s *TopoSort) drainFull(env ckpt.DrainEnv, g *rows, recvBase []uint64) erro
 			return err
 		}
 	}
-	ckpt.SetPhase(env, "toposort:pull")
+	env.SetPhase("toposort:pull")
 	for _, w := range g.order() {
 		for ; left[w] > 0; left[w]-- {
 			if err := s.pullFrom(env, comms, int(w)); err != nil {

@@ -34,14 +34,14 @@ func (*TwoPhase) Drain(env ckpt.DrainEnv) (err error) {
 	// where each rank was when the job went down.
 	defer func() {
 		if err == nil {
-			ckpt.SetPhase(env, "done")
+			env.SetPhase("done")
 		}
 	}()
-	ckpt.SetPhase(env, "twophase:exchange")
+	env.SetPhase("twophase:exchange")
 	var theirSent []uint64
-	if rel, ok := reliableArmed(env); ok && env.Size() > 1 {
+	if env.CtlFaultsArmed() && env.Size() > 1 {
 		g := newRows(env.Size(), env.Rank())
-		if err := reliableRows(env, rel, g, appendRow(nil, env.SentTo())); err != nil {
+		if err := reliableRows(env, g, appendRow(nil, env.SentTo())); err != nil {
 			return fmt.Errorf("drain/twophase: reliable counter exchange: %w", err)
 		}
 		theirSent = make([]uint64, env.Size())
@@ -70,7 +70,7 @@ func (*TwoPhase) Drain(env ckpt.DrainEnv) (err error) {
 		return nil
 	}
 
-	ckpt.SetPhase(env, "twophase:pull")
+	env.SetPhase("twophase:pull")
 	comms, err := env.Comms()
 	if err != nil {
 		return err

@@ -67,7 +67,7 @@ func DecodeDelta(data []byte) (*Delta, error) {
 		ch := r.Chunk(i)
 		dc := DeltaChunk{CRC: ch.CRC}
 		if ch.Changed {
-			if r.Compressed() {
+			if r.compressed {
 				// The chunk's uncompressed size is pinned by DMET, so it
 				// inflates into an exact-size buffer (one pooled gzip
 				// reader serves every chunk; InflateChunk verifies the

@@ -217,7 +217,7 @@ func TestFastLZDeltaRoundTrip(t *testing.T) {
 		t.Fatalf("open delta: %v", err)
 	}
 	defer cr.Close()
-	if !cr.Compressed() {
+	if !cr.compressed {
 		t.Fatalf("fast-lz delta should report Compressed")
 	}
 	for i := 0; i < cr.NumChunks(); i++ {

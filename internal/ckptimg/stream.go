@@ -158,10 +158,6 @@ func (r *ChunkReader) ChunkLen(i int) int {
 	return min(r.ChunkBytes, r.NewLen-i*r.ChunkBytes)
 }
 
-// Compressed reports whether changed chunk payloads are compressed
-// streams (gzip under FlagGzip, fast-lz frames under FlagLZ).
-func (r *ChunkReader) Compressed() bool { return r.compressed }
-
 // InflateChunk decodes changed chunk i into dst — which must be exactly
 // ChunkLen(i) bytes — verifying the recorded content CRC. The gzip
 // reader behind compressed chunks is pooled and reused across calls.

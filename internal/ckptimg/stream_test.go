@@ -37,8 +37,8 @@ func TestOpenDeltaMatchesDecodeDelta(t *testing.T) {
 		if r.NumChunks() != len(d.Chunks) {
 			t.Fatalf("compress=%v: %d chunks vs %d", compress, r.NumChunks(), len(d.Chunks))
 		}
-		if r.Compressed() != compress {
-			t.Fatalf("compress=%v: reader reports %v", compress, r.Compressed())
+		if r.compressed != compress {
+			t.Fatalf("compress=%v: reader reports %v", compress, r.compressed)
 		}
 		changed := 0
 		for i := 0; i < r.NumChunks(); i++ {

@@ -32,7 +32,7 @@ import (
 //     references for the new generation's recipes before the manifest
 //     flips; a failed commit decrements them again and deletes only
 //     the blobs that commit introduced.
-//   - Prune and rollback never delete a blob another live recipe
+//   - Retention and rollback never delete a blob another live recipe
 //     references: deletion happens exactly when a blob's refcount
 //     reaches zero. Pruning deletes the recipe key FIRST and only then
 //     decrements — a retried prune finds the recipe missing and skips
@@ -48,12 +48,6 @@ type dedupRead struct {
 	unique, shared int64
 	// refs counts the shared blob references encountered.
 	refs int
-}
-
-func (d *dedupRead) add(o dedupRead) {
-	d.unique += o.unique
-	d.shared += o.shared
-	d.refs += o.refs
 }
 
 // blobPrefix namespaces content-addressed blobs; keys keep the store's

@@ -141,7 +141,7 @@ func TestPruneSharedBlobSurvives(t *testing.T) {
 		commitGen(t, s, 1, gen, func(int) []byte { return sharedAppState(4<<10, 0, 0) })
 	}
 	before := s.DedupStats()
-	if err := s.Prune(1); err != nil {
+	if err := prune(s, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.PrunedBefore(); got != 2 {
@@ -165,7 +165,7 @@ func TestPruneSharedBlobSurvives(t *testing.T) {
 	}
 	// Pruning again over the same range is a no-op, not a double
 	// decrement.
-	if err := s.Prune(1); err != nil {
+	if err := prune(s, 1); err != nil {
 		t.Fatal(err)
 	}
 	if s.DedupStats() != after {
@@ -198,14 +198,14 @@ func TestDedupPruneRetryAfterFailure(t *testing.T) {
 	for k := range s.blobRefs {
 		fb.failDelete[k] = true
 	}
-	if err := s.Prune(1); err == nil || !strings.Contains(err.Error(), "injected delete failure") {
+	if err := prune(s, 1); err == nil || !strings.Contains(err.Error(), "injected delete failure") {
 		t.Fatalf("prune over failing blob deletes: %v", err)
 	}
 	if got := s.PrunedBefore(); got != 0 {
 		t.Fatalf("cutoff advanced past failed blob deletes to %d", got)
 	}
 	fb.failDelete = nil
-	if err := s.Prune(1); err != nil {
+	if err := prune(s, 1); err != nil {
 		t.Fatalf("retried prune: %v", err)
 	}
 	if got := s.PrunedBefore(); got != 2 {

@@ -120,7 +120,7 @@ func recordLifecycle(t *testing.T, o Options) []string {
 	s.ForceBase()
 	commit(6, false)
 	commit(8, true)
-	if err := s.Prune(1); err != nil || s.PrunedBefore() != 3 {
+	if err := prune(s, 1); err != nil || s.PrunedBefore() != 3 {
 		t.Fatalf("prune: %v, pruned before %d", err, s.PrunedBefore())
 	}
 

@@ -109,11 +109,11 @@
 // an orphan.
 //
 // Retention bounds blob growth over long lineages: with
-// Options.RetainBases set (or via explicit Prune), superseded chains
-// are deleted down to the K most recent base generations. Pruned
-// generations stay listed as metadata but materialize to ErrPruned; the
-// cutoff always lands on a base, so every surviving generation's chain
-// resolves without crossing it.
+// Options.RetainBases set, each Commit deletes superseded chains down
+// to the K most recent base generations. Pruned generations stay listed
+// as metadata but materialize to ErrPruned; the cutoff always lands on
+// a base, so every surviving generation's chain resolves without
+// crossing it.
 //
 // Register custom backends with RegisterBackend; Options.Backend
 // selects one by name.
@@ -152,7 +152,7 @@
 //     the recipes, then increments refcounts ("applyRefs") only after
 //     the manifest flips — so a failed commit rolls back by deleting
 //     exactly the blobs it introduced, never a shared one.
-//   - Prune and generation discard delete the recipe FIRST, then
+//   - Retention and generation discard delete the recipe FIRST, then
 //     decrement; a blob is deleted only when its refcount reaches
 //     zero. Because the recipe is gone before any blob delete, a crash
 //     mid-prune retries idempotently: the next Open's rebuild simply
@@ -189,8 +189,8 @@
 //     DrainBarrier holds the backend's mutex while it flushes, so a
 //     flush can never resurrect a deleted blob on the back tier.
 //   - DrainBarrier returns every flush failure of its pass. The store
-//     issues it after each manifest write — Commit's, Prune's and
-//     Scrub's — so the back tier is current whenever one returns.
+//     issues it after each manifest write — Commit's (its retention
+//     pass included) and Scrub's — so the back tier is current whenever one returns.
 //     Commit's durability promise covers the back tier, and a flush
 //     failure rolls the generation back like a manifest failure.
 //   - Get is read-through with promotion: a back-tier hit (a resume
@@ -209,14 +209,14 @@
 // pinned, so between barriers the front tier may overshoot its cap and
 // recovers on the next insert after one. Evicted keys fall through to
 // the back tier on Get and re-promote into the front (re-entering the
-// LRU); Ops() reports front hits/misses, promotions, evictions, and
-// current residency against the cap.
+// LRU); the backend counts front hits/misses, promotions and
+// evictions.
 //
 // # Concurrency model
 //
 // The store has no goroutines of its own. Every operation — Commit's
 // validation, dedup planning and Puts, MaterializeStream's and
-// RestoreStream's chain resolution, Scrub, Prune, and the tier
+// RestoreStream's chain resolution, Scrub, retention, and the tier
 // backend's flush inside DrainBarrier — runs on the calling goroutine
 // and walks ranks 0..n-1 in order. The sequence of backend calls is
 // therefore a pure function of the store's inputs, the first failing
@@ -228,8 +228,8 @@
 // method is safe for that:
 //
 //   - Chain state (the generation list, the per-rank chunk indexes, the
-//     manifest, the dedup refcounts) is guarded by one mutex. Commit,
-//     Prune and Scrub hold it end to end, so generations are assigned
+//     manifest, the dedup refcounts) is guarded by one mutex. Commit
+//     (retention included) and Scrub hold it end to end, so generations are assigned
 //     dense sequence numbers and two concurrent Commits serialize.
 //   - The resolver does not hold the chain mutex while resolving:
 //     committed generations are immutable (blobs are never rewritten),

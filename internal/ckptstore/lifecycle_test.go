@@ -45,8 +45,17 @@ func TestRetentionBoundsBlobs(t *testing.T) {
 	}
 }
 
-// TestExplicitPrune covers the manual form and its cutoff persistence
-// across a manifest resume.
+// prune runs one retention pass keeping keepBases bases, as Commit does
+// under Options.RetainBases.
+func prune(s *Store, keepBases int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pruneLocked(keepBases)
+}
+
+// TestExplicitPrune runs retention passes outside Commit: the cutoff,
+// widening retention later, and the cutoff's persistence across a
+// manifest resume.
 func TestExplicitPrune(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Backend: "fs", Dir: dir, Delta: true, ChunkBytes: 128, ChainCap: ChainCapNone}
@@ -54,17 +63,14 @@ func TestExplicitPrune(t *testing.T) {
 	for gen := 0; gen < 5; gen++ {
 		commitGen(t, s, 1, gen, func(int) []byte { return appState(600, gen) })
 	}
-	if err := s.Prune(0); err == nil {
-		t.Fatal("Prune(0) accepted")
-	}
-	if err := s.Prune(2); err != nil {
+	if err := prune(s, 2); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.PrunedBefore(); got != 3 {
 		t.Fatalf("prune cutoff %d, want 3 (keep the last 2 of 5 bases)", got)
 	}
 	// Pruning to a wider retention later is a no-op, not a resurrection.
-	if err := s.Prune(4); err != nil {
+	if err := prune(s, 4); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.PrunedBefore(); got != 3 {
@@ -177,7 +183,7 @@ func TestPruneDeleteFailureSurfaces(t *testing.T) {
 	for gen := 0; gen < 3; gen++ {
 		commitGen(t, s, 1, gen, func(int) []byte { return appState(500, gen) })
 	}
-	if err := s.Prune(1); err == nil || !strings.Contains(err.Error(), "injected delete failure") {
+	if err := prune(s, 1); err == nil || !strings.Contains(err.Error(), "injected delete failure") {
 		t.Fatalf("prune over a failing delete: %v", err)
 	}
 	if got := s.PrunedBefore(); got != 0 {
@@ -185,7 +191,7 @@ func TestPruneDeleteFailureSurfaces(t *testing.T) {
 	}
 	// Once the failure clears, the retry prunes the same range.
 	fb.failDelete = nil
-	if err := s.Prune(1); err != nil {
+	if err := prune(s, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.PrunedBefore(); got != 2 {

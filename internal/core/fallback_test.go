@@ -265,7 +265,9 @@ func TestRestartCorruptionSweepNeverSilent(t *testing.T) {
 		// target keys that are a function of the data itself.
 		{"content-blob", ckptstore.Options{Delta: true, Dedup: true, ChunkBytes: 64},
 			func(m faults.CorruptMode) faults.Plan {
-				return faults.Plan{Seed: 42, CorruptRate: 0.5, CorruptMode: m}
+				return faults.Plan{Seed: 42, Events: []faults.Event{
+					{Kind: faults.StoreCorrupt, Step: -1, Factor: 0.5, Mode: m},
+				}}
 			}},
 	}
 	modes := []faults.CorruptMode{faults.CorruptFlip, faults.CorruptTruncate, faults.CorruptTorn}

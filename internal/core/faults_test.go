@@ -69,9 +69,10 @@ func batteryPlan(seed int64) faults.Plan {
 }
 
 // TestFaultBatteryKernelsAndImpls is the multi-seed fault battery: for
-// every implementation and seed, the fault plan's timeline is a pure
-// function of its seed, and a checkpointing run under it retries the
-// transient store fault and records exactly one silent corruption.
+// every implementation and seed, a checkpointing run under the fault
+// plan retries the transient store fault and records exactly one silent
+// corruption. (That the timeline is a pure function of the seed is
+// faults' TestTimelineDeterminism.)
 // Crashes are excluded here (a torn-down job's surviving-rank clocks are
 // teardown noise); the service-level crash determinism check lives in
 // the harness tests, and run-to-run byte identity of Stats in
@@ -81,11 +82,7 @@ func TestFaultBatteryKernelsAndImpls(t *testing.T) {
 		t.Run(implName, func(t *testing.T) {
 			appName := batteryApp(implName)
 			for _, seed := range []int64{7, 21} {
-				wantTimeline := faults.NewInjector(4, batteryPlan(seed)).Timeline()
 				inj := faults.NewInjector(4, batteryPlan(seed))
-				if got := inj.Timeline(); got != wantTimeline {
-					t.Fatalf("seed %d: timeline diverged:\n%s\nvs\n%s", seed, got, wantTimeline)
-				}
 				// The session is driven directly rather than through Run:
 				// Run hands back the checkpoint's images, and the silently
 				// corrupted blob makes the store refuse to resolve them.

@@ -43,10 +43,6 @@ func NewJobHandle(cfg Config, n int, factory app.Factory) (*JobHandle, error) {
 	return &JobHandle{cfg: cfg, n: n, factory: factory, store: st}, nil
 }
 
-// Store exposes the handle's checkpoint store — the job's only
-// persistent state between segments.
-func (h *JobHandle) Store() *ckptstore.Store { return h.store }
-
 // Resumable reports whether a committed generation exists to resume
 // from; a non-resumable segment launches fresh.
 func (h *JobHandle) Resumable() bool { return len(h.store.Generations()) > 0 }

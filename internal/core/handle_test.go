@@ -44,7 +44,7 @@ func TestJobHandleSegmentsAllImpls(t *testing.T) {
 			if !seg1.Stopped || seg1.Resumed {
 				t.Fatalf("segment 1 = %+v, want fresh stopped segment", seg1)
 			}
-			if !h.Resumable() || len(h.Store().Generations()) != 1 {
+			if !h.Resumable() || len(h.store.Generations()) != 1 {
 				t.Fatalf("no committed generation after preemption park")
 			}
 
@@ -56,7 +56,7 @@ func TestJobHandleSegmentsAllImpls(t *testing.T) {
 			if !seg2.Stopped || !seg2.Resumed || seg2.RestartGen != 0 {
 				t.Fatalf("segment 2 = %+v, want resumed stopped segment from gen 0", seg2)
 			}
-			if len(h.Store().Generations()) != 2 {
+			if len(h.store.Generations()) != 2 {
 				t.Fatalf("second park did not commit a second generation")
 			}
 

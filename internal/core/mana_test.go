@@ -581,7 +581,7 @@ func TestVirtualHandlesAreNotPhysical(t *testing.T) {
 		t.Fatalf("virtual handle %#x lacks MANA magic", uint64(world))
 	}
 	// A raw physical handle must be rejected by the wrappers.
-	phys, _ := rt.Lower().LookupConst(mpi.ConstCommWorld)
+	phys, _ := rt.lower.LookupConst(mpi.ConstCommWorld)
 	if _, err := rt.CommSize(phys); err == nil {
 		t.Fatal("wrapper accepted a raw physical handle")
 	}

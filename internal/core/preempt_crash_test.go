@@ -61,7 +61,7 @@ func TestCrashDuringPreemptionSweep(t *testing.T) {
 				// Store audit: every backend blob must belong to a committed
 				// generation or be the manifest — a crash mid-drain must not
 				// leak a partial generation.
-				store := h.Store()
+				store := h.store
 				gens := store.Generations()
 				keys, err := store.Backend().List()
 				if err != nil {

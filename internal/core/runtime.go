@@ -188,16 +188,6 @@ func (r *Runtime) Boundary() *splitproc.Boundary { return r.bnd }
 // WrapperCalls reports the number of wrapped MPI calls.
 func (r *Runtime) WrapperCalls() uint64 { return r.wrapperCalls }
 
-// Store exposes the virtual-id store (tests, diagnostics).
-func (r *Runtime) Store() vid.Store { return r.store }
-
-// Lower exposes the lower-half library (tests only).
-func (r *Runtime) Lower() mpi.Proc { return r.lower }
-
-// DrainedCount reports the number of buffered drained messages not yet
-// re-delivered.
-func (r *Runtime) DrainedCount() int { return len(r.drained) }
-
 // ---------------------------------------------------------------------
 // identity and constants
 

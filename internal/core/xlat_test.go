@@ -105,7 +105,7 @@ func TestWrapperCallCost(t *testing.T) {
 		t.Errorf("wrapped Iprobe allocates %.1f objects per call, want 0", allocs)
 	}
 
-	if d := rt.Store().DesignName(); d != string(DesignVirtID) {
+	if d := rt.store.DesignName(); d != string(DesignVirtID) {
 		t.Fatalf("default design %q, want %q", d, DesignVirtID)
 	}
 	f64, err := rt.LookupConst(mpi.ConstFloat64)

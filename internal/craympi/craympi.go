@@ -139,27 +139,27 @@ func (t *table) Insert(kind mpi.Kind, obj any) mpi.Handle {
 // so stale handles to reused slots fail loudly.
 func (t *table) Lookup(kind mpi.Kind, h mpi.Handle) (any, error) {
 	if h == mpi.HandleNull {
-		return nil, mpi.Errorf(errClass(kind), "null %v handle", kind)
+		return nil, mpi.Errorf(kind.ErrClass(), "null %v handle", kind)
 	}
 	k, builtin, gen, sl, slot := Decode(h)
 	if k != kind {
-		return nil, mpi.Errorf(errClass(kind), "handle %#x is %v, want %v", uint64(h), k, kind)
+		return nil, mpi.Errorf(kind.ErrClass(), "handle %#x is %v, want %v", uint64(h), k, kind)
 	}
 	if builtin {
 		if slot < int(mpi.NumConstNames) && t.constObjs[slot] != nil {
 			return t.constObjs[slot], nil
 		}
-		return nil, mpi.Errorf(errClass(kind), "builtin handle %#x not initialized", uint64(h))
+		return nil, mpi.Errorf(kind.ErrClass(), "builtin handle %#x not initialized", uint64(h))
 	}
 	s := t.slabs[sl]
 	if s.at(slot) == nil {
-		return nil, mpi.Errorf(errClass(kind), "dangling %v handle %#x", kind, uint64(h))
+		return nil, mpi.Errorf(kind.ErrClass(), "dangling %v handle %#x", kind, uint64(h))
 	}
 	if int(s.gens[slot]) != gen {
-		return nil, mpi.Errorf(errClass(kind), "stale %v handle %#x: generation %d, slot at %d", kind, uint64(h), gen, s.gens[slot])
+		return nil, mpi.Errorf(kind.ErrClass(), "stale %v handle %#x: generation %d, slot at %d", kind, uint64(h), gen, s.gens[slot])
 	}
 	if s.kinds[slot] != kind {
-		return nil, mpi.Errorf(errClass(kind), "handle %#x kind mismatch", uint64(h))
+		return nil, mpi.Errorf(kind.ErrClass(), "handle %#x kind mismatch", uint64(h))
 	}
 	return s.objs[slot], nil
 }
@@ -168,14 +168,14 @@ func (t *table) Lookup(kind mpi.Kind, h mpi.Handle) (any, error) {
 func (t *table) Remove(h mpi.Handle) error {
 	k, builtin, gen, sl, slot := Decode(h)
 	if builtin {
-		return mpi.Errorf(errClass(k), "cannot free builtin handle %#x", uint64(h))
+		return mpi.Errorf(k.ErrClass(), "cannot free builtin handle %#x", uint64(h))
 	}
 	s := t.slabs[sl]
 	if s.at(slot) == nil {
-		return mpi.Errorf(errClass(k), "free of dangling handle %#x", uint64(h))
+		return mpi.Errorf(k.ErrClass(), "free of dangling handle %#x", uint64(h))
 	}
 	if int(s.gens[slot]) != gen {
-		return mpi.Errorf(errClass(k), "free with stale handle %#x", uint64(h))
+		return mpi.Errorf(k.ErrClass(), "free with stale handle %#x", uint64(h))
 	}
 	s.objs[slot] = nil
 	s.kinds[slot] = mpi.KindNone
@@ -193,23 +193,6 @@ func (t *table) ConstHandle(name mpi.ConstName, obj any) (mpi.Handle, error) {
 		t.constObjs[name] = obj
 	}
 	return h, nil
-}
-
-func errClass(k mpi.Kind) mpi.ErrClass {
-	switch k {
-	case mpi.KindComm:
-		return mpi.ErrComm
-	case mpi.KindGroup:
-		return mpi.ErrGroup
-	case mpi.KindRequest:
-		return mpi.ErrRequest
-	case mpi.KindOp:
-		return mpi.ErrOp
-	case mpi.KindDatatype:
-		return mpi.ErrType
-	default:
-		return mpi.ErrArg
-	}
 }
 
 // New creates a Cray MPI library instance for one rank.

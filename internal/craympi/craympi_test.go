@@ -1,6 +1,7 @@
 package craympi
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -94,18 +95,24 @@ func TestCrayConstantsStable(t *testing.T) {
 }
 
 // TestFirstHandleAllocatesUnder1KB: a rank's first user handle costs a
-// small slab, not a whole 2048-entry one.
+// small slab, not a whole 2048-entry one. TotalAlloc is process-wide, so
+// the bound holds the least delta over several fresh tables: whatever
+// else the process allocates during one Insert cannot fail it.
 func TestFirstHandleAllocatesUnder1KB(t *testing.T) {
-	tab := newTable()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	h := tab.Insert(mpi.KindComm, tab)
-	runtime.ReadMemStats(&m1)
-	if got := m1.TotalAlloc - m0.TotalAlloc; got >= 1024 {
-		t.Fatalf("first Insert allocated %d bytes, want under 1 KB", got)
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		tab := newTable()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		h := tab.Insert(mpi.KindComm, tab)
+		runtime.ReadMemStats(&m1)
+		least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+		if o, err := tab.Lookup(mpi.KindComm, h); err != nil || o != any(tab) {
+			t.Fatalf("lookup: %v %v", o, err)
+		}
 	}
-	if o, err := tab.Lookup(mpi.KindComm, h); err != nil || o != any(tab) {
-		t.Fatalf("lookup: %v %v", o, err)
+	if least >= 1024 {
+		t.Fatalf("first Insert allocated %d bytes, want under 1 KB", least)
 	}
 }
 

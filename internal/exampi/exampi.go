@@ -104,7 +104,7 @@ func (s *store) Insert(kind mpi.Kind, obj any) mpi.Handle {
 // Lookup implements mpibase.HandleTable.
 func (s *store) Lookup(kind mpi.Kind, h mpi.Handle) (any, error) {
 	if h == mpi.HandleNull {
-		return nil, mpi.Errorf(errClass(kind), "null %v handle", kind)
+		return nil, mpi.Errorf(kind.ErrClass(), "null %v handle", kind)
 	}
 	if kind == mpi.KindDatatype {
 		if o, ok := s.enums[uint64(h)]; ok {
@@ -113,10 +113,10 @@ func (s *store) Lookup(kind mpi.Kind, h mpi.Handle) (any, error) {
 	}
 	e, ok := s.objs[uint64(h)]
 	if !ok {
-		return nil, mpi.Errorf(errClass(kind), "%v handle %#x unknown to this ExaMPI instance", kind, uint64(h))
+		return nil, mpi.Errorf(kind.ErrClass(), "%v handle %#x unknown to this ExaMPI instance", kind, uint64(h))
 	}
 	if e.kind != kind {
-		return nil, mpi.Errorf(errClass(kind), "handle %#x is %v, want %v", uint64(h), e.kind, kind)
+		return nil, mpi.Errorf(kind.ErrClass(), "handle %#x is %v, want %v", uint64(h), e.kind, kind)
 	}
 	return e.obj, nil
 }
@@ -132,7 +132,7 @@ func (s *store) Remove(h mpi.Handle) error {
 	}
 	for _, c := range s.consts {
 		if c == h {
-			return mpi.Errorf(errClass(e.kind), "cannot free predefined object %#x", uint64(h))
+			return mpi.Errorf(e.kind.ErrClass(), "cannot free predefined object %#x", uint64(h))
 		}
 	}
 	delete(s.objs, uint64(h))
@@ -155,23 +155,6 @@ func (s *store) ConstHandle(name mpi.ConstName, obj any) (mpi.Handle, error) {
 		s.bound[name] = true
 	}
 	return s.consts[name], nil
-}
-
-func errClass(k mpi.Kind) mpi.ErrClass {
-	switch k {
-	case mpi.KindComm:
-		return mpi.ErrComm
-	case mpi.KindGroup:
-		return mpi.ErrGroup
-	case mpi.KindRequest:
-		return mpi.ErrRequest
-	case mpi.KindOp:
-		return mpi.ErrOp
-	case mpi.KindDatatype:
-		return mpi.ErrType
-	default:
-		return mpi.ErrArg
-	}
 }
 
 // Caps returns ExaMPI's subset capability set.

@@ -2,7 +2,6 @@ package faults
 
 import (
 	"hash/fnv"
-	"sort"
 	"time"
 )
 
@@ -51,19 +50,6 @@ func (inj *Injector) StoreCorruptions() int {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	return len(inj.corrupted)
-}
-
-// CorruptedKeys lists the distinct blob keys struck so far, sorted.
-// The scrub smoke asserts Scrub finds exactly this set.
-func (inj *Injector) CorruptedKeys() []string {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	keys := make([]string, 0, len(inj.corrupted))
-	for k := range inj.corrupted {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // keyHash mixes the plan seed into a 64-bit hash of the blob key: the

@@ -2,11 +2,20 @@ package faults
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
 	"manasim/internal/ckptstore"
 )
+
+// corruptedKeys lists the distinct blob keys inj has struck, sorted.
+func corruptedKeys(inj *Injector) []string {
+	inj.mu.Lock()
+	defer inj.mu.Unlock()
+	return slices.Sorted(maps.Keys(inj.corrupted))
+}
 
 func memBackend(t *testing.T) ckptstore.Backend {
 	t.Helper()
@@ -53,8 +62,8 @@ func TestStoreCorruptStrikesOnce(t *testing.T) {
 	if inj.StoreCorruptions() != 1 {
 		t.Fatalf("StoreCorruptions = %d, want 1", inj.StoreCorruptions())
 	}
-	if keys := inj.CorruptedKeys(); len(keys) != 1 || keys[0] != "gen0000/rank00" {
-		t.Fatalf("CorruptedKeys = %v", keys)
+	if keys := corruptedKeys(inj); len(keys) != 1 || keys[0] != "gen0000/rank00" {
+		t.Fatalf("corrupted keys = %v", keys)
 	}
 }
 
@@ -200,7 +209,7 @@ func TestCorruptRateDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return inj.CorruptedKeys()
+		return corruptedKeys(inj)
 	}
 	a, b := run(42, false), run(42, true)
 	if len(a) == 0 || len(a) == len(keys) {
@@ -223,26 +232,5 @@ func TestCorruptRateDeterministic(t *testing.T) {
 		return true
 	}() {
 		t.Fatal("different seeds struck identical key sets")
-	}
-}
-
-// TestCorruptTimeline: StoreCorrupt events render deterministically and
-// plans without corruption keep their exact prior timelines (the draws
-// come after every older kind).
-func TestCorruptTimeline(t *testing.T) {
-	base := Plan{Seed: 7, MTBF: 10 * time.Millisecond, Crashes: 4, Stragglers: 2, StoreFaults: 2}
-	before := NewInjector(4, base).Timeline()
-	withCorrupt := base
-	withCorrupt.StoreCorrupts = 3
-	withCorrupt.CorruptRate = 0.01
-	after := NewInjector(4, withCorrupt).Timeline()
-	if len(after) <= len(before) {
-		t.Fatal("corruption plan added no timeline lines")
-	}
-	if after[:len(before)] != before {
-		t.Fatalf("corruption draws perturbed the older kinds' schedule:\n%s\nvs\n%s", before, after)
-	}
-	if again := NewInjector(4, withCorrupt).Timeline(); again != after {
-		t.Fatal("corruption timeline is not deterministic")
 	}
 }

@@ -9,12 +9,12 @@
 // from a Plan and a seed, and is carried by mana.Config.Faults. The
 // injector owns the complete fault timeline: every event — crash
 // instants drawn from the exponential MTBF process, straggler windows,
-// the ordinals of dropped control messages, the blob keys of storage
-// faults — is generated up front from a single rand.Source at
-// construction. Nothing is drawn during the run, so the timeline is a
-// pure function of (seed, plan, rank count): the same seed yields a
-// byte-identical Timeline() and an identical set of injected effects on
-// every kernel and every MPI implementation.
+// the blob keys of storage faults, and the plan's scripted events
+// (control-message drops and delays among them) — is fixed up front,
+// the drawn ones from a single rand.Source at construction. Nothing is
+// drawn during the run, so the timeline is a pure function of (seed,
+// plan, rank count): the same seed yields the same events and an
+// identical set of injected effects on every MPI implementation.
 //
 // The layers below consume the injector read-mostly: the core runtime
 // checks the crash schedule at wrapper calls and step boundaries,

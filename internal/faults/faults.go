@@ -99,7 +99,8 @@ type Event struct {
 
 // Plan parameterizes the generated fault timeline. Zero values disable
 // the corresponding fault kind; Events appends scripted events
-// verbatim (tests use it for step-targeted crashes).
+// verbatim (step-targeted crashes, control-message faults, keyed
+// corruptions).
 type Plan struct {
 	// Seed feeds the single rand.Source the whole timeline is drawn
 	// from.
@@ -112,45 +113,54 @@ type Plan struct {
 	// MTBF is set).
 	Crashes int
 	// Stragglers schedules this many straggler windows across the
-	// horizon [0, Horizon), each with StragglerFactor and
-	// StragglerWindow (defaults 4.0 and MTBF/4 or 1ms).
-	Stragglers      int
-	StragglerFactor float64
-	StragglerWindow time.Duration
-	// Horizon is the service virtual time the straggler schedule is
-	// spread over (default 16*MTBF, or 1s without an MTBF).
-	Horizon time.Duration
-	// CtlDrops and CtlDelays schedule that many control-message drops
-	// and delays; senders and ordinals are drawn uniformly from
-	// [0, ranks) x [1, CtlMaxNth] (default ordinal bound 4). Delays
-	// last CtlDelay (default 1ms).
-	CtlDrops  int
-	CtlDelays int
-	CtlDelay  time.Duration
-	CtlMaxNth int
-	// CtlTimeout is the drain protocol's retransmission timeout under
-	// armed control faults (default 1ms).
-	CtlTimeout time.Duration
+	// plan's horizon (16*MTBF, or 1s without an MTBF), each slowing its
+	// rank by StragglerFactor for StragglerWindow().
+	Stragglers int
 	// StoreFaults schedules transient Put/Get failures on that many
 	// generation blob keys drawn from generations [0, StoreMaxGen)
-	// (default 4); each faulted key fails StoreOps times (default 2).
+	// (default 4); each faulted key fails storeFaultOps times.
 	StoreFaults int
-	StoreOps    int
 	StoreMaxGen int
-	// StoreCorrupts schedules that many silent corruptions, each on a
-	// generation blob key drawn from [0, StoreMaxGen) x [0, ranks),
-	// arming at a service time drawn from [0, Horizon). CorruptMode
-	// fixes the damage mode; zero draws flip/truncate/torn per event.
-	StoreCorrupts int
-	CorruptMode   CorruptMode
 	// CorruptRate corrupts every non-manifest backend blob — dedup
 	// blob/… keys and recipes included — whose seeded key hash falls
-	// below the rate, each at most once. It is a pure function of
-	// (key, seed), so the strike set is deterministic no matter how
-	// callers sharing a store interleave operations.
+	// below the rate, each at most once, drawing the damage mode per
+	// key. It is a pure function of (key, seed), so the strike set is
+	// deterministic no matter how callers sharing a store interleave
+	// operations.
 	CorruptRate float64
 	// Events are scripted events appended to the generated timeline.
 	Events []Event
+}
+
+// StragglerFactor is how many times as much a straggler window's
+// charges cost.
+const StragglerFactor = 4.0
+
+const (
+	// storeFaultOps is how many operations on a generated StoreFault
+	// key fail.
+	storeFaultOps = 2
+	// ctlResendTimeout is the drain protocol's retransmission timeout
+	// under armed control faults.
+	ctlResendTimeout = time.Millisecond
+)
+
+// StragglerWindow is how long each generated straggler window lasts:
+// MTBF/4, or 1ms without an MTBF.
+func (p Plan) StragglerWindow() time.Duration {
+	if p.MTBF > 0 {
+		return p.MTBF / 4
+	}
+	return time.Millisecond
+}
+
+// horizon is the service virtual time the straggler schedule is spread
+// over.
+func (p Plan) horizon() time.Duration {
+	if p.MTBF > 0 {
+		return 16 * p.MTBF
+	}
+	return time.Second
 }
 
 // CrashError is the typed abort of an injected NodeCrash: the job's
@@ -275,47 +285,22 @@ func NewInjector(n int, p Plan) *Injector {
 		inj.timeline = append(inj.timeline, Event{
 			Kind:   Straggler,
 			Rank:   rng.Intn(n),
-			At:     time.Duration(rng.Int63n(int64(p.Horizon))),
+			At:     time.Duration(rng.Int63n(int64(p.horizon()))),
 			Step:   -1,
-			Factor: p.StragglerFactor,
-			Window: p.StragglerWindow,
-		})
-	}
-	for i := 0; i < p.CtlDrops; i++ {
-		inj.timeline = append(inj.timeline, Event{
-			Kind: CtlLoss, Rank: rng.Intn(n), Step: -1,
-			Nth: uint64(1 + rng.Intn(p.CtlMaxNth)),
-		})
-	}
-	for i := 0; i < p.CtlDelays; i++ {
-		inj.timeline = append(inj.timeline, Event{
-			Kind: CtlReorder, Rank: rng.Intn(n), Step: -1,
-			Nth: uint64(1 + rng.Intn(p.CtlMaxNth)), Delay: p.CtlDelay,
+			Factor: StragglerFactor,
+			Window: p.StragglerWindow(),
 		})
 	}
 	for i := 0; i < p.StoreFaults; i++ {
 		inj.timeline = append(inj.timeline, Event{
 			Kind: StoreFault, Step: -1,
 			Key: fmt.Sprintf("gen%04d/rank%02d", rng.Intn(p.StoreMaxGen), rng.Intn(n)),
-			Ops: p.StoreOps,
-		})
-	}
-	// Corruption draws come after every older kind so existing seeds
-	// keep their exact timelines when no corruption is planned.
-	for i := 0; i < p.StoreCorrupts; i++ {
-		key := fmt.Sprintf("gen%04d/rank%02d", rng.Intn(p.StoreMaxGen), rng.Intn(n))
-		at := time.Duration(rng.Int63n(int64(p.Horizon)))
-		mode := p.CorruptMode
-		if mode == CorruptNone {
-			mode = CorruptMode(1 + rng.Intn(3))
-		}
-		inj.timeline = append(inj.timeline, Event{
-			Kind: StoreCorrupt, Step: -1, Key: key, At: at, Mode: mode,
+			Ops: storeFaultOps,
 		})
 	}
 	if p.CorruptRate > 0 {
 		inj.timeline = append(inj.timeline, Event{
-			Kind: StoreCorrupt, Step: -1, Factor: p.CorruptRate, Mode: p.CorruptMode,
+			Kind: StoreCorrupt, Step: -1, Factor: p.CorruptRate,
 		})
 	}
 	inj.timeline = append(inj.timeline, p.Events...)
@@ -327,35 +312,6 @@ func NewInjector(n int, p Plan) *Injector {
 func planDefaults(p Plan) Plan {
 	if p.MTBF > 0 && p.Crashes <= 0 {
 		p.Crashes = 64
-	}
-	if p.StragglerFactor <= 1 {
-		p.StragglerFactor = 4
-	}
-	if p.StragglerWindow <= 0 {
-		if p.MTBF > 0 {
-			p.StragglerWindow = p.MTBF / 4
-		} else {
-			p.StragglerWindow = time.Millisecond
-		}
-	}
-	if p.Horizon <= 0 {
-		if p.MTBF > 0 {
-			p.Horizon = 16 * p.MTBF
-		} else {
-			p.Horizon = time.Second
-		}
-	}
-	if p.CtlDelay <= 0 {
-		p.CtlDelay = time.Millisecond
-	}
-	if p.CtlMaxNth <= 0 {
-		p.CtlMaxNth = 4
-	}
-	if p.CtlTimeout <= 0 {
-		p.CtlTimeout = time.Millisecond
-	}
-	if p.StoreOps <= 0 {
-		p.StoreOps = 2
 	}
 	if p.StoreMaxGen <= 0 {
 		p.StoreMaxGen = 4
@@ -399,43 +355,6 @@ func (inj *Injector) index() {
 // Plan reports the (defaulted) plan the injector was built from.
 func (inj *Injector) Plan() Plan { return inj.plan }
 
-// Timeline renders the full fault schedule, one event per line, in a
-// deterministic format: the multi-seed battery asserts byte identity of
-// this string across kernels and implementations.
-func (inj *Injector) Timeline() string {
-	var b strings.Builder
-	for _, ev := range inj.timeline {
-		switch ev.Kind {
-		case NodeCrash:
-			if ev.Step >= 0 {
-				fmt.Fprintf(&b, "crash rank=%d step=%d call=%d\n", ev.Rank, ev.Step, ev.Call)
-			} else {
-				fmt.Fprintf(&b, "crash rank=%d at=%.9fs\n", ev.Rank, ev.At.Seconds())
-			}
-		case Straggler:
-			fmt.Fprintf(&b, "straggler rank=%d at=%.9fs window=%.9fs factor=%.2f\n",
-				ev.Rank, ev.At.Seconds(), ev.Window.Seconds(), ev.Factor)
-		case CtlLoss:
-			fmt.Fprintf(&b, "ctl-loss src=%d nth=%d\n", ev.Rank, ev.Nth)
-		case CtlReorder:
-			fmt.Fprintf(&b, "ctl-reorder src=%d nth=%d delay=%.9fs\n", ev.Rank, ev.Nth, ev.Delay.Seconds())
-		case StoreFault:
-			mode := fmt.Sprintf("ops=%d", ev.Ops)
-			if ev.Permanent {
-				mode = "permanent"
-			}
-			fmt.Fprintf(&b, "store-fault key=%s %s\n", ev.Key, mode)
-		case StoreCorrupt:
-			if ev.Key == "" {
-				fmt.Fprintf(&b, "store-corrupt rate=%.6f mode=%s\n", ev.Factor, ev.Mode)
-			} else {
-				fmt.Fprintf(&b, "store-corrupt key=%s mode=%s at=%.9fs\n", ev.Key, ev.Mode, ev.At.Seconds())
-			}
-		}
-	}
-	return b.String()
-}
-
 // SetBase maps the next attempt's rank-local clocks to service time:
 // the service loop calls it with the cumulative virtual time of all
 // prior attempts before starting or restarting a job. Must not be
@@ -474,7 +393,7 @@ func (inj *Injector) CtlArmed() bool {
 }
 
 // CtlResendTimeout is the drain protocol's retransmission timeout.
-func (inj *Injector) CtlResendTimeout() time.Duration { return inj.plan.CtlTimeout }
+func (inj *Injector) CtlResendTimeout() time.Duration { return ctlResendTimeout }
 
 // ---------------------------------------------------------------------
 // crash schedule

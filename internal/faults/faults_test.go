@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -9,24 +10,24 @@ import (
 	"manasim/internal/simtime"
 )
 
-// TestTimelineDeterminism: the rendered timeline is a pure function of
-// (ranks, plan) — same seed, same bytes; different seed, different
+// TestTimelineDeterminism: the generated timeline is a pure function of
+// (ranks, plan) — same seed, same events; different seed, different
 // schedule. The multi-seed battery in internal/core builds on this.
 func TestTimelineDeterminism(t *testing.T) {
 	plan := Plan{
 		Seed: 7, MTBF: 10 * time.Millisecond, Crashes: 8,
-		Stragglers: 3, CtlDrops: 2, CtlDelays: 2, StoreFaults: 2,
+		Stragglers: 3, StoreFaults: 2, CorruptRate: 0.01,
 	}
-	a := NewInjector(8, plan).Timeline()
-	b := NewInjector(8, plan).Timeline()
-	if a != b {
-		t.Fatalf("same seed produced different timelines:\n%s\nvs\n%s", a, b)
+	a := NewInjector(8, plan).timeline
+	b := NewInjector(8, plan).timeline
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed produced different timelines:\n%+v\nvs\n%+v", a, b)
 	}
-	if a == "" {
-		t.Fatal("timeline is empty")
+	if len(a) != 8+3+2+1 {
+		t.Fatalf("timeline has %d events, want 14", len(a))
 	}
 	plan.Seed = 8
-	if c := NewInjector(8, plan).Timeline(); c == a {
+	if c := NewInjector(8, plan).timeline; reflect.DeepEqual(c, a) {
 		t.Fatal("different seeds produced identical timelines")
 	}
 }

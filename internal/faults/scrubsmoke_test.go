@@ -57,7 +57,7 @@ func TestScrubFindsInjectedCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	struck := inj.CorruptedKeys()
+	struck := corruptedKeys(inj)
 	if len(struck) == 0 {
 		t.Fatal("seed 42 at rate 0.25 struck nothing; the smoke has no teeth")
 	}
@@ -103,7 +103,7 @@ func TestScrubFindsInjectedCorruption(t *testing.T) {
 
 	// Determinism: the same seed and commit sequence strikes the same
 	// keys and scrubs to the same findings.
-	if again := inj.CorruptedKeys(); len(again) != len(struck) {
+	if again := corruptedKeys(inj); len(again) != len(struck) {
 		t.Fatal("strike set changed after scrub")
 	}
 }

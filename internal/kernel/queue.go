@@ -37,14 +37,6 @@ func (q *VTQueue[T]) Push(at time.Duration, payload T) {
 	q.up(len(q.h) - 1)
 }
 
-// Peek returns the earliest item without removing it.
-func (q *VTQueue[T]) Peek() (Item[T], bool) {
-	if len(q.h) == 0 {
-		return Item[T]{}, false
-	}
-	return q.h[0], true
-}
-
 // Pop removes and returns the earliest item: smallest At, pushes at
 // equal At in FIFO order.
 func (q *VTQueue[T]) Pop() (Item[T], bool) {

@@ -19,8 +19,8 @@ func TestVTQueueOrder(t *testing.T) {
 	if q.Len() != len(want) {
 		t.Fatalf("Len = %d, want %d", q.Len(), len(want))
 	}
-	if top, ok := q.Peek(); !ok || top.Payload != "a1" {
-		t.Fatalf("Peek = %+v, %v", top, ok)
+	if top := q.h[0]; top.Payload != "a1" {
+		t.Fatalf("heap top = %+v, want a1", top)
 	}
 	var prev time.Duration
 	for i, w := range want {

@@ -23,40 +23,30 @@ const (
 	ErrInStatus
 )
 
+// errClassNames names each error class in MPI vocabulary.
+var errClassNames = [...]string{
+	ErrOther:       "MPI_ERR_OTHER",
+	ErrComm:        "MPI_ERR_COMM",
+	ErrGroup:       "MPI_ERR_GROUP",
+	ErrRequest:     "MPI_ERR_REQUEST",
+	ErrOp:          "MPI_ERR_OP",
+	ErrType:        "MPI_ERR_TYPE",
+	ErrArg:         "MPI_ERR_ARG",
+	ErrRank:        "MPI_ERR_RANK",
+	ErrTag:         "MPI_ERR_TAG",
+	ErrCount:       "MPI_ERR_COUNT",
+	ErrTruncate:    "MPI_ERR_TRUNCATE",
+	ErrUnsupported: "MPI_ERR_UNSUPPORTED_OPERATION",
+	ErrPending:     "MPI_ERR_PENDING",
+	ErrInStatus:    "MPI_ERR_IN_STATUS",
+}
+
 // String names the error class in MPI vocabulary.
 func (c ErrClass) String() string {
-	switch c {
-	case ErrOther:
-		return "MPI_ERR_OTHER"
-	case ErrComm:
-		return "MPI_ERR_COMM"
-	case ErrGroup:
-		return "MPI_ERR_GROUP"
-	case ErrRequest:
-		return "MPI_ERR_REQUEST"
-	case ErrOp:
-		return "MPI_ERR_OP"
-	case ErrType:
-		return "MPI_ERR_TYPE"
-	case ErrArg:
-		return "MPI_ERR_ARG"
-	case ErrRank:
-		return "MPI_ERR_RANK"
-	case ErrTag:
-		return "MPI_ERR_TAG"
-	case ErrCount:
-		return "MPI_ERR_COUNT"
-	case ErrTruncate:
-		return "MPI_ERR_TRUNCATE"
-	case ErrUnsupported:
-		return "MPI_ERR_UNSUPPORTED_OPERATION"
-	case ErrPending:
-		return "MPI_ERR_PENDING"
-	case ErrInStatus:
-		return "MPI_ERR_IN_STATUS"
-	default:
-		return fmt.Sprintf("ErrClass(%d)", int(c))
+	if c >= 0 && int(c) < len(errClassNames) {
+		return errClassNames[c]
 	}
+	return fmt.Sprintf("ErrClass(%d)", int(c))
 }
 
 // Error is an MPI error with a class and context message.

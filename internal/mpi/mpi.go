@@ -58,24 +58,36 @@ const (
 // NumKinds is the count of distinct valid kinds (excluding KindNone).
 const NumKinds = int(numKinds) - 1
 
+// kinds holds each kind's MPI type name and the error class an
+// implementation reports for a bad handle of that kind.
+var kinds = [numKinds]struct {
+	name  string
+	class ErrClass
+}{
+	KindNone:     {"MPI_NULL", ErrArg},
+	KindComm:     {"MPI_Comm", ErrComm},
+	KindGroup:    {"MPI_Group", ErrGroup},
+	KindRequest:  {"MPI_Request", ErrRequest},
+	KindOp:       {"MPI_Op", ErrOp},
+	KindDatatype: {"MPI_Datatype", ErrType},
+}
+
 // String names the kind using the MPI type vocabulary.
 func (k Kind) String() string {
-	switch k {
-	case KindNone:
-		return "MPI_NULL"
-	case KindComm:
-		return "MPI_Comm"
-	case KindGroup:
-		return "MPI_Group"
-	case KindRequest:
-		return "MPI_Request"
-	case KindOp:
-		return "MPI_Op"
-	case KindDatatype:
-		return "MPI_Datatype"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
+	if k < numKinds {
+		return kinds[k].name
 	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
+}
+
+// ErrClass is the error class an implementation reports for a bad
+// handle of kind k (MPI_ERR_COMM for a communicator, and so on);
+// KindNone and unknown kinds report MPI_ERR_ARG.
+func (k Kind) ErrClass() ErrClass {
+	if k < numKinds {
+		return kinds[k].class
+	}
+	return ErrArg
 }
 
 // Wildcards and special ranks, mirroring mpi.h.
@@ -281,12 +293,6 @@ func (s CapSet) Has(f Feature) bool { return s&(1<<uint(f)) != 0 }
 // With returns s extended with f.
 func (s CapSet) With(f Feature) CapSet { return s | (1 << uint(f)) }
 
-// AllFeatures is the capability set of a full implementation.
-func AllFeatures() CapSet {
-	var s CapSet
-	for _, f := range []Feature{FeatTypeVector, FeatTypeIndexed,
-		FeatGatherScatter, FeatAllgather, FeatCommCreate, FeatUserOps} {
-		s = s.With(f)
-	}
-	return s
-}
+// AllFeatures is the capability set of a full implementation: every
+// feature up to the last, FeatUserOps.
+func AllFeatures() CapSet { return CapSet(1)<<(FeatUserOps+1) - 1 }

@@ -108,16 +108,11 @@ func (d *Dtype) contiguous() bool {
 	return len(d.segs) == 1 && d.segs[0].off == 0 && d.segs[0].n == d.SizeB && d.ExtentB == d.SizeB
 }
 
-// Pack copies count elements from the (possibly strided) user buffer into
-// a fresh dense payload of count*SizeB bytes that never aliases buf. The
-// engine's own sends use PackInto on a buffer from the fabric's payload
-// pool instead, so a steady-state send allocates nothing.
-func (d *Dtype) Pack(buf []byte, count int) []byte {
-	return d.PackInto(make([]byte, count*d.SizeB), buf, count)
-}
-
-// PackInto is Pack into out, which must hold at least count*SizeB bytes;
-// it returns out[:count*SizeB], every byte of it written.
+// PackInto copies count elements from the (possibly strided) user
+// buffer into out, which must hold at least count*SizeB bytes and must
+// not alias buf; it returns the dense payload out[:count*SizeB], every
+// byte of it written. The engine's sends pack into a buffer from the
+// fabric's payload pool, so a steady-state send allocates nothing.
 func (d *Dtype) PackInto(out, buf []byte, count int) []byte {
 	out = out[:count*d.SizeB]
 	if d.contiguous() {

@@ -129,21 +129,21 @@ func (t *table) Insert(kind mpi.Kind, obj any) mpi.Handle {
 // Lookup implements mpibase.HandleTable.
 func (t *table) Lookup(kind mpi.Kind, h mpi.Handle) (any, error) {
 	if h == mpi.HandleNull {
-		return nil, mpi.Errorf(errClass(kind), "null %v handle", kind)
+		return nil, mpi.Errorf(kind.ErrClass(), "null %v handle", kind)
 	}
 	k, builtin, sl, slot := Decode(h)
 	if k != kind {
-		return nil, mpi.Errorf(errClass(kind), "handle %#x is %v, want %v", uint64(h), k, kind)
+		return nil, mpi.Errorf(kind.ErrClass(), "handle %#x is %v, want %v", uint64(h), k, kind)
 	}
 	if builtin {
-		return nil, mpi.Errorf(errClass(kind), "builtin handle %#x not registered", uint64(h))
+		return nil, mpi.Errorf(kind.ErrClass(), "builtin handle %#x not registered", uint64(h))
 	}
 	s := t.slabs[sl]
 	if s.at(slot) == nil {
-		return nil, mpi.Errorf(errClass(kind), "dangling %v handle %#x", kind, uint64(h))
+		return nil, mpi.Errorf(kind.ErrClass(), "dangling %v handle %#x", kind, uint64(h))
 	}
 	if s.kinds[slot] != kind {
-		return nil, mpi.Errorf(errClass(kind), "handle %#x kind mismatch", uint64(h))
+		return nil, mpi.Errorf(kind.ErrClass(), "handle %#x kind mismatch", uint64(h))
 	}
 	return s.objs[slot], nil
 }
@@ -152,11 +152,11 @@ func (t *table) Lookup(kind mpi.Kind, h mpi.Handle) (any, error) {
 func (t *table) Remove(h mpi.Handle) error {
 	k, builtin, sl, slot := Decode(h)
 	if builtin {
-		return mpi.Errorf(errClass(k), "cannot free builtin handle %#x", uint64(h))
+		return mpi.Errorf(k.ErrClass(), "cannot free builtin handle %#x", uint64(h))
 	}
 	s := t.slabs[sl]
 	if s.at(slot) == nil {
-		return mpi.Errorf(errClass(k), "free of dangling handle %#x", uint64(h))
+		return mpi.Errorf(k.ErrClass(), "free of dangling handle %#x", uint64(h))
 	}
 	s.objs[slot] = nil
 	s.kinds[slot] = mpi.KindNone
@@ -187,23 +187,6 @@ func (t *table) lookupConstObj(h mpi.Handle) (any, bool) {
 	return o, o != nil
 }
 
-func errClass(k mpi.Kind) mpi.ErrClass {
-	switch k {
-	case mpi.KindComm:
-		return mpi.ErrComm
-	case mpi.KindGroup:
-		return mpi.ErrGroup
-	case mpi.KindRequest:
-		return mpi.ErrRequest
-	case mpi.KindOp:
-		return mpi.ErrOp
-	case mpi.KindDatatype:
-		return mpi.ErrType
-	default:
-		return mpi.ErrArg
-	}
-}
-
 // New creates an MPICH library instance for one rank.
 func New(fab *transport.Fabric, rank int, clock *simtime.Clock, net simtime.NetModel) mpi.Proc {
 	eng := mpibase.NewEngine(fab, rank, clock, net)
@@ -223,12 +206,12 @@ type fullTable struct {
 func (t *fullTable) Lookup(kind mpi.Kind, h mpi.Handle) (any, error) {
 	if k, builtin, _, _ := Decode(h); builtin {
 		if k != kind {
-			return nil, mpi.Errorf(errClass(kind), "handle %#x is %v, want %v", uint64(h), k, kind)
+			return nil, mpi.Errorf(kind.ErrClass(), "handle %#x is %v, want %v", uint64(h), k, kind)
 		}
 		if o, ok := t.lookupConstObj(h); ok {
 			return o, nil
 		}
-		return nil, mpi.Errorf(errClass(kind), "builtin handle %#x not initialized", uint64(h))
+		return nil, mpi.Errorf(kind.ErrClass(), "builtin handle %#x not initialized", uint64(h))
 	}
 	return t.table.Lookup(kind, h)
 }

@@ -69,14 +69,14 @@ func (a *arena) Insert(kind mpi.Kind, obj any) mpi.Handle {
 // Lookup implements mpibase.HandleTable.
 func (a *arena) Lookup(kind mpi.Kind, h mpi.Handle) (any, error) {
 	if h == mpi.HandleNull {
-		return nil, mpi.Errorf(errClass(kind), "null %v handle", kind)
+		return nil, mpi.Errorf(kind.ErrClass(), "null %v handle", kind)
 	}
 	e, ok := a.objs[uint64(h)]
 	if !ok {
-		return nil, mpi.Errorf(errClass(kind), "%v handle %#x does not point into this library instance", kind, uint64(h))
+		return nil, mpi.Errorf(kind.ErrClass(), "%v handle %#x does not point into this library instance", kind, uint64(h))
 	}
 	if e.kind != kind {
-		return nil, mpi.Errorf(errClass(kind), "handle %#x points to %v, want %v", uint64(h), e.kind, kind)
+		return nil, mpi.Errorf(kind.ErrClass(), "handle %#x points to %v, want %v", uint64(h), e.kind, kind)
 	}
 	return e.obj, nil
 }
@@ -85,11 +85,11 @@ func (a *arena) Lookup(kind mpi.Kind, h mpi.Handle) (any, error) {
 func (a *arena) Remove(h mpi.Handle) error {
 	e, ok := a.objs[uint64(h)]
 	if !ok {
-		return mpi.Errorf(errClass(mpi.KindNone), "free of wild pointer %#x", uint64(h))
+		return mpi.Errorf(mpi.KindNone.ErrClass(), "free of wild pointer %#x", uint64(h))
 	}
 	for _, c := range a.consts {
 		if c == h {
-			return mpi.Errorf(errClass(e.kind), "cannot free predefined object %#x", uint64(h))
+			return mpi.Errorf(e.kind.ErrClass(), "cannot free predefined object %#x", uint64(h))
 		}
 	}
 	delete(a.objs, uint64(h))
@@ -107,23 +107,6 @@ func (a *arena) ConstHandle(name mpi.ConstName, obj any) (mpi.Handle, error) {
 		a.bound[name] = true
 	}
 	return a.consts[name], nil
-}
-
-func errClass(k mpi.Kind) mpi.ErrClass {
-	switch k {
-	case mpi.KindComm:
-		return mpi.ErrComm
-	case mpi.KindGroup:
-		return mpi.ErrGroup
-	case mpi.KindRequest:
-		return mpi.ErrRequest
-	case mpi.KindOp:
-		return mpi.ErrOp
-	case mpi.KindDatatype:
-		return mpi.ErrType
-	default:
-		return mpi.ErrArg
-	}
 }
 
 // New creates an Open MPI library instance for one rank. All predefined

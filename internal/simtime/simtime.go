@@ -113,15 +113,6 @@ func (m NetModel) TransferCost(n int) time.Duration {
 	return m.Latency + m.Overhead + time.Duration(n)*m.PerKB/1024
 }
 
-// BandwidthMBps reports the asymptotic bandwidth of the model in MB/s,
-// for display purposes. Returns 0 if PerKB is zero (infinite bandwidth).
-func (m NetModel) BandwidthMBps() float64 {
-	if m.PerKB <= 0 {
-		return 0
-	}
-	return 1.0 / 1024 / m.PerKB.Seconds()
-}
-
 // CrossMode selects how the split-process boundary switches the fs
 // register on a wrapper call (paper Sections 6.3-6.4).
 type CrossMode int

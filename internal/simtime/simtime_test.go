@@ -110,14 +110,3 @@ func TestCrossModeString(t *testing.T) {
 		t.Fatal("unknown mode must still render")
 	}
 }
-
-func TestBandwidthMBps(t *testing.T) {
-	m := NetModel{PerKB: time.Microsecond} // 1 KB / us ~ 976.5 MB/s
-	bw := m.BandwidthMBps()
-	if bw < 900 || bw > 1050 {
-		t.Fatalf("bandwidth %v MB/s", bw)
-	}
-	if (NetModel{}).BandwidthMBps() != 0 {
-		t.Fatal("zero model must report 0 bandwidth")
-	}
-}

@@ -29,7 +29,6 @@ import (
 type Boundary struct {
 	clock *simtime.Clock
 	cost  time.Duration
-	mode  simtime.CrossMode
 
 	// crossings is written only by the rank that owns the boundary.
 	crossings uint64
@@ -38,7 +37,7 @@ type Boundary struct {
 // New builds a boundary charging the host profile's crossing cost
 // against the rank's clock.
 func New(clock *simtime.Clock, host simtime.HostProfile) *Boundary {
-	return &Boundary{clock: clock, cost: host.CrossCost, mode: host.Cross}
+	return &Boundary{clock: clock, cost: host.CrossCost}
 }
 
 // Enter switches into the lower half: one fs-register switch.
@@ -60,9 +59,3 @@ func (b *Boundary) Leave() {
 // cluster.Job.WaitResult, whose kernel Wait happens after every rank
 // body has returned.
 func (b *Boundary) Crossings() uint64 { return b.crossings }
-
-// Mode reports the switching mechanism in use.
-func (b *Boundary) Mode() simtime.CrossMode { return b.mode }
-
-// CostPerCrossing reports the modeled cost of one switch.
-func (b *Boundary) CostPerCrossing() time.Duration { return b.cost }

@@ -19,9 +19,6 @@ func TestCrossingChargesClock(t *testing.T) {
 	if clock.Now() != want {
 		t.Fatalf("clock %v want %v", clock.Now(), want)
 	}
-	if b.Mode() != simtime.CrossPrctl {
-		t.Fatalf("mode %v", b.Mode())
-	}
 }
 
 func TestFSGSBASECheaperThanPrctl(t *testing.T) {
@@ -46,8 +43,10 @@ func TestFSGSBASECheaperThanPrctl(t *testing.T) {
 }
 
 func TestCostPerCrossing(t *testing.T) {
-	b := New(simtime.NewClock(), simtime.HostProfile{CrossCost: 123 * time.Nanosecond})
-	if b.CostPerCrossing() != 123*time.Nanosecond {
-		t.Fatal("cost accessor broken")
+	clock := simtime.NewClock()
+	b := New(clock, simtime.HostProfile{CrossCost: 123 * time.Nanosecond})
+	b.Enter()
+	if clock.Now() != 123*time.Nanosecond {
+		t.Fatalf("one crossing charged %v, want the profile's 123ns", clock.Now())
 	}
 }

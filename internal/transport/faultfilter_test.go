@@ -7,8 +7,8 @@ import (
 )
 
 // TestFaultFilterDropAndDelay: a fault filter sees every outgoing
-// message; a dropped message vanishes on the wire (send still counted,
-// nothing deposited) and a delayed one arrives with its send timestamp
+// message; a dropped message vanishes on the wire (the send succeeds,
+// nothing is deposited) and a delayed one arrives with its send timestamp
 // pushed later in virtual time.
 func TestFaultFilterDropAndDelay(t *testing.T) {
 	f := NewFabric(2)
@@ -27,11 +27,8 @@ func TestFaultFilterDropAndDelay(t *testing.T) {
 	if err := a.Send(1, 1, 1, []byte("dropped"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if f.InFlight() != 0 {
+	if inFlight(f) != 0 {
 		t.Fatal("dropped message was deposited")
-	}
-	if a.Sent() != 1 {
-		t.Fatalf("dropped send not counted: sent=%d", a.Sent())
 	}
 
 	if err := a.Send(1, 1, 2, []byte("delayed"), 3*time.Millisecond); err != nil {

@@ -190,7 +190,7 @@ func runMailboxOps(t testing.TB, ops []byte) *refBox {
 			for recv(op, m) {
 			}
 		}
-		if got := dst.Pending(); got != len(ref.q) {
+		if got := pending(dst); got != len(ref.q) {
 			t.Fatalf("op %d: %d pending, model holds %d", op, got, len(ref.q))
 		}
 	}
@@ -199,8 +199,8 @@ func runMailboxOps(t testing.TB, ops []byte) *refBox {
 		recv(len(ops)/2, Match{Context: 17, Src: AnySource, Tag: AnyTag}) ||
 		recv(len(ops)/2, Match{Context: 18, Src: AnySource, Tag: AnyTag}) {
 	}
-	if dst.Pending() != 0 || len(ref.q) != 0 {
-		t.Fatalf("after the final drain: %d pending, model holds %d", dst.Pending(), len(ref.q))
+	if pending(dst) != 0 || len(ref.q) != 0 {
+		t.Fatalf("after the final drain: %d pending, model holds %d", pending(dst), len(ref.q))
 	}
 	return ref
 }

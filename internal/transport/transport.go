@@ -51,7 +51,7 @@
 //     its receiver, or still queued when the fabric closes — is simply
 //     garbage.
 //
-// The *Message that Probe and ProbeVisible return points into the
+// The *Message that ProbeVisible returns points into the
 // queued entry and is valid only until that message is consumed.
 //
 // # Blocking and ownership
@@ -235,16 +235,13 @@ func (f *Fabric) Size() int { return f.n }
 // as a re-executed lower half would.
 func (f *Fabric) Session() uint64 { return f.session }
 
-// AllocContext returns a fresh communicator context id, unique within
-// the fabric. Real implementations agree on context ids with a collective
-// over the parent communicator; the fabric-global counter models the
-// result of that agreement (all members obtain the same id because the
-// allocation is performed once by the collective algorithm, not once per
-// member).
-func (f *Fabric) AllocContext() uint32 { return f.nextCtx.Add(1) }
-
-// AllocContextRange reserves n consecutive context ids and returns the
-// first. Communicator split uses one id per color.
+// AllocContextRange reserves n consecutive context ids, unique within
+// the fabric, and returns the first. Real implementations agree on
+// context ids with a collective over the parent communicator; the
+// fabric-global counter models the result of that agreement (all
+// members obtain the same ids because the allocation is performed once
+// by the collective algorithm, not once per member). Communicator split
+// uses one id per color.
 func (f *Fabric) AllocContextRange(n int) uint32 {
 	if n < 1 {
 		n = 1
@@ -310,28 +307,11 @@ func (f *Fabric) Close() {
 	}
 }
 
-// InFlight returns the total number of undelivered messages across all
-// mailboxes. Used by tests and by diagnostics; MANA itself counts
-// messages in the upper half as a real network would force it to.
-func (f *Fabric) InFlight() int {
-	total := 0
-	for _, b := range f.boxes {
-		total += b.len()
-	}
-	return total
-}
-
 // Endpoint is one rank's view of the fabric.
 type Endpoint struct {
 	fabric *Fabric
 	rank   int
-
-	// sent counts messages sent, readable by tests.
-	sent atomic.Uint64
 }
-
-// Sent returns the number of messages sent through this endpoint.
-func (e *Endpoint) Sent() uint64 { return e.sent.Load() }
 
 // Send deposits a message in dst's mailbox (eager protocol). The payload
 // is copied into a pooled buffer; the caller may reuse buf immediately.
@@ -369,17 +349,15 @@ func (e *Endpoint) SendOwned(dst int, ctx uint32, tag int, payload []byte, sendV
 		drop, delay := fn(&ent.m)
 		if drop {
 			// The bytes left the sender and vanished on the wire: the
-			// send itself still succeeded and is counted. The entry was
-			// never linked, so it goes straight back.
+			// send itself still succeeded. The entry was never linked,
+			// so it goes straight back.
 			box.recycle(ent)
-			e.sent.Add(1)
 			return nil
 		}
 		if delay > 0 {
 			ent.m.SendVT += delay
 		}
 	}
-	e.sent.Add(1)
 	return box.put(ent)
 }
 
@@ -432,20 +410,16 @@ func (e *Endpoint) TryRecv(m Match) (msg Message, ok bool, err error) {
 	return msg, true, nil
 }
 
-// Probe reports whether a message matching m is waiting, without
-// removing it. The returned message points into the queue: it must not
-// be mutated, and it is valid only until the message is consumed.
-func (e *Endpoint) Probe(m Match) (msg *Message, ok bool) {
-	return e.fabric.boxes[e.rank].peek(m)
-}
-
-// ProbeVisible is Probe restricted to the receiver's virtual present: it
-// only reports messages whose send timestamp is at or before now. The
+// ProbeVisible reports whether a message matching m is waiting, without
+// removing it, restricted to the receiver's virtual present: it only
+// reports messages whose send timestamp is at or before now. The
 // eager transport deposits a message the moment the sender issues it, so
 // a rank whose clock lags the sender's would otherwise observe an
 // envelope from its own virtual future — a causality leak that lets a
 // nonblocking probe drag the receiver's clock forward when the message
-// is then received. The result is valid as Probe's is.
+// is then received. The returned message points into the queue: it
+// must not be mutated, and it is valid only until the message is
+// consumed.
 func (e *Endpoint) ProbeVisible(m Match, now time.Duration) (msg *Message, ok bool) {
 	return e.fabric.boxes[e.rank].peekVisible(m, now)
 }
@@ -466,10 +440,6 @@ func (e *Endpoint) EarliestMatchVT(m Match) (time.Duration, bool) {
 func (e *Endpoint) WaitMatch(m Match) error {
 	return e.fabric.boxes[e.rank].waitMatch(m)
 }
-
-// Pending returns the number of undelivered messages waiting in this
-// endpoint's mailbox.
-func (e *Endpoint) Pending() int { return e.fabric.boxes[e.rank].len() }
 
 // errNoMatch is an internal sentinel for non-blocking take.
 var errNoMatch = errors.New("transport: no matching message")
@@ -579,7 +549,6 @@ type mailbox struct {
 	rank int
 
 	byCtx  map[uint32]*ctxq
-	count  int
 	closed bool
 	// free holds recycled entries; senders to this mailbox take theirs
 	// from it.
@@ -640,15 +609,12 @@ func (b *mailbox) put(e *qent) error {
 	c.triples[k] = q
 	c.fifo = append(c.fifo, e)
 	c.live++
-	b.count++
 	if b.waiting && b.wmatch.Matches(m) {
 		b.waiting = false
 		b.sched.Wake(b.rank, m.SendVT+b.cost(len(m.Payload)))
 	}
 	return nil
 }
-
-func (b *mailbox) len() int { return b.count }
 
 // liveCtx returns the index of context ctx if it holds a live message,
 // and nil for a context never used or emptied: a poll of an idle
@@ -745,7 +711,6 @@ func (b *mailbox) earliestMatch(m Match) (time.Duration, bool) {
 func (b *mailbox) remove(e *qent) Message {
 	msg := e.m
 	e.taken = true
-	b.count--
 	c := b.byCtx[msg.Context]
 	c.live--
 	c.dead++
@@ -785,13 +750,6 @@ func (b *mailbox) take(m Match, block bool) (Message, error) {
 			return Message{}, err
 		}
 	}
-}
-
-func (b *mailbox) peek(m Match) (*Message, bool) {
-	if e := b.find(m); e != nil {
-		return &e.m, true
-	}
-	return nil, false
 }
 
 func (b *mailbox) peekVisible(m Match, now time.Duration) (*Message, bool) {

@@ -9,6 +9,24 @@ import (
 	"manasim/internal/kernel"
 )
 
+// pending counts the messages queued in e's mailbox.
+func pending(e *Endpoint) int {
+	n := 0
+	for _, c := range e.fabric.boxes[e.rank].byCtx {
+		n += c.live
+	}
+	return n
+}
+
+// inFlight counts the messages queued in every mailbox of f.
+func inFlight(f *Fabric) int {
+	n := 0
+	for r := range f.boxes {
+		n += pending(f.Endpoint(r))
+	}
+	return n
+}
+
 func TestSendRecvBasic(t *testing.T) {
 	f := NewFabric(2)
 	defer f.Close()
@@ -17,7 +35,7 @@ func TestSendRecvBasic(t *testing.T) {
 	if err := a.Send(1, 1, 7, []byte("hello"), time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.InFlight(); got != 1 {
+	if got := inFlight(f); got != 1 {
 		t.Fatalf("in flight %d", got)
 	}
 	msg, err := b.Recv(Match{Context: 1, Src: 0, Tag: 7})
@@ -27,8 +45,8 @@ func TestSendRecvBasic(t *testing.T) {
 	if string(msg.Payload) != "hello" || msg.Src != 0 || msg.Tag != 7 || msg.SendVT != time.Millisecond {
 		t.Fatalf("bad message %+v", msg)
 	}
-	if f.InFlight() != 0 {
-		t.Fatalf("in flight %d after recv", f.InFlight())
+	if inFlight(f) != 0 {
+		t.Fatalf("in flight %d after recv", inFlight(f))
 	}
 }
 
@@ -214,8 +232,8 @@ func TestIndexedQueueCompaction(t *testing.T) {
 			}
 		}
 	}
-	if b.Pending() != 0 {
-		t.Fatalf("pending %d after drain", b.Pending())
+	if pending(b) != 0 {
+		t.Fatalf("pending %d after drain", pending(b))
 	}
 }
 
@@ -227,13 +245,13 @@ func TestProbeDoesNotConsume(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		msg, ok := e.Probe(Match{Context: 1, Src: AnySource, Tag: AnyTag})
+		msg, ok := e.ProbeVisible(Match{Context: 1, Src: AnySource, Tag: AnyTag}, 0)
 		if !ok || msg.Payload[0] != 7 {
 			t.Fatalf("probe %d failed", i)
 		}
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending %d", e.Pending())
+	if pending(e) != 1 {
+		t.Fatalf("pending %d", pending(e))
 	}
 }
 
@@ -285,8 +303,8 @@ func TestProbeVisibleGatesOnSendVT(t *testing.T) {
 		t.Fatalf("at 4s: msg=%+v ok=%v, want src 0 (deposit order)", msg, ok)
 	}
 	// Visibility gating never consumes.
-	if dst.Pending() != 2 {
-		t.Fatalf("pending %d, probes must not consume", dst.Pending())
+	if pending(dst) != 2 {
+		t.Fatalf("pending %d, probes must not consume", pending(dst))
 	}
 	// No matching envelope at all: EarliestMatchVT reports none.
 	if _, ok := dst.EarliestMatchVT(Match{Context: 9, Src: AnySource, Tag: AnyTag}); ok {
@@ -345,11 +363,11 @@ func TestWaitMatch(t *testing.T) {
 	defer f.Close()
 	b := f.Endpoint(0)
 	var err error
-	pending := -1
+	queued := -1
 	runRanks(f,
 		func() {
 			err = b.WaitMatch(Match{Context: 1, Src: 1, Tag: 2})
-			pending = b.Pending()
+			queued = pending(b)
 		},
 		func() {
 			// A non-matching message must not wake it: send the wrong
@@ -364,8 +382,8 @@ func TestWaitMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pending != 2 {
-		t.Fatalf("WaitMatch consumed messages: pending=%d", pending)
+	if queued != 2 {
+		t.Fatalf("WaitMatch consumed messages: pending=%d", queued)
 	}
 }
 
@@ -407,13 +425,13 @@ func TestSessionsDistinct(t *testing.T) {
 func TestContextAllocation(t *testing.T) {
 	f := NewFabric(1)
 	defer f.Close()
-	c1 := f.AllocContext()
-	c2 := f.AllocContext()
+	c1 := f.AllocContextRange(1)
+	c2 := f.AllocContextRange(1)
 	if c1 == c2 || c1 < 16 {
 		t.Fatalf("contexts %d %d", c1, c2)
 	}
 	base := f.AllocContextRange(5)
-	next := f.AllocContext()
+	next := f.AllocContextRange(1)
 	if next < base+5 {
 		t.Fatalf("range not reserved: base=%d next=%d", base, next)
 	}
@@ -538,8 +556,8 @@ func TestTripleFIFOSurvivesWildcardTakes(t *testing.T) {
 	if msg, ok, _ := b.TryRecv(Match{Context: 1, Src: 0, Tag: 4}); !ok || msg.Payload[0] != 42 {
 		t.Fatal("triple not reusable after it emptied")
 	}
-	if b.Pending() != 2 {
-		t.Fatalf("pending %d, want the two tag-9 messages left", b.Pending())
+	if pending(b) != 2 {
+		t.Fatalf("pending %d, want the two tag-9 messages left", pending(b))
 	}
 }
 

@@ -22,11 +22,6 @@ import (
 type Store interface {
 	// DesignName identifies the design ("virtid" or "legacy").
 	DesignName() string
-	// CompatibleWith reports whether the design can serve an MPI
-	// implementation whose mpi.h declares handle types of the given
-	// width. The legacy design's int ids conflict with 64-bit pointer
-	// handles (Section 4.1, problem 1).
-	CompatibleWith(handleBits int) error
 
 	// Add registers an object and returns its virtual handle.
 	Add(kind mpi.Kind, phys mpi.Handle, d Descriptor, s Strategy) (mpi.Handle, error)
@@ -49,8 +44,6 @@ type Store interface {
 	// SetDesc replaces the descriptor (the decode strategy rewrites
 	// recipes at checkpoint time).
 	SetDesc(kind mpi.Kind, virt mpi.Handle, d Descriptor) error
-	// StrategyOf returns the reconstruction strategy for the entry.
-	StrategyOf(kind mpi.Kind, virt mpi.Handle) (Strategy, error)
 
 	// VirtFromRef converts a 32-bit descriptor reference (the low 32
 	// bits of a virtual handle, as stored in Descriptor.Parent/Aux)
@@ -62,8 +55,6 @@ type Store interface {
 	Items() []Item
 	// SnapshotStore serializes the store for the checkpoint image.
 	SnapshotStore() StoreSnapshot
-	// Count reports the number of live entries.
-	Count() int
 }
 
 // Item is one store entry in design-independent form.
@@ -122,10 +113,6 @@ func NewStore(handleBits int, uniform bool) *TableStore {
 
 // DesignName implements Store.
 func (s *TableStore) DesignName() string { return "virtid" }
-
-// CompatibleWith implements Store: the new design works at any width
-// (that is the point of the paper).
-func (s *TableStore) CompatibleWith(handleBits int) error { return nil }
 
 func (s *TableStore) embedBits() int {
 	if s.uniform {
@@ -240,15 +227,6 @@ func (s *TableStore) SetDesc(kind mpi.Kind, virt mpi.Handle, d Descriptor) error
 	return nil
 }
 
-// StrategyOf implements Store.
-func (s *TableStore) StrategyOf(kind mpi.Kind, virt mpi.Handle) (Strategy, error) {
-	e, err := s.resolve(kind, virt)
-	if err != nil {
-		return 0, err
-	}
-	return e.Strategy, nil
-}
-
 // VirtFromRef implements Store.
 func (s *TableStore) VirtFromRef(ref uint32) mpi.Handle {
 	if ref == 0 {
@@ -319,8 +297,5 @@ func (s *TableStore) load(snap StoreSnapshot) error {
 	s.tab = tab
 	return nil
 }
-
-// Count implements Store.
-func (s *TableStore) Count() int { return s.tab.Len() }
 
 var _ Store = (*TableStore)(nil)

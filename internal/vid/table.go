@@ -40,17 +40,6 @@ func NewTable() *Table {
 	}
 }
 
-// Len reports the number of live entries.
-func (t *Table) Len() int {
-	n := 0
-	for _, e := range t.entries {
-		if e != nil && e.VID != VIDNull {
-			n++
-		}
-	}
-	return n
-}
-
 // Add registers a new object and returns its entry, which Drop clears for
 // the slot's next Add. The physical handle may be mpi.HandleNull for
 // lazily bound objects.

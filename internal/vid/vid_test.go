@@ -230,8 +230,8 @@ func TestDropAddReusesClearedEntry(t *testing.T) {
 	if err := tab.Drop(old); err != nil {
 		t.Fatal(err)
 	}
-	if tab.Len() != 0 || len(tab.Entries()) != 0 {
-		t.Fatalf("dropped entry still live: Len %d, Entries %d", tab.Len(), len(tab.Entries()))
+	if n := len(tab.Entries()); n != 0 {
+		t.Fatalf("dropped entry still live: Entries %d", n)
 	}
 	if _, err := tab.Resolve(old); err == nil {
 		t.Fatal("dropped vid resolved")
@@ -279,8 +279,8 @@ func TestDropAddReusesClearedEntry(t *testing.T) {
 	if c.VID.Index() != hole.Index() || restored.entries[hole.Index()] != c {
 		t.Fatalf("hole %d not filled: Add took index %d", hole.Index(), c.VID.Index())
 	}
-	if restored.Len() != 3 {
-		t.Fatalf("restored Len %d, want 3", restored.Len())
+	if n := len(restored.Entries()); n != 3 {
+		t.Fatalf("restored Entries %d, want 3", n)
 	}
 	for _, v := range []VID{e2.VID, b.VID, c.VID} {
 		if _, err := restored.Resolve(v); err != nil {
@@ -353,7 +353,7 @@ func TestTableBijectionProperty(t *testing.T) {
 				delete(live, v)
 			}
 		}
-		if tab.Len() != len(live) {
+		if len(tab.Entries()) != len(live) {
 			return false
 		}
 		for v, ph := range live {
@@ -414,8 +414,8 @@ func TestStoreSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Count() != 2 {
-		t.Fatalf("count %d", r.Count())
+	if n := len(r.Items()); n != 2 {
+		t.Fatalf("count %d", n)
 	}
 	g, err := r.GGID(mpi.KindComm, h1)
 	if err != nil || g != 42 {

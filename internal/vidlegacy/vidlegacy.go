@@ -73,8 +73,9 @@ func New() *Store {
 // DesignName implements vid.Store.
 func (s *Store) DesignName() string { return "legacy" }
 
-// CompatibleWith implements vid.Store: int virtual ids cannot be stored
-// in pointer-typed handles without colliding with real addresses
+// CompatibleWith reports whether the legacy design can serve an MPI
+// implementation whose mpi.h declares handle types of the given width:
+// int virtual ids cannot be stored in pointer-typed handles without colliding with real addresses
 // (Section 4.1, problem 1), so only 32-bit-handle implementations (the
 // MPICH family) are supported.
 func (s *Store) CompatibleWith(handleBits int) error {
@@ -215,15 +216,6 @@ func (s *Store) SetDesc(kind mpi.Kind, virt mpi.Handle, d vid.Descriptor) error 
 	return nil
 }
 
-// StrategyOf implements vid.Store.
-func (s *Store) StrategyOf(kind mpi.Kind, virt mpi.Handle) (vid.Strategy, error) {
-	name, id, err := s.lookupID(kind, virt)
-	if err != nil {
-		return 0, err
-	}
-	return sub(s.strats, name)[id], nil
-}
-
 // VirtFromRef implements vid.Store: legacy virtual handles are the int
 // id itself.
 func (s *Store) VirtFromRef(ref uint32) mpi.Handle {
@@ -287,15 +279,6 @@ func Restore(snap vid.StoreSnapshot) (*Store, error) {
 	}
 	s.seq = snap.Seq
 	return s, nil
-}
-
-// Count implements vid.Store.
-func (s *Store) Count() int {
-	n := 0
-	for _, m := range s.ids {
-		n += len(m)
-	}
-	return n
 }
 
 var _ vid.Store = (*Store)(nil)

@@ -98,8 +98,8 @@ func TestSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Count() != 2 {
-		t.Fatalf("count %d", r.Count())
+	if n := len(r.Items()); n != 2 {
+		t.Fatalf("count %d", n)
 	}
 	if g, _ := r.GGID(mpi.KindComm, h1); g != 5 {
 		t.Fatalf("ggid %d", g)
