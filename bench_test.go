@@ -11,7 +11,6 @@ package manasim
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"manasim/internal/app"
@@ -87,8 +86,9 @@ func BenchmarkVidDesigns(b *testing.B) {
 }
 
 // BenchmarkCrossingCost sweeps the split-process crossing cost across
-// the two fs-register mechanisms at LAMMPS-like call rates (the
-// Section 6.3/6.4 FSGSBASE analysis).
+// the two sites' fs-register mechanisms — Discovery's prctl, Perlmutter's
+// userspace FSGSBASE — at LAMMPS-like call rates (the Section 6.3/6.4
+// FSGSBASE analysis).
 func BenchmarkCrossingCost(b *testing.B) {
 	factory, err := impls.Get("mpich")
 	if err != nil {
@@ -99,7 +99,7 @@ func BenchmarkCrossingCost(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, host := range []simtime.HostProfile{simtime.Discovery(), simtime.Perlmutter()} {
-		b.Run(host.Cross.String(), func(b *testing.B) {
+		b.Run(host.Name, func(b *testing.B) {
 			in := spec.DefaultInput(apps.SiteDiscovery)
 			in.SimSteps = 50
 			cfg := mana.Config{ImplName: "mpich", Factory: factory, Host: host}
@@ -132,8 +132,8 @@ func BenchmarkWrappedIprobe(b *testing.B) {
 	}
 	for _, host := range []simtime.HostProfile{simtime.Discovery(), simtime.Perlmutter()} {
 		for _, design := range []mana.Design{mana.DesignVirtID, mana.DesignLegacy} {
-			b.Run(fmt.Sprintf("%s/%s", host.Cross, design), func(b *testing.B) {
-				job := cluster.New(1, factory, host.Net)
+			b.Run(fmt.Sprintf("%s/%s", host.Name, design), func(b *testing.B) {
+				job := cluster.New(1, 0, factory, host.Net)
 				cfg := mana.Config{ImplName: "mpich", Factory: factory, Host: host, Design: design}
 				rt, err := mana.NewRuntime(cfg, job.Procs[0], job.Clocks[0], nil)
 				if err != nil {
@@ -192,15 +192,12 @@ func benchAppInstance(b *testing.B, name string) (app.Factory, app.Instance) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var mu sync.Mutex
 	var insts []app.Instance
 	fresh := spec.New(in)
 	cfg := mana.Config{ImplName: "mpich", Factory: factory}
 	if _, err := mana.RunNative(cfg, in.Ranks, func() app.Instance {
 		inst := fresh()
-		mu.Lock()
 		insts = append(insts, inst)
-		mu.Unlock()
 		return inst
 	}); err != nil {
 		b.Fatal(err)

@@ -2,8 +2,6 @@ package ckpt
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"manasim/internal/ckptimg"
 	"manasim/internal/ckptstore"
@@ -77,7 +75,10 @@ type CtlLink interface {
 // Coordinator drives checkpoints across the ranks of one MANA job. It
 // plays the role of the DMTCP coordinator in real MANA: an entity
 // outside the ranks that requests checkpoints and collects images into
-// the generation-chained checkpoint store.
+// the generation-chained checkpoint store. It has one caller at a time:
+// the rank holding the kernel's execution token, or the goroutine that
+// owns the job before its ranks start and after they finish (see the
+// package comment, "Concurrency model").
 type Coordinator struct {
 	n     int
 	store *ckptstore.Store
@@ -85,15 +86,14 @@ type Coordinator struct {
 
 	// atStep is a preset checkpoint boundary (deterministic tests and
 	// scheduled checkpoints); <0 means none.
-	atStep atomic.Int64
+	atStep int
 	// asyncReq requests a checkpoint "now": rank 0 picks the boundary
 	// at its next safe point and announces it (the signal path).
-	asyncReq atomic.Bool
+	asyncReq bool
 	// announced is set once rank 0 has broadcast the agreed boundary;
 	// non-root ranks poll for the announcement while it is set.
-	announced atomic.Bool
+	announced bool
 
-	mu sync.Mutex
 	// gen stages the current generation's delivered images by rank; a
 	// generation reaches the store only when every rank has delivered,
 	// so the store never records a partial generation.
@@ -108,31 +108,25 @@ func NewStoreCoordinator(n int, st *ckptstore.Store, lag int) *Coordinator {
 	if lag <= 0 {
 		lag = 8
 	}
-	c := &Coordinator{n: n, store: st, lag: lag, gen: make(map[int][]byte)}
-	c.atStep.Store(-1)
-	return c
+	return &Coordinator{n: n, store: st, lag: lag, atStep: -1, gen: make(map[int][]byte)}
 }
 
 // RequestCheckpointAtStep schedules a checkpoint at the given step
 // boundary (before executing that step). All ranks observe the same
 // target, so no agreement traffic is needed.
-func (c *Coordinator) RequestCheckpointAtStep(s int) { c.atStep.Store(int64(s)) }
+func (c *Coordinator) RequestCheckpointAtStep(s int) { c.atStep = s }
 
 // RequestCheckpoint asks for a checkpoint as soon as possible: rank 0
 // picks a boundary a few steps ahead at its next safe point and
 // announces it to all ranks over MANA's internal communicator — the
 // simulator's stand-in for the checkpoint signal.
-func (c *Coordinator) RequestCheckpoint() { c.asyncReq.Store(true) }
+func (c *Coordinator) RequestCheckpoint() { c.asyncReq = true }
 
 // Store exposes the generation-chained checkpoint store.
 func (c *Coordinator) Store() *ckptstore.Store { return c.store }
 
 // Taken reports how many complete checkpoints this coordinator wrote.
-func (c *Coordinator) Taken() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.taken
-}
+func (c *Coordinator) Taken() int { return c.taken }
 
 // Images returns the most recent committed generation as full encoded
 // images ordered by rank: MaterializeStreamHead resolves base+delta
@@ -140,11 +134,8 @@ func (c *Coordinator) Taken() int {
 // It returns an *IncompleteSetError when the store holds no complete
 // generation.
 func (c *Coordinator) Images() ([][]byte, error) {
-	c.mu.Lock()
-	staged := len(c.gen)
-	c.mu.Unlock()
 	if _, ok := c.store.Head(); !ok {
-		return nil, &IncompleteSetError{Have: staged, Want: c.n}
+		return nil, &IncompleteSetError{Have: len(c.gen), Want: c.n}
 	}
 	imgs, _, err := c.store.MaterializeStreamHead()
 	if err != nil {
@@ -168,13 +159,9 @@ func (c *Coordinator) Images() ([][]byte, error) {
 //
 // The store commit issued by the last-delivering rank is where the
 // checkpoint pipeline runs: Store.Commit validates, indexes and writes
-// every rank's image in rank order. Deliver itself stays under the
-// coordinator mutex — every other rank of the job is
-// parked at the post-checkpoint barrier until the commit returns, so
-// there is no concurrent delivery to unblock.
+// every rank's image in rank order, while every other rank of the job
+// is parked at the post-checkpoint barrier.
 func (c *Coordinator) Deliver(rank int, data []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if rank < 0 || rank >= c.n {
 		return fmt.Errorf("ckpt: deliver from rank %d of a %d-rank job", rank, c.n)
 	}
@@ -207,12 +194,12 @@ func (c *Coordinator) Deliver(rank int, data []byte) error {
 // an announcement is in flight.
 func (c *Coordinator) NextBoundary(link CtlLink, rank, step, total, pending int) (int, error) {
 	// Preset target (deterministic scheduling).
-	if t := int(c.atStep.Load()); t >= 0 && pending < 0 {
-		pending = clampStep(t, total)
+	if c.atStep >= 0 && pending < 0 {
+		pending = clampStep(c.atStep, total)
 	}
 
 	// Async signal path: rank 0 picks the boundary and announces it.
-	if c.asyncReq.Load() && !c.announced.Load() && pending < 0 && rank == 0 {
+	if c.asyncReq && !c.announced && pending < 0 && rank == 0 {
 		s := clampStep(step+c.lag, total)
 		pending = s
 		for p := 1; p < c.n; p++ {
@@ -220,7 +207,7 @@ func (c *Coordinator) NextBoundary(link CtlLink, rank, step, total, pending int)
 				return pending, fmt.Errorf("ckpt: announcing checkpoint: %w", err)
 			}
 		}
-		c.announced.Store(true)
+		c.announced = true
 	}
 
 	// Non-root ranks poll for an announcement at every safe point. The
@@ -255,14 +242,13 @@ func (c *Coordinator) NextBoundary(link CtlLink, rank, step, total, pending int)
 
 // CheckpointDone clears the request state after every rank checkpointed
 // at the given boundary. Every rank consumed its announcement before
-// checkpointing, so clearing the flags here is idempotent and
-// race-free.
+// checkpointing, so clearing the flags here is idempotent.
 func (c *Coordinator) CheckpointDone(step, total int) {
-	if t := c.atStep.Load(); t >= 0 && clampStep(int(t), total) == step {
-		c.atStep.Store(-1)
+	if c.atStep >= 0 && clampStep(c.atStep, total) == step {
+		c.atStep = -1
 	}
-	c.asyncReq.Store(false)
-	c.announced.Store(false)
+	c.asyncReq = false
+	c.announced = false
 }
 
 // clampStep bounds a checkpoint target to the final boundary.

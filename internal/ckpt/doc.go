@@ -52,17 +52,19 @@
 //
 // # Concurrency model
 //
-// Every Coordinator method is safe to call from any rank goroutine.
-// Deliver serializes under the coordinator mutex; the checkpoint
-// pipeline runs one layer down, inside Store.Commit, which validates,
-// chunk-indexes and writes every rank's image on the calling goroutine
-// (see ckptstore's concurrency model). Holding the coordinator mutex
-// across that commit costs nothing in practice: the commit is issued
-// by the generation's last-delivering rank while every other rank is
-// parked at the post-checkpoint barrier, so no concurrent Deliver
-// exists to block. Images/Store reads and the
-// boundary-agreement calls (NextBoundary, CheckpointDone) use separate
-// or atomic state and interleave freely.
+// The Coordinator holds no lock and no atomic. The event kernel runs
+// one rank at a time, so every Coordinator method has one caller at a
+// time: the rank holding the execution token (NextBoundary, Deliver,
+// CheckpointDone, and a periodic RequestCheckpoint from rank 0), or the
+// goroutine that owns the job — presetting a checkpoint before the
+// ranks start, reading Taken and Images after they finish — and the
+// kernel's channel handoff orders each caller after the last. The
+// checkpoint pipeline runs one layer down, inside Store.Commit, which
+// validates, chunk-indexes and writes every rank's image on the
+// calling goroutine: the generation's last-delivering rank, while
+// every other rank is parked at the post-checkpoint barrier. A
+// Coordinator is not safe for use by goroutines the kernel does not
+// order.
 //
 // A store commit failure surfaces from the completing rank's Deliver;
 // the store guarantees the failed generation left no blobs or chain

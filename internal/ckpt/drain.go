@@ -3,7 +3,6 @@ package ckpt
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"manasim/internal/mpi"
@@ -98,17 +97,16 @@ type DrainStrategy interface {
 // the paper's two-phase counter-exchange protocol.
 const DefaultDrain = "twophase"
 
-var (
-	drainMu  sync.Mutex
-	drainReg = map[string]func() DrainStrategy{}
-)
+// drainReg holds the registered strategies. It is written only by
+// RegisterDrain from package init functions, which run before any other
+// code, so it needs no lock.
+var drainReg = map[string]func() DrainStrategy{}
 
 // RegisterDrain registers a drain strategy factory under name.
 // Strategies register themselves from init functions in
-// internal/ckpt/drain; callers wire them in with a blank import.
+// internal/ckpt/drain; callers wire them in with a blank import. It
+// must be called only from an init function.
 func RegisterDrain(name string, f func() DrainStrategy) {
-	drainMu.Lock()
-	defer drainMu.Unlock()
 	if _, dup := drainReg[name]; dup {
 		panic(fmt.Sprintf("ckpt: drain strategy %q registered twice", name))
 	}
@@ -121,9 +119,7 @@ func NewDrain(name string) (DrainStrategy, error) {
 	if name == "" {
 		name = DefaultDrain
 	}
-	drainMu.Lock()
 	f, ok := drainReg[name]
-	drainMu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("ckpt: unknown drain strategy %q (have %v; import manasim/internal/ckpt/drain to register the built-ins)", name, DrainNames())
 	}
@@ -132,8 +128,6 @@ func NewDrain(name string) (DrainStrategy, error) {
 
 // DrainNames lists the registered strategies in sorted order.
 func DrainNames() []string {
-	drainMu.Lock()
-	defer drainMu.Unlock()
 	out := make([]string, 0, len(drainReg))
 	for n := range drainReg {
 		out = append(out, n)

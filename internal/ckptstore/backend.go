@@ -6,15 +6,15 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 
 	"manasim/internal/fsim"
 )
 
 // Backend is the persistence layer under a Store: a flat key/blob
 // namespace. Keys are store-generated ("gen0003/rank02", "manifest")
-// and contain at most one '/'. Implementations must be safe for
-// concurrent use.
+// and contain at most one '/'. A backend has one caller at a time, its
+// store's (see the package comment, "Concurrency model"), and keeps no
+// lock.
 type Backend interface {
 	// Name reports the registered backend name.
 	Name() string
@@ -63,19 +63,12 @@ type BackendConfig struct {
 	FrontCap int64
 }
 
-var (
-	backendMu  sync.Mutex
-	backendReg = map[string]func(cfg BackendConfig) (Backend, error){}
-)
-
-// RegisterBackend registers a backend factory under name.
-func RegisterBackend(name string, f func(cfg BackendConfig) (Backend, error)) {
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if _, dup := backendReg[name]; dup {
-		panic(fmt.Sprintf("ckptstore: backend %q registered twice", name))
-	}
-	backendReg[name] = f
+// backendReg holds the built-in backends by name. It is never written.
+var backendReg = map[string]func(cfg BackendConfig) (Backend, error){
+	"mem":  func(BackendConfig) (Backend, error) { return newMemBackend(), nil },
+	"fs":   newFSBackend,
+	"obj":  func(BackendConfig) (Backend, error) { return newObjBackend(), nil },
+	"tier": newTierBackend,
 }
 
 // NewBackend instantiates the backend registered under name; the empty
@@ -84,9 +77,7 @@ func NewBackend(name string, cfg BackendConfig) (Backend, error) {
 	if name == "" {
 		name = DefaultBackend
 	}
-	backendMu.Lock()
 	f, ok := backendReg[name]
-	backendMu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("ckptstore: unknown backend %q (have %v)", name, BackendNames())
 	}
@@ -95,21 +86,12 @@ func NewBackend(name string, cfg BackendConfig) (Backend, error) {
 
 // BackendNames lists the registered backends in sorted order.
 func BackendNames() []string {
-	backendMu.Lock()
-	defer backendMu.Unlock()
 	out := make([]string, 0, len(backendReg))
 	for n := range backendReg {
 		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
-}
-
-func init() {
-	RegisterBackend("mem", func(BackendConfig) (Backend, error) { return newMemBackend(), nil })
-	RegisterBackend("fs", newFSBackend)
-	RegisterBackend("obj", newObjBackend)
-	RegisterBackend("tier", newTierBackend)
 }
 
 // profileOr resolves a backend's own cost model, falling back to def for
@@ -123,31 +105,39 @@ func profileOr(b Backend, def fsim.FS) fsim.FS {
 }
 
 // ---------------------------------------------------------------------
-// mem: in-process blobs
+// mem and obj: in-process blobs
 
+// memBackend keeps blobs in process memory. As "mem" it models no
+// storage tier of its own, so its CostModel is zero and the job's
+// configured filesystem profile governs. As "obj" it models an object
+// store (S3-style REST semantics), a flat keyed blob service where
+// every operation is a round trip: its CostModel is the fsim.ObjStore
+// profile (per-op latency before any bytes stream, then bandwidth), and
+// checkpoint I/O over it is charged against that.
 type memBackend struct {
-	mu    sync.Mutex
-	blobs map[string][]byte
+	name    string
+	profile fsim.FS
+	blobs   map[string][]byte
 }
 
-func newMemBackend() *memBackend { return &memBackend{blobs: make(map[string][]byte)} }
+func newMemBackend() *memBackend {
+	return &memBackend{name: "mem", blobs: make(map[string][]byte)}
+}
 
-func (b *memBackend) Name() string { return "mem" }
+func newObjBackend() *memBackend {
+	return &memBackend{name: "obj", profile: fsim.ObjStore(), blobs: make(map[string][]byte)}
+}
 
-// CostModel is zero: in-process blobs model no storage tier of their
-// own, so the job's configured filesystem profile governs.
-func (b *memBackend) CostModel() fsim.FS { return fsim.FS{} }
+func (b *memBackend) Name() string { return b.name }
+
+func (b *memBackend) CostModel() fsim.FS { return b.profile }
 
 func (b *memBackend) Put(key string, data []byte) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.blobs[key] = data
 	return nil
 }
 
 func (b *memBackend) Get(key string) ([]byte, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	data, ok := b.blobs[key]
 	if !ok {
 		return nil, fmt.Errorf("ckptstore: no blob %q", key)
@@ -160,8 +150,6 @@ func (b *memBackend) Get(key string) ([]byte, error) {
 func exactCopy(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
 
 func (b *memBackend) List() ([]string, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	out := make([]string, 0, len(b.blobs))
 	for k := range b.blobs {
 		out = append(out, k)
@@ -171,8 +159,6 @@ func (b *memBackend) List() ([]string, error) {
 }
 
 func (b *memBackend) Delete(key string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	delete(b.blobs, key)
 	return nil
 }
@@ -182,7 +168,6 @@ func (b *memBackend) Delete(key string) error {
 
 type fsBackend struct {
 	root string
-	mu   sync.Mutex
 }
 
 func newFSBackend(cfg BackendConfig) (Backend, error) {
@@ -214,8 +199,6 @@ func (b *fsBackend) Put(key string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return fmt.Errorf("ckptstore: %w", err)
 	}

@@ -201,7 +201,7 @@ type blobPut struct {
 }
 
 // dedupPlan is the segmentation outcome of one commit: everything the
-// dedup Put phase and its rollback need. Built under s.mu.
+// dedup Put phase and its rollback need.
 type dedupPlan struct {
 	recipes  [][]byte       // per-rank recipe blobs for key(seq, rank)
 	newBlobs []blobPut      // blobs first referenced by this commit, ordered
@@ -242,7 +242,7 @@ func (s *Store) planDedup(images [][]byte) *dedupPlan {
 }
 
 // putDedup writes a plan's new blobs, then generation seq's recipes, in
-// order, stopping at the first failure. The caller holds s.mu.
+// order, stopping at the first failure.
 func (s *Store) putDedup(seq int, p *dedupPlan) error {
 	for _, nb := range p.newBlobs {
 		if err := s.bPut(nb.key, nb.data); err != nil {
@@ -277,7 +277,7 @@ func (s *Store) unapplyRefs(added map[string]int) {
 // the generation's recipe keys and the blobs this commit introduced —
 // never blobs that predate it, which other live recipes reference.
 // Delete failures aggregate; deleting a missing key is not an error,
-// so the discard is idempotent. The caller holds s.mu.
+// so the discard is idempotent.
 func (s *Store) discardDedup(seq int, newBlobs []blobPut) error {
 	var errs []error
 	for r := 0; r < s.n; r++ {
@@ -300,7 +300,7 @@ func (s *Store) discardDedup(seq int, newBlobs []blobPut) error {
 // delete-before-decrement order, makes a retried prune idempotent: a
 // recipe's references are dropped exactly once. A blob whose delete
 // fails after its refcount reached zero leaks until the next Open
-// rebuild collects it. The caller holds s.mu.
+// rebuild collects it.
 func (s *Store) pruneRecipe(k string) error {
 	data, err := s.b.Get(k)
 	if err != nil {
@@ -328,8 +328,7 @@ func (s *Store) pruneRecipe(k string) error {
 // assembleRecipe reassembles a rank image from its recipe, verifying
 // each blob against the CRC and length its key embeds. It reports what
 // the reassembly read through shared blobs (refcount > 1 — bytes some
-// other live chain also references) versus unique ones; the refcount
-// snapshot is taken in one short critical section.
+// other live chain also references) versus unique ones.
 //
 // Every resolution failure — an undecodable recipe, a missing or
 // key-contradicting blob, a reassembly length mismatch — is a typed
@@ -342,15 +341,9 @@ func (s *Store) assembleRecipe(seq, rank int, recipe []byte) ([]byte, dedupRead,
 	if err != nil {
 		return nil, dedupRead{}, &ChainLinkError{Gen: seq, Rank: rank, Err: err}
 	}
-	refs := make([]int, len(keys))
-	s.mu.Lock()
-	for i, k := range keys {
-		refs[i] = s.blobRefs[k]
-	}
-	s.mu.Unlock()
 	var dr dedupRead
 	out := make([]byte, 0, total)
-	for i, bk := range keys {
+	for _, bk := range keys {
 		seg, err := s.bGet(bk)
 		if err != nil {
 			if seq < s.PrunedBefore() {
@@ -366,7 +359,7 @@ func (s *Store) assembleRecipe(seq, rank int, recipe []byte) ([]byte, dedupRead,
 			return nil, dedupRead{}, &ChainLinkError{Gen: seq, Rank: rank,
 				Err: fmt.Errorf("blob %q does not match its key (%w)", bk, ckptimg.ErrCorrupt)}
 		}
-		if refs[i] > 1 {
+		if s.blobRefs[bk] > 1 {
 			dr.shared += length
 			dr.refs++
 		} else {
@@ -384,8 +377,7 @@ func (s *Store) assembleRecipe(seq, rank int, recipe []byte) ([]byte, dedupRead,
 // rebuildRefs recomputes the refcount table from every surviving
 // recipe — refcounts are derived state, so Open never trusts a
 // possibly stale manifest for them — and deletes blob keys no recipe
-// references (leftovers of a crash mid-commit or mid-prune). The
-// caller holds no lock; the store is not yet shared.
+// references (leftovers of a crash mid-commit or mid-prune).
 func (s *Store) rebuildRefs(blobKeys []string) error {
 	for seq := s.prunedTo; seq < len(s.gens); seq++ {
 		for r := 0; r < s.n; r++ {
@@ -439,8 +431,6 @@ func (d DedupStats) Ratio() float64 {
 // DedupStats reports the blob table summary; zero when the store does
 // not dedup.
 func (s *Store) DedupStats() DedupStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var d DedupStats
 	for k, n := range s.blobRefs {
 		if _, length, err := parseBlobKey(k); err == nil {
@@ -464,8 +454,6 @@ func (s *Store) Dedup() bool { return s.opts.Dedup }
 // model charges this instead of the raw image size, so storing a chunk
 // some other rank or generation already stored costs nothing.
 func (s *Store) CommitCharge(rank int) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if rank < 0 || rank >= len(s.lastUnique) {
 		return 0
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"manasim/internal/ckptimg"
@@ -332,81 +331,6 @@ func TestRecipeRoundTrip(t *testing.T) {
 	}
 	if crc, n, err := parseBlobKey(blobKey([]byte("alpha"))); err != nil || n != 5 || crc == 0 {
 		t.Fatalf("parseBlobKey: crc=%d n=%d err=%v", crc, n, err)
-	}
-}
-
-// TestDedupCommitRace hammers one dedup store from many goroutines:
-// one committer drives generations through the retention pruner
-// (RetainBases evicts shared blobs mid-run) while readers resolve
-// recipes through the chain resolver. Run under -race (make
-// race-ckpt) this is the concurrency-safety proof for the shared blob
-// table; readers racing a prune must see ErrPruned, never corruption.
-func TestDedupCommitRace(t *testing.T) {
-	const n, gens, readers = 4, 12, 3
-	opts := dedupOptions()
-	opts.RetainBases = 2
-	s := mustOpen(n, opts)
-	commitGen(t, s, n, 0, func(r int) []byte { return sharedAppState(8<<10, r, 0) })
-
-	var wg sync.WaitGroup
-	errs := make(chan error, readers*2+1)
-	done := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(done)
-		for gen := 1; gen < gens; gen++ {
-			images := make([][]byte, n)
-			for r := 0; r < n; r++ {
-				img := testImage(r, n, gen, sharedAppState(8<<10, r, gen))
-				var data []byte
-				var err error
-				if parent, pgen, ok := s.PlanDelta(r); ok {
-					data, _, err = ckptimg.EncodeDelta(img, parent, pgen, s.EncodeOptions())
-				} else {
-					data, err = ckptimg.EncodeOpts(img, s.EncodeOptions())
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-				images[r] = data
-			}
-			if _, err := s.Commit(images); err != nil {
-				errs <- err
-				return
-			}
-		}
-	}()
-	for w := 0; w < readers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if _, _, err := s.MaterializeStreamHead(); err != nil && !errors.Is(err, ErrPruned) {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	// The surviving chains must still resolve and the blob table must
-	// account exactly for them.
-	if _, _, err := s.MaterializeStreamHead(); err != nil {
-		t.Fatal(err)
-	}
-	if ds := s.DedupStats(); ds.Blobs == 0 || ds.StoredBytes <= 0 {
-		t.Fatalf("blob table emptied by racing prunes: %+v", ds)
 	}
 }
 

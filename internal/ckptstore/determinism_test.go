@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"manasim/internal/ckptimg"
@@ -15,14 +14,11 @@ import (
 // opLog is the backend-call sequence a recordingBackend observes, one
 // "op key len" line per call.
 type opLog struct {
-	mu  sync.Mutex
 	ops []string
 }
 
 func (l *opLog) add(op, key string, n int) {
-	l.mu.Lock()
 	l.ops = append(l.ops, op+" "+key+" "+strconv.Itoa(n))
-	l.mu.Unlock()
 }
 
 // recordingBackend logs every call it forwards as (op, key, len): the

@@ -65,8 +65,8 @@
 // # Backends
 //
 // Persistence is pluggable behind the Backend interface — a flat
-// key/blob namespace — with the same init-registered factory pattern as
-// ckpt.DrainStrategy:
+// key/blob namespace — and Options.Backend selects one of the built-ins
+// by name:
 //
 //   - "mem" keeps blobs in process memory (tests, benchmarks, the
 //     default for in-process restart).
@@ -75,8 +75,8 @@
 //     never leaves a half image under the final name.
 //   - "obj" models an object store: blobs in memory behind S3-style
 //     semantics where every Put/Get/List/Delete is a keyed round trip.
-//     It reports the fsim.ObjStore cost profile (per-op latency +
-//     bandwidth) through CostModel and counts its round trips.
+//     It is the mem backend reporting the fsim.ObjStore cost profile
+//     (per-op latency + bandwidth) through CostModel.
 //   - "tier" composes a fast mem front tier over a slow durable back
 //     tier: fs under Options.Dir/back, or obj when no Dir is given. See
 //     "The tier drainer" below.
@@ -114,9 +114,6 @@
 // as metadata but materialize to ErrPruned; the cutoff always lands on
 // a base, so every surviving generation's chain resolves without
 // crossing it.
-//
-// Register custom backends with RegisterBackend; Options.Backend
-// selects one by name.
 //
 // # Content-addressed dedup
 //
@@ -185,8 +182,7 @@
 //   - The queue owns keys, not bytes: a flush re-reads the front tier
 //     at flush time, so re-Puts of a key collapse (newest wins) and the
 //     queue stays O(keys).
-//   - Delete cancels a pending flush before touching either tier, and
-//     DrainBarrier holds the backend's mutex while it flushes, so a
+//   - Delete cancels a pending flush before touching either tier, so a
 //     flush can never resurrect a deleted blob on the back tier.
 //   - DrainBarrier returns every flush failure of its pass. The store
 //     issues it after each manifest write — Commit's (its retention
@@ -214,30 +210,27 @@
 //
 // # Concurrency model
 //
-// The store has no goroutines of its own. Every operation — Commit's
-// validation, dedup planning and Puts, MaterializeStream's and
-// RestoreStream's chain resolution, Scrub, retention, and the tier
-// backend's flush inside DrainBarrier — runs on the calling goroutine
-// and walks ranks 0..n-1 in order. The sequence of backend calls is
-// therefore a pure function of the store's inputs, the first failing
-// rank is the one every error reports, and RestoreStream's one
-// resolver buffer pair is its whole peak state (ChainStats.PeakBytes).
-// The simulator's parallelism is the kernel's, not the store's.
+// The store has no goroutines and no locks of its own, and neither has
+// any backend. Every operation — Commit's validation, dedup planning
+// and Puts, MaterializeStream's and RestoreStream's chain resolution,
+// Scrub, retention, and the tier backend's flush inside DrainBarrier —
+// runs on the calling goroutine and walks ranks 0..n-1 in order. The
+// sequence of backend calls is therefore a pure function of the
+// store's inputs, the first failing rank is the one every error
+// reports, and RestoreStream's one resolver buffer pair is its whole
+// peak state (ChainStats.PeakBytes). The simulator's parallelism is
+// the kernel's, not the store's.
 //
-// Callers may still share one store across goroutines, and every
-// method is safe for that:
-//
-//   - Chain state (the generation list, the per-rank chunk indexes, the
-//     manifest, the dedup refcounts) is guarded by one mutex. Commit
-//     (retention included) and Scrub hold it end to end, so generations are assigned
-//     dense sequence numbers and two concurrent Commits serialize.
-//   - The resolver does not hold the chain mutex while resolving:
-//     committed generations are immutable (blobs are never rewritten),
-//     so readers proceed concurrently with an in-flight Commit of the
-//     next generation. Retention may delete a generation mid-read; the
-//     read then fails with ErrPruned.
-//   - Backends must be safe for concurrent use (every built-in is); the
-//     retry counters have a mutex of their own.
+// A store has one caller at a time: the rank holding the kernel's
+// execution token (a checkpoint's Commit, issued by the generation's
+// last-delivering rank) or the goroutine that owns the job (opening,
+// restarting, scrubbing, reading images back), and the kernel's channel
+// handoff orders each caller after the last. A store must not be shared
+// by goroutines nothing orders. Within that one caller, operations
+// interleave freely: committed generations are immutable (blobs are
+// never rewritten), so a later Commit never changes what an earlier
+// generation resolves to, and a generation retention has pruned fails
+// with ErrPruned.
 //
 // A link's chunk payloads alias its backend blob, which the resolution
 // owns until it completes; pooled codec state (the gzip inflater) is

@@ -2,10 +2,9 @@ package ckptstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"manasim/internal/ckptimg"
@@ -33,79 +32,137 @@ func encodeGen(t *testing.T, s *Store, n, step int, app func(rank int) []byte) [
 	return images
 }
 
-// TestParallelCommitMaterializeRace drives concurrent Commits and
-// Materializes over both backends from several goroutines sharing one
-// store: one goroutine extends the generation chain while readers
-// materialize every already-committed generation. Run under -race this
-// is the proof that the store's mutexes cover callers that share it.
-func TestParallelCommitMaterializeRace(t *testing.T) {
-	const n, gens, readers = 4, 6, 3
+// TestInterleavedStoreOps interleaves every kind of store and tier
+// operation on one goroutine, the way the simulator drives a store:
+// one caller at a time, the kernel's handoff ordering the next.
+//
+//   - commit-mem, commit-fs: after every commit, every committed
+//     generation materializes to its exact bytes, with base bytes read.
+//   - dedup-prune: head materializes interleave with commits whose
+//     RetainBases pass evicts shared blobs; each generation resolves to
+//     its exact bytes or fails ErrPruned, and pruning does happen.
+//   - tier: Puts, read-through Gets, Deletes and DrainBarriers
+//     interleave on one tier backend; a barrier flushes exactly the
+//     surviving keys to the back tier.
+func TestInterleavedStoreOps(t *testing.T) {
 	for _, backend := range []string{"mem", "fs"} {
-		t.Run(backend, func(t *testing.T) {
-			opts := Options{
-				Backend: backend, Delta: true, ChunkBytes: 128,
-				ChainCap: 3,
-			}
+		t.Run("commit-"+backend, func(t *testing.T) {
+			const n, gens = 4, 6
+			opts := Options{Backend: backend, Delta: true, ChunkBytes: 128, ChainCap: 3}
 			if backend == "fs" {
 				opts.Dir = t.TempDir()
 			}
 			s := mustOpen(n, opts)
-
-			var committed atomic.Int64
-			var wg sync.WaitGroup
-			errs := make(chan error, readers+1)
-
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for gen := 0; gen < gens; gen++ {
-					images := encodeGen(t, s, n, gen, func(r int) []byte { return appState(1000+r, gen) })
-					if _, err := s.Commit(images); err != nil {
-						errs <- fmt.Errorf("commit gen %d: %w", gen, err)
-						return
+			for gen := 0; gen < gens; gen++ {
+				commitGen(t, s, n, gen, func(r int) []byte { return appState(1000+r, gen) })
+				for seq := 0; seq <= gen; seq++ {
+					imgs, stats, err := s.MaterializeStream(seq)
+					if err != nil {
+						t.Fatalf("materialize gen %d after commit %d: %v", seq, gen, err)
 					}
-					committed.Store(int64(gen + 1))
+					for r, img := range imgs {
+						if !bytes.Equal(img.AppState, appState(1000+r, seq)) {
+							t.Fatalf("gen %d rank %d: app state mismatch", seq, r)
+						}
+						if stats[r].BaseBytes <= 0 {
+							t.Fatalf("gen %d rank %d: no base bytes in %+v", seq, r, stats[r])
+						}
+					}
 				}
-			}()
-			for i := 0; i < readers; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						have := int(committed.Load())
-						if have == 0 {
-							continue
-						}
-						for seq := 0; seq < have; seq++ {
-							imgs, stats, err := s.MaterializeStream(seq)
-							if err != nil {
-								errs <- fmt.Errorf("materialize gen %d: %w", seq, err)
-								return
-							}
-							for r, img := range imgs {
-								if !bytes.Equal(img.AppState, appState(1000+r, seq)) {
-									errs <- fmt.Errorf("gen %d rank %d: app state mismatch", seq, r)
-									return
-								}
-								if stats[r].BaseBytes <= 0 {
-									errs <- fmt.Errorf("gen %d rank %d: no base bytes in %+v", seq, r, stats[r])
-									return
-								}
-							}
-						}
-						if have == gens {
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
 			}
 		})
 	}
+
+	t.Run("dedup-prune", func(t *testing.T) {
+		const n, gens = 4, 12
+		opts := dedupOptions()
+		opts.RetainBases = 2
+		s := mustOpen(n, opts)
+		state := func(gen int) func(r int) []byte {
+			return func(r int) []byte { return sharedAppState(8<<10, r, gen) }
+		}
+		pruned := 0
+		for gen := 0; gen < gens; gen++ {
+			commitGen(t, s, n, gen, state(gen))
+			for seq := 0; seq <= gen; seq++ {
+				imgs, _, err := s.MaterializeStream(seq)
+				if errors.Is(err, ErrPruned) {
+					pruned++
+					continue
+				}
+				if err != nil {
+					t.Fatalf("materialize gen %d after commit %d: %v", seq, gen, err)
+				}
+				for r, img := range imgs {
+					if !bytes.Equal(img.AppState, state(seq)(r)) {
+						t.Fatalf("gen %d rank %d: wrong bytes after commit %d", seq, r, gen)
+					}
+				}
+			}
+			imgs, _, err := s.MaterializeStreamHead()
+			if err != nil {
+				t.Fatalf("head after commit %d: %v", gen, err)
+			}
+			for r, img := range imgs {
+				if !bytes.Equal(img.AppState, state(gen)(r)) {
+					t.Fatalf("head rank %d: wrong bytes after commit %d", r, gen)
+				}
+			}
+		}
+		if pruned == 0 {
+			t.Fatal("retention never pruned a generation")
+		}
+		if ds := s.DedupStats(); ds.Blobs == 0 || ds.StoredBytes <= 0 {
+			t.Fatalf("blob table emptied by prunes: %+v", ds)
+		}
+	})
+
+	t.Run("tier", func(t *testing.T) {
+		tier, back := newTestTier(t)
+		const writers, keysPer = 4, 16
+		want := map[string][]byte{}
+		for i := 0; i < keysPer; i++ {
+			for w := 0; w < writers; w++ {
+				k := fmt.Sprintf("gen%04d/rank%02d", i, w)
+				data := bytes.Repeat([]byte{byte(w), byte(i)}, 128)
+				if err := tier.Put(k, bytes.Clone(data)); err != nil {
+					t.Fatal(err)
+				}
+				got, err := tier.Get(k)
+				if err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("read-through of %s: %v", k, err)
+				}
+				want[k] = data
+				if i%4 == 3 {
+					if err := tier.Delete(k); err != nil {
+						t.Fatal(err)
+					}
+					delete(want, k)
+				}
+			}
+			if i%5 == 4 {
+				if err := tier.(Drainer).DrainBarrier(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := tier.(Drainer).DrainBarrier(); err != nil {
+			t.Fatal(err)
+		}
+		keys, err := back.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(keys) != len(want) {
+			t.Fatalf("back tier holds %d keys, want %d", len(keys), len(want))
+		}
+		for _, k := range keys {
+			got, err := back.Get(k)
+			if err != nil || !bytes.Equal(got, want[k]) {
+				t.Fatalf("back tier %s: %v", k, err)
+			}
+		}
+	})
 }
 
 // TestCommitBadDeltaCancelsAndDiscards proves first-error cancellation

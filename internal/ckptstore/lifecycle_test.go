@@ -48,9 +48,7 @@ func TestRetentionBoundsBlobs(t *testing.T) {
 // prune runs one retention pass keeping keepBases bases, as Commit does
 // under Options.RetainBases.
 func prune(s *Store, keepBases int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pruneLocked(keepBases)
+	return s.pruneRetention(keepBases)
 }
 
 // TestExplicitPrune runs retention passes outside Commit: the cutoff,

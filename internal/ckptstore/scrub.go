@@ -136,16 +136,12 @@ type scrubRecipe struct {
 // damage. It never inflates application state: plain images go through
 // the verify-only reader, dedup blobs through their keys' CRC+length.
 //
-// Scrub holds the store lock for the whole pass — commits and prunes
-// wait — and is meant to run offline (between service attempts, or via
-// the scrub CLI). Concurrent materializations are safe but may observe
-// a blob mid-repair and fail; re-running them after the scrub is the
-// contract. The returned error covers infrastructure failures only
+// Scrub is meant to run offline (between service attempts, or via the
+// scrub CLI), like every store operation on its caller's goroutine.
+// The returned error covers infrastructure failures only
 // (listing the backend, persisting the quarantine); defects are data,
 // reported in the ScrubReport.
 func (s *Store) Scrub() (*ScrubReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	rep := &ScrubReport{}
 	listed, err := s.b.List()
 	if err != nil {
@@ -361,7 +357,7 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 // A match is bit-identical by construction (the key embeds CRC, length,
 // and content hash), so writing it back is a true repair, confirmed by
 // a read-back. Damaged blobs are tried in key order, so the repair
-// writes follow from the store's contents alone. The caller holds s.mu.
+// writes follow from the store's contents alone.
 func (s *Store) repairFromDonors(rep *ScrubReport, recipes []scrubRecipe, damaged map[string]int) {
 	for _, rc := range recipes {
 		if len(damaged) == 0 {
@@ -426,8 +422,6 @@ func (s *Store) repairFromDonors(rep *ScrubReport, recipes []scrubRecipe, damage
 // Quarantined lists the quarantined generation sequence numbers,
 // ascending.
 func (s *Store) Quarantined() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]int, 0, len(s.quarantined))
 	for seq := range s.quarantined {
 		out = append(out, seq)
@@ -438,8 +432,6 @@ func (s *Store) Quarantined() []int {
 
 // IsQuarantined reports whether generation seq is quarantined.
 func (s *Store) IsQuarantined(seq int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.quarantined[seq]
 }
 

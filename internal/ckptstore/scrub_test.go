@@ -181,13 +181,11 @@ func TestScrubOrphansAndRefDrift(t *testing.T) {
 		}
 	}
 	var driftKey string
-	s.mu.Lock()
 	for bk := range s.blobRefs {
 		driftKey = bk
 		break
 	}
 	s.blobRefs[driftKey]++
-	s.mu.Unlock()
 
 	rep, err := s.Scrub()
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"manasim/internal/ckptimg"
@@ -237,10 +236,10 @@ type manifest struct {
 const manifestKey = "manifest"
 
 // Store is a generation-chained checkpoint store for one n-rank job
-// lineage. All methods are safe for concurrent use by rank goroutines;
-// see the package documentation for the concurrency model.
+// lineage. It has one caller at a time — the rank holding the kernel's
+// execution token, or the goroutine that owns the job — and holds no
+// lock; see the package documentation for the concurrency model.
 type Store struct {
-	mu   sync.Mutex
 	b    Backend
 	n    int
 	opts Options
@@ -263,10 +262,6 @@ type Store struct {
 	// commit (CommitCharge).
 	lastUnique []int64
 
-	// retryMu guards the retry/orphan counters: retried operations run
-	// under s.mu on the commit path and without it on materialize paths,
-	// which callers may run from several goroutines.
-	retryMu sync.Mutex
 	retry   RetryStats
 	orphans int
 }
@@ -310,14 +305,10 @@ func (s *Store) retryOp(fn func() error) error {
 		if !transientErr(err) || attempt == retryAttempts {
 			break
 		}
-		s.retryMu.Lock()
 		s.retry.Retries++
 		s.retry.BackoffVT += fs.RetryBackoff(attempt)
-		s.retryMu.Unlock()
 	}
-	s.retryMu.Lock()
 	s.retry.Permanent++
-	s.retryMu.Unlock()
 	return err
 }
 
@@ -339,8 +330,6 @@ func (s *Store) bGet(key string) ([]byte, error) {
 
 // Retry reports the accumulated transient-failure recovery statistics.
 func (s *Store) Retry() RetryStats {
-	s.retryMu.Lock()
-	defer s.retryMu.Unlock()
 	return s.retry
 }
 
@@ -348,8 +337,6 @@ func (s *Store) Retry() RetryStats {
 // attempt — rollback plus its retry pass, or Open's orphan sweep —
 // failed to delete.
 func (s *Store) ResidualOrphans() int {
-	s.retryMu.Lock()
-	defer s.retryMu.Unlock()
 	return s.orphans
 }
 
@@ -358,9 +345,7 @@ func (s *Store) addOrphans(n int) {
 	if n <= 0 {
 		return
 	}
-	s.retryMu.Lock()
 	s.orphans += n
-	s.retryMu.Unlock()
 }
 
 // Open builds a store for an n-rank job over the configured backend.
@@ -528,8 +513,6 @@ func parseRankKey(k string) (seq, rank int, ok bool) {
 // no generation is committed yet, the chain cap is reached, or the
 // rank holds no chunk index (after ForceBase or a quarantined head).
 func (s *Store) PlanDelta(rank int) (parent ckptimg.ChunkIndex, parentGen int, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.opts.Delta || rank < 0 || rank >= s.n || len(s.gens) == 0 {
 		return ckptimg.ChunkIndex{}, 0, false
 	}
@@ -570,8 +553,6 @@ func (s *Store) EncodeOptions() ckptimg.Options {
 // and neither the in-memory chain nor the manifest records it: a failed
 // commit leaves no partial generation behind.
 func (s *Store) Commit(images [][]byte) (Generation, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(images) != s.n {
 		return Generation{}, fmt.Errorf("ckptstore: commit of %d images for a %d-rank store", len(images), s.n)
 	}
@@ -681,7 +662,7 @@ func (s *Store) Commit(images [][]byte) (Generation, error) {
 	// LastRetentionErr exposes it — and the next prune retries the same
 	// range, since the cutoff never advances past a failed delete.
 	if s.opts.RetainBases > 0 {
-		s.retentionErr = s.pruneLocked(s.opts.RetainBases)
+		s.retentionErr = s.pruneRetention(s.opts.RetainBases)
 	}
 	s.lastUnique = unique
 	return gen, nil
@@ -740,8 +721,6 @@ func (s *Store) drainBarrier() error {
 // callers that care about leaked blobs poll here; the next commit's
 // pass retries the same range.
 func (s *Store) LastRetentionErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.retentionErr
 }
 
@@ -750,8 +729,7 @@ func (s *Store) LastRetentionErr() error {
 // survive it are counted as residual orphans (ResidualOrphans,
 // ChainStats.ResidualOrphans) and reported in the aggregated error — a
 // rollback that leaks blobs must not report success, and the next
-// Open's orphan sweep is the recovery of last resort. The caller holds
-// s.mu.
+// Open's orphan sweep is the recovery of last resort.
 func (s *Store) discardGeneration(seq int) error {
 	var failed []int
 	for r := 0; r < s.n; r++ {
@@ -774,14 +752,14 @@ func (s *Store) discardGeneration(seq int) error {
 	return errors.Join(errs...)
 }
 
-// pruneLocked removes the blobs of superseded chains, keeping the most
+// pruneRetention removes the blobs of superseded chains, keeping the most
 // recent keepBases (positive) base generations and every delta chained
 // onto them; Commit runs it when Options.RetainBases is set. Pruned
 // generations stay listed in Generations() as metadata but can no
 // longer be materialized (ErrPruned). The cutoff always lands on a base
 // generation, so every surviving generation's chain resolves without
-// crossing into pruned territory. The caller holds s.mu.
-func (s *Store) pruneLocked(keepBases int) error {
+// crossing into pruned territory.
+func (s *Store) pruneRetention(keepBases int) error {
 	var bases []int
 	for _, g := range s.gens {
 		if g.Base() {
@@ -833,12 +811,10 @@ func (s *Store) pruneLocked(keepBases int) error {
 // PrunedBefore reports the first generation whose blobs survive
 // retention; generations below it are metadata only.
 func (s *Store) PrunedBefore() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.prunedTo
 }
 
-// persistManifest rewrites the manifest blob; the caller holds s.mu.
+// persistManifest rewrites the manifest blob.
 func (s *Store) persistManifest() error {
 	var quarantined []int
 	for seq := range s.quarantined {
@@ -863,8 +839,6 @@ func (s *Store) persistManifest() error {
 // indexes still describe the newer (damaged) head, and a delta encoded
 // against them would chain new work onto bytes that cannot resolve.
 func (s *Store) ForceBase() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for r := range s.index {
 		s.index[r] = rankIndex{}
 	}
@@ -873,24 +847,20 @@ func (s *Store) ForceBase() {
 
 // Generations lists the committed generations in order.
 func (s *Store) Generations() []Generation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return append([]Generation(nil), s.gens...)
 }
 
 // Head reports the most recent committed generation.
 func (s *Store) Head() (Generation, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(s.gens) == 0 {
 		return Generation{}, false
 	}
 	return s.gens[len(s.gens)-1], true
 }
 
-// getBlob reads one rank image without s.mu. Committed images are
-// never rewritten, but retention may delete them concurrently: a read
-// that lost that race reports the typed ErrPruned instead of a bare
+// getBlob reads one rank image. Committed images are never rewritten,
+// but retention may have deleted them: a read of a generation below
+// the retention cutoff reports the typed ErrPruned instead of a bare
 // missing blob, so callers matching errors.Is keep working. On a dedup
 // store the rank key holds a recipe, which is reassembled — and
 // verified blob-by-blob — into the exact original encoded image; the

@@ -30,8 +30,8 @@ import (
 // chunks only) and skipped. Every link must be a v3 image: a link that
 // is not fails the rank with a *ChainLinkError wrapping
 // ckptimg.ErrCorrupt, and the first rank that fails is the one
-// reported. Committed generations are immutable, so MaterializeStream
-// never blocks a concurrent Commit.
+// reported. Committed generations are immutable: a later Commit never
+// changes what an earlier generation resolves to.
 func (s *Store) MaterializeStream(seq int) ([]*ckptimg.Image, []ChainStats, error) {
 	if err := s.checkReadable(seq); err != nil {
 		return nil, nil, err
@@ -52,9 +52,7 @@ func (s *Store) MaterializeStream(seq int) ([]*ckptimg.Image, []ChainStats, erro
 
 // MaterializeStreamHead streams the most recent generation.
 func (s *Store) MaterializeStreamHead() ([]*ckptimg.Image, []ChainStats, error) {
-	s.mu.Lock()
 	n := len(s.gens)
-	s.mu.Unlock()
 	if n == 0 {
 		return nil, nil, fmt.Errorf("ckptstore: store has no generations")
 	}
@@ -93,15 +91,12 @@ func (s *Store) RestoreStream(seq int, fn func(img *ckptimg.Image) error) ([]Cha
 // checkReadable refuses a generation the resolver must not read: out of
 // range, already pruned, or quarantined by Scrub.
 func (s *Store) checkReadable(seq int) error {
-	s.mu.Lock()
-	nGens, prunedTo, quarantined := len(s.gens), s.prunedTo, s.quarantined[seq]
-	s.mu.Unlock()
 	switch {
-	case seq < 0 || seq >= nGens:
-		return fmt.Errorf("ckptstore: no generation %d (have %d)", seq, nGens)
-	case seq < prunedTo:
-		return fmt.Errorf("ckptstore: generation %d: %w (blobs survive from generation %d on)", seq, ErrPruned, prunedTo)
-	case quarantined:
+	case seq < 0 || seq >= len(s.gens):
+		return fmt.Errorf("ckptstore: no generation %d (have %d)", seq, len(s.gens))
+	case seq < s.prunedTo:
+		return fmt.Errorf("ckptstore: generation %d: %w (blobs survive from generation %d on)", seq, ErrPruned, s.prunedTo)
+	case s.quarantined[seq]:
 		return fmt.Errorf("ckptstore: generation %d: %w", seq, ErrQuarantined)
 	}
 	return nil
@@ -145,9 +140,8 @@ type prefixCheck struct {
 }
 
 // resolveRank resolves one rank's chain at seq into bufs: the image's
-// AppState aliases bufs.state, the rest of the image is its own. It runs
-// without s.mu: it touches only the backend (safe for concurrent use)
-// and blobs of committed generations, which retention may delete
+// AppState aliases bufs.state, the rest of the image is its own. It
+// reads only blobs of committed generations, which retention may delete
 // (surfaced as ErrPruned) but nothing rewrites.
 func (s *Store) resolveRank(seq, rank int, bufs *resolveBufs) (*ckptimg.Image, ChainStats, error) {
 	data, dr, err := s.getBlob(seq, rank)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
-	"sync"
 	"time"
 
 	"manasim/internal/fsim"
@@ -34,7 +33,6 @@ type tierBackend struct {
 	frontFS, backFS fsim.FS
 	frontCap        int64 // front-tier residency bound in bytes (0 = unbounded)
 
-	mu     sync.Mutex
 	queue  []string        // keys awaiting a back-tier flush, FIFO
 	queued map[string]bool // members of queue (dedupe re-Puts)
 
@@ -56,13 +54,15 @@ type tierBackend struct {
 // newTierBackend composes a mem front tier over an fs back tier rooted
 // at cfg.Dir/back, or over an obj back tier when no directory is given.
 func newTierBackend(cfg BackendConfig) (Backend, error) {
-	backName := "obj"
-	if cfg.Dir != "" {
-		backName = "fs"
-	}
-	back, err := NewBackend(backName, BackendConfig{Dir: filepath.Join(cfg.Dir, "back")})
-	if err != nil {
-		return nil, fmt.Errorf("ckptstore: tier back: %w", err)
+	var back Backend
+	if cfg.Dir == "" {
+		back = newObjBackend()
+	} else {
+		fs, err := newFSBackend(BackendConfig{Dir: filepath.Join(cfg.Dir, "back")})
+		if err != nil {
+			return nil, fmt.Errorf("ckptstore: tier back: %w", err)
+		}
+		back = fs
 	}
 	return &tierBackend{
 		front: newMemBackend(), back: back,
@@ -87,7 +87,6 @@ func (b *tierBackend) Put(key string, data []byte) error {
 		return err
 	}
 	n := int64(len(data))
-	b.mu.Lock()
 	b.frontVT += b.frontFS.WriteCost(n)
 	if b.backVT < b.frontVT {
 		b.backVT = b.frontVT
@@ -97,15 +96,14 @@ func (b *tierBackend) Put(key string, data []byte) error {
 		b.queued[key] = true
 		b.queue = append(b.queue, key)
 	}
-	b.noteResidentLocked(key, n)
-	b.mu.Unlock()
+	b.noteResident(key, n)
 	return nil
 }
 
-// noteResidentLocked records key as resident on the front tier with the
+// noteResident records key as resident on the front tier with the
 // given size, marks it most recently used, and evicts cold keys past the
 // capacity bound.
-func (b *tierBackend) noteResidentLocked(key string, n int64) {
+func (b *tierBackend) noteResident(key string, n int64) {
 	if b.frontCap <= 0 {
 		return // unbounded front tier: no residency bookkeeping needed
 	}
@@ -114,17 +112,17 @@ func (b *tierBackend) noteResidentLocked(key string, n int64) {
 	}
 	if old, ok := b.sizes[key]; ok {
 		b.frontBytes -= old
-		b.touchLocked(key)
+		b.touch(key)
 	} else {
 		b.lru = append(b.lru, key)
 	}
 	b.sizes[key] = n
 	b.frontBytes += n
-	b.evictLocked(key)
+	b.evict(key)
 }
 
-// touchLocked moves key to the most-recently-used end of the LRU order.
-func (b *tierBackend) touchLocked(key string) {
+// touch moves key to the most-recently-used end of the LRU order.
+func (b *tierBackend) touch(key string) {
 	for i, k := range b.lru {
 		if k == key {
 			b.lru = append(b.lru[:i], b.lru[i+1:]...)
@@ -134,14 +132,14 @@ func (b *tierBackend) touchLocked(key string) {
 	}
 }
 
-// evictLocked deletes least-recently-used front-tier blobs until the
+// evict deletes least-recently-used front-tier blobs until the
 // resident bytes fit the cap. Keys still awaiting a back-tier flush
 // are pinned — the front tier holds their only copy — as are the
 // manifest (tiny, and the first thing every resume reads) and the key
 // just touched. When every candidate is pinned the front tier
 // overshoots the cap; the next insert tries again after the next
 // DrainBarrier has flushed them.
-func (b *tierBackend) evictLocked(keep string) {
+func (b *tierBackend) evict(keep string) {
 	if b.frontCap <= 0 {
 		return
 	}
@@ -157,7 +155,7 @@ func (b *tierBackend) evictLocked(keep string) {
 		if victim == "" {
 			return
 		}
-		b.dropResidentLocked(victim)
+		b.dropResident(victim)
 		// A failed front delete leaves a stale blob that the next Get
 		// will still hit; residency bookkeeping is dropped either way so
 		// the cap keeps governing what the backend believes it holds.
@@ -166,8 +164,8 @@ func (b *tierBackend) evictLocked(keep string) {
 	}
 }
 
-// dropResidentLocked forgets key's front-tier residency bookkeeping.
-func (b *tierBackend) dropResidentLocked(key string) {
+// dropResident forgets key's front-tier residency bookkeeping.
+func (b *tierBackend) dropResident(key string) {
 	n, ok := b.sizes[key]
 	if !ok {
 		return
@@ -185,12 +183,10 @@ func (b *tierBackend) dropResidentLocked(key string) {
 // DrainBarrier flushes every queued blob to the back tier, oldest
 // first, on the calling goroutine, and returns the flush failures. A
 // failed key leaves the queue; its only copy stays on the front tier.
-// b.mu is held throughout, so a concurrent Delete either cancels a key
-// before its flush or deletes it from both tiers after it — a flush
-// never resurrects a deleted blob on the back tier.
+// A Delete either cancels a key before its flush or deletes it from
+// both tiers after it, so a flush never resurrects a deleted blob on
+// the back tier.
 func (b *tierBackend) DrainBarrier() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	var errs []error
 	for len(b.queue) > 0 {
 		k := b.queue[0]
@@ -212,22 +208,16 @@ func (b *tierBackend) DrainBarrier() error {
 // after the last Put acknowledged. Experiments surface it as the price
 // of committing at burst-buffer speed.
 func (b *tierBackend) DrainLag() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.backVT - b.frontVT
 }
 
 func (b *tierBackend) Get(key string) ([]byte, error) {
 	if data, err := b.front.Get(key); err == nil {
-		b.mu.Lock()
 		b.ops.FrontHits++
-		b.touchLocked(key)
-		b.mu.Unlock()
+		b.touch(key)
 		return data, nil
 	}
-	b.mu.Lock()
 	b.ops.FrontMisses++
-	b.mu.Unlock()
 	data, err := b.back.Get(key)
 	if err != nil {
 		return nil, err
@@ -238,10 +228,8 @@ func (b *tierBackend) Get(key string) ([]byte, error) {
 	if err := b.front.Put(key, exactCopy(data)); err != nil {
 		return nil, fmt.Errorf("ckptstore: tier promote of %q: %w", key, err)
 	}
-	b.mu.Lock()
 	b.ops.Promotions++
-	b.noteResidentLocked(key, int64(len(data)))
-	b.mu.Unlock()
+	b.noteResident(key, int64(len(data)))
 	return data, nil
 }
 
@@ -270,7 +258,6 @@ func (b *tierBackend) List() ([]string, error) {
 // cancelled first, so DrainBarrier can never resurrect a deleted blob
 // on the back tier.
 func (b *tierBackend) Delete(key string) error {
-	b.mu.Lock()
 	if b.queued[key] {
 		delete(b.queued, key)
 		for i, k := range b.queue {
@@ -280,8 +267,7 @@ func (b *tierBackend) Delete(key string) error {
 			}
 		}
 	}
-	b.dropResidentLocked(key)
-	b.mu.Unlock()
+	b.dropResident(key)
 	return errors.Join(b.front.Delete(key), b.back.Delete(key))
 }
 

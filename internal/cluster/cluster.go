@@ -13,7 +13,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"manasim/internal/kernel"
@@ -81,10 +80,9 @@ type Job struct {
 	// SetLabel before Start.
 	label string
 
-	// phaseMu guards phases, the per-rank drain-protocol phase board the
-	// stall diagnostic reads while rank goroutines are still writing it.
-	phaseMu sync.Mutex
-	phases  []string
+	// phases is the per-rank drain-protocol phase board the deadlock
+	// diagnostic reads once every rank has returned.
+	phases []string
 }
 
 // SetLabel names the job. With multiple scheduler-resident jobs,
@@ -99,16 +97,12 @@ func (j *Job) SetRankPhase(rank int, phase string) {
 	if rank < 0 || rank >= j.n {
 		return
 	}
-	j.phaseMu.Lock()
 	j.phases[rank] = phase
-	j.phaseMu.Unlock()
 }
 
 // rankPhases renders the non-empty phase entries for the deadlock
 // diagnostic, e.g. "rank 0: reliable:absorb rows=3/4 acks=2/4".
 func (j *Job) rankPhases() string {
-	j.phaseMu.Lock()
-	defer j.phaseMu.Unlock()
 	out := ""
 	for r, p := range j.phases {
 		if p == "" || p == "done" {
@@ -132,13 +126,15 @@ type crashError interface {
 	CrashVT() time.Duration
 }
 
-// New builds a job with n ranks over a fresh fabric, instantiating the
-// lower half with the given implementation factory. The kernel's
-// scheduler is attached to the fabric before any lower half is
-// instantiated, so every blocking point of the job — including context
-// agreement at startup — runs event-driven.
-func New(n int, factory Factory, net simtime.NetModel) *Job {
+// New builds a job with n ranks over a fresh fabric of the given
+// lower-half session (transport.Fabric.SetSession: 0 for a fresh
+// launch), instantiating the lower half with the given implementation
+// factory. The kernel's scheduler is attached to the fabric before any
+// lower half is instantiated, so every blocking point of the job —
+// including context agreement at startup — runs event-driven.
+func New(n int, session uint64, factory Factory, net simtime.NetModel) *Job {
 	fab := transport.NewFabric(n)
+	fab.SetSession(session)
 	j := &Job{
 		Fabric: fab,
 		Clocks: make([]*simtime.Clock, n),
@@ -174,7 +170,7 @@ func New(n int, factory Factory, net simtime.NetModel) *Job {
 // only because bench/scenario.go calls it (ROADMAP item 10: drop it from
 // baseConfig, then delete it). Nothing else may call it.
 func NewKernel(n int, factory Factory, net simtime.NetModel, _ KernelKind) *Job {
-	return New(n, factory, net)
+	return New(n, 0, factory, net)
 }
 
 // Start launches all rank activities.
@@ -249,7 +245,7 @@ func (j *Job) WaitResult() (Result, error) {
 
 // Run executes fn on n ranks and waits.
 func Run(n int, factory Factory, net simtime.NetModel, fn RankFn) (Result, error) {
-	j := New(n, factory, net)
+	j := New(n, 0, factory, net)
 	j.Start(fn)
 	return j.WaitResult()
 }

@@ -73,7 +73,7 @@ func TestPanicBecomesError(t *testing.T) {
 }
 
 func TestFailureClosesFabric(t *testing.T) {
-	j := New(2, fakeFactory, simtime.NetModel{})
+	j := New(2, 0, fakeFactory, simtime.NetModel{})
 	j.Start(func(rank int, p mpi.Proc, clock *simtime.Clock) error {
 		if rank == 0 {
 			return errors.New("dead rank")
@@ -128,7 +128,7 @@ func TestEventKernelRunsRing(t *testing.T) {
 	const n, rounds = 8, 20
 	net := simtime.NetModel{Latency: 10 * time.Microsecond, PerKB: time.Microsecond}
 	run := func() Result {
-		j := New(n, fakeFactory, net)
+		j := New(n, 0, fakeFactory, net)
 		j.Start(ringBody(j, n, rounds))
 		res, err := j.WaitResult()
 		if err != nil {
@@ -151,7 +151,7 @@ func TestEventKernelRunsRing(t *testing.T) {
 // sends. The kernel must detect the stall, tear the fabric down, and
 // report a wrapped ErrClosed instead of hanging.
 func TestEventKernelDetectsDeadlock(t *testing.T) {
-	j := New(2, fakeFactory, simtime.NetModel{})
+	j := New(2, 0, fakeFactory, simtime.NetModel{})
 	j.Start(func(rank int, p mpi.Proc, clock *simtime.Clock) error {
 		_, err := j.Fabric.Endpoint(rank).Recv(transport.Match{Context: 1, Src: transport.AnySource, Tag: 0})
 		return err
@@ -181,7 +181,7 @@ func TestEventKernelScales1024(t *testing.T) {
 		t.Skip("scale smoke")
 	}
 	const n = 1024
-	j := New(n, fakeFactory, simtime.NetModel{Latency: time.Microsecond})
+	j := New(n, 0, fakeFactory, simtime.NetModel{Latency: time.Microsecond})
 	j.Start(ringBody(j, n, 2))
 	res, err := j.WaitResult()
 	if err != nil {
@@ -193,7 +193,7 @@ func TestEventKernelScales1024(t *testing.T) {
 }
 
 func TestAbortInstalled(t *testing.T) {
-	j := New(1, fakeFactory, simtime.NetModel{})
+	j := New(1, 0, fakeFactory, simtime.NetModel{})
 	fp := j.Procs[0].(*fakeProc)
 	if fp.abort == nil {
 		t.Fatal("abort hook not installed")
@@ -213,7 +213,7 @@ func TestAbortInstalled(t *testing.T) {
 // drain-protocol phase; ranks whose phase is cleared or "done" are
 // omitted.
 func TestStallDiagnosticReportsPhases(t *testing.T) {
-	j := New(3, fakeFactory, simtime.NetModel{})
+	j := New(3, 0, fakeFactory, simtime.NetModel{})
 	j.Start(func(rank int, p mpi.Proc, clock *simtime.Clock) error {
 		switch rank {
 		case 0:
@@ -244,7 +244,7 @@ func TestStallDiagnosticReportsPhases(t *testing.T) {
 // TestStallDiagnosticWithoutPhases: a deadlock outside any drain keeps
 // the fallback wording instead of an empty phase list.
 func TestStallDiagnosticWithoutPhases(t *testing.T) {
-	j := New(2, fakeFactory, simtime.NetModel{})
+	j := New(2, 0, fakeFactory, simtime.NetModel{})
 	j.Start(func(rank int, p mpi.Proc, clock *simtime.Clock) error {
 		_, err := j.Fabric.Endpoint(rank).Recv(transport.Match{Context: 1, Src: transport.AnySource, Tag: 0})
 		return err

@@ -292,7 +292,7 @@ func TestRestartReleasesImages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := restartJobImages(cfg, restored, nil)
+	s, err := restartJobImages(cfg, restored, nil, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

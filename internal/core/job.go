@@ -3,7 +3,6 @@ package mana
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"manasim/internal/app"
@@ -89,9 +88,8 @@ type Stats struct {
 type Session struct {
 	Co *Coordinator
 
-	// body is one rank's activity; Wait starts them all, once.
-	body       cluster.RankFn
-	launchOnce sync.Once
+	// body is one rank's activity; nil once the first Wait started it.
+	body cluster.RankFn
 
 	cfg       Config
 	job       *cluster.Job
@@ -109,6 +107,27 @@ type Session struct {
 // delivered into cfg.Store (or a fresh store opened from
 // cfg.StoreOptions when nil).
 func StartJob(cfg Config, n int, factory app.Factory) (*Session, error) {
+	s, err := newSession(cfg, n, 0, -1)
+	if err != nil {
+		return nil, err
+	}
+	s.body = func(rank int, proc mpi.Proc, clock *simtime.Clock) error {
+		rt, err := NewRuntime(s.cfg, proc, clock, s.Co)
+		if err != nil {
+			return err
+		}
+		s.runtimes[rank] = rt
+		s.wireFaults(rt, rank, clock)
+		inst := factory()
+		return s.runRank(rt, inst, rank, 0, true)
+	}
+	return s, nil
+}
+
+// newSession builds an n-rank session over a fresh job whose lower half
+// runs as the given session (transport.Fabric.SetSession), delivering
+// checkpoints into the configured store; gen is its Stats.RestartGen.
+func newSession(cfg Config, n int, session uint64, gen int) (*Session, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -121,23 +140,13 @@ func StartJob(cfg Config, n int, factory app.Factory) (*Session, error) {
 		cfg:        cfg,
 		n:          n,
 		Co:         ckpt.NewStoreCoordinator(n, st, cfg.SkewBound),
+		job:        cluster.New(n, session, cfg.Factory, cfg.Host.Net),
 		runtimes:   make([]*Runtime, n),
 		checksums:  make([]uint64, n),
 		stopped:    make([]bool, n),
-		restartGen: -1,
+		restartGen: gen,
 	}
-	s.job = cluster.New(n, cfg.Factory, cfg.Host.Net)
 	armFaults(cfg, s.job)
-	s.body = func(rank int, proc mpi.Proc, clock *simtime.Clock) error {
-		rt, err := NewRuntime(cfg, proc, clock, s.Co)
-		if err != nil {
-			return err
-		}
-		s.runtimes[rank] = rt
-		s.wireFaults(rt, rank, clock)
-		inst := factory()
-		return s.runRank(rt, inst, rank, 0, true)
-	}
 	return s, nil
 }
 
@@ -199,7 +208,7 @@ func RestartJob(cfg Config, images [][]byte, factory app.Factory) (*Session, err
 		}
 		ranks = append(ranks, rr)
 	}
-	return restartJobImages(cfg, ranks, nil)
+	return restartJobImages(cfg, ranks, nil, -1)
 }
 
 // restoredRank is one rank of a restart whose application state has
@@ -228,13 +237,11 @@ func restoreRank(img *ckptimg.Image, factory app.Factory) (restoredRank, error) 
 // restartJobImages builds a restarted session over ranks whose
 // application state RestartJob or restartFromGeneration has already
 // restored. Store restarts pass the per-rank chain statistics, which
-// switch the filesystem model to the delta-aware restart cost; raw-image
-// restarts pass nil.
-func restartJobImages(cfg Config, ranks []restoredRank, chains []ckptstore.ChainStats) (*Session, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// switch the filesystem model to the delta-aware restart cost, and
+// their generation gen; raw-image restarts pass nil and -1. The lower
+// half restarts as session 1+gen, or 1+step for raw images: a function
+// of the source that differs from the session that wrote it.
+func restartJobImages(cfg Config, ranks []restoredRank, chains []ckptstore.ChainStats, gen int) (*Session, error) {
 	imgs := make([]*ckptimg.Image, len(ranks))
 	for i, rr := range ranks {
 		imgs[i] = rr.img
@@ -242,38 +249,27 @@ func restartJobImages(cfg Config, ranks []restoredRank, chains []ckptstore.Chain
 	if err := ckptimg.ValidateSet(imgs); err != nil {
 		return nil, fmt.Errorf("mana: restart: %w", err)
 	}
-	n := len(ranks)
-	byRank := make([]restoredRank, n)
+	session := uint64(1 + imgs[0].Step)
+	if gen >= 0 {
+		session = uint64(1 + gen)
+	}
+	byRank := make([]restoredRank, len(ranks))
 	for _, rr := range ranks {
 		byRank[rr.img.Rank] = rr
 	}
-
-	st, err := cfg.ckptStoreFor(n)
+	s, err := newSession(cfg, len(ranks), session, gen)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
-		cfg:        cfg,
-		n:          n,
-		Co:         ckpt.NewStoreCoordinator(n, st, cfg.SkewBound),
-		runtimes:   make([]*Runtime, n),
-		checksums:  make([]uint64, n),
-		stopped:    make([]bool, n),
-		chains:     chains,
-		restartGen: -1,
-	}
-	s.job = cluster.New(n, cfg.Factory, cfg.Host.Net)
-	armFaults(cfg, s.job)
+	s.chains = chains
 	s.body = func(rank int, proc mpi.Proc, clock *simtime.Clock) error {
-		// s.body outlives the job: take the rank out of byRank so a
-		// finished session does not keep its instance alive.
 		rr := byRank[rank]
-		byRank[rank] = restoredRank{}
+		byRank[rank] = restoredRank{} // the job holds byRank until every rank returns
 		var chain *ckptstore.ChainStats
 		if chains != nil && rank < len(chains) {
 			chain = &chains[rank]
 		}
-		rt, err := newRuntimeFromImage(cfg, proc, clock, s.Co, rr.img, rr.stateLen, chain)
+		rt, err := newRuntimeFromImage(s.cfg, proc, clock, s.Co, rr.img, rr.stateLen, chain)
 		if err != nil {
 			return err
 		}
@@ -339,7 +335,10 @@ func (s *Session) RestartChains() []ckptstore.ChainStats {
 // Wait starts the job's ranks, blocks until the job completes and
 // returns its statistics.
 func (s *Session) Wait() (Stats, error) {
-	s.launchOnce.Do(func() { s.job.Start(s.body) })
+	if s.body != nil {
+		s.job.Start(s.body)
+		s.body = nil
+	}
 	res, err := s.job.WaitResult()
 	st := Stats{
 		VT:        res.VT,
@@ -462,7 +461,6 @@ func RestartJobFromStore(cfg Config, st *ckptstore.Store, factory app.Factory) (
 		}
 		s, err := restartFromGeneration(cfg, st, seq, factory)
 		if err == nil {
-			s.restartGen = seq
 			if seq != head {
 				st.ForceBase()
 			}
@@ -501,7 +499,7 @@ func restartFromGeneration(cfg Config, st *ckptstore.Store, seq int, factory app
 	if err != nil {
 		return nil, fmt.Errorf("mana: restart: %w", err)
 	}
-	return restartJobImages(cfg, ranks, chains)
+	return restartJobImages(cfg, ranks, chains, seq)
 }
 
 // RestartFromStore resumes from the store's head generation and waits

@@ -21,7 +21,7 @@ var chargedSites = map[string]int{
 // test can drive single wrapper calls and read the rank's clock.
 func soloRuntime(t *testing.T, cfg Config) *Runtime {
 	t.Helper()
-	job := cluster.New(1, cfg.Factory, cfg.Host.Net)
+	job := cluster.New(1, 0, cfg.Factory, cfg.Host.Net)
 	rt, err := NewRuntime(cfg, job.Procs[0], job.Clocks[0], nil)
 	if err != nil {
 		t.Fatal(err)

@@ -47,8 +47,6 @@ type storeCorruptState struct {
 // StoreCorruptions reports how many distinct blob keys have been
 // silently corrupted so far.
 func (inj *Injector) StoreCorruptions() int {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
 	return len(inj.corrupted)
 }
 
@@ -83,8 +81,6 @@ func (inj *Injector) keyHash(key string) uint64 {
 // restart-fallback story needs the generation index readable). The
 // returned slice is a damaged copy; data itself is never mutated.
 func (inj *Injector) corruptStrike(key string, data []byte) ([]byte, bool) {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
 	if key == "manifest" || len(data) == 0 || inj.corrupted[key] {
 		return nil, false
 	}

@@ -12,8 +12,6 @@ import (
 
 // corruptedKeys lists the distinct blob keys inj has struck, sorted.
 func corruptedKeys(inj *Injector) []string {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
 	return slices.Sorted(maps.Keys(inj.corrupted))
 }
 

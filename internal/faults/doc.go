@@ -22,7 +22,8 @@
 // internal communicator's context for the control-message filter; the
 // transport applies that filter to drain-counter announcements; the
 // checkpoint store wraps its backend in the flaky decorator. Each
-// effect consumes its event exactly once, under the injector's lock.
+// effect consumes its event exactly once. The injector holds no lock:
+// the kernel runs one rank at a time, so its callers never overlap.
 //
 // # Why faults live in virtual time, not wall clock
 //

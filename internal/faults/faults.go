@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"manasim/internal/ckpt"
@@ -197,8 +196,12 @@ type storeFaultState struct {
 }
 
 // Injector holds a fully precomputed fault timeline plus the small
-// amount of consumption state the run mutates. Safe for concurrent use
-// by all ranks of a job.
+// amount of consumption state the run mutates. It holds no lock: it has
+// one caller at a time — the rank holding the kernel's execution token
+// (the wrapper-call and boundary checks, the control-message filter,
+// the store decorator under a rank's commit) or the goroutine that owns
+// the job between runs — and the kernel's channel handoff orders each
+// caller after the last.
 type Injector struct {
 	n    int
 	plan Plan
@@ -206,7 +209,6 @@ type Injector struct {
 	// timeline is every scheduled event, ordered deterministically.
 	timeline []Event
 
-	mu sync.Mutex
 	// base maps rank-local virtual time to service time: the service
 	// loop sets it to the cumulative virtual time of prior attempts
 	// before each (re)start.
@@ -360,8 +362,6 @@ func (inj *Injector) Plan() Plan { return inj.plan }
 // prior attempts before starting or restarting a job. Must not be
 // called while a job is running.
 func (inj *Injector) SetBase(base time.Duration) {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
 	inj.base = base
 	for r := range inj.callsInStep {
 		inj.stepOf[r], inj.callsInStep[r] = -1, 0
@@ -372,14 +372,11 @@ func (inj *Injector) SetBase(base time.Duration) {
 // it killed when several share a process. Call before the job
 // (re)starts.
 func (inj *Injector) SetJobLabel(job string) {
-	inj.mu.Lock()
 	inj.jobLabel = job
-	inj.mu.Unlock()
 }
 
-// crashErrLocked builds a CrashError labeled with the injector's job.
-// Caller holds inj.mu.
-func (inj *Injector) crashErrLocked(rank int, vt time.Duration) *CrashError {
+// crashErr builds a CrashError labeled with the injector's job.
+func (inj *Injector) crashErr(rank int, vt time.Duration) *CrashError {
 	return &CrashError{Rank: rank, VT: vt, Job: inj.jobLabel}
 }
 
@@ -387,8 +384,6 @@ func (inj *Injector) crashErrLocked(rank int, vt time.Duration) *CrashError {
 // armed control faults switch the drain protocol to its reliable
 // announce/ack exchange with virtual-time retransmission timeouts.
 func (inj *Injector) CtlArmed() bool {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
 	return len(inj.ctlFaults) > 0 || inj.droppedCtl > 0 || inj.delayedCtl > 0
 }
 
@@ -401,36 +396,30 @@ func (inj *Injector) CtlResendTimeout() time.Duration { return ctlResendTimeout 
 // StepStart records that rank entered the given application step,
 // resetting its wrapper-call ordinal for scripted crashes.
 func (inj *Injector) StepStart(rank, step int) {
-	inj.mu.Lock()
 	inj.stepOf[rank] = step
 	inj.callsInStep[rank] = 0
-	inj.mu.Unlock()
 }
 
 // CheckCall is the per-wrapper-call crash check: it advances rank's
 // call ordinal within the current step and returns a *CrashError if a
 // scripted or virtual-time crash fires here.
 func (inj *Injector) CheckCall(rank int, now time.Duration) error {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
 	inj.callsInStep[rank]++
-	if err := inj.scriptedCrashLocked(rank, now); err != nil {
+	if err := inj.scriptedCrash(rank, now); err != nil {
 		return err
 	}
-	return inj.vtCrashLocked(rank, now)
+	return inj.vtCrash(rank, now)
 }
 
 // CheckBoundary is the step-boundary crash check.
 func (inj *Injector) CheckBoundary(rank int, now time.Duration) error {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	if err := inj.scriptedCrashLocked(rank, now); err != nil {
+	if err := inj.scriptedCrash(rank, now); err != nil {
 		return err
 	}
-	return inj.vtCrashLocked(rank, now)
+	return inj.vtCrash(rank, now)
 }
 
-func (inj *Injector) scriptedCrashLocked(rank int, now time.Duration) error {
+func (inj *Injector) scriptedCrash(rank int, now time.Duration) error {
 	for i, ev := range inj.scripted {
 		if ev == nil || ev.Rank != rank || ev.Step != inj.stepOf[rank] {
 			continue
@@ -440,12 +429,12 @@ func (inj *Injector) scriptedCrashLocked(rank int, now time.Duration) error {
 		}
 		inj.scripted[i] = nil
 		inj.firedCrashes++
-		return inj.crashErrLocked(rank, now)
+		return inj.crashErr(rank, now)
 	}
 	return nil
 }
 
-func (inj *Injector) vtCrashLocked(rank int, now time.Duration) error {
+func (inj *Injector) vtCrash(rank int, now time.Duration) error {
 	if inj.crashIdx >= len(inj.crashes) {
 		return nil
 	}
@@ -455,13 +444,11 @@ func (inj *Injector) vtCrashLocked(rank int, now time.Duration) error {
 	}
 	inj.crashIdx++
 	inj.firedCrashes++
-	return inj.crashErrLocked(rank, now)
+	return inj.crashErr(rank, now)
 }
 
 // CrashesFired reports how many crashes have been injected so far.
 func (inj *Injector) CrashesFired() int {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
 	return inj.firedCrashes
 }
 
@@ -472,9 +459,7 @@ func (inj *Injector) CrashesFired() int {
 // translated from service time into the attempt-local time base. Called
 // once per rank at job (re)start.
 func (inj *Injector) ApplyStragglers(rank int, clock *simtime.Clock) {
-	inj.mu.Lock()
 	base := inj.base
-	inj.mu.Unlock()
 	for _, ev := range inj.timeline {
 		if ev.Kind != Straggler || ev.Rank != rank {
 			continue
@@ -497,9 +482,7 @@ func (inj *Injector) ApplyStragglers(rank int, clock *simtime.Clock) {
 // internal control traffic; the fabric filter only ever touches
 // drain-counter messages on registered contexts.
 func (inj *Injector) RegisterCtlContext(ctx uint32) {
-	inj.mu.Lock()
 	inj.ctlCtx[ctx] = true
-	inj.mu.Unlock()
 }
 
 // AttachFabric installs the injector's control-message filter on the
@@ -521,8 +504,6 @@ func (inj *Injector) filterCtl(m *transport.Message) (bool, time.Duration) {
 	if m.Tag != ckpt.TagDrainCounters {
 		return false, 0
 	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
 	if !inj.ctlCtx[m.Context] {
 		return false, 0
 	}
@@ -547,14 +528,10 @@ func (inj *Injector) filterCtl(m *transport.Message) (bool, time.Duration) {
 
 // CtlDropped and CtlDelayed report the injected control-plane effects.
 func (inj *Injector) CtlDropped() int {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
 	return inj.droppedCtl
 }
 
 // CtlDelayed reports how many control messages were delay-injected.
 func (inj *Injector) CtlDelayed() int {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
 	return inj.delayedCtl
 }

@@ -34,10 +34,7 @@ func (e *StoreError) Transient() bool { return e.Temporary }
 // scheduled. Wire it via ckptstore.Options.WrapBackend (mana.Config
 // does this when Faults is set and the job opens its own store).
 func (inj *Injector) WrapBackend() func(ckptstore.Backend) ckptstore.Backend {
-	inj.mu.Lock()
-	armed := len(inj.store) > 0 || len(inj.corrupt) > 0 || inj.corruptRate > 0
-	inj.mu.Unlock()
-	if !armed {
+	if len(inj.store) == 0 && len(inj.corrupt) == 0 && inj.corruptRate <= 0 {
 		return nil
 	}
 	return func(b ckptstore.Backend) ckptstore.Backend {
@@ -50,8 +47,6 @@ func (inj *Injector) WrapBackend() func(ckptstore.Backend) ckptstore.Backend {
 // deterministic no matter how callers sharing a store interleave
 // writes.
 func (inj *Injector) storeOp(op, key string) error {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
 	st := inj.store[key]
 	if st == nil {
 		return nil
@@ -70,8 +65,6 @@ func (inj *Injector) storeOp(op, key string) error {
 
 // StoreFaultsHit reports how many backend operations were failed.
 func (inj *Injector) StoreFaultsHit() int {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
 	return inj.storeHits
 }
 

@@ -26,9 +26,13 @@ var goldenOpts = Options{Fast: 2}
 // field / golden / now. Regenerate with
 //
 //	go test ./internal/harness -run Golden -update
+//
+// The experiments run in parallel: no mutable state is process-global,
+// so one experiment's jobs cannot move another's numbers.
 func TestGoldenExperiments(t *testing.T) {
 	for _, e := range Experiments() {
 		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
 			tables, err := e.Run(goldenOpts)
 			if err != nil {
 				t.Fatal(err)

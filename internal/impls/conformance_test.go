@@ -894,24 +894,30 @@ func TestHandleRepresentationsDiffer(t *testing.T) {
 	}
 }
 
+// sessionConst resolves one predefined constant on a one-rank job whose
+// lower half runs as the given session: 0 is a fresh launch, and a
+// restart runs as a later one.
+func sessionConst(t *testing.T, factory Factory, session uint64, name mpi.ConstName) mpi.Handle {
+	t.Helper()
+	var h mpi.Handle
+	j := cluster.New(1, session, factory, testNet)
+	j.Start(func(rank int, p mpi.Proc, clock *simtime.Clock) error {
+		var e error
+		h, e = p.LookupConst(name)
+		return e
+	})
+	if _, err := j.WaitResult(); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func TestOpenMPIConstantsVaryAcrossSessions(t *testing.T) {
 	factory, err := Get("openmpi")
 	if err != nil {
 		t.Fatal(err)
 	}
-	grab := func() mpi.Handle {
-		var h mpi.Handle
-		_, err := cluster.Run(1, factory, testNet, func(rank int, p mpi.Proc, clock *simtime.Clock) error {
-			var e error
-			h, e = p.LookupConst(mpi.ConstCommWorld)
-			return e
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-	a, b := grab(), grab()
+	a, b := sessionConst(t, factory, 0, mpi.ConstCommWorld), sessionConst(t, factory, 1, mpi.ConstCommWorld)
 	if a == b {
 		t.Fatalf("MPI_COMM_WORLD identical across Open MPI sessions (%#x); the restart hazard of Section 4.3 is not modeled", uint64(a))
 	}
@@ -923,19 +929,7 @@ func TestMPICHConstantsStableAcrossSessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		grab := func() mpi.Handle {
-			var h mpi.Handle
-			_, err := cluster.Run(1, factory, testNet, func(rank int, p mpi.Proc, clock *simtime.Clock) error {
-				var e error
-				h, e = p.LookupConst(mpi.ConstFloat64)
-				return e
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return h
-		}
-		if a, b := grab(), grab(); a != b {
+		if a, b := sessionConst(t, factory, 0, mpi.ConstFloat64), sessionConst(t, factory, 1, mpi.ConstFloat64); a != b {
 			t.Fatalf("%s: MPI_DOUBLE differs across sessions: %#x vs %#x", name, uint64(a), uint64(b))
 		}
 	}

@@ -23,8 +23,8 @@
 // and then waits until that rank parks or finishes before popping the
 // next event, so at most one rank executes between any two scheduler
 // decisions. Code running on a rank activity may therefore mutate its
-// own rank-local state — and the transport mailboxes, which only the
-// token holder touches — without synchronization.
+// own rank-local state, and what only the token holder touches (the
+// fabric, checkpoint coordinator, store, fault injector), lock-free.
 //
 // # Determinism rules
 //

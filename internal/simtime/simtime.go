@@ -113,32 +113,6 @@ func (m NetModel) TransferCost(n int) time.Duration {
 	return m.Latency + m.Overhead + time.Duration(n)*m.PerKB/1024
 }
 
-// CrossMode selects how the split-process boundary switches the fs
-// register on a wrapper call (paper Sections 6.3-6.4).
-type CrossMode int
-
-const (
-	// CrossFSGSBASE models a kernel with userspace FSGSBASE support: the
-	// fs register is switched with a single unprivileged instruction.
-	CrossFSGSBASE CrossMode = iota
-	// CrossPrctl models an older kernel (e.g. Linux 3.10 on the paper's
-	// Discovery cluster) where each switch requires a
-	// prctl(ARCH_SET_FS, ...) system call.
-	CrossPrctl
-)
-
-// String names the crossing mode.
-func (m CrossMode) String() string {
-	switch m {
-	case CrossFSGSBASE:
-		return "fsgsbase"
-	case CrossPrctl:
-		return "prctl"
-	default:
-		return fmt.Sprintf("CrossMode(%d)", int(m))
-	}
-}
-
 // HostProfile bundles the site-specific cost constants used by an
 // experiment: the network model and the split-process crossing cost.
 // Two canonical profiles reproduce the paper's two sites.
@@ -148,10 +122,10 @@ type HostProfile struct {
 	// Net is the interconnect model (TCP for Discovery, Slingshot for
 	// Perlmutter).
 	Net NetModel
-	// Cross is the fs-register switching mode available on the host.
-	Cross CrossMode
 	// CrossCost is the virtual time charged per boundary crossing
-	// (two crossings per wrapped MPI call: enter and leave).
+	// (two crossings per wrapped MPI call: enter and leave): a prctl
+	// system call on a host without userspace FSGSBASE, a single
+	// unprivileged instruction on one with it (paper Sections 6.3-6.4).
 	CrossCost time.Duration
 	// CoresPerNode is informational (Table 1/2 rank placement).
 	CoresPerNode int
@@ -173,7 +147,6 @@ func Discovery() HostProfile {
 			Overhead: 2 * time.Microsecond,
 			PerKB:    1 * time.Microsecond, // ~1 GB/s effective
 		},
-		Cross:        CrossPrctl,
 		CrossCost:    650 * time.Nanosecond,
 		CoresPerNode: 56,
 	}
@@ -191,7 +164,6 @@ func Perlmutter() HostProfile {
 			Overhead: 400 * time.Nanosecond,
 			PerKB:    45 * time.Nanosecond, // ~22 GB/s effective
 		},
-		Cross:        CrossFSGSBASE,
 		CrossCost:    40 * time.Nanosecond,
 		CoresPerNode: 64,
 	}

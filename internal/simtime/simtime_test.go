@@ -82,14 +82,9 @@ func TestTransferCostMonotoneInSize(t *testing.T) {
 func TestHostProfiles(t *testing.T) {
 	d := Discovery()
 	p := Perlmutter()
-	if d.Cross != CrossPrctl {
-		t.Errorf("Discovery must lack userspace FSGSBASE (paper §6: Linux 3.10)")
-	}
-	if p.Cross != CrossFSGSBASE {
-		t.Errorf("Perlmutter must have userspace FSGSBASE (paper §6.4)")
-	}
-	// The entire point of Figure 4: crossing on Perlmutter is at least
-	// several times cheaper.
+	// The entire point of Figure 4: crossing with userspace FSGSBASE on
+	// Perlmutter is at least several times cheaper than Discovery's
+	// prctl system call (paper §6: Linux 3.10).
 	if p.CrossCost*5 > d.CrossCost {
 		t.Errorf("FSGSBASE crossing (%v) not clearly cheaper than prctl (%v)", p.CrossCost, d.CrossCost)
 	}
@@ -99,14 +94,5 @@ func TestHostProfiles(t *testing.T) {
 	}
 	if d.CoresPerNode != 56 || p.CoresPerNode != 64 {
 		t.Errorf("cores per node: %d, %d (want 56, 64 per Tables 1-2)", d.CoresPerNode, p.CoresPerNode)
-	}
-}
-
-func TestCrossModeString(t *testing.T) {
-	if CrossFSGSBASE.String() != "fsgsbase" || CrossPrctl.String() != "prctl" {
-		t.Fatal("CrossMode names changed")
-	}
-	if CrossMode(99).String() == "" {
-		t.Fatal("unknown mode must still render")
 	}
 }

@@ -64,23 +64,22 @@
 // scheduler never blocks: a receive that finds no match returns
 // ErrNoScheduler instead of waiting for a delivery nothing could make.
 //
-// Mailboxes and the payload pool carry no lock. The kernel runs one
-// rank at a time, and a mailbox is touched only by the rank holding the
-// execution token — its owner receiving or probing, or a peer
-// depositing — as is the pool, by whichever rank packs or frees a
-// payload. The one exception is the stall teardown, Fabric.Close on the
-// scheduler goroutine while every rank is parked, and the kernel's
-// channel handoff orders it before the next rank resumes. A fabric
-// without a scheduler must be driven by a single goroutine. Pooled
-// entries and buffers die with their fabric, so nothing from an old
-// fabric survives a restart.
+// Nothing in a fabric carries a lock or an atomic. The kernel runs one
+// rank at a time, and a fabric is touched only by the rank holding the
+// execution token — a mailbox's owner receiving or probing, a peer
+// depositing, whichever rank packs or frees a payload — or, while no
+// rank runs, by the goroutine that owns the job and by the stall
+// teardown (Fabric.Close on the scheduler goroutine); the kernel's
+// channel handoff orders each after the last. A fabric without a
+// scheduler must be driven by a single goroutine. Pooled entries and
+// buffers die with their fabric, and fabrics share no state, so nothing
+// from an old fabric survives a restart or moves a later job.
 package transport
 
 import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 	"time"
 )
 
@@ -162,11 +161,11 @@ type FaultFilter func(m *Message) (drop bool, delay time.Duration)
 // ranks of the job share the fabric; a restart builds a brand-new one.
 type Fabric struct {
 	n       int
-	session uint64 // distinguishes fabric instances (lower-half sessions)
-	seq     atomic.Uint64
-	nextCtx atomic.Uint32
+	session uint64 // lower-half session (SetSession)
+	seq     uint64
+	nextCtx uint32
 	boxes   []*mailbox
-	closed  atomic.Bool
+	closed  bool
 	filter  FaultFilter
 
 	// bufs holds freed payload buffers by size class: bufs[k] are
@@ -189,8 +188,6 @@ const (
 	maxFreeEntries = 256
 )
 
-var sessionCounter atomic.Uint64
-
 // NewFabric creates an interconnect for n ranks. Context ids below
 // firstCtx are reserved for predefined communicators.
 func NewFabric(n int) *Fabric {
@@ -199,10 +196,9 @@ func NewFabric(n int) *Fabric {
 	}
 	f := &Fabric{
 		n:       n,
-		session: sessionCounter.Add(1),
+		nextCtx: 16, // contexts 0..15 reserved for predefined comms
 		boxes:   make([]*mailbox, n),
 	}
-	f.nextCtx.Store(16) // contexts 0..15 reserved for predefined comms
 	for i := range f.boxes {
 		f.boxes[i] = newMailbox(i)
 	}
@@ -229,10 +225,15 @@ func (f *Fabric) SetFaultFilter(fn FaultFilter) { f.filter = fn }
 // Size returns the number of ranks served by the fabric.
 func (f *Fabric) Size() int { return f.n }
 
-// Session returns a number unique to this fabric instance. MPI
-// implementations that hand out pointer-valued handles mix it into their
-// simulated addresses so that addresses differ across restarts, exactly
-// as a re-executed lower half would.
+// SetSession sets the lower-half session Session reports (0 from
+// NewFabric: a fresh launch; a restart derives one from its source).
+// Like SetScheduler it must precede any endpoint operation.
+func (f *Fabric) SetSession(s uint64) { f.session = s }
+
+// Session returns the fabric's lower-half session. MPI implementations
+// that hand out pointer-valued handles mix it into their simulated
+// addresses so that addresses differ across restarts, exactly as a
+// re-executed lower half would.
 func (f *Fabric) Session() uint64 { return f.session }
 
 // AllocContextRange reserves n consecutive context ids, unique within
@@ -246,8 +247,8 @@ func (f *Fabric) AllocContextRange(n int) uint32 {
 	if n < 1 {
 		n = 1
 	}
-	end := f.nextCtx.Add(uint32(n))
-	return end - uint32(n) + 1
+	f.nextCtx += uint32(n)
+	return f.nextCtx - uint32(n) + 1
 }
 
 // Buf returns a payload buffer of length n, recycled from the fabric's
@@ -299,11 +300,11 @@ func (f *Fabric) Endpoint(r int) *Endpoint {
 // Close shuts the fabric down, waking all blocked receivers with
 // ErrClosed. Close is idempotent.
 func (f *Fabric) Close() {
-	if f.closed.Swap(true) {
-		return
-	}
-	for _, b := range f.boxes {
-		b.close()
+	if !f.closed {
+		f.closed = true
+		for _, b := range f.boxes {
+			b.close()
+		}
 	}
 }
 
@@ -328,7 +329,7 @@ func (e *Endpoint) Send(dst int, ctx uint32, tag int, buf []byte, sendVT time.Du
 // into a Buf — so that one copy, not two, separates the sender's buffer
 // from the mailbox.
 func (e *Endpoint) SendOwned(dst int, ctx uint32, tag int, payload []byte, sendVT time.Duration) error {
-	if e.fabric.closed.Load() {
+	if e.fabric.closed {
 		return ErrClosed
 	}
 	if dst < 0 || dst >= e.fabric.n {
@@ -336,6 +337,7 @@ func (e *Endpoint) SendOwned(dst int, ctx uint32, tag int, payload []byte, sendV
 	}
 	box := e.fabric.boxes[dst]
 	ent := box.entry()
+	e.fabric.seq++
 	ent.m = Message{
 		Src:     e.rank,
 		Dst:     dst,
@@ -343,7 +345,7 @@ func (e *Endpoint) SendOwned(dst int, ctx uint32, tag int, payload []byte, sendV
 		Tag:     tag,
 		Payload: payload,
 		SendVT:  sendVT,
-		Seq:     e.fabric.seq.Add(1),
+		Seq:     e.fabric.seq,
 	}
 	if fn := e.fabric.filter; fn != nil {
 		drop, delay := fn(&ent.m)
@@ -365,7 +367,7 @@ func (e *Endpoint) SendOwned(dst int, ctx uint32, tag int, payload []byte, sendV
 // It requires an attached scheduler that supports timed parking (the
 // kernel's ParkUntil) and returns ErrNoScheduler without one.
 func (e *Endpoint) SleepUntil(at time.Duration) error {
-	if e.fabric.closed.Load() {
+	if e.fabric.closed {
 		return ErrClosed
 	}
 	b := e.fabric.boxes[e.rank]
@@ -377,7 +379,7 @@ func (e *Endpoint) SleepUntil(at time.Duration) error {
 		return ErrNoScheduler
 	}
 	tp.ParkUntil(e.rank, at)
-	if e.fabric.closed.Load() {
+	if e.fabric.closed {
 		return ErrClosed
 	}
 	return nil
@@ -542,9 +544,6 @@ func (c *ctxq) empty(b *mailbox) {
 // takes the first live match — the same message the single-queue linear
 // scan used to return, found without visiting other contexts or, for
 // exact matches, any scan at all.
-//
-// A mailbox has no lock: only the rank holding the kernel's execution
-// token touches it (see the package comment, "Blocking and ownership").
 type mailbox struct {
 	rank int
 

@@ -413,15 +413,6 @@ func TestRecvWithoutSchedulerFails(t *testing.T) {
 	}
 }
 
-func TestSessionsDistinct(t *testing.T) {
-	a, b := NewFabric(1), NewFabric(1)
-	defer a.Close()
-	defer b.Close()
-	if a.Session() == b.Session() {
-		t.Fatal("fabric sessions must be unique")
-	}
-}
-
 func TestContextAllocation(t *testing.T) {
 	f := NewFabric(1)
 	defer f.Close()

@@ -71,7 +71,7 @@ func BenchmarkKernelScale(b *testing.B) {
 		b.Run(fmt.Sprintf("ranks=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				j := cluster.New(n, benchFactory, net)
+				j := cluster.New(n, 0, benchFactory, net)
 				j.Start(tokenRing(j, n, hops))
 				res, err := j.WaitResult()
 				if err != nil {

@@ -35,6 +35,9 @@ type sizeCounts struct {
 	// type, interface methods included — that no non-test file
 	// references.
 	UnusedExports int `json:"unused_exports"`
+	// SyncSites counts the non-test uses under internal/ of sync's
+	// Mutex, RWMutex, Cond, Once and WaitGroup and of sync/atomic.
+	SyncSites int `json:"sync_sites"`
 }
 
 // TestSizeRatchet fails when any count rises above SIZE.json, naming
@@ -68,6 +71,7 @@ func TestSizeRatchet(t *testing.T) {
 	check("manasim CLI flags", got.CLIFlags, limit.CLIFlags)
 	check("registered experiments", got.Experiments, limit.Experiments)
 	check("unused exports", got.UnusedExports, limit.UnusedExports)
+	check("sync sites", got.SyncSites, limit.SyncSites)
 }
 
 func measureSize(t *testing.T) sizeCounts {
@@ -111,7 +115,136 @@ func measureSize(t *testing.T) sizeCounts {
 		t.Logf("unused export %s: %s", name, why)
 	}
 	c.UnusedExports = len(names)
+	sites := syncSites(t)
+	for _, site := range sites {
+		why := keptSyncSites[site]
+		if why == "" {
+			why = "no reason recorded"
+		}
+		t.Logf("sync site %s: %s", site, why)
+	}
+	c.SyncSites = len(sites)
 	return c
+}
+
+// keptSyncSites names the synchronization the tree keeps on purpose and
+// why; `make size` prints each beside its reason. The kernel runs one
+// rank at a time, and its channel handoff orders everything a job
+// touches, so a lock or an atomic elsewhere needs a caller the kernel
+// does not order.
+var keptSyncSites = map[string]string{
+	"kernel.Kernel.mu": "the event queue is shared by the scheduler goroutine and the running rank; ROADMAP item 24's single-threaded loop removes it",
+	"mpi.opRegistry":   "mpi.RegisterOp is public API that application code may call from any goroutine",
+}
+
+// syncPrimitives are the sync types that synchronize goroutines.
+// sync.Pool is not among them: it recycles memory, and a pool shared
+// by goroutines the kernel orders needs no other lock.
+var syncPrimitives = map[string]bool{"Mutex": true, "RWMutex": true, "Cond": true, "Once": true, "WaitGroup": true}
+
+// syncSites returns, sorted, the non-test uses under internal/ of a
+// syncPrimitives type or of any sync/atomic identifier, each named by
+// the declaration holding it: pkg.Type.field for a struct field (the
+// type's name for an embedded one), pkg.Recv.Method or pkg.Func for a
+// function, pkg.name for anything else.
+func syncSites(t *testing.T) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		// local names the file imports sync and sync/atomic under
+		local := map[string]string{}
+		for _, imp := range f.Imports {
+			p := strings.Trim(imp.Path.Value, `"`)
+			if p != "sync" && p != "sync/atomic" {
+				continue
+			}
+			name := filepath.Base(p)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			local[name] = p
+		}
+		if len(local) == 0 {
+			return nil
+		}
+		// collect appends one site named name per use inside node.
+		collect := func(name string, node ast.Node) {
+			ast.Inspect(node, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok {
+					switch local[x.Name] {
+					case "sync/atomic":
+						out = append(out, name)
+					case "sync":
+						if syncPrimitives[sel.Sel.Name] {
+							out = append(out, name)
+						}
+					}
+				}
+				return true
+			})
+		}
+		pkg := f.Name.Name
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				name := pkg + "." + decl.Name.Name
+				if decl.Recv != nil {
+					recv := decl.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						name = pkg + "." + id.Name + "." + decl.Name.Name
+					}
+				}
+				collect(name, decl)
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						st, ok := spec.Type.(*ast.StructType)
+						if !ok {
+							collect(pkg+"."+spec.Name.Name, spec)
+							continue
+						}
+						for _, field := range st.Fields.List {
+							names := field.Names
+							if len(names) == 0 { // embedded
+								ast.Inspect(field.Type, func(n ast.Node) bool {
+									if sel, ok := n.(*ast.SelectorExpr); ok {
+										names = []*ast.Ident{sel.Sel}
+									}
+									return true
+								})
+							}
+							for _, fn := range names {
+								collect(pkg+"."+spec.Name.Name+"."+fn.Name, field.Type)
+							}
+						}
+					case *ast.ValueSpec:
+						collect(pkg+"."+spec.Names[0].Name, spec)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // flagDefiners are the flag.FlagSet methods that define one flag.
