@@ -39,9 +39,11 @@ ci: build vet test
 # feed the model (an AST walk over internal/*), default-config Stats are
 # byte-identical run to run and across GOMAXPROCS, the translation-cost
 # table charges exactly what it says, the wrapper hot path allocates
-# nothing, and every registered experiment's tables equal its golden in
-# internal/harness/testdata/golden. Run once plain and once on four Ps.
-PURITY := 'TestNoHostClockInModel|TestVirtualTimePureFunction|TestXlatTable|TestWrapperCallCost|TestGoldenExperiments'
+# nothing, a batch of discarded polls charges exactly what as many real
+# Iprobes charge (the batch-versus-loop oracle), and every registered
+# experiment's tables equal its golden in internal/harness/testdata/golden.
+# Run once plain and once on four Ps.
+PURITY := 'TestNoHostClockInModel|TestVirtualTimePureFunction|TestXlatTable|TestWrapperCallCost|TestIprobesBatchCharge|TestPollBatch|TestGoldenExperiments'
 
 .PHONY: determinism
 determinism:

@@ -124,8 +124,13 @@ func BenchmarkCrossingCost(b *testing.B) {
 // MPI_Iprobe on an empty mailbox (two crossings, one vid lookup, the
 // translation-table charge) per vid design and host profile. ns/op and
 // allocs/op are what the simulator pays per wrapped call; vt-ns/op is
-// what the model charges for it, exact and identical run to run.
+// what the model charges for it, exact and identical run to run. The
+// batch sub-benchmarks run the applications' progress polling instead,
+// Runtime.Iprobes over batchPolls discarded polls (one real Iprobe, the
+// rest charged piece by piece): ns/poll is what the simulator pays per
+// poll there, and vt-ns/poll equals the single call's vt-ns/op.
 func BenchmarkWrappedIprobe(b *testing.B) {
+	const batchPolls = 1000
 	factory, err := impls.Get("mpich")
 	if err != nil {
 		b.Fatal(err)
@@ -152,6 +157,29 @@ func BenchmarkWrappedIprobe(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(job.Clocks[0].Now()-start)/float64(b.N), "vt-ns/op")
+			})
+			b.Run(fmt.Sprintf("%s/%s/batch", host.Name, design), func(b *testing.B) {
+				job := cluster.New(1, 0, factory, host.Net)
+				cfg := mana.Config{ImplName: "mpich", Factory: factory, Host: host, Design: design}
+				rt, err := mana.NewRuntime(cfg, job.Procs[0], job.Clocks[0], nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				world, err := rt.LookupConst(mpi.ConstCommWorld)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				start := job.Clocks[0].Now()
+				for i := 0; i < b.N; i++ {
+					if err := rt.Iprobes(batchPolls, mpi.AnySource, mpi.AnyTag, world); err != nil {
+						b.Fatal(err)
+					}
+				}
+				polls := float64(b.N) * batchPolls
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/polls, "ns/poll")
+				b.ReportMetric(float64(job.Clocks[0].Now()-start)/polls, "vt-ns/poll")
 			})
 		}
 	}

@@ -148,8 +148,16 @@ func (d Decomp3D) String() string {
 // per-call traffic into the lower half (Section 6.3: the context-switch
 // rate; Section 6.1: "MANA internally calls MPI_Test while wrapping
 // non-blocking communication"). Each poll is one MPI_Iprobe — free on
-// the network, but two fs-register crossings under MANA.
+// the network, but two fs-register crossings under MANA. A proc with
+// Iprobes makes one real probe and charges the rest exactly as the loop
+// would: the rank holds the token, probes consume nothing, and MANA's
+// drain buffer stays fixed, so every poll finds what the first found.
 func progressPoll(p mpi.Proc, comm mpi.Handle, n int) error {
+	if b, ok := p.(interface {
+		Iprobes(n, src, tag int, comm mpi.Handle) error
+	}); ok {
+		return b.Iprobes(n, mpi.AnySource, mpi.AnyTag, comm)
+	}
 	for i := 0; i < n; i++ {
 		if _, _, err := p.Iprobe(mpi.AnySource, mpi.AnyTag, comm); err != nil {
 			return err

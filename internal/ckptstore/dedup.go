@@ -334,8 +334,7 @@ func (s *Store) pruneRecipe(k string) error {
 // key-contradicting blob, a reassembly length mismatch — is a typed
 // *ChainLinkError naming the generation and rank, exactly like the
 // plain chain walk's failures, so restart-fallback policies can match
-// one error shape. Only ErrPruned stays bare: a pruned generation is
-// expected store lifecycle, not damage.
+// one error shape.
 func (s *Store) assembleRecipe(seq, rank int, recipe []byte) ([]byte, dedupRead, error) {
 	total, keys, err := decodeRecipe(recipe)
 	if err != nil {
@@ -346,9 +345,6 @@ func (s *Store) assembleRecipe(seq, rank int, recipe []byte) ([]byte, dedupRead,
 	for _, bk := range keys {
 		seg, err := s.bGet(bk)
 		if err != nil {
-			if seq < s.PrunedBefore() {
-				return nil, dedupRead{}, fmt.Errorf("ckptstore: generation %d: %w (pruned during the read)", seq, ErrPruned)
-			}
 			return nil, dedupRead{}, &ChainLinkError{Gen: seq, Rank: rank, Err: err}
 		}
 		crc, length, err := parseBlobKey(bk)

@@ -143,7 +143,7 @@ func TestPruneSharedBlobSurvives(t *testing.T) {
 	if err := prune(s, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.PrunedBefore(); got != 2 {
+	if got := s.prunedTo; got != 2 {
 		t.Fatalf("cutoff %d, want 2", got)
 	}
 	// The shared blobs must survive the prune of generations 0 and 1...
@@ -200,14 +200,14 @@ func TestDedupPruneRetryAfterFailure(t *testing.T) {
 	if err := prune(s, 1); err == nil || !strings.Contains(err.Error(), "injected delete failure") {
 		t.Fatalf("prune over failing blob deletes: %v", err)
 	}
-	if got := s.PrunedBefore(); got != 0 {
+	if got := s.prunedTo; got != 0 {
 		t.Fatalf("cutoff advanced past failed blob deletes to %d", got)
 	}
 	fb.failDelete = nil
 	if err := prune(s, 1); err != nil {
 		t.Fatalf("retried prune: %v", err)
 	}
-	if got := s.PrunedBefore(); got != 2 {
+	if got := s.prunedTo; got != 2 {
 		t.Fatalf("retried cutoff %d, want 2", got)
 	}
 	if _, _, err := s.MaterializeStream(2); err != nil {

@@ -116,8 +116,8 @@ func recordLifecycle(t *testing.T, o Options) []string {
 	s.ForceBase()
 	commit(6, false)
 	commit(8, true)
-	if err := prune(s, 1); err != nil || s.PrunedBefore() != 3 {
-		t.Fatalf("prune: %v, pruned before %d", err, s.PrunedBefore())
+	if err := prune(s, 1); err != nil || s.prunedTo != 3 {
+		t.Fatalf("prune: %v, pruned before %d", err, s.prunedTo)
 	}
 
 	// Damage the first two blobs only rank 0's base recipe lists whose

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"manasim/internal/ckptimg"
 )
 
 // TestRetentionBoundsBlobs drives 50 generations through a store with
@@ -32,7 +34,7 @@ func TestRetentionBoundsBlobs(t *testing.T) {
 	if len(keys) > maxBlobs {
 		t.Fatalf("backend holds %d blobs after %d generations (bound %d): retention leaked", len(keys), gens, maxBlobs)
 	}
-	if s.PrunedBefore() == 0 {
+	if s.prunedTo == 0 {
 		t.Fatal("retention never advanced the prune cutoff")
 	}
 
@@ -64,14 +66,14 @@ func TestExplicitPrune(t *testing.T) {
 	if err := prune(s, 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.PrunedBefore(); got != 3 {
+	if got := s.prunedTo; got != 3 {
 		t.Fatalf("prune cutoff %d, want 3 (keep the last 2 of 5 bases)", got)
 	}
 	// Pruning to a wider retention later is a no-op, not a resurrection.
 	if err := prune(s, 4); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.PrunedBefore(); got != 3 {
+	if got := s.prunedTo; got != 3 {
 		t.Fatalf("widening retention moved the cutoff to %d", got)
 	}
 	// The cutoff survives a resume.
@@ -79,17 +81,22 @@ func TestExplicitPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.PrunedBefore(); got != 3 {
+	if got := s2.prunedTo; got != 3 {
 		t.Fatalf("resumed cutoff %d, want 3", got)
 	}
 	if _, _, err := s2.MaterializeStream(1); !errors.Is(err, ErrPruned) {
 		t.Fatalf("resumed store materialized a pruned generation: %v", err)
 	}
-	// A reader that lost the race against a concurrent prune (its entry
-	// check passed, the blob vanished before its Get) still reports the
-	// typed error, not a bare missing blob.
-	if _, _, err := s2.getBlob(1, 0); !errors.Is(err, ErrPruned) {
-		t.Fatalf("racing read of a pruned blob: %v, want ErrPruned", err)
+	// Every read path refuses a pruned generation up front, before any
+	// blob is read: no resolution ever meets a pruned blob.
+	if err := s2.checkReadable(1); !errors.Is(err, ErrPruned) {
+		t.Fatalf("entry check on a pruned generation: %v, want ErrPruned", err)
+	}
+	if _, err := s2.RestoreStream(1, func(*ckptimg.Image) error {
+		t.Fatal("RestoreStream resolved a rank of a pruned generation")
+		return nil
+	}); !errors.Is(err, ErrPruned) {
+		t.Fatalf("restoring a pruned generation: %v, want ErrPruned", err)
 	}
 }
 
@@ -184,7 +191,7 @@ func TestPruneDeleteFailureSurfaces(t *testing.T) {
 	if err := prune(s, 1); err == nil || !strings.Contains(err.Error(), "injected delete failure") {
 		t.Fatalf("prune over a failing delete: %v", err)
 	}
-	if got := s.PrunedBefore(); got != 0 {
+	if got := s.prunedTo; got != 0 {
 		t.Fatalf("cutoff advanced past a failed delete to %d", got)
 	}
 	// Once the failure clears, the retry prunes the same range.
@@ -192,7 +199,7 @@ func TestPruneDeleteFailureSurfaces(t *testing.T) {
 	if err := prune(s, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.PrunedBefore(); got != 2 {
+	if got := s.prunedTo; got != 2 {
 		t.Fatalf("retried cutoff %d, want 2", got)
 	}
 }
@@ -224,7 +231,7 @@ func TestRetentionFailureDoesNotFailCommit(t *testing.T) {
 	if err := s.LastRetentionErr(); err != nil {
 		t.Fatalf("healed retention still failing: %v", err)
 	}
-	if s.PrunedBefore() == 0 {
+	if s.prunedTo == 0 {
 		t.Fatal("healed retention never advanced the cutoff")
 	}
 }

@@ -808,12 +808,6 @@ func (s *Store) pruneRetention(keepBases int) error {
 	return s.drainBarrier()
 }
 
-// PrunedBefore reports the first generation whose blobs survive
-// retention; generations below it are metadata only.
-func (s *Store) PrunedBefore() int {
-	return s.prunedTo
-}
-
 // persistManifest rewrites the manifest blob.
 func (s *Store) persistManifest() error {
 	var quarantined []int
@@ -859,18 +853,15 @@ func (s *Store) Head() (Generation, bool) {
 }
 
 // getBlob reads one rank image. Committed images are never rewritten,
-// but retention may have deleted them: a read of a generation below
-// the retention cutoff reports the typed ErrPruned instead of a bare
-// missing blob, so callers matching errors.Is keep working. On a dedup
-// store the rank key holds a recipe, which is reassembled — and
-// verified blob-by-blob — into the exact original encoded image; the
-// dedupRead reports how much of it came through shared blobs.
+// and a pruned generation never gets here: checkReadable refuses it up
+// front, and the retention cutoff lands on a base, so no live chain
+// links below it. On a dedup store the rank key holds a recipe, which
+// is reassembled — and verified blob-by-blob — into the exact original
+// encoded image; the dedupRead reports how much of it came through
+// shared blobs.
 func (s *Store) getBlob(seq, rank int) ([]byte, dedupRead, error) {
 	data, err := s.bGet(key(seq, rank))
 	if err != nil {
-		if seq < s.PrunedBefore() {
-			return nil, dedupRead{}, fmt.Errorf("ckptstore: generation %d: %w (pruned during the read)", seq, ErrPruned)
-		}
 		return nil, dedupRead{}, err
 	}
 	if !s.opts.Dedup {

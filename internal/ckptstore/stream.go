@@ -141,8 +141,8 @@ type prefixCheck struct {
 
 // resolveRank resolves one rank's chain at seq into bufs: the image's
 // AppState aliases bufs.state, the rest of the image is its own. It
-// reads only blobs of committed generations, which retention may delete
-// (surfaced as ErrPruned) but nothing rewrites.
+// reads only blobs of committed generations that checkReadable let
+// through, which nothing rewrites.
 func (s *Store) resolveRank(seq, rank int, bufs *resolveBufs) (*ckptimg.Image, ChainStats, error) {
 	data, dr, err := s.getBlob(seq, rank)
 	if err != nil {

@@ -39,7 +39,10 @@ import (
 // wrappers of wrappers_obj.go, and the early returns on a drain-buffer
 // or reqResults hit advance the clock only by their crossings
 // (ROADMAP item 6 lists them; charging them would move the benchmark's
-// exact metrics).
+// exact metrics). A batch of discarded polls (Runtime.Iprobes) makes
+// one real Iprobe and charges the rest exactly as that many calls
+// would: the rank holds the execution token, a probe consumes nothing
+// and the drain buffer stays fixed, so each poll finds the first's.
 const (
 	wrapperBase     = 84 * time.Nanosecond
 	perLookupVirtID = 8 * time.Nanosecond
@@ -401,6 +404,28 @@ func (r *Runtime) Iprobe(src, tag int, comm mpi.Handle) (bool, mpi.Status, error
 		return e
 	})
 	return ok, st, err
+}
+
+// Iprobes makes n discarded Iprobes (see the translation-cost table): n
+// free drain-buffer hits, or one real call and n-1 times its charges,
+// one Clock.Advance each in its order, so stragglers and crashes land
+// where n calls put them. A lower half hiding ChargeResolve gets n calls.
+func (r *Runtime) Iprobes(n, src, tag int, comm mpi.Handle) error {
+	if n <= 0 {
+		return nil
+	}
+	_, hit, err := r.probeDrainBuffer(src, tag, comm)
+	lower, batch := r.lower.(interface{ ChargeResolve() })
+	resolve := func() error { lower.ChargeResolve(); return nil }
+	for i := 0; i < n && err == nil && !hit; i++ {
+		if i == 0 || !batch {
+			_, _, err = r.Iprobe(src, tag, comm)
+		} else {
+			r.xlatDone(lookupsIprobe)
+			err = r.lowerCall(resolve)
+		}
+	}
+	return err
 }
 
 // Probe implements mpi.Proc.

@@ -6,6 +6,7 @@ import (
 
 	"manasim/internal/cluster"
 	"manasim/internal/mpi"
+	"manasim/internal/simtime"
 )
 
 // chargedSites is every wrapper site that charges translation cost, by
@@ -87,9 +88,10 @@ func TestXlatTable(t *testing.T) {
 }
 
 // TestWrapperCallCost guards the wrapper hot path with counts: a
-// wrapped Iprobe on an empty mailbox allocates nothing, and neither does
-// a warmed-up wrapped Isend+Wait on the virtid design (the request's vid
-// slot reuses its entry) with the Recv that consumes the message.
+// wrapped Iprobe on an empty mailbox allocates nothing, nor does a
+// batch of them, and neither does a warmed-up wrapped Isend+Wait on
+// the virtid design (the request's vid slot reuses its entry) with the
+// Recv that consumes the message.
 func TestWrapperCallCost(t *testing.T) {
 	rt := soloRuntime(t, implFactory(t, "mpich"))
 	world, err := rt.LookupConst(mpi.ConstCommWorld)
@@ -103,6 +105,14 @@ func TestWrapperCallCost(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("wrapped Iprobe allocates %.1f objects per call, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := rt.Iprobes(100, mpi.AnySource, mpi.AnyTag, world); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a batch of wrapped Iprobes allocates %.1f objects, want 0", allocs)
 	}
 
 	if d := rt.store.DesignName(); d != string(DesignVirtID) {
@@ -129,5 +139,67 @@ func TestWrapperCallCost(t *testing.T) {
 	isendWaitRecv()
 	if allocs := testing.AllocsPerRun(1000, isendWaitRecv); allocs != 0 {
 		t.Errorf("wrapped Isend+Wait+Recv allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// TestIprobesBatchCharge: a batch of n discarded Iprobes charges exactly
+// n times what one Iprobe charges — virtual time, wrapper calls and
+// crossings — on each host profile and vid design, under MANA and
+// natively, on MPICH and on ExaMPI (whose lower half charges a resolve
+// per probe).
+func TestIprobesBatchCharge(t *testing.T) {
+	const n = 1000
+	for _, host := range []simtime.HostProfile{simtime.Discovery(), simtime.Perlmutter()} {
+		for _, implName := range []string{"mpich", "exampi"} {
+			for _, design := range []Design{DesignVirtID, DesignLegacy} {
+				if design == DesignLegacy && implName != "mpich" {
+					continue // the legacy maps assume MPICH-family handles
+				}
+				cfg := implFactory(t, implName)
+				cfg.Host, cfg.Design = host, design
+				rt := soloRuntime(t, cfg)
+				world, err := rt.LookupConst(mpi.ConstCommWorld)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t0 := rt.clock.Now()
+				if _, _, err := rt.Iprobe(mpi.AnySource, mpi.AnyTag, world); err != nil {
+					t.Fatal(err)
+				}
+				one := rt.clock.Now() - t0
+				t1, c1, x1 := rt.clock.Now(), rt.WrapperCalls(), rt.Boundary().Crossings()
+				if err := rt.Iprobes(n, mpi.AnySource, mpi.AnyTag, world); err != nil {
+					t.Fatal(err)
+				}
+				if got := rt.clock.Now() - t1; one <= 0 || got != n*one {
+					t.Errorf("%s/%s/%s: a batch of %d charged %v, want %d x %v", host.Name, implName, design, n, got, n, one)
+				}
+				if calls, crossings := rt.WrapperCalls()-c1, rt.Boundary().Crossings()-x1; calls != n || crossings != 2*n {
+					t.Errorf("%s/%s/%s: a batch of %d made %d wrapper calls and %d crossings, want %d and %d",
+						host.Name, implName, design, n, calls, crossings, n, 2*n)
+				}
+			}
+
+			job := cluster.New(1, 0, implFactory(t, implName).Factory, host.Net)
+			p, clock := job.Procs[0].(interface {
+				mpi.Proc
+				Iprobes(n, src, tag int, comm mpi.Handle) error
+			}), job.Clocks[0]
+			world, err := p.LookupConst(mpi.ConstCommWorld)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t0 := clock.Now()
+			if _, _, err := p.Iprobe(mpi.AnySource, mpi.AnyTag, world); err != nil {
+				t.Fatal(err)
+			}
+			one, t1 := clock.Now()-t0, clock.Now()
+			if err := p.Iprobes(n, mpi.AnySource, mpi.AnyTag, world); err != nil {
+				t.Fatal(err)
+			}
+			if got := clock.Now() - t1; got != n*one {
+				t.Errorf("%s/%s/native: a batch of %d charged %v, want %d x %v", host.Name, implName, n, got, n, one)
+			}
+		}
 	}
 }

@@ -76,8 +76,8 @@ func (p *Proc) SetResolveCost(native, fast time.Duration) {
 // lazy resolution path charge their reduced cost.
 func (p *Proc) SetResolvedCaller(v bool) { p.resolvedCaller = v }
 
-// chargeResolve accounts one handle resolution.
-func (p *Proc) chargeResolve() {
+// ChargeResolve accounts one handle resolution.
+func (p *Proc) ChargeResolve() {
 	if p.resolveCost == 0 {
 		return
 	}
@@ -151,7 +151,7 @@ func (p *Proc) LookupConst(name mpi.ConstName) (mpi.Handle, error) {
 // handle resolution helpers
 
 func (p *Proc) comm(h mpi.Handle) (*Comm, error) {
-	p.chargeResolve()
+	p.ChargeResolve()
 	o, err := p.Tab.Lookup(mpi.KindComm, h)
 	if err != nil {
 		return nil, err
@@ -172,7 +172,7 @@ func (p *Proc) group(h mpi.Handle) (*Group, error) {
 }
 
 func (p *Proc) dtype(h mpi.Handle) (*Dtype, error) {
-	p.chargeResolve()
+	p.ChargeResolve()
 	o, err := p.Tab.Lookup(mpi.KindDatatype, h)
 	if err != nil {
 		return nil, err
@@ -312,6 +312,18 @@ func (p *Proc) Iprobe(src, tag int, comm mpi.Handle) (bool, mpi.Status, error) {
 		return false, mpi.Status{}, err
 	}
 	return p.Eng.Iprobe(c, src, tag)
+}
+
+// Iprobes makes n discarded MPI_Iprobes: one real call, then the n-1
+// resolve charges that are all a repeat of it costs.
+func (p *Proc) Iprobes(n, src, tag int, comm mpi.Handle) (err error) {
+	if n > 0 {
+		_, _, err = p.Iprobe(src, tag, comm)
+	}
+	for i := 1; i < n && err == nil; i++ {
+		p.ChargeResolve()
+	}
+	return err
 }
 
 // Probe implements mpi.Proc.
