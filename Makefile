@@ -21,12 +21,14 @@ vet:
 	@$(GO) vet ./...
 
 # race runs the whole suite under the race detector on four Ps. The
-# kernel runs one rank at a time and its channel handoff is the one
-# ordering the simulator relies on: the fabric, the checkpoint
-# coordinator and store, the backends and the fault injector keep no
-# lock or atomic, and the detector proves the handoff orders every
-# access to them — the checkpoint subsystem, the fault-injection layer,
-# scrub and the restart fallback, and the cluster scheduler included.
+# kernel runs a job's ranks as coroutines of one loop, one at a time,
+# and its coroutine switch is the one ordering the simulator relies on:
+# the kernel, the fabric, the checkpoint coordinator and store, the
+# backends and the fault injector keep no lock or atomic, and the
+# detector, which sees each switch as a synchronization, proves the
+# switches order every access to them — the checkpoint subsystem, the
+# fault-injection layer, scrub and the restart fallback, and the
+# cluster scheduler included.
 .PHONY: race
 race:
 	@echo "Running tests with the race detector on four Ps..."

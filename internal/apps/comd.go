@@ -154,7 +154,7 @@ func (c *comd) Step(env *app.Env, step int) error {
 	for f := 0; f < 6; f++ {
 		clear(face)
 		copy(face, s.Pos[3*per*f%len(s.Pos):])
-		if err := p.Send(wireBytes(&c.faceBytes, face), 3*per, s.F64, nb[f], comdHaloTag+f, s.World); err != nil {
+		if err := p.Send(wireBytes(&c.faceBytes, face, 0, 1), 3*per, s.F64, nb[f], comdHaloTag+f, s.World); err != nil {
 			return fmt.Errorf("comd halo send face %d: %w", f, err)
 		}
 	}

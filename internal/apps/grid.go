@@ -57,7 +57,9 @@
 package apps
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"manasim/internal/mpi"
 )
@@ -166,24 +168,22 @@ func progressPoll(p mpi.Proc, comm mpi.Handle, n int) error {
 	return nil
 }
 
-// wireBytes fills *scratch with the packed wire form of v, growing it
-// on first use, and returns it: what a send through a strided datatype
-// packs its few elements from. The engine copies at send time, so one
-// scratch per instance serves every step; it is not part of the
-// instance's state.
-func wireBytes(scratch *[]byte, v []float64) []byte {
-	if len(*scratch) != 8*len(v) {
-		*scratch = make([]byte, 8*len(v))
+// wireBytes fills *buf (see scratch) with the wire form of v[first],
+// v[first+stride], ... and returns it, 8*len(v) bytes: what a send
+// through a datatype reading only those elements packs from. The engine
+// copies at send time, so one buffer per instance serves every step.
+func wireBytes(buf *[]byte, v []float64, first, stride int) []byte {
+	b := scratch(buf, 8*len(v))
+	for i := first; i < len(v); i += stride {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v[i]))
 	}
-	mpi.PutFloat64s(*scratch, v)
-	return *scratch
+	return b
 }
 
 // scratch returns *buf resliced to n elements, reallocated only when it
 // is too small: the per-instance buffer a receive lands in or a send is
-// staged from, reused every step. Like wireBytes' scratch it is not part
-// of the instance's state, and its contents before the caller writes
-// them are unspecified.
+// staged from, reused every step. It is not instance state, and its
+// contents before the caller writes them are unspecified.
 func scratch[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
 		*buf = make([]T, n)

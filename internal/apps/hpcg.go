@@ -96,8 +96,8 @@ func (s *hpcgState) fields(c *snapCodec) {
 type hpcg struct {
 	in Input
 	st hpcgState
-	// pvBytes is the wire form of Pv the halo send packs its face from
-	// (wireBytes): transient scratch, not state, as are the ghost
+	// pvBytes is the wire form of Pv's +x face, the elements HaloType
+	// reads (wireBytes): transient scratch, not state, as are the ghost
 	// plane's bytes and values the halo receive fills.
 	pvBytes, ghostBytes []byte
 	ghosts              []float64
@@ -189,7 +189,7 @@ func (h *hpcg) Step(env *app.Env, step int) error {
 
 	// Halo exchange of p's +x face, strided via the indexed type, into
 	// a contiguous ghost plane from the -x neighbor.
-	if err := p.Send(wireBytes(&h.pvBytes, s.Pv), 1, s.HaloType, nb[1], hpcgTag, s.World); err != nil {
+	if err := p.Send(wireBytes(&h.pvBytes, s.Pv, nx-1, nx), 1, s.HaloType, nb[1], hpcgTag, s.World); err != nil {
 		return fmt.Errorf("hpcg halo send: %w", err)
 	}
 	if err := progressPoll(p, s.World, h.in.polls()); err != nil {

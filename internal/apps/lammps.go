@@ -98,7 +98,7 @@ func (s *lammpsState) fields(c *snapCodec) {
 type lammps struct {
 	in Input
 	st lammpsState
-	// posBytes is the wire form of Pos the ghost Isend packs from
+	// posBytes is the wire form of the Pos elements GhostType reads
 	// (wireBytes): transient scratch, not state, and not rewritten
 	// before the request's Wait. The receive side's ghost bytes and
 	// values, and a rebuild's migration counts, are scratch likewise.
@@ -212,7 +212,7 @@ func (l *lammps) Step(env *app.Env, step int) error {
 	// Issue the next pipelined ghost exchange: strided positions to the
 	// +x neighbor, consumed at the start of step+1 (or drained by a
 	// checkpoint, or received in Finalize after the last step).
-	req, err := p.Isend(wireBytes(&l.posBytes, s.Pos), 1, s.GhostType, nb[1], lammpsGhostTag, s.World)
+	req, err := p.Isend(wireBytes(&l.posBytes, s.Pos, 0, 12), 1, s.GhostType, nb[1], lammpsGhostTag, s.World)
 	if err != nil {
 		return fmt.Errorf("lammps ghost isend: %w", err)
 	}

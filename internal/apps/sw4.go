@@ -79,8 +79,8 @@ func (s *sw4State) fields(c *snapCodec) {
 type sw4 struct {
 	in Input
 	st sw4State
-	// uBytes is the wire form of U both y-plane sends pack from
-	// (wireBytes): transient scratch, not state.
+	// uBytes is the wire form of U's y-plane, the elements both
+	// YPlane sends read (wireBytes): transient scratch, not state.
 	uBytes []byte
 }
 
@@ -142,7 +142,7 @@ func (w *sw4) substep(p mpi.Proc, sub int, polls int) error {
 		return err
 	}
 	// -y/+y: strided columns via the vector type.
-	u := wireBytes(&w.uBytes, s.U)
+	u := wireBytes(&w.uBytes, s.U, 0, nx)
 	if err := p.Send(u, 1, s.YPlane, nb[2], tag+4, s.World); err != nil {
 		return err
 	}

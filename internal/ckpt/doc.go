@@ -58,7 +58,7 @@
 // CheckpointDone, and a periodic RequestCheckpoint from rank 0), or the
 // goroutine that owns the job — presetting a checkpoint before the
 // ranks start, reading Taken and Images after they finish — and the
-// kernel's channel handoff orders each caller after the last. The
+// kernel's coroutine switch orders each caller after the last. The
 // checkpoint pipeline runs one layer down, inside Store.Commit, which
 // validates, chunk-indexes and writes every rank's image on the
 // calling goroutine: the generation's last-delivering rank, while

@@ -224,8 +224,8 @@
 // A store has one caller at a time: the rank holding the kernel's
 // execution token (a checkpoint's Commit, issued by the generation's
 // last-delivering rank) or the goroutine that owns the job (opening,
-// restarting, scrubbing, reading images back), and the kernel's channel
-// handoff orders each caller after the last. A store must not be shared
+// restarting, scrubbing, reading images back), and the kernel's
+// coroutine switch orders each caller after the last. A store must not be shared
 // by goroutines nothing orders. Within that one caller, operations
 // interleave freely: committed generations are immutable (blobs are
 // never rewritten), so a later Commit never changes what an earlier

@@ -173,7 +173,8 @@ func NewKernel(n int, factory Factory, net simtime.NetModel, _ KernelKind) *Job 
 	return New(n, 0, factory, net)
 }
 
-// Start launches all rank activities.
+// Start registers fn as every rank's body. The ranks run in
+// WaitResult, on its caller's goroutine.
 func (j *Job) Start(fn RankFn) {
 	j.started = time.Now()
 	for r := 0; r < j.n; r++ {
@@ -193,13 +194,12 @@ func (j *Job) Start(fn RankFn) {
 			}
 		})
 	}
-	j.kern.Start()
 }
 
-// WaitResult blocks until every rank returns and reports the outcome.
-// The error is the lowest-rank failure, wrapped with its rank.
+// WaitResult runs the job until every rank returns and reports the
+// outcome. The error is the lowest-rank failure, wrapped with its rank.
 func (j *Job) WaitResult() (Result, error) {
-	j.kern.Wait()
+	j.kern.Run()
 	res := Result{
 		PerRankVT: make([]time.Duration, j.n),
 		Wall:      time.Since(j.started),

@@ -332,8 +332,8 @@ func (s *Session) RestartChains() []ckptstore.ChainStats {
 	return append([]ckptstore.ChainStats(nil), s.chains...)
 }
 
-// Wait starts the job's ranks, blocks until the job completes and
-// returns its statistics.
+// Wait runs the job's ranks on the calling goroutine until the job
+// completes and returns its statistics.
 func (s *Session) Wait() (Stats, error) {
 	if s.body != nil {
 		s.job.Start(s.body)

@@ -200,7 +200,7 @@ type storeFaultState struct {
 // one caller at a time — the rank holding the kernel's execution token
 // (the wrapper-call and boundary checks, the control-message filter,
 // the store decorator under a rank's commit) or the goroutine that owns
-// the job between runs — and the kernel's channel handoff orders each
+// the job between runs — and the kernel's coroutine switch orders each
 // caller after the last.
 type Injector struct {
 	n    int

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"manasim/internal/cluster"
 	"manasim/internal/mpi"
 	"manasim/internal/simtime"
 )
@@ -129,4 +130,31 @@ func TestAlltoallAllocsFlatInRanks(t *testing.T) {
 			t.Fatalf("Alltoall allocations grow with ranks: %.2f per call at p=4, %.2f at p=16", a4, a16)
 		}
 	})
+}
+
+// TestLaunchAllocsPerRank bounds what launching a rank costs: building
+// an idle MPICH job (fabric, lower halves, kernel coroutines), running
+// it and collecting its result allocates at most launchAllocsPerRank
+// objects per rank, at 8 and at 256 ranks. Every engine shares the
+// predefined datatypes and operations, which pays for the coroutine
+// each rank costs the kernel; the bound was set at 32.4 and 30.1.
+func TestLaunchAllocsPerRank(t *testing.T) {
+	const launchAllocsPerRank = 33
+	factory, err := Get("mpich")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := func(int, mpi.Proc, *simtime.Clock) error { return nil }
+	for _, n := range []int{8, 256} {
+		allocs := testing.AllocsPerRun(5, func() {
+			j := cluster.New(n, 0, factory, testNet)
+			j.Start(idle)
+			if _, err := j.WaitResult(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perRank := allocs / float64(n); perRank > launchAllocsPerRank {
+			t.Errorf("%d ranks: launch allocates %.1f objects per rank, want <= %d", n, perRank, launchAllocsPerRank)
+		}
+	}
 }

@@ -1065,3 +1065,27 @@ func TestLookupConstDoesNotAllocate(t *testing.T) {
 		})
 	})
 }
+
+// TestCommitPredefinedInParallelJobs: every rank of every job shares
+// the predefined datatypes, so committing MPI_DOUBLE must write
+// nothing. Two jobs commit it at once; under -race a write to the
+// shared object is reported.
+func TestCommitPredefinedInParallelJobs(t *testing.T) {
+	forEachImpl(t, func(t *testing.T, name string, factory Factory) {
+		for job := range 2 {
+			t.Run(fmt.Sprint("job", job), func(t *testing.T) {
+				t.Parallel()
+				run(t, factory, 2, func(rank int, p mpi.Proc, _ *simtime.Clock) error {
+					f64 := consts(t, p, mpi.ConstFloat64)[mpi.ConstFloat64]
+					if err := p.TypeCommit(f64); err != nil {
+						return err
+					}
+					if size, err := p.TypeSize(f64); err != nil || size != 8 {
+						return fmt.Errorf("MPI_DOUBLE size %d, %v after commit; want 8", size, err)
+					}
+					return nil
+				})
+			})
+		}
+	})
+}

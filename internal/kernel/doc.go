@@ -3,28 +3,29 @@
 // of a job as cooperatively scheduled activities, one at a time, in
 // deterministic virtual-time order.
 //
-// It is the only way a job's ranks execute. Ranks are goroutines, so
-// ordinary Go code runs on them unchanged, but exactly one is runnable
-// at any moment. A rank that blocks hands control back to the scheduler
+// It is the only way a job's ranks execute. Each rank is a coroutine
+// (iter.Pull), so ordinary Go code runs on it unchanged, but exactly one
+// runs at any moment. A rank that blocks hands control back to the loop
 // (Park), and message delivery posts a wakeup event keyed by the
 // message's arrival virtual time (Wake). Idle ranks cost nothing but a
-// parked goroutine, which is why drain and store experiments sweep to
-// thousands of ranks.
+// suspended coroutine, which is why drain and store experiments sweep
+// to thousands of ranks.
 //
 // # Event-queue ownership
 //
-// The event heap, rank states, and sequence counter are owned by the
-// scheduler goroutine and guarded by a single mutex; the only writers
-// besides the scheduler are Wake (called by the currently running rank
-// when it deposits a message or tears the fabric down, or by the stall
-// handler on the scheduler goroutine) and Park/finish (called by the
-// running rank itself).
-// Control transfers are strict handoffs: the scheduler resumes one rank
-// and then waits until that rank parks or finishes before popping the
-// next event, so at most one rank executes between any two scheduler
-// decisions. Code running on a rank activity may therefore mutate its
-// own rank-local state, and what only the token holder touches (the
-// fabric, checkpoint coordinator, store, fault injector), lock-free.
+// Run executes the loop on its caller's goroutine, and every rank is a
+// coroutine of it: the loop pops the earliest event and switches to its
+// rank, and the rank switches back when it parks or returns. A switch goes straight from one
+// goroutine to the other without the Go scheduler, and the ranks and
+// the loop never run at the same time, so the event heap, rank states
+// and sequence counter need no mutex. Their only writers are the
+// running rank (Park, ParkUntil, and Wake when it deposits a message or
+// tears the fabric down), the loop, and the stall handler, which the
+// loop calls between two ranks. Code running on a rank may therefore
+// mutate its own rank-local state, and what only the token holder
+// touches (the fabric, checkpoint coordinator, store, fault injector),
+// lock-free. The race detector sees each switch as a synchronization,
+// so it still checks that nothing else touches that state.
 //
 // # Determinism rules
 //

@@ -2,7 +2,7 @@ package kernel
 
 import (
 	"fmt"
-	"sync"
+	"iter"
 	"time"
 )
 
@@ -15,13 +15,10 @@ const (
 )
 
 // Kernel is a discrete-event scheduler for the rank activities of one
-// job. Create with New, register every rank with Go, then call Start.
+// job. Create with New, register every rank with Go, then call Run.
 // Its pending rank wakeups live in a VTQueue — the same virtual-time
 // event queue the cluster scheduler shares as its clock.
 type Kernel struct {
-	n int
-
-	mu      sync.Mutex
 	queue   VTQueue[int]
 	state   []int8
 	pending []bool // a Wake arrived while the rank was still running
@@ -29,9 +26,8 @@ type Kernel struct {
 	stalled bool
 	onStall func()
 
-	resume  []chan struct{} // scheduler -> rank: you hold the execution token
-	yielded chan struct{}   // rank -> scheduler: token returned (parked or done)
-	done    chan struct{}
+	next  []func() (struct{}, bool) // loop -> rank: run until the rank parks or returns
+	yield []func(struct{}) bool     // rank -> loop: hand the token back
 }
 
 // New builds a kernel for n rank activities, each initially scheduled at
@@ -41,120 +37,92 @@ func New(n int) *Kernel {
 		panic(fmt.Sprintf("kernel: invalid rank count %d", n))
 	}
 	k := &Kernel{
-		n:       n,
 		state:   make([]int8, n),
 		pending: make([]bool, n),
 		live:    n,
-		resume:  make([]chan struct{}, n),
-		yielded: make(chan struct{}),
-		done:    make(chan struct{}),
+		next:    make([]func() (struct{}, bool), n),
+		yield:   make([]func(struct{}) bool, n),
 	}
 	for r := 0; r < n; r++ {
-		k.resume[r] = make(chan struct{}, 1)
-		k.push(0, r)
+		k.queue.Push(0, r)
 	}
 	return k
 }
 
-// push enqueues a wakeup event. Caller holds k.mu (or, in New, has
-// exclusive access).
-func (k *Kernel) push(at time.Duration, rank int) {
-	k.queue.Push(at, rank)
-}
-
 // OnStall registers the handler invoked when every live rank is parked
 // and no wakeup event is pending — a deadlock, which the kernel
-// detects instead of hanging. The handler runs on the scheduler
-// goroutine and is expected to unblock the parked ranks (the cluster
-// closes the fabric, failing them with ErrClosed). Set it before Start.
+// detects instead of hanging. The handler runs on the loop between two
+// ranks and is expected to unblock the parked ranks (the cluster closes
+// the fabric, failing them with ErrClosed). Set it before Run.
 func (k *Kernel) OnStall(fn func()) { k.onStall = fn }
 
 // Stalled reports whether the kernel detected a deadlock.
-func (k *Kernel) Stalled() bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.stalled
-}
+func (k *Kernel) Stalled() bool { return k.stalled }
 
-// Go registers rank's activity body. The goroutine starts immediately
-// but does not execute fn until the scheduler hands it the execution
-// token. fn must eventually return; the kernel completes when every
-// registered activity has.
+// Go registers rank's activity body as a coroutine. fn does not start
+// until the loop first hands rank the execution token. fn must
+// eventually return; Run completes when every registered activity has.
+// The coroutine's stop function is dropped: Run runs every rank until
+// it returns, and after a rank fails it abandons the rest (see Run).
 func (k *Kernel) Go(rank int, fn func()) {
-	go func() {
-		<-k.resume[rank]
-		defer k.finish(rank)
+	k.next[rank], _ = iter.Pull(func(yield func(struct{}) bool) {
+		k.yield[rank] = yield
 		fn()
-	}()
+	})
 }
 
-// Start launches the scheduler loop. Every rank must have been
-// registered with Go; Start returns immediately.
-func (k *Kernel) Start() { go k.loop() }
-
-// Wait blocks until every rank activity has finished.
-func (k *Kernel) Wait() { <-k.done }
-
-// loop is the scheduler: pop the earliest event, hand the token to its
-// rank, wait for the token back, repeat.
-func (k *Kernel) loop() {
-	for {
-		k.mu.Lock()
-		if k.live == 0 {
-			k.mu.Unlock()
-			close(k.done)
-			return
-		}
-		if k.queue.Len() == 0 {
-			// Every live rank is parked with nothing scheduled to wake
-			// it: a deadlock. Let the stall handler tear the job down
-			// (waking the parked ranks with an error) rather than hang.
-			k.stalled = true
-			stall := k.onStall
-			k.mu.Unlock()
-			if stall != nil {
-				stall()
-			}
-			k.mu.Lock()
-			if k.queue.Len() == 0 && k.live > 0 {
-				k.mu.Unlock()
-				panic("kernel: deadlock with no stall recovery: all ranks parked and no events pending")
-			}
-			k.mu.Unlock()
+// Run executes the job on the calling goroutine: pop the earliest
+// event, switch to its rank until the rank parks or returns, repeat
+// until every rank has returned. Every rank must have been registered
+// with Go. A rank that panics or calls runtime.Goexit ends Run the same
+// way — the panic is re-raised, or the Goexit repeated, on Run's
+// goroutine — and the job's other ranks stay where they parked.
+func (k *Kernel) Run() {
+	for k.live > 0 {
+		ev, ok := k.queue.Pop()
+		if !ok {
+			k.stall()
 			continue
 		}
-		ev, _ := k.queue.Pop()
 		rank := ev.Payload
 		if k.state[rank] != stReady {
 			panic(fmt.Sprintf("kernel: scheduled rank %d in state %d", rank, k.state[rank]))
 		}
 		k.state[rank] = stRunning
-		k.mu.Unlock()
+		if _, running := k.next[rank](); !running {
+			k.state[rank] = stDone
+			k.pending[rank] = false
+			k.live--
+			k.next[rank], k.yield[rank] = nil, nil
+		}
+	}
+}
 
-		k.resume[rank] <- struct{}{}
-		<-k.yielded
+// stall handles a deadlock: every live rank is parked with nothing
+// scheduled to wake it. The stall handler tears the job down (waking
+// the parked ranks with an error) rather than hang.
+func (k *Kernel) stall() {
+	k.stalled = true
+	if k.onStall != nil {
+		k.onStall()
+	}
+	if k.queue.Len() == 0 {
+		panic("kernel: deadlock with no stall recovery: all ranks parked and no events pending")
 	}
 }
 
 // Park blocks the calling rank activity until a Wake schedules it again.
-// It must be called by the running rank itself, holding no locks shared
-// with other ranks (message delivery runs on the peer's activity and
-// must be able to reach Wake).
+// It must be called by the running rank itself.
 func (k *Kernel) Park(rank int) {
-	k.mu.Lock()
 	if k.pending[rank] {
-		// The wakeup already arrived (a teardown racing the park):
-		// consume it and keep running — the caller re-checks its
-		// condition in a loop.
+		// The rank woke itself while running (a self-send deposits
+		// into its own mailbox): consume the wakeup and keep running —
+		// the caller re-checks its condition in a loop.
 		k.pending[rank] = false
-		k.mu.Unlock()
 		return
 	}
 	k.state[rank] = stParked
-	k.mu.Unlock()
-
-	k.yielded <- struct{}{}
-	<-k.resume[rank]
+	k.yield[rank](struct{}{})
 }
 
 // ParkUntil yields the calling rank's execution token until virtual
@@ -165,38 +133,22 @@ func (k *Kernel) Park(rank int) {
 // and sleep again if needed. This is the primitive behind the drain
 // protocol's retransmission timeouts.
 func (k *Kernel) ParkUntil(rank int, at time.Duration) {
-	k.mu.Lock()
 	k.state[rank] = stReady
-	k.push(at, rank)
-	k.mu.Unlock()
-
-	k.yielded <- struct{}{}
-	<-k.resume[rank]
+	k.queue.Push(at, rank)
+	k.yield[rank](struct{}{})
 }
 
 // Wake schedules rank to resume at virtual time at. Waking a rank that
-// is not parked is a no-op (it is already scheduled or still running);
-// a wake racing a park is latched and consumed by the park. Safe to
-// call from any goroutine.
+// is not parked is a no-op (it is already scheduled or has returned),
+// except that a rank waking itself while running is latched and the
+// latch is consumed by its next Park. Call it from the running rank or
+// from the stall handler.
 func (k *Kernel) Wake(rank int, at time.Duration) {
-	k.mu.Lock()
 	switch k.state[rank] {
 	case stParked:
 		k.state[rank] = stReady
-		k.push(at, rank)
+		k.queue.Push(at, rank)
 	case stRunning:
 		k.pending[rank] = true
 	}
-	k.mu.Unlock()
-}
-
-// finish retires the calling rank's activity and returns the execution
-// token to the scheduler.
-func (k *Kernel) finish(rank int) {
-	k.mu.Lock()
-	k.state[rank] = stDone
-	k.pending[rank] = false
-	k.live--
-	k.mu.Unlock()
-	k.yielded <- struct{}{}
 }

@@ -16,8 +16,7 @@ func TestInitialOrderIsRankOrder(t *testing.T) {
 		rank := r
 		k.Go(rank, func() { order = append(order, rank) })
 	}
-	k.Start()
-	k.Wait()
+	k.Run()
 	for r := 0; r < n; r++ {
 		if order[r] != r {
 			t.Fatalf("execution order %v, want ranks in order", order)
@@ -50,8 +49,7 @@ func TestWakeOrdersByVirtualTime(t *testing.T) {
 		k.Park(2)
 		log = append(log, "woke2")
 	})
-	k.Start()
-	k.Wait()
+	k.Run()
 
 	want := []string{"run0", "park1", "park2", "stall", "woke2", "woke1"}
 	if len(log) != len(want) {
@@ -86,8 +84,7 @@ func TestEqualTimeWakesAreFIFO(t *testing.T) {
 		k.Park(2)
 		log = append(log, 2)
 	})
-	k.Start()
-	k.Wait()
+	k.Run()
 	if len(log) != 2 || log[0] != 2 || log[1] != 1 {
 		t.Fatalf("equal-time wake order %v, want [2 1]", log)
 	}
@@ -104,8 +101,7 @@ func TestWakeWhileRunningLatches(t *testing.T) {
 		k.Park(0)                   // consumes the latch, returns at once
 		parked = true
 	})
-	k.Start()
-	k.Wait()
+	k.Run()
 	if !parked {
 		t.Fatal("rank never returned from Park")
 	}
@@ -120,8 +116,7 @@ func TestWakeNotParkedIsNoOp(t *testing.T) {
 	k := New(2)
 	k.Go(0, func() {})
 	k.Go(1, func() { k.Wake(0, time.Second) }) // rank 0 is done by now
-	k.Start()
-	k.Wait()
+	k.Run()
 	if k.Stalled() {
 		t.Fatal("no-op wake reported a stall")
 	}
@@ -147,8 +142,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 				log = append(log, string(rune('0'+rank)))
 			})
 		}
-		k.Start()
-		k.Wait()
+		k.Run()
 		return log
 	}
 	a, b := run(), run()

@@ -21,8 +21,7 @@ func TestParkUntilOrdersByDeadline(t *testing.T) {
 		k.ParkUntil(1, 2*time.Millisecond)
 		log = append(log, "woke1")
 	})
-	k.Start()
-	k.Wait()
+	k.Run()
 
 	want := []string{"park0", "park1", "woke1", "woke0"}
 	if len(log) != len(want) {
@@ -56,8 +55,7 @@ func TestParkUntilIgnoresEarlyWake(t *testing.T) {
 		k.Wake(0, time.Millisecond)
 		log = append(log, "run1")
 	})
-	k.Start()
-	k.Wait()
+	k.Run()
 
 	want := []string{"sleep0", "run1", "woke0"}
 	if len(log) != len(want) {

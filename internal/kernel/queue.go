@@ -20,8 +20,8 @@ type Item[T any] struct {
 // deterministic (virtual time, FIFO) discipline as rank events.
 //
 // The zero value is an empty queue ready for use. Not safe for
-// concurrent use; callers serialize access (the kernel under its mutex,
-// the scheduler on its single event loop).
+// concurrent use; callers serialize access (the kernel and the
+// scheduler each on its single event loop).
 type VTQueue[T any] struct {
 	h   []Item[T]
 	seq uint64

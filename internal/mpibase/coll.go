@@ -53,7 +53,6 @@ func (e *Engine) Barrier(c *Comm) error {
 	me := c.MyRank
 	var one, buf [1]byte
 	one[0] = 1
-	byteDt := e.dtypes[mpi.ConstByte]
 	for k := 1; k < p; k <<= 1 {
 		to := (me + k) % p
 		from := (me - k + p) % p
@@ -127,7 +126,6 @@ func (e *Engine) Reduce(c *Comm, send, recv []byte, count int, dt *Dtype, op *Op
 	acc := dt.PackInto(e.Fab.Buf(n), send, count)
 	defer e.Fab.Free(acc)
 	vr := (c.MyRank - root + p) % p
-	byteDt := e.dtypes[mpi.ConstByte]
 
 	for mask := 1; mask < p; mask <<= 1 {
 		if vr&mask != 0 {

@@ -24,7 +24,6 @@ func pack(d *Dtype, buf []byte, count int) []byte {
 }
 
 func TestPrimitiveSizes(t *testing.T) {
-	e := testEngine(t)
 	cases := map[mpi.ConstName]int{
 		mpi.ConstByte:    1,
 		mpi.ConstChar:    1,
@@ -35,7 +34,7 @@ func TestPrimitiveSizes(t *testing.T) {
 		mpi.ConstFloat64: 8,
 	}
 	for name, want := range cases {
-		d := e.PredefDtype(name)
+		d := predefDtypes[name]
 		if d == nil {
 			t.Fatalf("missing predefined %v", name)
 		}
@@ -48,9 +47,21 @@ func TestPrimitiveSizes(t *testing.T) {
 	}
 }
 
+// TestPredefinedTablesCoverEveryConstant: LookupConst hands the shared
+// table's entry for every datatype and op constant to the handle table
+// unchecked, so each such constant must have one.
+func TestPredefinedTablesCoverEveryConstant(t *testing.T) {
+	for name := mpi.ConstName(0); name < mpi.NumConstNames; name++ {
+		hasDt, hasOp := predefDtypes[name] != nil, predefOps[name] != nil
+		if hasDt != (name.Kind() == mpi.KindDatatype) || hasOp != (name.Kind() == mpi.KindOp) {
+			t.Errorf("%v (kind %v): datatype entry %v, op entry %v", name, name.Kind(), hasDt, hasOp)
+		}
+	}
+}
+
 func TestContiguousPackUnpack(t *testing.T) {
 	e := testEngine(t)
-	f64 := e.PredefDtype(mpi.ConstFloat64)
+	f64 := predefDtypes[mpi.ConstFloat64]
 	d, err := e.TypeContiguous(4, f64)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +83,7 @@ func TestContiguousPackUnpack(t *testing.T) {
 
 func TestVectorPackUnpack(t *testing.T) {
 	e := testEngine(t)
-	f64 := e.PredefDtype(mpi.ConstFloat64)
+	f64 := predefDtypes[mpi.ConstFloat64]
 	// 3 blocks of 2 elements, stride 4: picks [0,1], [4,5], [8,9].
 	d, err := e.TypeVector(3, 2, 4, f64)
 	if err != nil {
@@ -109,7 +120,7 @@ func TestVectorPackUnpack(t *testing.T) {
 
 func TestIndexedPackUnpack(t *testing.T) {
 	e := testEngine(t)
-	i32 := e.PredefDtype(mpi.ConstInt32)
+	i32 := predefDtypes[mpi.ConstInt32]
 	// Blocks: 2 elements at displacement 1, 1 element at displacement 5.
 	d, err := e.TypeIndexed([]int{2, 1}, []int{1, 5}, i32)
 	if err != nil {
@@ -131,7 +142,7 @@ func TestIndexedPackUnpack(t *testing.T) {
 
 func TestNestedDatatypes(t *testing.T) {
 	e := testEngine(t)
-	f64 := e.PredefDtype(mpi.ConstFloat64)
+	f64 := predefDtypes[mpi.ConstFloat64]
 	inner, err := e.TypeVector(2, 1, 2, f64) // elements 0 and 2 of a 3-slot span
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +171,7 @@ func TestNestedDatatypes(t *testing.T) {
 
 func TestPackUnpackRoundTripProperty(t *testing.T) {
 	e := testEngine(t)
-	f64 := e.PredefDtype(mpi.ConstFloat64)
+	f64 := predefDtypes[mpi.ConstFloat64]
 	// Property: Unpack(Pack(x)) restores exactly the bytes Pack selected,
 	// for arbitrary vector shapes.
 	f := func(countU, blockU, strideU uint8, count2U uint8) bool {
@@ -192,7 +203,7 @@ func TestPackUnpackRoundTripProperty(t *testing.T) {
 
 func TestBufLenProperty(t *testing.T) {
 	e := testEngine(t)
-	i32 := e.PredefDtype(mpi.ConstInt32)
+	i32 := predefDtypes[mpi.ConstInt32]
 	// Property: Pack never reads past BufLen(count).
 	f := func(countU, blockU, strideU, nU uint8) bool {
 		count := int(countU%5) + 1
@@ -285,7 +296,7 @@ func TestCombineSumCommutesProperty(t *testing.T) {
 
 func TestPrimElemUnwrapsContiguous(t *testing.T) {
 	e := testEngine(t)
-	f64 := e.PredefDtype(mpi.ConstFloat64)
+	f64 := predefDtypes[mpi.ConstFloat64]
 	c1, _ := e.TypeContiguous(3, f64)
 	c2, _ := e.TypeContiguous(2, c1)
 	name, ok := primElem(c2)
@@ -356,7 +367,7 @@ func TestRankOf(t *testing.T) {
 // payload already on its way.
 func TestSendDoesNotAliasCallerBuffer(t *testing.T) {
 	e := testEngine(t)
-	i64 := e.PredefDtype(mpi.ConstInt64)
+	i64 := predefDtypes[mpi.ConstInt64]
 	// Two blocks of one element, stride 2: elements 0 and 2.
 	strided, err := e.TypeVector(2, 1, 2, i64)
 	if err != nil {

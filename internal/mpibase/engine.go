@@ -30,14 +30,56 @@ type Engine struct {
 	// WorldGroup and EmptyGroup are the predefined groups.
 	WorldGroup *Group
 	EmptyGroup *Group
-
-	// predefined datatypes and operations, indexed by ConstName.
-	dtypes map[mpi.ConstName]*Dtype
-	ops    map[mpi.ConstName]*Op
 }
 
-// NewEngine attaches rank r to the fabric and builds the predefined
-// objects.
+// predefDtypes and predefOps are the predefined datatypes and
+// operations, indexed by ConstName (nil where a name is of another
+// kind). Every Engine of every job shares them, so nothing may write
+// them: TypeCommit leaves a committed type alone, and no other call
+// writes a predefined object.
+var (
+	predefDtypes = [mpi.NumConstNames]*Dtype{
+		mpi.ConstByte:    primType(mpi.ConstByte, 1),
+		mpi.ConstChar:    primType(mpi.ConstChar, 1),
+		mpi.ConstInt32:   primType(mpi.ConstInt32, 4),
+		mpi.ConstInt64:   primType(mpi.ConstInt64, 8),
+		mpi.ConstUint64:  primType(mpi.ConstUint64, 8),
+		mpi.ConstFloat32: primType(mpi.ConstFloat32, 4),
+		mpi.ConstFloat64: primType(mpi.ConstFloat64, 8),
+	}
+	predefOps = [mpi.NumConstNames]*Op{
+		mpi.ConstOpSum:  predefOp(mpi.ConstOpSum),
+		mpi.ConstOpProd: predefOp(mpi.ConstOpProd),
+		mpi.ConstOpMax:  predefOp(mpi.ConstOpMax),
+		mpi.ConstOpMin:  predefOp(mpi.ConstOpMin),
+		mpi.ConstOpLand: predefOp(mpi.ConstOpLand),
+		mpi.ConstOpLor:  predefOp(mpi.ConstOpLor),
+		mpi.ConstOpBand: predefOp(mpi.ConstOpBand),
+		mpi.ConstOpBor:  predefOp(mpi.ConstOpBor),
+	}
+	byteDt  = predefDtypes[mpi.ConstByte]
+	int32Dt = predefDtypes[mpi.ConstInt32]
+	int64Dt = predefDtypes[mpi.ConstInt64]
+)
+
+func primType(name mpi.ConstName, size int) *Dtype {
+	return &Dtype{
+		SizeB:      size,
+		ExtentB:    size,
+		Combiner:   mpi.CombinerNamed,
+		Name:       name,
+		Predefined: true,
+		Committed:  true,
+		segs:       []seg{{0, size}},
+	}
+}
+
+func predefOp(name mpi.ConstName) *Op {
+	return &Op{Name: name, Commute: true, Predefined: true}
+}
+
+// NewEngine attaches rank r to the fabric and builds its predefined
+// communicators and groups.
 func NewEngine(fab *transport.Fabric, r int, clock *simtime.Clock, net simtime.NetModel) *Engine {
 	size := fab.Size()
 	worldRanks := make([]int, size)
@@ -55,8 +97,6 @@ func NewEngine(fab *transport.Fabric, r int, clock *simtime.Clock, net simtime.N
 		WorldGroup: wg,
 		EmptyGroup: &Group{Predefined: true},
 		WorldComm:  &Comm{Ctx: 1, Group: wg, MyRank: r, Predefined: true},
-		dtypes:     make(map[mpi.ConstName]*Dtype),
-		ops:        make(map[mpi.ConstName]*Op),
 	}
 	e.SelfComm = &Comm{
 		Ctx:        2,
@@ -64,7 +104,6 @@ func NewEngine(fab *transport.Fabric, r int, clock *simtime.Clock, net simtime.N
 		MyRank:     0,
 		Predefined: true,
 	}
-	e.buildPredefined()
 	return e
 }
 
@@ -76,40 +115,6 @@ func (e *Engine) Size() int { return e.size }
 
 // WTime returns the rank's virtual time.
 func (e *Engine) WTime() time.Duration { return e.Clock.Now() }
-
-func (e *Engine) buildPredefined() {
-	prim := func(name mpi.ConstName, size int) {
-		e.dtypes[name] = &Dtype{
-			SizeB:      size,
-			ExtentB:    size,
-			Combiner:   mpi.CombinerNamed,
-			Name:       name,
-			Predefined: true,
-			Committed:  true,
-			segs:       []seg{{0, size}},
-		}
-	}
-	prim(mpi.ConstByte, 1)
-	prim(mpi.ConstChar, 1)
-	prim(mpi.ConstInt32, 4)
-	prim(mpi.ConstInt64, 8)
-	prim(mpi.ConstUint64, 8)
-	prim(mpi.ConstFloat32, 4)
-	prim(mpi.ConstFloat64, 8)
-
-	for _, name := range []mpi.ConstName{
-		mpi.ConstOpSum, mpi.ConstOpProd, mpi.ConstOpMax, mpi.ConstOpMin,
-		mpi.ConstOpLand, mpi.ConstOpLor, mpi.ConstOpBand, mpi.ConstOpBor,
-	} {
-		e.ops[name] = &Op{Name: name, Commute: true, Predefined: true}
-	}
-}
-
-// PredefDtype returns the predefined datatype object for name, or nil.
-func (e *Engine) PredefDtype(name mpi.ConstName) *Dtype { return e.dtypes[name] }
-
-// PredefOp returns the predefined operation object for name, or nil.
-func (e *Engine) PredefOp(name mpi.ConstName) *Op { return e.ops[name] }
 
 // ---------------------------------------------------------------------
 // Point-to-point.
@@ -356,7 +361,7 @@ func (e *Engine) CommSplit(c *Comm, color, key int) (*Comm, error) {
 	// Allgather (color, key) across the communicator.
 	sendv := mpi.Int64Bytes([]int64{int64(color), int64(key)})
 	recvv := make([]byte, 16*p)
-	if err := e.Allgather(c, sendv, 2, e.dtypes[mpi.ConstInt64], recvv, 2, e.dtypes[mpi.ConstInt64]); err != nil {
+	if err := e.Allgather(c, sendv, 2, int64Dt, recvv, 2, int64Dt); err != nil {
 		return nil, err
 	}
 	all := mpi.Int64s(recvv)
@@ -452,7 +457,7 @@ func (e *Engine) agreeContexts(c *Comm, n int) (uint32, error) {
 	if c.MyRank == 0 {
 		buf = mpi.Int32Bytes([]int32{int32(base)})
 	}
-	if err := e.Bcast(c, buf, 1, e.dtypes[mpi.ConstInt32], 0); err != nil {
+	if err := e.Bcast(c, buf, 1, int32Dt, 0); err != nil {
 		return 0, err
 	}
 	return uint32(mpi.Int32s(buf)[0]), nil

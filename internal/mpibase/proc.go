@@ -131,17 +131,9 @@ func (p *Proc) LookupConst(name mpi.ConstName) (mpi.Handle, error) {
 	case mpi.KindGroup:
 		return p.Tab.ConstHandle(name, p.Eng.EmptyGroup)
 	case mpi.KindDatatype:
-		d := p.Eng.PredefDtype(name)
-		if d == nil {
-			return mpi.HandleNull, mpi.Errorf(mpi.ErrType, "unknown datatype constant %v", name)
-		}
-		return p.Tab.ConstHandle(name, d)
+		return p.Tab.ConstHandle(name, predefDtypes[name])
 	case mpi.KindOp:
-		o := p.Eng.PredefOp(name)
-		if o == nil {
-			return mpi.HandleNull, mpi.Errorf(mpi.ErrOp, "unknown op constant %v", name)
-		}
-		return p.Tab.ConstHandle(name, o)
+		return p.Tab.ConstHandle(name, predefOps[name])
 	default:
 		return mpi.HandleNull, mpi.Errorf(mpi.ErrArg, "unknown constant %v", name)
 	}
@@ -675,7 +667,11 @@ func (p *Proc) TypeCommit(dt mpi.Handle) error {
 	if err != nil {
 		return err
 	}
-	d.Committed = true
+	if !d.Committed {
+		// A committed type may be a shared predefined one: leave it
+		// unwritten.
+		d.Committed = true
+	}
 	return nil
 }
 

@@ -64,16 +64,16 @@
 // scheduler never blocks: a receive that finds no match returns
 // ErrNoScheduler instead of waiting for a delivery nothing could make.
 //
-// Nothing in a fabric carries a lock or an atomic. The kernel runs one
-// rank at a time, and a fabric is touched only by the rank holding the
-// execution token — a mailbox's owner receiving or probing, a peer
-// depositing, whichever rank packs or frees a payload — or, while no
-// rank runs, by the goroutine that owns the job and by the stall
-// teardown (Fabric.Close on the scheduler goroutine); the kernel's
-// channel handoff orders each after the last. A fabric without a
-// scheduler must be driven by a single goroutine. Pooled entries and
-// buffers die with their fabric, and fabrics share no state, so nothing
-// from an old fabric survives a restart or moves a later job.
+// Nothing in a fabric or its mailboxes carries a lock or an atomic. The
+// kernel runs one rank at a time, and a fabric is touched only by the
+// rank holding the execution token — a mailbox's owner receiving or
+// probing, a peer depositing, whichever rank packs or frees a payload —
+// or, while no rank runs, by the goroutine that owns the job and runs
+// the kernel's loop and stall teardown (Fabric.Close). Ranks are the
+// loop's coroutines, and each switch orders one access after the last.
+// A fabric without a scheduler must be driven by one goroutine. Pooled
+// entries and buffers die with their fabric, and fabrics share no state,
+// so nothing from an old fabric survives a restart or moves a later job.
 package transport
 
 import (

@@ -320,8 +320,7 @@ func runRanks(f *Fabric, bodies ...func()) {
 	for r, body := range bodies {
 		k.Go(r, body)
 	}
-	k.Start()
-	k.Wait()
+	k.Run()
 }
 
 func TestBlockingRecvWakesOnSend(t *testing.T) {

@@ -128,13 +128,12 @@ func measureSize(t *testing.T) sizeCounts {
 }
 
 // keptSyncSites names the synchronization the tree keeps on purpose and
-// why; `make size` prints each beside its reason. The kernel runs one
-// rank at a time, and its channel handoff orders everything a job
-// touches, so a lock or an atomic elsewhere needs a caller the kernel
-// does not order.
+// why; `make size` prints each beside its reason. The kernel runs a
+// job's ranks as coroutines of one loop, one at a time, which orders
+// everything the job touches, so a lock or an atomic needs a caller the
+// kernel does not order.
 var keptSyncSites = map[string]string{
-	"kernel.Kernel.mu": "the event queue is shared by the scheduler goroutine and the running rank; ROADMAP item 24's single-threaded loop removes it",
-	"mpi.opRegistry":   "mpi.RegisterOp is public API that application code may call from any goroutine",
+	"mpi.opRegistry": "mpi.RegisterOp is public API that application code may call from any goroutine",
 }
 
 // syncPrimitives are the sync types that synchronize goroutines.
