@@ -57,10 +57,12 @@ determinism:
 # Go lines per package directory, core.Config fields, manasim CLI
 # flags, registered experiments, the unused exports — exported
 # internal/ identifiers and methods of named types (interface methods
-# included) that no non-test file references — and the sync sites:
+# included) that no non-test file references — the sync sites:
 # non-test internal/ uses of sync's Mutex, RWMutex, Cond, Once and
-# WaitGroup and of sync/atomic (sync.Pool is not counted). Each unused
-# export and each sync site is listed by name with the reason it stays.
+# WaitGroup and of sync/atomic (sync.Pool is not counted) — and the
+# write-only fields: fields of internal/ structs that no non-test file
+# reads. Each unused export, sync site and write-only field is listed
+# by name with the reason it stays.
 .PHONY: size
 size:
 	@$(GO) test -count=1 -run '^TestSizeRatchet$$' -v .

@@ -106,12 +106,13 @@ run flags:
            faults into a single run
   -mtbf    mean time between injected node crashes (virtual time, e.g.
            30s): runs the long-horizon service loop — every crash
-           restarts from the newest complete store generation, and lost
-           work plus restart time are charged to the service clock
-  -ckpt-interval  periodic checkpoint interval: a duration enables
-           interval-driven checkpoints on any run; "adaptive" (with
-           -mtbf) re-derives the Young/Daly interval sqrt(2*MTBF*C)
-           from observed crash history
+           restarts from the newest complete store generation (step 0
+           before the first commit), and lost work plus restart time
+           are charged to the service clock;
+           without -ckpt-interval it checkpoints at the Young/Daly
+           interval sqrt(2*MTBF*C), C measured by a probe run
+  -ckpt-interval  periodic checkpoint interval (virtual time):
+           interval-driven checkpoints on any run
   -corrupt-rate  with -mtbf: silently corrupt this fraction of store
            blobs at write time (seeded, one strike per key); the service
            loop scrubs before every restart so damage is quarantined,
@@ -184,7 +185,7 @@ func cmdRun(args []string) error {
 	useFaults := fs.Bool("faults", false, "enable the seeded fault injector")
 	faultSeed := fs.Int64("fault-seed", 42, "fault timeline seed with -faults")
 	mtbf := fs.Duration("mtbf", 0, "mean time between injected node crashes (virtual time); runs the long-horizon service loop with restart-from-store")
-	ckptInterval := fs.String("ckpt-interval", "", "periodic checkpoint interval: a duration, or \"adaptive\" for the MTBF-adaptive Young/Daly controller (needs -mtbf)")
+	ckptInterval := fs.Duration("ckpt-interval", 0, "periodic checkpoint interval (virtual time); with -mtbf, 0 means the Young/Daly interval")
 	corruptRate := fs.Float64("corrupt-rate", 0, "with -mtbf: silently corrupt this fraction of store blobs at write time")
 	restartFallback := fs.Bool("restart-fallback", false, "degrade to the newest verifying generation when the head is corrupt or quarantined")
 	if err := fs.Parse(args); err != nil {
@@ -228,26 +229,6 @@ func cmdRun(args []string) error {
 		in.Steps = *steps
 		in.SimSteps = *steps
 	}
-	// -ckpt-interval: a plain duration enables periodic checkpointing on
-	// any run; "adaptive" selects the MTBF-adaptive controller of the
-	// service loop and therefore needs -mtbf.
-	adaptive := false
-	var interval time.Duration
-	if *ckptInterval != "" {
-		if *ckptInterval == "adaptive" {
-			adaptive = true
-			if *mtbf <= 0 {
-				return fmt.Errorf("-ckpt-interval=adaptive needs -mtbf (the controller adapts to a crash process)")
-			}
-		} else {
-			d, err := time.ParseDuration(*ckptInterval)
-			if err != nil {
-				return fmt.Errorf("-ckpt-interval: %w", err)
-			}
-			interval = d
-		}
-	}
-
 	// -mtbf runs the long-horizon service loop: the job under the
 	// injector's crash process, restarted from the checkpoint store after
 	// every crash until it completes.
@@ -256,10 +237,9 @@ func cmdRun(args []string) error {
 			App: *appName, Impl: *implName,
 			Ranks: in.Ranks, Steps: in.SimSteps,
 			Seed: *faultSeed, MTBF: *mtbf, Crashes: 6,
-			Interval: interval, Adaptive: adaptive,
-			InitialInterval: *mtbf / 4,
-			CorruptRate:     *corruptRate,
-			Fallback:        *restartFallback,
+			Interval:    *ckptInterval,
+			CorruptRate: *corruptRate,
+			Fallback:    *restartFallback,
 			Logf: func(format string, a ...any) {
 				fmt.Fprintf(os.Stderr, "  "+format+"\n", a...)
 			},
@@ -269,8 +249,8 @@ func cmdRun(args []string) error {
 		}
 		fmt.Printf("service %s/%s: %d ranks, MTBF=%v, policy=%s\n", *appName, *implName, in.Ranks, *mtbf, out.Policy)
 		fmt.Printf("  goodput=%.3f  total=%.2fms useful=%.2fms lost=%.2fms\n", out.Goodput, out.TotalVTS*1e3, out.BaselineVTS*1e3, out.LostVTS*1e3)
-		fmt.Printf("  crashes=%d restarts=%d ckpts=%d final-interval=%.2fms (est MTBF %.2fms, ckpt cost %.2fms)\n",
-			out.Crashes, out.Restarts, out.Ckpts, out.IntervalS*1e3, out.MTBFEstS*1e3, out.CkptCostS*1e3)
+		fmt.Printf("  crashes=%d restarts=%d ckpts=%d interval=%.2fms\n",
+			out.Crashes, out.Restarts, out.Ckpts, out.IntervalS*1e3)
 		if *corruptRate > 0 {
 			fmt.Printf("  integrity: rate=%g fallback=%v corruptions=%d scrub-findings=%d repaired=%d fresh-starts=%d extra-lost=%.2fms\n",
 				out.CorruptRate, out.Fallback, out.Corruptions, out.ScrubFindings, out.ScrubRepaired, out.FreshStarts, extraLost(out)*1e3)
@@ -293,7 +273,7 @@ func cmdRun(args []string) error {
 		Host:           host,
 		UniformHandles: *uniform,
 		DrainStrategy:  *drainName,
-		CkptInterval:   interval,
+		CkptInterval:   *ckptInterval,
 		StoreOptions: ckptstore.Options{
 			Backend:      backend,
 			Dir:          *ckptDir,

@@ -115,3 +115,31 @@ func TestRunRejectsUnpairedFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestRunMTBFCheckpoints: -mtbf without -ckpt-interval checkpoints at
+// the Young/Daly interval, and a crash after a committed checkpoint
+// restarts from the store. A checkpoint request lands SkewBound (8)
+// steps after it is made, about 6 ms of this job, so at a 2 ms MTBF no
+// attempt of the default fault seed lives to its first commit; the
+// restart is required at 4 ms.
+func TestRunMTBFCheckpoints(t *testing.T) {
+	for _, c := range []struct {
+		mtbf    string
+		restart bool
+	}{{"2ms", false}, {"4ms", true}} {
+		out := runCaptured(t, "-app", "lammps", "-mana", "-ranks", "8", "-steps", "24", "-mtbf", c.mtbf)
+		m := regexp.MustCompile(`restarts=(\d+) ckpts=(\d+) interval=([0-9.]+)ms`).FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("-mtbf %s: no service summary in the output:\n%s", c.mtbf, out)
+		}
+		restarts, _ := strconv.Atoi(m[1])
+		ckpts, _ := strconv.Atoi(m[2])
+		interval, _ := strconv.ParseFloat(m[3], 64)
+		if ckpts == 0 || interval <= 0 {
+			t.Errorf("-mtbf %s: %d checkpoints at a %.2f ms interval, want a positive Young/Daly interval that checkpoints:\n%s", c.mtbf, ckpts, interval, out)
+		}
+		if c.restart && restarts == 0 {
+			t.Errorf("-mtbf %s: no crash restarted from the store:\n%s", c.mtbf, out)
+		}
+	}
+}

@@ -48,7 +48,6 @@ func main() {
 		Partition: "realtime",
 	}
 	wl := sched.Workload{
-		Name: "xfel-burst",
 		Seed: 42,
 		Jobs: []sched.JobSpec{
 			{ID: "hydro-long", Class: hydro, Submit: 0},

@@ -42,13 +42,6 @@ import (
 //     A crash mid-commit or mid-prune therefore self-heals — leaked
 //     blobs are collected at the next Open, and a blob can never be
 //     deleted while a surviving recipe lists it.
-type dedupRead struct {
-	// unique is the bytes resolved through blobs only this chain
-	// references; shared the bytes through blobs with refcount > 1.
-	unique, shared int64
-	// refs counts the shared blob references encountered.
-	refs int
-}
 
 // blobPrefix namespaces content-addressed blobs; keys keep the store's
 // at-most-one-'/' shape.
@@ -326,48 +319,39 @@ func (s *Store) pruneRecipe(k string) error {
 }
 
 // assembleRecipe reassembles a rank image from its recipe, verifying
-// each blob against the CRC and length its key embeds. It reports what
-// the reassembly read through shared blobs (refcount > 1 — bytes some
-// other live chain also references) versus unique ones.
+// each blob against the CRC and length its key embeds.
 //
 // Every resolution failure — an undecodable recipe, a missing or
 // key-contradicting blob, a reassembly length mismatch — is a typed
 // *ChainLinkError naming the generation and rank, exactly like the
 // plain chain walk's failures, so restart-fallback policies can match
 // one error shape.
-func (s *Store) assembleRecipe(seq, rank int, recipe []byte) ([]byte, dedupRead, error) {
+func (s *Store) assembleRecipe(seq, rank int, recipe []byte) ([]byte, error) {
 	total, keys, err := decodeRecipe(recipe)
 	if err != nil {
-		return nil, dedupRead{}, &ChainLinkError{Gen: seq, Rank: rank, Err: err}
+		return nil, &ChainLinkError{Gen: seq, Rank: rank, Err: err}
 	}
-	var dr dedupRead
 	out := make([]byte, 0, total)
 	for _, bk := range keys {
 		seg, err := s.bGet(bk)
 		if err != nil {
-			return nil, dedupRead{}, &ChainLinkError{Gen: seq, Rank: rank, Err: err}
+			return nil, &ChainLinkError{Gen: seq, Rank: rank, Err: err}
 		}
 		crc, length, err := parseBlobKey(bk)
 		if err != nil {
-			return nil, dedupRead{}, &ChainLinkError{Gen: seq, Rank: rank, Err: err}
+			return nil, &ChainLinkError{Gen: seq, Rank: rank, Err: err}
 		}
 		if int64(len(seg)) != length || crc32.ChecksumIEEE(seg) != crc {
-			return nil, dedupRead{}, &ChainLinkError{Gen: seq, Rank: rank,
+			return nil, &ChainLinkError{Gen: seq, Rank: rank,
 				Err: fmt.Errorf("blob %q does not match its key (%w)", bk, ckptimg.ErrCorrupt)}
-		}
-		if s.blobRefs[bk] > 1 {
-			dr.shared += length
-			dr.refs++
-		} else {
-			dr.unique += length
 		}
 		out = append(out, seg...)
 	}
 	if len(out) != total {
-		return nil, dedupRead{}, &ChainLinkError{Gen: seq, Rank: rank,
+		return nil, &ChainLinkError{Gen: seq, Rank: rank,
 			Err: fmt.Errorf("recipe reassembled %d bytes, want %d (%w)", len(out), total, ckptimg.ErrCorrupt)}
 	}
-	return out, dr, nil
+	return out, nil
 }
 
 // rebuildRefs recomputes the refcount table from every surviving

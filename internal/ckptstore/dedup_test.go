@@ -85,7 +85,7 @@ func TestDedupMaterializeMatchesNonDedup(t *testing.T) {
 		}
 	}
 	for seq := 0; seq < 4; seq++ {
-		got, stats, err := dd.MaterializeStream(seq)
+		got, _, err := dd.MaterializeStream(seq)
 		if err != nil {
 			t.Fatalf("dedup materialize %d: %v", seq, err)
 		}
@@ -98,8 +98,12 @@ func TestDedupMaterializeMatchesNonDedup(t *testing.T) {
 			if !bytes.Equal(got[r].AppState, committed) || !bytes.Equal(want[r].AppState, committed) {
 				t.Fatalf("generation %d rank %d: resolved state differs from the committed snapshot", seq, r)
 			}
-			if tot := stats[r].UniqueBytes + stats[r].DedupBytes; tot == 0 {
-				t.Fatalf("generation %d rank %d: dedup read stats empty", seq, r)
+			recipe, err := dd.b.Get(key(seq, r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if total, keys, err := decodeRecipe(recipe); err != nil || total == 0 || len(keys) == 0 {
+				t.Fatalf("generation %d rank %d: resolved through no blob (%d bytes, %d keys, %v)", seq, r, total, len(keys), err)
 			}
 		}
 	}

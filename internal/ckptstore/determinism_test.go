@@ -122,7 +122,7 @@ func recordLifecycle(t *testing.T, o Options) []string {
 
 	// Damage the first two blobs only rank 0's base recipe lists whose
 	// bytes rank 1's base image holds as a run of whole frames.
-	donor, _, err := s.getBlob(3, 1)
+	donor, err := s.getBlob(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

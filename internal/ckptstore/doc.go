@@ -165,9 +165,7 @@
 // Cost attribution: the simulated job charges only new unique bytes
 // per commit. A chunk shared by several ranks in the same generation
 // is paid for by the lowest rank that carries it (CommitCharge);
-// recipe bytes are charged to their rank. ChainStats reports
-// UniqueBytes/DedupBytes/SharedChunks so experiments can price the
-// dedup ratio directly.
+// recipe bytes are charged to their rank (Generation.UniqueBytes).
 //
 // # The tier drainer
 //

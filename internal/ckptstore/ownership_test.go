@@ -23,6 +23,10 @@ func TestBackendsOwnBlobs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var log *opLog
+			if tb, ok := b.(*tierBackend); ok {
+				log = recordTiers(tb)
+			}
 			data := bytes.Clone(want)
 			if err := b.Put(key, data); err != nil {
 				t.Fatal(err)
@@ -38,8 +42,8 @@ func TestBackendsOwnBlobs(t *testing.T) {
 				if err := b.Put(other, bytes.Clone(want)); err != nil {
 					t.Fatal(err)
 				}
-				if tb.ops.Evictions != 1 {
-					t.Fatalf("tier evicted %d blobs, want 1", tb.ops.Evictions)
+				if ev, _, _ := tierTraffic(log); ev != 1 {
+					t.Fatalf("tier evicted %d blobs, want 1", ev)
 				}
 			}
 			for i := 0; i < 3; i++ {
@@ -56,8 +60,8 @@ func TestBackendsOwnBlobs(t *testing.T) {
 				if err := tb.DrainBarrier(); err != nil {
 					t.Fatal(err)
 				}
-				if tb.ops.Promotions != 1 {
-					t.Fatalf("tier promoted %d blobs, want 1", tb.ops.Promotions)
+				if _, _, promoted := tierTraffic(log); promoted != 1 {
+					t.Fatalf("tier promoted %d blobs, want 1", promoted)
 				}
 			}
 		})

@@ -1,6 +1,8 @@
 package ckptstore
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -40,7 +42,7 @@ func (b *transientBackend) Delete(key string) error {
 
 // TestTransientPutRetried: a Put that fails transiently under the retry
 // budget is retried away — the commit succeeds, the retries and their
-// modeled backoff are accounted, and nothing counts as permanent.
+// modeled backoff are accounted, and the retried Put lands.
 func TestTransientPutRetried(t *testing.T) {
 	const n = 2
 	tb := &transientBackend{
@@ -57,8 +59,8 @@ func TestTransientPutRetried(t *testing.T) {
 	if rs.BackoffVT <= 0 {
 		t.Fatal("no backoff time accounted for retried operations")
 	}
-	if rs.Permanent != 0 {
-		t.Fatalf("permanent failures = %d, want 0", rs.Permanent)
+	if _, err := tb.Backend.Get(key(0, 1)); err != nil {
+		t.Fatalf("retried Put never landed: %v", err)
 	}
 	if _, ok := s.Head(); !ok {
 		t.Fatal("retried commit left no head generation")
@@ -66,8 +68,8 @@ func TestTransientPutRetried(t *testing.T) {
 }
 
 // TestTransientPutExhaustsBudget: a key that keeps failing past the
-// retry budget fails the commit permanently, and the rollback leaves no
-// partial generation behind.
+// retry budget fails the commit permanently with that Put's error, and
+// the rollback leaves no partial generation behind.
 func TestTransientPutExhaustsBudget(t *testing.T) {
 	const n = 2
 	tb := &transientBackend{
@@ -76,15 +78,16 @@ func TestTransientPutExhaustsBudget(t *testing.T) {
 	}
 	s := &Store{b: tb, n: n, opts: Options{}.withDefaults(), index: make([]rankIndex, n)}
 	images := encodeGen(t, s, n, 0, func(int) []byte { return appState(500, 0) })
-	if _, err := s.Commit(images); err == nil {
+	_, err := s.Commit(images)
+	if err == nil {
 		t.Fatal("commit succeeded past the retry budget")
 	}
 	rs := s.Retry()
 	if rs.Retries != retryAttempts-1 {
 		t.Fatalf("retries = %d, want %d", rs.Retries, retryAttempts-1)
 	}
-	if rs.Permanent != 1 {
-		t.Fatalf("permanent failures = %d, want 1", rs.Permanent)
+	if te := (*transientError)(nil); !errors.As(err, &te) || te.key != key(0, 1) {
+		t.Fatalf("commit error %v does not carry the exhausted Put of %q", err, key(0, 1))
 	}
 	if gens := s.Generations(); len(gens) != 0 {
 		t.Fatalf("failed commit recorded a generation: %v", gens)
@@ -95,8 +98,7 @@ func TestTransientPutExhaustsBudget(t *testing.T) {
 }
 
 // TestDiscardRetryPassRecovers: a rollback delete that fails once is
-// recovered by discardGeneration's bounded retry pass — no residual
-// orphans, no leaked blobs.
+// recovered by discardGeneration's bounded retry pass — no blob leaks.
 func TestDiscardRetryPassRecovers(t *testing.T) {
 	const n = 2
 	tb := &transientBackend{
@@ -109,17 +111,15 @@ func TestDiscardRetryPassRecovers(t *testing.T) {
 	if _, err := s.Commit(images); err == nil {
 		t.Fatal("commit succeeded past the retry budget")
 	}
-	if got := s.ResidualOrphans(); got != 0 {
-		t.Fatalf("residual orphans = %d after a recovered retry pass, want 0", got)
-	}
 	if keys, _ := tb.List(); len(keys) != 0 {
-		t.Fatalf("recovered rollback left blobs: %v", keys)
+		t.Fatalf("recovered rollback left %d residual orphans: %v", len(keys), keys)
 	}
 }
 
 // TestDiscardResidualOrphansCounted: a rollback delete that outlives the
-// retry pass is counted as a residual orphan and reported in the error,
-// and the count reaches the per-rank chain statistics.
+// retry pass leaves exactly that blob behind as a residual orphan and is
+// reported in the error, and a later commit over the leak restores its
+// own state, not the orphan's.
 func TestDiscardResidualOrphansCounted(t *testing.T) {
 	const n = 2
 	tb := &transientBackend{
@@ -136,18 +136,19 @@ func TestDiscardResidualOrphansCounted(t *testing.T) {
 	if !strings.Contains(err.Error(), "discarding generation") {
 		t.Fatalf("leaked rollback not reported: %v", err)
 	}
-	if got := s.ResidualOrphans(); got != 1 {
-		t.Fatalf("residual orphans = %d, want 1", got)
+	if keys, _ := tb.List(); len(keys) != 1 || keys[0] != key(0, 0) {
+		t.Fatalf("residual orphans %v, want only %q", keys, key(0, 0))
 	}
 
-	// The leak is storage-only: a later commit on the same store works
-	// and surfaces the count in its chain stats.
+	// The leak is storage-only: a later commit on the same store works.
 	commitGen(t, s, n, 1, func(int) []byte { return appState(500, 1) })
-	_, stats, err := s.MaterializeStreamHead()
+	imgs, _, err := s.MaterializeStreamHead()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats) == 0 || stats[0].ResidualOrphans != 1 {
-		t.Fatalf("chain stats %+v missing residual orphan count", stats)
+	for r, img := range imgs {
+		if !bytes.Equal(img.AppState, appState(500, 1)) {
+			t.Fatalf("rank %d restored a state other than the later commit's", r)
+		}
 	}
 }

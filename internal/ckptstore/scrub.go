@@ -124,13 +124,6 @@ func (r *ScrubReport) found(kind FindingKind, key string, gen, rank int, err err
 	return len(r.Findings) - 1
 }
 
-// scrubRecipe is one intact recipe the generation walk collected — a
-// candidate donor for blob re-derivation.
-type scrubRecipe struct {
-	seq, rank int
-	keys      []string
-}
-
 // Scrub verifies every stored byte the manifest accounts for, repairs
 // what is recoverable, and quarantines generations with unrepairable
 // damage. It never inflates application state: plain images go through
@@ -155,7 +148,7 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 	directBad := make(map[int]bool)     // generations with unrepairable key damage
 	recount := make(map[string]int)     // content blob -> references from surviving recipes
 	blobUsers := make(map[string][]int) // content blob -> generations referencing it
-	var recipes []scrubRecipe           // intact recipes, walk order
+	var recipes [][]string              // blob keys of the intact recipes, walk order
 	for seq := s.prunedTo; seq < len(s.gens); seq++ {
 		rep.Generations++
 		for r := 0; r < s.n; r++ {
@@ -208,7 +201,7 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 					blobUsers[bk] = append(u, seq)
 				}
 			}
-			recipes = append(recipes, scrubRecipe{seq: seq, rank: r, keys: bks})
+			recipes = append(recipes, bks)
 		}
 	}
 
@@ -266,8 +259,8 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 	}
 
 	// Phase 4: orphans — backend keys nothing live accounts for.
-	// Deleting one is the repair; a failed delete is counted with the
-	// store's residual orphans and retried by the next scrub or Open.
+	// Deleting one is the repair; a failed delete stays an unrepaired
+	// finding and is retried by the next scrub or Open.
 	sort.Strings(listed)
 	for _, k := range listed {
 		if k == manifestKey {
@@ -286,7 +279,6 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 		idx := rep.found(FindingOrphanBlob, k, -1, -1, nil)
 		if derr := s.b.Delete(k); derr != nil {
 			rep.Findings[idx].Err = derr
-			s.addOrphans(1)
 			continue
 		}
 		rep.Findings[idx].Repaired = true
@@ -358,13 +350,13 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 // and content hash), so writing it back is a true repair, confirmed by
 // a read-back. Damaged blobs are tried in key order, so the repair
 // writes follow from the store's contents alone.
-func (s *Store) repairFromDonors(rep *ScrubReport, recipes []scrubRecipe, damaged map[string]int) {
-	for _, rc := range recipes {
+func (s *Store) repairFromDonors(rep *ScrubReport, recipes [][]string, damaged map[string]int) {
+	for _, keys := range recipes {
 		if len(damaged) == 0 {
 			return
 		}
 		clean := true
-		for _, bk := range rc.keys {
+		for _, bk := range keys {
 			if _, bad := damaged[bk]; bad {
 				clean = false
 				break
@@ -375,7 +367,7 @@ func (s *Store) repairFromDonors(rep *ScrubReport, recipes []scrubRecipe, damage
 		}
 		var donor []byte
 		ok := true
-		for _, bk := range rc.keys {
+		for _, bk := range keys {
 			seg, err := s.bGet(bk)
 			if err != nil {
 				ok = false

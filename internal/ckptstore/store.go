@@ -157,23 +157,6 @@ type ChainStats struct {
 	// RestoreStream the state and scratch are its one resolver buffer
 	// pair, reused by the next rank.
 	PeakBytes int64
-	// UniqueBytes is the stored bytes this resolution read through
-	// blobs only this chain references (dedup stores only; 0 otherwise).
-	UniqueBytes int64
-	// DedupBytes is the stored bytes read through blobs shared with
-	// some other live rank or generation — bytes the backend holds once
-	// but logically serves many times.
-	DedupBytes int64
-	// SharedChunks counts the shared blob references the resolution
-	// crossed.
-	SharedChunks int
-	// ResidualOrphans is the store-wide count of blobs that should be
-	// gone but could not be deleted — rollback or orphan-sweep deletes
-	// that kept failing after the bounded retry pass. It is a snapshot
-	// of the store counter at materialize time (same value on every
-	// rank), making Open's crash-resume sweep observable to callers
-	// that only see read results.
-	ResidualOrphans int
 }
 
 // ChainLinkError reports that one link of a rank's base+delta chain
@@ -262,8 +245,7 @@ type Store struct {
 	// commit (CommitCharge).
 	lastUnique []int64
 
-	retry   RetryStats
-	orphans int
+	retry RetryStats
 }
 
 // RetryStats aggregates the store's transient-failure recovery work:
@@ -277,9 +259,6 @@ type RetryStats struct {
 	// accounting (the checkpoint path charges it to the committing
 	// rank).
 	BackoffVT time.Duration
-	// Permanent counts operations that failed with a non-transient
-	// error or exhausted the retry budget.
-	Permanent int
 }
 
 // retryAttempts bounds the transient-failure retry loop per operation:
@@ -308,7 +287,6 @@ func (s *Store) retryOp(fn func() error) error {
 		s.retry.Retries++
 		s.retry.BackoffVT += fs.RetryBackoff(attempt)
 	}
-	s.retry.Permanent++
 	return err
 }
 
@@ -331,21 +309,6 @@ func (s *Store) bGet(key string) ([]byte, error) {
 // Retry reports the accumulated transient-failure recovery statistics.
 func (s *Store) Retry() RetryStats {
 	return s.retry
-}
-
-// ResidualOrphans reports how many blobs remain that every cleanup
-// attempt — rollback plus its retry pass, or Open's orphan sweep —
-// failed to delete.
-func (s *Store) ResidualOrphans() int {
-	return s.orphans
-}
-
-// addOrphans records n blobs leaked past cleanup.
-func (s *Store) addOrphans(n int) {
-	if n <= 0 {
-		return
-	}
-	s.orphans += n
 }
 
 // Open builds a store for an n-rank job over the configured backend.
@@ -427,7 +390,6 @@ func (s *Store) pruneOrphans(resumed bool) error {
 		}
 		if seq >= head {
 			if err := s.b.Delete(k); err != nil {
-				s.addOrphans(1)
 				errs = append(errs, fmt.Errorf("ckptstore: pruning orphan %q: %w", k, err))
 			}
 		}
@@ -443,7 +405,6 @@ func (s *Store) pruneOrphans(resumed bool) error {
 		// in Open instead).
 		for _, bk := range contentBlobs {
 			if err := s.b.Delete(bk); err != nil {
-				s.addOrphans(1)
 				errs = append(errs, fmt.Errorf("ckptstore: pruning orphan blob %q: %w", bk, err))
 			}
 		}
@@ -726,10 +687,9 @@ func (s *Store) LastRetentionErr() error {
 
 // discardGeneration removes every blob a failed commit may have written
 // for seq. Deletes that fail get one bounded retry pass; blobs that
-// survive it are counted as residual orphans (ResidualOrphans,
-// ChainStats.ResidualOrphans) and reported in the aggregated error — a
-// rollback that leaks blobs must not report success, and the next
-// Open's orphan sweep is the recovery of last resort.
+// survive it are reported in the aggregated error — a rollback that
+// leaks blobs must not report success, and the next Open's orphan
+// sweep is the recovery of last resort.
 func (s *Store) discardGeneration(seq int) error {
 	var failed []int
 	for r := 0; r < s.n; r++ {
@@ -741,14 +701,11 @@ func (s *Store) discardGeneration(seq int) error {
 		return nil
 	}
 	var errs []error
-	residual := 0
 	for _, r := range failed {
 		if err := s.b.Delete(key(seq, r)); err != nil {
-			residual++
 			errs = append(errs, fmt.Errorf("ckptstore: discarding generation %d rank %d: %w", seq, r, err))
 		}
 	}
-	s.addOrphans(residual)
 	return errors.Join(errs...)
 }
 
@@ -857,15 +814,11 @@ func (s *Store) Head() (Generation, bool) {
 // front, and the retention cutoff lands on a base, so no live chain
 // links below it. On a dedup store the rank key holds a recipe, which
 // is reassembled — and verified blob-by-blob — into the exact original
-// encoded image; the dedupRead reports how much of it came through
-// shared blobs.
-func (s *Store) getBlob(seq, rank int) ([]byte, dedupRead, error) {
+// encoded image.
+func (s *Store) getBlob(seq, rank int) ([]byte, error) {
 	data, err := s.bGet(key(seq, rank))
-	if err != nil {
-		return nil, dedupRead{}, err
-	}
-	if !s.opts.Dedup {
-		return data, dedupRead{}, nil
+	if err != nil || !s.opts.Dedup {
+		return data, err
 	}
 	return s.assembleRecipe(seq, rank, data)
 }

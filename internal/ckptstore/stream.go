@@ -46,7 +46,6 @@ func (s *Store) MaterializeStream(seq int) ([]*ckptimg.Image, []ChainStats, erro
 		}
 		out[r], stats[r] = img, cs
 	}
-	s.stampOrphans(stats)
 	return out, stats, nil
 }
 
@@ -84,7 +83,6 @@ func (s *Store) RestoreStream(seq int, fn func(img *ckptimg.Image) error) ([]Cha
 		}
 		stats[r] = cs
 	}
-	s.stampOrphans(stats)
 	return stats, nil
 }
 
@@ -100,15 +98,6 @@ func (s *Store) checkReadable(seq int) error {
 		return fmt.Errorf("ckptstore: generation %d: %w", seq, ErrQuarantined)
 	}
 	return nil
-}
-
-// stampOrphans copies the store's residual-orphan count into every
-// rank's statistics.
-func (s *Store) stampOrphans(stats []ChainStats) {
-	orphans := s.ResidualOrphans()
-	for r := range stats {
-		stats[r].ResidualOrphans = orphans
-	}
 }
 
 // resolveBufs is one resolver's memory for application state: the
@@ -144,7 +133,7 @@ type prefixCheck struct {
 // reads only blobs of committed generations that checkReadable let
 // through, which nothing rewrites.
 func (s *Store) resolveRank(seq, rank int, bufs *resolveBufs) (*ckptimg.Image, ChainStats, error) {
-	data, dr, err := s.getBlob(seq, rank)
+	data, err := s.getBlob(seq, rank)
 	if err != nil {
 		return nil, ChainStats{}, err
 	}
@@ -160,8 +149,6 @@ func (s *Store) resolveRank(seq, rank int, bufs *resolveBufs) (*ckptimg.Image, C
 		st := ChainStats{
 			BaseBytes: int64(len(data)),
 			PeakBytes: int64(len(data) + len(img.AppState)),
-
-			UniqueBytes: dr.unique, DedupBytes: dr.shared, SharedChunks: dr.refs,
 		}
 		if n := len(img.AppState); n > 0 {
 			st.ChunksRead = (n + s.opts.ChunkBytes - 1) / s.opts.ChunkBytes
@@ -178,7 +165,6 @@ func (s *Store) resolveRank(seq, rank int, bufs *resolveBufs) (*ckptimg.Image, C
 		}
 	}()
 	var st ChainStats
-	st.UniqueBytes, st.DedupBytes, st.SharedChunks = dr.unique, dr.shared, dr.refs
 	blobBytes := int64(len(data))
 	cur := seq
 	for ckptimg.IsDelta(data) {
@@ -204,12 +190,9 @@ func (s *Store) resolveRank(seq, rank int, bufs *resolveBufs) (*ckptimg.Image, C
 		if cur < 0 {
 			return nil, ChainStats{}, fmt.Errorf("ckptstore: rank %d delta chain has no base", rank)
 		}
-		if data, dr, err = s.getBlob(cur, rank); err != nil {
+		if data, err = s.getBlob(cur, rank); err != nil {
 			return nil, ChainStats{}, err
 		}
-		st.UniqueBytes += dr.unique
-		st.DedupBytes += dr.shared
-		st.SharedChunks += dr.refs
 		blobBytes += int64(len(data))
 	}
 

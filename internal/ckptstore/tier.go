@@ -26,8 +26,7 @@ import (
 // A positive FrontCap turns the front tier into a bounded LRU cache
 // (a real burst buffer has a capacity): blobs already flushed to the
 // back tier are evicted coldest-first once residency passes the cap and
-// re-promoted on demand; blobs not yet flushed are pinned. TierOps
-// counts the hits, misses, promotions, and evictions.
+// re-promoted on demand; blobs not yet flushed are pinned.
 type tierBackend struct {
 	front, back     Backend
 	frontFS, backFS fsim.FS
@@ -42,7 +41,6 @@ type tierBackend struct {
 	sizes      map[string]int64 // bytes resident on the front tier, per key
 	lru        []string         // front-tier keys, least recently used first
 	frontBytes int64
-	ops        TierOps // hit/miss/promotion/eviction counters
 
 	// Modeled durability clocks: frontVT advances by the front profile
 	// per Put (serialized-commit approximation), backVT trails it by the
@@ -160,7 +158,6 @@ func (b *tierBackend) evict(keep string) {
 		// will still hit; residency bookkeeping is dropped either way so
 		// the cap keeps governing what the backend believes it holds.
 		_ = b.front.Delete(victim)
-		b.ops.Evictions++
 	}
 }
 
@@ -213,11 +210,9 @@ func (b *tierBackend) DrainLag() time.Duration {
 
 func (b *tierBackend) Get(key string) ([]byte, error) {
 	if data, err := b.front.Get(key); err == nil {
-		b.ops.FrontHits++
 		b.touch(key)
 		return data, nil
 	}
-	b.ops.FrontMisses++
 	data, err := b.back.Get(key)
 	if err != nil {
 		return nil, err
@@ -228,7 +223,6 @@ func (b *tierBackend) Get(key string) ([]byte, error) {
 	if err := b.front.Put(key, exactCopy(data)); err != nil {
 		return nil, fmt.Errorf("ckptstore: tier promote of %q: %w", key, err)
 	}
-	b.ops.Promotions++
 	b.noteResident(key, int64(len(data)))
 	return data, nil
 }
@@ -269,11 +263,4 @@ func (b *tierBackend) Delete(key string) error {
 	}
 	b.dropResident(key)
 	return errors.Join(b.front.Delete(key), b.back.Delete(key))
-}
-
-// TierOps counts the front-tier cache traffic of a tier backend: Get
-// hits and misses against the front tier, promotions of back-tier blobs
-// into it, and the LRU evictions its capacity bound forced.
-type TierOps struct {
-	FrontHits, FrontMisses, Promotions, Evictions int
 }

@@ -236,6 +236,42 @@ func TestObjBackendRoundTrips(t *testing.T) {
 	}
 }
 
+// recordTiers wraps both tiers of tb in recording backends sharing one
+// log, from which tierTraffic reads the front tier's cache traffic.
+func recordTiers(tb *tierBackend) *opLog {
+	log := &opLog{}
+	tb.front = &recordingBackend{Backend: tb.front, prefix: "front.", log: log}
+	tb.back = &recordingBackend{Backend: tb.back, prefix: "back.", log: log}
+	return log
+}
+
+// tierTraffic counts a tier backend's front-tier cache traffic in a
+// recordTiers log: an eviction is a front-tier delete the back tier
+// does not repeat (Delete removes a key from both), a miss is a
+// back-tier read, and a promotion is a back-tier hit the front tier
+// takes a copy of.
+func tierTraffic(log *opLog) (evictions, misses, promotions int) {
+	for i, line := range log.ops {
+		f := strings.Fields(line)
+		next := ""
+		if i+1 < len(log.ops) {
+			next = log.ops[i+1]
+		}
+		switch f[0] {
+		case "front.delete":
+			if !strings.HasPrefix(next, "back.delete "+f[1]+" ") {
+				evictions++
+			}
+		case "back.get":
+			misses++
+			if f[2] != "-1" && next == "front.put "+f[1]+" "+f[2] {
+				promotions++
+			}
+		}
+	}
+	return evictions, misses, promotions
+}
+
 // TestTierFrontCapEvictsLRU pins the bounded burst buffer: past the
 // cap, the coldest flushed blob is evicted from the front tier, recent
 // blobs stay, and the victim is still served read-through from the back
@@ -246,6 +282,7 @@ func TestTierFrontCapEvictsLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb := tier.(*tierBackend)
+	log := recordTiers(tb)
 	blob := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 1024) }
 	for i := 0; i < 2; i++ {
 		if err := tier.Put(key(0, i), blob(i)); err != nil {
@@ -255,8 +292,8 @@ func TestTierFrontCapEvictsLRU(t *testing.T) {
 	if err := tier.(Drainer).DrainBarrier(); err != nil {
 		t.Fatal(err)
 	}
-	if tb.ops.Evictions != 0 || tb.frontBytes != 2048 {
-		t.Fatalf("cap not exceeded yet, ops %+v, %d front bytes", tb.ops, tb.frontBytes)
+	if ev, _, _ := tierTraffic(log); ev != 0 || tb.frontBytes != 2048 {
+		t.Fatalf("cap not exceeded yet, %d evictions, %d front bytes", ev, tb.frontBytes)
 	}
 	// Touch rank 0 so rank 1 becomes the LRU victim.
 	if _, err := tier.Get(key(0, 0)); err != nil {
@@ -268,9 +305,8 @@ func TestTierFrontCapEvictsLRU(t *testing.T) {
 	if err := tier.(Drainer).DrainBarrier(); err != nil {
 		t.Fatal(err)
 	}
-	ops := tb.ops
-	if ops.Evictions != 1 || tb.frontBytes > tb.frontCap {
-		t.Fatalf("eviction did not enforce the cap: %+v, %d front bytes", ops, tb.frontBytes)
+	if ev, _, _ := tierTraffic(log); ev != 1 || tb.frontBytes > tb.frontCap {
+		t.Fatalf("eviction did not enforce the cap: %d evictions, %d front bytes", ev, tb.frontBytes)
 	}
 	if _, err := tb.front.Get(key(0, 1)); err == nil {
 		t.Fatal("LRU victim still on the front tier")
@@ -280,17 +316,17 @@ func TestTierFrontCapEvictsLRU(t *testing.T) {
 	}
 	// The victim is still served read-through and re-promoted, which in
 	// turn evicts the now-coldest blob to stay under the cap.
-	before := ops
+	_, misses, promotions := tierTraffic(log)
 	got, err := tier.Get(key(0, 1))
 	if err != nil || !bytes.Equal(got, blob(1)) {
 		t.Fatalf("evicted blob unreadable: %v", err)
 	}
-	ops = tb.ops
-	if ops.FrontMisses != before.FrontMisses+1 || ops.Promotions != before.Promotions+1 {
-		t.Fatalf("miss/promotion not counted: %+v -> %+v", before, ops)
+	ev, misses2, promotions2 := tierTraffic(log)
+	if misses2 != misses+1 || promotions2 != promotions+1 {
+		t.Fatalf("miss/promotion not seen: misses %d -> %d, promotions %d -> %d", misses, misses2, promotions, promotions2)
 	}
-	if ops.Evictions != 2 || tb.frontBytes > tb.frontCap {
-		t.Fatalf("re-promotion past the cap did not evict: %+v, %d front bytes", ops, tb.frontBytes)
+	if ev != 2 || tb.frontBytes > tb.frontCap {
+		t.Fatalf("re-promotion past the cap did not evict: %d evictions, %d front bytes", ev, tb.frontBytes)
 	}
 }
 
@@ -306,13 +342,14 @@ func TestTierFrontCapPinsUnflushed(t *testing.T) {
 		queued:   make(map[string]bool),
 		sizes:    make(map[string]int64),
 	}
+	log := recordTiers(tb)
 	for i := 0; i < 4; i++ {
 		if err := tb.Put(key(0, i), bytes.Repeat([]byte{byte(i)}, 1024)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if tb.ops.Evictions != 0 || tb.frontBytes != 4096 {
-		t.Fatalf("unflushed blobs evicted: %+v, %d front bytes", tb.ops, tb.frontBytes)
+	if ev, _, _ := tierTraffic(log); ev != 0 || tb.frontBytes != 4096 {
+		t.Fatalf("unflushed blobs evicted: %d evictions, %d front bytes", ev, tb.frontBytes)
 	}
 	if err := tb.DrainBarrier(); err != nil {
 		t.Fatal(err)
@@ -320,8 +357,8 @@ func TestTierFrontCapPinsUnflushed(t *testing.T) {
 	if err := tb.Put(key(1, 0), bytes.Repeat([]byte{9}, 512)); err != nil {
 		t.Fatal(err)
 	}
-	if tb.ops.Evictions != 4 || tb.frontBytes != 512 {
-		t.Fatalf("flushed blobs not evicted down to the cap: %+v, %d front bytes", tb.ops, tb.frontBytes)
+	if ev, _, _ := tierTraffic(log); ev != 4 || tb.frontBytes != 512 {
+		t.Fatalf("flushed blobs not evicted down to the cap: %d evictions, %d front bytes", ev, tb.frontBytes)
 	}
 	if err := tb.DrainBarrier(); err != nil {
 		t.Fatal(err)
@@ -336,6 +373,7 @@ func TestTierFrontCapKeepsManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb := tier.(*tierBackend)
+	log := recordTiers(tb)
 	if err := tier.Put(manifestKey, make([]byte, 512)); err != nil {
 		t.Fatal(err)
 	}
@@ -350,8 +388,8 @@ func TestTierFrontCapKeepsManifest(t *testing.T) {
 	if _, err := tb.front.Get(manifestKey); err != nil {
 		t.Fatal("manifest evicted from the front tier")
 	}
-	if tb.ops.Evictions == 0 {
-		t.Fatalf("no data blob evicted past the cap: %+v", tb.ops)
+	if ev, _, _ := tierTraffic(log); ev == 0 {
+		t.Fatal("no data blob evicted past the cap")
 	}
 }
 
@@ -367,6 +405,7 @@ func TestStoreFrontCapRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := recordTiers(capped.Backend().(*tierBackend))
 	for gen := 0; gen < 4; gen++ {
 		app := func(r int) []byte { return appState(4096+r*64, gen) }
 		commitGen(t, plain, 2, gen, app)
@@ -385,11 +424,11 @@ func TestStoreFrontCapRestart(t *testing.T) {
 			t.Fatalf("rank %d: capped-tier store materialized a different state", r)
 		}
 	}
-	ops := capped.Backend().(*tierBackend).ops
-	if ops.Evictions == 0 {
-		t.Fatalf("4 generations of ~4KB images never overflowed a 4KB front tier: %+v", ops)
+	ev, misses, promotions := tierTraffic(log)
+	if ev == 0 {
+		t.Fatal("4 generations of ~4KB images never overflowed a 4KB front tier")
 	}
-	if ops.FrontMisses == 0 || ops.Promotions == 0 {
-		t.Fatalf("materializing evicted generations hit no read-through: %+v", ops)
+	if misses == 0 || promotions == 0 {
+		t.Fatalf("materializing evicted generations hit no read-through: %d misses, %d promotions", misses, promotions)
 	}
 }

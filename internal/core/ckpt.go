@@ -41,7 +41,6 @@ func (r *Runtime) SetSnapshotFns(snapshot func() ([]byte, error), footprint func
 // ErrStoppedAtCheckpoint when the configuration asks the job to exit
 // after checkpointing.
 func (r *Runtime) AtBoundary(step, total int) error {
-	r.stepNow = step
 	if f := r.cfg.Faults; f != nil {
 		f.StepStart(r.rank, step)
 		if err := f.CheckBoundary(r.rank, r.clock.Now()); err != nil {
@@ -192,13 +191,12 @@ func (r *Runtime) ckptFS() fsim.FS {
 // the application buffers (which are part of the instance state and are
 // therefore captured by the snapshot).
 func (r *Runtime) completePendingRecvs() error {
-	virts := make([]mpi.Handle, 0, len(r.reqBufs))
-	for v := range r.reqBufs {
+	virts := make([]mpi.Handle, 0, len(r.recvComms))
+	for v := range r.recvComms {
 		virts = append(virts, v)
 	}
 	slices.Sort(virts)
 	for _, virt := range virts {
-		p := r.reqBufs[virt]
 		preq, err := r.store.Phys(mpi.KindRequest, virt)
 		if err != nil {
 			return err
@@ -210,11 +208,11 @@ func (r *Runtime) completePendingRecvs() error {
 		if err != nil {
 			return err
 		}
-		if err := r.countRecv(p.comm, st); err != nil {
+		if err := r.countRecv(r.recvComms[virt], st); err != nil {
 			return err
 		}
 		r.reqResults[virt] = st
-		delete(r.reqBufs, virt)
+		delete(r.recvComms, virt)
 	}
 	return nil
 }

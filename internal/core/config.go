@@ -123,12 +123,12 @@ type Config struct {
 	Faults *faults.Injector
 	// CkptInterval, when positive, checkpoints periodically: rank 0
 	// requests an asynchronous checkpoint whenever that much virtual
-	// time has passed since the last completed one. This is the knob the
-	// MTBF-adaptive interval controller turns between restart attempts.
-	// With ExitAtCheckpoint it is also the scheduler's preemption cut
-	// (JobHandle.RunSegment): a segment starts on a fresh clock, so the
-	// first request lands at the first boundary at or after that much
-	// segment virtual time, and the job parks right after the commit.
+	// time has passed since the last completed one; the agreed boundary
+	// lies SkewBound steps past the request. With ExitAtCheckpoint it is
+	// also the scheduler's preemption cut (JobHandle.RunSegment): a
+	// segment starts on a fresh clock, so the first request lands at the
+	// first boundary at or after that much segment virtual time, and the
+	// job parks right after the commit.
 	CkptInterval time.Duration
 	// StreamRestart is deprecated and ignored: every store restart
 	// resolves chains with newest-wins chunk ownership

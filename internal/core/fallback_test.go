@@ -107,8 +107,8 @@ func TestRestartFallbackDegradesToOlderGeneration(t *testing.T) {
 	if rst.RestartGen != 1 {
 		t.Fatalf("RestartGen %d, want 1 (the newest verifying generation)", rst.RestartGen)
 	}
-	if rst.StoreCorruptions != ranks {
-		t.Fatalf("Stats.StoreCorruptions %d, want %d", rst.StoreCorruptions, ranks)
+	if got := inj.StoreCorruptions(); got != ranks {
+		t.Fatalf("injector struck %d keys after the restart, want %d", got, ranks)
 	}
 	sameChecksums(t, clean.Checksums, rst.Checksums, "degraded restart")
 

@@ -102,8 +102,8 @@ func TestFaultBatteryKernelsAndImpls(t *testing.T) {
 				if st.StoreRetries < 1 || st.StoreRetryVT <= 0 {
 					t.Fatalf("seed %d: store fault not retried: %+v", seed, st)
 				}
-				if st.StoreCorruptions != 1 {
-					t.Fatalf("seed %d: %d silent corruptions, want 1", seed, st.StoreCorruptions)
+				if got := inj.StoreCorruptions(); got != 1 {
+					t.Fatalf("seed %d: %d silent corruptions, want 1", seed, got)
 				}
 			}
 		})

@@ -68,9 +68,8 @@ type SegmentResult struct {
 	// false with a nil error means the job ran to completion.
 	Stopped bool
 	// Resumed means the segment started from a committed generation
-	// rather than a fresh launch; RestartGen names it (-1 when fresh).
-	Resumed    bool
-	RestartGen int
+	// rather than a fresh launch; Stats.RestartGen names it.
+	Resumed bool
 }
 
 // RunSegment executes one scheduling segment: resume from the store's
@@ -103,13 +102,12 @@ func (h *JobHandle) RunSegment(seg Segment) (SegmentResult, error) {
 		s, err = StartJob(cfg, h.n, h.factory)
 	}
 	if err != nil {
-		return SegmentResult{RestartGen: -1}, err
+		return SegmentResult{}, err
 	}
 	st, err := s.Wait()
 	return SegmentResult{
-		Stats:      st,
-		Stopped:    st.Stopped,
-		Resumed:    resumed,
-		RestartGen: st.RestartGen,
+		Stats:   st,
+		Stopped: st.Stopped,
+		Resumed: resumed,
 	}, err
 }

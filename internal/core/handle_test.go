@@ -53,7 +53,7 @@ func TestJobHandleSegmentsAllImpls(t *testing.T) {
 			if err != nil {
 				t.Fatalf("segment 2: %v", err)
 			}
-			if !seg2.Stopped || !seg2.Resumed || seg2.RestartGen != 0 {
+			if !seg2.Stopped || !seg2.Resumed || seg2.Stats.RestartGen != 0 {
 				t.Fatalf("segment 2 = %+v, want resumed stopped segment from gen 0", seg2)
 			}
 			if len(h.store.Generations()) != 2 {
@@ -65,7 +65,7 @@ func TestJobHandleSegmentsAllImpls(t *testing.T) {
 			if err != nil {
 				t.Fatalf("segment 3: %v", err)
 			}
-			if seg3.Stopped || !seg3.Resumed || seg3.RestartGen != 1 {
+			if seg3.Stopped || !seg3.Resumed || seg3.Stats.RestartGen != 1 {
 				t.Fatalf("segment 3 = %+v, want completed segment from gen 1", seg3)
 			}
 			if !reflect.DeepEqual(seg3.Stats.Checksums, base.Checksums) {

@@ -50,32 +50,21 @@ type Stats struct {
 	Checksums []uint64
 	// CkptVTs and CkptCostVTs record, per completed checkpoint in order,
 	// rank 0's completion virtual time and the virtual time the protocol
-	// consumed. The service harness derives lost work per crash and the
-	// adaptive interval controller's checkpoint-cost estimate from them.
+	// consumed. The service harness derives lost work per crash and its
+	// checkpoint-cost probe from them.
 	CkptVTs     []time.Duration
 	CkptCostVTs []time.Duration
 	// StoreRetries / StoreRetryVT count the checkpoint store's transient
 	// backend failures retried away and the modeled exponential-backoff
 	// time those retries would have consumed (cumulative over the store's
-	// lifetime, which may span restarts). StorePermanent counts
-	// operations that exhausted the retry budget.
-	StoreRetries   int
-	StoreRetryVT   time.Duration
-	StorePermanent int
-	// ResidualOrphans is the store's count of blobs left unreferenced by
-	// failed discard/prune deletes that the bounded retry pass could not
-	// reclaim — storage leaked, correctness unaffected.
-	ResidualOrphans int
+	// lifetime, which may span restarts).
+	StoreRetries int
+	StoreRetryVT time.Duration
 	// RestartGen is the store generation this session restarted from, or
 	// -1 for fresh jobs and restarts from raw images. A value below the
 	// store's head means restart fallback degraded to an older verified
 	// generation (Config.RestartFallback).
 	RestartGen int
-	// StoreCorruptions counts the distinct store keys the configured
-	// fault injector has silently corrupted so far (cumulative over the
-	// injector's lifetime, which may span restarts). 0 without an
-	// injector.
-	StoreCorruptions int
 }
 
 // Session is a MANA job. Its ranks start running when Wait is first
@@ -93,7 +82,6 @@ type Session struct {
 
 	cfg       Config
 	job       *cluster.Job
-	n         int
 	runtimes  []*Runtime
 	checksums []uint64
 	stopped   []bool
@@ -138,7 +126,6 @@ func newSession(cfg Config, n int, session uint64, gen int) (*Session, error) {
 	}
 	s := &Session{
 		cfg:        cfg,
-		n:          n,
 		Co:         ckpt.NewStoreCoordinator(n, st, cfg.SkewBound),
 		job:        cluster.New(n, session, cfg.Factory, cfg.Host.Net),
 		runtimes:   make([]*Runtime, n),
@@ -371,12 +358,7 @@ func (s *Session) Wait() (Stats, error) {
 	rs := s.Store().Retry()
 	st.StoreRetries = rs.Retries
 	st.StoreRetryVT = rs.BackoffVT
-	st.StorePermanent = rs.Permanent
-	st.ResidualOrphans = s.Store().ResidualOrphans()
 	st.RestartGen = s.restartGen
-	if s.cfg.Faults != nil {
-		st.StoreCorruptions = s.cfg.Faults.StoreCorruptions()
-	}
 	return st, err
 }
 

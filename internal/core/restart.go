@@ -62,7 +62,7 @@ func newRuntimeFromImage(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *C
 		rank:       lower.Rank(),
 		size:       lower.Size(),
 		members:    make(map[mpi.Handle][]int),
-		reqBufs:    make(map[mpi.Handle]pendingRecv),
+		recvComms:  make(map[mpi.Handle]mpi.Handle),
 		reqResults: make(map[mpi.Handle]mpi.Status),
 		drained:    append([]ckptimg.DrainedMsg(nil), img.Drained...),
 		sentTo:     append([]uint64(nil), img.SentTo...),

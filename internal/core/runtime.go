@@ -42,9 +42,9 @@ type Runtime struct {
 	// associated with the MPI object (Section 4.2).
 	members map[mpi.Handle][]int
 
-	// reqBufs holds the destination buffers of pending receive
-	// requests; the drain protocol completes them in place.
-	reqBufs map[mpi.Handle]pendingRecv
+	// recvComms maps each pending receive request to its virtual
+	// communicator; the drain protocol completes the receives in place.
+	recvComms map[mpi.Handle]mpi.Handle
 
 	// reqResults holds statuses of requests completed by the drain (or
 	// restored from an image); Wait/Test consume them.
@@ -76,8 +76,7 @@ type Runtime struct {
 	ctlBuf  []byte
 	ctlVals []int64
 
-	co      *Coordinator
-	stepNow int
+	co *Coordinator
 	// ckptAtStep is the agreed checkpoint boundary (-1: none pending).
 	ckptAtStep int
 	// drain is the configured in-flight message drain strategy.
@@ -90,7 +89,7 @@ type Runtime struct {
 	// ckptVTs and ckptCosts record, per completed checkpoint, the
 	// completion virtual time and the time the protocol consumed (drain
 	// through commit barrier). The service harness derives lost work and
-	// the adaptive-interval controller's C estimate from rank 0's lists.
+	// its checkpoint-cost probe from rank 0's lists.
 	ckptVTs   []time.Duration
 	ckptCosts []time.Duration
 	// ckptEpoch numbers the drain rounds this runtime has started; the
@@ -102,16 +101,6 @@ type Runtime struct {
 
 	snapshotFn  func() ([]byte, error)
 	footprintFn func() int64
-}
-
-// pendingRecv records an incomplete Irecv.
-type pendingRecv struct {
-	buf   []byte
-	count int
-	dt    mpi.Handle // virtual datatype
-	comm  mpi.Handle // virtual comm
-	src   int
-	tag   int
 }
 
 // NewRuntime wraps a fresh lower half for one rank.
@@ -138,7 +127,7 @@ func NewRuntime(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *Coordinato
 		rank:       lower.Rank(),
 		size:       lower.Size(),
 		members:    make(map[mpi.Handle][]int),
-		reqBufs:    make(map[mpi.Handle]pendingRecv),
+		recvComms:  make(map[mpi.Handle]mpi.Handle),
 		reqResults: make(map[mpi.Handle]mpi.Status),
 		sentTo:     make([]uint64, lower.Size()),
 		recvFrom:   make([]uint64, lower.Size()),

@@ -319,7 +319,7 @@ func (r *Runtime) Irecv(buf []byte, count int, dt mpi.Handle, src, tag int, comm
 	if err != nil {
 		return mpi.HandleNull, err
 	}
-	r.reqBufs[virt] = pendingRecv{buf: buf, count: count, dt: dt, comm: comm, src: src, tag: tag}
+	r.recvComms[virt] = comm
 	return virt, nil
 }
 
@@ -343,11 +343,11 @@ func (r *Runtime) Wait(req mpi.Handle) (mpi.Status, error) {
 	}); err != nil {
 		return st, err
 	}
-	if p, ok := r.reqBufs[req]; ok { // a receive
-		if err := r.countRecv(p.comm, st); err != nil {
+	if comm, ok := r.recvComms[req]; ok { // a receive
+		if err := r.countRecv(comm, st); err != nil {
 			return st, err
 		}
-		delete(r.reqBufs, req)
+		delete(r.recvComms, req)
 	}
 	_ = r.store.Drop(mpi.KindRequest, req)
 	return st, nil
@@ -376,11 +376,11 @@ func (r *Runtime) Test(req mpi.Handle) (bool, mpi.Status, error) {
 	if !done {
 		return false, st, nil
 	}
-	if p, ok := r.reqBufs[req]; ok { // a receive
-		if err := r.countRecv(p.comm, st); err != nil {
+	if comm, ok := r.recvComms[req]; ok { // a receive
+		if err := r.countRecv(comm, st); err != nil {
 			return true, st, err
 		}
-		delete(r.reqBufs, req)
+		delete(r.recvComms, req)
 	}
 	_ = r.store.Drop(mpi.KindRequest, req)
 	return true, st, nil

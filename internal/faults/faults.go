@@ -203,7 +203,6 @@ type storeFaultState struct {
 // the job between runs — and the kernel's coroutine switch orders each
 // caller after the last.
 type Injector struct {
-	n    int
 	plan Plan
 
 	// timeline is every scheduled event, ordered deterministically.
@@ -257,7 +256,6 @@ func NewInjector(n int, p Plan) *Injector {
 	p = planDefaults(p)
 	rng := rand.New(rand.NewSource(p.Seed))
 	inj := &Injector{
-		n:           n,
 		plan:        p,
 		stepOf:      make([]int, n),
 		callsInStep: make([]int, n),

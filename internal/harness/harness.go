@@ -85,8 +85,6 @@ type Measurement struct {
 	// CSPerSec is the cluster-wide context-switch (fs-register
 	// crossing) rate, Section 6.3's metric. Zero for native runs.
 	CSPerSec float64
-	// WrapperCallsPerStep is the per-rank MPI call count per step.
-	WrapperCallsPerStep float64
 }
 
 // OverheadPct returns the runtime overhead of m relative to a native
@@ -215,7 +213,6 @@ func RunCell(cell Cell, opts Options) (Measurement, error) {
 	m := Measurement{Cell: cell, RuntimeS: st.VT.Seconds() * extra}
 	if cell.Mode != ModeNative && m.RuntimeS > 0 {
 		m.CSPerSec = float64(st.Crossings) * extra / m.RuntimeS
-		m.WrapperCallsPerStep = float64(st.WrapperCalls) / float64(in.Ranks) / float64(in.SimSteps)
 	}
 	if opts.Logf != nil {
 		opts.Logf("%s %s: %.1fs (wall %v)", cell.App, cell.Label(), m.RuntimeS, st.Wall.Round(time.Millisecond))

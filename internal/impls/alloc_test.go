@@ -135,26 +135,41 @@ func TestAlltoallAllocsFlatInRanks(t *testing.T) {
 // TestLaunchAllocsPerRank bounds what launching a rank costs: building
 // an idle MPICH job (fabric, lower halves, kernel coroutines), running
 // it and collecting its result allocates at most launchAllocsPerRank
-// objects per rank, at 8 and at 256 ranks. Every engine shares the
-// predefined datatypes and operations, which pays for the coroutine
-// each rank costs the kernel; the bound was set at 32.4 and 30.1.
+// objects per rank, at 8 and at 256 ranks, and at most
+// launchBytesPerRank bytes per rank at 256. Every engine shares the
+// predefined datatypes and operations and the fabric's world-rank list,
+// and keeps its predefined communicators and groups inside itself; the
+// bounds were set at 25.5 and 23.1 objects and 1.7 KB. A world-rank
+// list per engine would add 2 KB per rank at 256 ranks.
 func TestLaunchAllocsPerRank(t *testing.T) {
-	const launchAllocsPerRank = 33
+	const launchAllocsPerRank, launchBytesPerRank = 26, 2048
 	factory, err := Get("mpich")
 	if err != nil {
 		t.Fatal(err)
 	}
 	idle := func(int, mpi.Proc, *simtime.Clock) error { return nil }
 	for _, n := range []int{8, 256} {
-		allocs := testing.AllocsPerRun(5, func() {
+		launch := func() {
 			j := cluster.New(n, 0, factory, testNet)
 			j.Start(idle)
 			if _, err := j.WaitResult(); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		allocs := testing.AllocsPerRun(5, launch)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range 5 {
+			launch()
+		}
+		runtime.ReadMemStats(&m1)
+		bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / 5 / float64(n)
+		t.Logf("%d ranks: %.1f objects, %.0f bytes per rank", n, allocs/float64(n), bytes)
 		if perRank := allocs / float64(n); perRank > launchAllocsPerRank {
 			t.Errorf("%d ranks: launch allocates %.1f objects per rank, want <= %d", n, perRank, launchAllocsPerRank)
+		}
+		if n == 256 && bytes > launchBytesPerRank {
+			t.Errorf("%d ranks: launch allocates %.0f bytes per rank, want <= %d", n, bytes, launchBytesPerRank)
 		}
 	}
 }

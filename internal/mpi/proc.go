@@ -133,7 +133,7 @@ type Proc interface {
 	// Operations.
 
 	// OpCreate registers a user reduction. commute declares the function
-	// commutative (the engine exploits it in tree reductions).
+	// commutative; the simulated engines reduce in rank order either way.
 	OpCreate(fn ReduceFunc, commute bool) (Handle, error)
 	// OpFree releases a user operation.
 	OpFree(op Handle) error

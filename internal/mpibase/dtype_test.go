@@ -384,14 +384,14 @@ func TestSendDoesNotAliasCallerBuffer(t *testing.T) {
 	}
 	for tag, tc := range cases {
 		buf := mpi.Int64Bytes([]int64{10, 11, 12})
-		if err := e.Send(e.WorldComm, buf, tc.count, tc.dt, 0, tag); err != nil {
+		if err := e.Send(&e.worldComm, buf, tc.count, tc.dt, 0, tag); err != nil {
 			t.Fatal(err)
 		}
 		for i := range buf {
 			buf[i] = 0xFF
 		}
 		got := make([]byte, 8*len(tc.want))
-		st, err := e.Recv(e.WorldComm, got, len(tc.want), i64, 0, tag)
+		st, err := e.Recv(&e.worldComm, got, len(tc.want), i64, 0, tag)
 		if err != nil {
 			t.Fatal(err)
 		}

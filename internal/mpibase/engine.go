@@ -24,12 +24,11 @@ type Engine struct {
 
 	rank, size int
 
-	// WorldComm and SelfComm are the predefined communicators.
-	WorldComm *Comm
-	SelfComm  *Comm
-	// WorldGroup and EmptyGroup are the predefined groups.
-	WorldGroup *Group
-	EmptyGroup *Group
+	// The predefined communicators and groups live in the engine, so a
+	// launch allocates none of them. The world group's ranks are the
+	// fabric's shared list and the self group's a window of it.
+	worldComm, selfComm               Comm
+	worldGroup, selfGroup, emptyGroup Group
 }
 
 // predefDtypes and predefOps are the predefined datatypes and
@@ -75,35 +74,26 @@ func primType(name mpi.ConstName, size int) *Dtype {
 }
 
 func predefOp(name mpi.ConstName) *Op {
-	return &Op{Name: name, Commute: true, Predefined: true}
+	return &Op{Name: name, Predefined: true}
 }
 
 // NewEngine attaches rank r to the fabric and builds its predefined
 // communicators and groups.
 func NewEngine(fab *transport.Fabric, r int, clock *simtime.Clock, net simtime.NetModel) *Engine {
-	size := fab.Size()
-	worldRanks := make([]int, size)
-	for i := range worldRanks {
-		worldRanks[i] = i
-	}
-	wg := &Group{Ranks: worldRanks, Predefined: true}
+	ranks := fab.Ranks()
 	e := &Engine{
 		Fab:        fab,
 		Ep:         fab.Endpoint(r),
 		Clock:      clock,
 		Net:        net,
 		rank:       r,
-		size:       size,
-		WorldGroup: wg,
-		EmptyGroup: &Group{Predefined: true},
-		WorldComm:  &Comm{Ctx: 1, Group: wg, MyRank: r, Predefined: true},
+		size:       len(ranks),
+		worldGroup: Group{Ranks: ranks, Predefined: true},
+		selfGroup:  Group{Ranks: ranks[r : r+1 : r+1], Predefined: true},
+		emptyGroup: Group{Predefined: true},
 	}
-	e.SelfComm = &Comm{
-		Ctx:        2,
-		Group:      &Group{Ranks: []int{r}, Predefined: true},
-		MyRank:     0,
-		Predefined: true,
-	}
+	e.worldComm = Comm{Ctx: 1, Group: &e.worldGroup, MyRank: r, Predefined: true}
+	e.selfComm = Comm{Ctx: 2, Group: &e.selfGroup, MyRank: 0, Predefined: true}
 	return e
 }
 
@@ -587,12 +577,13 @@ func coalesce(in []seg) []seg {
 	return out
 }
 
-// OpCreate registers a user reduction operation.
-func (e *Engine) OpCreate(fn mpi.ReduceFunc, commute bool) (*Op, error) {
+// OpCreate registers a user reduction operation. Reduce combines
+// operands in rank order, so commutativity changes nothing.
+func (e *Engine) OpCreate(fn mpi.ReduceFunc) (*Op, error) {
 	if fn == nil {
 		return nil, mpi.Errorf(mpi.ErrArg, "nil reduction function")
 	}
-	return &Op{Fn: fn, Commute: commute}, nil
+	return &Op{Fn: fn}, nil
 }
 
 // ---------------------------------------------------------------------

@@ -179,8 +179,6 @@ type Op struct {
 	Name mpi.ConstName
 	// Fn is the user function for user-defined operations.
 	Fn mpi.ReduceFunc
-	// Commute declares the operation commutative.
-	Commute bool
 	// Predefined marks built-in operations.
 	Predefined bool
 }

@@ -125,11 +125,11 @@ func (p *Proc) LookupConst(name mpi.ConstName) (mpi.Handle, error) {
 	switch name.Kind() {
 	case mpi.KindComm:
 		if name == mpi.ConstCommWorld {
-			return p.Tab.ConstHandle(name, p.Eng.WorldComm)
+			return p.Tab.ConstHandle(name, &p.Eng.worldComm)
 		}
-		return p.Tab.ConstHandle(name, p.Eng.SelfComm)
+		return p.Tab.ConstHandle(name, &p.Eng.selfComm)
 	case mpi.KindGroup:
-		return p.Tab.ConstHandle(name, p.Eng.EmptyGroup)
+		return p.Tab.ConstHandle(name, &p.Eng.emptyGroup)
 	case mpi.KindDatatype:
 		return p.Tab.ConstHandle(name, predefDtypes[name])
 	case mpi.KindOp:
@@ -755,7 +755,7 @@ func (p *Proc) OpCreate(fn mpi.ReduceFunc, commute bool) (mpi.Handle, error) {
 	if !p.caps.Has(mpi.FeatUserOps) {
 		return mpi.HandleNull, mpi.Errorf(mpi.ErrUnsupported, "%s does not implement MPI_Op_create", p.name)
 	}
-	o, err := p.Eng.OpCreate(fn, commute)
+	o, err := p.Eng.OpCreate(fn)
 	if err != nil {
 		return mpi.HandleNull, err
 	}

@@ -29,12 +29,11 @@ import (
 // session-dependent base so no two library instances produce equal
 // addresses.
 type arena struct {
-	base    uint64
-	next    uint64
-	objs    map[uint64]entry
-	consts  [mpi.NumConstNames]mpi.Handle
-	bound   [mpi.NumConstNames]bool
-	started bool
+	base   uint64
+	next   uint64
+	objs   map[uint64]entry
+	consts [mpi.NumConstNames]mpi.Handle
+	bound  [mpi.NumConstNames]bool
 }
 
 type entry struct {
@@ -124,6 +123,5 @@ func New(fab *transport.Fabric, rank int, clock *simtime.Clock, net simtime.NetM
 			panic(fmt.Sprintf("openmpi: startup constant %v: %v", name, err))
 		}
 	}
-	a.started = true
 	return p
 }

@@ -35,7 +35,6 @@ func testClasses() (hydro, mat, urgent Class) {
 func contentionWorkload(seed int64) Workload {
 	hydro, mat, urgent := testClasses()
 	return Workload{
-		Name: "contention",
 		Seed: seed,
 		Jobs: []JobSpec{
 			{ID: "j0-hydro", Class: hydro, Submit: 0},
@@ -46,11 +45,21 @@ func contentionWorkload(seed int64) Workload {
 	}
 }
 
+// classOf returns the class name of wl's job id.
+func classOf(wl Workload, id string) string {
+	for _, js := range wl.Jobs {
+		if js.ID == id {
+			return js.Class.Name
+		}
+	}
+	return ""
+}
+
 func TestWorkloadGenerateDeterministic(t *testing.T) {
 	hydro, mat, _ := testClasses()
 	classes := []Class{hydro, mat}
-	a := Generate("mix", 7, classes, 8, time.Second)
-	b := Generate("mix", 7, classes, 8, time.Second)
+	a := Generate(7, classes, 8, time.Second)
+	b := Generate(7, classes, 8, time.Second)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("Generate is not a pure function of its arguments")
 	}
@@ -64,7 +73,7 @@ func TestWorkloadGenerateDeterministic(t *testing.T) {
 		}
 		last = j.Submit
 	}
-	c := Generate("mix", 8, classes, 8, time.Second)
+	c := Generate(8, classes, 8, time.Second)
 	if reflect.DeepEqual(a.Jobs, c.Jobs) {
 		t.Fatal("different seeds generated identical workloads")
 	}
@@ -112,7 +121,8 @@ func TestPolicyRegistry(t *testing.T) {
 func TestSchedFIFOPerfectGoodput(t *testing.T) {
 	for _, policy := range []string{"fifo", "backfill"} {
 		t.Run(policy, func(t *testing.T) {
-			out, err := Run(testCluster(), contentionWorkload(42), policy, Options{})
+			wl := contentionWorkload(42)
+			out, err := Run(testCluster(), wl, policy, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +133,7 @@ func TestSchedFIFOPerfectGoodput(t *testing.T) {
 				t.Fatalf("%s disturbed running jobs: %+v", policy, out)
 			}
 			for _, j := range out.Jobs {
-				if !reflect.DeepEqual(j.Checksums, out.Baselines[j.Class].Checksums) {
+				if !reflect.DeepEqual(j.Checksums, out.Baselines[classOf(wl, j.ID)].Checksums) {
 					t.Fatalf("job %s checksums diverge from class baseline", j.ID)
 				}
 			}
@@ -137,7 +147,7 @@ func TestSchedFIFOPerfectGoodput(t *testing.T) {
 func TestSchedTrajectoryDeterminism(t *testing.T) {
 	hydro, mat, urgent := testClasses()
 	for _, seed := range []int64{1, 42} {
-		wl := Generate("gen-mix", seed, []Class{hydro, mat, urgent}, 6, 800*time.Millisecond)
+		wl := Generate(seed, []Class{hydro, mat, urgent}, 6, 800*time.Millisecond)
 		for _, policy := range []string{"fifo", "backfill", "preempt", "kill"} {
 			t.Run(fmt.Sprintf("seed%d/%s", seed, policy), func(t *testing.T) {
 				first, err := Run(testCluster(), wl, policy, Options{})
@@ -161,7 +171,8 @@ func TestSchedTrajectoryDeterminism(t *testing.T) {
 // resume and finish with checksums bit-identical to their class's
 // uninterrupted baseline, and no work may be lost.
 func TestSchedPreemptionBitIdentical(t *testing.T) {
-	out, err := Run(testCluster(), contentionWorkload(42), "preempt", Options{})
+	wl := contentionWorkload(42)
+	out, err := Run(testCluster(), wl, "preempt", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +190,7 @@ func TestSchedPreemptionBitIdentical(t *testing.T) {
 	}
 	resumed := 0
 	for _, j := range out.Jobs {
-		if !reflect.DeepEqual(j.Checksums, out.Baselines[j.Class].Checksums) {
+		if !reflect.DeepEqual(j.Checksums, out.Baselines[classOf(wl, j.ID)].Checksums) {
 			t.Fatalf("job %s (%d preemptions) checksums diverge from uninterrupted baseline", j.ID, j.Preemptions)
 		}
 		resumed += j.Resumes
@@ -214,7 +225,7 @@ func TestSchedPreemptBeatsKill(t *testing.T) {
 	}
 	// Killed jobs still finish correctly — they redo work, not corrupt it.
 	for _, j := range kill.Jobs {
-		if !reflect.DeepEqual(j.Checksums, kill.Baselines[j.Class].Checksums) {
+		if !reflect.DeepEqual(j.Checksums, kill.Baselines[classOf(wl, j.ID)].Checksums) {
 			t.Fatalf("killed-and-requeued job %s checksums diverge", j.ID)
 		}
 	}
@@ -225,7 +236,7 @@ func TestSchedPreemptBeatsKill(t *testing.T) {
 func TestSchedUnplaceableJob(t *testing.T) {
 	hydro, _, _ := testClasses()
 	hydro.Ranks = 64
-	wl := Workload{Name: "big", Seed: 1, Jobs: []JobSpec{{ID: "j0-big", Class: hydro}}}
+	wl := Workload{Seed: 1, Jobs: []JobSpec{{ID: "j0-big", Class: hydro}}}
 	_, err := New(testCluster(), wl, "fifo", Options{})
 	if err == nil {
 		t.Fatal("oversized job accepted")

@@ -39,18 +39,11 @@ type TraceEvent struct {
 
 // JobResult is one job's final accounting.
 type JobResult struct {
-	ID       string
-	Class    string
-	Ranks    int
-	Priority int
-	// SubmitS/FirstStartS/EndS are virtual times in seconds; WaitS is
-	// total queued time across submit and every requeue.
-	SubmitS     float64
-	FirstStartS float64
-	EndS        float64
+	ID string
+	// WaitS is the total queued virtual time in seconds, across submit
+	// and every requeue.
 	WaitS       float64
 	Preemptions int
-	Kills       int
 	Resumes     int
 	// Checksums is the completing segment's per-rank application
 	// checksums — equal to the class baseline's for a correct run no
@@ -66,10 +59,7 @@ type ClassBaseline struct {
 
 // Outcome is one (cluster, workload, policy) scheduler run.
 type Outcome struct {
-	Policy   string
-	Cluster  string
-	Workload string
-	Seed     int64
+	Cluster string
 
 	Jobs      []JobResult
 	Baselines map[string]ClassBaseline
@@ -97,7 +87,6 @@ type Outcome struct {
 	UrgentAvgWaitS float64
 	Preemptions    int
 	Kills          int
-	Ckpts          int
 }
 
 // jobState is a job's scheduler lifecycle state.
@@ -150,7 +139,6 @@ type job struct {
 	// re-attempted this dispatch.
 	lateCut bool
 
-	firstStart   time.Duration
 	waitVT       time.Duration
 	progress     time.Duration // committed (checkpointed) virtual time
 	consumed     time.Duration // node-occupancy VT charged across segments
@@ -226,10 +214,9 @@ func New(spec ClusterSpec, wl Workload, policyName string, opts Options) (*Sched
 			return nil, fmt.Errorf("job %s: needs %d nodes, partition %q has %d", js.ID, need, p.Name, len(allowed))
 		}
 		s.jobs = append(s.jobs, &job{
-			spec:       js,
-			prio:       p.Priority,
-			allowed:    allowed,
-			firstStart: -1,
+			spec:    js,
+			prio:    p.Priority,
+			allowed: allowed,
 		})
 	}
 	return s, nil
@@ -577,9 +564,6 @@ func (s *Scheduler) shadow(j *job, need int) time.Duration {
 // to completion: the completion event lands at now+VT unless a
 // preemption discards it.
 func (s *Scheduler) dispatch(j *job, nodes []int) error {
-	if j.firstStart < 0 {
-		j.firstStart = s.now
-	}
 	j.waitVT += s.now - j.queuedAt
 	j.state = stateRunning
 	j.nodes = append([]int(nil), nodes...)
@@ -703,10 +687,7 @@ func (s *Scheduler) preempt(v *job) (bool, error) {
 // outcome assembles the run's accounting.
 func (s *Scheduler) outcome() *Outcome {
 	o := &Outcome{
-		Policy:    s.pol.Name,
 		Cluster:   s.spec.String(),
-		Workload:  s.wl.Name,
-		Seed:      s.wl.Seed,
 		Baselines: s.probes,
 		Trace:     s.trace,
 	}
@@ -722,15 +703,8 @@ func (s *Scheduler) outcome() *Outcome {
 		base := s.probes[j.spec.Class.Name]
 		o.Jobs = append(o.Jobs, JobResult{
 			ID:          j.id(),
-			Class:       j.spec.Class.Name,
-			Ranks:       j.spec.Class.Ranks,
-			Priority:    j.prio,
-			SubmitS:     j.spec.Submit.Seconds(),
-			FirstStartS: j.firstStart.Seconds(),
-			EndS:        j.end.Seconds(),
 			WaitS:       j.waitVT.Seconds(),
 			Preemptions: j.preempts,
-			Kills:       j.kills,
 			Resumes:     j.resumes,
 			Checksums:   j.checksums,
 		})
@@ -745,7 +719,6 @@ func (s *Scheduler) outcome() *Outcome {
 		}
 		o.Preemptions += j.preempts
 		o.Kills += j.kills
-		o.Ckpts += j.preempts
 		if j.end.Seconds() > o.MakespanS {
 			o.MakespanS = j.end.Seconds()
 		}

@@ -48,7 +48,6 @@ type JobSpec struct {
 
 // Workload is a deterministic arrival sequence.
 type Workload struct {
-	Name string
 	Seed int64
 	Jobs []JobSpec
 }
@@ -57,7 +56,7 @@ type Workload struct {
 // exponential inter-arrival gaps of mean meanGap — the same seeded
 // discipline the fault injector uses for its crash process. The result
 // is a pure function of the arguments.
-func Generate(name string, seed int64, classes []Class, count int, meanGap time.Duration) Workload {
+func Generate(seed int64, classes []Class, count int, meanGap time.Duration) Workload {
 	rng := rand.New(rand.NewSource(seed))
 	total := 0
 	for _, c := range classes {
@@ -67,7 +66,7 @@ func Generate(name string, seed int64, classes []Class, count int, meanGap time.
 		}
 		total += w
 	}
-	w := Workload{Name: name, Seed: seed}
+	w := Workload{Seed: seed}
 	at := time.Duration(0)
 	for i := 0; i < count; i++ {
 		gap := time.Duration(rng.ExpFloat64() * float64(meanGap))

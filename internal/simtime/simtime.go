@@ -127,8 +127,6 @@ type HostProfile struct {
 	// system call on a host without userspace FSGSBASE, a single
 	// unprivileged instruction on one with it (paper Sections 6.3-6.4).
 	CrossCost time.Duration
-	// CoresPerNode is informational (Table 1/2 rank placement).
-	CoresPerNode int
 }
 
 // Discovery returns the profile of the paper's local cluster: Linux 3.10
@@ -147,8 +145,7 @@ func Discovery() HostProfile {
 			Overhead: 2 * time.Microsecond,
 			PerKB:    1 * time.Microsecond, // ~1 GB/s effective
 		},
-		CrossCost:    650 * time.Nanosecond,
-		CoresPerNode: 56,
+		CrossCost: 650 * time.Nanosecond,
 	}
 }
 
@@ -164,7 +161,6 @@ func Perlmutter() HostProfile {
 			Overhead: 400 * time.Nanosecond,
 			PerKB:    45 * time.Nanosecond, // ~22 GB/s effective
 		},
-		CrossCost:    40 * time.Nanosecond,
-		CoresPerNode: 64,
+		CrossCost: 40 * time.Nanosecond,
 	}
 }

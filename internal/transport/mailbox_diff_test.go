@@ -114,7 +114,7 @@ func runMailboxOps(t testing.TB, ops []byte) *refBox {
 		}
 		id := binary.LittleEndian.Uint64(got.Payload)
 		if got.Src != want.src || got.Tag != want.tag || got.Context != want.ctx ||
-			got.SendVT != want.vt || id != want.id || got.Dst != 0 {
+			got.SendVT != want.vt || id != want.id {
 			t.Fatalf("op %d %s: got src %d tag %d ctx %d vt %v id %d, want src %d tag %d ctx %d vt %v id %d",
 				op, what, got.Src, got.Tag, got.Context, got.SendVT, id,
 				want.src, want.tag, want.ctx, want.vt, want.id)
@@ -190,8 +190,9 @@ func runMailboxOps(t testing.TB, ops []byte) *refBox {
 			for recv(op, m) {
 			}
 		}
-		if got := pending(dst); got != len(ref.q) {
-			t.Fatalf("op %d: %d pending, model holds %d", op, got, len(ref.q))
+		if got := pending(dst); got != len(ref.q) || inFlight(f) != got {
+			t.Fatalf("op %d: %d pending at rank 0 and %d in flight, model holds %d at rank 0",
+				op, got, inFlight(f), len(ref.q))
 		}
 	}
 	// Whatever is left drains in arrival order.

@@ -100,8 +100,8 @@ var ErrNoScheduler = errors.New("transport: blocking operation on a fabric with 
 
 // Message is one point-to-point message in flight or delivered.
 type Message struct {
-	// Src and Dst are world ranks.
-	Src, Dst int
+	// Src is the sender's world rank.
+	Src int
 	// Context is the communicator context id (lower-half concept): a
 	// message only matches receives posted on the same context.
 	Context uint32
@@ -114,8 +114,6 @@ type Message struct {
 	// SendVT is the sender's virtual time at send, used by the receiver
 	// to account transfer cost.
 	SendVT time.Duration
-	// Seq is a fabric-global sequence number fixing arrival order.
-	Seq uint64
 }
 
 // Match is a receive-side match specification.
@@ -160,9 +158,8 @@ type FaultFilter func(m *Message) (drop bool, delay time.Duration)
 // Fabric is one interconnect instance serving one simulated job. All
 // ranks of the job share the fabric; a restart builds a brand-new one.
 type Fabric struct {
-	n       int
+	ranks   []int  // 0..n-1 (Ranks)
 	session uint64 // lower-half session (SetSession)
-	seq     uint64
 	nextCtx uint32
 	boxes   []*mailbox
 	closed  bool
@@ -195,11 +192,12 @@ func NewFabric(n int) *Fabric {
 		panic(fmt.Sprintf("transport: invalid rank count %d", n))
 	}
 	f := &Fabric{
-		n:       n,
+		ranks:   make([]int, n),
 		nextCtx: 16, // contexts 0..15 reserved for predefined comms
 		boxes:   make([]*mailbox, n),
 	}
 	for i := range f.boxes {
+		f.ranks[i] = i
 		f.boxes[i] = newMailbox(i)
 	}
 	return f
@@ -223,7 +221,11 @@ func (f *Fabric) SetScheduler(s Scheduler, cost func(bytes int) time.Duration) {
 func (f *Fabric) SetFaultFilter(fn FaultFilter) { f.filter = fn }
 
 // Size returns the number of ranks served by the fabric.
-func (f *Fabric) Size() int { return f.n }
+func (f *Fabric) Size() int { return len(f.ranks) }
+
+// Ranks returns 0..Size()-1, the world group every rank's MPI engine
+// shares: the caller must not write it.
+func (f *Fabric) Ranks() []int { return f.ranks }
 
 // SetSession sets the lower-half session Session reports (0 from
 // NewFabric: a fresh launch; a restart derives one from its source).
@@ -291,8 +293,8 @@ func (f *Fabric) Free(b []byte) {
 
 // Endpoint returns rank r's attachment point.
 func (f *Fabric) Endpoint(r int) *Endpoint {
-	if r < 0 || r >= f.n {
-		panic(fmt.Sprintf("transport: endpoint rank %d out of range [0,%d)", r, f.n))
+	if r < 0 || r >= len(f.ranks) {
+		panic(fmt.Sprintf("transport: endpoint rank %d out of range [0,%d)", r, len(f.ranks)))
 	}
 	return &Endpoint{fabric: f, rank: r}
 }
@@ -332,20 +334,17 @@ func (e *Endpoint) SendOwned(dst int, ctx uint32, tag int, payload []byte, sendV
 	if e.fabric.closed {
 		return ErrClosed
 	}
-	if dst < 0 || dst >= e.fabric.n {
-		return fmt.Errorf("transport: send to rank %d out of range [0,%d)", dst, e.fabric.n)
+	if dst < 0 || dst >= len(e.fabric.ranks) {
+		return fmt.Errorf("transport: send to rank %d out of range [0,%d)", dst, len(e.fabric.ranks))
 	}
 	box := e.fabric.boxes[dst]
 	ent := box.entry()
-	e.fabric.seq++
 	ent.m = Message{
 		Src:     e.rank,
-		Dst:     dst,
 		Context: ctx,
 		Tag:     tag,
 		Payload: payload,
 		SendVT:  sendVT,
-		Seq:     e.fabric.seq,
 	}
 	if fn := e.fabric.filter; fn != nil {
 		drop, delay := fn(&ent.m)

@@ -38,6 +38,10 @@ type sizeCounts struct {
 	// SyncSites counts the non-test uses under internal/ of sync's
 	// Mutex, RWMutex, Cond, Once and WaitGroup and of sync/atomic.
 	SyncSites int `json:"sync_sites"`
+	// WriteOnlyFields counts the fields of the package-level struct
+	// types under internal/ that non-test code may write but never
+	// reads (writeOnlyFields).
+	WriteOnlyFields int `json:"write_only_fields"`
 }
 
 // TestSizeRatchet fails when any count rises above SIZE.json, naming
@@ -72,6 +76,7 @@ func TestSizeRatchet(t *testing.T) {
 	check("registered experiments", got.Experiments, limit.Experiments)
 	check("unused exports", got.UnusedExports, limit.UnusedExports)
 	check("sync sites", got.SyncSites, limit.SyncSites)
+	check("write-only fields", got.WriteOnlyFields, limit.WriteOnlyFields)
 }
 
 func measureSize(t *testing.T) sizeCounts {
@@ -106,25 +111,24 @@ func measureSize(t *testing.T) sizeCounts {
 		t.Fatal(err)
 	}
 	c.CLIFlags = countFlags(t, filepath.Join("cmd", "manasim", "main.go"))
-	names := unusedExports(t)
-	for _, name := range names {
-		why := keptExports[name]
-		if why == "" {
-			why = "no reason recorded"
-		}
-		t.Logf("unused export %s: %s", name, why)
-	}
-	c.UnusedExports = len(names)
-	sites := syncSites(t)
-	for _, site := range sites {
-		why := keptSyncSites[site]
-		if why == "" {
-			why = "no reason recorded"
-		}
-		t.Logf("sync site %s: %s", site, why)
-	}
-	c.SyncSites = len(sites)
+	fset, pkgs := checkModule(t)
+	c.UnusedExports = logKept(t, "unused export", unusedExports(fset, pkgs), keptExports)
+	c.WriteOnlyFields = logKept(t, "write-only field", writeOnlyFields(pkgs), keptFields)
+	c.SyncSites = logKept(t, "sync site", syncSites(t), keptSyncSites)
 	return c
+}
+
+// logKept logs each of names with the reason kept gives for it and
+// returns how many there are.
+func logKept(t *testing.T, what string, names []string, kept map[string]string) int {
+	for _, name := range names {
+		why := kept[name]
+		if why == "" {
+			why = "no reason recorded"
+		}
+		t.Logf("%s %s: %s", what, name, why)
+	}
+	return len(names)
 }
 
 // keptSyncSites names the synchronization the tree keeps on purpose and
@@ -299,42 +303,49 @@ var keptExports = map[string]string{
 	"ckptstore.Store.LastRetentionErr": "the only reader of a failed retention pass",
 }
 
+// keptFields names the write-only fields the tree keeps on purpose and
+// why; `make size` prints each beside its reason.
+var keptFields = map[string]string{
+	"mana.Config.Kernel":        "deprecated and ignored; bench/scenario.go's baseConfig still sets it (ROADMAP item 10)",
+	"mana.Config.StreamRestart": "deprecated and ignored; bench/scenario.go's baseConfig still sets it (ROADMAP item 10)",
+	"mana.Stats.PerRankVT":      "bench/bench_test.go reads it",
+	"mpi.Envelope.NumInts":      "MPI_Type_get_envelope's output in the MPI surface; ROADMAP item 15 decides",
+	"mpi.Envelope.NumDatatypes": "MPI_Type_get_envelope's output in the MPI surface; ROADMAP item 15 decides",
+}
+
 // stdCalled are the method names the standard library calls through
 // its own interfaces (fmt.Stringer, error, errors.Unwrap,
 // fmt.Formatter), so a method so named counts as referenced.
 var stdCalled = map[string]bool{"String": true, "Error": true, "Unwrap": true, "Format": true}
 
-// unusedExports type-checks the non-test files of every package of
-// the module and returns, sorted, the exported identifiers under
-// internal/ that no non-test file references: package-level ones, and
-// the exported methods of every package-level named type, interface
-// methods included. A concrete method also counts as referenced when
-// it implements an interface method, of a named or an anonymous module
-// interface, that non-test code calls. The standard library is
-// type-checked from source. Objects are matched by declaration
-// position.
-func unusedExports(t *testing.T) []string {
+// module is the module path of every package the ratchet checks.
+const module = "manasim"
+
+// checkedPkg is one type-checked package: its non-test files and what
+// the checker recorded about them.
+type checkedPkg struct {
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// checkModule type-checks the non-test files of every package of the
+// module, each once, the standard library from source, and returns them
+// in directory order.
+func checkModule(t *testing.T) (*token.FileSet, []*checkedPkg) {
 	t.Helper()
-	const module = "manasim"
 	root, err := filepath.Abs(".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
 	std := importer.ForCompiler(fset, "source", nil)
-	at := func(pos token.Pos) string { return fset.Position(pos).String() }
-	used := map[string]bool{} // declarations referenced by non-test files
-	// called groups the interface methods non-test code calls by the
-	// interface they belong to.
-	called := map[types.Type][]*types.Func{}
-	var concrete []*types.Named // the module's non-interface named types
-
 	// A module package is parsed and checked once, on first import.
-	loaded := map[string]*types.Package{}
+	loaded := map[string]*checkedPkg{}
 	var via importerFunc
-	load := func(path string) (*types.Package, error) {
-		if pkg, ok := loaded[path]; ok {
-			return pkg, nil
+	load := func(path string) (*checkedPkg, error) {
+		if p, ok := loaded[path]; ok {
+			return p, nil
 		}
 		dir := filepath.Join(root, strings.TrimPrefix(strings.TrimPrefix(path, module), "/"))
 		// Only the non-test files this platform's default build would
@@ -347,39 +358,30 @@ func unusedExports(t *testing.T) []string {
 		if err != nil {
 			return nil, err
 		}
-		var files []*ast.File
+		p := &checkedPkg{info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}}
 		for _, ap := range pkgs {
 			for _, f := range ap.Files {
-				files = append(files, f)
+				p.files = append(p.files, f)
 			}
 		}
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-		pkg, err := (&types.Config{Importer: via}).Check(path, fset, files, info)
-		if err != nil {
+		if p.pkg, err = (&types.Config{Importer: via}).Check(path, fset, p.files, p.info); err != nil {
 			return nil, err
 		}
-		for _, obj := range info.Uses {
-			if obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), module) || used[at(obj.Pos())] {
-				continue
-			}
-			used[at(obj.Pos())] = true
-			if fn, ok := obj.(*types.Func); ok {
-				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-					called[recv.Type()] = append(called[recv.Type()], fn)
-				}
-			}
-		}
-		loaded[path] = pkg
-		return pkg, nil
+		loaded[path] = p
+		return p, nil
 	}
 	via = func(path string) (*types.Package, error) {
 		if path != module && !strings.HasPrefix(path, module+"/") {
 			return std.Import(path)
 		}
-		return load(path)
+		p, err := load(path)
+		if err != nil {
+			return nil, err
+		}
+		return p.pkg, nil
 	}
 
-	declared := map[string]string{}
+	var out []*checkedPkg
 	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
@@ -395,16 +397,52 @@ func unusedExports(t *testing.T) []string {
 			return err
 		}
 		path := filepath.ToSlash(filepath.Join(module, rel))
-		pkg, err := load(path)
+		p, err := load(path)
 		if err != nil {
 			return fmt.Errorf("type-checking %s: %w", path, err)
 		}
-		inInternal := strings.HasPrefix(path, module+"/internal/")
-		scope := pkg.Scope()
+		out = append(out, p)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, out
+}
+
+// unusedExports returns, sorted, the exported identifiers under
+// internal/ that no non-test file references: package-level ones, and
+// the exported methods of every package-level named type, interface
+// methods included. A concrete method also counts as referenced when
+// it implements an interface method, of a named or an anonymous module
+// interface, that non-test code calls. Objects are matched by
+// declaration position.
+func unusedExports(fset *token.FileSet, pkgs []*checkedPkg) []string {
+	at := func(pos token.Pos) string { return fset.Position(pos).String() }
+	used := map[string]bool{} // declarations referenced by non-test files
+	// called groups the interface methods non-test code calls by the
+	// interface they belong to.
+	called := map[types.Type][]*types.Func{}
+	var concrete []*types.Named // the module's non-interface named types
+	declared := map[string]string{}
+	for _, p := range pkgs {
+		for _, obj := range p.info.Uses {
+			if obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), module) || used[at(obj.Pos())] {
+				continue
+			}
+			used[at(obj.Pos())] = true
+			if fn, ok := obj.(*types.Func); ok {
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					called[recv.Type()] = append(called[recv.Type()], fn)
+				}
+			}
+		}
+		inInternal := strings.HasPrefix(p.pkg.Path(), module+"/internal/")
+		scope := p.pkg.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
 			if inInternal && obj.Exported() {
-				declared[at(obj.Pos())] = pkg.Name() + "." + name
+				declared[at(obj.Pos())] = p.pkg.Name() + "." + name
 			}
 			named, ok := obj.Type().(*types.Named)
 			if _, isType := obj.(*types.TypeName); !isType || !ok || named.Obj() != obj {
@@ -423,14 +461,10 @@ func unusedExports(t *testing.T) []string {
 			}
 			for _, m := range methods {
 				if inInternal && m.Exported() && !stdCalled[m.Name()] {
-					declared[at(m.Pos())] = pkg.Name() + "." + name + "." + m.Name()
+					declared[at(m.Pos())] = p.pkg.Name() + "." + name + "." + m.Name()
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	// A call through an interface method reaches every implementation.
 	for it, methods := range called {
@@ -459,7 +493,170 @@ func unusedExports(t *testing.T) []string {
 	return out
 }
 
+// writeOnlyFields returns, sorted, the fields of the package-level
+// struct types under internal/, exported or not, that no file of pkgs
+// reads, each named pkg.Type.field. A use writes a field, and does not
+// read it, where the field is an assignment's target (op-assigns
+// included), the operand of ++ or --, or a composite literal's key;
+// every other use reads it. A struct with any tag is read by reflection
+// and is not counted, nor is an embedded field, which any interface the
+// struct satisfies through it reads. Comparing a struct with == or !=,
+// or keying a map with it, reads every field.
+func writeOnlyFields(pkgs []*checkedPkg) []string {
+	read := map[*types.Var]bool{}
+	var compared func(t types.Type)
+	compared = func(t types.Type) {
+		if t == nil {
+			return
+		}
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := range u.NumFields() {
+				if f := u.Field(i); !read[f.Origin()] {
+					read[f.Origin()] = true
+					compared(f.Type())
+				}
+			}
+		case *types.Array:
+			compared(u.Elem())
+		}
+	}
+	for _, p := range pkgs {
+		written := map[*ast.Ident]bool{}
+		target := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				written[sel.Sel] = true
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						written[id] = true
+					}
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						compared(p.info.TypeOf(n.X))
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range p.info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {
+				read[v.Origin()] = true
+			}
+		}
+		for _, tv := range p.info.Types {
+			if m, ok := tv.Type.Underlying().(*types.Map); ok {
+				compared(m.Key())
+			}
+		}
+	}
+	var out []string
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.pkg.Path(), module+"/internal/") {
+			continue
+		}
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok || tagged(st) {
+				continue
+			}
+			for i := range st.NumFields() {
+				if f := st.Field(i); !f.Embedded() && !read[f] {
+					out = append(out, p.pkg.Name()+"."+name+"."+f.Name())
+				}
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// tagged reports whether any field of st carries a struct tag.
+func tagged(st *types.Struct) bool {
+	for i := range st.NumFields() {
+		if st.Tag(i) != "" {
+			return true
+		}
+	}
+	return false
+}
+
 // importerFunc adapts a function to types.Importer.
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// TestWriteOnlyFieldsRule runs writeOnlyFields over a small in-memory
+// package: a field only assigned, only op-assigned, only incremented or
+// only set in a composite literal is flagged; a field read anywhere, a
+// tagged struct's fields and the fields of a struct compared with == or
+// used as a map key are not.
+func TestWriteOnlyFieldsRule(t *testing.T) {
+	const src = `package p
+
+type T struct {
+	assigned, opAssigned, incremented, literal int
+	read, readInLiteral                        int
+	unused                                     int
+}
+
+type tagged struct {
+	a int ` + "`json:\"a\"`" + `
+	b int
+}
+
+type key struct{ a, b int }
+
+type pair struct {
+	x   int
+	sub struct{ y int }
+}
+
+func f() int {
+	var t T
+	t.assigned = 1
+	t.opAssigned += 2
+	t.incremented++
+	u := T{literal: 1, readInLiteral: t.read}
+	var g tagged
+	g.b = 1
+	m := map[key]int{{a: 1, b: 2}: 3}
+	var p, q pair
+	p.x = 1
+	q.sub.y = 2
+	if p == q {
+		return m[key{}]
+	}
+	return u.readInLiteral
+}
+`
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &checkedPkg{files: []*ast.File{file}, info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}}
+	if p.pkg, err = (&types.Config{}).Check(module+"/internal/p", fset, p.files, p.info); err != nil {
+		t.Fatal(err)
+	}
+	got := writeOnlyFields([]*checkedPkg{p})
+	want := []string{"p.T.assigned", "p.T.incremented", "p.T.literal", "p.T.opAssigned", "p.T.unused"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("write-only fields %v, want %v", got, want)
+	}
+}
