@@ -2,6 +2,8 @@ package mpibase
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -232,10 +234,27 @@ func TestGroupMath(t *testing.T) {
 	if g.RankOf(2) != 1 || g.RankOf(9) != mpi.Undefined {
 		t.Fatal("RankOf")
 	}
-	c := g.Clone()
-	c.Ranks[0] = 99
-	if g.Ranks[0] != 4 {
-		t.Fatal("Clone aliases storage")
+	if c := g.Clone(); !slices.Equal(c.Ranks, g.Ranks) || c.Predefined {
+		t.Fatalf("Clone has members %v predefined %v", c.Ranks, c.Predefined)
+	}
+	// Every group and communicator derived from the world reports the
+	// world's members; a subgroup's communicator reports the subgroup's.
+	e := testEngine(t)
+	world := &e.worldComm
+	dup, err := e.CommDup(world)
+	if err != nil || !slices.Equal(dup.Group.Ranks, world.Group.Ranks) || dup.MyRank != world.MyRank {
+		t.Fatalf("CommDup: %v, members %v rank %d", err, dup.Group.Ranks, dup.MyRank)
+	}
+	if wg := world.Group.Clone(); !slices.Equal(wg.Ranks, world.Group.Ranks) || wg.Predefined {
+		t.Fatalf("world group clone has members %v predefined %v", wg.Ranks, wg.Predefined)
+	}
+	sub, err := e.GroupIncl(world.Group, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	created, err := e.CommCreate(dup, sub)
+	if err != nil || !slices.Equal(created.Group.Ranks, sub.Ranks) || created.MyRank != 0 {
+		t.Fatalf("CommCreate: %v, members %v rank %d", err, created.Group.Ranks, created.MyRank)
 	}
 }
 
@@ -306,6 +325,96 @@ func TestPrimElemUnwrapsContiguous(t *testing.T) {
 	v, _ := e.TypeVector(2, 1, 2, f64)
 	if _, ok := primElem(v); ok {
 		t.Fatal("vector must not unwrap to a primitive")
+	}
+}
+
+// appendCoalesce is the reference layout reproduces: every segment
+// appended one by one, then adjacent ones merged by coalesce.
+func appendCoalesce(base *Dtype, blocks int, block func(i int) (displ, n int)) []seg {
+	var segs []seg
+	for i := 0; i < blocks; i++ {
+		displ, n := block(i)
+		for j := 0; j < n; j++ {
+			off := (displ + j) * base.ExtentB
+			for _, s := range base.segs {
+				segs = append(segs, seg{off + s.off, s.n})
+			}
+		}
+	}
+	return coalesce(segs)
+}
+
+// coalesce merges adjacent segments.
+func coalesce(in []seg) []seg {
+	if len(in) == 0 {
+		return in
+	}
+	out := in[:1]
+	for _, s := range in[1:] {
+		last := &out[len(out)-1]
+		if last.off+last.n == s.off {
+			last.n += s.n
+			continue
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// TestLayoutMatchesAppendCoalesce builds contiguous, vector and indexed
+// datatypes over dense and strided bases — overlapping, touching,
+// negative and empty blocks included — and requires each segment list
+// to equal the append-then-coalesce reference and to be allocated once:
+// a derived datatype costs its Dtype, Ints, Bases and segment list.
+func TestLayoutMatchesAppendCoalesce(t *testing.T) {
+	e := testEngine(t)
+	f64, u8 := predefDtypes[mpi.ConstFloat64], predefDtypes[mpi.ConstByte]
+	strided, _ := e.TypeVector(2, 1, 3, f64) // two 8 B pieces 24 B apart
+	holey, _ := e.TypeIndexed([]int{2, 1}, []int{1, 4}, u8)
+	type tcase struct {
+		name   string
+		build  func() (*Dtype, error)
+		base   *Dtype
+		blocks int
+		block  func(i int) (int, int)
+	}
+	contig := func(count int, base *Dtype) tcase {
+		return tcase{fmt.Sprintf("contiguous %d", count),
+			func() (*Dtype, error) { return e.TypeContiguous(count, base) },
+			base, 1, func(int) (int, int) { return 0, count }}
+	}
+	vector := func(count, bl, stride int, base *Dtype) tcase {
+		return tcase{fmt.Sprintf("vector %d %d %d", count, bl, stride),
+			func() (*Dtype, error) { return e.TypeVector(count, bl, stride, base) },
+			base, count, func(b int) (int, int) { return b * stride, bl }}
+	}
+	indexed := func(bls, displs []int, base *Dtype) tcase {
+		return tcase{fmt.Sprintf("indexed %v %v", bls, displs),
+			func() (*Dtype, error) { return e.TypeIndexed(bls, displs, base) },
+			base, len(bls), func(i int) (int, int) { return displs[i], bls[i] }}
+	}
+	var cases []tcase
+	for _, base := range []*Dtype{f64, u8, strided, holey} {
+		cases = append(cases,
+			contig(0, base), contig(1, base), contig(7, base),
+			vector(0, 3, 5, base), vector(4, 3, 5, base), vector(4, 3, 3, base),
+			vector(4, 3, 2, base), vector(3, 2, -4, base), vector(5, 0, 2, base),
+			vector(100, 3, 7, base),
+			indexed(nil, nil, base), indexed([]int{2, 3, 1}, []int{0, 2, 9}, base),
+			indexed([]int{1, 1, 1}, []int{5, 3, 4}, base), indexed([]int{2, 0, 2}, []int{-3, 7, -1}, base),
+			indexed([]int{3, 3}, []int{1, 1}, base))
+	}
+	for _, c := range cases {
+		d, err := c.build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if want := appendCoalesce(c.base, c.blocks, c.block); !slices.Equal(d.segs, want) {
+			t.Errorf("%s of %d-segment base: segments %v, want %v", c.name, len(c.base.segs), d.segs, want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { c.build() }); allocs > 4 {
+			t.Errorf("%s of %d-segment base: %v allocations, want at most 4", c.name, len(c.base.segs), allocs)
+		}
 	}
 }
 

@@ -485,21 +485,14 @@ func (e *Engine) TypeContiguous(count int, base *Dtype) (*Dtype, error) {
 	if count < 0 {
 		return nil, mpi.Errorf(mpi.ErrCount, "negative count %d", count)
 	}
-	d := &Dtype{
+	return &Dtype{
 		SizeB:    count * base.SizeB,
 		ExtentB:  count * base.ExtentB,
 		Combiner: mpi.CombinerContiguous,
 		Ints:     []int{count},
 		Bases:    []*Dtype{base},
-	}
-	for i := 0; i < count; i++ {
-		off := i * base.ExtentB
-		for _, s := range base.segs {
-			d.segs = append(d.segs, seg{off + s.off, s.n})
-		}
-	}
-	d.segs = coalesce(d.segs)
-	return d, nil
+		segs:     layout(base, 1, func(int) (int, int) { return 0, count }),
+	}, nil
 }
 
 // TypeVector builds a strided derived datatype.
@@ -516,15 +509,7 @@ func (e *Engine) TypeVector(count, blocklen, stride int, base *Dtype) (*Dtype, e
 	if count > 0 {
 		d.ExtentB = ((count-1)*stride + blocklen) * base.ExtentB
 	}
-	for b := 0; b < count; b++ {
-		for j := 0; j < blocklen; j++ {
-			off := (b*stride + j) * base.ExtentB
-			for _, s := range base.segs {
-				d.segs = append(d.segs, seg{off + s.off, s.n})
-			}
-		}
-	}
-	d.segs = coalesce(d.segs)
+	d.segs = layout(base, count, func(b int) (int, int) { return b * stride, blocklen })
 	return d, nil
 }
 
@@ -534,9 +519,10 @@ func (e *Engine) TypeIndexed(blocklens, displs []int, base *Dtype) (*Dtype, erro
 	if len(blocklens) != len(displs) {
 		return nil, mpi.Errorf(mpi.ErrArg, "blocklens (%d) and displs (%d) differ in length", len(blocklens), len(displs))
 	}
+	ints := make([]int, 0, 1+2*len(blocklens))
 	d := &Dtype{
 		Combiner: mpi.CombinerIndexed,
-		Ints:     append(append([]int{len(blocklens)}, blocklens...), displs...),
+		Ints:     append(append(append(ints, len(blocklens)), blocklens...), displs...),
 		Bases:    []*Dtype{base},
 	}
 	ext := 0
@@ -545,36 +531,47 @@ func (e *Engine) TypeIndexed(blocklens, displs []int, base *Dtype) (*Dtype, erro
 			return nil, mpi.Errorf(mpi.ErrCount, "negative block length %d", bl)
 		}
 		d.SizeB += bl * base.SizeB
-		for j := 0; j < bl; j++ {
-			off := (displs[i] + j) * base.ExtentB
-			for _, s := range base.segs {
-				d.segs = append(d.segs, seg{off + s.off, s.n})
-			}
-		}
 		if end := (displs[i] + bl) * base.ExtentB; end > ext {
 			ext = end
 		}
 	}
 	d.ExtentB = ext
-	d.segs = coalesce(d.segs)
+	d.segs = layout(base, len(blocklens), func(i int) (int, int) { return displs[i], blocklens[i] })
 	return d, nil
 }
 
-// coalesce merges adjacent segments to speed pack/unpack.
-func coalesce(in []seg) []seg {
-	if len(in) == 0 {
-		return in
-	}
-	out := in[:1]
-	for _, s := range in[1:] {
-		last := &out[len(out)-1]
-		if last.off+last.n == s.off {
-			last.n += s.n
-			continue
+// layout returns a derived datatype's segments: base's segments laid at
+// each element of blocks blocks, block(i) giving block i's displacement
+// and length in base elements. A segment that starts where the one
+// before it ends is merged into it, to speed pack/unpack. A first walk
+// counts the merged segments, so the list is allocated once.
+func layout(base *Dtype, blocks int, block func(i int) (displ, n int)) []seg {
+	var segs []seg
+	for fill := range 2 {
+		count, end := 0, 0
+		for i := range blocks {
+			displ, n := block(i)
+			for j := range n {
+				for _, s := range base.segs {
+					off := (displ+j)*base.ExtentB + s.off
+					if count == 0 || off != end {
+						count++
+						if fill == 1 {
+							segs = append(segs, seg{off, 0})
+						}
+					}
+					if fill == 1 {
+						segs[count-1].n += s.n
+					}
+					end = off + s.n
+				}
+			}
 		}
-		out = append(out, s)
+		if fill == 0 {
+			segs = make([]seg, 0, count)
+		}
 	}
-	return out
+	return segs
 }
 
 // OpCreate registers a user reduction operation. Reduce combines

@@ -18,7 +18,8 @@ import (
 
 // Group is an ordered set of world ranks (an MPI_Group's internals).
 type Group struct {
-	// Ranks[i] is the world rank of group member i.
+	// Ranks[i] is the world rank of group member i. MPI groups are
+	// immutable and clones share the list: nothing may write it.
 	Ranks []int
 	// Predefined marks groups owned by the library (world group, empty
 	// group), which are not user-freeable.
@@ -44,9 +45,10 @@ func (g *Group) RankOf(world int) int {
 	return mpi.Undefined
 }
 
-// Clone returns a deep copy of the group with Predefined cleared.
+// Clone returns a user-owned copy of the group (Predefined cleared)
+// that shares g's rank list, capped so an append cannot reach it.
 func (g *Group) Clone() *Group {
-	return &Group{Ranks: append([]int(nil), g.Ranks...)}
+	return &Group{Ranks: g.Ranks[:len(g.Ranks):len(g.Ranks)]}
 }
 
 // Comm is a communicator's internals: a context id scoping message

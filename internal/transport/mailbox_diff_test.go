@@ -7,19 +7,21 @@ import (
 	"time"
 )
 
-// The mailbox's two indexes, its context recycling and its entry free
-// list are checked against a reference model that has none of them: one
-// arrival-ordered list per mailbox, where a receive or probe selects the
-// first matching message in arrival order. Operations come from a byte
-// string, two bytes per operation, so one decoder serves the seeded
-// differential test and FuzzMailbox.
+// The mailbox's two indexes, its context recycling and the fabric-wide
+// entry pool are checked against a reference model that has none of
+// them: one arrival-ordered list per mailbox, where a receive or probe
+// selects the first matching message in arrival order. Operations come
+// from a byte string, two bytes per operation, so one decoder serves the
+// seeded differential test and FuzzMailbox.
 //
-// The receiver is rank 0 of a 4-rank fabric; every rank, itself
-// included, sends to it on 3 contexts with 3 tags. Each sender's clock
-// only moves forward, as a rank's virtual clock does, and the receiver's
-// clock advances one millisecond per probe.
+// The receivers are ranks 0 and 1 of a 4-rank fabric; every rank, each
+// receiver included, sends to either on 3 contexts with 3 tags, so an
+// entry one receiver consumed carries the next message to either. Each
+// sender's clock only moves forward, as a rank's virtual clock does,
+// and the receivers' clock advances one millisecond per probe.
 const (
 	diffSrcs = 4
+	diffDsts = 2
 	diffCtxs = 3
 	diffTags = 3
 )
@@ -95,16 +97,39 @@ func diffMatch(b byte, mode int) Match {
 	return m
 }
 
+// diffRun is what runMailboxOps observed: the receivers' models, and
+// how many queue entries carried messages to both receivers.
+type diffRun struct {
+	refs   [diffDsts]refBox
+	shared int
+}
+
+// refills counts the sends, over both receivers, into a context the
+// model had emptied.
+func (d *diffRun) refills() int {
+	n := 0
+	for i := range d.refs {
+		n += d.refs[i].refills
+	}
+	return n
+}
+
 // runMailboxOps replays ops against a fresh fabric and the reference
-// model, failing at the first disagreement, and returns the model.
-func runMailboxOps(t testing.TB, ops []byte) *refBox {
+// model, failing at the first disagreement. The top bit of an
+// operation's first byte picks its receiver.
+func runMailboxOps(t testing.TB, ops []byte) *diffRun {
 	f := NewFabric(diffSrcs)
 	defer f.Close()
-	dst := f.Endpoint(0)
-	ref := &refBox{}
+	run := &diffRun{}
+	var eps [diffSrcs]*Endpoint
+	for r := range eps {
+		eps[r] = f.Endpoint(r)
+	}
 	var clocks [diffSrcs]time.Duration
 	var now time.Duration
 	var nextID uint64
+	// seen records, per queue entry, the receivers it carried messages to.
+	seen := map[*qent]int{}
 
 	// check compares a message the fabric handed over with the model's.
 	check := func(op int, what string, got *Message, want refMsg) {
@@ -120,9 +145,10 @@ func runMailboxOps(t testing.TB, ops []byte) *refBox {
 				want.src, want.tag, want.ctx, want.vt, want.id)
 		}
 	}
-	recv := func(op int, m Match) bool {
+	recv := func(op, d int, m Match) bool {
 		t.Helper()
-		msg, ok, err := dst.TryRecv(m)
+		ref := &run.refs[d]
+		msg, ok, err := eps[d].TryRecv(m)
 		if err != nil {
 			t.Fatalf("op %d: TryRecv(%+v): %v", op, m, err)
 		}
@@ -148,6 +174,8 @@ func runMailboxOps(t testing.TB, ops []byte) *refBox {
 
 	for i := 0; i+1 < len(ops); i += 2 {
 		op, b0, b1 := i/2, ops[i], ops[i+1]
+		d := int(b0 >> 7)
+		ref, dst := &run.refs[d], eps[d]
 		switch b0 % 8 {
 		case 0, 1, 2: // send
 			m := diffMatch(b1, 0)
@@ -155,18 +183,20 @@ func runMailboxOps(t testing.TB, ops []byte) *refBox {
 			nextID++
 			payload := f.Buf(8)
 			binary.LittleEndian.PutUint64(payload, nextID)
-			if err := f.Endpoint(m.Src).SendOwned(0, m.Context, m.Tag, payload, clocks[m.Src]); err != nil {
+			if err := eps[m.Src].SendOwned(d, m.Context, m.Tag, payload, clocks[m.Src]); err != nil {
 				t.Fatalf("op %d: send: %v", op, err)
 			}
+			// The entry just queued is its triple's tail.
+			seen[f.boxes[d].byCtx[m.Context].triples[srcTag{m.Src, m.Tag}].tail] |= 1 << d
 			if c := m.Context - 16; ref.emptied[c] {
 				ref.emptied[c] = false
 				ref.refills++
 			}
 			ref.q = append(ref.q, refMsg{src: m.Src, tag: m.Tag, ctx: m.Context, vt: clocks[m.Src], id: nextID})
 		case 3: // exact receive
-			recv(op, diffMatch(b1, 0))
+			recv(op, d, diffMatch(b1, 0))
 		case 4: // wildcard receive
-			recv(op, diffMatch(b1, 1+int(b0>>3)%3))
+			recv(op, d, diffMatch(b1, 1+int(b0>>3)%3))
 		case 5: // probe in the receiver's virtual present
 			now += time.Millisecond
 			m := diffMatch(b1, int(b0>>3)%4)
@@ -187,23 +217,31 @@ func runMailboxOps(t testing.TB, ops []byte) *refBox {
 			}
 		case 7: // drain one context through wildcard receives
 			m := diffMatch(b1, 3)
-			for recv(op, m) {
+			for recv(op, d, m) {
 			}
 		}
-		if got := pending(dst); got != len(ref.q) || inFlight(f) != got {
-			t.Fatalf("op %d: %d pending at rank 0 and %d in flight, model holds %d at rank 0",
-				op, got, inFlight(f), len(ref.q))
+		if got := pending(dst); got != len(ref.q) ||
+			inFlight(f) != len(run.refs[0].q)+len(run.refs[1].q) {
+			t.Fatalf("op %d: %d pending at rank %d and %d in flight, model holds %d there and %d in all",
+				op, got, d, inFlight(f), len(ref.q), len(run.refs[0].q)+len(run.refs[1].q))
 		}
 	}
 	// Whatever is left drains in arrival order.
-	for recv(len(ops)/2, Match{Context: 16, Src: AnySource, Tag: AnyTag}) ||
-		recv(len(ops)/2, Match{Context: 17, Src: AnySource, Tag: AnyTag}) ||
-		recv(len(ops)/2, Match{Context: 18, Src: AnySource, Tag: AnyTag}) {
+	for d := range eps[:diffDsts] {
+		for recv(len(ops)/2, d, Match{Context: 16, Src: AnySource, Tag: AnyTag}) ||
+			recv(len(ops)/2, d, Match{Context: 17, Src: AnySource, Tag: AnyTag}) ||
+			recv(len(ops)/2, d, Match{Context: 18, Src: AnySource, Tag: AnyTag}) {
+		}
+		if pending(eps[d]) != 0 || len(run.refs[d].q) != 0 {
+			t.Fatalf("after the final drain: %d pending at rank %d, model holds %d", pending(eps[d]), d, len(run.refs[d].q))
+		}
 	}
-	if pending(dst) != 0 || len(ref.q) != 0 {
-		t.Fatalf("after the final drain: %d pending, model holds %d", pending(dst), len(ref.q))
+	for _, to := range seen {
+		if to == 3 {
+			run.shared++
+		}
 	}
-	return ref
+	return run
 }
 
 // diffOps draws n operations from a seeded generator in phases of
@@ -245,14 +283,18 @@ func diffOps(seed uint64, n int) []byte {
 
 // TestMailboxMatchesReferenceModel replays seeded random operation
 // sequences — sends, exact and wildcard receives, visible probes and
-// earliest-send queries over 3 contexts × 4 sources × 3 tags — against
-// the single-list model. Every answer, and the pending count after every
-// operation, must agree.
+// earliest-send queries over 2 receivers × 3 contexts × 4 sources × 3
+// tags — against the single-list model. Every answer, and the pending
+// counts after every operation, must agree, and the sequence must both
+// churn the indexes and carry messages to both receivers in one entry.
 func TestMailboxMatchesReferenceModel(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		ref := runMailboxOps(t, diffOps(seed, 20000))
-		if ref.refills < 50 {
-			t.Fatalf("seed %d: contexts refilled only %d times; the sequence does not churn the index", seed, ref.refills)
+		run := runMailboxOps(t, diffOps(seed, 20000))
+		if run.refills() < 50 {
+			t.Fatalf("seed %d: contexts refilled only %d times; the sequence does not churn the index", seed, run.refills())
+		}
+		if run.shared < 50 {
+			t.Fatalf("seed %d: only %d entries carried messages to both receivers; the pool is not shared", seed, run.shared)
 		}
 	}
 }

@@ -37,9 +37,15 @@
 // A real MPI library's network layer sends and receives through buffers
 // it registers once and reuses; so does this one, and a steady-state
 // message costs no heap object. A context's index outlives its last
-// message, a consumed entry returns to its mailbox's free list once
+// message, a consumed entry returns to the fabric-wide entry pool once
 // both indexes have dropped it, and payloads come from the fabric's
-// size-class pool. The payload follows one ownership chain:
+// size-class pool. Both pools are refilled n at a time, n being the
+// fabric's rank count — one slab of n entries, or one backing array cut
+// into n buffers of a class of at most 256 B — so a burst of n² small
+// messages, every rank announcing itself to every other at a drain,
+// costs O(n) heap objects. A slab stays reachable while anything cut
+// from it is, and all of it dies with the fabric. The payload follows
+// one ownership chain:
 //
 //   - Buf hands out a payload buffer of the requested length;
 //   - SendOwned takes the payload over, and the caller must not touch it
@@ -165,21 +171,26 @@ type Fabric struct {
 	closed  bool
 	filter  FaultFilter
 
-	// bufs holds freed payload buffers by size class: bufs[k] are
-	// buffers of capacity 1<<(k+minBufShift). Only the token holder
-	// touches it (see the package comment).
+	// ents holds free queue entries, taken by sends to any mailbox.
+	// Only the token holder touches it or bufs (see the package comment).
+	ents []*qent
+	// bufs holds free payload buffers by size class: bufs[k] are
+	// buffers of capacity 1<<(k+minBufShift).
 	bufs [maxBufShift - minBufShift + 1][][]byte
 }
 
 // Pool bounds. A payload class holds buffers of one power-of-two
 // capacity from 1<<minBufShift to 1<<maxBufShift bytes; larger payloads
 // are plain allocations. A class keeps at most bufClassBytes of idle
-// buffers and never more than maxClassBufs of them, and a mailbox keeps
-// at most maxFreeEntries idle queue entries, so an idle fabric holds a
-// bounded amount of pooled memory however large a burst was.
+// buffers and never more than maxClassBufs of them, and the entry pool
+// keeps at most maxFreeEntries idle queue entries per rank, so an idle
+// fabric holds a bounded amount of pooled memory however large a burst
+// was. A class of at most 1<<maxSlabShift bytes is refilled a batch of
+// buffers at a time, a larger one a buffer at a time.
 const (
 	minBufShift    = 3  // 8 B
 	maxBufShift    = 16 // 64 KB
+	maxSlabShift   = 8  // 256 B
 	bufClassBytes  = 1 << 20
 	maxClassBufs   = 1024
 	maxFreeEntries = 256
@@ -198,7 +209,7 @@ func NewFabric(n int) *Fabric {
 	}
 	for i := range f.boxes {
 		f.ranks[i] = i
-		f.boxes[i] = newMailbox(i)
+		f.boxes[i] = &mailbox{rank: i, fab: f, byCtx: make(map[uint32]*ctxq)}
 	}
 	return f
 }
@@ -271,7 +282,17 @@ func (f *Fabric) Buf(n int) []byte {
 		*free = (*free)[:i]
 		return b[:n]
 	}
-	return make([]byte, n, 1<<k)
+	c := 1 << k
+	if k > maxSlabShift {
+		return make([]byte, n, c)
+	}
+	// Cut one backing array into Size() buffers (at most a class's
+	// worth), each capped at the class size so Free takes it back.
+	slab := make([]byte, min(len(f.ranks), maxClassBufs)*c)
+	for off := c; off < len(slab); off += c {
+		*free = append(*free, slab[off:off+c:off+c])
+	}
+	return slab[:n:c]
 }
 
 // Free returns a payload the caller is done with — one Recv or TryRecv
@@ -338,7 +359,7 @@ func (e *Endpoint) SendOwned(dst int, ctx uint32, tag int, payload []byte, sendV
 		return fmt.Errorf("transport: send to rank %d out of range [0,%d)", dst, len(e.fabric.ranks))
 	}
 	box := e.fabric.boxes[dst]
-	ent := box.entry()
+	ent := e.fabric.entry()
 	ent.m = Message{
 		Src:     e.rank,
 		Context: ctx,
@@ -352,7 +373,7 @@ func (e *Endpoint) SendOwned(dst int, ctx uint32, tag int, payload []byte, sendV
 			// The bytes left the sender and vanished on the wire: the
 			// send itself still succeeded. The entry was never linked,
 			// so it goes straight back.
-			box.recycle(ent)
+			e.fabric.recycle(ent)
 			return nil
 		}
 		if delay > 0 {
@@ -452,7 +473,7 @@ type srcTag struct {
 }
 
 // qent is one queued message: the envelope and its queue links,
-// allocated together and recycled through the mailbox's free list. The
+// allocated together and recycled through the fabric's entry pool. The
 // same entry is linked from two indexes — its (source, tag) FIFO and its
 // context's arrival list — so consuming it through either marks it
 // taken and the other index skips it lazily.
@@ -498,10 +519,10 @@ type ctxq struct {
 // exact-match receive) dominate it, so wildcard scans stay
 // amortized-linear in live messages. A dropped entry has left both
 // indexes — remove unlinks a consumed entry from its triple before
-// anything prunes — so it goes back to b's free list.
-func (c *ctxq) pruneFifo(b *mailbox) {
+// anything prunes — so it goes back to f's entry pool.
+func (c *ctxq) pruneFifo(f *Fabric) {
 	for c.head < len(c.fifo) && c.fifo[c.head].taken {
-		b.recycle(c.fifo[c.head])
+		f.recycle(c.fifo[c.head])
 		c.fifo[c.head] = nil
 		c.head++
 		if c.dead > 0 {
@@ -513,7 +534,7 @@ func (c *ctxq) pruneFifo(b *mailbox) {
 		kept := c.fifo[:0]
 		for _, e := range c.fifo[c.head:] {
 			if e.taken {
-				b.recycle(e)
+				f.recycle(e)
 				continue
 			}
 			kept = append(kept, e)
@@ -529,9 +550,9 @@ func (c *ctxq) pruneFifo(b *mailbox) {
 
 // empty recycles every entry of a context whose last live message was
 // just consumed and resets its arrival list to the start of its array.
-func (c *ctxq) empty(b *mailbox) {
+func (c *ctxq) empty(f *Fabric) {
 	for i := c.head; i < len(c.fifo); i++ {
-		b.recycle(c.fifo[i])
+		f.recycle(c.fifo[i])
 		c.fifo[i] = nil
 	}
 	c.fifo, c.head, c.dead = c.fifo[:0], 0, 0
@@ -545,12 +566,10 @@ func (c *ctxq) empty(b *mailbox) {
 // exact matches, any scan at all.
 type mailbox struct {
 	rank int
+	fab  *Fabric // owns the entry pool consumed entries return to
 
 	byCtx  map[uint32]*ctxq
 	closed bool
-	// free holds recycled entries; senders to this mailbox take theirs
-	// from it.
-	free []*qent
 
 	// Scheduler hooks (nil on a bare fabric). waiting records the owner
 	// rank's parked receive; there is at most one waiter per mailbox
@@ -561,28 +580,30 @@ type mailbox struct {
 	wmatch  Match
 }
 
-func newMailbox(rank int) *mailbox {
-	return &mailbox{rank: rank, byCtx: make(map[uint32]*ctxq)}
-}
-
-// entry returns a cleared queue entry, recycled when one is free.
-func (b *mailbox) entry() *qent {
-	if i := len(b.free) - 1; i >= 0 {
-		e := b.free[i]
-		b.free[i] = nil
-		b.free = b.free[:i]
-		return e
+// entry returns a cleared queue entry for a send to any mailbox. An
+// empty pool is refilled with one slab of Size() entries.
+func (f *Fabric) entry() *qent {
+	if len(f.ents) == 0 {
+		slab := make([]qent, len(f.ranks))
+		for i := len(slab) - 1; i > 0; i-- {
+			f.ents = append(f.ents, &slab[i])
+		}
+		return &slab[0]
 	}
-	return &qent{}
+	i := len(f.ents) - 1
+	e := f.ents[i]
+	f.ents[i] = nil
+	f.ents = f.ents[:i]
+	return e
 }
 
 // recycle clears e, dropping its payload reference, and keeps it for a
-// later entry unless the free list is full. The caller guarantees that
-// neither index still reaches e.
-func (b *mailbox) recycle(e *qent) {
+// later send unless the pool already holds maxFreeEntries per rank. The
+// caller guarantees that neither index still reaches e.
+func (f *Fabric) recycle(e *qent) {
 	*e = qent{}
-	if len(b.free) < maxFreeEntries {
-		b.free = append(b.free, e)
+	if len(f.ents) < maxFreeEntries*len(f.ranks) {
+		f.ents = append(f.ents, e)
 	}
 }
 
@@ -636,7 +657,7 @@ func (b *mailbox) find(m Match) *qent {
 	if m.Src != AnySource && m.Tag != AnyTag {
 		return c.triples[srcTag{src: m.Src, tag: m.Tag}].front()
 	}
-	c.pruneFifo(b)
+	c.pruneFifo(b.fab)
 	for i := c.head; i < len(c.fifo); i++ {
 		e := c.fifo[i]
 		if e.taken || !m.Matches(&e.m) {
@@ -664,7 +685,7 @@ func (b *mailbox) findVisible(m Match, now time.Duration) *qent {
 		}
 		return e
 	}
-	c.pruneFifo(b)
+	c.pruneFifo(b.fab)
 	for i := c.head; i < len(c.fifo); i++ {
 		e := c.fifo[i]
 		if e.taken || !m.Matches(&e.m) || e.m.SendVT > now {
@@ -689,7 +710,7 @@ func (b *mailbox) earliestMatch(m Match) (time.Duration, bool) {
 		}
 		return e.m.SendVT, true
 	}
-	c.pruneFifo(b)
+	c.pruneFifo(b.fab)
 	best, ok := time.Duration(0), false
 	for i := c.head; i < len(c.fifo); i++ {
 		e := c.fifo[i]
@@ -724,9 +745,9 @@ func (b *mailbox) remove(e *qent) Message {
 		c.triples[k] = q
 	}
 	if c.live == 0 {
-		c.empty(b)
+		c.empty(b.fab)
 	} else {
-		c.pruneFifo(b)
+		c.pruneFifo(b.fab)
 	}
 	return msg
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -621,4 +622,78 @@ func TestBufPool(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { f.Free(f.Buf(3000)) }); allocs != 0 {
 		t.Fatalf("Buf/Free round trip: %v allocations", allocs)
 	}
+}
+
+// TestControlBurstAllocsLinear models a checkpoint drain's control
+// exchange: every rank sends a 40 B message to every other rank before
+// any is received, then every message is received and its payload
+// freed. The n(n-1) messages in flight must cost O(n) heap objects — a
+// slab of entries and a batch of payload buffers per n messages — not
+// an entry and a payload each. Each mailbox's index is grown first, by
+// one destination's n-1 messages at a time, so that the burst counts
+// the pools alone. A later burst takes every entry back from the pool;
+// only the payloads past a class's idle bound (maxClassBufs) are cut
+// anew, n to a batch.
+func TestControlBurstAllocsLinear(t *testing.T) {
+	for _, n := range []int{64, 256} {
+		f := NewFabric(n)
+		eps := make([]*Endpoint, n)
+		for r := range eps {
+			eps[r] = f.Endpoint(r)
+		}
+		payload := make([]byte, 40)
+		send := func(src, dst int) {
+			if err := eps[src].Send(dst, 16, 7, payload, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		drain := func(dst int) {
+			for range n - 1 {
+				msg, ok, err := eps[dst].TryRecv(Match{Context: 16, Src: AnySource, Tag: 7})
+				if err != nil || !ok {
+					t.Fatalf("n=%d: rank %d: ok=%v err=%v", n, dst, ok, err)
+				}
+				f.Free(msg.Payload)
+			}
+		}
+		for dst := range n {
+			for src := range n {
+				if src != dst {
+					send(src, dst)
+				}
+			}
+			drain(dst)
+		}
+		burst := func() {
+			for src := range n {
+				for dst := range n {
+					if dst != src {
+						send(src, dst)
+					}
+				}
+			}
+			for dst := range n {
+				drain(dst)
+			}
+		}
+		if got := mallocs(burst); got > uint64(8*n) {
+			t.Errorf("n=%d: a burst of %d messages allocated %d objects, want at most %d", n, n*(n-1), got, 8*n)
+		}
+		// The least of three bursts, so that an object the runtime
+		// allocates meanwhile does not count.
+		refill := (n*(n-1) - maxClassBufs + n - 1) / n
+		if got := min(mallocs(burst), mallocs(burst), mallocs(burst)); got > uint64(refill) {
+			t.Errorf("n=%d: a second burst allocated %d objects, want at most %d payload batches", n, got, refill)
+		}
+		f.Close()
+	}
+}
+
+// mallocs returns the number of heap objects fn allocates.
+func mallocs(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
