@@ -7,10 +7,11 @@ import (
 	"time"
 )
 
-// The mailbox's two indexes, its context recycling and the fabric-wide
-// entry pool are checked against a reference model that has none of
-// them: one arrival-ordered list per mailbox, where a receive or probe
-// selects the first matching message in arrival order. Operations come
+// The mailbox's context and source lists, its context slice and the
+// fabric-wide entry pool are checked against a reference model that has
+// none of them: one arrival-ordered list per mailbox, where a receive or
+// probe selects the first matching message in arrival order. After
+// every operation, checkLinks also checks the lists' links themselves. Operations come
 // from a byte string, two bytes per operation, so one decoder serves the
 // seeded differential test and FuzzMailbox.
 //
@@ -186,8 +187,8 @@ func runMailboxOps(t testing.TB, ops []byte) *diffRun {
 			if err := eps[m.Src].SendOwned(d, m.Context, m.Tag, payload, clocks[m.Src]); err != nil {
 				t.Fatalf("op %d: send: %v", op, err)
 			}
-			// The entry just queued is its triple's tail.
-			seen[f.boxes[d].byCtx[m.Context].triples[srcTag{m.Src, m.Tag}].tail] |= 1 << d
+			// The entry just queued is its source's tail.
+			seen[f.boxes[d].srcs[m.Src].tail] |= 1 << d
 			if c := m.Context - 16; ref.emptied[c] {
 				ref.emptied[c] = false
 				ref.refills++
@@ -220,6 +221,7 @@ func runMailboxOps(t testing.TB, ops []byte) *diffRun {
 			for recv(op, d, m) {
 			}
 		}
+		checkLinks(t, f, op)
 		if got := pending(dst); got != len(ref.q) ||
 			inFlight(f) != len(run.refs[0].q)+len(run.refs[1].q) {
 			t.Fatalf("op %d: %d pending at rank %d and %d in flight, model holds %d there and %d in all",
@@ -244,14 +246,73 @@ func runMailboxOps(t testing.TB, ops []byte) *diffRun {
 	return run
 }
 
+// checkLinks fails unless the lists of every mailbox of f are intact:
+// each context in ctxs is listed once and holds a message, each list's
+// prev/next (context) or sprev/snext (source) links are mutual and end
+// at its head and tail, every entry on a source list is that source's
+// and also on its own context's list, the context lists hold as many
+// entries as the source lists — so both hold the same ones — and no
+// entry in the fabric's pool is linked. A pooled entry is cleared, so
+// one still reachable from a list fails the list's checks.
+func checkLinks(t testing.TB, f *Fabric, op int) {
+	t.Helper()
+	for r, b := range f.boxes {
+		queued := 0
+		for i, c := range b.ctxs {
+			for _, d := range b.ctxs[:i] {
+				if d.ctx == c.ctx {
+					t.Fatalf("op %d: rank %d lists context %d twice", op, r, c.ctx)
+				}
+			}
+			if c.head == nil {
+				t.Fatalf("op %d: rank %d lists context %d empty", op, r, c.ctx)
+			}
+			var prev *qent
+			for e := c.head; e != nil; prev, e = e, e.next {
+				if e.prev != prev || e.m.Context != c.ctx {
+					t.Fatalf("op %d: rank %d context %d: broken list at src %d ctx %d tag %d", op, r, c.ctx, e.m.Src, e.m.Context, e.m.Tag)
+				}
+				queued++
+			}
+			if c.tail != prev {
+				t.Fatalf("op %d: rank %d context %d: tail is not the last entry", op, r, c.ctx)
+			}
+		}
+		for src, q := range b.srcs {
+			var prev *qent
+			for e := q.head; e != nil; prev, e = e, e.snext {
+				// On its context's list, e is the head or its
+				// predecessor's successor.
+				c := b.ctx(e.m.Context)
+				onCtx := c != nil && (e.prev == nil && c.head == e || e.prev != nil && e.prev.next == e)
+				if e.sprev != prev || e.m.Src != src || !onCtx {
+					t.Fatalf("op %d: rank %d source %d: broken list at src %d ctx %d tag %d", op, r, src, e.m.Src, e.m.Context, e.m.Tag)
+				}
+				queued--
+			}
+			if q.tail != prev {
+				t.Fatalf("op %d: rank %d source %d: tail is not the last entry", op, r, src)
+			}
+		}
+		if queued != 0 {
+			t.Fatalf("op %d: rank %d: the context lists hold %d entries more than the source lists", op, r, queued)
+		}
+	}
+	for _, e := range f.ents {
+		if e.prev != nil || e.next != nil || e.sprev != nil || e.snext != nil {
+			t.Fatalf("op %d: a pooled entry is still linked", op)
+		}
+	}
+}
+
 // diffOps draws n operations from a seeded generator in phases of
 // random length, mostly short. A filling phase is mostly sends. A
 // draining phase is receives, probes and queries; every other one
 // receives only by source and never from one source, so the messages
-// around that source's consume from inside the arrival lists. Queues
-// build up — now and then to hundreds of messages, enough for the
-// arrival lists to compact — and drain, so contexts empty and refill
-// over and over.
+// around that source's consume from inside the context lists. Queues
+// build up — now and then to hundreds of messages, so that a receive
+// unlinks entries deep inside long lists — and drain, so contexts empty
+// and refill over and over.
 func diffOps(seed uint64, n int) []byte {
 	r := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 	ops := make([]byte, 0, 2*n)
@@ -285,8 +346,9 @@ func diffOps(seed uint64, n int) []byte {
 // sequences — sends, exact and wildcard receives, visible probes and
 // earliest-send queries over 2 receivers × 3 contexts × 4 sources × 3
 // tags — against the single-list model. Every answer, and the pending
-// counts after every operation, must agree, and the sequence must both
-// churn the indexes and carry messages to both receivers in one entry.
+// counts after every operation, must agree, the lists must stay intact,
+// and the sequence must both churn the lists and carry messages to
+// both receivers in one entry.
 func TestMailboxMatchesReferenceModel(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		run := runMailboxOps(t, diffOps(seed, 20000))

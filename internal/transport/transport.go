@@ -21,31 +21,35 @@
 // virtual time by the MPI engine above, using the sender timestamp each
 // Message carries.
 //
-// Matching is indexed: each mailbox keeps one FIFO per (source, context,
-// tag) triple plus an arrival-ordered list per context, sharing entries.
-// An entry is the message's envelope and its queue links in one object,
-// and a triple's FIFO is a list threaded through the entries. A fully
-// specified receive is a map lookup; a wildcard receive walks its
-// context's arrival list front-to-back and takes the first live match —
-// exactly the message the old single-queue linear scan found, but
-// without visiting other contexts, and an AnySource probe against a
-// mailbox holding thousands of per-source triples stops at the first
-// match instead of ranking every triple.
+// Matching walks arrival lists. A queued message is one entry, its
+// envelope and its links, on two doubly linked lists of its mailbox,
+// both in arrival order: its context's list, and its source's list,
+// which spans all of that source's contexts and tags. A receive or
+// probe that names its source walks only that source's live messages
+// and takes the first whose context and tag match — for an exact match,
+// the head of its (source, context, tag) FIFO, as MPI's non-overtaking
+// rule requires. An AnySource match walks its context's list the same
+// way. Either first match is the earliest arrival among all the
+// messages the match selects, exactly the message a single-queue
+// linear scan returns. A mailbox keeps only the contexts holding a
+// message, in a short slice searched linearly, and its n source lists
+// in one array allocated at its first delivery (16 B per rank): no
+// receive, probe or burst grows a hash table.
 //
 // # Recycling
 //
 // A real MPI library's network layer sends and receives through buffers
 // it registers once and reuses; so does this one, and a steady-state
-// message costs no heap object. A context's index outlives its last
-// message, a consumed entry returns to the fabric-wide entry pool once
-// both indexes have dropped it, and payloads come from the fabric's
-// size-class pool. Both pools are refilled n at a time, n being the
-// fabric's rank count — one slab of n entries, or one backing array cut
-// into n buffers of a class of at most 256 B — so a burst of n² small
-// messages, every rank announcing itself to every other at a drain,
-// costs O(n) heap objects. A slab stays reachable while anything cut
-// from it is, and all of it dies with the fabric. The payload follows
-// one ownership chain:
+// message costs no heap object. Consuming a message unlinks its entry
+// from both lists at once and returns it to the fabric-wide entry pool,
+// and payloads come from the fabric's size-class pool. Both pools are
+// refilled n at a time, n being the fabric's rank count — one slab of n
+// entries, or one backing array cut into n buffers of a class of at
+// most 256 B — so a burst of n² small messages, every rank announcing
+// itself to every other at a drain, costs O(n) heap objects, on a fresh
+// fabric too. A slab stays reachable while anything cut from it is, and
+// all of it dies with the fabric. The payload follows one ownership
+// chain:
 //
 //   - Buf hands out a payload buffer of the requested length;
 //   - SendOwned takes the payload over, and the caller must not touch it
@@ -209,7 +213,7 @@ func NewFabric(n int) *Fabric {
 	}
 	for i := range f.boxes {
 		f.ranks[i] = i
-		f.boxes[i] = &mailbox{rank: i, fab: f, byCtx: make(map[uint32]*ctxq)}
+		f.boxes[i] = &mailbox{rank: i, fab: f}
 	}
 	return f
 }
@@ -466,109 +470,44 @@ func (e *Endpoint) WaitMatch(m Match) error {
 // errNoMatch is an internal sentinel for non-blocking take.
 var errNoMatch = errors.New("transport: no matching message")
 
-// srcTag is the per-context index key of one matching FIFO.
-type srcTag struct {
-	src int
-	tag int
-}
+// anyTime is a send-time limit every message meets.
+const anyTime = time.Duration(1<<63 - 1)
 
-// qent is one queued message: the envelope and its queue links,
-// allocated together and recycled through the fabric's entry pool. The
-// same entry is linked from two indexes — its (source, tag) FIFO and its
-// context's arrival list — so consuming it through either marks it
-// taken and the other index skips it lazily.
+// qent is one queued message: the envelope and its links in two
+// arrival-ordered lists of its mailbox, its context's (prev, next) and
+// its source's (sprev, snext), allocated together and recycled through
+// the fabric's entry pool.
 type qent struct {
-	m     Message
-	taken bool
-	// next is the following entry of the same (source, tag) FIFO.
-	next *qent
+	m            Message
+	prev, next   *qent
+	sprev, snext *qent
 }
 
-// tripleq is one (source, context, tag) FIFO, threaded through its
-// entries. It is held by value in the context's index, so a triple used
-// for a single message costs nothing beyond that message's entry.
-type tripleq struct {
+// ctxq is one context's arrival list.
+type ctxq struct {
+	ctx        uint32
 	head, tail *qent
 }
 
-// front returns the earliest live entry, or nil.
-func (q tripleq) front() *qent {
-	for e := q.head; e != nil; e = e.next {
-		if !e.taken {
-			return e
-		}
-	}
-	return nil
+// srcq is one source's arrival list, across all of its contexts and
+// tags.
+type srcq struct {
+	head, tail *qent
 }
 
-// ctxq holds one context's messages under both indexes: triples for
-// exact-match lookups, fifo for arrival-ordered wildcard scans. A
-// context's ctxq, its map and its arrival array outlive its last
-// message: contexts empty and refill on every ping-pong and every
-// collective round.
-type ctxq struct {
-	triples map[srcTag]tripleq
-	fifo    []*qent
-	head    int
-	live    int // untaken entries
-	dead    int // taken entries still in fifo past head
-}
-
-// pruneFifo drops the consumed prefix of the arrival list and compacts
-// the list in place once interior consumed entries (taken through an
-// exact-match receive) dominate it, so wildcard scans stay
-// amortized-linear in live messages. A dropped entry has left both
-// indexes — remove unlinks a consumed entry from its triple before
-// anything prunes — so it goes back to f's entry pool.
-func (c *ctxq) pruneFifo(f *Fabric) {
-	for c.head < len(c.fifo) && c.fifo[c.head].taken {
-		f.recycle(c.fifo[c.head])
-		c.fifo[c.head] = nil
-		c.head++
-		if c.dead > 0 {
-			c.dead--
-		}
-	}
-	n := len(c.fifo)
-	if c.dead > 32 && c.dead*2 >= n-c.head {
-		kept := c.fifo[:0]
-		for _, e := range c.fifo[c.head:] {
-			if e.taken {
-				f.recycle(e)
-				continue
-			}
-			kept = append(kept, e)
-		}
-		clear(c.fifo[len(kept):n])
-		c.fifo, c.head, c.dead = kept, 0, 0
-	} else if c.head > 32 && c.head*2 >= n {
-		c.fifo = append(c.fifo[:0], c.fifo[c.head:]...)
-		clear(c.fifo[len(c.fifo):n])
-		c.head = 0
-	}
-}
-
-// empty recycles every entry of a context whose last live message was
-// just consumed and resets its arrival list to the start of its array.
-func (c *ctxq) empty(f *Fabric) {
-	for i := c.head; i < len(c.fifo); i++ {
-		f.recycle(c.fifo[i])
-		c.fifo[i] = nil
-	}
-	c.fifo, c.head, c.dead = c.fifo[:0], 0, 0
-}
-
-// mailbox is an MPI-ordered message store indexed per (source, context,
-// tag) triple. Each triple's FIFO preserves non-overtaking order; a
-// wildcard receive walks its context's arrival list front-to-back and
-// takes the first live match — the same message the single-queue linear
-// scan used to return, found without visiting other contexts or, for
-// exact matches, any scan at all.
+// mailbox is an MPI-ordered message store. Every queued entry is on its
+// context's list and on its source's list, both in arrival order, so the
+// first entry a match selects on either list is the earliest arrival
+// among all the messages it selects.
 type mailbox struct {
 	rank int
 	fab  *Fabric // owns the entry pool consumed entries return to
 
-	byCtx  map[uint32]*ctxq
+	// ctxs holds the contexts with a queued message, searched linearly;
+	// srcs is indexed by source rank. Both are allocated at the first
+	// delivery.
+	ctxs   []ctxq
+	srcs   []srcq
 	closed bool
 
 	// Scheduler hooks (nil on a bare fabric). waiting records the owner
@@ -597,9 +536,9 @@ func (f *Fabric) entry() *qent {
 	return e
 }
 
-// recycle clears e, dropping its payload reference, and keeps it for a
-// later send unless the pool already holds maxFreeEntries per rank. The
-// caller guarantees that neither index still reaches e.
+// recycle clears e, dropping its payload reference and its links, and
+// keeps it for a later send unless the pool already holds maxFreeEntries
+// per rank. The caller guarantees that no list still reaches e.
 func (f *Fabric) recycle(e *qent) {
 	*e = qent{}
 	if len(f.ents) < maxFreeEntries*len(f.ranks) {
@@ -607,27 +546,46 @@ func (f *Fabric) recycle(e *qent) {
 	}
 }
 
+// ctx returns context id's arrival list, or nil when none of its
+// messages is queued.
+func (b *mailbox) ctx(id uint32) *ctxq {
+	for i := range b.ctxs {
+		if b.ctxs[i].ctx == id {
+			return &b.ctxs[i]
+		}
+	}
+	return nil
+}
+
 func (b *mailbox) put(e *qent) error {
 	m := &e.m
 	if b.closed {
 		return ErrClosed
 	}
-	c := b.byCtx[m.Context]
+	if b.srcs == nil {
+		// The first delivery: n source lists, and room for two
+		// communicators' point-to-point and collective contexts.
+		b.srcs = make([]srcq, len(b.fab.ranks))
+		b.ctxs = make([]ctxq, 0, 4)
+	}
+	c := b.ctx(m.Context)
 	if c == nil {
-		c = &ctxq{triples: make(map[srcTag]tripleq)}
-		b.byCtx[m.Context] = c
+		b.ctxs = append(b.ctxs, ctxq{ctx: m.Context})
+		c = &b.ctxs[len(b.ctxs)-1]
 	}
-	k := srcTag{src: m.Src, tag: m.Tag}
-	q := c.triples[k]
-	if q.tail == nil {
-		q.head = e
+	if c.tail == nil {
+		c.head = e
 	} else {
-		q.tail.next = e
+		c.tail.next, e.prev = e, c.tail
 	}
-	q.tail = e
-	c.triples[k] = q
-	c.fifo = append(c.fifo, e)
-	c.live++
+	c.tail = e
+	s := &b.srcs[m.Src]
+	if s.tail == nil {
+		s.head = e
+	} else {
+		s.tail.snext, e.sprev = e, s.tail
+	}
+	s.tail = e
 	if b.waiting && b.wmatch.Matches(m) {
 		b.waiting = false
 		b.sched.Wake(b.rank, m.SendVT+b.cost(len(m.Payload)))
@@ -635,120 +593,106 @@ func (b *mailbox) put(e *qent) error {
 	return nil
 }
 
-// liveCtx returns the index of context ctx if it holds a live message,
-// and nil for a context never used or emptied: a poll of an idle
-// context costs one map lookup.
-func (b *mailbox) liveCtx(ctx uint32) *ctxq {
-	if c := b.byCtx[ctx]; c != nil && c.live > 0 {
-		return c
+// head returns the first entry of the list m walks: its source's list
+// for a named source, its context's for AnySource.
+func (b *mailbox) head(m Match) *qent {
+	if m.Src != AnySource {
+		if uint(m.Src) < uint(len(b.srcs)) {
+			return b.srcs[m.Src].head
+		}
+		return nil
+	}
+	if c := b.ctx(m.Context); c != nil {
+		return c.head
 	}
 	return nil
 }
 
-// find returns the entry m selects, or nil. An exact match is an index
-// lookup; a match with a wildcard walks the context's arrival list
-// front-to-back and returns the first live match, which is the earliest
-// arrival among all matching triples.
-func (b *mailbox) find(m Match) *qent {
-	c := b.liveCtx(m.Context)
-	if c == nil {
-		return nil
+// step returns the entry after e on the list head(m) starts.
+func (m Match) step(e *qent) *qent {
+	if m.Src != AnySource {
+		return e.snext
 	}
-	if m.Src != AnySource && m.Tag != AnyTag {
-		return c.triples[srcTag{src: m.Src, tag: m.Tag}].front()
-	}
-	c.pruneFifo(b.fab)
-	for i := c.head; i < len(c.fifo); i++ {
-		e := c.fifo[i]
-		if e.taken || !m.Matches(&e.m) {
-			continue
+	return e.next
+}
+
+// find returns the earliest-arrived entry m selects among those sent at
+// or before limit, or nil.
+func (b *mailbox) find(m Match, limit time.Duration) *qent {
+	for e := b.head(m); e != nil; e = m.step(e) {
+		if m.Matches(&e.m) && e.m.SendVT <= limit {
+			return e
 		}
-		return e
 	}
 	return nil
 }
 
 // findVisible is find restricted to entries with SendVT <= now. A
-// sender's clock is monotone, so each (source, tag) FIFO is send-time
-// ordered and the exact-match case only needs its head; a wildcard
-// match scans the arrival list for the first live visible entry, since
-// interleaved senders' timestamps are not ordered by arrival.
+// sender's clock is monotone, so each (source, context, tag) FIFO is
+// send-time ordered and an exact match looks only at its FIFO's first
+// entry; a match with a wildcard takes the first visible entry it
+// selects, since interleaved FIFOs' timestamps are not ordered by
+// arrival.
 func (b *mailbox) findVisible(m Match, now time.Duration) *qent {
-	c := b.liveCtx(m.Context)
-	if c == nil {
+	if m.Src != AnySource && m.Tag != AnyTag {
+		if e := b.find(m, anyTime); e != nil && e.m.SendVT <= now {
+			return e
+		}
 		return nil
 	}
-	if m.Src != AnySource && m.Tag != AnyTag {
-		e := c.triples[srcTag{src: m.Src, tag: m.Tag}].front()
-		if e == nil || e.m.SendVT > now {
-			return nil
-		}
-		return e
-	}
-	c.pruneFifo(b.fab)
-	for i := c.head; i < len(c.fifo); i++ {
-		e := c.fifo[i]
-		if e.taken || !m.Matches(&e.m) || e.m.SendVT > now {
-			continue
-		}
-		return e
-	}
-	return nil
+	return b.find(m, now)
 }
 
-// earliestMatch returns the smallest SendVT among live entries matching
-// m.
+// earliestMatch returns the smallest SendVT among entries matching m;
+// for an exact match, that of its FIFO's first entry.
 func (b *mailbox) earliestMatch(m Match) (time.Duration, bool) {
-	c := b.liveCtx(m.Context)
-	if c == nil {
+	if m.Src != AnySource && m.Tag != AnyTag {
+		if e := b.find(m, anyTime); e != nil {
+			return e.m.SendVT, true
+		}
 		return 0, false
 	}
-	if m.Src != AnySource && m.Tag != AnyTag {
-		e := c.triples[srcTag{src: m.Src, tag: m.Tag}].front()
-		if e == nil {
-			return 0, false
-		}
-		return e.m.SendVT, true
-	}
-	c.pruneFifo(b.fab)
 	best, ok := time.Duration(0), false
-	for i := c.head; i < len(c.fifo); i++ {
-		e := c.fifo[i]
-		if e.taken || !m.Matches(&e.m) {
-			continue
-		}
-		if !ok || e.m.SendVT < best {
+	for e := b.head(m); e != nil; e = m.step(e) {
+		if m.Matches(&e.m) && (!ok || e.m.SendVT < best) {
 			best, ok = e.m.SendVT, true
 		}
 	}
 	return best, ok
 }
 
-// remove consumes e and returns its message. The entry is unlinked
-// from its triple first; only then may the arrival list drop and
-// recycle it, so a recycled entry is never still a triple's head.
+// remove consumes e: it unlinks e from both of its lists, drops its
+// context from ctxs if that emptied it, and recycles e.
 func (b *mailbox) remove(e *qent) Message {
 	msg := e.m
-	e.taken = true
-	c := b.byCtx[msg.Context]
-	c.live--
-	c.dead++
-	k := srcTag{src: msg.Src, tag: msg.Tag}
-	q := c.triples[k]
-	for q.head != nil && q.head.taken {
-		done := q.head
-		q.head, done.next = done.next, nil
-	}
-	if q.head == nil {
-		delete(c.triples, k)
+	c := b.ctx(msg.Context)
+	if e.prev == nil {
+		c.head = e.next
 	} else {
-		c.triples[k] = q
+		e.prev.next = e.next
 	}
-	if c.live == 0 {
-		c.empty(b.fab)
+	if e.next == nil {
+		c.tail = e.prev
 	} else {
-		c.pruneFifo(b.fab)
+		e.next.prev = e.prev
 	}
+	if c.head == nil {
+		last := len(b.ctxs) - 1
+		*c, b.ctxs[last] = b.ctxs[last], ctxq{}
+		b.ctxs = b.ctxs[:last]
+	}
+	s := &b.srcs[msg.Src]
+	if e.sprev == nil {
+		s.head = e.snext
+	} else {
+		e.sprev.snext = e.snext
+	}
+	if e.snext == nil {
+		s.tail = e.sprev
+	} else {
+		e.snext.sprev = e.sprev
+	}
+	b.fab.recycle(e)
 	return msg
 }
 
@@ -759,7 +703,7 @@ func (b *mailbox) take(m Match, block bool) (Message, error) {
 		if b.closed {
 			return Message{}, ErrClosed
 		}
-		if e := b.find(m); e != nil {
+		if e := b.find(m, anyTime); e != nil {
 			return b.remove(e), nil
 		}
 		if !block {
@@ -783,7 +727,7 @@ func (b *mailbox) waitMatch(m Match) error {
 		if b.closed {
 			return ErrClosed
 		}
-		if b.find(m) != nil {
+		if b.find(m, anyTime) != nil {
 			return nil
 		}
 		if err := b.wait(m); err != nil {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -13,8 +14,10 @@ import (
 // pending counts the messages queued in e's mailbox.
 func pending(e *Endpoint) int {
 	n := 0
-	for _, c := range e.fabric.boxes[e.rank].byCtx {
-		n += c.live
+	for _, c := range e.fabric.boxes[e.rank].ctxs {
+		for q := c.head; q != nil; q = q.next {
+			n++
+		}
 	}
 	return n
 }
@@ -208,10 +211,11 @@ func TestHalfWildcardOrdering(t *testing.T) {
 	}
 }
 
-// TestIndexedQueueCompaction pushes enough traffic through one triple
-// for its FIFO's head and tail to chase each other and for the arrival
-// list to compact repeatedly.
-func TestIndexedQueueCompaction(t *testing.T) {
+// TestTripleFIFOHeadChasesTail pushes 500 messages through one triple,
+// receiving two after every second send, so that its lists' heads and
+// tails chase each other and the lists empty and refill over and over:
+// every receive must take the triple's oldest message.
+func TestTripleFIFOHeadChasesTail(t *testing.T) {
 	f := NewFabric(2)
 	defer f.Close()
 	a, b := f.Endpoint(0), f.Endpoint(1)
@@ -228,7 +232,7 @@ func TestIndexedQueueCompaction(t *testing.T) {
 					t.Fatal(err)
 				}
 				if msg.Payload[0] != byte(i-1+j) {
-					t.Fatalf("compaction reordered: got %d want %d", msg.Payload[0], byte(i-1+j))
+					t.Fatalf("FIFO reordered: got %d want %d", msg.Payload[0], byte(i-1+j))
 				}
 			}
 		}
@@ -497,10 +501,10 @@ func TestEndpointRangeChecks(t *testing.T) {
 }
 
 // TestTripleFIFOSurvivesWildcardTakes consumes one triple's messages
-// alternately through the exact-match index and through wildcard scans
-// of the arrival list, with a second triple interleaved: the FIFO
-// threaded through the entries must keep per-triple order and drop its
-// index entry exactly when it empties.
+// alternately through exact matches, which walk the source's list, and
+// AnySource matches, which walk the context's, with a second triple
+// interleaved: both lists must keep per-triple order, and a triple that
+// empties must start over as a fresh FIFO.
 func TestTripleFIFOSurvivesWildcardTakes(t *testing.T) {
 	f := NewFabric(2)
 	defer f.Close()
@@ -624,58 +628,84 @@ func TestBufPool(t *testing.T) {
 	}
 }
 
-// TestControlBurstAllocsLinear models a checkpoint drain's control
-// exchange: every rank sends a 40 B message to every other rank before
-// any is received, then every message is received and its payload
-// freed. The n(n-1) messages in flight must cost O(n) heap objects — a
-// slab of entries and a batch of payload buffers per n messages — not
-// an entry and a payload each. Each mailbox's index is grown first, by
-// one destination's n-1 messages at a time, so that the burst counts
-// the pools alone. A later burst takes every entry back from the pool;
-// only the payloads past a class's idle bound (maxClassBufs) are cut
-// anew, n to a batch.
+// controlBurst models a checkpoint drain's control exchange on an
+// n-rank fabric: every rank sends a 40 B message to every other rank
+// before any is received, then every message is received and its
+// payload freed.
+type controlBurst struct {
+	f       *Fabric
+	eps     []*Endpoint
+	payload []byte
+}
+
+func newControlBurst(n int) *controlBurst {
+	c := &controlBurst{f: NewFabric(n), eps: make([]*Endpoint, n), payload: make([]byte, 40)}
+	for r := range c.eps {
+		c.eps[r] = c.f.Endpoint(r)
+	}
+	return c
+}
+
+func (c *controlBurst) send(tb testing.TB, src, dst int) {
+	if err := c.eps[src].Send(dst, 16, 7, c.payload, 0); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// drain receives dst's n-1 messages.
+func (c *controlBurst) drain(tb testing.TB, dst int) {
+	for range len(c.eps) - 1 {
+		msg, ok, err := c.eps[dst].TryRecv(Match{Context: 16, Src: AnySource, Tag: 7})
+		if err != nil || !ok {
+			tb.Fatalf("n=%d: rank %d: ok=%v err=%v", len(c.eps), dst, ok, err)
+		}
+		c.f.Free(msg.Payload)
+	}
+}
+
+func (c *controlBurst) run(tb testing.TB) {
+	for src := range c.eps {
+		for dst := range c.eps {
+			if dst != src {
+				c.send(tb, src, dst)
+			}
+		}
+	}
+	for dst := range c.eps {
+		c.drain(tb, dst)
+	}
+}
+
+// TestControlBurstAllocsLinear: the n(n-1) messages of a control burst
+// must cost O(n) heap objects — a slab of entries and a batch of
+// payload buffers per n messages, and each receiving mailbox's source
+// array and context slice — not an entry, a payload or an index slot
+// each. A burst on a fresh fabric, as every job's first drain is, costs
+// at most 8n. A burst on a fabric whose mailboxes have been grown
+// first, by one destination's n-1 messages at a time, counts the pools
+// alone. A later burst takes every entry back from the pool; only the
+// payloads past a class's idle bound (maxClassBufs) are cut anew, n to
+// a batch.
 func TestControlBurstAllocsLinear(t *testing.T) {
 	for _, n := range []int{64, 256} {
-		f := NewFabric(n)
-		eps := make([]*Endpoint, n)
-		for r := range eps {
-			eps[r] = f.Endpoint(r)
+		cold := newControlBurst(n)
+		got := mallocs(func() { cold.run(t) })
+		cold.f.Close()
+		t.Logf("n=%d: a cold burst of %d messages allocated %d objects (%.1f per rank)", n, n*(n-1), got, float64(got)/float64(n))
+		if got > uint64(8*n) {
+			t.Errorf("n=%d: a cold burst of %d messages allocated %d objects, want at most %d", n, n*(n-1), got, 8*n)
 		}
-		payload := make([]byte, 40)
-		send := func(src, dst int) {
-			if err := eps[src].Send(dst, 16, 7, payload, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		drain := func(dst int) {
-			for range n - 1 {
-				msg, ok, err := eps[dst].TryRecv(Match{Context: 16, Src: AnySource, Tag: 7})
-				if err != nil || !ok {
-					t.Fatalf("n=%d: rank %d: ok=%v err=%v", n, dst, ok, err)
-				}
-				f.Free(msg.Payload)
-			}
-		}
+
+		c := newControlBurst(n)
 		for dst := range n {
 			for src := range n {
 				if src != dst {
-					send(src, dst)
+					c.send(t, src, dst)
 				}
 			}
-			drain(dst)
+			c.drain(t, dst)
 		}
-		burst := func() {
-			for src := range n {
-				for dst := range n {
-					if dst != src {
-						send(src, dst)
-					}
-				}
-			}
-			for dst := range n {
-				drain(dst)
-			}
-		}
+		burst := func() { c.run(t) }
 		if got := mallocs(burst); got > uint64(8*n) {
 			t.Errorf("n=%d: a burst of %d messages allocated %d objects, want at most %d", n, n*(n-1), got, 8*n)
 		}
@@ -685,7 +715,42 @@ func TestControlBurstAllocsLinear(t *testing.T) {
 		if got := min(mallocs(burst), mallocs(burst), mallocs(burst)); got > uint64(refill) {
 			t.Errorf("n=%d: a second burst allocated %d objects, want at most %d payload batches", n, got, refill)
 		}
-		f.Close()
+		c.f.Close()
+	}
+}
+
+// BenchmarkControlBurst times control bursts of n(n-1) 40 B messages
+// and reports ns/msg and, as allocs/op, objects per burst: cold bursts
+// each run on a fresh fabric, built outside the timer, and warm bursts
+// run one after another on one fabric after a first.
+func BenchmarkControlBurst(b *testing.B) {
+	for _, n := range []int{64, 256} {
+		for _, warm := range []bool{false, true} {
+			name := fmt.Sprintf("n=%d/cold", n)
+			if warm {
+				name = fmt.Sprintf("n=%d/warm", n)
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				c := newControlBurst(n)
+				if warm {
+					c.run(b)
+				}
+				b.ResetTimer()
+				for i := range b.N {
+					if !warm && i > 0 {
+						b.StopTimer()
+						c.f.Close()
+						c = newControlBurst(n)
+						b.StartTimer()
+					}
+					c.run(b)
+				}
+				b.StopTimer()
+				c.f.Close()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*(n-1)), "ns/msg")
+			})
+		}
 	}
 }
 
