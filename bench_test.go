@@ -127,8 +127,9 @@ func BenchmarkCrossingCost(b *testing.B) {
 // what the model charges for it, exact and identical run to run. The
 // batch sub-benchmarks run the applications' progress polling instead,
 // Runtime.Iprobes over batchPolls discarded polls (one real Iprobe, the
-// rest charged piece by piece): ns/poll is what the simulator pays per
-// poll there, and vt-ns/poll equals the single call's vt-ns/op.
+// rest charged in closed form, with no horizon in the batch): ns/poll
+// is what the simulator pays per poll there, and vt-ns/poll equals the
+// single call's vt-ns/op.
 func BenchmarkWrappedIprobe(b *testing.B) {
 	const batchPolls = 1000
 	factory, err := impls.Get("mpich")

@@ -151,9 +151,9 @@ func (d Decomp3D) String() string {
 // rate; Section 6.1: "MANA internally calls MPI_Test while wrapping
 // non-blocking communication"). Each poll is one MPI_Iprobe — free on
 // the network, but two fs-register crossings under MANA. A proc with
-// Iprobes makes one real probe and charges the rest exactly as the loop
-// would: the rank holds the token, probes consume nothing, and MANA's
-// drain buffer stays fixed, so every poll finds what the first found.
+// Iprobes makes one real probe and charges the rest in closed form, as
+// the loop would: the rank holds the token, probes consume nothing, and
+// MANA's drain buffer stays fixed, so every poll finds the first's.
 func progressPoll(p mpi.Proc, comm mpi.Handle, n int) error {
 	if b, ok := p.(interface {
 		Iprobes(n, src, tag int, comm mpi.Handle) error

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 
 	"manasim/internal/mpi"
 	"manasim/internal/vid"
@@ -218,23 +217,13 @@ func exactCopy(b []byte) []byte {
 	return out
 }
 
-// EncodeTo streams the image to w section by section: header first,
-// then each section framed with its own CRC, then the end marker.
-// Sections are buffered individually (one binary section body, one
-// app-state chunk, or — under Options.Compress — the compressed app
-// state), never as one monolithic body of the whole image.
-func EncodeTo(w io.Writer, img *Image, o Options) error {
-	var hdr [16]byte
-	copy(hdr[:8], Magic[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], Version)
-	binary.LittleEndian.PutUint32(hdr[12:16], o.headerFlags())
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("ckptimg: encode header: %w", err)
-	}
-
-	if err := writeMetaSection(w, img); err != nil {
-		return err
-	}
+// EncodeTo appends the image to w section by section: header first,
+// then each section framed in place with its own CRC, then the end
+// marker. Only the app state under Options.Compress is staged, in
+// pooled scratch, before it is chunked into sections.
+func EncodeTo(w *bytes.Buffer, img *Image, o Options) error {
+	writeImageHeader(w, o.headerFlags())
+	writeMetaSection(w, img)
 
 	app := img.AppState
 	if o.Compress {
@@ -264,11 +253,18 @@ func EncodeTo(w io.Writer, img *Image, o Options) error {
 	cs := o.chunkSize()
 	for off := 0; off == 0 || off < len(app); off += cs {
 		end := min(off+cs, len(app))
-		if err := writeSection(w, secApp, app[off:end]); err != nil {
-			return err
-		}
+		writeSection(w, secApp, app[off:end])
 	}
-	return writeTailSections(w, img)
+	writeTailSections(w, img)
+	return nil
+}
+
+// writeImageHeader appends the 16-byte image header: magic, version,
+// flags.
+func writeImageHeader(w *bytes.Buffer, flags uint32) {
+	w.Write(Magic[:])
+	appendU32(w, Version)
+	appendU32(w, flags)
 }
 
 // writeTailSections writes the sections every image variant carries
@@ -276,20 +272,12 @@ func EncodeTo(w io.Writer, img *Image, o Options) error {
 // results, counters — and the end marker. A section added here reaches
 // full and delta images alike. Every one uses the binary codec of
 // sections.go.
-func writeTailSections(w io.Writer, img *Image) error {
-	if err := writeStoreSection(w, &img.Store); err != nil {
-		return err
-	}
-	if err := writeDrainedSection(w, img.Drained); err != nil {
-		return err
-	}
-	if err := writeReqsSection(w, img.ReqResults); err != nil {
-		return err
-	}
-	if err := writeCountersSection(w, img.SentTo, img.RecvFrom); err != nil {
-		return err
-	}
-	return writeSection(w, secEnd, nil)
+func writeTailSections(w *bytes.Buffer, img *Image) {
+	writeStoreSection(w, &img.Store)
+	writeDrainedSection(w, img.Drained)
+	writeReqsSection(w, img.ReqResults)
+	writeCountersSection(w, img.SentTo, img.RecvFrom)
+	writeSection(w, secEnd, nil)
 }
 
 // decodeCommonSection decodes one section shared by the full and delta
@@ -311,39 +299,34 @@ func decodeCommonSection(img *Image, tag uint32, payload []byte) (bool, error) {
 }
 
 // writeSection frames one section: tag, length, CRC-32, payload.
-func writeSection(w io.Writer, tag uint32, payload []byte) error {
-	return writeSection2(w, tag, payload, nil)
+func writeSection(w *bytes.Buffer, tag uint32, payload []byte) {
+	off := beginSection(w)
+	w.Write(payload)
+	endSection(w, off, tag)
 }
 
-// writeSection2 frames one section whose payload is the concatenation
-// head+tail, without materializing the joined slice: the CRC is
-// computed incrementally and the two parts are written back to back.
-// This is the single-pass path of the delta encoder — a chunk's record
-// header and its bytes become one framed section with no intermediate
-// copy.
-func writeSection2(w io.Writer, tag uint32, head, tail []byte) error {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], tag)
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(len(head)+len(tail)))
-	crc := crc32.ChecksumIEEE(head)
-	if len(tail) > 0 {
-		crc = crc32.Update(crc, crc32.IEEETable, tail)
-	}
-	binary.LittleEndian.PutUint32(hdr[12:16], crc)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("ckptimg: writing %s section: %w", tagName(tag), err)
-	}
-	if len(head) > 0 {
-		if _, err := w.Write(head); err != nil {
-			return fmt.Errorf("ckptimg: writing %s section: %w", tagName(tag), err)
-		}
-	}
-	if len(tail) > 0 {
-		if _, err := w.Write(tail); err != nil {
-			return fmt.Errorf("ckptimg: writing %s section: %w", tagName(tag), err)
-		}
-	}
-	return nil
+// sectionHdr is the placeholder beginSection appends; it is never
+// written.
+var sectionHdr [16]byte
+
+// beginSection appends a section header placeholder to w and returns
+// its offset. The section's payload is appended to w after it, and
+// endSection frames it in place: the header lives in the image being
+// encoded, so framing a section allocates nothing and copies nothing.
+func beginSection(w *bytes.Buffer) int {
+	off := w.Len()
+	w.Write(sectionHdr[:])
+	return off
+}
+
+// endSection fills in the header beginSection reserved at off: tag,
+// the length of everything appended since, and its CRC-32.
+func endSection(w *bytes.Buffer, off int, tag uint32) {
+	sec := w.Bytes()[off:]
+	payload := sec[len(sectionHdr):]
+	binary.LittleEndian.PutUint32(sec[0:4], tag)
+	binary.LittleEndian.PutUint64(sec[4:12], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(sec[12:16], crc32.ChecksumIEEE(payload))
 }
 
 // tagName renders a section tag for error messages.

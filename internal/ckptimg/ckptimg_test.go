@@ -37,6 +37,25 @@ func sampleImage(rank, n, step int) *Image {
 	}
 }
 
+// TestEncodeToAllocatesNothing bounds encoding a fixed small image with
+// every section kind into a buffer that already has room: each section
+// is framed in place in the buffer, so an uncompressed image costs no
+// heap object at all.
+func TestEncodeToAllocatesNothing(t *testing.T) {
+	img := sampleImage(1, 2, 3)
+	var buf bytes.Buffer
+	encode := func() {
+		buf.Reset()
+		if err := EncodeTo(&buf, img, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encode()
+	if allocs := testing.AllocsPerRun(100, encode); allocs != 0 {
+		t.Errorf("encoding a %d-byte image allocates %.1f objects, want 0", buf.Len(), allocs)
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	img := sampleImage(0, 2, 4)
 	data, err := Encode(img)

@@ -107,22 +107,13 @@ func EncodeDelta(img *Image, parent ChunkIndex, parentGen int, o Options) ([]byt
 	st := DeltaStats{Chunks: chunks}
 	buf := getBuf()
 	defer putBuf(buf)
-	var hdr [16]byte
-	copy(hdr[:8], Magic[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], Version)
-	binary.LittleEndian.PutUint32(hdr[12:16], FlagDelta|o.headerFlags())
-	buf.Write(hdr[:])
+	writeImageHeader(buf, FlagDelta|o.headerFlags())
+	writeMetaSection(buf, img)
 
-	if err := writeMetaSection(buf, img); err != nil {
-		return nil, DeltaStats{}, err
-	}
-
-	if err := writeDeltaMetaSection(buf, &deltaMeta{
+	writeDeltaMetaSection(buf, &deltaMeta{
 		ParentGen: parentGen, ParentLen: parent.Total,
 		NewLen: len(app), ChunkBytes: cs, Chunks: chunks,
-	}); err != nil {
-		return nil, DeltaStats{}, err
-	}
+	})
 
 	// One pooled scratch buffer serves every compressed chunk.
 	lz := o.Compress && o.Tier == TierFastLZ
@@ -147,9 +138,7 @@ func EncodeDelta(img *Image, parent ChunkIndex, parentGen int, o Options) ([]byt
 		binary.LittleEndian.PutUint32(rec[0:4], uint32(i))
 		binary.LittleEndian.PutUint32(rec[5:9], crc)
 		if unchanged {
-			if err := writeSection(buf, secDeltaChunk, rec[:]); err != nil {
-				return nil, DeltaStats{}, err
-			}
+			writeSection(buf, secDeltaChunk, rec[:])
 			continue
 		}
 		rec[4] = 1
@@ -172,14 +161,13 @@ func EncodeDelta(img *Image, parent ChunkIndex, parentGen int, o Options) ([]byt
 			}
 			data = z.Bytes()
 		}
-		if err := writeSection2(buf, secDeltaChunk, rec[:], data); err != nil {
-			return nil, DeltaStats{}, err
-		}
+		sec := beginSection(buf)
+		buf.Write(rec[:])
+		buf.Write(data)
+		endSection(buf, sec, secDeltaChunk)
 	}
 
-	if err := writeTailSections(buf, img); err != nil {
-		return nil, DeltaStats{}, err
-	}
+	writeTailSections(buf, img)
 	return exactCopy(buf.Bytes()), st, nil
 }
 

@@ -36,9 +36,7 @@ func DecodeStoreSection(payload []byte) (vid.StoreSnapshot, error) {
 // EncodeStoreSection encodes a snapshot as a vid store section payload.
 func EncodeStoreSection(st *vid.StoreSnapshot) []byte {
 	var b bytes.Buffer
-	if err := writeStoreSection(&b, st); err != nil {
-		panic(err)
-	}
+	writeStoreSection(&b, st)
 	return b.Bytes()[16:] // past the section frame
 }
 

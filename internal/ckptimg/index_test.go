@@ -39,9 +39,7 @@ func joinFrames(hdr []byte, frames []frame) []byte {
 	var buf bytes.Buffer
 	buf.Write(hdr)
 	for _, f := range frames {
-		if err := writeSection(&buf, f.tag, f.payload); err != nil {
-			panic(err)
-		}
+		writeSection(&buf, f.tag, f.payload)
 	}
 	return buf.Bytes()
 }

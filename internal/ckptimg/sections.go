@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"manasim/internal/mpi"
@@ -38,7 +37,7 @@ const (
 )
 
 // ---------------------------------------------------------------------
-// append-side primitives (write into a pooled bytes.Buffer)
+// append-side primitives (write into the image being encoded)
 
 func appendU32(b *bytes.Buffer, v uint32) {
 	var s [4]byte
@@ -206,9 +205,8 @@ func badSection(tag uint32) error {
 
 // writeMetaSection writes the binary META section shared by full and
 // delta images.
-func writeMetaSection(w io.Writer, img *Image) error {
-	b := getBuf()
-	defer putBuf(b)
+func writeMetaSection(b *bytes.Buffer, img *Image) {
+	off := beginSection(b)
 	appendI64(b, int64(img.Rank))
 	appendI64(b, int64(img.NRanks))
 	appendI64(b, int64(img.Step))
@@ -216,7 +214,7 @@ func writeMetaSection(w io.Writer, img *Image) error {
 	appendString(b, img.Design)
 	appendBool(b, img.UniformHandles)
 	appendI64(b, img.ModeledBytes)
-	return writeSection(w, secMeta2, b.Bytes())
+	endSection(b, off, secMeta2)
 }
 
 func decodeMeta2(img *Image, payload []byte) error {
@@ -234,9 +232,8 @@ func decodeMeta2(img *Image, payload []byte) error {
 	return nil
 }
 
-func writeDrainedSection(w io.Writer, msgs []DrainedMsg) error {
-	b := getBuf()
-	defer putBuf(b)
+func writeDrainedSection(b *bytes.Buffer, msgs []DrainedMsg) {
+	off := beginSection(b)
 	appendU32(b, uint32(len(msgs)))
 	for _, m := range msgs {
 		appendU32(b, m.GGID)
@@ -245,7 +242,7 @@ func writeDrainedSection(w io.Writer, msgs []DrainedMsg) error {
 		appendI64(b, int64(m.Tag))
 		appendBytes(b, m.Payload)
 	}
-	return writeSection(w, secDrained2, b.Bytes())
+	endSection(b, off, secDrained2)
 }
 
 func decodeDrained2(img *Image, payload []byte) error {
@@ -272,9 +269,8 @@ func decodeDrained2(img *Image, payload []byte) error {
 	return nil
 }
 
-func writeReqsSection(w io.Writer, reqs []ReqResult) error {
-	b := getBuf()
-	defer putBuf(b)
+func writeReqsSection(b *bytes.Buffer, reqs []ReqResult) {
+	off := beginSection(b)
 	appendU32(b, uint32(len(reqs)))
 	for _, rr := range reqs {
 		appendU64(b, uint64(rr.Virt))
@@ -282,7 +278,7 @@ func writeReqsSection(w io.Writer, reqs []ReqResult) error {
 		appendI64(b, int64(rr.St.Tag))
 		appendI64(b, int64(rr.St.Bytes))
 	}
-	return writeSection(w, secReqs2, b.Bytes())
+	endSection(b, off, secReqs2)
 }
 
 func decodeReqs2(img *Image, payload []byte) error {
@@ -308,9 +304,8 @@ func decodeReqs2(img *Image, payload []byte) error {
 	return nil
 }
 
-func writeCountersSection(w io.Writer, sentTo, recvFrom []uint64) error {
-	b := getBuf()
-	defer putBuf(b)
+func writeCountersSection(b *bytes.Buffer, sentTo, recvFrom []uint64) {
+	off := beginSection(b)
 	appendU32(b, uint32(len(sentTo)))
 	for _, v := range sentTo {
 		appendU64(b, v)
@@ -319,7 +314,7 @@ func writeCountersSection(w io.Writer, sentTo, recvFrom []uint64) error {
 	for _, v := range recvFrom {
 		appendU64(b, v)
 	}
-	return writeSection(w, secCounters2, b.Bytes())
+	endSection(b, off, secCounters2)
 }
 
 func decodeCounters2(img *Image, payload []byte) error {
@@ -350,15 +345,14 @@ func decodeCounters2(img *Image, payload []byte) error {
 
 // writeDeltaMetaSection writes the binary DMET section of a delta
 // image.
-func writeDeltaMetaSection(w io.Writer, dm *deltaMeta) error {
-	b := getBuf()
-	defer putBuf(b)
+func writeDeltaMetaSection(b *bytes.Buffer, dm *deltaMeta) {
+	off := beginSection(b)
 	appendI64(b, int64(dm.ParentGen))
 	appendI64(b, int64(dm.ParentLen))
 	appendI64(b, int64(dm.NewLen))
 	appendI64(b, int64(dm.ChunkBytes))
 	appendI64(b, int64(dm.Chunks))
-	return writeSection(w, secDeltaMet2, b.Bytes())
+	endSection(b, off, secDeltaMet2)
 }
 
 // decodeDeltaMeta decodes the DMT2 section and validates its
@@ -400,9 +394,8 @@ const minItemBytes = 12
 // descriptor integers are small in practice, and an indexed datatype's
 // descriptor holds two integers per block: fixed-width fields would
 // make the section several times larger.
-func writeStoreSection(w io.Writer, st *vid.StoreSnapshot) error {
-	b := getBuf()
-	defer putBuf(b)
+func writeStoreSection(b *bytes.Buffer, st *vid.StoreSnapshot) {
+	off := beginSection(b)
 	appendUvarint(b, uint64(len(st.Design)))
 	b.WriteString(st.Design)
 	appendUvarint(b, st.Seq)
@@ -434,7 +427,7 @@ func writeStoreSection(w io.Writer, st *vid.StoreSnapshot) error {
 		appendUvarint(b, uint64(len(d.OpName)))
 		b.WriteString(d.OpName)
 	}
-	return writeSection(w, secStore2, b.Bytes())
+	endSection(b, off, secStore2)
 }
 
 // decodeStore2 decodes the STR2 section. Empty item and integer lists

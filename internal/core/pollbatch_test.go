@@ -313,3 +313,269 @@ func TestPollBatchDrainBufferMatchesLoop(t *testing.T) {
 		})
 	}
 }
+
+// horizonFactor is the straggler factor of the horizon oracle: not a
+// whole number, so trunc(piece × factor) summed over a poll's pieces
+// differs from the factor applied to their sum.
+const horizonFactor = 1.3717
+
+// The horizon oracle's batch: rank 1's 64 polls in step 2.
+const horizonRank, horizonStep = 1, 2
+
+// polled is one poll of the logged batch as the loop makes it: the
+// virtual time it begins and ends at and, under MANA, the ordinal of
+// its wrapper call in the step (what a scripted crash counts).
+type polled struct {
+	start, end time.Duration
+	call       int
+}
+
+// pollLog records the polls horizonRank makes in horizonStep.
+type pollLog struct {
+	step   int    // the step the rank is in
+	calls0 uint64 // its wrapper calls when that step began
+	polls  []polled
+}
+
+// logProc is a loopProc that logs each Iprobe into log.
+type logProc struct {
+	loopProc
+	clock *simtime.Clock
+	log   *pollLog
+}
+
+// wrapperCalls is the rank's wrapper-call count, 0 natively.
+func wrapperCalls(p mpi.Proc) uint64 {
+	if rt, ok := p.(*Runtime); ok {
+		return rt.WrapperCalls()
+	}
+	return 0
+}
+
+func (p logProc) Iprobe(src, tag int, comm mpi.Handle) (bool, mpi.Status, error) {
+	start, call := p.clock.Now(), int(wrapperCalls(p.Proc)-p.log.calls0)+1
+	ok, st, err := p.loopProc.Iprobe(src, tag, comm)
+	if p.log.step == horizonStep {
+		p.log.polls = append(p.log.polls, polled{start: start, end: p.clock.Now(), call: call})
+	}
+	return ok, st, err
+}
+
+// window is a straggler window [from, until) at horizonFactor.
+type window struct{ from, until time.Duration }
+
+// horizonApp runs its instance with batched polls or, with loop set,
+// with real ones, after installing windows on horizonRank's clock; a
+// loop run with log set logs horizonRank's polls in horizonStep.
+type horizonApp struct {
+	app.Instance
+	env     app.Env
+	loop    bool
+	windows []window
+	log     *pollLog
+}
+
+func (a *horizonApp) bind(env *app.Env) *app.Env {
+	a.env = *env
+	if a.loop {
+		a.env.P = loopProc{env.P}
+		if a.log != nil && env.Rank == horizonRank {
+			a.env.P = logProc{loopProc: loopProc{env.P}, clock: env.Clock, log: a.log}
+		}
+	}
+	return &a.env
+}
+
+func (a *horizonApp) Setup(env *app.Env) error {
+	if env.Rank == horizonRank {
+		for _, w := range a.windows {
+			env.Clock.Slow(horizonFactor, w.from, w.until)
+		}
+	}
+	return a.Instance.Setup(a.bind(env))
+}
+
+func (a *horizonApp) Step(env *app.Env, step int) error {
+	if a.log != nil && env.Rank == horizonRank {
+		a.log.step, a.log.calls0 = step, wrapperCalls(env.P)
+	}
+	return a.Instance.Step(a.bind(env), step)
+}
+
+func (a *horizonApp) Finalize(env *app.Env) error { return a.Instance.Finalize(a.bind(env)) }
+
+// horizons is one planting: straggler windows on horizonRank's clock
+// and crash events for its injector (under MANA; nil runs without one).
+type horizons struct {
+	windows []window
+	crashes []faults.Event
+}
+
+// TestPollBatchHorizons plants each horizon a poll batch meets at each
+// position of a 64-poll batch — its first poll, its middle one, its
+// last and one past it, each at the poll's start, 1 ns in and half-way
+// through — and requires batched polls to leave what the loop leaves:
+// every Stats (per-rank VT, crossings, wrapper calls), the crashes fired
+// and the crash VT. The horizons are a straggler window opening there
+// and one closing there (natively and under MANA with both vid designs,
+// on MPICH and ExaMPI) and, under MANA, a scripted crash at that poll's
+// wrapper call and a virtual-time crash there, each with and without a
+// straggler window covering the batch.
+func TestPollBatchHorizons(t *testing.T) {
+	for _, implName := range []string{"mpich", "exampi"} {
+		spec, in := pollInput(t, batteryApp(implName))
+		modes := []Design{"", DesignVirtID, DesignLegacy}
+		if implName != "mpich" {
+			modes = modes[:2] // the legacy maps assume MPICH-family handles
+		}
+		for _, design := range modes {
+			name := implName + "/native"
+			if design != "" {
+				name = fmt.Sprintf("%s/%s", implName, design)
+			}
+			t.Run(name, func(t *testing.T) {
+				run := func(loop bool, h horizons, log *pollLog) (o pollOutcome) {
+					f := func() app.Instance {
+						return &horizonApp{Instance: spec.New(in)(), loop: loop, windows: h.windows, log: log}
+					}
+					if design == "" {
+						st, err := RunNative(implFactory(t, implName), in.Ranks, f)
+						if o.add(st, err) != nil {
+							t.Fatal(err)
+						}
+						return o
+					}
+					cfg := implFactory(t, implName)
+					cfg.Design = design
+					var inj *faults.Injector
+					if h.crashes != nil {
+						inj = faults.NewInjector(in.Ranks, faults.Plan{Events: h.crashes})
+						cfg.Faults = inj
+					}
+					st, _, err := Run(cfg, in.Ranks, f, -1)
+					_ = o.add(st, err)
+					if inj != nil {
+						o.Fired = inj.CrashesFired()
+					} else if err != nil {
+						t.Fatal(err)
+					}
+					return o
+				}
+				checkHorizons(t, design != "", func(h horizons) pollOutcome {
+					return requireBatchIsLoop(t, func(loop bool) pollOutcome { return run(loop, h, nil) })
+				}, func(h horizons) []polled {
+					var log pollLog
+					run(true, h, &log)
+					if len(log.polls) != in.PollsPerStep {
+						t.Fatalf("rank %d polled %d times in step %d, want one batch of %d", horizonRank, len(log.polls), horizonStep, in.PollsPerStep)
+					}
+					return log.polls
+				})
+			})
+		}
+	}
+}
+
+// checkHorizons plants every horizon at every position through same,
+// which fails t unless batch and loop agree, reading the batch's polls
+// off record (a logged loop run).
+func checkHorizons(t *testing.T, mana bool, same func(horizons) pollOutcome, record func(horizons) []polled) {
+	// at is the virtual time of each planting point in polls.
+	at := func(polls []polled) []time.Duration {
+		last := len(polls) - 1
+		var pts []time.Duration
+		for _, i := range []int{0, last / 2, last, last + 1} {
+			p := polls[min(i, last)]
+			start := p.start
+			if i > last {
+				start = p.end
+			}
+			pts = append(pts, start, start+1, start+(p.end-p.start)/2)
+		}
+		return pts
+	}
+	polls := record(horizons{})
+	first := polls[0].start
+	for _, e := range at(polls) {
+		same(horizons{windows: []window{{e, simtime.Never}}})
+	}
+	// A window that opens at the batch's first poll, logged, gives the
+	// points its closing edge is planted at.
+	open := window{first, simtime.Never}
+	slowed := record(horizons{windows: []window{open}})
+	for _, e := range at(slowed) {
+		if e > first {
+			same(horizons{windows: []window{{first, e}}})
+		}
+	}
+	if !mana {
+		return
+	}
+	var fired int
+	for _, ws := range [][]window{nil, {open}} {
+		polls := record(horizons{windows: ws})
+		last := len(polls) - 1
+		for _, i := range []int{0, last / 2, last, last + 1} {
+			call := polls[min(i, last)].call + max(i-last, 0)
+			o := same(horizons{windows: ws, crashes: []faults.Event{{Kind: faults.NodeCrash, Rank: horizonRank, Step: horizonStep, Call: call}}})
+			fired += o.Fired
+		}
+		for _, e := range at(polls) {
+			o := same(horizons{windows: ws, crashes: []faults.Event{{Kind: faults.NodeCrash, Rank: horizonRank, At: e, Step: -1}}})
+			fired += o.Fired
+		}
+	}
+	if fired == 0 {
+		t.Fatal("no planted crash fired")
+	}
+}
+
+// TestPollBatchRepeatsInClosedForm counts the work of a 1 000-poll
+// batch instead of timing it: with no horizon, chargePolls charges
+// every repeat in closed form (none piece by piece), and it runs one
+// repeat piece by piece per horizon it meets — each edge of a straggler
+// window inside the batch, and the scripted crash that stops it.
+func TestPollBatchRepeatsInClosedForm(t *testing.T) {
+	const n = 1000
+	for _, implName := range []string{"mpich", "exampi"} {
+		var crossings0 uint64 // the runtime's crossings before the batch
+		batch := func(t *testing.T, inj *faults.Injector, slow func(rt *Runtime, d time.Duration)) (*Runtime, int, error) {
+			t.Helper()
+			cfg := implFactory(t, implName)
+			cfg.Faults = inj
+			rt := soloRuntime(t, cfg)
+			if inj != nil {
+				inj.StepStart(0, 0)
+			}
+			resolve := rt.lower.(interface{ ResolveCost() time.Duration }).ResolveCost()
+			d := rt.xlat[lookupsIprobe] + 2*cfg.Host.CrossCost + resolve
+			if slow != nil {
+				slow(rt, d)
+			}
+			crossings0 = rt.Boundary().Crossings()
+			pieces, err := rt.chargePolls(n, resolve)
+			return rt, pieces, err
+		}
+		t.Run(implName, func(t *testing.T) {
+			rt, pieces, err := batch(t, nil, nil)
+			if err != nil || pieces != 0 {
+				t.Fatalf("no horizon: %d repeats piece by piece (err %v), want 0", pieces, err)
+			}
+			if calls, crossings := rt.WrapperCalls(), rt.Boundary().Crossings()-crossings0; calls != n || crossings != 2*n {
+				t.Fatalf("no horizon: %d wrapper calls and %d crossings, want %d and %d", calls, crossings, n, 2*n)
+			}
+			_, pieces, err = batch(t, faults.NewInjector(1, faults.Plan{}), func(rt *Runtime, d time.Duration) {
+				rt.clock.Slow(horizonFactor, 10*d+d/2, 700*d+d/3)
+			})
+			if err != nil || pieces != 2 {
+				t.Fatalf("a window inside the batch: %d repeats piece by piece (err %v), want 2", pieces, err)
+			}
+			crash := faults.Event{Kind: faults.NodeCrash, Rank: 0, Step: 0, Call: 500}
+			rt, pieces, err = batch(t, faults.NewInjector(1, faults.Plan{Events: []faults.Event{crash}}), nil)
+			if err == nil || pieces != 1 || rt.WrapperCalls() != 500 {
+				t.Fatalf("a crash at call 500: %d repeats piece by piece, %d wrapper calls (err %v), want 1, 500 and a crash",
+					pieces, rt.WrapperCalls(), err)
+			}
+		})
+	}
+}

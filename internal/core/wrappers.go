@@ -43,6 +43,9 @@ import (
 // one real Iprobe and charges the rest exactly as that many calls
 // would: the rank holds the execution token, a probe consumes nothing
 // and the drain buffer stays fixed, so each poll finds the first's.
+// Between horizons (a straggler-window edge, the rank's next crash) a
+// poll's charge is a constant, so the polls ahead of one are a single
+// advance in closed form (chargePolls).
 const (
 	wrapperBase     = 84 * time.Nanosecond
 	perLookupVirtID = 8 * time.Nanosecond
@@ -407,25 +410,79 @@ func (r *Runtime) Iprobe(src, tag int, comm mpi.Handle) (bool, mpi.Status, error
 }
 
 // Iprobes makes n discarded Iprobes (see the translation-cost table): n
-// free drain-buffer hits, or one real call and n-1 times its charges,
-// one Clock.Advance each in its order, so stragglers and crashes land
-// where n calls put them. A lower half hiding ChargeResolve gets n calls.
+// free drain-buffer hits, or one real call and n-1 repeats of its
+// charges (chargePolls). A lower half hiding its ResolveCost gets n
+// calls.
 func (r *Runtime) Iprobes(n, src, tag int, comm mpi.Handle) error {
 	if n <= 0 {
 		return nil
 	}
-	_, hit, err := r.probeDrainBuffer(src, tag, comm)
-	lower, batch := r.lower.(interface{ ChargeResolve() })
-	resolve := func() error { lower.ChargeResolve(); return nil }
-	for i := 0; i < n && err == nil && !hit; i++ {
-		if i == 0 || !batch {
-			_, _, err = r.Iprobe(src, tag, comm)
-		} else {
-			r.xlatDone(lookupsIprobe)
-			err = r.lowerCall(resolve)
-		}
+	if _, hit, err := r.probeDrainBuffer(src, tag, comm); err != nil || hit {
+		return err
 	}
+	lower, batch := r.lower.(interface{ ResolveCost() time.Duration })
+	if !batch {
+		for ; n > 0; n-- {
+			if _, _, err := r.Iprobe(src, tag, comm); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if _, _, err := r.Iprobe(src, tag, comm); err != nil {
+		return err
+	}
+	_, err := r.chargePolls(n-1, lower.ResolveCost())
 	return err
+}
+
+// chargePolls charges n repeats of an Iprobe whose lower half charges
+// resolve, exactly as n rounds of xlatDone and lowerCall would. A
+// repeat costs a constant d between horizons: the clock's next
+// straggler-window edge and the injector's next crash of this rank. So
+// the k repeats ahead of the nearest horizon are one advance of k × d,
+// k wrapper calls and 2k crossings, and the repeat that meets it runs
+// piece by piece, a Clock.Advance per piece and a crash check. It
+// returns how many repeats ran piece by piece: one per horizon met,
+// none without one.
+func (r *Runtime) chargePolls(n int, resolve time.Duration) (slow int, err error) {
+	f := r.cfg.Faults
+	for n > 0 {
+		now, x := r.clock.Now(), r.clock.Cost(r.xlat[lookupsIprobe])
+		d := x + 2*r.bnd.Cost() + r.clock.Cost(resolve)
+		k := n
+		if d > 0 {
+			k = min(k, int((r.clock.Horizon()-now)/d)) // the repeats that end by it
+		}
+		if f != nil {
+			// Repeat i checks for a crash after its translation charge,
+			// at now + i×d + x; the calls-th check fires the scripted one.
+			calls, at := f.NextCrash(r.rank)
+			k = min(k, calls-1)
+			if span := at - now - x; span <= 0 {
+				k = 0
+			} else if d > 0 {
+				k = min(k, int((span-1)/d+1))
+			}
+		}
+		if k > 0 {
+			r.clock.MergeAtLeast(now + time.Duration(k)*d) // the k repeats end there
+			r.wrapperCalls += uint64(k)
+			r.bnd.Crossed(2 * uint64(k))
+			if f != nil {
+				f.SkipCalls(r.rank, k)
+			}
+			n -= k
+			continue
+		}
+		slow++
+		r.xlatDone(lookupsIprobe)
+		if err := r.lowerCall(func() error { r.clock.Advance(resolve); return nil }); err != nil {
+			return slow, err
+		}
+		n--
+	}
+	return slow, nil
 }
 
 // Probe implements mpi.Proc.

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -444,6 +445,30 @@ func (inj *Injector) vtCrash(rank int, now time.Duration) error {
 	inj.firedCrashes++
 	return inj.crashErr(rank, now)
 }
+
+// NextCrash is rank's crash horizon. calls is how many wrapper calls
+// from now its next scripted crash of the current step fires at (the
+// calls-th CheckCall; math.MaxInt if none is due), and at is the
+// rank-local virtual time from which a CheckCall fires the next crash
+// of the virtual-time schedule, simtime.Never while that crash is
+// another rank's. CheckCall fires nothing before both, so a caller can
+// count calls ahead of them with SkipCalls.
+func (inj *Injector) NextCrash(rank int) (calls int, at time.Duration) {
+	calls, at = math.MaxInt, simtime.Never
+	for _, ev := range inj.scripted {
+		if ev != nil && ev.Rank == rank && ev.Step == inj.stepOf[rank] {
+			calls = min(calls, ev.Call-inj.callsInStep[rank])
+		}
+	}
+	if inj.crashIdx < len(inj.crashes) && inj.crashes[inj.crashIdx].Rank == rank {
+		at = inj.crashes[inj.crashIdx].At - inj.base
+	}
+	return calls, at
+}
+
+// SkipCalls counts n wrapper calls of rank that NextCrash showed fire
+// nothing, as n CheckCalls would.
+func (inj *Injector) SkipCalls(rank, n int) { inj.callsInStep[rank] += n }
 
 // CrashesFired reports how many crashes have been injected so far.
 func (inj *Injector) CrashesFired() int {

@@ -76,17 +76,19 @@ func (p *Proc) SetResolveCost(native, fast time.Duration) {
 // lazy resolution path charge their reduced cost.
 func (p *Proc) SetResolvedCaller(v bool) { p.resolvedCaller = v }
 
-// ChargeResolve accounts one handle resolution.
-func (p *Proc) ChargeResolve() {
-	if p.resolveCost == 0 {
-		return
+// ResolveCost is what one handle resolution charges before any
+// straggler window: the pre-resolved caller's cost or the native one.
+// A wrapper layer that repeats a call asks it to charge the repeats
+// (mana.Runtime.Iprobes).
+func (p *Proc) ResolveCost() time.Duration {
+	if p.resolvedCaller && p.resolveCost != 0 {
+		return p.resolveCostFast
 	}
-	if p.resolvedCaller {
-		p.Eng.Clock.Advance(p.resolveCostFast)
-		return
-	}
-	p.Eng.Clock.Advance(p.resolveCost)
+	return p.resolveCost
 }
+
+// chargeResolve accounts one handle resolution.
+func (p *Proc) chargeResolve() { p.Eng.Clock.Advance(p.ResolveCost()) }
 
 // NewProc assembles an mpi.Proc from an engine and a handle table.
 // handleBits is the declared width of the implementation's MPI object
@@ -143,7 +145,7 @@ func (p *Proc) LookupConst(name mpi.ConstName) (mpi.Handle, error) {
 // handle resolution helpers
 
 func (p *Proc) comm(h mpi.Handle) (*Comm, error) {
-	p.ChargeResolve()
+	p.chargeResolve()
 	o, err := p.Tab.Lookup(mpi.KindComm, h)
 	if err != nil {
 		return nil, err
@@ -164,7 +166,7 @@ func (p *Proc) group(h mpi.Handle) (*Group, error) {
 }
 
 func (p *Proc) dtype(h mpi.Handle) (*Dtype, error) {
-	p.ChargeResolve()
+	p.chargeResolve()
 	o, err := p.Tab.Lookup(mpi.KindDatatype, h)
 	if err != nil {
 		return nil, err
@@ -306,16 +308,38 @@ func (p *Proc) Iprobe(src, tag int, comm mpi.Handle) (bool, mpi.Status, error) {
 	return p.Eng.Iprobe(c, src, tag)
 }
 
-// Iprobes makes n discarded MPI_Iprobes: one real call, then the n-1
-// resolve charges that are all a repeat of it costs.
+// Iprobes makes n discarded MPI_Iprobes: one real call, then n-1
+// repeats of its resolve charge. A repeat costs a constant between
+// straggler-window edges, a native poll's only horizon, so the repeats
+// that end by the clock's next edge are one advance and the one that
+// meets it is charged as a call would be.
 func (p *Proc) Iprobes(n, src, tag int, comm mpi.Handle) (err error) {
 	if n > 0 {
 		_, _, err = p.Iprobe(src, tag, comm)
 	}
-	for i := 1; i < n && err == nil; i++ {
-		p.ChargeResolve()
+	if err == nil {
+		p.chargeResolves(n - 1)
 	}
 	return err
+}
+
+// chargeResolves charges n resolve charges as n chargeResolves would
+// and returns how many it charged one by one: one per straggler-window
+// edge met, none without one.
+func (p *Proc) chargeResolves(n int) (slow int) {
+	clock, r := p.Eng.Clock, p.ResolveCost()
+	for n > 0 && r > 0 {
+		now, d := clock.Now(), clock.Cost(r)
+		if k := min(n, int((clock.Horizon()-now)/d)); k > 0 {
+			clock.MergeAtLeast(now + time.Duration(k)*d) // the k repeats end there
+			n -= k
+			continue
+		}
+		clock.Advance(r)
+		slow++
+		n--
+	}
+	return slow
 }
 
 // Probe implements mpi.Proc.

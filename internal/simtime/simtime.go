@@ -20,8 +20,12 @@ package simtime
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
+
+// Never is the horizon of something that does not come.
+const Never = time.Duration(math.MaxInt64)
 
 // Clock is a per-rank virtual clock. A Clock is owned by a single rank
 // goroutine; it is not safe for concurrent use. (Coordinator code reads
@@ -58,17 +62,36 @@ func (c *Clock) Slow(factor float64, from, until time.Duration) {
 // Advance moves the clock forward by d — scaled up by an active
 // straggler window, if any. Negative d is ignored: virtual time is
 // monotone.
-func (c *Clock) Advance(d time.Duration) {
+func (c *Clock) Advance(d time.Duration) { c.now += c.Cost(d) }
+
+// Cost is what Advance(d) charges now: d, or trunc(d × factor) while
+// the clock is inside a straggler window, and 0 for d ≤ 0.
+func (c *Clock) Cost(d time.Duration) time.Duration {
 	if d <= 0 {
-		return
+		return 0
 	}
 	for _, w := range c.slow {
 		if c.now >= w.from && c.now < w.until {
-			d = time.Duration(float64(d) * w.factor)
-			break
+			return time.Duration(float64(d) * w.factor)
 		}
 	}
-	c.now += d
+	return d
+}
+
+// Horizon is the next straggler-window edge after now, or Never. Every
+// charge that begins before it costs what Cost says now, so a run of
+// identical charges that ends by it is one advance of their sum.
+func (c *Clock) Horizon() time.Duration {
+	h := Never
+	for _, w := range c.slow {
+		if w.from > c.now {
+			h = min(h, w.from)
+		}
+		if w.until > c.now {
+			h = min(h, w.until)
+		}
+	}
+	return h
 }
 
 // MergeAtLeast sets the clock to t if t is later than the current virtual

@@ -52,6 +52,15 @@ func (b *Boundary) Leave() {
 	b.crossings++
 }
 
+// Cost is what one crossing charges the clock now: the host's crossing
+// cost, scaled by a straggler window the clock is inside.
+func (b *Boundary) Cost() time.Duration { return b.clock.Cost(b.cost) }
+
+// Crossed counts n crossings whose virtual time the caller charged in
+// one advance: a run of identical calls charged in closed form
+// (mana.Runtime.Iprobes) still crosses twice per call.
+func (b *Boundary) Crossed(n uint64) { b.crossings += n }
+
 // Crossings returns the total number of fs-register switches performed.
 // The counter is unsynchronized: only the owning rank writes it, so
 // another goroutine may read it only after something orders the rank's
