@@ -61,8 +61,10 @@ determinism:
 # non-test internal/ uses of sync's Mutex, RWMutex, Cond, Once and
 # WaitGroup and of sync/atomic (sync.Pool is not counted) — and the
 # write-only fields: fields of internal/ structs that no non-test file
-# reads. Each unused export, sync site and write-only field is listed
-# by name with the reason it stays.
+# reads — and the uncalled mpi.Proc methods: those no non-test file
+# calls except to pass the call on. Each unused export, sync site,
+# write-only field and uncalled method is listed by name with the
+# reason it stays.
 .PHONY: size
 size:
 	@$(GO) test -count=1 -run '^TestSizeRatchet$$' -v .

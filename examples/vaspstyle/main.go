@@ -5,193 +5,61 @@
 // every algorithm change) and library-based checkpointing (which
 // assumes one globally synchronized main loop).
 //
-// This example alternates two numerically different phases — a
-// CG-flavored solve and an MD-flavored relaxation — inside one job, and
-// lets MANA checkpoint at an arbitrary point in either phase, with
-// sub-communicators and derived types alive across the cut.
+// The application is internal/apps' tour: electronic-minimization steps
+// (collectives on k-point communicators) alternate with
+// ionic-relaxation steps (neighbour exchanges through derived
+// datatypes), over communicators, groups, datatypes and a user
+// reduction it built and partly freed. This program checkpoints it under
+// MANA on Cray MPICH before steps of either kind, restarts each image
+// alternately on Cray MPICH and on Open MPI, and exits non-zero unless
+// every restart ends with the checksums of the uninterrupted native
+// run.
 //
 //	go run ./examples/vaspstyle
 package main
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"hash/fnv"
 	"log"
+	"slices"
 
-	"manasim/internal/app"
 	"manasim/internal/apps"
 	mana "manasim/internal/core"
 	"manasim/internal/impls"
-	"manasim/internal/mpi"
 )
 
-// vaspState holds the mixed-algorithm state.
-type vaspState struct {
-	Phase  []byte // phase schedule: 'c' (CG-ish) or 'm' (MD-ish)
-	Vec    []float64
-	Energy float64
-	World  mpi.Handle
-	Half   mpi.Handle // k-point parallelization sub-communicator
-	F64    mpi.Handle
-	Triple mpi.Handle // derived type used by the MD phase
-	D      apps.Decomp3D
-}
-
-type vaspApp struct {
-	steps int
-	st    vaspState
-}
-
-func (v *vaspApp) Setup(env *app.Env) error {
-	p := env.P
-	world, err := p.LookupConst(mpi.ConstCommWorld)
+func config(impl string) mana.Config {
+	f, err := impls.Get(impl)
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
-	f64, err := p.LookupConst(mpi.ConstFloat64)
-	if err != nil {
-		return err
-	}
-	// K-point groups: VASP's classic communicator split.
-	half, err := p.CommSplit(world, env.Rank%2, env.Rank)
-	if err != nil {
-		return err
-	}
-	triple, err := p.TypeContiguous(3, f64)
-	if err != nil {
-		return err
-	}
-	if err := p.TypeCommit(triple); err != nil {
-		return err
-	}
-	schedule := make([]byte, v.steps)
-	for i := range schedule {
-		if (i/3)%2 == 0 {
-			schedule[i] = 'c'
-		} else {
-			schedule[i] = 'm'
-		}
-	}
-	st := vaspState{
-		Phase: schedule, Vec: make([]float64, 64),
-		World: world, Half: half, F64: f64, Triple: triple,
-		D: apps.NewDecomp3D(env.Rank, env.Size),
-	}
-	for i := range st.Vec {
-		st.Vec[i] = float64(env.Rank*64+i) * 1e-3
-	}
-	v.st = st
-	return nil
+	return mana.Config{ImplName: impl, Factory: f, UniformHandles: true}
 }
-
-func (v *vaspApp) Steps() int { return v.steps }
-
-func (v *vaspApp) Step(env *app.Env, step int) error {
-	p := env.P
-	s := &v.st
-	switch s.Phase[step] {
-	case 'c': // electronic minimization: dot products on the k-point group
-		local := 0.0
-		for i, x := range s.Vec {
-			s.Vec[i] = x*0.99 + 1e-4
-			local += x * x
-		}
-		recv := make([]byte, 8)
-		sum, err := p.LookupConst(mpi.ConstOpSum)
-		if err != nil {
-			return err
-		}
-		if err := p.Allreduce(mpi.Float64Bytes([]float64{local}), recv, 1, s.F64, sum, s.Half); err != nil {
-			return err
-		}
-		s.Energy = mpi.Float64s(recv)[0]
-	case 'm': // ionic relaxation: neighbor exchange with the derived type
-		nb := s.D.NeighborsPeriodic()
-		if err := p.Send(mpi.Float64Bytes(s.Vec[:3]), 1, s.Triple, nb[1], 9, s.World); err != nil {
-			return err
-		}
-		in := make([]byte, 24)
-		if _, err := p.Recv(in, 1, s.Triple, nb[0], 9, s.World); err != nil {
-			return err
-		}
-		g := mpi.Float64s(in)
-		for i := 0; i < 3; i++ {
-			s.Vec[i] = 0.5*s.Vec[i] + 0.5*g[i]
-		}
-	}
-	return nil
-}
-
-func (v *vaspApp) Finalize(env *app.Env) error { return nil }
-
-func (v *vaspApp) Checksum() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%.12e;", v.st.Energy)
-	for _, x := range v.st.Vec {
-		fmt.Fprintf(h, "%.10e,", x)
-	}
-	return h.Sum64()
-}
-
-func (v *vaspApp) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(&v.st)
-	return buf.Bytes(), err
-}
-
-func (v *vaspApp) Restore(data []byte) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v.st); err != nil {
-		return err
-	}
-	v.steps = len(v.st.Phase)
-	return nil
-}
-
-func (v *vaspApp) FootprintBytes() int64 { return 1 << 20 }
 
 func main() {
-	const steps = 12
-	factory, err := impls.Get("craympi")
+	const ranks, steps = 8, 12
+	src := config("craympi")
+	ref, err := mana.RunNative(src, ranks, apps.NewTour(steps))
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := mana.Config{ImplName: "craympi", Factory: factory}
-	newApp := func() app.Instance { return &vaspApp{steps: steps} }
-
-	ref, _, err := mana.Run(cfg, 8, newApp, -1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("multi-algorithm job (CG phases interleaved with MD phases) under MANA/craympi")
-
-	// Checkpoint inside each kind of phase: step 2 is mid-CG, step 4
-	// is mid-MD. No main-loop assumption: MANA neither knows nor cares
-	// which algorithm is active.
-	for _, at := range []int{2, 4, 7, 11} {
-		stop := cfg
-		stop.ExitAtCheckpoint = true
-		_, images, err := mana.Run(stop, 8, newApp, at)
+	fmt.Println("multi-algorithm job (minimization steps alternating with relaxation steps) under MANA/craympi")
+	src.ExitAtCheckpoint = true
+	for i, at := range []int{2, 5, 8, 11} {
+		_, images, err := mana.Run(src, ranks, apps.NewTour(steps), at)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rst, err := mana.Restart(cfg, images, newApp)
+		target := []string{"craympi", "openmpi"}[i%2]
+		rst, err := mana.Restart(config(target), images, apps.NewTour(steps))
 		if err != nil {
 			log.Fatal(err)
 		}
-		phase := "CG"
-		if (at/3)%2 == 1 {
-			phase = "MD"
+		if !slices.Equal(ref.Checksums, rst.Checksums) {
+			log.Fatalf("restart on %s from step %d diverged from the native run", target, at)
 		}
-		ok := true
-		for r := range ref.Checksums {
-			ok = ok && ref.Checksums[r] == rst.Checksums[r]
-		}
-		if !ok {
-			log.Fatalf("restart from step %d diverged", at)
-		}
-		fmt.Printf("  checkpoint at step %2d (%s phase): restart bit-identical ✓\n", at, phase)
+		phase := []string{"minimization", "relaxation"}[at%2]
+		fmt.Printf("  checkpoint before step %2d (%s), restart on %-7s: bit-identical to native ✓\n", at, phase, target)
 	}
-	fmt.Println("transparent checkpointing held across algorithm phases — no main-loop assumption")
+	fmt.Println("transparent checkpointing held across algorithm phases and MPI implementations — no main-loop assumption")
 }

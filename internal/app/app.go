@@ -5,9 +5,11 @@
 // An Instance is written in resumable-state style: all state lives in the
 // instance struct, execution is a sequence of Steps, and the struct can
 // be serialized and restored. This is the Go substitution for MANA's
-// upper-half memory capture — Go cannot snapshot goroutine stacks, so
-// the "upper-half memory" of a rank is its instance struct (documented
-// in DESIGN.md). The application remains checkpoint-oblivious: it never
+// upper-half memory capture: Go cannot snapshot a goroutine's stack or
+// heap the way MANA copies the upper half's pages, so the "upper-half
+// memory" of a rank is its instance struct, and a step boundary is the
+// only point where all of it lives there. The application remains
+// checkpoint-oblivious: it never
 // sees checkpoint requests, never names its MPI objects for
 // reconstruction, and never reconstructs anything itself.
 package app

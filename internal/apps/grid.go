@@ -9,7 +9,8 @@
 // The physics is deliberately miniaturized (the simulator charges the
 // paper-calibrated compute time to the virtual clock), but every MPI
 // interaction is real: real buffers, real tags, real sub-communicators,
-// real derived datatypes.
+// real derived datatypes. Beside them, unregistered, is the tour
+// (tour.go), which calls the MPI surface the proxies leave unused.
 //
 // # Snapshots
 //
@@ -17,8 +18,8 @@
 // field by field — the checkpoint image of the paper is the upper
 // half's memory, not a re-encoding of it — so its size is the state's
 // size and a byte that did not change in memory does not change in the
-// snapshot. All five applications share one layout (snapshot.go), in
-// little-endian 8-byte words:
+// snapshot. The five applications and the tour share one layout
+// (snapshot.go), in little-endian 8-byte words:
 //
 //	word 0       application tag (4 ASCII bytes) | layout version << 32
 //	then, in the fixed order of the application's fields method:

@@ -9,9 +9,9 @@ import (
 	"manasim/internal/mpi"
 )
 
-// This file is the snapshot codec all five proxies share; the layout
-// and what Restore refuses are specified in the package comment
-// (grid.go, "Snapshots").
+// This file is the snapshot codec the five proxies and the tour share;
+// the layout and what Restore refuses are specified in the package
+// comment (grid.go, "Snapshots").
 
 // snapVersion is the layout version in the upper half of word 0.
 const snapVersion = 1

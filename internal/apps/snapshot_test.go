@@ -60,13 +60,9 @@ func (p *tap) Step(env *app.Env, step int) error {
 // rank 0's state after Setup ([0]) and after each of its steps.
 func boundaries(t testing.TB, name string, in Input) []boundary {
 	t.Helper()
-	spec, err := ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var mu sync.Mutex
 	var out []boundary
-	inner := spec.New(in)
+	inner := factoryOf(t, name, in)
 	cfg := cfgFor(t, "mpich")
 	if _, err := mana.RunNative(cfg, 4, func() app.Instance {
 		return &tap{Instance: inner(), mu: &mu, out: &out}
@@ -89,11 +85,25 @@ func smallInput() Input {
 
 func fresh(t testing.TB, name string, in Input) app.Instance {
 	t.Helper()
+	return factoryOf(t, name, in)()
+}
+
+// snapNames are the registered applications and the tour, which the
+// registry leaves out.
+func snapNames() []string { return append(Names(), "tour") }
+
+// factoryOf builds the factory of a registered application or, for
+// "tour", of a tour as long as the input's run.
+func factoryOf(t testing.TB, name string, in Input) app.Factory {
+	t.Helper()
+	if name == "tour" {
+		return NewTour(in.normalized().SimSteps)
+	}
 	spec, err := ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return spec.New(in)()
+	return spec.New(in)
 }
 
 // stateOf exposes an instance's state struct to the layout walker.
@@ -108,6 +118,8 @@ func stateOf(inst app.Instance) any {
 	case *lulesh:
 		return &v.st
 	case *sw4:
+		return &v.st
+	case *tour:
 		return &v.st
 	}
 	panic("unknown instance type")
@@ -145,7 +157,7 @@ func layoutOf(st any) layout {
 // TestSnapshotRoundTrip: Snapshot -> Restore -> Snapshot is
 // byte-identical and the checksum survives, at every boundary of a run.
 func TestSnapshotRoundTrip(t *testing.T) {
-	for _, name := range Names() {
+	for _, name := range snapNames() {
 		t.Run(name, func(t *testing.T) {
 			in := tinyInput(4)
 			for k, b := range boundaries(t, name, in) {
@@ -263,11 +275,11 @@ func refuse(t *testing.T, name string, inst app.Instance, data []byte, what stri
 func TestRestoreRejectsDamage(t *testing.T) {
 	in := smallInput()
 	snaps := map[string][]byte{}
-	for _, name := range Names() {
+	for _, name := range snapNames() {
 		bs := boundaries(t, name, in)
 		snaps[name] = bs[len(bs)-1].snap
 	}
-	for _, name := range Names() {
+	for _, name := range snapNames() {
 		t.Run(name, func(t *testing.T) {
 			snap := snaps[name]
 			inst := fresh(t, name, in)
@@ -307,7 +319,7 @@ func TestRestoreRejectsDamage(t *testing.T) {
 // bytes that remain before anything is allocated for it.
 func TestRestoreBoundsAllocation(t *testing.T) {
 	in := smallInput()
-	for _, name := range Names() {
+	for _, name := range snapNames() {
 		bs := boundaries(t, name, in)
 		snap := bs[0].snap
 		inst := instRestored(t, name, in, snap)
@@ -488,11 +500,11 @@ func TestSendScratchIsNotState(t *testing.T) {
 // state that snapshots back to exactly those bytes.
 func FuzzRestore(f *testing.F) {
 	in := smallInput()
-	for _, name := range Names() {
+	for _, name := range snapNames() {
 		f.Add(boundaries(f, name, in)[1].snap)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, name := range Names() {
+		for _, name := range snapNames() {
 			inst := fresh(t, name, in)
 			if err := inst.Restore(data); err != nil {
 				var se *SnapshotError

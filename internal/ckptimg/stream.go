@@ -276,6 +276,9 @@ type lzAppReader struct {
 	block     []byte  // decoded, unread bytes of the current block
 	blockBuf  *[]byte // decode target from lzBlockPool, reused across blocks
 	scratch   []byte  // compressed payload staging, reused across blocks
+	// hdr receives the frame header, then each block's: a local would
+	// escape through io.ReadFull's io.Reader.
+	hdr [lzFrameHdr]byte
 }
 
 // release returns the decode target to its pool.
@@ -287,24 +290,24 @@ func (r *lzAppReader) release() {
 }
 
 func newLZAppReader(ms *multiSliceReader) (*lzAppReader, error) {
-	var hdr [lzFrameHdr]byte
-	if _, err := io.ReadFull(ms, hdr[:]); err != nil {
+	r := &lzAppReader{ms: ms}
+	if _, err := io.ReadFull(ms, r.hdr[:]); err != nil {
 		return nil, err
 	}
-	total, err := lzFrameSize(hdr[:])
+	total, err := lzFrameSize(r.hdr[:])
 	if err != nil {
 		return nil, err
 	}
-	return &lzAppReader{ms: ms, total: total, remaining: total}, nil
+	r.total, r.remaining = total, total
+	return r, nil
 }
 
 // readBlockHeader consumes the next block's 4-byte header.
 func (r *lzAppReader) readBlockHeader() (size int, raw bool, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r.ms, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r.ms, r.hdr[:4]); err != nil {
 		return 0, false, err
 	}
-	h := binary.LittleEndian.Uint32(hdr[:])
+	h := binary.LittleEndian.Uint32(r.hdr[:4])
 	return int(h &^ lzRawBit), h&lzRawBit != 0, nil
 }
 

@@ -182,6 +182,9 @@ type chunkInflater struct {
 	lz bool
 	br bytes.Reader
 	zr *gzip.Reader
+	// tail receives the read past a chunk's end that must find EOF; a
+	// local would escape through gzip's reader.
+	tail [1]byte
 }
 
 // inflateInto decompresses one chunk's compressed stream into dst,
@@ -204,8 +207,7 @@ func (ci *chunkInflater) inflateInto(dst, data []byte) error {
 	if _, err := io.ReadFull(ci.zr, dst); err != nil {
 		return err
 	}
-	var tail [1]byte
-	if n, err := ci.zr.Read(tail[:]); n != 0 || err != io.EOF {
+	if n, err := ci.zr.Read(ci.tail[:]); n != 0 || err != io.EOF {
 		if err != nil && err != io.EOF {
 			return err
 		}

@@ -129,15 +129,20 @@ func (r *Runtime) replayObjects() error {
 			// eager-complete.
 			continue
 		}
+		if it.Desc.Op == vid.DescNone {
+			// Decode-derived placeholder with no recipe (base type
+			// handle surfaced by TypeGetContents): nothing to rebuild;
+			// leave unbound.
+			continue
+		}
 		ref := vid.RefOf(it.Virt)
 		var np mpi.Handle
 		var err error
-
+		// One boundary crossing per re-created object.
+		r.bnd.Enter()
 		switch it.Desc.Op {
 		case vid.DescConst:
-			r.bnd.Enter()
 			np, err = r.lower.LookupConst(it.Desc.Const)
-			r.bnd.Leave()
 			if err == nil {
 				r.consts[it.Desc.Const] = it.Virt
 				r.constsBound[it.Desc.Const] = true
@@ -147,18 +152,14 @@ func (r *Runtime) replayObjects() error {
 			var parent mpi.Handle
 			parent, err = lookupParent(mpi.KindComm, it.Desc.Parent, "comm-dup")
 			if err == nil {
-				r.bnd.Enter()
 				np, err = r.lower.CommDup(parent)
-				r.bnd.Leave()
 			}
 
 		case vid.DescCommSplit:
 			var parent mpi.Handle
 			parent, err = lookupParent(mpi.KindComm, it.Desc.Parent, "comm-split")
 			if err == nil {
-				r.bnd.Enter()
 				np, err = r.lower.CommSplit(parent, it.Desc.Ints[0], it.Desc.Ints[1])
-				r.bnd.Leave()
 			}
 			if err == nil && it.Desc.ResultNull != (np == mpi.HandleNull) {
 				err = fmt.Errorf("mana: replayed comm-split null-result mismatch")
@@ -171,9 +172,7 @@ func (r *Runtime) replayObjects() error {
 				grp, err = lookupParent(mpi.KindGroup, it.Desc.Aux, "comm-create group")
 			}
 			if err == nil {
-				r.bnd.Enter()
 				np, err = r.lower.CommCreate(parent, grp)
-				r.bnd.Leave()
 			}
 			if err == nil && it.Desc.ResultNull != (np == mpi.HandleNull) {
 				err = fmt.Errorf("mana: replayed comm-create null-result mismatch")
@@ -183,57 +182,34 @@ func (r *Runtime) replayObjects() error {
 			var parent mpi.Handle
 			parent, err = lookupParent(mpi.KindComm, it.Desc.Parent, "comm-group")
 			if err == nil {
-				r.bnd.Enter()
 				np, err = r.lower.CommGroup(parent)
-				r.bnd.Leave()
 			}
 
 		case vid.DescGroupIncl:
 			var parent mpi.Handle
 			parent, err = lookupParent(mpi.KindGroup, it.Desc.Parent, "group-incl")
 			if err == nil {
-				r.bnd.Enter()
 				np, err = r.lower.GroupIncl(parent, it.Desc.Ints)
-				r.bnd.Leave()
-			}
-
-		case vid.DescGroupRanks:
-			// Decoded group: rebuild from the world group by explicit
-			// world ranks.
-			var worldPhys, wg mpi.Handle
-			worldPhys, err = r.lower.LookupConst(mpi.ConstCommWorld)
-			if err == nil {
-				r.bnd.Enter()
-				wg, err = r.lower.CommGroup(worldPhys)
-				if err == nil {
-					np, err = r.lower.GroupIncl(wg, it.Desc.Ints)
-					_ = r.lower.GroupFree(wg)
-				}
-				r.bnd.Leave()
 			}
 
 		case vid.DescTypeContig:
 			var base mpi.Handle
 			base, err = lookupParent(mpi.KindDatatype, it.Desc.Parent, "type-contiguous")
 			if err == nil {
-				r.bnd.Enter()
 				np, err = r.lower.TypeContiguous(it.Desc.Ints[0], base)
 				if err == nil {
 					err = r.lower.TypeCommit(np)
 				}
-				r.bnd.Leave()
 			}
 
 		case vid.DescTypeVector:
 			var base mpi.Handle
 			base, err = lookupParent(mpi.KindDatatype, it.Desc.Parent, "type-vector")
 			if err == nil {
-				r.bnd.Enter()
 				np, err = r.lower.TypeVector(it.Desc.Ints[0], it.Desc.Ints[1], it.Desc.Ints[2], base)
 				if err == nil {
 					err = r.lower.TypeCommit(np)
 				}
-				r.bnd.Leave()
 			}
 
 		case vid.DescTypeIndexed:
@@ -243,12 +219,10 @@ func (r *Runtime) replayObjects() error {
 				n := it.Desc.Ints[0]
 				blocklens := it.Desc.Ints[1 : 1+n]
 				displs := it.Desc.Ints[1+n : 1+2*n]
-				r.bnd.Enter()
 				np, err = r.lower.TypeIndexed(blocklens, displs, base)
 				if err == nil {
 					err = r.lower.TypeCommit(np)
 				}
-				r.bnd.Leave()
 			}
 
 		case vid.DescOpCreate:
@@ -256,20 +230,13 @@ func (r *Runtime) replayObjects() error {
 			if !ok {
 				err = fmt.Errorf("mana: replay: user op %q not registered in this process (call mpi.RegisterOp before Restart)", it.Desc.OpName)
 			} else {
-				r.bnd.Enter()
 				np, err = r.lower.OpCreate(fn, it.Desc.Commute)
-				r.bnd.Leave()
 			}
-
-		case vid.DescNone:
-			// Decode-derived placeholder with no recipe (base type
-			// handle surfaced by TypeGetContents): nothing to rebuild;
-			// leave unbound.
-			continue
 
 		default:
 			err = fmt.Errorf("mana: replay: unsupported descriptor %v", it.Desc.Op)
 		}
+		r.bnd.Leave()
 
 		if err != nil {
 			return fmt.Errorf("mana: replaying %v (vid %#x): %w", it.Desc.Op, uint64(it.Virt), err)

@@ -190,11 +190,6 @@ func (r *Runtime) Size() int { return r.size }
 // half, as `mpirun` output would show.
 func (r *Runtime) ImplName() string { return "mana+" + r.lower.ImplName() }
 
-// ImplVersion implements mpi.Proc.
-func (r *Runtime) ImplVersion() string {
-	return fmt.Sprintf("MANA virtId(%s) over %s", r.store.DesignName(), r.lower.ImplVersion())
-}
-
 // HandleBits implements mpi.Proc: with uniform handles the application
 // sees MANA's own 64-bit types (the MANA mpi.h of Section 9), otherwise
 // the lower half's declared width.
@@ -207,9 +202,6 @@ func (r *Runtime) HandleBits() int {
 
 // Caps implements mpi.Proc.
 func (r *Runtime) Caps() mpi.CapSet { return r.lower.Caps() }
-
-// WTime implements mpi.Proc.
-func (r *Runtime) WTime() time.Duration { return r.clock.Now() }
 
 // LookupConst implements mpi.Proc: the wrapper resolves the constant in
 // the lower half on first use and hands the application a virtual handle
@@ -256,27 +248,39 @@ func (r *Runtime) LookupConst(name mpi.ConstName) (mpi.Handle, error) {
 // ---------------------------------------------------------------------
 // membership and ggid helpers
 
-// cacheCommMembership decodes and caches a communicator's world-rank
-// membership using the lower half's decode functions (Section 5,
-// category 2: MPI_Comm_group + MPI_Group_translate_ranks).
+// cacheCommMembership caches a communicator's world-rank membership
+// for the drain protocol's per-peer counters.
 func (r *Runtime) cacheCommMembership(virt, phys mpi.Handle) error {
-	worldPhys, err := r.lower.LookupConst(mpi.ConstCommWorld)
+	world, err := r.worldRanksOf(phys)
 	if err != nil {
 		return err
+	}
+	r.members[virt] = world
+	return nil
+}
+
+// worldRanksOf decodes a communicator's membership as world ranks, in
+// comm-rank order, through the lower half's decode functions inside
+// one boundary crossing (Section 5, category 2: MPI_Comm_group +
+// MPI_Group_translate_ranks).
+func (r *Runtime) worldRanksOf(phys mpi.Handle) ([]int, error) {
+	worldPhys, err := r.lower.LookupConst(mpi.ConstCommWorld)
+	if err != nil {
+		return nil, err
 	}
 	r.bnd.Enter()
 	defer r.bnd.Leave()
 	g, err := r.lower.CommGroup(phys)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	wg, err := r.lower.CommGroup(worldPhys)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	n, err := r.lower.GroupSize(g)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ranks := make([]int, n)
 	for i := range ranks {
@@ -284,12 +288,11 @@ func (r *Runtime) cacheCommMembership(virt, phys mpi.Handle) error {
 	}
 	world, err := r.lower.GroupTranslateRanks(g, ranks, wg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	_ = r.lower.GroupFree(g)
 	_ = r.lower.GroupFree(wg)
-	r.members[virt] = world
-	return nil
+	return world, nil
 }
 
 // membership returns the cached world-rank membership of a virtual comm.
@@ -302,8 +305,7 @@ func (r *Runtime) membership(virt mpi.Handle) ([]int, error) {
 }
 
 // computeGGID computes and stores the global group id of a communicator
-// by decoding its membership through the lower half (MPI_Comm_group +
-// MPI_Group_translate_ranks, Section 5 category 2). The decode is
+// by decoding its membership through the lower half. The decode is
 // performed even though MANA caches membership for counter bookkeeping,
 // because the ggid definition is pinned to the lower half's view. Every
 // communicator pays it at creation (the paper's eager policy; Section 9
@@ -313,38 +315,10 @@ func (r *Runtime) computeGGID(virt mpi.Handle) error {
 	if err != nil {
 		return err
 	}
-	worldPhys, err := r.lower.LookupConst(mpi.ConstCommWorld)
+	world, err := r.worldRanksOf(phys)
 	if err != nil {
 		return err
 	}
-	r.bnd.Enter()
-	g, err := r.lower.CommGroup(phys)
-	if err != nil {
-		r.bnd.Leave()
-		return err
-	}
-	wg, err := r.lower.CommGroup(worldPhys)
-	if err != nil {
-		r.bnd.Leave()
-		return err
-	}
-	n, err := r.lower.GroupSize(g)
-	if err != nil {
-		r.bnd.Leave()
-		return err
-	}
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	world, err := r.lower.GroupTranslateRanks(g, ranks, wg)
-	if err != nil {
-		r.bnd.Leave()
-		return err
-	}
-	_ = r.lower.GroupFree(g)
-	_ = r.lower.GroupFree(wg)
-	r.bnd.Leave()
 	return r.store.SetGGID(mpi.KindComm, virt, vid.GGIDOf(world))
 }
 
@@ -401,13 +375,6 @@ func (r *Runtime) Abort(code int) {
 	r.bnd.Enter()
 	r.lower.Abort(code)
 	r.bnd.Leave()
-}
-
-// Finalize implements mpi.Proc.
-func (r *Runtime) Finalize() error {
-	r.bnd.Enter()
-	defer r.bnd.Leave()
-	return r.lower.Finalize()
 }
 
 // Compile-time check: a Runtime is a drop-in mpi.Proc.

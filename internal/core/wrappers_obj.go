@@ -9,6 +9,17 @@ import (
 // in the virtual-id store so that restart can re-create a semantically
 // equivalent object (Section 4.2).
 
+// lowerQuery is lowerCall for a lower-half call that returns a value.
+func lowerQuery[T any](r *Runtime, fn func() (T, error)) (T, error) {
+	var out T
+	err := r.lowerCall(func() error {
+		var e error
+		out, e = fn()
+		return e
+	})
+	return out, err
+}
+
 // registerComm virtualizes a freshly created communicator: caches its
 // membership, computes its ggid, and records the recipe.
 func (r *Runtime) registerComm(phys mpi.Handle, desc vid.Descriptor) (mpi.Handle, error) {
@@ -39,13 +50,7 @@ func (r *Runtime) CommRank(comm mpi.Handle) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var out int
-	err = r.lowerCall(func() error {
-		var e error
-		out, e = r.lower.CommRank(pc)
-		return e
-	})
-	return out, err
+	return lowerQuery(r, func() (int, error) { return r.lower.CommRank(pc) })
 }
 
 // CommSize implements mpi.Proc.
@@ -54,13 +59,7 @@ func (r *Runtime) CommSize(comm mpi.Handle) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var out int
-	err = r.lowerCall(func() error {
-		var e error
-		out, e = r.lower.CommSize(pc)
-		return e
-	})
-	return out, err
+	return lowerQuery(r, func() (int, error) { return r.lower.CommSize(pc) })
 }
 
 // CommDup implements mpi.Proc.
@@ -69,12 +68,8 @@ func (r *Runtime) CommDup(comm mpi.Handle) (mpi.Handle, error) {
 	if err != nil {
 		return mpi.HandleNull, err
 	}
-	var np mpi.Handle
-	if err := r.lowerCall(func() error {
-		var e error
-		np, e = r.lower.CommDup(pc)
-		return e
-	}); err != nil {
+	np, err := lowerQuery(r, func() (mpi.Handle, error) { return r.lower.CommDup(pc) })
+	if err != nil {
 		return mpi.HandleNull, err
 	}
 	return r.registerComm(np, vid.Descriptor{Op: vid.DescCommDup, Parent: vid.VID(vid.RefOf(comm))})
@@ -86,12 +81,8 @@ func (r *Runtime) CommSplit(comm mpi.Handle, color, key int) (mpi.Handle, error)
 	if err != nil {
 		return mpi.HandleNull, err
 	}
-	var np mpi.Handle
-	if err := r.lowerCall(func() error {
-		var e error
-		np, e = r.lower.CommSplit(pc, color, key)
-		return e
-	}); err != nil {
+	np, err := lowerQuery(r, func() (mpi.Handle, error) { return r.lower.CommSplit(pc, color, key) })
+	if err != nil {
 		return mpi.HandleNull, err
 	}
 	desc := vid.Descriptor{Op: vid.DescCommSplit, Parent: vid.VID(vid.RefOf(comm)), Ints: []int{color, key}}
@@ -114,12 +105,8 @@ func (r *Runtime) CommCreate(comm mpi.Handle, group mpi.Handle) (mpi.Handle, err
 	if err != nil {
 		return mpi.HandleNull, err
 	}
-	var np mpi.Handle
-	if err := r.lowerCall(func() error {
-		var e error
-		np, e = r.lower.CommCreate(pc, pg)
-		return e
-	}); err != nil {
+	np, err := lowerQuery(r, func() (mpi.Handle, error) { return r.lower.CommCreate(pc, pg) })
+	if err != nil {
 		return mpi.HandleNull, err
 	}
 	desc := vid.Descriptor{
@@ -156,12 +143,8 @@ func (r *Runtime) CommGroup(comm mpi.Handle) (mpi.Handle, error) {
 	if err != nil {
 		return mpi.HandleNull, err
 	}
-	var pg mpi.Handle
-	if err := r.lowerCall(func() error {
-		var e error
-		pg, e = r.lower.CommGroup(pc)
-		return e
-	}); err != nil {
+	pg, err := lowerQuery(r, func() (mpi.Handle, error) { return r.lower.CommGroup(pc) })
+	if err != nil {
 		return mpi.HandleNull, err
 	}
 	return r.store.Add(mpi.KindGroup, pg,
@@ -174,13 +157,7 @@ func (r *Runtime) GroupSize(g mpi.Handle) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var out int
-	err = r.lowerCall(func() error {
-		var e error
-		out, e = r.lower.GroupSize(pg)
-		return e
-	})
-	return out, err
+	return lowerQuery(r, func() (int, error) { return r.lower.GroupSize(pg) })
 }
 
 // GroupRank implements mpi.Proc.
@@ -189,13 +166,7 @@ func (r *Runtime) GroupRank(g mpi.Handle) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var out int
-	err = r.lowerCall(func() error {
-		var e error
-		out, e = r.lower.GroupRank(pg)
-		return e
-	})
-	return out, err
+	return lowerQuery(r, func() (int, error) { return r.lower.GroupRank(pg) })
 }
 
 // GroupIncl implements mpi.Proc.
@@ -204,12 +175,8 @@ func (r *Runtime) GroupIncl(g mpi.Handle, ranks []int) (mpi.Handle, error) {
 	if err != nil {
 		return mpi.HandleNull, err
 	}
-	var np mpi.Handle
-	if err := r.lowerCall(func() error {
-		var e error
-		np, e = r.lower.GroupIncl(pg, ranks)
-		return e
-	}); err != nil {
+	np, err := lowerQuery(r, func() (mpi.Handle, error) { return r.lower.GroupIncl(pg, ranks) })
+	if err != nil {
 		return mpi.HandleNull, err
 	}
 	return r.store.Add(mpi.KindGroup, np, vid.Descriptor{
@@ -229,13 +196,7 @@ func (r *Runtime) GroupTranslateRanks(g1 mpi.Handle, ranks []int, g2 mpi.Handle)
 	if err != nil {
 		return nil, err
 	}
-	var out []int
-	err = r.lowerCall(func() error {
-		var e error
-		out, e = r.lower.GroupTranslateRanks(p1, ranks, p2)
-		return e
-	})
-	return out, err
+	return lowerQuery(r, func() ([]int, error) { return r.lower.GroupTranslateRanks(p1, ranks, p2) })
 }
 
 // GroupFree implements mpi.Proc.
@@ -265,12 +226,8 @@ func (r *Runtime) TypeContiguous(count int, base mpi.Handle) (mpi.Handle, error)
 	if err != nil {
 		return mpi.HandleNull, err
 	}
-	var np mpi.Handle
-	if err := r.lowerCall(func() error {
-		var e error
-		np, e = r.lower.TypeContiguous(count, pb)
-		return e
-	}); err != nil {
+	np, err := lowerQuery(r, func() (mpi.Handle, error) { return r.lower.TypeContiguous(count, pb) })
+	if err != nil {
 		return mpi.HandleNull, err
 	}
 	return r.registerDtype(np, vid.Descriptor{
@@ -284,12 +241,8 @@ func (r *Runtime) TypeVector(count, blocklen, stride int, base mpi.Handle) (mpi.
 	if err != nil {
 		return mpi.HandleNull, err
 	}
-	var np mpi.Handle
-	if err := r.lowerCall(func() error {
-		var e error
-		np, e = r.lower.TypeVector(count, blocklen, stride, pb)
-		return e
-	}); err != nil {
+	np, err := lowerQuery(r, func() (mpi.Handle, error) { return r.lower.TypeVector(count, blocklen, stride, pb) })
+	if err != nil {
 		return mpi.HandleNull, err
 	}
 	return r.registerDtype(np, vid.Descriptor{
@@ -303,12 +256,8 @@ func (r *Runtime) TypeIndexed(blocklens, displs []int, base mpi.Handle) (mpi.Han
 	if err != nil {
 		return mpi.HandleNull, err
 	}
-	var np mpi.Handle
-	if err := r.lowerCall(func() error {
-		var e error
-		np, e = r.lower.TypeIndexed(blocklens, displs, pb)
-		return e
-	}); err != nil {
+	np, err := lowerQuery(r, func() (mpi.Handle, error) { return r.lower.TypeIndexed(blocklens, displs, pb) })
+	if err != nil {
 		return mpi.HandleNull, err
 	}
 	ints := append(append([]int{len(blocklens)}, blocklens...), displs...)
@@ -344,13 +293,7 @@ func (r *Runtime) TypeSize(dt mpi.Handle) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var out int
-	err = r.lowerCall(func() error {
-		var e error
-		out, e = r.lower.TypeSize(pd)
-		return e
-	})
-	return out, err
+	return lowerQuery(r, func() (int, error) { return r.lower.TypeSize(pd) })
 }
 
 // TypeExtent implements mpi.Proc.
@@ -359,13 +302,7 @@ func (r *Runtime) TypeExtent(dt mpi.Handle) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var out int
-	err = r.lowerCall(func() error {
-		var e error
-		out, e = r.lower.TypeExtent(pd)
-		return e
-	})
-	return out, err
+	return lowerQuery(r, func() (int, error) { return r.lower.TypeExtent(pd) })
 }
 
 // TypeGetEnvelope implements mpi.Proc.
@@ -374,13 +311,7 @@ func (r *Runtime) TypeGetEnvelope(dt mpi.Handle) (mpi.Envelope, error) {
 	if err != nil {
 		return mpi.Envelope{}, err
 	}
-	var out mpi.Envelope
-	err = r.lowerCall(func() error {
-		var e error
-		out, e = r.lower.TypeGetEnvelope(pd)
-		return e
-	})
-	return out, err
+	return lowerQuery(r, func() (mpi.Envelope, error) { return r.lower.TypeGetEnvelope(pd) })
 }
 
 // TypeGetContents implements mpi.Proc. This is the one wrapper that
@@ -392,12 +323,8 @@ func (r *Runtime) TypeGetContents(dt mpi.Handle) (mpi.Contents, error) {
 	if err != nil {
 		return mpi.Contents{}, err
 	}
-	var cts mpi.Contents
-	if err := r.lowerCall(func() error {
-		var e error
-		cts, e = r.lower.TypeGetContents(pd)
-		return e
-	}); err != nil {
+	cts, err := lowerQuery(r, func() (mpi.Contents, error) { return r.lower.TypeGetContents(pd) })
+	if err != nil {
 		return mpi.Contents{}, err
 	}
 	for i, ph := range cts.Datatypes {
@@ -428,12 +355,8 @@ func (r *Runtime) OpCreate(fn mpi.ReduceFunc, commute bool) (mpi.Handle, error) 
 		return mpi.HandleNull, mpi.Errorf(mpi.ErrOp,
 			"mana: user op function not registered with mpi.RegisterOp; MANA cannot reconstruct it at restart")
 	}
-	var np mpi.Handle
-	if err := r.lowerCall(func() error {
-		var e error
-		np, e = r.lower.OpCreate(fn, commute)
-		return e
-	}); err != nil {
+	np, err := lowerQuery(r, func() (mpi.Handle, error) { return r.lower.OpCreate(fn, commute) })
+	if err != nil {
 		return mpi.HandleNull, err
 	}
 	return r.store.Add(mpi.KindOp, np,

@@ -198,5 +198,5 @@ func (t *table) ConstHandle(name mpi.ConstName, obj any) (mpi.Handle, error) {
 // New creates a Cray MPI library instance for one rank.
 func New(fab *transport.Fabric, rank int, clock *simtime.Clock, net simtime.NetModel) mpi.Proc {
 	eng := mpibase.NewEngine(fab, rank, clock, net)
-	return mpibase.NewProc(eng, newTable(), "craympi", "HPE Cray MPICH 8.1.25 (simulated)", 32, mpi.AllFeatures())
+	return mpibase.NewProc(eng, newTable(), "craympi", 32, mpi.AllFeatures())
 }

@@ -173,7 +173,7 @@ func Caps() mpi.CapSet {
 func New(fab *transport.Fabric, rank int, clock *simtime.Clock, net simtime.NetModel) mpi.Proc {
 	eng := mpibase.NewEngine(fab, rank, clock, net)
 	st := newStore(fab.Session()*uint64(fab.Size()) + uint64(rank) + 1)
-	p := mpibase.NewProc(eng, st, "exampi", "ExaMPI dev-2023-08 (simulated)", 64, Caps())
+	p := mpibase.NewProc(eng, st, "exampi", 64, Caps())
 	p.SetResolveCost(5*time.Microsecond, 600*time.Nanosecond)
 	return p
 }

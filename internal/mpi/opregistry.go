@@ -10,11 +10,12 @@ import (
 //
 // MPI_Op_create takes a bare function pointer. In C, MANA can replay
 // OpCreate at restart because the function's address is part of the
-// saved upper-half memory. Go function values cannot be serialized, so
-// applications register their reduction functions under stable names at
-// init time; MANA records the name in the virtual-id descriptor and
-// re-resolves it at restart. Native execution ignores the registry.
-// This substitution is documented in DESIGN.md.
+// saved upper-half memory. Go function values cannot be serialized (and
+// a function's address differs between the checkpointed process and
+// the restarted one), so applications register their reduction
+// functions under stable names at init time; MANA records the name in
+// the virtual-id descriptor and re-resolves it at restart. Native
+// execution ignores the registry.
 
 var opRegistry = struct {
 	sync.Mutex

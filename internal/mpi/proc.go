@@ -1,7 +1,5 @@
 package mpi
 
-import "time"
-
 // Proc is the per-rank lower-half MPI library: the API MANA reaches
 // through the split-process boundary, and the API a natively linked
 // application calls directly. All Handle arguments and results are
@@ -17,8 +15,6 @@ type Proc interface {
 	Size() int
 	// ImplName identifies the implementation ("mpich", "openmpi", ...).
 	ImplName() string
-	// ImplVersion is the simulated release string.
-	ImplVersion() string
 	// HandleBits is the width of the MPI object types declared by this
 	// implementation's mpi.h: 32 for the MPICH family's integer ids, 64
 	// for pointer-based implementations (Open MPI, ExaMPI). MANA embeds
@@ -142,9 +138,4 @@ type Proc interface {
 
 	// Abort terminates the job abnormally with the given error code.
 	Abort(code int)
-	// Finalize shuts the library instance down. The Proc must not be
-	// used afterwards.
-	Finalize() error
-	// WTime returns the library's virtual wall-clock (MPI_Wtime).
-	WTime() time.Duration
 }

@@ -103,9 +103,6 @@ func (e *Engine) Rank() int { return e.rank }
 // Size returns the world size.
 func (e *Engine) Size() int { return e.size }
 
-// WTime returns the rank's virtual time.
-func (e *Engine) WTime() time.Duration { return e.Clock.Now() }
-
 // ---------------------------------------------------------------------
 // Point-to-point.
 

@@ -42,7 +42,6 @@ type Proc struct {
 	Tab HandleTable
 
 	name       string
-	version    string
 	caps       mpi.CapSet
 	handleBits int
 
@@ -93,8 +92,8 @@ func (p *Proc) chargeResolve() { p.Eng.Clock.Advance(p.ResolveCost()) }
 // NewProc assembles an mpi.Proc from an engine and a handle table.
 // handleBits is the declared width of the implementation's MPI object
 // types (32 for the MPICH family, 64 for pointer-handle designs).
-func NewProc(eng *Engine, tab HandleTable, name, version string, handleBits int, caps mpi.CapSet) *Proc {
-	return &Proc{Eng: eng, Tab: tab, name: name, version: version, handleBits: handleBits, caps: caps}
+func NewProc(eng *Engine, tab HandleTable, name string, handleBits int, caps mpi.CapSet) *Proc {
+	return &Proc{Eng: eng, Tab: tab, name: name, handleBits: handleBits, caps: caps}
 }
 
 // HandleBits implements mpi.Proc.
@@ -112,14 +111,8 @@ func (p *Proc) Size() int { return p.Eng.Size() }
 // ImplName implements mpi.Proc.
 func (p *Proc) ImplName() string { return p.name }
 
-// ImplVersion implements mpi.Proc.
-func (p *Proc) ImplVersion() string { return p.version }
-
 // Caps implements mpi.Proc.
 func (p *Proc) Caps() mpi.CapSet { return p.caps }
-
-// WTime implements mpi.Proc.
-func (p *Proc) WTime() time.Duration { return p.Eng.WTime() }
 
 // LookupConst implements mpi.Proc: it resolves a predefined constant to
 // this library instance's physical handle (paper Section 4.3).
@@ -804,9 +797,6 @@ func (p *Proc) Abort(code int) {
 		p.abortFn(code)
 	}
 }
-
-// Finalize implements mpi.Proc.
-func (p *Proc) Finalize() error { return nil }
 
 // Compile-time interface check.
 var _ mpi.Proc = (*Proc)(nil)

@@ -191,7 +191,7 @@ func (t *table) lookupConstObj(h mpi.Handle) (any, bool) {
 func New(fab *transport.Fabric, rank int, clock *simtime.Clock, net simtime.NetModel) mpi.Proc {
 	eng := mpibase.NewEngine(fab, rank, clock, net)
 	tab := &fullTable{table: newTable()}
-	return mpibase.NewProc(eng, tab, "mpich", "MPICH 3.3.2 (simulated)", 32, mpi.AllFeatures())
+	return mpibase.NewProc(eng, tab, "mpich", 32, mpi.AllFeatures())
 }
 
 // fullTable augments table with builtin-handle resolution on Lookup:

@@ -113,7 +113,7 @@ func (a *arena) ConstHandle(name mpi.ConstName, obj any) (mpi.Handle, error) {
 func New(fab *transport.Fabric, rank int, clock *simtime.Clock, net simtime.NetModel) mpi.Proc {
 	eng := mpibase.NewEngine(fab, rank, clock, net)
 	a := newArena(fab.Session()*uint64(fab.Size()) + uint64(rank) + 1)
-	p := mpibase.NewProc(eng, a, "openmpi", "Open MPI 4.1.5 (simulated)", 64, mpi.AllFeatures())
+	p := mpibase.NewProc(eng, a, "openmpi", 64, mpi.AllFeatures())
 	// Startup resolution of every global constant (Section 4.3).
 	for name := mpi.ConstName(0); name < mpi.NumConstNames; name++ {
 		if name.Kind() == mpi.KindNone {

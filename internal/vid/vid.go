@@ -154,7 +154,7 @@ const (
 	DescCommCreate         // create from Parent comm and Aux group
 	DescCommGroup          // group extracted from Parent comm
 	DescGroupIncl          // subgroup of Parent group with Ints=ranks
-	DescGroupRanks         // group decoded as explicit world ranks (Ints)
+	_                      // retired: a group as explicit world ranks, never recorded
 	DescTypeContig         // contiguous: Ints[0]=count, base=Parent
 	DescTypeVector         // vector: Ints=count,blocklen,stride, base=Parent
 	DescTypeIndexed        // indexed: Ints=blocklens+displs, base=Parent
@@ -179,8 +179,6 @@ func (d DescOp) String() string {
 		return "comm-group"
 	case DescGroupIncl:
 		return "group-incl"
-	case DescGroupRanks:
-		return "group-ranks"
 	case DescTypeContig:
 		return "type-contiguous"
 	case DescTypeVector:

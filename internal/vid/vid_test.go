@@ -184,7 +184,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	a.GGID = 0xDEAD
 	b, _ := tab.Add(mpi.KindDatatype, 22, Descriptor{Op: DescTypeVector, Ints: []int{3, 1, 2}}, StrategyDecode)
 	_ = tab.MarkFreed(a.VID)
-	mid, _ := tab.Add(mpi.KindGroup, 33, Descriptor{Op: DescGroupRanks, Ints: []int{0, 2}}, StrategyReplay)
+	mid, _ := tab.Add(mpi.KindGroup, 33, Descriptor{Op: DescGroupIncl, Ints: []int{0, 2}}, StrategyReplay)
 	midVID := mid.VID    // Drop clears mid for the slot's next Add
 	_ = tab.Drop(midVID) // leaves a hole
 

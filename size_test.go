@@ -42,6 +42,9 @@ type sizeCounts struct {
 	// types under internal/ that non-test code may write but never
 	// reads (writeOnlyFields).
 	WriteOnlyFields int `json:"write_only_fields"`
+	// UncalledProcMethods counts the mpi.Proc methods no non-test file
+	// calls except to pass the call through (uncalledMethods).
+	UncalledProcMethods int `json:"uncalled_proc_methods"`
 }
 
 // TestSizeRatchet fails when any count rises above SIZE.json, naming
@@ -77,6 +80,7 @@ func TestSizeRatchet(t *testing.T) {
 	check("unused exports", got.UnusedExports, limit.UnusedExports)
 	check("sync sites", got.SyncSites, limit.SyncSites)
 	check("write-only fields", got.WriteOnlyFields, limit.WriteOnlyFields)
+	check("uncalled mpi.Proc methods", got.UncalledProcMethods, limit.UncalledProcMethods)
 }
 
 func measureSize(t *testing.T) sizeCounts {
@@ -115,6 +119,13 @@ func measureSize(t *testing.T) sizeCounts {
 	c.UnusedExports = logKept(t, "unused export", unusedExports(fset, pkgs), keptExports)
 	c.WriteOnlyFields = logKept(t, "write-only field", writeOnlyFields(pkgs), keptFields)
 	c.SyncSites = logKept(t, "sync site", syncSites(t), keptSyncSites)
+	var proc *types.Named
+	for _, p := range pkgs {
+		if p.pkg.Path() == module+"/internal/mpi" {
+			proc = p.pkg.Scope().Lookup("Proc").Type().(*types.Named)
+		}
+	}
+	c.UncalledProcMethods = logKept(t, "uncalled mpi.Proc method", uncalledMethods(pkgs, proc), keptProcMethods)
 	return c
 }
 
@@ -292,15 +303,16 @@ func countFlags(t *testing.T, path string) int {
 // keptExports names the unused exports the tree keeps on purpose and
 // why; `make size` prints each beside its reason.
 var keptExports = map[string]string{
-	"mpi.RegisterOp":                   "the runtime's restart errors tell applications to register user ops with it",
-	"mpi.Status.Count":                 "MPI_Get_count's place in the MPI surface applications program against",
-	"mpi.Proc.WTime":                   "MPI_Wtime's place in the MPI surface; ROADMAP item 15 decides",
-	"mpibase.Proc.WTime":               "implements mpi.Proc.WTime; ROADMAP item 15 decides",
-	"mana.Runtime.WTime":               "implements mpi.Proc.WTime under MANA; ROADMAP item 15 decides",
 	"cluster.crashError.CrashVT":       "the contract behind cluster's errors.As on a crashed rank",
 	"faults.CrashError.CrashVT":        "the contract behind cluster's errors.As on an injected crash",
 	"apps.Spec.Compatible":             "states which implementations an application runs on",
 	"ckptstore.Store.LastRetentionErr": "the only reader of a failed retention pass",
+}
+
+// keptProcMethods names the uncalled mpi.Proc methods the tree keeps on
+// purpose and why; `make size` prints each beside its reason.
+var keptProcMethods = map[string]string{
+	"mpi.Proc.Abort": "the cluster installs the job teardown behind it through SetAbort, which bench/trace.go's lowerExtras asserts; no application aborts",
 }
 
 // keptFields names the write-only fields the tree keeps on purpose and
@@ -309,8 +321,6 @@ var keptFields = map[string]string{
 	"mana.Config.Kernel":        "deprecated and ignored; bench/scenario.go's baseConfig still sets it (ROADMAP item 10)",
 	"mana.Config.StreamRestart": "deprecated and ignored; bench/scenario.go's baseConfig still sets it (ROADMAP item 10)",
 	"mana.Stats.PerRankVT":      "bench/bench_test.go reads it",
-	"mpi.Envelope.NumInts":      "MPI_Type_get_envelope's output in the MPI surface; ROADMAP item 15 decides",
-	"mpi.Envelope.NumDatatypes": "MPI_Type_get_envelope's output in the MPI surface; ROADMAP item 15 decides",
 }
 
 // stdCalled are the method names the standard library calls through
@@ -584,6 +594,72 @@ func writeOnlyFields(pkgs []*checkedPkg) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// uncalledMethods returns, sorted, the methods of the interface iface
+// that no file of pkgs references, each named pkg.Iface.Method, except
+// from inside a method of the same name: a wrapper that passes the call
+// on to the interface it wraps (core's Runtime, bench's tracing taps)
+// is not a caller.
+func uncalledMethods(pkgs []*checkedPkg, iface *types.Named) []string {
+	called := map[types.Object]bool{}
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok {
+						if obj := p.info.Uses[sel.Sel]; obj != nil && (fd.Recv == nil || obj.Name() != fd.Name.Name) {
+							called[obj] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	var out []string
+	it := iface.Underlying().(*types.Interface)
+	for i := range it.NumMethods() {
+		if m := it.Method(i); !called[m] {
+			out = append(out, iface.Obj().Pkg().Name()+"."+iface.Obj().Name()+"."+m.Name())
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestUncalledMethodsRule runs uncalledMethods over a small in-memory
+// package: a method called through the interface is a caller's, one
+// only passed on by a method of its own name and one never called are
+// not.
+func TestUncalledMethodsRule(t *testing.T) {
+	const src = `package p
+
+type Proc interface{ Called(); PassedOn(); Never() }
+
+type wrapper struct{ in Proc }
+
+func (w wrapper) PassedOn() { w.in.PassedOn() }
+
+func use(p Proc) { p.Called() }
+`
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &checkedPkg{files: []*ast.File{file}, info: &types.Info{Uses: map[*ast.Ident]types.Object{}}}
+	if p.pkg, err = (&types.Config{}).Check(module+"/internal/p", fset, p.files, p.info); err != nil {
+		t.Fatal(err)
+	}
+	got := uncalledMethods([]*checkedPkg{p}, p.pkg.Scope().Lookup("Proc").Type().(*types.Named))
+	if want := []string{"p.Proc.Never", "p.Proc.PassedOn"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("uncalled methods %v, want %v", got, want)
+	}
 }
 
 // tagged reports whether any field of st carries a struct tag.
