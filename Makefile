@@ -69,6 +69,37 @@ determinism:
 size:
 	@$(GO) test -count=1 -run '^TestSizeRatchet$$' -v .
 
+# reach builds manasim and both examples with coverage of every
+# package, drives them through every experiment (-fast 4), a few run
+# variants, a scrub and the examples into one GOCOVERDIR (their output
+# goes to .reach/log), and prints each function no command reached
+# (0.0% in `go tool covdata func`): code only the tests reach, which a
+# simplification may delete or must justify. It prints only and gates
+# nothing.
+REACH := .reach
+REACH_RUN := $(REACH)/manasim run -mana
+
+.PHONY: reach
+reach:
+	@rm -rf $(REACH) && mkdir -p $(REACH)/cov
+	@for p in cmd/manasim examples/xfel-preempt examples/vaspstyle; do \
+		$(GO) build -cover -coverpkg=./... -o $(REACH)/ ./$$p || exit 1; \
+	done
+	@(export GOCOVERDIR=$(CURDIR)/$(REACH)/cov && set -e && \
+	$(REACH)/manasim experiment -name all -fast 4 && \
+	$(REACH)/manasim run -app sw4 -impl craympi && \
+	$(REACH_RUN) -app lammps -legacy -faults -ckpt 4 -drain toposort -restart-impl mpich && \
+	$(REACH_RUN) -app lammps -ranks 8 -steps 24 -mtbf 4ms -corrupt-rate 0.05 -restart-fallback && \
+	$(REACH_RUN) -app comd -ckpt 3 -steps 6 -uniform -restart-impl openmpi && \
+	$(REACH_RUN) -app lammps -ranks 8 -steps 24 -ckpt-interval 1ms \
+		-backend tier -front-cap 64 -delta -retain-bases 1 && \
+	$(REACH_RUN) -app hpcg -ckpt 2 -ckpt-dir $(REACH)/store -delta -dedup \
+		-compress -compress-tier fast-lz -restart-impl mpich && \
+	$(REACH)/manasim scrub -ckpt-dir $(REACH)/store && \
+	$(REACH)/xfel-preempt && $(REACH)/vaspstyle) >$(REACH)/log 2>&1 || \
+		{ tail -20 $(REACH)/log; exit 1; }
+	@$(GO) tool covdata func -i $(REACH)/cov | awk '$$NF == "0.0%"'
+
 ########################################
 ### Benchmarks
 

@@ -229,6 +229,9 @@ func cmdRun(args []string) error {
 		in.Steps = *steps
 		in.SimSteps = *steps
 	}
+	if last := in.EffectiveSimSteps(); *ckpt > last {
+		return fmt.Errorf("-ckpt %d is past the last step boundary, %d: the job ends before it", *ckpt, last)
+	}
 	// -mtbf runs the long-horizon service loop: the job under the
 	// injector's crash process, restarted from the checkpoint store after
 	// every crash until it completes.
@@ -455,13 +458,9 @@ func cmdScrub(args []string) error {
 // straggler windows are milliseconds against multi-second VTs).
 func reportFaults(inj *faults.Injector, st mana.Stats) {
 	p := inj.Plan()
-	fmt.Printf("faults[seed %d]: %d stragglers (x%g for %v), %d store ops failed (%d retried, %v backoff)",
+	fmt.Printf("faults[seed %d]: %d stragglers (x%g for %v), %d store ops failed (%d retried, %v backoff)\n",
 		p.Seed, p.Stragglers, faults.StragglerFactor, p.StragglerWindow(),
 		inj.StoreFaultsHit(), st.StoreRetries, st.StoreRetryVT)
-	if d, r := inj.CtlDropped(), inj.CtlDelayed(); d+r > 0 {
-		fmt.Printf(", ctl dropped=%d delayed=%d", d, r)
-	}
-	fmt.Println()
 }
 
 func report(appName, mode string, st mana.Stats, in apps.Input, start time.Time) {

@@ -116,6 +116,29 @@ func TestRunRejectsUnpairedFlags(t *testing.T) {
 	}
 }
 
+// TestRunRejectsCkptPastLastBoundary: CoMD simulates 4 steps by
+// default, so boundary 4 is its last. A checkpoint requested past it
+// would never be taken; run refuses it before launch instead of
+// checkpointing at the end and restarting a finished job.
+func TestRunRejectsCkptPastLastBoundary(t *testing.T) {
+	for _, c := range []struct {
+		ckpt string
+		want string // "" when the run must succeed
+	}{
+		{"4", ""},
+		{"5", "-ckpt 5 is past the last step boundary, 4"},
+	} {
+		args := []string{"-app", "comd", "-impl", "mpich", "-mana", "-ckpt", c.ckpt, "-uniform", "-restart-impl", "openmpi"}
+		out, err := capture(cmdRun, args...)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("run %v: %v\n%s", args, err, out)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("run %v: error %v, want one containing %q", args, err, c.want)
+		}
+	}
+}
+
 // TestRunMTBFCheckpoints: -mtbf without -ckpt-interval checkpoints at
 // the Young/Daly interval, and a crash after a committed checkpoint
 // restarts from the store. A checkpoint request lands SkewBound (8)

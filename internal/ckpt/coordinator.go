@@ -16,16 +16,6 @@ const TagAnnounce = 1
 // counter announcements on the internal communicator.
 const TagDrainCounters = 2
 
-// TagDrainAck acknowledges a received counter announcement under the
-// reliable drain protocol. Acks are never dropped by the fault
-// injector: only the first transmission of a counter row is lossy, so
-// the timeout-and-resend recovery terminates.
-const TagDrainAck = 3
-
-// TagDrainResend carries a retransmitted counter row after an ack
-// timeout. Resends, like acks, are exempt from injected loss.
-const TagDrainResend = 4
-
 // DoubleDeliverError reports a rank delivering two images into the same
 // checkpoint generation — a protocol violation that previously
 // overwrote the first image silently.

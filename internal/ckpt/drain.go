@@ -3,7 +3,6 @@ package ckpt
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"manasim/internal/mpi"
 )
@@ -62,22 +61,6 @@ type DrainEnv interface {
 	// cluster's stall diagnostic can name each parked rank's last phase
 	// instead of just its id.
 	SetPhase(phase string)
-
-	// CtlFaultsArmed reports whether injected control-message faults
-	// are possible this run. Only then do strategies take the reliable
-	// (timeout-and-resend) path, which runs on the four methods below;
-	// otherwise they take the plain lossless path.
-	CtlFaultsArmed() bool
-	// CtlNow is the rank's current virtual time.
-	CtlNow() time.Duration
-	// CtlEpoch numbers the current drain round; rows from older rounds
-	// are discarded. The post-checkpoint barrier guarantees an epoch
-	// mismatch means a strictly older round.
-	CtlEpoch() int64
-	// CtlResendTimeout is the virtual-time ack deadline before a resend.
-	CtlResendTimeout() time.Duration
-	// CtlSleep parks the rank until virtual time at.
-	CtlSleep(at time.Duration) error
 }
 
 // DrainStrategy pulls every in-flight application point-to-point

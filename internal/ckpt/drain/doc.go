@@ -35,11 +35,9 @@
 //
 // # The counter announcement
 //
-// One wire format carries a rank's cumulative send counters, in the
-// toposort announcement and, behind an epoch word, in the reliable
-// exchange both strategies fall back to under control-message faults
-// (reliable.go: [epoch | row]). A row lists only the peers the rank has
-// sent to, as int64 values:
+// The toposort announcement carries a rank's cumulative send counters
+// in one wire format. A row lists only the peers the rank has sent to,
+// as int64 values:
 //
 //	[k, peer₁, count₁, …, peer_k, count_k]     peers ascending, counts > 0
 //

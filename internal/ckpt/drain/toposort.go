@@ -31,14 +31,6 @@ type TopoSort struct{}
 func (*TopoSort) Name() string { return "toposort" }
 
 // Drain implements ckpt.DrainStrategy.
-//
-// With control-message faults armed the incremental row-by-row drain is
-// replaced by the reliable exchange: first collect every rank's
-// announcement under the timeout-and-resend protocol, then pull
-// everything in the topological order of the full graph. Incremental
-// pulling is pointless under loss — a dropped announcement would stall
-// the partial order anyway — and the reliable exchange already proves
-// all pre-cut traffic probeable when it returns.
 func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 	// The phase survives an error return: the deadlock diagnostic reports
 	// where each rank was when the job went down.
@@ -57,13 +49,6 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 	recvBase := append([]uint64(nil), env.RecvFrom()...)
 
 	g := newRows(n, me)
-	if env.CtlFaultsArmed() {
-		if err := reliableRows(env, g, mine); err != nil {
-			return fmt.Errorf("drain/toposort: reliable counter exchange: %w", err)
-		}
-		return s.drainFull(env, g, recvBase)
-	}
-
 	env.SetPhase("toposort:announce")
 	// Announce this rank's counters to every peer. The announcement is
 	// deposited after the rank's last pre-cut application send, so a
@@ -158,31 +143,6 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 			// wait always terminates — and under the rank-serial
 			// kernel a spinning rank would never yield at all.
 			if err := env.CtlWait(mpi.AnySource, ckpt.TagDrainCounters); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// drainFull pulls against the complete set of announcements (the
-// reliable-path epilogue): per-peer expectations from the rows and the
-// receive snapshot, then pull in topological order.
-func (s *TopoSort) drainFull(env ckpt.DrainEnv, g *rows, recvBase []uint64) error {
-	comms, err := env.Comms()
-	if err != nil {
-		return err
-	}
-	left := make([]int64, g.n)
-	for p := range left {
-		if left[p], err = owed(g, p, recvBase); err != nil {
-			return err
-		}
-	}
-	env.SetPhase("toposort:pull")
-	for _, w := range g.order() {
-		for ; left[w] > 0; left[w]-- {
-			if err := s.pullFrom(env, comms, int(w)); err != nil {
 				return err
 			}
 		}

@@ -22,13 +22,6 @@ type TwoPhase struct{}
 func (*TwoPhase) Name() string { return "twophase" }
 
 // Drain implements ckpt.DrainStrategy.
-//
-// When the environment reports armed control-message faults, phase one
-// runs the reliable point-to-point row exchange instead of the
-// MPI_Alltoall: the collective's completion proof does not survive a
-// dropped counter message, while the reliable exchange's all-rows +
-// all-acks exit condition proves the same cut property (every peer
-// announced after its last pre-cut send) under loss.
 func (*TwoPhase) Drain(env ckpt.DrainEnv) (err error) {
 	// The phase survives an error return: the deadlock diagnostic reports
 	// where each rank was when the job went down.
@@ -38,22 +31,9 @@ func (*TwoPhase) Drain(env ckpt.DrainEnv) (err error) {
 		}
 	}()
 	env.SetPhase("twophase:exchange")
-	var theirSent []uint64
-	if env.CtlFaultsArmed() && env.Size() > 1 {
-		g := newRows(env.Size(), env.Rank())
-		if err := reliableRows(env, g, appendRow(nil, env.SentTo())); err != nil {
-			return fmt.Errorf("drain/twophase: reliable counter exchange: %w", err)
-		}
-		theirSent = make([]uint64, env.Size())
-		for p, sent := range g.toMe {
-			theirSent[p] = uint64(sent)
-		}
-	} else {
-		var err error
-		theirSent, err = env.ExchangeAll(env.SentTo())
-		if err != nil {
-			return fmt.Errorf("drain/twophase: counter exchange: %w", err)
-		}
+	theirSent, err := env.ExchangeAll(env.SentTo())
+	if err != nil {
+		return fmt.Errorf("drain/twophase: counter exchange: %w", err)
 	}
 
 	recvFrom := env.RecvFrom()

@@ -45,22 +45,7 @@ func appState(sz, gen int) []byte {
 // the store's delta plan.
 func commitGen(t *testing.T, s *Store, n, step int, app func(rank int) []byte) Generation {
 	t.Helper()
-	images := make([][]byte, n)
-	for r := 0; r < n; r++ {
-		img := testImage(r, n, step, app(r))
-		var data []byte
-		var err error
-		if parent, pgen, ok := s.PlanDelta(r); ok {
-			data, _, err = ckptimg.EncodeDelta(img, parent, pgen, s.EncodeOptions())
-		} else {
-			data, err = ckptimg.EncodeOpts(img, s.EncodeOptions())
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		images[r] = data
-	}
-	gen, err := s.Commit(images)
+	gen, err := s.Commit(encodeGen(t, s, n, step, app))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package ckptstore
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -304,6 +305,55 @@ func TestDedupRollbackKeepsSharedBlobs(t *testing.T) {
 	}
 	if errors.Is(err, ErrPruned) {
 		t.Fatal("unexpected prune")
+	}
+}
+
+// TestDedupManifestFailureRevertsRefs: a dedup commit that fails at its
+// manifest write has already applied its refcount increments, so the
+// rollback must take them back. Afterwards the refcount table equals a
+// from-scratch recount of the same backend, no blob the commit
+// introduced remains, and the next commit succeeds and reads back.
+func TestDedupManifestFailureRevertsRefs(t *testing.T) {
+	const n = 2
+	var fb *flakyBackend
+	o := dedupOptions()
+	o.Backend, o.Dir = "fs", t.TempDir()
+	o.WrapBackend = func(b Backend) Backend {
+		fb = &flakyBackend{Backend: b}
+		return fb
+	}
+	s := mustOpen(n, o)
+	app := func(gen int) func(int) []byte {
+		return func(r int) []byte { return sharedAppState(4<<10, r, gen) }
+	}
+	commitGen(t, s, n, 0, app(0))
+	blobs := listBlobKeys(t, s)
+
+	fb.failPut = manifestKey
+	if _, err := s.Commit(encodeGen(t, s, n, 1, app(1))); err == nil {
+		t.Fatal("commit over a failing manifest write succeeded")
+	}
+	fb.failPut = ""
+	if got := listBlobKeys(t, s); !reflect.DeepEqual(got, blobs) {
+		t.Fatalf("blobs after the failed commit %v, want the committed %v", got, blobs)
+	}
+	recount, err := OpenExisting(Options{Backend: "fs", Dir: o.Dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s.blobRefs, recount.blobRefs) {
+		t.Fatalf("refcounts after the failed commit %v, a recount gives %v", s.blobRefs, recount.blobRefs)
+	}
+
+	g := commitGen(t, s, n, 1, app(1))
+	imgs, _, err := s.MaterializeStream(g.Seq)
+	if err != nil {
+		t.Fatalf("generation committed after the rollback unreadable: %v", err)
+	}
+	for r, img := range imgs {
+		if !bytes.Equal(img.AppState, app(1)(r)) {
+			t.Fatalf("rank %d restored the wrong state", r)
+		}
 	}
 }
 

@@ -11,7 +11,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -72,8 +71,12 @@ type Job struct {
 
 	n       int
 	kern    *kernel.Kernel
-	errs    []error
 	started time.Time
+	// err is the job's first rank failure, by rank firstRank: the root
+	// cause, since every failure closes the fabric and so fails the
+	// peers blocked in communication after it.
+	err       error
+	firstRank int
 
 	// label names the job once multiple jobs share a process
 	// (internal/sched); it feeds the deadlock diagnostics. Set via
@@ -101,7 +104,7 @@ func (j *Job) SetRankPhase(rank int, phase string) {
 }
 
 // rankPhases renders the non-empty phase entries for the deadlock
-// diagnostic, e.g. "rank 0: reliable:absorb rows=3/4 acks=2/4".
+// diagnostic, e.g. "rank 0: toposort:drain rows=3/4 outstanding=2".
 func (j *Job) rankPhases() string {
 	out := ""
 	for r, p := range j.phases {
@@ -119,13 +122,6 @@ func (j *Job) rankPhases() string {
 	return out
 }
 
-// crashError matches the fault injector's typed node-crash failure
-// without importing it: the contract is the CrashVT method.
-type crashError interface {
-	error
-	CrashVT() time.Duration
-}
-
 // New builds a job with n ranks over a fresh fabric of the given
 // lower-half session (transport.Fabric.SetSession: 0 for a fresh
 // launch), instantiating the lower half with the given implementation
@@ -141,7 +137,6 @@ func New(n int, session uint64, factory Factory, net simtime.NetModel) *Job {
 		Procs:  make([]mpi.Proc, n),
 		n:      n,
 		kern:   kernel.New(n),
-		errs:   make([]error, n),
 		phases: make([]string, n),
 	}
 	fab.SetScheduler(j.kern, net.TransferCost)
@@ -182,22 +177,28 @@ func (j *Job) Start(fn RankFn) {
 		j.kern.Go(rank, func() {
 			defer func() {
 				if p := recover(); p != nil {
-					j.errs[rank] = fmt.Errorf("panic: %v", p)
-					j.Fabric.Close()
+					j.fail(rank, fmt.Errorf("panic: %v", p))
 				}
 			}()
-			j.errs[rank] = fn(rank, j.Procs[rank], j.Clocks[rank])
-			if j.errs[rank] != nil {
-				// A failed rank aborts the job step so peers blocked
-				// in communication do not hang.
-				j.Fabric.Close()
+			if err := fn(rank, j.Procs[rank], j.Clocks[rank]); err != nil {
+				j.fail(rank, err)
 			}
 		})
 	}
 }
 
+// fail records rank's error if it is the job's first and aborts the
+// job step, so peers blocked in communication do not hang.
+func (j *Job) fail(rank int, err error) {
+	if j.err == nil {
+		j.err, j.firstRank = err, rank
+	}
+	j.Fabric.Close()
+}
+
 // WaitResult runs the job until every rank returns and reports the
-// outcome. The error is the lowest-rank failure, wrapped with its rank.
+// outcome. The error is the job's first failure, wrapped with its rank:
+// the ranks that fail after it fail in the teardown it started.
 func (j *Job) WaitResult() (Result, error) {
 	j.kern.Run()
 	res := Result{
@@ -211,33 +212,15 @@ func (j *Job) WaitResult() (Result, error) {
 		}
 	}
 	var err error
-	for r := 0; r < j.n; r++ {
-		if j.errs[r] != nil {
-			inner := j.errs[r]
-			if j.kern.Stalled() {
-				owner := ""
-				if j.label != "" {
-					owner = fmt.Sprintf("job %q: ", j.label)
-				}
-				inner = fmt.Errorf("%sevent-kernel deadlock (every rank blocked with no message in flight; %s): %w", owner, j.rankPhases(), inner)
+	if inner := j.err; inner != nil {
+		if j.kern.Stalled() {
+			owner := ""
+			if j.label != "" {
+				owner = fmt.Sprintf("job %q: ", j.label)
 			}
-			err = &RankError{Rank: r, Err: inner}
-			break
+			inner = fmt.Errorf("%sevent-kernel deadlock (every rank blocked with no message in flight; %s): %w", owner, j.rankPhases(), inner)
 		}
-	}
-	// An injected node crash tears down the fabric, so peers fail with
-	// transport-closed errors; the crash itself is the root cause and is
-	// preferred over a lower-ranked peer's secondary failure.
-	if err != nil {
-		var ce crashError
-		if !errors.As(err, &ce) {
-			for r := 0; r < j.n; r++ {
-				if j.errs[r] != nil && errors.As(j.errs[r], &ce) {
-					err = &RankError{Rank: r, Err: j.errs[r]}
-					break
-				}
-			}
-		}
+		err = &RankError{Rank: j.firstRank, Err: inner}
 	}
 	j.Fabric.Close()
 	return res, err

@@ -43,20 +43,39 @@ func TestRunCollectsResults(t *testing.T) {
 	}
 }
 
-func TestLowestRankErrorWins(t *testing.T) {
+// TestFirstFailureWins: the job reports the rank that failed first, not
+// the lowest rank that failed. A failure closes the fabric, so peers
+// blocked in a receive fail after it with the teardown's error; naming
+// one of them would hide the cause.
+func TestFirstFailureWins(t *testing.T) {
 	sentinel := errors.New("boom")
-	_, err := Run(4, fakeFactory, simtime.NetModel{}, func(rank int, p mpi.Proc, clock *simtime.Clock) error {
-		if rank == 1 || rank == 3 {
-			return sentinel
-		}
-		return nil
-	})
-	var re *RankError
-	if !errors.As(err, &re) {
-		t.Fatalf("error %v", err)
-	}
-	if re.Rank != 1 || !errors.Is(err, sentinel) {
-		t.Fatalf("wrong rank error %v", re)
+	for _, c := range []struct {
+		name string
+		fail func(rank int) bool
+		want int
+	}{
+		{"ranks 1 and 3 fail in turn", func(r int) bool { return r == 1 || r == 3 }, 1},
+		{"rank 2 fails while 0 and 1 wait", func(r int) bool { return r == 2 }, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			j := New(4, 0, fakeFactory, simtime.NetModel{})
+			j.Start(func(rank int, p mpi.Proc, clock *simtime.Clock) error {
+				if c.fail(rank) {
+					return sentinel
+				}
+				if rank < c.want {
+					// Blocks until the failure tears the fabric down.
+					_, err := j.Fabric.Endpoint(rank).Recv(transport.Match{Context: 1, Src: 3, Tag: 0})
+					return err
+				}
+				return nil
+			})
+			_, err := j.WaitResult()
+			var re *RankError
+			if !errors.As(err, &re) || re.Rank != c.want || !errors.Is(err, sentinel) {
+				t.Fatalf("job error %v, want rank %d's %v", err, c.want, sentinel)
+			}
+		})
 	}
 }
 
@@ -219,7 +238,7 @@ func TestStallDiagnosticReportsPhases(t *testing.T) {
 		case 0:
 			j.SetRankPhase(0, "twophase:exchange")
 		case 1:
-			j.SetRankPhase(1, "reliable:absorb rows=2/3")
+			j.SetRankPhase(1, "toposort:drain rows=2/3 outstanding=1")
 		case 2:
 			j.SetRankPhase(2, "done")
 		}
@@ -231,7 +250,7 @@ func TestStallDiagnosticReportsPhases(t *testing.T) {
 		t.Fatal("deadlocked job reported success")
 	}
 	msg := err.Error()
-	for _, want := range []string{"rank 0: twophase:exchange", "rank 1: reliable:absorb rows=2/3"} {
+	for _, want := range []string{"rank 0: twophase:exchange", "rank 1: toposort:drain rows=2/3 outstanding=1"} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("diagnostic %q missing %q", msg, want)
 		}

@@ -84,7 +84,6 @@ func (r *Runtime) doCheckpoint(step int) error {
 		return fmt.Errorf("mana: no application snapshot hook installed")
 	}
 	ckptStart := r.clock.Now()
-	r.ckptEpoch++
 
 	// Phase 1: complete pending receive requests in place. Their
 	// matching sends were issued before the senders' cuts, so the

@@ -2,7 +2,6 @@ package mana
 
 import (
 	"fmt"
-	"time"
 
 	"manasim/internal/ckpt"
 	"manasim/internal/ckptimg"
@@ -223,44 +222,7 @@ func (e drainEnv) Pull(c ckpt.DrainComm, st mpi.Status) (int, error) {
 }
 
 // ---------------------------------------------------------------------
-// the reliable drain path and phase reporting
-
-// CtlFaultsArmed implements ckpt.DrainEnv: the drain strategies
-// switch to the acknowledged counter-row protocol only when a fault
-// injector may actually drop or delay control messages.
-func (e drainEnv) CtlFaultsArmed() bool {
-	f := e.r.cfg.Faults
-	return f != nil && f.CtlArmed()
-}
-
-// CtlNow implements ckpt.DrainEnv.
-func (e drainEnv) CtlNow() time.Duration { return e.r.clock.Now() }
-
-// CtlEpoch implements ckpt.DrainEnv: the drain round number stamped
-// on reliable counter rows, so a resent row from an earlier checkpoint
-// cannot be mistaken for this round's.
-func (e drainEnv) CtlEpoch() int64 { return e.r.ckptEpoch }
-
-// CtlResendTimeout implements ckpt.DrainEnv.
-func (e drainEnv) CtlResendTimeout() time.Duration {
-	return e.r.cfg.Faults.CtlResendTimeout()
-}
-
-// CtlSleep implements ckpt.DrainEnv: park the rank in virtual time
-// until at, so a resend timeout consumes modeled time instead of
-// spinning. Sleeping is the kernel's timed reschedule; the lower half
-// surfaces it as SleepUntil.
-func (e drainEnv) CtlSleep(at time.Duration) error {
-	r := e.r
-	s, ok := r.lower.(interface{ SleepUntil(time.Duration) error })
-	if !ok {
-		return fmt.Errorf("mana: lower half %q cannot sleep in virtual time", r.lower.ImplName())
-	}
-	r.bnd.Enter()
-	err := s.SleepUntil(at)
-	r.bnd.Leave()
-	return err
-}
+// phase reporting
 
 // SetPhase implements ckpt.DrainEnv: post the rank's current
 // drain-protocol phase to the cluster's stall-diagnostic board.

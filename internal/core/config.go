@@ -115,11 +115,10 @@ type Config struct {
 	Kernel cluster.KernelKind
 	// Faults is the seeded fault injector driving this job (nil: no
 	// faults). The runtime checks its crash schedule at every wrapper
-	// call and step boundary, applies its straggler windows to the rank
-	// clocks, and registers the internal communicator's context for the
-	// control-message filter; the job layer attaches the transport
-	// filter. One injector may be shared by a whole service run spanning
-	// restarts — its schedule lives in cumulative service virtual time.
+	// call and step boundary and applies its straggler windows to the
+	// rank clocks. One injector may be shared by a whole service run
+	// spanning restarts — its schedule lives in cumulative service
+	// virtual time.
 	Faults *faults.Injector
 	// CkptInterval, when positive, checkpoints periodically: rank 0
 	// requests an asynchronous checkpoint whenever that much virtual

@@ -138,38 +138,22 @@ func newSession(cfg Config, n int, session uint64, gen int) (*Session, error) {
 }
 
 // armFaults propagates the job's label to the cluster layer and the
-// fault injector, and attaches a configured injector's control-message
-// filter to the job's fabric.
+// fault injector.
 func armFaults(cfg Config, job *cluster.Job) {
 	job.SetLabel(cfg.JobLabel)
-	if cfg.Faults == nil {
-		return
-	}
-	if cfg.JobLabel != "" {
+	if cfg.Faults != nil && cfg.JobLabel != "" {
 		cfg.Faults.SetJobLabel(cfg.JobLabel)
 	}
-	cfg.Faults.AttachFabric(job.Fabric)
 }
 
 // wireFaults connects a freshly built runtime and its rank clock to the
 // job's fault plumbing: the per-rank drain-phase board always (it feeds
-// the event kernel's deadlock diagnostic), and — when an injector is
-// configured — the injector's straggler windows plus the internal
-// communicator's transport context, which the control-message filter
-// needs to tell drain counter rows from application traffic.
+// the event kernel's deadlock diagnostic), and the injector's straggler
+// windows when one is configured.
 func (s *Session) wireFaults(rt *Runtime, rank int, clock *simtime.Clock) {
 	rt.phaseFn = func(p string) { s.job.SetRankPhase(rank, p) }
-	f := s.cfg.Faults
-	if f == nil {
-		return
-	}
-	f.ApplyStragglers(rank, clock)
-	if cc, ok := rt.lower.(interface {
-		CommContext(mpi.Handle) (uint32, error)
-	}); ok {
-		if ctx, err := cc.CommContext(rt.manaComm); err == nil {
-			f.RegisterCtlContext(ctx)
-		}
+	if f := s.cfg.Faults; f != nil {
+		f.ApplyStragglers(rank, clock)
 	}
 }
 

@@ -57,8 +57,6 @@ type hiddenLower struct {
 type lowerExtras interface {
 	SetAbort(func(int))
 	SetResolvedCaller(bool)
-	CommContext(mpi.Handle) (uint32, error)
-	SleepUntil(time.Duration) error
 }
 
 // pollOutcome is what the oracle compares between the two variants:

@@ -92,9 +92,6 @@ type Runtime struct {
 	// its checkpoint-cost probe from rank 0's lists.
 	ckptVTs   []time.Duration
 	ckptCosts []time.Duration
-	// ckptEpoch numbers the drain rounds this runtime has started; the
-	// reliable drain protocol stamps its control rows with it.
-	ckptEpoch int64
 	// phaseFn posts the rank's drain-protocol phase to the cluster's
 	// stall-diagnostic board (nil outside a job).
 	phaseFn func(string)

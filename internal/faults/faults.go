@@ -8,9 +8,7 @@ import (
 	"strings"
 	"time"
 
-	"manasim/internal/ckpt"
 	"manasim/internal/simtime"
-	"manasim/internal/transport"
 )
 
 // Kind enumerates the injectable fault kinds.
@@ -23,11 +21,6 @@ const (
 	// Straggler multiplies one rank's compute/translation cost for a
 	// virtual-time window.
 	Straggler
-	// CtlLoss drops a drain-counter control message in the transport.
-	CtlLoss
-	// CtlReorder delays a drain-counter control message, so it is
-	// observed at a later virtual time than its peers.
-	CtlReorder
 	// StoreFault makes backend Put/Get on one blob key fail.
 	StoreFault
 	// StoreCorrupt silently damages the stored bytes of a backend blob
@@ -44,10 +37,6 @@ func (k Kind) String() string {
 		return "crash"
 	case Straggler:
 		return "straggler"
-	case CtlLoss:
-		return "ctl-loss"
-	case CtlReorder:
-		return "ctl-reorder"
 	case StoreFault:
 		return "store-fault"
 	case StoreCorrupt:
@@ -63,8 +52,8 @@ func (k Kind) String() string {
 // clock.
 type Event struct {
 	Kind Kind
-	// Rank is the target rank (crash, straggler) or the sending rank
-	// (control-message faults). Unused for store faults.
+	// Rank is the target rank (crash, straggler). Unused for store
+	// faults.
 	Rank int
 	// At arms crash and straggler events at this service virtual time.
 	At time.Duration
@@ -78,11 +67,6 @@ type Event struct {
 	// [At, At+Window) cost Factor times as much.
 	Factor float64
 	Window time.Duration
-	// Nth selects the Nth droppable control message sent by Rank
-	// (1-based, counted per sender across the injector's lifetime).
-	Nth uint64
-	// Delay is the virtual-time delivery delay of a CtlReorder.
-	Delay time.Duration
 	// Key is the faulted blob key of a StoreFault ("gen0002/rank01",
 	// "manifest"); Ops is how many operations on it fail transiently.
 	// Permanent makes every operation on the key fail non-transiently.
@@ -99,7 +83,7 @@ type Event struct {
 
 // Plan parameterizes the generated fault timeline. Zero values disable
 // the corresponding fault kind; Events appends scripted events
-// verbatim (step-targeted crashes, control-message faults, keyed
+// verbatim (step-targeted crashes, keyed store faults and
 // corruptions).
 type Plan struct {
 	// Seed feeds the single rand.Source the whole timeline is drawn
@@ -136,14 +120,9 @@ type Plan struct {
 // charges cost.
 const StragglerFactor = 4.0
 
-const (
-	// storeFaultOps is how many operations on a generated StoreFault
-	// key fail.
-	storeFaultOps = 2
-	// ctlResendTimeout is the drain protocol's retransmission timeout
-	// under armed control faults.
-	ctlResendTimeout = time.Millisecond
-)
+// storeFaultOps is how many operations on a generated StoreFault key
+// fail.
+const storeFaultOps = 2
 
 // StragglerWindow is how long each generated straggler window lasts:
 // MTBF/4, or 1ms without an MTBF.
@@ -185,11 +164,6 @@ func (e *CrashError) Error() string {
 	return b.String()
 }
 
-// CrashVT reports the killed rank's virtual time. The cluster layer
-// detects injected crashes through this method to avoid importing the
-// fault package.
-func (e *CrashError) CrashVT() time.Duration { return e.VT }
-
 // storeFaultState tracks one faulted blob key's remaining failures.
 type storeFaultState struct {
 	left      int
@@ -199,10 +173,9 @@ type storeFaultState struct {
 // Injector holds a fully precomputed fault timeline plus the small
 // amount of consumption state the run mutates. It holds no lock: it has
 // one caller at a time — the rank holding the kernel's execution token
-// (the wrapper-call and boundary checks, the control-message filter,
-// the store decorator under a rank's commit) or the goroutine that owns
-// the job between runs — and the kernel's coroutine switch orders each
-// caller after the last.
+// (the wrapper-call and boundary checks, the store decorator under a
+// rank's commit) or the goroutine that owns the job between runs — and
+// the kernel's coroutine switch orders each caller after the last.
 type Injector struct {
 	plan Plan
 
@@ -226,12 +199,6 @@ type Injector struct {
 	// calls within it, for scripted crashes.
 	stepOf      []int
 	callsInStep []int
-	// ctlSent counts droppable control messages per sending rank.
-	ctlSent []uint64
-	// ctlFaults holds unconsumed control-message events.
-	ctlFaults []*Event
-	// ctlCtx is the set of registered internal-communicator contexts.
-	ctlCtx map[uint32]bool
 	// store maps faulted blob keys to their remaining failures.
 	store map[string]*storeFaultState
 	// corrupt maps blob keys to their scheduled silent corruption;
@@ -243,8 +210,6 @@ type Injector struct {
 	corrupted       map[string]bool
 	// counters for diagnostics and tests.
 	firedCrashes int
-	droppedCtl   int
-	delayedCtl   int
 	storeHits    int
 }
 
@@ -260,8 +225,6 @@ func NewInjector(n int, p Plan) *Injector {
 		plan:        p,
 		stepOf:      make([]int, n),
 		callsInStep: make([]int, n),
-		ctlSent:     make([]uint64, n),
-		ctlCtx:      make(map[uint32]bool),
 		store:       make(map[string]*storeFaultState),
 		corrupt:     make(map[string]*storeCorruptState),
 		corrupted:   make(map[string]bool),
@@ -331,8 +294,6 @@ func (inj *Injector) index() {
 			} else {
 				inj.crashes = append(inj.crashes, *ev)
 			}
-		case CtlLoss, CtlReorder:
-			inj.ctlFaults = append(inj.ctlFaults, ev)
 		case StoreFault:
 			st := inj.store[ev.Key]
 			if st == nil {
@@ -378,16 +339,6 @@ func (inj *Injector) SetJobLabel(job string) {
 func (inj *Injector) crashErr(rank int, vt time.Duration) *CrashError {
 	return &CrashError{Rank: rank, VT: vt, Job: inj.jobLabel}
 }
-
-// CtlArmed reports whether any control-message faults are scheduled;
-// armed control faults switch the drain protocol to its reliable
-// announce/ack exchange with virtual-time retransmission timeouts.
-func (inj *Injector) CtlArmed() bool {
-	return len(inj.ctlFaults) > 0 || inj.droppedCtl > 0 || inj.delayedCtl > 0
-}
-
-// CtlResendTimeout is the drain protocol's retransmission timeout.
-func (inj *Injector) CtlResendTimeout() time.Duration { return ctlResendTimeout }
 
 // ---------------------------------------------------------------------
 // crash schedule
@@ -496,65 +447,4 @@ func (inj *Injector) ApplyStragglers(rank int, clock *simtime.Clock) {
 		}
 		clock.Slow(ev.Factor, from, until)
 	}
-}
-
-// ---------------------------------------------------------------------
-// control-message faults
-
-// RegisterCtlContext marks a communicator context as carrying MANA's
-// internal control traffic; the fabric filter only ever touches
-// drain-counter messages on registered contexts.
-func (inj *Injector) RegisterCtlContext(ctx uint32) {
-	inj.ctlCtx[ctx] = true
-}
-
-// AttachFabric installs the injector's control-message filter on the
-// job's fabric. Call before the job starts; a no-op unless control
-// faults are armed.
-func (inj *Injector) AttachFabric(fab *transport.Fabric) {
-	if !inj.CtlArmed() {
-		return
-	}
-	fab.SetFaultFilter(inj.filterCtl)
-}
-
-// filterCtl drops or delays scheduled drain-counter announcements.
-// Only first-transmission announcements (ckpt.TagDrainCounters) on a
-// registered internal-communicator context are eligible: the reliable
-// drain's retransmissions and acks use distinct tags and always get
-// through, which is what lets the recovery protocol terminate.
-func (inj *Injector) filterCtl(m *transport.Message) (bool, time.Duration) {
-	if m.Tag != ckpt.TagDrainCounters {
-		return false, 0
-	}
-	if !inj.ctlCtx[m.Context] {
-		return false, 0
-	}
-	inj.ctlSent[m.Src]++
-	nth := inj.ctlSent[m.Src]
-	for i, ev := range inj.ctlFaults {
-		if ev == nil || ev.Rank != m.Src || ev.Nth != nth {
-			continue
-		}
-		inj.ctlFaults[i] = nil
-		switch ev.Kind {
-		case CtlLoss:
-			inj.droppedCtl++
-			return true, 0
-		case CtlReorder:
-			inj.delayedCtl++
-			return false, ev.Delay
-		}
-	}
-	return false, 0
-}
-
-// CtlDropped and CtlDelayed report the injected control-plane effects.
-func (inj *Injector) CtlDropped() int {
-	return inj.droppedCtl
-}
-
-// CtlDelayed reports how many control messages were delay-injected.
-func (inj *Injector) CtlDelayed() int {
-	return inj.delayedCtl
 }

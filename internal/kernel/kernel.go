@@ -130,8 +130,8 @@ func (k *Kernel) Park(rank int) {
 // sleep in virtual time. Unlike Park there is no early wake — a Wake
 // arriving while the rank is sleeping finds it in the ready state and
 // is a no-op, so callers re-check their condition after the deadline
-// and sleep again if needed. This is the primitive behind the drain
-// protocol's retransmission timeouts.
+// and sleep again if needed. Nothing in the model sleeps; it stays for
+// the SleepUntil chain bench/trace.go asserts (ROADMAP item 10).
 func (k *Kernel) ParkUntil(rank int, at time.Duration) {
 	k.state[rank] = stReady
 	k.queue.Push(at, rank)

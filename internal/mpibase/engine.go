@@ -147,7 +147,7 @@ func (e *Engine) sendRaw(c *Comm, ctx uint32, buf []byte, count int, dt *Dtype, 
 	payload := dt.PackInto(e.Fab.Buf(count*dt.SizeB), buf, count)
 	e.Clock.Advance(e.Net.Overhead)
 	if err := e.Ep.SendOwned(world, ctx, tag, payload, e.Clock.Now()); err != nil {
-		return mpi.Errorf(mpi.ErrOther, "transport: %v", err)
+		return mpi.Errorf(mpi.ErrOther, "%v", err)
 	}
 	return nil
 }
@@ -202,22 +202,21 @@ func (e *Engine) recvRaw(c *Comm, ctx uint32, buf []byte, count int, dt *Dtype, 
 	}
 	msg, err := e.Ep.Recv(m)
 	if err != nil {
-		return mpi.Status{}, mpi.Errorf(mpi.ErrOther, "transport: %v", err)
+		return mpi.Status{}, mpi.Errorf(mpi.ErrOther, "%v", err)
 	}
 	return e.finishRecv(c, &msg, buf, count, dt)
 }
 
 // SleepUntil parks the rank until virtual time at and merges the clock
-// forward to at. It backs the drain protocol's retransmission timeouts
-// (the transport reports ErrNoScheduler when no timed scheduler is
-// attached). Sleeping to a time already in the past returns
-// immediately after a zero-length park.
+// forward to at (the transport reports ErrNoScheduler when no timed
+// scheduler is attached). Sleeping to a time already in the past
+// returns immediately after a zero-length park.
 func (e *Engine) SleepUntil(at time.Duration) error {
 	if at < e.Clock.Now() {
 		at = e.Clock.Now()
 	}
 	if err := e.Ep.SleepUntil(at); err != nil {
-		return mpi.Errorf(mpi.ErrOther, "transport: %v", err)
+		return mpi.Errorf(mpi.ErrOther, "%v", err)
 	}
 	e.Clock.MergeAtLeast(at)
 	return nil
@@ -270,7 +269,7 @@ func (e *Engine) Probe(c *Comm, src, tag int) (mpi.Status, error) {
 			continue
 		}
 		if err := e.Ep.WaitMatch(m); err != nil {
-			return mpi.Status{}, mpi.Errorf(mpi.ErrOther, "transport: %v", err)
+			return mpi.Status{}, mpi.Errorf(mpi.ErrOther, "%v", err)
 		}
 	}
 }
@@ -318,7 +317,7 @@ func (e *Engine) Test(r *Req) (bool, mpi.Status, error) {
 	}
 	msg, ok, err := e.Ep.TryRecv(m)
 	if err != nil {
-		return false, mpi.Status{}, mpi.Errorf(mpi.ErrOther, "transport: %v", err)
+		return false, mpi.Status{}, mpi.Errorf(mpi.ErrOther, "%v", err)
 	}
 	if !ok {
 		return false, mpi.Status{}, nil

@@ -183,16 +183,16 @@ func (p *Proc) request(h mpi.Handle) (*Req, error) {
 	return o.(*Req), nil
 }
 
-// SleepUntil parks the rank until virtual time at.
-// It is not part of mpi.Proc: the checkpoint layer discovers it with a
-// type assertion when the drain protocol needs retransmission timeouts.
+// SleepUntil parks the rank until virtual time at. It is not part of
+// mpi.Proc, and nothing in the model calls it: it stays only because
+// bench/trace.go's lowerExtras asserts it (ROADMAP item 10).
 func (p *Proc) SleepUntil(at time.Duration) error {
 	return p.Eng.SleepUntil(at)
 }
 
 // CommContext reports the transport context id of a communicator. Like
-// SleepUntil it is discovered by assertion: the fault injector needs
-// the internal communicator's context to target control messages.
+// SleepUntil it has no caller in the model and stays only for
+// bench/trace.go's lowerExtras (ROADMAP item 10).
 func (p *Proc) CommContext(comm mpi.Handle) (uint32, error) {
 	c, err := p.comm(comm)
 	if err != nil {

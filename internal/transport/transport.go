@@ -158,13 +158,6 @@ type Scheduler interface {
 	Wake(rank int, at time.Duration)
 }
 
-// FaultFilter inspects an outgoing message before it is deposited. It
-// returns drop=true to discard the message entirely, or a positive
-// delay to push its effective send timestamp later in virtual time
-// (modeling a slow control path). The filter runs on the sender's rank
-// activity and must be deterministic.
-type FaultFilter func(m *Message) (drop bool, delay time.Duration)
-
 // Fabric is one interconnect instance serving one simulated job. All
 // ranks of the job share the fabric; a restart builds a brand-new one.
 type Fabric struct {
@@ -173,7 +166,6 @@ type Fabric struct {
 	nextCtx uint32
 	boxes   []*mailbox
 	closed  bool
-	filter  FaultFilter
 
 	// ents holds free queue entries, taken by sends to any mailbox.
 	// Only the token holder touches it or bufs (see the package comment).
@@ -228,12 +220,6 @@ func (f *Fabric) SetScheduler(s Scheduler, cost func(bytes int) time.Duration) {
 		b.cost = cost
 	}
 }
-
-// SetFaultFilter installs a fault filter applied to every Send. Like
-// SetScheduler it must be called before any endpoint operation; the
-// fault injector attaches it when control-message faults are armed.
-// Passing nil removes the filter.
-func (f *Fabric) SetFaultFilter(fn FaultFilter) { f.filter = fn }
 
 // Size returns the number of ranks served by the fabric.
 func (f *Fabric) Size() int { return len(f.ranks) }
@@ -370,19 +356,6 @@ func (e *Endpoint) SendOwned(dst int, ctx uint32, tag int, payload []byte, sendV
 		Tag:     tag,
 		Payload: payload,
 		SendVT:  sendVT,
-	}
-	if fn := e.fabric.filter; fn != nil {
-		drop, delay := fn(&ent.m)
-		if drop {
-			// The bytes left the sender and vanished on the wire: the
-			// send itself still succeeded. The entry was never linked,
-			// so it goes straight back.
-			e.fabric.recycle(ent)
-			return nil
-		}
-		if delay > 0 {
-			ent.m.SendVT += delay
-		}
 	}
 	return box.put(ent)
 }

@@ -303,8 +303,8 @@ func countFlags(t *testing.T, path string) int {
 // keptExports names the unused exports the tree keeps on purpose and
 // why; `make size` prints each beside its reason.
 var keptExports = map[string]string{
-	"cluster.crashError.CrashVT":       "the contract behind cluster's errors.As on a crashed rank",
-	"faults.CrashError.CrashVT":        "the contract behind cluster's errors.As on an injected crash",
+	"mpibase.Proc.CommContext":         "bench/trace.go's lowerExtras asserts it on every traced lower half (ROADMAP item 10)",
+	"mpibase.Proc.SleepUntil":          "bench/trace.go's lowerExtras asserts it on every traced lower half (ROADMAP item 10)",
 	"apps.Spec.Compatible":             "states which implementations an application runs on",
 	"ckptstore.Store.LastRetentionErr": "the only reader of a failed retention pass",
 }
