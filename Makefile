@@ -87,7 +87,7 @@ reach:
 	done
 	@(export GOCOVERDIR=$(CURDIR)/$(REACH)/cov && set -e && \
 	$(REACH)/manasim experiment -name all -fast 4 && \
-	$(REACH)/manasim run -app sw4 -impl craympi && \
+	$(REACH_RUN) -app sw4 -impl craympi -ckpt 2 -uniform -restart-impl openmpi && \
 	$(REACH_RUN) -app lammps -legacy -faults -ckpt 4 -drain toposort -restart-impl mpich && \
 	$(REACH_RUN) -app lammps -ranks 8 -steps 24 -mtbf 4ms -corrupt-rate 0.05 -restart-fallback && \
 	$(REACH_RUN) -app comd -ckpt 3 -steps 6 -uniform -restart-impl openmpi && \

@@ -318,11 +318,16 @@ func cmdRun(args []string) error {
 	}
 
 	if *ckpt < 0 {
-		st, _, err := mana.Run(cfg, in.Ranks, spec.New(in), -1)
+		s, err := mana.StartJob(cfg, in.Ranks, spec.New(in))
+		if err != nil {
+			return err
+		}
+		st, err := s.Wait()
 		if err != nil {
 			return err
 		}
 		report(*appName, "MANA/"+*implName, st, in, start)
+		reportCheckpoints(s.Store(), st)
 		if cfg.Faults != nil {
 			reportFaults(cfg.Faults, st)
 		}
@@ -451,6 +456,17 @@ func cmdScrub(args []string) error {
 		return fmt.Errorf("scrub: %d generation(s) quarantined: %v — restart will skip them under -restart-fallback", len(q), q)
 	}
 	return nil
+}
+
+// reportCheckpoints prints one line per checkpoint a periodic run
+// committed (the store's newest generations) with rank 0's commit and
+// cost VT.
+func reportCheckpoints(store *ckptstore.Store, st mana.Stats) {
+	gens := store.Generations()
+	for i, g := range gens[len(gens)-st.CkptTaken:] {
+		fmt.Printf("checkpoint: generation %d at step %d, %d KB stored, committed at vt=%.3fs (cost %.3fs)\n",
+			g.Seq, g.Step, g.Bytes/1024, st.CkptVTs[i].Seconds(), st.CkptCostVTs[i].Seconds())
+	}
 }
 
 // reportFaults summarizes what the injector actually did to a single

@@ -9,8 +9,14 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"manasim/internal/apps"
+	ckptsub "manasim/internal/ckpt"
+	mana "manasim/internal/core"
 	"manasim/internal/harness"
+	"manasim/internal/impls"
+	"manasim/internal/simtime"
 )
 
 // runCaptured runs cmdRun with args and returns what it printed.
@@ -163,6 +169,41 @@ func TestRunMTBFCheckpoints(t *testing.T) {
 		}
 		if c.restart && restarts == 0 {
 			t.Errorf("-mtbf %s: no crash restarted from the store:\n%s", c.mtbf, out)
+		}
+	}
+}
+
+// TestRunPrintsPeriodicCheckpoints: a -ckpt-interval run prints one
+// line per checkpoint it committed, as many as the same job run
+// directly reports in Stats.CkptTaken, in generation order.
+func TestRunPrintsPeriodicCheckpoints(t *testing.T) {
+	out := runCaptured(t, "-app", "lammps", "-mana", "-ranks", "8", "-steps", "24", "-ckpt-interval", "1ms")
+	lines := regexp.MustCompile(`(?m)^checkpoint: generation (\d+) at step \d+, \d+ KB stored, committed at vt=[0-9.]+s \(cost [0-9.]+s\)$`).
+		FindAllStringSubmatch(out, -1)
+
+	spec, err := apps.ByName("lammps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := spec.DefaultInput(apps.SiteDiscovery)
+	in.Ranks, in.Steps, in.SimSteps = 8, 24, 24
+	factory, err := impls.Get("mpich")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := mana.Run(mana.Config{
+		ImplName: "mpich", Factory: factory, Host: simtime.Discovery(),
+		DrainStrategy: ckptsub.DefaultDrain, CkptInterval: time.Millisecond,
+	}, in.Ranks, spec.New(in), -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CkptTaken == 0 || len(lines) != st.CkptTaken {
+		t.Fatalf("printed %d checkpoint lines, the job took %d checkpoints:\n%s", len(lines), st.CkptTaken, out)
+	}
+	for i, m := range lines {
+		if m[1] != strconv.Itoa(i) {
+			t.Fatalf("checkpoint line %d names generation %s:\n%s", i, m[1], out)
 		}
 	}
 }

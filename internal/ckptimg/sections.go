@@ -355,11 +355,11 @@ func writeDeltaMetaSection(b *bytes.Buffer, dm *deltaMeta) {
 	endSection(b, off, secDeltaMet2)
 }
 
-// decodeDeltaMeta decodes the DMT2 section and validates its
-// consistency.
-func decodeDeltaMeta(payload []byte) (*deltaMeta, error) {
+// decode decodes the DMT2 section into dm and validates its
+// self-consistency.
+func (dm *deltaMeta) decode(payload []byte) error {
 	r := &fieldReader{data: payload}
-	dm := &deltaMeta{
+	*dm = deltaMeta{
 		ParentGen:  int(r.i64()),
 		ParentLen:  int(r.i64()),
 		NewLen:     int(r.i64()),
@@ -367,13 +367,13 @@ func decodeDeltaMeta(payload []byte) (*deltaMeta, error) {
 		Chunks:     int(r.i64()),
 	}
 	if !r.done() {
-		return nil, badSection(secDeltaMet2)
+		return badSection(secDeltaMet2)
 	}
 	if dm.ChunkBytes <= 0 || dm.NewLen < 0 || dm.ParentLen < 0 ||
 		dm.Chunks != (dm.NewLen+dm.ChunkBytes-1)/dm.ChunkBytes {
-		return nil, fmt.Errorf("ckptimg: inconsistent DMET section (%w)", ErrCorrupt)
+		return fmt.Errorf("ckptimg: inconsistent DMET section (%w)", ErrCorrupt)
 	}
-	return dm, nil
+	return nil
 }
 
 // Flag bits of one STR2 item.

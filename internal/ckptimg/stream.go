@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // This file is the chunk-level streaming tier of the decoder: the
@@ -31,120 +32,107 @@ type RawChunk struct {
 	// resolve from the parent generation.
 	Changed bool
 	// Payload holds a changed chunk's encoded bytes — gzip-compressed
-	// when the image carries FlagGzip — aliasing the OpenDelta input.
+	// when the image carries FlagGzip — aliasing the Open input.
 	Payload []byte
 }
 
 // ChunkReader is the chunk-granular decoder of a delta image: linkage,
 // per-chunk records, and (optionally) the tail sections, with no chunk
-// inflated until InflateChunk asks for it. Chunk payloads alias the
-// input buffer, so the caller must keep it alive and unmodified. Not
-// safe for concurrent use.
+// inflated until InflateChunk asks for it. Open reads another image
+// into the same reader and chunk table. Chunk payloads alias the latest
+// Open's input, so the caller must keep it alive and unmodified until
+// Close or the next Open; Close drops them and Image, so a reader kept
+// for reuse pins no earlier image. Not safe for concurrent use.
 type ChunkReader struct {
 	// Image carries the identity and tail sections (vid store, drained
-	// messages, request results, counters); nil unless OpenDelta was
-	// asked to decode them. The restart resolver decodes one tail per
-	// rank — the newest link's — and skips the rest.
+	// messages, request results, counters); nil unless Open was asked to
+	// decode them. The restart resolver decodes one tail per rank — the
+	// newest link's — and skips the rest.
 	Image *Image
-	// ParentGen, ParentLen, NewLen, ChunkBytes mirror the DMET section.
-	ParentGen  int
-	ParentLen  int
-	NewLen     int
-	ChunkBytes int
+	// deltaMeta is the DMET section; its ParentGen, ParentLen, NewLen
+	// and ChunkBytes are promoted.
+	deltaMeta
 	// NumChanged counts the records that ship bytes.
 	NumChanged int
 
 	chunks     []RawChunk
+	seen       []bool
 	compressed bool
 	inf        chunkInflater
 }
 
-// OpenDelta parses a delta image at chunk granularity. Every section
-// frame is checksum-verified, the DMET linkage and all chunk records
-// are collected, but no chunk content is decompressed. decodeTail also
-// decodes the common sections into Image (needed for the link whose
-// identity survives into the materialized image); without it they are
-// frame-checked and skipped.
+// OpenDelta opens a delta image in a new ChunkReader (see Open).
 func OpenDelta(data []byte, decodeTail bool) (*ChunkReader, error) {
-	flags, err := parseHeader(data)
-	if err != nil {
+	r := &ChunkReader{}
+	if err := r.Open(data, decodeTail); err != nil {
 		return nil, err
 	}
-	if flags&FlagDelta == 0 {
-		return nil, fmt.Errorf("ckptimg: not a delta image (stream it with OpenAppState)")
-	}
-	r := &ChunkReader{compressed: flags&(FlagGzip|FlagLZ) != 0}
-	r.inf.lz = flags&FlagLZ != 0
+	return r, nil
+}
+
+// Open drops what r held and parses a delta image into it at chunk
+// granularity. Every section frame is checksum-verified, the DMET
+// linkage and all chunk records are collected, but no chunk content is
+// decompressed. decodeTail also decodes the common sections into a new
+// Image (needed for the link whose identity survives into the
+// materialized image); without it they are frame-checked and skipped.
+func (r *ChunkReader) Open(data []byte, decodeTail bool) error {
+	r.Close()
+	r.NumChanged = 0
 	if decodeTail {
 		r.Image = &Image{}
 	}
-	var dm *deltaMeta
-	var seen []bool
-	var sawMeta, sawEnd bool
-	c := &sectionCursor{data: data, off: 16}
-	for !sawEnd {
-		tag, payload, err := c.next()
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case tag == secDeltaMet2:
-			if dm, err = decodeDeltaMeta(payload); err != nil {
-				return nil, err
+	sawDMET := false
+	flags, err := walkSections(data, true, r.Image, func(tag uint32, payload []byte) error {
+		switch tag {
+		case secDeltaMet2:
+			if err := r.deltaMeta.decode(payload); err != nil {
+				return err
 			}
-			r.ParentGen, r.ParentLen = dm.ParentGen, dm.ParentLen
-			r.NewLen, r.ChunkBytes = dm.NewLen, dm.ChunkBytes
-			r.chunks = make([]RawChunk, dm.Chunks)
-			seen = make([]bool, dm.Chunks)
-		case tag == secDeltaChunk:
-			if dm == nil {
-				return nil, fmt.Errorf("ckptimg: DCHK section before DMET (%w)", ErrCorrupt)
+			sawDMET = true
+			r.chunks = slices.Grow(r.chunks[:0], r.Chunks)[:r.Chunks]
+			r.seen = slices.Grow(r.seen[:0], r.Chunks)[:r.Chunks]
+			clear(r.chunks)
+			clear(r.seen)
+		case secDeltaChunk:
+			if !sawDMET {
+				return fmt.Errorf("ckptimg: DCHK section before DMET (%w)", ErrCorrupt)
 			}
 			if len(payload) < 9 {
-				return nil, fmt.Errorf("ckptimg: short DCHK record (%w)", ErrCorrupt)
+				return fmt.Errorf("ckptimg: short DCHK record (%w)", ErrCorrupt)
 			}
 			i := int(binary.LittleEndian.Uint32(payload[0:4]))
 			if i < 0 || i >= len(r.chunks) {
-				return nil, fmt.Errorf("ckptimg: DCHK chunk index %d of %d (%w)", i, len(r.chunks), ErrCorrupt)
+				return fmt.Errorf("ckptimg: DCHK chunk index %d of %d (%w)", i, len(r.chunks), ErrCorrupt)
 			}
-			if seen[i] {
-				return nil, fmt.Errorf("ckptimg: duplicate DCHK record for chunk %d (%w)", i, ErrCorrupt)
+			if r.seen[i] {
+				return fmt.Errorf("ckptimg: duplicate DCHK record for chunk %d (%w)", i, ErrCorrupt)
 			}
-			seen[i] = true
+			r.seen[i] = true
 			ch := RawChunk{CRC: binary.LittleEndian.Uint32(payload[5:9]), Changed: payload[4] != 0}
 			if ch.Changed {
 				ch.Payload = payload[9:]
 				r.NumChanged++
 			}
 			r.chunks[i] = ch
-		case tag == secEnd:
-			sawEnd = true
-		case isCommonTag(tag):
-			sawMeta = sawMeta || tag == secMeta2
-			if decodeTail {
-				if _, err := decodeCommonSection(r.Image, tag, payload); err != nil {
-					return nil, err
-				}
-			}
 		default:
-			return nil, fmt.Errorf("ckptimg: unknown section tag %#x (%w)", tag, ErrCorrupt)
+			return fmt.Errorf("ckptimg: unknown section tag %#x (%w)", tag, ErrCorrupt)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if !sawMeta {
-		return nil, fmt.Errorf("ckptimg: image has no META section (%w)", ErrCorrupt)
+	if !sawDMET {
+		return fmt.Errorf("ckptimg: delta image has no DMET section (%w)", ErrCorrupt)
 	}
-	if dm == nil {
-		return nil, fmt.Errorf("ckptimg: delta image has no DMET section (%w)", ErrCorrupt)
-	}
-	for i, s := range seen {
+	for i, s := range r.seen {
 		if !s {
-			return nil, fmt.Errorf("ckptimg: delta is missing the DCHK record for chunk %d (%w)", i, ErrCorrupt)
+			return fmt.Errorf("ckptimg: delta is missing the DCHK record for chunk %d (%w)", i, ErrCorrupt)
 		}
 	}
-	if c.rest() > 0 {
-		return nil, fmt.Errorf("ckptimg: trailing data after end marker (%w)", ErrCorrupt)
-	}
-	return r, nil
+	r.compressed, r.inf.lz = flags&(FlagGzip|FlagLZ) != 0, flags&FlagLZ != 0
+	return nil
 }
 
 // NumChunks reports the chunk count of the image's application state.
@@ -182,9 +170,13 @@ func (r *ChunkReader) InflateChunk(i int, dst []byte) error {
 	return nil
 }
 
-// Close releases the pooled codec state. The reader must not be used
-// afterwards.
-func (r *ChunkReader) Close() { r.inf.release() }
+// Close releases the pooled codec state and drops the chunk payloads and
+// Image; the reader may be opened again.
+func (r *ChunkReader) Close() {
+	r.inf.release()
+	clear(r.chunks)
+	r.Image = nil
+}
 
 // isCommonTag reports whether tag is one of the sections shared by full
 // and delta images (identity, vid store, drained messages, request
@@ -195,6 +187,53 @@ func isCommonTag(tag uint32) bool {
 		return true
 	}
 	return false
+}
+
+// walkSections checks data's header — a delta image when delta is set,
+// a full one (else ErrDeltaImage) otherwise — and walks its sections,
+// frame-checking each. It decodes the common sections into img, or
+// skips them when img is nil, and hands every other section to fn. It
+// refuses an image with no META section or with bytes after its end
+// marker, and returns the header flags.
+func walkSections(data []byte, delta bool, img *Image, fn func(tag uint32, payload []byte) error) (uint32, error) {
+	flags, err := parseHeader(data)
+	switch {
+	case err != nil:
+		return 0, err
+	case delta && flags&FlagDelta == 0:
+		return 0, fmt.Errorf("ckptimg: not a delta image (stream it with an AppReader)")
+	case !delta && flags&FlagDelta != 0:
+		return 0, ErrDeltaImage
+	}
+	var sawMeta, sawEnd bool
+	c := &sectionCursor{data: data, off: 16}
+	for !sawEnd {
+		tag, payload, err := c.next()
+		switch {
+		case err != nil:
+			return 0, err
+		case tag == secEnd:
+			sawEnd = true
+		case isCommonTag(tag):
+			sawMeta = sawMeta || tag == secMeta2
+			if img != nil {
+				if _, err := decodeCommonSection(img, tag, payload); err != nil {
+					return 0, err
+				}
+			}
+		default:
+			if err := fn(tag, payload); err != nil {
+				return 0, err
+			}
+		}
+	}
+	if !sawMeta {
+		return 0, fmt.Errorf("ckptimg: image has no META section (%w)", ErrCorrupt)
+	}
+	if c.rest() > 0 {
+		return 0, fmt.Errorf("ckptimg: trailing data after end marker (%w)", ErrCorrupt)
+	}
+	return flags, nil
 }
 
 // ---------------------------------------------------------------------
@@ -254,16 +293,18 @@ func (m *multiSliceReader) skip(n int) error {
 // through, but nothing is copied out for skipped regions; on a fast-lz
 // image whole 64 KiB blocks spanned by a Skip are passed over without
 // inflating them at all — the frame's independent blocks have implied
-// raw sizes. The payloads alias the OpenAppState input. Not safe for
-// concurrent use.
+// raw sizes. Open reuses the reader and its block scratch for another
+// image; as with ChunkReader, the payloads alias the latest Open's input
+// until Close or the next Open. Not safe for concurrent use.
 type AppReader struct {
-	// Image carries the identity and tail sections; nil unless
-	// OpenAppState was asked to decode them. Image.AppState stays nil.
+	// Image carries the identity and tail sections; nil unless Open was
+	// asked to decode them. Image.AppState stays nil.
 	Image *Image
 
 	ms    multiSliceReader
 	zr    *gzip.Reader // non-nil when the app state is one gzip stream
-	lzr   *lzAppReader // non-nil when it is one fast-lz frame
+	lzr   *lzAppReader // &lz when it is one fast-lz frame
+	lz    lzAppReader
 	total int
 }
 
@@ -289,17 +330,18 @@ func (r *lzAppReader) release() {
 	}
 }
 
-func newLZAppReader(ms *multiSliceReader) (*lzAppReader, error) {
-	r := &lzAppReader{ms: ms}
+// open reads a frame header from ms, keeping earlier frames' scratch.
+func (r *lzAppReader) open(ms *multiSliceReader) error {
+	r.ms = ms
 	if _, err := io.ReadFull(ms, r.hdr[:]); err != nil {
-		return nil, err
+		return err
 	}
 	total, err := lzFrameSize(r.hdr[:])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.total, r.remaining = total, total
-	return r, nil
+	return nil
 }
 
 // readBlockHeader consumes the next block's 4-byte header.
@@ -397,71 +439,52 @@ func (r *lzAppReader) skip(n int) error {
 	return nil
 }
 
-// OpenAppState walks a full v3 image's sections — frame-checking each —
-// and positions a sequential reader at the start of its application
-// state. decodeTail also decodes the common sections into Image, as
-// OpenDelta does; without it they are frame-checked and skipped. Delta
-// images are rejected with ErrDeltaImage.
+// OpenAppState opens a full image in a new AppReader (see Open).
 func OpenAppState(data []byte, decodeTail bool) (*AppReader, error) {
-	flags, err := parseHeader(data)
-	if err != nil {
+	r := &AppReader{}
+	if err := r.Open(data, decodeTail); err != nil {
 		return nil, err
 	}
-	if flags&FlagDelta != 0 {
-		return nil, ErrDeltaImage
-	}
+	return r, nil
+}
 
-	r := &AppReader{total: 0}
+// Open drops what r held, walks a full v3 image's sections —
+// frame-checking each — and positions r at the start of its application
+// state. decodeTail also decodes the common sections into a new Image,
+// as ChunkReader.Open does; without it they are frame-checked and
+// skipped. Delta images are rejected with ErrDeltaImage.
+func (r *AppReader) Open(data []byte, decodeTail bool) error {
+	r.Close()
+	r.ms, r.total = multiSliceReader{parts: r.ms.parts[:0]}, 0
 	if decodeTail {
 		r.Image = &Image{}
 	}
-	var sawMeta, sawEnd bool
-	c := &sectionCursor{data: data, off: 16}
-	for !sawEnd {
-		tag, payload, err := c.next()
-		if err != nil {
-			return nil, err
+	flags, err := walkSections(data, false, r.Image, func(tag uint32, payload []byte) error {
+		if tag != secApp {
+			return fmt.Errorf("ckptimg: unknown section tag %#x (%w)", tag, ErrCorrupt)
 		}
-		switch {
-		case tag == secApp:
-			r.ms.parts = append(r.ms.parts, payload)
-			r.total += len(payload)
-		case tag == secEnd:
-			sawEnd = true
-		case isCommonTag(tag):
-			sawMeta = sawMeta || tag == secMeta2
-			if decodeTail {
-				if _, err := decodeCommonSection(r.Image, tag, payload); err != nil {
-					return nil, err
-				}
-			}
-		default:
-			return nil, fmt.Errorf("ckptimg: unknown section tag %#x (%w)", tag, ErrCorrupt)
-		}
-	}
-	if !sawMeta {
-		return nil, fmt.Errorf("ckptimg: image has no META section (%w)", ErrCorrupt)
-	}
-	if c.rest() > 0 {
-		return nil, fmt.Errorf("ckptimg: trailing data after end marker (%w)", ErrCorrupt)
+		r.ms.parts = append(r.ms.parts, payload)
+		r.total += len(payload)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	switch {
 	case flags&FlagGzip != 0:
 		zr, err := getGzipReader(&r.ms)
 		if err != nil {
-			return nil, fmt.Errorf("ckptimg: decompressing app state (%w): %w", ErrCorrupt, err)
+			return fmt.Errorf("ckptimg: decompressing app state (%w): %w", ErrCorrupt, err)
 		}
 		r.zr = zr
 		r.total = -1
 	case flags&FlagLZ != 0:
-		lzr, err := newLZAppReader(&r.ms)
-		if err != nil {
-			return nil, fmt.Errorf("ckptimg: decompressing app state (%w): %w", ErrCorrupt, err)
+		if err := r.lz.open(&r.ms); err != nil {
+			return fmt.Errorf("ckptimg: decompressing app state (%w): %w", ErrCorrupt, err)
 		}
-		r.lzr = lzr
-		r.total = lzr.total
+		r.lzr, r.total = &r.lz, r.lz.total
 	}
-	return r, nil
+	return nil
 }
 
 // Compressed reports whether the app state travels as one compressed
@@ -501,14 +524,14 @@ func (r *AppReader) Skip(n int) error {
 	return r.ms.skip(n)
 }
 
-// Close returns the pooled gzip reader or fast-lz block buffer. The
-// reader must not be used afterwards.
+// Close returns the pooled gzip reader or fast-lz block buffer and drops
+// the payloads and Image; the reader may be opened again.
 func (r *AppReader) Close() {
 	if r.zr != nil {
 		putGzipReader(r.zr)
 		r.zr = nil
 	}
-	if r.lzr != nil {
-		r.lzr.release()
-	}
+	r.lz.release()
+	clear(r.ms.parts)
+	r.lzr, r.Image = nil, nil
 }

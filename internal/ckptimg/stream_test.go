@@ -180,3 +180,98 @@ func TestAppReaderStreamsAppState(t *testing.T) {
 		t.Fatalf("v2 header: %v", err)
 	}
 }
+
+// TestReopenedReadersMatchFresh pins the re-open contract the restart
+// resolver relies on: a ChunkReader or AppReader opened over one image
+// and then another reads the second exactly as a fresh reader does, a
+// re-open of a reader already sized for the image allocates nothing,
+// and Close leaves no reference into the bytes last opened.
+func TestReopenedReadersMatchFresh(t *testing.T) {
+	// Two deltas of different shapes: 8 chunks of 128, then 4 of 256.
+	long, _, err := EncodeDelta(deltaTestImage(1), IndexAppState(deltaTestImage(0).AppState, 128), 3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, _, err := EncodeDelta(deltaTestImage(2), IndexAppState(deltaTestImage(1).AppState, 256), 4, Options{Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r ChunkReader
+	for _, data := range [][]byte{long, short, long} {
+		if err := r.Open(data, true); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := OpenDelta(data, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.deltaMeta != fresh.deltaMeta || r.NumChanged != fresh.NumChanged ||
+			r.compressed != fresh.compressed || r.Image.Step != fresh.Image.Step {
+			t.Fatalf("re-opened reader %+v, fresh %+v", r, fresh)
+		}
+		for i := range r.NumChunks() {
+			got, want := r.Chunk(i), fresh.Chunk(i)
+			if got.CRC != want.CRC || got.Changed != want.Changed || !bytes.Equal(got.Payload, want.Payload) {
+				t.Fatalf("chunk %d: re-opened %+v, fresh %+v", i, got, want)
+			}
+			if got.Changed {
+				dst := make([]byte, r.ChunkLen(i))
+				if err := r.InflateChunk(i, dst); err != nil {
+					t.Fatalf("chunk %d after re-open: %v", i, err)
+				}
+			}
+		}
+		fresh.Close()
+	}
+	r.Close()
+	for i, ch := range r.chunks[:cap(r.chunks)] {
+		if ch.Payload != nil {
+			t.Fatalf("chunk %d still refers to the closed image", i)
+		}
+	}
+	if r.Image != nil || r.inf.br.Len() != 0 {
+		t.Fatal("Close kept the image or the last inflated chunk")
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := r.Open(long, false); err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+	}); n != 0 {
+		t.Fatalf("re-opening a sized ChunkReader allocated %v objects", n)
+	}
+
+	img := deltaTestImage(2)
+	raw, err := EncodeOpts(img, Options{ChunkSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lz, err := EncodeOpts(img, Options{Compress: true, Tier: TierFastLZ})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a AppReader
+	for _, data := range [][]byte{lz, raw, lz} {
+		if err := a.Open(data, false); err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(&a)
+		if err != nil || !bytes.Equal(got, img.AppState) {
+			t.Fatalf("re-opened AppReader read %d bytes (%v), want the image's %d", len(got), err, len(img.AppState))
+		}
+	}
+	a.Close()
+	for i, part := range a.ms.parts[:cap(a.ms.parts)] {
+		if part != nil {
+			t.Fatalf("app-state part %d still refers to the closed image", i)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := a.Open(raw, false); err != nil {
+			t.Fatal(err)
+		}
+		a.Close()
+	}); n != 0 {
+		t.Fatalf("re-opening a sized AppReader allocated %v objects", n)
+	}
+}

@@ -216,10 +216,12 @@ func (ci *chunkInflater) inflateInto(dst, data []byte) error {
 	return nil
 }
 
-// release returns the pooled reader; the inflater is reusable after.
+// release returns the pooled reader and drops the last chunk's bytes;
+// the inflater is reusable after.
 func (ci *chunkInflater) release() {
 	if ci.zr != nil {
 		putGzipReader(ci.zr)
 		ci.zr = nil
 	}
+	ci.br.Reset(nil)
 }

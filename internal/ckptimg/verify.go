@@ -18,46 +18,22 @@ import (
 // tags of early v3 builds, STOR among them) included: the store holds
 // nothing but v3 images, so bytes that are not one are damage.
 func Verify(data []byte) error {
-	flags, err := parseHeader(data)
-	if err != nil {
-		return err
-	}
-	delta := flags&FlagDelta != 0
-	var sawMeta, sawDeltaMeta bool
-	c := &sectionCursor{data: data, off: 16}
-	for {
-		tag, _, err := c.next()
-		if err != nil {
-			return err
-		}
-		switch tag {
-		case secMeta2:
-			sawMeta = true
-		case secDeltaMet2:
-			if !delta {
-				return fmt.Errorf("ckptimg: delta linkage in a full image (%w)", ErrCorrupt)
-			}
-			sawDeltaMeta = true
-		case secDeltaChunk:
-			if !delta {
-				return fmt.Errorf("ckptimg: delta chunk record in a full image (%w)", ErrCorrupt)
-			}
-		case secApp, secStore2, secDrained2, secReqs2, secCounters2:
-		case secEnd:
-			if c.rest() > 0 {
-				return fmt.Errorf("ckptimg: trailing data after end marker (%w)", ErrCorrupt)
-			}
-			if !sawMeta {
-				return fmt.Errorf("ckptimg: image has no META section (%w)", ErrCorrupt)
-			}
-			if delta && !sawDeltaMeta {
-				return fmt.Errorf("ckptimg: delta image has no linkage section (%w)", ErrCorrupt)
-			}
-			return nil
-		default:
+	delta, sawDeltaMeta := IsDelta(data), false
+	_, err := walkSections(data, delta, nil, func(tag uint32, _ []byte) error {
+		switch {
+		case tag == secApp:
+		case tag != secDeltaMet2 && tag != secDeltaChunk:
 			return fmt.Errorf("ckptimg: unknown section tag %#x (%w)", tag, ErrCorrupt)
+		case !delta:
+			return fmt.Errorf("ckptimg: delta section %#x in a full image (%w)", tag, ErrCorrupt)
 		}
+		sawDeltaMeta = sawDeltaMeta || tag == secDeltaMet2
+		return nil
+	})
+	if err == nil && delta && !sawDeltaMeta {
+		err = fmt.Errorf("ckptimg: delta image has no linkage section (%w)", ErrCorrupt)
 	}
+	return err
 }
 
 // Indexed is what the commit path learns from validating one encoded

@@ -196,7 +196,7 @@ type blobPut struct {
 // dedupPlan is the segmentation outcome of one commit: everything the
 // dedup Put phase and its rollback need.
 type dedupPlan struct {
-	recipes  [][]byte       // per-rank recipe blobs for key(seq, rank)
+	recipes  [][]byte       // per-rank recipe blobs for the rank keys
 	newBlobs []blobPut      // blobs first referenced by this commit, ordered
 	added    map[string]int // refcount increments this commit will apply
 	unique   []int64        // per-rank new-unique-byte attribution
@@ -234,16 +234,16 @@ func (s *Store) planDedup(images [][]byte) *dedupPlan {
 	return p
 }
 
-// putDedup writes a plan's new blobs, then generation seq's recipes, in
-// order, stopping at the first failure.
-func (s *Store) putDedup(seq int, p *dedupPlan) error {
+// putDedup writes a plan's new blobs, then the generation's recipes
+// under its rank keys, in order, stopping at the first failure.
+func (s *Store) putDedup(keys []string, p *dedupPlan) error {
 	for _, nb := range p.newBlobs {
 		if err := s.bPut(nb.key, nb.data); err != nil {
 			return err
 		}
 	}
 	for r, recipe := range p.recipes {
-		if err := s.bPut(key(seq, r), recipe); err != nil {
+		if err := s.bPut(keys[r], recipe); err != nil {
 			return err
 		}
 	}
@@ -271,10 +271,10 @@ func (s *Store) unapplyRefs(added map[string]int) {
 // never blobs that predate it, which other live recipes reference.
 // Delete failures aggregate; deleting a missing key is not an error,
 // so the discard is idempotent.
-func (s *Store) discardDedup(seq int, newBlobs []blobPut) error {
+func (s *Store) discardDedup(seq int, keys []string, newBlobs []blobPut) error {
 	var errs []error
-	for r := 0; r < s.n; r++ {
-		if err := s.b.Delete(key(seq, r)); err != nil {
+	for r, k := range keys {
+		if err := s.b.Delete(k); err != nil {
 			errs = append(errs, fmt.Errorf("ckptstore: discarding generation %d rank %d recipe: %w", seq, r, err))
 		}
 	}
@@ -360,8 +360,8 @@ func (s *Store) assembleRecipe(seq, rank int, recipe []byte) ([]byte, error) {
 // references (leftovers of a crash mid-commit or mid-prune).
 func (s *Store) rebuildRefs(blobKeys []string) error {
 	for seq := s.prunedTo; seq < len(s.gens); seq++ {
-		for r := 0; r < s.n; r++ {
-			data, err := s.b.Get(key(seq, r))
+		for _, k := range s.keys[seq] {
+			data, err := s.b.Get(k)
 			if err != nil {
 				continue // pruned by a crashed prune: its refs are gone too
 			}

@@ -151,8 +151,7 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 	var recipes [][]string              // blob keys of the intact recipes, walk order
 	for seq := s.prunedTo; seq < len(s.gens); seq++ {
 		rep.Generations++
-		for r := 0; r < s.n; r++ {
-			k := key(seq, r)
+		for r, k := range s.keys[seq] {
 			data, err := s.bGet(k)
 			if err != nil {
 				rep.found(FindingMissingBlob, k, seq, r, err)

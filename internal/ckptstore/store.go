@@ -227,7 +227,10 @@ type Store struct {
 	n    int
 	opts Options
 
-	gens     []Generation
+	gens []Generation
+	// keys[seq][rank] names a live generation's rank blob, formatted
+	// once by Commit or Open (rankKeys); nil below prunedTo.
+	keys     [][]string
 	chain    int
 	index    []rankIndex
 	prunedTo int
@@ -350,6 +353,10 @@ func Open(n int, o Options) (*Store, error) {
 			return nil, fmt.Errorf("ckptstore: backend holds a dedup=%v lineage, store configured dedup=%v", m.Dedup, o.Dedup)
 		}
 		s.gens, s.chain, s.index, s.prunedTo = m.Gens, m.Chain, m.Index, m.PrunedTo
+		s.keys = make([][]string, len(s.gens))
+		for seq := s.prunedTo; seq < len(s.gens); seq++ {
+			s.keys[seq] = s.rankKeys(seq)
+		}
 		for _, seq := range m.Quarantined {
 			s.quarantined[seq] = true
 		}
@@ -436,6 +443,16 @@ func key(seq, rank int) string {
 	return string(appendKey(b[:0], seq, rank))
 }
 
+// rankKeys names generation seq's rank blobs: key(seq, r) for each rank
+// r. Reads, Scrub, prune and rollback take them from s.keys.
+func (s *Store) rankKeys(seq int) []string {
+	keys := make([]string, s.n)
+	for r := range keys {
+		keys[r] = key(seq, r)
+	}
+	return keys
+}
+
 // appendKey appends key(seq, rank) to dst without fmt.
 func appendKey(dst []byte, seq, rank int) []byte {
 	dst = append(dst, "gen"...)
@@ -518,6 +535,7 @@ func (s *Store) Commit(images [][]byte) (Generation, error) {
 		return Generation{}, fmt.Errorf("ckptstore: commit of %d images for a %d-rank store", len(images), s.n)
 	}
 	seq := len(s.gens)
+	keys := s.rankKeys(seq)
 
 	// Phase 1: validate and index every rank, in rank order.
 	gen := Generation{Seq: seq}
@@ -565,14 +583,14 @@ func (s *Store) Commit(images [][]byte) (Generation, error) {
 	// writes are the new unique content blobs, then one recipe per rank,
 	// and the rollback deletes only what this commit introduced.
 	if s.opts.Dedup {
-		if err := s.putDedup(seq, plan); err != nil {
-			return Generation{}, errors.Join(err, s.discardDedup(seq, plan.newBlobs))
+		if err := s.putDedup(keys, plan); err != nil {
+			return Generation{}, errors.Join(err, s.discardDedup(seq, keys, plan.newBlobs))
 		}
 		s.applyRefs(plan.added)
 	} else {
 		for r, data := range images {
-			if err := s.bPut(key(seq, r), data); err != nil {
-				return Generation{}, errors.Join(err, s.discardGeneration(seq))
+			if err := s.bPut(keys[r], data); err != nil {
+				return Generation{}, errors.Join(err, s.discardGeneration(seq, keys))
 			}
 		}
 	}
@@ -580,7 +598,7 @@ func (s *Store) Commit(images [][]byte) (Generation, error) {
 	// Phase 3: flip the in-memory chain and the manifest together; a
 	// manifest failure rolls both back and discards the blobs.
 	oldChain, oldIndex := s.chain, s.index
-	s.gens = append(s.gens, gen)
+	s.gens, s.keys = append(s.gens, gen), append(s.keys, keys)
 	s.index = newIndex
 	if gen.DeltaRanks > 0 {
 		s.chain++
@@ -588,13 +606,13 @@ func (s *Store) Commit(images [][]byte) (Generation, error) {
 		s.chain = 0
 	}
 	rollback := func(err error) error {
-		s.gens = s.gens[:len(s.gens)-1]
+		s.gens, s.keys = s.gens[:seq], s.keys[:seq]
 		s.chain, s.index = oldChain, oldIndex
 		if s.opts.Dedup {
 			s.unapplyRefs(plan.added)
-			return errors.Join(err, s.discardDedup(seq, plan.newBlobs))
+			return errors.Join(err, s.discardDedup(seq, keys, plan.newBlobs))
 		}
-		return errors.Join(err, s.discardGeneration(seq))
+		return errors.Join(err, s.discardGeneration(seq, keys))
 	}
 	if err := s.persistManifest(); err != nil {
 		return Generation{}, rollback(err)
@@ -685,15 +703,15 @@ func (s *Store) LastRetentionErr() error {
 	return s.retentionErr
 }
 
-// discardGeneration removes every blob a failed commit may have written
-// for seq. Deletes that fail get one bounded retry pass; blobs that
+// discardGeneration removes every blob (keys) a failed commit may have
+// written for seq. Deletes that fail get one bounded retry pass; blobs that
 // survive it are reported in the aggregated error — a rollback that
 // leaks blobs must not report success, and the next Open's orphan
 // sweep is the recovery of last resort.
-func (s *Store) discardGeneration(seq int) error {
+func (s *Store) discardGeneration(seq int, keys []string) error {
 	var failed []int
-	for r := 0; r < s.n; r++ {
-		if err := s.b.Delete(key(seq, r)); err != nil {
+	for r, k := range keys {
+		if err := s.b.Delete(k); err != nil {
 			failed = append(failed, r)
 		}
 	}
@@ -702,7 +720,7 @@ func (s *Store) discardGeneration(seq int) error {
 	}
 	var errs []error
 	for _, r := range failed {
-		if err := s.b.Delete(key(seq, r)); err != nil {
+		if err := s.b.Delete(keys[r]); err != nil {
 			errs = append(errs, fmt.Errorf("ckptstore: discarding generation %d rank %d: %w", seq, r, err))
 		}
 	}
@@ -732,15 +750,15 @@ func (s *Store) pruneRetention(keepBases int) error {
 	}
 	var errs []error
 	for seq := s.prunedTo; seq < cutoff; seq++ {
-		for r := 0; r < s.n; r++ {
+		for r, k := range s.keys[seq] {
 			if s.opts.Dedup {
 				// Refcounted delete: the recipe goes first, then each blob
 				// whose last reference this was. A blob another live
 				// recipe still lists survives — see pruneRecipe.
-				if err := s.pruneRecipe(key(seq, r)); err != nil {
+				if err := s.pruneRecipe(k); err != nil {
 					errs = append(errs, err)
 				}
-			} else if err := s.b.Delete(key(seq, r)); err != nil {
+			} else if err := s.b.Delete(k); err != nil {
 				errs = append(errs, fmt.Errorf("ckptstore: pruning generation %d rank %d: %w", seq, r, err))
 			}
 		}
@@ -750,6 +768,7 @@ func (s *Store) pruneRetention(keepBases int) error {
 		// next prune is safe; the cutoff does not advance past failures.
 		return err
 	}
+	clear(s.keys[s.prunedTo:cutoff])
 	s.prunedTo = cutoff
 	// Quarantine entries below the cutoff are stale: the generations are
 	// metadata-only now, and ErrPruned outranks ErrQuarantined.
@@ -816,7 +835,7 @@ func (s *Store) Head() (Generation, bool) {
 // is reassembled — and verified blob-by-blob — into the exact original
 // encoded image.
 func (s *Store) getBlob(seq, rank int) ([]byte, error) {
-	data, err := s.bGet(key(seq, rank))
+	data, err := s.bGet(s.keys[seq][rank])
 	if err != nil || !s.opts.Dedup {
 		return data, err
 	}

@@ -4,25 +4,29 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"manasim/internal/ckptimg"
 )
 
 // This file is the restart-side chain resolver. A rank's base+delta
 // chain is walked newest-to-oldest at chunk granularity
-// (ckptimg.OpenDelta never inflates a chunk); each chunk position gets a
-// newest-wins owner, and only the winning chunk is decompressed from its
-// owning link — superseded payloads are proved stale by their position
-// alone and never touched beyond their section frame CRC. A resolution
-// holds the rank's encoded blobs, one state buffer and one chunk of
-// scratch, however deep the chain.
+// (ckptimg.ChunkReader never inflates a chunk on open); each chunk
+// position gets a newest-wins owner, and only the winning chunk is
+// decompressed from its owning link — superseded payloads are proved
+// stale by their position alone and never touched beyond their section
+// frame CRC. A resolution holds the rank's encoded blobs, one state
+// buffer and one chunk of scratch, however deep the chain.
 //
 // There is one resolver (resolveRank) and two ways to run it, both on
-// the calling goroutine over ranks 0..n-1 in order. MaterializeStream
-// hands out owned images: each rank resolves into buffers of its own.
-// RestoreStream hands each image to a callback and takes it back: rank
-// after rank resolves into the same state buffer and scratch, so peak
-// resolver memory is one rank's, however many ranks there are.
+// the calling goroutine over ranks 0..n-1 in order, both re-opening one
+// set of readers (resolveBufs) rank after rank: a rank costs a fixed
+// number of heap objects however deep its chain, bar the copy of each
+// blob Backend.Get returns. MaterializeStream hands out owned images:
+// each rank resolves into a state buffer of its own. RestoreStream
+// hands each image to a callback and takes it back: rank after rank
+// resolves into the same state buffer and scratch, so peak resolver
+// memory is one rank's, however many ranks there are.
 
 // MaterializeStream resolves generation seq into decoded images — one
 // per rank, restart-ready — using newest-wins chunk resolution, plus
@@ -38,9 +42,11 @@ func (s *Store) MaterializeStream(seq int) ([]*ckptimg.Image, []ChainStats, erro
 	}
 	out := make([]*ckptimg.Image, s.n)
 	stats := make([]ChainStats, s.n)
+	var bufs resolveBufs
 	for r := range out {
-		// Fresh buffers per rank: every image owns its state.
-		img, cs, err := s.resolveRank(seq, r, &resolveBufs{})
+		// A fresh state buffer per rank: every image owns its state.
+		bufs.state = nil
+		img, cs, err := s.resolveRank(seq, r, &bufs)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -100,13 +106,18 @@ func (s *Store) checkReadable(seq int) error {
 	return nil
 }
 
-// resolveBufs is one resolver's memory for application state: the
-// buffer the resolved state lands in and a chunk-sized scratch for a
-// winning chunk whose length differs from the head's. The zero value
-// allocates both at the first rank; RestoreStream keeps one and reuses
-// them from rank to rank, growing them when a rank needs more.
+// resolveBufs is one resolver's memory, kept from rank to rank: the
+// buffer the resolved state lands in, a chunk-sized scratch for a
+// winning chunk whose length differs from the head's, a chunk reader
+// per link depth (links[i] reads every chain's i-th newest delta), the
+// prefix checks and the base's reader. The zero value allocates each at
+// the first rank that needs it. resolveRank closes every reader it
+// opened, so between ranks nothing here refers to a blob.
 type resolveBufs struct {
 	state, scratch []byte
+	links          []*ckptimg.ChunkReader
+	checks         []prefixCheck
+	base           ckptimg.AppReader
 }
 
 // get returns the state buffer and chunk scratch sized for one rank.
@@ -168,8 +179,12 @@ func (s *Store) resolveRank(seq, rank int, bufs *resolveBufs) (*ckptimg.Image, C
 	blobBytes := int64(len(data))
 	cur := seq
 	for ckptimg.IsDelta(data) {
-		cr, err := ckptimg.OpenDelta(data, len(links) == 0)
-		if err != nil {
+		if len(links) == len(bufs.links) {
+			bufs.links = append(bufs.links, &ckptimg.ChunkReader{})
+		}
+		links = bufs.links[:len(links)+1]
+		cr := links[len(links)-1]
+		if err := cr.Open(data, len(links) == 1); err != nil {
 			return nil, ChainStats{}, &ChainLinkError{Gen: cur, Rank: rank, Err: err}
 		}
 		if cr.ParentGen != cur-1 {
@@ -180,11 +195,10 @@ func (s *Store) resolveRank(seq, rank int, bufs *resolveBufs) (*ckptimg.Image, C
 			return nil, ChainStats{}, &ChainLinkError{Gen: cur, Rank: rank,
 				Err: fmt.Errorf("delta chunk size %d != store %d", cr.ChunkBytes, s.opts.ChunkBytes)}
 		}
-		if n := len(links); n > 0 && links[n-1].ParentLen != cr.NewLen {
+		if n := len(links); n > 1 && links[n-2].ParentLen != cr.NewLen {
 			return nil, ChainStats{}, &ChainLinkError{Gen: cur, Rank: rank,
-				Err: fmt.Errorf("link is %d bytes, child expects a %d-byte parent (wrong generation?)", cr.NewLen, links[n-1].ParentLen)}
+				Err: fmt.Errorf("link is %d bytes, child expects a %d-byte parent (wrong generation?)", cr.NewLen, links[n-2].ParentLen)}
 		}
-		links = append(links, cr)
 		st.Links++
 		cur--
 		if cur < 0 {
@@ -198,11 +212,11 @@ func (s *Store) resolveRank(seq, rank int, bufs *resolveBufs) (*ckptimg.Image, C
 
 	// data now holds the base blob of generation cur.
 	head := links[0]
-	ar, err := ckptimg.OpenAppState(data, false)
-	if err != nil {
+	ar := &bufs.base
+	defer ar.Close()
+	if err := ar.Open(data, false); err != nil {
 		return nil, ChainStats{}, &ChainLinkError{Gen: cur, Rank: rank, Err: fmt.Errorf("base: %w", err)}
 	}
-	defer ar.Close()
 	baseLen := links[len(links)-1].ParentLen
 	if t := ar.Total(); t >= 0 && t != baseLen {
 		return nil, ChainStats{}, &ChainLinkError{Gen: cur, Rank: rank,
@@ -212,7 +226,8 @@ func (s *Store) resolveRank(seq, rank int, bufs *resolveBufs) (*ckptimg.Image, C
 	cs := head.ChunkBytes
 	n := head.NumChunks()
 	out, scratch := bufs.get(head.NewLen, cs)
-	checks := make([]prefixCheck, 0, len(links))
+	bufs.checks = slices.Grow(bufs.checks[:0], len(links))
+	checks := bufs.checks
 	var baseOwned int64  // raw base bytes copied into the result
 	var deltaWinners int // winning chunks inflated from delta links
 	for pos := 0; pos < n; pos++ {
@@ -349,9 +364,9 @@ func (s *Store) resolveRank(seq, rank int, bufs *resolveBufs) (*ckptimg.Image, C
 	}
 	st.PeakBytes = blobBytes + int64(len(out)) + int64(cs)
 
-	img := *head.Image
+	img := head.Image
 	if len(out) > 0 {
 		img.AppState = out
 	}
-	return &img, st, nil
+	return img, st, nil
 }

@@ -3,6 +3,7 @@ package ckptstore
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"manasim/internal/ckptimg"
@@ -353,5 +354,46 @@ func TestRestoreStreamStopsAtFirstError(t *testing.T) {
 		return nil
 	}); err == nil {
 		t.Fatal("RestoreStream resolved a generation that does not exist")
+	}
+}
+
+// TestRestoreStreamFlatPerRank: a rank's resolution costs a fixed
+// number of heap objects however deep its chain. RestoreStream keeps
+// one chunk reader per link depth, the base's reader and the check list
+// from rank to rank, and the store keeps every blob key, so from the
+// second rank on each rank costs the same, and each extra link costs
+// exactly the one copy Backend.Get returns. The chain is uncompressed,
+// which keeps pooled codecs, whose refills after a GC would make the
+// count uneven, off the path.
+func TestRestoreStreamFlatPerRank(t *testing.T) {
+	const n, deep = 6, 8
+	s := mustOpen(n, Options{Delta: true, ChunkBytes: 128, ChainCap: ChainCapUnbounded})
+	for gen := 0; gen <= deep; gen++ {
+		commitGen(t, s, n, gen, func(int) []byte { return appState(1000, gen) })
+	}
+	// perRank reports the heap objects one rank's resolution costs once
+	// rank 0 has sized the readers and buffers.
+	perRank := func(seq int) uint64 {
+		var ms runtime.MemStats
+		at := make([]uint64, 0, n)
+		if _, err := s.RestoreStream(seq, func(*ckptimg.Image) error {
+			runtime.ReadMemStats(&ms)
+			at = append(at, ms.Mallocs)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for r := 2; r < n; r++ {
+			if at[r]-at[r-1] != at[1]-at[0] {
+				t.Fatalf("generation %d: rank %d cost %d heap objects, rank 1 %d", seq, r, at[r]-at[r-1], at[1]-at[0])
+			}
+		}
+		return at[1] - at[0]
+	}
+	shallow, deepCost := perRank(1), perRank(deep)
+	t.Logf("heap objects per rank: base+1 %d, base+%d %d", shallow, deep, deepCost)
+	if got, want := deepCost-shallow, uint64(deep-1); got != want {
+		t.Fatalf("a base+%d rank costs %d heap objects more than a base+1 rank, want %d: one Backend.Get copy per extra link",
+			deep, got, want)
 	}
 }
