@@ -141,7 +141,7 @@ func BenchmarkWrappedIprobe(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", host.Name, design), func(b *testing.B) {
 				job := cluster.New(1, 0, factory, host.Net)
 				cfg := mana.Config{ImplName: "mpich", Factory: factory, Host: host, Design: design}
-				rt, err := mana.NewRuntime(cfg, job.Procs[0], job.Clocks[0], nil)
+				rt, err := mana.NewRuntime(cfg, job.Procs[0], job.Clocks[0], nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -162,7 +162,7 @@ func BenchmarkWrappedIprobe(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s/batch", host.Name, design), func(b *testing.B) {
 				job := cluster.New(1, 0, factory, host.Net)
 				cfg := mana.Config{ImplName: "mpich", Factory: factory, Host: host, Design: design}
-				rt, err := mana.NewRuntime(cfg, job.Procs[0], job.Clocks[0], nil)
+				rt, err := mana.NewRuntime(cfg, job.Procs[0], job.Clocks[0], nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -12,9 +12,12 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -33,31 +36,98 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	stop, err := startProfiles(os.Getenv(profileEnv))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "manasim:", err)
 		os.Exit(2)
 	}
+	code := run(os.Args[1:])
+	if err := stop(); err != nil {
+		fmt.Fprintln(os.Stderr, "manasim:", err)
+		code = max(code, 1)
+	}
+	os.Exit(code)
+}
+
+// run executes one command line and returns the process's exit code.
+func run(args []string) int {
+	if len(args) < 1 {
+		usage()
+		return 2
+	}
 	var err error
-	switch os.Args[1] {
+	switch args[0] {
 	case "list":
 		err = cmdList()
 	case "run":
-		err = cmdRun(os.Args[2:])
+		err = cmdRun(args[1:])
 	case "scrub":
-		err = cmdScrub(os.Args[2:])
+		err = cmdScrub(args[1:])
 	case "experiment":
-		err = cmdExperiment(os.Args[2:])
+		err = cmdExperiment(args[1:])
 	case "-h", "--help", "help":
 		usage()
 	default:
-		fmt.Fprintf(os.Stderr, "manasim: unknown command %q\n", os.Args[1])
+		fmt.Fprintf(os.Stderr, "manasim: unknown command %q\n", args[0])
 		usage()
-		os.Exit(2)
+		return 2
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "manasim:", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
+}
+
+// profileEnv names the environment variable that asks for host
+// profiles of the whole command: MANASIM_PROFILE=cpu=FILE,mem=FILE
+// (either part alone works). The CPU profile covers the command; the
+// heap profile, written when it ends, holds the allocations sampled at
+// Go's default rate.
+const profileEnv = "MANASIM_PROFILE"
+
+// startProfiles starts the profiles spec asks for and returns the
+// function that stops them and writes them out.
+func startProfiles(spec string) (stop func() error, err error) {
+	var cpuPath, memPath string
+	for _, part := range strings.Split(spec, ",") {
+		kind, path, ok := strings.Cut(part, "=")
+		switch {
+		case part == "":
+		case ok && path != "" && kind == "cpu" && cpuPath == "":
+			cpuPath = path
+		case ok && path != "" && kind == "mem" && memPath == "":
+			memPath = path
+		default:
+			return nil, fmt.Errorf("%s: %q is not cpu=FILE or mem=FILE, each at most once", profileEnv, part)
+		}
+	}
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpu.Close())
+		}
+		if memPath != "" {
+			f, err := os.Create(memPath)
+			if err == nil {
+				runtime.GC() // publish the allocations up to now
+				err = errors.Join(pprof.WriteHeapProfile(f), f.Close())
+			}
+			errs = append(errs, err)
+		}
+		return errors.Join(errs...)
+	}, nil
 }
 
 func usage() {
@@ -137,6 +207,10 @@ experiment flags:
   -fast    divide SimSteps by K for quicker runs (default 1)
   -json    also write every table as JSON to this file, keyed by
            experiment name
+
+environment:
+  MANASIM_PROFILE=cpu=FILE,mem=FILE
+           write a CPU and/or heap profile of the command (go tool pprof)
 `, strings.Join(harness.ExperimentNames(), ", "))
 }
 

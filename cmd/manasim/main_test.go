@@ -1,6 +1,7 @@
 package main
 
 import (
+	"compress/gzip"
 	"encoding/json"
 	"io"
 	"os"
@@ -204,6 +205,43 @@ func TestRunPrintsPeriodicCheckpoints(t *testing.T) {
 	for i, m := range lines {
 		if m[1] != strconv.Itoa(i) {
 			t.Fatalf("checkpoint line %d names generation %s:\n%s", i, m[1], out)
+		}
+	}
+}
+
+// TestProfileEnv: MANASIM_PROFILE=cpu=FILE,mem=FILE makes a run write
+// both profiles, each a non-empty gzip-compressed pprof file, and a
+// malformed value is refused before anything runs.
+func TestProfileEnv(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	t.Setenv(profileEnv, "cpu="+cpu+",mem="+mem)
+	stop, err := startProfiles(os.Getenv(profileEnv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runCaptured(t, "-app", "comd", "-mana", "-ranks", "4", "-steps", "4", "-ckpt", "2")
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		data, err := io.ReadAll(zr)
+		f.Close()
+		if err != nil || len(data) == 0 {
+			t.Fatalf("%s: %d bytes of profile, %v", path, len(data), err)
+		}
+	}
+	for _, spec := range []string{"cpu", "cpu=", "heap=" + mem, "mem=a,mem=b"} {
+		if _, err := startProfiles(spec); err == nil {
+			t.Errorf("%s=%q accepted", profileEnv, spec)
 		}
 	}
 }

@@ -224,8 +224,8 @@ func (t *tour) minimize(env *app.Env, q *calls, root int) {
 		for i := range ranks {
 			ranks[i] = i
 		}
-		world, err := p.GroupTranslateRanks(kg, ranks, wg)
-		q.ok(err)
+		world := make([]int, len(ranks), len(ranks)+1)
+		q.ok(p.GroupTranslateRanks(kg, ranks, wg, world))
 		s.mix(append(world, q.n(p.GroupRank(kg)))...)
 		q.ok(p.GroupFree(kg))
 		q.ok(p.GroupFree(wg))

@@ -46,8 +46,9 @@ type CtlLink interface {
 	// CtlSend sends vals to dest under tag.
 	CtlSend(dest, tag int, vals []int64) error
 	// CtlIprobe polls for a pending control message from src (which may
-	// be AnySource); on success it reports the actual source.
-	CtlIprobe(src, tag int) (ok bool, source int, err error)
+	// be AnySource); on success it reports the actual source and the
+	// message's size in values, the count a CtlRecv of it posts.
+	CtlIprobe(src, tag int) (ok bool, source, count int, err error)
 	// CtlWait blocks until a control message from src (which may be
 	// AnySource) with tag is probeable, without receiving it. Drain
 	// strategies that wait for peer announcements use it instead of
@@ -208,7 +209,7 @@ func (c *Coordinator) NextBoundary(link CtlLink, rank, step, total, pending int)
 	// announcement forever (the announcing rank then parks alone in the
 	// next drain: deadlock). The message's presence is the ground truth.
 	if pending < 0 && rank != 0 {
-		ok, _, err := link.CtlIprobe(0, TagAnnounce)
+		ok, _, _, err := link.CtlIprobe(0, TagAnnounce)
 		if err != nil {
 			return pending, err
 		}

@@ -151,12 +151,12 @@ type rankLink struct {
 
 func (l rankLink) CtlSend(dest, tag int, vals []int64) error { return l.f.CtlSend(dest, tag, vals) }
 
-func (l rankLink) CtlIprobe(src, tag int) (bool, int, error) {
+func (l rankLink) CtlIprobe(src, tag int) (bool, int, int, error) {
 	q := l.f.boxes[l.rank][tag]
 	if len(q) == 0 {
-		return false, 0, nil
+		return false, 0, 0, nil
 	}
-	return true, src, nil
+	return true, src, len(q[0]), nil
 }
 
 func (l rankLink) CtlWait(src, tag int) error {

@@ -36,13 +36,16 @@ type DrainEnv interface {
 	// point-to-point messages this rank has sent to each world rank.
 	SentTo() []uint64
 	// RecvFrom reports the cumulative receives per world rank. The
-	// slice reflects live counters: Pull increments them.
+	// slice is the live counters, not a copy: Pull increments the
+	// sender's entry and no other, so an entry a strategy has not yet
+	// pulled for still holds its value from the start of the drain.
 	RecvFrom() []uint64
 
 	// ExchangeAll runs an MPI_Alltoall of one uint64 per rank over the
 	// internal communicator and returns the value each peer sent to
 	// this rank — the collective counter exchange of the two-phase
-	// protocol (paper Section 5, category 3).
+	// protocol (paper Section 5, category 3). The caller owns the
+	// result.
 	ExchangeAll(vals []uint64) ([]uint64, error)
 
 	// Comms lists the live communicators to probe for in-flight

@@ -68,10 +68,21 @@
 //	control messages          n(n−1)           n(n−1)  (unchanged)
 //	announcement bytes        8n³              8(n−1)(n+2E), O(n·E) once E ≥ n
 //	order, per recomputation  O(n²)            O((n+E) log n)
-//	memory per rank           8n²              O(n+E)
+//	memory per rank           8n²              30n bytes + 4E + the longest row received
 //
 // The message count is the protocol's and does not move; exchanging
 // the rows through per-node leaders instead of all pairs is what would
 // lower it. Stats.CtlBytes counts the announcement bytes, and a test
 // holds them to the sparse bound.
+//
+// A rank's 30n bytes are the rows' per-peer state: the owed counts,
+// the arena offsets and the order's scratch. There is no copy of the
+// receive counters and no per-peer countdown beside it, because a
+// peer's messages are pulled only after its row is absorbed: when the
+// row arrives, the live receive counter still holds its value from
+// the start of the drain, so what the peer still owes is computed
+// there and counted down in place. Each row is received into a buffer
+// of exactly its length (the probed size), which the rank reuses, so
+// the buffer grows to the longest row the rank was sent, not to the
+// 1+2n values a row could hold.
 package drain

@@ -210,8 +210,8 @@ func TestRowRoundTrip(t *testing.T) {
 	if len(appendRow(nil, make([]uint64, 5))) != 1 {
 		t.Fatal("a rank that sent nothing announces more than [0]")
 	}
-	if got := len(appendRow(nil, []uint64{1, 1, 1})); got != maxRowLen(3) {
-		t.Fatalf("full row has %d values, maxRowLen says %d", got, maxRowLen(3))
+	if got := len(appendRow(nil, []uint64{1, 1, 1})); got != 1+2*3 {
+		t.Fatalf("full row has %d values, want %d", got, 1+2*3)
 	}
 	// Rank 2 sent 9 messages to itself: counted for rank 2 alone, and no
 	// edge of the graph.

@@ -31,10 +31,6 @@ func appendRow(dst []int64, sent []uint64) []int64 {
 	return dst
 }
 
-// maxRowLen is the longest announcement an n-rank job can produce: the
-// receive capacity a rank posts for a row.
-func maxRowLen(n int) int { return 1 + 2*n }
-
 // rows is what one rank knows of the job's send-dependency graph: the
 // announcements absorbed so far, reduced to the count each sender
 // addressed to this rank and the sender's successor list (the peers it
@@ -46,7 +42,8 @@ type rows struct {
 	n, me int
 	have  int
 	known []bool
-	// toMe[p] is the number of messages p has sent this rank.
+	// toMe[p] is the number of messages p has sent this rank, as its
+	// row announced it (TopoSort turns it into the count still to pull).
 	toMe []int64
 	// succ[off[p]:end[p]] are the ranks p sent to, ascending, p itself
 	// left out.

@@ -32,23 +32,32 @@ func (*TopoSort) Name() string { return "toposort" }
 
 // Drain implements ckpt.DrainStrategy.
 func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
+	n, me := env.Size(), env.Rank()
+	var g *rows
+	outstanding := int64(0)
 	// The phase survives an error return: the deadlock diagnostic reports
-	// where each rank was when the job went down.
+	// where each rank was when the job went down. The drain loop's
+	// counters are formatted only then, not on every pass.
 	defer func() {
-		if err == nil {
+		switch {
+		case err == nil:
 			env.SetPhase("done")
+		case g != nil:
+			env.SetPhase(fmt.Sprintf("toposort:drain rows=%d/%d outstanding=%d", g.have, n, outstanding))
 		}
 	}()
-	n, me := env.Size(), env.Rank()
 	if n == 1 {
 		return nil
 	}
 	mine := appendRow(nil, env.SentTo())
 
-	// Snapshot receive counters before any Pull mutates them.
-	recvBase := append([]uint64(nil), env.RecvFrom()...)
+	// No copy of the receive counters: a peer's messages are pulled
+	// only once its row is absorbed, so when the row arrives, recv[p]
+	// still counts what had arrived from p before the drain began.
+	// g.toMe[p] becomes the count still to pull there and counts down
+	// as the messages are pulled.
+	recv := env.RecvFrom()
 
-	g := newRows(n, me)
 	env.SetPhase("toposort:announce")
 	// Announce this rank's counters to every peer. The announcement is
 	// deposited after the rank's last pre-cut application send, so a
@@ -68,19 +77,19 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 		return err
 	}
 
-	// left[p] counts the messages still to pull from p; it is known
-	// once p's row is in. Self traffic needs no announcement: this
-	// rank's own counters are its own row.
-	left := make([]int64, n)
-	outstanding := int64(0)
+	// Self traffic needs no announcement: this rank's own counters are
+	// its own row.
+	g = newRows(n, me)
 	absorb := func(src int, row []int64) error {
 		if err := g.add(src, row); err != nil {
 			return fmt.Errorf("drain/toposort: %w", err)
 		}
-		n, err := owed(g, src, recvBase)
-		left[src] = n
-		outstanding += n
-		return err
+		if g.toMe[src] < int64(recv[src]) {
+			return fmt.Errorf("drain/toposort: counter underflow from rank %d: sent %d, received %d", src, g.toMe[src], recv[src])
+		}
+		g.toMe[src] -= int64(recv[src])
+		outstanding += g.toMe[src]
+		return nil
 	}
 	if err := absorb(me, mine); err != nil {
 		return err
@@ -90,19 +99,19 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 	// only when a new row has arrived.
 	var order []int32
 	for g.have < n || outstanding > 0 {
-		env.SetPhase(fmt.Sprintf("toposort:drain rows=%d/%d outstanding=%d", g.have, n, outstanding))
 		progressed := false
 
-		// Absorb whatever counter announcements have arrived.
+		// Absorb whatever counter announcements have arrived, each
+		// received into exactly the values it holds.
 		for {
-			ok, src, err := env.CtlIprobe(mpi.AnySource, ckpt.TagDrainCounters)
+			ok, src, count, err := env.CtlIprobe(mpi.AnySource, ckpt.TagDrainCounters)
 			if err != nil {
 				return err
 			}
 			if !ok {
 				break
 			}
-			row, err := env.CtlRecv(src, ckpt.TagDrainCounters, maxRowLen(n))
+			row, err := env.CtlRecv(src, ckpt.TagDrainCounters, count)
 			if err != nil {
 				return err
 			}
@@ -120,7 +129,7 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 		// pre-cut messages were deposited before the announcement, so
 		// every expected message is already probeable.
 		for _, w := range order {
-			for ; left[w] > 0; left[w]-- {
+			for ; g.toMe[w] > 0; g.toMe[w]-- {
 				if err := s.pullFrom(env, comms, int(w)); err != nil {
 					return err
 				}
@@ -148,16 +157,6 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 		}
 	}
 	return nil
-}
-
-// owed is the number of p's messages still in flight toward this rank:
-// what p announced minus what had arrived when the drain began.
-func owed(g *rows, p int, recvBase []uint64) (int64, error) {
-	left := g.toMe[p] - int64(recvBase[p])
-	if left < 0 {
-		return 0, fmt.Errorf("drain/toposort: counter underflow from rank %d: sent %d, received %d", p, g.toMe[p], recvBase[p])
-	}
-	return left, nil
 }
 
 // pullFrom locates and pulls one in-flight message from world rank w on

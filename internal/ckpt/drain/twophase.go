@@ -36,15 +36,16 @@ func (*TwoPhase) Drain(env ckpt.DrainEnv) (err error) {
 		return fmt.Errorf("drain/twophase: counter exchange: %w", err)
 	}
 
-	recvFrom := env.RecvFrom()
-	expect := make([]int64, env.Size())
-	var total int64
-	for p := range expect {
-		expect[p] = int64(theirSent[p]) - int64(recvFrom[p])
-		if expect[p] < 0 {
-			return fmt.Errorf("drain/twophase: counter underflow from rank %d: sent %d, received %d", p, theirSent[p], recvFrom[p])
+	// The exchange's result is this rank's own copy: it becomes, in
+	// place, the count still owed by each peer.
+	recvFrom, owed := env.RecvFrom(), theirSent
+	var total uint64
+	for p, sent := range theirSent {
+		if sent < recvFrom[p] {
+			return fmt.Errorf("drain/twophase: counter underflow from rank %d: sent %d, received %d", p, sent, recvFrom[p])
 		}
-		total += expect[p]
+		owed[p] = sent - recvFrom[p]
+		total += owed[p]
 	}
 	if total == 0 {
 		return nil
@@ -70,12 +71,12 @@ func (*TwoPhase) Drain(env ckpt.DrainEnv) (err error) {
 				if err != nil {
 					return err
 				}
-				expect[w]--
-				total--
-				progressed = true
-				if expect[w] < 0 {
+				if owed[w] == 0 {
 					return fmt.Errorf("drain/twophase: drained more messages from rank %d than its counter claims", w)
 				}
+				owed[w]--
+				total--
+				progressed = true
 			}
 		}
 		if !progressed && total > 0 {

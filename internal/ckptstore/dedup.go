@@ -28,7 +28,9 @@ import (
 // Ownership and lifecycle:
 //
 //   - A blob is owned by the store's refcount table (Store.blobRefs):
-//     one reference per recipe that lists it. Commit increments
+//     one reference per recipe that lists it. Recipes, plans and the
+//     table name blobs by blobID; the text key is formatted only for a
+//     backend call or a report. Commit increments
 //     references for the new generation's recipes before the manifest
 //     flips; a failed commit decrements them again and deletes only
 //     the blobs that commit introduced.
@@ -57,6 +59,12 @@ type blobID struct {
 	sum  [16]byte
 }
 
+// matches reports whether seg has the CRC and length id names: the
+// cheap check of a fetched blob.
+func (id blobID) matches(seg []byte) bool {
+	return uint64(len(seg)) == id.size && crc32.ChecksumIEEE(seg) == id.crc
+}
+
 // idOf computes a segment's blobID.
 func idOf(seg []byte) blobID {
 	sum := sha256.Sum256(seg)
@@ -66,7 +74,8 @@ func idOf(seg []byte) blobID {
 }
 
 // key formats the backend key of a blob — "blob/<crc %08x>-<length>-
-// <hash %x>" — without fmt: the one blob key formatter.
+// <hash %x>" — without fmt: the one blob key formatter, called only
+// where a key leaves the store's tables (a backend call, a report).
 func (id blobID) key() string {
 	var b [len(blobPrefix) + 8 + 1 + 20 + 1 + 32]byte
 	k := append(b[:0], blobPrefix...)
@@ -80,28 +89,28 @@ func (id blobID) key() string {
 	return string(k)
 }
 
-// blobKey names a segment by content.
-func blobKey(seg []byte) string { return idOf(seg).key() }
-
-// parseBlobKey recovers the CRC and length a blob key embeds.
-func parseBlobKey(k string) (crc uint32, length int64, err error) {
+// parseBlobID recovers the blobID a blob key names. Only the key the
+// id formats back to is accepted, so one blob has one key.
+func parseBlobID(k string) (blobID, error) {
 	rest, ok := strings.CutPrefix(k, blobPrefix)
 	if !ok {
-		return 0, 0, fmt.Errorf("ckptstore: %q is not a blob key", k)
+		return blobID{}, fmt.Errorf("ckptstore: %q is not a blob key", k)
 	}
+	var id blobID
 	parts := strings.SplitN(rest, "-", 3)
-	if len(parts) != 3 {
-		return 0, 0, fmt.Errorf("ckptstore: malformed blob key %q", k)
+	if len(parts) == 3 {
+		crc, cerr := strconv.ParseUint(parts[0], 16, 32)
+		size, serr := strconv.ParseUint(parts[1], 10, 64)
+		sum, herr := hex.DecodeString(parts[2])
+		if cerr == nil && serr == nil && herr == nil && len(sum) == len(id.sum) {
+			id.crc, id.size = uint32(crc), size
+			copy(id.sum[:], sum)
+			if id.key() == k {
+				return id, nil
+			}
+		}
 	}
-	c, err := strconv.ParseUint(parts[0], 16, 32)
-	if err != nil {
-		return 0, 0, fmt.Errorf("ckptstore: malformed blob key %q: %w", k, err)
-	}
-	n, err := strconv.ParseInt(parts[1], 10, 64)
-	if err != nil || n < 0 {
-		return 0, 0, fmt.Errorf("ckptstore: malformed blob key %q", k)
-	}
-	return uint32(c), n, nil
+	return blobID{}, fmt.Errorf("ckptstore: malformed blob key %q", k)
 }
 
 // recipeMagic leads every recipe blob; it cannot collide with image
@@ -132,9 +141,9 @@ func encodeRecipe(total int, ids []blobID) []byte {
 // errTruncatedRecipe reports a recipe that ends inside a field.
 var errTruncatedRecipe = fmt.Errorf("ckptstore: truncated recipe (%w)", ckptimg.ErrCorrupt)
 
-// decodeRecipe parses a recipe blob into the image length and the
-// backend keys of its segments.
-func decodeRecipe(data []byte) (total int, keys []string, err error) {
+// decodeRecipe parses a recipe blob into the image length and the ids
+// of its segments.
+func decodeRecipe(data []byte) (total int, ids []blobID, err error) {
 	if !bytes.HasPrefix(data, recipeMagic) {
 		return 0, nil, fmt.Errorf("ckptstore: not a recipe blob (%w)", ckptimg.ErrCorrupt)
 	}
@@ -161,7 +170,7 @@ func decodeRecipe(data []byte) (total int, keys []string, err error) {
 	if nk > uint64(len(rest)/minSegmentBytes) {
 		return 0, nil, fmt.Errorf("ckptstore: recipe claims %d segments in %d bytes (%w)", nk, len(rest), ckptimg.ErrCorrupt)
 	}
-	keys = make([]string, 0, nk)
+	ids = make([]blobID, 0, nk)
 	for i := uint64(0); i < nk; i++ {
 		var id blobID
 		if len(rest) < 4 {
@@ -176,12 +185,12 @@ func decodeRecipe(data []byte) (total int, keys []string, err error) {
 			return 0, nil, errTruncatedRecipe
 		}
 		rest = rest[copy(id.sum[:], rest):]
-		keys = append(keys, id.key())
+		ids = append(ids, id)
 	}
 	if len(rest) != 0 {
 		return 0, nil, fmt.Errorf("ckptstore: trailing bytes after recipe (%w)", ckptimg.ErrCorrupt)
 	}
-	return int(t), keys, nil
+	return int(t), ids, nil
 }
 
 // maxImageBytes bounds a recipe's claimed reassembled size.
@@ -189,7 +198,7 @@ const maxImageBytes = 1 << 40
 
 // blobPut is one new blob a commit must persist.
 type blobPut struct {
-	key  string
+	id   blobID
 	data []byte
 }
 
@@ -198,7 +207,7 @@ type blobPut struct {
 type dedupPlan struct {
 	recipes  [][]byte       // per-rank recipe blobs for the rank keys
 	newBlobs []blobPut      // blobs first referenced by this commit, ordered
-	added    map[string]int // refcount increments this commit will apply
+	added    map[blobID]int // refcount increments this commit will apply
 	unique   []int64        // per-rank new-unique-byte attribution
 }
 
@@ -208,24 +217,23 @@ type dedupPlan struct {
 // later reference — same commit or any later one — is free.
 func (s *Store) planDedup(images [][]byte) *dedupPlan {
 	p := &dedupPlan{
-		added:  make(map[string]int),
+		added:  make(map[blobID]int),
 		unique: make([]int64, s.n),
 	}
-	newIdx := make(map[string]bool)
 	for r, data := range images {
 		segs := ckptimg.SplitDedupSegments(data)
 		ids := make([]blobID, len(segs))
 		for i, seg := range segs {
-			ids[i] = idOf(seg)
-			k := ids[i].key()
-			if s.blobRefs[k] == 0 && !newIdx[k] {
-				newIdx[k] = true
+			id := idOf(seg)
+			ids[i] = id
+			// A blob neither live nor already planned is new.
+			if s.blobRefs[id] == 0 && p.added[id] == 0 {
 				// The segment is a sub-slice of the image: the store
 				// keeps an exact copy, never the whole image behind it.
-				p.newBlobs = append(p.newBlobs, blobPut{key: k, data: exactCopy(seg)})
+				p.newBlobs = append(p.newBlobs, blobPut{id: id, data: exactCopy(seg)})
 				p.unique[r] += int64(len(seg))
 			}
-			p.added[k]++
+			p.added[id]++
 		}
 		recipe := encodeRecipe(len(data), ids)
 		p.recipes = append(p.recipes, recipe)
@@ -238,7 +246,7 @@ func (s *Store) planDedup(images [][]byte) *dedupPlan {
 // under its rank keys, in order, stopping at the first failure.
 func (s *Store) putDedup(keys []string, p *dedupPlan) error {
 	for _, nb := range p.newBlobs {
-		if err := s.bPut(nb.key, nb.data); err != nil {
+		if err := s.bPut(nb.id.key(), nb.data); err != nil {
 			return err
 		}
 	}
@@ -251,14 +259,14 @@ func (s *Store) putDedup(keys []string, p *dedupPlan) error {
 }
 
 // applyRefs merges a commit's refcount increments into the live table.
-func (s *Store) applyRefs(added map[string]int) {
+func (s *Store) applyRefs(added map[blobID]int) {
 	for k, d := range added {
 		s.blobRefs[k] += d
 	}
 }
 
 // unapplyRefs reverts applyRefs; entries falling to zero are removed.
-func (s *Store) unapplyRefs(added map[string]int) {
+func (s *Store) unapplyRefs(added map[blobID]int) {
 	for k, d := range added {
 		if s.blobRefs[k] -= d; s.blobRefs[k] <= 0 {
 			delete(s.blobRefs, k)
@@ -279,8 +287,9 @@ func (s *Store) discardDedup(seq int, keys []string, newBlobs []blobPut) error {
 		}
 	}
 	for _, nb := range newBlobs {
-		if err := s.b.Delete(nb.key); err != nil {
-			errs = append(errs, fmt.Errorf("ckptstore: discarding blob %q: %w", nb.key, err))
+		k := nb.id.key()
+		if err := s.b.Delete(k); err != nil {
+			errs = append(errs, fmt.Errorf("ckptstore: discarding blob %q: %w", k, err))
 		}
 	}
 	return errors.Join(errs...)
@@ -299,7 +308,7 @@ func (s *Store) pruneRecipe(k string) error {
 	if err != nil {
 		return nil // already pruned: idempotent
 	}
-	_, keys, err := decodeRecipe(data)
+	_, ids, err := decodeRecipe(data)
 	if err != nil {
 		return fmt.Errorf("ckptstore: pruning %q: %w", k, err)
 	}
@@ -307,9 +316,10 @@ func (s *Store) pruneRecipe(k string) error {
 		return fmt.Errorf("ckptstore: pruning %q: %w", k, err)
 	}
 	var errs []error
-	for _, bk := range keys {
-		if s.blobRefs[bk]--; s.blobRefs[bk] <= 0 {
-			delete(s.blobRefs, bk)
+	for _, id := range ids {
+		if s.blobRefs[id]--; s.blobRefs[id] <= 0 {
+			delete(s.blobRefs, id)
+			bk := id.key()
 			if err := s.b.Delete(bk); err != nil {
 				errs = append(errs, fmt.Errorf("ckptstore: pruning blob %q: %w", bk, err))
 			}
@@ -319,7 +329,7 @@ func (s *Store) pruneRecipe(k string) error {
 }
 
 // assembleRecipe reassembles a rank image from its recipe, verifying
-// each blob against the CRC and length its key embeds.
+// each blob against the CRC and length its id carries.
 //
 // Every resolution failure — an undecodable recipe, a missing or
 // key-contradicting blob, a reassembly length mismatch — is a typed
@@ -327,23 +337,19 @@ func (s *Store) pruneRecipe(k string) error {
 // plain chain walk's failures, so restart-fallback policies can match
 // one error shape.
 func (s *Store) assembleRecipe(seq, rank int, recipe []byte) ([]byte, error) {
-	total, keys, err := decodeRecipe(recipe)
+	total, ids, err := decodeRecipe(recipe)
 	if err != nil {
 		return nil, &ChainLinkError{Gen: seq, Rank: rank, Err: err}
 	}
 	out := make([]byte, 0, total)
-	for _, bk := range keys {
-		seg, err := s.bGet(bk)
+	for _, id := range ids {
+		seg, err := s.bGet(id.key())
 		if err != nil {
 			return nil, &ChainLinkError{Gen: seq, Rank: rank, Err: err}
 		}
-		crc, length, err := parseBlobKey(bk)
-		if err != nil {
-			return nil, &ChainLinkError{Gen: seq, Rank: rank, Err: err}
-		}
-		if int64(len(seg)) != length || crc32.ChecksumIEEE(seg) != crc {
+		if !id.matches(seg) {
 			return nil, &ChainLinkError{Gen: seq, Rank: rank,
-				Err: fmt.Errorf("blob %q does not match its key (%w)", bk, ckptimg.ErrCorrupt)}
+				Err: fmt.Errorf("blob %q does not match its key (%w)", id.key(), ckptimg.ErrCorrupt)}
 		}
 		out = append(out, seg...)
 	}
@@ -365,16 +371,16 @@ func (s *Store) rebuildRefs(blobKeys []string) error {
 			if err != nil {
 				continue // pruned by a crashed prune: its refs are gone too
 			}
-			if _, keys, err := decodeRecipe(data); err == nil {
-				for _, bk := range keys {
-					s.blobRefs[bk]++
+			if _, ids, err := decodeRecipe(data); err == nil {
+				for _, id := range ids {
+					s.blobRefs[id]++
 				}
 			}
 		}
 	}
 	var errs []error
 	for _, bk := range blobKeys {
-		if s.blobRefs[bk] == 0 {
+		if id, err := parseBlobID(bk); err != nil || s.blobRefs[id] == 0 {
 			if err := s.b.Delete(bk); err != nil {
 				errs = append(errs, fmt.Errorf("ckptstore: pruning orphan blob %q: %w", bk, err))
 			}
@@ -412,12 +418,10 @@ func (d DedupStats) Ratio() float64 {
 // not dedup.
 func (s *Store) DedupStats() DedupStats {
 	var d DedupStats
-	for k, n := range s.blobRefs {
-		if _, length, err := parseBlobKey(k); err == nil {
-			d.Blobs++
-			d.StoredBytes += length
-			d.SharedRefs += n - 1
-		}
+	for id, n := range s.blobRefs {
+		d.Blobs++
+		d.StoredBytes += int64(id.size)
+		d.SharedRefs += n - 1
 	}
 	for i := s.prunedTo; i < len(s.gens); i++ {
 		d.LogicalBytes += s.gens[i].Bytes

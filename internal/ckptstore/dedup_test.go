@@ -103,8 +103,8 @@ func TestDedupMaterializeMatchesNonDedup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if total, keys, err := decodeRecipe(recipe); err != nil || total == 0 || len(keys) == 0 {
-				t.Fatalf("generation %d rank %d: resolved through no blob (%d bytes, %d keys, %v)", seq, r, total, len(keys), err)
+			if total, ids, err := decodeRecipe(recipe); err != nil || total == 0 || len(ids) == 0 {
+				t.Fatalf("generation %d rank %d: resolved through no blob (%d bytes, %d keys, %v)", seq, r, total, len(ids), err)
 			}
 		}
 	}
@@ -190,7 +190,7 @@ func TestDedupPruneRetryAfterFailure(t *testing.T) {
 		b: fb, n: 1,
 		opts:     dedupOptions().withDefaults(),
 		index:    make([]rankIndex, 1),
-		blobRefs: make(map[string]int),
+		blobRefs: make(map[blobID]int),
 	}
 	s.opts.ChainCap = 0 // every generation a base
 	// Two bases with disjoint states, then a third: pruning drops the
@@ -199,8 +199,8 @@ func TestDedupPruneRetryAfterFailure(t *testing.T) {
 		commitGen(t, s, 1, gen, func(int) []byte { return sharedAppState(4<<10, 0, gen*1000) })
 	}
 	// Fail every blob delete once.
-	for k := range s.blobRefs {
-		fb.failDelete[k] = true
+	for id := range s.blobRefs {
+		fb.failDelete[id.key()] = true
 	}
 	if err := prune(s, 1); err == nil || !strings.Contains(err.Error(), "injected delete failure") {
 		t.Fatalf("prune over failing blob deletes: %v", err)
@@ -239,7 +239,7 @@ func TestDedupCrashResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	orphanSeg := []byte("orphaned segment payload never committed")
-	if err := b.Put(blobKey(orphanSeg), orphanSeg); err != nil {
+	if err := b.Put(idOf(orphanSeg).key(), orphanSeg); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Put(key(7, 0), encodeRecipe(len(orphanSeg), []blobID{idOf(orphanSeg)})); err != nil {
@@ -253,7 +253,7 @@ func TestDedupCrashResume(t *testing.T) {
 	if got := s2.DedupStats(); got != liveStats {
 		t.Fatalf("resumed blob table %+v, want %+v", got, liveStats)
 	}
-	if _, err := s2.Backend().Get(blobKey(orphanSeg)); err == nil {
+	if _, err := s2.Backend().Get(idOf(orphanSeg).key()); err == nil {
 		t.Fatal("orphan blob survived the resume")
 	}
 	if _, err := s2.Backend().Get(key(7, 0)); err == nil {
@@ -282,7 +282,7 @@ func TestDedupRollbackKeepsSharedBlobs(t *testing.T) {
 		b: fb, n: 1,
 		opts:     dedupOptions().withDefaults(),
 		index:    make([]rankIndex, 1),
-		blobRefs: make(map[string]int),
+		blobRefs: make(map[blobID]int),
 	}
 	s.opts.ChainCap = 0
 	commitGen(t, s, 1, 0, func(int) []byte { return sharedAppState(4<<10, 0, 0) })
@@ -361,14 +361,13 @@ func TestDedupManifestFailureRevertsRefs(t *testing.T) {
 func TestRecipeRoundTrip(t *testing.T) {
 	segs := [][]byte{[]byte("alpha"), []byte("beta-segment")}
 	enc := encodeRecipe(17, []blobID{idOf(segs[0]), idOf(segs[1])})
-	keys := []string{blobKey(segs[0]), blobKey(segs[1])}
 	total, got, err := decodeRecipe(enc)
-	if err != nil || total != 17 || len(got) != len(keys) {
-		t.Fatalf("decode: total=%d keys=%v err=%v", total, got, err)
+	if err != nil || total != 17 || len(got) != len(segs) {
+		t.Fatalf("decode: total=%d ids=%v err=%v", total, got, err)
 	}
-	for i := range keys {
-		if got[i] != keys[i] {
-			t.Fatalf("key %d: %q != %q", i, got[i], keys[i])
+	for i, seg := range segs {
+		if got[i] != idOf(seg) {
+			t.Fatalf("segment %d: %v != %v", i, got[i], idOf(seg))
 		}
 	}
 	if _, _, err := decodeRecipe([]byte("MANACKPT not a recipe")); err == nil {
@@ -380,11 +379,14 @@ func TestRecipeRoundTrip(t *testing.T) {
 	if _, _, err := decodeRecipe(append(append([]byte(nil), enc...), 0xFF)); err == nil {
 		t.Fatal("recipe with trailing bytes decoded")
 	}
-	if _, _, err := parseBlobKey("blob/zzzz-5-aa"); err == nil {
-		t.Fatal("malformed blob key parsed")
+	alpha := idOf([]byte("alpha"))
+	for _, k := range []string{"blob/zzzz-5-aa", strings.ToUpper(alpha.key()), strings.Replace(alpha.key(), "-5-", "-05-", 1), alpha.key()[:len(alpha.key())-2]} {
+		if _, err := parseBlobID(k); err == nil {
+			t.Fatalf("malformed blob key %q parsed", k)
+		}
 	}
-	if crc, n, err := parseBlobKey(blobKey([]byte("alpha"))); err != nil || n != 5 || crc == 0 {
-		t.Fatalf("parseBlobKey: crc=%d n=%d err=%v", crc, n, err)
+	if id, err := parseBlobID(alpha.key()); err != nil || id != alpha {
+		t.Fatalf("parseBlobID: %v, %v; want %v", id, err, alpha)
 	}
 }
 

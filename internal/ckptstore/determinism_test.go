@@ -131,18 +131,19 @@ func recordLifecycle(t *testing.T, o Options) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, keys, err := decodeRecipe(recipe)
+	_, ids, err := decodeRecipe(recipe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var damaged []string
-	for _, bk := range keys {
-		if s.blobRefs[bk] != 1 || slices.Contains(damaged, bk) {
+	for _, id := range ids {
+		bk := id.key()
+		if s.blobRefs[id] != 1 || slices.Contains(damaged, bk) {
 			continue
 		}
-		_, length, _ := parseBlobKey(bk)
+		length := int(id.size)
 		for _, b := range bounds {
-			if _, ok := slices.BinarySearch(bounds, b+int(length)); ok && blobKey(donor[b:b+int(length)]) == bk {
+			if _, ok := slices.BinarySearch(bounds, b+length); ok && idOf(donor[b:b+length]) == id {
 				damaged = append(damaged, bk)
 				break
 			}

@@ -236,14 +236,15 @@ func TestRetiredStoreFormatsRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		total, keys, err := decodeRecipe(data)
+		total, ids, err := decodeRecipe(data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// What an earlier build wrote: each segment as its text key.
 		old := binary.AppendUvarint([]byte("MANARCP1"), uint64(total))
-		old = binary.AppendUvarint(old, uint64(len(keys)))
-		for _, k := range keys {
+		old = binary.AppendUvarint(old, uint64(len(ids)))
+		for _, id := range ids {
+			k := id.key()
 			old = append(binary.AppendUvarint(old, uint64(len(k))), k...)
 		}
 		_, _, err = decodeRecipe(old)

@@ -33,13 +33,17 @@ func TestKeysMatchFmt(t *testing.T) {
 	for _, seg := range [][]byte{nil, []byte("a"), []byte("beta-segment"), bytes.Repeat([]byte{0x5a}, 70000)} {
 		sum := sha256.Sum256(seg)
 		k := fmt.Sprintf("%s%08x-%d-%x", blobPrefix, crc32.ChecksumIEEE(seg), len(seg), sum[:16])
-		if got := blobKey(seg); got != k {
-			t.Errorf("blobKey = %q, want %q", got, k)
+		if got := idOf(seg).key(); got != k {
+			t.Errorf("blob key = %q, want %q", got, k)
 		}
 		ids = append(ids, idOf(seg))
 		want = append(want, k)
 	}
-	total, keys, err := decodeRecipe(encodeRecipe(70013, ids))
+	total, got, err := decodeRecipe(encodeRecipe(70013, ids))
+	var keys []string
+	for _, id := range got {
+		keys = append(keys, id.key())
+	}
 	if err != nil || total != 70013 || !slices.Equal(keys, want) {
 		t.Errorf("recipe rebuilt %d, %q, %v; want 70013, %q", total, keys, err, want)
 	}

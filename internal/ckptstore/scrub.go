@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"maps"
 	"slices"
 	"sort"
@@ -146,9 +145,9 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 	// validate it against itself, and defer byte verification to the
 	// content-blob pass.
 	directBad := make(map[int]bool)     // generations with unrepairable key damage
-	recount := make(map[string]int)     // content blob -> references from surviving recipes
-	blobUsers := make(map[string][]int) // content blob -> generations referencing it
-	var recipes [][]string              // blob keys of the intact recipes, walk order
+	recount := make(map[blobID]int)     // content blob -> references from surviving recipes
+	blobUsers := make(map[blobID][]int) // content blob -> generations referencing it
+	var recipes [][]blobID              // blob ids of the intact recipes, walk order
 	for seq := s.prunedTo; seq < len(s.gens); seq++ {
 		rep.Generations++
 		for r, k := range s.keys[seq] {
@@ -167,40 +166,29 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 				}
 				continue
 			}
-			total, bks, derr := decodeRecipe(data)
+			total, ids, derr := decodeRecipe(data)
 			if derr != nil {
 				rep.found(FindingCorruptBlob, k, seq, r, derr)
 				directBad[seq] = true
 				continue
 			}
-			var sum int64
-			bad := false
-			for _, bk := range bks {
-				_, l, perr := parseBlobKey(bk)
-				if perr != nil {
-					rep.found(FindingCorruptBlob, k, seq, r, perr)
-					directBad[seq] = true
-					bad = true
-					break
-				}
-				sum += l
+			var sum uint64
+			for _, id := range ids {
+				sum += id.size
 			}
-			if bad {
-				continue
-			}
-			if sum != int64(total) {
+			if sum != uint64(total) {
 				rep.found(FindingCorruptBlob, k, seq, r,
 					fmt.Errorf("recipe claims %d bytes, segments sum to %d (%w)", total, sum, ckptimg.ErrCorrupt))
 				directBad[seq] = true
 				continue
 			}
-			for _, bk := range bks {
-				recount[bk]++
-				if u := blobUsers[bk]; len(u) == 0 || u[len(u)-1] != seq {
-					blobUsers[bk] = append(u, seq)
+			for _, id := range ids {
+				recount[id]++
+				if u := blobUsers[id]; len(u) == 0 || u[len(u)-1] != seq {
+					blobUsers[id] = append(u, seq)
 				}
 			}
-			recipes = append(recipes, bks)
+			recipes = append(recipes, ids)
 		}
 	}
 
@@ -208,19 +196,19 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 	// the CRC and length its key embeds — with dedup, every stored image
 	// byte is covered by exactly one such check. Damaged blobs then get
 	// a re-derivation attempt from intact sharers.
-	damaged := make(map[string]int) // blob key -> finding index
+	damaged := make(map[blobID]int) // blob -> finding index
 	if s.opts.Dedup {
-		for _, bk := range slices.Sorted(maps.Keys(recount)) {
-			crc, length, _ := parseBlobKey(bk) // validated in phase 1
+		for _, id := range byKey(recount) {
+			bk := id.key()
 			seg, gerr := s.bGet(bk)
 			if gerr != nil {
-				damaged[bk] = rep.found(FindingMissingBlob, bk, -1, -1, gerr)
+				damaged[id] = rep.found(FindingMissingBlob, bk, -1, -1, gerr)
 				continue
 			}
 			rep.BlobsChecked++
 			rep.BytesChecked += int64(len(seg))
-			if int64(len(seg)) != length || crc32.ChecksumIEEE(seg) != crc {
-				damaged[bk] = rep.found(FindingCorruptBlob, bk, -1, -1,
+			if !id.matches(seg) {
+				damaged[id] = rep.found(FindingCorruptBlob, bk, -1, -1,
 					fmt.Errorf("blob %q does not match its key (%w)", bk, ckptimg.ErrCorrupt))
 			}
 		}
@@ -231,29 +219,25 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 	// the truth (refcounts are derived state, exactly as at Open);
 	// rebuilding the table from it is the repair.
 	if s.opts.Dedup {
-		var drift []string
-		for bk, n := range recount {
-			if s.blobRefs[bk] != n {
-				drift = append(drift, bk)
+		drift := make(map[blobID]bool)
+		for id, n := range recount {
+			if s.blobRefs[id] != n {
+				drift[id] = true
 			}
 		}
-		for bk := range s.blobRefs {
-			if _, ok := recount[bk]; !ok {
-				drift = append(drift, bk)
+		for id := range s.blobRefs {
+			if _, ok := recount[id]; !ok {
+				drift[id] = true
 			}
 		}
-		sort.Strings(drift)
-		for _, bk := range drift {
-			idx := rep.found(FindingRefDrift, bk, -1, -1,
-				fmt.Errorf("refcount %d, surviving recipes reference %d", s.blobRefs[bk], recount[bk]))
+		for _, id := range byKey(drift) {
+			idx := rep.found(FindingRefDrift, id.key(), -1, -1,
+				fmt.Errorf("refcount %d, surviving recipes reference %d", s.blobRefs[id], recount[id]))
 			rep.Findings[idx].Repaired = true
 			rep.Repaired++
 		}
 		if len(drift) > 0 {
-			s.blobRefs = make(map[string]int, len(recount))
-			for bk, n := range recount {
-				s.blobRefs[bk] = n
-			}
+			s.blobRefs = maps.Clone(recount)
 		}
 	}
 
@@ -266,7 +250,7 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 			continue
 		}
 		if strings.HasPrefix(k, blobPrefix) {
-			if recount[k] > 0 {
+			if id, err := parseBlobID(k); err == nil && recount[id] > 0 {
 				continue
 			}
 		} else {
@@ -294,8 +278,8 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 	for seq := range directBad {
 		bad[seq] = true
 	}
-	for bk := range damaged {
-		for _, seq := range blobUsers[bk] {
+	for id := range damaged {
+		for _, seq := range blobUsers[id] {
 			bad[seq] = true
 		}
 	}
@@ -339,6 +323,12 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 	return rep, nil
 }
 
+// byKey returns the blobs of m in the order of their backend keys, the
+// order scrub reports and repairs them in.
+func byKey[V any](m map[blobID]V) []blobID {
+	return slices.SortedFunc(maps.Keys(m), func(a, b blobID) int { return strings.Compare(a.key(), b.key()) })
+}
+
 // repairFromDonors tries to rebuild damaged content blobs from intact
 // sharers. A damaged blob's bytes can survive inside another rank's or
 // generation's image under a different run grouping: segment boundaries
@@ -349,14 +339,14 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 // and content hash), so writing it back is a true repair, confirmed by
 // a read-back. Damaged blobs are tried in key order, so the repair
 // writes follow from the store's contents alone.
-func (s *Store) repairFromDonors(rep *ScrubReport, recipes [][]string, damaged map[string]int) {
-	for _, keys := range recipes {
+func (s *Store) repairFromDonors(rep *ScrubReport, recipes [][]blobID, damaged map[blobID]int) {
+	for _, ids := range recipes {
 		if len(damaged) == 0 {
 			return
 		}
 		clean := true
-		for _, bk := range keys {
-			if _, bad := damaged[bk]; bad {
+		for _, id := range ids {
+			if _, bad := damaged[id]; bad {
 				clean = false
 				break
 			}
@@ -366,8 +356,8 @@ func (s *Store) repairFromDonors(rep *ScrubReport, recipes [][]string, damaged m
 		}
 		var donor []byte
 		ok := true
-		for _, bk := range keys {
-			seg, err := s.bGet(bk)
+		for _, id := range ids {
+			seg, err := s.bGet(id.key())
 			if err != nil {
 				ok = false
 				break
@@ -381,16 +371,15 @@ func (s *Store) repairFromDonors(rep *ScrubReport, recipes [][]string, damaged m
 		if !ok {
 			continue
 		}
-		for _, bk := range slices.Sorted(maps.Keys(damaged)) {
-			idx := damaged[bk]
-			_, length, _ := parseBlobKey(bk)
+		for _, id := range byKey(damaged) {
+			idx, bk, length := damaged[id], id.key(), int(id.size)
 			for i := 0; i < len(bounds); i++ {
-				j := sort.SearchInts(bounds, bounds[i]+int(length))
-				if j >= len(bounds) || bounds[j] != bounds[i]+int(length) {
+				j := sort.SearchInts(bounds, bounds[i]+length)
+				if j >= len(bounds) || bounds[j] != bounds[i]+length {
 					continue
 				}
 				run := donor[bounds[i]:bounds[j]]
-				if blobKey(run) != bk {
+				if idOf(run) != id {
 					continue
 				}
 				if s.bPut(bk, exactCopy(run)) != nil {
@@ -403,7 +392,7 @@ func (s *Store) repairFromDonors(rep *ScrubReport, recipes [][]string, damaged m
 				}
 				rep.Findings[idx].Repaired = true
 				rep.Repaired++
-				delete(damaged, bk)
+				delete(damaged, id)
 				break
 			}
 		}

@@ -180,12 +180,10 @@ func TestScrubOrphansAndRefDrift(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var driftKey string
-	for bk := range s.blobRefs {
-		driftKey = bk
+	for id := range s.blobRefs {
+		s.blobRefs[id]++
 		break
 	}
-	s.blobRefs[driftKey]++
 
 	rep, err := s.Scrub()
 	if err != nil {
@@ -245,9 +243,13 @@ func TestScrubRepairFromDonor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, keys, err := decodeRecipe(data)
+		_, ids, err := decodeRecipe(data)
 		if err != nil {
 			t.Fatal(err)
+		}
+		keys := make([]string, len(ids))
+		for i, id := range ids {
+			keys[i] = id.key()
 		}
 		return keys
 	}

@@ -241,9 +241,9 @@ type Store struct {
 	// (LastRetentionErr); retention never fails a durable commit.
 	retentionErr error
 
-	// blobRefs is the live refcount per content-addressed blob key —
+	// blobRefs is the live refcount per content-addressed blob —
 	// one reference per recipe that lists it. Nil unless Options.Dedup.
-	blobRefs map[string]int
+	blobRefs map[blobID]int
 	// lastUnique is the per-rank byte attribution of the most recent
 	// commit (CommitCharge).
 	lastUnique []int64
@@ -335,7 +335,7 @@ func Open(n int, o Options) (*Store, error) {
 	}
 	s := &Store{b: b, n: n, opts: o, index: make([]rankIndex, n), quarantined: make(map[int]bool)}
 	if o.Dedup {
-		s.blobRefs = make(map[string]int)
+		s.blobRefs = make(map[blobID]int)
 	}
 	resumed := false
 	if data, err := b.Get(manifestKey); err == nil {

@@ -1,6 +1,7 @@
 package mana
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"manasim/internal/ckpt"
@@ -44,16 +45,18 @@ func (r *Runtime) ctlStage(count int) []byte {
 	return r.ctlBuf[:8*count]
 }
 
-// CtlIprobe implements ckpt.CtlLink.
-func (l ctlLink) CtlIprobe(src, tag int) (bool, int, error) {
+// CtlIprobe implements ckpt.CtlLink. The count rounds the probed bytes
+// up to whole values, so a receive posted with it takes the whole
+// message and a ragged one still fails in CtlRecv.
+func (l ctlLink) CtlIprobe(src, tag int) (bool, int, int, error) {
 	r := l.r
 	r.bnd.Enter()
 	ok, st, err := r.lower.Iprobe(src, tag, r.manaComm)
 	r.bnd.Leave()
 	if err != nil || !ok {
-		return false, 0, err
+		return false, 0, 0, err
 	}
-	return true, st.Source, nil
+	return true, st.Source, (st.Bytes + 7) / 8, nil
 }
 
 // CtlWait implements ckpt.CtlLink: a blocking MPI_Probe on the internal
@@ -72,6 +75,8 @@ func (l ctlLink) CtlWait(src, tag int) error {
 // reused across calls (control traffic is serial per rank): at a
 // 1024-rank drain each rank receives a thousand counter rows, and fresh
 // buffers per row made allocation and GC the dominant simulation cost.
+// Posted with CtlIprobe's count, they grow to the longest message the
+// rank has received, not to the longest the job could send.
 func (l ctlLink) CtlRecv(src, tag, count int) ([]int64, error) {
 	r := l.r
 	i64, err := r.lower.LookupConst(mpi.ConstInt64)
@@ -135,7 +140,10 @@ func (e drainEnv) RecvFrom() []uint64 { return e.r.recvFrom }
 // ExchangeAll implements ckpt.DrainEnv: the MPI_Alltoall of cumulative
 // counters over the internal communicator (Section 5, category 3). The
 // collective counts as size-1 control messages of 8 bytes — one counter
-// slot shipped to every peer.
+// slot shipped to every peer. The send and receive halves share one
+// wire buffer, dropped after the call rather than kept as the link's
+// staging buffer: 16n bytes a rank would keep for the rest of the job.
+// The result is the one decoded copy of what arrived.
 func (e drainEnv) ExchangeAll(vals []uint64) ([]uint64, error) {
 	r := e.r
 	r.ctlMsgs += uint64(r.size - 1)
@@ -144,15 +152,22 @@ func (e drainEnv) ExchangeAll(vals []uint64) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	send := mpi.Uint64Bytes(vals)
-	recv := make([]byte, 8*r.size)
+	wire := make([]byte, 16*r.size)
+	send, recv := wire[:8*r.size], wire[8*r.size:]
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(send[8*i:], v)
+	}
 	r.bnd.Enter()
 	err = r.lower.Alltoall(send, 1, u64, recv, 1, u64, r.manaComm)
 	r.bnd.Leave()
 	if err != nil {
 		return nil, err
 	}
-	return mpi.Uint64s(recv), nil
+	out := make([]uint64, r.size)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint64(recv[8*i:])
+	}
+	return out, nil
 }
 
 // Comms implements ckpt.DrainEnv: the live communicators to probe, with

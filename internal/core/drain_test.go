@@ -218,7 +218,7 @@ func TestCtlRecvReturnsWhatArrived(t *testing.T) {
 	const tag = 77
 	cfg := implFactory(t, "mpich")
 	_, err := cluster.Run(2, cfg.Factory, cfg.Host.Net, func(rank int, lower mpi.Proc, clock *simtime.Clock) error {
-		rt, err := NewRuntime(cfg, lower, clock, nil)
+		rt, err := NewRuntime(cfg, lower, clock, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -501,5 +501,60 @@ func TestCheckpointPresetDoesNotRaceTheRanks(t *testing.T) {
 	}
 	if st.CkptTaken != 1 || !st.Stopped {
 		t.Fatalf("preset set 20 ms after StartJob: %d checkpoints, stopped=%v", st.CkptTaken, st.Stopped)
+	}
+}
+
+// stuckApp never communicates, except that the rank named stuck blocks
+// in its first step on a receive nothing matches, so it never reaches
+// a checkpoint boundary.
+type stuckApp struct {
+	stuck       int
+	world, byte mpi.Handle
+}
+
+func (a *stuckApp) Setup(env *app.Env) (err error) {
+	if a.world, err = env.P.LookupConst(mpi.ConstCommWorld); err != nil {
+		return err
+	}
+	a.byte, err = env.P.LookupConst(mpi.ConstByte)
+	return err
+}
+
+func (a *stuckApp) Steps() int { return 2 }
+
+func (a *stuckApp) Step(env *app.Env, step int) error {
+	if env.Rank == a.stuck {
+		_, err := env.P.Recv(make([]byte, 1), 1, a.byte, mpi.AnySource, 99, a.world)
+		return err
+	}
+	env.Compute(time.Microsecond)
+	return nil
+}
+
+func (a *stuckApp) Finalize(*app.Env) error   { return nil }
+func (a *stuckApp) Checksum() uint64          { return 0 }
+func (a *stuckApp) Snapshot() ([]byte, error) { return nil, nil }
+func (a *stuckApp) Restore(data []byte) error { return nil }
+func (a *stuckApp) FootprintBytes() int64     { return 0 }
+
+// TestToposortStallNamesCounters: a toposort rank parked for a row that
+// never comes is named in the deadlock diagnostic with its drain
+// counters — the rows absorbed out of n and the messages still owed —
+// formatted when the job goes down, not on every pass of the drain.
+func TestToposortStallNamesCounters(t *testing.T) {
+	cfg := faultCfg(t, "mpich", nil)
+	cfg.DrainStrategy = "toposort"
+	_, _, err := Run(cfg, 3, func() app.Instance { return &stuckApp{stuck: 2} }, 1)
+	if err == nil {
+		t.Fatal("a job with a rank that never reaches the cut checkpointed")
+	}
+	msg := err.Error()
+	for _, want := range []string{"event-kernel deadlock", "rank 0: toposort:drain rows=2/3 outstanding=0", "rank 1: toposort:drain rows=2/3 outstanding=0"} {
+		if !strings.Contains(msg, want) {
+			t.Fatalf("diagnostic %q missing %q", msg, want)
+		}
+	}
+	if strings.Contains(msg, "rank 2:") {
+		t.Fatalf("diagnostic %q names the rank that never drained", msg)
 	}
 }

@@ -86,6 +86,8 @@ type Session struct {
 	checksums []uint64
 	stopped   []bool
 	chains    []ckptstore.ChainStats
+	// lists is the communicator membership the job's ranks share.
+	lists *memberLists
 	// restartGen is the store generation the session resumed from (-1
 	// for fresh jobs and raw-image restarts); see Stats.RestartGen.
 	restartGen int
@@ -100,7 +102,7 @@ func StartJob(cfg Config, n int, factory app.Factory) (*Session, error) {
 		return nil, err
 	}
 	s.body = func(rank int, proc mpi.Proc, clock *simtime.Clock) error {
-		rt, err := NewRuntime(s.cfg, proc, clock, s.Co)
+		rt, err := NewRuntime(s.cfg, proc, clock, s.Co, s.lists)
 		if err != nil {
 			return err
 		}
@@ -131,6 +133,7 @@ func newSession(cfg Config, n int, session uint64, gen int) (*Session, error) {
 		runtimes:   make([]*Runtime, n),
 		checksums:  make([]uint64, n),
 		stopped:    make([]bool, n),
+		lists:      newMemberLists(n),
 		restartGen: gen,
 	}
 	armFaults(cfg, s.job)
@@ -240,7 +243,7 @@ func restartJobImages(cfg Config, ranks []restoredRank, chains []ckptstore.Chain
 		if chains != nil && rank < len(chains) {
 			chain = &chains[rank]
 		}
-		rt, err := newRuntimeFromImage(s.cfg, proc, clock, s.Co, rr.img, rr.stateLen, chain)
+		rt, err := newRuntimeFromImage(s.cfg, proc, clock, s.Co, s.lists, rr.img, rr.stateLen, chain)
 		if err != nil {
 			return err
 		}
@@ -347,27 +350,35 @@ func (s *Session) Wait() (Stats, error) {
 }
 
 // Run starts a MANA job and waits for it; ckptAtStep >= 0 schedules one
-// checkpoint at that boundary.
+// checkpoint at that boundary. It returns the last generation's images,
+// each rank's chain resolved, or nil when no checkpoint completed; a
+// caller that does not read them runs RunStats instead.
 func Run(cfg Config, n int, factory app.Factory, ckptAtStep int) (Stats, [][]byte, error) {
+	s, st, err := run(cfg, n, factory, ckptAtStep)
+	if err != nil || st.CkptTaken == 0 {
+		return st, nil, err
+	}
+	images, err := s.Co.Images()
+	return st, images, err
+}
+
+// RunStats is Run without resolving the images.
+func RunStats(cfg Config, n int, factory app.Factory, ckptAtStep int) (Stats, error) {
+	_, st, err := run(cfg, n, factory, ckptAtStep)
+	return st, err
+}
+
+// run starts the job of Run and RunStats and waits for it.
+func run(cfg Config, n int, factory app.Factory, ckptAtStep int) (*Session, Stats, error) {
 	s, err := StartJob(cfg, n, factory)
 	if err != nil {
-		return Stats{}, nil, err
+		return nil, Stats{}, err
 	}
 	if ckptAtStep >= 0 {
 		s.Co.RequestCheckpointAtStep(ckptAtStep)
 	}
 	st, err := s.Wait()
-	if err != nil {
-		return st, nil, err
-	}
-	var images [][]byte
-	if st.CkptTaken > 0 {
-		images, err = s.Co.Images()
-		if err != nil {
-			return st, nil, err
-		}
-	}
-	return st, images, nil
+	return s, st, err
 }
 
 // Restart resumes from images and waits for completion.

@@ -21,6 +21,8 @@ import (
 // than the one the image was taken under, provided the image was taken
 // with uniform handles (Section 9).
 //
+// lists is the membership table of the restarted job.
+//
 // The application state is restored already and gone from img;
 // stateLen is its length. Reading the image back is charged to the
 // restart: when chain describes the base+delta reads that resolved the
@@ -28,7 +30,7 @@ import (
 // bytes, then the winning delta chunks as one pipelined read (the
 // resolver overlaps the links' reads) — instead of a single read of a
 // full image that never existed on storage.
-func newRuntimeFromImage(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *Coordinator, img *ckptimg.Image, stateLen int64, chain *ckptstore.ChainStats) (*Runtime, error) {
+func newRuntimeFromImage(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *Coordinator, lists *memberLists, img *ckptimg.Image, stateLen int64, chain *ckptstore.ChainStats) (*Runtime, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -62,6 +64,7 @@ func newRuntimeFromImage(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *C
 		rank:       lower.Rank(),
 		size:       lower.Size(),
 		members:    make(map[mpi.Handle][]int),
+		lists:      lists,
 		recvComms:  make(map[mpi.Handle]mpi.Handle),
 		reqResults: make(map[mpi.Handle]mpi.Status),
 		drained:    append([]ckptimg.DrainedMsg(nil), img.Drained...),

@@ -2,6 +2,7 @@ package mana
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"manasim/internal/ckpt"
@@ -39,8 +40,11 @@ type Runtime struct {
 
 	// members caches communicator membership (world ranks, in comm-rank
 	// order) keyed by virtual comm handle — MANA-specific information
-	// associated with the MPI object (Section 4.2).
+	// associated with the MPI object (Section 4.2). The lists are the
+	// job's interned ones (lists): never write one.
 	members map[mpi.Handle][]int
+	// lists is the membership table the ranks of the job share.
+	lists *memberLists
 
 	// recvComms maps each pending receive request to its virtual
 	// communicator; the drain protocol completes the receives in place.
@@ -100,8 +104,10 @@ type Runtime struct {
 	footprintFn func() int64
 }
 
-// NewRuntime wraps a fresh lower half for one rank.
-func NewRuntime(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *Coordinator) (*Runtime, error) {
+// NewRuntime wraps a fresh lower half for one rank. lists is the
+// membership table of the rank's job (Session keeps one per job); nil
+// gives the runtime a table of its own.
+func NewRuntime(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *Coordinator, lists *memberLists) (*Runtime, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -114,6 +120,9 @@ func NewRuntime(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *Coordinato
 	if err != nil {
 		return nil, fmt.Errorf("mana: %w", err)
 	}
+	if lists == nil {
+		lists = newMemberLists(lower.Size())
+	}
 	rt := &Runtime{
 		cfg:        cfg,
 		lower:      lower,
@@ -124,6 +133,7 @@ func NewRuntime(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *Coordinato
 		rank:       lower.Rank(),
 		size:       lower.Size(),
 		members:    make(map[mpi.Handle][]int),
+		lists:      lists,
 		recvComms:  make(map[mpi.Handle]mpi.Handle),
 		reqResults: make(map[mpi.Handle]mpi.Status),
 		sentTo:     make([]uint64, lower.Size()),
@@ -245,6 +255,45 @@ func (r *Runtime) LookupConst(name mpi.ConstName) (mpi.Handle, error) {
 // ---------------------------------------------------------------------
 // membership and ggid helpers
 
+// memberLists is the communicator membership the ranks of one job
+// share (Session.lists): the read-only identity list 0..n-1 every
+// rank's MPI_Group_translate_ranks input is sliced from, the scratch
+// list the translation writes into, and the interned world-rank lists
+// the ranks cache, one backing array per distinct membership, so n
+// ranks of a job hold one copy of each communicator's list, not n.
+// Ranks run one at a time under the rank-serial kernel, and nothing
+// between a decode into the scratch list and its last read yields, so
+// one scratch list serves the whole job. Nothing may write a list
+// intern returns.
+type memberLists struct {
+	identity []int
+	scratch  []int
+	// interned holds the shared lists by their hash (vid.GGIDOf). A
+	// list whose hash another membership holds stays the rank's own.
+	interned map[uint32][]int
+}
+
+func newMemberLists(n int) *memberLists {
+	id := make([]int, n)
+	for i := range id {
+		id[i] = i
+	}
+	return &memberLists{identity: id, scratch: make([]int, n), interned: make(map[uint32][]int)}
+}
+
+// intern returns the job's shared copy of world.
+func (m *memberLists) intern(world []int) []int {
+	h := vid.GGIDOf(world)
+	if l, ok := m.interned[h]; ok && slices.Equal(l, world) {
+		return l
+	}
+	l := slices.Clip(slices.Clone(world))
+	if _, taken := m.interned[h]; !taken {
+		m.interned[h] = l
+	}
+	return l
+}
+
 // cacheCommMembership caches a communicator's world-rank membership
 // for the drain protocol's per-peer counters.
 func (r *Runtime) cacheCommMembership(virt, phys mpi.Handle) error {
@@ -252,14 +301,15 @@ func (r *Runtime) cacheCommMembership(virt, phys mpi.Handle) error {
 	if err != nil {
 		return err
 	}
-	r.members[virt] = world
+	r.members[virt] = r.lists.intern(world)
 	return nil
 }
 
 // worldRanksOf decodes a communicator's membership as world ranks, in
 // comm-rank order, through the lower half's decode functions inside
 // one boundary crossing (Section 5, category 2: MPI_Comm_group +
-// MPI_Group_translate_ranks).
+// MPI_Group_translate_ranks). The result is the job's scratch list,
+// valid until the next decode: copy what is kept.
 func (r *Runtime) worldRanksOf(phys mpi.Handle) ([]int, error) {
 	worldPhys, err := r.lower.LookupConst(mpi.ConstCommWorld)
 	if err != nil {
@@ -279,12 +329,8 @@ func (r *Runtime) worldRanksOf(phys mpi.Handle) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	world, err := r.lower.GroupTranslateRanks(g, ranks, wg)
-	if err != nil {
+	world := r.lists.scratch[:n]
+	if err := r.lower.GroupTranslateRanks(g, r.lists.identity[:n], wg, world); err != nil {
 		return nil, err
 	}
 	_ = r.lower.GroupFree(g)
@@ -306,7 +352,8 @@ func (r *Runtime) membership(virt mpi.Handle) ([]int, error) {
 // performed even though MANA caches membership for counter bookkeeping,
 // because the ggid definition is pinned to the lower half's view. Every
 // communicator pays it at creation (the paper's eager policy; Section 9
-// proposes deferring it for communicator-churning codes).
+// proposes deferring it for communicator-churning codes). The hash
+// reads the decode in the job's scratch list; nothing is kept.
 func (r *Runtime) computeGGID(virt mpi.Handle) error {
 	phys, err := r.store.Phys(mpi.KindComm, virt)
 	if err != nil {

@@ -187,16 +187,16 @@ func (r *Runtime) GroupIncl(g mpi.Handle, ranks []int) (mpi.Handle, error) {
 }
 
 // GroupTranslateRanks implements mpi.Proc.
-func (r *Runtime) GroupTranslateRanks(g1 mpi.Handle, ranks []int, g2 mpi.Handle) ([]int, error) {
+func (r *Runtime) GroupTranslateRanks(g1 mpi.Handle, ranks []int, g2 mpi.Handle, out []int) error {
 	p1, err := r.physGroup(g1)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	p2, err := r.physGroup(g2)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return lowerQuery(r, func() ([]int, error) { return r.lower.GroupTranslateRanks(p1, ranks, p2) })
+	return r.lowerCall(func() error { return r.lower.GroupTranslateRanks(p1, ranks, p2, out) })
 }
 
 // GroupFree implements mpi.Proc.

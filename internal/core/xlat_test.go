@@ -23,7 +23,7 @@ var chargedSites = map[string]int{
 func soloRuntime(t *testing.T, cfg Config) *Runtime {
 	t.Helper()
 	job := cluster.New(1, 0, cfg.Factory, cfg.Host.Net)
-	rt, err := NewRuntime(cfg, job.Procs[0], job.Clocks[0], nil)
+	rt, err := NewRuntime(cfg, job.Procs[0], job.Clocks[0], nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func Backends(opts Options) ([]BackendRow, error) {
 	ckptStep := in.SimSteps / 2
 
 	base := mana.Config{ImplName: "mpich", Factory: factory, FS: fsim.NFSv3()}
-	plain, _, err := mana.Run(base, in.Ranks, spec.New(in), -1)
+	plain, err := mana.RunStats(base, in.Ranks, spec.New(in), -1)
 	if err != nil {
 		return nil, fmt.Errorf("backends experiment baseline: %w", err)
 	}
@@ -89,7 +89,7 @@ func Backends(opts Options) ([]BackendRow, error) {
 		cfg := base
 		cfg.Store = st
 		cfg.ExitAtCheckpoint = true
-		ckpt, _, err := mana.Run(cfg, in.Ranks, spec.New(in), ckptStep)
+		ckpt, err := mana.RunStats(cfg, in.Ranks, spec.New(in), ckptStep)
 		if err != nil {
 			return nil, fmt.Errorf("backends experiment %s checkpoint: %w", backend, err)
 		}

@@ -98,7 +98,7 @@ func dedupCell(appName string, ranks int, codec string, fast int) (DedupRow, err
 	s1, s2 := in.SimSteps/3, 2*in.SimSteps/3
 
 	base := mana.Config{ImplName: "mpich", Factory: factory, FS: fsim.NFSv3()}
-	plain, _, err := mana.Run(base, in.Ranks, spec.New(in), -1)
+	plain, err := mana.RunStats(base, in.Ranks, spec.New(in), -1)
 	if err != nil {
 		return DedupRow{}, fmt.Errorf("dedup cell %s/%d baseline: %w", appName, ranks, err)
 	}
@@ -124,7 +124,7 @@ func dedupCell(appName string, ranks int, codec string, fast int) (DedupRow, err
 		cfg := base
 		cfg.Store = st
 		cfg.ExitAtCheckpoint = true
-		ck, _, err := mana.Run(cfg, in.Ranks, spec.New(in), s1)
+		ck, err := mana.RunStats(cfg, in.Ranks, spec.New(in), s1)
 		if err != nil {
 			return DedupRow{}, fmt.Errorf("dedup cell %s/%d/%s gen0: %w", appName, ranks, codec, err)
 		}

@@ -62,7 +62,7 @@ func DeltaImages(opts Options) ([]DeltaRow, error) {
 			return nil, err
 		}
 		base := mana.Config{ImplName: "mpich", Factory: factory, FS: fsim.NFSv3()}
-		plain, _, err := mana.Run(base, in.Ranks, spec.New(in), -1)
+		plain, err := mana.RunStats(base, in.Ranks, spec.New(in), -1)
 		if err != nil {
 			return nil, fmt.Errorf("delta experiment %s baseline: %w", appName, err)
 		}
@@ -79,7 +79,7 @@ func DeltaImages(opts Options) ([]DeltaRow, error) {
 			cfg.ExitAtCheckpoint = true
 
 			// Generation 0: checkpoint at s1 and stop (preemption).
-			if _, _, err := mana.Run(cfg, in.Ranks, spec.New(in), s1); err != nil {
+			if _, err := mana.RunStats(cfg, in.Ranks, spec.New(in), s1); err != nil {
 				return nil, fmt.Errorf("delta experiment %s gen0: %w", appName, err)
 			}
 			// Generation 1: restart, checkpoint at s2, stop. In delta
@@ -177,7 +177,7 @@ func DeltaChainSweep(opts Options) ([]DeltaChainRow, error) {
 	ckptSteps := []int{2, 4, 6, 8, 10, 12, 14, 16, 18}
 
 	base := mana.Config{ImplName: "mpich", Factory: factory, FS: fsim.NFSv3()}
-	plain, _, err := mana.Run(base, in.Ranks, spec.New(in), -1)
+	plain, err := mana.RunStats(base, in.Ranks, spec.New(in), -1)
 	if err != nil {
 		return nil, fmt.Errorf("delta chain sweep baseline: %w", err)
 	}
@@ -200,7 +200,7 @@ func DeltaChainSweep(opts Options) ([]DeltaChainRow, error) {
 		cfg := base
 		cfg.Store = st
 		cfg.ExitAtCheckpoint = true
-		if _, _, err := mana.Run(cfg, in.Ranks, spec.New(in), ckptSteps[0]); err != nil {
+		if _, err := mana.RunStats(cfg, in.Ranks, spec.New(in), ckptSteps[0]); err != nil {
 			return nil, fmt.Errorf("delta chain sweep cap=%d gen0: %w", chainCap, err)
 		}
 		for _, at := range ckptSteps[1:] {

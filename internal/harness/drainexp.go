@@ -71,7 +71,7 @@ func DrainStrategies(opts Options) ([]DrainRow, error) {
 			return nil, err
 		}
 		base := mana.Config{ImplName: implName, Factory: factory, FS: fsim.NFSv3()}
-		plain, _, err := mana.Run(base, in.Ranks, spec.New(in), -1)
+		plain, err := mana.RunStats(base, in.Ranks, spec.New(in), -1)
 		if err != nil {
 			return nil, fmt.Errorf("drain experiment %s baseline: %w", implName, err)
 		}

@@ -205,7 +205,7 @@ func RunCell(cell Cell, opts Options) (Measurement, error) {
 	if cell.Mode == ModeNative {
 		st, err = mana.RunNative(cfg, in.Ranks, spec.New(in))
 	} else {
-		st, _, err = mana.Run(cfg, in.Ranks, spec.New(in), -1)
+		st, err = mana.RunStats(cfg, in.Ranks, spec.New(in), -1)
 	}
 	if err != nil {
 		return Measurement{}, fmt.Errorf("%s: %w", cell.Label(), err)

@@ -569,8 +569,8 @@ func TestGroupsAndCommCreate(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			tr, err := p.GroupTranslateRanks(sub, []int{0, 1, 2}, wg)
-			if err != nil {
+			tr := make([]int, 3)
+			if err := p.GroupTranslateRanks(sub, []int{0, 1, 2}, wg, tr); err != nil {
 				return err
 			}
 			if tr[0] != 2 || tr[1] != 1 || tr[2] != 0 {

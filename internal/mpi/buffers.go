@@ -86,21 +86,3 @@ func Int32s(b []byte) []int32 {
 	}
 	return v
 }
-
-// Uint64Bytes encodes a []uint64 into a packed byte slice.
-func Uint64Bytes(v []uint64) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], x)
-	}
-	return b
-}
-
-// Uint64s decodes a packed byte slice into a []uint64.
-func Uint64s(b []byte) []uint64 {
-	v := make([]uint64, len(b)/8)
-	for i := range v {
-		v[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	return v
-}

@@ -96,9 +96,11 @@ type Proc interface {
 	// GroupIncl builds a subgroup from the listed ranks of g.
 	GroupIncl(g Handle, ranks []int) (Handle, error)
 	// GroupTranslateRanks maps ranks of g1 to the corresponding ranks in
-	// g2 (Undefined where absent). MANA uses it to compute global group
-	// ids (Section 4.2).
-	GroupTranslateRanks(g1 Handle, ranks []int, g2 Handle) ([]int, error)
+	// g2 (Undefined where absent), writing them into out, which holds at
+	// least len(ranks) entries: the caller owns the result, as it owns
+	// ranks2 in MPI_Group_translate_ranks. MANA uses it to compute
+	// global group ids (Section 4.2).
+	GroupTranslateRanks(g1 Handle, ranks []int, g2 Handle, out []int) error
 	// GroupFree releases a group handle.
 	GroupFree(g Handle) error
 

@@ -449,16 +449,19 @@ func (e *Engine) agreeContexts(c *Comm, n int) (uint32, error) {
 	return uint32(mpi.Int32s(buf)[0]), nil
 }
 
-// GroupTranslateRanks maps ranks of g1 into g2.
-func (e *Engine) GroupTranslateRanks(g1 *Group, ranks []int, g2 *Group) ([]int, error) {
-	out := make([]int, len(ranks))
+// GroupTranslateRanks maps ranks of g1 into g2, writing out[i] for
+// ranks[i].
+func (e *Engine) GroupTranslateRanks(g1 *Group, ranks []int, g2 *Group, out []int) error {
+	if len(out) < len(ranks) {
+		return mpi.Errorf(mpi.ErrArg, "%d output slots for %d ranks", len(out), len(ranks))
+	}
 	for i, r := range ranks {
 		if r < 0 || r >= g1.Size() {
-			return nil, mpi.Errorf(mpi.ErrRank, "rank %d out of range for group of size %d", r, g1.Size())
+			return mpi.Errorf(mpi.ErrRank, "rank %d out of range for group of size %d", r, g1.Size())
 		}
 		out[i] = g2.RankOf(g1.Ranks[r])
 	}
-	return out, nil
+	return nil
 }
 
 // GroupIncl builds a subgroup from the listed ranks of g.

@@ -606,16 +606,16 @@ func (p *Proc) GroupIncl(g mpi.Handle, ranks []int) (mpi.Handle, error) {
 }
 
 // GroupTranslateRanks implements mpi.Proc.
-func (p *Proc) GroupTranslateRanks(g1 mpi.Handle, ranks []int, g2 mpi.Handle) ([]int, error) {
+func (p *Proc) GroupTranslateRanks(g1 mpi.Handle, ranks []int, g2 mpi.Handle, out []int) error {
 	a, err := p.group(g1)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	b, err := p.group(g2)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return p.Eng.GroupTranslateRanks(a, ranks, b)
+	return p.Eng.GroupTranslateRanks(a, ranks, b, out)
 }
 
 // GroupFree implements mpi.Proc.
