@@ -423,17 +423,19 @@ func cmdRun(args []string) error {
 	if cfg.Faults != nil {
 		reportFaults(cfg.Faults, st)
 	}
+	// The report resolves rank 0 alone, not the job's every image.
 	store := s.Store()
-	imgs, chains, err := store.MaterializeStreamHead()
+	head, _ := store.Head()
+	img0, chain0, err := store.MaterializeRank(head.Seq, 0)
 	if err != nil {
 		return err
 	}
-	head, _ := store.Head()
+	n := int64(store.Ranks())
 	fmt.Printf("checkpoint: %d rank images at step %d, %d KB stored + %d MB modeled per rank\n",
-		len(imgs), imgs[0].Step, head.Bytes/int64(len(imgs))/1024, imgs[0].ModeledBytes>>20)
-	if links := chains[0].Links; links > 0 {
+		n, img0.Step, head.Bytes/n/1024, img0.ModeledBytes>>20)
+	if links := chain0.Links; links > 0 {
 		fmt.Printf("checkpoint: head resolves a %d-link delta chain (rank 0 reads %d KB of base + %d KB of winning delta chunks)\n",
-			links, chains[0].BaseBytes/1024, chains[0].DeltaBytes/1024)
+			links, chain0.BaseBytes/1024, chain0.DeltaBytes/1024)
 	}
 	for _, g := range store.Generations() {
 		kind := "base"

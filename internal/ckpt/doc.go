@@ -13,7 +13,8 @@
 //	cmd/harness/impls ──(blank import of ckpt/drain)──┘
 //
 // A DrainStrategy sees one rank's runtime through the DrainEnv
-// interface: the per-peer send/receive counters, the live
+// interface: the per-peer send/receive counters (a ckptimg.Counters
+// list, one entry per peer the rank has talked to), the live
 // communicators, a handful of lower-half primitives (counter exchange,
 // probe, pull, control messages over MANA's internal communicator) and
 // the phase label the stall diagnostic prints. Strategies are selected
@@ -45,8 +46,11 @@
 // write a delta via PlanDelta; the dependency graph gains one edge:
 //
 //	core ──▶ ckpt ──▶ ckptstore ──▶ ckptimg
-//	          ▲
-//	          └── ckpt/drain (init-registered strategies)
+//	          ▲                       ▲
+//	          └────── ckpt/drain ─────┘
+//
+// ckpt/drain holds the init-registered strategies; the counters they
+// read are the image's own representation, ckptimg.Counters.
 //
 // # Concurrency model
 //

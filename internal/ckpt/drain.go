@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"manasim/internal/ckptimg"
 	"manasim/internal/mpi"
 )
 
@@ -32,21 +33,28 @@ type DrainEnv interface {
 	Rank() int
 	Size() int
 
-	// SentTo reports the cumulative number of application
-	// point-to-point messages this rank has sent to each world rank.
-	SentTo() []uint64
-	// RecvFrom reports the cumulative receives per world rank. The
-	// slice is the live counters, not a copy: Pull increments the
-	// sender's entry and no other, so an entry a strategy has not yet
-	// pulled for still holds its value from the start of the drain.
-	RecvFrom() []uint64
+	// Counters reports the rank's cumulative application point-to-point
+	// counters, one entry per world rank it has sent to or received
+	// from, peers ascending: the live list, not a copy. Pull counts the
+	// message it pulls into the list, inserting the sender's entry if
+	// it is the first message from that rank, which may move the list.
+	// So no strategy holds the list, or an entry of it, across a Pull:
+	// it reads the list before its first Pull (the announcement, the
+	// exchange's send half) and looks counts up with RecvFrom after.
+	Counters() ckptimg.Counters
+	// RecvFrom reports the cumulative receives from world rank p, a
+	// lookup in Counters. Pull increments the sender's count and no
+	// other, so the count of a peer a strategy has not yet pulled for
+	// still holds its value from the start of the drain.
+	RecvFrom(p int) uint64
 
 	// ExchangeAll runs an MPI_Alltoall of one uint64 per rank over the
-	// internal communicator and returns the value each peer sent to
-	// this rank — the collective counter exchange of the two-phase
-	// protocol (paper Section 5, category 3). The caller owns the
-	// result.
-	ExchangeAll(vals []uint64) ([]uint64, error)
+	// internal communicator — slot p of the send half is this rank's
+	// send count toward p from sent, zero where sent has no entry — and
+	// returns the value each peer sent to this rank: the collective
+	// counter exchange of the two-phase protocol (paper Section 5,
+	// category 3). The caller owns the result.
+	ExchangeAll(sent ckptimg.Counters) ([]uint64, error)
 
 	// Comms lists the live communicators to probe for in-flight
 	// traffic. MANA's internal communicator is never included.

@@ -35,6 +35,15 @@
 //
 // # The counter announcement
 //
+// A rank's counters are one list of (peer, sent, received) entries,
+// peers ascending, holding only the peers the rank has talked to
+// (ckptimg.Counters; the runtime counts into it, the image carries it).
+// The toposort announcement is the list's entries with a nonzero send
+// count; the two-phase exchange writes its MPI_Alltoall send half from
+// the same entries. A strategy reads the list whole only before its
+// first Pull, because a Pull may insert the sender's entry; after
+// that it looks counts up by peer.
+//
 // The toposort announcement carries a rank's cumulative send counters
 // in one wire format. A row lists only the peers the rank has sent to,
 // as int64 values:
@@ -54,10 +63,11 @@
 //
 // The receiver keeps two things of a row: the count addressed to
 // itself (what it must pull from the sender) and the sender's successor
-// list, appended to one arena per rank (rows.succ). The dependency
-// order is Kahn's algorithm over those lists — a min-heap of the ranks
-// with no unsorted predecessor, cycles broken at the smallest remaining
-// rank — and equals, sequence for sequence, the order the dense n×n
+// list, appended to one arena per rank (rows.succ), which the first row
+// sizes for n rows of its length. The dependency order is Kahn's
+// algorithm over those lists — a min-heap of the ranks with no
+// unsorted predecessor, cycles broken at the smallest remaining rank —
+// and equals, sequence for sequence, the order the dense n×n
 // matrix gave (the dense sort survives in the tests as the reference),
 // so images are byte-identical to those of the dense implementation.
 //
@@ -76,11 +86,12 @@
 // holds them to the sparse bound.
 //
 // A rank's 30n bytes are the rows' per-peer state: the owed counts,
-// the arena offsets and the order's scratch. There is no copy of the
-// receive counters and no per-peer countdown beside it, because a
-// peer's messages are pulled only after its row is absorbed: when the
-// row arrives, the live receive counter still holds its value from
-// the start of the drain, so what the peer still owes is computed
+// the arena offsets and the order's scratch, carved from three backing
+// arrays (four heap objects with the rows themselves). There is no
+// copy of the receive counters and no per-peer countdown beside it,
+// because a peer's messages are pulled only after its row is absorbed:
+// when the row arrives, the live receive counter still holds its value
+// from the start of the drain, so what the peer still owes is computed
 // there and counted down in place. Each row is received into a buffer
 // of exactly its length (the probed size), which the rank reuses, so
 // the buffer grows to the longest row the rank was sent, not to the

@@ -1,6 +1,10 @@
 package drain
 
-import "fmt"
+import (
+	"fmt"
+
+	"manasim/internal/ckptimg"
+)
 
 // RowError reports a counter announcement that violates the wire format
 // (see the package documentation). The row is input from another rank,
@@ -18,13 +22,13 @@ func (e *RowError) Error() string {
 
 // appendRow appends the announcement of one rank's cumulative send
 // counters to dst: [k, peer₁, count₁, …, peer_k, count_k] over the
-// nonzero counters, peers ascending.
-func appendRow(dst []int64, sent []uint64) []int64 {
+// entries with a nonzero send count, peers ascending as in the list.
+func appendRow(dst []int64, c ckptimg.Counters) []int64 {
 	at := len(dst)
 	dst = append(dst, 0)
-	for p, c := range sent {
-		if c > 0 {
-			dst = append(dst, int64(p), int64(c))
+	for _, e := range c {
+		if e.Sent > 0 {
+			dst = append(dst, int64(e.Peer), int64(e.Sent))
 		}
 	}
 	dst[at] = int64((len(dst) - at - 1) / 2)
@@ -57,17 +61,22 @@ type rows struct {
 	seq   []int32
 }
 
+// newRows carves the per-peer arrays out of three backing arrays, one
+// per element type, so a rank's rows cost four heap objects however
+// many ranks the job has.
 func newRows(n, me int) *rows {
+	i32 := make([]int32, 5*n)
+	flags := make([]bool, 2*n)
 	return &rows{
 		n: n, me: me,
-		known: make([]bool, n),
+		known: flags[:n:n],
 		toMe:  make([]int64, n),
-		off:   make([]int32, n),
-		end:   make([]int32, n),
-		indeg: make([]int32, n),
-		done:  make([]bool, n),
-		ready: make([]int32, 0, n),
-		seq:   make([]int32, 0, n),
+		off:   i32[:n:n],
+		end:   i32[n : 2*n : 2*n],
+		indeg: i32[2*n : 3*n : 3*n],
+		done:  flags[n:],
+		ready: i32[3*n : 3*n : 4*n],
+		seq:   i32[4*n : 4*n],
 	}
 }
 
@@ -92,6 +101,7 @@ func (g *rows) add(src int, row []int64) error {
 	if int64(len(row)) != 1+2*k {
 		return bad("%d values for %d entries, want %d", len(row), k, 1+2*k)
 	}
+	g.reserve(int(k))
 	toMe, prev := int64(0), int64(-1)
 	for i := 1; i < len(row); i += 2 {
 		p, c := row[i], row[i+1]
@@ -117,6 +127,20 @@ func (g *rows) add(src int, row []int64) error {
 	g.known[src] = true
 	g.have++
 	return nil
+}
+
+// reserve makes room in the arena for a row of k successors. It sizes
+// the arena for every row still to come at this row's length, so a job
+// whose ranks send to about as many peers each, a halo exchange or a
+// ring, grows it once or twice, not a logarithmic number of times.
+func (g *rows) reserve(k int) {
+	if cap(g.succ)-len(g.succ) >= k {
+		return
+	}
+	want := max(len(g.succ)+k*(g.n-g.have), 2*cap(g.succ))
+	succ := make([]int32, len(g.succ), want)
+	copy(succ, g.succ)
+	g.succ = succ
 }
 
 // order topologically sorts the ranks over the announcements absorbed so

@@ -49,14 +49,7 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 	if n == 1 {
 		return nil
 	}
-	mine := appendRow(nil, env.SentTo())
-
-	// No copy of the receive counters: a peer's messages are pulled
-	// only once its row is absorbed, so when the row arrives, recv[p]
-	// still counts what had arrived from p before the drain began.
-	// g.toMe[p] becomes the count still to pull there and counts down
-	// as the messages are pulled.
-	recv := env.RecvFrom()
+	mine := appendRow(nil, env.Counters())
 
 	env.SetPhase("toposort:announce")
 	// Announce this rank's counters to every peer. The announcement is
@@ -80,14 +73,20 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 	// Self traffic needs no announcement: this rank's own counters are
 	// its own row.
 	g = newRows(n, me)
+	// No copy of the receive counters: a peer's messages are pulled
+	// only once its row is absorbed, so when the row arrives, RecvFrom
+	// still counts what had arrived from it before the drain began.
+	// g.toMe[src] becomes the count still to pull there and counts down
+	// as the messages are pulled.
 	absorb := func(src int, row []int64) error {
 		if err := g.add(src, row); err != nil {
 			return fmt.Errorf("drain/toposort: %w", err)
 		}
-		if g.toMe[src] < int64(recv[src]) {
-			return fmt.Errorf("drain/toposort: counter underflow from rank %d: sent %d, received %d", src, g.toMe[src], recv[src])
+		recv := int64(env.RecvFrom(src))
+		if g.toMe[src] < recv {
+			return fmt.Errorf("drain/toposort: counter underflow from rank %d: sent %d, received %d", src, g.toMe[src], recv)
 		}
-		g.toMe[src] -= int64(recv[src])
+		g.toMe[src] -= recv
 		outstanding += g.toMe[src]
 		return nil
 	}

@@ -31,21 +31,25 @@ func (*TwoPhase) Drain(env ckpt.DrainEnv) (err error) {
 		}
 	}()
 	env.SetPhase("twophase:exchange")
-	theirSent, err := env.ExchangeAll(env.SentTo())
+	theirSent, err := env.ExchangeAll(env.Counters())
 	if err != nil {
 		return fmt.Errorf("drain/twophase: counter exchange: %w", err)
 	}
 
 	// The exchange's result is this rank's own copy: it becomes, in
-	// place, the count still owed by each peer.
-	recvFrom, owed := env.RecvFrom(), theirSent
-	var total uint64
-	for p, sent := range theirSent {
-		if sent < recvFrom[p] {
-			return fmt.Errorf("drain/twophase: counter underflow from rank %d: sent %d, received %d", p, sent, recvFrom[p])
+	// place, the count still owed by each peer. Only the peers this
+	// rank has received from owe less than they sent; no Pull has run
+	// yet, so the counter list is read whole here.
+	owed := theirSent
+	for _, c := range env.Counters() {
+		if sent := owed[c.Peer]; sent < c.Recv {
+			return fmt.Errorf("drain/twophase: counter underflow from rank %d: sent %d, received %d", c.Peer, sent, c.Recv)
 		}
-		owed[p] = sent - recvFrom[p]
-		total += owed[p]
+		owed[c.Peer] -= c.Recv
+	}
+	var total uint64
+	for _, o := range owed {
+		total += o
 	}
 	if total == 0 {
 		return nil

@@ -2,8 +2,9 @@
 // upper half of one MANA rank. An image contains the application state
 // blob, the virtual-id store snapshot (Section 4.2: "the structures are
 // then saved as part of the checkpoint image"), the drained in-flight
-// messages, the point-to-point counters, and enough identity metadata to
-// validate a restart.
+// messages, the point-to-point counters (one entry per peer the rank
+// talked to, Counters), and enough identity metadata to validate a
+// restart.
 //
 // Format v3 is a streaming, sectioned encoding: a fixed header (magic,
 // version, flags) followed by framed sections, each carrying its own
@@ -149,10 +150,9 @@ type Image struct {
 	// ReqResults holds receive requests completed during the drain.
 	ReqResults []ReqResult
 
-	// SentTo and RecvFrom are the per-world-rank p2p counters at the
+	// Counters are the rank's point-to-point message counters at the
 	// cut, carried so the next checkpoint's accounting stays exact.
-	SentTo   []uint64
-	RecvFrom []uint64
+	Counters Counters
 }
 
 // Options parameterizes encoding.
@@ -276,7 +276,7 @@ func writeTailSections(w *bytes.Buffer, img *Image) {
 	writeStoreSection(w, &img.Store)
 	writeDrainedSection(w, img.Drained)
 	writeReqsSection(w, img.ReqResults)
-	writeCountersSection(w, img.SentTo, img.RecvFrom)
+	writeCountersSection(w, img.Rank, img.Counters)
 	writeSection(w, secEnd, nil)
 }
 
@@ -292,8 +292,8 @@ func decodeCommonSection(img *Image, tag uint32, payload []byte) (bool, error) {
 		return true, decodeDrained2(img, payload)
 	case secReqs2:
 		return true, decodeReqs2(img, payload)
-	case secCounters2:
-		return true, decodeCounters2(img, payload)
+	case secCounters3:
+		return true, decodeCounters3(img, payload)
 	}
 	return false, nil
 }

@@ -32,8 +32,7 @@ func sampleImage(rank, n, step int) *Image {
 			{GGID: 0xABCD, SrcCommRank: 1, SrcWorld: 1, Tag: 7, Payload: []byte{9, 9}},
 		},
 		ReqResults: []ReqResult{{Virt: 5, St: mpi.Status{Source: 1, Tag: 7, Bytes: 2}}},
-		SentTo:     []uint64{0, 3},
-		RecvFrom:   []uint64{0, 2},
+		Counters:   Counters{{Peer: n - 1, Sent: 3, Recv: 2}},
 	}
 }
 
@@ -78,8 +77,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if got.ReqResults[0].St.Bytes != 2 {
 		t.Fatalf("reqresults %+v", got.ReqResults)
 	}
-	if got.SentTo[1] != 3 || got.RecvFrom[1] != 2 {
-		t.Fatalf("counters %v %v", got.SentTo, got.RecvFrom)
+	if want := (Counters{{Peer: 1, Sent: 3, Recv: 2}}); !reflect.DeepEqual(got.Counters, want) {
+		t.Fatalf("counters %v, want %v", got.Counters, want)
 	}
 }
 
@@ -187,8 +186,8 @@ func sameImage(t *testing.T, got, want *Image) {
 	if !reflect.DeepEqual(got.ReqResults, want.ReqResults) {
 		t.Fatalf("reqresults %+v vs %+v", got.ReqResults, want.ReqResults)
 	}
-	if !reflect.DeepEqual(got.SentTo, want.SentTo) || !reflect.DeepEqual(got.RecvFrom, want.RecvFrom) {
-		t.Fatalf("counters %v/%v vs %v/%v", got.SentTo, got.RecvFrom, want.SentTo, want.RecvFrom)
+	if !reflect.DeepEqual(got.Counters, want.Counters) {
+		t.Fatalf("counters %v vs %v", got.Counters, want.Counters)
 	}
 }
 

@@ -23,8 +23,7 @@ func deltaTestImage(gen int) *Image {
 		Rank: 0, NRanks: 1, Step: gen,
 		Impl: "mpich", Design: "virtid",
 		AppState: app,
-		SentTo:   []uint64{uint64(gen)},
-		RecvFrom: []uint64{uint64(gen)},
+		Counters: Counters{{Peer: 0, Sent: uint64(gen), Recv: uint64(gen) + 1}},
 	}
 }
 
@@ -66,7 +65,7 @@ func TestDeltaEncodeApplyRoundTrip(t *testing.T) {
 	if !bytes.Equal(img.AppState, child.AppState) {
 		t.Fatal("applied delta app state mismatch")
 	}
-	if img.Step != 1 || img.SentTo[0] != 1 {
+	if img.Step != 1 || img.Counters[0].Sent != 1 {
 		t.Fatalf("carried fields lost: %+v", img)
 	}
 	// The delta's own index matches a fresh index of the child state.

@@ -9,7 +9,13 @@ import (
 
 // StoreSection returns the payload of an encoded image's vid store
 // section, or nil when the image has none or does not parse.
-func StoreSection(data []byte) []byte {
+func StoreSection(data []byte) []byte { return sectionOf(data, secStore2) }
+
+// CountersSection returns the payload of an encoded image's counters
+// section, or nil when the image has none or does not parse.
+func CountersSection(data []byte) []byte { return sectionOf(data, secCounters3) }
+
+func sectionOf(data []byte, want uint32) []byte {
 	if _, err := parseHeader(data); err != nil {
 		return nil
 	}
@@ -19,11 +25,27 @@ func StoreSection(data []byte) []byte {
 		if err != nil {
 			return nil
 		}
-		if tag == secStore2 {
+		if tag == want {
 			return payload
 		}
 	}
 	return nil
+}
+
+// DecodeCountersSection decodes one counters section payload of rank's
+// image of an nranks-rank job.
+func DecodeCountersSection(payload []byte, rank, nranks int) (Counters, error) {
+	img := Image{Rank: rank, NRanks: nranks}
+	err := decodeCounters3(&img, payload)
+	return img.Counters, err
+}
+
+// EncodeCountersSection encodes rank's counter list as a counters
+// section payload.
+func EncodeCountersSection(rank int, c Counters) []byte {
+	var b bytes.Buffer
+	writeCountersSection(&b, rank, c)
+	return b.Bytes()[16:] // past the section frame
 }
 
 // DecodeStoreSection decodes one vid store section payload.

@@ -24,14 +24,16 @@ import (
 // Early v3 encoders shipped these sections as gob under the tags META,
 // DMET, DRNS, REQS, CNTR and STOR; the binary codec took new tags.
 // Decoders accept only the binary tags: an image carrying a gob-coded
-// section is refused as ErrCorrupt (an unknown tag).
+// section is refused as ErrCorrupt (an unknown tag). So is the dense
+// counters section of builds before the sparse one (CTR2: two n-entry
+// vectors, 16 bytes per rank of the job in every image).
 
 // Binary section tags.
 const (
 	secMeta2     uint32 = 0x4D455432 // "MET2": identity
 	secDrained2  uint32 = 0x44524E32 // "DRN2": drained messages
 	secReqs2     uint32 = 0x52515332 // "RQS2": request results
-	secCounters2 uint32 = 0x43545232 // "CTR2": p2p counters
+	secCounters3 uint32 = 0x43545233 // "CTR3": p2p counters, sparse
 	secDeltaMet2 uint32 = 0x444D5432 // "DMT2": delta linkage
 	secStore2    uint32 = 0x53545232 // "STR2": vid store snapshot
 )
@@ -301,45 +303,6 @@ func decodeReqs2(img *Image, payload []byte) error {
 		return badSection(secReqs2)
 	}
 	img.ReqResults = reqs
-	return nil
-}
-
-func writeCountersSection(b *bytes.Buffer, sentTo, recvFrom []uint64) {
-	off := beginSection(b)
-	appendU32(b, uint32(len(sentTo)))
-	for _, v := range sentTo {
-		appendU64(b, v)
-	}
-	appendU32(b, uint32(len(recvFrom)))
-	for _, v := range recvFrom {
-		appendU64(b, v)
-	}
-	endSection(b, off, secCounters2)
-}
-
-func decodeCounters2(img *Image, payload []byte) error {
-	r := &fieldReader{data: payload}
-	readVec := func() []uint64 {
-		n := int(r.u32())
-		if r.bad || n < 0 || n > len(payload)/8+1 {
-			r.bad = true
-			return nil
-		}
-		var out []uint64
-		if n > 0 {
-			out = make([]uint64, n)
-		}
-		for i := range out {
-			out[i] = r.u64()
-		}
-		return out
-	}
-	sentTo := readVec()
-	recvFrom := readVec()
-	if !r.done() {
-		return badSection(secCounters2)
-	}
-	img.SentTo, img.RecvFrom = sentTo, recvFrom
 	return nil
 }
 

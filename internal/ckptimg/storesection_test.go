@@ -62,7 +62,7 @@ func FuzzStoreSection(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		if got, limit := decodeAllocBytes(payload), 16*uint64(len(payload))+1024; got > limit {
+		if got, limit := decodeAllocBytes(func() { _, _ = ckptimg.DecodeStoreSection(payload) }), 16*uint64(len(payload))+1024; got > limit {
 			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(payload), got, limit)
 		}
 		st, err := ckptimg.DecodeStoreSection(payload)
@@ -82,15 +82,74 @@ func FuzzStoreSection(f *testing.F) {
 	})
 }
 
-// decodeAllocBytes reports the heap bytes one decode of payload
-// allocates: the least of three decodes, since the fuzzing engine's own
+// FuzzCounters: whatever the bytes, the rank and the job size, decoding a
+// counters section returns a list the runtime could have produced —
+// peers strictly ascending in [0, nranks), no entry without a message —
+// or an error wrapping ErrCorrupt, allocating at most a constant
+// multiple of its input; a decoded list re-encodes to one that decodes
+// equal. The corpus is seeded with the counters sections of real
+// images: CoMD and LAMMPS checkpointed under every simulated MPI
+// implementation that runs them.
+func FuzzCounters(f *testing.F) {
+	for _, app := range []string{"comd", "lammps"} {
+		for _, impl := range []string{"mpich", "craympi", "openmpi", "exampi"} {
+			images, err := checkpointImages(f, impl, mana.DesignVirtID, app, 4)
+			if err != nil {
+				if impl == "exampi" && app == "lammps" {
+					continue // ExaMPI lacks an operation LAMMPS needs
+				}
+				f.Fatalf("%s/%s: %v", app, impl, err)
+			}
+			for r, data := range images {
+				payload := ckptimg.CountersSection(data)
+				if payload == nil {
+					f.Fatalf("%s/%s: image without a counters section", app, impl)
+				}
+				f.Add(uint16(r), uint16(4), payload)
+			}
+		}
+	}
+	f.Add(uint16(0), uint16(0), []byte{0})
+	f.Fuzz(func(t *testing.T, rank, nranks uint16, payload []byte) {
+		decode := func() (ckptimg.Counters, error) {
+			return ckptimg.DecodeCountersSection(payload, int(rank), int(nranks))
+		}
+		if got, limit := decodeAllocBytes(func() { _, _ = decode() }), 16*uint64(len(payload))+1024; got > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(payload), got, limit)
+		}
+		c, err := decode()
+		if err != nil {
+			if !errors.Is(err, ckptimg.ErrCorrupt) {
+				t.Fatalf("error does not wrap ErrCorrupt: %v", err)
+			}
+			return
+		}
+		prev := -1
+		for _, e := range c {
+			if e.Peer <= prev || e.Peer >= int(nranks) || e.Sent+e.Recv == 0 {
+				t.Fatalf("decoded an impossible list for %d ranks: %v", nranks, c)
+			}
+			prev = e.Peer
+		}
+		again, err := ckptimg.DecodeCountersSection(ckptimg.EncodeCountersSection(int(rank), c), int(rank), int(nranks))
+		if err != nil {
+			t.Fatalf("re-encoded list does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(c, again) {
+			t.Fatalf("decode -> encode -> decode is not a fixpoint:\n%v\n%v", c, again)
+		}
+	})
+}
+
+// decodeAllocBytes reports the heap bytes one call of decode
+// allocates: the least of three calls, since the fuzzing engine's own
 // goroutines allocate beside the measured one.
-func decodeAllocBytes(payload []byte) uint64 {
+func decodeAllocBytes(decode func()) uint64 {
 	least := uint64(math.MaxUint64)
 	for range 3 {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		_, _ = ckptimg.DecodeStoreSection(payload)
+		decode()
 		runtime.ReadMemStats(&m1)
 		least = min(least, m1.TotalAlloc-m0.TotalAlloc)
 	}

@@ -183,7 +183,7 @@ func (r *ChunkReader) Close() {
 // results, counters).
 func isCommonTag(tag uint32) bool {
 	switch tag {
-	case secMeta2, secStore2, secDrained2, secReqs2, secCounters2:
+	case secMeta2, secStore2, secDrained2, secReqs2, secCounters3:
 		return true
 	}
 	return false

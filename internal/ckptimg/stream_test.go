@@ -66,8 +66,8 @@ func TestOpenDeltaMatchesDecodeDelta(t *testing.T) {
 		if r.Image == nil || r.Image.Step != d.Image.Step || r.Image.Rank != d.Image.Rank {
 			t.Fatalf("compress=%v: tail image %+v vs %+v", compress, r.Image, d.Image)
 		}
-		if len(r.Image.SentTo) != 1 || r.Image.SentTo[0] != 1 {
-			t.Fatalf("compress=%v: counters not decoded: %+v", compress, r.Image.SentTo)
+		if len(r.Image.Counters) != 1 || r.Image.Counters[0].Sent != 1 {
+			t.Fatalf("compress=%v: counters not decoded: %+v", compress, r.Image.Counters)
 		}
 
 		// The light parse skips the tail entirely.

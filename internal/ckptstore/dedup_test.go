@@ -2,6 +2,7 @@ package ckptstore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"reflect"
 	"sort"
@@ -29,16 +30,51 @@ func dedupOptions() Options {
 	return Options{Dedup: true, Delta: true, ChunkBytes: 512, ChainCap: 4}
 }
 
-// TestDedupCommitSharesBlobs pins the core property: segments identical
-// across ranks are stored once, so a commit's UniqueBytes lands well
-// under its logical Bytes and the blob table reports shared references.
+// TestDedupCommitSharesBlobs pins the core property: a segment
+// identical across ranks, or already stored by an earlier generation,
+// is stored once. Every commit's UniqueBytes is exactly its distinct
+// new segments plus its recipes, so the base generation, whose ranks
+// share 7/8 of their state, lands well under its logical Bytes, and
+// the blob table reports shared references.
+//
+// A delta generation here ships only rank-private chunks: the one
+// segment its ranks share is the bookkeeping tail (vid store, drained
+// messages, request results, counters, end marker), which the base
+// stored already. Its UniqueBytes is therefore its Bytes less one tail
+// plus one recipe per rank: below Bytes only while the ~90-byte tail
+// outweighs a 98-byte recipe, which depends on the sections' layout and
+// not on dedup. So the exact figure is checked there, not its sign.
 func TestDedupCommitSharesBlobs(t *testing.T) {
 	const n = 8
 	s := mustOpen(n, dedupOptions())
+	stored := map[[sha256.Size]byte]bool{}
 	for gen := 0; gen < 3; gen++ {
-		g := commitGen(t, s, n, gen, func(r int) []byte { return sharedAppState(8<<10, r, gen) })
-		if g.UniqueBytes <= 0 || g.UniqueBytes >= g.Bytes {
-			t.Fatalf("generation %d: UniqueBytes %d outside (0, Bytes=%d)", gen, g.UniqueBytes, g.Bytes)
+		images := encodeGen(t, s, n, gen, func(r int) []byte { return sharedAppState(8<<10, r, gen) })
+		var want int64
+		for _, data := range images {
+			for _, seg := range ckptimg.SplitDedupSegments(data) {
+				if sum := sha256.Sum256(seg); !stored[sum] {
+					stored[sum] = true
+					want += int64(len(seg))
+				}
+			}
+		}
+		g, err := s.Commit(images)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < n; r++ {
+			recipe, err := s.b.Get(key(g.Seq, r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += int64(len(recipe))
+		}
+		if g.UniqueBytes != want {
+			t.Fatalf("generation %d: UniqueBytes %d, want %d (distinct new segments plus recipes; Bytes %d)", gen, g.UniqueBytes, want, g.Bytes)
+		}
+		if g.Base() && (g.UniqueBytes <= 0 || g.UniqueBytes >= g.Bytes/4) {
+			t.Fatalf("base generation %d: UniqueBytes %d outside (0, Bytes/4 = %d)", gen, g.UniqueBytes, g.Bytes/4)
 		}
 	}
 	ds := s.DedupStats()

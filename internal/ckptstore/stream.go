@@ -64,6 +64,20 @@ func (s *Store) MaterializeStreamHead() ([]*ckptimg.Image, []ChainStats, error) 
 	return s.MaterializeStream(n - 1)
 }
 
+// MaterializeRank resolves one rank of generation seq exactly as
+// MaterializeStream does, and only that rank: a report about one rank
+// reads one rank's chain, not the job's.
+func (s *Store) MaterializeRank(seq, rank int) (*ckptimg.Image, ChainStats, error) {
+	if err := s.checkReadable(seq); err != nil {
+		return nil, ChainStats{}, err
+	}
+	if rank < 0 || rank >= s.n {
+		return nil, ChainStats{}, fmt.Errorf("ckptstore: no rank %d in a %d-rank store", rank, s.n)
+	}
+	var bufs resolveBufs
+	return s.resolveRank(seq, rank, &bufs)
+}
+
 // RestoreStream resolves generation seq exactly as MaterializeStream
 // does, but hands each rank's image to fn instead of returning it, in
 // rank order. Every rank resolves into one state buffer and one chunk

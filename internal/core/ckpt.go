@@ -313,8 +313,7 @@ func (r *Runtime) buildImage(step int) ([]byte, int64, error) {
 		ModeledBytes:   modeled,
 		Store:          r.store.SnapshotStore(),
 		Drained:        r.drained,
-		SentTo:         r.sentTo,
-		RecvFrom:       r.recvFrom,
+		Counters:       r.counters,
 	}
 	for virt, st := range r.reqResults {
 		img.ReqResults = append(img.ReqResults, ckptimg.ReqResult{Virt: virt, St: st})

@@ -131,20 +131,21 @@ func (e drainEnv) Rank() int { return e.r.rank }
 // Size implements ckpt.DrainEnv.
 func (e drainEnv) Size() int { return e.r.size }
 
-// SentTo implements ckpt.DrainEnv.
-func (e drainEnv) SentTo() []uint64 { return e.r.sentTo }
+// Counters implements ckpt.DrainEnv.
+func (e drainEnv) Counters() ckptimg.Counters { return e.r.counters }
 
 // RecvFrom implements ckpt.DrainEnv.
-func (e drainEnv) RecvFrom() []uint64 { return e.r.recvFrom }
+func (e drainEnv) RecvFrom(p int) uint64 { return e.r.counters.Recv(p) }
 
 // ExchangeAll implements ckpt.DrainEnv: the MPI_Alltoall of cumulative
 // counters over the internal communicator (Section 5, category 3). The
 // collective counts as size-1 control messages of 8 bytes — one counter
-// slot shipped to every peer. The send and receive halves share one
-// wire buffer, dropped after the call rather than kept as the link's
-// staging buffer: 16n bytes a rank would keep for the rest of the job.
-// The result is the one decoded copy of what arrived.
-func (e drainEnv) ExchangeAll(vals []uint64) ([]uint64, error) {
+// slot shipped to every peer. The send half is written from the sparse
+// list, zero where it has no entry. The send and receive halves share
+// one wire buffer, dropped after the call rather than kept as the
+// link's staging buffer: 16n bytes a rank would keep for the rest of
+// the job. The result is the one decoded copy of what arrived.
+func (e drainEnv) ExchangeAll(sent ckptimg.Counters) ([]uint64, error) {
 	r := e.r
 	r.ctlMsgs += uint64(r.size - 1)
 	r.ctlBytes += uint64(8 * (r.size - 1))
@@ -154,8 +155,8 @@ func (e drainEnv) ExchangeAll(vals []uint64) ([]uint64, error) {
 	}
 	wire := make([]byte, 16*r.size)
 	send, recv := wire[:8*r.size], wire[8*r.size:]
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(send[8*i:], v)
+	for _, c := range sent {
+		binary.LittleEndian.PutUint64(send[8*c.Peer:], c.Sent)
 	}
 	r.bnd.Enter()
 	err = r.lower.Alltoall(send, 1, u64, recv, 1, u64, r.manaComm)
@@ -232,7 +233,7 @@ func (e drainEnv) Pull(c ckpt.DrainComm, st mpi.Status) (int, error) {
 		Tag:         st2.Tag,
 		Payload:     buf[:st2.Bytes],
 	})
-	r.recvFrom[w]++
+	r.counters.AddRecv(w)
 	return w, nil
 }
 

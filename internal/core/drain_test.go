@@ -91,11 +91,9 @@ func TestDrainStrategiesAgreeOnImages(t *testing.T) {
 			}
 			var c cut
 			c.drained = len(img.Drained)
-			for _, v := range img.SentTo {
-				c.sentTo += v
-			}
-			for _, v := range img.RecvFrom {
-				c.recvFrom += v
+			for _, e := range img.Counters {
+				c.sentTo += e.Sent
+				c.recvFrom += e.Recv
 			}
 			cuts[i] = c
 		}
@@ -296,8 +294,8 @@ func TestToposortCtlBytesBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		deg := 0
-		for _, c := range img.SentTo {
-			if c > 0 {
+		for _, c := range img.Counters {
+			if c.Sent > 0 {
 				deg++
 			}
 		}

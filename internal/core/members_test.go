@@ -69,11 +69,11 @@ func TestMembershipSharedPerJob(t *testing.T) {
 	}
 }
 
-// drainHeapBytes is the heap the drain strategy fn (a function name as
-// the runtime reports it) has allocated so far in the process, from
-// the memory profile: every allocation whose stack passes through fn.
+// heapBytesThrough is the heap the function fn (a name as the runtime
+// reports it) has allocated so far in the process, from the memory
+// profile: every allocation whose stack passes through fn.
 // The profile is published a garbage collection or two late.
-func drainHeapBytes(fn string) int64 {
+func heapBytesThrough(fn string) int64 {
 	runtime.GC()
 	runtime.GC()
 	var recs []runtime.MemProfileRecord
@@ -125,12 +125,12 @@ func TestDrainAllocPerRank(t *testing.T) {
 	} {
 		cfg := faultCfg(t, "mpich", nil)
 		cfg.DrainStrategy, cfg.ExitAtCheckpoint = c.strat, true
-		before := drainHeapBytes(c.fn)
+		before := heapBytesThrough(c.fn)
 		st, _, err := Run(cfg, n, appf, in.SimSteps/2)
 		if err != nil || st.CkptTaken != 1 {
 			t.Fatalf("%s: %d checkpoints, %v", c.strat, st.CkptTaken, err)
 		}
-		perRank := (drainHeapBytes(c.fn) - before) / n
+		perRank := (heapBytesThrough(c.fn) - before) / n
 		t.Logf("%s: %d B per rank", c.strat, perRank)
 		if perRank == 0 || perRank > c.bound {
 			t.Errorf("%s: the drain allocated %d B per rank, want in (0, %d]", c.strat, perRank, c.bound)

@@ -2,6 +2,7 @@ package mana
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"manasim/internal/ckpt"
@@ -68,8 +69,7 @@ func newRuntimeFromImage(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *C
 		recvComms:  make(map[mpi.Handle]mpi.Handle),
 		reqResults: make(map[mpi.Handle]mpi.Status),
 		drained:    append([]ckptimg.DrainedMsg(nil), img.Drained...),
-		sentTo:     append([]uint64(nil), img.SentTo...),
-		recvFrom:   append([]uint64(nil), img.RecvFrom...),
+		counters:   slices.Clone(img.Counters),
 		co:         co,
 		ckptAtStep: -1,
 		drain:      drain,

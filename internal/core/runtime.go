@@ -58,9 +58,9 @@ type Runtime struct {
 	// served to receives before the lower half is consulted.
 	drained []ckptimg.DrainedMsg
 
-	// sentTo / recvFrom count wrapper-level point-to-point messages per
-	// world rank; the drain protocol reconciles them.
-	sentTo, recvFrom []uint64
+	// counters count wrapper-level point-to-point messages per world
+	// rank the rank has talked to; the drain protocol reconciles them.
+	counters ckptimg.Counters
 
 	// wrapperCalls counts MPI calls that crossed the boundary (§6.3).
 	wrapperCalls uint64
@@ -136,8 +136,6 @@ func NewRuntime(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *Coordinato
 		lists:      lists,
 		recvComms:  make(map[mpi.Handle]mpi.Handle),
 		reqResults: make(map[mpi.Handle]mpi.Status),
-		sentTo:     make([]uint64, lower.Size()),
-		recvFrom:   make([]uint64, lower.Size()),
 		co:         co,
 		ckptAtStep: -1,
 		drain:      drain,

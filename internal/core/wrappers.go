@@ -128,7 +128,7 @@ func (r *Runtime) Send(buf []byte, count int, dt mpi.Handle, dest, tag int, comm
 		if err != nil {
 			return err
 		}
-		r.sentTo[w]++
+		r.counters.AddSent(w)
 	}
 	return nil
 }
@@ -176,7 +176,7 @@ func (r *Runtime) countRecv(comm mpi.Handle, st mpi.Status) error {
 	if err != nil {
 		return err
 	}
-	r.recvFrom[w]++
+	r.counters.AddRecv(w)
 	return nil
 }
 
@@ -223,8 +223,8 @@ func (r *Runtime) recvFromDrainBuffer(buf []byte, count int, dt mpi.Handle, src,
 		copy(buf, d.Payload)
 		st := mpi.Status{Source: d.SrcCommRank, Tag: d.Tag, Bytes: len(d.Payload)}
 		r.drained = append(r.drained[:i], r.drained[i+1:]...)
-		// Not counted in recvFrom: the drain already counted it when it
-		// pulled the message off the network.
+		// Not counted again: the drain counted it when it pulled the
+		// message off the network.
 		return st, true, nil
 	}
 	return mpi.Status{}, false, nil
@@ -283,7 +283,7 @@ func (r *Runtime) Isend(buf []byte, count int, dt mpi.Handle, dest, tag int, com
 		if err != nil {
 			return mpi.HandleNull, err
 		}
-		r.sentTo[w]++
+		r.counters.AddSent(w)
 	}
 	return r.store.Add(mpi.KindRequest, preq, vid.Descriptor{Op: vid.DescRequest}, vid.StrategyReplay)
 }

@@ -91,7 +91,8 @@ func TestXlatTable(t *testing.T) {
 // wrapped Iprobe on an empty mailbox allocates nothing, nor does a
 // batch of them, and neither does a warmed-up wrapped Isend+Wait on
 // the virtid design (the request's vid slot reuses its entry) with the
-// Recv that consumes the message.
+// Recv that consumes the message, nor a blocking Send and Recv to a
+// peer the rank's counter list already holds.
 func TestWrapperCallCost(t *testing.T) {
 	rt := soloRuntime(t, implFactory(t, "mpich"))
 	world, err := rt.LookupConst(mpi.ConstCommWorld)
@@ -139,6 +140,21 @@ func TestWrapperCallCost(t *testing.T) {
 	isendWaitRecv()
 	if allocs := testing.AllocsPerRun(1000, isendWaitRecv); allocs != 0 {
 		t.Errorf("wrapped Isend+Wait+Recv allocates %.1f objects per call, want 0", allocs)
+	}
+	sendRecv := func() {
+		err := rt.Send(send, count, f64, 0, 8, world)
+		if err == nil {
+			_, err = rt.Recv(recv, count, f64, 0, 8, world)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, sendRecv); allocs != 0 {
+		t.Errorf("wrapped Send+Recv to a known peer allocates %.1f objects per call, want 0", allocs)
+	}
+	if len(rt.counters) != 1 || rt.counters[0].Sent != rt.counters[0].Recv {
+		t.Errorf("counters %v, want one entry for the rank itself, as many sent as received", rt.counters)
 	}
 }
 
