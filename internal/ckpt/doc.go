@@ -24,9 +24,9 @@
 //     an MPI_Alltoall of cumulative send counters followed by
 //     Iprobe+Recv until every expected message has been drained.
 //   - "toposort" — the topological-sort approach of arXiv:2408.02218:
-//     no global collective; ranks announce counters point-to-point and
-//     drain in send-dependency order, so a rank can reach its cut
-//     without waiting for job-wide agreement traffic.
+//     no collective; ranks announce counters point-to-point along the
+//     E send edges, a tree of 2(n−1) tokens closes the announcement,
+//     and each rank drains its senders in send-dependency order.
 //
 // The Coordinator plays the role of the DMTCP coordinator in real
 // MANA: an entity outside the ranks that requests checkpoints,

@@ -20,13 +20,14 @@
 //     Practical Transparent Checkpointing for MPI: A Topological Sort
 //     Approach" (arXiv:2408.02218): no global collective is issued.
 //     Each rank announces its send counters point-to-point on the
-//     internal communicator as it reaches its cut, builds the
-//     send-dependency graph incrementally from the announcements it
-//     receives, and drains announced peers in topological order of
-//     that graph while later announcements are still in flight. The
-//     counter agreement is pairwise rather than collective: every rank
-//     still needs each peer's row to prove its cut complete, but no
-//     rank blocks inside an MPI collective while another is late.
+//     internal communicator as it reaches its cut, to the peers it sent
+//     to only, builds the send-dependency graph of its senders
+//     incrementally from the announcements it receives, and drains
+//     them in topological order of that graph while later
+//     announcements are still in flight. A binomial tree of
+//     point-to-point tokens closes the announcement, so a rank learns
+//     that no further row is coming without any rank blocking inside
+//     an MPI collective.
 //
 // Both strategies leave the rank in the same post-condition — receive
 // counters equal to every peer's send counters, all in-flight payloads
@@ -45,15 +46,31 @@
 // that it looks counts up by peer.
 //
 // The toposort announcement carries a rank's cumulative send counters
-// in one wire format. A row lists only the peers the rank has sent to,
-// as int64 values:
+// in one wire format, sent on TagDrainCounters to each peer the rank has
+// sent to (itself excepted). A row lists only those peers, as int64
+// values:
 //
 //	[k, peer₁, count₁, …, peer_k, count_k]     peers ascending, counts > 0
 //
-// The rank's own entry is included when it has sent to itself; a rank
-// that has sent nothing announces [0]. A row is input from another
-// rank, so the receiver checks it before using any value as an index,
-// and rejects it with a *RowError naming the sender unless
+// The rank's own entry is included when it has sent to itself. The
+// close of the announcement travels on the same tag, so one blocking
+// wait wakes on either, as one-value tokens whose negative header no
+// row has:
+//
+//	[-1]   child to parent: my subtree has announced
+//	[-2]   parent to child: every rank has announced
+//
+// The tree is binomial over world ranks, rooted at rank 0: the parent
+// of r is r with its lowest set bit cleared. A rank sends [-1] once its
+// rows are sent and each child's [-1] has arrived; the root then sends
+// [-2] down, and each rank forwards it to its children. Rows precede
+// the reports that cover them and the transport deposits on send, so a
+// rank holding [-2] can probe every row addressed to it; a rank no one
+// sent to receives no row and drains nothing. A token from a rank that
+// is not a pending child, or a release from any rank but the parent
+// before the rank has reported, is an error. A row is input from
+// another rank, so the receiver checks it before using any value as an
+// index, and rejects it with a *RowError naming the sender unless
 //
 //   - it has 1+2k values, with 0 ≤ k ≤ n;
 //   - every peer lies in [0,n) and the peers ascend strictly (no
@@ -63,37 +80,38 @@
 //
 // The receiver keeps two things of a row: the count addressed to
 // itself (what it must pull from the sender) and the sender's successor
-// list, appended to one arena per rank (rows.succ), which the first row
-// sizes for n rows of its length. The dependency order is Kahn's
-// algorithm over those lists — a min-heap of the ranks with no
-// unsorted predecessor, cycles broken at the smallest remaining rank —
-// and equals, sequence for sequence, the order the dense n×n
-// matrix gave (the dense sort survives in the tests as the reference),
-// so images are byte-identical to those of the dense implementation.
+// list, appended to one arena per rank (rows.succ). The rows are held
+// per sender, sorted by world rank and found by binary search, so a
+// rank's drain state grows with its in-degree, not with n. The
+// dependency order is Kahn's algorithm over those holders — a min-heap
+// of the holders with no unsorted predecessor, cycles broken at the
+// smallest remaining one — and equals the order the dense n×n matrix of
+// the same rows gives, filtered to the holders (the dense sort survives
+// in the tests as the reference): a rank without a row has no known
+// out-edges, so dropping it moves no holder.
 //
-// What the sparse row changes for an n-rank job whose ranks have sent
-// to E (rank, peer) pairs in total, against a dense n-entry row:
+// The costs for an n-rank job whose ranks have sent to E (rank, peer)
+// pairs in total, self-sends excluded:
 //
-//	                          dense row        sparse row
-//	control messages          n(n−1)           n(n−1)  (unchanged)
-//	announcement bytes        8n³              8(n−1)(n+2E), O(n·E) once E ≥ n
-//	order, per recomputation  O(n²)            O((n+E) log n)
-//	memory per rank           8n²              30n bytes + 4E + the longest row received
+//	control messages          E + 2(n−1)
+//	control bytes             8·(Σ over the E edges of the sender's row length + 2(n−1))
+//	order, per recomputation  O((h+e) log h) for h rows listing e successors
+//	memory per rank           O(in-degree + Σ row lengths received)
 //
-// The message count is the protocol's and does not move; exchanging
-// the rows through per-node leaders instead of all pairs is what would
-// lower it. Stats.CtlBytes counts the announcement bytes, and a test
-// holds them to the sparse bound.
+// Stats.CtlMsgs and Stats.CtlBytes count the rows and the tokens, and
+// a test holds them to these figures. Announcing to all pairs would
+// send n(n−1) rows; the tree instead adds up to 2⌈log₂ n⌉ hops of
+// latency, which costs virtual time at 8 ranks and saves it from 64
+// ranks on (the drain experiment).
 //
-// A rank's 30n bytes are the rows' per-peer state: the owed counts,
-// the arena offsets and the order's scratch, carved from three backing
-// arrays (four heap objects with the rows themselves). There is no
-// copy of the receive counters and no per-peer countdown beside it,
-// because a peer's messages are pulled only after its row is absorbed:
-// when the row arrives, the live receive counter still holds its value
-// from the start of the drain, so what the peer still owes is computed
-// there and counted down in place. Each row is received into a buffer
-// of exactly its length (the probed size), which the rank reuses, so
-// the buffer grows to the longest row the rank was sent, not to the
-// 1+2n values a row could hold.
+// A rank's rows cost four heap objects whatever n is: the rows, the
+// holders and the order's scratch, sized from a hint (the peers the
+// rank has received from, plus itself), and the arena, sized at the
+// first row for that many rows of its length. There is no copy of the
+// receive counters and no per-peer countdown beside it, because a
+// peer's messages are pulled only after its row is absorbed: when the
+// row arrives, the live receive counter still holds its value from the
+// start of the drain, so what the peer still owes is computed there and
+// counted down in place. Each row is received into a buffer of exactly
+// its length (the probed size), which the rank reuses.
 package drain

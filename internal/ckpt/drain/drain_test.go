@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"manasim/internal/ckpt"
 	"manasim/internal/ckptimg"
@@ -37,14 +39,14 @@ func TestBuiltinsRegistered(t *testing.T) {
 }
 
 // sparseOrder feeds the known rows of a dense matrix to a rows graph in
-// the given arrival sequence and returns its order.
+// the given arrival sequence and returns its order, as world ranks.
 func sparseOrder(t *testing.T, matrix [][]int64, arrival []int) []int {
 	t.Helper()
-	g := newRows(len(matrix), 0)
+	g := newRows(len(matrix), 0, len(arrival))
 	for _, p := range arrival {
 		addDense(t, g, p, matrix[p])
 	}
-	return ints(g.order())
+	return holderIDs(g, g.order())
 }
 
 func addDense(t *testing.T, g *rows, p int, row []int64) {
@@ -53,9 +55,30 @@ func addDense(t *testing.T, g *rows, p int, row []int64) {
 	for q, c := range row {
 		sent[q] = uint64(c)
 	}
-	if err := g.add(p, appendRow(nil, sentList(sent))); err != nil {
+	if _, err := g.add(p, appendRow(nil, sentList(sent))); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// holderIDs maps holder indexes to the world ranks they stand for.
+func holderIDs(g *rows, idx []int32) []int {
+	out := make([]int, len(idx))
+	for i, x := range idx {
+		out[i] = int(g.holders[x].id)
+	}
+	return out
+}
+
+// filtered keeps the ranks of order whose row the matrix holds: what
+// the dense reference says of the holders alone.
+func filtered(order []int, matrix [][]int64) []int {
+	out := []int{}
+	for _, r := range order {
+		if matrix[r] != nil {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // sentList is the counter list of a rank whose send counts are the
@@ -69,14 +92,6 @@ func sentList(sent []uint64) ckptimg.Counters {
 		}
 	}
 	return c
-}
-
-func ints(v []int32) []int {
-	out := make([]int, len(v))
-	for i, x := range v {
-		out[i] = int(x)
-	}
-	return out
 }
 
 // knownRows lists the ranks whose row the matrix holds, ascending.
@@ -128,38 +143,27 @@ func TestOrderOfRingCycleIsDeterministic(t *testing.T) {
 }
 
 func TestOrderOfPartialMatrix(t *testing.T) {
-	// Only rank 1's row is known; the order must still cover all ranks
-	// exactly once.
-	matrix := [][]int64{nil, {3, 0, 0}, nil}
+	// Only ranks 1 and 2 announced: the order covers exactly those two,
+	// as the dense reference orders them.
+	matrix := [][]int64{nil, {3, 0, 0}, {0, 2, 0}, nil}
 	got := sparseOrder(t, matrix, knownRows(matrix))
-	if ref := orderOf(matrix); !reflect.DeepEqual(got, ref) {
+	if ref := filtered(orderOf(matrix), matrix); !reflect.DeepEqual(got, ref) {
 		t.Fatalf("order %v, reference %v", got, ref)
 	}
-	seen := make(map[int]bool)
-	for _, r := range got {
-		if seen[r] {
-			t.Fatalf("rank %d twice in %v", r, got)
-		}
-		seen[r] = true
-	}
-	if len(got) != 3 {
-		t.Fatalf("order %v", got)
-	}
-	// 1 sent to 0, so 1 precedes 0.
-	pos := map[int]int{}
-	for i, r := range got {
-		pos[r] = i
-	}
-	if pos[1] > pos[0] {
-		t.Fatalf("sender 1 ordered after dependent 0: %v", got)
+	// 2 sent to 1, so 2 precedes 1.
+	if want := []int{2, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("order %v, want %v", got, want)
 	}
 }
 
-// TestOrderMatchesDenseReference is the property the byte-identical
-// images rest on: over seeded random send graphs the sparse order is the
-// dense reference's, sequence for sequence — with every row known, and
-// after each single row as they arrive in a random sequence (the partial
-// graphs the incremental drain orders by).
+// TestOrderMatchesDenseReference is the property the drain order rests
+// on: over seeded random send graphs the order of the rows a rank holds
+// is the dense reference's order of the (partial) matrix of those rows
+// filtered to the holders, sequence for sequence — after each single
+// row as they arrive in a random sequence (the partial graphs the
+// incremental drain orders by), with every row known, where the
+// filter drops nothing, and with the rows a drain actually holds: those
+// of the ranks that sent to it, and its own.
 func TestOrderMatchesDenseReference(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -199,14 +203,30 @@ func TestOrderMatchesDenseReference(t *testing.T) {
 			}
 			arrival := rng.Perm(n)
 			partial := make([][]int64, n)
-			g := newRows(n, rng.Intn(n))
+			g := newRows(n, rng.Intn(n), rng.Intn(n+1))
 			for i, p := range arrival {
 				partial[p] = matrix[p]
 				addDense(t, g, p, matrix[p])
 				graphs++
-				if got, want := ints(g.order()), orderOf(partial); !reflect.DeepEqual(got, want) {
+				got := holderIDs(g, g.order())
+				if want := filtered(orderOf(partial), partial); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s seed %d n=%d after %d rows (arrival %v):\n sparse %v\n dense  %v", sh.name, seed, n, i+1, arrival, got, want)
 				}
+			}
+
+			// What a drain holds: the rows of me's senders, and its own.
+			me := rng.Intn(n)
+			senders := make([][]int64, n)
+			g = newRows(n, me, 1)
+			for _, p := range arrival {
+				if p == me || matrix[p][me] > 0 {
+					senders[p] = matrix[p]
+					addDense(t, g, p, matrix[p])
+				}
+			}
+			graphs++
+			if got, want := holderIDs(g, g.order()), filtered(orderOf(senders), senders); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d n=%d rank %d's senders:\n sparse %v\n dense  %v", sh.name, seed, n, me, got, want)
 			}
 		}
 	}
@@ -234,15 +254,16 @@ func TestRowRoundTrip(t *testing.T) {
 	}
 	// Rank 2 sent 9 messages to itself: counted for rank 2 alone, and no
 	// edge of the graph.
-	g := newRows(5, 2)
-	if err := g.add(2, row); err != nil {
+	g := newRows(5, 2, 1)
+	i, err := g.add(2, row)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if g.toMe[2] != 9 || g.have != 1 {
-		t.Fatalf("toMe %v have %d", g.toMe, g.have)
+	if h := g.holders[i]; h.id != 2 || h.toMe != 9 || len(g.holders) != 1 {
+		t.Fatalf("holder %+v of %d", h, len(g.holders))
 	}
-	if got := g.succ[g.off[2]:g.end[2]]; !reflect.DeepEqual(got, []int32{1, 4}) {
-		t.Fatalf("successors %v, want [1 4]", got)
+	if h := g.holders[i]; !reflect.DeepEqual(g.succ[h.off:h.end], []int32{1, 4}) {
+		t.Fatalf("successors %v, want [1 4]", g.succ[h.off:h.end])
 	}
 }
 
@@ -271,11 +292,11 @@ func TestMalformedRowsRejected(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g := newRows(n, 0)
-			if err := g.add(1, []int64{1, 2, 6}); err != nil {
+			g := newRows(n, 0, 2)
+			if _, err := g.add(1, []int64{1, 2, 6}); err != nil {
 				t.Fatal(err)
 			}
-			err := g.add(sender, tc.row)
+			_, err := g.add(sender, tc.row)
 			var re *RowError
 			if !errors.As(err, &re) {
 				t.Fatalf("row %v: error %v, want *RowError", tc.row, err)
@@ -286,60 +307,76 @@ func TestMalformedRowsRejected(t *testing.T) {
 			if !strings.Contains(re.Reason, tc.want) {
 				t.Fatalf("reason %q, want mention of %q", re.Reason, tc.want)
 			}
-			if g.have != 1 || g.known[sender] || len(g.succ) != 1 {
-				t.Fatalf("rejected row changed the graph: have=%d known=%v succ=%v", g.have, g.known, g.succ)
+			if len(g.holders) != 1 || g.holders[0].id != 1 || len(g.succ) != 1 {
+				t.Fatalf("rejected row changed the graph: holders=%+v succ=%v", g.holders, g.succ)
 			}
 			// The sender may still announce properly afterwards.
-			if err := g.add(sender, []int64{1, 0, 2}); err != nil {
+			if _, err := g.add(sender, []int64{1, 0, 2}); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	g := newRows(n, 0)
-	if err := g.add(sender, []int64{0}); err != nil {
+	g := newRows(n, 0, 1)
+	if _, err := g.add(sender, []int64{0}); err != nil {
 		t.Fatal(err)
 	}
 	var re *RowError
-	if err := g.add(sender, []int64{0}); !errors.As(err, &re) || re.Sender != sender {
+	if _, err := g.add(sender, []int64{0}); !errors.As(err, &re) || re.Sender != sender {
 		t.Fatalf("second announcement: %v", err)
 	}
 }
 
-// TestAbsorbAllocatesNoRowStorage: absorbing a row costs no allocation
-// of its own — the successor lists share one arena, sized at the first
-// row for every row to come — and the rows' per-peer arrays are carved
-// from three backing arrays. One slice per row was measured to push the
-// 256-rank drain's allocation count above the parent's; eight per-peer
-// slices and an arena doubling a dozen times made the rows ≈ 15 heap
-// objects per rank of a 256-rank toposort drain.
+// TestAbsorbAllocatesNoRowStorage: a rank's rows grow with its senders,
+// not with the job. Absorbing the rows a halo rank receives — from its
+// six senders, and its own — and ordering them twice costs the same
+// heap objects and holds the same bytes at 256 and at 4096 ranks: the
+// rows themselves, the holders, the order's scratch and the successor
+// arena, each allocated once from the hint. Any per-peer array of n
+// entries, or an arena sized for n rows, would differ.
 func TestAbsorbAllocatesNoRowStorage(t *testing.T) {
-	const n = 256
-	rowsIn := make([][]int64, n)
-	for p := range rowsIn {
-		sent := make([]uint64, n)
-		for _, d := range []int{1, 2, 3, n - 3, n - 2, n - 1} {
-			sent[(p+d)%n] = 2
-		}
-		rowsIn[p] = appendRow(nil, sentList(sent))
-	}
-	if allocs := testing.AllocsPerRun(5, func() { rowsSink = newRows(n, 0) }); allocs > 4 {
-		t.Errorf("newRows allocates %v objects for %d ranks, want <= 4", allocs, n)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		g := newRows(n, 0)
-		for p, row := range rowsIn {
-			if err := g.add(p, row); err != nil {
+	halo := []int{1, 2, 3, -3, -2, -1}
+	// absorb builds rank me's rows in an n-rank halo job, where every
+	// rank sent two messages to each of its six neighbours.
+	absorb := func(t *testing.T, n int, in [][]int64) *rows {
+		g := newRows(n, 0, len(halo)+1)
+		for _, row := range in {
+			if _, err := g.add(int(row[len(row)-1]), row[:len(row)-1]); err != nil {
 				t.Fatal(err)
 			}
 		}
 		g.order()
 		g.order()
-		rowsSink = g
-	})
-	// newRows makes 4; the arena is allocated once, at the first row,
-	// for n rows of its length.
-	if allocs > 5 {
-		t.Fatalf("%v allocations to absorb and order %d rows, want <= 5", allocs, n)
+		return g
+	}
+	measure := func(n int) (allocs float64, bytes int) {
+		// The rows rank 0 receives, each with its sender appended.
+		var in [][]int64
+		for _, d := range append([]int{0}, halo...) {
+			p := (n + d) % n
+			sent := make([]uint64, n)
+			for _, e := range halo {
+				sent[(p+e+n)%n] = 2
+			}
+			in = append(in, append(appendRow(nil, sentList(sent)), int64(p)))
+		}
+		allocs = testing.AllocsPerRun(5, func() { rowsSink = absorb(t, n, in) })
+		g := absorb(t, n, in)
+		if len(g.holders) != len(halo)+1 {
+			t.Fatalf("%d holders, want %d", len(g.holders), len(halo)+1)
+		}
+		bytes = int(unsafe.Sizeof(*g)) + cap(g.holders)*int(unsafe.Sizeof(holder{})) + 4*cap(g.succ) + 4*cap(g.scratch)
+		return allocs, bytes
+	}
+	smallA, smallB := measure(256)
+	largeA, largeB := measure(4096)
+	t.Logf("rows of a 7-row rank: %v objects, %d bytes at 256 ranks; %v objects, %d bytes at 4096", smallA, smallB, largeA, largeB)
+	if smallA != largeA || smallB != largeB {
+		t.Fatalf("rows cost %v objects / %d bytes at 256 ranks but %v / %d at 4096", smallA, smallB, largeA, largeB)
+	}
+	// The rows, the holders and the scratch from newRows, and the arena
+	// at the first row.
+	if smallA > 4 {
+		t.Fatalf("%v allocations to absorb and order 7 rows, want <= 4", smallA)
 	}
 }
 
@@ -398,3 +435,106 @@ func orderOf(matrix [][]int64) []int {
 	}
 	return order
 }
+
+// scriptEnv is one rank's drain environment whose control inbox is a
+// script: the messages other ranks sent it, in arrival order, each
+// arriving once the rank has sent after messages itself. Nothing was
+// sent to the rank on an application communicator.
+type scriptEnv struct {
+	ckpt.DrainEnv // unused methods panic
+	me, n         int
+	counters      ckptimg.Counters
+	inbox         []scripted
+	sent          []scripted
+	phase         string
+}
+
+type scripted struct {
+	peer  int
+	vals  []int64
+	after int
+}
+
+func (e *scriptEnv) Rank() int                        { return e.me }
+func (e *scriptEnv) Size() int                        { return e.n }
+func (e *scriptEnv) Counters() ckptimg.Counters       { return e.counters }
+func (e *scriptEnv) RecvFrom(p int) uint64            { return e.counters.Recv(p) }
+func (e *scriptEnv) Comms() ([]ckpt.DrainComm, error) { return nil, nil }
+func (e *scriptEnv) SetPhase(phase string)            { e.phase = phase }
+
+func (e *scriptEnv) CtlSend(dest, tag int, vals []int64) error {
+	e.sent = append(e.sent, scripted{dest, slices.Clone(vals), 0})
+	return nil
+}
+
+func (e *scriptEnv) CtlIprobe(src, tag int) (bool, int, int, error) {
+	if len(e.inbox) == 0 || e.inbox[0].after > len(e.sent) {
+		return false, 0, 0, nil
+	}
+	return true, e.inbox[0].peer, len(e.inbox[0].vals), nil
+}
+
+func (e *scriptEnv) CtlWait(src, tag int) error {
+	return errors.New("scriptEnv: would block")
+}
+
+func (e *scriptEnv) CtlRecv(src, tag, count int) ([]int64, error) {
+	m := e.inbox[0]
+	e.inbox = e.inbox[1:]
+	return m.vals, nil
+}
+
+// TestCloseTree drives one rank of the close through scripted inboxes:
+// rank 2 of 7 has child 3 and parent 0, sends its row only to the peer
+// it sent to, reports once its child has, and forwards the release; a
+// token from the wrong rank, a second release or a row with another
+// negative header is an error naming the sender, and a rank left waiting
+// names the rank it waits on.
+func TestCloseTree(t *testing.T) {
+	var c ckptimg.Counters
+	c.AddSent(5)
+	c.AddSent(2) // a self-send: no announcement
+	c.AddRecv(2)
+	row := appendRow(nil, c)
+	run := func(inbox ...scripted) (*scriptEnv, error) {
+		e := &scriptEnv{me: 2, n: 7, counters: c, inbox: inbox}
+		return e, (&TopoSort{}).Drain(e)
+	}
+	e, err := run(scripted{3, tokenAnnounced, 0}, scripted{0, tokenRelease, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []scripted{{5, row, 0}, {0, tokenAnnounced, 0}, {3, tokenRelease, 0}}
+	if !reflect.DeepEqual(e.sent, want) || e.phase != "done" {
+		t.Fatalf("sent %v (phase %q), want %v", e.sent, e.phase, want)
+	}
+	for _, tc := range []struct {
+		name  string
+		inbox []scripted
+		want  string
+	}{
+		{"report from a non-child", []scripted{{1, tokenAnnounced, 0}}, "close report from rank 1"},
+		{"report twice", []scripted{{3, tokenAnnounced, 0}, {3, tokenAnnounced, 0}}, "close report from rank 3"},
+		{"release from a non-parent", []scripted{{3, tokenAnnounced, 0}, {1, tokenRelease, 2}}, "release from rank 1"},
+		{"release before the report", []scripted{{0, tokenRelease, 0}}, "release from rank 0"},
+		{"second release", []scripted{{3, tokenAnnounced, 0}, {0, tokenRelease, 2}, {0, tokenRelease, 2}}, "release from rank 0"},
+		{"other negative header", []scripted{{4, []int64{-3}, 0}}, "rank 4"},
+		{"waiting on the child", nil, "would block"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := run(tc.inbox...)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want mention of %q", err, tc.want)
+			}
+			if tc.inbox == nil && e.phase != "toposort:close awaiting rank 3" {
+				t.Fatalf("phase %q", e.phase)
+			}
+		})
+	}
+	if e, err := run(scripted{3, tokenAnnounced, 0}); err == nil || e.phase != "toposort:close awaiting rank 0" {
+		t.Fatalf("reported rank with no release: error %v, phase %q, want the parent named", err, e.phase)
+	}
+}
+
+// Compile-time check: scriptEnv stands in for a rank.
+var _ ckpt.DrainEnv = (*scriptEnv)(nil)

@@ -1,7 +1,9 @@
 package drain
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"manasim/internal/ckptimg"
 )
@@ -36,59 +38,64 @@ func appendRow(dst []int64, c ckptimg.Counters) []int64 {
 }
 
 // rows is what one rank knows of the job's send-dependency graph: the
-// announcements absorbed so far, reduced to the count each sender
-// addressed to this rank and the sender's successor list (the peers it
-// sent to). Successor lists live back to back in one arena in arrival
-// order, so absorbing a row allocates nothing once the arena has grown
-// to the job's edge count, and a rank holds O(n+E) words instead of the
-// n×n counter matrix.
+// announcements absorbed so far. Only the ranks that sent to this rank
+// announce to it, so the graph holds those rows (and the rank's own)
+// and nothing per rank of the job: each holder is one entry, sorted by
+// world rank and found by binary search, keeping the count it addressed
+// to this rank and its successor list (the peers it sent to). Successor
+// lists live back to back in one arena in arrival order.
 type rows struct {
 	n, me int
-	have  int
-	known []bool
-	// toMe[p] is the number of messages p has sent this rank, as its
-	// row announced it (TopoSort turns it into the count still to pull).
-	toMe []int64
-	// succ[off[p]:end[p]] are the ranks p sent to, ascending, p itself
-	// left out.
-	off, end []int32
-	succ     []int32
-
-	// scratch of order, reused across recomputations.
-	indeg []int32
-	done  []bool
-	ready []int32
-	seq   []int32
+	// holders are the ranks whose row arrived, ascending by id.
+	holders []holder
+	succ    []int32
+	// hint is the number of rows the rank expects; the arena is sized
+	// for that many rows of the first row's length.
+	hint int
+	// scratch of order, reused across recomputations: the ready heap
+	// and the sequence, len(holders) each.
+	scratch []int32
 }
 
-// newRows carves the per-peer arrays out of three backing arrays, one
-// per element type, so a rank's rows cost four heap objects however
-// many ranks the job has.
-func newRows(n, me int) *rows {
-	i32 := make([]int32, 5*n)
-	flags := make([]bool, 2*n)
-	return &rows{
-		n: n, me: me,
-		known: flags[:n:n],
-		toMe:  make([]int64, n),
-		off:   i32[:n:n],
-		end:   i32[n : 2*n : 2*n],
-		indeg: i32[2*n : 3*n : 3*n],
-		done:  flags[n:],
-		ready: i32[3*n : 3*n : 4*n],
-		seq:   i32[4*n : 4*n],
-	}
+// holder is one announced rank.
+type holder struct {
+	id int32
+	// succ[off:end] are the ranks id sent to, ascending, id itself left
+	// out.
+	off, end int32
+	// toMe is the number of messages id has sent this rank, as its row
+	// announced it (TopoSort turns it into the count still to pull).
+	toMe int64
+	// indeg and done are order's state.
+	indeg int32
+	done  bool
 }
 
-// add validates src's announcement and records it. A row that breaks
-// the format leaves the graph untouched.
-func (g *rows) add(src int, row []int64) error {
+// newRows sizes the rows for hint announcements. With the arena, which
+// the first row allocates, a rank's rows cost four heap objects however
+// many ranks the job has; more only when more rows arrive than the hint
+// promised.
+func newRows(n, me, hint int) *rows {
+	return &rows{n: n, me: me, hint: hint, holders: make([]holder, 0, hint), scratch: make([]int32, 2*hint)}
+}
+
+// find returns the index of id among the holders, or where it would be
+// inserted.
+func (g *rows) find(id int32) (int, bool) {
+	return slices.BinarySearchFunc(g.holders, id, func(h holder, id int32) int { return cmp.Compare(h.id, id) })
+}
+
+// add validates src's announcement and records it, returning its holder
+// index (valid until the next add). A row that breaks the format leaves
+// the graph untouched.
+func (g *rows) add(src int, row []int64) (int, error) {
 	start := len(g.succ)
-	bad := func(format string, args ...any) error {
+	bad := func(format string, args ...any) (int, error) {
 		g.succ = g.succ[:start]
-		return &RowError{Sender: src, Reason: fmt.Sprintf(format, args...)}
+		return 0, &RowError{Sender: src, Reason: fmt.Sprintf(format, args...)}
 	}
-	if g.known[src] {
+	at, known := g.find(int32(src))
+	if known {
 		return bad("announced twice")
 	}
 	if len(row) == 0 {
@@ -122,75 +129,84 @@ func (g *rows) add(src int, row []int64) error {
 			g.succ = append(g.succ, int32(p))
 		}
 	}
-	g.off[src], g.end[src] = int32(start), int32(len(g.succ))
-	g.toMe[src] = toMe
-	g.known[src] = true
-	g.have++
-	return nil
+	g.holders = slices.Insert(g.holders, at, holder{id: int32(src), off: int32(start), end: int32(len(g.succ)), toMe: toMe})
+	return at, nil
 }
 
 // reserve makes room in the arena for a row of k successors. It sizes
-// the arena for every row still to come at this row's length, so a job
-// whose ranks send to about as many peers each, a halo exchange or a
-// ring, grows it once or twice, not a logarithmic number of times.
+// the arena for every row the hint still expects at this row's length,
+// so a job whose ranks send to about as many peers each, a halo
+// exchange or a ring, grows it once.
 func (g *rows) reserve(k int) {
 	if cap(g.succ)-len(g.succ) >= k {
 		return
 	}
-	want := max(len(g.succ)+k*(g.n-g.have), 2*cap(g.succ))
+	want := max(len(g.succ)+k*(g.hint-len(g.holders)), 2*cap(g.succ), len(g.succ)+k)
 	succ := make([]int32, len(g.succ), want)
 	copy(succ, g.succ)
 	g.succ = succ
 }
 
-// order topologically sorts the ranks over the announcements absorbed so
-// far: an edge p→q exists when p sent q at least one message, so senders
-// come before the ranks that depend on their traffic. Among the ranks
-// with no unsorted predecessor the smallest goes first; a cycle — a ring
-// pipeline is one big cycle — is broken at the smallest remaining rank.
-// The order is therefore deterministic, and identical on every rank once
-// all rows are in. Ranks whose row is unknown have no out-edges yet.
+// order topologically sorts the holders: an edge p→q exists when p sent
+// q at least one message, so senders come before the ranks that depend
+// on their traffic. Among the holders with no unsorted predecessor the
+// smallest goes first; a cycle — a ring pipeline is one big cycle — is
+// broken at the smallest remaining holder. A rank without a row has no
+// out-edges, so leaving it out does not change the holders' relative
+// order: the sequence is the order of the whole graph filtered to the
+// holders, and it is deterministic.
 //
-// Kahn's algorithm with a min-heap of ready ranks and a monotone cursor
-// for the cycle break: O((n+E) log n). The returned slice is reused by
+// Kahn's algorithm with a min-heap of ready holders and a monotone
+// cursor for the cycle break: O((h+E) log h) over h holders whose rows
+// list E successors. It returns holder indexes, in a slice reused by
 // the next call.
 func (g *rows) order() []int32 {
-	clear(g.indeg)
-	clear(g.done)
-	for p := 0; p < g.n; p++ {
-		for _, q := range g.succ[g.off[p]:g.end[p]] {
-			g.indeg[q]++
+	h := g.holders
+	if cap(g.scratch) < 2*len(h) {
+		g.scratch = make([]int32, 2*len(h))
+	}
+	for i := range h {
+		h[i].indeg, h[i].done = 0, false
+	}
+	for i := range h {
+		for _, q := range g.succ[h[i].off:h[i].end] {
+			if j, ok := g.find(q); ok {
+				h[j].indeg++
+			}
 		}
 	}
 	// Ascending, hence already a min-heap.
-	ready := g.ready[:0]
-	for r := 0; r < g.n; r++ {
-		if g.indeg[r] == 0 {
-			ready = append(ready, int32(r))
+	ready := g.scratch[:0:len(h)]
+	for i := range h {
+		if h[i].indeg == 0 {
+			ready = append(ready, int32(i))
 		}
 	}
-	seq := g.seq[:0]
+	seq := g.scratch[len(h) : len(h) : 2*len(h)]
 	cursor := int32(0)
-	for len(seq) < g.n {
+	for len(seq) < len(h) {
 		var pick int32
 		if len(ready) > 0 {
 			pick, ready = popMin(ready)
 		} else {
-			for g.done[cursor] {
+			for h[cursor].done {
 				cursor++
 			}
 			pick = cursor
 		}
-		g.done[pick] = true
+		h[pick].done = true
 		seq = append(seq, pick)
-		for _, q := range g.succ[g.off[pick]:g.end[pick]] {
-			g.indeg[q]--
-			if g.indeg[q] == 0 && !g.done[q] {
-				ready = pushMin(ready, q)
+		for _, q := range g.succ[h[pick].off:h[pick].end] {
+			j, ok := g.find(q)
+			if !ok {
+				continue
+			}
+			h[j].indeg--
+			if h[j].indeg == 0 && !h[j].done {
+				ready = pushMin(ready, int32(j))
 			}
 		}
 	}
-	g.ready, g.seq = ready, seq
 	return seq
 }
 

@@ -15,17 +15,20 @@ func init() {
 // arXiv:2408.02218 ("Enabling Practical Transparent Checkpointing for
 // MPI: A Topological Sort Approach"). Where the two-phase protocol
 // synchronizes all ranks in an MPI_Alltoall before anyone drains, here
-// each rank announces its cumulative send counters point-to-point on
-// the internal communicator the moment it reaches its cut, assembles
-// the send-dependency graph from the announcements it receives, and
-// drains announced predecessors in topological order of that graph —
-// messages are pulled incrementally as rows arrive instead of after a
-// collective barrier. A rank still needs every peer's row before it
-// can prove its cut complete (without rank p's counters it cannot know
-// whether p sent to it), but that agreement is pairwise and
-// non-collective: no rank blocks inside an MPI collective while
-// another is late.
+// each rank announces its cumulative send counters point-to-point, the
+// moment it reaches its cut, to the peers it sent to, and drains its
+// senders in topological order of their rows as the rows arrive. A
+// binomial tree of point-to-point tokens closes the announcement (see
+// the package documentation): E + 2(n−1) control messages for a send
+// graph of E edges, and no rank blocks inside an MPI collective.
 type TopoSort struct{}
+
+// The close tokens, one value with a negative header no row has. They
+// are never written, so a token allocates nothing per send.
+var (
+	tokenAnnounced = []int64{-1} // child to parent: subtree announced
+	tokenRelease   = []int64{-2} // parent to child: all announced
+)
 
 // Name implements ckpt.DrainStrategy.
 func (*TopoSort) Name() string { return "toposort" }
@@ -33,75 +36,109 @@ func (*TopoSort) Name() string { return "toposort" }
 // Drain implements ckpt.DrainStrategy.
 func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 	n, me := env.Size(), env.Rank()
-	var g *rows
+	// The close tree: the parent is me with its lowest set bit cleared,
+	// the children are me+b for each power of two b below that bit
+	// (every b at the root) while me+b < n. kids holds those b, pending
+	// the b of each child that has not reported yet.
+	parent, low, kids := me&(me-1), me&-me, 0
+	if me == 0 {
+		low = n
+	}
+	for b := 1; b < low && me+b < n; b <<= 1 {
+		kids |= b
+	}
+	pending := kids
+	closing, reported, released := false, false, false
 	outstanding := int64(0)
 	// The phase survives an error return: the deadlock diagnostic reports
-	// where each rank was when the job went down. The drain loop's
-	// counters are formatted only then, not on every pass.
+	// where each rank was when the job went down, naming the rank the
+	// close waits on. It is formatted only then, not on every pass.
 	defer func() {
 		switch {
 		case err == nil:
 			env.SetPhase("done")
-		case g != nil:
-			env.SetPhase(fmt.Sprintf("toposort:drain rows=%d/%d outstanding=%d", g.have, n, outstanding))
+		case !closing:
+		case pending != 0:
+			env.SetPhase(fmt.Sprintf("toposort:close awaiting rank %d", me+(pending&-pending)))
+		case !released:
+			env.SetPhase(fmt.Sprintf("toposort:close awaiting rank %d", parent))
+		default:
+			env.SetPhase(fmt.Sprintf("toposort:drain outstanding=%d", outstanding))
 		}
 	}()
-	if n == 1 {
-		return nil
+	// The counter list is read whole before the first Pull, which may
+	// insert: for the row, and for the hint of how many rows will
+	// arrive — one per peer this rank has received from, and its own.
+	counters := env.Counters()
+	mine, hint := appendRow(nil, counters), 1
+	for _, c := range counters {
+		if c.Recv > 0 {
+			hint++
+		}
 	}
-	mine := appendRow(nil, env.Counters())
 
 	env.SetPhase("toposort:announce")
-	// Announce this rank's counters to every peer. The announcement is
-	// deposited after the rank's last pre-cut application send, so a
-	// peer holding our row knows our traffic toward it is complete and
-	// already probeable (deposit-on-send transport).
-	for p := 0; p < n; p++ {
-		if p == me {
+	// The row is deposited after the rank's last pre-cut application
+	// send, so a peer holding it knows our traffic toward it is complete
+	// and already probeable (deposit-on-send transport). Self traffic
+	// needs no announcement: this rank's own row is at hand.
+	for _, c := range counters {
+		if c.Sent == 0 || c.Peer == me {
 			continue
 		}
-		if err := env.CtlSend(p, ckpt.TagDrainCounters, mine); err != nil {
-			return fmt.Errorf("drain/toposort: announcing counters to rank %d: %w", p, err)
+		if err := env.CtlSend(c.Peer, ckpt.TagDrainCounters, mine); err != nil {
+			return fmt.Errorf("drain/toposort: announcing counters to rank %d: %w", c.Peer, err)
 		}
 	}
-
 	comms, err := env.Comms()
 	if err != nil {
 		return err
 	}
 
-	// Self traffic needs no announcement: this rank's own counters are
-	// its own row.
-	g = newRows(n, me)
+	closing = true
+	g := newRows(n, me, hint)
 	// No copy of the receive counters: a peer's messages are pulled
 	// only once its row is absorbed, so when the row arrives, RecvFrom
 	// still counts what had arrived from it before the drain began.
-	// g.toMe[src] becomes the count still to pull there and counts down
-	// as the messages are pulled.
+	// The holder's toMe becomes the count still to pull there and
+	// counts down as the messages are pulled.
 	absorb := func(src int, row []int64) error {
-		if err := g.add(src, row); err != nil {
+		i, err := g.add(src, row)
+		if err != nil {
 			return fmt.Errorf("drain/toposort: %w", err)
 		}
+		h := &g.holders[i]
 		recv := int64(env.RecvFrom(src))
-		if g.toMe[src] < recv {
-			return fmt.Errorf("drain/toposort: counter underflow from rank %d: sent %d, received %d", src, g.toMe[src], recv)
+		if h.toMe < recv {
+			return fmt.Errorf("drain/toposort: counter underflow from rank %d: sent %d, received %d", src, h.toMe, recv)
 		}
-		g.toMe[src] -= recv
-		outstanding += g.toMe[src]
+		h.toMe -= recv
+		outstanding += h.toMe
 		return nil
 	}
 	if err := absorb(me, mine); err != nil {
 		return err
 	}
+	release := func() error {
+		released = true
+		for k := kids; k != 0; k &= k - 1 {
+			if err := env.CtlSend(me+(k&-k), ckpt.TagDrainCounters, tokenRelease); err != nil {
+				return fmt.Errorf("drain/toposort: releasing rank %d: %w", me+(k&-k), err)
+			}
+		}
+		return nil
+	}
 
 	// The dependency order over the rows absorbed so far is recomputed
 	// only when a new row has arrived.
 	var order []int32
-	for g.have < n || outstanding > 0 {
+	for !released || outstanding > 0 {
 		progressed := false
 
-		// Absorb whatever counter announcements have arrived, each
-		// received into exactly the values it holds.
+		// Absorb whatever rows and tokens have arrived, each received
+		// into exactly the values it holds. Every row addressed to this
+		// rank was deposited before the release was sent, so the pass
+		// that receives the release absorbs them all.
 		for {
 			ok, src, count, err := env.CtlIprobe(mpi.AnySource, ckpt.TagDrainCounters)
 			if err != nil {
@@ -110,15 +147,43 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 			if !ok {
 				break
 			}
-			row, err := env.CtlRecv(src, ckpt.TagDrainCounters, count)
+			vals, err := env.CtlRecv(src, ckpt.TagDrainCounters, count)
 			if err != nil {
 				return err
 			}
-			if err := absorb(src, row); err != nil {
-				return err
-			}
 			progressed = true
-			order = nil
+			switch b := src - me; {
+			case len(vals) == 1 && vals[0] == tokenAnnounced[0]:
+				if b <= 0 || b&(b-1) != 0 || pending&b == 0 {
+					return fmt.Errorf("drain/toposort: close report from rank %d, which is no pending child of rank %d", src, me)
+				}
+				pending &^= b
+			case len(vals) == 1 && vals[0] == tokenRelease[0]:
+				if me == 0 || src != parent || !reported || released {
+					return fmt.Errorf("drain/toposort: unexpected release from rank %d at rank %d", src, me)
+				}
+				if err := release(); err != nil {
+					return err
+				}
+			default:
+				if err := absorb(src, vals); err != nil {
+					return err
+				}
+				order = nil
+			}
+		}
+		// Own rows sent and every child reported: the subtree has
+		// announced, at the root the whole job.
+		if pending == 0 && !reported {
+			reported, progressed = true, true
+			if me == 0 {
+				err = release()
+			} else {
+				err = env.CtlSend(parent, ckpt.TagDrainCounters, tokenAnnounced)
+			}
+			if err != nil {
+				return fmt.Errorf("drain/toposort: closing at rank %d: %w", me, err)
+			}
 		}
 		if order == nil {
 			order = g.order()
@@ -127,9 +192,10 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 		// Drain announced predecessors in dependency order. Their
 		// pre-cut messages were deposited before the announcement, so
 		// every expected message is already probeable.
-		for _, w := range order {
-			for ; g.toMe[w] > 0; g.toMe[w]-- {
-				if err := s.pullFrom(env, comms, int(w)); err != nil {
+		for _, i := range order {
+			h := &g.holders[i]
+			for ; h.toMe > 0; h.toMe-- {
+				if err := s.pullFrom(env, comms, int(h.id)); err != nil {
 					return err
 				}
 				outstanding--
@@ -138,18 +204,16 @@ func (s *TopoSort) Drain(env ckpt.DrainEnv) (err error) {
 		}
 
 		if !progressed {
-			if g.have >= n {
+			if released {
 				// Every row is in and the expected messages are
 				// deposit-on-send, so an empty pass is a protocol bug,
 				// not a wait.
-				return fmt.Errorf("drain/toposort: stalled with all counters present and %d messages outstanding", outstanding)
+				return fmt.Errorf("drain/toposort: stalled after the close with %d messages outstanding", outstanding)
 			}
-			// Waiting on peers that have not reached their cut yet:
-			// block until the next counter announcement instead of
-			// spin-polling. Every missing peer still owes us its row
-			// (announcements precede this loop on every rank), so the
-			// wait always terminates — and under the rank-serial
-			// kernel a spinning rank would never yield at all.
+			// Block until the next row or token instead of spin-polling
+			// (under the rank-serial kernel a spinning rank would never
+			// yield). Both travel on one tag, so one wait wakes on
+			// either, and the close always comes.
 			if err := env.CtlWait(mpi.AnySource, ckpt.TagDrainCounters); err != nil {
 				return err
 			}

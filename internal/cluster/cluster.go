@@ -104,7 +104,7 @@ func (j *Job) SetRankPhase(rank int, phase string) {
 }
 
 // rankPhases renders the non-empty phase entries for the deadlock
-// diagnostic, e.g. "rank 0: toposort:drain rows=3/4 outstanding=2".
+// diagnostic, e.g. "rank 0: toposort:close awaiting rank 2".
 func (j *Job) rankPhases() string {
 	out := ""
 	for r, p := range j.phases {

@@ -238,7 +238,7 @@ func TestStallDiagnosticReportsPhases(t *testing.T) {
 		case 0:
 			j.SetRankPhase(0, "twophase:exchange")
 		case 1:
-			j.SetRankPhase(1, "toposort:drain rows=2/3 outstanding=1")
+			j.SetRankPhase(1, "toposort:close awaiting rank 0")
 		case 2:
 			j.SetRankPhase(2, "done")
 		}
@@ -250,7 +250,7 @@ func TestStallDiagnosticReportsPhases(t *testing.T) {
 		t.Fatal("deadlocked job reported success")
 	}
 	msg := err.Error()
-	for _, want := range []string{"rank 0: twophase:exchange", "rank 1: toposort:drain rows=2/3 outstanding=1"} {
+	for _, want := range []string{"rank 0: twophase:exchange", "rank 1: toposort:close awaiting rank 0"} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("diagnostic %q missing %q", msg, want)
 		}

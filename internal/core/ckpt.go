@@ -154,15 +154,7 @@ func (r *Runtime) doCheckpoint(step int) error {
 		return err
 	}
 	if dedup {
-		unique := r.co.Store().CommitCharge(r.rank)
-		charged := unique
-		if n := int64(len(data)); n > 0 {
-			// Scale the modeled working-set surcharge (totalBytes beyond the
-			// encoded image) by the fraction of the image actually stored.
-			if extra := totalBytes - n; extra > 0 {
-				charged += int64(float64(extra) * float64(unique) / float64(n))
-			}
-		}
+		charged := dedupCharge(r.co.Store().CommitCharge(r.rank), int64(len(data)), totalBytes)
 		r.clock.Advance(r.ckptFS().WriteCost(charged))
 	}
 	now := r.clock.Now()
@@ -170,6 +162,20 @@ func (r *Runtime) doCheckpoint(step int) error {
 	r.ckptCosts = append(r.ckptCosts, now-ckptStart)
 	r.lastCkptVT = now
 	return nil
+}
+
+// dedupCharge is what a dedup store charges a rank's write: the unique
+// bytes it stored, plus the working-set surcharge (total beyond the
+// image) scaled by the stored fraction of the image. unique counts the
+// rank's recipe too, so the fraction is capped at the whole image.
+func dedupCharge(unique, image, total int64) int64 {
+	charged := unique
+	if image > 0 {
+		if extra := total - image; extra > 0 {
+			charged += int64(float64(extra) * float64(min(unique, image)) / float64(image))
+		}
+	}
+	return charged
 }
 
 // ckptFS resolves the filesystem model checkpoint I/O is charged

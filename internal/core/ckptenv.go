@@ -72,8 +72,8 @@ func (l ctlLink) CtlWait(src, tag int) error {
 
 // CtlRecv implements ckpt.CtlLink: count is the capacity posted, the
 // result holds exactly the values that arrived. Both staging buffers are
-// reused across calls (control traffic is serial per rank): at a
-// 1024-rank drain each rank receives a thousand counter rows, and fresh
+// reused across calls (control traffic is serial per rank): when every
+// rank of a 1024-rank drain received a thousand counter rows, fresh
 // buffers per row made allocation and GC the dominant simulation cost.
 // Posted with CtlIprobe's count, they grow to the longest message the
 // rank has received, not to the longest the job could send.

@@ -242,3 +242,34 @@ func TestDedupDeterminismBattery(t *testing.T) {
 		}
 	}
 }
+
+// TestDedupChargeWithinWorkingSet: the working-set surcharge of a dedup
+// commit never exceeds the working set beyond the image, however many
+// unique bytes the rank's recipe adds. So the charge stays within
+// totalBytes whenever the rank stored at most its image, and beyond it
+// by no more than the bytes it stored past the image. Scaling by unique
+// bytes uncapped charged a rank whose recipe made it store more than
+// its image for more than its whole working set.
+func TestDedupChargeWithinWorkingSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 10000; i++ {
+		image := 1 + rng.Int63n(1<<20)
+		total := image + rng.Int63n(1<<24)
+		unique := rng.Int63n(2 * image)
+		charged := dedupCharge(unique, image, total)
+		if limit := total + max(unique-image, 0); charged > limit || charged < unique {
+			t.Fatalf("unique %d of a %d-byte image in a %d-byte working set: charged %d, want in [%d, %d]", unique, image, total, charged, unique, limit)
+		}
+		if unique <= image && charged > total {
+			t.Fatalf("unique %d of a %d-byte image: charged %d above the %d-byte working set", unique, image, charged, total)
+		}
+	}
+	// Unique bytes three times the image: the uncapped scale charged three
+	// times the surcharge.
+	if got := dedupCharge(300, 100, 100+100<<20); got != 300+100<<20 {
+		t.Fatalf("charged %d, want %d", got, 300+100<<20)
+	}
+	if got := dedupCharge(50, 0, 1000); got != 50 {
+		t.Fatalf("empty image charged %d, want its unique bytes 50", got)
+	}
+}

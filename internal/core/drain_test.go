@@ -2,9 +2,11 @@ package mana
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -269,10 +271,12 @@ func pipelinedLammps(t *testing.T, ranks int) (app.Factory, apps.Input) {
 }
 
 // TestToposortCtlBytesBound guards the control plane's complexity with a
-// count instead of a stopwatch: a 64-rank toposort drain still sends
-// n(n−1) announcements, and their payload stays within a sparse row's
-// size — one length word plus a (peer, count) pair per rank the sender
-// actually sent to. A dense n-entry row breaks the bound 5× on any host.
+// count instead of a stopwatch: a 64-rank toposort drain sends one row
+// along each of the E edges of the send graph and 2(n−1) close tokens,
+// exactly, and the rows' payload stays within a sparse row's size — one
+// length word plus a (peer, count) pair per rank the sender actually
+// sent to. An all-pairs announcement breaks the count 12×, a dense
+// n-entry row the byte bound 5×, on any host.
 func TestToposortCtlBytesBound(t *testing.T) {
 	const n = 64
 	appf, in := pipelinedLammps(t, n)
@@ -283,12 +287,10 @@ func TestToposortCtlBytesBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CtlMsgs != n*(n-1) {
-		t.Fatalf("CtlMsgs %d, want n(n-1) = %d", st.CtlMsgs, n*(n-1))
-	}
-	// d: the largest number of peers any rank had sent to at the cut.
-	d, drained := 0, 0
-	for _, data := range images {
+	// E: the (rank, peer) pairs with a message sent at the cut, self
+	// excluded; d: the largest number of peers any rank had sent to.
+	edges, d, drained := 0, 0, 0
+	for r, data := range images {
 		img, err := ckptimg.Decode(data)
 		if err != nil {
 			t.Fatal(err)
@@ -297,6 +299,9 @@ func TestToposortCtlBytesBound(t *testing.T) {
 		for _, c := range img.Counters {
 			if c.Sent > 0 {
 				deg++
+				if c.Peer != r {
+					edges++
+				}
 			}
 		}
 		d = max(d, deg)
@@ -305,8 +310,11 @@ func TestToposortCtlBytesBound(t *testing.T) {
 	if d == 0 || d > 8 || drained == 0 {
 		t.Fatalf("workload lost its shape: out-degree %d, %d messages drained", d, drained)
 	}
-	if bound := uint64(n * (n - 1) * 8 * (1 + 2*d)); st.CtlBytes == 0 || st.CtlBytes > bound {
-		t.Fatalf("CtlBytes %d, want in (0, %d] (out-degree %d)", st.CtlBytes, bound, d)
+	if want := uint64(edges + 2*(n-1)); st.CtlMsgs != want {
+		t.Fatalf("CtlMsgs %d, want E + 2(n-1) = %d + %d", st.CtlMsgs, edges, 2*(n-1))
+	}
+	if bound := uint64(8 * (edges*(1+2*d) + 2*(n-1))); st.CtlBytes == 0 || st.CtlBytes > bound {
+		t.Fatalf("CtlBytes %d, want in (0, %d] (E %d, out-degree %d)", st.CtlBytes, bound, edges, d)
 	}
 
 	// The Alltoall exchange is n(n−1) slots of 8 bytes.
@@ -347,8 +355,10 @@ func drainedDigest(t *testing.T, images [][]byte) (digest string, drained int) {
 // uses nothing ExaMPI lacks.
 type fanApp struct {
 	rank, size, steps int
-	world, f64        mpi.Handle
-	acc               float64
+	// graph[p] lists whom rank p sends to each step, and how often.
+	graph      [][]fanEdge
+	world, f64 mpi.Handle
+	acc        float64
 }
 
 type fanEdge struct{ peer, count int }
@@ -377,8 +387,17 @@ func fanTargets(p, n int) []fanEdge {
 	return out
 }
 
-func newFanApp(steps int) app.Factory {
-	return func() app.Instance { return &fanApp{steps: steps} }
+// fanGraph is the send graph of the drained-order golden.
+func fanGraph(n int) [][]fanEdge {
+	g := make([][]fanEdge, n)
+	for p := range g {
+		g[p] = fanTargets(p, n)
+	}
+	return g
+}
+
+func newFanApp(steps int, graph [][]fanEdge) app.Factory {
+	return func() app.Instance { return &fanApp{steps: steps, graph: graph} }
 }
 
 func (a *fanApp) Setup(env *app.Env) (err error) {
@@ -399,7 +418,7 @@ func (a *fanApp) Step(env *app.Env, step int) error {
 			return err
 		}
 	}
-	for _, e := range fanTargets(a.rank, a.size) {
+	for _, e := range a.graph[a.rank] {
 		for i := 0; i < e.count; i++ {
 			v := []float64{float64(a.rank*1000 + step*10 + i)}
 			if err := env.P.Send(mpi.Float64Bytes(v), 1, a.f64, e.peer, 3, a.world); err != nil {
@@ -415,7 +434,7 @@ func (a *fanApp) Step(env *app.Env, step int) error {
 func (a *fanApp) recvAll(env *app.Env) error {
 	in := make([]byte, 8)
 	for p := 0; p < a.size; p++ {
-		for _, e := range fanTargets(p, a.size) {
+		for _, e := range a.graph[p] {
 			for i := 0; e.peer == a.rank && i < e.count; i++ {
 				if _, err := env.P.Recv(in, 1, a.f64, p, 3, a.world); err != nil {
 					return err
@@ -431,36 +450,49 @@ func (a *fanApp) Finalize(env *app.Env) error { return a.recvAll(env) }
 
 func (a *fanApp) Checksum() uint64 { return math.Float64bits(a.acc) }
 
-func (a *fanApp) Snapshot() ([]byte, error) { return mpi.Float64Bytes([]float64{a.acc}), nil }
+// Snapshot holds everything Setup made, since a restart does not run
+// Setup again: the accumulator, the rank's place and the (virtual)
+// handles.
+func (a *fanApp) Snapshot() ([]byte, error) {
+	var b []byte
+	for _, v := range []uint64{math.Float64bits(a.acc), uint64(a.rank), uint64(a.size), uint64(a.world), uint64(a.f64)} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b, nil
+}
 
 func (a *fanApp) Restore(data []byte) error {
-	a.acc = mpi.Float64s(data)[0]
+	if len(data) != 5*8 {
+		return fmt.Errorf("fanApp: %d-byte snapshot", len(data))
+	}
+	v := func(i int) uint64 { return binary.LittleEndian.Uint64(data[8*i:]) }
+	a.acc, a.rank, a.size = math.Float64frombits(v(0)), int(v(1)), int(v(2))
+	a.world, a.f64 = mpi.Handle(v(3)), mpi.Handle(v(4))
 	return nil
 }
 
 func (a *fanApp) FootprintBytes() int64 { return 1 << 10 }
 
-// TestToposortDrainedOrderGolden holds the toposort drain to the pull
-// order of the dense-matrix implementation it replaced: the Drained
-// section is written in pull order, so the digest below — taken from
-// that implementation on the same deterministic run — changes if the
-// sparse dependency order ever picks a different rank first. The order
-// does not depend on the MPI implementation underneath, and the native
-// run proves the workload itself sound.
+// TestToposortDrainedOrderGolden holds the toposort drain to its pull
+// order: the Drained section is written in pull order, so the digest
+// below changes if the dependency order of a rank's senders ever picks a
+// different rank first. The order does not depend on the MPI
+// implementation underneath, and the native run proves the workload
+// itself sound.
 func TestToposortDrainedOrderGolden(t *testing.T) {
 	const (
 		ranks  = 12
 		steps  = 6
-		golden = "574774dd60c4d2c21b0beed69d1c90501174bb822fe416fad1707ab7167e3f65"
+		golden = "a6d7b0afe8bad72fc5d0ecdaabbf46c8642fbaa59f035f384f0d420e3ddb4e99"
 	)
 	for _, impl := range impls.Names() {
 		cfg := faultCfg(t, impl, nil)
-		plain, err := RunNative(cfg, ranks, newFanApp(steps))
+		plain, err := RunNative(cfg, ranks, newFanApp(steps, fanGraph(ranks)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.DrainStrategy = "toposort"
-		st, images, err := Run(cfg, ranks, newFanApp(steps), 3)
+		st, images, err := Run(cfg, ranks, newFanApp(steps, fanGraph(ranks)), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -535,10 +567,12 @@ func (a *stuckApp) Snapshot() ([]byte, error) { return nil, nil }
 func (a *stuckApp) Restore(data []byte) error { return nil }
 func (a *stuckApp) FootprintBytes() int64     { return 0 }
 
-// TestToposortStallNamesCounters: a toposort rank parked for a row that
-// never comes is named in the deadlock diagnostic with its drain
-// counters — the rows absorbed out of n and the messages still owed —
-// formatted when the job goes down, not on every pass of the drain.
+// TestToposortStallNamesCounters: a toposort rank parked in the close of
+// the announcement is named in the deadlock diagnostic with the rank it
+// waits on — formatted when the job goes down, not on every pass of the
+// drain. Rank 2 never reaches the cut, so rank 0, the root of the close
+// tree, waits for its report and rank 1, reported, for the root's
+// release.
 func TestToposortStallNamesCounters(t *testing.T) {
 	cfg := faultCfg(t, "mpich", nil)
 	cfg.DrainStrategy = "toposort"
@@ -547,7 +581,7 @@ func TestToposortStallNamesCounters(t *testing.T) {
 		t.Fatal("a job with a rank that never reaches the cut checkpointed")
 	}
 	msg := err.Error()
-	for _, want := range []string{"event-kernel deadlock", "rank 0: toposort:drain rows=2/3 outstanding=0", "rank 1: toposort:drain rows=2/3 outstanding=0"} {
+	for _, want := range []string{"event-kernel deadlock", "rank 0: toposort:close awaiting rank 2", "rank 1: toposort:close awaiting rank 0"} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("diagnostic %q missing %q", msg, want)
 		}
@@ -555,4 +589,93 @@ func TestToposortStallNamesCounters(t *testing.T) {
 	if strings.Contains(msg, "rank 2:") {
 		t.Fatalf("diagnostic %q names the rank that never drained", msg)
 	}
+}
+
+// TestToposortMatchesTwophaseOnRandomGraphs runs both strategies over
+// seeded random send graphs — 20 seeds at each of 3, 7, 12 and 33
+// ranks, none of them a power of two — in which one rank neither sends
+// nor receives and some ranks send to themselves, and over a 1-rank
+// job whose only traffic is to itself. Each graph is checkpointed with
+// messages in flight; toposort must drain as many messages on every
+// rank as twophase, finish with the same checksums, and its images must
+// restart to them.
+func TestToposortMatchesTwophaseOnRandomGraphs(t *testing.T) {
+	const steps = 4
+	check := func(what string, graph [][]fanEdge) {
+		n := len(graph)
+		var ref Stats
+		var refDrained []int
+		for _, strat := range []string{"twophase", "toposort"} {
+			cfg := faultCfg(t, "mpich", nil)
+			cfg.DrainStrategy = strat
+			st, images, err := Run(cfg, n, newFanApp(steps, graph), 2)
+			if err != nil {
+				t.Fatalf("%s %s: %v", what, strat, err)
+			}
+			drained := make([]int, n)
+			for r, data := range images {
+				img, err := ckptimg.Decode(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				drained[r] = len(img.Drained)
+			}
+			if strat == "twophase" {
+				ref, refDrained = st, drained
+				if slices.Max(drained) == 0 {
+					t.Fatalf("%s: nothing in flight at the cut", what)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(drained, refDrained) {
+				t.Fatalf("%s: toposort drained %v per rank, twophase %v", what, drained, refDrained)
+			}
+			sameChecksums(t, ref.Checksums, st.Checksums, what+": toposort run")
+			rst, err := Restart(faultCfg(t, "mpich", nil), images, newFanApp(steps, graph))
+			if err != nil {
+				t.Fatalf("%s: restart from toposort images: %v", what, err)
+			}
+			sameChecksums(t, ref.Checksums, rst.Checksums, what+": toposort restart")
+		}
+	}
+	check("n=1", [][]fanEdge{{{0, 2}}})
+	selfSends := 0
+	for _, n := range []int{3, 7, 12, 33} {
+		for seed := int64(1); seed <= 20; seed++ {
+			graph := randomGraph(rand.New(rand.NewSource(seed*100+int64(n))), n)
+			for p, out := range graph {
+				for _, e := range out {
+					if e.peer == p {
+						selfSends++
+					}
+				}
+			}
+			check(fmt.Sprintf("n=%d seed %d", n, seed), graph)
+		}
+	}
+	if selfSends == 0 {
+		t.Fatal("no graph has a self-send")
+	}
+}
+
+// randomGraph draws an n-rank send graph: each rank sends to a few
+// random peers, itself now and then, one to three messages each, except
+// one isolated rank that neither sends nor is sent to.
+func randomGraph(rng *rand.Rand, n int) [][]fanEdge {
+	isolated := rng.Intn(n)
+	g := make([][]fanEdge, n)
+	for p := range g {
+		if p == isolated {
+			continue
+		}
+		for q := 0; q < n; q++ {
+			if q == isolated {
+				continue
+			}
+			if (q == p && rng.Intn(4) == 0) || (q != p && rng.Intn(n) < 3) {
+				g[p] = append(g[p], fanEdge{q, 1 + rng.Intn(3)})
+			}
+		}
+	}
+	return g
 }

@@ -35,13 +35,14 @@ type Stats struct {
 	// maximized over ranks (the slowest rank gates the cut).
 	DrainVT time.Duration
 	// CtlMsgs is the total number of drain control messages the ranks
-	// sent over MANA's internal communicator (counter announcements and
-	// Alltoall slots) — the protocol cost the drain experiment reports.
+	// sent over MANA's internal communicator — the protocol cost the
+	// drain experiment reports: n(n−1) Alltoall slots under twophase;
+	// under toposort a counter row along each of the send graph's E
+	// edges and 2(n−1) tokens of the tree that closes the announcement.
 	CtlMsgs uint64
 	// CtlBytes is the payload of those messages in bytes: what the ranks
-	// handed to CtlSend, plus 8 bytes per Alltoall slot. The message
-	// count of the all-pairs announcement is n(n−1) whatever a row
-	// holds; this is the count that shows how large the rows are.
+	// handed to CtlSend, plus 8 bytes per Alltoall slot. It is the count
+	// that shows how large the rows are.
 	CtlBytes uint64
 	// Stopped reports that the job exited at a checkpoint (preemption).
 	Stopped bool

@@ -24,12 +24,12 @@ type DrainScaleRow struct {
 	// in seconds.
 	DrainVTS float64 `col:"Drain VT (ms),%.3f,1e3"`
 	// CtlMsgs is the number of drain control messages across all ranks —
-	// the O(n) vs O(n²) protocol traffic the sweep exposes.
+	// the protocol traffic the sweep exposes: twophase's Alltoall is
+	// n(n−1) slots, toposort's announcement E + 2(n−1) messages for a
+	// send graph of E edges.
 	CtlMsgs uint64 `col:"Ctl msgs,%d"`
-	// CtlBytes is the payload of those messages in bytes: the message
-	// count of an all-pairs exchange is n(n−1) whatever a message holds,
-	// so this is the column that tells a sparse counter row from a dense
-	// one.
+	// CtlBytes is the payload of those messages in bytes, the column
+	// that tells a sparse counter row from a dense one.
 	CtlBytes uint64 `col:"Ctl KB,%.1f,1e-3"`
 	// WallS is the real time the simulation took, in seconds: the one
 	// host-clock field of any table, zeroed in the goldens.

@@ -12,10 +12,12 @@ import (
 const lammpsHaloPeers = 6
 
 // TestDrainScaleToposort1024 is the scale smoke of the collective-free
-// drain: one 1024-rank toposort cell of the sweep completes, with the
-// protocol's n(n−1) announcements and a payload within the sparse row's
-// size. No wall-clock assertion — a dense n-entry row would miss the
-// byte bound 80×, on any host.
+// drain: one 1024-rank toposort cell of the sweep completes with fewer
+// than 20 000 control messages — a row along each edge of the send
+// graph and 2(n−1) close tokens, where an all-pairs announcement sends
+// n(n−1) = 1 047 552 — and a payload within the sparse rows' size. No
+// wall-clock assertion: the counts tell the protocols apart on any
+// host.
 func TestDrainScaleToposort1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale smoke")
@@ -33,10 +35,12 @@ func TestDrainScaleToposort1024(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.CtlMsgs != n*(n-1) {
-		t.Errorf("CtlMsgs %d, want n(n-1) = %d", row.CtlMsgs, n*(n-1))
+	if row.CtlMsgs >= 20000 {
+		t.Errorf("CtlMsgs %d, want < 20000", row.CtlMsgs)
 	}
-	if bound := uint64(n * (n - 1) * 8 * (1 + 2*lammpsHaloPeers)); row.CtlBytes == 0 || row.CtlBytes > bound {
+	// At most lammpsHaloPeers rows of at most that many entries per
+	// rank, and the close tokens.
+	if bound := uint64(8 * (n*lammpsHaloPeers*(1+2*lammpsHaloPeers) + 2*(n-1))); row.CtlBytes == 0 || row.CtlBytes > bound {
 		t.Errorf("CtlBytes %d, want in (0, %d]", row.CtlBytes, bound)
 	}
 	t.Logf("1024-rank toposort cell: drain VT %.3f ms, %d control messages, %.1f KB, wall %.2f s",
