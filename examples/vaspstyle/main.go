@@ -10,10 +10,10 @@
 // ionic-relaxation steps (neighbour exchanges through derived
 // datatypes), over communicators, groups, datatypes and a user
 // reduction it built and partly freed. This program checkpoints it under
-// MANA on Cray MPICH before steps of either kind, restarts each image
-// alternately on Cray MPICH and on Open MPI, and exits non-zero unless
-// every restart ends with the checksums of the uninterrupted native
-// run.
+// MANA on Cray MPICH before steps of either kind, restarts each
+// checkpoint from its job's store alternately on Cray MPICH and on Open
+// MPI, and exits non-zero unless every restart ends with the checksums
+// of the uninterrupted native run.
 //
 //	go run ./examples/vaspstyle
 package main
@@ -46,12 +46,20 @@ func main() {
 	fmt.Println("multi-algorithm job (minimization steps alternating with relaxation steps) under MANA/craympi")
 	src.ExitAtCheckpoint = true
 	for i, at := range []int{2, 5, 8, 11} {
-		_, images, err := mana.Run(src, ranks, apps.NewTour(steps), at)
+		job, err := mana.StartJob(src, ranks, apps.NewTour(steps))
 		if err != nil {
 			log.Fatal(err)
 		}
+		job.Co.RequestCheckpointAtStep(at)
+		if _, err := job.Wait(); err != nil {
+			log.Fatal(err)
+		}
 		target := []string{"craympi", "openmpi"}[i%2]
-		rst, err := mana.Restart(config(target), images, apps.NewTour(steps))
+		s, err := mana.RestartJobFromStore(config(target), job.Store(), apps.NewTour(steps))
+		if err != nil {
+			log.Fatal(err)
+		}
+		rst, err := s.Wait()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"manasim/internal/app"
 	mana "manasim/internal/core"
 	"manasim/internal/impls"
 	"manasim/internal/mpi"
@@ -29,6 +30,27 @@ func cfgFor(t testing.TB, impl string) mana.Config {
 		t.Fatal(err)
 	}
 	return mana.Config{ImplName: impl, Factory: f, Host: simtime.Discovery()}
+}
+
+// stopAndRestart launches an n-rank job under src that checkpoints at
+// step and stops there, as after a preemption, then restarts it from
+// its store under dst and waits for completion.
+func stopAndRestart(t *testing.T, src, dst mana.Config, n int, factory app.Factory, step int) (mana.Stats, error) {
+	t.Helper()
+	src.ExitAtCheckpoint = true
+	s, err := mana.StartJob(src, n, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Co.RequestCheckpointAtStep(step)
+	if _, err := s.Wait(); err != nil {
+		t.Fatalf("checkpoint at step %d: %v", step, err)
+	}
+	rs, err := mana.RestartJobFromStore(dst, s.Store(), factory)
+	if err != nil {
+		return mana.Stats{}, err
+	}
+	return rs.Wait()
 }
 
 func TestFactor3(t *testing.T) {
@@ -222,13 +244,7 @@ func TestAppsCheckpointRestart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stop := cfgFor(t, "mpich")
-			stop.ExitAtCheckpoint = true
-			_, images, err := mana.Run(stop, 8, spec.New(in), 3)
-			if err != nil {
-				t.Fatalf("checkpoint: %v", err)
-			}
-			rst, err := mana.Restart(cfgFor(t, "mpich"), images, spec.New(in))
+			rst, err := stopAndRestart(t, cfg, cfgFor(t, "mpich"), 8, spec.New(in), 3)
 			if err != nil {
 				t.Fatalf("restart: %v", err)
 			}
@@ -246,28 +262,13 @@ func TestLammpsPipelineDrainsAtCheckpoint(t *testing.T) {
 	// per rank at every boundary; a checkpoint must drain them all.
 	spec, _ := ByName("lammps")
 	in := tinyInput(8)
-	cfg := cfgFor(t, "mpich")
-	cfg.ExitAtCheckpoint = true
-	s, err := mana.StartJob(cfg, 8, spec.New(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Co.RequestCheckpointAtStep(3)
-	if _, err := s.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	images, err := s.Co.Images()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = images
 	// Restart must reproduce the uninterrupted run (drained messages
 	// re-delivered through MANA's buffer).
 	plain, _, err := mana.Run(cfgFor(t, "mpich"), 8, spec.New(in), -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rst, err := mana.Restart(cfgFor(t, "mpich"), images, spec.New(in))
+	rst, err := stopAndRestart(t, cfgFor(t, "mpich"), cfgFor(t, "mpich"), 8, spec.New(in), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,14 +290,7 @@ func TestAppsCrossImplRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := cfgFor(t, "mpich")
-	stop.UniformHandles = true
-	stop.ExitAtCheckpoint = true
-	_, images, err := mana.Run(stop, 8, spec.New(in), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rst, err := mana.Restart(cfgFor(t, "openmpi"), images, spec.New(in))
+	rst, err := stopAndRestart(t, src, cfgFor(t, "openmpi"), 8, spec.New(in), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

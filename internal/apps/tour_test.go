@@ -80,14 +80,9 @@ func TestTourRestartMatrix(t *testing.T) {
 				}
 				sameSums(t, name+": uninterrupted run", plain.Checksums, native[c.src])
 			}
-			cfg.ExitAtCheckpoint = true
-			_, images, err := mana.Run(cfg, ranks, NewTour(steps), cut)
-			if err != nil {
-				t.Fatalf("%s: checkpoint at step %d: %v", name, cut, err)
-			}
 			dst := cfgFor(t, c.dst)
 			dst.Design, dst.UniformHandles = c.design, cfg.UniformHandles
-			rst, err := mana.Restart(dst, images, NewTour(steps))
+			rst, err := stopAndRestart(t, cfg, dst, ranks, NewTour(steps), cut)
 			if err != nil {
 				t.Fatalf("%s: restart: %v", name, err)
 			}

@@ -280,22 +280,22 @@ func writeTailSections(w *bytes.Buffer, img *Image) {
 	writeSection(w, secEnd, nil)
 }
 
-// decodeCommonSection decodes one section shared by the full and delta
-// formats into img, reporting whether the tag was one of them.
-func decodeCommonSection(img *Image, tag uint32, payload []byte) (bool, error) {
+// decodeCommonSection decodes into img one of the sections shared by
+// the full and delta formats (isCommonTag).
+func decodeCommonSection(img *Image, tag uint32, payload []byte) error {
 	switch tag {
 	case secMeta2:
-		return true, decodeMeta2(img, payload)
+		return decodeMeta2(img, payload)
 	case secStore2:
-		return true, decodeStore2(img, payload)
+		return decodeStore2(img, payload)
 	case secDrained2:
-		return true, decodeDrained2(img, payload)
+		return decodeDrained2(img, payload)
 	case secReqs2:
-		return true, decodeReqs2(img, payload)
+		return decodeReqs2(img, payload)
 	case secCounters3:
-		return true, decodeCounters3(img, payload)
+		return decodeCounters3(img, payload)
 	}
-	return false, nil
+	return nil
 }
 
 // writeSection frames one section: tag, length, CRC-32, payload.
@@ -410,47 +410,19 @@ func Decode(data []byte) (*Image, error) { return DecodeInto(data, nil) }
 // image owns. A caller restoring a set of images one at a time decodes
 // them all through one buffer this way.
 func DecodeInto(data, state []byte) (*Image, error) {
-	flags, err := parseHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	if flags&FlagDelta != 0 {
-		return nil, ErrDeltaImage
-	}
-
 	img := &Image{}
 	var appChunks [][]byte
 	var appLen int
-	var sawMeta, sawEnd bool
-	c := &sectionCursor{data: data, off: 16}
-	for !sawEnd {
-		tag, payload, err := c.next()
-		if err != nil {
-			return nil, err
+	flags, err := walkSections(data, false, img, func(tag uint32, payload []byte) error {
+		if tag != secApp {
+			return fmt.Errorf("ckptimg: unknown section tag %#x (%w)", tag, ErrCorrupt)
 		}
-		if handled, err := decodeCommonSection(img, tag, payload); err != nil {
-			return nil, err
-		} else if handled {
-			sawMeta = sawMeta || tag == secMeta2
-			continue
-		}
-		switch tag {
-		case secApp:
-			appChunks = append(appChunks, payload)
-			appLen += len(payload)
-		case secEnd:
-			sawEnd = true
-		default:
-			return nil, fmt.Errorf("ckptimg: unknown section tag %#x (%w)", tag, ErrCorrupt)
-		}
-	}
-	if !sawMeta {
-		return nil, fmt.Errorf("ckptimg: image has no META section (%w)", ErrCorrupt)
-	}
-	// Nothing may follow the end marker: trailing bytes mean a torn or
-	// concatenated write.
-	if c.rest() > 0 {
-		return nil, fmt.Errorf("ckptimg: trailing data after end marker (%w)", ErrCorrupt)
+		appChunks = append(appChunks, payload)
+		appLen += len(payload)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	app, err := assembleAppState(state, appChunks, appLen, flags)
 	if err != nil {

@@ -217,7 +217,7 @@ func walkSections(data []byte, delta bool, img *Image, fn func(tag uint32, paylo
 		case isCommonTag(tag):
 			sawMeta = sawMeta || tag == secMeta2
 			if img != nil {
-				if _, err := decodeCommonSection(img, tag, payload); err != nil {
+				if err := decodeCommonSection(img, tag, payload); err != nil {
 					return 0, err
 				}
 			}

@@ -266,50 +266,46 @@ func TestUncompressedCommitAllocBound(t *testing.T) {
 }
 
 // TestRestartReleasesImages: a restarted session must not pin the
-// images it restarted from. Every rank is restored before the session
-// is built, so once restartJobImages returns no image holds application
-// state: the only copy is the one each rank's instance restored.
+// images it restarted from. Every rank is restored out of the store's
+// resolver before the session is built, so once a rank is restored its
+// image holds no application state: the only copy is the one its
+// instance restored.
 func TestRestartReleasesImages(t *testing.T) {
 	const ranks = 4
 	spec, in := batteryInput(t, "hpcg", 7)
 	cfg := faultCfg(t, "mpich", nil)
 	stop := cfg
 	stop.ExitAtCheckpoint = true
-	_, encoded, err := Run(stop, ranks, spec.New(in), 2)
+	s, _, err := run(stop, ranks, spec.New(in), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	imgs := make([]*ckptimg.Image, ranks)
-	restored := make([]restoredRank, ranks)
-	for r, data := range encoded {
-		if imgs[r], err = ckptimg.Decode(data); err != nil {
-			t.Fatal(err)
+	st := s.Store()
+	var imgs []*ckptimg.Image
+	if _, err := st.RestoreStream(0, func(img *ckptimg.Image) error {
+		if len(img.AppState) == 0 {
+			t.Fatalf("rank %d image has no application state to release", img.Rank)
 		}
-		if len(imgs[r].AppState) == 0 {
-			t.Fatalf("rank %d image has no application state to release", r)
-		}
-		if restored[r], err = restoreRank(imgs[r], spec.New(in)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, err := restartJobImages(cfg, restored, nil, -1)
-	if err != nil {
+		rr, err := restoreRank(img, spec.New(in))
+		imgs = append(imgs, rr.img)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	for r, img := range imgs {
 		if img.AppState != nil {
-			t.Errorf("rank %d: the session holds %d bytes of restored application state", r, len(img.AppState))
+			t.Errorf("rank %d: the image keeps %d bytes of restored application state", r, len(img.AppState))
 		}
 	}
-	rst, err := s.Wait()
+	rst, err := restartWait(cfg, st, spec.New(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _, err := Run(cfg, ranks, spec.New(in), -1)
+	plain, err := RunStats(cfg, ranks, spec.New(in), -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameChecksums(t, rst.Checksums, plain.Checksums, "restart from handed-over images")
+	sameChecksums(t, rst.Checksums, plain.Checksums, "restart from the store")
 }
 
 // restoreMeter counts the application-state bytes Restore is handed.
@@ -333,11 +329,11 @@ func (m restoreMeter) Restore(data []byte) error {
 // per rank anywhere between the backend and Restore (an owned resolved
 // or decoded image beside the restored one: 2.1-2.2x before ranks
 // restored straight out of the resolver, 1.15-1.2x after) breaks the
-// bound on any host. Each restart's heap objects are bounded too: the
+// bound on any host. The restart's heap objects are bounded too: the
 // fast-LZ chain's 16 ranks take ~1 660 (~1 890 while every delta link
 // opened a fresh chunk reader and every blob read formatted its key,
 // ~2 210 while a 4-byte block header escaped to the heap once per
-// decoded block), the raw images' ~1 660.
+// decoded block).
 func TestRestartAllocBound(t *testing.T) {
 	const ranks, steps = 16, 8
 	spec, err := apps.ByName("hpcg")
@@ -382,51 +378,29 @@ func TestRestartAllocBound(t *testing.T) {
 	if gens := st.Generations(); len(gens) != 2 || gens[1].Base() {
 		t.Fatalf("store holds %+v, want a base and a delta", gens)
 	}
-	stop.Store = nil
-	_, images, err := Run(stop, ranks, spec.New(in), steps)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	cases := []struct {
-		name    string
-		restart func() (*Session, error)
-		objects uint64 // heap-object bound
-	}{
-		{"store-chain", func() (*Session, error) { return RestartJobFromStore(cfg, st, factory) }, 1740},
-		{"images", func() (*Session, error) { return RestartJob(cfg, images, factory) }, 1800},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			restored.Store(0)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			rst, err := func() (Stats, error) {
-				s, err := c.restart()
-				if err != nil {
-					return Stats{}, err
-				}
-				return s.Wait()
-			}()
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameChecksums(t, rst.Checksums, native.Checksums, "restart vs native")
-			state := uint64(restored.Load())
-			// The matrix and the four CG vectors: 11 doubles per grid point.
-			if want := uint64(ranks * 11 * 8 * 24 * 24 * 24); state < want {
-				t.Fatalf("restored %d bytes of application state, want at least %d", state, want)
-			}
-			alloc := after.TotalAlloc - before.TotalAlloc
-			t.Logf("%d bytes allocated to restore %d bytes of application state (%.2fx), %d heap objects", alloc, state, float64(alloc)/float64(state), after.Mallocs-before.Mallocs)
-			if alloc*10 > 13*state {
-				t.Fatalf("restart allocated %d bytes for %d bytes of restored state (%.2fx, bound 1.3x): a whole-state copy per rank is back on the read path",
-					alloc, state, float64(alloc)/float64(state))
-			}
-			if objs := after.Mallocs - before.Mallocs; objs > c.objects {
-				t.Fatalf("restart allocated %d heap objects, bound %d: a per-block or per-chunk allocation is back on the read path", objs, c.objects)
-			}
-		})
-	}
+	t.Run("store-chain", func(t *testing.T) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rst, err := restartWait(cfg, st, factory)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameChecksums(t, rst.Checksums, native.Checksums, "restart vs native")
+		state := uint64(restored.Load())
+		// The matrix and the four CG vectors: 11 doubles per grid point.
+		if want := uint64(ranks * 11 * 8 * 24 * 24 * 24); state < want {
+			t.Fatalf("restored %d bytes of application state, want at least %d", state, want)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%d bytes allocated to restore %d bytes of application state (%.2fx), %d heap objects", alloc, state, float64(alloc)/float64(state), after.Mallocs-before.Mallocs)
+		if alloc*10 > 13*state {
+			t.Fatalf("restart allocated %d bytes for %d bytes of restored state (%.2fx, bound 1.3x): a whole-state copy per rank is back on the read path",
+				alloc, state, float64(alloc)/float64(state))
+		}
+		if objs := after.Mallocs - before.Mallocs; objs > 1740 {
+			t.Fatalf("restart allocated %d heap objects, bound 1740: a per-block or per-chunk allocation is back on the read path", objs)
+		}
+	})
 }

@@ -124,7 +124,7 @@ type Config struct {
 	// requests an asynchronous checkpoint whenever that much virtual
 	// time has passed since the last completed one; the agreed boundary
 	// lies SkewBound steps past the request. With ExitAtCheckpoint it is
-	// also the scheduler's preemption cut (JobHandle.RunSegment): a
+	// also the cluster scheduler's preemption cut (internal/sched): a
 	// segment starts on a fresh clock, so the first request lands at the
 	// first boundary at or after that much segment virtual time, and the
 	// job parks right after the commit.

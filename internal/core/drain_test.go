@@ -37,25 +37,17 @@ func TestDrainStrategyParity(t *testing.T) {
 			t.Run(impl+"/"+strat, func(t *testing.T) {
 				cfg := implFactory(t, impl)
 				cfg.DrainStrategy = strat
-				cfg.ExitAtCheckpoint = true
 				// Boundary 5: each rank's step-4 ring message is in
 				// flight and must be drained.
-				_, images, err := Run(cfg, testRanks, newRingApp(testSteps), 5)
-				if err != nil {
-					t.Fatalf("checkpoint under %s: %v", strat, err)
-				}
+				_, st := stopAt(t, cfg, testRanks, newRingApp(testSteps), 5)
 				drained := 0
-				for _, data := range images {
-					img, err := ckptimg.Decode(data)
-					if err != nil {
-						t.Fatal(err)
-					}
+				for _, img := range headImages(t, st) {
 					drained += len(img.Drained)
 				}
 				if drained != testRanks {
 					t.Fatalf("%s drained %d messages, want %d", strat, drained, testRanks)
 				}
-				rst, err := Restart(implFactory(t, impl), images, newRingApp(testSteps))
+				rst, err := restartWait(implFactory(t, impl), st, newRingApp(testSteps))
 				if err != nil {
 					t.Fatalf("restart from %s images: %v", strat, err)
 				}
@@ -132,14 +124,9 @@ func TestCrossImplRestartUnderEachDrainStrategy(t *testing.T) {
 				}
 				src := implFactory(t, tc.from)
 				src.UniformHandles = true
-				src.ExitAtCheckpoint = true
 				src.DrainStrategy = strat
-				_, images, err := Run(src, 4, newRingApp(8), 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dst := implFactory(t, tc.to)
-				rst, err := Restart(dst, images, newRingApp(8))
+				_, st := stopAt(t, src, 4, newRingApp(8), 4)
+				rst, err := restartWait(implFactory(t, tc.to), st, newRingApp(8))
 				if err != nil {
 					t.Fatalf("cross restart %s->%s under %s: %v", tc.from, tc.to, strat, err)
 				}
@@ -158,12 +145,8 @@ func TestCompressedImagesRestore(t *testing.T) {
 	}
 	cfg := implFactory(t, "mpich")
 	cfg.StoreOptions.Compress = true
-	cfg.ExitAtCheckpoint = true
-	_, images, err := Run(cfg, 4, newRingApp(8), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rst, err := Restart(implFactory(t, "mpich"), images, newRingApp(8))
+	_, st := stopAt(t, cfg, 4, newRingApp(8), 4)
+	rst, err := restartWait(implFactory(t, "mpich"), st, newRingApp(8))
 	if err != nil {
 		t.Fatalf("restart from compressed images: %v", err)
 	}
@@ -608,16 +591,12 @@ func TestToposortMatchesTwophaseOnRandomGraphs(t *testing.T) {
 		for _, strat := range []string{"twophase", "toposort"} {
 			cfg := faultCfg(t, "mpich", nil)
 			cfg.DrainStrategy = strat
-			st, images, err := Run(cfg, n, newFanApp(steps, graph), 2)
+			s, st, err := run(cfg, n, newFanApp(steps, graph), 2)
 			if err != nil {
 				t.Fatalf("%s %s: %v", what, strat, err)
 			}
 			drained := make([]int, n)
-			for r, data := range images {
-				img, err := ckptimg.Decode(data)
-				if err != nil {
-					t.Fatal(err)
-				}
+			for r, img := range headImages(t, s.Store()) {
 				drained[r] = len(img.Drained)
 			}
 			if strat == "twophase" {
@@ -631,7 +610,7 @@ func TestToposortMatchesTwophaseOnRandomGraphs(t *testing.T) {
 				t.Fatalf("%s: toposort drained %v per rank, twophase %v", what, drained, refDrained)
 			}
 			sameChecksums(t, ref.Checksums, st.Checksums, what+": toposort run")
-			rst, err := Restart(faultCfg(t, "mpich", nil), images, newFanApp(steps, graph))
+			rst, err := restartWait(faultCfg(t, "mpich", nil), s.Store(), newFanApp(steps, graph))
 			if err != nil {
 				t.Fatalf("%s: restart from toposort images: %v", what, err)
 			}

@@ -60,7 +60,7 @@ func TestHelperStoreResume(t *testing.T) {
 		t.Fatalf("importing exported store: %v", err)
 	}
 	cfg := implFactory(t, impl)
-	rst, err := RestartFromStore(cfg, st, newRingApp(steps))
+	rst, err := restartWait(cfg, st, newRingApp(steps))
 	if err != nil {
 		t.Fatalf("resuming exported store: %v", err)
 	}
@@ -157,7 +157,7 @@ func TestHelperStoreImport(t *testing.T) {
 			if err != nil {
 				t.Fatalf("importing exported store: %v", err)
 			}
-			rst, err := RestartFromStore(implFactory(t, impl), st, newRingApp(exportSteps))
+			rst, err := restartWait(implFactory(t, impl), st, newRingApp(exportSteps))
 			if err != nil {
 				t.Fatalf("resuming imported store: %v", err)
 			}

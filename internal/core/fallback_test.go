@@ -120,7 +120,7 @@ func TestRestartFallbackDegradesToOlderGeneration(t *testing.T) {
 		t.Fatalf("post-fallback generation %+v, want a full base at seq 3", last)
 	}
 	cfg.RestartFallback = false
-	rst2, err := RestartFromStore(cfg, st, newRingApp(steps))
+	rst2, err := restartWait(cfg, st, newRingApp(steps))
 	if err != nil {
 		t.Fatalf("restart from the recovery base: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestRestartFallbackSkipsQuarantined(t *testing.T) {
 	}
 
 	cfg.RestartFallback = true
-	rst, err := RestartFromStore(cfg, st, newRingApp(steps))
+	rst, err := restartWait(cfg, st, newRingApp(steps))
 	if err != nil {
 		t.Fatalf("fallback restart: %v", err)
 	}
@@ -299,7 +299,7 @@ func TestRestartCorruptionSweepNeverSilent(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg.ExitAtCheckpoint = false
-				rst, err := RestartFromStore(cfg, st, newRingApp(steps))
+				rst, err := restartWait(cfg, st, newRingApp(steps))
 				if err != nil {
 					requireTyped(t, err)
 					return
@@ -383,7 +383,7 @@ func TestRestartRefusedSnapshot(t *testing.T) {
 
 	fb := cfg
 	fb.RestartFallback = true
-	rst, err := RestartFromStore(fb, st, spec.New(in))
+	rst, err := restartWait(fb, st, spec.New(in))
 	if err != nil {
 		t.Fatalf("fallback restart: %v", err)
 	}

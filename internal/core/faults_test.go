@@ -204,7 +204,7 @@ func TestCrashAtEveryStep(t *testing.T) {
 				cfg.Faults = nil
 				var rst Stats
 				if len(gens) > 0 {
-					rst, err = RestartFromStore(cfg, store, appf)
+					rst, err = restartWait(cfg, store, appf)
 				} else {
 					rst, _, err = Run(cfg, in.Ranks, appf, -1)
 				}
@@ -252,7 +252,7 @@ func TestCrashRecoveryAllImpls(t *testing.T) {
 				t.Fatalf("crash did not surface: %v", werr)
 			}
 			cfg.Faults = nil
-			rst, err := RestartFromStore(cfg, s.Store(), appf)
+			rst, err := restartWait(cfg, s.Store(), appf)
 			if err != nil {
 				t.Fatal(err)
 			}

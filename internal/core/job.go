@@ -62,9 +62,9 @@ type Stats struct {
 	StoreRetries int
 	StoreRetryVT time.Duration
 	// RestartGen is the store generation this session restarted from, or
-	// -1 for fresh jobs and restarts from raw images. A value below the
-	// store's head means restart fallback degraded to an older verified
-	// generation (Config.RestartFallback).
+	// -1 for fresh jobs. A value below the store's head means restart
+	// fallback degraded to an older verified generation
+	// (Config.RestartFallback).
 	RestartGen int
 }
 
@@ -90,7 +90,7 @@ type Session struct {
 	// lists is the communicator membership the job's ranks share.
 	lists *memberLists
 	// restartGen is the store generation the session resumed from (-1
-	// for fresh jobs and raw-image restarts); see Stats.RestartGen.
+	// for fresh jobs); see Stats.RestartGen.
 	restartGen int
 }
 
@@ -161,31 +161,6 @@ func (s *Session) wireFaults(rt *Runtime, rank int, clock *simtime.Clock) {
 	}
 }
 
-// RestartJob resumes a job from a complete set of checkpoint images.
-// The configuration's implementation may differ from the one the images
-// were taken under if the images carry uniform handles (Section 9).
-// Each image is decoded into one reused state buffer and restored into
-// its rank's application instance before the session is built.
-func RestartJob(cfg Config, images [][]byte, factory app.Factory) (*Session, error) {
-	ranks := make([]restoredRank, 0, len(images))
-	var state []byte
-	for _, data := range images {
-		img, err := ckptimg.DecodeInto(data, state)
-		if err != nil {
-			return nil, fmt.Errorf("mana: restart: %w", err)
-		}
-		if cap(img.AppState) > cap(state) {
-			state = img.AppState
-		}
-		rr, err := restoreRank(img, factory)
-		if err != nil {
-			return nil, fmt.Errorf("mana: restart: %w", err)
-		}
-		ranks = append(ranks, rr)
-	}
-	return restartJobImages(cfg, ranks, nil, -1)
-}
-
 // restoredRank is one rank of a restart whose application state has
 // been restored: inst holds it, the image no longer does, and stateLen
 // keeps its length for the restart read cost.
@@ -207,52 +182,6 @@ func restoreRank(img *ckptimg.Image, factory app.Factory) (restoredRank, error) 
 	rr := restoredRank{img: img, inst: inst, stateLen: int64(len(img.AppState))}
 	img.AppState = nil
 	return rr, nil
-}
-
-// restartJobImages builds a restarted session over ranks whose
-// application state RestartJob or restartFromGeneration has already
-// restored. Store restarts pass the per-rank chain statistics, which
-// switch the filesystem model to the delta-aware restart cost, and
-// their generation gen; raw-image restarts pass nil and -1. The lower
-// half restarts as session 1+gen, or 1+step for raw images: a function
-// of the source that differs from the session that wrote it.
-func restartJobImages(cfg Config, ranks []restoredRank, chains []ckptstore.ChainStats, gen int) (*Session, error) {
-	imgs := make([]*ckptimg.Image, len(ranks))
-	for i, rr := range ranks {
-		imgs[i] = rr.img
-	}
-	if err := ckptimg.ValidateSet(imgs); err != nil {
-		return nil, fmt.Errorf("mana: restart: %w", err)
-	}
-	session := uint64(1 + imgs[0].Step)
-	if gen >= 0 {
-		session = uint64(1 + gen)
-	}
-	byRank := make([]restoredRank, len(ranks))
-	for _, rr := range ranks {
-		byRank[rr.img.Rank] = rr
-	}
-	s, err := newSession(cfg, len(ranks), session, gen)
-	if err != nil {
-		return nil, err
-	}
-	s.chains = chains
-	s.body = func(rank int, proc mpi.Proc, clock *simtime.Clock) error {
-		rr := byRank[rank]
-		byRank[rank] = restoredRank{} // the job holds byRank until every rank returns
-		var chain *ckptstore.ChainStats
-		if chains != nil && rank < len(chains) {
-			chain = &chains[rank]
-		}
-		rt, err := newRuntimeFromImage(s.cfg, proc, clock, s.Co, s.lists, rr.img, rr.stateLen, chain)
-		if err != nil {
-			return err
-		}
-		s.runtimes[rank] = rt
-		s.wireFaults(rt, rank, clock)
-		return s.runRank(rt, rr.inst, rank, rr.img.Step, false)
-	}
-	return s, nil
 }
 
 // runRank drives one rank's step loop with checkpoint safe points
@@ -300,9 +229,9 @@ func (s *Session) runRank(rt *Runtime, inst app.Instance, rank, startStep int, f
 func (s *Session) Store() *ckptstore.Store { return s.Co.Store() }
 
 // RestartChains reports the per-rank chain-resolution statistics of the
-// materialization this session restarted from (nil for fresh jobs and
-// restarts from raw images), so callers can inspect what the restart
-// actually read without resolving the chains a second time.
+// materialization this session restarted from (nil for fresh jobs),
+// so callers can inspect what the restart actually read without
+// resolving the chains a second time.
 func (s *Session) RestartChains() []ckptstore.ChainStats {
 	return append([]ckptstore.ChainStats(nil), s.chains...)
 }
@@ -382,15 +311,6 @@ func run(cfg Config, n int, factory app.Factory, ckptAtStep int) (*Session, Stat
 	return s, st, err
 }
 
-// Restart resumes from images and waits for completion.
-func Restart(cfg Config, images [][]byte, factory app.Factory) (Stats, error) {
-	s, err := RestartJob(cfg, images, factory)
-	if err != nil {
-		return Stats{}, err
-	}
-	return s.Wait()
-}
-
 // RestartJobFromStore resumes a job from the store's most recent
 // generation, resolving each rank's base+delta chain straight into its
 // restored application. The session keeps delivering into the same
@@ -459,11 +379,14 @@ func RestartJobFromStore(cfg Config, st *ckptstore.Store, factory app.Factory) (
 	return nil, fmt.Errorf("mana: restart: no generation restartable: %w", firstErr)
 }
 
-// restartFromGeneration resolves one specific generation straight into
-// the ranks' application instances (Store.RestoreStream, one reused
-// state buffer) and builds the session over them. A
-// snapshot the application refuses fails here, before launch, as a
-// chain error does.
+// restartFromGeneration resolves generation seq straight into the
+// ranks' application instances (Store.RestoreStream, one reused state
+// buffer) and builds the session over them. A snapshot the application
+// refuses fails here, before launch, as a chain error does. The ranks'
+// chain statistics switch the filesystem model to the delta-aware
+// restart cost, and the lower half restarts as session 1+seq: a
+// function of the generation that differs from the session that wrote
+// it.
 func restartFromGeneration(cfg Config, st *ckptstore.Store, seq int, factory app.Factory) (*Session, error) {
 	var ranks []restoredRank
 	chains, err := st.RestoreStream(seq, func(img *ckptimg.Image) error {
@@ -477,17 +400,34 @@ func restartFromGeneration(cfg Config, st *ckptstore.Store, seq int, factory app
 	if err != nil {
 		return nil, fmt.Errorf("mana: restart: %w", err)
 	}
-	return restartJobImages(cfg, ranks, chains, seq)
-}
-
-// RestartFromStore resumes from the store's head generation and waits
-// for completion.
-func RestartFromStore(cfg Config, st *ckptstore.Store, factory app.Factory) (Stats, error) {
-	s, err := RestartJobFromStore(cfg, st, factory)
-	if err != nil {
-		return Stats{}, err
+	imgs := make([]*ckptimg.Image, len(ranks))
+	for i, rr := range ranks {
+		imgs[i] = rr.img
 	}
-	return s.Wait()
+	if err := ckptimg.ValidateSet(imgs); err != nil {
+		return nil, fmt.Errorf("mana: restart: %w", err)
+	}
+	byRank := make([]restoredRank, len(ranks))
+	for _, rr := range ranks {
+		byRank[rr.img.Rank] = rr
+	}
+	s, err := newSession(cfg, len(ranks), uint64(1+seq), seq)
+	if err != nil {
+		return nil, err
+	}
+	s.chains = chains
+	s.body = func(rank int, proc mpi.Proc, clock *simtime.Clock) error {
+		rr := byRank[rank]
+		byRank[rank] = restoredRank{} // the job holds byRank until every rank returns
+		rt, err := newRuntimeFromImage(s.cfg, proc, clock, s.Co, s.lists, rr.img, rr.stateLen, &chains[rank])
+		if err != nil {
+			return err
+		}
+		s.runtimes[rank] = rt
+		s.wireFaults(rt, rank, clock)
+		return s.runRank(rt, rr.inst, rank, rr.img.Step, false)
+	}
+	return s, nil
 }
 
 // RunNative executes the application directly against the lower half —

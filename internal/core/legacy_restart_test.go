@@ -18,24 +18,13 @@ func TestLegacyDesignCheckpointRestart(t *testing.T) {
 	}
 	cfg := implFactory(t, "mpich")
 	cfg.Design = DesignLegacy
-	cfg.ExitAtCheckpoint = true
-	_, images, err := Run(cfg, testRanks, newRingApp(testSteps), 5)
-	if err != nil {
-		t.Fatalf("legacy checkpoint: %v", err)
-	}
-	img, err := ckptimg.Decode(images[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img.Design != "legacy" {
+	_, st := stopAt(t, cfg, testRanks, newRingApp(testSteps), 5)
+	if img := headImages(t, st)[0]; img.Design != "legacy" {
 		t.Fatalf("image design %q", img.Design)
 	}
 	// Restart configuration may leave Design unset: it follows the image.
-	rst, err := Restart(implFactory(t, "craympi"), images, newRingApp(testSteps))
-	if err == nil {
-		t.Fatal("legacy image restarted under a different implementation without uniform handles")
-	}
-	rst, err = Restart(implFactory(t, "mpich"), images, newRingApp(testSteps))
+	// (TestCrossImplementationRestart refuses the image elsewhere.)
+	rst, err := restartWait(implFactory(t, "mpich"), st, newRingApp(testSteps))
 	if err != nil {
 		t.Fatalf("legacy restart: %v", err)
 	}
@@ -59,20 +48,11 @@ func TestCrossingAccounting(t *testing.T) {
 // A checkpoint scheduled beyond the job's end clamps to the final
 // boundary and still produces a complete, restartable image set.
 func TestCheckpointBeyondEndClampsToFinalBoundary(t *testing.T) {
-	cfg := implFactory(t, "mpich")
-	cfg.ExitAtCheckpoint = true
-	st, images, err := Run(cfg, 4, newRingApp(6), 999)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, store := stopAt(t, implFactory(t, "mpich"), 4, newRingApp(6), 999)
 	if st.CkptTaken != 1 {
 		t.Fatalf("taken %d", st.CkptTaken)
 	}
-	img, err := ckptimg.Decode(images[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img.Step != 6 {
+	if img := headImages(t, store)[0]; img.Step != 6 {
 		t.Fatalf("checkpoint landed at step %d, want final boundary 6", img.Step)
 	}
 	// Restarting from the final boundary just runs Finalize.
@@ -80,7 +60,7 @@ func TestCheckpointBeyondEndClampsToFinalBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rst, err := Restart(implFactory(t, "mpich"), images, newRingApp(6))
+	rst, err := restartWait(implFactory(t, "mpich"), store, newRingApp(6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"manasim/internal/app"
 	"manasim/internal/ckptimg"
+	"manasim/internal/ckptstore"
 	"manasim/internal/impls"
 	"manasim/internal/mpi"
 	"manasim/internal/simtime"
@@ -208,6 +209,39 @@ func implFactory(t *testing.T, name string) Config {
 	return Config{ImplName: name, Factory: f, Host: simtime.Discovery()}
 }
 
+// stopAt runs an n-rank job that checkpoints at step and stops there,
+// as after a preemption, and returns its statistics and the store
+// holding the checkpoint.
+func stopAt(t *testing.T, cfg Config, n int, factory app.Factory, step int) (Stats, *ckptstore.Store) {
+	t.Helper()
+	cfg.ExitAtCheckpoint = true
+	s, st, err := run(cfg, n, factory, step)
+	if err != nil {
+		t.Fatalf("checkpoint at step %d: %v", step, err)
+	}
+	return st, s.Store()
+}
+
+// restartWait resumes from the store's head under cfg and waits for
+// completion.
+func restartWait(cfg Config, st *ckptstore.Store, factory app.Factory) (Stats, error) {
+	s, err := RestartJobFromStore(cfg, st, factory)
+	if err != nil {
+		return Stats{}, err
+	}
+	return s.Wait()
+}
+
+// headImages resolves the images of the store's head generation.
+func headImages(t *testing.T, st *ckptstore.Store) []*ckptimg.Image {
+	t.Helper()
+	imgs, _, err := st.MaterializeStreamHead()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return imgs
+}
+
 func sameChecksums(t *testing.T, a, b []uint64, what string) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -346,17 +380,13 @@ func TestCheckpointRestartSameResults(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Checkpoint at step 5 and stop (preemption).
-			cfg.ExitAtCheckpoint = true
-			st, images, err := Run(cfg, testRanks, newRingApp(testSteps), 5)
-			if err != nil {
-				t.Fatal(err)
-			}
+			st, store := stopAt(t, cfg, testRanks, newRingApp(testSteps), 5)
 			if !st.Stopped {
 				t.Fatal("job did not stop at checkpoint")
 			}
 			// Restart in a brand-new "process" with a fresh lower half.
 			cfg2 := implFactory(t, impl)
-			rst, err := Restart(cfg2, images, newRingApp(testSteps))
+			rst, err := restartWait(cfg2, store, newRingApp(testSteps))
 			if err != nil {
 				t.Fatalf("restart: %v", err)
 			}
@@ -375,13 +405,8 @@ func TestRestartAtEveryBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := 0; s <= 6; s++ {
-		cfgStop := implFactory(t, "mpich")
-		cfgStop.ExitAtCheckpoint = true
-		_, images, err := Run(cfgStop, 4, newRingApp(6), s)
-		if err != nil {
-			t.Fatalf("ckpt at %d: %v", s, err)
-		}
-		rst, err := Restart(implFactory(t, "mpich"), images, newRingApp(6))
+		_, st := stopAt(t, implFactory(t, "mpich"), 4, newRingApp(6), s)
+		rst, err := restartWait(implFactory(t, "mpich"), st, newRingApp(6))
 		if err != nil {
 			t.Fatalf("restart from %d: %v", s, err)
 		}
@@ -407,13 +432,9 @@ func TestDoubleCheckpointAndRestartFromSecond(t *testing.T) {
 	if st.CkptTaken != 1 {
 		t.Fatalf("taken %d", st.CkptTaken)
 	}
-	first, err := s.Co.Images()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Restart from the first checkpoint, take a second, restart again.
 	cfg.ExitAtCheckpoint = true
-	s2, err := RestartJob(cfg, first, newRingApp(10))
+	s2, err := RestartJobFromStore(cfg, s.Store(), newRingApp(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,14 +442,13 @@ func TestDoubleCheckpointAndRestartFromSecond(t *testing.T) {
 	if _, err := s2.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	second, err := s2.Co.Images()
+	cfg.ExitAtCheckpoint = false
+	rst, err := restartWait(cfg, s.Store(), newRingApp(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ExitAtCheckpoint = false
-	rst, err := Restart(cfg, second, newRingApp(10))
-	if err != nil {
-		t.Fatal(err)
+	if rst.RestartGen != 1 {
+		t.Fatalf("restarted from generation %d, want the second (1)", rst.RestartGen)
 	}
 	sameChecksums(t, plain.Checksums, rst.Checksums, "second-generation restart")
 }
@@ -472,90 +492,74 @@ func TestAsyncCheckpointRequest(t *testing.T) {
 // ---------------------------------------------------------------------
 // cross-implementation restart (Section 9)
 
-func TestCrossImplementationRestartWithUniformHandles(t *testing.T) {
-	cases := []struct{ from, to string }{
-		{"mpich", "openmpi"},
-		{"openmpi", "mpich"},
-		{"craympi", "openmpi"},
-		{"mpich", "craympi"},
+// TestCrossImplementationRestart restarts a checkpoint from the store
+// under another implementation. Images taken with uniform handles
+// restart anywhere with the checksums of an uninterrupted run; without
+// them — the paper's design or the legacy one — the restart is refused
+// with an error that names uniform handles.
+func TestCrossImplementationRestart(t *testing.T) {
+	cases := []struct {
+		name     string
+		from, to string
+		uniform  bool
+		design   Design
+	}{
+		{"uniform", "mpich", "openmpi", true, DesignVirtID},
+		{"uniform", "openmpi", "mpich", true, DesignVirtID},
+		{"uniform", "craympi", "openmpi", true, DesignVirtID},
+		{"uniform", "mpich", "craympi", true, DesignVirtID},
+		{"refused", "mpich", "openmpi", false, DesignVirtID},
+		{"refused_legacy", "mpich", "craympi", false, DesignLegacy},
 	}
 	for _, tc := range cases {
-		t.Run(tc.from+"_to_"+tc.to, func(t *testing.T) {
-			ref := implFactory(t, tc.from)
-			ref.UniformHandles = true
-			plain, _, err := Run(ref, 4, newRingApp(8), -1)
-			if err != nil {
-				t.Fatal(err)
-			}
+		t.Run(tc.name+"/"+tc.from+"_to_"+tc.to, func(t *testing.T) {
 			src := implFactory(t, tc.from)
-			src.UniformHandles = true
-			src.ExitAtCheckpoint = true
-			_, images, err := Run(src, 4, newRingApp(8), 4)
-			if err != nil {
-				t.Fatal(err)
+			src.UniformHandles, src.Design = tc.uniform, tc.design
+			_, st := stopAt(t, src, 4, newRingApp(8), 4)
+			rst, err := restartWait(implFactory(t, tc.to), st, newRingApp(8))
+			if !tc.uniform {
+				if err == nil || !strings.Contains(err.Error(), "uniform") {
+					t.Fatalf("restart without uniform handles not refused for want of them: %v", err)
+				}
+				return
 			}
-			dst := implFactory(t, tc.to)
-			rst, err := Restart(dst, images, newRingApp(8))
 			if err != nil {
 				t.Fatalf("cross restart %s->%s: %v", tc.from, tc.to, err)
+			}
+			plain, err := RunStats(src, 4, newRingApp(8), -1)
+			if err != nil {
+				t.Fatal(err)
 			}
 			sameChecksums(t, plain.Checksums, rst.Checksums, "cross-impl")
 		})
 	}
 }
 
-func TestCrossImplementationRestartRefusedWithoutUniformHandles(t *testing.T) {
-	src := implFactory(t, "mpich")
-	src.ExitAtCheckpoint = true
-	_, images, err := Run(src, 2, newRingApp(4), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := implFactory(t, "openmpi")
-	_, err = Restart(dst, images, newRingApp(4))
-	if err == nil {
-		t.Fatal("cross-impl restart without uniform handles must be refused")
-	}
-	if !strings.Contains(err.Error(), "uniform") {
-		t.Fatalf("unhelpful error: %v", err)
-	}
-}
-
 // ---------------------------------------------------------------------
 // image robustness
 
+// TestRestartRejectsCorruptImages damages one rank's stored image — a
+// bit flip, a truncation — and the restart from the store must fail
+// instead of resuming from it.
 func TestRestartRejectsCorruptImages(t *testing.T) {
-	cfg := implFactory(t, "mpich")
-	cfg.ExitAtCheckpoint = true
-	_, images, err := Run(cfg, 2, newRingApp(4), 2)
+	_, st := stopAt(t, implFactory(t, "mpich"), 2, newRingApp(4), 2)
+	const key = "gen0000/rank01"
+	good, err := st.Backend().Get(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Bit flip.
-	bad := append([][]byte(nil), images...)
-	flipped := append([]byte(nil), images[1]...)
+	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/2] ^= 0x10
-	bad[1] = flipped
-	if _, err := Restart(implFactory(t, "mpich"), bad, newRingApp(4)); err == nil {
-		t.Fatal("corrupted image accepted")
-	}
-
-	// Truncation.
-	bad[1] = images[1][:len(images[1])/2]
-	if _, err := Restart(implFactory(t, "mpich"), bad, newRingApp(4)); err == nil {
-		t.Fatal("truncated image accepted")
-	}
-
-	// Missing rank.
-	if _, err := Restart(implFactory(t, "mpich"), images[:1], newRingApp(4)); err == nil {
-		t.Fatal("incomplete image set accepted")
-	}
-
-	// Duplicate rank.
-	dup := [][]byte{images[0], images[0]}
-	if _, err := Restart(implFactory(t, "mpich"), dup, newRingApp(4)); err == nil {
-		t.Fatal("duplicate image set accepted")
+	for _, bad := range []struct {
+		what string
+		data []byte
+	}{{"corrupted", flipped}, {"truncated", good[:len(good)/2]}} {
+		if err := st.Backend().Put(key, bad.data); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := restartWait(implFactory(t, "mpich"), st, newRingApp(4)); err == nil {
+			t.Fatalf("%s image accepted", bad.what)
+		}
 	}
 }
 
@@ -590,20 +594,13 @@ func TestVirtualHandlesAreNotPhysical(t *testing.T) {
 func TestDtypeDecodeStrategy(t *testing.T) {
 	cfg := implFactory(t, "mpich")
 	cfg.DtypeStrategy = vid.StrategyDecode
-	cfg.ExitAtCheckpoint = true
 	plain, _, err := Run(implFactory(t, "mpich"), 4, newRingApp(6), -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, images, err := Run(cfg, 4, newRingApp(6), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, st := stopAt(t, cfg, 4, newRingApp(6), 3)
 	// The image's datatype descriptors were rewritten by decode.
-	img, err := ckptimg.Decode(images[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	img := headImages(t, st)[0]
 	foundDecoded := false
 	for _, it := range img.Store.Items {
 		if it.Kind == mpi.KindDatatype && it.Strategy == vid.StrategyDecode && it.Desc.Op == vid.DescTypeContig {
@@ -613,7 +610,7 @@ func TestDtypeDecodeStrategy(t *testing.T) {
 	if !foundDecoded {
 		t.Fatal("no decode-strategy datatype descriptor in image")
 	}
-	rst, err := Restart(implFactory(t, "mpich"), images, newRingApp(6))
+	rst, err := restartWait(implFactory(t, "mpich"), st, newRingApp(6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,12 +148,12 @@ func TestPollBatchMatchesLoop(t *testing.T) {
 					cfg := implFactory(t, implName)
 					cfg.Design, cfg.ExitAtCheckpoint = design, true
 					f := pollVariant(spec.New(in), loop)
-					st, images, err := Run(cfg, in.Ranks, f, in.SimSteps/2)
+					s, st, err := run(cfg, in.Ranks, f, in.SimSteps/2)
 					if o.add(st, err) != nil {
 						t.Fatal(err)
 					}
 					cfg.ExitAtCheckpoint = false
-					if o.add(Restart(cfg, images, f)) != nil {
+					if o.add(restartWait(cfg, s.Store(), f)) != nil {
 						t.Fatal(o.Err)
 					}
 					return o
@@ -295,12 +295,12 @@ func TestPollBatchDrainBufferMatchesLoop(t *testing.T) {
 				}, loop)
 				cfg := implFactory(t, implName)
 				cfg.ExitAtCheckpoint = true
-				st, images, err := Run(cfg, ranks, f, at)
+				s, st, err := run(cfg, ranks, f, at)
 				if o.add(st, err) != nil {
 					t.Fatal(err)
 				}
 				cfg.ExitAtCheckpoint = false
-				if o.add(Restart(cfg, images, f)) != nil {
+				if o.add(restartWait(cfg, s.Store(), f)) != nil {
 					t.Fatal(o.Err)
 				}
 				return o

@@ -6,15 +6,18 @@ import (
 	"reflect"
 	"testing"
 
+	"manasim/internal/ckptstore"
 	"manasim/internal/faults"
 )
 
 // TestCrashDuringPreemptionSweep crashes a rank at every (step, call)
-// position while a preemption cut is in flight. Whatever the interleaving
-// — crash before the cut's boundary, during the drain, or after the
-// commit — the handle's store must hold only complete generations (no
-// partial generation ever becomes visible), and a clean follow-up
-// segment must finish with the fault-free checksums.
+// position while a preemption cut is in flight: a job that stops at
+// the first checkpoint past the cut (CkptInterval with
+// ExitAtCheckpoint), its injector armed through Config.Faults. Whatever
+// the interleaving — crash before the cut's boundary, during the drain,
+// or after the commit — the job's store must hold only complete
+// generations (no partial generation ever becomes visible), and a clean
+// follow-up segment must finish with the fault-free checksums.
 func TestCrashDuringPreemptionSweep(t *testing.T) {
 	const implName = "mpich"
 	spec, in := batteryInput(t, "lammps", 9)
@@ -34,18 +37,18 @@ func TestCrashDuringPreemptionSweep(t *testing.T) {
 				continue // past the last boundary there are no in-step calls
 			}
 			t.Run(fmt.Sprintf("step%d_call%d", step, call), func(t *testing.T) {
-				cfg := faultCfg(t, implName, nil)
-				cfg.SkewBound = 2
-				cfg.JobLabel = "victim"
-				h, err := NewJobHandle(cfg, in.Ranks, appf)
+				store, err := ckptstore.Open(in.Ranks, ckptstore.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-
-				inj := faults.NewInjector(in.Ranks, faults.Plan{Events: []faults.Event{
+				cfg := faultCfg(t, implName, faults.NewInjector(in.Ranks, faults.Plan{Events: []faults.Event{
 					{Kind: faults.NodeCrash, Rank: step % in.Ranks, Step: step, Call: call},
-				}})
-				res, segErr := h.RunSegment(Segment{StopAtVT: cut, Faults: inj})
+				}}))
+				cfg.SkewBound = 2
+				cfg.JobLabel = "victim"
+				cfg.Store = store
+				cfg.CkptInterval, cfg.ExitAtCheckpoint = cut, true
+				res, segErr := RunStats(cfg, in.Ranks, appf, -1)
 				if segErr != nil {
 					var ce *faults.CrashError
 					if !errors.As(segErr, &ce) {
@@ -61,7 +64,6 @@ func TestCrashDuringPreemptionSweep(t *testing.T) {
 				// Store audit: every backend blob must belong to a committed
 				// generation or be the manifest — a crash mid-drain must not
 				// leak a partial generation.
-				store := h.store
 				gens := store.Generations()
 				keys, err := store.Backend().List()
 				if err != nil {
@@ -81,15 +83,20 @@ func TestCrashDuringPreemptionSweep(t *testing.T) {
 
 				// Recovery: a clean segment resumes from whatever committed
 				// (or launches fresh) and must finish bit-identically.
-				rec, err := h.RunSegment(Segment{})
+				var rec Stats
+				if len(gens) > 0 {
+					rec, err = restartWait(cleanCfg, store, appf)
+				} else {
+					rec, err = RunStats(cleanCfg, in.Ranks, appf, -1)
+				}
 				if err != nil {
 					t.Fatalf("recovery segment: %v", err)
 				}
 				if rec.Stopped {
 					t.Fatal("recovery segment parked without a cut")
 				}
-				if !reflect.DeepEqual(rec.Stats.Checksums, clean.Checksums) {
-					t.Fatalf("post-crash checksums %v, want %v", rec.Stats.Checksums, clean.Checksums)
+				if !reflect.DeepEqual(rec.Checksums, clean.Checksums) {
+					t.Fatalf("post-crash checksums %v, want %v", rec.Checksums, clean.Checksums)
 				}
 			})
 		}

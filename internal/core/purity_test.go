@@ -119,7 +119,7 @@ type pureRow struct {
 	design    Design
 	seed      uint64
 	// restart stops the job at its mid-run checkpoint and restarts it
-	// from the images; otherwise the job checkpoints mid-run and runs on
+	// from the store; otherwise the job checkpoints mid-run and runs on
 	// to the end.
 	restart bool
 }
@@ -127,7 +127,7 @@ type pureRow struct {
 // pureStats runs row's 8-rank job under the default configuration (no
 // translation-cost override) and returns its Stats — for a restart row,
 // the run's and the restart's — wall time zeroed, plus both as JSON.
-func pureStats(t *testing.T, row pureRow) (run, restart Stats, enc []byte) {
+func pureStats(t *testing.T, row pureRow) (first, restart Stats, enc []byte) {
 	t.Helper()
 	spec, err := apps.ByName(row.app)
 	if err != nil {
@@ -143,26 +143,26 @@ func pureStats(t *testing.T, row pureRow) (run, restart Stats, enc []byte) {
 		t.Fatal(err)
 	}
 	cfg := Config{ImplName: row.impl, Factory: factory, Design: row.design, ExitAtCheckpoint: row.restart}
-	run, images, err := Run(cfg, in.Ranks, spec.New(in), in.SimSteps/2)
+	s, first, err := run(cfg, in.Ranks, spec.New(in), in.SimSteps/2)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if run.CkptTaken != 1 {
-		t.Fatalf("run took %d checkpoints, want 1", run.CkptTaken)
+	if first.CkptTaken != 1 {
+		t.Fatalf("run took %d checkpoints, want 1", first.CkptTaken)
 	}
 	if row.restart {
 		cfg.ExitAtCheckpoint = false
-		restart, err = Restart(cfg, images, spec.New(in))
+		restart, err = restartWait(cfg, s.Store(), spec.New(in))
 		if err != nil {
 			t.Fatalf("restart: %v", err)
 		}
 	}
-	run.Wall, restart.Wall = 0, 0
-	enc, err = json.Marshal([]Stats{run, restart})
+	first.Wall, restart.Wall = 0, 0
+	enc, err = json.Marshal([]Stats{first, restart})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return run, restart, enc
+	return first, restart, enc
 }
 
 // firstStatsDiff names the first Stats field two runs disagree on.

@@ -26,9 +26,9 @@ import (
 //
 // The application state is restored already and gone from img;
 // stateLen is its length. Reading the image back is charged to the
-// restart: when chain describes the base+delta reads that resolved the
-// image, the filesystem model charges those reads — the consumed base
-// bytes, then the winning delta chunks as one pipelined read (the
+// restart: when chain, the resolution that produced the image, read
+// delta links, the filesystem model charges those reads — the consumed
+// base bytes, then the winning delta chunks as one pipelined read (the
 // resolver overlaps the links' reads) — instead of a single read of a
 // full image that never existed on storage.
 func newRuntimeFromImage(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *Coordinator, lists *memberLists, img *ckptimg.Image, stateLen int64, chain *ckptstore.ChainStats) (*Runtime, error) {
@@ -78,9 +78,9 @@ func newRuntimeFromImage(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *C
 		rt.reqResults[rr.Virt] = rr.St
 	}
 	// Reading the image back is charged to the restart: the stored
-	// base plus each delta link for a materialized chain, the full
+	// base plus each delta link for a chain with delta links, the full
 	// image otherwise.
-	if chain != nil && chain.Links > 0 {
+	if chain.Links > 0 {
 		rt.clock.Advance(cfg.FS.ReadCost(chain.BaseBytes+img.ModeledBytes) + cfg.FS.ReadCost(chain.DeltaBytes))
 	} else {
 		rt.clock.Advance(cfg.FS.ReadCost(img.TotalBytes(0) + stateLen))

@@ -40,7 +40,7 @@ func chainCheckpoints(t *testing.T, cfg Config, st *ckptstore.Store, factory app
 		t.Fatalf("generation 1: %v", err)
 	}
 	cfg.ExitAtCheckpoint = false
-	rst, err := RestartFromStore(cfg, st, factory)
+	rst, err := restartWait(cfg, st, factory)
 	if err != nil {
 		t.Fatalf("final restart: %v", err)
 	}
@@ -217,7 +217,7 @@ func TestDeltaChainCapForcesBaseUnderMana(t *testing.T) {
 	}
 	// The deep chain still restarts correctly.
 	cfg.ExitAtCheckpoint = false
-	rst, err := RestartFromStore(cfg, st, newRingApp(steps))
+	rst, err := restartWait(cfg, st, newRingApp(steps))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestStoreSnapshotsRoundTrip(t *testing.T) {
 			in := spec.DefaultInput(apps.SiteDiscovery)
 			in.Ranks, in.SimSteps, in.Local, in.PollsPerStep = ranks, 6, 8, 2
 			factory := spec.New(in)
-			run := func(what string, s *Session, step int) [][]byte {
+			run := func(what string, s *Session, step int) {
 				t.Helper()
 				s.Co.RequestCheckpointAtStep(step)
 				if _, err := s.Wait(); err != nil {
@@ -62,11 +62,6 @@ func TestStoreSnapshotsRoundTrip(t *testing.T) {
 						t.Fatalf("%s: rank %d's vid store decoded as\n%+v\nwant\n%+v", what, r, img.Store, want)
 					}
 				}
-				images, err := s.Co.Images()
-				if err != nil {
-					t.Fatalf("%s: %v", what, err)
-				}
-				return images
 			}
 			cfg := implFactory(t, "mpich")
 			cfg.UniformHandles, cfg.ExitAtCheckpoint = true, true
@@ -74,11 +69,11 @@ func TestStoreSnapshotsRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			images := run("fresh under mpich", s, 2)
+			run("fresh under mpich", s, 2)
 
 			cfg = implFactory(t, "openmpi")
 			cfg.UniformHandles, cfg.ExitAtCheckpoint = true, true
-			if s, err = RestartJob(cfg, images, factory); err != nil {
+			if s, err = RestartJobFromStore(cfg, s.Store(), factory); err != nil {
 				t.Fatal(err)
 			}
 			run("restarted under openmpi", s, 4)

@@ -167,7 +167,7 @@ func TestStreamRestartAllImpls(t *testing.T) {
 				// The restarted job completes with the uninterrupted
 				// run's checksums.
 				cfg.Store = st
-				rst, err := RestartFromStore(cfg, st, a.factory(steps))
+				rst, err := restartWait(cfg, st, a.factory(steps))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -86,25 +86,17 @@ func Backends(opts Options) ([]BackendRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("backends experiment %s: %w", backend, err)
 		}
-		cfg := base
-		cfg.Store = st
-		cfg.ExitAtCheckpoint = true
-		ckpt, err := mana.RunStats(cfg, in.Ranks, spec.New(in), ckptStep)
+		run, err := runChain(base, st, spec.New(in), ckptStep)
 		if err != nil {
-			return nil, fmt.Errorf("backends experiment %s checkpoint: %w", backend, err)
-		}
-		cfg.ExitAtCheckpoint = false
-		rst, err := mana.RestartFromStore(cfg, st, spec.New(in))
-		if err != nil {
-			return nil, fmt.Errorf("backends experiment %s restart: %w", backend, err)
+			return nil, fmt.Errorf("backends experiment %s: %w", backend, err)
 		}
 
 		row := BackendRow{
 			Backend:    backend,
 			Profile:    profileName(st, base.FS),
-			CommitVTS:  ckpt.VT.Seconds(),
-			RestartVTS: rst.VT.Seconds(),
-			RestartOK:  Verdict(slices.Equal(plain.Checksums, rst.Checksums)),
+			CommitVTS:  run.first.VT.Seconds(),
+			RestartVTS: run.last.VT.Seconds(),
+			RestartOK:  Verdict(slices.Equal(plain.Checksums, run.last.Checksums)),
 		}
 		for _, g := range st.Generations() {
 			row.StoredKB += float64(g.Bytes) / 1024

@@ -121,26 +121,11 @@ func dedupCell(appName string, ranks int, codec string, fast int) (DedupRow, err
 		if err != nil {
 			return DedupRow{}, err
 		}
-		cfg := base
-		cfg.Store = st
-		cfg.ExitAtCheckpoint = true
-		ck, err := mana.RunStats(cfg, in.Ranks, spec.New(in), s1)
+		run, err := runChain(base, st, spec.New(in), s1, s2)
 		if err != nil {
-			return DedupRow{}, fmt.Errorf("dedup cell %s/%d/%s gen0: %w", appName, ranks, codec, err)
+			return DedupRow{}, fmt.Errorf("dedup cell %s/%d/%s: %w", appName, ranks, codec, err)
 		}
-		s, err := mana.RestartJobFromStore(cfg, st, spec.New(in))
-		if err != nil {
-			return DedupRow{}, fmt.Errorf("dedup cell %s/%d/%s gen1 restart: %w", appName, ranks, codec, err)
-		}
-		s.Co.RequestCheckpointAtStep(s2)
-		if _, err := s.Wait(); err != nil {
-			return DedupRow{}, fmt.Errorf("dedup cell %s/%d/%s gen1: %w", appName, ranks, codec, err)
-		}
-		cfg.ExitAtCheckpoint = false
-		rst, err := mana.RestartFromStore(cfg, st, spec.New(in))
-		if err != nil {
-			return DedupRow{}, fmt.Errorf("dedup cell %s/%d/%s final restart: %w", appName, ranks, codec, err)
-		}
+		ck, rst := run.first, run.last
 		row.RestartOK = row.RestartOK && Verdict(slices.Equal(plain.Checksums, rst.Checksums))
 
 		// Stored bytes: the plain store holds every generation's encoded

@@ -74,29 +74,12 @@ func DeltaImages(opts Options) ([]DeltaRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			cfg := base
-			cfg.Store = st
-			cfg.ExitAtCheckpoint = true
-
-			// Generation 0: checkpoint at s1 and stop (preemption).
-			if _, err := mana.RunStats(cfg, in.Ranks, spec.New(in), s1); err != nil {
-				return nil, fmt.Errorf("delta experiment %s gen0: %w", appName, err)
-			}
-			// Generation 1: restart, checkpoint at s2, stop. In delta
-			// mode this generation diffs against generation 0.
-			s, err := mana.RestartJobFromStore(cfg, st, spec.New(in))
+			// Generation 1 is taken after a restart from generation 0;
+			// in delta mode it diffs against generation 0, and the
+			// final restart resolves the chain.
+			run, err := runChain(base, st, spec.New(in), s1, s2)
 			if err != nil {
-				return nil, fmt.Errorf("delta experiment %s gen1 restart: %w", appName, err)
-			}
-			s.Co.RequestCheckpointAtStep(s2)
-			if _, err := s.Wait(); err != nil {
-				return nil, fmt.Errorf("delta experiment %s gen1: %w", appName, err)
-			}
-			// Final restart resolves the chain and runs to completion.
-			cfg.ExitAtCheckpoint = false
-			rst, err := mana.RestartFromStore(cfg, st, spec.New(in))
-			if err != nil {
-				return nil, fmt.Errorf("delta experiment %s final restart: %w", appName, err)
+				return nil, fmt.Errorf("delta experiment %s: %w", appName, err)
 			}
 
 			gens := st.Generations()
@@ -114,8 +97,8 @@ func DeltaImages(opts Options) ([]DeltaRow, error) {
 				App: spec.Paper, Mode: mode,
 				BaseKB:     float64(gens[0].Bytes) / 1024,
 				IncrKB:     float64(gens[1].Bytes) / 1024,
-				RestartVTS: rst.VT.Seconds(),
-				RestartOK:  Verdict(slices.Equal(plain.Checksums, rst.Checksums)),
+				RestartVTS: run.last.VT.Seconds(),
+				RestartOK:  Verdict(slices.Equal(plain.Checksums, run.last.Checksums)),
 			}
 			if gens[0].Bytes > 0 {
 				row.IncrPct = float64(gens[1].Bytes) / float64(gens[0].Bytes) * 100
@@ -197,31 +180,9 @@ func DeltaChainSweep(opts Options) ([]DeltaChainRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := base
-		cfg.Store = st
-		cfg.ExitAtCheckpoint = true
-		if _, err := mana.RunStats(cfg, in.Ranks, spec.New(in), ckptSteps[0]); err != nil {
-			return nil, fmt.Errorf("delta chain sweep cap=%d gen0: %w", chainCap, err)
-		}
-		for _, at := range ckptSteps[1:] {
-			s, err := mana.RestartJobFromStore(cfg, st, spec.New(in))
-			if err != nil {
-				return nil, fmt.Errorf("delta chain sweep cap=%d restart@%d: %w", chainCap, at, err)
-			}
-			s.Co.RequestCheckpointAtStep(at)
-			if _, err := s.Wait(); err != nil {
-				return nil, fmt.Errorf("delta chain sweep cap=%d ckpt@%d: %w", chainCap, at, err)
-			}
-		}
-		cfg.ExitAtCheckpoint = false
-		s, err := mana.RestartJobFromStore(cfg, st, spec.New(in))
+		run, err := runChain(base, st, spec.New(in), ckptSteps...)
 		if err != nil {
-			return nil, fmt.Errorf("delta chain sweep cap=%d final restart: %w", chainCap, err)
-		}
-		chains := s.RestartChains()
-		rst, err := s.Wait()
-		if err != nil {
-			return nil, fmt.Errorf("delta chain sweep cap=%d final restart: %w", chainCap, err)
+			return nil, fmt.Errorf("delta chain sweep cap=%d: %w", chainCap, err)
 		}
 
 		gens := st.Generations()
@@ -236,10 +197,10 @@ func DeltaChainSweep(opts Options) ([]DeltaChainRow, error) {
 		row := DeltaChainRow{
 			ChainCap: chainCap, Gens: len(gens), HeadLinks: links,
 			StoredKB:   float64(stored) / 1024,
-			RestartVTS: rst.VT.Seconds(),
-			RestartOK:  Verdict(slices.Equal(plain.Checksums, rst.Checksums)),
+			RestartVTS: run.last.VT.Seconds(),
+			RestartOK:  Verdict(slices.Equal(plain.Checksums, run.last.Checksums)),
 		}
-		for _, cs := range chains {
+		for _, cs := range run.chains {
 			row.ChunksRead += cs.ChunksRead
 			row.ChunksSkipped += cs.ChunksSkipped
 			row.PeakKB = max(row.PeakKB, float64(cs.PeakBytes)/1024)

@@ -6,7 +6,7 @@ import (
 
 	"manasim/internal/apps"
 	"manasim/internal/ckpt"
-	"manasim/internal/ckptimg"
+	"manasim/internal/ckptstore"
 	mana "manasim/internal/core"
 	"manasim/internal/fsim"
 	"manasim/internal/impls"
@@ -14,7 +14,7 @@ import (
 
 // DrainRow is one cell of the drain-strategy comparison: one MPI
 // implementation checkpointing a pipelined workload under one drain
-// strategy, then restarting from the images.
+// strategy, then restarting from its checkpoint store.
 type DrainRow struct {
 	Impl     string `col:"Impl,%s"`
 	Strategy string `col:"Strategy,%s"`
@@ -44,7 +44,7 @@ type DrainRow struct {
 // four simulated MPI implementations on a pipelined LAMMPS-style
 // workload that keeps halo-exchange messages in flight at the
 // checkpoint boundary. Every cell checkpoints mid-run, stops
-// (preemption), restarts from the images, and validates bitwise-equal
+// (preemption), restarts from the store, and validates bitwise-equal
 // checksums against an uninterrupted run.
 func DrainStrategies(opts Options) ([]DrainRow, error) {
 	opts = opts.normalized()
@@ -76,35 +76,34 @@ func DrainStrategies(opts Options) ([]DrainRow, error) {
 			return nil, fmt.Errorf("drain experiment %s baseline: %w", implName, err)
 		}
 		for _, strat := range ckpt.DrainNames() {
+			store, err := ckptstore.Open(in.Ranks, ckptstore.Options{})
+			if err != nil {
+				return nil, err
+			}
 			cfg := base
 			cfg.DrainStrategy = strat
-			cfg.ExitAtCheckpoint = true
-			st, images, err := mana.Run(cfg, in.Ranks, spec.New(in), ckptStep)
+			run, err := runChain(cfg, store, spec.New(in), ckptStep)
 			if err != nil {
 				return nil, fmt.Errorf("drain experiment %s/%s: %w", implName, strat, err)
 			}
+			st := run.first
 			row := DrainRow{
 				Impl: implName, Strategy: strat,
-				CkptVTS:  st.VT.Seconds(),
-				DrainVTS: st.DrainVT.Seconds(),
-				CtlMsgs:  st.CtlMsgs,
-				CtlBytes: st.CtlBytes,
+				CkptVTS:   st.VT.Seconds(),
+				DrainVTS:  st.DrainVT.Seconds(),
+				CtlMsgs:   st.CtlMsgs,
+				CtlBytes:  st.CtlBytes,
+				RestartOK: Verdict(slices.Equal(plain.Checksums, run.last.Checksums)),
 			}
-			var bytes int
-			for _, data := range images {
-				img, err := ckptimg.Decode(data)
-				if err != nil {
-					return nil, err
-				}
-				row.Drained += len(img.Drained)
-				bytes += len(data)
-			}
-			row.ImageKB = float64(bytes) / float64(len(images)) / 1024
-			rst, err := mana.Restart(base, images, spec.New(in))
+			head, _ := store.Head()
+			imgs, _, err := store.MaterializeStream(head.Seq)
 			if err != nil {
-				return nil, fmt.Errorf("drain experiment %s/%s restart: %w", implName, strat, err)
+				return nil, err
 			}
-			row.RestartOK = Verdict(slices.Equal(plain.Checksums, rst.Checksums))
+			for _, img := range imgs {
+				row.Drained += len(img.Drained)
+			}
+			row.ImageKB = float64(head.Bytes) / float64(len(imgs)) / 1024
 			if opts.Logf != nil {
 				opts.Logf("drain %s/%s: vt=%.1fs drain-vt=%.2fs ctl-msgs=%d ctl-bytes=%d drained=%d restart-ok=%v",
 					implName, strat, row.CkptVTS, row.DrainVTS, row.CtlMsgs, row.CtlBytes, row.Drained, row.RestartOK)

@@ -20,7 +20,9 @@ import (
 	"fmt"
 	"time"
 
+	"manasim/internal/app"
 	"manasim/internal/apps"
+	"manasim/internal/ckptstore"
 	mana "manasim/internal/core"
 	"manasim/internal/fsim"
 	"manasim/internal/impls"
@@ -218,4 +220,51 @@ func RunCell(cell Cell, opts Options) (Measurement, error) {
 		opts.Logf("%s %s: %.1fs (wall %v)", cell.App, cell.Label(), m.RuntimeS, st.Wall.Round(time.Millisecond))
 	}
 	return m, nil
+}
+
+// chainRun is what runChain reports: the statistics of the launch
+// segment, which ran up to and including the first checkpoint, and of
+// the final restart, with the chains that restart resolved.
+type chainRun struct {
+	first, last mana.Stats
+	chains      []ckptstore.ChainStats
+}
+
+// runChain drives a job along a checkpoint chain over st: it launches,
+// checkpoints at steps[0] and stops (preemption); for each later step
+// it restarts from the store, checkpoints there and stops; then it
+// restarts from the store once more and runs to completion.
+func runChain(cfg mana.Config, st *ckptstore.Store, factory app.Factory, steps ...int) (chainRun, error) {
+	var out chainRun
+	cfg.Store, cfg.ExitAtCheckpoint = st, true
+	for i, at := range steps {
+		var s *mana.Session
+		var err error
+		if i == 0 {
+			s, err = mana.StartJob(cfg, st.Ranks(), factory)
+		} else {
+			s, err = mana.RestartJobFromStore(cfg, st, factory)
+		}
+		if err != nil {
+			return chainRun{}, fmt.Errorf("checkpoint at step %d: %w", at, err)
+		}
+		s.Co.RequestCheckpointAtStep(at)
+		st, err := s.Wait()
+		if err != nil {
+			return chainRun{}, fmt.Errorf("checkpoint at step %d: %w", at, err)
+		}
+		if i == 0 {
+			out.first = st
+		}
+	}
+	cfg.ExitAtCheckpoint = false
+	s, err := mana.RestartJobFromStore(cfg, st, factory)
+	if err == nil {
+		out.chains = s.RestartChains()
+		out.last, err = s.Wait()
+	}
+	if err != nil {
+		return chainRun{}, fmt.Errorf("final restart: %w", err)
+	}
+	return out, nil
 }

@@ -15,10 +15,12 @@
 //
 // # Ownership
 //
-// The scheduler owns one core.JobHandle per submitted job. The handle
-// owns the job's checkpoint store; the scheduler owns the cluster state
-// (node ownership, queue order, virtual clock) and is single-threaded —
-// one discrete-event loop over a kernel.VTQueue, the same virtual-time
+// The scheduler owns one checkpoint store per submitted job. A segment
+// launches the job (core.StartJob) while the store is empty and resumes
+// it from the newest committed generation (core.RestartJobFromStore)
+// otherwise. The scheduler owns the cluster state (node ownership,
+// queue order, virtual clock) and is single-threaded — one
+// discrete-event loop over a kernel.VTQueue, the same virtual-time
 // queue the event kernel schedules rank wakeups through. Job segments
 // execute to completion inside the loop (simulated time, not wall
 // time), so at most one MANA job is ever running while the scheduler
@@ -29,15 +31,15 @@
 // # Preemption vs crash
 //
 // Preemption is cooperative and loses nothing: the scheduler re-runs
-// the victim's segment with a preemption cut (Segment.StopAtVT), rank
-// 0 requests a checkpoint at the first safe boundary past the cut, the
-// generation commits through the handle's store, the job parks, and its
-// nodes free when the drain + commit completes. Checkpoint overhead is
-// the protocol's own virtual time (Stats.CkptCostVTs), not the gap
-// between the cut and the nodes freeing: the steps run up to the first
-// safe boundary past the cut are progress the job keeps. The
-// requeued job later resumes from that generation
-// (RestartJobFromStore) bit-identically.
+// the victim's segment with a preemption cut (Config.CkptInterval with
+// ExitAtCheckpoint), rank 0 requests a checkpoint at the first safe
+// boundary past the cut, the generation commits into the job's store,
+// the job parks, and its nodes free when the drain + commit completes.
+// Checkpoint overhead is the protocol's own virtual time
+// (Stats.CkptCostVTs), not the gap between the cut and the nodes
+// freeing: the steps run up to the first safe boundary past the cut are
+// progress the job keeps. The requeued job later resumes from that
+// generation (RestartJobFromStore) bit-identically.
 //
 // A crash (faults.NodeCrash) or a kill-mode preemption commits nothing:
 // the job's store still holds only complete generations (the

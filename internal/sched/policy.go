@@ -12,8 +12,8 @@ type PreemptMode int
 const (
 	// PreemptNone never disturbs running jobs.
 	PreemptNone PreemptMode = iota
-	// PreemptCheckpoint drains and commits the victim through its
-	// handle's store, frees its nodes when the commit completes, and
+	// PreemptCheckpoint drains and commits the victim into its own
+	// store, frees its nodes when the commit completes, and
 	// requeues it to resume from the checkpoint — no work lost.
 	PreemptCheckpoint
 	// PreemptKill frees the victim's nodes immediately; everything

@@ -5,7 +5,9 @@ import (
 	"sort"
 	"time"
 
+	"manasim/internal/app"
 	"manasim/internal/apps"
+	"manasim/internal/ckptstore"
 	mana "manasim/internal/core"
 	"manasim/internal/fsim"
 	"manasim/internal/impls"
@@ -123,7 +125,7 @@ type job struct {
 	prio    int
 	allowed []int // partition member nodes
 	est     time.Duration
-	handle  *mana.JobHandle
+	run     *runner
 
 	state jobState
 	nodes []int
@@ -133,7 +135,7 @@ type job struct {
 	queuedAt time.Duration
 	// full is the speculative full run of the current dispatch; its
 	// completion event is pending unless a preemption discards it.
-	full mana.SegmentResult
+	full mana.Stats
 	// lateCut marks a preemption attempt whose cut fell past the job's
 	// last safe boundary — the job completes as scheduled and is not
 	// re-attempted this dispatch.
@@ -227,24 +229,6 @@ func (s *Scheduler) nodesNeeded(ranks int) int {
 	return (ranks + s.spec.SlotsPerNode - 1) / s.spec.SlotsPerNode
 }
 
-// jobConfig builds the MANA config one class's segments run under;
-// label names the job in deadlock and crash diagnostics.
-func (s *Scheduler) jobConfig(c Class, label string) (mana.Config, error) {
-	factory, err := impls.Get(c.Impl)
-	if err != nil {
-		return mana.Config{}, err
-	}
-	// Preemption drains commit to node-local NVMe: NFS startup
-	// latencies would dwarf the minute-scale jobs the sweeps run.
-	return mana.Config{
-		ImplName:  c.Impl,
-		Factory:   factory,
-		FS:        fsim.NVMe(),
-		SkewBound: skewBound,
-		JobLabel:  label,
-	}, nil
-}
-
 // classInput instantiates a class's application input.
 func (s *Scheduler) classInput(c Class) (apps.Spec, apps.Input, error) {
 	spec, err := apps.ByName(c.App)
@@ -271,21 +255,59 @@ func (s *Scheduler) classInput(c Class) (apps.Spec, apps.Input, error) {
 	return spec, in, nil
 }
 
-// newHandle builds a job's reentrant handle; label names the job in
-// its diagnostics.
-func (s *Scheduler) newHandle(c Class, label string) (*mana.JobHandle, error) {
-	cfg, err := s.jobConfig(c, label)
-	if err != nil {
-		return nil, err
-	}
+// runner runs one job's segments. Its config's Store is the job's own
+// checkpoint store, whose committed generations are all of the job that
+// outlives a segment: a kill (discard the segment, commit nothing) and
+// a crash (complete generations only) both leave it restartable.
+type runner struct {
+	cfg     mana.Config
+	factory app.Factory
+}
+
+// newRunner builds the runner of a job of class c over a fresh store;
+// label names the job in deadlock and crash diagnostics.
+func (s *Scheduler) newRunner(c Class, label string) (*runner, error) {
 	spec, in, err := s.classInput(c)
 	if err != nil {
 		return nil, err
 	}
-	return mana.NewJobHandle(cfg, in.Ranks, spec.New(in))
+	factory, err := impls.Get(c.Impl)
+	if err != nil {
+		return nil, err
+	}
+	st, err := ckptstore.Open(in.Ranks, ckptstore.Options{})
+	if err != nil {
+		return nil, err
+	}
+	// Preemption drains commit to node-local NVMe: NFS startup
+	// latencies would dwarf the minute-scale jobs the sweeps run.
+	cfg := mana.Config{ImplName: c.Impl, Factory: factory, FS: fsim.NVMe(),
+		SkewBound: skewBound, JobLabel: label, Store: st}
+	return &runner{cfg: cfg, factory: spec.New(in)}, nil
 }
 
-// probeClass runs a class's uninterrupted baseline once (fresh handle,
+// segment runs one segment of the job, resumed from the store's newest
+// generation (Stats.RestartGen) or launched fresh while it holds none,
+// to completion. A positive stopAt is the preemption cut: on the
+// segment's fresh clock the periodic trigger first fires at stopAt, and
+// the job parks (Stats.Stopped) once that checkpoint commits.
+func (r *runner) segment(stopAt time.Duration) (mana.Stats, error) {
+	cfg := r.cfg
+	cfg.ExitAtCheckpoint, cfg.CkptInterval = stopAt > 0, stopAt
+	var sess *mana.Session
+	var err error
+	if len(cfg.Store.Generations()) > 0 {
+		sess, err = mana.RestartJobFromStore(cfg, cfg.Store, r.factory)
+	} else {
+		sess, err = mana.StartJob(cfg, cfg.Store.Ranks(), r.factory)
+	}
+	if err != nil {
+		return mana.Stats{}, err
+	}
+	return sess.Wait()
+}
+
+// probeClass runs a class's uninterrupted baseline once (fresh runner,
 // scratch store) and caches its runtime and checksums: the useful-work
 // numerator of goodput, the default runtime estimate, and the
 // bit-identity reference for preempted jobs.
@@ -293,15 +315,15 @@ func (s *Scheduler) probeClass(c Class) (ClassBaseline, error) {
 	if b, ok := s.probes[c.Name]; ok {
 		return b, nil
 	}
-	h, err := s.newHandle(c, "probe-"+c.Name)
+	r, err := s.newRunner(c, "probe-"+c.Name)
 	if err != nil {
 		return ClassBaseline{}, err
 	}
-	res, err := h.RunSegment(mana.Segment{})
+	st, err := r.segment(0)
 	if err != nil {
 		return ClassBaseline{}, fmt.Errorf("probing class %s: %w", c.Name, err)
 	}
-	b := ClassBaseline{VTS: res.Stats.VT.Seconds(), Checksums: res.Stats.Checksums}
+	b := ClassBaseline{VTS: st.VT.Seconds(), Checksums: st.Checksums}
 	s.probes[c.Name] = b
 	return b, nil
 }
@@ -352,7 +374,7 @@ func overlap(nodes, allowed []int) int {
 // Run executes the workload to completion and reports the outcome.
 func (s *Scheduler) Run() (*Outcome, error) {
 	// Probe every class first (deterministic order), resolve estimates,
-	// and build the per-job handles.
+	// and build the per-job runners.
 	classNames := map[string]bool{}
 	for _, j := range s.jobs {
 		c := j.spec.Class
@@ -364,12 +386,12 @@ func (s *Scheduler) Run() (*Outcome, error) {
 		if j.est <= 0 {
 			j.est = time.Duration(base.VTS * float64(time.Second))
 		}
-		if j.handle == nil {
-			h, err := s.newHandle(c, j.id())
+		if j.run == nil {
+			r, err := s.newRunner(c, j.id())
 			if err != nil {
 				return nil, err
 			}
-			j.handle = h
+			j.run = r
 		}
 		classNames[c.Name] = true
 		s.vtq.Push(j.spec.Submit, schedEvent{kind: evSubmit, j: j, epoch: 0})
@@ -429,9 +451,9 @@ func (s *Scheduler) Run() (*Outcome, error) {
 func (s *Scheduler) finish(j *job) {
 	j.state = stateDone
 	j.end = s.now
-	j.consumed += j.full.Stats.VT
-	j.checksums = j.full.Stats.Checksums
-	if j.full.Resumed {
+	j.consumed += j.full.VT
+	j.checksums = j.full.Checksums
+	if j.full.RestartGen >= 0 {
 		j.resumes++
 	}
 	j.lateCut = false
@@ -540,7 +562,7 @@ func (s *Scheduler) shadow(j *job, need int) time.Duration {
 				at = s.now
 			}
 		case stateDraining:
-			at = v.startVT + v.full.Stats.VT // freed event time
+			at = v.startVT + v.full.VT // freed event time
 		default:
 			continue
 		}
@@ -573,14 +595,14 @@ func (s *Scheduler) dispatch(j *job, nodes []int) error {
 	j.startVT = s.now
 	j.epoch++
 	j.lateCut = false
-	res, err := j.handle.RunSegment(mana.Segment{})
+	res, err := j.run.segment(0)
 	if err != nil {
 		return fmt.Errorf("sched: job %q segment: %w", j.id(), err)
 	}
 	j.full = res
-	s.vtq.Push(s.now+res.Stats.VT, schedEvent{kind: evDone, j: j, epoch: j.epoch})
+	s.vtq.Push(s.now+res.VT, schedEvent{kind: evDone, j: j, epoch: j.epoch})
 	s.traceAdd("dispatch", j, nodes, 0)
-	s.logf("%10.3fs start   %-12s on nodes %v%s", s.now.Seconds(), j.id(), nodes, map[bool]string{true: " (resumed)", false: ""}[j.handle.Resumable() && res.Resumed])
+	s.logf("%10.3fs start   %-12s on nodes %v%s", s.now.Seconds(), j.id(), nodes, map[bool]string{true: " (resumed)", false: ""}[res.RestartGen >= 0])
 	return nil
 }
 
@@ -652,7 +674,7 @@ func (s *Scheduler) preempt(v *job) (bool, error) {
 	// Checkpoint preemption: re-run the segment with the cut. The
 	// speculative full run committed nothing, so the re-run replays the
 	// identical execution up to the cut, drains, and commits.
-	res, err := v.handle.RunSegment(mana.Segment{StopAtVT: elapsed})
+	res, err := v.run.segment(elapsed)
 	if err != nil {
 		return false, fmt.Errorf("sched: preempting job %q: %w", v.id(), err)
 	}
@@ -662,22 +684,22 @@ func (s *Scheduler) preempt(v *job) (bool, error) {
 		v.lateCut = true
 		return false, nil
 	}
-	if res.Resumed {
+	if res.RestartGen >= 0 {
 		v.resumes++
 	}
 	v.epoch++
 	v.preempts++
-	v.consumed += res.Stats.VT
+	v.consumed += res.VT
 	// Charge the checkpoint protocol's own time, not the cut-to-stop
 	// gap: most of that gap is step compute up to the first boundary
 	// past the cut, which the job keeps as progress.
-	for _, c := range res.Stats.CkptCostVTs {
+	for _, c := range res.CkptCostVTs {
 		v.ckptOverhead += c
 	}
 	v.progress += elapsed
 	v.state = stateDraining
 	v.full = res
-	freedAt := v.startVT + res.Stats.VT
+	freedAt := v.startVT + res.VT
 	s.vtq.Push(freedAt, schedEvent{kind: evFreed, j: v, epoch: v.epoch})
 	s.traceAdd("preempt", v, v.nodes, freedAt)
 	s.logf("%10.3fs preempt %-12s (checkpoint drains until %.3fs)", s.now.Seconds(), v.id(), freedAt.Seconds())
