@@ -19,7 +19,8 @@ func sharedLists(t *testing.T, s *Session) []map[mpi.Handle][]int {
 	out := make([]map[mpi.Handle][]int, len(s.runtimes))
 	for r, rt := range s.runtimes {
 		out[r] = map[mpi.Handle][]int{}
-		for virt, l := range rt.members {
+		for virt, m := range rt.members {
+			l := m.ranks
 			out[r][virt] = append([]int(nil), l...)
 			key := fmt.Sprint(l)
 			if a, ok := arrays[key]; ok && a != &l[0] {

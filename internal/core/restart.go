@@ -64,7 +64,7 @@ func newRuntimeFromImage(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *C
 		xlat:       cfg.xlatCosts(),
 		rank:       lower.Rank(),
 		size:       lower.Size(),
-		members:    make(map[mpi.Handle][]int),
+		members:    make(map[mpi.Handle]member),
 		lists:      lists,
 		recvComms:  make(map[mpi.Handle]mpi.Handle),
 		reqResults: make(map[mpi.Handle]mpi.Status),
@@ -261,13 +261,10 @@ func (r *Runtime) replayObjects() error {
 				return err
 			}
 			// Validate the reconstruction: the replayed communicator
-			// must have the same global group id as the original.
+			// must have the same global group id as the original, the
+			// hash of the membership just cached.
 			if it.GGID != 0 {
-				m, err := r.membership(it.Virt)
-				if err != nil {
-					return err
-				}
-				if got := vid.GGIDOf(m); got != it.GGID {
+				if got := r.members[it.Virt].hash; got != it.GGID {
 					return fmt.Errorf("mana: replayed communicator ggid %08x != original %08x (membership changed)", got, it.GGID)
 				}
 			}

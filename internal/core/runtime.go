@@ -42,7 +42,7 @@ type Runtime struct {
 	// order) keyed by virtual comm handle — MANA-specific information
 	// associated with the MPI object (Section 4.2). The lists are the
 	// job's interned ones (lists): never write one.
-	members map[mpi.Handle][]int
+	members map[mpi.Handle]member
 	// lists is the membership table the ranks of the job share.
 	lists *memberLists
 
@@ -132,7 +132,7 @@ func NewRuntime(cfg Config, lower mpi.Proc, clock *simtime.Clock, co *Coordinato
 		xlat:       cfg.xlatCosts(),
 		rank:       lower.Rank(),
 		size:       lower.Size(),
-		members:    make(map[mpi.Handle][]int),
+		members:    make(map[mpi.Handle]member),
 		lists:      lists,
 		recvComms:  make(map[mpi.Handle]mpi.Handle),
 		reqResults: make(map[mpi.Handle]mpi.Status),
@@ -279,17 +279,24 @@ func newMemberLists(n int) *memberLists {
 	return &memberLists{identity: id, scratch: make([]int, n), interned: make(map[uint32][]int)}
 }
 
-// intern returns the job's shared copy of world.
-func (m *memberLists) intern(world []int) []int {
+// member is a communicator's cached membership: its interned world-rank
+// list and the list's hash, vid.GGIDOf(ranks).
+type member struct {
+	ranks []int
+	hash  uint32
+}
+
+// intern returns the job's shared copy of world with its hash.
+func (m *memberLists) intern(world []int) member {
 	h := vid.GGIDOf(world)
 	if l, ok := m.interned[h]; ok && slices.Equal(l, world) {
-		return l
+		return member{l, h}
 	}
 	l := slices.Clip(slices.Clone(world))
 	if _, taken := m.interned[h]; !taken {
 		m.interned[h] = l
 	}
-	return l
+	return member{l, h}
 }
 
 // cacheCommMembership caches a communicator's world-rank membership
@@ -342,7 +349,7 @@ func (r *Runtime) membership(virt mpi.Handle) ([]int, error) {
 	if !ok {
 		return nil, mpi.Errorf(mpi.ErrComm, "mana: no membership cached for communicator %#x", uint64(virt))
 	}
-	return m, nil
+	return m.ranks, nil
 }
 
 // computeGGID computes and stores the global group id of a communicator
@@ -350,8 +357,10 @@ func (r *Runtime) membership(virt mpi.Handle) ([]int, error) {
 // performed even though MANA caches membership for counter bookkeeping,
 // because the ggid definition is pinned to the lower half's view. Every
 // communicator pays it at creation (the paper's eager policy; Section 9
-// proposes deferring it for communicator-churning codes). The hash
-// reads the decode in the job's scratch list; nothing is kept.
+// proposes deferring it for communicator-churning codes). The ggid is
+// the hash of the decode in the job's scratch list; a decode equal to
+// the membership cached for virt reuses the hash intern took of it, so
+// each membership is hashed once. Nothing is kept.
 func (r *Runtime) computeGGID(virt mpi.Handle) error {
 	phys, err := r.store.Phys(mpi.KindComm, virt)
 	if err != nil {
@@ -361,7 +370,11 @@ func (r *Runtime) computeGGID(virt mpi.Handle) error {
 	if err != nil {
 		return err
 	}
-	return r.store.SetGGID(mpi.KindComm, virt, vid.GGIDOf(world))
+	m, ok := r.members[virt]
+	if !ok || !slices.Equal(m.ranks, world) {
+		m.hash = vid.GGIDOf(world)
+	}
+	return r.store.SetGGID(mpi.KindComm, virt, m.hash)
 }
 
 // ggidOf returns the communicator's ggid, computing it on demand when

@@ -138,12 +138,14 @@ func TestAlltoallAllocsFlatInRanks(t *testing.T) {
 // objects per rank, at 8 and at 256 ranks, and at most
 // launchBytesPerRank bytes per rank at 256. Every engine shares the
 // predefined datatypes and operations and the fabric's world-rank list,
-// and keeps its predefined communicators and groups inside itself, and
-// a mailbox keeps its contexts in a slice, not a map; the bounds were
-// set at 24.5 and 22.1 objects and 1.7 KB. A world-rank list per engine
-// would add 2 KB per rank at 256 ranks.
+// and keeps its predefined communicators and groups inside itself, a
+// mailbox keeps its contexts in a slice, not a map, and the fabric
+// holds its mailboxes and endpoints in one slab each; the bounds were
+// set at 22.5 and 20.1 objects and 1.7 KB. A world-rank list per engine
+// would add 2 KB per rank at 256 ranks, a heap mailbox and endpoint per
+// rank 2 objects.
 func TestLaunchAllocsPerRank(t *testing.T) {
-	const launchAllocsPerRank, launchBytesPerRank = 25, 2048
+	const launchAllocsPerRank, launchBytesPerRank = 23, 2048
 	factory, err := Get("mpich")
 	if err != nil {
 		t.Fatal(err)

@@ -7,11 +7,12 @@ import (
 	"time"
 )
 
-// The mailbox's context and source lists, its context slice and the
-// fabric-wide entry pool are checked against a reference model that has
-// none of them: one arrival-ordered list per mailbox, where a receive or
-// probe selects the first matching message in arrival order. After
-// every operation, checkLinks also checks the lists' links themselves. Operations come
+// The mailbox's context and source lists, its context slice, the
+// fabric's source index and the fabric-wide entry pool are checked
+// against a reference model that has none of them: one arrival-ordered
+// list per mailbox, where a receive or probe selects the first matching
+// message in arrival order. After every operation, checkLinks also
+// checks the lists' links and the index themselves. Operations come
 // from a byte string, two bytes per operation, so one decoder serves the
 // seeded differential test and FuzzMailbox.
 //
@@ -98,11 +99,15 @@ func diffMatch(b byte, mode int) Match {
 	return m
 }
 
-// diffRun is what runMailboxOps observed: the receivers' models, and
-// how many queue entries carried messages to both receivers.
+// diffRun is what runMailboxOps observed: the receivers' models, how
+// many queue entries carried messages to both receivers, and the most
+// (destination, source) lists live at once and the source index's
+// final number of slots.
 type diffRun struct {
-	refs   [diffDsts]refBox
-	shared int
+	refs     [diffDsts]refBox
+	shared   int
+	peakLive int
+	slots    int
 }
 
 // refills counts the sends, over both receivers, into a context the
@@ -188,7 +193,7 @@ func runMailboxOps(t testing.TB, ops []byte) *diffRun {
 				t.Fatalf("op %d: send: %v", op, err)
 			}
 			// The entry just queued is its source's tail.
-			seen[f.boxes[d].srcs[m.Src].tail] |= 1 << d
+			seen[f.srcs[f.slot(d, m.Src)].tail] |= 1 << d
 			if c := m.Context - 16; ref.emptied[c] {
 				ref.emptied[c] = false
 				ref.refills++
@@ -222,6 +227,7 @@ func runMailboxOps(t testing.TB, ops []byte) *diffRun {
 			}
 		}
 		checkLinks(t, f, op)
+		run.peakLive = max(run.peakLive, f.live)
 		if got := pending(dst); got != len(ref.q) ||
 			inFlight(f) != len(run.refs[0].q)+len(run.refs[1].q) {
 			t.Fatalf("op %d: %d pending at rank %d and %d in flight, model holds %d there and %d in all",
@@ -243,21 +249,28 @@ func runMailboxOps(t testing.TB, ops []byte) *diffRun {
 			run.shared++
 		}
 	}
+	run.slots = len(f.srcs)
 	return run
 }
 
-// checkLinks fails unless the lists of every mailbox of f are intact:
-// each context in ctxs is listed once and holds a message, each list's
-// prev/next (context) or sprev/snext (source) links are mutual and end
-// at its head and tail, every entry on a source list is that source's
-// and also on its own context's list, the context lists hold as many
-// entries as the source lists — so both hold the same ones — and no
+// checkLinks fails unless the lists of every mailbox of f and the
+// fabric's source index are intact: each context in ctxs is listed once
+// and holds a message; each list's prev/next (context) or sprev/snext
+// (source) links are mutual and end at its head and tail; every
+// occupied slot of the index holds a non-empty list of its own
+// (destination, source), each entry of it also on its context's list,
+// and is reached by probing from its home slot without crossing an empty
+// slot or another slot of the same pair, so no backward shift stranded
+// it; every empty slot is cleared; the index counts as live as many
+// slots as are occupied; the context lists of each mailbox hold as many
+// entries as its source lists — so both hold the same ones — and no
 // entry in the fabric's pool is linked. A pooled entry is cleared, so
 // one still reachable from a list fails the list's checks.
 func checkLinks(t testing.TB, f *Fabric, op int) {
 	t.Helper()
-	for r, b := range f.boxes {
-		queued := 0
+	queued := make([]int, len(f.boxes))
+	for r := range f.boxes {
+		b := &f.boxes[r]
 		for i, c := range b.ctxs {
 			for _, d := range b.ctxs[:i] {
 				if d.ctx == c.ctx {
@@ -272,30 +285,53 @@ func checkLinks(t testing.TB, f *Fabric, op int) {
 				if e.prev != prev || e.m.Context != c.ctx {
 					t.Fatalf("op %d: rank %d context %d: broken list at src %d ctx %d tag %d", op, r, c.ctx, e.m.Src, e.m.Context, e.m.Tag)
 				}
-				queued++
+				queued[r]++
 			}
 			if c.tail != prev {
 				t.Fatalf("op %d: rank %d context %d: tail is not the last entry", op, r, c.ctx)
 			}
 		}
-		for src, q := range b.srcs {
-			var prev *qent
-			for e := q.head; e != nil; prev, e = e, e.snext {
-				// On its context's list, e is the head or its
-				// predecessor's successor.
-				c := b.ctx(e.m.Context)
-				onCtx := c != nil && (e.prev == nil && c.head == e || e.prev != nil && e.prev.next == e)
-				if e.sprev != prev || e.m.Src != src || !onCtx {
-					t.Fatalf("op %d: rank %d source %d: broken list at src %d ctx %d tag %d", op, r, src, e.m.Src, e.m.Context, e.m.Tag)
-				}
-				queued--
+	}
+	occupied, mask := 0, len(f.srcs)-1
+	for i, q := range f.srcs {
+		if q.head == nil {
+			if q != (srcq{}) {
+				t.Fatalf("op %d: empty slot %d is not cleared", op, i)
 			}
-			if q.tail != prev {
-				t.Fatalf("op %d: rank %d source %d: tail is not the last entry", op, r, src)
+			continue
+		}
+		occupied++
+		dst, src := int(q.dst), int(q.src)
+		if dst < 0 || dst >= len(f.boxes) || src < 0 || src >= len(f.boxes) {
+			t.Fatalf("op %d: slot %d holds pair (%d, %d) out of range", op, i, dst, src)
+		}
+		for j := f.home(dst, src); j != i; j = (j + 1) & mask {
+			if p := f.srcs[j]; p.head == nil || int(p.dst) == dst && int(p.src) == src {
+				t.Fatalf("op %d: slot %d of (%d, %d) is not the first of its pair reached from home slot %d: slot %d is empty or holds the same pair", op, i, dst, src, f.home(dst, src), j)
 			}
 		}
-		if queued != 0 {
-			t.Fatalf("op %d: rank %d: the context lists hold %d entries more than the source lists", op, r, queued)
+		b := &f.boxes[dst]
+		var prev *qent
+		for e := q.head; e != nil; prev, e = e, e.snext {
+			// On its context's list, e is the head or its
+			// predecessor's successor.
+			c := b.ctx(e.m.Context)
+			onCtx := c != nil && (e.prev == nil && c.head == e || e.prev != nil && e.prev.next == e)
+			if e.sprev != prev || e.m.Src != src || !onCtx {
+				t.Fatalf("op %d: rank %d source %d: broken list at src %d ctx %d tag %d", op, dst, src, e.m.Src, e.m.Context, e.m.Tag)
+			}
+			queued[dst]--
+		}
+		if q.tail != prev {
+			t.Fatalf("op %d: rank %d source %d: tail is not the last entry", op, dst, src)
+		}
+	}
+	if occupied != f.live {
+		t.Fatalf("op %d: the source index counts %d live lists, %d slots are occupied", op, f.live, occupied)
+	}
+	for r, n := range queued {
+		if n != 0 {
+			t.Fatalf("op %d: rank %d: the context lists hold %d entries more than the source lists", op, r, n)
 		}
 	}
 	for _, e := range f.ents {
@@ -342,16 +378,47 @@ func diffOps(seed uint64, n int) []byte {
 	return ops
 }
 
+// growthOps is a differential sequence whose live (destination, source)
+// lists outgrow the source index's initial size: each round sends one
+// message on every pair of the 2 receivers × 4 sources, 8 live lists
+// where the 4-rank fabric's first table holds 4, then consumes them
+// through exact receives in an order that differs by round.
+func growthOps() []byte {
+	var ops []byte
+	for round := range 4 {
+		for p := range 2 * diffSrcs {
+			d, src := byte(p/diffSrcs), byte((p+round)%diffSrcs)
+			ops = append(ops, d<<7|byte(round)<<3, src)
+		}
+		for p := range 2 * diffSrcs {
+			q := (p*3 + round) % (2 * diffSrcs)
+			d, src := byte(q/diffSrcs), byte((q+round)%diffSrcs)
+			ops = append(ops, d<<7|3, src)
+		}
+	}
+	return ops
+}
+
 // TestMailboxMatchesReferenceModel replays seeded random operation
 // sequences — sends, exact and wildcard receives, visible probes and
 // earliest-send queries over 2 receivers × 3 contexts × 4 sources × 3
-// tags — against the single-list model. Every answer, and the pending
-// counts after every operation, must agree, the lists must stay intact,
-// and the sequence must both churn the lists and carry messages to
-// both receivers in one entry.
+// tags — against the single-list model, and growthOps last. Every
+// answer, and the pending counts after every operation, must agree, the
+// lists and the source index must stay intact, the seeded sequences
+// must both churn the lists and carry messages to both receivers in one
+// entry, and every sequence's live lists must outgrow the index's first
+// table, so that it doubles with lists in it.
 func TestMailboxMatchesReferenceModel(t *testing.T) {
+	initial := 2 * diffSrcs // the smallest power of two of at least 2n
+	run := runMailboxOps(t, growthOps())
+	if run.peakLive != 2*diffSrcs || run.slots <= initial {
+		t.Fatalf("growthOps: %d lists live at most and %d slots, want %d live in a table grown past %d", run.peakLive, run.slots, 2*diffSrcs, initial)
+	}
 	for seed := uint64(1); seed <= 8; seed++ {
 		run := runMailboxOps(t, diffOps(seed, 20000))
+		if run.slots <= initial {
+			t.Fatalf("seed %d: at most %d lists live; the source index never outgrew its %d slots", seed, run.peakLive, initial)
+		}
 		if run.refills() < 50 {
 			t.Fatalf("seed %d: contexts refilled only %d times; the sequence does not churn the index", seed, run.refills())
 		}
@@ -363,12 +430,80 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 
 // FuzzMailbox runs the differential check on arbitrary operation
 // strings. Its corpus, in testdata/fuzz/FuzzMailbox, holds diffOps
-// sequences of 64 to 4000 operations.
+// sequences of 64 to 4000 operations, and growthOps seeds it too.
 func FuzzMailbox(f *testing.F) {
+	f.Add(growthOps())
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1<<14 {
 			ops = ops[:1<<14]
 		}
 		runMailboxOps(t, ops)
 	})
+}
+
+// TestSourceIndexCollisionsAndWraparound plants nine lists whose home
+// slots collide at the last two slots of the source index and its first,
+// so that their probe runs wrap around the table's end, then consumes
+// them, some two messages deep, in 200 seeded orders: every freed slot
+// shifts its run back, across the wrap too, and after each operation
+// checkLinks must find every remaining list reachable from its home.
+func TestSourceIndexCollisionsAndWraparound(t *testing.T) {
+	const n = 16
+	f := NewFabric(n)
+	defer f.Close()
+	recv := func(dst, src int) bool {
+		t.Helper()
+		msg, ok, err := f.Endpoint(dst).TryRecv(Match{Context: 16, Src: src, Tag: AnyTag})
+		if err != nil || ok && msg.Src != src {
+			t.Fatalf("receive (%d, %d): src %d, %v", dst, src, msg.Src, err)
+		}
+		return ok
+	}
+	send := func(dst, src, tag int) {
+		t.Helper()
+		if err := f.Endpoint(src).Send(dst, 16, tag, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A first message allocates the index; consuming it empties it.
+	send(0, 0, 0)
+	recv(0, 0)
+	last := len(f.srcs) - 1
+	want := map[int]int{last - 1: 2, last: 4, 0: 3}
+	var pairs [][2]int
+	for dst := range n {
+		for src := range n {
+			if h := f.home(dst, src); want[h] > 0 {
+				want[h]--
+				pairs = append(pairs, [2]int{dst, src})
+			}
+		}
+	}
+	if len(pairs) != 9 {
+		t.Fatalf("found %d pairs homed at slots %d, %d and 0 of %d, want 9", len(pairs), last-1, last, last+1)
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	op := 0
+	for range 200 {
+		for _, i := range r.Perm(len(pairs)) {
+			dst, src := pairs[i][0], pairs[i][1]
+			for range 1 + r.IntN(2) {
+				send(dst, src, r.IntN(3))
+			}
+			op++
+			checkLinks(t, f, op)
+		}
+		if f.live != len(pairs) || len(f.srcs) != last+1 || f.srcs[last].head == nil || f.srcs[0].head == nil || f.srcs[1].head == nil {
+			t.Fatalf("op %d: %d lists live in %d slots, want %d in %d wrapping past the end", op, f.live, len(f.srcs), len(pairs), last+1)
+		}
+		for _, i := range r.Perm(len(pairs)) {
+			for recv(pairs[i][0], pairs[i][1]) {
+				op++
+				checkLinks(t, f, op)
+			}
+		}
+		if f.live != 0 {
+			t.Fatalf("op %d: %d lists live after every message was consumed", op, f.live)
+		}
+	}
 }

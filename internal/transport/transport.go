@@ -22,19 +22,23 @@
 // Message carries.
 //
 // Matching walks arrival lists. A queued message is one entry, its
-// envelope and its links, on two doubly linked lists of its mailbox,
-// both in arrival order: its context's list, and its source's list,
-// which spans all of that source's contexts and tags. A receive or
-// probe that names its source walks only that source's live messages
-// and takes the first whose context and tag match — for an exact match,
-// the head of its (source, context, tag) FIFO, as MPI's non-overtaking
-// rule requires. An AnySource match walks its context's list the same
-// way. Either first match is the earliest arrival among all the
-// messages the match selects, exactly the message a single-queue
-// linear scan returns. A mailbox keeps only the contexts holding a
-// message, in a short slice searched linearly, and its n source lists
-// in one array allocated at its first delivery (16 B per rank): no
-// receive, probe or burst grows a hash table.
+// envelope and its links, on two doubly linked lists, both in arrival
+// order: its context's list in its mailbox, and its (destination,
+// source) list, which spans all of that source's contexts and tags. A
+// receive or probe that names its source walks only that source's live
+// messages and takes the first whose context and tag match — for an
+// exact match, the head of its (source, context, tag) FIFO, as MPI's
+// non-overtaking rule requires. An AnySource match walks its context's
+// list the same way. Either first match is the earliest arrival among
+// all the messages the match selects, exactly the message a
+// single-queue linear scan returns. A mailbox keeps only the contexts
+// holding a message, in a short slice searched linearly. The fabric
+// keeps only the source lists holding a message, in one open-addressed
+// table over all of its mailboxes (linear probing, deletion by backward
+// shift, no tombstones), allocated at the first delivery with at least
+// 2n slots and doubled when half full. So the source index costs what
+// is in flight, not n slots per receiving rank, and no receive, probe
+// or steady-state message grows a table.
 //
 // # Recycling
 //
@@ -48,8 +52,11 @@
 // most 256 B — so a burst of n² small messages, every rank announcing
 // itself to every other at a drain, costs O(n) heap objects, on a fresh
 // fabric too. A slab stays reachable while anything cut from it is, and
-// all of it dies with the fabric. The payload follows one ownership
-// chain:
+// all of it dies with the fabric. The fabric's per-rank state is slabs
+// as well — its mailboxes, its endpoints, and every mailbox's first
+// four context slots, cut at the first delivery — so a fabric costs a
+// fixed number of heap objects whatever n. The payload follows one
+// ownership chain:
 //
 //   - Buf hands out a payload buffer of the requested length;
 //   - SendOwned takes the payload over, and the caller must not touch it
@@ -164,8 +171,19 @@ type Fabric struct {
 	ranks   []int  // 0..n-1 (Ranks)
 	session uint64 // lower-half session (SetSession)
 	nextCtx uint32
-	boxes   []*mailbox
+	boxes   []mailbox  // by rank
+	eps     []Endpoint // by rank (Endpoint)
 	closed  bool
+
+	// Scheduler hooks (nil on a bare fabric; SetScheduler).
+	sched Scheduler
+	cost  func(bytes int) time.Duration
+
+	// srcs is every mailbox's source index: an open-addressed table of
+	// the (destination, source) lists holding a message, live of them,
+	// nil until the first delivery (see srcq).
+	srcs []srcq
+	live int
 
 	// ents holds free queue entries, taken by sends to any mailbox.
 	// Only the token holder touches it or bufs (see the package comment).
@@ -201,11 +219,13 @@ func NewFabric(n int) *Fabric {
 	f := &Fabric{
 		ranks:   make([]int, n),
 		nextCtx: 16, // contexts 0..15 reserved for predefined comms
-		boxes:   make([]*mailbox, n),
+		boxes:   make([]mailbox, n),
+		eps:     make([]Endpoint, n),
 	}
 	for i := range f.boxes {
 		f.ranks[i] = i
-		f.boxes[i] = &mailbox{rank: i, fab: f}
+		f.boxes[i] = mailbox{rank: i, fab: f}
+		f.eps[i] = Endpoint{fabric: f, rank: i}
 	}
 	return f
 }
@@ -215,10 +235,7 @@ func NewFabric(n int) *Fabric {
 // SendVT + cost(len(payload)). Must be called before any endpoint
 // operation; the cluster attaches it right after NewFabric.
 func (f *Fabric) SetScheduler(s Scheduler, cost func(bytes int) time.Duration) {
-	for _, b := range f.boxes {
-		b.sched = s
-		b.cost = cost
-	}
+	f.sched, f.cost = s, cost
 }
 
 // Size returns the number of ranks served by the fabric.
@@ -307,7 +324,7 @@ func (f *Fabric) Endpoint(r int) *Endpoint {
 	if r < 0 || r >= len(f.ranks) {
 		panic(fmt.Sprintf("transport: endpoint rank %d out of range [0,%d)", r, len(f.ranks)))
 	}
-	return &Endpoint{fabric: f, rank: r}
+	return &f.eps[r]
 }
 
 // Close shuts the fabric down, waking all blocked receivers with
@@ -315,8 +332,11 @@ func (f *Fabric) Endpoint(r int) *Endpoint {
 func (f *Fabric) Close() {
 	if !f.closed {
 		f.closed = true
-		for _, b := range f.boxes {
-			b.close()
+		for i := range f.boxes {
+			if b := &f.boxes[i]; b.waiting {
+				b.waiting = false
+				f.sched.Wake(b.rank, 0)
+			}
 		}
 	}
 }
@@ -348,7 +368,7 @@ func (e *Endpoint) SendOwned(dst int, ctx uint32, tag int, payload []byte, sendV
 	if dst < 0 || dst >= len(e.fabric.ranks) {
 		return fmt.Errorf("transport: send to rank %d out of range [0,%d)", dst, len(e.fabric.ranks))
 	}
-	box := e.fabric.boxes[dst]
+	box := &e.fabric.boxes[dst]
 	ent := e.fabric.entry()
 	ent.m = Message{
 		Src:     e.rank,
@@ -357,7 +377,8 @@ func (e *Endpoint) SendOwned(dst int, ctx uint32, tag int, payload []byte, sendV
 		Payload: payload,
 		SendVT:  sendVT,
 	}
-	return box.put(ent)
+	box.put(ent)
+	return nil
 }
 
 // SleepUntil parks the calling rank's activity until virtual time at.
@@ -367,11 +388,10 @@ func (e *Endpoint) SleepUntil(at time.Duration) error {
 	if e.fabric.closed {
 		return ErrClosed
 	}
-	b := e.fabric.boxes[e.rank]
 	type timedParker interface {
 		ParkUntil(rank int, at time.Duration)
 	}
-	tp, ok := b.sched.(timedParker)
+	tp, ok := e.fabric.sched.(timedParker)
 	if !ok {
 		return ErrNoScheduler
 	}
@@ -462,32 +482,32 @@ type ctxq struct {
 	head, tail *qent
 }
 
-// srcq is one source's arrival list, across all of its contexts and
-// tags.
+// srcq is one slot of the fabric's source index: the arrival list of
+// the messages from src queued at dst, across all of src's contexts and
+// tags. A slot whose head is nil is empty. A slot is claimed when its
+// list gets a first entry and freed when the list empties, so the table
+// holds only non-empty lists.
 type srcq struct {
+	dst, src   int32
 	head, tail *qent
 }
 
 // mailbox is an MPI-ordered message store. Every queued entry is on its
-// context's list and on its source's list, both in arrival order, so the
-// first entry a match selects on either list is the earliest arrival
-// among all the messages it selects.
+// context's list and on its (destination, source) list in the fabric's
+// index, both in arrival order, so the first entry a match selects on
+// either list is the earliest arrival among all the messages it
+// selects.
 type mailbox struct {
 	rank int
-	fab  *Fabric // owns the entry pool consumed entries return to
+	fab  *Fabric // owns the entry pool and the source index
 
-	// ctxs holds the contexts with a queued message, searched linearly;
-	// srcs is indexed by source rank. Both are allocated at the first
-	// delivery.
-	ctxs   []ctxq
-	srcs   []srcq
-	closed bool
+	// ctxs holds the contexts with a queued message, searched linearly.
+	// The first delivery to any mailbox carves every mailbox's first
+	// four from one slab; an append past them reallocates privately.
+	ctxs []ctxq
 
-	// Scheduler hooks (nil on a bare fabric). waiting records the owner
-	// rank's parked receive; there is at most one waiter per mailbox
-	// because only the owner receives from it.
-	sched   Scheduler
-	cost    func(bytes int) time.Duration
+	// waiting records the owner rank's parked receive; there is at most
+	// one waiter per mailbox because only the owner receives from it.
 	waiting bool
 	wmatch  Match
 }
@@ -530,16 +550,83 @@ func (b *mailbox) ctx(id uint32) *ctxq {
 	return nil
 }
 
-func (b *mailbox) put(e *qent) error {
-	m := &e.m
-	if b.closed {
-		return ErrClosed
+// home returns the slot (dst, src)'s probe starts from: a Fibonacci
+// hash of the pair's index among the n² pairs, taken to the table's
+// size, a power of two.
+func (f *Fabric) home(dst, src int) int {
+	k := uint64(dst)*uint64(len(f.ranks)) + uint64(src)
+	return int(k * 0x9e3779b97f4a7c15 >> (64 - bits.TrailingZeros(uint(len(f.srcs)))))
+}
+
+// slot returns the index of (dst, src)'s slot in the source index: the
+// one holding its list, or the empty slot that ends its probe. The
+// table is never more than half full, so every probe ends.
+func (f *Fabric) slot(dst, src int) int {
+	mask := len(f.srcs) - 1
+	for i := f.home(dst, src); ; i = (i + 1) & mask {
+		if s := &f.srcs[i]; s.head == nil || int(s.dst) == dst && int(s.src) == src {
+			return i
+		}
 	}
-	if b.srcs == nil {
-		// The first delivery: n source lists, and room for two
-		// communicators' point-to-point and collective contexts.
-		b.srcs = make([]srcq, len(b.fab.ranks))
-		b.ctxs = make([]ctxq, 0, 4)
+}
+
+// claim returns the slot of (dst, src)'s list for a message about to
+// join it, claiming an empty slot if the list is empty. The index is
+// allocated here at the first delivery, with the smallest power of two
+// of at least 2n slots, and doubled before a claim would fill more than
+// half of it.
+func (f *Fabric) claim(dst, src int) int {
+	if f.srcs == nil {
+		f.srcs = make([]srcq, 1<<bits.Len(uint(2*len(f.ranks)-1)))
+	}
+	i := f.slot(dst, src)
+	if f.srcs[i].head != nil {
+		return i
+	}
+	if 2*(f.live+1) > len(f.srcs) {
+		old := f.srcs
+		f.srcs = make([]srcq, 2*len(old))
+		for _, s := range old {
+			if s.head != nil {
+				f.srcs[f.slot(int(s.dst), int(s.src))] = s
+			}
+		}
+		i = f.slot(dst, src)
+	}
+	f.srcs[i].dst, f.srcs[i].src = int32(dst), int32(src)
+	f.live++
+	return i
+}
+
+// free empties slot i, whose list just emptied, and shifts back each
+// later slot of its probe run whose home does not lie between the hole
+// and itself, so that every live list stays reachable from its home
+// with no tombstone.
+func (f *Fabric) free(i int) {
+	mask := len(f.srcs) - 1
+	for j := (i + 1) & mask; f.srcs[j].head != nil; j = (j + 1) & mask {
+		s := &f.srcs[j]
+		if (j-f.home(int(s.dst), int(s.src)))&mask >= (j-i)&mask {
+			f.srcs[i] = *s
+			i = j
+		}
+	}
+	f.srcs[i] = srcq{}
+	f.live--
+}
+
+// put queues e, for an open fabric (SendOwned checks), on both of its
+// lists and wakes the owner if its parked receive matches.
+func (b *mailbox) put(e *qent) {
+	m := &e.m
+	f := b.fab
+	if b.ctxs == nil {
+		// The fabric's first delivery: room for two communicators'
+		// point-to-point and collective contexts in every mailbox.
+		slab := make([]ctxq, 4*len(f.boxes))
+		for r := range f.boxes {
+			f.boxes[r].ctxs = slab[4*r : 4*r : 4*r+4]
+		}
 	}
 	c := b.ctx(m.Context)
 	if c == nil {
@@ -552,7 +639,7 @@ func (b *mailbox) put(e *qent) error {
 		c.tail.next, e.prev = e, c.tail
 	}
 	c.tail = e
-	s := &b.srcs[m.Src]
+	s := &f.srcs[f.claim(b.rank, m.Src)]
 	if s.tail == nil {
 		s.head = e
 	} else {
@@ -561,17 +648,16 @@ func (b *mailbox) put(e *qent) error {
 	s.tail = e
 	if b.waiting && b.wmatch.Matches(m) {
 		b.waiting = false
-		b.sched.Wake(b.rank, m.SendVT+b.cost(len(m.Payload)))
+		f.sched.Wake(b.rank, m.SendVT+f.cost(len(m.Payload)))
 	}
-	return nil
 }
 
 // head returns the first entry of the list m walks: its source's list
 // for a named source, its context's for AnySource.
 func (b *mailbox) head(m Match) *qent {
 	if m.Src != AnySource {
-		if uint(m.Src) < uint(len(b.srcs)) {
-			return b.srcs[m.Src].head
+		if f := b.fab; f.srcs != nil && uint(m.Src) < uint(len(f.ranks)) {
+			return f.srcs[f.slot(b.rank, m.Src)].head
 		}
 		return nil
 	}
@@ -635,7 +721,8 @@ func (b *mailbox) earliestMatch(m Match) (time.Duration, bool) {
 }
 
 // remove consumes e: it unlinks e from both of its lists, drops its
-// context from ctxs if that emptied it, and recycles e.
+// context from ctxs and frees its source's slot if that emptied them,
+// and recycles e.
 func (b *mailbox) remove(e *qent) Message {
 	msg := e.m
 	c := b.ctx(msg.Context)
@@ -654,7 +741,9 @@ func (b *mailbox) remove(e *qent) Message {
 		*c, b.ctxs[last] = b.ctxs[last], ctxq{}
 		b.ctxs = b.ctxs[:last]
 	}
-	s := &b.srcs[msg.Src]
+	f := b.fab
+	i := f.slot(b.rank, msg.Src)
+	s := &f.srcs[i]
 	if e.sprev == nil {
 		s.head = e.snext
 	} else {
@@ -665,7 +754,10 @@ func (b *mailbox) remove(e *qent) Message {
 	} else {
 		e.snext.sprev = e.sprev
 	}
-	b.fab.recycle(e)
+	if s.head == nil {
+		f.free(i)
+	}
+	f.recycle(e)
 	return msg
 }
 
@@ -673,7 +765,7 @@ func (b *mailbox) remove(e *qent) Message {
 // one; otherwise it returns errNoMatch immediately.
 func (b *mailbox) take(m Match, block bool) (Message, error) {
 	for {
-		if b.closed {
+		if b.fab.closed {
 			return Message{}, ErrClosed
 		}
 		if e := b.find(m, anyTime); e != nil {
@@ -697,7 +789,7 @@ func (b *mailbox) peekVisible(m Match, now time.Duration) (*Message, bool) {
 
 func (b *mailbox) waitMatch(m Match) error {
 	for {
-		if b.closed {
+		if b.fab.closed {
 			return ErrClosed
 		}
 		if b.find(m, anyTime) != nil {
@@ -712,20 +804,12 @@ func (b *mailbox) waitMatch(m Match) error {
 // wait parks the owner rank until a delivery matching m (or close)
 // wakes it. Without a scheduler nothing could, so it fails instead.
 func (b *mailbox) wait(m Match) error {
-	if b.sched == nil {
+	if b.fab.sched == nil {
 		return fmt.Errorf("%w: rank %d receiving context %d source %d tag %d",
 			ErrNoScheduler, b.rank, m.Context, m.Src, m.Tag)
 	}
 	b.waiting = true
 	b.wmatch = m
-	b.sched.Park(b.rank)
+	b.fab.sched.Park(b.rank)
 	return nil
-}
-
-func (b *mailbox) close() {
-	b.closed = true
-	if b.waiting {
-		b.waiting = false
-		b.sched.Wake(b.rank, 0)
-	}
 }

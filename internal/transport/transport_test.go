@@ -678,22 +678,23 @@ func (c *controlBurst) run(tb testing.TB) {
 
 // TestControlBurstAllocsLinear: the n(n-1) messages of a control burst
 // must cost O(n) heap objects — a slab of entries and a batch of
-// payload buffers per n messages, and each receiving mailbox's source
-// array and context slice — not an entry, a payload or an index slot
+// payload buffers per n messages, the fabric's context slab and the
+// source index's doublings — not an entry, a payload or an index slot
 // each. A burst on a fresh fabric, as every job's first drain is, costs
-// at most 8n. A burst on a fabric whose mailboxes have been grown
+// at most 4n. A burst on a fabric whose mailboxes have been grown
 // first, by one destination's n-1 messages at a time, counts the pools
-// alone. A later burst takes every entry back from the pool; only the
-// payloads past a class's idle bound (maxClassBufs) are cut anew, n to
-// a batch.
+// and the index's doublings up to all n(n-1) lists live, at most 8n. A
+// later burst takes every entry back from the pool and every list slot
+// from the grown index; only the payloads past a class's idle bound
+// (maxClassBufs) are cut anew, n to a batch.
 func TestControlBurstAllocsLinear(t *testing.T) {
 	for _, n := range []int{64, 256} {
 		cold := newControlBurst(n)
 		got := mallocs(func() { cold.run(t) })
 		cold.f.Close()
 		t.Logf("n=%d: a cold burst of %d messages allocated %d objects (%.1f per rank)", n, n*(n-1), got, float64(got)/float64(n))
-		if got > uint64(8*n) {
-			t.Errorf("n=%d: a cold burst of %d messages allocated %d objects, want at most %d", n, n*(n-1), got, 8*n)
+		if got > uint64(4*n) {
+			t.Errorf("n=%d: a cold burst of %d messages allocated %d objects, want at most %d", n, n*(n-1), got, 4*n)
 		}
 
 		c := newControlBurst(n)
