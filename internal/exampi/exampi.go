@@ -1,21 +1,18 @@
 // Package exampi simulates ExaMPI, the experimental C++ MPI
-// implementation (paper Sections 3 and 4.3), whose design choices are the
-// most unusual of the four:
+// implementation (paper Sections 3 and 4.3):
 //
-//   - primitive datatypes are values of an enum class: small integers,
-//     not pointers, and MPI_CHAR and MPI_BYTE (like MPI_INT8_T and
-//     MPI_CHAR in the real ExaMPI) share one enum value — two constant
-//     names alias the same physical handle;
-//   - every other object, including the global constants MPI_COMM_WORLD
-//     and MPI_SUM, is a smart shared pointer created with reinterpret
-//     casts, whose address is only known "relatively late at runtime, on
-//     a lazy basis": a constant's handle is materialized on first use,
-//     not at startup;
-//   - the implementation is a subset of the standard: strided and
-//     indexed datatypes, gather/scatter, and allgather are not provided
-//     (the paper runs only CoMD and LULESH on ExaMPI for this reason),
-//     but the MANA core subset of Section 5 — including MPI_Alltoall —
-//     is fully supported.
+//   - primitive datatypes are values of an enum class, small integers,
+//     and MPI_CHAR and MPI_BYTE share one enum value (like MPI_INT8_T
+//     and MPI_CHAR in the real ExaMPI): two constant names alias one
+//     physical handle;
+//   - every other object, MPI_COMM_WORLD and MPI_SUM included, is a
+//     shared pointer, an mpibase.AddrTable address, "known relatively
+//     late at runtime, on a lazy basis": a constant is bound on first
+//     use, not at startup;
+//   - it implements a subset: no strided or indexed datatypes,
+//     gather/scatter or allgather (the paper runs only CoMD and LULESH
+//     on it), but all of the MANA core of Section 5, MPI_Alltoall
+//     included.
 package exampi
 
 import (
@@ -58,103 +55,57 @@ func enumOf(name mpi.ConstName) (uint64, bool) {
 	}
 }
 
-// sharedPtrBase is the simulated address region of ExaMPI's shared
-// pointers; lazily allocated, strictly above the enum range.
-const sharedPtrBase = 0x5600_0000_0000
-
-// store is ExaMPI's object registry: enum-valued primitives plus a
-// shared-pointer table for everything else.
-type store struct {
-	session uint64
-	next    uint64
-	objs    map[uint64]entry
-	enums   map[uint64]any // enum value -> predefined datatype object
-	consts  [mpi.NumConstNames]mpi.Handle
-	bound   [mpi.NumConstNames]bool
+// table is ExaMPI's object registry: the enum-valued primitive datatypes
+// over an AddrTable of shared pointers for everything else.
+type table struct {
+	*mpibase.AddrTable
+	enums [enumFloat64 - enumByte + 1]any // bound datatype of each enum value
 }
 
-type entry struct {
-	kind mpi.Kind
-	obj  any
+// newTable returns an empty registry. Shared pointers live strictly
+// above the enum range, 16 bytes apart, and the session perturbs their
+// addresses so they differ across library instances (restart!).
+func newTable(session uint64) *table {
+	return &table{AddrTable: mpibase.NewAddrTable(0x5600_0000_0000^(session<<20), 16)}
 }
 
-func newStore(session uint64) *store {
-	return &store{
-		session: session,
-		objs:    make(map[uint64]entry),
-		enums:   make(map[uint64]any),
+// enum returns the datatype bound to enum value h, nil if h is none.
+func (t *table) enum(h mpi.Handle) any {
+	if h < enumByte || h > enumFloat64 {
+		return nil
 	}
+	return t.enums[h-enumByte]
 }
 
-// alloc creates a fresh shared pointer. The session perturbs addresses
-// so they differ across library instances (restart!).
-func (s *store) alloc(kind mpi.Kind, obj any) mpi.Handle {
-	addr := sharedPtrBase ^ (s.session << 20)
-	addr += s.next
-	s.next += 16
-	s.objs[addr] = entry{kind: kind, obj: obj}
-	return mpi.Handle(addr)
+// Lookup implements mpibase.HandleTable: a datatype handle may be an
+// enum value.
+func (t *table) Lookup(kind mpi.Kind, h mpi.Handle) (any, error) {
+	if o := t.enum(h); o != nil && kind == mpi.KindDatatype {
+		return o, nil
+	}
+	return t.AddrTable.Lookup(kind, h)
 }
 
-// Insert implements mpibase.HandleTable.
-func (s *store) Insert(kind mpi.Kind, obj any) mpi.Handle {
-	return s.alloc(kind, obj)
-}
-
-// Lookup implements mpibase.HandleTable.
-func (s *store) Lookup(kind mpi.Kind, h mpi.Handle) (any, error) {
-	if h == mpi.HandleNull {
-		return nil, mpi.Errorf(kind.ErrClass(), "null %v handle", kind)
-	}
-	if kind == mpi.KindDatatype {
-		if o, ok := s.enums[uint64(h)]; ok {
-			return o, nil
-		}
-	}
-	e, ok := s.objs[uint64(h)]
-	if !ok {
-		return nil, mpi.Errorf(kind.ErrClass(), "%v handle %#x unknown to this ExaMPI instance", kind, uint64(h))
-	}
-	if e.kind != kind {
-		return nil, mpi.Errorf(kind.ErrClass(), "handle %#x is %v, want %v", uint64(h), e.kind, kind)
-	}
-	return e.obj, nil
-}
-
-// Remove implements mpibase.HandleTable.
-func (s *store) Remove(h mpi.Handle) error {
-	if _, ok := s.enums[uint64(h)]; ok {
+// Remove implements mpibase.HandleTable: enum datatypes cannot be freed.
+func (t *table) Remove(h mpi.Handle) error {
+	if t.enum(h) != nil {
 		return mpi.Errorf(mpi.ErrType, "cannot free enum datatype %#x", uint64(h))
 	}
-	e, ok := s.objs[uint64(h)]
-	if !ok {
-		return mpi.Errorf(mpi.ErrArg, "free of unknown shared pointer %#x", uint64(h))
-	}
-	for _, c := range s.consts {
-		if c == h {
-			return mpi.Errorf(e.kind.ErrClass(), "cannot free predefined object %#x", uint64(h))
-		}
-	}
-	delete(s.objs, uint64(h))
-	return nil
+	return t.AddrTable.Remove(h)
 }
 
 // ConstHandle implements mpibase.HandleTable. Primitive datatypes are
 // enum values (known immediately and stable); every other constant is a
 // lazy shared pointer materialized on first use — the property MANA's
 // constant translation must tolerate (paper Section 4.3).
-func (s *store) ConstHandle(name mpi.ConstName, obj any) (mpi.Handle, error) {
+func (t *table) ConstHandle(name mpi.ConstName, obj any) (mpi.Handle, error) {
 	if ev, ok := enumOf(name); ok {
-		if _, bound := s.enums[ev]; !bound {
-			s.enums[ev] = obj
+		if t.enums[ev-enumByte] == nil {
+			t.enums[ev-enumByte] = obj
 		}
 		return mpi.Handle(ev), nil
 	}
-	if !s.bound[name] {
-		s.consts[name] = s.alloc(name.Kind(), obj)
-		s.bound[name] = true
-	}
-	return s.consts[name], nil
+	return t.AddrTable.ConstHandle(name, obj)
 }
 
 // Caps returns ExaMPI's subset capability set.
@@ -172,8 +123,8 @@ func Caps() mpi.CapSet {
 // effect the paper discusses in Section 6.2).
 func New(fab *transport.Fabric, rank int, clock *simtime.Clock, net simtime.NetModel) mpi.Proc {
 	eng := mpibase.NewEngine(fab, rank, clock, net)
-	st := newStore(fab.Session()*uint64(fab.Size()) + uint64(rank) + 1)
-	p := mpibase.NewProc(eng, st, "exampi", 64, Caps())
+	tab := newTable(fab.Session()*uint64(fab.Size()) + uint64(rank) + 1)
+	p := mpibase.NewProc(eng, tab, "exampi", 64, Caps())
 	p.SetResolveCost(5*time.Microsecond, 600*time.Nanosecond)
 	return p
 }

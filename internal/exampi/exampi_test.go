@@ -18,40 +18,41 @@ func TestEnumAliasByteChar(t *testing.T) {
 }
 
 func TestLazyConstantMaterialization(t *testing.T) {
-	s := newStore(3)
-	// Nothing is resolved at construction (lazy, unlike Open MPI).
-	if len(s.objs) != 0 {
-		t.Fatalf("store pre-populated: %d objects", len(s.objs))
-	}
-	h, err := s.ConstHandle(mpi.ConstOpSum, "sum")
+	tab := newTable(3)
+	// Nothing is resolved at construction (lazy, unlike Open MPI): the
+	// first constant takes the first shared pointer.
+	h, err := tab.ConstHandle(mpi.ConstOpSum, "sum")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.objs) != 1 {
-		t.Fatal("first use did not materialize the shared pointer")
+	if first := mpi.Handle(0x5600_0000_0000 ^ 3<<20); h != first {
+		t.Fatalf("first constant at %#x, want the first shared pointer %#x", uint64(h), uint64(first))
 	}
-	h2, _ := s.ConstHandle(mpi.ConstOpSum, "other")
+	h2, _ := tab.ConstHandle(mpi.ConstOpSum, "other")
 	if h != h2 {
 		t.Fatal("lazy constant materialized twice")
 	}
-	if err := s.Remove(h); err == nil {
+	if next := tab.Insert(mpi.KindOp, "user"); next != h+16 {
+		t.Fatalf("next shared pointer %#x, want %#x: the constant took more than one", uint64(next), uint64(h+16))
+	}
+	if err := tab.Remove(h); err == nil {
 		t.Fatal("freed a predefined constant")
 	}
 }
 
 func TestEnumDatatypesNotFreeable(t *testing.T) {
-	s := newStore(1)
-	h, err := s.ConstHandle(mpi.ConstFloat64, "f64")
+	tab := newTable(1)
+	h, err := tab.ConstHandle(mpi.ConstFloat64, "f64")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if uint64(h)>>16 != 0 {
 		t.Fatalf("enum handle %#x is not a small value", uint64(h))
 	}
-	if err := s.Remove(h); err == nil {
+	if err := tab.Remove(h); err == nil {
 		t.Fatal("freed an enum datatype")
 	}
-	got, err := s.Lookup(mpi.KindDatatype, h)
+	got, err := tab.Lookup(mpi.KindDatatype, h)
 	if err != nil || got != any("f64") {
 		t.Fatalf("enum lookup %v %v", got, err)
 	}
@@ -74,7 +75,7 @@ func TestSubsetCapabilities(t *testing.T) {
 }
 
 func TestSharedPointersDifferAcrossSessions(t *testing.T) {
-	s1, s2 := newStore(11), newStore(22)
+	s1, s2 := newTable(11), newTable(22)
 	h1, _ := s1.ConstHandle(mpi.ConstCommWorld, 1)
 	h2, _ := s2.ConstHandle(mpi.ConstCommWorld, 2)
 	if h1 == h2 {

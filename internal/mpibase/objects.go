@@ -4,11 +4,12 @@
 // algorithms, communicator and group management, derived datatypes, and
 // reduction operations against internal object structs.
 //
-// What mpibase deliberately does NOT define is the handle representation:
-// each implementation package (mpich, craympi, openmpi, exampi) supplies a
-// HandleTable that maps its own mpi.Handle bit patterns to these internal
-// objects, reproducing the design diversity surveyed in Section 3 of the
-// paper. The Proc adapter in this package glues an Engine and a
+// What mpibase deliberately does NOT fix is the handle representation:
+// it provides the two handle-table families surveyed in Section 3 of the
+// paper, 32-bit slab ids (SlabTable) and addresses (AddrTable), and each
+// implementation package (mpich, craympi, openmpi, exampi) picks a layout
+// or base that maps its own mpi.Handle bit patterns to these internal
+// objects. The Proc adapter in this package glues an Engine and a
 // HandleTable into a complete mpi.Proc.
 package mpibase
 

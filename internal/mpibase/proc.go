@@ -6,16 +6,16 @@ import (
 	"manasim/internal/mpi"
 )
 
-// HandleTable is the one piece each MPI implementation supplies itself:
-// the mapping between its public mpi.Handle bit patterns and the engine's
-// internal objects. This is precisely the axis along which real
-// implementations differ (paper Section 3):
+// HandleTable maps an implementation's public mpi.Handle bit patterns to
+// the engine's internal objects, precisely the axis along which real
+// implementations differ (paper Section 3). This package provides the
+// two families and each implementation picks a point in one:
 //
-//   - the MPICH family packs kind + two table indices into a 32-bit id;
-//   - Open MPI hands out 64-bit pointers to internal structs, different
-//     in every library instance;
-//   - ExaMPI uses enum values for primitive datatypes and lazily
-//     materialized shared pointers for other objects.
+//   - the MPICH family (mpich, craympi) a SlabLayout, packing kind and
+//     two table indices into a 32-bit id (SlabTable);
+//   - the pointer family (openmpi, exampi) an AddrTable's base, 64-bit
+//     addresses different in every library instance; ExaMPI layers its
+//     enum-valued primitive datatypes over it.
 type HandleTable interface {
 	// Insert registers a fresh object and returns its physical handle.
 	Insert(kind mpi.Kind, obj any) mpi.Handle
@@ -35,7 +35,7 @@ type HandleTable interface {
 }
 
 // Proc glues an Engine and a HandleTable into a complete mpi.Proc. The
-// four implementation packages build their flavor by supplying their
+// four implementation packages build their flavor by choosing their
 // table, capability set, and identification strings.
 type Proc struct {
 	Eng *Engine

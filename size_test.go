@@ -507,7 +507,8 @@ func unusedExports(fset *token.FileSet, pkgs []*checkedPkg) []string {
 // struct types under internal/, exported or not, that no file of pkgs
 // reads, each named pkg.Type.field. A use writes a field, and does not
 // read it, where the field is an assignment's target (op-assigns
-// included), the operand of ++ or --, or a composite literal's key;
+// included) or is indexed by one, the operand of ++ or --, or a
+// composite literal's key;
 // every other use reads it. A struct with any tag is read by reflection
 // and is not counted, nor is an embedded field, which any interface the
 // struct satisfies through it reads. Comparing a struct with == or !=,
@@ -533,8 +534,13 @@ func writeOnlyFields(pkgs []*checkedPkg) []string {
 	}
 	for _, p := range pkgs {
 		written := map[*ast.Ident]bool{}
+		// An assignment through an index (t.f[k] = v) writes f.
 		target := func(e ast.Expr) {
-			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			e = ast.Unparen(e)
+			for ix, ok := e.(*ast.IndexExpr); ok; ix, ok = e.(*ast.IndexExpr) {
+				e = ast.Unparen(ix.X)
+			}
+			if sel, ok := e.(*ast.SelectorExpr); ok {
 				written[sel.Sel] = true
 			}
 		}
@@ -678,8 +684,9 @@ type importerFunc func(path string) (*types.Package, error)
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // TestWriteOnlyFieldsRule runs writeOnlyFields over a small in-memory
-// package: a field only assigned, only op-assigned, only incremented or
-// only set in a composite literal is flagged; a field read anywhere, a
+// package: a field only assigned, only op-assigned, only incremented,
+// only written through an index or only set in a composite literal is
+// flagged; a field read anywhere, a
 // tagged struct's fields and the fields of a struct compared with == or
 // used as a map key are not.
 func TestWriteOnlyFieldsRule(t *testing.T) {
@@ -689,6 +696,7 @@ type T struct {
 	assigned, opAssigned, incremented, literal int
 	read, readInLiteral                        int
 	unused                                     int
+	indexed, indexedRead                       map[int][2]int
 }
 
 type tagged struct {
@@ -708,6 +716,8 @@ func f() int {
 	t.assigned = 1
 	t.opAssigned += 2
 	t.incremented++
+	t.indexed[1] = [2]int{}
+	t.indexedRead[1] = [2]int{t.indexedRead[2][1]}
 	u := T{literal: 1, readInLiteral: t.read}
 	var g tagged
 	g.b = 1
@@ -731,7 +741,7 @@ func f() int {
 		t.Fatal(err)
 	}
 	got := writeOnlyFields([]*checkedPkg{p})
-	want := []string{"p.T.assigned", "p.T.incremented", "p.T.literal", "p.T.opAssigned", "p.T.unused"}
+	want := []string{"p.T.assigned", "p.T.incremented", "p.T.indexed", "p.T.literal", "p.T.opAssigned", "p.T.unused"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("write-only fields %v, want %v", got, want)
 	}
